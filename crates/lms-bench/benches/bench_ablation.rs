@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices called out in DESIGN.md §5:
-//! iteration policy, update scheme, quality metric, and RDR seeding.
+//! iteration policy, update scheme, and the quality metric RDR ranks by.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lms_mesh::quality::QualityMetric;
@@ -43,7 +43,6 @@ fn rdr_variants(c: &mut Criterion) {
     group.sample_size(10);
     for (name, opts) in [
         ("paper", RdrOptions::default()),
-        ("single_seed", RdrOptions { global_quality_seeding: false, ..Default::default() }),
         ("minangle_metric", RdrOptions { metric: QualityMetric::MinAngle, ..Default::default() }),
     ] {
         group.bench_with_input(BenchmarkId::new("rdr", name), &base, |b, m| {

@@ -9,13 +9,17 @@
 
 use crate::mesh::TriMesh;
 
-/// CSR vertex→vertex and vertex→triangle adjacency.
+/// CSR vertex→vertex and vertex→triangle adjacency, plus the boundary
+/// flags the build sees for free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adjacency {
     vv_offsets: Vec<u32>,
     vv_neighbors: Vec<u32>,
     vt_offsets: Vec<u32>,
     vt_triangles: Vec<u32>,
+    /// `true` for every vertex on an edge of exactly one triangle, and for
+    /// every vertex in no triangle (see [`crate::Boundary`]).
+    on_boundary: Vec<bool>,
 }
 
 impl Adjacency {
@@ -78,26 +82,34 @@ impl Adjacency {
             push(&mut cursor, &mut buf, c, b);
         }
         // per-row sort + dedup, compacting in place (write cursor never
-        // overtakes the read cursor)
+        // overtakes the read cursor). A triangle lists each of its other
+        // two corners once in `v`'s raw row, so the length of `w`'s run is
+        // the number of triangles on edge (v, w): a run of one is a
+        // boundary edge, an empty row an unreferenced vertex.
         let mut vv_offsets = vec![0u32; n + 1];
+        let mut on_boundary = vec![false; n];
         let mut write = 0usize;
         for v in 0..n {
             let (lo, hi) = (raw_offsets[v] as usize, raw_offsets[v + 1] as usize);
             buf[lo..hi].sort_unstable();
-            let mut prev = u32::MAX;
-            for read in lo..hi {
+            let mut pinned = lo == hi;
+            let mut read = lo;
+            while read < hi {
                 let x = buf[read];
-                if x != prev {
-                    buf[write] = x;
-                    write += 1;
-                    prev = x;
+                let start = read;
+                while read < hi && buf[read] == x {
+                    read += 1;
                 }
+                pinned |= read - start == 1;
+                buf[write] = x;
+                write += 1;
             }
             vv_offsets[v + 1] = write as u32;
+            on_boundary[v] = pinned;
         }
         buf.truncate(write);
 
-        Adjacency { vv_offsets, vv_neighbors: buf, vt_offsets, vt_triangles }
+        Adjacency { vv_offsets, vv_neighbors: buf, vt_offsets, vt_triangles, on_boundary }
     }
 
     /// Number of vertices the adjacency was built for.
@@ -126,6 +138,14 @@ impl Adjacency {
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
         self.neighbors(v).len()
+    }
+
+    /// Per-vertex boundary flags (`true` = on an edge of exactly one
+    /// triangle, or in no triangle), recorded while the rows were
+    /// deduplicated; [`crate::Boundary::from_adjacency`] wraps them.
+    #[inline]
+    pub fn boundary_flags(&self) -> &[bool] {
+        &self.on_boundary
     }
 
     /// Start position of `v`'s incident-triangle slice within the flat

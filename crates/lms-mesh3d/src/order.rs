@@ -104,10 +104,7 @@ pub fn rdr_ordering3_with(
 
 /// Paper-default RDR on a tetrahedral mesh (edge-length-ratio qualities).
 pub fn rdr_ordering3(mesh: &TetMesh) -> Permutation {
-    let adj = Adjacency3::build(mesh);
-    let boundary = Boundary3::detect(mesh);
-    let quality = vertex_qualities(mesh, &adj, TetQualityMetric::EdgeLengthRatio);
-    rdr_ordering3_with(&adj, &boundary, &quality, &RdrOptions::default())
+    compute_ordering3(mesh, OrderingKind3::Rdr)
 }
 
 /// Compute the permutation of `kind` for `mesh`, reusing a prebuilt
@@ -148,15 +145,15 @@ pub fn compute_ordering3(mesh: &TetMesh, kind: OrderingKind3) -> Permutation {
     }
 }
 
-/// Renumber a tetrahedral mesh by `perm`: permutes the coordinate array and
-/// rewrites every tet's indices. Geometry and connectivity are unchanged —
-/// only the storage order moves.
+/// Renumber a tetrahedral mesh by `perm`: permutes the coordinate array,
+/// rewrites every tet's indices and moves the tets into first-touch order
+/// ([`Permutation::renumber_elements`], as for triangles). Geometry and
+/// connectivity are unchanged — only the storage order of vertices and
+/// elements moves.
 pub fn apply_permutation3(perm: &Permutation, mesh: &TetMesh) -> TetMesh {
     assert_eq!(perm.len(), mesh.num_vertices(), "permutation length must match vertex count");
     let coords = perm.new_to_old().iter().map(|&old| mesh.coords()[old as usize]).collect();
-    let old_to_new = perm.old_to_new();
-    let tets = mesh.tets().iter().map(|tet| tet.map(|v| old_to_new[v as usize])).collect();
-    TetMesh::new_unchecked(coords, tets)
+    TetMesh::new_unchecked(coords, perm.renumber_elements(mesh.tets()))
 }
 
 /// Mean index span between a vertex and its neighbours — the scalar layout
@@ -252,6 +249,25 @@ mod tests {
         assert_eq!(rm.num_tets(), m.num_tets());
         assert!((rm.total_volume() - m.total_volume()).abs() < 1e-10);
         assert_eq!(rm.edges().len(), m.edges().len());
+    }
+
+    #[test]
+    fn apply_permutation_moves_tets_into_first_touch_order() {
+        let m = test_mesh();
+        let p = compute_ordering3(&m, OrderingKind3::Rdr);
+        let rm = apply_permutation3(&p, &m);
+        // the same tets under the new names, corner order kept …
+        let old_to_new = p.old_to_new();
+        let mut renamed: Vec<[u32; 4]> =
+            m.tets().iter().map(|t| t.map(|v| old_to_new[v as usize])).collect();
+        let mut stored = rm.tets().to_vec();
+        renamed.sort_unstable();
+        stored.sort_unstable();
+        assert_eq!(stored, renamed);
+        // … stored by ascending smallest vertex id, a fixed point of the identity
+        let first_touch = |t: &[u32; 4]| *t.iter().min().unwrap();
+        assert!(rm.tets().windows(2).all(|w| first_touch(&w[0]) <= first_touch(&w[1])));
+        assert_eq!(apply_permutation3(&Permutation::identity(rm.num_vertices()), &rm), rm);
     }
 
     #[test]

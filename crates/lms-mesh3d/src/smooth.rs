@@ -510,7 +510,7 @@ mod tests {
     #[test]
     fn parallel_engines_spawn_threads_once_per_engine() {
         // thread-pool reuse: repeated smooths on one engine must not grow
-        // the global spawned-thread counter after the first run
+        // the calling thread's spawned-thread counter after the first run
         let m = perturbed_tet_grid(5, 5, 5, 0.3, 3);
         let params = SmoothParams3::paper().with_max_iters(2).with_tol(-1.0);
         let engine = SmoothEngine3::new(&m, params);

@@ -13,7 +13,8 @@
 
 use crate::permutation::Permutation;
 use crate::rdr::RdrOptions;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An undirected graph with contiguous `u32` vertex ids and sorted,
 /// deduplicated CSR neighbour slices.
@@ -215,11 +216,23 @@ pub fn rcm_ordering_on<G: Graph>(graph: &G) -> Permutation {
 
 /// Algorithm 2 (RDR) on any [`Graph`].
 ///
-/// `interior[v]` marks the vertices the smoother moves (only those seed the
-/// outer loop, exactly as in the pseudocode); `quality[v]` is the initial
+/// `interior[v]` marks the vertices the smoother moves (only those start a
+/// chain, exactly as in the pseudocode); `quality[v]` is the initial
 /// per-vertex quality. Boundary vertices are ordered when reached as
 /// neighbours; never-reached vertices are appended in index order so the
 /// result is always a complete permutation.
+///
+/// A chain starts at a vertex `i`, appends `i`'s unordered neighbours by
+/// increasing quality, moves to the worst unprocessed neighbour and repeats
+/// until every neighbour of the head is processed. The pseudocode then
+/// restarts from the next vertex of the *global* quality-sorted list — a
+/// spot unrelated to anything laid out so far, so the layout is a pile of
+/// short chains scattered over the mesh. Here the next chain starts at the
+/// **earliest ordered interior vertex not yet processed** (the frontier of
+/// what is already laid out; a cursor over the output that only moves
+/// forward, O(n) in total), and the global list is consulted only when that
+/// frontier is empty: for the first chain, which still starts at the worst
+/// vertex, and once per region the frontier cannot reach.
 pub fn rdr_ordering_on<G: Graph>(
     graph: &G,
     interior: &[bool],
@@ -229,63 +242,95 @@ pub fn rdr_ordering_on<G: Graph>(
     let n = graph.num_vertices();
     assert_eq!(quality.len(), n, "need one quality value per vertex");
     assert_eq!(interior.len(), n, "need one interior flag per vertex");
+    Permutation::from_new_to_old_unchecked(rdr_walk_in_range(
+        graph, interior, quality, options, 0, n as u32,
+    ))
+}
 
-    let mut vnew: Vec<u32> = Vec::with_capacity(n);
-    let mut processed = vec![false; n];
-    let mut sorted = vec![false; n];
+/// The walk of [`rdr_ordering_on`] restricted to the index range `lo..hi`:
+/// follows only edges with both endpoints in the range and orders every
+/// range vertex exactly once (Theorem 1, range-relative). The serial
+/// ordering is the whole range; [`crate::par_rdr`] runs one walk per chunk.
+pub(crate) fn rdr_walk_in_range<G: Graph>(
+    graph: &G,
+    interior: &[bool],
+    quality: &[f64],
+    options: &RdrOptions,
+    lo: u32,
+    hi: u32,
+) -> Vec<u32> {
+    let len = (hi - lo) as usize;
+    let in_range = |v: u32| (lo..hi).contains(&v);
+    let rel = |v: u32| (v - lo) as usize;
+    let mut vnew: Vec<u32> = Vec::with_capacity(len);
+    // range-relative flags
+    let mut processed = vec![false; len];
+    let mut sorted = vec![false; len];
 
-    // Outer loop: interior vertices by increasing quality (line 6).
-    let mut seeds: Vec<u32> = (0..n as u32).filter(|&v| interior[v as usize]).collect();
-    options.sort_by_quality(&mut seeds, quality);
-    if !options.global_quality_seeding {
-        seeds.truncate(1);
-    }
-
+    // Interior vertices by increasing quality (line 6), as a min-heap:
+    // the walk asks for the next worst one only when the frontier is empty,
+    // so heapifying (O(n)) replaces sorting them all.
+    let mut seeds: BinaryHeap<Reverse<(u64, u32)>> = (lo..hi)
+        .filter(|&v| interior[v as usize])
+        .map(|v| Reverse(options.key(v, quality)))
+        .collect();
+    // Interior vertices not yet processed; each is processed exactly once.
+    let mut unprocessed_interior = seeds.len();
+    // Every interior vertex of `vnew[..frontier]` is processed.
+    let mut frontier = 0usize;
     // Reused scratch buffer for the neighbour worklist `l`.
     let mut l: Vec<u32> = Vec::new();
 
-    for &i in &seeds {
-        if processed[i as usize] {
-            continue;
+    while unprocessed_interior > 0 {
+        while frontier < vnew.len()
+            && (processed[rel(vnew[frontier])] || !interior[vnew[frontier] as usize])
+        {
+            frontier += 1;
         }
-        if !sorted[i as usize] {
-            vnew.push(i);
-            sorted[i as usize] = true;
-        }
-        processed[i as usize] = true;
-
-        // l ← unprocessed neighbours of i sorted by increasing quality.
-        l.clear();
-        l.extend(graph.neighbors(i).iter().copied().filter(|&w| !processed[w as usize]));
-        options.sort_by_quality(&mut l, quality);
-
-        while !l.is_empty() {
+        let mut head = match vnew.get(frontier) {
+            Some(&i) => i,
+            // An ordered interior vertex still unprocessed would be on the
+            // frontier, so the worst unprocessed seed is unordered too.
+            None => loop {
+                let Reverse((_, i)) = seeds.pop().expect("an unprocessed interior vertex remains");
+                if !processed[rel(i)] {
+                    debug_assert!(!sorted[rel(i)]);
+                    vnew.push(i);
+                    sorted[rel(i)] = true;
+                    break i;
+                }
+            },
+        };
+        loop {
+            processed[rel(head)] = true;
+            unprocessed_interior -= usize::from(interior[head as usize]);
+            // l ← unprocessed neighbours of the head by increasing quality
+            l.clear();
+            l.extend(
+                graph
+                    .neighbors(head)
+                    .iter()
+                    .copied()
+                    .filter(|&w| in_range(w) && !processed[rel(w)]),
+            );
+            if l.is_empty() {
+                break;
+            }
+            options.sort_by_quality(&mut l, quality);
             for &j in &l {
-                if !sorted[j as usize] {
+                if !sorted[rel(j)] {
                     vnew.push(j);
-                    sorted[j as usize] = true;
+                    sorted[rel(j)] = true;
                 }
             }
-            let head = l[0];
-            processed[head as usize] = true;
-            let next: Vec<u32> =
-                graph.neighbors(head).iter().copied().filter(|&w| !processed[w as usize]).collect();
-            l.clear();
-            l.extend(next);
-            options.sort_by_quality(&mut l, quality);
+            head = l[0];
         }
     }
 
-    // Vertices never reached (isolated boundary patches, or everything
-    // beyond the walk in single-seed mode): append in index order.
-    for v in 0..n as u32 {
-        if !sorted[v as usize] {
-            vnew.push(v);
-            sorted[v as usize] = true;
-        }
-    }
-
-    Permutation::from_new_to_old_unchecked(vnew)
+    // Vertices never reached (boundary patches with no interior
+    // neighbour): append in index order.
+    vnew.extend((lo..hi).filter(|&v| !sorted[rel(v)]));
+    vnew
 }
 
 #[cfg(test)]

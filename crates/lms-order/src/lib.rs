@@ -46,7 +46,9 @@ pub use morton::morton_ordering;
 pub use par_rdr::{par_rdr_ordering, par_rdr_ordering_on, ChunkConcat, ParRdrOptions};
 pub use permutation::{Permutation, PermutationError};
 pub use rcb::{rcb_ordering, rcb_parts, rcb_parts_nd, rcb_parts_weighted, rcb_parts_weighted_nd};
-pub use rdr::{rdr_ordering, rdr_ordering_opts, rdr_ordering_with, RdrOptions};
+pub use rdr::{
+    rdr_ordering, rdr_ordering_opts, rdr_ordering_with, rdr_ordering_with_adjacency, RdrOptions,
+};
 pub use sloan::sloan_ordering;
 pub use sorts::{degree_sort_ordering, quality_sort_from_values, quality_sort_ordering};
 pub use spectral::{fiedler_vector, spectral_ordering, spectral_ordering_opts, SpectralOptions};
@@ -203,7 +205,7 @@ pub fn compute_ordering_with(mesh: &TriMesh, adj: &Adjacency, kind: OrderingKind
             quality_sort_ordering(mesh, adj, QualityMetric::EdgeLengthRatio)
         }
         OrderingKind::DegreeSort => degree_sort_ordering(adj),
-        OrderingKind::Rdr => rdr_ordering(mesh),
+        OrderingKind::Rdr => rdr_ordering_with_adjacency(mesh, adj, &RdrOptions::default()),
     }
 }
 
@@ -236,6 +238,21 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    /// `compute_ordering_with(.., Rdr)` walks the adjacency it is handed
+    /// and derives nothing topological from the mesh: given the adjacency
+    /// of `cut` (the same vertices, the last triangles missing) together
+    /// with the full mesh, it returns `cut`'s ordering, not the mesh's.
+    #[test]
+    fn rdr_with_adjacency_uses_the_adjacency_it_is_handed() {
+        let m = generators::perturbed_grid(10, 14, 0.3, 3);
+        let (coords, mut triangles) = m.clone().into_parts();
+        triangles.truncate(triangles.len() - 20);
+        let cut = TriMesh::new(coords, triangles).unwrap();
+        let p = compute_ordering_with(&m, &Adjacency::build(&cut), OrderingKind::Rdr);
+        assert_eq!(p, compute_ordering(&cut, OrderingKind::Rdr));
+        assert_ne!(p, compute_ordering(&m, OrderingKind::Rdr));
     }
 
     #[test]

@@ -5,16 +5,17 @@
 //! on. Parallelising the *construction* moves that break-even point further
 //! down: this module partitions the vertex index space into contiguous
 //! chunks (the same static decomposition the paper's parallel smoother
-//! uses), runs an independent Algorithm-2 walk inside each chunk with
-//! rayon, and concatenates the per-chunk orders.
+//! uses), runs the Algorithm-2 walk of [`crate::graph`] inside each chunk
+//! with rayon, and concatenates the per-chunk orders.
 //!
 //! The result is deterministic for every chunk count (the decomposition is
-//! by index, not by thread), degrades locality only at the chunk seams, and
-//! with `chunks = 1` reproduces the serial [`rdr_ordering_with`] exactly.
+//! by index, not by thread) and degrades locality only at the chunk seams.
+//! The serial [`rdr_ordering_with`] is the same walk over the whole index
+//! range, so `chunks = 1` reproduces it exactly.
 //!
 //! [`rdr_ordering_with`]: crate::rdr::rdr_ordering_with
 
-use crate::graph::Graph;
+use crate::graph::{rdr_walk_in_range, Graph};
 use crate::permutation::Permutation;
 use crate::rdr::RdrOptions;
 use rayon::prelude::*;
@@ -40,73 +41,6 @@ pub struct ParRdrOptions {
     pub concat: ChunkConcat,
 }
 
-/// Algorithm 2 restricted to one index range `lo..hi`: walks only edges
-/// whose both endpoints lie in the range, orders every range vertex exactly
-/// once (chunk-relative Theorem 1).
-fn rdr_walk_in_chunk<G: Graph>(
-    graph: &G,
-    interior: &[bool],
-    quality: &[f64],
-    options: &RdrOptions,
-    lo: u32,
-    hi: u32,
-) -> Vec<u32> {
-    let len = (hi - lo) as usize;
-    let in_chunk = |v: u32| v >= lo && v < hi;
-    let mut vnew: Vec<u32> = Vec::with_capacity(len);
-    // chunk-relative flags
-    let mut processed = vec![false; len];
-    let mut sorted = vec![false; len];
-    let rel = |v: u32| (v - lo) as usize;
-
-    let mut seeds: Vec<u32> = (lo..hi).filter(|&v| interior[v as usize]).collect();
-    options.sort_by_quality(&mut seeds, quality);
-
-    let mut l: Vec<u32> = Vec::new();
-    for &i in &seeds {
-        if processed[rel(i)] {
-            continue;
-        }
-        if !sorted[rel(i)] {
-            vnew.push(i);
-            sorted[rel(i)] = true;
-        }
-        processed[rel(i)] = true;
-
-        l.clear();
-        l.extend(graph.neighbors(i).iter().copied().filter(|&w| in_chunk(w) && !processed[rel(w)]));
-        options.sort_by_quality(&mut l, quality);
-
-        while !l.is_empty() {
-            for &j in &l {
-                if !sorted[rel(j)] {
-                    vnew.push(j);
-                    sorted[rel(j)] = true;
-                }
-            }
-            let head = l[0];
-            processed[rel(head)] = true;
-            let next: Vec<u32> = graph
-                .neighbors(head)
-                .iter()
-                .copied()
-                .filter(|&w| in_chunk(w) && !processed[rel(w)])
-                .collect();
-            l.clear();
-            l.extend(next);
-            options.sort_by_quality(&mut l, quality);
-        }
-    }
-
-    for v in lo..hi {
-        if !sorted[rel(v)] {
-            vnew.push(v);
-            sorted[rel(v)] = true;
-        }
-    }
-    vnew
-}
-
 /// Parallel RDR over `chunks` contiguous index ranges.
 ///
 /// `interior[v]` and `quality[v]` are as in
@@ -125,10 +59,6 @@ pub fn par_rdr_ordering_on<G: Graph + Sync>(
     assert_eq!(interior.len(), n, "need one interior flag per vertex");
     assert!(chunks >= 1, "need at least one chunk");
 
-    if chunks == 1 {
-        return crate::graph::rdr_ordering_on(graph, interior, quality, &options.rdr);
-    }
-
     let chunk = n.div_ceil(chunks).max(1);
     let ranges: Vec<(u32, u32)> = (0..chunks)
         .map(|c| (((c * chunk).min(n)) as u32, (((c + 1) * chunk).min(n)) as u32))
@@ -137,7 +67,7 @@ pub fn par_rdr_ordering_on<G: Graph + Sync>(
 
     let mut parts: Vec<Vec<u32>> = ranges
         .par_iter()
-        .map(|&(lo, hi)| rdr_walk_in_chunk(graph, interior, quality, &options.rdr, lo, hi))
+        .map(|&(lo, hi)| rdr_walk_in_range(graph, interior, quality, &options.rdr, lo, hi))
         .collect();
 
     if options.concat == ChunkConcat::WorstQualityFirst {
@@ -168,7 +98,7 @@ pub fn par_rdr_ordering(
     chunks: usize,
 ) -> Permutation {
     let adj = lms_mesh::Adjacency::build(mesh);
-    let boundary = lms_mesh::Boundary::detect(mesh);
+    let boundary = lms_mesh::Boundary::from_adjacency(&adj);
     let quality = lms_mesh::quality::vertex_qualities(mesh, &adj, options.rdr.metric);
     let interior: Vec<bool> =
         (0..mesh.num_vertices() as u32).map(|v| boundary.is_interior(v)).collect();

@@ -140,9 +140,12 @@ impl Permutation {
         Ok(self.new_to_old.iter().map(|&old| values[old as usize]).collect())
     }
 
-    /// Renumber a mesh: permutes the coordinate array and rewrites every
-    /// triangle's indices. Geometry and connectivity are unchanged — only
-    /// the storage order moves.
+    /// Renumber a mesh: permutes the coordinate array, rewrites every
+    /// triangle's indices and moves the triangles into first-touch order
+    /// (see [`Permutation::renumber_elements`]). Geometry and connectivity
+    /// are unchanged — only the storage order of vertices *and* elements
+    /// moves, so everything the sweep indexes by element (incidence lists,
+    /// quality caches, star layouts) follows the new vertex order too.
     pub fn apply_to_mesh(&self, mesh: &TriMesh) -> TriMesh {
         assert_eq!(
             self.len(),
@@ -150,19 +153,37 @@ impl Permutation {
             "permutation length must match mesh vertex count"
         );
         let coords = self.new_to_old.iter().map(|&old| mesh.coords()[old as usize]).collect();
+        TriMesh::new_unchecked(coords, self.renumber_elements(mesh.triangles()))
+    }
+
+    /// Rewrite the vertex ids of `K`-corner elements (triangles, tets) and
+    /// return the elements in **first-touch order**: ascending smallest new
+    /// vertex id, i.e. the order in which a sweep over the renumbered
+    /// vertices first meets them. Corner order within an element is kept.
+    ///
+    /// A stable counting sort, O(elements + vertices): elements that tie
+    /// keep their input order, so a list already in first-touch order is a
+    /// fixed point of the identity permutation.
+    pub fn renumber_elements<const K: usize>(&self, elements: &[[u32; K]]) -> Vec<[u32; K]> {
         let old_to_new = self.old_to_new();
-        let triangles = mesh
-            .triangles()
-            .iter()
-            .map(|tri| {
-                [
-                    old_to_new[tri[0] as usize],
-                    old_to_new[tri[1] as usize],
-                    old_to_new[tri[2] as usize],
-                ]
-            })
-            .collect();
-        TriMesh::new_unchecked(coords, triangles)
+        let renumbered: Vec<[u32; K]> =
+            elements.iter().map(|e| e.map(|v| old_to_new[v as usize])).collect();
+        let first_touch = |e: &[u32; K]| e.iter().copied().min().unwrap_or(0) as usize;
+        // cursor[v] = where the next element first touched by v goes
+        let mut cursor = vec![0u32; self.len() + 1];
+        for e in &renumbered {
+            cursor[first_touch(e) + 1] += 1;
+        }
+        for v in 0..self.len() {
+            cursor[v + 1] += cursor[v];
+        }
+        let mut out = vec![[0u32; K]; renumbered.len()];
+        for e in &renumbered {
+            let c = &mut cursor[first_touch(e)];
+            out[*c as usize] = *e;
+            *c += 1;
+        }
+        out
     }
 }
 
@@ -234,11 +255,22 @@ mod tests {
         assert_eq!(rm.coords()[0], m.coords()[n - 1]);
     }
 
+    /// The triangles as a multiset (element order is the layout's to choose).
+    fn triangle_multiset(m: &TriMesh) -> Vec<[u32; 3]> {
+        let mut tris = m.triangles().to_vec();
+        tris.sort_unstable();
+        tris
+    }
+
     #[test]
     fn mesh_application_by_identity_is_noop() {
         let m = figure5_mesh();
         let p = Permutation::identity(m.num_vertices());
-        assert_eq!(p.apply_to_mesh(&m), m);
+        let once = p.apply_to_mesh(&m);
+        assert_eq!(once.coords(), m.coords());
+        assert_eq!(triangle_multiset(&once), triangle_multiset(&m));
+        // first-touch element order is a fixed point
+        assert_eq!(p.apply_to_mesh(&once), once);
     }
 
     #[test]
@@ -248,6 +280,21 @@ mod tests {
             Permutation::from_new_to_old(vec![4, 7, 2, 0, 1, 3, 5, 6, 8, 9, 10, 11, 12]).unwrap();
         let rm = p.apply_to_mesh(&m);
         let back = p.inverse().apply_to_mesh(&rm);
-        assert_eq!(back, m);
+        assert_eq!(back.coords(), m.coords());
+        assert_eq!(triangle_multiset(&back), triangle_multiset(&m));
+        // and it is the layout the identity gives `m`
+        assert_eq!(back, Permutation::identity(m.num_vertices()).apply_to_mesh(&m));
+    }
+
+    #[test]
+    fn elements_come_out_in_first_touch_order_with_corners_kept() {
+        // new ids: old 3 → 0, old 2 → 1, old 1 → 2, old 0 → 3
+        let p = Permutation::from_new_to_old(vec![3, 2, 1, 0]).unwrap();
+        let out = p.renumber_elements(&[[0, 1, 2], [1, 2, 3], [0, 1, 3], [3, 2, 1]]);
+        // keys (smallest new id): 1, 0, 0, 0 — ties keep input order
+        assert_eq!(out, vec![[2, 1, 0], [3, 2, 0], [0, 1, 2], [3, 2, 1]]);
+        let tets = p.renumber_elements(&[[0, 1, 2, 3]]);
+        assert_eq!(tets, vec![[3, 2, 1, 0]]);
+        assert!(p.renumber_elements::<3>(&[]).is_empty());
     }
 }

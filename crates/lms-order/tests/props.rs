@@ -4,14 +4,74 @@
 //! graph orderings above random.
 
 use lms_mesh::{generators, Adjacency, TriMesh};
+use lms_order::graph::rdr_ordering_on;
 use lms_order::{
-    compute_ordering_with, layout_stats_permuted, random_ordering, OrderingKind, Permutation,
+    compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on, random_ordering, CsrGraph,
+    Graph, OrderingKind, ParRdrOptions, Permutation, RdrOptions,
 };
 use proptest::prelude::*;
 
 fn arb_grid() -> impl Strategy<Value = TriMesh> {
     (3usize..16, 3usize..16, 0.0f64..0.45, 0u64..500)
         .prop_map(|(nx, ny, jitter, seed)| generators::perturbed_grid(nx, ny, jitter, seed))
+}
+
+/// A symmetric CSR graph on `n` vertices from arbitrary index pairs (self
+/// loops dropped, duplicates merged): usually disconnected, with isolated
+/// vertices, and numbered with no locality at all.
+fn csr_from_pairs(n: usize, pairs: &[(usize, usize)]) -> (Vec<u32>, Vec<u32>) {
+    let mut rows = vec![Vec::new(); n];
+    for &(a, b) in pairs {
+        let (a, b) = (a % n, b % n);
+        if a != b {
+            rows[a].push(b as u32);
+            rows[b].push(a as u32);
+        }
+    }
+    let mut offsets = vec![0u32];
+    let mut neighbors = Vec::new();
+    for row in &mut rows {
+        row.sort_unstable();
+        row.dedup();
+        neighbors.extend_from_slice(row);
+        offsets.push(neighbors.len() as u32);
+    }
+    (offsets, neighbors)
+}
+
+fn components(g: &impl Graph) -> usize {
+    let n = g.num_vertices();
+    let mut seen = vec![false; n];
+    let mut count = 0;
+    for s in 0..n as u32 {
+        if seen[s as usize] {
+            continue;
+        }
+        count += 1;
+        seen[s as usize] = true;
+        let mut stack = vec![s];
+        while let Some(v) = stack.pop() {
+            for &w in g.neighbors(v) {
+                if !seen[w as usize] {
+                    seen[w as usize] = true;
+                    stack.push(w);
+                }
+            }
+        }
+    }
+    count
+}
+
+/// Vertices with no neighbour earlier in `p`'s order (isolated ones included).
+fn detached(g: &impl Graph, p: &Permutation) -> usize {
+    let position = p.old_to_new();
+    (0..g.num_vertices() as u32)
+        .filter(|&v| g.neighbors(v).iter().all(|&w| position[w as usize] > position[v as usize]))
+        .count()
+}
+
+fn rdr_options(binned: bool) -> RdrOptions {
+    RdrOptions { quality_bins: binned.then_some(4), ..Default::default() }
 }
 
 fn is_bijection(p: &Permutation, n: usize) -> bool {
@@ -40,6 +100,76 @@ proptest! {
             let p = compute_ordering_with(&m, &adj, kind);
             prop_assert!(is_bijection(&p, m.num_vertices()), "{}", kind.name());
         }
+    }
+
+    /// Theorem 1 through the frontier reseeding, on graphs no generator
+    /// would number: disconnected, with isolated vertices, and with any
+    /// interior set — all-boundary (nothing seeds a chain) included.
+    #[test]
+    fn rdr_orders_every_vertex_exactly_once_on_arbitrary_graphs(
+        n in 1usize..40,
+        pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..90),
+        interior_bits in any::<u64>(),
+        all_boundary in any::<bool>(),
+        quality in proptest::collection::vec(0.0f64..1.0, 40..41),
+        binned in any::<bool>(),
+        chunks in 1usize..6,
+    ) {
+        let (offsets, neighbors) = csr_from_pairs(n, &pairs);
+        let g = CsrGraph::new(&offsets, &neighbors);
+        let interior: Vec<bool> =
+            (0..n).map(|v| !all_boundary && interior_bits >> v & 1 == 1).collect();
+        let options = rdr_options(binned);
+        let serial = rdr_ordering_on(&g, &interior, &quality[..n], &options);
+        prop_assert!(is_bijection(&serial, n));
+        // the first chain still starts at the worst interior vertex
+        if let Some(worst) =
+            (0..n as u32).filter(|&v| interior[v as usize]).min_by_key(|&v| options.key(v, &quality))
+        {
+            prop_assert_eq!(serial.new_to_old()[0], worst);
+        }
+        // the chunked construction runs the same walk per index range
+        let par = ParRdrOptions { rdr: options, ..Default::default() };
+        let chunked = par_rdr_ordering_on(&g, &interior, &quality[..n], &par, chunks);
+        prop_assert!(is_bijection(&chunked, n));
+        if chunks == 1 {
+            prop_assert_eq!(chunked, serial);
+        }
+    }
+
+    /// What the reseeding buys: with every vertex interior, a new chain
+    /// starts on the frontier of what is already laid out, so each vertex
+    /// but the first of its component has a neighbour earlier in the order.
+    /// (Restarting from the global quality list — the pseudocode — breaks
+    /// this at nearly every trapped chain.)
+    #[test]
+    fn rdr_layout_grows_from_its_own_frontier(
+        n in 1usize..40,
+        pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..90),
+        quality in proptest::collection::vec(0.0f64..1.0, 40..41),
+        binned in any::<bool>(),
+    ) {
+        let (offsets, neighbors) = csr_from_pairs(n, &pairs);
+        let g = CsrGraph::new(&offsets, &neighbors);
+        let p = rdr_ordering_on(&g, &vec![true; n], &quality[..n], &rdr_options(binned));
+        prop_assert_eq!(detached(&g, &p), components(&g));
+    }
+
+    /// The same on a mesh whose numbering carries no locality: a shuffled
+    /// grid (one component once its boundary ring is walkable too).
+    #[test]
+    fn rdr_on_a_shuffled_grid_is_one_connected_layout(m in arb_grid(), seed in 0u64..100) {
+        let shuffled = random_ordering(m.num_vertices(), seed).apply_to_mesh(&m);
+        let adj = Adjacency::build(&shuffled);
+        let n = shuffled.num_vertices();
+        let quality = lms_mesh::quality::vertex_qualities(
+            &shuffled,
+            &adj,
+            lms_mesh::quality::QualityMetric::EdgeLengthRatio,
+        );
+        let p = rdr_ordering_on(&adj, &vec![true; n], &quality, &RdrOptions::default());
+        prop_assert!(is_bijection(&p, n));
+        prop_assert_eq!(detached(&adj, &p), 1);
     }
 
     /// `p ∘ p⁻¹ = id` and `p⁻¹ ∘ p = id`.

@@ -50,7 +50,7 @@ impl SmoothEngine {
     /// Build an engine for `mesh` under `params`.
     pub fn new(mesh: &TriMesh, params: SmoothParams) -> Self {
         let adj = Adjacency::build(mesh);
-        let boundary = Boundary::detect(mesh);
+        let boundary = Boundary::from_adjacency(&adj);
         let visit = match params.policy {
             IterationPolicy::StorageOrder => boundary.interior_vertices(),
             IterationPolicy::GreedyQuality => {

@@ -24,7 +24,7 @@
 //!   `std::thread::scope` — a colored sweep with `1 + num_colors` parallel
 //!   phases per iteration pays `num_threads − 1` thread spawns per pool
 //!   *lifetime*, not per phase. [`spawned_thread_count`] exposes the
-//!   shim-wide spawn counter the regression tests pin this with. Adapter
+//!   per-caller spawn counter the regression tests pin this with. Adapter
 //!   calls made outside any `install` fall back to scoped one-shot workers
 //!   (the pre-pool behaviour).
 
@@ -38,16 +38,22 @@ thread_local! {
     /// Stack of installed pools (innermost last); par-adapters dispatch to
     /// the top entry.
     static POOL_STACK: RefCell<Vec<Arc<PoolShared>>> = const { RefCell::new(Vec::new()) };
+    /// OS threads this thread has had the shim spawn: the workers of every
+    /// pool it built and the fallback scoped workers of its adapter calls.
+    static SPAWNED_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Every OS thread this shim has ever spawned (pool workers and fallback
-/// scoped workers alike). Pool reuse is regression-tested by pinning the
-/// delta of this counter across repeated `install`/par-adapter calls.
-static SPAWNED_THREADS: AtomicUsize = AtomicUsize::new(0);
+fn count_spawn() {
+    SPAWNED_THREADS.with(|c| c.set(c.get() + 1));
+}
 
-/// Total OS threads spawned by this shim since process start.
+/// OS threads the shim has spawned on behalf of the **calling thread**
+/// (pool workers and fallback scoped workers alike). Pool reuse is
+/// regression-tested by pinning the delta of this counter across repeated
+/// `install`/par-adapter calls; being per caller, the delta is exact
+/// whatever other threads — sibling tests, say — spawn meanwhile.
 pub fn spawned_thread_count() -> usize {
-    SPAWNED_THREADS.load(Ordering::Relaxed)
+    SPAWNED_THREADS.with(|c| c.get())
 }
 
 fn default_threads() -> usize {
@@ -267,7 +273,7 @@ impl ThreadPool {
         });
         let handles = (0..workers)
             .map(|_| {
-                SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
+                count_spawn();
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(shared))
             })
@@ -365,7 +371,7 @@ fn run_groups<O: Send>(len: usize, work: &(impl Fn(usize, usize, usize) -> O + S
             None => {
                 std::thread::scope(|scope| {
                     for _ in 0..threads {
-                        SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
+                        count_spawn();
                         scope.spawn(task);
                     }
                 });
@@ -635,14 +641,12 @@ mod tests {
 
     #[test]
     fn range_map_collect_preserves_order() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let v: Vec<u64> = (0u64..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v, (0..1000).map(|i| i * 2).collect::<Vec<u64>>());
     }
 
     #[test]
     fn sum_is_thread_count_independent() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let items: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
         let sum_with = |threads| {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -657,7 +661,6 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_writes_every_chunk() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let mut data = vec![0usize; 103];
         pool.install(|| {
@@ -672,7 +675,6 @@ mod tests {
 
     #[test]
     fn par_iter_mut_visits_every_item_once() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let mut data = vec![0u32; 157];
         pool.install(|| {
@@ -685,7 +687,6 @@ mod tests {
 
     #[test]
     fn par_iter_on_vec_collects_in_order() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let input: Vec<(u32, u32)> = (0..97).map(|i| (i, i + 1)).collect();
         let out: Vec<u32> = input.par_iter().map(|&(a, b)| a + b).collect();
         assert_eq!(out, (0..97).map(|i| 2 * i + 1).collect::<Vec<u32>>());
@@ -693,7 +694,6 @@ mod tests {
 
     #[test]
     fn install_nests_and_restores() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let outer = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let inner = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         outer.install(|| {
@@ -705,7 +705,6 @@ mod tests {
 
     #[test]
     fn par_chunks_shared_enumerates_all() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         use std::sync::atomic::{AtomicUsize, Ordering};
         let data: Vec<u32> = (0..55).collect();
         let seen = AtomicUsize::new(0);
@@ -716,15 +715,8 @@ mod tests {
         assert_eq!(seen.load(Ordering::Relaxed), 55);
     }
 
-    /// Serialises every test in this module: the spawn counter is global
-    /// and adapter calls outside `install` spawn fallback workers on
-    /// multi-core hosts, so any concurrently-running test would skew the
-    /// exact-delta assertions of the counter tests.
-    static COUNTER_TESTS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn pool_spawns_threads_once_per_lifetime() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let before = spawned_thread_count();
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let after_build = spawned_thread_count();
@@ -748,7 +740,6 @@ mod tests {
 
     #[test]
     fn pool_results_match_serial_across_many_jobs() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
         for n in [0usize, 1, 7, 64, 65, 1000] {
             let par: Vec<usize> = pool.install(|| (0..n).into_par_iter().map(|i| i * i).collect());
@@ -758,7 +749,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.install(|| {
@@ -775,7 +765,6 @@ mod tests {
 
     #[test]
     fn install_unwinds_cleanly_on_panic() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.install(|| panic!("deliberate install panic"));
@@ -790,7 +779,6 @@ mod tests {
 
     #[test]
     fn single_thread_pool_runs_inline_without_workers() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let before = spawned_thread_count();
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let v: Vec<u32> = pool.install(|| (0u32..100).into_par_iter().map(|i| i).collect());

@@ -10,7 +10,8 @@
 //!   [`mesh::QualityCache`]), generators and I/O.
 //! * [`order`] — vertex reorderings: the paper's **RDR** contribution plus
 //!   the ORI/RANDOM/BFS/DFS/RCM/Hilbert baselines, greedy graph coloring,
-//!   and permutation machinery.
+//!   and permutation machinery (applying a permutation moves the element
+//!   order along with the vertex order).
 //! * [`part`] — geometric domain decomposition: balanced k-way RCB and
 //!   SFC-chunk partitions with interface/halo/ghost-vertex structures and
 //!   decomposition-quality metrics.
@@ -48,6 +49,8 @@
 //! // Generate a small unstructured mesh, reorder it with RDR, smooth it.
 //! let mesh = lms::mesh::generators::perturbed_grid(40, 40, 0.35, 7);
 //! let perm = lms::order::rdr_ordering(&mesh);
+//! // renumbers the vertices and moves the triangles into the order a sweep
+//! // over the new numbering first touches them
 //! let mesh = perm.apply_to_mesh(&mesh);
 //! let report = SmoothParams::paper().smooth(&mut mesh.clone());
 //! assert!(report.final_quality >= report.initial_quality);

@@ -70,6 +70,31 @@ fn figure1_random_is_far_worse_than_structured_orderings() {
     assert!(bfs < ori, "bfs {bfs} vs ori {ori}");
 }
 
+/// The paper's pipeline starts from a mesh with no locality to inherit. On
+/// a shuffled grid RDR must still produce one compact layout — its chains
+/// make the growing front several layers thick, so its mean neighbour span
+/// sits at 3–4× BFS's, where restarting chains from the global quality list
+/// gave 10× — and one sweep over it must reuse vertices nearly as soon as a
+/// sweep over the row-major mesh does (global restarts: 6× later).
+#[test]
+fn rdr_restores_locality_on_a_shuffled_mesh() {
+    use lms::mesh::{generators, Adjacency};
+    use lms::order::{layout_stats, random_ordering};
+    let row_major = generators::perturbed_grid(96, 96, 0.35, 11);
+    let shuffled = random_ordering(row_major.num_vertices(), 12).apply_to_mesh(&row_major);
+    let span = |kind| {
+        let mesh = compute_ordering(&shuffled, kind).apply_to_mesh(&shuffled);
+        layout_stats(&mesh, &Adjacency::build(&mesh)).mean_span
+    };
+    let (rdr, bfs) = (span(OrderingKind::Rdr), span(OrderingKind::Bfs));
+    assert!(rdr <= 5.0 * bfs, "mean span: rdr {rdr} vs bfs {bfs}");
+
+    let q90 = |base, kind| quantile(&first_sweep_distances(base, kind), 0.9).unwrap();
+    let rdr = q90(&shuffled, OrderingKind::Rdr);
+    let ori = q90(&row_major, OrderingKind::Original);
+    assert!(rdr <= 4 * ori, "reuse-distance q90: rdr {rdr} vs row-major {ori}");
+}
+
 /// Table 2's head: RDR's low quantiles collapse well below BFS's — the
 /// chains put each vertex's neighbourhood at adjacent positions.
 #[test]
