@@ -110,7 +110,7 @@ pub fn constrained_smooth(
     opts: &ConstrainedOptions,
 ) -> SmoothReport {
     let adj = Adjacency::build(mesh);
-    let boundary = Boundary::detect(mesh);
+    let boundary = Boundary::from_adjacency(&adj);
     let rules = movement_rules(mesh, &boundary, opts);
 
     let initial_quality = global_quality(&vertex_qualities(mesh, &adj, params.metric));

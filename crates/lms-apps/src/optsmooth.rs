@@ -152,7 +152,7 @@ fn optimize_vertex(
 /// just like the Laplacian engine. Returns the usual [`SmoothReport`].
 pub fn opt_smooth(mesh: &mut TriMesh, opts: &OptSmoothOptions) -> SmoothReport {
     let adj = Adjacency::build(mesh);
-    let boundary = Boundary::detect(mesh);
+    let boundary = Boundary::from_adjacency(&adj);
     let interior = boundary.interior_vertices();
 
     let initial_quality = global_quality(&vertex_qualities(mesh, &adj, opts.metric));

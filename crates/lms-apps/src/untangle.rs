@@ -214,7 +214,7 @@ pub fn untangle(
     opts: UntangleOptions,
 ) -> UntangleReport {
     let adj = Adjacency::build(mesh);
-    let boundary = Boundary::detect(mesh);
+    let boundary = Boundary::from_adjacency(&adj);
     let inverted_before = count_inverted(mesh);
     let pos = ordering.map(|p| p.old_to_new());
     let mut moves = 0;
@@ -291,7 +291,7 @@ pub fn untangle(
 pub fn tangle_vertices(mesh: &mut TriMesh, stride: usize) -> usize {
     assert!(stride > 0, "stride must be positive");
     let adj = Adjacency::build(mesh);
-    let boundary = Boundary::detect(mesh);
+    let boundary = Boundary::from_adjacency(&adj);
     let interior = boundary.interior_vertices();
     let mut displaced = 0;
     for v in interior.into_iter().step_by(stride) {

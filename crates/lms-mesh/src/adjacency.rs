@@ -6,8 +6,105 @@
 //! incidence. Both are stored CSR so that a vertex's neighbour list is a
 //! contiguous slice — the same layout the paper's implementation streams
 //! through.
+//!
+//! The tables themselves come from [`vertex_rows`], which is generic in
+//! the corner count: `lms-mesh3d`'s `Adjacency3` is the same code at
+//! `K = 4`.
 
 use crate::mesh::TriMesh;
+
+/// The two CSR tables of a mesh with `K`-corner elements, as
+/// [`vertex_rows`] builds them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VertexRows {
+    /// Vertex → incident elements: `n + 1` offsets into `ve_elements`.
+    pub ve_offsets: Vec<u32>,
+    /// Incident element ids, ascending within a vertex's row.
+    pub ve_elements: Vec<u32>,
+    /// Vertex → neighbour vertices: `n + 1` offsets into `vv_neighbors`.
+    pub vv_offsets: Vec<u32>,
+    /// Neighbour ids, ascending and deduplicated within a vertex's row.
+    pub vv_neighbors: Vec<u32>,
+}
+
+/// Build the vertex→element and vertex→vertex CSR tables of `elements`
+/// over `num_vertices` vertices.
+///
+/// Cost `O(K²·T + Σ row·log row)` with no global sort: a counting sort
+/// puts every element under each of its corners, the other `K − 1` corners
+/// land in that corner's raw row in the same pass (the row of `v` starts at
+/// `(K − 1)·ve_offsets[v]`, so one cursor array serves both tables), and
+/// each short row — ~12 raw entries for a triangle mesh, ~72 for a tet
+/// mesh — is then sorted and compacted in place.
+///
+/// `on_run(v, len)` is called once per distinct neighbour `w` of `v` with
+/// the number of elements listing both, i.e. the number of elements on
+/// edge `(v, w)`. The 2D build reads its boundary flags off it.
+///
+/// # Panics
+/// When the `K·(K − 1)·T` raw entries do not fit the `u32` offsets.
+pub fn vertex_rows<const K: usize>(
+    num_vertices: usize,
+    elements: &[[u32; K]],
+    mut on_run: impl FnMut(usize, usize),
+) -> VertexRows {
+    let n = num_vertices;
+    let others = K - 1;
+    assert!(
+        elements.len() <= u32::MAX as usize / (K * others),
+        "{} elements of {K} corners overflow the u32 CSR offsets",
+        elements.len()
+    );
+
+    let mut ve_offsets = vec![0u32; n + 1];
+    for element in elements {
+        for &v in element {
+            ve_offsets[v as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        ve_offsets[i + 1] += ve_offsets[i];
+    }
+    let mut ve_elements = vec![0u32; K * elements.len()];
+    let mut raw = vec![0u32; K * others * elements.len()];
+    let mut cursor: Vec<u32> = ve_offsets[..n].to_vec();
+    for (t, element) in elements.iter().enumerate() {
+        for (i, &v) in element.iter().enumerate() {
+            let at = cursor[v as usize] as usize;
+            cursor[v as usize] += 1;
+            ve_elements[at] = t as u32;
+            let row = &mut raw[others * at..others * (at + 1)];
+            row[..i].copy_from_slice(&element[..i]);
+            row[i..].copy_from_slice(&element[i + 1..]);
+        }
+    }
+
+    // per-row sort + dedup, compacting in place (the write cursor never
+    // overtakes the read cursor)
+    let mut vv_offsets = vec![0u32; n + 1];
+    let mut write = 0usize;
+    for v in 0..n {
+        let (lo, hi) = (others * ve_offsets[v] as usize, others * ve_offsets[v + 1] as usize);
+        raw[lo..hi].sort_unstable();
+        let mut read = lo;
+        while read < hi {
+            let w = raw[read];
+            let start = read;
+            while read < hi && raw[read] == w {
+                read += 1;
+            }
+            on_run(v, read - start);
+            raw[write] = w;
+            write += 1;
+        }
+        vv_offsets[v + 1] = write as u32;
+    }
+    raw.truncate(write);
+    // the raw rows were 2× (triangles) to 5× (tets) the deduplicated ones
+    raw.shrink_to_fit();
+
+    VertexRows { ve_offsets, ve_elements, vv_offsets, vv_neighbors: raw }
+}
 
 /// CSR vertex→vertex and vertex→triangle adjacency, plus the boundary
 /// flags the build sees for free.
@@ -23,93 +120,29 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    /// Build the adjacency of `mesh`.
+    /// Build the adjacency of `mesh` ([`vertex_rows`] at `K = 3`).
     ///
     /// Neighbour lists are sorted ascending and deduplicated; triangle lists
     /// are sorted ascending.
     pub fn build(mesh: &TriMesh) -> Self {
         let n = mesh.num_vertices();
-        let nt = mesh.num_triangles();
-
-        // vertex -> triangles (counting sort into CSR).
-        let mut vt_offsets = vec![0u32; n + 1];
-        for tri in mesh.triangles() {
-            for &v in tri {
-                vt_offsets[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            vt_offsets[i + 1] += vt_offsets[i];
-        }
-        let mut vt_triangles = vec![0u32; 3 * nt];
-        let mut cursor = vt_offsets.clone();
-        for (t, tri) in mesh.triangles().iter().enumerate() {
-            for &v in tri {
-                let c = &mut cursor[v as usize];
-                vt_triangles[*c as usize] = t as u32;
-                *c += 1;
-            }
-        }
-
-        // vertex -> vertices: counting-sort the directed edges into
-        // per-vertex CSR rows, then sort/dedup each short row. Replaces
-        // the old global `sort_unstable` + `dedup` over all 6T directed
-        // pairs — O(E log E) on the whole edge array — with O(E) bucketing
-        // plus O(Σ deg·log deg) row sorts over ~6-entry rows.
-        let mut raw_offsets = vec![0u32; n + 1];
-        for tri in mesh.triangles() {
-            for &v in tri {
-                raw_offsets[v as usize + 1] += 2;
-            }
-        }
-        for i in 0..n {
-            raw_offsets[i + 1] += raw_offsets[i];
-        }
-        let mut buf = vec![0u32; raw_offsets[n] as usize];
-        let mut cursor: Vec<u32> = raw_offsets[..n].to_vec();
-        let push = |cursor: &mut [u32], buf: &mut [u32], v: u32, w: u32| {
-            let c = &mut cursor[v as usize];
-            buf[*c as usize] = w;
-            *c += 1;
-        };
-        for tri in mesh.triangles() {
-            let [a, b, c] = *tri;
-            push(&mut cursor, &mut buf, a, b);
-            push(&mut cursor, &mut buf, a, c);
-            push(&mut cursor, &mut buf, b, a);
-            push(&mut cursor, &mut buf, b, c);
-            push(&mut cursor, &mut buf, c, a);
-            push(&mut cursor, &mut buf, c, b);
-        }
-        // per-row sort + dedup, compacting in place (write cursor never
-        // overtakes the read cursor). A triangle lists each of its other
-        // two corners once in `v`'s raw row, so the length of `w`'s run is
-        // the number of triangles on edge (v, w): a run of one is a
-        // boundary edge, an empty row an unreferenced vertex.
-        let mut vv_offsets = vec![0u32; n + 1];
+        // A triangle lists each of its other two corners once in `v`'s raw
+        // row, so the length of `w`'s run is the number of triangles on
+        // edge (v, w): a run of one is a boundary edge.
         let mut on_boundary = vec![false; n];
-        let mut write = 0usize;
-        for v in 0..n {
-            let (lo, hi) = (raw_offsets[v] as usize, raw_offsets[v + 1] as usize);
-            buf[lo..hi].sort_unstable();
-            let mut pinned = lo == hi;
-            let mut read = lo;
-            while read < hi {
-                let x = buf[read];
-                let start = read;
-                while read < hi && buf[read] == x {
-                    read += 1;
-                }
-                pinned |= read - start == 1;
-                buf[write] = x;
-                write += 1;
-            }
-            vv_offsets[v + 1] = write as u32;
-            on_boundary[v] = pinned;
+        let rows = vertex_rows(n, mesh.triangles(), |v, run| on_boundary[v] |= run == 1);
+        // ... and a vertex in no triangle is pinned too
+        for (v, pinned) in on_boundary.iter_mut().enumerate() {
+            *pinned |= rows.ve_offsets[v] == rows.ve_offsets[v + 1];
         }
-        buf.truncate(write);
-
-        Adjacency { vv_offsets, vv_neighbors: buf, vt_offsets, vt_triangles, on_boundary }
+        let VertexRows { ve_offsets, ve_elements, vv_offsets, vv_neighbors } = rows;
+        Adjacency {
+            vv_offsets,
+            vv_neighbors,
+            vt_offsets: ve_offsets,
+            vt_triangles: ve_elements,
+            on_boundary,
+        }
     }
 
     /// Number of vertices the adjacency was built for.
@@ -195,8 +228,91 @@ impl Adjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::figure5_mesh;
+    use crate::mesh::{figure5_mesh, tri_soup};
     use crate::Point2;
+    use proptest::prelude::*;
+
+    /// The oracle: the global sort over all `K·(K − 1)·T` directed pairs
+    /// that `Adjacency3::build` used before it shared [`vertex_rows`] (and
+    /// `Adjacency::build` before PR 1), with the multiplicity of every
+    /// distinct pair — what `on_run` must report — counted on the way.
+    fn rows_by_global_sort<const K: usize>(
+        n: usize,
+        elements: &[[u32; K]],
+    ) -> (VertexRows, Vec<(usize, usize)>) {
+        let mut ve: Vec<(u32, u32)> = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (t, element) in elements.iter().enumerate() {
+            for i in 0..K {
+                ve.push((element[i], t as u32));
+                for j in 0..K {
+                    if i != j {
+                        pairs.push((element[i], element[j]));
+                    }
+                }
+            }
+        }
+        ve.sort_unstable();
+        pairs.sort_unstable();
+        let runs =
+            pairs.chunk_by(|a, b| a == b).map(|run| (run[0].0 as usize, run.len())).collect();
+        pairs.dedup();
+        let offsets = |firsts: &mut dyn Iterator<Item = u32>| {
+            let mut offsets = vec![0u32; n + 1];
+            for v in firsts {
+                offsets[v as usize + 1] += 1;
+            }
+            for i in 0..n {
+                offsets[i + 1] += offsets[i];
+            }
+            offsets
+        };
+        let rows = VertexRows {
+            ve_offsets: offsets(&mut ve.iter().map(|p| p.0)),
+            ve_elements: ve.iter().map(|p| p.1).collect(),
+            vv_offsets: offsets(&mut pairs.iter().map(|p| p.0)),
+            vv_neighbors: pairs.iter().map(|p| p.1).collect(),
+        };
+        (rows, runs)
+    }
+
+    fn assert_rows_match_oracle<const K: usize>(n: usize, elements: &[[u32; K]]) {
+        let mut runs = Vec::new();
+        let rows = vertex_rows(n, elements, |v, len| runs.push((v, len)));
+        let (expect_rows, expect_runs) = rows_by_global_sort(n, elements);
+        assert_eq!(rows, expect_rows);
+        assert_eq!(runs, expect_runs);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn soup_rows_match_the_global_sort(
+            n in 1usize..24,
+            picks in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 0..60),
+        ) {
+            let m = tri_soup(n, &picks);
+            assert_rows_match_oracle(n, m.triangles());
+        }
+
+        #[test]
+        fn grid_rows_match_the_global_sort(nx in 2usize..9, ny in 2usize..9, seed in 0u64..1000) {
+            let m = crate::generators::perturbed_grid(nx, ny, 0.3, seed);
+            assert_rows_match_oracle(m.num_vertices(), m.triangles());
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_match_the_global_sort() {
+        assert_rows_match_oracle::<3>(0, &[]);
+        assert_rows_match_oracle::<4>(0, &[]);
+        assert_rows_match_oracle::<3>(5, &[]);
+        assert_rows_match_oracle(4, &[[0u32, 1, 2, 3]]);
+        // the same element three times over, and a corner listed twice
+        assert_rows_match_oracle(4, &[[0u32, 1, 2], [2, 1, 0], [0, 1, 2]]);
+        assert_rows_match_oracle(3, &[[0u32, 0, 1]]);
+    }
 
     fn square() -> TriMesh {
         TriMesh::new(

@@ -144,7 +144,7 @@ impl Boundary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::figure5_mesh;
+    use crate::mesh::{figure5_mesh, tri_soup as soup};
     use crate::Point2;
     use proptest::prelude::*;
 
@@ -195,20 +195,6 @@ mod tests {
         assert_eq!(detected.flags(), &expect[..]);
         assert_eq!(detected.num_boundary(), expect.iter().filter(|&&b| b).count());
         assert_eq!(Boundary::from_adjacency(&Adjacency::build(mesh)), detected);
-    }
-
-    /// A triangle soup on `n` vertices: `picks` become triangles wherever
-    /// the three ids differ. Few vertices and many triangles make edges of
-    /// multiplicity 3 and more, repeated triangles and unreferenced
-    /// vertices all common.
-    fn soup(n: usize, picks: &[(usize, usize, usize)]) -> TriMesh {
-        let coords = (0..n).map(|i| Point2::new(i as f64, (i * i % 7) as f64)).collect();
-        let tris = picks
-            .iter()
-            .map(|&(a, b, c)| [(a % n) as u32, (b % n) as u32, (c % n) as u32])
-            .filter(|t| t[0] != t[1] && t[1] != t[2] && t[0] != t[2])
-            .collect();
-        TriMesh::new(coords, tris).unwrap()
     }
 
     proptest! {

@@ -223,6 +223,21 @@ pub fn figure5_mesh() -> TriMesh {
     m
 }
 
+/// A triangle soup on `n` vertices for the topology oracles: `picks` become
+/// triangles wherever the three ids (taken modulo `n`) differ. Few vertices
+/// and many triangles make edges of multiplicity 3 and more, repeated
+/// triangles and unreferenced vertices all common.
+#[cfg(test)]
+pub(crate) fn tri_soup(n: usize, picks: &[(usize, usize, usize)]) -> TriMesh {
+    let coords = (0..n).map(|i| Point2::new(i as f64, (i * i % 7) as f64)).collect();
+    let tris = picks
+        .iter()
+        .map(|&(a, b, c)| [(a % n) as u32, (b % n) as u32, (c % n) as u32])
+        .filter(|t| t[0] != t[1] && t[1] != t[2] && t[0] != t[2])
+        .collect();
+    TriMesh::new(coords, tris).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

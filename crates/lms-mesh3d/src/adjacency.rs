@@ -7,6 +7,7 @@
 //! tetrahedral meshes unchanged.
 
 use crate::mesh::TetMesh;
+use lms_smooth::{vertex_rows, VertexRows};
 
 /// CSR vertex→vertex and vertex→tetrahedron adjacency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,58 +19,17 @@ pub struct Adjacency3 {
 }
 
 impl Adjacency3 {
-    /// Build the adjacency of `mesh`.
+    /// Build the adjacency of `mesh`: the 2D `Adjacency::build` at four
+    /// corners ([`vertex_rows`] at `K = 4`).
     ///
     /// Neighbour lists are sorted ascending and deduplicated; tet lists are
-    /// sorted ascending.
+    /// sorted ascending. Cost `O(K²·T + Σ row·log row)`: a counting sort
+    /// into per-vertex rows of ~72 raw entries, each sorted and compacted
+    /// on its own — no global sort over the 12·T directed pairs.
     pub fn build(mesh: &TetMesh) -> Self {
-        let n = mesh.num_vertices();
-        let nt = mesh.num_tets();
-
-        // vertex -> tets (counting sort into CSR).
-        let mut vt_offsets = vec![0u32; n + 1];
-        for tet in mesh.tets() {
-            for &v in tet {
-                vt_offsets[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            vt_offsets[i + 1] += vt_offsets[i];
-        }
-        let mut vt_tets = vec![0u32; 4 * nt];
-        let mut cursor = vt_offsets.clone();
-        for (t, tet) in mesh.tets().iter().enumerate() {
-            for &v in tet {
-                let c = &mut cursor[v as usize];
-                vt_tets[*c as usize] = t as u32;
-                *c += 1;
-            }
-        }
-
-        // vertex -> vertices: directed edge pairs, sorted, deduplicated.
-        let mut pairs = Vec::with_capacity(12 * nt);
-        for tet in mesh.tets() {
-            for i in 0..4 {
-                for j in 0..4 {
-                    if i != j {
-                        pairs.push((tet[i], tet[j]));
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        let mut vv_offsets = vec![0u32; n + 1];
-        for &(a, _) in &pairs {
-            vv_offsets[a as usize + 1] += 1;
-        }
-        for i in 0..n {
-            vv_offsets[i + 1] += vv_offsets[i];
-        }
-        let vv_neighbors = pairs.into_iter().map(|(_, b)| b).collect();
-
-        Adjacency3 { vv_offsets, vv_neighbors, vt_offsets, vt_tets }
+        let VertexRows { ve_offsets, ve_elements, vv_offsets, vv_neighbors } =
+            vertex_rows(mesh.num_vertices(), mesh.tets(), |_, _| {});
+        Adjacency3 { vv_offsets, vv_neighbors, vt_offsets: ve_offsets, vt_tets: ve_elements }
     }
 
     /// Number of vertices the adjacency was built for.
@@ -148,8 +108,96 @@ impl lms_order::Graph for Adjacency3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::perturbed_tet_grid;
     use crate::geometry::Point3;
-    use crate::mesh::corner_tet;
+    use crate::mesh::{corner_tet, tet_soup};
+    use proptest::prelude::*;
+
+    /// The oracle: `Adjacency3::build` as it was before it shared the 2D
+    /// row builder — all 12·T directed pairs in one `Vec`, sorted globally.
+    fn build_by_global_sort(mesh: &TetMesh) -> Adjacency3 {
+        let n = mesh.num_vertices();
+        let nt = mesh.num_tets();
+
+        let mut vt_offsets = vec![0u32; n + 1];
+        for tet in mesh.tets() {
+            for &v in tet {
+                vt_offsets[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            vt_offsets[i + 1] += vt_offsets[i];
+        }
+        let mut vt_tets = vec![0u32; 4 * nt];
+        let mut cursor = vt_offsets.clone();
+        for (t, tet) in mesh.tets().iter().enumerate() {
+            for &v in tet {
+                let c = &mut cursor[v as usize];
+                vt_tets[*c as usize] = t as u32;
+                *c += 1;
+            }
+        }
+
+        let mut pairs = Vec::with_capacity(12 * nt);
+        for tet in mesh.tets() {
+            for i in 0..4 {
+                for j in 0..4 {
+                    if i != j {
+                        pairs.push((tet[i], tet[j]));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+
+        let mut vv_offsets = vec![0u32; n + 1];
+        for &(a, _) in &pairs {
+            vv_offsets[a as usize + 1] += 1;
+        }
+        for i in 0..n {
+            vv_offsets[i + 1] += vv_offsets[i];
+        }
+        let vv_neighbors = pairs.into_iter().map(|(_, b)| b).collect();
+
+        Adjacency3 { vv_offsets, vv_neighbors, vt_offsets, vt_tets }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn row_build_matches_the_global_sort_on_tet_soups(
+            n in 4usize..24,
+            picks in proptest::collection::vec(
+                (0usize..64, 0usize..64, 0usize..64, 0usize..64), 0..60),
+        ) {
+            let m = tet_soup(n, &picks);
+            prop_assert_eq!(Adjacency3::build(&m), build_by_global_sort(&m));
+        }
+
+        #[test]
+        fn row_build_matches_the_global_sort_on_grids(
+            nx in 1usize..5, ny in 1usize..5, nz in 1usize..5, seed in 0u64..1000,
+        ) {
+            let m = perturbed_tet_grid(nx, ny, nz, 0.3, seed);
+            prop_assert_eq!(Adjacency3::build(&m), build_by_global_sort(&m));
+        }
+    }
+
+    #[test]
+    fn degenerate_meshes_match_the_global_sort() {
+        for m in [
+            TetMesh::new(vec![], vec![]).unwrap(),
+            tet_soup(5, &[]),
+            corner_tet(),
+            // one tet listed twice; three tets on one face
+            tet_soup(4, &[(0, 1, 2, 3), (3, 2, 1, 0)]),
+            tet_soup(7, &[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)]),
+        ] {
+            assert_eq!(Adjacency3::build(&m), build_by_global_sort(&m));
+        }
+    }
 
     fn double_tet() -> TetMesh {
         TetMesh::new(

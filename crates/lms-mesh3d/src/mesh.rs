@@ -218,6 +218,22 @@ pub fn corner_tet() -> TetMesh {
     .expect("corner tet is valid")
 }
 
+/// A tet soup on `n` vertices for the topology oracles: `picks` become
+/// tets wherever the four ids (taken modulo `n`) differ. Few vertices and
+/// many picks make repeated tets, faces shared by three and more tets and
+/// unreferenced vertices all common.
+#[cfg(test)]
+pub(crate) fn tet_soup(n: usize, picks: &[(usize, usize, usize, usize)]) -> TetMesh {
+    let coords =
+        (0..n).map(|i| Point3::new(i as f64, (i * i % 7) as f64, (i % 3) as f64)).collect();
+    let tets = picks
+        .iter()
+        .map(|&(a, b, c, d)| [a, b, c, d].map(|v| (v % n) as u32))
+        .filter(|t| (0..4).all(|i| (0..i).all(|j| t[i] != t[j])))
+        .collect();
+    TetMesh::new(coords, tets).expect("distinct in-range corners")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

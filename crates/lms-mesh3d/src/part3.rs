@@ -43,8 +43,26 @@ pub struct PartitionedEngine3 {
 
 impl PartitionedEngine3 {
     /// Build a partitioned 3D engine for `mesh` under `params` and an
-    /// existing decomposition (Gauss–Seidel parameters only).
+    /// existing decomposition (Gauss–Seidel parameters only): builds the
+    /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TetMesh, params: SmoothParams3, partition: Partition) -> Self {
+        Self::with_adjacency(mesh, Adjacency3::build(mesh), params, partition)
+    }
+
+    /// Build a partitioned 3D engine around an adjacency the caller
+    /// already holds (typically the one the partition was computed from)
+    /// — *the* constructor; [`by_method`](Self::by_method) and
+    /// [`new`](Self::new) both end here.
+    ///
+    /// # Panics
+    /// When `adj` or `partition` was built for a different number of
+    /// vertices, or `params` asks for Jacobi updates.
+    pub fn with_adjacency(
+        mesh: &TetMesh,
+        adj: Adjacency3,
+        params: SmoothParams3,
+        partition: Partition,
+    ) -> Self {
         assert_eq!(
             partition.len(),
             mesh.num_vertices(),
@@ -56,7 +74,7 @@ impl PartitionedEngine3 {
             "partitioned smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let engine = SmoothEngine3::new(mesh, params);
+        let engine = SmoothEngine3::with_adjacency(mesh, adj, params);
         let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let blocks = build_part_blocks(&engine.domain(), &partition);
         PartitionedEngine3 { engine, partition, blocks, interface_classes }
@@ -72,7 +90,7 @@ impl PartitionedEngine3 {
     ) -> Self {
         let adj = Adjacency3::build(mesh);
         let partition = partition_tet_mesh(mesh, &adj, num_parts, method);
-        PartitionedEngine3::new(mesh, params, partition)
+        PartitionedEngine3::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).
@@ -139,8 +157,26 @@ pub struct ResidentEngine3 {
 
 impl ResidentEngine3 {
     /// Build a resident 3D engine for `mesh` under `params` and an
-    /// existing decomposition (Gauss–Seidel parameters only).
+    /// existing decomposition (Gauss–Seidel parameters only): builds the
+    /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TetMesh, params: SmoothParams3, partition: Partition) -> Self {
+        Self::with_adjacency(mesh, Adjacency3::build(mesh), params, partition)
+    }
+
+    /// Build a resident 3D engine around an adjacency the caller
+    /// already holds (typically the one the partition was computed from)
+    /// — *the* constructor; [`by_method`](Self::by_method) and
+    /// [`new`](Self::new) both end here.
+    ///
+    /// # Panics
+    /// When `adj` or `partition` was built for a different number of
+    /// vertices, or `params` asks for Jacobi updates.
+    pub fn with_adjacency(
+        mesh: &TetMesh,
+        adj: Adjacency3,
+        params: SmoothParams3,
+        partition: Partition,
+    ) -> Self {
         assert_eq!(
             partition.len(),
             mesh.num_vertices(),
@@ -152,7 +188,7 @@ impl ResidentEngine3 {
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let engine = SmoothEngine3::new(mesh, params);
+        let engine = SmoothEngine3::with_adjacency(mesh, adj, params);
         let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let schedule = ExchangeSchedule::build(&partition);
         let (blocks, elem_w) =
@@ -170,7 +206,7 @@ impl ResidentEngine3 {
     ) -> Self {
         let adj = Adjacency3::build(mesh);
         let partition = partition_tet_mesh(mesh, &adj, num_parts, method);
-        ResidentEngine3::new(mesh, params, partition)
+        ResidentEngine3::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).

@@ -148,9 +148,27 @@ pub struct SmoothEngine3 {
 }
 
 impl SmoothEngine3 {
-    /// Build an engine for `mesh` under `params`.
+    /// Build an engine for `mesh` under `params`: builds the adjacency and
+    /// hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TetMesh, params: SmoothParams3) -> Self {
-        let adj = Adjacency3::build(mesh);
+        Self::with_adjacency(mesh, Adjacency3::build(mesh), params)
+    }
+
+    /// Build an engine for `mesh` under `params` around an adjacency the
+    /// caller already holds — *the* constructor; the boundary is the one
+    /// piece of topology it still derives ([`Boundary3::detect`]: face
+    /// based, so the adjacency cannot supply it).
+    ///
+    /// # Panics
+    /// When `adj` was built for a different number of vertices.
+    pub fn with_adjacency(mesh: &TetMesh, adj: Adjacency3, params: SmoothParams3) -> Self {
+        assert_eq!(
+            adj.num_vertices(),
+            mesh.num_vertices(),
+            "adjacency was built for {} vertices, the mesh has {}",
+            adj.num_vertices(),
+            mesh.num_vertices()
+        );
         let boundary = Boundary3::detect(mesh);
         let visit = boundary.interior_vertices();
         SmoothEngine3 {

@@ -47,9 +47,26 @@ pub struct SmoothEngine {
 }
 
 impl SmoothEngine {
-    /// Build an engine for `mesh` under `params`.
+    /// Build an engine for `mesh` under `params`: builds the adjacency and
+    /// hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TriMesh, params: SmoothParams) -> Self {
-        let adj = Adjacency::build(mesh);
+        Self::with_adjacency(mesh, Adjacency::build(mesh), params)
+    }
+
+    /// Build an engine for `mesh` under `params` around an adjacency the
+    /// caller already holds — *the* constructor; nothing topological is
+    /// derived twice.
+    ///
+    /// # Panics
+    /// When `adj` was built for a different number of vertices.
+    pub fn with_adjacency(mesh: &TriMesh, adj: Adjacency, params: SmoothParams) -> Self {
+        assert_eq!(
+            adj.num_vertices(),
+            mesh.num_vertices(),
+            "adjacency was built for {} vertices, the mesh has {}",
+            adj.num_vertices(),
+            mesh.num_vertices()
+        );
         let boundary = Boundary::from_adjacency(&adj);
         let visit = match params.policy {
             IterationPolicy::StorageOrder => boundary.interior_vertices(),

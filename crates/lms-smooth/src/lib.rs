@@ -77,3 +77,8 @@ pub use transport::{
     FtResidentTransport, FtStats, InProcessTransport, ResidentTransport,
 };
 pub use weighting::weighted_candidate;
+
+/// The `K`-generic CSR row builder behind [`lms_mesh::Adjacency`],
+/// re-exported for `lms-mesh3d`: it depends on this crate, not on
+/// `lms-mesh`, and builds its `Adjacency3` with the same code at `K = 4`.
+pub use lms_mesh::adjacency::{vertex_rows, VertexRows};

@@ -483,8 +483,26 @@ pub fn smooth_partitioned_on<const C: usize, D: SmoothDomain<C>>(
 
 impl PartitionedEngine {
     /// Build a partitioned engine for `mesh` under `params` and an
-    /// existing decomposition (Gauss–Seidel parameters only).
+    /// existing decomposition (Gauss–Seidel parameters only): builds the
+    /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TriMesh, params: SmoothParams, partition: Partition) -> Self {
+        Self::with_adjacency(mesh, Adjacency::build(mesh), params, partition)
+    }
+
+    /// Build a partitioned engine around an adjacency the caller
+    /// already holds (typically the one the partition was computed from)
+    /// — *the* constructor; [`by_method`](Self::by_method) and
+    /// [`new`](Self::new) both end here.
+    ///
+    /// # Panics
+    /// When `adj` or `partition` was built for a different number of
+    /// vertices, or `params` asks for Jacobi updates.
+    pub fn with_adjacency(
+        mesh: &TriMesh,
+        adj: Adjacency,
+        params: SmoothParams,
+        partition: Partition,
+    ) -> Self {
         assert_eq!(
             partition.len(),
             mesh.num_vertices(),
@@ -496,7 +514,7 @@ impl PartitionedEngine {
             "partitioned smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let engine = SmoothEngine::new(mesh, params);
+        let engine = SmoothEngine::with_adjacency(mesh, adj, params);
         let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let blocks = build_part_blocks(&engine.domain(), &partition);
         PartitionedEngine { engine, partition, blocks, interface_classes }
@@ -512,7 +530,7 @@ impl PartitionedEngine {
     ) -> Self {
         let adj = Adjacency::build(mesh);
         let partition = partition_mesh(mesh, &adj, num_parts, method);
-        PartitionedEngine::new(mesh, params, partition)
+        PartitionedEngine::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).

@@ -110,11 +110,13 @@ impl AutoRebalanceEngine {
         if spread > self.policy.spread_threshold {
             // run boundary = checkpoint boundary: the scatter has made
             // the caller's mesh authoritative, so re-splitting here
-            // invalidates no in-flight halo state
+            // invalidates no in-flight halo state. The topology has not
+            // changed either: the new engine gets a copy of the outgoing
+            // one's adjacency instead of deriving it again.
             let params = self.engine.engine().params().clone();
-            let adj = self.engine.engine().adjacency();
-            let partition = repartition_measured(mesh, adj, self.engine.partition(), &per_part);
-            self.engine = ResidentEngine::new(mesh, params, partition);
+            let adj = self.engine.engine().adjacency().clone();
+            let partition = repartition_measured(mesh, &adj, self.engine.partition(), &per_part);
+            self.engine = ResidentEngine::with_adjacency(mesh, adj, params, partition);
             self.rebalances += 1;
         }
         report

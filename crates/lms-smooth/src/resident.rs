@@ -100,7 +100,7 @@ pub struct ResidentEngine {
 /// [`Partition::local_of`] convention — owned ascending, then halo
 /// ascending — so exchange-schedule destinations index straight into the
 /// block's coordinate buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResidentBlock<const C: usize> {
     /// Owned vertices, global ids ascending (the final scatter map).
     owned: Vec<u32>,
@@ -870,6 +870,10 @@ impl Neumaier {
 /// weights `w_t` (the same table the per-block stat weights are sliced
 /// from), which [`smooth_resident_on`] folds the initial running sum
 /// with — computed here once instead of once per run.
+///
+/// Cost `O(C·T + Σ block size)`, no sort: one pass over the elements in
+/// index order deals each to the part of every mesh-interior corner, so
+/// every block's element list is ascending by construction.
 pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     partition: &Partition,
@@ -879,38 +883,51 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     let elements = dom.elements();
     // constant global element weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the
     // quality functional
-    let elem_w: Vec<f64> = elements
-        .iter()
-        .map(|e| e.iter().map(|&v| 1.0 / dom.elements_of(v).len() as f64).sum())
-        .collect();
-    // stat owner of each element: the part owning its smallest
-    // mesh-interior (movable) corner; unchangeable elements have none
-    let stat_owner: Vec<u32> = elements
-        .iter()
-        .map(|e| {
-            e.iter()
-                .copied()
-                .filter(|&v| dom.is_interior(v))
-                .min()
-                .map_or(u32::MAX, |v| partition.part_of(v))
-        })
-        .collect();
+    let inv_deg: Vec<f64> = (0..n as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect();
+    let elem_w: Vec<f64> =
+        elements.iter().map(|e| e.iter().map(|&v| inv_deg[v as usize]).sum()).collect();
+
+    // One pass over the elements in index order finds each one's stat
+    // owner — the part owning its smallest mesh-interior (movable) corner;
+    // unchangeable elements have none — and deals it to the local element
+    // set of every part that sweeps one of its corners. A block sweeps
+    // exactly its owned mesh-interior vertices, and an element's pushes are
+    // consecutive, so comparing with a list's last entry is all the
+    // deduplication there is.
+    let mut stat_owner = Vec::with_capacity(elements.len());
+    let mut part_elems: Vec<Vec<u32>> = vec![Vec::new(); partition.num_parts() as usize];
+    for (t, element) in elements.iter().enumerate() {
+        let mut smallest = None;
+        for &c in element {
+            if dom.is_interior(c) {
+                smallest = Some(smallest.map_or(c, |s: u32| s.min(c)));
+                let list = &mut part_elems[partition.part_of(c) as usize];
+                if list.last() != Some(&(t as u32)) {
+                    list.push(t as u32);
+                }
+            }
+        }
+        stat_owner.push(smallest.map_or(u32::MAX, |v| partition.part_of(v)));
+    }
 
     let mut g2l = vec![u32::MAX; n];
     let mut elem_l = vec![u32::MAX; elements.len()];
-    let mut blocks = Vec::with_capacity(partition.num_parts() as usize);
-    for p in 0..partition.num_parts() {
-        blocks.push(build_resident_block(
-            dom,
-            partition,
-            interface_classes,
-            &elem_w,
-            &stat_owner,
-            p,
-            &mut g2l,
-            &mut elem_l,
-        ));
-    }
+    let blocks = (0..partition.num_parts())
+        .zip(part_elems)
+        .map(|(p, elem_globals)| {
+            build_resident_block(
+                dom,
+                partition,
+                interface_classes,
+                &elem_w,
+                &stat_owner,
+                p,
+                elem_globals,
+                &mut g2l,
+                &mut elem_l,
+            )
+        })
+        .collect();
     (blocks, elem_w)
 }
 
@@ -974,9 +991,27 @@ pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
 }
 
 impl ResidentEngine {
-    /// Build a resident engine for `mesh` under `params` and an existing
-    /// decomposition (Gauss–Seidel parameters only).
+    /// Build a resident engine for `mesh` under `params` and an
+    /// existing decomposition (Gauss–Seidel parameters only): builds the
+    /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &TriMesh, params: SmoothParams, partition: Partition) -> Self {
+        Self::with_adjacency(mesh, Adjacency::build(mesh), params, partition)
+    }
+
+    /// Build a resident engine around an adjacency the caller
+    /// already holds (typically the one the partition was computed from)
+    /// — *the* constructor; [`by_method`](Self::by_method) and
+    /// [`new`](Self::new) both end here.
+    ///
+    /// # Panics
+    /// When `adj` or `partition` was built for a different number of
+    /// vertices, or `params` asks for Jacobi updates.
+    pub fn with_adjacency(
+        mesh: &TriMesh,
+        adj: Adjacency,
+        params: SmoothParams,
+        partition: Partition,
+    ) -> Self {
         assert_eq!(
             partition.len(),
             mesh.num_vertices(),
@@ -988,7 +1023,7 @@ impl ResidentEngine {
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let engine = SmoothEngine::new(mesh, params);
+        let engine = SmoothEngine::with_adjacency(mesh, adj, params);
         let interface_classes =
             crate::partitioned::interface_classes(engine.interior_color_classes(), &partition);
         let schedule = ExchangeSchedule::build(&partition);
@@ -1007,7 +1042,7 @@ impl ResidentEngine {
     ) -> Self {
         let adj = Adjacency::build(mesh);
         let partition = partition_mesh(mesh, &adj, num_parts, method);
-        ResidentEngine::new(mesh, params, partition)
+        ResidentEngine::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).
@@ -1164,9 +1199,10 @@ impl SweepSpan {
     }
 }
 
-/// Build one part's resident topology. `g2l` and `elem_l` are
-/// `u32::MAX`-filled scratch maps of global→local ids, restored before
-/// returning.
+/// Build one part's resident topology around its local element set
+/// `elem_globals` (every element incident to one of the part's sweep
+/// vertices, ascending). `g2l` and `elem_l` are `u32::MAX`-filled scratch
+/// maps of global→local ids, restored before returning.
 #[allow(clippy::too_many_arguments)]
 fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
@@ -1175,6 +1211,7 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     elem_w: &[f64],
     stat_owner: &[u32],
     p: u32,
+    elem_globals: Vec<u32>,
     g2l: &mut [u32],
     elem_l: &mut [u32],
 ) -> ResidentBlock<C> {
@@ -1212,16 +1249,8 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
         ifc_color_offsets.push(ifc_locals.len() as u32);
     }
 
-    // local element set: every element incident to a sweep vertex; all
-    // corners land in owned ∪ halo (a corner is adjacent to the owned
-    // star centre)
-    let mut elem_globals: Vec<u32> = int_globals
-        .iter()
-        .chain(&ifc_globals)
-        .flat_map(|&v| dom.elements_of(v).iter().copied())
-        .collect();
-    elem_globals.sort_unstable();
-    elem_globals.dedup();
+    // all corners of a local element land in owned ∪ halo (a corner is
+    // adjacent to the owned star centre)
     for (i, &t) in elem_globals.iter().enumerate() {
         elem_l[t as usize] = i as u32;
     }
