@@ -116,17 +116,18 @@ fn measure_bulk(mesh: &lms_mesh::TriMesh) -> (f64, f64, f64) {
     let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), QualityMetric::EdgeLengthRatio);
     let mut soa = SoaCoords::<2>::with_len(mesh.num_vertices());
     soa.gather_from(mesh.coords());
-    let rows: Vec<[u32; 3]> = dom.elements().to_vec();
+    let rows = dom.elements();
+    let ids: Vec<u32> = (0..rows.len() as u32).collect();
     let mut out = vec![(0.0, false); rows.len()];
     let mut best_b = u64::MAX;
     let mut best_s = u64::MAX;
     for _ in 0..50 {
         let t = std::time::Instant::now();
-        dom.score_batch(&soa, &rows, &mut out);
+        dom.score_star(&soa, rows, &ids, &mut out);
         best_b = best_b.min(t.elapsed().as_nanos() as u64);
         std::hint::black_box(&out);
         let t = std::time::Instant::now();
-        for (slot, &row) in out.iter_mut().zip(&rows) {
+        for (slot, &row) in out.iter_mut().zip(rows) {
             *slot = dom.score_soa(&soa, row);
         }
         best_s = best_s.min(t.elapsed().as_nanos() as u64);

@@ -1,5 +1,5 @@
 //! Bulk scoring microbench: every element of a 512x512 perturbed grid
-//! scored through one lane-batched `score_batch` call vs one per-element
+//! scored through one lane-batched `score_star` call vs one per-element
 //! `score_soa` call, interleaved min-of-50 on identical SoA inputs.
 //! The same measurement feeds the `bulk_scoring` block of
 //! `BENCH_smooth.json`; this standalone binary exists for quick hand
@@ -18,7 +18,8 @@ fn main() {
     let dom = TriDomain::new(&adj, &boundary, m.triangles(), QualityMetric::EdgeLengthRatio);
     let mut soa = SoaCoords::<2>::with_len(m.num_vertices());
     soa.gather_from(m.coords());
-    let rows: Vec<[u32; 3]> = dom.elements().to_vec();
+    let rows = dom.elements();
+    let ids: Vec<u32> = (0..rows.len() as u32).collect();
     let mut out = vec![(0.0, false); rows.len()];
     let reps = 50;
 
@@ -26,11 +27,11 @@ fn main() {
     let mut best_s = u128::MAX;
     for _ in 0..reps {
         let t = Instant::now();
-        dom.score_batch(&soa, &rows, &mut out);
+        dom.score_star(&soa, rows, &ids, &mut out);
         best_b = best_b.min(t.elapsed().as_nanos());
         std::hint::black_box(&out);
         let t = Instant::now();
-        for (slot, &row) in out.iter_mut().zip(&rows) {
+        for (slot, &row) in out.iter_mut().zip(rows) {
             *slot = dom.score_soa(&soa, row);
         }
         best_s = best_s.min(t.elapsed().as_nanos());

@@ -18,14 +18,15 @@
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
-use crate::geometry::{edge_lengths, signed_volume, Point3};
+use crate::geometry::{edge_lengths_sq, signed_volume, Point3};
 use crate::mesh::TetMesh;
-use crate::quality::{edge_length_ratio_from_lengths, TetQualityMetric};
+use crate::quality::{min_max_sq6, TetQualityMetric};
 use crate::sfc::{hilbert3_ordering, morton3_ordering};
 use lms_order::{rcb_parts_nd, rcb_parts_weighted_nd};
 use lms_part::{sfc_chunk_assignment, Partition, PartitionMethod};
-use lms_smooth::domain::{DomainPoint, SmoothDomain};
-use lms_smooth::soa::{SoaCoords, LANES};
+use lms_smooth::domain::{score_star_per_id, DomainPoint, SmoothDomain};
+use lms_smooth::for_lane_blocks;
+use lms_smooth::soa::{sqrt_div_lanes, SoaCoords, LANES};
 
 impl DomainPoint for Point3 {
     const ZERO: Self = Point3::ZERO;
@@ -138,55 +139,201 @@ impl SmoothDomain<4> for TetDomain<'_> {
         )
     }
 
-    fn score_batch(&self, coords: &SoaCoords<3>, rows: &[[u32; 4]], out: &mut [(f64, bool)]) {
-        debug_assert_eq!(rows.len(), out.len());
+    #[inline]
+    fn score_star(
+        &self,
+        coords: &SoaCoords<3>,
+        corners: &[[u32; 4]],
+        ids: &[u32],
+        out: &mut [(f64, bool)],
+    ) {
         match self.metric {
-            TetQualityMetric::EdgeLengthRatio => tet_elr_batch(coords, rows, out),
-            // ablation metrics: per-lane scalar sequence, metric dispatch
-            // hoisted out of the element loop
-            _ => {
-                let (xs, ys, zs) = (coords.axis(0), coords.axis(1), coords.axis(2));
-                let at = |i: u32| Point3::new(xs[i as usize], ys[i as usize], zs[i as usize]);
-                for (slot, &[ia, ib, ic, id]) in out.iter_mut().zip(rows) {
-                    *slot = self.score_points([at(ia), at(ib), at(ic), at(id)]);
-                }
-            }
+            TetQualityMetric::EdgeLengthRatio => tet_elr_star(coords, corners, ids, out),
+            // the ablation metrics stay on the per-element scalar sequence
+            _ => score_star_per_id(self, coords, corners, ids, out),
         }
     }
 }
 
-/// Lane-batched tetrahedral edge-length-ratio scoring over SoA columns:
-/// fixed [`LANES`]-wide blocks with a scalar tail, each lane running the
-/// exact scalar sequence of `TetQualityMetric::tet_quality` (via the
-/// shared [`edge_length_ratio_from_lengths`] core) plus the
-/// `signed_volume > 0` orientation test — bit-identical to the
-/// per-element path by construction.
-fn tet_elr_batch(coords: &SoaCoords<3>, rows: &[[u32; 4]], out: &mut [(f64, bool)]) {
-    #[inline(always)]
-    fn lane(xs: &[f64], ys: &[f64], zs: &[f64], [ia, ib, ic, id]: [u32; 4]) -> (f64, bool) {
-        let a = Point3::new(xs[ia as usize], ys[ia as usize], zs[ia as usize]);
-        let b = Point3::new(xs[ib as usize], ys[ib as usize], zs[ib as usize]);
-        let c = Point3::new(xs[ic as usize], ys[ic as usize], zs[ic as usize]);
-        let d = Point3::new(xs[id as usize], ys[id as usize], zs[id as usize]);
-        (edge_length_ratio_from_lengths(edge_lengths(a, b, c, d)), signed_volume(a, b, c, d) > 0.0)
+/// Gather one lane block's corner coordinates into per-corner lane
+/// columns `[ax, ay, az, bx, …, dz]` (the indexed loads, kept apart from
+/// the arithmetic as in the 2D kernel).
+#[inline(always)]
+fn tet_columns(
+    [xs, ys, zs]: [&[f64]; 3],
+    corners: &[[u32; 4]],
+    block: &[u32; LANES],
+) -> [[f64; LANES]; 12] {
+    let mut cols = [[0.0f64; LANES]; 12];
+    for l in 0..LANES {
+        for (k, &i) in corners[block[l] as usize].iter().enumerate() {
+            cols[3 * k][l] = xs[i as usize];
+            cols[3 * k + 1][l] = ys[i as usize];
+            cols[3 * k + 2][l] = zs[i as usize];
+        }
     }
-    let (xs, ys, zs) = (coords.axis(0), coords.axis(1), coords.axis(2));
-    let main = rows.len() - rows.len() % LANES;
-    let (rows_main, rows_tail) = rows.split_at(main);
-    let (out_main, out_tail) = out.split_at_mut(main);
-    for (block, slots) in rows_main.chunks_exact(LANES).zip(out_main.chunks_exact_mut(LANES)) {
+    cols
+}
+
+/// Lane-batched edge-length-ratio scoring of the tets `ids` names — the
+/// 3D twin of `lms-smooth`'s `tri_elr_star`: one [`LANES`]-wide block at
+/// a time ([`for_lane_blocks!`]), explicit AVX arithmetic where the host
+/// has it ([`tet_elr_star_avx`]), portable lanes otherwise
+/// ([`tet_elr_star_portable`]). Every lane runs the exact scalar sequence
+/// of `TetQualityMetric::tet_quality` — six `dist_sq`, the
+/// [`min_max_sq6`] folds, two square roots, one divide, the degenerate
+/// select — plus the `signed_volume > 0` orientation test, so results are
+/// bit-identical to the per-element path by construction.
+#[inline]
+fn tet_elr_star(coords: &SoaCoords<3>, corners: &[[u32; 4]], ids: &[u32], out: &mut [(f64, bool)]) {
+    let axes = [coords.axis(0), coords.axis(1), coords.axis(2)];
+    // one cached feature test and one `#[target_feature]` call per id
+    // list, never one per block (see `tri_elr_star`)
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX support verified above (cached runtime check) — the
+        // function's only requirement.
+        unsafe { tet_elr_star_avx(axes, corners, ids, out) };
+        return;
+    }
+    tet_elr_star_portable(axes, corners, ids, out);
+}
+
+/// The portable lanes of [`tet_elr_star`]: per lane the library's own
+/// `Point3` expressions, the root/divide phase through the explicit-SIMD
+/// [`sqrt_div_lanes`]. The select tests the squared extremes, which is
+/// the same predicate: a root is `≤ 0` / finite exactly when its
+/// (never-negative) argument is.
+#[inline]
+fn tet_elr_star_portable(
+    axes: [&[f64]; 3],
+    corners: &[[u32; 4]],
+    ids: &[u32],
+    out: &mut [(f64, bool)],
+) {
+    for_lane_blocks!((ids, out) => |block, slots| {
+        let cols = tet_columns(axes, corners, block);
+        let mut min_sq = [0.0f64; LANES];
+        let mut max_sq = [0.0f64; LANES];
+        let mut vol = [0.0f64; LANES];
+        for l in 0..LANES {
+            let [a, b, c, d] = std::array::from_fn(|k| {
+                Point3::new(cols[3 * k][l], cols[3 * k + 1][l], cols[3 * k + 2][l])
+            });
+            (min_sq[l], max_sq[l]) = min_max_sq6(edge_lengths_sq(a, b, c, d));
+            vol[l] = signed_volume(a, b, c, d);
+        }
         let mut q = [0.0f64; LANES];
-        let mut pos = [false; LANES];
-        for l in 0..LANES {
-            (q[l], pos[l]) = lane(xs, ys, zs, block[l]);
+        sqrt_div_lanes(&min_sq, &max_sq, &mut q);
+        for (l, slot) in slots.iter_mut().enumerate() {
+            let degenerate = max_sq[l] <= 0.0 || !min_sq[l].is_finite();
+            *slot = (if degenerate { 0.0 } else { q[l] }, vol[l] > 0.0);
         }
-        for l in 0..LANES {
-            slots[l] = (q[l], pos[l]);
+    });
+}
+
+/// [`tet_elr_star_portable`] in explicit AVX — the same value sequence
+/// in 256-bit ops (LLVM vectorizes neither the square roots nor the
+/// `min`/`max` folds at the SSE2 baseline).
+///
+/// Bit-identity notes (each packed op is matched to its scalar twin):
+/// - `sub`/`mul`/`add`/`sqrt`/`div` are IEEE correctly rounded in both
+///   forms, and Rust emits no FMA contraction to differ from. `dist_sq`
+///   keeps `Point3::dot`'s `(x² + y²) + z²` order, the triple product
+///   `signed_volume`'s `(b−a)×(c−a)·(d−a)` order and its `/ 6.0` (the
+///   divide can round a tiny positive product to zero, so it stays).
+/// - `f64::min`/`f64::max` skip NaN. `minpd`/`maxpd` return their
+///   *second* operand when either is NaN, and the fold accumulators —
+///   seeded `+∞` and `0`, hence never NaN — are passed second, so a NaN
+///   squared length is skipped exactly as in [`min_max_sq6`]. The ±0
+///   ambiguity is moot: a squared length is never `-0.0`.
+/// - The select is `max <= 0.0 || !min.is_finite()` verbatim: an
+///   ordered-quiet `≤` (false on NaN) and `!(|min| < ∞)` as an
+///   unordered not-less-than (true on NaN); the orientation test is an
+///   ordered-quiet `>`.
+///
+/// # Safety
+/// The CPU must support AVX. Memory is touched only through
+/// bounds-checked slice indexing and whole `[f64; LANES]` local arrays
+/// (every `loadu`/`storeu` below).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn tet_elr_star_avx(
+    axes: [&[f64]; 3],
+    corners: &[[u32; 4]],
+    ids: &[u32],
+    out: &mut [(f64, bool)],
+) {
+    use core::arch::x86_64::*;
+    const { assert!(LANES == 4, "one 256-bit register holds exactly one block") };
+    // Lane-wise `Point3` arithmetic in `Point3`'s own expression order.
+    // Unsafe only as AVX code: called from this function alone, they share
+    // its one requirement.
+    type V3 = [__m256d; 3];
+    #[inline(always)]
+    unsafe fn sub3(p: V3, q: V3) -> V3 {
+        [_mm256_sub_pd(p[0], q[0]), _mm256_sub_pd(p[1], q[1]), _mm256_sub_pd(p[2], q[2])]
+    }
+    #[inline(always)]
+    unsafe fn dot(p: V3, q: V3) -> __m256d {
+        _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(p[0], q[0]), _mm256_mul_pd(p[1], q[1])),
+            _mm256_mul_pd(p[2], q[2]),
+        )
+    }
+    #[inline(always)]
+    unsafe fn dist_sq(p: V3, q: V3) -> __m256d {
+        let e = sub3(p, q);
+        dot(e, e)
+    }
+    let zero = _mm256_setzero_pd();
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    let sign = _mm256_set1_pd(-0.0);
+    let six = _mm256_set1_pd(6.0);
+    for_lane_blocks!((ids, out) => |block, slots| {
+        let cols = tet_columns(axes, corners, block);
+        let mut corner = [[zero; 3]; 4];
+        for (k, p) in corner.iter_mut().enumerate() {
+            for (axis, lanes) in p.iter_mut().enumerate() {
+                *lanes = _mm256_loadu_pd(cols[3 * k + axis].as_ptr());
+            }
         }
-    }
-    for (slot, &row) in out_tail.iter_mut().zip(rows_tail) {
-        *slot = lane(xs, ys, zs, row);
-    }
+        let [a, b, c, d] = corner;
+        // `edge_lengths_sq` order: ab, ac, ad, bc, bd, cd
+        let mut min_sq = inf;
+        let mut max_sq = zero;
+        for d_sq in [
+            dist_sq(a, b),
+            dist_sq(a, c),
+            dist_sq(a, d),
+            dist_sq(b, c),
+            dist_sq(b, d),
+            dist_sq(c, d),
+        ] {
+            min_sq = _mm256_min_pd(d_sq, min_sq);
+            max_sq = _mm256_max_pd(d_sq, max_sq);
+        }
+        let (min, max) = (_mm256_sqrt_pd(min_sq), _mm256_sqrt_pd(max_sq));
+        let degenerate = _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_LE_OQ>(max, zero),
+            _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_andnot_pd(sign, min), inf),
+        );
+        let score = _mm256_blendv_pd(_mm256_div_pd(min, max), zero, degenerate);
+        let (u, v, w) = (sub3(b, a), sub3(c, a), sub3(d, a));
+        let normal = [
+            _mm256_sub_pd(_mm256_mul_pd(u[1], v[2]), _mm256_mul_pd(u[2], v[1])),
+            _mm256_sub_pd(_mm256_mul_pd(u[2], v[0]), _mm256_mul_pd(u[0], v[2])),
+            _mm256_sub_pd(_mm256_mul_pd(u[0], v[1]), _mm256_mul_pd(u[1], v[0])),
+        ];
+        let volume = _mm256_div_pd(dot(normal, w), six);
+        let pos_mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(volume, zero));
+        let mut s = [0.0f64; LANES];
+        _mm256_storeu_pd(s.as_mut_ptr(), score);
+        for (l, slot) in slots.iter_mut().enumerate() {
+            *slot = (s[l], pos_mask & (1 << l) != 0);
+        }
+    });
 }
 
 /// Per-vertex volume weights: each vertex receives one quarter of the
@@ -265,6 +412,95 @@ mod tests {
         let generic = lms_smooth::domain_quality(&dom, m.coords());
         let concrete = mesh_quality(&m, &adj, TetQualityMetric::EdgeLengthRatio);
         assert_eq!(generic.to_bits(), concrete.to_bits());
+    }
+
+    /// Scalar oracle vs portable lanes vs (where the host has it) the AVX
+    /// body, each called directly on `corners` over `axes`; two NaN
+    /// qualities count as equal (NaN payload choice is the compiler's).
+    fn kernels_agree(axes: [&[f64]; 3], corners: &[[u32; 4]]) -> Vec<(f64, bool)> {
+        let ids: Vec<u32> = (0..corners.len() as u32).collect();
+        let at =
+            |i: u32| Point3::new(axes[0][i as usize], axes[1][i as usize], axes[2][i as usize]);
+        let scalar: Vec<(f64, bool)> = corners
+            .iter()
+            .map(|row| {
+                let [a, b, c, d] = row.map(at);
+                let q = TetQualityMetric::EdgeLengthRatio.tet_quality(a, b, c, d);
+                (q, signed_volume(a, b, c, d) > 0.0)
+            })
+            .collect();
+        let same = |kernel: &str, got: &[(f64, bool)]| {
+            for ((s, g), row) in scalar.iter().zip(got).zip(corners) {
+                let q_same = s.0.to_bits() == g.0.to_bits() || (s.0.is_nan() && g.0.is_nan());
+                assert!(q_same && s.1 == g.1, "{kernel}: {:?}: {s:?} vs {g:?}", row.map(at));
+            }
+        };
+        let mut out = vec![(f64::NAN, false); ids.len()];
+        tet_elr_star_portable(axes, corners, &ids, &mut out);
+        same("portable", &out);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            out.fill((f64::NAN, false));
+            // SAFETY: AVX support verified on the line above.
+            unsafe { tet_elr_star_avx(axes, corners, &ids, &mut out) };
+            same("avx", &out);
+        }
+        scalar
+    }
+
+    /// Every triple of NaN, ±inf, ±0, a subnormal, `±1e200` and a few
+    /// plain numbers is a vertex; tets are random quadruples, the same
+    /// with two corners swapped (inverted), and coincident corners.
+    #[test]
+    fn tet_elr_kernels_agree_on_special_values() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            1e200,
+            -1e200,
+            1.0,
+            -2.5,
+        ];
+        let n = specials.len();
+        let mut axes = [Vec::new(), Vec::new(), Vec::new()];
+        for &x in &specials {
+            for &y in &specials {
+                for &z in &specials {
+                    axes[0].push(x);
+                    axes[1].push(y);
+                    axes[2].push(z);
+                }
+            }
+        }
+        let mut rng = proptest::test_runner::TestRng::for_test("tet_elr_special_values");
+        let mut corners: Vec<[u32; 4]> = Vec::new();
+        for _ in 0..3000 {
+            let [a, b, c, d] = std::array::from_fn(|_| rng.index(n * n * n) as u32);
+            corners.extend([[a, b, c, d], [a, c, b, d], [a, a, c, d], [a, b, b, b], [a, a, a, a]]);
+        }
+        corners.pop(); // not a whole number of blocks
+        kernels_agree([&axes[0], &axes[1], &axes[2]], &corners);
+    }
+
+    /// `signed_volume`'s `/ 6.0` rounds a positive triple product of up to
+    /// three units in the last subnormal place to zero (3/6 ties to even),
+    /// so `> 0.0` first holds at four — on every kernel.
+    #[test]
+    fn tiny_triple_products_round_like_signed_volume() {
+        // a = 0, b = e_x, c = e_y, d = ±from_bits(k)·e_z: triple product ±from_bits(k)
+        let xs = [0.0, 1.0, 0.0, 0.0];
+        let ys = [0.0, 0.0, 1.0, 0.0];
+        for k in 1..=8u64 {
+            for sign in [1.0, -1.0] {
+                let zs = [0.0, 0.0, 0.0, sign * f64::from_bits(k)];
+                let scored = kernels_agree([&xs, &ys, &zs], &[[0, 1, 2, 3]]);
+                assert_eq!(scored[0].1, sign > 0.0 && k > 3, "k = {k}, sign {sign}");
+            }
+        }
     }
 
     #[test]

@@ -155,6 +155,13 @@ pub fn edge_lengths(a: Point3, b: Point3, c: Point3, d: Point3) -> [f64; 6] {
     [a.dist(b), a.dist(c), a.dist(d), b.dist(c), b.dist(d), c.dist(d)]
 }
 
+/// The six squared edge lengths of tetrahedron `(a, b, c, d)`, in
+/// [`edge_lengths`] order.
+#[inline]
+pub fn edge_lengths_sq(a: Point3, b: Point3, c: Point3, d: Point3) -> [f64; 6] {
+    [a.dist_sq(b), a.dist_sq(c), a.dist_sq(d), b.dist_sq(c), b.dist_sq(d), c.dist_sq(d)]
+}
+
 /// Total surface area (sum of the four face areas) of a tetrahedron.
 #[inline]
 pub fn surface_area(a: Point3, b: Point3, c: Point3, d: Point3) -> f64 {

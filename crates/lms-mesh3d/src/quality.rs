@@ -5,7 +5,7 @@
 //! the regular tetrahedron and 0 by degenerate elements.
 
 use crate::adjacency::Adjacency3;
-use crate::geometry::{circumradius, edge_lengths, inradius, volume, Point3};
+use crate::geometry::{circumradius, edge_lengths, edge_lengths_sq, inradius, volume, Point3};
 use crate::mesh::TetMesh;
 
 /// Quality metric for a single tetrahedron.
@@ -26,7 +26,7 @@ impl TetQualityMetric {
     pub fn tet_quality(self, a: Point3, b: Point3, c: Point3, d: Point3) -> f64 {
         match self {
             TetQualityMetric::EdgeLengthRatio => {
-                edge_length_ratio_from_lengths(edge_lengths(a, b, c, d))
+                edge_length_ratio_from_sq6(edge_lengths_sq(a, b, c, d))
             }
             TetQualityMetric::RadiusRatio => {
                 let r = inradius(a, b, c, d);
@@ -57,16 +57,27 @@ impl TetQualityMetric {
     }
 }
 
-/// The tetrahedral edge-length-ratio core on precomputed edge lengths —
-/// the one expression both the scalar metric and `lms-smooth`'s
-/// lane-batched SoA scoring run (fold orders fixed: `min` seeded with
-/// `+∞`, `max` seeded with `0`), so the two stay bit-identical by
-/// construction. The degenerate case is a select, keeping the expression
+/// Smallest and largest of six squared edge lengths, NaN entries skipped
+/// (`f64::min`/`f64::max`), folded in array order from `+∞` and from `0`
+/// — seeds that are never NaN, so neither is the result.
+#[inline(always)]
+pub(crate) fn min_max_sq6(d: [f64; 6]) -> (f64, f64) {
+    (d.iter().fold(f64::INFINITY, |m, &x| m.min(x)), d.iter().fold(0.0f64, |m, &x| m.max(x)))
+}
+
+/// The tetrahedral edge-length-ratio core on **squared** edge lengths —
+/// the one expression both the scalar metric and the lane-batched
+/// [`crate::TetDomain`] scoring run, so the two stay bit-identical by
+/// construction. Two square roots instead of six: `sqrt` is monotone and
+/// correctly rounded, so the root of the smallest (largest) squared length
+/// *is* the smallest (largest) length, bit for bit — NaN is skipped on
+/// either side of the root, `+∞` maps to `+∞`, and a squared length is
+/// never `-0.0`. The degenerate case is a select, keeping the expression
 /// lane-vectorizable.
 #[inline(always)]
-pub fn edge_length_ratio_from_lengths(ls: [f64; 6]) -> f64 {
-    let min = ls.iter().fold(f64::INFINITY, |m, &l| m.min(l));
-    let max = ls.iter().fold(0.0f64, |m, &l| m.max(l));
+pub fn edge_length_ratio_from_sq6(d: [f64; 6]) -> f64 {
+    let (min_sq, max_sq) = min_max_sq6(d);
+    let (min, max) = (min_sq.sqrt(), max_sq.sqrt());
     let ratio = min / max;
     if max <= 0.0 || !min.is_finite() {
         0.0
@@ -125,6 +136,54 @@ mod tests {
             Point3::new(0.0, 1.0, s) * 0.5,
             Point3::new(0.0, -1.0, s) * 0.5,
         ]
+    }
+
+    /// The six-square-root body [`edge_length_ratio_from_sq6`] replaced,
+    /// kept as its oracle: `min`/`max` folded over the edge *lengths*.
+    fn edge_length_ratio_from_lengths(ls: [f64; 6]) -> f64 {
+        let min = ls.iter().fold(f64::INFINITY, |m, &l| m.min(l));
+        let max = ls.iter().fold(0.0f64, |m, &l| m.max(l));
+        let ratio = min / max;
+        if max <= 0.0 || !min.is_finite() {
+            0.0
+        } else {
+            ratio
+        }
+    }
+
+    #[test]
+    fn two_root_core_equals_six_root_core_bitwise() {
+        let check = |p: [Point3; 4]| {
+            let [a, b, c, d] = p;
+            let six = edge_length_ratio_from_lengths(edge_lengths(a, b, c, d));
+            let two = edge_length_ratio_from_sq6(edge_lengths_sq(a, b, c, d));
+            assert_eq!(six.to_bits(), two.to_bits(), "{p:?}: {six} vs {two}");
+        };
+        let mut rng = proptest::test_runner::TestRng::for_test("two_root_core");
+        // scales from deep-subnormal squares to squares that overflow
+        for scale in [1e-170, 1e-3, 1.0, 7.5e4, 1e150, 1e200] {
+            for _ in 0..2000 {
+                let mut p: [Point3; 4] = std::array::from_fn(|_| {
+                    Point3::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5, rng.next_f64() - 0.5)
+                        * scale
+                });
+                check(p);
+                // degenerate: coincident corners, then all four equal
+                p[1] = p[0];
+                check(p);
+                p[2] = p[0];
+                p[3] = p[0];
+                check(p);
+            }
+        }
+        // non-finite coordinates: NaN edges are skipped, infinite ones are not
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 5e-324, 1e200, 1.0];
+        for _ in 0..5000 {
+            check(std::array::from_fn(|_| {
+                let mut pick = || specials[rng.index(specials.len())];
+                Point3::new(pick(), pick(), pick())
+            }));
+        }
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct DomainQualityCache {
     dirty_stamp: Vec<u32>,
     dirty: Vec<u32>,
     epoch: u32,
-    /// Reusable output buffer of the batched re-score paths.
-    score_scratch: Vec<(f64, bool)>,
 }
 
 impl DomainQualityCache {
@@ -63,7 +61,6 @@ impl DomainQualityCache {
             dirty_stamp: vec![0; nt],
             dirty: Vec::new(),
             epoch: 1,
-            score_scratch: Vec::new(),
         };
         cache.rescore_all(dom, coords);
         cache
@@ -145,14 +142,13 @@ impl DomainQualityCache {
         assert_eq!(dom.num_elements(), self.elem_q.len(), "element count changed");
         self.sum = 0.0;
         self.comp = 0.0;
-        score_elements_batched(dom, coords, dom.elements(), &mut self.score_scratch);
-        let scored = std::mem::take(&mut self.score_scratch);
-        for (i, &(q, pos)) in scored.iter().enumerate() {
+        let mut i = 0;
+        score_elements_batched(dom, coords, dom.elements().iter().copied(), |(q, pos)| {
             self.elem_q[i] = q;
             self.elem_g[i] = if pos { q } else { 0.0 };
             self.add(q * self.elem_w[i]);
-        }
-        self.score_scratch = scored;
+            i += 1;
+        });
     }
 
     /// Fold a sweep's committed moves into the cache: sparse move sets
@@ -202,15 +198,15 @@ impl DomainQualityCache {
     ) {
         self.dirty.sort_unstable();
         let mut dirty = std::mem::take(&mut self.dirty);
-        let rows: Vec<[u32; C]> = dirty.iter().map(|&t| dom.elements()[t as usize]).collect();
-        score_elements_batched(dom, coords, &rows, &mut self.score_scratch);
-        let scored = std::mem::take(&mut self.score_scratch);
-        for (&t, &(q, pos)) in dirty.iter().zip(&scored) {
+        let elems = dirty.iter().map(|&t| dom.elements()[t as usize]);
+        let mut k = 0;
+        score_elements_batched(dom, coords, elems, |(q, pos)| {
             debug_assert!(
                 q > 0.0 || !pos,
                 "metric invariant violated: positive orientation with zero quality"
             );
-            let i = t as usize;
+            let i = dirty[k] as usize;
+            k += 1;
             let w = self.elem_w[i];
             let delta = q * w - self.elem_q[i] * w;
             if delta != 0.0 {
@@ -218,8 +214,7 @@ impl DomainQualityCache {
             }
             self.elem_q[i] = q;
             self.elem_g[i] = if pos { q } else { 0.0 };
-        }
-        self.score_scratch = scored;
+        });
         dirty.clear();
         self.dirty = dirty;
         self.epoch = self.epoch.wrapping_add(1);

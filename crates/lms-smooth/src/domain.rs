@@ -29,11 +29,12 @@
 //! `Sync`, so the parallel engines share them across workers.
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
-use crate::soa::{SoaCoords, SoaLike, LANES};
+use crate::for_lane_blocks;
+use crate::soa::{score_elements_batched, SoaCoords, SoaLike, LANES};
 use crate::stats::{IterationStats, SmoothReport};
 use crate::trace::AccessSink;
 use lms_mesh::geometry::signed_area;
-use lms_mesh::quality::{edge_length_ratio_from_sq, QualityMetric};
+use lms_mesh::quality::QualityMetric;
 use lms_mesh::{Adjacency, Boundary, Point2};
 
 /// A coordinate usable by the generic smoothing kernels: componentwise
@@ -183,7 +184,7 @@ pub trait SmoothDomain<const C: usize>: Sync {
     /// Structure-of-arrays coordinate store of the domain (a
     /// [`SoaCoords`] of the right dimension) — what the resident and
     /// partitioned sweep scratches hold internally, and what
-    /// [`score_batch`](Self::score_batch) consumes.
+    /// [`score_star`](Self::score_star) consumes.
     type Soa: SoaLike<Self::Point>;
 
     /// Number of vertices.
@@ -238,21 +239,47 @@ pub trait SmoothDomain<const C: usize>: Sync {
     /// per-element scalar form, bit-identical to the point-slice path.
     #[inline]
     fn score_soa(&self, coords: &Self::Soa, corners: [u32; C]) -> (f64, bool) {
-        self.score_points(corners.map(|c| coords.get(c as usize)))
+        // `from_fn` is `#[inline]`, `corners.map(..)` is not: left out of
+        // line it returns the points through memory in halves the caller
+        // reloads whole, and the stalls double the cost of this path
+        self.score_points(std::array::from_fn(|k| coords.get(corners[k] as usize)))
     }
 
-    /// Batched element scoring: score `rows[i]` (corner slot ids into
-    /// `coords`) into `out[i]`. Implementations process fixed-width
-    /// [`LANES`]-wide chunks where every lane runs the **identical**
-    /// scalar operation sequence on its own element, so the results are
-    /// bit-identical to calling [`score_soa`](Self::score_soa) per row —
-    /// the default does exactly that, and the property suites pin the
-    /// overrides against it.
-    fn score_batch(&self, coords: &Self::Soa, rows: &[[u32; C]], out: &mut [(f64, bool)]) {
-        debug_assert_eq!(rows.len(), out.len());
-        for (slot, &row) in out.iter_mut().zip(rows) {
-            *slot = self.score_soa(coords, row);
-        }
+    /// Batched element scoring by id: score element `corners[ids[i]]`
+    /// (corner slot ids into `coords`) into `out[i]` — a vertex star, a
+    /// dirty queue, any id list, in list order; ids may repeat.
+    /// Implementations process fixed-width [`LANES`]-wide blocks where
+    /// every lane runs the **identical** scalar operation sequence on its
+    /// own element, so the results are bit-identical to
+    /// [`score_star_per_id`] — the default is exactly that, and the
+    /// property suites pin the overrides against it. Every slot of `out`
+    /// is written before the call returns.
+    fn score_star(
+        &self,
+        coords: &Self::Soa,
+        corners: &[[u32; C]],
+        ids: &[u32],
+        out: &mut [(f64, bool)],
+    ) {
+        score_star_per_id(self, coords, corners, ids, out);
+    }
+}
+
+/// [`SmoothDomain::score_star`] as one [`SmoothDomain::score_soa`] per id
+/// — the trait default, the ablation metrics' path, and what the engines
+/// run under [`DomainConfig::scalar_scoring`] as the oracle of the
+/// lane-batched kernels.
+#[inline]
+pub fn score_star_per_id<const C: usize, D: SmoothDomain<C> + ?Sized>(
+    dom: &D,
+    coords: &D::Soa,
+    corners: &[[u32; C]],
+    ids: &[u32],
+    out: &mut [(f64, bool)],
+) {
+    debug_assert_eq!(ids.len(), out.len());
+    for (slot, &t) in out.iter_mut().zip(ids) {
+        *slot = dom.score_soa(coords, corners[t as usize]);
     }
 }
 
@@ -318,45 +345,54 @@ impl SmoothDomain<3> for TriDomain<'_> {
     }
 
     #[inline]
-    fn score_batch(&self, coords: &SoaCoords<2>, rows: &[[u32; 3]], out: &mut [(f64, bool)]) {
-        debug_assert_eq!(rows.len(), out.len());
+    fn score_star(
+        &self,
+        coords: &SoaCoords<2>,
+        corners: &[[u32; 3]],
+        ids: &[u32],
+        out: &mut [(f64, bool)],
+    ) {
         match self.metric {
-            QualityMetric::EdgeLengthRatio => tri_elr_batch(coords, rows, out),
-            // the ablation metrics stay on the per-lane scalar sequence
-            // with the metric dispatch hoisted out of the element loop
-            _ => {
-                let xs = coords.axis(0);
-                let ys = coords.axis(1);
-                for (slot, &[ia, ib, ic]) in out.iter_mut().zip(rows) {
-                    let a = Point2::new(xs[ia as usize], ys[ia as usize]);
-                    let b = Point2::new(xs[ib as usize], ys[ib as usize]);
-                    let c = Point2::new(xs[ic as usize], ys[ic as usize]);
-                    *slot = self.score_points([a, b, c]);
-                }
-            }
+            QualityMetric::EdgeLengthRatio => tri_elr_star(coords, corners, ids, out),
+            // the ablation metrics stay on the per-element scalar sequence
+            _ => score_star_per_id(self, coords, corners, ids, out),
         }
     }
 }
 
-/// Lane-batched edge-length-ratio scoring over SoA columns: fixed
-/// [`LANES`]-wide blocks, scalar tail.
+/// Gather one lane block's corner coordinates into per-corner lane
+/// columns `[ax, ay, bx, by, cx, cy]` — the indexed loads are inherently
+/// scalar (the corner ids are data-dependent), so they are kept apart
+/// from the arithmetic, which then runs on fixed-size columns with no
+/// loads, no branches and no cross-lane flow.
+#[inline(always)]
+fn tri_columns(
+    xs: &[f64],
+    ys: &[f64],
+    corners: &[[u32; 3]],
+    block: &[u32; LANES],
+) -> [[f64; LANES]; 6] {
+    let mut cols = [[0.0f64; LANES]; 6];
+    for l in 0..LANES {
+        let [ia, ib, ic] = corners[block[l] as usize];
+        cols[0][l] = xs[ia as usize];
+        cols[1][l] = ys[ia as usize];
+        cols[2][l] = xs[ib as usize];
+        cols[3][l] = ys[ib as usize];
+        cols[4][l] = xs[ic as usize];
+        cols[5][l] = ys[ic as usize];
+    }
+    cols
+}
+
+/// Lane-batched edge-length-ratio scoring of the triangles `ids` names,
+/// one [`LANES`]-wide block at a time ([`for_lane_blocks!`]): explicit
+/// AVX arithmetic where the host has it ([`tri_elr_star_avx`]), portable
+/// lane loops otherwise ([`tri_elr_star_portable`]).
 ///
-/// The block body is split into two phases on purpose. The *gather*
-/// phase does the indexed loads (inherently scalar — the corner ids are
-/// data-dependent) into per-corner lane columns; the *arithmetic* phase
-/// is pure element-wise math over those fixed-size columns — no loads,
-/// no branches, no cross-lane flow — which the auto-vectorizer turns
-/// into packed 2×f64 ops, while the square-root/divide phase (the
-/// expensive instructions of this metric, which LLVM declines to
-/// vectorize on its own) goes through the explicit-SIMD
-/// [`crate::soa::sqrt_div_lanes`]. Interleaving the loads with the math
-/// in one per-lane helper (the previous shape) defeats SLP vectorization
-/// and measures at scalar parity; the split form is where the SoA layout
-/// actually pays.
-///
-/// Every lane still runs the exact scalar sequence of
+/// Every lane runs the exact scalar sequence of
 /// `QualityMetric::triangle_quality` — `dist_sq` expression order, the
-/// shared [`edge_length_ratio_from_sq`] core (`max`/`min` on squared
+/// shared `edge_length_ratio_from_sq` core (`max`/`min` on squared
 /// lengths, two square roots, degenerate select), and the
 /// `signed_area > 0` orientation test with its `0.5 *` factor kept (the
 /// factor can flip the sign test for subnormal areas, so dropping it
@@ -364,43 +400,38 @@ impl SmoothDomain<3> for TriDomain<'_> {
 /// exactly like their scalar forms, so results are bit-identical to the
 /// per-element path by construction.
 #[inline]
-fn tri_elr_batch(coords: &SoaCoords<2>, rows: &[[u32; 3]], out: &mut [(f64, bool)]) {
+fn tri_elr_star(coords: &SoaCoords<2>, corners: &[[u32; 3]], ids: &[u32], out: &mut [(f64, bool)]) {
     let xs = coords.axis(0);
     let ys = coords.axis(1);
-    let main = rows.len() - rows.len() % LANES;
-    let (rows_main, rows_tail) = rows.split_at(main);
-    let (out_main, out_tail) = out.split_at_mut(main);
-    // One runtime-cached feature test per *call*, and one non-inlinable
-    // `#[target_feature]` call covering the whole main loop: dispatching
-    // per 4-lane block instead costs a call + `vzeroupper` + AVX↔SSE
+    // One runtime-cached feature test per *call*, and one
+    // `#[target_feature]` call covering the whole id list: dispatching per
+    // 4-lane block instead costs a call + `vzeroupper` + AVX↔SSE
     // transition every 4 elements, which measures slower than scalar.
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support verified above (cached runtime check).
-        unsafe { tri_elr_main_avx(xs, ys, rows_main, out_main) };
-        for (slot, &row) in out_tail.iter_mut().zip(rows_tail) {
-            *slot = tri_elr_lane(xs, ys, row);
-        }
+        // SAFETY: AVX support verified above (cached runtime check) — the
+        // function's only requirement.
+        unsafe { tri_elr_star_avx(xs, ys, corners, ids, out) };
         return;
     }
-    for (block, slots) in rows_main.chunks_exact(LANES).zip(out_main.chunks_exact_mut(LANES)) {
-        // gather: corner coordinates into per-corner lane columns
-        let mut ax = [0.0f64; LANES];
-        let mut ay = [0.0f64; LANES];
-        let mut bx = [0.0f64; LANES];
-        let mut by = [0.0f64; LANES];
-        let mut cx = [0.0f64; LANES];
-        let mut cy = [0.0f64; LANES];
-        for l in 0..LANES {
-            let [ia, ib, ic] = block[l];
-            ax[l] = xs[ia as usize];
-            ay[l] = ys[ia as usize];
-            bx[l] = xs[ib as usize];
-            by[l] = ys[ib as usize];
-            cx[l] = xs[ic as usize];
-            cy[l] = ys[ic as usize];
-        }
-        // arithmetic: element-wise over the lane columns (vectorizable)
+    tri_elr_star_portable(xs, ys, corners, ids, out);
+}
+
+/// The portable lanes of [`tri_elr_star`]: pure element-wise math over
+/// the [`tri_columns`], which the auto-vectorizer turns into packed 2×f64
+/// ops, while the square-root/divide phase (the expensive instructions of
+/// this metric, which LLVM declines to vectorize on its own) goes through
+/// the explicit-SIMD [`crate::soa::sqrt_div_lanes`].
+#[inline]
+fn tri_elr_star_portable(
+    xs: &[f64],
+    ys: &[f64],
+    corners: &[[u32; 3]],
+    ids: &[u32],
+    out: &mut [(f64, bool)],
+) {
+    for_lane_blocks!((ids, out) => |block, slots| {
+        let [ax, ay, bx, by, cx, cy] = tri_columns(xs, ys, corners, block);
         let mut min_sq = [0.0f64; LANES];
         let mut max_sq = [0.0f64; LANES];
         let mut area2 = [0.0f64; LANES];
@@ -420,20 +451,15 @@ fn tri_elr_batch(coords: &SoaCoords<2>, rows: &[[u32; 3]], out: &mut [(f64, bool
         }
         let mut q = [0.0f64; LANES];
         crate::soa::sqrt_div_lanes(&min_sq, &max_sq, &mut q);
-        for l in 0..LANES {
-            slots[l] = (if max_sq[l] <= 0.0 { 0.0 } else { q[l] }, 0.5 * area2[l] > 0.0);
+        for (l, slot) in slots.iter_mut().enumerate() {
+            *slot = (if max_sq[l] <= 0.0 { 0.0 } else { q[l] }, 0.5 * area2[l] > 0.0);
         }
-    }
-    for (slot, &row) in out_tail.iter_mut().zip(rows_tail) {
-        *slot = tri_elr_lane(xs, ys, row);
-    }
+    });
 }
 
-/// The whole-blocks part of [`tri_elr_batch`] in explicit AVX — the same
-/// value sequence as the portable block body, spelled out in 256-bit ops
-/// because LLVM auto-vectorizes neither the square roots nor the
-/// `maxnum`/`minnum` chains at the SSE2 baseline. `rows.len()` must be a
-/// multiple of [`LANES`] (the caller splits the tail off first).
+/// [`tri_elr_star_portable`] in explicit AVX — the same value sequence
+/// spelled out in 256-bit ops because LLVM auto-vectorizes neither the
+/// square roots nor the `maxnum`/`minnum` chains at the SSE2 baseline.
 ///
 /// Bit-identity notes (each packed op is matched to its scalar twin):
 /// - `sub`/`mul`/`add`/`sqrt`/`div` are IEEE correctly rounded in both
@@ -447,16 +473,27 @@ fn tri_elr_batch(coords: &SoaCoords<2>, rows: &[[u32; 3]], out: &mut [(f64, bool
 /// - The degenerate select and the orientation test use ordered-quiet
 ///   compares (`_CMP_LE_OQ`/`_CMP_GT_OQ`), which are false on NaN —
 ///   exactly how `max_sq <= 0.0` and `0.5 * area2 > 0.0` behave.
+///
+/// # Safety
+/// The CPU must support AVX. Memory is touched only through
+/// bounds-checked slice indexing and whole `[f64; LANES]` local arrays
+/// (every `loadu`/`storeu` below).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[inline]
-unsafe fn tri_elr_main_avx(xs: &[f64], ys: &[f64], rows: &[[u32; 3]], out: &mut [(f64, bool)]) {
+unsafe fn tri_elr_star_avx(
+    xs: &[f64],
+    ys: &[f64],
+    corners: &[[u32; 3]],
+    ids: &[u32],
+    out: &mut [(f64, bool)],
+) {
     use core::arch::x86_64::*;
     const { assert!(LANES == 4, "one 256-bit register holds exactly one block") };
-    debug_assert_eq!(rows.len() % LANES, 0);
-    debug_assert_eq!(rows.len(), out.len());
     // maxNum/minNum: packed max/min, then restore `a` where `b` is NaN
     // (cmp-unord on `b` with itself) to match `f64::max`/`f64::min`.
+    // Unsafe only as AVX code: called from this function alone, they share
+    // its one requirement.
     #[inline(always)]
     unsafe fn maxnum(a: __m256d, b: __m256d) -> __m256d {
         _mm256_blendv_pd(_mm256_max_pd(a, b), a, _mm256_cmp_pd::<_CMP_UNORD_Q>(b, b))
@@ -467,29 +504,14 @@ unsafe fn tri_elr_main_avx(xs: &[f64], ys: &[f64], rows: &[[u32; 3]], out: &mut 
     }
     let zero = _mm256_setzero_pd();
     let half = _mm256_set1_pd(0.5);
-    for (block, slots) in rows.chunks_exact(LANES).zip(out.chunks_exact_mut(LANES)) {
-        // gather: corner coordinates into per-corner lane columns
-        let mut axs = [0.0f64; LANES];
-        let mut ays = [0.0f64; LANES];
-        let mut bxs = [0.0f64; LANES];
-        let mut bys = [0.0f64; LANES];
-        let mut cxs = [0.0f64; LANES];
-        let mut cys = [0.0f64; LANES];
-        for l in 0..LANES {
-            let [ia, ib, ic] = block[l];
-            axs[l] = xs[ia as usize];
-            ays[l] = ys[ia as usize];
-            bxs[l] = xs[ib as usize];
-            bys[l] = ys[ib as usize];
-            cxs[l] = xs[ic as usize];
-            cys[l] = ys[ic as usize];
-        }
-        let ax = _mm256_loadu_pd(axs.as_ptr());
-        let ay = _mm256_loadu_pd(ays.as_ptr());
-        let bx = _mm256_loadu_pd(bxs.as_ptr());
-        let by = _mm256_loadu_pd(bys.as_ptr());
-        let cx = _mm256_loadu_pd(cxs.as_ptr());
-        let cy = _mm256_loadu_pd(cys.as_ptr());
+    for_lane_blocks!((ids, out) => |block, slots| {
+        let cols = tri_columns(xs, ys, corners, block);
+        let ax = _mm256_loadu_pd(cols[0].as_ptr());
+        let ay = _mm256_loadu_pd(cols[1].as_ptr());
+        let bx = _mm256_loadu_pd(cols[2].as_ptr());
+        let by = _mm256_loadu_pd(cols[3].as_ptr());
+        let cx = _mm256_loadu_pd(cols[4].as_ptr());
+        let cy = _mm256_loadu_pd(cols[5].as_ptr());
         // d0 = (ax-bx)^2 + (ay-by)^2, d1, d2: `dist_sq` expression order
         let e0x = _mm256_sub_pd(ax, bx);
         let e0y = _mm256_sub_pd(ay, by);
@@ -517,20 +539,7 @@ unsafe fn tri_elr_main_avx(xs: &[f64], ys: &[f64], rows: &[[u32; 3]], out: &mut 
         for (l, slot) in slots.iter_mut().enumerate() {
             *slot = (s[l], pos_mask & (1 << l) != 0);
         }
-    }
-}
-
-/// One scalar lane of [`tri_elr_batch`] — the tail path, and the shape
-/// every vector lane reproduces bit for bit.
-#[inline(always)]
-fn tri_elr_lane(xs: &[f64], ys: &[f64], [ia, ib, ic]: [u32; 3]) -> (f64, bool) {
-    let a = Point2::new(xs[ia as usize], ys[ia as usize]);
-    let b = Point2::new(xs[ib as usize], ys[ib as usize]);
-    let c = Point2::new(xs[ic as usize], ys[ic as usize]);
-    let d0 = a.dist_sq(b);
-    let d1 = b.dist_sq(c);
-    let d2 = c.dist_sq(a);
-    (edge_length_ratio_from_sq(d0, d1, d2), signed_area(a, b, c) > 0.0)
+    });
 }
 
 /// The dimension-free slice of a smoothing parameter set — what the
@@ -627,10 +636,12 @@ fn reduce_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, q_of: impl Fn(usi
 }
 
 /// The canonical global quality of a domain, scored from scratch on
-/// `coords` — bit-identical to the concrete `mesh_quality` recomputes the
+/// `coords` (through [`score_elements_batched`], element order kept) —
+/// bit-identical to the concrete `mesh_quality` recomputes the
 /// pre-refactor engines called.
 pub fn domain_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, coords: &[D::Point]) -> f64 {
-    let elem_q: Vec<f64> = dom.elements().iter().map(|&e| dom.score(coords, e).0).collect();
+    let mut elem_q = Vec::with_capacity(dom.num_elements());
+    score_elements_batched(dom, coords, dom.elements().iter().copied(), |(q, _)| elem_q.push(q));
     reduce_quality(dom, |t| elem_q[t])
 }
 
@@ -898,6 +909,77 @@ mod tests {
             let (qb, pb) = lms_mesh::QualityCache::score_with(metric, m.coords(), tri, v, moved);
             assert_eq!(qa.to_bits(), qb.to_bits());
             assert_eq!(pa, pb);
+        }
+    }
+
+    /// The scalar oracle, the portable lanes and (where the host has it)
+    /// the AVX body, each called directly on a corpus of special values:
+    /// every pair of NaN, ±inf, ±0, subnormals, `±1e200` and a few plain
+    /// numbers is a vertex; triangles are random triples, the same triples
+    /// reversed (inverted), and coincident corners. Scores must agree bit
+    /// for bit — except that two NaN qualities count as equal, since which
+    /// operand's payload a NaN result carries is the compiler's choice.
+    #[test]
+    fn tri_elr_kernels_agree_on_special_values() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            1e200,
+            -1e200,
+            1e-200,
+            1.0,
+            -2.5,
+            0.3,
+        ];
+        let n = specials.len();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for &x in &specials {
+            for &y in &specials {
+                xs.push(x);
+                ys.push(y);
+            }
+        }
+        let mut rng = proptest::test_runner::TestRng::for_test("tri_elr_special_values");
+        let mut corners: Vec<[u32; 3]> = Vec::new();
+        for _ in 0..3000 {
+            let [a, b, c] = std::array::from_fn(|_| rng.index(n * n) as u32);
+            corners.extend([[a, b, c], [a, c, b], [a, a, b], [a, b, b], [a, a, a]]);
+        }
+        // a list that is not a whole number of blocks, ending on the last row
+        let ids: Vec<u32> = (1..corners.len() as u32).collect();
+
+        let at = |i: u32| Point2::new(xs[i as usize], ys[i as usize]);
+        let scalar: Vec<(f64, bool)> = ids
+            .iter()
+            .map(|&t| {
+                let [a, b, c] = corners[t as usize].map(at);
+                (
+                    QualityMetric::EdgeLengthRatio.triangle_quality(a, b, c),
+                    signed_area(a, b, c) > 0.0,
+                )
+            })
+            .collect();
+        let same = |kernel: &str, got: &[(f64, bool)]| {
+            for (i, (s, g)) in scalar.iter().zip(got).enumerate() {
+                let q_same = s.0.to_bits() == g.0.to_bits() || (s.0.is_nan() && g.0.is_nan());
+                let [a, b, c] = corners[ids[i] as usize].map(at);
+                assert!(q_same && s.1 == g.1, "{kernel}: {a:?} {b:?} {c:?}: {s:?} vs {g:?}");
+            }
+        };
+        let mut out = vec![(f64::NAN, false); ids.len()];
+        tri_elr_star_portable(&xs, &ys, &corners, &ids, &mut out);
+        same("portable", &out);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            out.fill((f64::NAN, false));
+            // SAFETY: AVX support verified on the line above.
+            unsafe { tri_elr_star_avx(&xs, &ys, &corners, &ids, &mut out) };
+            same("avx", &out);
         }
     }
 

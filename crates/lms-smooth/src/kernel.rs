@@ -43,7 +43,7 @@ use crate::config::{UpdateScheme, Weighting};
 use crate::dcache::DomainQualityCache;
 use crate::domain::{weighted_candidate_on, DomainConfig, DomainPoint, SmoothDomain, SELF_CORNER};
 use crate::engine::SmoothEngine;
-use crate::soa::{SoaLike, LANES};
+use crate::soa::{resize_tracked, SoaLike};
 use crate::stats::{IterationStats, SmoothReport};
 use lms_mesh::TriMesh;
 
@@ -57,29 +57,25 @@ const STACK_STAR: usize = 16;
 
 /// Reusable per-sweep scratch for the smart sweeps. Every per-vertex
 /// temporary of the hot loop lives here, so a warm sweep performs
-/// **zero** allocations — pinned by the scratch audit in `tests/soa.rs`
-/// via [`crate::soa::scratch_grow_count`].
+/// **zero** allocations — pinned by the scratch audits
+/// (`tests/scratch_audit.rs` here, `tests/scratch_audit3.rs` in
+/// `lms-mesh3d`) via [`crate::soa::scratch_grow_count`].
 ///
 /// The batched path additionally carries the run-wide SoA mirror of the
-/// coordinates plus the precomputed lane-padded star-row CSR (see
-/// [`SerialKernel::run`]); both are built once per run, before the first
-/// sweep, so the sweeps themselves stay allocation-free.
+/// coordinates (see [`SerialKernel::run`]), gathered once per run before
+/// the first sweep.
 struct SmartScratch<const C: usize, D: SmoothDomain<C>> {
     ring_stack: [D::Point; STACK_STAR],
     ring_spill: Vec<D::Point>,
     score_stack: [ElemScore; STACK_STAR],
+    /// Score slots of stars above [`STACK_STAR`] (every interior tet
+    /// star): grow-only, never refilled — the scoring pass writes each
+    /// slot before the fold reads it.
     score_spill: Vec<ElemScore>,
     /// Full-mesh SoA mirror of the working coordinates (batched path
     /// only): kept bit-in-sync with the AoS store across commits, the
     /// scoring and candidate gathers read it in plane-major order.
     soa: D::Soa,
-    /// Lane-padded corner rows of every visit vertex's star, in visit
-    /// order (batched path only). Pad rows are `[0; C]` — scored, never
-    /// read — so whole stars ride the packed kernel.
-    star_rows: Vec<[u32; C]>,
-    /// `star_rows` span of visit position `si`:
-    /// `star_offsets[si]..star_offsets[si + 1]`.
-    star_offsets: Vec<u32>,
 }
 
 impl<const C: usize, D: SmoothDomain<C>> SmartScratch<C, D> {
@@ -90,9 +86,25 @@ impl<const C: usize, D: SmoothDomain<C>> SmartScratch<C, D> {
             score_stack: [(0.0, false); STACK_STAR],
             score_spill: Vec::new(),
             soa: D::Soa::with_len(0),
-            star_rows: Vec::new(),
-            star_offsets: Vec::new(),
         }
+    }
+}
+
+/// The `k` score slots of one star: stack scratch up to [`STACK_STAR`],
+/// the grow-only spill above it (audited growth, no per-visit fill).
+#[inline(always)]
+fn star_slots<'s>(
+    stack: &'s mut [ElemScore; STACK_STAR],
+    spill: &'s mut Vec<ElemScore>,
+    k: usize,
+) -> &'s mut [ElemScore] {
+    if k <= STACK_STAR {
+        &mut stack[..k]
+    } else {
+        if spill.len() < k {
+            resize_tracked(spill, k);
+        }
+        &mut spill[..k]
     }
 }
 
@@ -256,11 +268,12 @@ pub struct SerialKernel<'a, const C: usize, D: SmoothDomain<C>> {
     pub cfg: DomainConfig,
     /// Interior vertices in sweep order.
     pub visit: &'a [u32],
-    /// Optional precomputed star layout (see [`crate::domain`]).
+    /// Optional precomputed star layout (see [`crate::domain`]) — read by
+    /// the scalar-scoring sweeps only.
     pub star: Option<&'a [[u8; C]]>,
     /// Force the pre-SoA per-element scalar scoring path. The default
     /// (`false`) routes smart star evaluation through the lane-batched
-    /// [`SmoothDomain::score_batch`]; both paths are bit-identical, so
+    /// [`SmoothDomain::score_star`]; both paths are bit-identical, so
     /// this toggle exists purely as the before/after baseline of the
     /// `kernel_soa` benches and the property suites.
     pub scalar_scoring: bool,
@@ -280,26 +293,12 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         let mut scratch = SmartScratch::new();
         let mut moved: Vec<u32> = Vec::new();
 
-        // Batched smart scoring works the way the resident engine does:
-        // a full SoA mirror of the coordinates plus a lane-padded star-row
-        // CSR precomputed over the (static) topology, so the sweeps never
-        // stage rings or rebuild corner rows per vertex. Built once here —
-        // ~one star traversal — and amortised over every sweep.
-        if cfg.smart && !self.scalar_scoring && self.star.is_some() {
+        // Batched smart scoring works the way the resident engine does: a
+        // full SoA mirror of the coordinates, stars scored in place
+        // through the mesh's own corner table.
+        let batched = cfg.smart && !self.scalar_scoring;
+        if batched {
             <D::Soa as SoaLike<D::Point>>::gather_from(&mut scratch.soa, coords);
-            let elems = self.dom.elements();
-            scratch.star_offsets.reserve(self.visit.len() + 1);
-            scratch.star_offsets.push(0);
-            for &v in self.visit {
-                let ts = self.dom.elements_of(v);
-                for &t in ts {
-                    scratch.star_rows.push(elems[t as usize]);
-                }
-                let pad = ts.len().next_multiple_of(LANES) - ts.len();
-                let padded = scratch.star_rows.len() + pad;
-                scratch.star_rows.resize(padded, [0; C]);
-                scratch.star_offsets.push(scratch.star_rows.len() as u32);
-            }
         }
 
         for iter in 1..=cfg.max_iters {
@@ -321,7 +320,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                     // the SoA mirror tracked `prev` through the sweep
                     // (double-buffered reads); fold the committed moves in
                     // so it mirrors the new coordinates again
-                    if !scratch.star_offsets.is_empty() {
+                    if batched {
                         for &v in &moved {
                             scratch.soa.set(v as usize, coords[v as usize]);
                         }
@@ -410,8 +409,8 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
 
     /// The batched loop: candidate gathered from the SoA mirror, the
     /// candidate *staged* into the mirror (slot `v`), the whole star
-    /// scored through one [`SmoothDomain::score_batch`] on the
-    /// precomputed lane-padded rows, and the stage committed or reverted
+    /// scored through one [`SmoothDomain::score_star`] on the element
+    /// ids the fold walks anyway, and the stage committed or reverted
     /// with the decision. Every corner read carries the exact source
     /// bits and the fold keeps the per-element order, so the outcome is
     /// bit-identical to the scalar loop — property-tested in
@@ -424,8 +423,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         scratch: &mut SmartScratch<C, D>,
     ) {
         let weighting = self.cfg.weighting;
-        let SmartScratch { score_stack, score_spill, soa, star_rows, star_offsets, .. } = scratch;
-        for (si, &v) in self.visit.iter().enumerate() {
+        let SmartScratch { score_stack, score_spill, soa, .. } = scratch;
+        let elems = self.dom.elements();
+        for &v in self.visit {
             let ns = self.dom.neighbors(v);
             if ns.is_empty() {
                 continue;
@@ -444,17 +444,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 continue;
             }
 
-            let rows = &star_rows[star_offsets[si] as usize..star_offsets[si + 1] as usize];
-            let kp = rows.len();
-            let out: &mut [ElemScore] = if kp <= STACK_STAR {
-                &mut score_stack[..kp]
-            } else {
-                score_spill.clear();
-                score_spill.resize(kp, (0.0, false));
-                score_spill
-            };
+            let out = star_slots(score_stack, score_spill, ts.len());
             soa.set(v as usize, candidate);
-            self.dom.score_batch(soa, rows, out);
+            self.dom.score_star(soa, elems, ts, out);
             let StarEval { after_sum, before_sum, after_all_pos } =
                 fold_star_scores(cache, ts, out);
 
@@ -464,7 +456,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 quality_ok && (after_all_pos || ts.iter().any(|&t| !cache.elem_is_positive(t)));
             if commit {
                 coords[v as usize] = candidate;
-                cache.set_star(ts, &out[..ts.len()]);
+                cache.set_star(ts, out);
             } else {
                 soa.set(v as usize, pv);
             }
@@ -478,7 +470,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         cache: &mut DomainQualityCache,
         scratch: &mut SmartScratch<C, D>,
     ) {
-        if !self.scalar_scoring && !scratch.star_offsets.is_empty() {
+        if !self.scalar_scoring {
             self.sweep_gs_smart_batched(coords, cache, scratch);
             return;
         }
@@ -516,13 +508,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 continue;
             }
 
-            let out: &mut [ElemScore] = if ts.len() <= STACK_STAR {
-                &mut score_stack[..ts.len()]
-            } else {
-                score_spill.clear();
-                score_spill.resize(ts.len(), (0.0, false));
-                score_spill
-            };
+            let out = star_slots(score_stack, score_spill, ts.len());
             // one fused star pass: branchless guarded "before" from cache
             // lookups, candidate scored alongside. The stack-ring accessor
             // masks the index (codes are < STACK_STAR by construction), so
@@ -570,7 +556,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 quality_ok && (after_all_pos || ts.iter().any(|&t| !cache.elem_is_positive(t)));
             if commit {
                 coords[v as usize] = candidate;
-                cache.set_star(ts, &out[..ts.len()]);
+                cache.set_star(ts, out);
             }
         }
     }
@@ -643,8 +629,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         scratch: &mut SmartScratch<C, D>,
     ) {
         let weighting = self.cfg.weighting;
-        let SmartScratch { score_stack, score_spill, soa, star_rows, star_offsets, .. } = scratch;
-        for (si, &v) in self.visit.iter().enumerate() {
+        let SmartScratch { score_stack, score_spill, soa, .. } = scratch;
+        let elems = self.dom.elements();
+        for &v in self.visit {
             let ns = self.dom.neighbors(v);
             if ns.is_empty() {
                 continue;
@@ -667,17 +654,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             // scores are provisional (an element can gain several moved
             // corners this sweep — the post-sweep update re-scores), so
             // the scratch output is discarded after the commit test
-            let rows = &star_rows[star_offsets[si] as usize..star_offsets[si + 1] as usize];
-            let kp = rows.len();
-            let out: &mut [ElemScore] = if kp <= STACK_STAR {
-                &mut score_stack[..kp]
-            } else {
-                score_spill.clear();
-                score_spill.resize(kp, (0.0, false));
-                score_spill
-            };
+            let out = star_slots(score_stack, score_spill, ts.len());
             soa.set(v as usize, candidate);
-            self.dom.score_batch(soa, rows, out);
+            self.dom.score_star(soa, elems, ts, out);
             soa.set(v as usize, pv);
             let StarEval { after_sum, before_sum, after_all_pos } =
                 fold_star_scores(cache, ts, out);
@@ -702,7 +681,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         moved: &mut Vec<u32>,
         scratch: &mut SmartScratch<C, D>,
     ) {
-        if !self.scalar_scoring && !scratch.star_offsets.is_empty() {
+        if !self.scalar_scoring {
             self.sweep_jacobi_smart_batched(prev, next, cache, moved, scratch);
             return;
         }
@@ -739,13 +718,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             // scores are provisional (an element can gain several moved
             // corners this sweep — the post-sweep update re-scores), so
             // the scratch output is discarded after the commit test
-            let out: &mut [ElemScore] = if ts.len() <= STACK_STAR {
-                &mut score_stack[..ts.len()]
-            } else {
-                score_spill.clear();
-                score_spill.resize(ts.len(), (0.0, false));
-                score_spill
-            };
+            let out = star_slots(score_stack, score_spill, ts.len());
             let base = self.dom.elements_offset(v);
             let StarEval { after_sum, before_sum, after_all_pos } = if on_stack {
                 let arr: &[D::Point; STACK_STAR] = ring_stack;

@@ -45,10 +45,10 @@
 use crate::colored::{colored_class_plain_on, colored_class_smart_on};
 use crate::config::{SmoothParams, UpdateScheme};
 use crate::dcache::DomainQualityCache;
-use crate::domain::{DomainConfig, SmoothDomain};
+use crate::domain::{score_star_per_id, DomainConfig, SmoothDomain};
 use crate::engine::SmoothEngine;
 use crate::kernel::candidate_for_soa;
-use crate::soa::{note_scratch_grow, resize_tracked, SoaLike, SoaScores, LANES};
+use crate::soa::{resize_tracked, SoaLike, SoaScores};
 use crate::stats::{IterationStats, SmoothReport};
 use lms_mesh::{Adjacency, TriMesh};
 use lms_part::{partition_mesh, Partition, PartitionMethod};
@@ -142,7 +142,7 @@ pub fn part_major_order<const C: usize>(
 
 /// Per-run mutable state of one part: the cache-resident block, held in
 /// the domain's structure-of-arrays layout so the smart sweep can score
-/// candidate stars through the lane-batched [`SmoothDomain::score_batch`]
+/// candidate stars through the lane-batched [`SmoothDomain::score_star`]
 /// kernel.
 struct PartScratch<const C: usize, D: SmoothDomain<C>> {
     /// Local copies of the owned vertices' coordinates (SoA).
@@ -157,8 +157,6 @@ struct PartScratch<const C: usize, D: SmoothDomain<C>> {
     dirty_mark: Vec<bool>,
     /// Candidate-star scratch, grown once to the largest star.
     star: Vec<(f64, bool)>,
-    /// Corner-row staging for the batched star score.
-    rows: Vec<[u32; C]>,
 }
 
 impl<const C: usize, D: SmoothDomain<C>> PartScratch<C, D> {
@@ -170,7 +168,6 @@ impl<const C: usize, D: SmoothDomain<C>> PartScratch<C, D> {
             dirty: Vec::new(),
             dirty_mark: if smart { vec![false; block.elem_globals.len()] } else { Vec::new() },
             star: Vec::new(),
-            rows: Vec::new(),
         }
     }
 
@@ -257,9 +254,10 @@ fn sweep_block_plain<const C: usize, D: SmoothDomain<C>>(
 /// expressions mirror `kernel`'s smart sweep term for term, so commit
 /// decisions (hence coordinates) are bit-identical to the serial engine's.
 ///
-/// The candidate is *staged* into the SoA store before scoring: the star
-/// rows then read the new position through ordinary corner loads, which
-/// is exactly the substitution `score_with` used to perform — every
+/// The candidate is *staged* into the SoA store before scoring: the
+/// star's elements, named by id, then read the new position through
+/// ordinary corner loads of the block's own corner table, which is
+/// exactly the substitution `score_with` used to perform — every
 /// element sees the same inputs, so the scores (and the commit decision)
 /// are bit-identical. On reject the previous position is restored.
 fn sweep_block_smart<const C: usize, D: SmoothDomain<C>>(
@@ -317,25 +315,13 @@ fn sweep_block_smart_body<const C: usize, D: SmoothDomain<C>>(
 
         work.coords.set(lv as usize, candidate);
         let k = ts.len();
-        // pad the batch to a whole number of lanes: every real element
-        // rides the packed path, the pad rows (slot-0 corners) are scored
-        // into slots the fold below never reads
-        let kp = k.next_multiple_of(LANES);
-        if work.star.len() < kp {
-            resize_tracked(&mut work.star, kp);
+        if work.star.len() < k {
+            resize_tracked(&mut work.star, k);
         }
         if scalar {
-            for (slot, &lt) in work.star.iter_mut().zip(ts) {
-                *slot = dom.score_soa(&work.coords, block.elem_corners[lt as usize]);
-            }
+            score_star_per_id(dom, &work.coords, &block.elem_corners, ts, &mut work.star[..k]);
         } else {
-            if kp > work.rows.capacity() {
-                note_scratch_grow();
-            }
-            work.rows.clear();
-            work.rows.extend(ts.iter().map(|&lt| block.elem_corners[lt as usize]));
-            work.rows.resize(kp, [0; C]);
-            dom.score_batch(&work.coords, &work.rows, &mut work.star[..kp]);
+            dom.score_star(&work.coords, &block.elem_corners, ts, &mut work.star[..k]);
         }
 
         let mut after_sum = 0.0;

@@ -66,10 +66,10 @@
 //! decomposition.
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
-use crate::domain::{DomainConfig, SmoothDomain};
+use crate::domain::{score_star_per_id, DomainConfig, SmoothDomain};
 use crate::engine::SmoothEngine;
 use crate::kernel::candidate_for_soa;
-use crate::soa::{note_scratch_grow, resize_tracked, SoaLike, SoaScores, LANES};
+use crate::soa::{resize_tracked, SoaLike, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident, drive_resident_with, InProcessTransport};
 use lms_mesh::{Adjacency, TriMesh};
@@ -240,19 +240,6 @@ pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
     dirty_mark: Vec<bool>,
     /// Candidate-star / re-score output scratch, reused across vertices.
     star: Vec<(f64, bool)>,
-    /// Corner-row scratch fed to `score_batch`, reused across vertices.
-    rows: Vec<[u32; C]>,
-    /// Lane-padded corner rows per interior-span vertex, precomputed at
-    /// construction: the star topology is static across sweeps, so the
-    /// smart batched sweep indexes straight into this CSR instead of
-    /// rebuilding (and re-padding) the row list per vertex per sweep.
-    /// Pad rows are `[0; C]` (slot 0 is always a valid element); their
-    /// scores land in pad slots of `star` that no fold ever reads.
-    int_star_rows: Vec<[u32; C]>,
-    int_star_offsets: Vec<u32>,
-    /// Interface-span twin of `int_star_rows`/`int_star_offsets`.
-    ifc_star_rows: Vec<[u32; C]>,
-    ifc_star_offsets: Vec<u32>,
     /// Bench/oracle baseline: force per-element scalar scoring
     /// ([`DomainConfig::scalar_scoring`]); bit-identical either way.
     scalar_scoring: bool,
@@ -304,26 +291,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
                 }
             })
             .collect();
-        // the smart batched sweep scores through precomputed padded rows;
-        // plain or scalar-scoring configurations never read them
-        let (mut int_star_rows, mut int_star_offsets) = (Vec::new(), Vec::new());
-        let (mut ifc_star_rows, mut ifc_star_offsets) = (Vec::new(), Vec::new());
-        if cfg.smart && !cfg.scalar_scoring {
-            build_padded_star_rows(
-                block,
-                &block.int_vt_offsets,
-                &block.int_vt,
-                &mut int_star_rows,
-                &mut int_star_offsets,
-            );
-            build_padded_star_rows(
-                block,
-                &block.ifc_vt_offsets,
-                &block.ifc_vt,
-                &mut ifc_star_rows,
-                &mut ifc_star_offsets,
-            );
-        }
         ResidentRank {
             dom,
             smart: cfg.smart,
@@ -339,11 +306,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             iter_dirty: Vec::new(),
             dirty_mark: vec![false; block.elem_globals.len()],
             star: Vec::new(),
-            rows: Vec::new(),
-            int_star_rows,
-            int_star_offsets,
-            ifc_star_rows,
-            ifc_star_offsets,
             scalar_scoring: cfg.scalar_scoring,
             scored: 0,
             inbox: Vec::new(),
@@ -520,11 +482,31 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         }
     }
 
+    /// Score the local elements `ids` on the current coordinates into
+    /// `star[..ids.len()]` (grown on first need, never refilled): the
+    /// lane-batched [`SmoothDomain::score_star`] reading the block's own
+    /// corner table through the ids, or one `score_soa` per id under the
+    /// scalar baseline. Counts the elements scored.
+    #[inline(always)]
+    fn score_ids(&mut self, ids: &[u32]) {
+        let k = ids.len();
+        if self.star.len() < k {
+            resize_tracked(&mut self.star, k);
+        }
+        let (corners, out) = (&self.block.elem_corners, &mut self.star[..k]);
+        if self.scalar_scoring {
+            score_star_per_id(self.dom, &self.coords, corners, ids, out);
+        } else {
+            self.dom.score_star(&self.coords, corners, ids, out);
+        }
+        self.scored += k as u64;
+    }
+
     /// Re-score the local elements in `queue` (ascending), folding the
     /// weighted quality deltas into the stat accumulator in queue order
     /// and clearing the dirty marks — the shared tail of the smart
     /// post-delivery re-score and the plain end-of-iteration re-score.
-    /// Scoring goes through the lane-batched [`SmoothDomain::score_batch`]
+    /// Scoring goes through the lane-batched [`SmoothDomain::score_star`]
     /// unless the scalar baseline is forced; both paths are bit-identical
     /// per element and the delta fold order is unchanged.
     fn rescore_elements(&mut self, queue: &[u32]) {
@@ -532,23 +514,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             return;
         }
         let block = self.block;
-        let k = queue.len();
-        if self.star.len() < k {
-            resize_tracked(&mut self.star, k);
-        }
-        if self.scalar_scoring {
-            for (slot, &lt) in self.star.iter_mut().zip(queue) {
-                *slot = self.dom.score_soa(&self.coords, block.elem_corners[lt as usize]);
-            }
-        } else {
-            if k > self.rows.capacity() {
-                note_scratch_grow();
-            }
-            self.rows.clear();
-            self.rows.extend(queue.iter().map(|&lt| block.elem_corners[lt as usize]));
-            self.dom.score_batch(&self.coords, &self.rows, &mut self.star[..k]);
-        }
-        self.scored += k as u64;
+        self.score_ids(queue);
         for (&lt, &(q, pos)) in queue.iter().zip(&self.star) {
             let i = lt as usize;
             self.delta += block.elem_weight[i] * (q - self.scores.q(i));
@@ -671,8 +637,9 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     ///
     /// The candidate star is scored **in place**: the candidate is staged
     /// into the SoA store, the incident elements run through the
-    /// lane-batched [`SmoothDomain::score_batch`] on their ordinary corner
-    /// rows, and the old position is restored if the guard rejects. Every
+    /// lane-batched [`SmoothDomain::score_star`] — their corner rows read
+    /// where they live, through the ids of the vertex's incidence row —
+    /// and the old position is restored if the guard rejects. Every
     /// element sees exactly the values the old substituting `score_with`
     /// fed it, so the guard sums — hence commits — are bit-identical.
     fn sweep_range_smart(
@@ -683,11 +650,11 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     ) {
         // Function multiversioning: compile the whole sweep body a second
         // time with AVX enabled and dispatch once per span sweep. Inside
-        // the AVX copy the per-vertex `score_batch` → `tri_elr_main_avx`
-        // chain inlines completely (a `#[target_feature]` function can
-        // inline into a caller that already has the feature), so the hot
-        // loop pays no call / `vzeroupper` / SSE↔AVX-transition cost per
-        // vertex. The body is `#[inline(always)]` and identical in both
+        // the AVX copy the per-vertex `score_star` → `tri_elr_star_avx`
+        // chain is free to inline (a `#[target_feature]` function can
+        // inline into a caller that already has the feature) and the code
+        // around it is VEX-encoded too, so the hot loop pays no SSE↔AVX
+        // transition per vertex. The body is `#[inline(always)]` and identical in both
         // copies — VEX encoding changes no IEEE semantics, and LLVM does
         // not reassociate float math without fast-math flags, so the two
         // versions are bit-identical. The scalar-scoring baseline stays
@@ -723,12 +690,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     ) {
         let block = self.block;
         let (locals, nbr_offsets, nbrs, vt_offsets, vt) = span.arrays(block);
-        let (star_rows, star_offsets) = match span {
-            SweepSpan::Interior => (&self.int_star_rows, &self.int_star_offsets),
-            SweepSpan::Interface => (&self.ifc_star_rows, &self.ifc_star_offsets),
-        };
         let weighting = self.weighting;
-        let scalar = self.scalar_scoring;
         for si in range {
             let lv = locals[si];
             let ns = &nbrs[nbr_offsets[si] as usize..nbr_offsets[si + 1] as usize];
@@ -750,26 +712,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
 
             // stage the candidate; rolled back below if the guard rejects
             self.coords.set(lv as usize, candidate);
-            let k = ts.len();
-            if scalar {
-                if self.star.len() < k {
-                    resize_tracked(&mut self.star, k);
-                }
-                for (slot, &lt) in self.star.iter_mut().zip(ts) {
-                    *slot = self.dom.score_soa(&self.coords, block.elem_corners[lt as usize]);
-                }
-            } else {
-                // precomputed lane-padded rows: every real element rides
-                // the packed path; pad outputs land past index `k` in
-                // `star` and are never read — the fold below walks `ts`
-                let rows = &star_rows[star_offsets[si] as usize..star_offsets[si + 1] as usize];
-                let kp = rows.len();
-                if self.star.len() < kp {
-                    resize_tracked(&mut self.star, kp);
-                }
-                self.dom.score_batch(&self.coords, rows, &mut self.star[..kp]);
-            }
-            self.scored += k as u64;
+            self.score_ids(ts);
 
             let mut after_sum = 0.0;
             let mut before_sum = 0.0;
@@ -783,7 +726,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
                     all_pos = false;
                 }
             }
-            let len = k as f64;
+            let len = ts.len() as f64;
             let quality_ok = after_sum >= before_sum || after_sum / len >= before_sum / len;
             let commit =
                 quality_ok && (all_pos || ts.iter().any(|&lt| !self.scores.pos(lt as usize)));
@@ -1140,30 +1083,6 @@ impl ResidentEngine {
             mesh.coords_mut(),
             &pool,
         )
-    }
-}
-
-/// Build the lane-padded corner-row CSR of one sweep span: for each span
-/// vertex, its incident elements' corner rows padded with `[0; C]` up to
-/// a whole number of [`LANES`]-wide blocks. Row 0 of pad entries indexes
-/// local vertex 0 — always present — so pad lanes score a valid (if
-/// meaningless) element whose output is simply never read.
-fn build_padded_star_rows<const C: usize>(
-    block: &ResidentBlock<C>,
-    vt_offsets: &[u32],
-    vt: &[u32],
-    rows: &mut Vec<[u32; C]>,
-    offsets: &mut Vec<u32>,
-) {
-    offsets.reserve(vt_offsets.len());
-    offsets.push(0);
-    for w in vt_offsets.windows(2) {
-        let ts = &vt[w[0] as usize..w[1] as usize];
-        for &lt in ts {
-            rows.push(block.elem_corners[lt as usize]);
-        }
-        rows.resize(rows.len() + ts.len().next_multiple_of(LANES) - ts.len(), [0; C]);
-        offsets.push(rows.len() as u32);
     }
 }
 

@@ -7,12 +7,19 @@
 //! array-of-points layout those loops historically ran on interleaves
 //! x/y(/z) in memory, so the quality metrics — pure per-axis arithmetic —
 //! never see the contiguous per-axis streams an auto-vectorizer wants.
-//! [`SoaCoords`] is the per-axis layout; [`SmoothDomain::score_batch`]
-//! consumes it in fixed-width [`LANES`]-wide chunks where **every lane
+//! [`SoaCoords`] is the per-axis layout; [`SmoothDomain::score_star`]
+//! consumes it in fixed-width [`LANES`]-wide blocks where **every lane
 //! executes the identical scalar operation sequence** on its own element.
 //! Lanewise IEEE arithmetic has no cross-lane interaction, so the batched
 //! results are bit-identical to the scalar path by construction — the
 //! PR 1–8 bit-identity suites stay the gate, unmodified.
+//!
+//! Elements are named by **id**: a sweep hands `score_star` the corner
+//! table it already owns plus the incident-element slice it walks for the
+//! commit fold, and the kernel reads each corner row where it lives,
+//! through the id. A list that ends on a short block has its last id
+//! repeated and only the real slots kept ([`crate::for_lane_blocks!`]),
+//! so the last elements of a star take the same packed path as the rest.
 //!
 //! Conversion to and from point slices happens only at transport
 //! boundaries ([`SoaLike::gather_from`] / [`SoaLike::scatter_to`]): wire
@@ -28,10 +35,47 @@ use crate::domain::{DomainPoint, SmoothDomain};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed lane width of the batched scoring kernels: 4 × f64 (one AVX2
-/// register, two NEON registers). The batch loops process
-/// `chunks_exact(LANES)` with a scalar tail, so the width is a structural
-/// constant, not a performance knob — results are lane-count-invariant.
+/// register, two NEON registers). The kernels walk their id list in
+/// whole blocks of `LANES` ([`crate::for_lane_blocks!`]), so the width is
+/// a structural constant, not a performance knob — results are
+/// lane-count-invariant.
 pub const LANES: usize = 4;
+
+/// The block loop of a lane-batched scoring kernel:
+/// `for_lane_blocks!((ids, out) => |block, slots| { .. })` runs the body
+/// once per [`LANES`]-wide block of the id list `ids: &[u32]`, with
+/// `block: &[u32; LANES]` the block's ids and `slots: &mut [(f64, bool)]`
+/// its output slots in `out`. A list that ends on a short block gets its
+/// last id repeated up to a whole block — so every lane scores an element
+/// the caller named — and `slots` is then shorter than the block: the
+/// body scores all `LANES` lanes and writes `slots.len()` of them, so the
+/// last elements of a star take the same packed path as the rest.
+///
+/// A macro, not a function taking a closure: the body holds
+/// `#[target_feature]` intrinsics, which must expand *inside* the AVX
+/// function to inline — a closure handed to a generic helper is compiled
+/// as a call per block. For the same reason the expansion calls no
+/// closure-taking helper itself.
+#[macro_export]
+macro_rules! for_lane_blocks {
+    (($ids:expr, $out:expr) => |$block:ident, $slots:ident| $body:block) => {{
+        let (ids, out): (&[u32], &mut [(f64, bool)]) = ($ids, $out);
+        debug_assert_eq!(ids.len(), out.len());
+        let (blocks, ids_tail) = ids.as_chunks::<{ $crate::soa::LANES }>();
+        let (out_main, out_tail) = out.split_at_mut(ids.len() - ids_tail.len());
+        for ($block, $slots) in blocks.iter().zip(out_main.chunks_exact_mut($crate::soa::LANES)) {
+            $body
+        }
+        if !ids_tail.is_empty() {
+            let mut padded = [0u32; $crate::soa::LANES];
+            for (l, id) in padded.iter_mut().enumerate() {
+                *id = ids_tail[l.min(ids_tail.len() - 1)];
+            }
+            let ($block, $slots) = (&padded, out_tail);
+            $body
+        }
+    }};
+}
 
 /// Upper bound on coordinate dimension for stack staging buffers.
 const MAX_DIM: usize = 8;
@@ -51,7 +95,7 @@ pub fn scratch_grow_count() -> u64 {
 
 /// Record one scratch reallocation (relaxed; growth is rare by design).
 #[inline]
-pub(crate) fn note_scratch_grow() {
+fn note_scratch_grow() {
     SCRATCH_GROWS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -334,7 +378,7 @@ impl SoaScores {
 /// the x86-64 baseline; every other architecture keeps the portable
 /// loop, which is still the identical value sequence.
 #[inline(always)]
-pub(crate) fn sqrt_div_lanes(num: &[f64; LANES], den: &[f64; LANES], out: &mut [f64; LANES]) {
+pub fn sqrt_div_lanes(num: &[f64; LANES], den: &[f64; LANES], out: &mut [f64; LANES]) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx") {
@@ -372,34 +416,41 @@ unsafe fn sqrt_div_lanes_sse2(num: &[f64; LANES], den: &[f64; LANES], out: &mut 
     }
 }
 
-/// Score every element of `elems` on point-slice `coords` through the
+/// Score `elems` (corner ids into the point slice `coords`) through the
 /// batched SoA kernel: gather each fixed-size chunk's corner coordinates
-/// into a reusable SoA scratch, run [`SmoothDomain::score_batch`], and
-/// push the `(quality, oriented)` pairs in element order. Bit-identical
-/// to the per-element scalar loop it replaces (same per-element
-/// arithmetic, same output order) — this is the batched form behind the
-/// quality-cache build/rescore and the resident initial scoring pass.
+/// into a reusable SoA scratch, run [`SmoothDomain::score_star`] over the
+/// chunk, and hand the `(quality, oriented)` pairs to `sink` in iteration
+/// order. Bit-identical to the per-element scalar loop it replaces (same
+/// per-element arithmetic, same order) — this is the batched form behind
+/// the quality-cache build/rescore, the resident initial scoring pass and
+/// [`crate::domain::domain_quality`].
 pub fn score_elements_batched<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     coords: &[D::Point],
-    elems: &[[u32; C]],
-    out: &mut Vec<(f64, bool)>,
+    elems: impl IntoIterator<Item = [u32; C]>,
+    mut sink: impl FnMut((f64, bool)),
 ) {
     const CHUNK: usize = 256;
-    out.clear();
-    out.reserve(elems.len());
+    // chunk element `i` keeps its corners in scratch slots `i*C..(i+1)*C`,
+    // so the corner table and the id list are the same for every chunk
     let mut scratch = D::Soa::with_len(CHUNK * C);
-    let mut rows: Vec<[u32; C]> = Vec::with_capacity(CHUNK);
+    let rows: [[u32; C]; CHUNK] =
+        std::array::from_fn(|i| std::array::from_fn(|k| (i * C + k) as u32));
+    let ids: [u32; CHUNK] = std::array::from_fn(|i| i as u32);
     let mut scored = [(0.0f64, false); CHUNK];
-    for chunk in elems.chunks(CHUNK) {
-        rows.clear();
-        for (i, e) in chunk.iter().enumerate() {
+    let mut elems = elems.into_iter();
+    loop {
+        let mut n = 0;
+        for e in elems.by_ref().take(CHUNK) {
             for (k, &c) in e.iter().enumerate() {
-                scratch.set(i * C + k, coords[c as usize]);
+                scratch.set(n * C + k, coords[c as usize]);
             }
-            rows.push(std::array::from_fn(|k| (i * C + k) as u32));
+            n += 1;
         }
-        dom.score_batch(&scratch, &rows, &mut scored[..chunk.len()]);
-        out.extend_from_slice(&scored[..chunk.len()]);
+        if n == 0 {
+            break;
+        }
+        dom.score_star(&scratch, &rows, &ids[..n], &mut scored[..n]);
+        scored[..n].iter().copied().for_each(&mut sink);
     }
 }

@@ -644,8 +644,9 @@ fn initial_scores<const C: usize, D: SmoothDomain<C>>(
     if cfg.scalar_scoring {
         dom.elements().iter().map(|&e| dom.score(coords, e)).collect()
     } else {
-        let mut out = Vec::new();
-        crate::soa::score_elements_batched(dom, coords, dom.elements(), &mut out);
+        let mut out = Vec::with_capacity(dom.num_elements());
+        let elems = dom.elements().iter().copied();
+        crate::soa::score_elements_batched(dom, coords, elems, |s| out.push(s));
         out
     }
 }

@@ -3,21 +3,25 @@
 //!
 //! * `SoaCoords` gather/scatter round-trips preserve every `f64` bit
 //!   pattern, NaN payloads and `-0.0` included;
-//! * `score_batch` equals the per-element `score` bit for bit for every
-//!   2D `QualityMetric` (each lane runs the identical scalar IEEE op
-//!   sequence, so this is equality of `to_bits`, not approximate);
+//! * `score_star` equals the per-element `score_soa` per id, bit for bit,
+//!   for every 2D `QualityMetric` over id lists of every block-tail length
+//!   — repeated, descending, ending on the last row of the corner table
+//!   (each lane runs the identical scalar IEEE op sequence, so this is
+//!   equality of `to_bits`, not approximate);
 //! * full resident runs with the default lane-batched kernel are
 //!   bit-identical — coordinates AND reports — to the forced pre-SoA
 //!   scalar path (`with_scalar_scoring(true)`) across threads {1, 2, 4}
 //!   × parts {2, 4, 8} × smart/plain, and so are partitioned and serial
-//!   engine runs.
+//!   engine runs — also on a mesh whose stars have 1, 2, 3, 5 and 7
+//!   triangles, so every short last block is swept.
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_part::PartitionMethod;
-use lms_smooth::domain::{SmoothDomain, TriDomain};
+use lms_smooth::domain::{DomainConfig, SmoothDomain, TriDomain};
+use lms_smooth::kernel::SerialKernel;
 use lms_smooth::{
-    PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike,
+    PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike, UpdateScheme,
 };
 use proptest::prelude::*;
 
@@ -59,34 +63,138 @@ fn soa_roundtrip_preserves_every_bit_pattern() {
     }
 }
 
-fn batch_equals_scalar_on(mesh: &TriMesh, metric: QualityMetric) {
+/// Id lists over a corner table of `n` rows: lengths 0..=9, 24 and 25
+/// (every fill of the last 4-lane block, stars up to the tet grid's 24 and
+/// one past it), each ascending up to the last row, descending from it,
+/// and cycling over three ids with the last row repeated.
+fn id_lists(n: u32) -> Vec<Vec<u32>> {
+    let mut lists = Vec::new();
+    for len in (0..=9).chain([24, 25]) {
+        lists.push((n - len..n).collect());
+        lists.push((n - len..n).rev().collect());
+        lists.push((0..len).map(|i| [n - 1, 0, n / 2][i as usize % 3]).collect());
+    }
+    lists
+}
+
+/// `score_star` == one `score_soa` per id, bit for bit, on every list of
+/// [`id_lists`] plus the whole table in order. The corner table handed in
+/// is cut three rows short of the mesh's, so a kernel that read a row
+/// past the last id it was given would index out of bounds and panic.
+fn star_equals_per_id_on(mesh: &TriMesh, metric: QualityMetric) {
     let adj = Adjacency::build(mesh);
     let boundary = Boundary::detect(mesh);
     let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), metric);
     let mut soa = SoaCoords::<2>::with_len(mesh.num_vertices());
     soa.gather_from(mesh.coords());
-    let rows: Vec<[u32; 3]> = dom.elements().to_vec();
-    let mut out = vec![(0.0, false); rows.len()];
-    dom.score_batch(&soa, &rows, &mut out);
-    for (i, &row) in rows.iter().enumerate() {
-        let (q, pos) = dom.score(mesh.coords(), row);
-        assert_eq!(q.to_bits(), out[i].0.to_bits(), "metric {metric:?}, element {i}");
-        assert_eq!(pos, out[i].1, "metric {metric:?}, element {i}");
-        // the per-element SoA entry point agrees as well
-        let (qs, ps) = dom.score_soa(&soa, row);
-        assert_eq!(q.to_bits(), qs.to_bits());
-        assert_eq!(pos, ps);
+    let corners = &dom.elements()[..dom.num_elements() - 3];
+    let n = corners.len() as u32;
+    for ids in id_lists(n).into_iter().chain([(0..n).collect()]) {
+        let mut out = vec![(f64::NAN, false); ids.len()];
+        dom.score_star(&soa, corners, &ids, &mut out);
+        for (i, &t) in ids.iter().enumerate() {
+            let (q, pos) = dom.score_soa(&soa, corners[t as usize]);
+            assert_eq!(q.to_bits(), out[i].0.to_bits(), "{metric:?}, ids {ids:?}, slot {i}");
+            assert_eq!(pos, out[i].1, "{metric:?}, ids {ids:?}, slot {i}");
+            // and the point-slice entry point agrees with both
+            let (qp, pp) = dom.score(mesh.coords(), corners[t as usize]);
+            assert_eq!((q.to_bits(), pos), (qp.to_bits(), pp));
+        }
     }
 }
 
 #[test]
-fn score_batch_matches_scalar_for_every_metric() {
-    // ragged sizes so the 4-wide lane chunks leave every tail length
+fn score_star_matches_scalar_per_id_for_every_metric() {
+    // ragged sizes so the whole-table list leaves every tail length
     for (nx, ny, seed) in [(9, 7, 1), (12, 12, 5), (10, 13, 9)] {
         let mesh = generators::perturbed_grid(nx, ny, 0.4, seed);
         for metric in METRICS {
-            batch_equals_scalar_on(&mesh, metric);
+            star_equals_per_id_on(&mesh, metric);
         }
+    }
+}
+
+/// A perturbed grid (randomised diagonals: interior stars of 4..=8, hull
+/// stars of 1..=4) with two triangles split at their centroids, which adds
+/// interior stars of 3.
+fn ragged_mesh(seed: u64) -> TriMesh {
+    let (mut coords, mut tris) = generators::perturbed_grid(9, 9, 0.3, seed).into_parts();
+    for t in [40, 77] {
+        let [a, b, c] = tris[t];
+        let p = coords.len() as u32;
+        let [pa, pb, pc] = [a, b, c].map(|v| coords[v as usize]);
+        coords.push((pa + pb + pc) / 3.0);
+        tris[t] = [a, b, p];
+        tris.extend([[b, c, p], [c, a, p]]);
+    }
+    TriMesh::new(coords, tris).expect("split keeps the mesh valid")
+}
+
+/// Default scoring == `scalar_scoring` on every engine — coordinates and
+/// reports — over stars of 1, 2, 3, 5 and 7 triangles (among others):
+/// serial Gauss–Seidel and Jacobi, partitioned and resident sweep the
+/// interior stars (3..=8); the serial kernel run over *all* vertices adds
+/// the hull's 1 and 2.
+#[test]
+fn ragged_stars_batched_equals_scalar_on_every_engine() {
+    for seed in [1u64, 6] {
+        let mesh = ragged_mesh(seed);
+        let adj = Adjacency::build(&mesh);
+        let boundary = Boundary::detect(&mesh);
+        let star = |v: u32| adj.triangles_of(v).len();
+        let all: Vec<u32> = (0..mesh.num_vertices() as u32).collect();
+        for k in [3, 5, 7] {
+            assert!(all.iter().any(|&v| boundary.is_interior(v) && star(v) == k), "no {k}-star");
+        }
+        for k in [1, 2] {
+            assert!(all.iter().any(|&v| star(v) == k), "no {k}-star");
+        }
+        for update in [UpdateScheme::GaussSeidel, UpdateScheme::Jacobi] {
+            let params = SmoothParams::paper()
+                .with_smart(true)
+                .with_update(update)
+                .with_max_iters(4)
+                .with_tol(-1.0);
+            let scalar = params.clone().with_scalar_scoring(true);
+            let run = |p: &SmoothParams| {
+                let mut m = mesh.clone();
+                let report = SmoothEngine::new(&mesh, p.clone()).smooth(&mut m);
+                (m, report)
+            };
+            assert_eq!(run(&params), run(&scalar), "serial {update:?}, seed {seed}");
+
+            let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
+            let run = |scalar_scoring: bool| {
+                let mut coords = mesh.coords().to_vec();
+                let kernel = SerialKernel {
+                    dom: &dom,
+                    cfg: DomainConfig::from(&params),
+                    visit: &all,
+                    star: None,
+                    scalar_scoring,
+                };
+                let report = kernel.run(&mut coords);
+                (coords, report)
+            };
+            assert_eq!(run(false), run(true), "all-vertex kernel {update:?}, seed {seed}");
+        }
+
+        let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
+        let scalar = params.clone().with_scalar_scoring(true);
+        let run = |p: &SmoothParams| {
+            let mut m = mesh.clone();
+            let report = PartitionedEngine::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
+                .smooth(&mut m, 2);
+            (m, report)
+        };
+        assert_eq!(run(&params), run(&scalar), "partitioned, seed {seed}");
+        let run = |p: &SmoothParams| {
+            let mut m = mesh.clone();
+            let report = ResidentEngine::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
+                .smooth(&mut m, 2);
+            (m, report)
+        };
+        assert_eq!(run(&params), run(&scalar), "resident, seed {seed}");
     }
 }
 
