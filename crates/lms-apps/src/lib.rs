@@ -19,8 +19,8 @@
 //! * [`pipeline`] — composable improvement pipelines with per-stage
 //!   quality bookkeeping;
 //! * [`pipeline3`] — the tetrahedral pipeline twin, with the
-//!   dimension-generic partitioned/resident smoothing stages
-//!   (`Stage3::PartitionedSmooth3` / `Stage3::ResidentSmooth3`);
+//!   dimension-generic resident/distributed smoothing stages
+//!   (`Stage3::ResidentSmooth3` / `Stage3::DistributedSmooth3`);
 //! * [`dynamic`] — the static-vs-dynamic reordering study of
 //!   Shontz & Knupp \[17\] (§2), re-run on this substrate.
 //!

@@ -15,7 +15,7 @@ use lms_mesh::quality::{mesh_quality, QualityMetric};
 use lms_mesh::{Adjacency, TriMesh};
 use lms_order::{compute_ordering, OrderingKind};
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 
 /// One step of an improvement pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,18 +34,11 @@ pub enum Stage {
     /// parallel Jacobi when `params.update` is
     /// [`lms_smooth::UpdateScheme::Jacobi`].
     ParallelSmooth(SmoothParams, usize),
-    /// Laplacian smoothing on the domain-decomposed deterministic engine
-    /// ([`lms_smooth::PartitionedEngine`]): part interiors sweep as
-    /// cache-resident blocks in parallel, interface vertices through the
-    /// colored schedule. Gauss–Seidel parameters only.
-    PartitionedSmooth(SmoothParams, PartitionSpec),
     /// Laplacian smoothing on the resident halo-exchange engine
     /// ([`lms_smooth::ResidentEngine`]): blocks stay resident for the
     /// whole stage, interface vertices are smoothed inside their owning
     /// part with halo deltas exchanged between color steps, one disjoint
-    /// scatter at the end. Gauss–Seidel parameters only; bit-identical
-    /// to [`Stage::PartitionedSmooth`] over the same decomposition and
-    /// the faster of the two.
+    /// scatter at the end. Gauss–Seidel parameters only.
     ResidentSmooth(SmoothParams, PartitionSpec),
     /// Laplacian smoothing on the multi-process distributed resident
     /// engine ([`lms_dist::DistResidentEngine`]): one forked rank
@@ -72,7 +65,6 @@ impl Stage {
             Stage::Untangle(_) => "untangle",
             Stage::Smooth(_) => "smooth",
             Stage::ParallelSmooth(..) => "parsmooth",
-            Stage::PartitionedSmooth(..) => "partsmooth",
             Stage::ResidentSmooth(..) => "ressmooth",
             Stage::DistributedSmooth(..) => "distsmooth",
             Stage::ConstrainedSmooth(..) => "constrained",
@@ -82,7 +74,8 @@ impl Stage {
     }
 }
 
-/// Configuration of a [`Stage::PartitionedSmooth`] stage.
+/// Configuration of a domain-decomposed smoothing stage
+/// ([`Stage::ResidentSmooth`], [`Stage::DistributedSmooth`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Number of parts to decompose into.
@@ -183,16 +176,6 @@ impl Pipeline {
     }
 
     /// [`standard`](Self::standard) with the smoothing stage on the
-    /// domain-decomposed deterministic engine.
-    pub fn standard_partitioned(ordering: OrderingKind, spec: PartitionSpec) -> Self {
-        Pipeline::new()
-            .then(Stage::Reorder(ordering))
-            .then(Stage::Untangle(UntangleOptions::default()))
-            .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::PartitionedSmooth(SmoothParams::paper().with_smart(true), spec))
-    }
-
-    /// [`standard`](Self::standard) with the smoothing stage on the
     /// resident halo-exchange engine.
     pub fn standard_resident(ordering: OrderingKind, spec: PartitionSpec) -> Self {
         Pipeline::new()
@@ -239,11 +222,6 @@ impl Pipeline {
                         lms_smooth::UpdateScheme::Jacobi => engine.smooth_parallel(mesh, *threads),
                     };
                     report.num_iterations()
-                }
-                Stage::PartitionedSmooth(params, spec) => {
-                    let engine =
-                        PartitionedEngine::by_method(mesh, params.clone(), spec.parts, spec.method);
-                    engine.smooth(mesh, spec.threads).num_iterations()
                 }
                 Stage::ResidentSmooth(params, spec) => {
                     let engine =
@@ -361,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_smooth_stage_matches_standard_quality() {
+    fn resident_smooth_stage_matches_standard_quality() {
         let base = {
             let mut m = generators::perturbed_grid(16, 16, 0.35, 7);
             m.orient_ccw();
@@ -372,33 +350,6 @@ mod tests {
         let spec = PartitionSpec {
             parts: 4,
             method: lms_part::PartitionMethod::Rcb,
-            threads: 3,
-            ..PartitionSpec::default()
-        };
-        let mut par = base.clone();
-        let rp = Pipeline::standard_partitioned(OrderingKind::Rdr, spec).run(&mut par);
-        assert_eq!(rp.stages.last().unwrap().stage, "partsmooth");
-        assert!(rp.final_quality > rp.initial_quality);
-        // same fixed-point family as the serial Gauss-Seidel pipeline
-        assert!((rs.final_quality - rp.final_quality).abs() < 0.02);
-        // and the partitioned stage is thread-count invariant
-        let mut par8 = base.clone();
-        let spec8 = PartitionSpec { threads: 8, ..spec };
-        let rp8 = Pipeline::standard_partitioned(OrderingKind::Rdr, spec8).run(&mut par8);
-        assert_eq!(par.coords(), par8.coords());
-        assert_eq!(rp, rp8);
-    }
-
-    #[test]
-    fn resident_smooth_stage_matches_partitioned_bitwise() {
-        let base = {
-            let mut m = generators::perturbed_grid(16, 16, 0.35, 7);
-            m.orient_ccw();
-            m
-        };
-        let spec = PartitionSpec {
-            parts: 4,
-            method: lms_part::PartitionMethod::Rcb,
             threads: 2,
             ..PartitionSpec::default()
         };
@@ -406,11 +357,8 @@ mod tests {
         let rr = Pipeline::standard_resident(OrderingKind::Rdr, spec).run(&mut res);
         assert_eq!(rr.stages.last().unwrap().stage, "ressmooth");
         assert!(rr.final_quality > rr.initial_quality);
-        // the resident engine is the partitioned engine with the data
-        // movement refactored away — stages must agree bit for bit
-        let mut part = base.clone();
-        Pipeline::standard_partitioned(OrderingKind::Rdr, spec).run(&mut part);
-        assert_eq!(res.coords(), part.coords());
+        // same fixed-point family as the serial Gauss-Seidel pipeline
+        assert!((rs.final_quality - rr.final_quality).abs() < 0.02);
         // and thread-count invariant
         let mut res8 = base.clone();
         let rr8 =

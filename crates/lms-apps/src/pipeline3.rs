@@ -3,20 +3,19 @@
 //!
 //! The 2D [`Pipeline`](crate::pipeline::Pipeline) composes reordering and
 //! smoothing stages over a `TriMesh`; this module is its `TetMesh` twin.
-//! Since PR 4 the partitioned and resident engines are one generic code
-//! path for both dimensions, so the 3D pipeline offers the full engine
-//! menu: serial, colored/Jacobi parallel, domain-decomposed
-//! ([`Stage3::PartitionedSmooth3`]) and resident halo-exchange
-//! ([`Stage3::ResidentSmooth3`]) smoothing — all deterministic for any
-//! thread count, all configured through the same
-//! [`PartitionSpec`](crate::pipeline::PartitionSpec) as the 2D stages.
+//! The decomposed engines are one generic code path for both dimensions,
+//! so the 3D pipeline offers the full engine menu: serial, colored/Jacobi
+//! parallel, resident halo-exchange ([`Stage3::ResidentSmooth3`]) and
+//! multi-process ([`Stage3::DistributedSmooth3`]) smoothing — all
+//! deterministic for any thread count, the decomposed ones configured
+//! through the same [`PartitionSpec`](crate::pipeline::PartitionSpec) as
+//! the 2D stages.
 
 use crate::pipeline::{PartitionSpec, PipelineReport, StageOutcome};
 use lms_mesh3d::order::{apply_permutation3, compute_ordering3, OrderingKind3};
 use lms_mesh3d::quality::{mesh_quality, TetQualityMetric};
 use lms_mesh3d::{
-    Adjacency3, PartitionedEngine3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh,
-    UpdateScheme3,
+    Adjacency3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh, UpdateScheme3,
 };
 
 /// One step of a tetrahedral improvement pipeline.
@@ -31,16 +30,10 @@ pub enum Stage3 {
     /// colored Gauss–Seidel for in-place params, static-chunk parallel
     /// Jacobi when `params.update` is [`UpdateScheme3::Jacobi`].
     ParallelSmooth3(SmoothParams3, usize),
-    /// Laplacian smoothing on the domain-decomposed deterministic engine
-    /// ([`PartitionedEngine3`]): part interiors sweep as cache-resident
-    /// blocks in parallel, interface vertices through the colored
-    /// schedule. Gauss–Seidel parameters only.
-    PartitionedSmooth3(SmoothParams3, PartitionSpec),
     /// Laplacian smoothing on the resident halo-exchange engine
     /// ([`ResidentEngine3`]): blocks stay resident for the whole stage,
     /// moved halo deltas exchanged between color steps, one disjoint
-    /// scatter at the end. Gauss–Seidel parameters only; bit-identical to
-    /// [`Stage3::PartitionedSmooth3`] over the same decomposition.
+    /// scatter at the end. Gauss–Seidel parameters only.
     ResidentSmooth3(SmoothParams3, PartitionSpec),
     /// Laplacian smoothing on the multi-process distributed resident
     /// engine ([`lms_dist::DistResidentEngine3`]): one forked rank
@@ -60,7 +53,6 @@ impl Stage3 {
             Stage3::Reorder3(_) => "reorder3",
             Stage3::Smooth3(_) => "smooth3",
             Stage3::ParallelSmooth3(..) => "parsmooth3",
-            Stage3::PartitionedSmooth3(..) => "partsmooth3",
             Stage3::ResidentSmooth3(..) => "ressmooth3",
             Stage3::DistributedSmooth3(..) => "distsmooth3",
         }
@@ -95,14 +87,6 @@ impl Pipeline3 {
         Pipeline3::new()
             .then(Stage3::Reorder3(ordering))
             .then(Stage3::Smooth3(SmoothParams3::paper().with_smart(true)))
-    }
-
-    /// [`standard3`](Self::standard3) with the smoothing stage on the
-    /// domain-decomposed deterministic engine.
-    pub fn standard_partitioned3(ordering: OrderingKind3, spec: PartitionSpec) -> Self {
-        Pipeline3::new()
-            .then(Stage3::Reorder3(ordering))
-            .then(Stage3::PartitionedSmooth3(SmoothParams3::paper().with_smart(true), spec))
     }
 
     /// [`standard3`](Self::standard3) with the smoothing stage on the
@@ -147,15 +131,6 @@ impl Pipeline3 {
                         UpdateScheme3::Jacobi => engine.smooth_parallel(mesh, *threads),
                     };
                     report.num_iterations()
-                }
-                Stage3::PartitionedSmooth3(params, spec) => {
-                    let engine = PartitionedEngine3::by_method(
-                        mesh,
-                        params.clone(),
-                        spec.parts,
-                        spec.method,
-                    );
-                    engine.smooth(mesh, spec.threads).num_iterations()
                 }
                 Stage3::ResidentSmooth3(params, spec) => {
                     let engine =
@@ -217,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn resident3_stage_matches_partitioned3_bitwise() {
+    fn resident3_stage_is_thread_count_invariant() {
         let base = perturbed_tet_grid(7, 7, 6, 0.35, 5);
         let spec = PartitionSpec {
             parts: 4,
@@ -227,12 +202,6 @@ mod tests {
         };
         let mut res = base.clone();
         let rr = Pipeline3::standard_resident3(OrderingKind3::Hilbert, spec).run(&mut res);
-        let mut part = base.clone();
-        Pipeline3::standard_partitioned3(OrderingKind3::Hilbert, spec).run(&mut part);
-        // the resident engine is the partitioned engine with the data
-        // movement refactored away — stages must agree bit for bit
-        assert_eq!(res.coords(), part.coords());
-        // and thread-count invariant
         let mut res8 = base.clone();
         let rr8 = Pipeline3::standard_resident3(
             OrderingKind3::Hilbert,
@@ -269,7 +238,7 @@ mod tests {
         let report = Pipeline3::new()
             .then(Stage3::Reorder3(OrderingKind3::Bfs))
             .then(Stage3::ParallelSmooth3(SmoothParams3::paper().with_max_iters(5), 2))
-            .then(Stage3::PartitionedSmooth3(
+            .then(Stage3::ResidentSmooth3(
                 SmoothParams3::paper().with_smart(true).with_max_iters(5),
                 spec,
             ))

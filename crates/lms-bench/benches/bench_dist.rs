@@ -1,10 +1,9 @@
-//! The distributed-backend benchmark behind the perf-tracking file
-//! `BENCH_dist.json`: smart (quality-guarded) resident smoothing on a
-//! perturbed grid for 10 sweeps over an 8-way RCB decomposition,
-//! comparing
+//! The distributed-backend benchmark: smart (quality-guarded) resident
+//! smoothing on a perturbed grid for 10 sweeps over an 8-way RCB
+//! decomposition, comparing
 //!
-//! * the **in-process resident** engine (PR-3/PR-5 `InProcessTransport`,
-//!   pool threads) at 1/2/4 threads, and
+//! * the **in-process resident** engine (`InProcessTransport`, pool
+//!   threads) at 1/2/4 threads, and
 //! * the **multi-process distributed** engine (`lms-dist`: one forked
 //!   rank process per part, wire frames over pipes), fork cost included.
 //!
@@ -14,10 +13,10 @@
 //! 1`.
 //!
 //! Run with `cargo bench -p lms-bench --bench bench_dist`. Set
-//! `LMS_BENCH_GRID` to override the grid side (default 384). The
-//! summary — median/min ms per engine, the dist-vs-resident-1t ratio,
-//! the coalesced exchange-traffic counters and the host core count — is
-//! written to `BENCH_dist.json` at the workspace root.
+//! `LMS_BENCH_GRID` to override the grid side (default 384). Results
+//! print to stdout; the tracked end-to-end numbers and the transport-tax
+//! layers are `benchmark/`'s, and the serialized-vs-overlap idle-wait
+//! floor is `lms-tool bench-smoke`'s.
 
 use criterion::{BenchmarkId, Criterion};
 use lms_dist::{DistResidentEngine, FtOptions, TransportMode};
@@ -30,15 +29,7 @@ fn grid_side() -> usize {
 
 const PARTS: usize = 8;
 
-/// Everything the profiled (non-criterion) runs measured: the exchange
-/// accounting plus one phase breakdown per drain mode.
-struct Profiles {
-    volume: lms_smooth::ExchangeVolume,
-    overlap_on: lms_trace::PhaseBreakdown,
-    overlap_off: lms_trace::PhaseBreakdown,
-}
-
-fn bench_dist(c: &mut Criterion) -> Profiles {
+fn bench_dist(c: &mut Criterion) {
     let side = grid_side();
     let mesh = lms_mesh::generators::perturbed_grid(side, side, 0.35, 42);
     // fixed 10 sweeps: tol disabled so both engines do identical work
@@ -64,22 +55,15 @@ fn bench_dist(c: &mut Criterion) -> Profiles {
     assert_eq!(volume.full_gathers, 1, "rank blocks must gather exactly once");
     assert_eq!(volume.full_scatters, 1, "one disjoint write-back at the end");
 
-    // one profiled (wire v4) run per drain mode, outside the criterion
-    // timing loops: rank sweep timings come back in the Report frames,
-    // the coordinator times its own encode/decode/poll-wait — this is
-    // what lets the JSON separate fork/pipe overhead from compute, and
-    // the on/off pair is what proves the overlap multiplexer's poll-wait
-    // cut is hiding (idle/hidden split) rather than shifted cost
-    let profiled = |overlap: bool| {
+    // profiling gate, one run per drain mode: rank sweep timings come
+    // back in the Report frames and the coordinator times its own
+    // encode/decode/poll-wait, none of which may change a bit
+    for overlap in [true, false] {
         let mut work = mesh.clone();
-        let (report, _, _) = dist
-            .smooth_profiled(&mut work, &FtOptions { overlap, ..FtOptions::default() })
+        dist.smooth_profiled(&mut work, &FtOptions { overlap, ..FtOptions::default() })
             .expect("profiled distributed run");
         assert_eq!(work.coords(), b.coords(), "profiling must be observation-only");
-        report.phase_breakdown.expect("profiled run attaches a breakdown")
-    };
-    let breakdown_on = profiled(true);
-    let breakdown_off = profiled(false);
+    }
 
     let mut group = c.benchmark_group("dist");
     group.sample_size(10);
@@ -119,8 +103,7 @@ fn bench_dist(c: &mut Criterion) -> Profiles {
     // as FtOptions { overlap: false }: its gap to the default run is
     // the wall-clock value of compute/communication overlap (small on a
     // saturated host, where ranks timeshare the cores the coordinator
-    // would hide behind — the honest headline is the poll-wait split in
-    // the profiled breakdown, not this wall-clock delta)
+    // would hide behind)
     let no_overlap = FtOptions { overlap: false, ..FtOptions::default() };
     group.bench_with_input(BenchmarkId::new("dist_8ranks_overlap_off", side), &mesh, |bch, m| {
         bch.iter(|| {
@@ -138,95 +121,9 @@ fn bench_dist(c: &mut Criterion) -> Profiles {
         })
     });
     group.finish();
-    Profiles { volume, overlap_on: breakdown_on, overlap_off: breakdown_off }
-}
-
-fn export_json(c: &Criterion, side: usize, profiles: &Profiles) {
-    let volume = &profiles.volume;
-    let breakdown = &profiles.overlap_on;
-    let find = |needle: &str, min: bool| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id.contains(needle))
-            .map(|s| if min { s.min_ns / 1e6 } else { s.median_ns / 1e6 })
-            .unwrap_or(f64::NAN)
-    };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // deterministic workloads: background load only ever adds time, so
-    // the fastest-sample ratio is the noise-robust estimate (same
-    // reasoning as the other BENCH files); keep the JSON valid if a
-    // summary is missing
-    let ratio = |a: f64, b: f64| {
-        let r = a / b;
-        if r.is_finite() {
-            format!("{r:.3}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let dist_vs_res1 = ratio(find("resident_1t", true), find("dist_8ranks/", true));
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let t = &breakdown.transport;
-    let sweeps = t
-        .rank_phases
-        .iter()
-        .map(|r| format!("{:.2}", ms(r.sweep_ns())))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let compute_ms: f64 = t.rank_phases.iter().map(|r| ms(r.sweep_ns())).sum();
-    let pipe_ms = ms(t.encode_ns + t.decode_ns + t.poll_wait_ns + t.hidden_wait_ns);
-    let off = &profiles.overlap_off.transport;
-    let poll_cut = ms(off.poll_wait_ns) / ms(t.poll_wait_ns).max(1e-9);
-    let phase_json = format!(
-        "  \"phase_breakdown_ms\": {{\n    \"driver\": {{ \"gather\": {:.2}, \"interior\": {:.2}, \"color_step\": {:.2}, \"finish\": {:.2}, \"scatter\": {:.2}, \"checkpoint\": {:.2} }},\n    \"coordinator\": {{ \"frame_encode\": {:.2}, \"frame_decode\": {:.2}, \"poll_wait\": {:.2}, \"hidden_wait\": {:.2} }},\n    \"rank_sweep_compute\": [{sweeps}],\n    \"rank_sweep_compute_total\": {compute_ms:.2},\n    \"pipe_overhead_total\": {pipe_ms:.2},\n    \"note\": \"one profiled run (wire v4) with the overlap multiplexer on, not criterion-timed. rank_sweep_compute is measured inside each forked rank (interior + color + finish ns from the Report frames) — the actual compute. pipe_overhead_total = coordinator frame encode + decode + total poll(2) time: the fork/pipe transport tax. poll_wait is the genuinely-idle-at-a-dependence share; hidden_wait is poll time overlapped with released rank work — a color round issued ahead of the one being drained, or a deferred checkpoint round whose sparse replies are still outstanding. Driver spans include time blocked on ranks, so they overlap both\"\n  }},\n  \"overlap\": {{\n    \"poll_wait_ms_overlap_on\": {:.2},\n    \"hidden_wait_ms_overlap_on\": {:.2},\n    \"poll_wait_ms_overlap_off\": {:.2},\n    \"hidden_wait_ms_overlap_off\": {:.2},\n    \"idle_poll_wait_reduction\": {poll_cut:.2},\n    \"note\": \"idle_poll_wait_reduction = serialized poll_wait / overlap idle poll_wait, from one profiled run each. The serialized loop charges ALL its waiting as idle; the multiplexer reclassifies wait that overlaps released rank compute as hidden_wait, so on+hidden vs off shows the reduction is hiding, not shifted cost. The remainder is idle at a true dependence (initial gather, the first iteration's first round, report collection, the final scatter). The serialized loop's biggest idle block — the per-iteration checkpoint collection barrier — is gone outright: overlap mode defers each boundary's sparse ScatterDelta replies into the next iteration's drains (wire v4), so they arrive under waits the coordinator was paying anyway\"\n  }},\n",
-        ms(breakdown.gather_ns),
-        ms(breakdown.interior_ns),
-        ms(breakdown.color_step_ns),
-        ms(breakdown.finish_ns),
-        ms(breakdown.scatter_ns),
-        ms(breakdown.checkpoint_ns),
-        ms(t.encode_ns),
-        ms(t.decode_ns),
-        ms(t.poll_wait_ns),
-        ms(t.hidden_wait_ns),
-        ms(t.poll_wait_ns),
-        ms(t.hidden_wait_ns),
-        ms(off.poll_wait_ns),
-        ms(off.hidden_wait_ns),
-    );
-    let json = format!(
-        "{{\n  \"benchmark\": \"dist\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"host_cores\": {host_cores},\n  \"median_ms\": {{\n    \"resident_1_threads\": {:.2},\n    \"resident_2_threads\": {:.2},\n    \"resident_4_threads\": {:.2},\n    \"dist_{PARTS}_ranks\": {:.2},\n    \"dist_{PARTS}_ranks_min_checkpoints\": {:.2},\n    \"dist_{PARTS}_ranks_tcp_loopback\": {:.2},\n    \"dist_{PARTS}_ranks_overlap_off\": {:.2}\n  }},\n  \"min_ms\": {{\n    \"resident_1_threads\": {:.2},\n    \"resident_2_threads\": {:.2},\n    \"resident_4_threads\": {:.2},\n    \"dist_{PARTS}_ranks\": {:.2},\n    \"dist_{PARTS}_ranks_min_checkpoints\": {:.2},\n    \"dist_{PARTS}_ranks_tcp_loopback\": {:.2},\n    \"dist_{PARTS}_ranks_overlap_off\": {:.2}\n  }},\n  \"dist_speedup_vs_resident_1t\": {dist_vs_res1},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n  \"note\": \"dist times include forking {PARTS} rank processes per run plus the full fault-tolerance machinery: per-frame CRC32c checksums (since wire v2) and, in the default configuration, one checkpoint round per iteration — sparse and pipelined under overlap (wire v4 ScatterDelta frames collected during the next iteration's drains), a full scatter barrier with overlap off. The min_checkpoints variant checkpoints only the mandatory final boundary, isolating the checksum cost — its gap to the seed-era numbers is the negligible checksum overhead, while the default-vs-min_checkpoints gap is the price of per-iteration recovery points. Rank parallelism is bounded by host_cores; on a 1-core host the distributed run adds pure fork+pipe overhead over resident_1t. The tcp_loopback variant runs the identical frames over the socket transport (forked workers dialling 127.0.0.1) — its gap to the pipe run is the kernel TCP tax, the single-host proxy for multi-node deployment. The overlap_off variant runs the serialized drain loop the overlap multiplexer replaced (same frames, no eager forwarding/release) — see the overlap object for the poll-wait split that is the honest measure of what overlap buys\",\n  \"exchange_volume_per_10_sweeps\": {{\n    \"full_gathers\": {},\n    \"full_scatters\": {},\n    \"exchange_rounds\": {},\n    \"halo_entries_sent\": {},\n    \"halo_messages_sent\": {},\n    \"halo_bytes_sent\": {},\n    \"entries_per_message\": {:.1}\n  }},\n{phase_json}  \"coords_and_report_bit_identical_to_in_process\": true\n}}\n",
-        find("resident_1t", false),
-        find("resident_2t", false),
-        find("resident_4t", false),
-        find("dist_8ranks/", false),
-        find("dist_8ranks_minckpt", false),
-        find("dist_8ranks_tcp", false),
-        find("dist_8ranks_overlap_off", false),
-        find("resident_1t", true),
-        find("resident_2t", true),
-        find("resident_4t", true),
-        find("dist_8ranks/", true),
-        find("dist_8ranks_minckpt", true),
-        find("dist_8ranks_tcp", true),
-        find("dist_8ranks_overlap_off", true),
-        volume.full_gathers,
-        volume.full_scatters,
-        volume.exchange_rounds,
-        volume.halo_entries_sent,
-        volume.halo_messages_sent,
-        volume.halo_bytes_sent,
-        volume.halo_entries_sent as f64 / volume.halo_messages_sent.max(1) as f64,
-    );
-    // workspace root (this bench runs with the crate as manifest dir)
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_dist.json");
-    std::fs::write(&path, &json).expect("write BENCH_dist.json");
-    println!("\nwrote {} :\n{json}", path.display());
 }
 
 fn main() {
     let mut criterion = Criterion::new();
-    let profiles = bench_dist(&mut criterion);
-    export_json(&criterion, grid_side(), &profiles);
+    bench_dist(&mut criterion);
 }

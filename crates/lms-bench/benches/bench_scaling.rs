@@ -1,29 +1,23 @@
-//! The engine thread-scaling benchmark behind the perf-tracking file
-//! `BENCH_scaling.json`: smart (quality-guarded) smoothing on a 512×512
-//! perturbed grid for 10 sweeps, swept over threads {1, 2, 4, 8} on
+//! The engine thread-scaling benchmark: smart (quality-guarded) smoothing
+//! on a 512×512 perturbed grid for 10 sweeps, swept over threads
+//! {1, 2, 4, 8} on
 //!
-//! * the **colored parallel** engine (PR-1 deterministic baseline),
-//! * the **partitioned** engine (PR-2: per-sweep gather/refresh +
-//!   serial write-back + global interface pass),
-//! * the **resident** engine (PR-3: blocks resident for the whole run,
+//! * the **colored parallel** engine (the deterministic baseline),
+//! * the **resident** engine (blocks resident for the whole run,
 //!   halo-delta exchange only, one final disjoint scatter).
 //!
-//! All three are bitwise-deterministic for any thread count; the resident
+//! Both are bitwise-deterministic for any thread count; the resident
 //! engine is additionally gated here against serial Gauss–Seidel under
 //! its part-major visit order (coordinates must match bit for bit).
 //!
 //! Run with `cargo bench -p lms-bench --bench bench_scaling`. Set
 //! `LMS_BENCH_GRID` to override the grid side (default 512) and
-//! `LMS_BENCH_THREADS` for the thread list (default `1,2,4,8`). The
-//! summary — median/min ms per (engine, threads), the resident 4t-vs-1t
-//! self-speedup, exchange-volume accounting, and the host core count
-//! (speedups are meaningless beyond it) — is written to
-//! `BENCH_scaling.json` at the workspace root.
+//! `LMS_BENCH_THREADS` for the thread list (default `1,2,4,8`). Results
+//! print to stdout; the tracked end-to-end numbers are `benchmark/`'s.
 
 use criterion::{BenchmarkId, Criterion};
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
-use std::fmt::Write as _;
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 
 fn grid_side() -> usize {
     std::env::var("LMS_BENCH_GRID").ok().and_then(|s| s.parse().ok()).unwrap_or(512)
@@ -39,14 +33,12 @@ fn thread_list() -> Vec<usize> {
 
 const PARTS: usize = 8;
 
-fn bench_scaling(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
+fn bench_scaling(c: &mut Criterion) {
     let side = grid_side();
     let mesh = lms_mesh::generators::perturbed_grid(side, side, 0.35, 42);
     // fixed 10 sweeps: tol disabled so all engines do identical work
     let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
     let colored = SmoothEngine::new(&mesh, params.clone());
-    let partitioned =
-        PartitionedEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
     let resident = ResidentEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
 
     // correctness gate before timing: the resident sweep must be exactly
@@ -76,16 +68,6 @@ fn bench_scaling(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("partitioned_{threads}t"), side),
-            &mesh,
-            |bch, m| {
-                bch.iter(|| {
-                    let mut work = m.clone();
-                    partitioned.smooth(&mut work, threads)
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new(format!("resident_{threads}t"), side),
             &mesh,
             |bch, m| {
@@ -97,104 +79,9 @@ fn bench_scaling(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
         );
     }
     group.finish();
-    volume
-}
-
-/// Per-part accumulated sweep nanoseconds (PhaseBreakdown evidence) of
-/// the resident engine with batched vs forced-scalar scoring: the
-/// minimum-total rep of each, as JSON arrays indexed by part id.
-fn per_part_sweep_evidence(side: usize) -> (Vec<u64>, Vec<u64>) {
-    let mesh = lms_mesh::generators::perturbed_grid(side, side, 0.35, 42);
-    let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
-    let batched = ResidentEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
-    let scalar = ResidentEngine::by_method(
-        &mesh,
-        params.with_scalar_scoring(true),
-        PARTS,
-        PartitionMethod::Rcb,
-    );
-    let one = |engine: &ResidentEngine| -> Vec<u64> {
-        let (report, _) = engine.smooth_profiled(&mut mesh.clone(), 1);
-        report.phase_breakdown.expect("profiled run attaches a breakdown").per_part_sweep_ns()
-    };
-    // interleave the reps (batched, scalar, batched, scalar, ...) so a
-    // host-speed drift hits both engines about equally instead of
-    // biasing whichever was measured entirely later
-    let mut best_b: Vec<u64> = Vec::new();
-    let mut best_s: Vec<u64> = Vec::new();
-    for _ in 0..3 {
-        let b = one(&batched);
-        if best_b.is_empty() || b.iter().sum::<u64>() < best_b.iter().sum::<u64>() {
-            best_b = b;
-        }
-        let s = one(&scalar);
-        if best_s.is_empty() || s.iter().sum::<u64>() < best_s.iter().sum::<u64>() {
-            best_s = s;
-        }
-    }
-    (best_b, best_s)
-}
-
-fn export_json(c: &Criterion, side: usize, volume: &lms_smooth::ExchangeVolume) {
-    let find = |needle: &str, min: bool| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id.contains(needle))
-            .map(|s| if min { s.min_ns / 1e6 } else { s.median_ns / 1e6 })
-            .unwrap_or(f64::NAN)
-    };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = thread_list();
-
-    let mut median = String::new();
-    let mut min = String::new();
-    for engine in ["colored", "partitioned", "resident"] {
-        for &t in &threads {
-            let sep = if median.is_empty() { "" } else { ",\n" };
-            let _ = write!(
-                median,
-                "{sep}    \"{engine}_{t}_threads\": {:.2}",
-                find(&format!("{engine}_{t}t"), false)
-            );
-            let sep = if min.is_empty() { "" } else { ",\n" };
-            let _ = write!(
-                min,
-                "{sep}    \"{engine}_{t}_threads\": {:.2}",
-                find(&format!("{engine}_{t}t"), true)
-            );
-        }
-    }
-    // deterministic workloads: background load only ever adds time, so
-    // the fastest-sample ratio is the noise-robust speedup estimate
-    // (same reasoning as BENCH_smooth.json / BENCH_partition.json)
-    // keep the JSON valid when the thread list omits 1 or 4 (a bare NaN
-    // token would break every downstream parser)
-    let ratio = |a: f64, b: f64| {
-        let r = a / b;
-        if r.is_finite() {
-            format!("{r:.3}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let res_self_speedup_4t = ratio(find("resident_1t", true), find("resident_4t", true));
-    let res_vs_pr2_1t = ratio(find("partitioned_1t", true), find("resident_1t", true));
-    let (batched_parts, scalar_parts) = per_part_sweep_evidence(side);
-    let sweep_speedup =
-        ratio(scalar_parts.iter().sum::<u64>() as f64, batched_parts.iter().sum::<u64>() as f64);
-    let json = format!(
-        "{{\n  \"benchmark\": \"scaling\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"host_cores\": {host_cores},\n  \"threads\": {threads:?},\n  \"median_ms\": {{\n{median}\n  }},\n  \"min_ms\": {{\n{min}\n  }},\n  \"resident_speedup_4t_vs_1t\": {res_self_speedup_4t},\n  \"resident_speedup_vs_partitioned_1t\": {res_vs_pr2_1t},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n  \"note\": \"thread speedups are bounded by host_cores; on a 1-core host every multi-thread time degenerates to the 1-thread time plus dispatch overhead\",\n  \"exchange_volume_per_10_sweeps\": {{\n    \"full_gathers\": {},\n    \"full_scatters\": {},\n    \"exchange_rounds\": {},\n    \"halo_entries_sent\": {}\n  }},\n  \"per_part_sweep_ns\": {{\n    \"soa_batched\": {batched_parts:?},\n    \"scalar\": {scalar_parts:?},\n    \"batched_speedup_vs_scalar\": {sweep_speedup}\n  }},\n  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
-        volume.full_gathers, volume.full_scatters, volume.exchange_rounds, volume.halo_entries_sent,
-    );
-    // workspace root (this bench runs with the crate as manifest dir)
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_scaling.json");
-    std::fs::write(&path, &json).expect("write BENCH_scaling.json");
-    println!("\nwrote {} :\n{json}", path.display());
 }
 
 fn main() {
     let mut criterion = Criterion::new();
-    let volume = bench_scaling(&mut criterion);
-    export_json(&criterion, grid_side(), &volume);
+    bench_scaling(&mut criterion);
 }

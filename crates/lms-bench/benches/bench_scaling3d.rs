@@ -1,7 +1,6 @@
-//! The 3D engine thread-scaling benchmark behind the perf-tracking file
-//! `BENCH_scaling3d.json`: smart (quality-guarded) 3D Gauss–Seidel
-//! smoothing on a ~48³ perturbed tet grid for 5 sweeps, swept over
-//! threads {1, 2, 4, 8} on
+//! The 3D engine thread-scaling benchmark: smart (quality-guarded) 3D
+//! Gauss–Seidel smoothing on a ~48³ perturbed tet grid for 5 sweeps,
+//! swept over threads {1, 2, 4, 8} on
 //!
 //! * the **serial** reference engine (the 1-thread baseline),
 //! * the **colored parallel** engine (deterministic in-place GS),
@@ -16,15 +15,12 @@
 //!
 //! Run with `cargo bench -p lms-bench --bench bench_scaling3d`. Set
 //! `LMS_BENCH_GRID3` to override the grid side (default 48) and
-//! `LMS_BENCH_THREADS` for the thread list (default `1,2,4,8`). The
-//! summary — median/min ms per (engine, threads), the resident self- and
-//! vs-colored speedups, exchange-volume accounting, and the host core
-//! count — is written to `BENCH_scaling3d.json` at the workspace root.
+//! `LMS_BENCH_THREADS` for the thread list (default `1,2,4,8`). Results
+//! print to stdout; the tracked end-to-end numbers are `benchmark/`'s.
 
 use criterion::{BenchmarkId, Criterion};
 use lms_mesh3d::{ResidentEngine3, SmoothEngine3, SmoothParams3};
 use lms_part::PartitionMethod;
-use std::fmt::Write as _;
 
 fn grid_side() -> usize {
     std::env::var("LMS_BENCH_GRID3").ok().and_then(|s| s.parse().ok()).unwrap_or(48)
@@ -41,7 +37,7 @@ fn thread_list() -> Vec<usize> {
 const PARTS: usize = 8;
 const SWEEPS: usize = 5;
 
-fn bench_scaling3d(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
+fn bench_scaling3d(c: &mut Criterion) {
     let side = grid_side();
     let mesh = lms_mesh3d::generators::perturbed_tet_grid(side, side, side, 0.35, 42);
     // fixed sweeps: tol disabled so all engines do identical work
@@ -91,67 +87,9 @@ fn bench_scaling3d(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
         );
     }
     group.finish();
-    volume
-}
-
-fn export_json(c: &Criterion, side: usize, volume: &lms_smooth::ExchangeVolume) {
-    let find = |needle: &str, min: bool| {
-        c.summaries()
-            .iter()
-            .find(|s| s.id.contains(needle))
-            .map(|s| if min { s.min_ns / 1e6 } else { s.median_ns / 1e6 })
-            .unwrap_or(f64::NAN)
-    };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = thread_list();
-
-    let mut median = String::new();
-    let mut min = String::new();
-    let cell = |median: &mut String, min: &mut String, label: &str, needle: &str| {
-        let sep = if median.is_empty() { "" } else { ",\n" };
-        let _ = write!(median, "{sep}    \"{label}\": {:.2}", find(needle, false));
-        let sep = if min.is_empty() { "" } else { ",\n" };
-        let _ = write!(min, "{sep}    \"{label}\": {:.2}", find(needle, true));
-    };
-    cell(&mut median, &mut min, "serial_1_threads", "serial_1t");
-    for engine in ["colored", "resident"] {
-        for &t in &threads {
-            cell(
-                &mut median,
-                &mut min,
-                &format!("{engine}_{t}_threads"),
-                &format!("{engine}_{t}t"),
-            );
-        }
-    }
-    // deterministic workloads: background load only ever adds time, so
-    // the fastest-sample ratio is the noise-robust speedup estimate
-    // (same reasoning as BENCH_scaling.json); "null" keeps the JSON
-    // valid when a thread count is absent from the list
-    let ratio = |a: f64, b: f64| {
-        let r = a / b;
-        if r.is_finite() {
-            format!("{r:.3}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let res_self_speedup_4t = ratio(find("resident_1t", true), find("resident_4t", true));
-    let res_vs_colored_1t = ratio(find("colored_1t", true), find("resident_1t", true));
-    let res_vs_serial = ratio(find("serial_1t", true), find("resident_1t", true));
-    let json = format!(
-        "{{\n  \"benchmark\": \"scaling3d\",\n  \"workload\": \"smart 3D Gauss-Seidel, {side}x{side}x{side} perturbed tet grid (jitter 0.35, seed 42), {SWEEPS} sweeps, {PARTS}-way rcb\",\n  \"host_cores\": {host_cores},\n  \"threads\": {threads:?},\n  \"median_ms\": {{\n{median}\n  }},\n  \"min_ms\": {{\n{min}\n  }},\n  \"resident_speedup_4t_vs_1t\": {res_self_speedup_4t},\n  \"resident_speedup_vs_colored_1t\": {res_vs_colored_1t},\n  \"resident_speedup_vs_serial\": {res_vs_serial},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n  \"note\": \"thread speedups are bounded by host_cores; on a 1-core host every multi-thread time degenerates to the 1-thread time plus dispatch overhead\",\n  \"exchange_volume_per_{SWEEPS}_sweeps\": {{\n    \"full_gathers\": {},\n    \"full_scatters\": {},\n    \"exchange_rounds\": {},\n    \"halo_entries_sent\": {}\n  }},\n  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
-        volume.full_gathers, volume.full_scatters, volume.exchange_rounds, volume.halo_entries_sent,
-    );
-    // workspace root (this bench runs with the crate as manifest dir)
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("BENCH_scaling3d.json");
-    std::fs::write(&path, &json).expect("write BENCH_scaling3d.json");
-    println!("\nwrote {} :\n{json}", path.display());
 }
 
 fn main() {
     let mut criterion = Criterion::new();
-    let volume = bench_scaling3d(&mut criterion);
-    export_json(&criterion, grid_side(), &volume);
+    bench_scaling3d(&mut criterion);
 }

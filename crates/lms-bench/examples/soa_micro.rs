@@ -1,9 +1,7 @@
 //! Bulk scoring microbench: every element of a 512x512 perturbed grid
 //! scored through one lane-batched `score_star` call vs one per-element
 //! `score_soa` call, interleaved min-of-50 on identical SoA inputs.
-//! The same measurement feeds the `bulk_scoring` block of
-//! `BENCH_smooth.json`; this standalone binary exists for quick hand
-//! runs while tuning the kernel.
+//! A standalone binary for quick hand runs while tuning the kernel.
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary};

@@ -6,8 +6,8 @@
 //!
 //! Env knobs: `PROBE_SIDE` (grid side, default 120) and `PROBE_PARTS`
 //! (resident decomposition, default 4). Built for quick hand runs while
-//! tuning — the tracked numbers live in `BENCH_smooth.json` /
-//! `BENCH_scaling.json`; the CI gate is `lms-tool bench-smoke`.
+//! tuning — the tracked numbers are `benchmark/`'s; the CI gate is
+//! `lms-tool bench-smoke`.
 
 use lms_part::PartitionMethod;
 use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};

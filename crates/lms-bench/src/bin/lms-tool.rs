@@ -406,7 +406,7 @@ fn cmd_dist_worker(o: &Opts) -> Result<String, String> {
         .with_max_iters(o.iters)
         .with_tol(o.tol);
     let engine = lms_smooth::ResidentEngine::by_method(&mesh, params, o.parts, o.method);
-    lms_dist::serve_standalone_tri(&engine, rank, &spec, &lms_dist::Supervisor::default())
+    lms_dist::serve_standalone(&engine, rank, &spec, &lms_dist::Supervisor::default())
         .map_err(|e| format!("rank {rank} serving {spec}: {e}"))?;
     Ok(format!("rank {rank}/{} served {spec} to clean shutdown", o.parts))
 }

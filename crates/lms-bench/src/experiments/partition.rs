@@ -1,17 +1,16 @@
 //! Partition experiment: decomposition quality across methods and part
-//! counts, and the partitioned engine's wall clock against the colored
-//! parallel engine — the text/CSV companion of `bench_partition.rs`
-//! (which tracks the same comparison in `BENCH_partition.json`).
+//! counts, and the resident engine's wall clock against the colored
+//! parallel engine.
 
 use crate::common::{time_it, ExpConfig};
 use crate::table::{f, pct, Table};
 use lms_mesh::{Adjacency, Point2, TriMesh};
 use lms_part::{partition_mesh, repartition_measured, PartitionMethod};
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use std::fmt::Write as _;
 
 /// Decomposition quality (edge cut, interface/halo, balance) for every
-/// method at several part counts, plus engine timings: partitioned vs
+/// method at several part counts, plus engine timings: resident vs
 /// colored Gauss–Seidel at the config's small thread counts.
 pub fn partition(cfg: &ExpConfig) -> String {
     let mut out = String::new();
@@ -64,21 +63,21 @@ pub fn partition(cfg: &ExpConfig) -> String {
         out.push_str(&ktable.render());
     }
 
-    // --- engine wall clock: partitioned vs colored ----------------------
+    // --- engine wall clock: resident vs colored -------------------------
     let mut etable = Table::new(
-        "Partitioned vs colored deterministic Gauss-Seidel (smart, 10 sweeps)".to_string(),
-        &["mesh", "threads", "colored (ms)", "partitioned (ms)", "speedup", "serial-equal"],
+        "Resident vs colored deterministic Gauss-Seidel (smart, 10 sweeps)".to_string(),
+        &["mesh", "threads", "colored (ms)", "resident (ms)", "speedup", "serial-equal"],
     );
     let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
     for named in cfg.meshes().iter().take(2) {
         let colored_engine = SmoothEngine::new(&named.mesh, params.clone());
-        let part_engine =
-            PartitionedEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
-        // correctness gate: partitioned == serial under the part-major order
+        let resident =
+            ResidentEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
+        // correctness gate: resident == serial under the part-major order
         let mut a = named.mesh.clone();
-        part_engine.smooth(&mut a, 2);
+        resident.smooth(&mut a, 2);
         let serial = SmoothEngine::new(&named.mesh, params.clone())
-            .with_visit_order(part_engine.part_major_visit_order());
+            .with_visit_order(resident.part_major_visit_order());
         let mut b = named.mesh.clone();
         serial.smooth(&mut b);
         let equal = a.coords() == b.coords();
@@ -86,7 +85,7 @@ pub fn partition(cfg: &ExpConfig) -> String {
             let (_, tc) = time_it(|| {
                 colored_engine.smooth_parallel_colored(&mut named.mesh.clone(), threads)
             });
-            let (_, tp) = time_it(|| part_engine.smooth(&mut named.mesh.clone(), threads));
+            let (_, tp) = time_it(|| resident.smooth(&mut named.mesh.clone(), threads));
             etable.row(vec![
                 named.spec.name.to_string(),
                 threads.to_string(),
@@ -104,7 +103,7 @@ pub fn partition(cfg: &ExpConfig) -> String {
     out.push_str(&etable.render());
     let _ = writeln!(
         out,
-        "\nspeedup = colored / partitioned wall clock; both engines are \
+        "\nspeedup = colored / resident wall clock; both engines are \
          bitwise-deterministic for any thread count."
     );
     out
@@ -226,7 +225,7 @@ mod tests {
         assert!(out.contains("Partition quality"));
         assert!(out.contains("rcb") && out.contains("hilbert") && out.contains("morton"));
         assert!(out.contains("Cut / interface growth"));
-        assert!(out.contains("Partitioned vs colored"));
+        assert!(out.contains("Resident vs colored"));
         assert!(out.contains("true"), "serial-equivalence gate must hold");
     }
 }

@@ -7,7 +7,7 @@ use crate::table::{f, pct, Table};
 use lms_cache::{multicore, MulticoreResult};
 use lms_order::OrderingKind;
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -248,13 +248,11 @@ colored engine bitwise-deterministic across thread counts: {}",
     out
 }
 
-/// The `scaling` experiment: wall-clock thread scaling of the three
-/// deterministic Gauss–Seidel engines — colored (PR-1), partitioned
-/// (PR-2) and resident halo-exchange (PR-3) — on the smart workload,
-/// with a bit-identity gate between the resident engine and serial
-/// Gauss–Seidel under the part-major order. The text/CSV companion of
-/// `bench_scaling.rs` (which tracks the 512² numbers in
-/// `BENCH_scaling.json`).
+/// The `scaling` experiment: wall-clock thread scaling of the two
+/// deterministic Gauss–Seidel engines — colored and resident
+/// halo-exchange — on the smart workload, with a bit-identity gate
+/// between the resident engine and serial Gauss–Seidel under the
+/// part-major order. The text/CSV companion of `bench_scaling.rs`.
 pub fn thread_scaling(cfg: &ExpConfig) -> String {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let meshes = cfg.meshes();
@@ -262,20 +260,11 @@ pub fn thread_scaling(cfg: &ExpConfig) -> String {
         SmoothParams::paper().with_smart(true).with_max_iters(cfg.max_iters.min(10)).with_tol(-1.0);
     let mut table = Table::new(
         format!("Engine thread scaling on this host ({host_cores} cores), smart GS, 8-way rcb"),
-        &[
-            "mesh",
-            "threads",
-            "colored (ms)",
-            "partitioned (ms)",
-            "resident (ms)",
-            "res speedup vs 1t",
-        ],
+        &["mesh", "threads", "colored (ms)", "resident (ms)", "res speedup vs 1t"],
     );
     let mut gate_ok = true;
     for named in meshes.iter().take(2) {
         let colored = SmoothEngine::new(&named.mesh, params.clone());
-        let partitioned =
-            PartitionedEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
         let resident =
             ResidentEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
         // correctness gate: resident == serial part-major GS, bit for bit
@@ -292,7 +281,6 @@ pub fn thread_scaling(cfg: &ExpConfig) -> String {
         for &threads in cfg.threads.iter().filter(|&&t| t <= 8) {
             let (_, tc) =
                 time_it(|| colored.smooth_parallel_colored(&mut named.mesh.clone(), threads));
-            let (_, tp) = time_it(|| partitioned.smooth(&mut named.mesh.clone(), threads));
             let (_, tr) = time_it(|| resident.smooth(&mut named.mesh.clone(), threads));
             let tr_ms = tr.as_secs_f64() * 1e3;
             if threads == 1 {
@@ -306,7 +294,6 @@ pub fn thread_scaling(cfg: &ExpConfig) -> String {
                 named.spec.name.to_string(),
                 threads.to_string(),
                 f(tc.as_secs_f64() * 1e3, 1),
-                f(tp.as_secs_f64() * 1e3, 1),
                 f(tr_ms, 1),
                 speedup,
             ]);

@@ -173,13 +173,13 @@ pub fn tet_scaling(cfg: &ExpConfig) -> String {
 
 /// `scaling3d` — wall-clock thread scaling of the 3D engines over a tet
 /// grid: serial reference vs colored deterministic Gauss–Seidel vs the
-/// partitioned and resident halo-exchange engines (all one generic code
-/// path with the 2D engines since the dimension-generic refactor). Gated
+/// resident halo-exchange engine (all one generic code path with the 2D
+/// engines). Gated
 /// on the bit-identity of the resident sweep with serial part-major 3D
 /// Gauss–Seidel before any timing, exactly like the 2D `scaling`
 /// experiment.
 pub fn scaling3d(cfg: &ExpConfig) -> String {
-    use lms_mesh3d::{PartitionedEngine3, ResidentEngine3, SmoothEngine3};
+    use lms_mesh3d::{ResidentEngine3, SmoothEngine3};
     use lms_part::PartitionMethod;
 
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -191,8 +191,6 @@ pub fn scaling3d(cfg: &ExpConfig) -> String {
 
     let serial = SmoothEngine3::new(&base, params.clone());
     let colored = SmoothEngine3::new(&base, params.clone());
-    let partitioned =
-        PartitionedEngine3::by_method(&base, params.clone(), parts, PartitionMethod::Rcb);
     let resident = ResidentEngine3::by_method(&base, params.clone(), parts, PartitionMethod::Rcb);
 
     // correctness gate: resident == serial part-major 3D GS, bit for bit
@@ -215,18 +213,16 @@ pub fn scaling3d(cfg: &ExpConfig) -> String {
             base.num_vertices(),
             base.num_tets()
         ),
-        &["threads", "serial (ms)", "colored (ms)", "partitioned (ms)", "resident (ms)"],
+        &["threads", "serial (ms)", "colored (ms)", "resident (ms)"],
     );
     let (_, ts) = time_it(|| serial.smooth(&mut base.clone()));
     for &threads in cfg.threads.iter().filter(|&&t| t <= 8) {
         let (_, tc) = time_it(|| colored.smooth_parallel_colored(&mut base.clone(), threads));
-        let (_, tp) = time_it(|| partitioned.smooth(&mut base.clone(), threads));
         let (_, tr) = time_it(|| resident.smooth(&mut base.clone(), threads));
         table.row(vec![
             threads.to_string(),
             f(ts.as_secs_f64() * 1e3, 1),
             f(tc.as_secs_f64() * 1e3, 1),
-            f(tp.as_secs_f64() * 1e3, 1),
             f(tr.as_secs_f64() * 1e3, 1),
         ]);
     }

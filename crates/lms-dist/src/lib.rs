@@ -18,8 +18,9 @@
 //!   [`lms_smooth::ResidentTransport`];
 //! * this crate only *moves bytes*: [`ProcessTransport`] implements the
 //!   five transport operations as frames over pipes, and the
-//!   [`DistResidentEngine`] / [`DistResidentEngine3`] wrappers reuse the
-//!   in-process engines' construction wholesale.
+//!   [`DistResidentEngine`] / [`DistResidentEngine3`] aliases of the one
+//!   [`DistResidentEngineOn`] body reuse the in-process engine's
+//!   construction wholesale.
 //!
 //! Because both transports run the same ranks, route the same coalesced
 //! per-pair batches in the same order and charge the same wire-length
@@ -43,12 +44,9 @@
 //! use lms_part::PartitionMethod;
 //! use lms_smooth::SmoothParams;
 //! let mut mesh = lms_mesh::generators::perturbed_grid(16, 16, 0.35, 1);
-//! let report = lms_dist::smooth_distributed(
-//!     &mut mesh,
-//!     SmoothParams::paper().with_max_iters(4),
-//!     2,
-//!     PartitionMethod::Rcb,
-//! );
+//! let params = SmoothParams::paper().with_max_iters(4);
+//! let engine = lms_dist::DistResidentEngine::by_method(&mesh, params, 2, PartitionMethod::Rcb);
+//! let report = engine.smooth(&mut mesh);
 //! assert!(report.final_quality > report.initial_quality);
 //! let volume = report.exchange.unwrap();
 //! assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
@@ -63,14 +61,11 @@ pub mod transport;
 pub(crate) mod worker;
 
 pub use engines::{
-    smooth_distributed, smooth_distributed3, DistResidentEngine, DistResidentEngine3, FtOptions,
-    TransportMode,
+    DistResidentEngine, DistResidentEngine3, DistResidentEngineOn, FtOptions, TransportMode,
 };
 pub use error::DistError;
 pub use fault::{FaultPlan, FaultPoint, WorkerFault, INJECTED_KILL_EXIT, REFUSED_CONNECT_EXIT};
-pub use socket::{
-    serve_standalone_tet, serve_standalone_tri, Listener, SocketSpec, SocketTransport, Supervisor,
-};
+pub use socket::{serve_standalone, Listener, SocketSpec, SocketTransport, Supervisor};
 pub use transport::ProcessTransport;
 
 pub(crate) mod codec {

@@ -20,8 +20,8 @@
 //!   identifying `Hello` carrying its rank id, so accept order never
 //!   matters: the coordinator parks out-of-order connections and binds
 //!   each stream to its rank.
-//! * **Standalone workers** — [`serve_standalone_tri`] /
-//!   [`serve_standalone_tet`] rebuild the rank engine deterministically
+//! * **Standalone workers** — [`serve_standalone`] serves one rank of a
+//!   resident engine the worker rebuilt deterministically
 //!   from the shared problem parameters (MPI input-deck style: every
 //!   process derives the same partition from the same mesh), connect,
 //!   and serve — the `lms-tool dist-worker` entry point, so ranks can
@@ -42,7 +42,7 @@ use lms_part::wire::{Frame, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
 use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
-use lms_smooth::{ExchangeVolume, FtResidentTransport};
+use lms_smooth::{ExchangeVolume, FtResidentTransport, ResidentEngineOn, SerialHost};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -315,8 +315,8 @@ impl Drop for Listener {
 /// pipes to supervised sockets. Workers are either forked locally and
 /// dial back over the socket ([`spawn_forked`](Self::spawn_forked)) or
 /// external standalone processes — possibly on other hosts — accepted by
-/// rank id ([`listen`](Self::listen) + [`serve_standalone_tri`] /
-/// [`serve_standalone_tet`] on the worker side).
+/// rank id ([`listen`](Self::listen) + [`serve_standalone`] on the
+/// worker side).
 pub struct SocketTransport<'a, const C: usize, D: SmoothDomain<C>> {
     inner: ProcessTransport<'a, C, D>,
 }
@@ -492,20 +492,15 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
     }
 }
 
-/// Connect to a coordinator at `spec` and serve rank `rank` until it
-/// sends `Shutdown`. The rank state is built from the same topology the
-/// coordinator holds — a standalone worker derives it from the shared
-/// problem parameters (same mesh generation, same partition method ⇒
-/// same blocks), MPI input-deck style, so nothing but run state ever
-/// crosses the wire.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_standalone<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    cfg: &DomainConfig,
+/// Connect to a coordinator at `spec` and serve rank `rank` of `engine`
+/// until it sends `Shutdown`. The rank state is built from the same
+/// topology the coordinator holds — a standalone worker constructs the
+/// engine from the shared problem parameters (same mesh generation, same
+/// partition method ⇒ same blocks), MPI input-deck style, so nothing but
+/// run state ever crosses the wire.
+pub fn serve_standalone<const C: usize, E: SerialHost<C>>(
+    engine: &ResidentEngineOn<C, E>,
     rank: u32,
-    block: &ResidentBlock<C>,
-    schedule: &ExchangeSchedule,
-    plan: &MessagePlan,
     spec: &SocketSpec,
     supervisor: &Supervisor,
 ) -> io::Result<()> {
@@ -514,64 +509,22 @@ pub fn serve_standalone<const C: usize, D: SmoothDomain<C>>(
     // coordinator side, whatever order the workers dialled in
     Frame::Hello {
         version: WIRE_VERSION,
-        dim: <D::Point as DomainPoint>::DIM as u8,
+        dim: <E::Point as DomainPoint>::DIM as u8,
         rank,
         profile: false,
     }
     .write_to(&mut output)?;
-    let mut resident = ResidentRank::new(dom, cfg, rank, block, schedule, plan);
+    let dom = engine.engine().domain();
+    let cfg = engine.engine().domain_config();
+    let schedule = engine.exchange_schedule();
+    let plan = MessagePlan::build(schedule);
+    let block = &engine.blocks()[rank as usize];
+    let mut resident = ResidentRank::new(&dom, &cfg, rank, block, schedule, &plan);
     match crate::worker::serve(&mut resident, input, output, &Default::default()) {
         Ok(_) => Ok(()),
         Err(WireError::Io(e)) => Err(e),
         Err(e) => Err(io::Error::other(e.to_string())),
     }
-}
-
-/// [`serve_standalone`] for a triangle-mesh rank rebuilt from a
-/// [`lms_smooth::ResidentEngine`] (the worker constructs the engine from
-/// the same inputs as the coordinator).
-pub fn serve_standalone_tri(
-    engine: &lms_smooth::ResidentEngine,
-    rank: u32,
-    spec: &SocketSpec,
-    supervisor: &Supervisor,
-) -> io::Result<()> {
-    let dom = engine.engine().domain();
-    let cfg = DomainConfig::from(engine.engine().params());
-    let plan = MessagePlan::build(engine.exchange_schedule());
-    serve_standalone(
-        &dom,
-        &cfg,
-        rank,
-        &engine.blocks()[rank as usize],
-        engine.exchange_schedule(),
-        &plan,
-        spec,
-        supervisor,
-    )
-}
-
-/// [`serve_standalone`] for a tetrahedral-mesh rank rebuilt from a
-/// [`lms_mesh3d::ResidentEngine3`].
-pub fn serve_standalone_tet(
-    engine: &lms_mesh3d::ResidentEngine3,
-    rank: u32,
-    spec: &SocketSpec,
-    supervisor: &Supervisor,
-) -> io::Result<()> {
-    let dom = engine.engine().domain();
-    let cfg = engine.engine().params().domain_config();
-    let plan = MessagePlan::build(engine.exchange_schedule());
-    serve_standalone(
-        &dom,
-        &cfg,
-        rank,
-        &engine.blocks()[rank as usize],
-        engine.exchange_schedule(),
-        &plan,
-        spec,
-        supervisor,
-    )
 }
 
 #[cfg(test)]

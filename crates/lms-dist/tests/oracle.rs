@@ -116,17 +116,18 @@ fn single_rank_run_works_and_exchanges_nothing() {
 
 #[test]
 fn engines_sharing_a_decomposition_agree_with_existing_engine_zoo() {
-    // the distributed engine joins the PR-2/PR-3 equivalence class: same
-    // decomposition ⇒ same coordinates as the partitioned engine too
+    // the distributed engine joins the equivalence class of its
+    // decomposition: same coordinates as serial Gauss–Seidel in the
+    // part-major order, on the RCB split the harness times
     let mesh = lms_mesh::generators::perturbed_grid(16, 16, 0.35, 7);
     let params = SmoothParams::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
-    let spec = PartitionMethod::Rcb;
-    let dist_engine = DistResidentEngine::by_method(&mesh, params.clone(), 4, spec);
-    let part_engine = lms_smooth::PartitionedEngine::by_method(&mesh, params, 4, spec);
+    let dist_engine = DistResidentEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb);
+    let serial = SmoothEngine::new(&mesh, params)
+        .with_visit_order(dist_engine.inner().part_major_visit_order());
     let mut a = mesh.clone();
     dist_engine.smooth(&mut a);
     let mut b = mesh.clone();
-    part_engine.smooth(&mut b, 2);
+    serial.smooth(&mut b);
     assert_eq!(a.coords(), b.coords());
 }
 

@@ -29,7 +29,6 @@ pub mod generators;
 pub mod geometry;
 pub mod io;
 pub mod mesh;
-pub mod qcache;
 pub mod quality;
 pub mod refine;
 pub mod suite;
@@ -38,5 +37,4 @@ pub use adjacency::Adjacency;
 pub use boundary::Boundary;
 pub use geometry::Point2;
 pub use mesh::{figure5_mesh, MeshError, TriMesh};
-pub use qcache::QualityCache;
 pub use refine::{refine_levels, refine_midpoint};

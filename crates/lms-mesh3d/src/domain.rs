@@ -5,7 +5,7 @@
 //! [`TetDomain`] is the 3D twin of `lms_smooth::TriDomain`: a borrowed
 //! (adjacency, boundary, connectivity, metric) bundle. With it, the
 //! serial incremental kernel, the colored parallel engine, and the
-//! partitioned/resident halo-exchange engines all run on tetrahedral
+//! resident halo-exchange engine all run on tetrahedral
 //! meshes from the **same generic sweep bodies** as the 2D engines — no
 //! copied code, and the bit-identity arguments (same-class vertices share
 //! no element; part interiors have fully-owned 1-rings) carry over
@@ -75,8 +75,8 @@ impl DomainPoint for Point3 {
 }
 
 /// The tetrahedral domain view: borrowed adjacency + boundary +
-/// connectivity + metric. [`crate::SmoothEngine3`] and the 3D
-/// partitioned/resident engines build one per call.
+/// connectivity + metric. [`crate::SmoothEngine3`] (and the resident
+/// engine it hosts) builds one per call.
 #[derive(Debug, Clone, Copy)]
 pub struct TetDomain<'a> {
     adj: &'a Adjacency3,

@@ -50,7 +50,7 @@ pub use domain::{partition_coords3, partition_tet_mesh, vertex_volume_weights, T
 pub use geometry::Point3;
 pub use mesh::{corner_tet, Mesh3Error, TetMesh};
 pub use order::{apply_permutation3, compute_ordering3, rdr_ordering3, OrderingKind3};
-pub use part3::{smooth_partitioned3, smooth_resident3, PartitionedEngine3, ResidentEngine3};
+pub use part3::ResidentEngine3;
 pub use quality::TetQualityMetric;
 pub use refine::{refine_levels3, refine_midpoint3};
 pub use sfc::{hilbert3_ordering, morton3_ordering};

@@ -13,8 +13,9 @@
 //! gone; only the 3D-specific pieces (parameters, the static-chunk Jacobi
 //! engine, the colored class computation) remain.
 //!
-//! Partitioned and resident (halo-exchange) smoothing over a tet-mesh
-//! decomposition live in [`crate::part3`].
+//! Resident (halo-exchange) smoothing over a tet-mesh decomposition is
+//! [`crate::part3::ResidentEngine3`]: the generic resident engine hosted
+//! by this engine through its [`lms_smooth::SerialHost`] impl.
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
@@ -24,18 +25,11 @@ use crate::quality::{mesh_quality, TetQualityMetric};
 use lms_smooth::domain::DomainConfig;
 use lms_smooth::stats::{IterationStats, SmoothReport};
 use lms_smooth::trace::{AccessSink, NullSink};
-use lms_smooth::{UpdateScheme, Weighting};
+use lms_smooth::Weighting;
 use rayon::prelude::*;
 
-/// Update scheme for the 3D sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateScheme3 {
-    /// In-place: later vertices in the sweep see already-moved neighbours.
-    #[default]
-    GaussSeidel,
-    /// Double-buffered: every vertex reads the previous sweep's positions.
-    Jacobi,
-}
+/// Update scheme for the 3D sweep — the 2D engine's, under its 3D name.
+pub use lms_smooth::UpdateScheme as UpdateScheme3;
 
 /// Parameters of a 3D smoothing run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,10 +112,7 @@ impl SmoothParams3 {
         DomainConfig {
             tol: self.tol,
             max_iters: self.max_iters,
-            update: match self.update {
-                UpdateScheme3::GaussSeidel => UpdateScheme::GaussSeidel,
-                UpdateScheme3::Jacobi => UpdateScheme::Jacobi,
-            },
+            update: self.update,
             smart: self.smart,
             weighting: Weighting::Uniform,
             scalar_scoring: self.scalar_scoring,
@@ -144,7 +135,7 @@ pub struct SmoothEngine3 {
     colored_classes: std::sync::OnceLock<Vec<Vec<u32>>>,
     /// Cached persistent worker pool: the parallel engines spawn OS
     /// threads once per engine lifetime, not once per `smooth()` call.
-    pub(crate) pool: lms_smooth::PoolCache,
+    pool: lms_smooth::PoolCache,
 }
 
 impl SmoothEngine3 {
@@ -210,7 +201,7 @@ impl SmoothEngine3 {
 
     /// Replace the sweep visit order (the 3D twin of the 2D engine's
     /// iteration-reordering hook, and the serial-equivalence oracle for
-    /// the partitioned/resident 3D engines). Non-interior vertices in
+    /// the resident 3D engine). Non-interior vertices in
     /// `order` are dropped; each interior vertex must appear exactly once.
     pub fn with_visit_order(mut self, order: Vec<u32>) -> Self {
         let filtered: Vec<u32> =
@@ -369,6 +360,51 @@ impl SmoothEngine3 {
             mesh.coords_mut(),
             &pool,
         )
+    }
+}
+
+impl lms_smooth::SerialHost<4> for SmoothEngine3 {
+    type Mesh = TetMesh;
+    type Adjacency = Adjacency3;
+    type Params = SmoothParams3;
+    type Point = Point3;
+    type Domain<'a> = crate::domain::TetDomain<'a>;
+
+    fn build_adjacency(mesh: &TetMesh) -> Adjacency3 {
+        Adjacency3::build(mesh)
+    }
+
+    fn partition(
+        mesh: &TetMesh,
+        adj: &Adjacency3,
+        num_parts: usize,
+        method: lms_part::PartitionMethod,
+    ) -> lms_part::Partition {
+        crate::domain::partition_tet_mesh(mesh, adj, num_parts, method)
+    }
+
+    fn with_adjacency(mesh: &TetMesh, adj: Adjacency3, params: SmoothParams3) -> Self {
+        SmoothEngine3::with_adjacency(mesh, adj, params)
+    }
+
+    fn coords_mut(mesh: &mut TetMesh) -> &mut [Point3] {
+        mesh.coords_mut()
+    }
+
+    fn domain(&self) -> crate::domain::TetDomain<'_> {
+        self.domain()
+    }
+
+    fn domain_config(&self) -> DomainConfig {
+        self.params.domain_config()
+    }
+
+    fn interior_color_classes(&self) -> &[Vec<u32>] {
+        self.interior_color_classes()
+    }
+
+    fn pool(&self) -> &lms_smooth::PoolCache {
+        &self.pool
     }
 }
 

@@ -14,8 +14,8 @@
 
 use lms_mesh3d::generators::{perturbed_tet_grid, tet_grid};
 use lms_mesh3d::{
-    partition_tet_mesh, Adjacency3, Boundary3, PartitionedEngine3, Point3, ResidentEngine3,
-    SmoothEngine3, SmoothParams3, TetMesh,
+    partition_tet_mesh, Adjacency3, Boundary3, Point3, ResidentEngine3, SmoothEngine3,
+    SmoothParams3, TetMesh,
 };
 use lms_part::{Partition, PartitionMethod};
 use lms_smooth::SmoothDomain;
@@ -40,13 +40,6 @@ fn by_method_equals_new_over_the_same_partition() {
         assert_eq!(by_method.elem_weights(), new.elem_weights());
         assert_eq!(by_method.interface_classes(), new.interface_classes());
         assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
-
-        let by_method = PartitionedEngine3::by_method(&mesh, params(), 5, method);
-        let new = PartitionedEngine3::new(&mesh, params(), partition.clone());
-        assert_eq!(by_method.partition(), &partition, "{}", method.name());
-        assert_eq!(by_method.engine().adjacency(), &adj);
-        assert_eq!(by_method.interface_classes(), new.interface_classes());
-        assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
     }
 }
 
@@ -65,9 +58,6 @@ fn with_adjacency_uses_the_adjacency_it_is_handed() {
     assert_eq!(serial.adjacency(), &handed);
 
     let partition = partition_tet_mesh(&mesh, &handed, 3, PartitionMethod::Rcb);
-    let partitioned =
-        PartitionedEngine3::with_adjacency(&mesh, handed.clone(), params(), partition.clone());
-    assert_eq!(partitioned.engine().adjacency(), &handed);
     let resident = ResidentEngine3::with_adjacency(&mesh, handed.clone(), params(), partition);
     assert_eq!(resident.engine().adjacency(), &handed);
 }
@@ -77,15 +67,11 @@ fn with_adjacency_rejects_an_adjacency_of_another_size() {
     let mesh = tet_grid(3, 3, 3);
     let small = Adjacency3::build(&tet_grid(2, 2, 2));
     let partition = partition_tet_mesh(&mesh, &Adjacency3::build(&mesh), 2, PartitionMethod::Rcb);
-    let builds: [Box<dyn Fn()>; 3] = [
+    let builds: [Box<dyn Fn()>; 2] = [
         Box::new(|| drop(SmoothEngine3::with_adjacency(&mesh, small.clone(), params()))),
         Box::new(|| {
             let partition = partition.clone();
             drop(ResidentEngine3::with_adjacency(&mesh, small.clone(), params(), partition))
-        }),
-        Box::new(|| {
-            let partition = partition.clone();
-            drop(PartitionedEngine3::with_adjacency(&mesh, small.clone(), params(), partition))
         }),
     ];
     for build in builds {

@@ -1,11 +1,9 @@
-//! Property tests for the 3D partitioned/resident halo-exchange engines —
-//! the acceptance gate of the dimension-generic refactor:
+//! Property tests for the 3D resident halo-exchange engine — the
+//! acceptance gate of the dimension-generic refactor:
 //!
 //! * 3D `ResidentEngine3` output is **bit-identical** to serial
 //!   part-major 3D Gauss–Seidel, across threads {1, 2, 4} × parts
 //!   {2, 4, 8}, smart and plain, every partition method;
-//! * resident and partitioned 3D engines agree bit for bit over the same
-//!   decomposition;
 //! * the residency invariant holds in 3D exactly as in 2D:
 //!   `full_gathers == 1 && full_scatters == 1` for any sweep count, one
 //!   exchange round per color step, per-round traffic bounded by the
@@ -13,9 +11,36 @@
 //! * repeated smooths on one engine spawn no further OS threads
 //!   (persistent-pool regression, via `rayon::spawned_thread_count`).
 
-use lms_mesh3d::{PartitionedEngine3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh};
+use lms_mesh3d::{ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh};
 use lms_part::PartitionMethod;
+use lms_smooth::{ResidentEngineOn, SerialHost};
 use proptest::prelude::*;
+
+/// Written against the [`SerialHost`] seam, not a dimension: the resident
+/// engine over any host gathers once, scatters once, and produces the same
+/// coordinates and the same report (exchange accounting included) at 1, 2
+/// and 4 threads. `lms-smooth/tests/resident.rs` instantiates the same
+/// body for the triangle-mesh `SmoothEngine`.
+fn assert_deterministic_across_threads<const C: usize, E: SerialHost<C>>(
+    mesh: &E::Mesh,
+    params: E::Params,
+    num_parts: usize,
+    method: PartitionMethod,
+) where
+    E::Mesh: Clone,
+{
+    let engine = ResidentEngineOn::<C, E>::by_method(mesh, params, num_parts, method);
+    let mut one = mesh.clone();
+    let r1 = engine.smooth(&mut one, 1);
+    let volume = r1.exchange.expect("resident runs report exchange accounting");
+    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
+    for threads in [2usize, 4] {
+        let mut multi = mesh.clone();
+        let rt = engine.smooth(&mut multi, threads);
+        assert_eq!(E::coords_mut(&mut one), E::coords_mut(&mut multi), "threads={threads}");
+        assert_eq!(r1, rt, "threads={threads}");
+    }
+}
 
 fn arb_mesh() -> impl Strategy<Value = TetMesh> {
     (4usize..8, 4usize..8, 4usize..8, 0u64..1000, 0..40u32).prop_map(|(nx, ny, nz, seed, jit)| {
@@ -38,17 +63,9 @@ proptest! {
         k_ix in 0usize..3, method_ix in 0usize..4,
     ) {
         let params = SmoothParams3::paper().with_smart(smart).with_max_iters(iters);
-        let engine = ResidentEngine3::by_method(
+        assert_deterministic_across_threads::<4, SmoothEngine3>(
             &mesh, params, PARTS[k_ix], PartitionMethod::ALL[method_ix],
         );
-        let mut one = mesh.clone();
-        let r1 = engine.smooth(&mut one, 1);
-        for threads in [2usize, 4] {
-            let mut multi = mesh.clone();
-            let rt = engine.smooth(&mut multi, threads);
-            prop_assert_eq!(one.coords(), multi.coords(), "threads={}", threads);
-            prop_assert_eq!(&r1, &rt, "threads={}", threads);
-        }
     }
 
     /// The 3D resident sweep is *exactly* serial 3D Gauss–Seidel under
@@ -78,36 +95,6 @@ proptest! {
         serial.smooth(&mut ser);
 
         prop_assert_eq!(par.coords(), ser.coords());
-    }
-
-    /// Resident and partitioned 3D engines are bit-identical over the
-    /// same decomposition: the residency protocol changes the data
-    /// movement, not one bit of the arithmetic — in 3D exactly as in 2D,
-    /// because both are the same generic code path.
-    #[test]
-    fn resident3_equals_partitioned3(
-        mesh in arb_mesh(), smart in any::<bool>(), iters in 1usize..4,
-        k_ix in 0usize..3, method_ix in 0usize..4,
-    ) {
-        let params = SmoothParams3::paper()
-            .with_smart(smart)
-            .with_max_iters(iters)
-            .with_tol(-1.0);
-        let method = PartitionMethod::ALL[method_ix];
-        let resident = ResidentEngine3::by_method(&mesh, params.clone(), PARTS[k_ix], method);
-        let partitioned = PartitionedEngine3::by_method(&mesh, params, PARTS[k_ix], method);
-
-        let mut a = mesh.clone();
-        resident.smooth(&mut a, 2);
-        let mut b = mesh.clone();
-        partitioned.smooth(&mut b, 2);
-
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(
-            resident.part_major_visit_order(),
-            partitioned.part_major_visit_order(),
-            "both engines must expose one serial-equivalence order"
-        );
     }
 
     /// The residency invariant in 3D: one full gather, one full scatter,

@@ -8,8 +8,8 @@
 //! number of lane blocks.
 
 use lms_mesh3d::{
-    Adjacency3, Boundary3, PartitionedEngine3, ResidentEngine3, SmoothEngine3, SmoothParams3,
-    TetDomain, TetMesh, TetQualityMetric, UpdateScheme3,
+    Adjacency3, Boundary3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetDomain, TetMesh,
+    TetQualityMetric, UpdateScheme3,
 };
 use lms_part::PartitionMethod;
 use lms_smooth::domain::SmoothDomain;
@@ -90,7 +90,7 @@ fn ragged_mesh(seed: u64) -> TetMesh {
 /// Default scoring == `scalar_scoring`, coordinates and reports, on the
 /// 26-tet stars of [`ragged_mesh`]: the serial kernel (Gauss–Seidel and
 /// Jacobi — `SmoothEngine3::smooth` runs the reference path, so the
-/// kernel is driven directly), partitioned and resident.
+/// kernel is driven directly) and resident.
 #[test]
 fn ragged_stars_batched_equals_scalar_on_every_engine3() {
     for seed in [2u64, 11] {
@@ -121,13 +121,6 @@ fn ragged_stars_batched_equals_scalar_on_every_engine3() {
         }
 
         let scalar = params.clone().with_scalar_scoring(true);
-        let run = |p: &SmoothParams3| {
-            let mut m = mesh.clone();
-            let report = PartitionedEngine3::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
-                .smooth(&mut m, 2);
-            (m, report)
-        };
-        assert_eq!(run(&params), run(&scalar), "partitioned, seed {seed}");
         let run = |p: &SmoothParams3| {
             let mut m = mesh.clone();
             let report = ResidentEngine3::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)

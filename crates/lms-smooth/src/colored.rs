@@ -58,8 +58,8 @@ struct ClassMove<P> {
 /// One plain color-class step: candidates in parallel from the pre-class
 /// coordinates, then a serial commit pass (class vertices are mutually
 /// non-adjacent, so the snapshot equals what serial Gauss–Seidel would
-/// read). Shared with the partitioned engine's interface phase.
-pub(crate) fn colored_class_plain_on<const C: usize, D: SmoothDomain<C>>(
+/// read).
+fn colored_class_plain_on<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     weighting: crate::config::Weighting,
     class: &[u32],
@@ -94,9 +94,8 @@ pub(crate) fn colored_class_plain_on<const C: usize, D: SmoothDomain<C>>(
 /// quality-guard decision in parallel (reads only pre-class state), then
 /// a serial commit pass that re-scores each committed star once to keep
 /// the cache coherent for the next class (see [`ClassMove`] for why the
-/// guard's scores are not carried over). Shared with the partitioned
-/// engine's interface phase.
-pub(crate) fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
+/// guard's scores are not carried over).
+fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     weighting: crate::config::Weighting,
     class: &[u32],
@@ -275,13 +274,4 @@ impl SmoothEngine {
             &pool,
         )
     }
-}
-
-/// Convenience: build an engine and run the colored parallel smoother.
-pub fn smooth_parallel_colored(
-    mesh: &mut TriMesh,
-    params: &crate::config::SmoothParams,
-    num_threads: usize,
-) -> SmoothReport {
-    SmoothEngine::new(mesh, params.clone()).smooth_parallel_colored(mesh, num_threads)
 }

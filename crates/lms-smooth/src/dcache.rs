@@ -1,16 +1,51 @@
 //! The dimension-generic incremental element-quality cache — the
-//! [`lms_mesh::QualityCache`] protocol lifted onto [`SmoothDomain`].
+//! smoothing hot path's answer to "what did this move do to the mesh
+//! quality?".
 //!
-//! Identical bookkeeping to the 2D original (see its module docs for the
-//! derivation): per-element raw quality `q` and orientation-guarded
-//! quality `g`, constant weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the
-//! linear global-quality functional, a Neumaier-compensated running
-//! weighted sum for O(1) convergence tests, an epoch-stamped dirty set
-//! for deferred re-scores, and a canonical-order exact reduction for
-//! reported values. Every update expression is ported verbatim, so on a
-//! triangle domain the cache's states — running sum included — are
-//! bit-identical to the 2D `QualityCache`'s, which is what keeps the
-//! refactored engines' reports pinned to their PR-1..3 behaviour.
+//! Walking every element and every vertex once per sweep (as a naive
+//! Algorithm 1 does for its convergence test) makes the *bookkeeping*
+//! cost O(T) per iteration even when only a handful of vertices moved.
+//! But a vertex move can only change the quality of its incident
+//! elements, and the global quality is a fixed linear functional of the
+//! per-element qualities:
+//!
+//! ```text
+//! mesh_quality = (1/V) · Σ_v (Σ_{t ∋ v} q_t) / deg_t(v)
+//!              = (1/V) · Σ_t q_t · w_t      with w_t = Σ_{v ∈ t} 1/deg_t(v)
+//! ```
+//!
+//! [`DomainQualityCache`] stores each element's current quality twice —
+//! the raw value `q` (what the global statistic sums) and the
+//! orientation-guarded value `g` (`0` when the element is inverted; what
+//! the smart-smoothing commit test averages) — plus the constant weights
+//! `w_t` and the running weighted sum with Neumaier compensation. Every
+//! supported metric scores a positively oriented element strictly
+//! positive, so `g` is zero **iff** the element is degenerate or inverted
+//! and orientation needs no separate storage.
+//!
+//! Engines update it three ways:
+//!
+//! * **immediately** ([`set_star`](DomainQualityCache::set_star)) when the
+//!   new element values are already in hand — the smart Gauss–Seidel
+//!   sweep computes them for its commit test anyway;
+//! * **by moved-vertex list**
+//!   ([`apply_moves`](DomainQualityCache::apply_moves)) when moves commit
+//!   without evaluation (plain sweeps, Jacobi sweeps where an element can
+//!   have several moved corners): a sparse move set re-scores the
+//!   incident elements once each, a dense one falls back to a sequential
+//!   full re-score ([`rescore_all`](DomainQualityCache::rescore_all));
+//! * **lazily** ([`mark_dirty`](DomainQualityCache::mark_dirty) +
+//!   [`flush_dirty`](DomainQualityCache::flush_dirty)) for callers that
+//!   know exactly which elements changed.
+//!
+//! Two quality read-outs with different contracts:
+//! [`quality_running`](DomainQualityCache::quality_running) is O(1) and
+//! within a few ulps of the truth (compensated summation) — right for
+//! per-iteration convergence tests;
+//! [`quality_exact`](DomainQualityCache::quality_exact) re-reduces the
+//! cached per-element values in the canonical order of the domain's
+//! `mesh_quality` and is **bit-identical** to a from-scratch recompute —
+//! right for reported final qualities and for tests.
 
 use crate::domain::SmoothDomain;
 use crate::soa::score_elements_batched;
@@ -107,7 +142,7 @@ impl DomainQualityCache {
     /// Batch update for one vertex star: `scores[k]` is the fresh
     /// `(quality, positively_oriented)` of element `ts[k]`. Deltas are
     /// accumulated plainly and folded into the running sum with a single
-    /// compensated add — exactly `QualityCache::set_star`.
+    /// compensated add.
     #[inline]
     pub fn set_star(&mut self, ts: &[u32], scores: &[(f64, bool)]) {
         debug_assert_eq!(ts.len(), scores.len());
@@ -264,75 +299,38 @@ mod tests {
     use super::*;
     use crate::domain::TriDomain;
     use lms_mesh::quality::{mesh_quality, QualityMetric};
-    use lms_mesh::{generators, Adjacency, Boundary, Point2, QualityCache, TriMesh};
+    use lms_mesh::{generators, Adjacency, Boundary, Point2};
 
-    fn setup(seed: u64) -> (TriMesh, Adjacency, Boundary) {
-        let m = generators::perturbed_grid(14, 14, 0.35, seed);
+    /// Build a cache, move the first `take` interior vertices, fold the
+    /// moves in with `apply_moves`: the exact quality must equal a
+    /// from-scratch `mesh_quality` before and after, bit for bit.
+    fn moves_match_scratch(take: usize) {
+        let mut m = generators::perturbed_grid(14, 14, 0.35, 7);
         let adj = Adjacency::build(&m);
         let b = Boundary::detect(&m);
-        (m, adj, b)
-    }
-
-    /// The generic cache must mirror the 2D `QualityCache` bit for bit:
-    /// same exact quality, same running sum, through builds and updates.
-    #[test]
-    fn generic_cache_matches_2d_cache_bitwise() {
-        for seed in [1u64, 5, 9] {
-            let (mut m, adj, b) = setup(seed);
-            let metric = QualityMetric::EdgeLengthRatio;
-            let tris: Vec<[u32; 3]> = m.triangles().to_vec();
-            let dom = TriDomain::new(&adj, &b, &tris, metric);
-            let mut gen_cache = DomainQualityCache::build(&dom, m.coords());
-            let mut cache2d = QualityCache::build(&m, &adj, metric);
-            assert_eq!(
-                gen_cache.quality_exact(&dom).to_bits(),
-                cache2d.quality_exact(&adj).to_bits()
-            );
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
-
-            // move a batch of interior vertices, update both caches by the
-            // moved list, compare again
-            let movers: Vec<u32> =
-                (0..m.num_vertices() as u32).filter(|&v| b.is_interior(v)).take(25).collect();
-            for (k, &v) in movers.iter().enumerate() {
-                let p = m.coords()[v as usize];
-                let s = if k % 2 == 0 { 0.03 } else { -0.02 };
-                m.coords_mut()[v as usize] = Point2::new(p.x + s, p.y - s * 0.5);
-            }
-            gen_cache.apply_moves(&dom, &movers, m.coords());
-            cache2d.apply_moves(&movers, &adj, m.coords(), &tris);
-            assert_eq!(
-                gen_cache.quality_exact(&dom).to_bits(),
-                cache2d.quality_exact(&adj).to_bits()
-            );
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
-            let fresh = mesh_quality(&m, &adj, metric);
-            assert_eq!(gen_cache.quality_exact(&dom).to_bits(), fresh.to_bits());
-
-            // star update parity
-            let v = movers[0];
-            let ts = adj.triangles_of(v);
-            let scores: Vec<(f64, bool)> =
-                ts.iter().map(|&t| dom.score(m.coords(), tris[t as usize])).collect();
-            gen_cache.set_star(ts, &scores);
-            cache2d.set_star(ts, &scores);
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
-        }
-    }
-
-    #[test]
-    fn dense_moves_stream_rescore() {
-        let (mut m, adj, b) = setup(7);
+        let metric = QualityMetric::EdgeLengthRatio;
         let tris: Vec<[u32; 3]> = m.triangles().to_vec();
-        let dom = TriDomain::new(&adj, &b, &tris, QualityMetric::EdgeLengthRatio);
+        let dom = TriDomain::new(&adj, &b, &tris, metric);
         let mut cache = DomainQualityCache::build(&dom, m.coords());
-        let movers: Vec<u32> = (0..m.num_vertices() as u32).filter(|&v| b.is_interior(v)).collect();
+        assert_eq!(cache.quality_exact(&dom).to_bits(), mesh_quality(&m, &adj, metric).to_bits());
+        let movers: Vec<u32> =
+            (0..m.num_vertices() as u32).filter(|&v| b.is_interior(v)).take(take).collect();
         for &v in &movers {
             let p = m.coords()[v as usize];
             m.coords_mut()[v as usize] = Point2::new(p.x + 0.011, p.y + 0.007);
         }
         cache.apply_moves(&dom, &movers, m.coords());
-        let fresh = mesh_quality(&m, &adj, QualityMetric::EdgeLengthRatio);
-        assert_eq!(cache.quality_exact(&dom).to_bits(), fresh.to_bits());
+        assert_eq!(cache.quality_exact(&dom).to_bits(), mesh_quality(&m, &adj, metric).to_bits());
+        assert!((cache.quality_running() - cache.quality_exact(&dom)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_moves_stream_rescore() {
+        moves_match_scratch(usize::MAX);
+    }
+
+    #[test]
+    fn sparse_moves_rescore_incident_elements() {
+        moves_match_scratch(25);
     }
 }

@@ -8,10 +8,9 @@
 //! mask, and CSR adjacency access. [`SmoothDomain`] abstracts those five
 //! behind one trait, const-generic in the element corner count `C`
 //! (3 for triangles, 4 for tetrahedra), so the serial incremental kernel
-//! ([`crate::kernel`]), the colored parallel engine ([`crate::colored`]),
-//! the partitioned engine ([`crate::partitioned`]) and the resident
-//! halo-exchange engine ([`crate::resident`]) each have **one** generic
-//! sweep body instead of a per-dimension copy.
+//! ([`crate::kernel`]), the colored parallel engine ([`crate::colored`])
+//! and the resident halo-exchange engine ([`crate::resident`]) each have
+//! **one** generic sweep body instead of a per-dimension copy.
 //!
 //! The canonical coordinate type of the layer is the const-generic array
 //! `[f64; D]` (a blanket [`DomainPoint`] impl covers every `D`);
@@ -20,8 +19,8 @@
 //! arithmetic the pre-refactor 2D engines ran — coordinates stay
 //! **bit-identical**, which the unmodified PR-1..3 property suites pin.
 //! `lms-mesh3d` implements the trait for `Point3`/`TetMesh`, which is how
-//! the partitioned and resident engines (and their `ExchangeSchedule`
-//! counters) land in 3D without a second copy of any sweep.
+//! the resident engine (and its `ExchangeSchedule` counters) lands in 3D
+//! without a second copy of any sweep.
 //!
 //! Concretely, a domain view is a borrowed bundle of (adjacency,
 //! boundary, element connectivity, quality metric): [`TriDomain`] here,
@@ -182,8 +181,8 @@ pub trait SmoothDomain<const C: usize>: Sync {
     type Point: DomainPoint;
 
     /// Structure-of-arrays coordinate store of the domain (a
-    /// [`SoaCoords`] of the right dimension) — what the resident and
-    /// partitioned sweep scratches hold internally, and what
+    /// [`SoaCoords`] of the right dimension) — what the resident sweep
+    /// scratch holds internally, and what
     /// [`score_star`](Self::score_star) consumes.
     type Soa: SoaLike<Self::Point>;
 
@@ -891,6 +890,8 @@ mod tests {
         }
     }
 
+    /// `score` / `score_with` are exactly the metric plus the orientation
+    /// test, evaluated from scratch on the (substituted) corner points.
     #[test]
     fn tri_domain_scoring_matches_quality_cache() {
         let m = generators::perturbed_grid(9, 9, 0.3, 3);
@@ -898,15 +899,17 @@ mod tests {
         let boundary = Boundary::detect(&m);
         let metric = QualityMetric::EdgeLengthRatio;
         let dom = TriDomain::new(&adj, &boundary, m.triangles(), metric);
+        let direct =
+            |[a, b, c]: [Point2; 3]| (metric.triangle_quality(a, b, c), signed_area(a, b, c) > 0.0);
         for (t, &tri) in m.triangles().iter().enumerate() {
             let (qa, pa) = dom.score(m.coords(), tri);
-            let (qb, pb) = lms_mesh::QualityCache::score(metric, m.coords(), tri);
+            let (qb, pb) = direct(tri.map(|c| m.coords()[c as usize]));
             assert_eq!(qa.to_bits(), qb.to_bits(), "triangle {t}");
             assert_eq!(pa, pb);
             let v = tri[0];
             let moved = Point2::new(0.123, 0.456);
             let (qa, pa) = dom.score_with(m.coords(), tri, v, moved);
-            let (qb, pb) = lms_mesh::QualityCache::score_with(metric, m.coords(), tri, v, moved);
+            let (qb, pb) = direct(tri.map(|c| if c == v { moved } else { m.coords()[c as usize] }));
             assert_eq!(qa.to_bits(), qb.to_bits());
             assert_eq!(pa, pb);
         }

@@ -16,10 +16,9 @@ use lms_mesh::{Adjacency, Boundary, TriMesh};
 /// the mesh (or any mesh with identical connectivity — e.g. a re-smoothing
 /// after further perturbation) without re-deriving topology.
 ///
-/// The triangle connectivity is held behind an [`Arc`]: cloning the engine
-/// (or handing the connectivity to the colored parallel engine or an
-/// external [`lms_mesh::QualityCache`] consumer) shares one allocation
-/// instead of copying the array per engine.
+/// The triangle connectivity is held behind an [`std::sync::Arc`]:
+/// cloning the engine shares one allocation instead of copying the array
+/// per engine.
 #[derive(Debug, Clone)]
 pub struct SmoothEngine {
     pub(crate) params: SmoothParams,
@@ -75,9 +74,9 @@ impl SmoothEngine {
                 greedy_visit_order(&adj, &boundary, &q)
             }
         };
-        // only the smart sweeps read the star layout; skip the O(3T)
-        // binary-search construction for plain engines
-        let star = if params.smart {
+        // only the smart scalar-scoring sweeps read the star layout; skip
+        // the O(3T) binary-search construction for every other engine
+        let star = if params.smart && params.scalar_scoring {
             let dom =
                 crate::domain::TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
             crate::domain::build_star_layout_on(&dom).map(Into::into)
@@ -99,7 +98,7 @@ impl SmoothEngine {
     /// The engine's [`crate::domain::SmoothDomain`] view: the borrowed
     /// (adjacency, boundary, connectivity, metric) bundle every generic
     /// sweep in [`crate::kernel`] / [`crate::colored`] /
-    /// [`crate::partitioned`] / [`crate::resident`] runs against.
+    /// [`crate::resident`] runs against.
     pub fn domain(&self) -> crate::domain::TriDomain<'_> {
         crate::domain::TriDomain::new(
             &self.adj,
@@ -200,7 +199,7 @@ impl SmoothEngine {
     ///
     /// Runs the incremental-quality hot path (see [`crate::kernel`]): the
     /// per-iteration convergence statistics and the smart-commit "before"
-    /// qualities come from an [`lms_mesh::QualityCache`] that re-scores
+    /// qualities come from a [`crate::DomainQualityCache`] that re-scores
     /// only the triangles a move touched, instead of recomputing the whole
     /// mesh quality every sweep. Produces bit-identical coordinates to
     /// [`smooth_full_recompute`](Self::smooth_full_recompute) for any
@@ -387,6 +386,51 @@ impl SmoothEngine {
             }
             self.trace_quality_update(v, tri_base, sink);
         }
+    }
+}
+
+impl crate::resident::SerialHost<3> for SmoothEngine {
+    type Mesh = TriMesh;
+    type Adjacency = Adjacency;
+    type Params = SmoothParams;
+    type Point = Point2;
+    type Domain<'a> = crate::domain::TriDomain<'a>;
+
+    fn build_adjacency(mesh: &TriMesh) -> Adjacency {
+        Adjacency::build(mesh)
+    }
+
+    fn partition(
+        mesh: &TriMesh,
+        adj: &Adjacency,
+        num_parts: usize,
+        method: lms_part::PartitionMethod,
+    ) -> lms_part::Partition {
+        lms_part::partition_mesh(mesh, adj, num_parts, method)
+    }
+
+    fn with_adjacency(mesh: &TriMesh, adj: Adjacency, params: SmoothParams) -> Self {
+        SmoothEngine::with_adjacency(mesh, adj, params)
+    }
+
+    fn coords_mut(mesh: &mut TriMesh) -> &mut [Point2] {
+        mesh.coords_mut()
+    }
+
+    fn domain(&self) -> crate::domain::TriDomain<'_> {
+        self.domain()
+    }
+
+    fn domain_config(&self) -> crate::domain::DomainConfig {
+        (&self.params).into()
+    }
+
+    fn interior_color_classes(&self) -> &[Vec<u32>] {
+        self.interior_color_classes()
+    }
+
+    fn pool(&self) -> &crate::pool::PoolCache {
+        &self.pool
     }
 }
 

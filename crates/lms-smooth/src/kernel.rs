@@ -782,25 +782,4 @@ impl SmoothEngine {
         };
         kernel.run(mesh.coords_mut())
     }
-
-    /// [`smooth`](Self::smooth) with the pre-SoA per-element scalar
-    /// scoring path forced. Bit-identical to the default lane-batched
-    /// run — kept as the before/after baseline of the `kernel_soa`
-    /// benches and the SoA property suites.
-    pub fn smooth_scalar_scoring(&self, mesh: &mut TriMesh) -> SmoothReport {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let dom = self.domain();
-        let kernel = SerialKernel {
-            dom: &dom,
-            cfg: DomainConfig::from(&self.params),
-            visit: &self.visit,
-            star: self.star.as_deref(),
-            scalar_scoring: true,
-        };
-        kernel.run(mesh.coords_mut())
-    }
 }

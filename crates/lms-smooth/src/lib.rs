@@ -13,11 +13,12 @@
 //!   Gauss–Seidel: race-free **and** bitwise-deterministic for any thread
 //!   count, driven by the same incremental quality cache as the serial
 //!   hot path;
-//! * [`PartitionedEngine::smooth`] — domain-decomposed in-place
-//!   Gauss–Seidel over an `lms-part` decomposition: part interiors sweep
-//!   as contiguous cache-resident blocks fully in parallel, interface
-//!   vertices run through the colored machinery; bitwise-deterministic
-//!   and exactly serial Gauss–Seidel under the part-major visit order;
+//! * [`ResidentEngine::smooth`] — domain-decomposed in-place
+//!   Gauss–Seidel over an `lms-part` decomposition: every part's block
+//!   stays resident for the whole run, part interiors sweep fully in
+//!   parallel, interface vertices step through the global color classes
+//!   with moved-only halo deltas in between; bitwise-deterministic and
+//!   exactly serial Gauss–Seidel under the part-major visit order;
 //! * [`SmoothEngine::smooth_traced`] — any serial configuration while
 //!   streaming every vertex-record access to an [`AccessSink`], feeding the
 //!   reuse-distance and cache analyses of `lms-cache`.
@@ -27,8 +28,9 @@
 //! with the [`dcache::DomainQualityCache`] carrying the incremental
 //! quality protocol): the 2D `TriMesh` instantiations live here, and
 //! `lms-mesh3d` instantiates the *same* sweep bodies for tetrahedra —
-//! `SmoothEngine3`, `PartitionedEngine3` and `ResidentEngine3` are thin
-//! wrappers, not copies.
+//! `SmoothEngine3` is a thin wrapper, and `ResidentEngine3` is a type
+//! alias of the one [`ResidentEngineOn`] body, through the
+//! [`SerialHost`] seam.
 //!
 //! ```
 //! use lms_smooth::SmoothParams;
@@ -55,7 +57,6 @@ pub mod trace;
 pub mod transport;
 pub mod weighting;
 
-pub use colored::smooth_parallel_colored;
 pub use config::{IterationPolicy, SmoothParams, UpdateScheme, Weighting};
 pub use dcache::DomainQualityCache;
 pub use domain::{
@@ -64,11 +65,10 @@ pub use domain::{
 };
 pub use engine::SmoothEngine;
 pub use greedy::greedy_visit_order;
-pub use parallel::{parallel_mesh_quality, smooth_parallel};
-pub use partitioned::{smooth_partitioned, PartitionedEngine};
+pub use parallel::parallel_mesh_quality;
 pub use pool::PoolCache;
 pub use rebalance::{sweep_spread, AutoRebalanceEngine, RebalancePolicy};
-pub use resident::{smooth_resident, PairBatch, ResidentEngine, ResidentRank};
+pub use resident::{PairBatch, ResidentEngine, ResidentEngineOn, ResidentRank, SerialHost};
 pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, SoaScores, LANES};
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};

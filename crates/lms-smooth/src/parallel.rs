@@ -15,7 +15,6 @@
 //!   Rust memory model, merely non-deterministic in its floating-point
 //!   outcome.
 
-use crate::config::SmoothParams;
 use crate::engine::SmoothEngine;
 use crate::stats::{IterationStats, SmoothReport};
 use crate::weighting::weighted_candidate;
@@ -202,19 +201,10 @@ impl SmoothEngine {
     }
 }
 
-/// Convenience: build an engine and smooth in parallel in one call.
-pub fn smooth_parallel(
-    mesh: &mut TriMesh,
-    params: &SmoothParams,
-    num_threads: usize,
-) -> SmoothReport {
-    SmoothEngine::new(mesh, params.clone()).smooth_parallel(mesh, num_threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UpdateScheme;
+    use crate::config::{SmoothParams, UpdateScheme};
     use lms_mesh::generators;
 
     #[test]
@@ -269,7 +259,7 @@ mod tests {
     fn single_thread_parallel_equals_more_threads() {
         let m0 = generators::perturbed_grid(10, 10, 0.3, 3);
         let mut one = m0.clone();
-        let r1 = smooth_parallel(&mut one, &SmoothParams::paper(), 1);
+        let r1 = SmoothEngine::new(&m0, SmoothParams::paper()).smooth_parallel(&mut one, 1);
         assert!(r1.total_improvement() > 0.0);
     }
 }

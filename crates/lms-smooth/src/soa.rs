@@ -112,7 +112,7 @@ pub(crate) fn resize_tracked<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
 
 /// Per-axis (structure-of-arrays) coordinate storage: `D` parallel
 /// `Vec<f64>` columns, slot-addressed exactly like the point vectors it
-/// replaces inside `ResidentRank` and the partitioned sweep scratch.
+/// replaces inside `ResidentRank`.
 ///
 /// Gather/scatter against `&[P]` preserve bit patterns verbatim (they
 /// move `f64` components, never reinterpret them), so NaN payloads and

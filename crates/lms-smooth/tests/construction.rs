@@ -12,7 +12,7 @@
 
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_part::{partition_mesh, Partition, PartitionMethod};
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothDomain, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothDomain, SmoothEngine, SmoothParams};
 use proptest::prelude::*;
 
 fn params() -> SmoothParams {
@@ -34,13 +34,6 @@ fn by_method_equals_new_over_the_same_partition() {
         assert_eq!(by_method.elem_weights(), new.elem_weights());
         assert_eq!(by_method.interface_classes(), new.interface_classes());
         assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
-
-        let by_method = PartitionedEngine::by_method(&mesh, params(), 5, method);
-        let new = PartitionedEngine::new(&mesh, params(), partition.clone());
-        assert_eq!(by_method.partition(), &partition, "{}", method.name());
-        assert_eq!(by_method.engine().adjacency(), &adj);
-        assert_eq!(by_method.interface_classes(), new.interface_classes());
-        assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
     }
 }
 
@@ -60,11 +53,8 @@ fn with_adjacency_uses_the_adjacency_it_is_handed() {
     assert_eq!(serial.boundary(), &Boundary::from_adjacency(&handed));
 
     let partition = partition_mesh(&mesh, &handed, 3, PartitionMethod::Rcb);
-    let resident =
-        ResidentEngine::with_adjacency(&mesh, handed.clone(), params(), partition.clone());
+    let resident = ResidentEngine::with_adjacency(&mesh, handed.clone(), params(), partition);
     assert_eq!(resident.engine().adjacency(), &handed);
-    let partitioned = PartitionedEngine::with_adjacency(&mesh, handed.clone(), params(), partition);
-    assert_eq!(partitioned.engine().adjacency(), &handed);
 }
 
 #[test]
@@ -72,18 +62,10 @@ fn with_adjacency_rejects_an_adjacency_of_another_size() {
     let mesh = generators::perturbed_grid(6, 6, 0.2, 1);
     let small = Adjacency::build(&generators::perturbed_grid(5, 5, 0.2, 1));
     let partition = partition_mesh(&mesh, &Adjacency::build(&mesh), 2, PartitionMethod::Rcb);
-    let builds: [Box<dyn Fn()>; 3] = [
+    let builds: [Box<dyn Fn()>; 2] = [
         Box::new(|| drop(SmoothEngine::with_adjacency(&mesh, small.clone(), params()))),
         Box::new(|| {
             drop(ResidentEngine::with_adjacency(&mesh, small.clone(), params(), partition.clone()))
-        }),
-        Box::new(|| {
-            drop(PartitionedEngine::with_adjacency(
-                &mesh,
-                small.clone(),
-                params(),
-                partition.clone(),
-            ))
         }),
     ];
     for build in builds {

@@ -1,10 +1,13 @@
 //! Property tests for the incremental-quality hot path: bitwise
 //! equivalence with the full-recompute reference engine, and
-//! `QualityCache` coherence across randomized smoothing runs.
+//! `DomainQualityCache` coherence across randomized vertex moves.
 
+use lms_mesh::geometry::signed_area;
 use lms_mesh::quality::mesh_quality;
-use lms_mesh::{Adjacency, QualityCache, TriMesh};
-use lms_smooth::{SmoothEngine, SmoothParams, UpdateScheme};
+use lms_mesh::{Adjacency, Boundary, TriMesh};
+use lms_smooth::{
+    DomainQualityCache, SmoothDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
+};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
@@ -57,9 +60,9 @@ proptest! {
         );
     }
 
-    /// QualityCache stays bit-identical to a from-scratch recompute across
-    /// a randomized sequence of vertex moves with mixed immediate /
-    /// dirty-flush updates.
+    /// The quality cache stays bit-identical to a from-scratch recompute
+    /// across a randomized sequence of vertex moves with mixed immediate
+    /// (star) / dirty-flush updates.
     #[test]
     fn quality_cache_coherent_under_random_moves(
         mesh in arb_mesh(),
@@ -67,9 +70,11 @@ proptest! {
     ) {
         let mut mesh = mesh;
         let adj = Adjacency::build(&mesh);
+        let boundary = Boundary::from_adjacency(&adj);
         let metric = lms_mesh::quality::QualityMetric::EdgeLengthRatio;
-        let mut cache = QualityCache::build(&mesh, &adj, metric);
         let triangles: Vec<[u32; 3]> = mesh.triangles().to_vec();
+        let dom = TriDomain::new(&adj, &boundary, &triangles, metric);
+        let mut cache = DomainQualityCache::build(&dom, mesh.coords());
         let n = mesh.num_vertices();
 
         for (pick, dx, dy, immediate) in moves {
@@ -77,22 +82,24 @@ proptest! {
             let p = mesh.coords()[v as usize];
             mesh.coords_mut()[v as usize] =
                 lms_mesh::Point2::new(p.x + dx as f64 / 97.0, p.y + dy as f64 / 89.0);
+            let star = adj.triangles_of(v);
             if immediate {
-                for &t in adj.triangles_of(v) {
-                    let (q, pos) = QualityCache::score(metric, mesh.coords(), triangles[t as usize]);
-                    cache.set_tri(t, q, pos);
-                }
+                let scores: Vec<(f64, bool)> =
+                    star.iter().map(|&t| dom.score(mesh.coords(), triangles[t as usize])).collect();
+                cache.set_star(star, &scores);
             } else {
-                cache.mark_incident_dirty(v, &adj);
+                for &t in star {
+                    cache.mark_dirty(t);
+                }
             }
         }
         if cache.has_dirty() {
-            cache.flush_dirty(mesh.coords(), &triangles);
+            cache.flush_dirty(&dom, mesh.coords());
         }
 
         let fresh = mesh_quality(&mesh, &adj, metric);
         prop_assert_eq!(
-            cache.quality_exact(&adj).to_bits(), fresh.to_bits(),
+            cache.quality_exact(&dom).to_bits(), fresh.to_bits(),
             "exact cache quality diverged from scratch recompute"
         );
         prop_assert!(
@@ -102,9 +109,10 @@ proptest! {
 
         // per-triangle values are exactly the fresh scores
         for (t, tri) in triangles.iter().enumerate() {
-            let (q, pos) = QualityCache::score(metric, mesh.coords(), *tri);
-            prop_assert_eq!(cache.tri_quality(t as u32).to_bits(), q.to_bits());
-            prop_assert_eq!(cache.tri_is_positive(t as u32), pos);
+            let [a, b, c] = tri.map(|c| mesh.coords()[c as usize]);
+            let q = metric.triangle_quality(a, b, c);
+            prop_assert_eq!(cache.elem_quality(t as u32).to_bits(), q.to_bits());
+            prop_assert_eq!(cache.elem_is_positive(t as u32), signed_area(a, b, c) > 0.0);
         }
     }
 

@@ -2,19 +2,44 @@
 //!
 //! * bitwise determinism (coordinates **and** reports, exchange counters
 //!   included) across thread counts {1, 2, 4};
-//! * exact coordinate equivalence with (a) serial Gauss–Seidel under the
-//!   part-major visit order and (b) the PR-2 `PartitionedEngine` over the
-//!   same decomposition — across parts {2, 4, 8}, smart and plain, every
-//!   partition method;
-//! * the tentpole residency invariant: one full gather, one full scatter,
+//! * exact coordinate equivalence with serial Gauss–Seidel under the
+//!   part-major visit order — across parts {2, 4, 8}, smart and plain,
+//!   every partition method;
+//! * the residency invariant: one full gather, one full scatter,
 //!   whatever the sweep count — everything in between is halo deltas;
 //! * per-run halo traffic is bounded by the static schedule
 //!   (moved-restriction can only shrink a round below `num_entries`).
 
 use lms_mesh::TriMesh;
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, ResidentEngineOn, SerialHost, SmoothEngine, SmoothParams};
 use proptest::prelude::*;
+
+/// Written against the [`SerialHost`] seam, not a dimension: the resident
+/// engine over any host gathers once, scatters once, and produces the same
+/// coordinates and the same report (exchange accounting included) at 1, 2
+/// and 4 threads. `lms-mesh3d/tests/resident3.rs` instantiates the same
+/// body for `SmoothEngine3`.
+fn assert_deterministic_across_threads<const C: usize, E: SerialHost<C>>(
+    mesh: &E::Mesh,
+    params: E::Params,
+    num_parts: usize,
+    method: PartitionMethod,
+) where
+    E::Mesh: Clone,
+{
+    let engine = ResidentEngineOn::<C, E>::by_method(mesh, params, num_parts, method);
+    let mut one = mesh.clone();
+    let r1 = engine.smooth(&mut one, 1);
+    let volume = r1.exchange.expect("resident runs report exchange accounting");
+    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
+    for threads in [2usize, 4] {
+        let mut multi = mesh.clone();
+        let rt = engine.smooth(&mut multi, threads);
+        assert_eq!(E::coords_mut(&mut one), E::coords_mut(&mut multi), "threads={threads}");
+        assert_eq!(r1, rt, "threads={threads}");
+    }
+}
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
     (5usize..14, 5usize..14, 0u64..1000, 0..40u32).prop_map(|(nx, ny, seed, jit)| {
@@ -34,17 +59,9 @@ proptest! {
         k in 2usize..9, method_ix in 0usize..4,
     ) {
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(iters);
-        let engine = ResidentEngine::by_method(
+        assert_deterministic_across_threads::<3, SmoothEngine>(
             &mesh, params, k, PartitionMethod::ALL[method_ix],
         );
-        let mut one = mesh.clone();
-        let r1 = engine.smooth(&mut one, 1);
-        for threads in [2usize, 4] {
-            let mut multi = mesh.clone();
-            let rt = engine.smooth(&mut multi, threads);
-            prop_assert_eq!(one.coords(), multi.coords(), "threads={}", threads);
-            prop_assert_eq!(&r1, &rt, "threads={}", threads);
-        }
     }
 
     /// The resident sweep is *exactly* serial Gauss–Seidel under the
@@ -73,35 +90,6 @@ proptest! {
         serial.smooth(&mut ser);
 
         prop_assert_eq!(par.coords(), ser.coords());
-    }
-
-    /// Resident and PR-2 partitioned engines are bit-identical over the
-    /// same decomposition: the residency refactor changed the data
-    /// movement, not one bit of the arithmetic.
-    #[test]
-    fn resident_equals_pr2_partitioned_engine(
-        mesh in arb_mesh(), smart in any::<bool>(), iters in 1usize..5,
-        k in 2usize..9, method_ix in 0usize..4,
-    ) {
-        let params = SmoothParams::paper()
-            .with_smart(smart)
-            .with_max_iters(iters)
-            .with_tol(-1.0);
-        let method = PartitionMethod::ALL[method_ix];
-        let resident = ResidentEngine::by_method(&mesh, params.clone(), k, method);
-        let partitioned = PartitionedEngine::by_method(&mesh, params, k, method);
-
-        let mut a = mesh.clone();
-        resident.smooth(&mut a, 2);
-        let mut b = mesh.clone();
-        partitioned.smooth(&mut b, 2);
-
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(
-            resident.part_major_visit_order(),
-            partitioned.part_major_visit_order(),
-            "both engines must expose one serial-equivalence order"
-        );
     }
 
     /// The residency invariant: one full gather, one full scatter, one
@@ -157,28 +145,24 @@ proptest! {
 
 /// The suite meshes (scaled down): the resident engine matches serial
 /// bit for bit beyond perturbed grids, and its per-iteration quality
-/// statistic tracks the PR-2 engine's to ulp precision.
+/// statistic tracks the serial engine's to ulp precision.
 #[test]
 fn resident_equivalence_on_generator_suite() {
     for spec in lms_mesh::suite::SUITE.iter().take(4) {
         let mesh = lms_mesh::suite::generate(spec, 0.004);
         let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
         let resident = ResidentEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb);
-        let partitioned =
-            PartitionedEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb);
 
         let mut par = mesh.clone();
         let rr = resident.smooth(&mut par, 3);
         let order = resident.part_major_visit_order();
         let serial = SmoothEngine::new(&mesh, params).with_visit_order(order);
         let mut ser = mesh.clone();
-        serial.smooth(&mut ser);
+        let rs = serial.smooth(&mut ser);
         assert_eq!(par.coords(), ser.coords(), "{}: diverged from serial", spec.name);
 
-        let mut pr2 = mesh.clone();
-        let rp = partitioned.smooth(&mut pr2, 3);
-        assert_eq!(par.coords(), pr2.coords(), "{}: diverged from PR-2", spec.name);
-        for (a, b) in rr.iterations.iter().zip(&rp.iterations) {
+        assert_eq!(rr.num_iterations(), rs.num_iterations(), "{}", spec.name);
+        for (a, b) in rr.iterations.iter().zip(&rs.iterations) {
             assert!(
                 (a.quality - b.quality).abs() <= 1e-12 * (1.0 + b.quality.abs()),
                 "{}: iteration quality diverged beyond ulps: {} vs {}",
@@ -187,7 +171,7 @@ fn resident_equivalence_on_generator_suite() {
                 b.quality
             );
         }
-        assert_eq!(rr.final_quality.to_bits(), rp.final_quality.to_bits(), "{}", spec.name);
+        assert_eq!(rr.final_quality.to_bits(), rs.final_quality.to_bits(), "{}", spec.name);
     }
 }
 

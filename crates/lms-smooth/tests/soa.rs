@@ -11,8 +11,8 @@
 //! * full resident runs with the default lane-batched kernel are
 //!   bit-identical — coordinates AND reports — to the forced pre-SoA
 //!   scalar path (`with_scalar_scoring(true)`) across threads {1, 2, 4}
-//!   × parts {2, 4, 8} × smart/plain, and so are partitioned and serial
-//!   engine runs — also on a mesh whose stars have 1, 2, 3, 5 and 7
+//!   × parts {2, 4, 8} × smart/plain, and so are serial engine runs —
+//!   also on a mesh whose stars have 1, 2, 3, 5 and 7
 //!   triangles, so every short last block is swept.
 
 use lms_mesh::quality::QualityMetric;
@@ -20,9 +20,7 @@ use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_part::PartitionMethod;
 use lms_smooth::domain::{DomainConfig, SmoothDomain, TriDomain};
 use lms_smooth::kernel::SerialKernel;
-use lms_smooth::{
-    PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike, UpdateScheme,
-};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike, UpdateScheme};
 use proptest::prelude::*;
 
 const METRICS: [QualityMetric; 3] =
@@ -183,13 +181,6 @@ fn ragged_stars_batched_equals_scalar_on_every_engine() {
         let scalar = params.clone().with_scalar_scoring(true);
         let run = |p: &SmoothParams| {
             let mut m = mesh.clone();
-            let report = PartitionedEngine::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
-                .smooth(&mut m, 2);
-            (m, report)
-        };
-        assert_eq!(run(&params), run(&scalar), "partitioned, seed {seed}");
-        let run = |p: &SmoothParams| {
-            let mut m = mesh.clone();
             let report = ResidentEngine::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
                 .smooth(&mut m, 2);
             (m, report)
@@ -224,10 +215,10 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// Partitioned and serial engines under the same toggle: the batched
-    /// kernel must not change a single bit anywhere in the engine ladder.
+    /// The serial engine under the same toggle: the batched kernel must
+    /// not change a single bit anywhere in the engine ladder.
     #[test]
-    fn partitioned_and_serial_batched_equal_scalar(
+    fn serial_batched_equals_scalar(
         nx in 6usize..11, ny in 6usize..11, seed in 0u64..1000, smart in any::<bool>(),
     ) {
         let mesh = generators::perturbed_grid(nx, ny, 0.35, seed);
@@ -236,19 +227,8 @@ proptest! {
         let mut a = mesh.clone();
         let ra = SmoothEngine::new(&mesh, params.clone()).smooth(&mut a);
         let mut b = mesh.clone();
-        let rb = SmoothEngine::new(&mesh, params.clone().with_scalar_scoring(true)).smooth(&mut b);
+        let rb = SmoothEngine::new(&mesh, params.with_scalar_scoring(true)).smooth(&mut b);
         prop_assert_eq!(a.coords(), b.coords());
         prop_assert_eq!(ra, rb);
-
-        let mut c = mesh.clone();
-        let rc = PartitionedEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb)
-            .smooth(&mut c, 2);
-        let mut d = mesh.clone();
-        let rd = PartitionedEngine::by_method(
-            &mesh, params.with_scalar_scoring(true), 4, PartitionMethod::Rcb,
-        )
-        .smooth(&mut d, 2);
-        prop_assert_eq!(c.coords(), d.coords());
-        prop_assert_eq!(rc, rd);
     }
 }

@@ -1,6 +1,6 @@
 //! Domain-decomposed deterministic smoothing end to end: partition a
 //! perturbed grid with each geometric method, report the decomposition
-//! metrics, render the partition overlay, and run the partitioned engine
+//! metrics, render the partition overlay, and run the resident engine
 //! against serial Gauss–Seidel (bit-identical under the part-major
 //! order) and the colored parallel engine (wall clock).
 //!
@@ -11,7 +11,7 @@
 //! Writes `target/partition_<method>.svg` overlays.
 
 use lms::part::{partition_mesh, PartitionMethod};
-use lms::smooth::{PartitionedEngine, SmoothEngine, SmoothParams};
+use lms::smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use lms::viz::partition::{render_partition, PartitionStyle};
 use std::time::Instant;
 
@@ -50,9 +50,9 @@ fn main() {
     }
     println!("\noverlays written to target/partition_<method>.svg");
 
-    // --- partitioned engine: determinism + serial equivalence -------------
+    // --- resident engine: determinism + serial equivalence ----------------
     let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
-    let engine = PartitionedEngine::by_method(&mesh, params.clone(), parts, PartitionMethod::Rcb);
+    let engine = ResidentEngine::by_method(&mesh, params.clone(), parts, PartitionMethod::Rcb);
 
     let mut par = mesh.clone();
     let start = Instant::now();
@@ -64,7 +64,7 @@ fn main() {
     let mut ser = mesh.clone();
     serial.smooth(&mut ser);
     println!(
-        "\npartitioned (rcb, {} parts, 2 threads): quality {:.6} -> {:.6} in {} sweeps",
+        "\nresident (rcb, {} parts, 2 threads): quality {:.6} -> {:.6} in {} sweeps",
         parts,
         report.initial_quality,
         report.final_quality,
@@ -81,7 +81,7 @@ fn main() {
     colored_engine.smooth_parallel_colored(&mut mesh.clone(), 2);
     let t_col = start.elapsed();
     println!(
-        "wall clock (2 threads): partitioned {:.1} ms vs colored {:.1} ms ({:.2}x)",
+        "wall clock (2 threads): resident {:.1} ms vs colored {:.1} ms ({:.2}x)",
         t_part.as_secs_f64() * 1e3,
         t_col.as_secs_f64() * 1e3,
         t_col.as_secs_f64() / t_part.as_secs_f64()

@@ -6,8 +6,7 @@
 //! The workspace is organised as nine library crates, all re-exported here:
 //!
 //! * [`mesh`] — 2D triangle-mesh substrate: containers, CSR adjacency,
-//!   boundary detection, quality metrics (plus the incremental
-//!   [`mesh::QualityCache`]), generators and I/O.
+//!   boundary detection, quality metrics, generators and I/O.
 //! * [`order`] — vertex reorderings: the paper's **RDR** contribution plus
 //!   the ORI/RANDOM/BFS/DFS/RCM/Hilbert baselines, greedy graph coloring,
 //!   and permutation machinery (applying a permutation moves the element
@@ -18,9 +17,9 @@
 //! * [`smooth`] — the Laplacian Mesh Smoothing engines (serial Gauss–Seidel
 //!   on the incremental-quality hot path, Jacobi, greedy quality-driven,
 //!   the rayon-parallel static-chunk engine, colored deterministic
-//!   parallel Gauss–Seidel, and the domain-decomposed
-//!   [`smooth::PartitionedEngine`], resident halo-exchange
-//!   [`smooth::ResidentEngine`]), with optional memory-access tracing.
+//!   parallel Gauss–Seidel, and the domain-decomposed resident
+//!   halo-exchange [`smooth::ResidentEngine`]), with optional
+//!   memory-access tracing.
 //! * [`cache`] — the memory-behaviour substrate: exact reuse-distance
 //!   analysis, an inclusive multi-level LRU cache simulator (Westmere-EX
 //!   preset), the stack-distance miss model, the Eq. (2) cycle-cost model,
@@ -34,12 +33,11 @@
 //!   protocol through `part`'s versioned wire format — bit-identical to
 //!   the in-process [`smooth::ResidentEngine`] in 2D and 3D.
 //! * [`mesh3d`] — the tetrahedral extension (§6): volumetric Laplacian
-//!   smoothing with the full ordering pipeline re-run in 3D — since PR 4
-//!   a thin wrapper over the **dimension-generic smoothing domain**
-//!   (`smooth::domain`), including the 3D partitioned and resident
-//!   halo-exchange engines (`mesh3d::PartitionedEngine3`,
-//!   `mesh3d::ResidentEngine3`) over `partition_tet_mesh`
-//!   decompositions.
+//!   smoothing with the full ordering pipeline re-run in 3D — a thin
+//!   wrapper over the **dimension-generic smoothing domain**
+//!   (`smooth::domain`), including the 3D resident halo-exchange engine
+//!   (`mesh3d::ResidentEngine3`, an alias of the same generic body as
+//!   the 2D one) over `partition_tet_mesh` decompositions.
 //!
 //! ## Quickstart
 //!
@@ -73,13 +71,10 @@ pub mod prelude {
         hierarchy::CacheHierarchy, model::StackDistanceModel, reuse::ReuseDistanceAnalyzer,
     };
     pub use lms_mesh::{quality::QualityMetric, Point2, TriMesh};
-    pub use lms_mesh3d::{
-        OrderingKind3, PartitionedEngine3, ResidentEngine3, SmoothParams3, TetMesh,
-    };
+    pub use lms_mesh3d::{OrderingKind3, ResidentEngine3, SmoothParams3, TetMesh};
     pub use lms_order::{OrderingKind, Permutation};
     pub use lms_part::{ExchangeSchedule, Partition, PartitionMethod, PartitionStats};
     pub use lms_smooth::{
-        IterationPolicy, PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams,
-        SmoothReport, Weighting,
+        IterationPolicy, ResidentEngine, SmoothEngine, SmoothParams, SmoothReport, Weighting,
     };
 }
