@@ -2,7 +2,7 @@
 //! Gauss–Seidel smoothing on a ~48³ perturbed tet grid for 5 sweeps,
 //! swept over threads {1, 2, 4, 8} on
 //!
-//! * the **serial** reference engine (the 1-thread baseline),
+//! * the **serial** engine (the 1-thread baseline),
 //! * the **colored parallel** engine (deterministic in-place GS),
 //! * the **resident** engine (blocks resident for the whole run,
 //!   halo-delta exchange only, one final disjoint scatter),

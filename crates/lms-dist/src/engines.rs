@@ -38,7 +38,7 @@ use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
 use lms_smooth::domain::{DomainConfig, SmoothDomain};
 use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
-use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SerialHost, SmoothReport};
+use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SmoothMesh, SmoothReport};
 use lms_trace::{NullTrace, PhaseBreakdown, Recorder, TraceSink, TransportProfile};
 use std::io;
 
@@ -214,33 +214,33 @@ fn spawn_laddered<'a, const C: usize, D: SmoothDomain<C>>(
 
 /// Multi-process resident smoothing: one rank process per part, wire
 /// frames over pipes or sockets, coordinates and reports bit-identical to
-/// [`ResidentEngineOn`] over the same host `E` (hence to serial
+/// [`ResidentEngineOn`] over the same mesh type `M` (hence to serial
 /// part-major Gauss–Seidel) — including runs that detect and recover rank
 /// failures. One wire serialisation covers every dimension: only the
 /// handshake's coordinate dimension differs.
 #[derive(Debug, Clone)]
-pub struct DistResidentEngineOn<const C: usize, E: SerialHost<C>> {
-    inner: ResidentEngineOn<C, E>,
+pub struct DistResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
+    inner: ResidentEngineOn<C, M>,
 }
 
 /// Multi-process resident smoothing of triangle meshes.
-pub type DistResidentEngine = DistResidentEngineOn<3, lms_smooth::SmoothEngine>;
+pub type DistResidentEngine = DistResidentEngineOn<3, lms_mesh::TriMesh>;
 
 /// Multi-process resident smoothing of tetrahedral meshes.
-pub type DistResidentEngine3 = DistResidentEngineOn<4, lms_mesh3d::SmoothEngine3>;
+pub type DistResidentEngine3 = DistResidentEngineOn<4, lms_mesh3d::TetMesh>;
 
-impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
+impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
     /// Build the engine for `mesh` under `params` and an existing
     /// decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &E::Mesh, params: E::Params, partition: Partition) -> Self {
+    pub fn new(mesh: &M, params: M::Params, partition: Partition) -> Self {
         DistResidentEngineOn { inner: ResidentEngineOn::new(mesh, params, partition) }
     }
 
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
     /// build the engine.
     pub fn by_method(
-        mesh: &E::Mesh,
-        params: E::Params,
+        mesh: &M,
+        params: M::Params,
         num_parts: usize,
         method: PartitionMethod,
     ) -> Self {
@@ -249,7 +249,7 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
 
     /// The wrapped in-process engine (shared blocks, schedule, classes) —
     /// the bit-identity oracle to compare runs against.
-    pub fn inner(&self) -> &ResidentEngineOn<C, E> {
+    pub fn inner(&self) -> &ResidentEngineOn<C, M> {
         &self.inner
     }
 
@@ -268,7 +268,7 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// the recovery budget ran out.
     pub fn smooth_ft(
         &self,
-        mesh: &mut E::Mesh,
+        mesh: &mut M,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats), DistError> {
         let (report, stats, _) = self.smooth_ft_with(mesh, options, &mut NullTrace)?;
@@ -282,7 +282,7 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// exposed so callers can plug custom sinks.
     pub fn smooth_ft_with<S: TraceSink>(
         &self,
-        mesh: &mut E::Mesh,
+        mesh: &mut M,
         options: &FtOptions,
         sink: &mut S,
     ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
@@ -304,10 +304,10 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// external-worker runs.
     fn drive<'t, 'e, S: TraceSink>(
         &'e self,
-        dom: &'t E::Domain<'e>,
+        dom: &'t M::Domain<'e>,
         cfg: &DomainConfig,
-        mut transport: ProcessTransport<'t, C, E::Domain<'e>>,
-        coords: &mut [E::Point],
+        mut transport: ProcessTransport<'t, C, M::Domain<'e>>,
+        coords: &mut [M::Point],
         options: &FtOptions,
         sink: &mut S,
     ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
@@ -345,7 +345,7 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// [`smooth_ft`]: Self::smooth_ft
     pub fn smooth_profiled(
         &self,
-        mesh: &mut E::Mesh,
+        mesh: &mut M,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats, Recorder), DistError> {
         let mut opts = options.clone();
@@ -366,13 +366,13 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// resident engine — same answer, shared address space. Any other
     /// failure (recovery budget exhausted, abnormal teardown) panics with
     /// the typed diagnosis.
-    pub fn smooth(&self, mesh: &mut E::Mesh) -> SmoothReport {
+    pub fn smooth(&self, mesh: &mut M) -> SmoothReport {
         self.smooth_with(mesh, &FtOptions::default())
     }
 
     /// [`smooth`](Self::smooth) with explicit options (used by the chaos
     /// suite to script faults through the degradation path).
-    pub fn smooth_with(&self, mesh: &mut E::Mesh, options: &FtOptions) -> SmoothReport {
+    pub fn smooth_with(&self, mesh: &mut M, options: &FtOptions) -> SmoothReport {
         match self.smooth_ft(mesh, options) {
             Ok((report, _)) => report,
             Err(e @ (DistError::Spawn(_) | DistError::ConnRefused { .. })) => {
@@ -395,7 +395,7 @@ impl<const C: usize, E: SerialHost<C>> DistResidentEngineOn<C, E> {
     /// only run state crosses the wire.
     pub fn smooth_ft_external(
         &self,
-        mesh: &mut E::Mesh,
+        mesh: &mut M,
         listener: Listener,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats), DistError> {

@@ -42,7 +42,7 @@ use lms_part::wire::{Frame, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
 use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
-use lms_smooth::{ExchangeVolume, FtResidentTransport, ResidentEngineOn, SerialHost};
+use lms_smooth::{ExchangeVolume, FtResidentTransport, ResidentEngineOn, SmoothMesh};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -498,8 +498,8 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
 /// engine from the shared problem parameters (same mesh generation, same
 /// partition method ⇒ same blocks), MPI input-deck style, so nothing but
 /// run state ever crosses the wire.
-pub fn serve_standalone<const C: usize, E: SerialHost<C>>(
-    engine: &ResidentEngineOn<C, E>,
+pub fn serve_standalone<const C: usize, M: SmoothMesh<C>>(
+    engine: &ResidentEngineOn<C, M>,
     rank: u32,
     spec: &SocketSpec,
     supervisor: &Supervisor,
@@ -509,7 +509,7 @@ pub fn serve_standalone<const C: usize, E: SerialHost<C>>(
     // coordinator side, whatever order the workers dialled in
     Frame::Hello {
         version: WIRE_VERSION,
-        dim: <E::Point as DomainPoint>::DIM as u8,
+        dim: <M::Point as DomainPoint>::DIM as u8,
         rank,
         profile: false,
     }

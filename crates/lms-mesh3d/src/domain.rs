@@ -76,7 +76,7 @@ impl DomainPoint for Point3 {
 
 /// The tetrahedral domain view: borrowed adjacency + boundary +
 /// connectivity + metric. [`crate::SmoothEngine3`] (and the resident
-/// engine it hosts) builds one per call.
+/// engine built around it) builds one per call.
 #[derive(Debug, Clone, Copy)]
 pub struct TetDomain<'a> {
     adj: &'a Adjacency3,

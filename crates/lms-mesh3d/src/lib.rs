@@ -13,10 +13,13 @@
 //!   ratio and mean ratio;
 //! * [`generators`] — Kuhn-subdivision box grids, graded jitter, and the
 //!   three-mesh 3D evaluation suite;
-//! * [`SmoothEngine3`] — Algorithm 1 in 3D: Gauss–Seidel/Jacobi sweeps,
-//!   the 5e-6 convergence criterion, smart commits, access tracing through
-//!   the same [`lms_smooth::trace::AccessSink`] protocol the 2D engine
-//!   uses, and a deterministic rayon-parallel variant;
+//! * [`SmoothEngine3`] — Algorithm 1 in 3D: `lms-smooth`'s one serial
+//!   engine over [`TetMesh`] (this crate's [`lms_smooth::SmoothMesh`]
+//!   impl), so Gauss–Seidel/Jacobi sweeps on the incremental kernel, the
+//!   5e-6 convergence criterion, smart commits, access tracing through
+//!   the same [`lms_smooth::trace::AccessSink`] protocol, and the
+//!   deterministic parallel variants are the 2D engine's code;
+//!   [`ResidentEngine3`] is the resident engine over the same impl;
 //! * [`order`] — ORI/RANDOM/BFS/DFS/RCM/RDR on tetrahedral meshes;
 //! * [`sfc`] — 3D Hilbert and Morton space-filling-curve orderings.
 //!

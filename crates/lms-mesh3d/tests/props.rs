@@ -4,8 +4,9 @@ use lms_mesh3d::generators::{block_scramble, perturbed_tet_grid, tet_grid};
 use lms_mesh3d::order::{
     apply_permutation3, compute_ordering3, mean_neighbor_span3, OrderingKind3,
 };
-use lms_mesh3d::quality::{vertex_qualities, TetQualityMetric};
-use lms_mesh3d::{Adjacency3, Boundary3, SmoothParams3, TetMesh};
+use lms_mesh3d::quality::{mesh_quality, vertex_qualities, TetQualityMetric};
+use lms_mesh3d::{Adjacency3, Boundary3, SmoothParams3, TetMesh, UpdateScheme3};
+use lms_smooth::checks;
 use proptest::prelude::*;
 
 /// Strategy: a small perturbed tet grid (2–6 cells per axis).
@@ -86,6 +87,29 @@ proptest! {
         // plain Laplacian can dip transiently but the run must not end much
         // below where it started on these convex grids
         prop_assert!(report.final_quality > report.initial_quality - 0.02);
+    }
+
+    /// The 3D serial engine's incremental kernel against its reference
+    /// sweep — bit-equal coordinates, equal sweep counts, `final_quality`
+    /// bit-equal to a from-scratch `mesh_quality` — over GS/Jacobi ×
+    /// smart/plain × both scoring paths, the same check as `lms-smooth`'s
+    /// `incremental_matches_full_recompute`.
+    #[test]
+    fn incremental3_matches_full_recompute(
+        m in small_mesh(), smart in any::<bool>(), jacobi in any::<bool>(),
+        scalar_scoring in any::<bool>(), iters in 1usize..6,
+    ) {
+        let update = if jacobi { UpdateScheme3::Jacobi } else { UpdateScheme3::GaussSeidel };
+        let params = SmoothParams3::paper()
+            .with_smart(smart)
+            .with_update(update)
+            .with_scalar_scoring(scalar_scoring)
+            .with_max_iters(iters)
+            .with_tol(-1.0);
+        let metric = params.metric;
+        checks::incremental_matches_full_recompute(&m, params, |m: &TetMesh| {
+            mesh_quality(m, &Adjacency3::build(m), metric)
+        });
     }
 
     #[test]

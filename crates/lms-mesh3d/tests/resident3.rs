@@ -11,36 +11,10 @@
 //! * repeated smooths on one engine spawn no further OS threads
 //!   (persistent-pool regression, via `rayon::spawned_thread_count`).
 
-use lms_mesh3d::{ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh};
+use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
 use lms_part::PartitionMethod;
-use lms_smooth::{ResidentEngineOn, SerialHost};
+use lms_smooth::checks;
 use proptest::prelude::*;
-
-/// Written against the [`SerialHost`] seam, not a dimension: the resident
-/// engine over any host gathers once, scatters once, and produces the same
-/// coordinates and the same report (exchange accounting included) at 1, 2
-/// and 4 threads. `lms-smooth/tests/resident.rs` instantiates the same
-/// body for the triangle-mesh `SmoothEngine`.
-fn assert_deterministic_across_threads<const C: usize, E: SerialHost<C>>(
-    mesh: &E::Mesh,
-    params: E::Params,
-    num_parts: usize,
-    method: PartitionMethod,
-) where
-    E::Mesh: Clone,
-{
-    let engine = ResidentEngineOn::<C, E>::by_method(mesh, params, num_parts, method);
-    let mut one = mesh.clone();
-    let r1 = engine.smooth(&mut one, 1);
-    let volume = r1.exchange.expect("resident runs report exchange accounting");
-    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
-    for threads in [2usize, 4] {
-        let mut multi = mesh.clone();
-        let rt = engine.smooth(&mut multi, threads);
-        assert_eq!(E::coords_mut(&mut one), E::coords_mut(&mut multi), "threads={threads}");
-        assert_eq!(r1, rt, "threads={threads}");
-    }
-}
 
 fn arb_mesh() -> impl Strategy<Value = TetMesh> {
     (4usize..8, 4usize..8, 4usize..8, 0u64..1000, 0..40u32).prop_map(|(nx, ny, nz, seed, jit)| {
@@ -63,7 +37,7 @@ proptest! {
         k_ix in 0usize..3, method_ix in 0usize..4,
     ) {
         let params = SmoothParams3::paper().with_smart(smart).with_max_iters(iters);
-        assert_deterministic_across_threads::<4, SmoothEngine3>(
+        checks::resident_is_deterministic_across_threads::<4, TetMesh>(
             &mesh, params, PARTS[k_ix], PartitionMethod::ALL[method_ix],
         );
     }
@@ -82,19 +56,9 @@ proptest! {
             .with_smart(smart)
             .with_max_iters(iters)
             .with_tol(-1.0);
-        let engine = ResidentEngine3::by_method(
-            &mesh, params.clone(), PARTS[k_ix], PartitionMethod::ALL[method_ix],
+        checks::resident_equals_serial_part_major_order(
+            &mesh, params, PARTS[k_ix], PartitionMethod::ALL[method_ix], [1usize, 2, 4][threads_ix],
         );
-
-        let mut par = mesh.clone();
-        engine.smooth(&mut par, [1usize, 2, 4][threads_ix]);
-
-        let order = engine.part_major_visit_order();
-        let serial = SmoothEngine3::new(&mesh, params).with_visit_order(order);
-        let mut ser = mesh.clone();
-        serial.smooth(&mut ser);
-
-        prop_assert_eq!(par.coords(), ser.coords());
     }
 
     /// The residency invariant in 3D: one full gather, one full scatter,
@@ -109,24 +73,7 @@ proptest! {
             .with_smart(smart)
             .with_max_iters(iters)
             .with_tol(-1.0);
-        let engine =
-            ResidentEngine3::by_method(&mesh, params, PARTS[k_ix], PartitionMethod::Rcb);
-        let mut work = mesh.clone();
-        let report = engine.smooth(&mut work, 2);
-        let volume = report.exchange.expect("resident runs report exchange accounting");
-        prop_assert_eq!(volume.full_gathers, 1);
-        prop_assert_eq!(volume.full_scatters, 1);
-        prop_assert_eq!(
-            volume.exchange_rounds,
-            iters * engine.interface_classes().len()
-        );
-        prop_assert!(
-            volume.halo_entries_sent
-                <= volume.exchange_rounds * engine.exchange_schedule().num_entries(),
-            "{} entries over {} rounds exceeds the static schedule ({})",
-            volume.halo_entries_sent, volume.exchange_rounds,
-            engine.exchange_schedule().num_entries()
-        );
+        checks::residency_invariant_holds(&mesh, params, PARTS[k_ix]);
     }
 }
 
@@ -137,15 +84,8 @@ fn engine3_runs_spawn_threads_once() {
     let mesh = lms_mesh3d::generators::perturbed_tet_grid(6, 6, 6, 0.3, 7);
     let params = SmoothParams3::paper().with_smart(true).with_max_iters(2).with_tol(-1.0);
     let engine = ResidentEngine3::by_method(&mesh, params, 4, PartitionMethod::Rcb);
-    // first run pays the one-time spawn for this engine's pool
-    engine.smooth(&mut mesh.clone(), 3);
-    let after_first = rayon::spawned_thread_count();
-    for _ in 0..5 {
+    // the first run pays the one-time spawn for this engine's pool
+    checks::spawns_threads_once(|| {
         engine.smooth(&mut mesh.clone(), 3);
-    }
-    assert_eq!(
-        rayon::spawned_thread_count(),
-        after_first,
-        "repeat runs must reuse the engine's parked workers"
-    );
+    });
 }

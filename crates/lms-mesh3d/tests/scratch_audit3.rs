@@ -7,29 +7,22 @@
 //!
 //! The counter is process-global, so this file holds this single test.
 
-use lms_mesh3d::{Adjacency3, Boundary3, SmoothParams3, TetDomain};
-use lms_smooth::kernel::SerialKernel;
+use lms_mesh3d::{SmoothEngine3, SmoothParams3};
 use lms_smooth::scratch_grow_count;
 
 #[test]
 fn serial_tet_sweeps_grow_their_scratch_once() {
     let mesh = lms_mesh3d::generators::perturbed_tet_grid(7, 7, 7, 0.3, 42);
-    let adj = Adjacency3::build(&mesh);
-    let boundary = Boundary3::detect(&mesh);
-    let visit = boundary.interior_vertices();
-    assert!(visit.iter().all(|&v| adj.tets_of(v).len() == 24), "expected the Kuhn grid's stars");
     let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0);
-    let dom = TetDomain::new(&adj, &boundary, mesh.tets(), params.metric);
     let growth_of = |sweeps: usize| {
+        let engine = SmoothEngine3::new(&mesh, params.clone().with_max_iters(sweeps));
+        let adj = engine.adjacency();
+        assert!(
+            engine.visit_order().iter().all(|&v| adj.tets_of(v).len() == 24),
+            "expected the Kuhn grid's stars"
+        );
         let before = scratch_grow_count();
-        let kernel = SerialKernel {
-            dom: &dom,
-            cfg: params.clone().with_max_iters(sweeps).domain_config(),
-            visit: &visit,
-            star: None,
-            scalar_scoring: false,
-        };
-        kernel.run(&mut mesh.coords().to_vec());
+        engine.smooth(&mut mesh.clone());
         scratch_grow_count() - before
     };
     let (setup, short, long) = (growth_of(0), growth_of(2), growth_of(9));

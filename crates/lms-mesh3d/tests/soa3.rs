@@ -8,62 +8,24 @@
 //! number of lane blocks.
 
 use lms_mesh3d::{
-    Adjacency3, Boundary3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetDomain, TetMesh,
-    TetQualityMetric, UpdateScheme3,
+    Adjacency3, Boundary3, SmoothParams3, TetDomain, TetMesh, TetQualityMetric, UpdateScheme3,
 };
-use lms_part::PartitionMethod;
-use lms_smooth::domain::SmoothDomain;
-use lms_smooth::kernel::SerialKernel;
-use lms_smooth::{SoaCoords, SoaLike};
+use lms_smooth::checks;
 use proptest::prelude::*;
 
 const METRICS: [TetQualityMetric; 3] =
     [TetQualityMetric::EdgeLengthRatio, TetQualityMetric::RadiusRatio, TetQualityMetric::MeanRatio];
-
-/// The id lists of `lms-smooth/tests/soa.rs`: lengths 0..=9, 24 and 25,
-/// each ascending up to the last row of an `n`-row corner table,
-/// descending from it, and cycling over three ids.
-fn id_lists(n: u32) -> Vec<Vec<u32>> {
-    let mut lists = Vec::new();
-    for len in (0..=9).chain([24, 25]) {
-        lists.push((n - len..n).collect());
-        lists.push((n - len..n).rev().collect());
-        lists.push((0..len).map(|i| [n - 1, 0, n / 2][i as usize % 3]).collect());
-    }
-    lists
-}
-
-/// `score_star` == one `score_soa` per id on every list of [`id_lists`]
-/// plus the whole table in order; the corner table is cut three rows
-/// short of the mesh's, so reading past the last id given would panic.
-fn star_equals_per_id_on(mesh: &TetMesh, metric: TetQualityMetric) {
-    let adj = Adjacency3::build(mesh);
-    let boundary = Boundary3::detect(mesh);
-    let dom = TetDomain::new(&adj, &boundary, mesh.tets(), metric);
-    let mut soa = SoaCoords::<3>::with_len(mesh.num_vertices());
-    soa.gather_from(mesh.coords());
-    let corners = &dom.elements()[..dom.num_elements() - 3];
-    let n = corners.len() as u32;
-    for ids in id_lists(n).into_iter().chain([(0..n).collect()]) {
-        let mut out = vec![(f64::NAN, false); ids.len()];
-        dom.score_star(&soa, corners, &ids, &mut out);
-        for (i, &t) in ids.iter().enumerate() {
-            let (q, pos) = dom.score_soa(&soa, corners[t as usize]);
-            assert_eq!(q.to_bits(), out[i].0.to_bits(), "{metric:?}, ids {ids:?}, slot {i}");
-            assert_eq!(pos, out[i].1, "{metric:?}, ids {ids:?}, slot {i}");
-            let (qp, pp) = dom.score(mesh.coords(), corners[t as usize]);
-            assert_eq!((q.to_bits(), pos), (qp.to_bits(), pp));
-        }
-    }
-}
 
 #[test]
 fn score_star_matches_scalar_per_id_for_every_tet_metric() {
     // ragged sizes: tet counts exercise every 4-lane tail length
     for (nx, ny, nz, seed) in [(4, 5, 4, 1), (6, 4, 5, 5), (5, 5, 5, 9)] {
         let mesh = lms_mesh3d::generators::perturbed_tet_grid(nx, ny, nz, 0.3, seed);
+        let adj = Adjacency3::build(&mesh);
+        let boundary = Boundary3::detect(&mesh);
         for metric in METRICS {
-            star_equals_per_id_on(&mesh, metric);
+            let dom = TetDomain::new(&adj, &boundary, mesh.tets(), metric);
+            checks::score_star_equals_per_id(&dom, mesh.coords(), metric);
         }
     }
 }
@@ -88,46 +50,29 @@ fn ragged_mesh(seed: u64) -> TetMesh {
 }
 
 /// Default scoring == `scalar_scoring`, coordinates and reports, on the
-/// 26-tet stars of [`ragged_mesh`]: the serial kernel (Gauss–Seidel and
-/// Jacobi — `SmoothEngine3::smooth` runs the reference path, so the
-/// kernel is driven directly) and resident.
+/// 26-tet stars of [`ragged_mesh`]: the serial engine (Gauss–Seidel and
+/// Jacobi) and resident.
 #[test]
 fn ragged_stars_batched_equals_scalar_on_every_engine3() {
     for seed in [2u64, 11] {
         let mesh = ragged_mesh(seed);
         let adj = Adjacency3::build(&mesh);
         let boundary = Boundary3::detect(&mesh);
-        let visit = boundary.interior_vertices();
         assert!(
-            visit.iter().map(|&v| adj.tets_of(v).len()).any(|k| k > 16 && !k.is_multiple_of(4)),
+            boundary
+                .interior_vertices()
+                .iter()
+                .map(|&v| adj.tets_of(v).len())
+                .any(|k| k > 16 && !k.is_multiple_of(4)),
             "no interior star above 16 that is not a multiple of 4"
         );
         let params = SmoothParams3::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
-        let dom = TetDomain::new(&adj, &boundary, mesh.tets(), params.metric);
-        for update in [UpdateScheme3::GaussSeidel, UpdateScheme3::Jacobi] {
-            let run = |scalar_scoring: bool| {
-                let mut coords = mesh.coords().to_vec();
-                let kernel = SerialKernel {
-                    dom: &dom,
-                    cfg: params.clone().with_update(update).domain_config(),
-                    visit: &visit,
-                    star: None,
-                    scalar_scoring,
-                };
-                let report = kernel.run(&mut coords);
-                (coords, report)
-            };
-            assert_eq!(run(false), run(true), "serial kernel {update:?}, seed {seed}");
-        }
-
         let scalar = params.clone().with_scalar_scoring(true);
-        let run = |p: &SmoothParams3| {
-            let mut m = mesh.clone();
-            let report = ResidentEngine3::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
-                .smooth(&mut m, 2);
-            (m, report)
-        };
-        assert_eq!(run(&params), run(&scalar), "resident, seed {seed}");
+        for update in [UpdateScheme3::GaussSeidel, UpdateScheme3::Jacobi] {
+            let (p, s) = (params.clone().with_update(update), scalar.clone().with_update(update));
+            checks::serial_batched_equals_scalar(&mesh, p, s);
+        }
+        checks::resident_batched_equals_scalar(&mesh, params, scalar, 3, 2);
     }
 }
 
@@ -151,27 +96,15 @@ proptest! {
         let parts = [2usize, 4, 8][k_ix];
         let threads = [1usize, 2, 4][threads_ix];
         let params = SmoothParams3::paper().with_smart(smart).with_max_iters(2).with_tol(-1.0);
-        let batched = ResidentEngine3::by_method(&mesh, params.clone(), parts, PartitionMethod::Rcb);
-        let scalar = ResidentEngine3::by_method(
-            &mesh, params.with_scalar_scoring(true), parts, PartitionMethod::Rcb,
-        );
-        let mut a = mesh.clone();
-        let ra = batched.smooth(&mut a, threads);
-        let mut b = mesh.clone();
-        let rb = scalar.smooth(&mut b, threads);
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(ra, rb);
+        let scalar = params.clone().with_scalar_scoring(true);
+        checks::resident_batched_equals_scalar(&mesh, params, scalar, parts, threads);
     }
 
     /// The serial 3D engine under the same toggle.
     #[test]
     fn serial3_batched_equals_scalar(mesh in arb_mesh(), smart in any::<bool>()) {
         let params = SmoothParams3::paper().with_smart(smart).with_max_iters(2).with_tol(-1.0);
-        let mut a = mesh.clone();
-        let ra = SmoothEngine3::new(&mesh, params.clone()).smooth(&mut a);
-        let mut b = mesh.clone();
-        let rb = SmoothEngine3::new(&mesh, params.with_scalar_scoring(true)).smooth(&mut b);
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(ra, rb);
+        let scalar = params.clone().with_scalar_scoring(true);
+        checks::serial_batched_equals_scalar(&mesh, params, scalar);
     }
 }

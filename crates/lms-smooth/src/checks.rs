@@ -1,0 +1,536 @@
+//! Engine properties written once over [`SmoothMesh`], so the triangle
+//! suites of this crate and the tetrahedral suites of `lms-mesh3d` assert
+//! the same things with the same code. Each check builds its engines from
+//! the mesh and parameters the caller picks for its dimension and panics
+//! on a violation; the `#[test]` functions that call them stay beside the
+//! code they test.
+
+use crate::domain::SmoothDomain;
+use crate::engine::{SmoothEngineOn, SmoothMesh};
+use crate::resident::ResidentEngineOn;
+use crate::soa::SoaLike;
+use crate::trace::{CountSink, VecSink};
+use lms_order::Graph;
+use lms_part::{Partition, PartitionMethod};
+
+/// Smoothing never moves a vertex on the boundary.
+pub fn boundary_vertices_never_move<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut m = mesh.clone();
+    engine.smooth(&mut m);
+    assert_boundary_pinned(&engine.domain(), mesh, &m);
+}
+
+/// Every vertex `dom` does not move has the same coordinates in `before`
+/// and `after`.
+fn assert_boundary_pinned<const C: usize, M: SmoothMesh<C>>(
+    dom: &impl SmoothDomain<C>,
+    before: &M,
+    after: &M,
+) {
+    for v in (0..dom.num_vertices() as u32).filter(|&v| !dom.is_interior(v)) {
+        let v = v as usize;
+        assert_eq!(after.coords()[v], before.coords()[v], "boundary vertex {v} moved");
+    }
+}
+
+/// A traced run reports every visited vertex once plus its degree per
+/// sweep, and one iteration end per sweep.
+pub fn trace_counts_match_topology<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let dom = engine.domain();
+    let expected_per_iter: u64 =
+        engine.visit_order().iter().map(|&v| 1 + dom.neighbors(v).len() as u64).sum();
+    let mut sink = CountSink::default();
+    let report = engine.smooth_traced(&mut mesh.clone(), &mut sink);
+    assert_eq!(sink.iterations as usize, report.num_iterations());
+    assert_eq!(sink.count, expected_per_iter * report.num_iterations() as u64);
+}
+
+/// The first traced event is the first visited vertex, and the next
+/// `deg(v)` events are exactly its neighbours.
+pub fn trace_structure_vertex_then_neighbours<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut sink = VecSink::new();
+    engine.smooth_traced(&mut mesh.clone(), &mut sink);
+    let v0 = engine.visit_order()[0];
+    assert_eq!(sink.accesses[0], v0);
+    let ns = engine.domain().neighbors(v0).to_vec();
+    let mut nbrs: Vec<u32> = sink.accesses[1..=ns.len()].to_vec();
+    nbrs.sort_unstable();
+    assert_eq!(nbrs, ns);
+}
+
+/// Under a tolerance that no improvement can fall below (`params.tol <
+/// 0`), a run takes exactly `max_iters` sweeps and reports no
+/// convergence.
+pub fn zero_tolerance_runs_to_max_iters<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let report = engine.smooth(&mut mesh.clone());
+    assert_eq!(report.num_iterations(), engine.domain_config().max_iters);
+    assert!(!report.converged);
+}
+
+/// An engine refuses to smooth a mesh with a different vertex count.
+pub fn engine_rejects_mismatched_mesh<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    mut other: M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.smooth(&mut other);
+    }));
+    assert!(result.is_err());
+}
+
+/// Jacobi is schedule-independent: the static-chunk parallel run (4
+/// threads) lands on the serial run's coordinates bit for bit, in as
+/// many sweeps, at the same final quality.
+pub fn parallel_jacobi_matches_serial_jacobi_exactly<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let mut serial = mesh.clone();
+    let sr = SmoothEngineOn::<C, M>::new(mesh, params.clone()).smooth(&mut serial);
+    let mut par = mesh.clone();
+    let pr = SmoothEngineOn::<C, M>::new(mesh, params).smooth_parallel(&mut par, 4);
+    assert_eq!(serial.coords(), par.coords(), "Jacobi must be schedule-independent");
+    assert_eq!(sr.num_iterations(), pr.num_iterations());
+    assert!((sr.final_quality - pr.final_quality).abs() < 1e-12);
+}
+
+/// The static-chunk parallel run gives the same coordinates on 1 and 3
+/// threads.
+pub fn parallel_is_deterministic_across_thread_counts<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let mut a = mesh.clone();
+    let mut b = mesh.clone();
+    SmoothEngineOn::<C, M>::new(mesh, params.clone()).smooth_parallel(&mut a, 1);
+    SmoothEngineOn::<C, M>::new(mesh, params).smooth_parallel(&mut b, 3);
+    assert_eq!(a.coords(), b.coords());
+}
+
+/// Thread-pool reuse: after a first call of `run` (the engine's one-time
+/// pool spawn), repeat calls spawn no further OS threads from the calling
+/// thread.
+pub fn spawns_threads_once(run: impl Fn()) {
+    run();
+    let after_first = rayon::spawned_thread_count();
+    for _ in 0..4 {
+        run();
+    }
+    assert_eq!(
+        rayon::spawned_thread_count(),
+        after_first,
+        "repeat runs must reuse the engine's parked workers"
+    );
+}
+
+/// The incremental kernel ([`SmoothEngineOn::smooth`]) against the
+/// reference sweep ([`SmoothEngineOn::smooth_full_recompute`]): equal
+/// coordinates bit for bit, equal sweep counts, and a `final_quality`
+/// bit-equal to `fresh_quality` — the dimension's from-scratch
+/// `mesh_quality` — on the output. Pin the sweep count (`tol < 0`): the
+/// kernel's convergence test reads a compensated running sum.
+pub fn incremental_matches_full_recompute<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    fresh_quality: impl Fn(&M) -> f64,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut fast = mesh.clone();
+    let fast_report = engine.smooth(&mut fast);
+    let mut reference = mesh.clone();
+    let ref_report = engine.smooth_full_recompute(&mut reference);
+    assert_eq!(fast.coords(), reference.coords());
+    assert_eq!(fast_report.num_iterations(), ref_report.num_iterations());
+    assert_eq!(
+        fast_report.final_quality.to_bits(),
+        fresh_quality(&fast).to_bits(),
+        "final_quality must equal the from-scratch recompute bitwise"
+    );
+}
+
+/// The resident engine gathers once, scatters once, and produces the
+/// same coordinates and the same report (exchange accounting included)
+/// at 1, 2 and 4 threads.
+pub fn resident_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+    method: PartitionMethod,
+) {
+    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, method);
+    let mut one = mesh.clone();
+    let r1 = engine.smooth(&mut one, 1);
+    let volume = r1.exchange.expect("resident runs report exchange accounting");
+    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
+    for threads in [2usize, 4] {
+        let mut multi = mesh.clone();
+        let rt = engine.smooth(&mut multi, threads);
+        assert_eq!(one.coords(), multi.coords(), "threads={threads}");
+        assert_eq!(r1, rt, "threads={threads}");
+    }
+}
+
+/// The colored engine gives the same coordinates and the same report on
+/// 1, 2 and 8 threads.
+pub fn colored_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut one = mesh.clone();
+    let r1 = engine.smooth_parallel_colored(&mut one, 1);
+    for threads in [2usize, 8] {
+        let mut multi = mesh.clone();
+        let rt = engine.smooth_parallel_colored(&mut multi, threads);
+        assert_eq!(one.coords(), multi.coords(), "threads={threads}");
+        assert_eq!(r1, rt, "threads={threads}");
+    }
+}
+
+/// The colored parallel sweep is *exactly* serial Gauss–Seidel under the
+/// class-major visit order — coordinates match bit for bit.
+pub fn colored_equals_serial_class_major_order<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut colored = mesh.clone();
+    engine.smooth_parallel_colored(&mut colored, 4);
+    let serial = engine.clone().with_visit_order(engine.colored_visit_order());
+    let mut ser = mesh.clone();
+    serial.smooth(&mut ser);
+    assert_eq!(colored.coords(), ser.coords());
+}
+
+/// Lane-batched scoring (`params`) and the forced scalar path (`scalar`,
+/// the same parameters otherwise) give the same coordinates and reports
+/// on the serial engine.
+pub fn serial_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    scalar: M::Params,
+) {
+    let run = |p: M::Params| {
+        let mut m = mesh.clone();
+        let report = SmoothEngineOn::<C, M>::new(mesh, p).smooth(&mut m);
+        (m.coords().to_vec(), report)
+    };
+    assert_eq!(run(params), run(scalar));
+}
+
+/// [`serial_batched_equals_scalar`] on the resident engine over
+/// `num_parts` RCB parts at `threads` threads.
+pub fn resident_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    scalar: M::Params,
+    num_parts: usize,
+    threads: usize,
+) {
+    let run = |p: M::Params| {
+        let engine = ResidentEngineOn::<C, M>::by_method(mesh, p, num_parts, PartitionMethod::Rcb);
+        let mut m = mesh.clone();
+        let report = engine.smooth(&mut m, threads);
+        (m.coords().to_vec(), report)
+    };
+    assert_eq!(run(params), run(scalar));
+}
+
+/// `by_method` (which builds one adjacency and hands it down) yields the
+/// engine `new` yields over the same decomposition, structure for
+/// structure, for every partition method.
+pub fn by_method_equals_new_over_the_same_partition<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) where
+    M::Adjacency: PartialEq,
+{
+    let adj = mesh.build_adjacency();
+    for method in PartitionMethod::ALL {
+        let partition = mesh.partition(&adj, num_parts, method);
+        let by_method =
+            ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), num_parts, method);
+        let new = ResidentEngineOn::<C, M>::new(mesh, params.clone(), partition.clone());
+        assert_eq!(by_method.partition(), &partition, "{}", method.name());
+        assert_eq!(by_method.engine().adjacency(), &adj, "{}", method.name());
+        assert_eq!(by_method.blocks(), new.blocks(), "{}", method.name());
+        assert_eq!(by_method.elem_weights(), new.elem_weights());
+        assert_eq!(by_method.interface_classes(), new.interface_classes());
+        assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
+    }
+}
+
+/// Handed the adjacency of a cut-down mesh over the same vertices, every
+/// engine holds that adjacency — and the boundary derived from it — not
+/// the mesh's.
+pub fn with_adjacency_uses_the_adjacency_it_is_handed<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    handed: M::Adjacency,
+    params: M::Params,
+) where
+    M::Adjacency: PartialEq,
+    M::Boundary: PartialEq,
+{
+    assert_ne!(handed, mesh.build_adjacency(), "the handed adjacency must differ");
+    let serial = SmoothEngineOn::<C, M>::with_adjacency(mesh, handed.clone(), params.clone());
+    assert_eq!(serial.adjacency(), &handed);
+    assert_eq!(serial.boundary(), &mesh.boundary(&handed));
+    let partition = mesh.partition(&handed, 3, PartitionMethod::Rcb);
+    let resident =
+        ResidentEngineOn::<C, M>::with_adjacency(mesh, handed.clone(), params, partition);
+    assert_eq!(resident.engine().adjacency(), &handed);
+}
+
+/// Both engines reject an adjacency built for another vertex count, and
+/// say so by name.
+pub fn with_adjacency_rejects_an_adjacency_of_another_size<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    small: M::Adjacency,
+    params: M::Params,
+) {
+    let expected = format!(
+        "adjacency was built for {} vertices, the mesh has {}",
+        small.num_vertices(),
+        mesh.coords().len()
+    );
+    let partition = mesh.partition(&mesh.build_adjacency(), 2, PartitionMethod::Rcb);
+    let builds: [Box<dyn Fn()>; 2] = [
+        Box::new(|| {
+            drop(SmoothEngineOn::<C, M>::with_adjacency(mesh, small.clone(), params.clone()))
+        }),
+        Box::new(|| {
+            let (adj, partition) = (small.clone(), partition.clone());
+            drop(ResidentEngineOn::<C, M>::with_adjacency(mesh, adj, params.clone(), partition))
+        }),
+    ];
+    for build in builds {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains(&expected), "{message}");
+    }
+}
+
+/// The resident engine over an explicit `assignment`: every block's
+/// element list — dealt out in one pass over the elements, never sorted —
+/// equals the `collect → sort → dedup` of its sweep vertices' stars and
+/// is strictly ascending, and the engine still is serial part-major
+/// Gauss–Seidel.
+pub fn resident_blocks_deal_sorted_element_lists<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    assignment: Vec<u32>,
+    num_parts: u32,
+) {
+    let adj = mesh.build_adjacency();
+    let partition = Partition::from_assignment(&adj, assignment, num_parts);
+    let engine = ResidentEngineOn::<C, M>::with_adjacency(mesh, adj, params.clone(), partition);
+    assert_eq!(engine.blocks().len(), num_parts as usize);
+    let dom = engine.engine().domain();
+    for (p, block) in engine.blocks().iter().enumerate() {
+        let interface = engine.interface_classes().iter().flatten().copied();
+        let mut sorted: Vec<u32> = block
+            .interior_globals()
+            .chain(interface.filter(|&v| engine.partition().part_of(v) as usize == p))
+            .flat_map(|v| dom.elements_of(v).iter().copied())
+            .collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let elements = block.elem_globals();
+        assert_eq!(elements, &sorted[..], "part {p}");
+        assert!(elements.windows(2).all(|w| w[0] < w[1]), "part {p} not strictly ascending");
+    }
+    let mut resident = mesh.clone();
+    engine.smooth(&mut resident, 2);
+    let mut serial = mesh.clone();
+    SmoothEngineOn::<C, M>::new(mesh, params)
+        .with_visit_order(engine.part_major_visit_order())
+        .smooth(&mut serial);
+    assert_eq!(resident.coords(), serial.coords());
+}
+
+/// [`resident_blocks_deal_sorted_element_lists`] on the degenerate
+/// decompositions: one part; more parts than vertices (a part per vertex
+/// and three empty ones); the boundary in part 0, part 1 empty, the
+/// interior in part 2.
+pub fn resident_blocks_on_degenerate_decompositions<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let n = mesh.coords().len() as u32;
+    let split = {
+        let engine = SmoothEngineOn::<C, M>::new(mesh, params.clone());
+        let dom = engine.domain();
+        (0..n).map(|v| if dom.is_interior(v) { 2 } else { 0 }).collect()
+    };
+    resident_blocks_deal_sorted_element_lists(mesh, params.clone(), vec![0; n as usize], 1);
+    resident_blocks_deal_sorted_element_lists(mesh, params.clone(), (0..n).collect(), n + 3);
+    resident_blocks_deal_sorted_element_lists(mesh, params, split, 3);
+}
+
+/// `score_star` == one `score_soa` per id — and the point-slice `score`
+/// agrees with both — bit for bit, for `dom` (scoring under `metric`) on
+/// `coords`. The id lists have lengths 0..=9, 24 and 25 (every fill of
+/// the last lane block, stars up to the tet grid's 24 and one past it),
+/// each ascending up to the last row, descending from it, and cycling
+/// over three ids, plus the whole table in order. The corner table handed
+/// in is cut three rows short of the domain's, so a kernel that read a
+/// row past the last id it was given would index out of bounds and panic.
+pub fn score_star_equals_per_id<const C: usize, D: SmoothDomain<C>>(
+    dom: &D,
+    coords: &[D::Point],
+    metric: impl std::fmt::Debug,
+) {
+    let mut soa = D::Soa::with_len(coords.len());
+    soa.gather_from(coords);
+    let corners = &dom.elements()[..dom.num_elements() - 3];
+    let n = corners.len() as u32;
+    let mut lists: Vec<Vec<u32>> = vec![(0..n).collect()];
+    for len in (0..=9).chain([24, 25]) {
+        lists.push((n - len..n).collect());
+        lists.push((n - len..n).rev().collect());
+        lists.push((0..len).map(|i| [n - 1, 0, n / 2][i as usize % 3]).collect());
+    }
+    for ids in lists {
+        let mut out = vec![(f64::NAN, false); ids.len()];
+        dom.score_star(&soa, corners, &ids, &mut out);
+        for (i, &t) in ids.iter().enumerate() {
+            let (q, pos) = dom.score_soa(&soa, corners[t as usize]);
+            assert_eq!(q.to_bits(), out[i].0.to_bits(), "{metric:?}, ids {ids:?}, slot {i}");
+            assert_eq!(pos, out[i].1, "{metric:?}, ids {ids:?}, slot {i}");
+            let (qp, pp) = dom.score(coords, corners[t as usize]);
+            assert_eq!((q.to_bits(), pos), (qp.to_bits(), pp));
+        }
+    }
+}
+
+/// The resident sweep at `threads` threads is *exactly* serial
+/// Gauss–Seidel under the part-major visit order — coordinates match bit
+/// for bit. Pin the sweep count (`tol < 0`): the two engines fold their
+/// running quality sums in different orders.
+pub fn resident_equals_serial_part_major_order<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+    method: PartitionMethod,
+    threads: usize,
+) {
+    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), num_parts, method);
+    let mut par = mesh.clone();
+    engine.smooth(&mut par, threads);
+    let serial =
+        SmoothEngineOn::<C, M>::new(mesh, params).with_visit_order(engine.part_major_visit_order());
+    let mut ser = mesh.clone();
+    serial.smooth(&mut ser);
+    assert_eq!(par.coords(), ser.coords());
+}
+
+/// The residency invariant over `num_parts` RCB parts: one full gather,
+/// one full scatter, one exchange round per color step per sweep, and
+/// per-round traffic within the static schedule.
+pub fn residency_invariant_holds<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) {
+    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    let report = engine.smooth(&mut mesh.clone(), 2);
+    let volume = report.exchange.expect("resident runs report exchange accounting");
+    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
+    let sweeps = engine.engine().domain_config().max_iters;
+    assert_eq!(volume.exchange_rounds, sweeps * engine.interface_classes().len());
+    let entries = engine.exchange_schedule().num_entries();
+    assert!(
+        volume.halo_entries_sent <= volume.exchange_rounds * entries,
+        "{} entries over {} rounds exceeds the static schedule ({entries})",
+        volume.halo_entries_sent,
+        volume.exchange_rounds,
+    );
+}
+
+/// A resident run over `num_parts` RCB parts improves quality and leaves
+/// the boundary where it was.
+pub fn resident_improves_quality_and_pins_boundary<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) {
+    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    let mut m = mesh.clone();
+    let report = engine.smooth(&mut m, 2);
+    assert!(report.final_quality > report.initial_quality + 0.01);
+    assert_boundary_pinned(&engine.engine().domain(), mesh, &m);
+}
+
+/// One part has no interface: the resident run equals serial
+/// storage-order Gauss–Seidel, gathers and scatters once and exchanges
+/// nothing.
+pub fn resident_single_part_equals_serial_storage_order<
+    const C: usize,
+    M: SmoothMesh<C> + Clone,
+>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), 1, PartitionMethod::Rcb);
+    assert!(engine.interface_classes().is_empty());
+    let mut a = mesh.clone();
+    let report = engine.smooth(&mut a, 3);
+    let mut b = mesh.clone();
+    SmoothEngineOn::<C, M>::new(mesh, params).smooth(&mut b);
+    assert_eq!(a.coords(), b.coords());
+    let volume = report.exchange.unwrap();
+    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
+    assert_eq!(volume.halo_entries_sent, 0, "one part has nothing to exchange");
+    assert_eq!(volume.halo_messages_sent, 0);
+    assert_eq!(volume.halo_bytes_sent, 0);
+}
+
+/// The resident engine refuses Jacobi parameters.
+pub fn resident_rejects_jacobi_params<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    jacobi: M::Params,
+) {
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ResidentEngineOn::<C, M>::by_method(mesh, jacobi, 2, PartitionMethod::Rcb)
+    }));
+    assert!(r.is_err());
+}
+
+/// The part-major visit order lists every interior vertex exactly once.
+pub fn part_major_order_covers_interior_once<const C: usize, M: SmoothMesh<C>>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) {
+    let engine =
+        ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Hilbert);
+    let dom = engine.engine().domain();
+    let order = engine.part_major_visit_order();
+    let num_interior = (0..dom.num_vertices() as u32).filter(|&v| dom.is_interior(v)).count();
+    assert_eq!(order.len(), num_interior);
+    let mut seen = vec![false; dom.num_vertices()];
+    for &v in &order {
+        assert!(dom.is_interior(v));
+        assert!(!seen[v as usize], "vertex {v} visited twice");
+        seen[v as usize] = true;
+    }
+}

@@ -4,8 +4,8 @@
 //! The paper's OpenMP loop runs in-place sweeps with a static schedule and
 //! simply races on neighbour reads ([`SmoothEngine::smooth_parallel_chaotic`]
 //! reproduces that); the deterministic alternative it compares against is
-//! double-buffered Jacobi ([`SmoothEngine::smooth_parallel`]), which gives
-//! up the Gauss–Seidel convergence rate. This module provides the classic
+//! double-buffered Jacobi ([`SmoothEngineOn::smooth_parallel`]), which
+//! gives up the Gauss–Seidel convergence rate. This module provides the classic
 //! third option: **graph-colored Gauss–Seidel**.
 //!
 //! The vertex–vertex graph is greedily colored
@@ -26,19 +26,21 @@
 //!   serial hot path carries over unchanged.
 //!
 //! The sweep is *exactly* serial Gauss–Seidel under the class-major visit
-//! order ([`SmoothEngine::colored_visit_order`]) — property-tested
+//! order ([`SmoothEngineOn::colored_visit_order`]) — property-tested
 //! bit-for-bit in `tests/colored.rs` — and converges to the same fixed
-//! point as any other Gauss–Seidel order. The same generic body drives
-//! `SmoothEngine3::smooth_parallel_colored` in `lms-mesh3d` (a tet's four
-//! corners are mutually adjacent, so the class argument holds verbatim).
+//! point as any other Gauss–Seidel order. [`smooth_colored_on`] is the one
+//! body, and [`SmoothEngineOn::smooth_parallel_colored`] runs it in every
+//! dimension (a tet's four corners are mutually adjacent, so the class
+//! argument holds verbatim in 3D).
 
 use crate::config::UpdateScheme;
 use crate::dcache::DomainQualityCache;
 use crate::domain::{DomainConfig, SmoothDomain};
+#[cfg(doc)]
 use crate::engine::SmoothEngine;
+use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for;
 use crate::stats::{IterationStats, SmoothReport};
-use lms_mesh::TriMesh;
 use lms_order::coloring::greedy_coloring_on;
 use rayon::prelude::*;
 
@@ -219,7 +221,7 @@ pub fn smooth_colored_on<const C: usize, D: SmoothDomain<C>>(
     report
 }
 
-impl SmoothEngine {
+impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// Greedy coloring of the engine's vertex–vertex adjacency, with each
     /// color class restricted to interior vertices (ascending within a
     /// class) — the schedule [`smooth_parallel_colored`] sweeps. Computed
@@ -228,12 +230,10 @@ impl SmoothEngine {
     /// [`smooth_parallel_colored`]: Self::smooth_parallel_colored
     pub fn interior_color_classes(&self) -> &[Vec<u32>] {
         self.colored_classes.get_or_init(|| {
-            let coloring = greedy_coloring_on(&self.adj);
-            coloring
+            let dom = self.domain();
+            greedy_coloring_on(&self.adj)
                 .classes()
-                .map(|class| {
-                    class.iter().copied().filter(|&v| self.boundary.is_interior(v)).collect()
-                })
+                .map(|class| class.iter().copied().filter(|&v| dom.is_interior(v)).collect())
                 .collect()
         })
     }
@@ -247,31 +247,19 @@ impl SmoothEngine {
         self.interior_color_classes().iter().flatten().copied().collect()
     }
 
-    /// In-place Gauss–Seidel smoothing, parallelised by color class:
-    /// race-free, bitwise-deterministic for any `num_threads`, and with
-    /// true in-place convergence behaviour (unlike the Jacobi engine).
-    /// Honours the engine's `smart` flag through the same incremental
-    /// quality-cache protocol as the serial hot path; the `Jacobi` update
-    /// scheme is rejected (use [`smooth_parallel`](Self::smooth_parallel),
-    /// which is already deterministic).
-    pub fn smooth_parallel_colored(&self, mesh: &mut TriMesh, num_threads: usize) -> SmoothReport {
-        assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
+    /// In-place Gauss–Seidel smoothing, parallelised by color class
+    /// ([`smooth_colored_on`]): race-free, bitwise-deterministic for any
+    /// `num_threads`, and with true in-place convergence behaviour
+    /// (unlike the Jacobi engine). Honours the engine's `smart` flag
+    /// through the same incremental quality-cache protocol as the serial
+    /// hot path; the `Jacobi` update scheme is rejected (use
+    /// [`smooth_parallel`](Self::smooth_parallel), which is already
+    /// deterministic).
+    pub fn smooth_parallel_colored(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         // one persistent pool per engine: the spawn cost of the shim's
         // parked workers is paid on the first run at this thread count
         let pool = self.pool.get(num_threads);
         let classes = self.interior_color_classes();
-        let dom = self.domain();
-        smooth_colored_on(
-            &dom,
-            &DomainConfig::from(&self.params),
-            classes,
-            mesh.coords_mut(),
-            &pool,
-        )
+        smooth_colored_on(&self.domain(), &self.domain_config(), classes, mesh.coords_mut(), &pool)
     }
 }

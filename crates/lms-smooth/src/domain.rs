@@ -573,9 +573,15 @@ impl From<&SmoothParams> for DomainConfig {
     }
 }
 
-/// Generic weighted Laplacian candidate — the dimension-generic core of
-/// [`crate::weighting::weighted_candidate`], with the exact uniform
-/// `sum / n` arithmetic of Equation (1) at every `D`.
+/// New position of a vertex at `pv` from its neighbours' positions under
+/// `weighting` — the weighted Laplacian update shared by every engine, in
+/// every dimension.
+///
+/// Returns `None` when no position can be formed: an empty neighbour
+/// iterator, or a total weight of zero (e.g. [`Weighting::EdgeLength`]
+/// with every neighbour coincident with `pv`) — callers skip the vertex.
+/// The [`Weighting::Uniform`] path is the exact `sum / n` expression of
+/// Equation (1).
 #[inline]
 pub fn weighted_candidate_on<P: DomainPoint>(
     weighting: Weighting,
@@ -732,34 +738,40 @@ fn star_valid_with<const C: usize, D: SmoothDomain<C>>(
         .all(|&t| dom.score_with(coords, dom.elements()[t as usize], v, pos_v).1)
 }
 
-/// The generic **reference** smoothing path: full-mesh quality recompute
-/// every sweep, mean-vs-mean smart guard, per-access tracing — Algorithm 1
-/// as written, for any [`SmoothDomain`]. `SmoothEngine3` delegates its
-/// serial (and traced) runs here; the 2D engine keeps its own concrete
-/// reference body as the historical oracle the incremental kernel is
-/// property-tested against.
+/// The **reference** smoothing path: full-mesh quality recompute every
+/// sweep, mean-vs-mean smart guard, per-access tracing — Algorithm 1 as
+/// written, for any [`SmoothDomain`], and the only reference sweep body:
+/// the serial engine's full-recompute and traced runs land here in every
+/// dimension, and the incremental kernel is property-tested against it.
+///
+/// Every visited vertex reports itself, then each gathered neighbour, to
+/// `sink`; with `trace_elements` it then also reports its incident
+/// elements as ids `num_vertices + t` (the quality update of Algorithm 1,
+/// line 13).
 pub fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     dom: &D,
     cfg: &DomainConfig,
     visit: &[u32],
     coords: &mut [D::Point],
     sink: &mut S,
+    trace_elements: bool,
 ) -> SmoothReport {
     assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
     let initial_quality = domain_quality(dom, coords);
     let mut report = SmoothReport::starting(initial_quality);
     let mut quality = initial_quality;
     let mut scratch: Vec<D::Point> = Vec::new();
+    let elem_base = trace_elements.then_some(dom.num_vertices() as u32);
 
     for iter in 1..=cfg.max_iters {
         match cfg.update {
             UpdateScheme::GaussSeidel => {
-                reference_sweep_gs(dom, cfg, visit, coords, sink);
+                reference_sweep_gs(dom, cfg, visit, coords, sink, elem_base);
             }
             UpdateScheme::Jacobi => {
                 scratch.clear();
                 scratch.extend_from_slice(coords);
-                reference_sweep_jacobi(dom, cfg, visit, &scratch, coords, sink);
+                reference_sweep_jacobi(dom, cfg, visit, &scratch, coords, sink, elem_base);
             }
         }
         sink.end_iteration();
@@ -777,6 +789,22 @@ pub fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     report
 }
 
+/// Report `v`'s incident elements as ids `base + t` when element tracing
+/// is on.
+#[inline]
+fn trace_star<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
+    dom: &D,
+    v: u32,
+    elem_base: Option<u32>,
+    sink: &mut S,
+) {
+    if let Some(base) = elem_base {
+        for &t in dom.elements_of(v) {
+            sink.access(base + t);
+        }
+    }
+}
+
 /// One in-place (Gauss–Seidel) reference sweep: later vertices see
 /// already-committed neighbours.
 fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
@@ -785,6 +813,7 @@ fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     visit: &[u32],
     coords: &mut [D::Point],
     sink: &mut S,
+    elem_base: Option<u32>,
 ) {
     for &v in visit {
         let ns = dom.neighbors(v);
@@ -811,6 +840,7 @@ fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
         } else {
             coords[v as usize] = candidate;
         }
+        trace_star(dom, v, elem_base, sink);
     }
 }
 
@@ -823,6 +853,7 @@ fn reference_sweep_jacobi<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     prev: &[D::Point],
     next: &mut [D::Point],
     sink: &mut S,
+    elem_base: Option<u32>,
 ) {
     for &v in visit {
         let ns = dom.neighbors(v);
@@ -848,6 +879,7 @@ fn reference_sweep_jacobi<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
         } else {
             next[v as usize] = candidate;
         }
+        trace_star(dom, v, elem_base, sink);
     }
 }
 
@@ -986,18 +1018,69 @@ mod tests {
         }
     }
 
+    fn p(x: f64, y: f64) -> Point2 {
+        Point2::new(x, y)
+    }
+
     #[test]
-    fn generic_weighted_candidate_matches_concrete() {
-        use crate::weighting::weighted_candidate;
-        let pv = Point2::new(0.2, 0.4);
-        let nbrs = [Point2::new(0.0, 0.0), Point2::new(1.5, -0.5), Point2::new(0.25, 2.0)];
-        for w in [Weighting::Uniform, Weighting::InverseEdgeLength, Weighting::EdgeLength] {
-            assert_eq!(
-                weighted_candidate(w, pv, nbrs.iter().copied()),
-                weighted_candidate_on(w, pv, nbrs.iter().copied()),
-                "{:?}",
-                w
-            );
+    fn uniform_is_the_plain_mean() {
+        let nbrs = [p(0.0, 0.0), p(2.0, 0.0), p(1.0, 3.0)];
+        let got = weighted_candidate_on(Weighting::Uniform, p(0.5, 0.5), nbrs.into_iter()).unwrap();
+        // identical expression to the engines: sum / n
+        let mut sum = Point2::ZERO;
+        for q in nbrs {
+            sum += q;
         }
+        assert_eq!(got, sum / 3.0);
+    }
+
+    #[test]
+    fn empty_neighbourhood_yields_none() {
+        for w in [Weighting::Uniform, Weighting::InverseEdgeLength, Weighting::EdgeLength] {
+            assert_eq!(weighted_candidate_on(w, p(0.0, 0.0), std::iter::empty()), None);
+        }
+    }
+
+    #[test]
+    fn all_weightings_stay_in_the_neighbour_bbox() {
+        // every variant is a convex combination of the neighbours
+        let nbrs = [p(-1.0, 0.0), p(3.0, 1.0), p(0.0, 4.0), p(1.0, -2.0)];
+        for w in [Weighting::Uniform, Weighting::InverseEdgeLength, Weighting::EdgeLength] {
+            let c = weighted_candidate_on(w, p(0.2, 0.2), nbrs.into_iter()).unwrap();
+            assert!((-1.0..=3.0).contains(&c.x), "{:?}: {c:?}", w);
+            assert!((-2.0..=4.0).contains(&c.y), "{:?}: {c:?}", w);
+        }
+    }
+
+    #[test]
+    fn inverse_weighting_leans_toward_the_near_neighbour() {
+        // neighbours at distance 1 (left) and 3 (right) from the vertex
+        let pv = p(0.0, 0.0);
+        let nbrs = [p(-1.0, 0.0), p(3.0, 0.0)];
+        let uni = weighted_candidate_on(Weighting::Uniform, pv, nbrs.into_iter()).unwrap();
+        let inv =
+            weighted_candidate_on(Weighting::InverseEdgeLength, pv, nbrs.into_iter()).unwrap();
+        let len = weighted_candidate_on(Weighting::EdgeLength, pv, nbrs.into_iter()).unwrap();
+        assert_eq!(uni.x, 1.0);
+        assert!(inv.x < uni.x, "inverse must lean left: {inv:?}");
+        assert!(len.x > uni.x, "length must lean right: {len:?}");
+        // exact values: inv = (1·(−1) + ⅓·3)/(1+⅓) = 0; len = (1·(−1)+3·3)/4 = 2
+        assert!((inv.x - 0.0).abs() < 1e-12);
+        assert!((len.x - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn coincident_neighbours_do_not_blow_up() {
+        let pv = p(1.0, 1.0);
+        let nbrs = [p(1.0, 1.0), p(2.0, 1.0)];
+        let inv =
+            weighted_candidate_on(Weighting::InverseEdgeLength, pv, nbrs.into_iter()).unwrap();
+        assert!(inv.is_finite());
+        // coincident neighbour carries the (huge) clamped weight, so the
+        // candidate stays essentially at the vertex
+        assert!(inv.dist(pv) < 1e-6);
+        // EdgeLength with only coincident neighbours has zero total weight
+        let only = [p(1.0, 1.0)];
+        assert_eq!(weighted_candidate_on(Weighting::EdgeLength, pv, only.into_iter()), None);
     }
 }

@@ -1,55 +1,188 @@
-//! The serial smoothing engine (Algorithm 1).
+//! The serial smoothing engine (Algorithm 1), written once for every mesh
+//! dimension.
+//!
+//! [`SmoothEngineOn`] binds one mesh topology — adjacency, boundary flags,
+//! element connectivity, sweep visit order — and runs every serial path
+//! over its [`SmoothDomain`] view: [`smooth`](SmoothEngineOn::smooth) on
+//! the incremental [`SerialKernel`], the full-recompute and traced runs on
+//! the reference sweep [`smooth_reference_on`]. A dimension enters only
+//! through [`SmoothMesh`]: `TriMesh` implements it here (`C = 3`,
+//! [`SmoothEngine`]), `lms_mesh3d::TetMesh` in its own crate (`C = 4`,
+//! `lms_mesh3d::SmoothEngine3`). The parallel runs on the same struct live
+//! in [`crate::parallel`] and [`crate::colored`], the decomposed engines
+//! built on top of it in [`crate::resident`].
 
-use crate::config::{IterationPolicy, SmoothParams, UpdateScheme};
+use crate::config::{IterationPolicy, SmoothParams};
+use crate::domain::{
+    build_star_layout_on, smooth_reference_on, DomainConfig, DomainPoint, SmoothDomain, TriDomain,
+};
 use crate::greedy::greedy_visit_order;
-use crate::stats::{IterationStats, SmoothReport};
+use crate::kernel::SerialKernel;
+use crate::pool::PoolCache;
+use crate::stats::SmoothReport;
 use crate::trace::{AccessSink, NullSink};
-use crate::weighting::weighted_candidate;
 use lms_mesh::geometry::Point2;
-use lms_mesh::quality::{mesh_quality, vertex_qualities};
+use lms_mesh::quality::vertex_qualities;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
+use lms_order::Graph;
+use lms_part::{Partition, PartitionMethod};
+use std::sync::{Arc, OnceLock};
 
-/// A smoothing engine bound to one mesh topology.
-///
-/// Construction precomputes the CSR adjacency, the boundary flags and the
-/// sweep visit order; [`smooth`](SmoothEngine::smooth) can then be run on
-/// the mesh (or any mesh with identical connectivity — e.g. a re-smoothing
-/// after further perturbation) without re-deriving topology.
-///
-/// The triangle connectivity is held behind an [`std::sync::Arc`]:
-/// cloning the engine shares one allocation instead of copying the array
-/// per engine.
-#[derive(Debug, Clone)]
-pub struct SmoothEngine {
-    pub(crate) params: SmoothParams,
-    pub(crate) adj: Adjacency,
-    pub(crate) boundary: Boundary,
-    /// Interior vertices in sweep order.
-    pub(crate) visit: Vec<u32>,
-    /// Shared triangle connectivity (smart smoothing's local quality
-    /// checks and the quality cache score against it).
-    pub(crate) triangles: std::sync::Arc<[[u32; 3]]>,
-    /// Star layout: for every vertex→triangle incidence (aligned with the
-    /// flat CSR slice order, base [`Adjacency::triangles_offset`]), the
-    /// three stored corners encoded as ring positions — the index of the
-    /// corner in `neighbors(v)`, or [`SELF_CORNER`] for `v` itself. Lets
-    /// the smart sweeps score a candidate star from a gathered ring buffer
-    /// instead of scattered coordinate loads. `None` when a vertex degree
-    /// exceeds `u8` encoding (fall back to direct indexing).
-    pub(crate) star: Option<std::sync::Arc<[[u8; 3]]>>,
-    /// Lazily-computed interior color classes for the colored parallel
-    /// engine (topology-only, so one computation serves every run).
-    pub(crate) colored_classes: std::sync::OnceLock<Vec<Vec<u32>>>,
-    /// Cached persistent worker pool: the parallel engines spawn OS
-    /// threads once per engine lifetime, not once per `smooth()` call.
-    pub(crate) pool: crate::pool::PoolCache,
+/// One mesh dimension, as every engine of this crate sees it: the mesh
+/// type implements it, and only what truly differs between dimensions
+/// lives here — the point, adjacency, boundary and parameter types, how
+/// the topology and the partition are built, the [`SmoothDomain`] view,
+/// and the initial visit order. `C` is the element corner count.
+pub trait SmoothMesh<const C: usize>: Sized {
+    /// Coordinate type of the mesh.
+    type Point: DomainPoint;
+    /// The CSR vertex adjacency (also the graph the color classes come
+    /// from).
+    type Adjacency: Graph + Clone + std::fmt::Debug;
+    /// The boundary (fixed-vertex) classification.
+    type Boundary: Clone + std::fmt::Debug;
+    /// The smoothing parameter set of this dimension.
+    type Params: Clone + std::fmt::Debug;
+    /// The borrowed [`SmoothDomain`] view the generic sweeps run against.
+    type Domain<'a>: SmoothDomain<C, Point = Self::Point>
+    where
+        Self: 'a;
+
+    /// Build the vertex adjacency.
+    fn build_adjacency(&self) -> Self::Adjacency;
+
+    /// Classify the boundary, given the adjacency built for this mesh.
+    fn boundary(&self, adj: &Self::Adjacency) -> Self::Boundary;
+
+    /// Element→vertex incidence.
+    fn elements(&self) -> &[[u32; C]];
+
+    /// The coordinate array.
+    fn coords(&self) -> &[Self::Point];
+
+    /// The coordinate array, mutably.
+    fn coords_mut(&mut self) -> &mut [Self::Point];
+
+    /// Decompose the mesh into `num_parts` parts with `method`.
+    fn partition(
+        &self,
+        adj: &Self::Adjacency,
+        num_parts: usize,
+        method: PartitionMethod,
+    ) -> Partition;
+
+    /// Bundle precomputed topology into the domain view.
+    fn domain<'a>(
+        adj: &'a Self::Adjacency,
+        boundary: &'a Self::Boundary,
+        elements: &'a [[u32; C]],
+        params: &Self::Params,
+    ) -> Self::Domain<'a>;
+
+    /// The dimension-free slice of `params`.
+    fn domain_config(params: &Self::Params) -> DomainConfig;
+
+    /// The interior vertices in the sweep order `params` asks for.
+    fn visit_order(
+        &self,
+        adj: &Self::Adjacency,
+        boundary: &Self::Boundary,
+        params: &Self::Params,
+    ) -> Vec<u32>;
 }
 
-impl SmoothEngine {
+impl SmoothMesh<3> for TriMesh {
+    type Point = Point2;
+    type Adjacency = Adjacency;
+    type Boundary = Boundary;
+    type Params = SmoothParams;
+    type Domain<'a> = TriDomain<'a>;
+
+    fn build_adjacency(&self) -> Adjacency {
+        Adjacency::build(self)
+    }
+
+    fn boundary(&self, adj: &Adjacency) -> Boundary {
+        Boundary::from_adjacency(adj)
+    }
+
+    fn elements(&self) -> &[[u32; 3]] {
+        self.triangles()
+    }
+
+    fn coords(&self) -> &[Point2] {
+        TriMesh::coords(self)
+    }
+
+    fn coords_mut(&mut self) -> &mut [Point2] {
+        TriMesh::coords_mut(self)
+    }
+
+    fn partition(&self, adj: &Adjacency, num_parts: usize, method: PartitionMethod) -> Partition {
+        lms_part::partition_mesh(self, adj, num_parts, method)
+    }
+
+    fn domain<'a>(
+        adj: &'a Adjacency,
+        boundary: &'a Boundary,
+        elements: &'a [[u32; 3]],
+        params: &SmoothParams,
+    ) -> TriDomain<'a> {
+        TriDomain::new(adj, boundary, elements, params.metric)
+    }
+
+    fn domain_config(params: &SmoothParams) -> DomainConfig {
+        params.into()
+    }
+
+    /// Storage order, or the §4.2 greedy quality-driven order.
+    fn visit_order(&self, adj: &Adjacency, boundary: &Boundary, params: &SmoothParams) -> Vec<u32> {
+        match params.policy {
+            IterationPolicy::StorageOrder => boundary.interior_vertices(),
+            IterationPolicy::GreedyQuality => {
+                let q = vertex_qualities(self, adj, params.metric);
+                greedy_visit_order(adj, boundary, &q)
+            }
+        }
+    }
+}
+
+/// A smoothing engine bound to one mesh topology, for any [`SmoothMesh`].
+///
+/// Construction precomputes the adjacency, the boundary flags and the
+/// sweep visit order; every run can then smooth the mesh (or any mesh with
+/// identical connectivity — e.g. a re-smoothing after further
+/// perturbation) without re-deriving topology. The element connectivity
+/// is held behind an [`Arc`]: cloning the engine shares one allocation.
+#[derive(Debug, Clone)]
+pub struct SmoothEngineOn<const C: usize, M: SmoothMesh<C>> {
+    pub(crate) params: M::Params,
+    pub(crate) adj: M::Adjacency,
+    pub(crate) boundary: M::Boundary,
+    /// Interior vertices in sweep order.
+    pub(crate) visit: Vec<u32>,
+    pub(crate) elements: Arc<[[u32; C]]>,
+    /// Star layout (see [`build_star_layout_on`]): lets the scalar-scoring
+    /// smart sweeps score a candidate star from a gathered ring buffer.
+    /// Built only for `smart && scalar_scoring`, and `None` when a vertex
+    /// degree exceeds `u8` encoding (the sweeps then index directly).
+    pub(crate) star: Option<Arc<[[u8; C]]>>,
+    /// Lazily-computed interior color classes for the colored parallel
+    /// engine (topology-only, so one computation serves every run).
+    pub(crate) colored_classes: OnceLock<Vec<Vec<u32>>>,
+    /// Cached persistent worker pool: the parallel engines spawn OS
+    /// threads once per engine lifetime, not once per `smooth()` call.
+    pub(crate) pool: PoolCache,
+}
+
+/// Serial smoothing of triangle meshes.
+pub type SmoothEngine = SmoothEngineOn<3, TriMesh>;
+
+impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// Build an engine for `mesh` under `params`: builds the adjacency and
     /// hands it to [`with_adjacency`](Self::with_adjacency).
-    pub fn new(mesh: &TriMesh, params: SmoothParams) -> Self {
-        Self::with_adjacency(mesh, Adjacency::build(mesh), params)
+    pub fn new(mesh: &M, params: M::Params) -> Self {
+        Self::with_adjacency(mesh, mesh.build_adjacency(), params)
     }
 
     /// Build an engine for `mesh` under `params` around an adjacency the
@@ -58,97 +191,53 @@ impl SmoothEngine {
     ///
     /// # Panics
     /// When `adj` was built for a different number of vertices.
-    pub fn with_adjacency(mesh: &TriMesh, adj: Adjacency, params: SmoothParams) -> Self {
+    pub fn with_adjacency(mesh: &M, adj: M::Adjacency, params: M::Params) -> Self {
         assert_eq!(
             adj.num_vertices(),
-            mesh.num_vertices(),
+            mesh.coords().len(),
             "adjacency was built for {} vertices, the mesh has {}",
             adj.num_vertices(),
-            mesh.num_vertices()
+            mesh.coords().len()
         );
-        let boundary = Boundary::from_adjacency(&adj);
-        let visit = match params.policy {
-            IterationPolicy::StorageOrder => boundary.interior_vertices(),
-            IterationPolicy::GreedyQuality => {
-                let q = vertex_qualities(mesh, &adj, params.metric);
-                greedy_visit_order(&adj, &boundary, &q)
-            }
-        };
+        let boundary = mesh.boundary(&adj);
+        let visit = mesh.visit_order(&adj, &boundary, &params);
         // only the smart scalar-scoring sweeps read the star layout; skip
-        // the O(3T) binary-search construction for every other engine
-        let star = if params.smart && params.scalar_scoring {
-            let dom =
-                crate::domain::TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
-            crate::domain::build_star_layout_on(&dom).map(Into::into)
+        // the O(C·T) binary-search construction for every other engine
+        let cfg = M::domain_config(&params);
+        let star = if cfg.smart && cfg.scalar_scoring {
+            let dom = M::domain(&adj, &boundary, mesh.elements(), &params);
+            build_star_layout_on(&dom).map(Into::into)
         } else {
             None
         };
-        SmoothEngine {
+        SmoothEngineOn {
             params,
             adj,
             boundary,
             visit,
-            triangles: mesh.triangles().into(),
+            elements: mesh.elements().into(),
             star,
-            colored_classes: std::sync::OnceLock::new(),
-            pool: crate::pool::PoolCache::new(),
+            colored_classes: OnceLock::new(),
+            pool: PoolCache::new(),
         }
     }
 
-    /// The engine's [`crate::domain::SmoothDomain`] view: the borrowed
-    /// (adjacency, boundary, connectivity, metric) bundle every generic
-    /// sweep in [`crate::kernel`] / [`crate::colored`] /
-    /// [`crate::resident`] runs against.
-    pub fn domain(&self) -> crate::domain::TriDomain<'_> {
-        crate::domain::TriDomain::new(
-            &self.adj,
-            &self.boundary,
-            &self.triangles,
-            self.params.metric,
-        )
+    /// The engine's [`SmoothDomain`] view: the borrowed (adjacency,
+    /// boundary, connectivity, metric) bundle every generic sweep in
+    /// [`crate::kernel`] / [`crate::colored`] / [`crate::resident`] runs
+    /// against.
+    pub fn domain(&self) -> M::Domain<'_> {
+        M::domain(&self.adj, &self.boundary, &self.elements, &self.params)
     }
 
-    /// The shared triangle connectivity the engine was built for.
-    pub fn triangles(&self) -> &[[u32; 3]] {
-        &self.triangles
-    }
-
-    /// Mean quality of the triangles incident to `v`, evaluated on
-    /// `coords`.
-    fn local_quality(&self, coords: &[Point2], v: u32) -> f64 {
-        self.local_quality_with(coords, v, coords[v as usize])
-    }
-
-    /// [`local_quality`](Self::local_quality) with `v`'s position
-    /// overridden by `pos_v` (no buffer copy).
-    ///
-    /// Orientation-aware: a triangle whose stored vertex order turns
-    /// non-positive in area scores 0 — shape metrics like edge-length
-    /// ratio are blind to inversion, and guarding against inversions is
-    /// the point of Freitag's smart variant. (Assumes a consistently CCW
-    /// mesh, which every generator in `lms-mesh` produces.)
-    fn local_quality_with(&self, coords: &[Point2], v: u32, pos_v: Point2) -> f64 {
-        let ts = self.adj.triangles_of(v);
-        if ts.is_empty() {
-            return 0.0;
-        }
-        let at = |u: u32| if u == v { pos_v } else { coords[u as usize] };
-        ts.iter()
-            .map(|&t| {
-                let [a, b, c] = self.triangles[t as usize];
-                let (pa, pb, pc) = (at(a), at(b), at(c));
-                if lms_mesh::geometry::signed_area(pa, pb, pc) <= 0.0 {
-                    0.0
-                } else {
-                    self.params.metric.triangle_quality(pa, pb, pc)
-                }
-            })
-            .sum::<f64>()
-            / ts.len() as f64
+    /// The dimension-free slice of the engine's parameters.
+    pub fn domain_config(&self) -> DomainConfig {
+        M::domain_config(&self.params)
     }
 
     /// Replace the sweep visit order — the *iteration reordering* of
-    /// Strout & Hovland \[18\], decoupled from the data layout.
+    /// Strout & Hovland \[18\], decoupled from the data layout, and the
+    /// serial-equivalence oracle of the colored and resident engines.
     ///
     /// Renumbering a mesh (the paper's approach) changes layout and
     /// iteration together, because the sweep walks the vertex array in
@@ -159,11 +248,15 @@ impl SmoothEngine {
     /// Non-interior vertices in `order` are dropped; each interior vertex
     /// must appear exactly once.
     pub fn with_visit_order(mut self, order: Vec<u32>) -> Self {
-        let filtered: Vec<u32> =
-            order.into_iter().filter(|&v| self.boundary.is_interior(v)).collect();
+        let (filtered, num_interior) = {
+            let dom = self.domain();
+            let filtered: Vec<u32> = order.into_iter().filter(|&v| dom.is_interior(v)).collect();
+            let n = dom.num_vertices() as u32;
+            (filtered, (0..n).filter(|&v| dom.is_interior(v)).count())
+        };
         assert_eq!(
             filtered.len(),
-            self.boundary.num_interior(),
+            num_interior,
             "visit order must cover every interior vertex exactly once"
         );
         let mut seen = vec![false; self.adj.num_vertices()];
@@ -176,17 +269,17 @@ impl SmoothEngine {
     }
 
     /// The engine's parameters.
-    pub fn params(&self) -> &SmoothParams {
+    pub fn params(&self) -> &M::Params {
         &self.params
     }
 
     /// The precomputed adjacency.
-    pub fn adjacency(&self) -> &Adjacency {
+    pub fn adjacency(&self) -> &M::Adjacency {
         &self.adj
     }
 
     /// The precomputed boundary classification.
-    pub fn boundary(&self) -> &Boundary {
+    pub fn boundary(&self) -> &M::Boundary {
         &self.boundary
     }
 
@@ -197,240 +290,69 @@ impl SmoothEngine {
 
     /// Smooth `mesh` in place until convergence or `max_iters`.
     ///
-    /// Runs the incremental-quality hot path (see [`crate::kernel`]): the
+    /// Runs the incremental-quality hot path ([`SerialKernel`]): the
     /// per-iteration convergence statistics and the smart-commit "before"
     /// qualities come from a [`crate::DomainQualityCache`] that re-scores
-    /// only the triangles a move touched, instead of recomputing the whole
+    /// only the elements a move touched, instead of recomputing the whole
     /// mesh quality every sweep. Produces bit-identical coordinates to
     /// [`smooth_full_recompute`](Self::smooth_full_recompute) for any
     /// fixed sweep count (see [`crate::kernel`] for the one ulp-level
     /// caveat around the convergence tolerance).
-    pub fn smooth(&self, mesh: &mut TriMesh) -> SmoothReport {
-        self.smooth_incremental(mesh)
+    pub fn smooth(&self, mesh: &mut M) -> SmoothReport {
+        let dom = self.domain();
+        let cfg = self.domain_config();
+        let kernel = SerialKernel {
+            dom: &dom,
+            cfg,
+            visit: &self.visit,
+            star: self.star.as_deref(),
+            scalar_scoring: cfg.scalar_scoring,
+        };
+        kernel.run(mesh.coords_mut())
     }
 
-    /// The pre-incremental reference path: recomputes the full mesh
-    /// quality from scratch every iteration and re-evaluates both sides of
-    /// every smart-commit test. Kept as the oracle for property tests and
-    /// as the baseline the `bench_smooth_hot` bench measures the
+    /// The reference path ([`smooth_reference_on`]): recomputes the full
+    /// mesh quality from scratch every iteration and re-evaluates both
+    /// sides of every smart-commit test. Kept as the oracle for property
+    /// tests and as the baseline the `bench_smooth_hot` bench measures the
     /// incremental path against.
-    pub fn smooth_full_recompute(&self, mesh: &mut TriMesh) -> SmoothReport {
-        self.smooth_traced_opts(mesh, &mut NullSink, false)
+    pub fn smooth_full_recompute(&self, mesh: &mut M) -> SmoothReport {
+        self.smooth_reference(mesh, &mut NullSink, false)
     }
 
-    /// [`smooth`](Self::smooth) while reporting every vertex-record access
-    /// to `sink` (one event for the smoothed vertex, one per gathered
-    /// neighbour — the stream analysed in §5.2.3).
-    pub fn smooth_traced(&self, mesh: &mut TriMesh, sink: &mut impl AccessSink) -> SmoothReport {
-        self.smooth_traced_opts(mesh, sink, false)
+    /// The reference path while reporting every vertex-record access to
+    /// `sink` (one event for the smoothed vertex, one per gathered
+    /// neighbour — the stream analysed in §5.2.3, the same shape in every
+    /// dimension, so the whole `lms-cache` pipeline applies unchanged).
+    pub fn smooth_traced(&self, mesh: &mut M, sink: &mut impl AccessSink) -> SmoothReport {
+        self.smooth_reference(mesh, sink, false)
     }
 
     /// [`smooth_traced`](Self::smooth_traced) that additionally reports the
     /// per-vertex **quality update** (Algorithm 1, line 13): after moving a
     /// vertex, the smoother re-evaluates the quality of its incident
-    /// triangles, streaming the triangle records through the cache. Those
-    /// accesses are reported as element ids `num_vertices + t` for triangle
-    /// `t`, so the combined stream spans `num_vertices + num_triangles`
-    /// element ids. Including them reproduces the shared-L3 pressure of the
-    /// paper's full application.
+    /// elements, streaming the element records through the cache. Those
+    /// accesses are reported as ids `num_vertices + t` for element `t`, so
+    /// the combined stream spans `num_vertices + num_elements` ids.
+    /// Including them reproduces the shared-L3 pressure of the paper's
+    /// full application.
     pub fn smooth_traced_with_quality(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut M,
         sink: &mut impl AccessSink,
     ) -> SmoothReport {
-        self.smooth_traced_opts(mesh, sink, true)
+        self.smooth_reference(mesh, sink, true)
     }
 
-    fn smooth_traced_opts(
+    fn smooth_reference(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut M,
         sink: &mut impl AccessSink,
-        trace_quality: bool,
+        trace_elements: bool,
     ) -> SmoothReport {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let initial_quality = mesh_quality(mesh, &self.adj, self.params.metric);
-        let mut report = SmoothReport::starting(initial_quality);
-        let mut quality = initial_quality;
-        let mut scratch: Vec<Point2> = Vec::new();
-
-        let tri_base = if trace_quality { Some(mesh.num_vertices() as u32) } else { None };
-        for iter in 1..=self.params.max_iters {
-            match self.params.update {
-                UpdateScheme::GaussSeidel => {
-                    self.sweep_gauss_seidel(mesh.coords_mut(), sink, tri_base)
-                }
-                UpdateScheme::Jacobi => {
-                    scratch.clear();
-                    scratch.extend_from_slice(mesh.coords());
-                    self.sweep_jacobi(&scratch, mesh.coords_mut(), sink, tri_base);
-                }
-            }
-            sink.end_iteration();
-
-            let new_quality = mesh_quality(mesh, &self.adj, self.params.metric);
-            let improvement = new_quality - quality;
-            report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-            quality = new_quality;
-            if improvement < self.params.tol {
-                report.converged = true;
-                break;
-            }
-        }
-        report.final_quality = quality;
-        report
-    }
-
-    /// Smart-commit validity rule: a move may never turn a currently
-    /// valid vertex star (all incident triangles positively oriented)
-    /// into an invalid one. The mean-quality test alone cannot guarantee
-    /// this — a move can invert one incident triangle (scoring 0) yet
-    /// still raise the mean.
-    fn commit_keeps_validity(&self, coords: &[Point2], v: u32, candidate: Point2) -> bool {
-        let at = |u: u32, pos_v: Point2| if u == v { pos_v } else { coords[u as usize] };
-        let min_area = |pos_v: Point2| {
-            self.adj
-                .triangles_of(v)
-                .iter()
-                .map(|&t| {
-                    let [a, b, c] = self.triangles[t as usize];
-                    lms_mesh::geometry::signed_area(at(a, pos_v), at(b, pos_v), at(c, pos_v))
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        min_area(candidate) > 0.0 || min_area(coords[v as usize]) <= 0.0
-    }
-
-    /// Emit the quality-update accesses of vertex `v` (its incident
-    /// triangle records, in the `tri_base + t` id range).
-    #[inline]
-    fn trace_quality_update(&self, v: u32, tri_base: Option<u32>, sink: &mut impl AccessSink) {
-        if let Some(base) = tri_base {
-            for &t in self.adj.triangles_of(v) {
-                sink.access(base + t);
-            }
-        }
-    }
-
-    /// One in-place sweep: each visited vertex moves to the mean of its
-    /// neighbours' *current* positions (Equation (1)).
-    fn sweep_gauss_seidel(
-        &self,
-        coords: &mut [Point2],
-        sink: &mut impl AccessSink,
-        tri_base: Option<u32>,
-    ) {
-        for &v in &self.visit {
-            let ns = self.adj.neighbors(v);
-            if ns.is_empty() {
-                continue;
-            }
-            sink.access(v);
-            let pv = coords[v as usize];
-            let gathered = ns.iter().map(|&w| {
-                sink.access(w);
-                coords[w as usize]
-            });
-            let Some(candidate) = weighted_candidate(self.params.weighting, pv, gathered) else {
-                continue;
-            };
-            if self.params.smart {
-                let before = self.local_quality(coords, v);
-                if self.local_quality_with(coords, v, candidate) >= before
-                    && self.commit_keeps_validity(coords, v, candidate)
-                {
-                    coords[v as usize] = candidate;
-                }
-            } else {
-                coords[v as usize] = candidate;
-            }
-            self.trace_quality_update(v, tri_base, sink);
-        }
-    }
-
-    /// One double-buffered sweep: reads `prev`, writes `next`.
-    fn sweep_jacobi(
-        &self,
-        prev: &[Point2],
-        next: &mut [Point2],
-        sink: &mut impl AccessSink,
-        tri_base: Option<u32>,
-    ) {
-        for &v in &self.visit {
-            let ns = self.adj.neighbors(v);
-            if ns.is_empty() {
-                continue;
-            }
-            sink.access(v);
-            let pv = prev[v as usize];
-            let gathered = ns.iter().map(|&w| {
-                sink.access(w);
-                prev[w as usize]
-            });
-            let Some(candidate) = weighted_candidate(self.params.weighting, pv, gathered) else {
-                continue;
-            };
-            if self.params.smart {
-                // evaluate against the previous sweep's neighbourhood
-                let before = self.local_quality(prev, v);
-                if self.local_quality_with(prev, v, candidate) >= before
-                    && self.commit_keeps_validity(prev, v, candidate)
-                {
-                    next[v as usize] = candidate;
-                }
-            } else {
-                next[v as usize] = candidate;
-            }
-            self.trace_quality_update(v, tri_base, sink);
-        }
-    }
-}
-
-impl crate::resident::SerialHost<3> for SmoothEngine {
-    type Mesh = TriMesh;
-    type Adjacency = Adjacency;
-    type Params = SmoothParams;
-    type Point = Point2;
-    type Domain<'a> = crate::domain::TriDomain<'a>;
-
-    fn build_adjacency(mesh: &TriMesh) -> Adjacency {
-        Adjacency::build(mesh)
-    }
-
-    fn partition(
-        mesh: &TriMesh,
-        adj: &Adjacency,
-        num_parts: usize,
-        method: lms_part::PartitionMethod,
-    ) -> lms_part::Partition {
-        lms_part::partition_mesh(mesh, adj, num_parts, method)
-    }
-
-    fn with_adjacency(mesh: &TriMesh, adj: Adjacency, params: SmoothParams) -> Self {
-        SmoothEngine::with_adjacency(mesh, adj, params)
-    }
-
-    fn coords_mut(mesh: &mut TriMesh) -> &mut [Point2] {
-        mesh.coords_mut()
-    }
-
-    fn domain(&self) -> crate::domain::TriDomain<'_> {
-        self.domain()
-    }
-
-    fn domain_config(&self) -> crate::domain::DomainConfig {
-        (&self.params).into()
-    }
-
-    fn interior_color_classes(&self) -> &[Vec<u32>] {
-        self.interior_color_classes()
-    }
-
-    fn pool(&self) -> &crate::pool::PoolCache {
-        &self.pool
+        let dom = self.domain();
+        let cfg = self.domain_config();
+        smooth_reference_on(&dom, &cfg, &self.visit, mesh.coords_mut(), sink, trace_elements)
     }
 }
 
@@ -445,7 +367,9 @@ impl SmoothParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CountSink, VecSink};
+    use crate::checks;
+    use crate::config::UpdateScheme;
+    use crate::trace::VecSink;
     use lms_mesh::generators;
 
     #[test]
@@ -458,13 +382,8 @@ mod tests {
 
     #[test]
     fn boundary_vertices_never_move() {
-        let mut m = generators::perturbed_grid(14, 14, 0.35, 2);
-        let before = m.coords().to_vec();
-        let engine = SmoothEngine::new(&m, SmoothParams::paper());
-        engine.smooth(&mut m);
-        for v in engine.boundary().boundary_vertices() {
-            assert_eq!(m.coords()[v as usize], before[v as usize], "boundary vertex {v} moved");
-        }
+        let m = generators::perturbed_grid(14, 14, 0.35, 2);
+        checks::boundary_vertices_never_move(&m, SmoothParams::paper());
     }
 
     #[test]
@@ -526,30 +445,33 @@ mod tests {
     #[test]
     fn trace_counts_match_topology() {
         // Each sweep accesses every interior vertex once plus its degree.
-        let mut m = generators::perturbed_grid(10, 10, 0.3, 7);
-        let engine = SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(3));
-        let expected_per_iter: u64 =
-            engine.visit_order().iter().map(|&v| 1 + engine.adjacency().degree(v) as u64).sum();
-        let mut sink = CountSink::default();
-        let report = engine.smooth_traced(&mut m, &mut sink);
-        assert_eq!(sink.iterations as usize, report.num_iterations());
-        assert_eq!(sink.count, expected_per_iter * report.num_iterations() as u64);
+        let m = generators::perturbed_grid(10, 10, 0.3, 7);
+        checks::trace_counts_match_topology(&m, SmoothParams::paper().with_max_iters(3));
     }
 
     #[test]
     fn trace_structure_vertex_then_neighbours() {
-        let mut m = generators::perturbed_grid(6, 6, 0.2, 8);
-        let engine = SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(1));
+        let m = generators::perturbed_grid(6, 6, 0.2, 8);
+        checks::trace_structure_vertex_then_neighbours(&m, SmoothParams::paper().with_max_iters(1));
+    }
+
+    #[test]
+    fn traced_with_quality_stream_is_vertex_neighbours_then_star() {
+        // the exact stream, two sweeps: per visit the vertex, its CSR
+        // neighbours, then its incident triangles as `n + t`
+        let mut m = generators::perturbed_grid(5, 4, 0.2, 3);
+        let engine = SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(2).with_tol(-1.0));
+        let (adj, n) = (engine.adjacency(), m.num_vertices() as u32);
+        let mut sweep = Vec::new();
+        for &v in engine.visit_order() {
+            sweep.push(v);
+            sweep.extend_from_slice(adj.neighbors(v));
+            sweep.extend(adj.triangles_of(v).iter().map(|&t| n + t));
+        }
         let mut sink = VecSink::new();
-        engine.smooth_traced(&mut m, &mut sink);
-        // First event is the first visited vertex; following deg(v) events
-        // are exactly its neighbours.
-        let v0 = engine.visit_order()[0];
-        assert_eq!(sink.accesses[0], v0);
-        let deg = engine.adjacency().degree(v0);
-        let mut nbrs: Vec<u32> = sink.accesses[1..=deg].to_vec();
-        nbrs.sort_unstable();
-        assert_eq!(&nbrs[..], engine.adjacency().neighbors(v0));
+        engine.smooth_traced_with_quality(&mut m, &mut sink);
+        assert_eq!(sink.accesses, [sweep.clone(), sweep.clone()].concat());
+        assert_eq!(sink.iteration_ends, [sweep.len(), 2 * sweep.len()]);
     }
 
     #[test]
@@ -681,10 +603,11 @@ mod tests {
 
     #[test]
     fn zero_tolerance_runs_to_max_iters() {
-        let mut m = generators::perturbed_grid(8, 8, 0.3, 3);
-        let report = SmoothParams::paper().with_tol(-1.0).with_max_iters(5).smooth(&mut m);
-        assert_eq!(report.num_iterations(), 5);
-        assert!(!report.converged);
+        let m = generators::perturbed_grid(8, 8, 0.3, 3);
+        checks::zero_tolerance_runs_to_max_iters(
+            &m,
+            SmoothParams::paper().with_tol(-1.0).with_max_iters(5),
+        );
     }
 
     #[test]
@@ -725,12 +648,10 @@ mod tests {
 
     #[test]
     fn engine_rejects_mismatched_mesh() {
-        let m1 = generators::perturbed_grid(6, 6, 0.2, 1);
-        let mut m2 = generators::perturbed_grid(7, 7, 0.2, 1);
-        let engine = SmoothEngine::new(&m1, SmoothParams::paper());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.smooth(&mut m2);
-        }));
-        assert!(result.is_err());
+        checks::engine_rejects_mismatched_mesh(
+            &generators::perturbed_grid(6, 6, 0.2, 1),
+            generators::perturbed_grid(7, 7, 0.2, 1),
+            SmoothParams::paper(),
+        );
     }
 }

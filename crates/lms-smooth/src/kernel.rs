@@ -1,8 +1,9 @@
 //! The incremental-quality sweep kernel — the serial hot path, generic
 //! over the smoothing domain.
 //!
-//! The reference engine ([`SmoothEngine::smooth_full_recompute`]) spends
-//! most of its time on *bookkeeping* rather than smoothing:
+//! The reference sweep ([`crate::smooth_reference_on`], behind
+//! [`SmoothEngineOn::smooth_full_recompute`]) spends most of its time on
+//! *bookkeeping* rather than smoothing:
 //!
 //! * every iteration ends with a full-mesh quality recompute (O(T) element
 //!   scorings plus the per-vertex means) just to evaluate the convergence
@@ -28,24 +29,26 @@
 //!   ([`DomainQualityCache::quality_exact`]), bit-identical to a
 //!   from-scratch `mesh_quality` on the output mesh.
 //!
-//! Since PR 4 the sweeps are **dimension-generic** ([`SmoothDomain`]):
-//! one body serves the 2D [`SmoothEngine`] and the 3D engines of
-//! `lms-mesh3d`. The arithmetic of every committed move is identical to
-//! the reference path expression by expression, so coordinates stay
+//! The sweeps are **dimension-generic** ([`SmoothDomain`]): one body runs
+//! every serial [`SmoothEngineOn::smooth`], triangles and tetrahedra
+//! alike. The arithmetic of every committed move is identical to the
+//! reference path expression by expression, so coordinates stay
 //! **bit-identical** over any fixed number of sweeps — property-tested in
-//! `tests/incremental.rs`. One caveat: the per-iteration convergence test
-//! reads the compensated running sum, which tracks the exact quality to a
-//! few ulps; an improvement landing exactly on `tol` could therefore stop
-//! the incremental and reference paths one sweep apart. Disable the
-//! tolerance (`tol < 0`) when exact sweep-count parity matters.
+//! both dimensions (`tests/incremental.rs` here, `tests/props.rs` in
+//! `lms-mesh3d`). One caveat: the per-iteration convergence test reads
+//! the compensated running sum, which tracks the exact quality to a few
+//! ulps; an improvement landing exactly on `tol` could therefore stop the
+//! incremental and reference paths one sweep apart. Disable the tolerance
+//! (`tol < 0`) when exact sweep-count parity matters.
+//!
+//! [`SmoothEngineOn::smooth`]: crate::SmoothEngineOn::smooth
+//! [`SmoothEngineOn::smooth_full_recompute`]: crate::SmoothEngineOn::smooth_full_recompute
 
 use crate::config::{UpdateScheme, Weighting};
 use crate::dcache::DomainQualityCache;
 use crate::domain::{weighted_candidate_on, DomainConfig, DomainPoint, SmoothDomain, SELF_CORNER};
-use crate::engine::SmoothEngine;
 use crate::soa::{resize_tracked, SoaLike};
 use crate::stats::{IterationStats, SmoothReport};
-use lms_mesh::TriMesh;
 
 /// Scratch for one vertex's candidate evaluation, aligned with the
 /// vertex's incident-element slice: candidate quality + orientation.
@@ -259,8 +262,8 @@ pub(crate) fn candidate_for_soa<P: DomainPoint, S: SoaLike<P>>(
 }
 
 /// The serial incremental sweeps bound to one domain view: the generic
-/// body behind [`SmoothEngine::smooth`] (and any other domain's serial
-/// hot path). Construction is free — all state is borrowed.
+/// body behind [`crate::SmoothEngineOn::smooth`]. Construction is free —
+/// all state is borrowed.
 pub struct SerialKernel<'a, const C: usize, D: SmoothDomain<C>> {
     /// The smoothing domain.
     pub dom: &'a D,
@@ -759,27 +762,5 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 moved.push(v);
             }
         }
-    }
-}
-
-impl SmoothEngine {
-    /// [`smooth`](Self::smooth)'s implementation: the generic incremental
-    /// kernel over the engine's [`TriDomain`](crate::domain::TriDomain)
-    /// view.
-    pub(crate) fn smooth_incremental(&self, mesh: &mut TriMesh) -> SmoothReport {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let dom = self.domain();
-        let kernel = SerialKernel {
-            dom: &dom,
-            cfg: DomainConfig::from(&self.params),
-            visit: &self.visit,
-            star: self.star.as_deref(),
-            scalar_scoring: self.params.scalar_scoring,
-        };
-        kernel.run(mesh.coords_mut())
     }
 }

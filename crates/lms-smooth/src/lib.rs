@@ -1,36 +1,39 @@
 //! # lms-smooth — Laplacian Mesh Smoothing engines
 //!
-//! Implements Algorithm 1 of the paper and its variants:
+//! Implements Algorithm 1 of the paper and its variants, each written once
+//! for every mesh dimension:
 //!
-//! * [`SmoothEngine::smooth`] — serial sweeps, Gauss–Seidel (in place,
-//!   Mesquite-like) or Jacobi (double-buffered), with the paper's
-//!   storage-order or §4.2 greedy quality-driven visit policy;
-//! * [`SmoothEngine::smooth_parallel`] — rayon static-chunk Jacobi,
+//! * [`SmoothEngineOn::smooth`] — serial sweeps on the incremental
+//!   kernel, Gauss–Seidel (in place, Mesquite-like) or Jacobi
+//!   (double-buffered), in the visit order the parameters ask for (2D:
+//!   storage order or the §4.2 greedy quality-driven policy);
+//! * [`SmoothEngineOn::smooth_traced`] — the reference sweep while
+//!   streaming every vertex-record access to an [`AccessSink`], feeding
+//!   the reuse-distance and cache analyses of `lms-cache`;
+//! * [`SmoothEngineOn::smooth_parallel`] — rayon static-chunk Jacobi,
 //!   deterministic for any thread count;
-//! * [`SmoothEngine::smooth_parallel_chaotic`] — in-place relaxed-atomic
-//!   Gauss–Seidel, the closest analogue of the paper's OpenMP loop;
-//! * [`SmoothEngine::smooth_parallel_colored`] — graph-colored in-place
+//! * [`SmoothEngineOn::smooth_parallel_colored`] — graph-colored in-place
 //!   Gauss–Seidel: race-free **and** bitwise-deterministic for any thread
 //!   count, driven by the same incremental quality cache as the serial
 //!   hot path;
-//! * [`ResidentEngine::smooth`] — domain-decomposed in-place
+//! * [`ResidentEngineOn::smooth`] — domain-decomposed in-place
 //!   Gauss–Seidel over an `lms-part` decomposition: every part's block
 //!   stays resident for the whole run, part interiors sweep fully in
 //!   parallel, interface vertices step through the global color classes
 //!   with moved-only halo deltas in between; bitwise-deterministic and
 //!   exactly serial Gauss–Seidel under the part-major visit order;
-//! * [`SmoothEngine::smooth_traced`] — any serial configuration while
-//!   streaming every vertex-record access to an [`AccessSink`], feeding the
-//!   reuse-distance and cache analyses of `lms-cache`.
+//! * [`SmoothEngine::smooth_parallel_chaotic`] (triangles only) —
+//!   in-place relaxed-atomic Gauss–Seidel, the closest analogue of the
+//!   paper's OpenMP loop.
 //!
-//! Every engine above runs on the **dimension-generic smoothing domain**
-//! ([`domain::SmoothDomain`], const-generic in the element corner count,
-//! with the [`dcache::DomainQualityCache`] carrying the incremental
-//! quality protocol): the 2D `TriMesh` instantiations live here, and
-//! `lms-mesh3d` instantiates the *same* sweep bodies for tetrahedra —
-//! `SmoothEngine3` is a thin wrapper, and `ResidentEngine3` is a type
-//! alias of the one [`ResidentEngineOn`] body, through the
-//! [`SerialHost`] seam.
+//! A dimension is one [`SmoothMesh`] impl: the mesh type supplies its
+//! point, adjacency, boundary and parameter types and a
+//! [`domain::SmoothDomain`] view (const-generic in the element corner
+//! count, with the [`dcache::DomainQualityCache`] carrying the
+//! incremental quality protocol). `TriMesh` implements it here —
+//! [`SmoothEngine`] and [`ResidentEngine`] are its aliases — and
+//! `lms-mesh3d` implements it for `TetMesh`, whose `SmoothEngine3` and
+//! `ResidentEngine3` are aliases of the *same* two structs.
 //!
 //! ```
 //! use lms_smooth::SmoothParams;
@@ -39,6 +42,8 @@
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
 
+#[doc(hidden)]
+pub mod checks;
 pub mod colored;
 pub mod config;
 pub mod dcache;
@@ -48,14 +53,13 @@ pub mod greedy;
 pub mod kernel;
 pub mod parallel;
 pub mod partitioned;
-pub mod pool;
+mod pool;
 pub mod rebalance;
 pub mod resident;
 pub mod soa;
 pub mod stats;
 pub mod trace;
 pub mod transport;
-pub mod weighting;
 
 pub use config::{IterationPolicy, SmoothParams, UpdateScheme, Weighting};
 pub use dcache::DomainQualityCache;
@@ -63,12 +67,10 @@ pub use domain::{
     domain_quality, domain_quality_scored, smooth_reference_on, weighted_candidate_on,
     DomainConfig, DomainPoint, SmoothDomain, TriDomain,
 };
-pub use engine::SmoothEngine;
+pub use engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 pub use greedy::greedy_visit_order;
-pub use parallel::parallel_mesh_quality;
-pub use pool::PoolCache;
 pub use rebalance::{sweep_spread, AutoRebalanceEngine, RebalancePolicy};
-pub use resident::{PairBatch, ResidentEngine, ResidentEngineOn, ResidentRank, SerialHost};
+pub use resident::{PairBatch, ResidentEngine, ResidentEngineOn, ResidentRank};
 pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, SoaScores, LANES};
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};
@@ -76,7 +78,6 @@ pub use transport::{
     drive_resident, drive_resident_ft, drive_resident_ft_with, drive_resident_with, FtPolicy,
     FtResidentTransport, FtStats, InProcessTransport, ResidentTransport,
 };
-pub use weighting::weighted_candidate;
 
 /// The `K`-generic CSR row builder behind [`lms_mesh::Adjacency`],
 /// re-exported for `lms-mesh3d`: it depends on this crate, not on

@@ -3,50 +3,51 @@
 //! The paper pins one thread per core with a *static* schedule "evenly
 //! dividing the vertices" (§5.1). Two faithful variants are provided:
 //!
-//! * [`SmoothEngine::smooth_parallel`] — double-buffered **Jacobi** sweeps:
-//!   each thread owns a contiguous chunk of the vertex array, reads the
-//!   previous sweep's positions, writes its own chunk. Fully deterministic
-//!   and race-free; identical results for any thread count.
+//! * [`SmoothEngineOn::smooth_parallel`] — double-buffered **Jacobi**
+//!   sweeps, in every dimension: each thread owns a contiguous chunk of
+//!   the vertex array, reads the previous sweep's positions, writes its
+//!   own chunk. Fully deterministic and race-free; identical results for
+//!   any thread count.
 //! * [`SmoothEngine::smooth_parallel_chaotic`] — in-place **chaotic
-//!   Gauss–Seidel**: positions live in atomics ([`AtomicU64`] bit-cast
-//!   `f64`s, `Relaxed` ordering) and threads update their chunks in place
-//!   while racing reads observe a mix of old and new neighbour positions —
-//!   the semantics of the paper's OpenMP loop. Still data-race-free in the
-//!   Rust memory model, merely non-deterministic in its floating-point
-//!   outcome.
+//!   Gauss–Seidel** on triangle meshes: positions live in atomics
+//!   ([`AtomicU64`] bit-cast `f64`s, `Relaxed` ordering) and threads
+//!   update their chunks in place while racing reads observe a mix of old
+//!   and new neighbour positions — the semantics of the paper's OpenMP
+//!   loop. Still data-race-free in the Rust memory model, merely
+//!   non-deterministic in its floating-point outcome.
 
-use crate::engine::SmoothEngine;
+use crate::domain::{weighted_candidate_on, SmoothDomain};
+use crate::engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
+use crate::kernel::candidate_for;
 use crate::stats::{IterationStats, SmoothReport};
-use crate::weighting::weighted_candidate;
 use lms_mesh::geometry::Point2;
-use lms_mesh::quality::QualityMetric;
-use lms_mesh::{Adjacency, TriMesh};
+use lms_mesh::TriMesh;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Global mesh quality computed with rayon (triangle qualities in parallel,
-/// then per-vertex means in parallel). Call inside a pool `install` to bound
+/// Global domain quality computed with rayon: element qualities in
+/// parallel, then the per-vertex means summed in fixed groups (bitwise
+/// identical for any thread count). Call inside a pool `install` to bound
 /// the thread count.
-pub fn parallel_mesh_quality(mesh: &TriMesh, adj: &Adjacency, metric: QualityMetric) -> f64 {
-    let n = mesh.num_vertices();
+fn parallel_domain_quality<const C: usize, D: SmoothDomain<C>>(
+    dom: &D,
+    coords: &[D::Point],
+) -> f64 {
+    let n = dom.num_vertices();
     if n == 0 {
         return 0.0;
     }
-    let tri_q: Vec<f64> = (0..mesh.num_triangles())
-        .into_par_iter()
-        .map(|t| {
-            let [a, b, c] = mesh.tri_coords(t);
-            metric.triangle_quality(a, b, c)
-        })
-        .collect();
+    let elems = dom.elements();
+    let elem_q: Vec<f64> =
+        (0..elems.len()).into_par_iter().map(|t| dom.score(coords, elems[t]).0).collect();
     let sum: f64 = (0..n as u32)
         .into_par_iter()
         .map(|v| {
-            let ts = adj.triangles_of(v);
+            let ts = dom.elements_of(v);
             if ts.is_empty() {
                 0.0
             } else {
-                ts.iter().map(|&t| tri_q[t as usize]).sum::<f64>() / ts.len() as f64
+                ts.iter().map(|&t| elem_q[t as usize]).sum::<f64>() / ts.len() as f64
             }
         })
         .sum();
@@ -79,44 +80,40 @@ impl AtomicPoint {
     }
 }
 
-impl SmoothEngine {
+impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// Deterministic parallel smoothing: static contiguous vertex chunks,
     /// Jacobi (double-buffered) updates. Results are bit-identical for any
-    /// `num_threads`.
-    pub fn smooth_parallel(&self, mesh: &mut TriMesh, num_threads: usize) -> SmoothReport {
+    /// `num_threads`. Workers come from the engine-cached persistent pool
+    /// (spawned once per engine lifetime).
+    pub fn smooth_parallel(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
+        let dom = self.domain();
+        let cfg = self.domain_config();
+        let n = dom.num_vertices();
+        assert_eq!(mesh.coords().len(), n, "engine was built for a different mesh");
         let pool = self.pool.get(num_threads);
-        let n = mesh.num_vertices();
-        assert_eq!(n, self.adjacency().num_vertices(), "engine was built for a different mesh");
 
-        let params = self.params().clone();
-        let adj = self.adjacency();
-        let boundary = self.boundary();
-
-        let initial_quality = pool.install(|| parallel_mesh_quality(mesh, adj, params.metric));
+        let initial_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
         let mut report = SmoothReport::starting(initial_quality);
         let mut quality = initial_quality;
 
-        let mut prev: Vec<Point2> = mesh.coords().to_vec();
-        let mut next: Vec<Point2> = prev.clone();
+        let mut prev: Vec<M::Point> = mesh.coords().to_vec();
+        let mut next: Vec<M::Point> = prev.clone();
         let chunk = n.div_ceil(num_threads).max(1);
 
-        for iter in 1..=params.max_iters {
+        for iter in 1..=cfg.max_iters {
             pool.install(|| {
-                let prev_ref: &[Point2] = &prev;
+                let prev_ref: &[M::Point] = &prev;
                 next.par_chunks_mut(chunk).enumerate().for_each(|(ci, out)| {
                     let base = ci * chunk;
                     for (off, slot) in out.iter_mut().enumerate() {
                         let v = (base + off) as u32;
-                        if !boundary.is_interior(v) {
+                        if !dom.is_interior(v) {
                             continue; // keeps the copied boundary position
                         }
-                        let ns = adj.neighbors(v);
-                        if ns.is_empty() {
-                            continue;
-                        }
                         let pv = prev_ref[v as usize];
-                        let gathered = ns.iter().map(|&w| prev_ref[w as usize]);
-                        if let Some(c) = weighted_candidate(params.weighting, pv, gathered) {
+                        if let Some(c) =
+                            candidate_for(cfg.weighting, pv, dom.neighbors(v), prev_ref)
+                        {
                             *slot = c;
                         }
                     }
@@ -124,12 +121,11 @@ impl SmoothEngine {
             });
             std::mem::swap(&mut prev, &mut next);
 
-            mesh.coords_mut().copy_from_slice(&prev);
-            let new_quality = pool.install(|| parallel_mesh_quality(mesh, adj, params.metric));
+            let new_quality = pool.install(|| parallel_domain_quality(&dom, &prev));
             let improvement = new_quality - quality;
             report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
             quality = new_quality;
-            if improvement < params.tol {
+            if improvement < cfg.tol {
                 report.converged = true;
                 break;
             }
@@ -138,7 +134,9 @@ impl SmoothEngine {
         report.final_quality = quality;
         report
     }
+}
 
+impl SmoothEngine {
     /// Chaotic (asynchronous) Gauss–Seidel parallel smoothing — the closest
     /// analogue of the paper's in-place OpenMP loop. Positions are stored in
     /// relaxed atomics; each thread updates its static chunk in place while
@@ -147,15 +145,13 @@ impl SmoothEngine {
     /// Non-deterministic across runs/thread counts in the last bits, but
     /// race-free and convergent in practice (asynchronous relaxation).
     pub fn smooth_parallel_chaotic(&self, mesh: &mut TriMesh, num_threads: usize) -> SmoothReport {
-        let pool = self.pool.get(num_threads);
+        let dom = self.domain();
+        let params = self.params();
         let n = mesh.num_vertices();
-        assert_eq!(n, self.adjacency().num_vertices(), "engine was built for a different mesh");
+        assert_eq!(n, dom.num_vertices(), "engine was built for a different mesh");
+        let pool = self.pool.get(num_threads);
 
-        let params = self.params().clone();
-        let adj = self.adjacency();
-        let boundary = self.boundary();
-
-        let initial_quality = pool.install(|| parallel_mesh_quality(mesh, adj, params.metric));
+        let initial_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
         let mut report = SmoothReport::starting(initial_quality);
         let mut quality = initial_quality;
 
@@ -168,16 +164,12 @@ impl SmoothEngine {
                     let base = ci * chunk;
                     for (off, slot) in my.iter().enumerate() {
                         let v = (base + off) as u32;
-                        if !boundary.is_interior(v) {
-                            continue;
-                        }
-                        let ns = adj.neighbors(v);
-                        if ns.is_empty() {
+                        if !dom.is_interior(v) {
                             continue;
                         }
                         let pv = slot.load();
-                        let gathered = ns.iter().map(|&w| atoms[w as usize].load());
-                        if let Some(c) = weighted_candidate(params.weighting, pv, gathered) {
+                        let gathered = dom.neighbors(v).iter().map(|&w| atoms[w as usize].load());
+                        if let Some(c) = weighted_candidate_on(params.weighting, pv, gathered) {
                             slot.store(c);
                         }
                     }
@@ -187,7 +179,7 @@ impl SmoothEngine {
             for (slot, atom) in mesh.coords_mut().iter_mut().zip(&atoms) {
                 *slot = atom.load();
             }
-            let new_quality = pool.install(|| parallel_mesh_quality(mesh, adj, params.metric));
+            let new_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
             let improvement = new_quality - quality;
             report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
             quality = new_quality;
@@ -204,6 +196,7 @@ impl SmoothEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checks;
     use crate::config::{SmoothParams, UpdateScheme};
     use lms_mesh::generators;
 
@@ -211,27 +204,26 @@ mod tests {
     fn parallel_jacobi_matches_serial_jacobi_exactly() {
         let m0 = generators::perturbed_grid(18, 18, 0.35, 11);
         let params = SmoothParams::paper().with_update(UpdateScheme::Jacobi).with_max_iters(6);
-
-        let mut serial = m0.clone();
-        let sr = SmoothEngine::new(&m0, params.clone()).smooth(&mut serial);
-
-        let mut par = m0.clone();
-        let pr = SmoothEngine::new(&m0, params).smooth_parallel(&mut par, 4);
-
-        assert_eq!(serial.coords(), par.coords(), "Jacobi must be schedule-independent");
-        assert_eq!(sr.num_iterations(), pr.num_iterations());
-        assert!((sr.final_quality - pr.final_quality).abs() < 1e-12);
+        checks::parallel_jacobi_matches_serial_jacobi_exactly(&m0, params);
     }
 
     #[test]
     fn parallel_is_deterministic_across_thread_counts() {
         let m0 = generators::perturbed_grid(15, 15, 0.3, 2);
-        let params = SmoothParams::paper().with_max_iters(4);
-        let mut a = m0.clone();
-        let mut b = m0.clone();
-        SmoothEngine::new(&m0, params.clone()).smooth_parallel(&mut a, 1);
-        SmoothEngine::new(&m0, params).smooth_parallel(&mut b, 3);
-        assert_eq!(a.coords(), b.coords());
+        checks::parallel_is_deterministic_across_thread_counts(
+            &m0,
+            SmoothParams::paper().with_max_iters(4),
+        );
+    }
+
+    #[test]
+    fn parallel_engines_spawn_threads_once_per_engine() {
+        let m = generators::perturbed_grid(12, 12, 0.3, 3);
+        let engine = SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(2).with_tol(-1.0));
+        checks::spawns_threads_once(|| {
+            engine.smooth_parallel(&mut m.clone(), 3);
+            engine.smooth_parallel_colored(&mut m.clone(), 3);
+        });
     }
 
     #[test]
@@ -249,9 +241,10 @@ mod tests {
     #[test]
     fn parallel_quality_matches_serial_quality() {
         let m = generators::perturbed_grid(12, 12, 0.3, 8);
-        let adj = Adjacency::build(&m);
-        let serial = lms_mesh::quality::mesh_quality(&m, &adj, QualityMetric::EdgeLengthRatio);
-        let par = parallel_mesh_quality(&m, &adj, QualityMetric::EdgeLengthRatio);
+        let engine = SmoothEngine::new(&m, SmoothParams::paper());
+        let serial =
+            lms_mesh::quality::mesh_quality(&m, engine.adjacency(), SmoothParams::paper().metric);
+        let par = parallel_domain_quality(&engine.domain(), m.coords());
         assert!((serial - par).abs() < 1e-12);
     }
 

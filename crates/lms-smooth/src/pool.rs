@@ -12,9 +12,6 @@
 //! The cache holds the single most recent thread count — engines are
 //! benchmarked at one count per configuration, and a changed count is a
 //! deliberate reconfiguration worth one rebuild.
-//!
-//! Public since the dimension-generic refactor: the 3D engines in
-//! `lms-mesh3d` cache their pools through the same type.
 
 use std::sync::{Arc, Mutex};
 

@@ -57,80 +57,30 @@
 //! **bit-identical** to serial Gauss–Seidel under the part-major visit
 //! order ([`ResidentEngineOn::part_major_visit_order`]).
 //!
-//! The engine is written once, generic over the serial engine of a mesh
-//! dimension ([`SerialHost`]): [`ResidentEngine`] is the triangle-mesh
-//! alias, `lms_mesh3d::ResidentEngine3` the tetrahedral one.
+//! The engine is written once, generic over the mesh dimension
+//! ([`SmoothMesh`]) and built around that dimension's serial
+//! [`SmoothEngineOn`]: [`ResidentEngine`] is the triangle-mesh alias,
+//! `lms_mesh3d::ResidentEngine3` the tetrahedral one.
 
 use crate::config::{UpdateScheme, Weighting};
-use crate::domain::{score_star_per_id, DomainConfig, DomainPoint, SmoothDomain};
-use crate::engine::SmoothEngine;
+use crate::domain::{score_star_per_id, DomainConfig, SmoothDomain};
+use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for_soa;
-use crate::pool::PoolCache;
 use crate::soa::{resize_tracked, SoaLike, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident, drive_resident_with, InProcessTransport};
 use lms_part::{ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
 
-/// The seam between one mesh dimension and the dimension-generic
-/// decomposed engines: what [`ResidentEngineOn`] (and `lms-dist`'s
-/// distributed engine on top of it) needs from the serial engine it
-/// hosts its topology in. Implemented by [`SmoothEngine`] (`C = 3`) and
-/// `lms_mesh3d::SmoothEngine3` (`C = 4`).
-pub trait SerialHost<const C: usize>: Sized {
-    /// The mesh type the engine smooths.
-    type Mesh;
-    /// The vertex adjacency the engine is built around.
-    type Adjacency;
-    /// The engine's parameter set.
-    type Params;
-    /// Coordinate type of the mesh.
-    type Point: DomainPoint;
-    /// The borrowed [`SmoothDomain`] view the generic sweeps run against.
-    type Domain<'a>: SmoothDomain<C, Point = Self::Point>
-    where
-        Self: 'a;
-
-    /// Build the adjacency of `mesh`.
-    fn build_adjacency(mesh: &Self::Mesh) -> Self::Adjacency;
-
-    /// Decompose `mesh` into `num_parts` parts with `method`.
-    fn partition(
-        mesh: &Self::Mesh,
-        adj: &Self::Adjacency,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Partition;
-
-    /// Build the serial engine around an adjacency the caller holds
-    /// (panics when `adj` was built for a different vertex count).
-    fn with_adjacency(mesh: &Self::Mesh, adj: Self::Adjacency, params: Self::Params) -> Self;
-
-    /// The mesh's coordinate array.
-    fn coords_mut(mesh: &mut Self::Mesh) -> &mut [Self::Point];
-
-    /// The engine's domain view.
-    fn domain(&self) -> Self::Domain<'_>;
-
-    /// The dimension-free slice of the engine's parameters.
-    fn domain_config(&self) -> DomainConfig;
-
-    /// Interior vertices of each color class, ascending within a class.
-    fn interior_color_classes(&self) -> &[Vec<u32>];
-
-    /// The engine-cached persistent worker pools.
-    fn pool(&self) -> &PoolCache;
-}
-
 /// Domain-decomposed Gauss–Seidel smoothing over blocks that stay
 /// resident for the whole run, with halo-delta exchange between interface
-/// color steps — one body for every mesh dimension, generic over the
-/// serial engine `E` that hosts the topology. See the module docs for the
-/// protocol; use the [`ResidentEngine`] / `lms_mesh3d::ResidentEngine3`
-/// aliases.
+/// color steps — one body for every mesh dimension, generic over the mesh
+/// type `M` whose serial engine hosts the topology. See the module docs
+/// for the protocol; use the [`ResidentEngine`] /
+/// `lms_mesh3d::ResidentEngine3` aliases.
 #[derive(Debug, Clone)]
-pub struct ResidentEngineOn<const C: usize, E: SerialHost<C>> {
-    engine: E,
+pub struct ResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
+    engine: SmoothEngineOn<C, M>,
     partition: Partition,
     schedule: ExchangeSchedule,
     /// Interface vertices (mesh-interior) grouped by global color class —
@@ -144,7 +94,7 @@ pub struct ResidentEngineOn<const C: usize, E: SerialHost<C>> {
 }
 
 /// Resident halo-exchange smoothing of triangle meshes.
-pub type ResidentEngine = ResidentEngineOn<3, SmoothEngine>;
+pub type ResidentEngine = ResidentEngineOn<3, lms_mesh::TriMesh>;
 
 /// Restrict interior color classes to partition-interface vertices
 /// (ascending within a class preserved, empty classes dropped) — the
@@ -996,12 +946,12 @@ pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
     (report, recorder)
 }
 
-impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
+impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
     /// Build a resident engine for `mesh` under `params` and an
     /// existing decomposition (Gauss–Seidel parameters only): builds the
     /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
-    pub fn new(mesh: &E::Mesh, params: E::Params, partition: Partition) -> Self {
-        Self::with_adjacency(mesh, E::build_adjacency(mesh), params, partition)
+    pub fn new(mesh: &M, params: M::Params, partition: Partition) -> Self {
+        Self::with_adjacency(mesh, mesh.build_adjacency(), params, partition)
     }
 
     /// Build a resident engine around an adjacency the caller
@@ -1013,12 +963,12 @@ impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
     /// When `adj` or `partition` was built for a different number of
     /// vertices, or `params` asks for Jacobi updates.
     pub fn with_adjacency(
-        mesh: &E::Mesh,
-        adj: E::Adjacency,
-        params: E::Params,
+        mesh: &M,
+        adj: M::Adjacency,
+        params: M::Params,
         partition: Partition,
     ) -> Self {
-        let engine = E::with_adjacency(mesh, adj, params);
+        let engine = SmoothEngineOn::with_adjacency(mesh, adj, params);
         assert_eq!(
             partition.len(),
             engine.domain().num_vertices(),
@@ -1040,18 +990,18 @@ impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
     /// build the engine.
     pub fn by_method(
-        mesh: &E::Mesh,
-        params: E::Params,
+        mesh: &M,
+        params: M::Params,
         num_parts: usize,
         method: PartitionMethod,
     ) -> Self {
-        let adj = E::build_adjacency(mesh);
-        let partition = E::partition(mesh, &adj, num_parts, method);
+        let adj = mesh.build_adjacency();
+        let partition = mesh.partition(&adj, num_parts, method);
         Self::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &SmoothEngineOn<C, M> {
         &self.engine
     }
 
@@ -1096,9 +1046,9 @@ impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
     /// `num_threads`, and exactly serial Gauss–Seidel under
     /// [`part_major_visit_order`](Self::part_major_visit_order); the
     /// report carries the [`crate::ExchangeVolume`] counters.
-    pub fn smooth(&self, mesh: &mut E::Mesh, num_threads: usize) -> SmoothReport {
+    pub fn smooth(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         assert!(num_threads >= 1, "need at least one thread");
-        let pool = self.engine.pool().get(num_threads);
+        let pool = self.engine.pool.get(num_threads);
         smooth_resident_on(
             &self.engine.domain(),
             &self.engine.domain_config(),
@@ -1116,13 +1066,9 @@ impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
     /// nanos, per-part sweep nanos + moved counts) and the raw span
     /// [`Recorder`] is returned for chrome-trace export. Coordinates and
     /// every other report field are bit-identical to an unprofiled run.
-    pub fn smooth_profiled(
-        &self,
-        mesh: &mut E::Mesh,
-        num_threads: usize,
-    ) -> (SmoothReport, Recorder) {
+    pub fn smooth_profiled(&self, mesh: &mut M, num_threads: usize) -> (SmoothReport, Recorder) {
         assert!(num_threads >= 1, "need at least one thread");
-        let pool = self.engine.pool().get(num_threads);
+        let pool = self.engine.pool.get(num_threads);
         smooth_resident_profiled_on(
             &self.engine.domain(),
             &self.engine.domain_config(),
@@ -1137,8 +1083,8 @@ impl<const C: usize, E: SerialHost<C>> ResidentEngineOn<C, E> {
 
     /// `mesh`'s coordinate array, after checking it has the vertex count
     /// the engine was built for.
-    pub fn checked_coords<'m>(&self, mesh: &'m mut E::Mesh) -> &'m mut [E::Point] {
-        let coords = E::coords_mut(mesh);
+    pub fn checked_coords<'m>(&self, mesh: &'m mut M) -> &'m mut [M::Point] {
+        let coords = mesh.coords_mut();
         assert_eq!(coords.len(), self.partition.len(), "engine was built for a different mesh");
         coords
     }
@@ -1324,38 +1270,21 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checks;
     use crate::config::SmoothParams;
     use lms_mesh::generators;
 
     #[test]
     fn improves_quality_and_pins_boundary() {
-        let mut m = generators::perturbed_grid(20, 20, 0.4, 1);
-        let before = m.coords().to_vec();
-        let engine = ResidentEngine::by_method(&m, SmoothParams::paper(), 4, PartitionMethod::Rcb);
-        let report = engine.smooth(&mut m, 2);
-        assert!(report.final_quality > report.initial_quality + 0.01);
-        for v in engine.engine().boundary().boundary_vertices() {
-            assert_eq!(m.coords()[v as usize], before[v as usize], "boundary vertex {v} moved");
-        }
+        let m = generators::perturbed_grid(20, 20, 0.4, 1);
+        checks::resident_improves_quality_and_pins_boundary(&m, SmoothParams::paper(), 4);
     }
 
     #[test]
     fn single_part_equals_serial_storage_order() {
         let m = generators::perturbed_grid(14, 14, 0.35, 3);
         let params = SmoothParams::paper().with_smart(true).with_max_iters(6).with_tol(-1.0);
-        let engine = ResidentEngine::by_method(&m, params.clone(), 1, PartitionMethod::Rcb);
-        assert!(engine.interface_classes().is_empty());
-        let mut a = m.clone();
-        let report = engine.smooth(&mut a, 3);
-        let mut b = m.clone();
-        SmoothEngine::new(&m, params).smooth(&mut b);
-        assert_eq!(a.coords(), b.coords());
-        let volume = report.exchange.unwrap();
-        assert_eq!(volume.full_gathers, 1);
-        assert_eq!(volume.full_scatters, 1);
-        assert_eq!(volume.halo_entries_sent, 0, "one part has nothing to exchange");
-        assert_eq!(volume.halo_messages_sent, 0);
-        assert_eq!(volume.halo_bytes_sent, 0);
+        checks::resident_single_part_equals_serial_storage_order(&m, params);
     }
 
     #[test]
@@ -1422,24 +1351,12 @@ mod tests {
     fn rejects_jacobi_params() {
         let m = generators::perturbed_grid(8, 8, 0.2, 1);
         let params = SmoothParams::paper().with_update(UpdateScheme::Jacobi);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ResidentEngine::by_method(&m, params, 2, PartitionMethod::Rcb)
-        }));
-        assert!(r.is_err());
+        checks::resident_rejects_jacobi_params(&m, params);
     }
 
     #[test]
     fn part_major_order_covers_interior_once() {
         let m = generators::perturbed_grid(13, 17, 0.3, 9);
-        let engine =
-            ResidentEngine::by_method(&m, SmoothParams::paper(), 5, PartitionMethod::Hilbert);
-        let order = engine.part_major_visit_order();
-        assert_eq!(order.len(), engine.engine().boundary().num_interior());
-        let mut seen = vec![false; m.num_vertices()];
-        for &v in &order {
-            assert!(engine.engine().boundary().is_interior(v));
-            assert!(!seen[v as usize], "vertex {v} visited twice");
-            seen[v as usize] = true;
-        }
+        checks::part_major_order_covers_interior_once(&m, SmoothParams::paper(), 5);
     }
 }

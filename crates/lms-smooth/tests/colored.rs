@@ -6,7 +6,7 @@
 
 use lms_mesh::{Adjacency, TriMesh};
 use lms_order::coloring::greedy_coloring;
-use lms_smooth::{SmoothEngine, SmoothParams};
+use lms_smooth::{checks, SmoothEngine, SmoothParams};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
@@ -25,15 +25,7 @@ proptest! {
         mesh in arb_mesh(), smart in any::<bool>(), iters in 1usize..6,
     ) {
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(iters);
-        let engine = SmoothEngine::new(&mesh, params);
-        let mut one = mesh.clone();
-        let r1 = engine.smooth_parallel_colored(&mut one, 1);
-        for threads in [2usize, 8] {
-            let mut multi = mesh.clone();
-            let rt = engine.smooth_parallel_colored(&mut multi, threads);
-            prop_assert_eq!(one.coords(), multi.coords(), "threads={}", threads);
-            prop_assert_eq!(&r1, &rt, "threads={}", threads);
-        }
+        checks::colored_is_deterministic_across_threads(&mesh, params);
     }
 
     /// The colored parallel sweep is *exactly* serial Gauss–Seidel under
@@ -43,17 +35,7 @@ proptest! {
         mesh in arb_mesh(), smart in any::<bool>(), iters in 1usize..6,
     ) {
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(iters);
-        let engine = SmoothEngine::new(&mesh, params);
-
-        let mut par = mesh.clone();
-        engine.smooth_parallel_colored(&mut par, 4);
-
-        let order = engine.colored_visit_order();
-        let serial_engine = engine.clone().with_visit_order(order);
-        let mut ser = mesh.clone();
-        serial_engine.smooth(&mut ser);
-
-        prop_assert_eq!(par.coords(), ser.coords());
+        checks::colored_equals_serial_class_major_order(&mesh, params);
     }
 
     /// Greedy colorings of arbitrary perturbed grids are proper and use

@@ -5,9 +5,8 @@
 use lms_mesh::geometry::signed_area;
 use lms_mesh::quality::mesh_quality;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
-use lms_smooth::{
-    DomainQualityCache, SmoothDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
-};
+use lms_smooth::checks;
+use lms_smooth::{DomainQualityCache, SmoothDomain, SmoothParams, TriDomain, UpdateScheme};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
@@ -17,47 +16,38 @@ fn arb_mesh() -> impl Strategy<Value = TriMesh> {
 }
 
 fn arb_params() -> impl Strategy<Value = SmoothParams> {
-    (any::<bool>(), any::<bool>(), 1usize..8).prop_map(|(smart, jacobi, iters)| {
-        let update = if jacobi { UpdateScheme::Jacobi } else { UpdateScheme::GaussSeidel };
-        // tol disabled: the incremental path's convergence test reads the
-        // compensated running sum, which can in principle differ from the
-        // reference's exact per-iteration quality by ulps right at the
-        // tolerance boundary and stop one sweep apart. With a fixed sweep
-        // count the two paths must agree bit for bit.
-        SmoothParams::paper()
-            .with_smart(smart)
-            .with_update(update)
-            .with_max_iters(iters)
-            .with_tol(-1.0)
-    })
+    (any::<bool>(), any::<bool>(), any::<bool>(), 1usize..8).prop_map(
+        |(smart, jacobi, scalar_scoring, iters)| {
+            let update = if jacobi { UpdateScheme::Jacobi } else { UpdateScheme::GaussSeidel };
+            // tol disabled: the incremental path's convergence test reads the
+            // compensated running sum, which can in principle differ from the
+            // reference's exact per-iteration quality by ulps right at the
+            // tolerance boundary and stop one sweep apart. With a fixed sweep
+            // count the two paths must agree bit for bit.
+            SmoothParams::paper()
+                .with_smart(smart)
+                .with_update(update)
+                .with_scalar_scoring(scalar_scoring)
+                .with_max_iters(iters)
+                .with_tol(-1.0)
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The incremental path produces bit-identical coordinates to the
-    /// full-recompute reference for every update scheme × smart flag, and
-    /// its reported final quality matches a from-scratch recompute
-    /// bit for bit.
+    /// full-recompute reference for every update scheme × smart flag ×
+    /// scoring path, and its reported final quality matches a
+    /// from-scratch recompute bit for bit (the 3D instance of the same
+    /// check is `lms-mesh3d`'s `tests/props.rs`).
     #[test]
     fn incremental_matches_full_recompute(mesh in arb_mesh(), params in arb_params()) {
-        let engine = SmoothEngine::new(&mesh, params);
-
-        let mut fast = mesh.clone();
-        let fast_report = engine.smooth(&mut fast);
-
-        let mut reference = mesh.clone();
-        let ref_report = engine.smooth_full_recompute(&mut reference);
-
-        prop_assert_eq!(fast.coords(), reference.coords());
-        prop_assert_eq!(fast_report.num_iterations(), ref_report.num_iterations());
-
-        let adj = Adjacency::build(&fast);
-        let fresh = mesh_quality(&fast, &adj, engine.params().metric);
-        prop_assert_eq!(
-            fast_report.final_quality.to_bits(), fresh.to_bits(),
-            "final_quality must equal the from-scratch recompute bitwise"
-        );
+        let metric = params.metric;
+        checks::incremental_matches_full_recompute(&mesh, params, |m: &TriMesh| {
+            mesh_quality(m, &Adjacency::build(m), metric)
+        });
     }
 
     /// The quality cache stays bit-identical to a from-scratch recompute

@@ -12,34 +12,9 @@
 
 use lms_mesh::TriMesh;
 use lms_part::PartitionMethod;
-use lms_smooth::{ResidentEngine, ResidentEngineOn, SerialHost, SmoothEngine, SmoothParams};
+use lms_smooth::checks;
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use proptest::prelude::*;
-
-/// Written against the [`SerialHost`] seam, not a dimension: the resident
-/// engine over any host gathers once, scatters once, and produces the same
-/// coordinates and the same report (exchange accounting included) at 1, 2
-/// and 4 threads. `lms-mesh3d/tests/resident3.rs` instantiates the same
-/// body for `SmoothEngine3`.
-fn assert_deterministic_across_threads<const C: usize, E: SerialHost<C>>(
-    mesh: &E::Mesh,
-    params: E::Params,
-    num_parts: usize,
-    method: PartitionMethod,
-) where
-    E::Mesh: Clone,
-{
-    let engine = ResidentEngineOn::<C, E>::by_method(mesh, params, num_parts, method);
-    let mut one = mesh.clone();
-    let r1 = engine.smooth(&mut one, 1);
-    let volume = r1.exchange.expect("resident runs report exchange accounting");
-    assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
-    for threads in [2usize, 4] {
-        let mut multi = mesh.clone();
-        let rt = engine.smooth(&mut multi, threads);
-        assert_eq!(E::coords_mut(&mut one), E::coords_mut(&mut multi), "threads={threads}");
-        assert_eq!(r1, rt, "threads={threads}");
-    }
-}
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
     (5usize..14, 5usize..14, 0u64..1000, 0..40u32).prop_map(|(nx, ny, seed, jit)| {
@@ -59,7 +34,7 @@ proptest! {
         k in 2usize..9, method_ix in 0usize..4,
     ) {
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(iters);
-        assert_deterministic_across_threads::<3, SmoothEngine>(
+        checks::resident_is_deterministic_across_threads::<3, TriMesh>(
             &mesh, params, k, PartitionMethod::ALL[method_ix],
         );
     }
@@ -77,19 +52,9 @@ proptest! {
             .with_smart(smart)
             .with_max_iters(iters)
             .with_tol(-1.0);
-        let engine = ResidentEngine::by_method(
-            &mesh, params.clone(), k, PartitionMethod::ALL[method_ix],
+        checks::resident_equals_serial_part_major_order(
+            &mesh, params, k, PartitionMethod::ALL[method_ix], 4,
         );
-
-        let mut par = mesh.clone();
-        engine.smooth(&mut par, 4);
-
-        let order = engine.part_major_visit_order();
-        let serial = SmoothEngine::new(&mesh, params).with_visit_order(order);
-        let mut ser = mesh.clone();
-        serial.smooth(&mut ser);
-
-        prop_assert_eq!(par.coords(), ser.coords());
     }
 
     /// The residency invariant: one full gather, one full scatter, one
@@ -104,23 +69,7 @@ proptest! {
             .with_smart(smart)
             .with_max_iters(iters)
             .with_tol(-1.0);
-        let engine = ResidentEngine::by_method(&mesh, params, k, PartitionMethod::Rcb);
-        let mut work = mesh.clone();
-        let report = engine.smooth(&mut work, 2);
-        let volume = report.exchange.expect("resident runs report exchange accounting");
-        prop_assert_eq!(volume.full_gathers, 1);
-        prop_assert_eq!(volume.full_scatters, 1);
-        prop_assert_eq!(
-            volume.exchange_rounds,
-            iters * engine.interface_classes().len()
-        );
-        prop_assert!(
-            volume.halo_entries_sent
-                <= volume.exchange_rounds * engine.exchange_schedule().num_entries(),
-            "{} entries over {} rounds exceeds the static schedule ({})",
-            volume.halo_entries_sent, volume.exchange_rounds,
-            engine.exchange_schedule().num_entries()
-        );
+        checks::residency_invariant_holds(&mesh, params, k);
     }
 
     /// The resident engine reaches the same Gauss–Seidel fixed point as
@@ -182,15 +131,8 @@ fn engine_runs_spawn_threads_once() {
     let mesh = lms_mesh::generators::perturbed_grid(16, 16, 0.3, 7);
     let params = SmoothParams::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
     let engine = ResidentEngine::by_method(&mesh, params, 4, PartitionMethod::Rcb);
-    // first run pays the one-time spawn for this engine's pool
-    engine.smooth(&mut mesh.clone(), 3);
-    let after_first = rayon::spawned_thread_count();
-    for _ in 0..5 {
+    // the first run pays the one-time spawn for this engine's pool
+    checks::spawns_threads_once(|| {
         engine.smooth(&mut mesh.clone(), 3);
-    }
-    assert_eq!(
-        rayon::spawned_thread_count(),
-        after_first,
-        "repeat runs must reuse the engine's parked workers"
-    );
+    });
 }

@@ -17,10 +17,9 @@
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
-use lms_part::PartitionMethod;
-use lms_smooth::domain::{DomainConfig, SmoothDomain, TriDomain};
+use lms_smooth::domain::{DomainConfig, TriDomain};
 use lms_smooth::kernel::SerialKernel;
-use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike, UpdateScheme};
+use lms_smooth::{checks, SmoothParams, SoaCoords, SoaLike, UpdateScheme};
 use proptest::prelude::*;
 
 const METRICS: [QualityMetric; 3] =
@@ -61,53 +60,16 @@ fn soa_roundtrip_preserves_every_bit_pattern() {
     }
 }
 
-/// Id lists over a corner table of `n` rows: lengths 0..=9, 24 and 25
-/// (every fill of the last 4-lane block, stars up to the tet grid's 24 and
-/// one past it), each ascending up to the last row, descending from it,
-/// and cycling over three ids with the last row repeated.
-fn id_lists(n: u32) -> Vec<Vec<u32>> {
-    let mut lists = Vec::new();
-    for len in (0..=9).chain([24, 25]) {
-        lists.push((n - len..n).collect());
-        lists.push((n - len..n).rev().collect());
-        lists.push((0..len).map(|i| [n - 1, 0, n / 2][i as usize % 3]).collect());
-    }
-    lists
-}
-
-/// `score_star` == one `score_soa` per id, bit for bit, on every list of
-/// [`id_lists`] plus the whole table in order. The corner table handed in
-/// is cut three rows short of the mesh's, so a kernel that read a row
-/// past the last id it was given would index out of bounds and panic.
-fn star_equals_per_id_on(mesh: &TriMesh, metric: QualityMetric) {
-    let adj = Adjacency::build(mesh);
-    let boundary = Boundary::detect(mesh);
-    let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), metric);
-    let mut soa = SoaCoords::<2>::with_len(mesh.num_vertices());
-    soa.gather_from(mesh.coords());
-    let corners = &dom.elements()[..dom.num_elements() - 3];
-    let n = corners.len() as u32;
-    for ids in id_lists(n).into_iter().chain([(0..n).collect()]) {
-        let mut out = vec![(f64::NAN, false); ids.len()];
-        dom.score_star(&soa, corners, &ids, &mut out);
-        for (i, &t) in ids.iter().enumerate() {
-            let (q, pos) = dom.score_soa(&soa, corners[t as usize]);
-            assert_eq!(q.to_bits(), out[i].0.to_bits(), "{metric:?}, ids {ids:?}, slot {i}");
-            assert_eq!(pos, out[i].1, "{metric:?}, ids {ids:?}, slot {i}");
-            // and the point-slice entry point agrees with both
-            let (qp, pp) = dom.score(mesh.coords(), corners[t as usize]);
-            assert_eq!((q.to_bits(), pos), (qp.to_bits(), pp));
-        }
-    }
-}
-
 #[test]
 fn score_star_matches_scalar_per_id_for_every_metric() {
     // ragged sizes so the whole-table list leaves every tail length
     for (nx, ny, seed) in [(9, 7, 1), (12, 12, 5), (10, 13, 9)] {
         let mesh = generators::perturbed_grid(nx, ny, 0.4, seed);
+        let adj = Adjacency::build(&mesh);
+        let boundary = Boundary::detect(&mesh);
         for metric in METRICS {
-            star_equals_per_id_on(&mesh, metric);
+            let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), metric);
+            checks::score_star_equals_per_id(&dom, mesh.coords(), metric);
         }
     }
 }
@@ -154,12 +116,7 @@ fn ragged_stars_batched_equals_scalar_on_every_engine() {
                 .with_max_iters(4)
                 .with_tol(-1.0);
             let scalar = params.clone().with_scalar_scoring(true);
-            let run = |p: &SmoothParams| {
-                let mut m = mesh.clone();
-                let report = SmoothEngine::new(&mesh, p.clone()).smooth(&mut m);
-                (m, report)
-            };
-            assert_eq!(run(&params), run(&scalar), "serial {update:?}, seed {seed}");
+            checks::serial_batched_equals_scalar(&mesh, params.clone(), scalar);
 
             let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
             let run = |scalar_scoring: bool| {
@@ -179,13 +136,7 @@ fn ragged_stars_batched_equals_scalar_on_every_engine() {
 
         let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
         let scalar = params.clone().with_scalar_scoring(true);
-        let run = |p: &SmoothParams| {
-            let mut m = mesh.clone();
-            let report = ResidentEngine::by_method(&mesh, p.clone(), 3, PartitionMethod::Rcb)
-                .smooth(&mut m, 2);
-            (m, report)
-        };
-        assert_eq!(run(&params), run(&scalar), "resident, seed {seed}");
+        checks::resident_batched_equals_scalar(&mesh, params, scalar, 3, 2);
     }
 }
 
@@ -203,16 +154,8 @@ proptest! {
         let threads = [1usize, 2, 4][threads_ix];
         let mesh = generators::perturbed_grid(nx, ny, 0.35, seed);
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(3).with_tol(-1.0);
-        let batched = ResidentEngine::by_method(&mesh, params.clone(), parts, PartitionMethod::Rcb);
-        let scalar = ResidentEngine::by_method(
-            &mesh, params.with_scalar_scoring(true), parts, PartitionMethod::Rcb,
-        );
-        let mut a = mesh.clone();
-        let ra = batched.smooth(&mut a, threads);
-        let mut b = mesh.clone();
-        let rb = scalar.smooth(&mut b, threads);
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(ra, rb);
+        let scalar = params.clone().with_scalar_scoring(true);
+        checks::resident_batched_equals_scalar(&mesh, params, scalar, parts, threads);
     }
 
     /// The serial engine under the same toggle: the batched kernel must
@@ -223,12 +166,7 @@ proptest! {
     ) {
         let mesh = generators::perturbed_grid(nx, ny, 0.35, seed);
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(3).with_tol(-1.0);
-
-        let mut a = mesh.clone();
-        let ra = SmoothEngine::new(&mesh, params.clone()).smooth(&mut a);
-        let mut b = mesh.clone();
-        let rb = SmoothEngine::new(&mesh, params.with_scalar_scoring(true)).smooth(&mut b);
-        prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(ra, rb);
+        let scalar = params.clone().with_scalar_scoring(true);
+        checks::serial_batched_equals_scalar(&mesh, params, scalar);
     }
 }
