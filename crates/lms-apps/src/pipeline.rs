@@ -43,11 +43,11 @@ pub enum Stage {
     /// Laplacian smoothing on the multi-process distributed resident
     /// engine ([`lms_dist::DistResidentEngine`]): one forked rank
     /// process per part, halo deltas as wire frames over the substrate
-    /// named by `spec.transport` (pipes, Unix or TCP stream sockets, or
-    /// the Auto degradation ladder). `spec.threads` is ignored —
-    /// parallelism is one OS process per part. Gauss–Seidel parameters
-    /// only; bit-identical to [`Stage::ResidentSmooth`] over the same
-    /// decomposition on every substrate.
+    /// named by `spec.transport` (pipes, Unix or TCP stream sockets).
+    /// `spec.threads` is ignored — parallelism is one OS process per
+    /// part. Gauss–Seidel parameters only; bit-identical to
+    /// [`Stage::ResidentSmooth`] over the same decomposition on every
+    /// substrate.
     DistributedSmooth(SmoothParams, PartitionSpec),
     /// Constrained smoothing (boundary slides along the boundary).
     ConstrainedSmooth(SmoothParams, ConstrainedOptions),
@@ -85,9 +85,8 @@ pub struct PartitionSpec {
     /// Worker threads (the result is identical for any count).
     pub threads: usize,
     /// Rank substrate for [`Stage::DistributedSmooth`]: pipes, Unix or
-    /// TCP sockets, or the [`lms_dist::TransportMode::Auto`] degradation
-    /// ladder. Ignored by the in-process stages. The smoothed coords are
-    /// identical on every substrate.
+    /// TCP sockets. Ignored by the in-process stages. The smoothed coords
+    /// are identical on every substrate.
     pub transport: lms_dist::TransportMode,
 }
 

@@ -38,11 +38,11 @@ pub enum Stage3 {
     /// Laplacian smoothing on the multi-process distributed resident
     /// engine ([`lms_dist::DistResidentEngine3`]): one forked rank
     /// process per part, halo deltas as wire frames over the substrate
-    /// named by `spec.transport` (pipes, Unix or TCP stream sockets, or
-    /// the Auto degradation ladder). `spec.threads` is ignored —
-    /// parallelism is one OS process per part. Gauss–Seidel parameters
-    /// only; bit-identical to [`Stage3::ResidentSmooth3`] over the same
-    /// decomposition on every substrate.
+    /// named by `spec.transport` (pipes, Unix or TCP stream sockets).
+    /// `spec.threads` is ignored — parallelism is one OS process per
+    /// part. Gauss–Seidel parameters only; bit-identical to
+    /// [`Stage3::ResidentSmooth3`] over the same decomposition on every
+    /// substrate.
     DistributedSmooth3(SmoothParams3, PartitionSpec),
 }
 

@@ -15,8 +15,7 @@
 //! Run with `cargo bench -p lms-bench --bench bench_dist`. Set
 //! `LMS_BENCH_GRID` to override the grid side (default 384). Results
 //! print to stdout; the tracked end-to-end numbers and the transport-tax
-//! layers are `benchmark/`'s, and the serialized-vs-overlap idle-wait
-//! floor is `lms-tool bench-smoke`'s.
+//! layers (idle vs hidden coordinator wait included) are `benchmark/`'s.
 
 use criterion::{BenchmarkId, Criterion};
 use lms_dist::{DistResidentEngine, FtOptions, TransportMode};
@@ -45,7 +44,8 @@ fn bench_dist(c: &mut Criterion) {
     let local_report = resident.smooth(&mut b, 2);
     assert_eq!(a.coords(), b.coords(), "distributed run diverged from in-process resident");
     assert_eq!(dist_report, local_report, "reports diverged (exchange accounting included)");
-    // and the socket rung must agree too before its timings mean anything
+    // and the socket substrate must agree too before its timings mean
+    // anything
     let tcp = FtOptions { mode: TransportMode::TcpLoopback, ..FtOptions::default() };
     let mut t = mesh.clone();
     let tcp_report = dist.smooth_with(&mut t, &tcp);
@@ -55,15 +55,12 @@ fn bench_dist(c: &mut Criterion) {
     assert_eq!(volume.full_gathers, 1, "rank blocks must gather exactly once");
     assert_eq!(volume.full_scatters, 1, "one disjoint write-back at the end");
 
-    // profiling gate, one run per drain mode: rank sweep timings come
-    // back in the Report frames and the coordinator times its own
-    // encode/decode/poll-wait, none of which may change a bit
-    for overlap in [true, false] {
-        let mut work = mesh.clone();
-        dist.smooth_profiled(&mut work, &FtOptions { overlap, ..FtOptions::default() })
-            .expect("profiled distributed run");
-        assert_eq!(work.coords(), b.coords(), "profiling must be observation-only");
-    }
+    // profiling gate: rank sweep timings come back in the Report frames
+    // and the coordinator times its own encode/decode/poll-wait, none of
+    // which may change a bit
+    let mut work = mesh.clone();
+    dist.smooth_profiled(&mut work, &FtOptions::default()).expect("profiled distributed run");
+    assert_eq!(work.coords(), b.coords(), "profiling must be observation-only");
 
     let mut group = c.benchmark_group("dist");
     group.sample_size(10);
@@ -97,18 +94,6 @@ fn bench_dist(c: &mut Criterion) {
         bch.iter(|| {
             let mut work = m.clone();
             dist.smooth_with(&mut work, &min_ckpt)
-        })
-    });
-    // the serialized drain loop the overlap multiplexer replaced, kept
-    // as FtOptions { overlap: false }: its gap to the default run is
-    // the wall-clock value of compute/communication overlap (small on a
-    // saturated host, where ranks timeshare the cores the coordinator
-    // would hide behind)
-    let no_overlap = FtOptions { overlap: false, ..FtOptions::default() };
-    group.bench_with_input(BenchmarkId::new("dist_8ranks_overlap_off", side), &mesh, |bch, m| {
-        bch.iter(|| {
-            let mut work = m.clone();
-            dist.smooth_with(&mut work, &no_overlap)
         })
     });
     // the same run over TCP loopback (PR 8's socket transport): identical

@@ -21,11 +21,9 @@
 //!   trace-validate <file.json>           check well-formedness + B/E balance
 //!   bench-smoke [baseline.json] [--nx n --iters n]
 //!            CI perf gate: measure the resident sweep kernel's
-//!            batched-vs-scalar speedup and the distributed
-//!            coordinator's serialized-vs-overlap idle poll-wait ratio
-//!            (both ratio-based, so host speed cancels) and fail if
-//!            either regresses >25% below the checked-in baseline
-//!            (default ci/bench_baseline.json)
+//!            batched-vs-scalar speedup (ratio-based, so host speed
+//!            cancels) and fail if it regresses >25% below the
+//!            checked-in baseline (default ci/bench_baseline.json)
 //!   dist-worker --connect <tcp:host:port|unix:/path> --rank <r>
 //!            [--nx --ny --jitter --seed --parts k --method m --plain
 //!             --iters n --tol f]
@@ -411,87 +409,19 @@ fn cmd_dist_worker(o: &Opts) -> Result<String, String> {
     Ok(format!("rank {rank}/{} served {spec} to clean shutdown", o.parts))
 }
 
-/// Pull `"<key>": <x>` out of a baseline JSON by string search — the
-/// whole file is repo-controlled, so a real parser (and a serde
-/// dependency) would be overkill for a couple of numeric fields.
-fn read_baseline_key(path: &str, name: &str) -> Result<f64, String> {
+/// Pull `"batched_speedup_vs_scalar": <x>` out of a baseline JSON by
+/// string search — the whole file is repo-controlled, so a real parser
+/// (and a serde dependency) would be overkill for one numeric field.
+fn read_baseline_speedup(path: &str) -> Result<f64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let key = format!("\"{name}\"");
-    let at = text.find(&key).ok_or_else(|| format!("{path}: missing {key}"))?;
+    let key = "\"batched_speedup_vs_scalar\"";
+    let at = text.find(key).ok_or_else(|| format!("{path}: missing {key}"))?;
     let rest = text[at + key.len()..]
         .trim_start()
         .strip_prefix(':')
         .ok_or_else(|| format!("{path}: malformed {key} (expected a colon)"))?;
     let end = rest.find(&[',', '\n', '}'][..]).unwrap_or(rest.len());
     rest[..end].trim().parse().map_err(|e| format!("{path}: bad {key} value: {e}"))
-}
-
-fn read_baseline_speedup(path: &str) -> Result<f64, String> {
-    read_baseline_key(path, "batched_speedup_vs_scalar")
-}
-
-/// The PR-10 half of the CI perf gate: the overlap multiplexer's
-/// *idle* poll-wait on a small profiled distributed run must stay well
-/// below the serialized drain loop's total poll-wait — the ratio is
-/// self-normalizing (same host, same workload, back to back), so
-/// runner speed cancels exactly as in the batched/scalar gate. Returns
-/// `Ok(None)` when rank processes cannot be spawned at all (sandboxed
-/// runners without fork): a backend that cannot run has no perf to
-/// regress, and correctness degradation is gated elsewhere.
-fn overlap_poll_gate(
-    mesh: &TriMesh,
-    parts: usize,
-    sweeps: usize,
-    baseline_path: &str,
-) -> Result<Option<String>, String> {
-    let baseline = read_baseline_key(baseline_path, "overlap_poll_wait_ratio")?;
-    let params =
-        lms_smooth::SmoothParams::paper().with_smart(true).with_max_iters(sweeps).with_tol(-1.0);
-    let engine = lms_dist::DistResidentEngine::by_method(
-        mesh,
-        params,
-        parts,
-        lms_part::PartitionMethod::Rcb,
-    );
-    let one = |overlap: bool| -> Result<Option<u64>, String> {
-        let mut work = mesh.clone();
-        let opts = lms_dist::FtOptions { overlap, ..lms_dist::FtOptions::default() };
-        match engine.smooth_profiled(&mut work, &opts) {
-            Ok((report, _, _)) => {
-                let bd = report
-                    .phase_breakdown
-                    .ok_or("profiled distributed run attached no phase breakdown")?;
-                Ok(Some(bd.transport.poll_wait_ns.max(1)))
-            }
-            Err(lms_dist::DistError::Spawn(_) | lms_dist::DistError::ConnRefused { .. }) => {
-                Ok(None)
-            }
-            Err(e) => Err(format!("profiled distributed run: {e}")),
-        }
-    };
-    // best of 3 paired reps: background load on a shared runner inflates
-    // the multiplexed run's idle wait (it cannot hide behind compute
-    // that was descheduled), biasing the ratio down — max is the
-    // noise-robust side for a regression gate with 25% slack
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (Some(on), Some(off)) = (one(true)?, one(false)?) else {
-            return Ok(None);
-        };
-        best = best.max(off as f64 / on as f64);
-    }
-    let floor = baseline / 1.25;
-    let verdict = format!(
-        "overlap poll-wait: serialized/multiplexed idle-wait ratio {best:.2} \
-         (baseline {baseline:.2}, floor {floor:.2})"
-    );
-    if best < floor {
-        return Err(format!(
-            "{verdict}\nREGRESSION: the overlap multiplexer stopped hiding poll wait \
-             relative to the checked-in baseline ({baseline_path})"
-        ));
-    }
-    Ok(Some(verdict))
 }
 
 /// CI bench-regression smoke: the SoA lane-batched sweep kernel vs the
@@ -586,11 +516,7 @@ fn cmd_bench_smoke(o: &Opts) -> Result<String, String> {
              the checked-in baseline ({baseline_path})"
         ));
     }
-    let overlap_line = match overlap_poll_gate(&mesh, o.parts, sweeps, baseline_path)? {
-        Some(line) => line,
-        None => "overlap poll-wait: skipped (rank processes cannot be spawned here)".to_string(),
-    };
-    Ok(format!("{verdict}\n{overlap_line}"))
+    Ok(verdict)
 }
 
 fn cmd_trace_validate(o: &Opts) -> Result<String, String> {
@@ -797,41 +723,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let baseline = dir.join("baseline.json").to_string_lossy().to_string();
 
-        // tiny baselines: any real measurement clears both floors
-        std::fs::write(
-            &baseline,
-            "{\n  \"batched_speedup_vs_scalar\": 0.01,\n  \"overlap_poll_wait_ratio\": 0.01\n}\n",
-        )
-        .unwrap();
+        // a tiny baseline: any real measurement clears the floor
+        std::fs::write(&baseline, "{\n  \"batched_speedup_vs_scalar\": 0.01\n}\n").unwrap();
         assert_eq!(read_baseline_speedup(&baseline).unwrap(), 0.01);
-        assert_eq!(read_baseline_key(&baseline, "overlap_poll_wait_ratio").unwrap(), 0.01);
         let o = parse(&args(&[&baseline, "--nx", "120", "--iters", "6"])).unwrap();
         let msg = cmd_bench_smoke(&o).unwrap();
         assert!(msg.contains("batched speedup vs scalar"), "{msg}");
         assert!(msg.contains("ns/moved-vertex"), "{msg}");
-        assert!(msg.contains("overlap poll-wait"), "{msg}");
 
         // an absurdly high baseline must trip the regression gate
-        std::fs::write(
-            &baseline,
-            "{\"batched_speedup_vs_scalar\": 1000.0, \"overlap_poll_wait_ratio\": 0.01}",
-        )
-        .unwrap();
+        std::fs::write(&baseline, "{\"batched_speedup_vs_scalar\": 1000.0}").unwrap();
         let err = cmd_bench_smoke(&o).unwrap_err();
         assert!(err.contains("REGRESSION"), "{err}");
-
-        // ...and so must a collapsed overlap poll-wait ratio (unless the
-        // runner cannot spawn rank processes, in which case the gate
-        // reports the skip instead)
-        std::fs::write(
-            &baseline,
-            "{\"batched_speedup_vs_scalar\": 0.01, \"overlap_poll_wait_ratio\": 1000.0}",
-        )
-        .unwrap();
-        match cmd_bench_smoke(&o) {
-            Err(err) => assert!(err.contains("REGRESSION") && err.contains("overlap"), "{err}"),
-            Ok(msg) => assert!(msg.contains("skipped"), "{msg}"),
-        }
 
         // malformed / missing baselines are hard errors, not silent passes
         std::fs::write(&baseline, "{\"something_else\": 1.0}").unwrap();

@@ -32,7 +32,7 @@
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
-use crate::socket::{Listener, SocketSpec, SocketTransport, Supervisor};
+use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::transport::ProcessTransport;
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
 use lms_smooth::domain::{DomainConfig, SmoothDomain};
@@ -40,47 +40,19 @@ use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
 use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SmoothMesh, SmoothReport};
 use lms_trace::{NullTrace, PhaseBreakdown, Recorder, TraceSink, TransportProfile};
-use std::io;
 
-/// Which byte-stream substrate a distributed run uses — the rungs of the
-/// graceful-degradation ladder.
+/// Which byte-stream substrate the forked rank workers of a distributed
+/// run talk over. The coordinator above it is the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
-    /// Probe the ladder top-down at engine construction: TCP loopback →
-    /// Unix socket → fork/pipes → in-process. Each rung that cannot be
-    /// established (bind/connect/accept/fork failure) degrades to the
-    /// next; the last rung degrades to the in-process engine via
-    /// [`DistError::Spawn`].
-    Auto,
+    /// Forked workers over anonymous pipes.
+    Pipes,
+    /// Forked workers dialling back over a Unix-domain socket under the
+    /// temp dir.
+    UnixSocket,
     /// Forked workers dialling back over TCP loopback — the single-host
     /// stand-in for the multi-node deployment shape.
     TcpLoopback,
-    /// Forked workers over a Unix-domain socket under the temp dir.
-    UnixSocket,
-    /// Forked workers over anonymous pipes (the PR 5/6 backend).
-    Pipes,
-    /// No rank processes at all: [`smooth_ft`] fails with
-    /// [`DistError::Spawn`] and [`smooth`] computes in-process — the
-    /// ladder's floor, always available.
-    ///
-    /// [`smooth_ft`]: DistResidentEngineOn::smooth_ft
-    /// [`smooth`]: DistResidentEngineOn::smooth
-    InProcess,
-}
-
-impl TransportMode {
-    /// The rung sequence this mode tries, top first.
-    pub fn ladder(self) -> Vec<TransportMode> {
-        match self {
-            TransportMode::Auto => vec![
-                TransportMode::TcpLoopback,
-                TransportMode::UnixSocket,
-                TransportMode::Pipes,
-                TransportMode::InProcess,
-            ],
-            mode => vec![mode],
-        }
-    }
 }
 
 /// Knobs of a fault-tolerant distributed run.
@@ -100,20 +72,12 @@ pub struct FtOptions {
     /// Observation only — coordinates and reports (minus the breakdown)
     /// are bit-identical either way. Off by default.
     pub profile: bool,
-    /// Byte-stream substrate (and degradation ladder) of the run.
-    /// Defaults to [`TransportMode::Pipes`] — the established single-host
-    /// backend; pick [`TransportMode::Auto`] to probe sockets first.
+    /// Byte-stream substrate of the run. Defaults to
+    /// [`TransportMode::Pipes`].
     pub mode: TransportMode,
-    /// Connection supervision knobs of the socket rungs (retry/backoff
-    /// and accept bounds); ignored by the pipe rung.
+    /// Connection supervision knobs of the socket substrates
+    /// (retry/backoff and accept bounds); ignored over pipes.
     pub supervisor: Supervisor,
-    /// Event-driven coordinator with compute/communication overlap: one
-    /// `poll(2)` multiplexed over every rank stream, eager delta
-    /// forwarding, and eager round release (see the `transport` module
-    /// docs). On by default; turning it off restores the serialized
-    /// drain/forward loop — the overlap oracle — with bit-identical
-    /// coordinates and reports either way.
-    pub overlap: bool,
 }
 
 impl Default for FtOptions {
@@ -126,90 +90,31 @@ impl Default for FtOptions {
             profile: false,
             mode: TransportMode::Pipes,
             supervisor: Supervisor::default(),
-            overlap: true,
         }
     }
 }
 
-/// Establish the transport for one rung of the ladder.
-fn spawn_mode_transport<'a, const C: usize, D: SmoothDomain<C>>(
-    mode: TransportMode,
+/// Fork the rank group over `options.mode`'s substrate.
+fn spawn_transport<'a, const C: usize, D: SmoothDomain<C>>(
     dom: &'a D,
     cfg: &DomainConfig,
     blocks: &'a [ResidentBlock<C>],
     schedule: &'a ExchangeSchedule,
     options: &FtOptions,
 ) -> Result<ProcessTransport<'a, C, D>, DistError> {
-    let socket_spec = match mode {
-        TransportMode::Auto => unreachable!("Auto resolves to a concrete rung via ladder()"),
-        TransportMode::InProcess => {
-            // the ladder's floor: signal "no rank processes" so smooth()
-            // degrades to the in-process engine
-            return Err(DistError::Spawn(io::Error::other(
-                "in-process rung of the degradation ladder",
-            )));
-        }
+    let (timeout, faults, profile) =
+        (options.read_timeout_ms, options.faults.clone(), options.profile);
+    let spec = match options.mode {
         TransportMode::Pipes => {
-            return ProcessTransport::spawn(
-                dom,
-                cfg,
-                blocks,
-                schedule,
-                options.read_timeout_ms,
-                options.faults.clone(),
-                options.profile,
-                options.overlap,
-            );
+            return ProcessTransport::spawn(dom, cfg, blocks, schedule, timeout, faults, profile)
         }
-        TransportMode::TcpLoopback => SocketSpec::tcp_loopback(),
         TransportMode::UnixSocket => SocketSpec::temp_unix(),
+        TransportMode::TcpLoopback => SocketSpec::tcp_loopback(),
     };
-    SocketTransport::spawn_forked(
-        &socket_spec,
-        dom,
-        cfg,
-        blocks,
-        schedule,
-        options.read_timeout_ms,
-        options.faults.clone(),
-        options.profile,
-        options.overlap,
-        &options.supervisor,
+    let supervisor = &options.supervisor;
+    ProcessTransport::spawn_forked(
+        &spec, dom, cfg, blocks, schedule, timeout, faults, profile, supervisor,
     )
-    .map(SocketTransport::into_inner)
-}
-
-/// Walk the mode ladder until a rung comes up. A rung failing to
-/// *establish* (spawn veto, bind/accept failure, refused connect)
-/// degrades to the next; the last rung's failure — and any error that is
-/// not an establishment failure — propagates.
-fn spawn_laddered<'a, const C: usize, D: SmoothDomain<C>>(
-    dom: &'a D,
-    cfg: &DomainConfig,
-    blocks: &'a [ResidentBlock<C>],
-    schedule: &'a ExchangeSchedule,
-    options: &FtOptions,
-) -> Result<ProcessTransport<'a, C, D>, DistError> {
-    let modes = options.mode.ladder();
-    for (i, &mode) in modes.iter().enumerate() {
-        match spawn_mode_transport(mode, dom, cfg, blocks, schedule, options) {
-            Ok(transport) => return Ok(transport),
-            Err(e) => {
-                let establishment =
-                    matches!(e, DistError::Spawn(_) | DistError::ConnRefused { .. });
-                if establishment && i + 1 < modes.len() {
-                    eprintln!(
-                        "lms-dist: {mode:?} transport unavailable ({e}); \
-                         degrading to {:?}",
-                        modes[i + 1]
-                    );
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
-    unreachable!("ladder() never returns an empty rung list")
 }
 
 /// Multi-process resident smoothing: one rank process per part, wire
@@ -289,7 +194,7 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
         let coords = self.inner.checked_coords(mesh);
         let dom = self.inner.engine().domain();
         let cfg = self.inner.engine().domain_config();
-        let transport = spawn_laddered(
+        let transport = spawn_transport(
             &dom,
             &cfg,
             self.inner.blocks(),
@@ -402,7 +307,7 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
         let coords = self.inner.checked_coords(mesh);
         let dom = self.inner.engine().domain();
         let cfg = self.inner.engine().domain_config();
-        let transport = SocketTransport::listen(
+        let transport = ProcessTransport::listen(
             listener,
             &dom,
             &cfg,
@@ -410,10 +315,8 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
             self.inner.exchange_schedule(),
             options.read_timeout_ms,
             options.profile,
-            options.overlap,
             &options.supervisor,
-        )?
-        .into_inner();
+        )?;
         let (report, stats, _) =
             self.drive(&dom, &cfg, transport, coords, options, &mut NullTrace)?;
         Ok((report, stats))

@@ -40,7 +40,7 @@ pub enum DistError {
     /// A rank never joined the group: connecting to (or accepting on)
     /// `addr` failed even after the supervisor's bounded
     /// exponential-backoff retries. At spawn time the caller degrades
-    /// down the transport ladder; during recovery the driver retries
+    /// to the in-process transport; during recovery the driver retries
     /// against its budget.
     ConnRefused { addr: String, attempts: u32, detail: String },
     /// A rank sent a well-formed frame that violates the protocol state

@@ -82,14 +82,6 @@ pub struct FaultPlan {
     /// Veto spawning entirely — exercises the graceful degradation to
     /// the in-process transport.
     pub fail_spawn: bool,
-    /// Veto the TCP transport rung (probe and spawn) — exercises the
-    /// degradation ladder's TCP → Unix-socket step.
-    pub fail_tcp: bool,
-    /// Veto the Unix-socket transport rung — with [`fail_tcp`] set too,
-    /// the ladder lands on fork/pipes.
-    ///
-    /// [`fail_tcp`]: Self::fail_tcp
-    pub fail_unix: bool,
     /// Socket ranks that exit instead of dialling the coordinator
     /// (`_exit(REFUSED_CONNECT_EXIT)` before the first connect attempt):
     /// the refused-connect regime, surfacing as `DistError::ConnRefused`
@@ -123,16 +115,6 @@ impl FaultPlan {
         FaultPlan { fail_spawn: true, ..FaultPlan::default() }
     }
 
-    /// Veto the TCP rung (degradation-ladder path).
-    pub fn no_tcp() -> Self {
-        FaultPlan { fail_tcp: true, ..FaultPlan::default() }
-    }
-
-    /// Veto the Unix-socket rung (degradation-ladder path).
-    pub fn no_unix() -> Self {
-        FaultPlan { fail_unix: true, ..FaultPlan::default() }
-    }
-
     /// Drop `rank`'s connection (close the stream, stay alive) right
     /// before `point`.
     pub fn drop_conn_at(rank: u32, point: FaultPoint) -> Self {
@@ -162,11 +144,7 @@ impl FaultPlan {
 
     /// No faults scripted at all?
     pub fn is_empty(&self) -> bool {
-        self.rank_faults.is_empty()
-            && !self.fail_spawn
-            && !self.fail_tcp
-            && !self.fail_unix
-            && self.refuse_connect.is_empty()
+        self.rank_faults.is_empty() && !self.fail_spawn && self.refuse_connect.is_empty()
     }
 
     /// Derive one scripted fault deterministically from `seed` — the
@@ -310,8 +288,6 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(FaultPlan::none().is_empty());
         assert!(!FaultPlan::no_spawn().is_empty());
-        assert!(!FaultPlan::no_tcp().is_empty());
-        assert!(!FaultPlan::no_unix().is_empty());
         assert!(!FaultPlan::refuse(1).is_empty());
     }
 

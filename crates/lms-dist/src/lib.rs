@@ -1,26 +1,26 @@
 //! # lms-dist — distributed-memory resident smoothing
 //!
 //! The multi-process backend of the resident halo-exchange protocol:
-//! MPI-style **ranks as forked worker processes** over Unix pipes, each
-//! rank holding one part's [`lms_smooth::resident::ResidentBlock`] as its
-//! resident per-rank state, a coordinator driving the color-step schedule
-//! through the versioned [`lms_part::wire`] frame format.
+//! MPI-style **ranks as worker processes** over pipes, Unix-domain or
+//! TCP sockets, each rank holding one part's
+//! [`lms_smooth::resident::ResidentBlock`] as its resident per-rank
+//! state, a coordinator driving the color-step schedule through the
+//! versioned [`lms_part::wire`] frame format.
 //!
-//! The layering (PR 5's transport refactor) is what makes this crate
-//! small:
+//! The layering is what makes this crate small:
 //!
 //! * `lms-part` owns the *communication pattern* — the
 //!   [`lms_part::ExchangeSchedule`] delivery lists, their rank-addressed
 //!   [`lms_part::MessagePlan`] coalescing, and the wire frames;
 //! * `lms-smooth` owns the *computation* — the per-rank
-//!   [`lms_smooth::ResidentRank`] kernel and the generic
-//!   [`lms_smooth::drive_resident`] loop over a
-//!   [`lms_smooth::ResidentTransport`];
+//!   [`lms_smooth::ResidentRank`] kernel and the one
+//!   [`lms_smooth::drive_resident_ft`] loop over a
+//!   [`lms_smooth::FtResidentTransport`];
 //! * this crate only *moves bytes*: [`ProcessTransport`] implements the
-//!   five transport operations as frames over pipes, and the
-//!   [`DistResidentEngine`] / [`DistResidentEngine3`] aliases of the one
-//!   [`DistResidentEngineOn`] body reuse the in-process engine's
-//!   construction wholesale.
+//!   transport operations as frames over one of three substrates
+//!   ([`TransportMode`]), and the [`DistResidentEngine`] /
+//!   [`DistResidentEngine3`] aliases of the one [`DistResidentEngineOn`]
+//!   body reuse the in-process engine's construction wholesale.
 //!
 //! Because both transports run the same ranks, route the same coalesced
 //! per-pair batches in the same order and charge the same wire-length
@@ -65,7 +65,7 @@ pub use engines::{
 };
 pub use error::DistError;
 pub use fault::{FaultPlan, FaultPoint, WorkerFault, INJECTED_KILL_EXIT, REFUSED_CONNECT_EXIT};
-pub use socket::{serve_standalone, Listener, SocketSpec, SocketTransport, Supervisor};
+pub use socket::{serve_standalone, Listener, SocketSpec, Supervisor};
 pub use transport::ProcessTransport;
 
 pub(crate) mod codec {

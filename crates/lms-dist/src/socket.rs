@@ -1,11 +1,11 @@
-//! The socket transport layer: rank workers served over Unix-domain and
-//! TCP stream sockets — the multi-node rung of the transport ladder.
+//! The socket layer: rank workers served over Unix-domain and TCP
+//! stream sockets — the multi-node shape of [`ProcessTransport`].
 //!
-//! Everything above the byte stream is shared with the pipe backend: the
-//! same `lms_part::wire` v3 frames (length-prefixed + CRC32c, exact
-//! f64-bit payloads), the same coordinator drain/forward phasing, the
-//! same `TimeoutReader` poll bounds and checkpoint/restart recovery. This
-//! module owns only what a socket adds on top:
+//! Everything above the byte stream is shared with the pipe substrate:
+//! the same `lms_part::wire` frames (length-prefixed + CRC32c, exact
+//! f64-bit payloads), the same event-driven coordinator loop, the same
+//! `poll(2)` bounds and checkpoint/restart recovery. This module owns
+//! only what a socket adds on top:
 //!
 //! * **Addressing** — [`SocketSpec`] parses/prints the two address forms
 //!   (`tcp:host:port`, `unix:/path`), with helpers for an ephemeral TCP
@@ -28,21 +28,21 @@
 //!   live on other hosts.
 //!
 //! Streams are converted to [`crate::sys::Fd`] descriptors once
-//! established, so the entire coordinator stack (buffered framing,
-//! timeout reads, EINTR/EAGAIN retry loops) is byte-for-byte the pipe
-//! code path — which is what lets the cross-transport oracle demand
+//! established, so the entire coordinator stack (frame reassembly,
+//! poll-bounded waits, EINTR/EAGAIN retry loops) is byte-for-byte the
+//! pipe code path — which is what lets the cross-transport oracle demand
 //! bit-identical coordinates *and* reports across {pipes, unix,
 //! tcp-loopback}.
+//!
+//! [`ProcessTransport`]: crate::ProcessTransport
+//! [`DistError::ConnRefused`]: crate::DistError::ConnRefused
 
-use crate::error::DistError;
-use crate::fault::FaultPlan;
 use crate::sys::{self, Fd};
-use crate::transport::{Link, ProcessTransport};
 use lms_part::wire::{Frame, WireError, WIRE_VERSION};
-use lms_part::{ExchangeSchedule, MessagePlan};
-use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
-use lms_smooth::resident::{ResidentBlock, ResidentRank};
-use lms_smooth::{ExchangeVolume, FtResidentTransport, ResidentEngineOn, SmoothMesh};
+use lms_part::MessagePlan;
+use lms_smooth::domain::DomainPoint;
+use lms_smooth::resident::ResidentRank;
+use lms_smooth::{ResidentEngineOn, SmoothMesh};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -118,7 +118,8 @@ pub struct Supervisor {
     /// …capped here (with deterministic jitter in `[cap/2, cap]`).
     pub connect_max_ms: u64,
     /// Coordinator-side bound on waiting for a rank to connect and
-    /// identify itself; expiry surfaces as [`DistError::ConnRefused`].
+    /// identify itself; expiry surfaces as
+    /// [`DistError::ConnRefused`](crate::DistError::ConnRefused).
     pub accept_timeout_ms: u64,
 }
 
@@ -307,188 +308,6 @@ impl Drop for Listener {
         if let ListenerKind::Unix(_, path) = &self.kind {
             let _ = std::fs::remove_file(path);
         }
-    }
-}
-
-/// The socket implementation of [`lms_smooth::FtResidentTransport`]: the
-/// [`ProcessTransport`] coordinator core with the byte stream moved from
-/// pipes to supervised sockets. Workers are either forked locally and
-/// dial back over the socket ([`spawn_forked`](Self::spawn_forked)) or
-/// external standalone processes — possibly on other hosts — accepted by
-/// rank id ([`listen`](Self::listen) + [`serve_standalone`] on the
-/// worker side).
-pub struct SocketTransport<'a, const C: usize, D: SmoothDomain<C>> {
-    inner: ProcessTransport<'a, C, D>,
-}
-
-impl<'a, const C: usize, D: SmoothDomain<C>> SocketTransport<'a, C, D> {
-    /// Bind `spec`, fork one worker per part, and have each dial back
-    /// with supervised retry/backoff and identify itself by rank. The
-    /// coordinator core (detection, checkpoints, recovery) is exactly
-    /// [`ProcessTransport`]'s.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_forked(
-        spec: &SocketSpec,
-        dom: &'a D,
-        cfg: &DomainConfig,
-        blocks: &'a [ResidentBlock<C>],
-        schedule: &'a ExchangeSchedule,
-        read_timeout_ms: i32,
-        faults: FaultPlan,
-        profile: bool,
-        overlap: bool,
-        supervisor: &Supervisor,
-    ) -> Result<Self, DistError> {
-        check_rung_veto(spec, &faults)?;
-        let listener = Listener::bind(spec).map_err(DistError::Spawn)?;
-        let link = Link::Socket {
-            listener,
-            supervisor: supervisor.clone(),
-            external: false,
-            parked: Vec::new(),
-        };
-        ProcessTransport::spawn_linked(
-            dom,
-            cfg,
-            blocks,
-            schedule,
-            read_timeout_ms,
-            faults,
-            profile,
-            overlap,
-            link,
-        )
-        .map(|inner| SocketTransport { inner })
-    }
-
-    /// Serve a rank group of **external** standalone workers: accept one
-    /// connection per part on the pre-bound `listener` (in any order —
-    /// each worker identifies itself by rank). The caller launches the
-    /// workers, e.g. `lms-tool dist-worker --connect <addr> --rank <p>`
-    /// per part, on any reachable host.
-    #[allow(clippy::too_many_arguments)]
-    pub fn listen(
-        listener: Listener,
-        dom: &'a D,
-        cfg: &DomainConfig,
-        blocks: &'a [ResidentBlock<C>],
-        schedule: &'a ExchangeSchedule,
-        read_timeout_ms: i32,
-        profile: bool,
-        overlap: bool,
-        supervisor: &Supervisor,
-    ) -> Result<Self, DistError> {
-        let link = Link::Socket {
-            listener,
-            supervisor: supervisor.clone(),
-            external: true,
-            parked: Vec::new(),
-        };
-        ProcessTransport::spawn_linked(
-            dom,
-            cfg,
-            blocks,
-            schedule,
-            read_timeout_ms,
-            FaultPlan::none(),
-            profile,
-            overlap,
-            link,
-        )
-        .map(|inner| SocketTransport { inner })
-    }
-
-    /// The address the rank group is served on.
-    pub fn local_addr(&self) -> &SocketSpec {
-        self.inner.socket_addr().expect("socket transport always has a listener")
-    }
-
-    /// Number of rank connections.
-    pub fn num_ranks(&self) -> usize {
-        self.inner.num_ranks()
-    }
-
-    /// Drain the coordinator-side transport profile (see
-    /// [`ProcessTransport::take_profile`]).
-    pub fn take_profile(&mut self) -> lms_trace::TransportProfile {
-        self.inner.take_profile()
-    }
-
-    /// Orderly teardown (see [`ProcessTransport::shutdown`]).
-    pub fn shutdown(&mut self) -> Result<(), DistError> {
-        self.inner.shutdown()
-    }
-
-    /// Unwrap the shared coordinator core — the engines drive one
-    /// concrete transport type whatever the byte stream underneath.
-    pub fn into_inner(self) -> ProcessTransport<'a, C, D> {
-        self.inner
-    }
-}
-
-/// The degradation-ladder veto hooks: a scripted `fail_tcp`/`fail_unix`
-/// makes the corresponding rung unavailable at bind time, exactly like a
-/// host without that socket family.
-fn check_rung_veto(spec: &SocketSpec, faults: &FaultPlan) -> Result<(), DistError> {
-    let vetoed = match spec {
-        SocketSpec::Tcp(_) => faults.fail_tcp,
-        SocketSpec::Unix(_) => faults.fail_unix,
-    };
-    if vetoed {
-        return Err(DistError::Spawn(io::Error::other(format!(
-            "injected transport veto: {} rung unavailable",
-            match spec {
-                SocketSpec::Tcp(_) => "TCP",
-                SocketSpec::Unix(_) => "Unix-socket",
-            }
-        ))));
-    }
-    Ok(())
-}
-
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
-    for SocketTransport<'_, C, D>
-{
-    type Error = DistError;
-
-    fn try_gather(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) -> Result<(), DistError> {
-        self.inner.try_gather(coords, scores)
-    }
-
-    fn try_interior_phase(&mut self) -> Result<(), DistError> {
-        self.inner.try_interior_phase()
-    }
-
-    fn try_color_step(
-        &mut self,
-        color: usize,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), DistError> {
-        self.inner.try_color_step(color, volume)
-    }
-
-    fn try_finish_iteration(
-        &mut self,
-        deltas: &mut Vec<f64>,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), DistError> {
-        self.inner.try_finish_iteration(deltas, volume)
-    }
-
-    fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), DistError> {
-        self.inner.try_scatter(coords)
-    }
-
-    fn take_checkpoint(&mut self) -> Result<(), DistError> {
-        self.inner.take_checkpoint()
-    }
-
-    fn deferred_checkpoints(&self) -> bool {
-        self.inner.deferred_checkpoints()
-    }
-
-    fn recover(&mut self, failure: &DistError) -> Result<(), DistError> {
-        self.inner.recover(failure)
     }
 }
 

@@ -444,9 +444,9 @@ impl std::fmt::Display for WaitStatus {
 /// Waits are split into two classes: **idle** — the run is blocked at a
 /// dependence with no useful work anywhere — and **hidden** — at least
 /// one rank has already been released into work ahead of the round being
-/// drained, so the wait overlaps live compute. The serialized loop only
-/// ever charges the idle class; the overlap multiplexer classifies each
-/// poll and charges via [`charge_wait_ns`](Self::charge_wait_ns). The
+/// drained, so the wait overlaps live compute. A blocking `read` only
+/// ever charges the idle class; the coordinator's multiplexer classifies
+/// each poll and charges via [`charge_wait_ns`](Self::charge_wait_ns). The
 /// stall diagnosis reads the combined total — a stalled rank is stalled
 /// regardless of what the coordinator overlapped meanwhile.
 #[derive(Debug)]
@@ -497,7 +497,7 @@ impl TimeoutReader {
         std::mem::take(&mut self.hidden_waited_ns)
     }
 
-    /// Charge an externally-timed wait (the overlap multiplexer polls
+    /// Charge an externally-timed wait (the coordinator's multiplexer polls
     /// many fds in one syscall and attributes the elapsed time to every
     /// rank it was still waiting on, classified idle or hidden).
     pub fn charge_wait_ns(&mut self, ns: u64, hidden: bool) {

@@ -1,86 +1,86 @@
-//! The multi-process transport: MPI-style ranks as forked worker
-//! processes over Unix pipes, driven by the coordinator through the
+//! The multi-process transport: MPI-style ranks as worker processes
+//! over pipes or stream sockets, driven by the coordinator through the
 //! `lms_part::wire` frame protocol — with failure detection and
 //! checkpoint/restart recovery built in.
 //!
-//! [`ProcessTransport::spawn`] forks one process per part. Each child
-//! inherits the engine's immutable topology — its
+//! [`ProcessTransport::spawn`] forks one process per part over pipes,
+//! [`ProcessTransport::spawn_forked`] does the same over a Unix-domain
+//! or TCP socket the workers dial back on, and
+//! [`ProcessTransport::listen`] serves external standalone workers.
+//! Each forked child inherits the engine's immutable topology — its
 //! [`ResidentBlock`], the [`ExchangeSchedule`] and the domain view —
 //! copy-on-write at fork time, builds its [`ResidentRank`] and serves
-//! frames ([`crate::worker`]); only *run state* ever crosses the wire:
-//! one gather and one scatter of block coordinates, per-color-step
-//! coalesced halo-delta batches, and per-iteration stat reports.
+//! frames; only *run state* ever crosses the wire: one gather of block
+//! coordinates, per-color-step coalesced halo-delta batches,
+//! per-iteration stat reports and sparse checkpoint replies.
 //!
-//! Delta routing is coordinator-mediated and deadlock-free by phasing:
-//! after broadcasting a `ColorStep` the coordinator first **drains**
-//! every rank's output up to its `RoundDone` marker (ranks block writing
-//! at worst until the coordinator reaches them — no cycle, the
-//! coordinator only reads), then **forwards** the buffered per-pair
-//! frames to their destinations (every rank is back in its read loop,
-//! stashing deltas as they arrive — again no cycle). Frames are
-//! forwarded in ascending source-part order, matching the in-process
-//! pull order, and the traffic counters are charged with the same
-//! `halo_frame_wire_len` formula — which is why the cross-transport
-//! oracle can demand *report* equality, not just coordinate equality.
+//! # The coordinator loop
 //!
-//! # Overlap mode
-//!
-//! With `overlap` on (the default through `FtOptions`), the serialized
-//! drain/forward barrier above is replaced by an event-driven
-//! multiplexer: one `poll(2)` over every rank fd at once (read *and*
-//! write interest), per-rank [`Reassembly`] buffers decoding frames out
-//! of whatever byte prefixes arrived, and **eager** routing — a halo
-//! batch goes onto its destination's non-blocking out-queue the moment
-//! it decodes, and a rank receives its next `ColorStep` the moment its
-//! last in-neighbour finishes the current round, so it sweeps color
-//! `k+1` while slower ranks are still being drained for color `k`.
-//! Three invariants keep this bit-identical to the serialized loop:
+//! Delta routing is coordinator-mediated and event-driven: one `poll(2)`
+//! over every rank fd at once (read *and* write interest), per-rank
+//! [`Reassembly`] buffers decoding frames out of whatever byte prefixes
+//! arrived, and **eager** routing — a halo batch goes onto its
+//! destination's non-blocking out-queue the moment it decodes, and a
+//! rank receives its next `ColorStep` the moment its last in-neighbour
+//! finishes the current round, so it sweeps color `k+1` while slower
+//! ranks are still being drained for color `k`. Three invariants keep
+//! this bit-identical to the in-process transport, which pulls each
+//! round's batches in ascending source-part order:
 //!
 //! * **Slot disjointness** — each halo slot is written by exactly one
 //!   source part, so per-destination arrival-order forwarding equals
 //!   ascending-source forwarding.
 //! * **FIFO round framing** — a round-`k` delta enters a destination's
-//!   pipe after its `ColorStep{k}` and before its `ColorStep{k+1}`
+//!   stream after its `ColorStep{k}` and before its `ColorStep{k+1}`
 //!   (frames for a not-yet-released destination are stashed), so the
 //!   worker's stash-then-apply-at-control-frame discipline sees exactly
-//!   the serialized delivery.
+//!   one round's deliveries per control frame.
 //! * **Flush-deferred bookkeeping** — a control frame makes its rank
 //!   owe a reply only when its bytes fully leave the out-queue, so
 //!   recovery resync drains precisely what workers could have received,
 //!   even with frames in flight at failure time.
 //!
+//! The traffic counters are charged with the in-process transport's
+//! `halo_frame_wire_len` formula, which is why the cross-transport
+//! oracle can demand *report* equality, not just coordinate equality.
 //! Writes during a drain never block (out-queues + `POLLOUT`), which
 //! breaks the coordinator-blocked-on-full-pipe / worker-blocked-on-
-//! outbox deadlock cycle eager forwarding would otherwise risk.
+//! outbox deadlock cycle eager forwarding would otherwise risk. Every
+//! forwarded halo batch is first checked against the [`MessagePlan`]
+//! and its destination's halo range, so a malformed batch is blamed on
+//! the rank that sent it instead of crashing the rank it was meant for.
 //!
 //! # Fault tolerance
 //!
 //! The transport implements [`FtResidentTransport`], the fallible,
 //! recoverable transport contract `drive_resident_ft` drives:
 //!
-//! * **Detection** — every coordinator read is bounded by a `poll(2)`
-//!   timeout ([`crate::sys::TimeoutReader`]); a failed read or write is
-//!   diagnosed against the rank's `waitpid` state into a typed
-//!   [`DistError`] (rank exited / rank stalled / corrupt stream — the
-//!   latter caught by the wire v2 per-frame CRC32c). The coordinator can
-//!   therefore never hang on a dead or wedged rank.
-//! * **Checkpoint** — at iteration boundaries the coordinator pulls every
-//!   rank's owned coordinates through an out-of-band scatter round into a
-//!   global snapshot. That snapshot is a *complete* rank state: at a
-//!   boundary a rank is exactly its coordinates plus element scores, and
-//!   the scores are bit-reproducible as `dom.score` of those coordinates
-//!   (the invariant `resident::ResidentRank` maintains), so checkpoints
-//!   carry no score traffic. Checkpoint traffic is deliberately not
-//!   charged to any [`ExchangeVolume`] — recovered and failure-free runs
-//!   must report identical exchange accounting.
-//! * **Recovery** — [`recover`](Self::recover) puts the group back at the
-//!   last checkpoint: kill + reap the failed rank, drain every survivor
-//!   to protocol quiescence (discarding its in-flight round), fork a
-//!   replacement (with a disarmed fault plan), and reload **all** ranks
-//!   from the snapshot with fresh `Gather` frames. The driver then
-//!   replays the lost iterations; replay is deterministic from the
-//!   checkpoint, so recovered runs are bit-identical to failure-free
-//!   ones (pinned by `tests/chaos.rs`).
+//! * **Detection** — every coordinator wait is bounded by a `poll(2)`
+//!   timeout; a failed read or write is diagnosed against the rank's
+//!   `waitpid` state into a typed [`DistError`] (rank exited / rank
+//!   stalled / connection lost / corrupt stream — the latter caught by
+//!   the wire per-frame CRC32c). The coordinator can therefore never
+//!   hang on a dead or wedged rank.
+//! * **Checkpoint** — at iteration boundaries the coordinator asks every
+//!   rank for the owned coordinates that changed since its last reply (a
+//!   sparse `ScatterDeltaRequest` round). The replies are folded into a
+//!   global snapshot as they arrive inside the next iteration's drains,
+//!   and the round commits at the following boundary. That snapshot is
+//!   a *complete* rank state: at a boundary a rank is exactly its
+//!   coordinates plus element scores, and the scores are
+//!   bit-reproducible as `dom.score` of those coordinates (the invariant
+//!   `resident::ResidentRank` maintains), so checkpoints carry no score
+//!   traffic. Checkpoint traffic is deliberately not charged to any
+//!   [`ExchangeVolume`] — recovered and failure-free runs must report
+//!   identical exchange accounting.
+//! * **Recovery** — [`recover`](FtResidentTransport::recover) puts the
+//!   group back at the last committed checkpoint: kill + reap the failed
+//!   rank, drain every survivor to protocol quiescence (discarding its
+//!   in-flight round), fork a replacement (with a disarmed fault plan),
+//!   and reload **all** ranks from the snapshot with fresh `Gather`
+//!   frames. The driver then replays the lost iterations; replay is
+//!   deterministic from the checkpoint, so recovered runs are
+//!   bit-identical to failure-free ones (pinned by `tests/chaos.rs`).
 
 use crate::error::DistError;
 use crate::fault::{FaultPlan, WorkerFaults};
@@ -93,12 +93,12 @@ use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
 use lms_smooth::{ExchangeVolume, FtResidentTransport};
 use lms_trace::{now_ns, RankPhaseNanos, TransportProfile};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 
 /// The byte-stream substrate a rank group runs over. The coordinator
 /// core above it (framing, detection, checkpoints, recovery) is
 /// identical either way — only connection establishment differs.
-pub(crate) enum Link {
+enum Link {
     /// Forked children over two anonymous pipes each (the PR 5/6
     /// backend).
     Pipes,
@@ -124,11 +124,9 @@ enum Pending {
     None,
     /// One `Report`.
     Report,
-    /// One `Scatter` or `ScatterDelta`.
-    Scatter,
 }
 
-/// An outstanding deferred checkpoint round (overlap mode): the
+/// An outstanding deferred checkpoint round: the
 /// boundary state being assembled from sparse `ScatterDelta` replies
 /// that arrive interleaved with the next iteration's frames. The
 /// assembled `scratch` is **not** the live checkpoint until a commit
@@ -202,11 +200,8 @@ impl OutQueue {
     }
 }
 
-/// The overlap multiplexer's coordinator-side state (built
-/// unconditionally, driven only when `overlap` is on). In overlap mode
-/// every read goes through `reasm` — never through the channel's
-/// `BufReader`, which would strand bytes invisible to the reassembly
-/// buffers — and every drain-phase write goes through `outq`.
+/// The multiplexer's coordinator-side state: every read goes through
+/// `reasm`, and every drain-phase write goes through `outq`.
 struct Overlap {
     /// Per-rank incremental frame decoder over the non-blocking stream.
     reasm: Vec<Reassembly>,
@@ -264,7 +259,9 @@ struct RankChannel {
     /// its only failure evidence is the stream itself).
     pid: Option<i32>,
     to_rank: BufWriter<Fd>,
-    from_rank: BufReader<TimeoutReader>,
+    /// The read end; owns the descriptor and keeps the per-rank
+    /// poll-wait totals the stall diagnosis reports.
+    from_rank: TimeoutReader,
     /// Raw descriptor numbers of the two parent-side stream ends, so a
     /// child forked *later* (a recovery respawn) can shed its inherited
     /// copies of them.
@@ -273,9 +270,8 @@ struct RankChannel {
     pending: Pending,
     /// `RoundDone`s this rank still owes the coordinator — incremented
     /// when a `ColorStep` reaches it (at flush, see [`Ctrl`]),
-    /// decremented per decoded `RoundDone`. Both the serialized loop and
-    /// the overlap multiplexer keep it current, so recovery resync is
-    /// one shared drain whatever mode the failure struck in.
+    /// decremented per decoded `RoundDone`, so recovery resync knows how
+    /// many abandoned rounds to drain.
     owed_rounds: u32,
     /// The child was already `waitpid`-reaped (its wait status consumed
     /// during failure diagnosis) — don't reap twice, and never signal a
@@ -287,11 +283,12 @@ struct RankChannel {
     last_phase: (&'static str, u32),
 }
 
-/// The forked-process implementation of
+/// The multi-process implementation of
 /// [`lms_smooth::FtResidentTransport`]: one OS process per part, wire
-/// frames over two pipes per rank, coordinator-mediated delta
-/// forwarding, timeout-bounded reads and checkpoint/respawn recovery.
-/// See the module docs for the phasing and recovery arguments.
+/// frames over a pipe pair or a socket per rank, coordinator-mediated
+/// delta forwarding, timeout-bounded waits and checkpoint/respawn
+/// recovery. See the module docs for the routing and recovery
+/// arguments.
 pub struct ProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     dom: &'a D,
     cfg: DomainConfig,
@@ -300,13 +297,11 @@ pub struct ProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     plan: MessagePlan,
     link: Link,
     ranks: Vec<RankChannel>,
-    /// Per-destination forward queue, drained every color step.
-    forward: Vec<Vec<Frame>>,
     /// The recovery checkpoint: the full global coordinate array as of
     /// the last *committed* iteration boundary (primed by `try_gather`).
     ckpt: Vec<D::Point>,
     /// The deferred sparse checkpoint round still collecting, if any
-    /// (overlap mode only; see [`CkptPending`]).
+    /// (see [`CkptPending`]).
     ckpt_pending: Option<CkptPending<D::Point>>,
     faults: FaultPlan,
     read_timeout_ms: i32,
@@ -331,22 +326,18 @@ pub struct ProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     /// with no released compute to hide behind (genuinely idle).
     poll_wait_ns: u64,
     /// Coordinator poll-wait that overlapped released rank compute —
-    /// time the serialized loop would also have burned, here hidden
-    /// behind sweeps already running ahead of the drain.
+    /// hidden behind sweeps already running ahead of the drain, or
+    /// behind a checkpoint round the ranks are still answering.
     hidden_wait_ns: u64,
     /// Coordinator-side iteration counter (interior phases driven), the
     /// iteration coordinate of `RankChannel::last_phase`.
     cur_iter: u32,
-    /// Event-driven overlap mode: multiplexed drains, eager forwarding,
-    /// eager release. Off = the PR 5/6 serialized loop, kept verbatim as
-    /// the oracle.
-    overlap: bool,
-    /// Overlap multiplexer state (idle when `overlap` is off).
+    /// Multiplexer state: reassembly buffers, out-queues, round
+    /// bookkeeping.
     ov: Overlap,
     /// The checkpoint still equals every rank's live resident state (no
-    /// sweep ran since it was taken), so an overlap-mode scatter can be
-    /// served straight from `ckpt` with zero wire traffic instead of
-    /// double-walking the mesh with a second scatter round.
+    /// sweep ran since it was taken), so a scatter is served straight
+    /// from `ckpt` with zero wire traffic.
     ckpt_fresh: bool,
 }
 
@@ -362,10 +353,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// the error returns. `profile` turns on phase timing on both sides
     /// of the wire (rank sweeps and coordinator routing) — observation
     /// only, the computed coordinates are bit-identical either way.
-    /// `overlap` selects the event-driven multiplexed coordinator (see
-    /// the module docs); off keeps the serialized drain/forward loop as
-    /// the oracle — coordinates and reports are bit-identical in both.
-    #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         dom: &'a D,
         cfg: &DomainConfig,
@@ -374,25 +361,18 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         read_timeout_ms: i32,
         faults: FaultPlan,
         profile: bool,
-        overlap: bool,
     ) -> Result<Self, DistError> {
-        Self::spawn_linked(
-            dom,
-            cfg,
-            blocks,
-            schedule,
-            read_timeout_ms,
-            faults,
-            profile,
-            overlap,
-            Link::Pipes,
-        )
+        let link = Link::Pipes;
+        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
-    /// [`spawn`](Self::spawn) generalised over the byte-stream substrate
-    /// — the shared constructor `SocketTransport` builds on.
+    /// [`spawn`](Self::spawn) over a socket: bind `spec`, fork one
+    /// worker per part, and have each dial back with supervised
+    /// retry/backoff and identify itself by rank. A worker that never
+    /// dials surfaces as [`DistError::ConnRefused`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn_linked(
+    pub fn spawn_forked(
+        spec: &SocketSpec,
         dom: &'a D,
         cfg: &DomainConfig,
         blocks: &'a [ResidentBlock<C>],
@@ -400,7 +380,56 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         read_timeout_ms: i32,
         faults: FaultPlan,
         profile: bool,
-        overlap: bool,
+        supervisor: &Supervisor,
+    ) -> Result<Self, DistError> {
+        let listener = Listener::bind(spec).map_err(DistError::Spawn)?;
+        let link = Link::Socket {
+            listener,
+            supervisor: supervisor.clone(),
+            external: false,
+            parked: Vec::new(),
+        };
+        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
+    }
+
+    /// Serve a rank group of **external** standalone workers: accept one
+    /// connection per part on the pre-bound `listener` (in any order —
+    /// each worker identifies itself by rank). The caller launches the
+    /// workers, e.g. `lms-tool dist-worker --connect <addr> --rank <p>`
+    /// per part, on any reachable host.
+    #[allow(clippy::too_many_arguments)]
+    pub fn listen(
+        listener: Listener,
+        dom: &'a D,
+        cfg: &DomainConfig,
+        blocks: &'a [ResidentBlock<C>],
+        schedule: &'a ExchangeSchedule,
+        read_timeout_ms: i32,
+        profile: bool,
+        supervisor: &Supervisor,
+    ) -> Result<Self, DistError> {
+        let link = Link::Socket {
+            listener,
+            supervisor: supervisor.clone(),
+            external: true,
+            parked: Vec::new(),
+        };
+        let faults = FaultPlan::none();
+        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
+    }
+
+    /// The constructor behind [`spawn`](Self::spawn),
+    /// [`spawn_forked`](Self::spawn_forked) and [`listen`](Self::listen):
+    /// establish every rank's channel over `link`.
+    #[allow(clippy::too_many_arguments)]
+    fn spawn_linked(
+        dom: &'a D,
+        cfg: &DomainConfig,
+        blocks: &'a [ResidentBlock<C>],
+        schedule: &'a ExchangeSchedule,
+        read_timeout_ms: i32,
+        faults: FaultPlan,
+        profile: bool,
         link: Link,
     ) -> Result<Self, DistError> {
         if faults.fail_spawn {
@@ -417,7 +446,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             plan,
             link,
             ranks: Vec::with_capacity(k),
-            forward: (0..k).map(|_| Vec::new()).collect(),
             ckpt: Vec::new(),
             ckpt_pending: None,
             faults,
@@ -431,7 +459,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             poll_wait_ns: 0,
             hidden_wait_ns: 0,
             cur_iter: 0,
-            overlap,
             ov,
             ckpt_fresh: false,
         };
@@ -439,8 +466,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             match transport.spawn_rank(p as u32, true) {
                 Ok(channel) => transport.ranks.push(channel),
                 Err(e) => {
-                    // reap the siblings forked so far; the caller falls
-                    // back down the transport ladder
+                    // reap the siblings forked so far before the error
+                    // reaches the caller
                     for channel in &transport.ranks {
                         if let Some(pid) = channel.pid {
                             let _ = sys::kill_pid(pid);
@@ -462,15 +489,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// Number of rank processes.
     pub fn num_ranks(&self) -> usize {
         self.ranks.len()
-    }
-
-    /// The socket address the rank group is served on, when the link is
-    /// a socket.
-    pub(crate) fn socket_addr(&self) -> Option<&SocketSpec> {
-        match &self.link {
-            Link::Socket { listener, .. } => Some(listener.target()),
-            Link::Pipes => None,
-        }
     }
 
     /// Establish one rank worker's channel. `armed` selects whether the
@@ -685,19 +703,16 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         .write_to(&mut to_rank)
         .map_err(DistError::Spawn)?;
         to_rank.flush().map_err(DistError::Spawn)?;
-        if self.overlap {
-            // the multiplexer needs both directions non-blocking: reads
-            // go through `read_ready` + reassembly, drain-phase writes
-            // through the out-queues. The blocking broadcast phases keep
-            // working unchanged — `Fd`'s stream impls park in `poll(2)`
-            // on EAGAIN.
-            sys::set_nonblocking(from_fd, true).map_err(DistError::Spawn)?;
-            sys::set_nonblocking(to_fd, true).map_err(DistError::Spawn)?;
-        }
+        // the multiplexer needs both directions non-blocking: reads go
+        // through `read_ready` + reassembly, drain-phase writes through
+        // the out-queues. The blocking broadcast phases keep working
+        // unchanged — `Fd`'s stream impls park in `poll(2)` on EAGAIN.
+        sys::set_nonblocking(from_fd, true).map_err(DistError::Spawn)?;
+        sys::set_nonblocking(to_fd, true).map_err(DistError::Spawn)?;
         Ok(RankChannel {
             pid,
             to_rank,
-            from_rank: BufReader::new(TimeoutReader::new(from_rank, self.read_timeout_ms)),
+            from_rank: TimeoutReader::new(from_rank, self.read_timeout_ms),
             to_fd,
             from_fd,
             pending: Pending::None,
@@ -785,8 +800,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
                             // idle + hidden: a stalled rank is stalled
                             // regardless of what the coordinator
                             // overlapped meanwhile
-                            waited_ms: self.ranks[p].from_rank.get_ref().total_waited_ns()
-                                / 1_000_000,
+                            waited_ms: self.ranks[p].from_rank.total_waited_ns() / 1_000_000,
                             last_phase: format!("{phase}#{iter}"),
                         }
                     }
@@ -845,24 +859,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         }
     }
 
-    fn recv(&mut self, p: usize) -> Result<Frame, DistError> {
-        if !self.profile {
-            return Frame::read_from(&mut self.ranks[p].from_rank)
-                .map_err(|e| self.diagnose_read(p, e));
-        }
-        // split the receive wall time into poll-wait (rank not ready)
-        // and decode (bytes moved + frames parsed), using the
-        // TimeoutReader's poll accounting as the wait component
-        let waited_before = self.ranks[p].from_rank.get_ref().waited_ns();
-        let t0 = now_ns();
-        let result = Frame::read_from(&mut self.ranks[p].from_rank);
-        let wall = now_ns().saturating_sub(t0);
-        let waited = self.ranks[p].from_rank.get_ref().waited_ns().saturating_sub(waited_before);
-        self.poll_wait_ns += waited;
-        self.decode_ns += wall.saturating_sub(waited);
-        result.map_err(|e| self.diagnose_read(p, e))
-    }
-
     /// Drain the coordinator-side transport profile: per-rank sweep
     /// phases (as reported over the wire), the forwarding time matrix
     /// and the encode/decode/poll-wait totals. All fields reset to zero;
@@ -909,9 +905,9 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
 
     /// Drain rank `p` to protocol quiescence: consume every `RoundDone`
     /// it still owes (discarding the abandoned rounds' halo data), then
-    /// whatever reply is pending, so its stream is frame-aligned again.
-    /// Shared by both modes — `owed_rounds` can be up to 2 when an
-    /// overlap drain failed mid-call with a rank already released ahead.
+    /// the `Report` if one is pending, so its stream is frame-aligned
+    /// again. `owed_rounds` can be up to 2 when a drain failed mid-call
+    /// with a rank already released ahead.
     fn resync(&mut self, p: usize) -> Result<(), DistError> {
         // A survivor's stream may hold three kinds of in-flight frames:
         // the abandoned iteration's halo deltas and round markers, and —
@@ -919,7 +915,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         // a deferred checkpoint round. All must leave the stream before
         // reload, or a stale reply would poison the next deferred round.
         while self.ranks[p].owed_rounds > 0 || self.ckpt_awaiting(p) {
-            match self.resync_recv(p)? {
+            match self.ov_recv(p)? {
                 Frame::HaloDelta { .. } => continue,
                 Frame::ScatterDelta { .. } if self.ckpt_awaiting(p) => {
                     // drained and discarded: recovery abandons the
@@ -932,41 +928,20 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
                 f => return Err(self.protocol_error(p, &f)),
             }
         }
-        loop {
-            let expected = self.ranks[p].pending;
-            if expected == Pending::None {
-                return Ok(());
-            }
-            let frame = self.resync_recv(p)?;
-            match (expected, frame) {
-                (Pending::Report, Frame::Report { .. })
-                | (Pending::Scatter, Frame::Scatter { .. })
-                | (Pending::Scatter, Frame::ScatterDelta { .. }) => {
-                    self.ranks[p].pending = Pending::None;
-                }
-                (_, f) => return Err(self.protocol_error(p, &f)),
+        if self.ranks[p].pending == Pending::Report {
+            match self.ov_recv(p)? {
+                Frame::Report { .. } => self.ranks[p].pending = Pending::None,
+                f => return Err(self.protocol_error(p, &f)),
             }
         }
+        Ok(())
     }
 
-    /// The resync read path: through the reassembly buffer in overlap
-    /// mode (which may hold bytes already pulled off the stream when the
-    /// failure struck), through the `BufReader` otherwise.
-    fn resync_recv(&mut self, p: usize) -> Result<Frame, DistError> {
-        if self.overlap {
-            self.ov_recv(p)
-        } else {
-            self.recv(p)
-        }
-    }
-
-    /// Blocking-bounded single-rank receive through the overlap
-    /// reassembly path: decode from the buffer, pulling more bytes off
-    /// the non-blocking fd under the read timeout as needed. The overlap
-    /// mode's replacement for [`recv`](Self::recv) at quiescent protocol
-    /// points (report/scatter/checkpoint collection, resync) — the
-    /// channel `BufReader` is *never* used in overlap mode, so no bytes
-    /// can be stranded outside the reassembly buffer.
+    /// Blocking-bounded single-rank receive at quiescent protocol points
+    /// (checkpoint completion, resync): decode from the reassembly buffer
+    /// (which may already hold bytes pulled off the stream by a drain),
+    /// pulling more bytes off the non-blocking fd under the read timeout
+    /// as needed.
     fn ov_recv(&mut self, p: usize) -> Result<Frame, DistError> {
         loop {
             let t0 = if self.profile { now_ns() } else { 0 };
@@ -983,7 +958,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             let w0 = now_ns();
             let readable = sys::wait_readable(fd, self.read_timeout_ms);
             let waited = now_ns().saturating_sub(w0);
-            self.ranks[p].from_rank.get_mut().charge_wait_ns(waited, false);
+            self.ranks[p].from_rank.charge_wait_ns(waited, false);
             if self.profile {
                 self.poll_wait_ns += waited;
             }
@@ -1117,7 +1092,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         Ok(())
     }
 
-    /// The event-driven drain at the heart of the overlap coordinator:
+    /// The event-driven drain at the heart of the coordinator:
     /// wait (one `poll(2)` over every active rank fd, read *and* write
     /// interest at once) until every rank has completed the round being
     /// drained (`target = rounds_issued`: all `done_rounds` reach it),
@@ -1130,7 +1105,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// the next round while slower ranks are still being drained. The
     /// per-destination disjointness of halo slots (each slot written by
     /// exactly one source part) is what makes arrival-order forwarding
-    /// bit-identical to the serialized ascending-source order.
+    /// bit-identical to ascending-source order.
     fn ov_drain(
         &mut self,
         release: Release,
@@ -1200,19 +1175,17 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             );
             let waited = now_ns().saturating_sub(t0);
             // hidden iff some released work is in flight while a rank
-            // still owes the drain — that wait overlaps live rank work
-            // the serialized loop would sit idle for. Released work is
-            // either a color round issued ahead of the drain target or
-            // a deferred checkpoint round whose sparse replies are
-            // still outstanding (the serialized loop pays that
-            // collection as a dedicated barrier; here the ranks
-            // diff-scan and reply under the very waits being charged)
+            // still owes the drain — that wait overlaps live rank work.
+            // Released work is either a color round issued ahead of the
+            // drain target or a deferred checkpoint round whose sparse
+            // replies are still outstanding (the ranks diff-scan and
+            // reply under the very waits being charged)
             let owing_any = (0..k).any(|p| self.ov.done_rounds[p] < target);
             let ckpt_outstanding = self.ckpt_pending.as_ref().is_some_and(|pc| pc.missing > 0);
             let hidden = (released.iter().any(|&r| r) || ckpt_outstanding) && owing_any;
             for p in 0..k {
                 if self.ov.read_fds[p] >= 0 {
-                    self.ranks[p].from_rank.get_mut().charge_wait_ns(waited, hidden);
+                    self.ranks[p].from_rank.charge_wait_ns(waited, hidden);
                 }
             }
             if self.profile {
@@ -1263,7 +1236,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
                     };
                     match frame {
                         Frame::HaloDelta { part: dst, slots, coords } => {
-                            if dst as usize >= k {
+                            if !halo_batch_ok(&self.plan, self.blocks, dim, p, dst, &slots, &coords)
+                            {
                                 let f = Frame::HaloDelta { part: dst, slots, coords };
                                 return Err(self.protocol_error(p, &f));
                             }
@@ -1339,94 +1313,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         }
     }
 
-    /// Multiplexed collection of one full `Scatter` reply per rank (the
-    /// requests are already broadcast and flushed). Replies land in rank
-    /// slots, so arrival order is invisible to the caller. The sparse
-    /// checkpoint round never comes through here — its `ScatterDelta`
-    /// replies are stashed by [`ov_stash_ckpt_delta`] wherever they
-    /// surface.
-    ///
-    /// [`ov_stash_ckpt_delta`]: Self::ov_stash_ckpt_delta
-    fn ov_collect_scatters(
-        &mut self,
-        phase: &'static str,
-    ) -> Result<Vec<Vec<D::Point>>, DistError> {
-        let k = self.ranks.len();
-        let mut got: Vec<Option<Vec<D::Point>>> = (0..k).map(|_| None).collect();
-        while got.iter().any(|g| g.is_none()) {
-            self.ov.read_fds.clear();
-            for (p, g) in got.iter().enumerate() {
-                self.ov.read_fds.push(if g.is_none() { self.ranks[p].from_fd } else { -1 });
-            }
-            // decode whatever is already buffered before polling
-            let mut progressed = false;
-            #[allow(clippy::needless_range_loop)] // got[p] is written mid-body
-            for p in 0..k {
-                if got[p].is_some() {
-                    continue;
-                }
-                match self.ov.reasm[p].next_frame() {
-                    Ok(Some(Frame::Scatter { coords: flat })) => {
-                        let owned = self.blocks[p].owned();
-                        if flat.len() != owned.len() * D::Point::DIM {
-                            let f = Frame::Scatter { coords: flat };
-                            return Err(self.protocol_error(p, &f));
-                        }
-                        self.ranks[p].pending = Pending::None;
-                        got[p] = Some(crate::codec::flat_to_points::<D::Point>(&flat));
-                        self.mark(p, phase);
-                        progressed = true;
-                    }
-                    Ok(Some(f)) => return Err(self.protocol_error(p, &f)),
-                    Ok(None) => {}
-                    Err(e) => return Err(self.diagnose_read(p, e)),
-                }
-            }
-            if progressed {
-                continue;
-            }
-            let mut ready_r = std::mem::take(&mut self.ov.ready_r);
-            let mut ready_w = std::mem::take(&mut self.ov.ready_w);
-            let t0 = now_ns();
-            let polled = sys::poll_duplex(
-                &self.ov.read_fds,
-                &[],
-                self.read_timeout_ms,
-                &mut ready_r,
-                &mut ready_w,
-            );
-            let waited = now_ns().saturating_sub(t0);
-            for p in 0..k {
-                if self.ov.read_fds[p] >= 0 {
-                    self.ranks[p].from_rank.get_mut().charge_wait_ns(waited, false);
-                }
-            }
-            if self.profile {
-                self.poll_wait_ns += waited;
-            }
-            self.ov.ready_r = ready_r;
-            self.ov.ready_w = ready_w;
-            let polled = match polled {
-                Ok(n) => n,
-                Err(e) => return Err(DistError::Spawn(e)),
-            };
-            if polled == 0 {
-                let stalled = (0..k).find(|&p| got[p].is_none()).unwrap_or(0);
-                let e = io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("no rank readable within {}ms", self.read_timeout_ms),
-                );
-                return Err(self.diagnose_read(stalled, WireError::Io(e)));
-            }
-            for p in 0..k {
-                if self.ov.ready_r[p] && self.ov.read_fds[p] >= 0 {
-                    self.ov_fill(p)?;
-                }
-            }
-        }
-        Ok(got.into_iter().map(|g| g.unwrap()).collect())
-    }
-
     /// Whether rank `p` still owes the deferred checkpoint round its
     /// `ScatterDelta` reply.
     fn ckpt_awaiting(&self, p: usize) -> bool {
@@ -1475,81 +1361,30 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         if self.ckpt_pending.is_none() {
             return Ok(None);
         }
-        let k = self.ranks.len();
-        while self.ckpt_pending.as_ref().expect("checked above").missing > 0 {
-            // decode whatever is already buffered before polling
-            let mut progressed = false;
-            for p in 0..k {
-                if !self.ckpt_awaiting(p) {
-                    continue;
-                }
-                let t0 = if self.profile { now_ns() } else { 0 };
-                let decoded = self.ov.reasm[p].next_frame();
-                if self.profile {
-                    self.decode_ns += now_ns().saturating_sub(t0);
-                }
-                match decoded {
-                    Ok(Some(Frame::ScatterDelta { slots, coords })) => {
-                        self.ov_stash_ckpt_delta(p, slots, coords)?;
-                        progressed = true;
-                    }
-                    Ok(Some(f)) => return Err(self.protocol_error(p, &f)),
-                    Ok(None) => {}
-                    Err(e) => return Err(self.diagnose_read(p, e)),
-                }
-            }
-            if progressed {
+        for p in 0..self.ranks.len() {
+            if !self.ckpt_awaiting(p) {
                 continue;
             }
-            self.ov.read_fds.clear();
-            for p in 0..k {
-                self.ov.read_fds.push(if self.ckpt_awaiting(p) {
-                    self.ranks[p].from_fd
-                } else {
-                    -1
-                });
-            }
-            let mut ready_r = std::mem::take(&mut self.ov.ready_r);
-            let mut ready_w = std::mem::take(&mut self.ov.ready_w);
-            let t0 = now_ns();
-            let polled = sys::poll_duplex(
-                &self.ov.read_fds,
-                &[],
-                self.read_timeout_ms,
-                &mut ready_r,
-                &mut ready_w,
-            );
-            let waited = now_ns().saturating_sub(t0);
-            for p in 0..k {
-                if self.ov.read_fds[p] >= 0 {
-                    self.ranks[p].from_rank.get_mut().charge_wait_ns(waited, false);
+            match self.ov_recv(p)? {
+                Frame::ScatterDelta { slots, coords } => {
+                    self.ov_stash_ckpt_delta(p, slots, coords)?
                 }
-            }
-            if self.profile {
-                self.poll_wait_ns += waited;
-            }
-            self.ov.ready_r = ready_r;
-            self.ov.ready_w = ready_w;
-            let polled = match polled {
-                Ok(n) => n,
-                Err(e) => return Err(DistError::Spawn(e)),
-            };
-            if polled == 0 {
-                let stalled = (0..k).find(|&p| self.ckpt_awaiting(p)).unwrap_or(0);
-                let e = io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("no rank readable within {}ms", self.read_timeout_ms),
-                );
-                return Err(self.diagnose_read(stalled, WireError::Io(e)));
-            }
-            for p in 0..k {
-                if self.ov.ready_r[p] && self.ov.read_fds[p] >= 0 {
-                    self.ov_fill(p)?;
-                }
+                f => return Err(self.protocol_error(p, &f)),
             }
         }
         let pc = self.ckpt_pending.take().expect("checked above");
         Ok(Some((pc.scratch, pc.swept)))
+    }
+
+    /// Finish the outstanding checkpoint round, if any, and commit it as
+    /// the recovery checkpoint — fresh when no sweep ran since it was
+    /// requested.
+    fn commit_ckpt(&mut self) -> Result<(), DistError> {
+        if let Some((scratch, swept)) = self.ov_complete_ckpt()? {
+            self.ckpt = scratch;
+            self.ckpt_fresh = !swept;
+        }
+        Ok(())
     }
 
     /// Kill and reap rank `p`'s process (no-ops if diagnosis already
@@ -1670,13 +1505,11 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
             // the outstanding round's data is now a *past* boundary
             pc.swept = true;
         }
-        if self.overlap {
-            // per-iteration round bookkeeping restarts here; the
-            // previous iteration left everything quiesced (finish drain
-            // exits with all queues empty and all reports in)
-            self.ov.rounds_issued = 0;
-            self.ov.done_rounds.iter_mut().for_each(|r| *r = 0);
-        }
+        // per-iteration round bookkeeping restarts here; the previous
+        // iteration left everything quiesced (finish drain exits with
+        // all queues empty and all reports in)
+        self.ov.rounds_issued = 0;
+        self.ov.done_rounds.iter_mut().for_each(|r| *r = 0);
         for p in 0..self.ranks.len() {
             self.send(p, &Frame::Interior)?;
             self.flush(p)?;
@@ -1690,86 +1523,21 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
         color: usize,
         volume: &mut ExchangeVolume,
     ) -> Result<(), DistError> {
-        if self.overlap {
-            if self.ov.rounds_issued == 0 {
-                // the iteration's first round: everyone is quiesced in
-                // its read loop, so a plain blocking broadcast releases
-                // the whole group at once — the drain of this round
-                // happens inside the *next* color step (or the finish),
-                // overlapped with the sweeps it releases
-                for p in 0..self.ranks.len() {
-                    self.send(p, &Frame::ColorStep { color: color as u32 })?;
-                    self.flush(p)?;
-                    self.ranks[p].owed_rounds += 1;
-                }
-            } else {
-                self.ov_drain(Release::Color(color as u32), volume, None)?;
+        if self.ov.rounds_issued == 0 {
+            // the iteration's first round: everyone is quiesced in its
+            // read loop, so a plain blocking broadcast releases the whole
+            // group at once — the drain of this round happens inside the
+            // *next* color step (or the finish), overlapped with the
+            // sweeps it releases
+            for p in 0..self.ranks.len() {
+                self.send(p, &Frame::ColorStep { color: color as u32 })?;
+                self.flush(p)?;
+                self.ranks[p].owed_rounds += 1;
             }
-            self.ov.rounds_issued += 1;
-            return Ok(());
+        } else {
+            self.ov_drain(Release::Color(color as u32), volume, None)?;
         }
-        for p in 0..self.ranks.len() {
-            self.send(p, &Frame::ColorStep { color: color as u32 })?;
-            self.flush(p)?;
-            self.ranks[p].owed_rounds += 1;
-        }
-        // drain phase: collect every rank's coalesced per-pair batches,
-        // in ascending source-part order
-        for p in 0..self.ranks.len() {
-            loop {
-                match self.recv(p)? {
-                    Frame::HaloDelta { part: dst, slots, coords } => {
-                        if dst as usize >= self.ranks.len() {
-                            let f = Frame::HaloDelta { part: dst, slots, coords };
-                            return Err(self.protocol_error(p, &f));
-                        }
-                        volume.halo_messages_sent += 1;
-                        volume.halo_entries_sent += slots.len();
-                        volume.halo_bytes_sent += halo_frame_wire_len(D::Point::DIM, slots.len());
-                        self.forward[dst as usize].push(Frame::HaloDelta {
-                            part: p as u32,
-                            slots,
-                            coords,
-                        });
-                    }
-                    Frame::RoundDone => {
-                        self.ranks[p].owed_rounds -= 1;
-                        self.mark(p, "color_step");
-                        break;
-                    }
-                    f => return Err(self.protocol_error(p, &f)),
-                }
-            }
-        }
-        // forward phase: every rank is back in its read loop, so these
-        // writes drain promptly; FIFO order per pipe keeps them ahead of
-        // the next control frame
-        let parts = self.ranks.len();
-        for q in 0..parts {
-            let mut frames = std::mem::take(&mut self.forward[q]);
-            if frames.is_empty() {
-                continue;
-            }
-            for frame in &frames {
-                if self.profile {
-                    // forwarded frames carry their source part; charge
-                    // the write to the (src, dst) routing cell (also
-                    // counted in the encode total by `send`)
-                    let src = match frame {
-                        Frame::HaloDelta { part, .. } => *part as usize,
-                        _ => q,
-                    };
-                    let t0 = now_ns();
-                    self.send(q, frame)?;
-                    self.route_pair_ns[src * parts + q] += now_ns().saturating_sub(t0);
-                } else {
-                    self.send(q, frame)?;
-                }
-            }
-            self.flush(q)?;
-            frames.clear();
-            self.forward[q] = frames;
-        }
+        self.ov.rounds_issued += 1;
         Ok(())
     }
 
@@ -1778,205 +1546,86 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
         deltas: &mut Vec<f64>,
         volume: &mut ExchangeVolume,
     ) -> Result<(), DistError> {
-        if self.overlap && self.ov.rounds_issued > 0 {
-            // drain the last color round and release each rank into its
-            // finish the moment its in-neighbours are done; the drain
-            // also collects the reports as they arrive, but the deltas
-            // are appended in rank order below — the driver folds them
-            // in order, and float folds are order-sensitive
-            let k = self.ranks.len();
-            let mut got: Vec<Option<f64>> = vec![None; k];
-            self.ov_drain(Release::Finish, volume, Some(&mut got))?;
-            for d in got {
-                deltas.push(d.expect("finish drain exits only with every report in"));
-            }
-            return Ok(());
-        }
-        for p in 0..self.ranks.len() {
-            self.send(p, &Frame::FinishIteration)?;
-            self.flush(p)?;
-            self.ranks[p].pending = Pending::Report;
-        }
-        for p in 0..self.ranks.len() {
-            loop {
-                let frame = if self.overlap { self.ov_recv(p)? } else { self.recv(p)? };
-                match frame {
-                    Frame::Report { delta, phases } => {
-                        self.ranks[p].pending = Pending::None;
-                        if self.profile {
-                            self.phases[p].accumulate(phases);
-                        }
-                        deltas.push(delta);
-                        self.mark(p, "finish");
-                        break;
-                    }
-                    Frame::ScatterDelta { slots, coords } if self.overlap => {
-                        // a deferred checkpoint reply rides ahead of
-                        // the report in the rank's FIFO stream
-                        self.ov_stash_ckpt_delta(p, slots, coords)?;
-                    }
-                    f => return Err(self.protocol_error(p, &f)),
-                }
-            }
+        // drain the last color round (if any) and release each rank into
+        // its finish the moment its in-neighbours are done; the drain
+        // also collects the reports as they arrive, but the deltas are
+        // appended in rank order below — the driver folds them in order,
+        // and float folds are order-sensitive
+        let mut got: Vec<Option<f64>> = vec![None; self.ranks.len()];
+        self.ov_drain(Release::Finish, volume, Some(&mut got))?;
+        for d in got {
+            deltas.push(d.expect("finish drain exits only with every report in"));
         }
         Ok(())
     }
 
     fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), DistError> {
-        if self.overlap {
-            if let Some((scratch, swept)) = self.ov_complete_ckpt()? {
-                // the round the driver requested at the `done` boundary
-                // right before this scatter: no sweep has run since, so
-                // the assembled state *is* every rank's live owned
-                // state — commit it and serve the scatter from it
-                self.ckpt = scratch;
-                self.ckpt_fresh = !swept;
-            }
-            if self.ckpt_fresh {
-                // owned sets partition the vertices and unsmoothed
-                // slots never left their gathered values: the committed
-                // checkpoint answers the scatter with zero wire traffic
-                // instead of double-walking the mesh
-                coords.copy_from_slice(&self.ckpt);
-                return Ok(());
-            }
-            // safety net (recovery paths reload-and-mark-fresh, so
-            // this full wire round is normally unreachable in overlap
-            // mode)
-            for p in 0..self.ranks.len() {
-                self.send(p, &Frame::ScatterRequest)?;
-                self.flush(p)?;
-                self.ranks[p].pending = Pending::Scatter;
-            }
-            let replies = self.ov_collect_scatters("scatter")?;
-            for (p, points) in replies.iter().enumerate() {
-                for (&v, &point) in self.blocks[p].owned().iter().zip(points) {
-                    coords[v as usize] = point;
-                }
-            }
-            return Ok(());
+        // the round the driver requested at the `done` boundary right
+        // before this scatter: no sweep has run since, so the assembled
+        // state *is* every rank's live owned state
+        self.commit_ckpt()?;
+        if !self.ckpt_fresh {
+            // a caller that scatters without checkpointing the last
+            // boundary: run one more sparse round and collect it now
+            self.take_checkpoint()?;
+            self.commit_ckpt()?;
         }
-        for p in 0..self.ranks.len() {
-            self.send(p, &Frame::ScatterRequest)?;
-            self.flush(p)?;
-            self.ranks[p].pending = Pending::Scatter;
-        }
-        for p in 0..self.ranks.len() {
-            match self.recv(p)? {
-                Frame::Scatter { coords: flat } => {
-                    self.ranks[p].pending = Pending::None;
-                    let owned = self.blocks[p].owned();
-                    if flat.len() != owned.len() * D::Point::DIM {
-                        let f = Frame::Scatter { coords: flat };
-                        return Err(self.protocol_error(p, &f));
-                    }
-                    let points = crate::codec::flat_to_points::<D::Point>(&flat);
-                    for (&v, &point) in owned.iter().zip(&points) {
-                        coords[v as usize] = point;
-                    }
-                    self.mark(p, "scatter");
-                }
-                f => return Err(self.protocol_error(p, &f)),
-            }
-        }
+        // owned sets partition the vertices and unsmoothed slots never
+        // left their gathered values: the committed checkpoint answers
+        // the scatter with zero wire traffic
+        coords.copy_from_slice(&self.ckpt);
         Ok(())
     }
 
-    /// Refresh the checkpoint through an out-of-band scatter round into
-    /// a scratch snapshot, atomically replacing the checkpoint only once
-    /// every rank has answered — a failure mid checkpoint leaves the
-    /// previous checkpoint valid. The serialized path pulls every rank's
-    /// full owned block; the overlap path runs the **sparse** round
-    /// (`ScatterDeltaRequest` → changed slots only) collected through
-    /// the multiplexer (arrival order — rank slots are disjoint) and
-    /// marks the refreshed checkpoint fresh, which is what lets a
-    /// `done`-boundary scatter skip its own wire round entirely.
+    /// Issue this boundary's checkpoint round and commit the previous
+    /// one. Each rank diffs its owned block against the state the
+    /// coordinator last saw (its Gather load or previous ScatterDelta
+    /// reply) and ships only the changed slots — between boundaries
+    /// that is the moved set, a few percent of the block — and the
+    /// replies are consumed inside the *next* iteration's drains instead
+    /// of at a synchronous barrier here. Three steps: (1) finish the
+    /// previous boundary's round (rank FIFO means its replies normally
+    /// arrived long ago — zero wait), (2) broadcast this boundary's
+    /// request, (3) commit the finished round. The commit rides the `Ok`
+    /// return, so `ckpt` and the driver's fold snapshot advance in
+    /// lock-step; any failure leaves `ckpt` at the state the driver's
+    /// snapshot describes. The price — recovery can replay up to one
+    /// extra checkpoint interval — buys hiding the collection wait.
     fn take_checkpoint(&mut self) -> Result<(), DistError> {
-        if self.overlap {
-            // Deferred sparse checkpoint round. Each rank diffs its
-            // owned block against the state the coordinator last saw
-            // (its Gather load or previous ScatterDelta reply) and
-            // ships only the changed slots — between boundaries that is
-            // the moved set, a few percent of the block — and the
-            // replies are consumed inside the *next* iteration's drains
-            // instead of at a synchronous barrier here. Three-step
-            // dance: (1) finish the previous boundary's round (rank
-            // FIFO means its replies normally arrived long ago — zero
-            // wait), (2) broadcast this boundary's request, (3) commit
-            // the finished round. The commit rides the `Ok` return, so
-            // `ckpt` and the driver's fold snapshot advance in
-            // lock-step; any failure leaves `ckpt` at the state the
-            // driver's snapshot describes. The price — recovery can
-            // replay up to one extra checkpoint interval — is the FT
-            // policy trade that buys hiding the collection wait.
-            let ready = self.ov_complete_ckpt()?;
-            let base = match &ready {
-                Some((scratch, _)) => scratch.clone(),
-                None => self.ckpt.clone(),
-            };
-            let k = self.ranks.len();
-            self.ckpt_pending = Some(CkptPending {
-                scratch: base,
-                awaiting: vec![false; k],
-                missing: 0,
-                swept: false,
-            });
-            for p in 0..k {
-                self.send(p, &Frame::ScatterDeltaRequest)?;
-                self.flush(p)?;
-                // marked awaiting only once the request is actually
-                // out: a broadcast that dies midway leaves resync
-                // draining exactly the ranks that owe a reply
-                let pc = self.ckpt_pending.as_mut().expect("set above");
-                pc.awaiting[p] = true;
-                pc.missing += 1;
-            }
-            if let Some((scratch, swept)) = ready {
-                self.ckpt = scratch;
-                self.ckpt_fresh = !swept;
-            }
-            return Ok(());
-        }
-        let mut scratch = self.ckpt.clone();
-        for p in 0..self.ranks.len() {
-            self.send(p, &Frame::ScatterRequest)?;
+        let ready = self.ov_complete_ckpt()?;
+        let base = match &ready {
+            Some((scratch, _)) => scratch.clone(),
+            None => self.ckpt.clone(),
+        };
+        let k = self.ranks.len();
+        self.ckpt_pending =
+            Some(CkptPending { scratch: base, awaiting: vec![false; k], missing: 0, swept: false });
+        for p in 0..k {
+            self.send(p, &Frame::ScatterDeltaRequest)?;
             self.flush(p)?;
-            self.ranks[p].pending = Pending::Scatter;
+            // marked awaiting only once the request is actually out: a
+            // broadcast that dies midway leaves resync draining exactly
+            // the ranks that owe a reply
+            let pc = self.ckpt_pending.as_mut().expect("set above");
+            pc.awaiting[p] = true;
+            pc.missing += 1;
         }
-        for p in 0..self.ranks.len() {
-            match self.recv(p)? {
-                Frame::Scatter { coords: flat } => {
-                    self.ranks[p].pending = Pending::None;
-                    let owned = self.blocks[p].owned();
-                    if flat.len() != owned.len() * D::Point::DIM {
-                        let f = Frame::Scatter { coords: flat };
-                        return Err(self.protocol_error(p, &f));
-                    }
-                    let points = crate::codec::flat_to_points::<D::Point>(&flat);
-                    for (&v, &point) in owned.iter().zip(&points) {
-                        scratch[v as usize] = point;
-                    }
-                    self.mark(p, "checkpoint");
-                }
-                f => return Err(self.protocol_error(p, &f)),
-            }
+        if let Some((scratch, swept)) = ready {
+            self.ckpt = scratch;
+            self.ckpt_fresh = !swept;
         }
-        self.ckpt = scratch;
         Ok(())
     }
 
     /// Put the group back at the last checkpoint after `failure`: kill +
     /// reap the implicated rank, drain every survivor to quiescence
     /// (survivors failing here join the failed set), respawn the failed
-    /// ranks with disarmed fault plans, drop stale forward queues, and
-    /// reload everyone from the snapshot. May itself fail (another rank
-    /// dying mid-recovery, or fork refusing) — the driver retries
-    /// against its recovery budget, and repeated reload failures
-    /// re-enter here with the newly implicated rank.
-    fn deferred_checkpoints(&self) -> bool {
-        self.overlap
-    }
-
+    /// ranks with disarmed fault plans, drop every in-flight artefact of
+    /// the abandoned iteration, and reload everyone from the snapshot.
+    /// May itself fail (another rank dying mid-recovery, or fork
+    /// refusing) — the driver retries against its recovery budget, and
+    /// repeated reload failures re-enter here with the newly implicated
+    /// rank.
     fn recover(&mut self, failure: &DistError) -> Result<(), DistError> {
         assert!(!self.ckpt.is_empty(), "recover called before the initial gather");
         let mut failed: Vec<u32> = match failure {
@@ -1992,25 +1641,22 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
                 Vec::new()
             }
         };
-        if self.overlap {
-            // push each survivor's queued bytes out (bounded) before
-            // draining it: an out-queue abandoned mid-frame would leave
-            // a torn frame on the stream, and the survivor would die on
-            // the CRC at its next read. A rank that will not take its
-            // bytes within the grace window is left to fail resync and
-            // join the failed set.
-            for q in 0..self.ranks.len() {
-                if failed.contains(&(q as u32)) || self.ov.outq[q].is_empty() {
-                    continue;
-                }
-                for _ in 0..50 {
-                    match self.ov_flush(q) {
-                        Ok(true) => break,
-                        Ok(false) => {
-                            let _ = sys::wait_writable(self.ranks[q].to_fd, 10);
-                        }
-                        Err(_) => break,
+        // push each survivor's queued bytes out (bounded) before draining
+        // it: an out-queue abandoned mid-frame would leave a torn frame on
+        // the stream, and the survivor would die on the CRC at its next
+        // read. A rank that will not take its bytes within the grace
+        // window is left to fail resync and join the failed set.
+        for q in 0..self.ranks.len() {
+            if failed.contains(&(q as u32)) || self.ov.outq[q].is_empty() {
+                continue;
+            }
+            for _ in 0..50 {
+                match self.ov_flush(q) {
+                    Ok(true) => break,
+                    Ok(false) => {
+                        let _ = sys::wait_writable(self.ranks[q].to_fd, 10);
                     }
+                    Err(_) => break,
                 }
             }
         }
@@ -2033,9 +1679,6 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
             self.ranks[p as usize] = replacement;
             self.ov.reasm[p as usize].clear();
         }
-        for queue in &mut self.forward {
-            queue.clear();
-        }
         // drop every in-flight artefact of the abandoned iteration: the
         // driver replays from the checkpoint through a fresh interior
         // phase, which restarts the round bookkeeping
@@ -2053,5 +1696,73 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
         // the reload *is* the checkpoint state on every rank
         self.ckpt_fresh = true;
         Ok(())
+    }
+}
+
+/// Whether a `HaloDelta` batch rank `src` addressed to `dst` is one its
+/// destination can apply: `dst` is one of `src`'s [`MessagePlan`]
+/// neighbours, the payload carries `dim` components per slot, the batch
+/// is no larger than the pair's scheduled entry count, and every slot
+/// lies in `dst`'s halo range (`num_owned ≤ slot < num_owned +
+/// num_halo`). Forwarded unchecked, a malformed batch would panic the
+/// *destination* worker and recovery would respawn the wrong rank.
+fn halo_batch_ok<const C: usize>(
+    plan: &MessagePlan,
+    blocks: &[ResidentBlock<C>],
+    dim: usize,
+    src: usize,
+    dst: u32,
+    slots: &[u32],
+    coords: &[f64],
+) -> bool {
+    let src = src as u32;
+    let Some(pair) = plan.neighbors(src).iter().position(|&q| q == dst) else {
+        return false;
+    };
+    let block = &blocks[dst as usize];
+    let halo = block.owned().len() as u32..(block.owned().len() + block.halo().len()) as u32;
+    coords.len() == slots.len() * dim
+        && slots.len() <= plan.pair_entry_counts(src)[pair] as usize
+        && slots.iter().all(|s| halo.contains(s))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lms_part::PartitionMethod;
+    use lms_smooth::{ResidentEngine, SmoothParams};
+
+    #[test]
+    fn malformed_halo_batches_are_rejected_and_well_formed_ones_pass() {
+        let mesh = lms_mesh::generators::perturbed_grid(12, 12, 0.35, 5);
+        let engine =
+            ResidentEngine::by_method(&mesh, SmoothParams::paper(), 4, PartitionMethod::Rcb);
+        let blocks = engine.blocks();
+        let plan = MessagePlan::build(engine.exchange_schedule());
+        let ok = |dst: u32, slots: &[u32], coords: &[f64]| {
+            halo_batch_ok(&plan, blocks, 2, 0, dst, slots, coords)
+        };
+        let dst = plan.neighbors(0)[0];
+        let count = plan.pair_entry_counts(0)[0] as usize;
+        let lo = blocks[dst as usize].owned().len() as u32;
+        let hi = lo + blocks[dst as usize].halo().len() as u32;
+        let slots: Vec<u32> = (lo..lo + count as u32).collect();
+        let coords = vec![0.5; 2 * count];
+
+        // well-formed: a full pair batch, and an empty one
+        assert!(ok(dst, &slots, &coords));
+        assert!(ok(dst, &[], &[]));
+        // destination outside the plan: the sender itself, a part
+        // index past the group
+        assert!(!ok(0, &slots, &coords));
+        assert!(!ok(blocks.len() as u32, &slots, &coords));
+        // payload length not DIM per slot
+        assert!(!ok(dst, &slots, &coords[1..]));
+        assert!(!ok(dst, &slots, &[coords.as_slice(), &[0.5]].concat()));
+        // more entries than the pair is scheduled to carry
+        assert!(!ok(dst, &vec![lo; count + 1], &vec![0.5; 2 * (count + 1)]));
+        // a slot outside the destination's halo range, on either side
+        assert!(!ok(dst, &[lo - 1], &[0.5, 0.5]));
+        assert!(!ok(dst, &[hi], &[0.5, 0.5]));
     }
 }

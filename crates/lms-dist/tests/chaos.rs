@@ -258,11 +258,11 @@ fn checkpoint_cadence_follows_the_policy() {
     assert_eq!(stats.checkpoints, 2);
     assert!(stats.recoveries.is_empty());
 
-    // a failure in iteration 4: the overlap transport defers checkpoint
-    // commits by one boundary, so the iteration-2 round (issued but not
-    // yet committed when the kill lands) is abandoned and the replay
-    // restarts from the initial gather, re-checkpointing boundary 2 on
-    // the way — one extra checkpoint, still bit-identical
+    // a failure in iteration 4: checkpoint commits are deferred by one
+    // boundary, so the iteration-2 round (issued but not yet committed
+    // when the kill lands) is abandoned and the replay restarts from the
+    // initial gather, re-checkpointing boundary 2 on the way — one extra
+    // checkpoint, still bit-identical
     let opts = FtOptions {
         policy: FtPolicy { checkpoint_every: 2, ..FtPolicy::default() },
         ..options(FaultPlan::kill_at(3, FaultPoint::Interior { iter: 4 }))
@@ -273,21 +273,6 @@ fn checkpoint_cadence_follows_the_policy() {
     assert_eq!(report, oracle_report);
     assert_eq!(stats.recoveries.len(), 1);
     assert_eq!(stats.checkpoints, 3);
-
-    // the serialized loop commits at the boundary itself: the same
-    // fault replays from the iteration-2 checkpoint and re-checkpoints
-    // only the final boundary
-    let opts = FtOptions {
-        overlap: false,
-        policy: FtPolicy { checkpoint_every: 2, ..FtPolicy::default() },
-        ..options(FaultPlan::kill_at(3, FaultPoint::Interior { iter: 4 }))
-    };
-    let mut work = mesh.clone();
-    let (report, stats) = engine.smooth_ft(&mut work, &opts).unwrap();
-    assert_eq!(work.coords(), oracle.coords());
-    assert_eq!(report, oracle_report);
-    assert_eq!(stats.recoveries.len(), 1);
-    assert_eq!(stats.checkpoints, 2);
 }
 
 /// The CI seed matrix: every seeded plan (kill or corruption, rank,
@@ -451,62 +436,6 @@ fn refused_connection_surfaces_typed_error_and_degrades() {
     assert_eq!(report, oracle_report);
 }
 
-/// The graceful-degradation ladder, rung by rung: vetoing TCP lands on
-/// the Unix socket, vetoing both socket families lands on pipes, a
-/// refused dial walks the socket rungs down to pipes (which has no
-/// connection to refuse), and vetoing everything degrades to the
-/// in-process engine — bit-identical at every rung.
-#[test]
-fn auto_mode_walks_the_degradation_ladder() {
-    let mesh = mesh_2d();
-    let engine = DistResidentEngine::by_method(&mesh, params_2d(3), 4, PartitionMethod::Rcb);
-    let (oracle, oracle_report) = oracle_2d(&engine, &mesh);
-    assert_eq!(
-        TransportMode::Auto.ladder(),
-        vec![
-            TransportMode::TcpLoopback,
-            TransportMode::UnixSocket,
-            TransportMode::Pipes,
-            TransportMode::InProcess
-        ]
-    );
-
-    let fast_accept = Supervisor { accept_timeout_ms: 300, ..Supervisor::default() };
-    let rungs: [FaultPlan; 3] = [
-        FaultPlan::no_tcp(),
-        FaultPlan { fail_unix: true, ..FaultPlan::no_tcp() },
-        // refuse_connect fires on both socket rungs (the worker exits
-        // before dialling); pipes has no dial to refuse, so the ladder
-        // lands there
-        FaultPlan::refuse(2),
-    ];
-    for plan in rungs {
-        let opts = FtOptions {
-            supervisor: fast_accept.clone(),
-            ..options_over(TransportMode::Auto, plan.clone())
-        };
-        let mut work = mesh.clone();
-        let (report, stats) = engine
-            .smooth_ft(&mut work, &opts)
-            .unwrap_or_else(|e| panic!("ladder with {plan:?}: {e}"));
-        assert_eq!(work.coords(), oracle.coords(), "ladder coords with {plan:?}");
-        assert_eq!(report, oracle_report, "ladder report with {plan:?}");
-        assert!(stats.recoveries.is_empty(), "descent is not a recovery: {plan:?}");
-    }
-
-    // every rank-group rung vetoed: the typed error is surfaced, and the
-    // graceful path computes in-process
-    let all_vetoed = FaultPlan { fail_unix: true, fail_spawn: true, ..FaultPlan::no_tcp() };
-    let opts = options_over(TransportMode::Auto, all_vetoed);
-    let mut work = mesh.clone();
-    let err = engine.smooth_ft(&mut work, &opts).unwrap_err();
-    assert!(matches!(err, DistError::Spawn(_)), "got {err}");
-    let mut degraded = mesh.clone();
-    let report = engine.smooth_with(&mut degraded, &opts);
-    assert_eq!(degraded.coords(), oracle.coords());
-    assert_eq!(report, oracle_report);
-}
-
 /// Satellite 6: the diagnosis channel distinguishes a connection lost to
 /// a **still-alive** peer (`ConnLost`, from a scripted drop) from wire
 /// corruption (`corrupt stream`) — same socket, same EOF-adjacent
@@ -584,26 +513,22 @@ fn seeded_fault_matrix_over_sockets_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------
-// PR 10: mid-overlap chaos. `FtOptions::default()` already runs the
-// overlap multiplexer, so every cell above exercises it implicitly; the
-// cells below pin the hard case explicitly — the fault fires while a
-// color round's frames are still in flight (the victim was released
-// into color c while the coordinator is still draining round c-1, so
-// the kill/drop/stall/corruption lands mid-drain, with partial frames
-// in the reassembly buffers and queued forwards unflushed) — and the
-// serialized `overlap=off` loop recovers the same bytes from the same
-// script.
+// Mid-round chaos. Every cell above already runs the event-driven
+// coordinator; the cells below pin the hard case explicitly — the fault
+// fires while a color round's frames are still in flight (the victim
+// was released into color c while the coordinator is still draining
+// round c-1, so the kill/drop/stall/corruption lands mid-drain, with
+// partial frames in the reassembly buffers and queued forwards
+// unflushed).
 // ---------------------------------------------------------------------
 
-fn options_overlap(mode: TransportMode, overlap: bool, faults: FaultPlan) -> FtOptions {
-    FtOptions { overlap, read_timeout_ms: 1_000, ..options_over(mode, faults) }
+fn options_mid_round(mode: TransportMode, faults: FaultPlan) -> FtOptions {
+    FtOptions { read_timeout_ms: 1_000, ..options_over(mode, faults) }
 }
 
 /// {pipes, unix, tcp} × {kill, drop-conn, stall, corrupt} injected at a
-/// mid-round color boundary of iteration 2, each cell run under both
-/// the overlap multiplexer and the serialized oracle loop: detected,
-/// recovered, bit-identical (coords AND report) to the in-process
-/// oracle either way.
+/// mid-round color boundary of iteration 2: detected, recovered,
+/// bit-identical (coords AND report) to the in-process oracle.
 #[test]
 fn overlap_mid_round_fault_matrix_2d_recovers_bit_identical() {
     let mesh = mesh_2d();
@@ -622,37 +547,26 @@ fn overlap_mid_round_fault_matrix_2d_recovers_bit_identical() {
     ];
     for mode in ALL_MODES {
         for (plan, diagnosis) in &cells {
-            for overlap in [true, false] {
-                let opts = options_overlap(mode, overlap, plan.clone());
-                let mut work = mesh.clone();
-                let (report, stats) = engine
-                    .smooth_ft(&mut work, &opts)
-                    .unwrap_or_else(|e| panic!("{mode:?} × {plan:?}, overlap={overlap}: {e}"));
-                assert_eq!(
-                    work.coords(),
-                    oracle.coords(),
-                    "coords: {mode:?} × {plan:?}, overlap={overlap}"
-                );
-                assert_eq!(report, oracle_report, "report: {mode:?} × {plan:?}, overlap={overlap}");
-                assert!(
-                    !stats.recoveries.is_empty(),
-                    "{mode:?} × {plan:?}, overlap={overlap} must recover"
-                );
-                assert!(
-                    stats.recoveries.iter().any(|r| r.contains(diagnosis)),
-                    "{mode:?} × {plan:?}, overlap={overlap}: diagnosis should mention \
-                     {diagnosis:?}, got {:?}",
-                    stats.recoveries
-                );
-            }
+            let mut work = mesh.clone();
+            let (report, stats) = engine
+                .smooth_ft(&mut work, &options_mid_round(mode, plan.clone()))
+                .unwrap_or_else(|e| panic!("{mode:?} × {plan:?}: {e}"));
+            assert_eq!(work.coords(), oracle.coords(), "coords: {mode:?} × {plan:?}");
+            assert_eq!(report, oracle_report, "report: {mode:?} × {plan:?}");
+            assert!(!stats.recoveries.is_empty(), "{mode:?} × {plan:?} must recover");
+            assert!(
+                stats.recoveries.iter().any(|r| r.contains(diagnosis)),
+                "{mode:?} × {plan:?}: diagnosis should mention {diagnosis:?}, got {:?}",
+                stats.recoveries
+            );
         }
     }
 }
 
-/// The 3D slice of the mid-overlap matrix: a kill and a dropped
-/// connection per substrate, injected at a mid-round color boundary
-/// with the multiplexer explicitly on. Stall and corruption handling
-/// are dimension-generic and pinned by the 2D matrix above.
+/// The 3D slice of the mid-round matrix: a kill and a dropped
+/// connection per substrate, injected at a mid-round color boundary.
+/// Stall and corruption handling are dimension-generic and pinned by
+/// the 2D matrix above.
 #[test]
 fn overlap_mid_round_faults_3d_recover_bit_identical() {
     let mesh = lms_mesh3d::generators::perturbed_tet_grid(7, 6, 7, 0.35, 9);
@@ -664,7 +578,7 @@ fn overlap_mid_round_faults_3d_recover_bit_identical() {
     let mid = FaultPoint::Color { iter: 2, color: (num_colors / 2).max(1) };
     for mode in ALL_MODES {
         for plan in [FaultPlan::kill_at(0, mid), FaultPlan::drop_conn_at(3, mid)] {
-            let opts = options_overlap(mode, true, plan.clone());
+            let opts = options_mid_round(mode, plan.clone());
             let mut work = mesh.clone();
             let (report, stats) = engine
                 .smooth_ft(&mut work, &opts)
@@ -696,7 +610,6 @@ fn shutdown_surfaces_abnormal_rank_death() {
         5_000,
         FaultPlan::kill_at(1, FaultPoint::Interior { iter: 1 }),
         false,
-        true,
     )
     .expect("spawn");
     transport.try_gather(coords, &scores).expect("gather");

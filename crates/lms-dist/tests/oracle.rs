@@ -210,61 +210,6 @@ fn pipes_unix_and_tcp_agree_with_each_other() {
     }
 }
 
-/// PR 10: the overlap multiplexer (eager forwarding, eager release,
-/// non-blocking drain) against the serialized drain loop it replaced —
-/// same coordinates, same report, exchange accounting included, on
-/// every substrate, in both dimensions; and both sides match the
-/// in-process engine. The serialized loop is the permanent oracle the
-/// `overlap` escape hatch keeps alive.
-#[test]
-fn overlap_on_and_off_agree_bit_identical_across_modes() {
-    let mesh = lms_mesh::generators::perturbed_grid(18, 16, 0.35, 11);
-    let params = SmoothParams::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
-    let engine = DistResidentEngine::by_method(&mesh, params, 4, PartitionMethod::Rcb);
-    let mut local = mesh.clone();
-    let local_report = engine.inner().smooth(&mut local, 2);
-    for mode in [TransportMode::Pipes, TransportMode::UnixSocket, TransportMode::TcpLoopback] {
-        let mut runs = Vec::new();
-        for overlap in [true, false] {
-            let opts = FtOptions { mode, overlap, ..FtOptions::default() };
-            let mut work = mesh.clone();
-            let (report, stats) = engine
-                .smooth_ft(&mut work, &opts)
-                .unwrap_or_else(|e| panic!("{mode:?}, overlap={overlap}: {e}"));
-            assert!(stats.recoveries.is_empty(), "{mode:?}, overlap={overlap}");
-            runs.push((overlap, work, report));
-        }
-        let (_, on_mesh, on_report) = &runs[0];
-        let (_, off_mesh, off_report) = &runs[1];
-        assert_eq!(on_mesh.coords(), off_mesh.coords(), "{mode:?}: overlap changed coords");
-        assert_eq!(on_report, off_report, "{mode:?}: overlap changed the report");
-        assert_eq!(on_mesh.coords(), local.coords(), "{mode:?}: coords vs in-process");
-        assert_eq!(on_report, &local_report, "{mode:?}: report vs in-process");
-    }
-}
-
-/// The 3D twin of the overlap-on/off gate, one socket substrate plus
-/// pipes — the drain loop is dimension-generic.
-#[test]
-fn overlap_on_and_off_agree_bit_identical_3d() {
-    let mesh = lms_mesh3d::generators::perturbed_tet_grid(7, 6, 7, 0.35, 9);
-    let params = SmoothParams3::paper().with_smart(true).with_max_iters(2).with_tol(-1.0);
-    let engine = DistResidentEngine3::by_method(&mesh, params, 4, PartitionMethod::Rcb);
-    let mut local = mesh.clone();
-    let local_report = engine.inner().smooth(&mut local, 2);
-    for mode in [TransportMode::Pipes, TransportMode::TcpLoopback] {
-        for overlap in [true, false] {
-            let opts = FtOptions { mode, overlap, ..FtOptions::default() };
-            let mut work = mesh.clone();
-            let (report, _) = engine
-                .smooth_ft(&mut work, &opts)
-                .unwrap_or_else(|e| panic!("3D {mode:?}, overlap={overlap}: {e}"));
-            assert_eq!(work.coords(), local.coords(), "3D {mode:?}, overlap={overlap}");
-            assert_eq!(report, local_report, "3D {mode:?}, overlap={overlap}");
-        }
-    }
-}
-
 #[test]
 fn dist_3d_engine_reuses_resident3_construction() {
     let mesh = lms_mesh3d::generators::perturbed_tet_grid(6, 5, 6, 0.3, 3);

@@ -75,8 +75,8 @@ pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, So
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};
 pub use transport::{
-    drive_resident, drive_resident_ft, drive_resident_ft_with, drive_resident_with, FtPolicy,
-    FtResidentTransport, FtStats, InProcessTransport, ResidentTransport,
+    drive_resident_ft, drive_resident_ft_with, FtPolicy, FtResidentTransport, FtStats,
+    InProcessTransport,
 };
 
 /// The `K`-generic CSR row builder behind [`lms_mesh::Adjacency`],

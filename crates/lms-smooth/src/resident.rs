@@ -22,14 +22,13 @@
 //! * the global mesh is written back in **one parallel disjoint scatter**
 //!   at the end (parts own disjoint vertex sets).
 //!
-//! Since PR 5 the *protocol* lives in two layers. The per-part compute —
-//! local sweeps, delta application, per-pair outbox batching, the
+//! The *protocol* lives in two layers. The per-part compute — local
+//! sweeps, delta application, per-pair outbox batching, the
 //! `Σ w_t·Δq_t` stat accumulation — is [`ResidentRank`], and the data
-//! movement between ranks is a [`crate::transport::ResidentTransport`]
-//! driven by the generic [`crate::transport::drive_resident`] loop.
+//! movement between ranks is a [`crate::transport::FtResidentTransport`]
+//! driven by the one [`crate::transport::drive_resident_ft`] loop.
 //! [`smooth_resident_on`] (and therefore [`ResidentEngineOn`] in both
-//! dimensions) runs the
-//! [`InProcessTransport`](crate::transport::InProcessTransport); the
+//! dimensions) runs the [`InProcessTransport`]; the
 //! `lms-dist` crate runs the identical ranks as forked worker processes
 //! over Unix pipes, exchanging the same batches as
 //! [`lms_part::wire`] frames — property-tested bit-identical, coordinates
@@ -68,7 +67,7 @@ use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for_soa;
 use crate::soa::{resize_tracked, SoaLike, SoaScores};
 use crate::stats::SmoothReport;
-use crate::transport::{drive_resident, drive_resident_with, InProcessTransport};
+use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_part::{ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
 
@@ -892,7 +891,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
 /// steps, one parallel disjoint scatter. Race-free,
 /// bitwise-deterministic for any thread count, and exactly serial
 /// Gauss–Seidel under [`resident_part_major_order`]. (This is
-/// [`crate::transport::drive_resident`] over an
+/// [`crate::transport::drive_resident_ft`] over an
 /// [`InProcessTransport`]; `lms-dist` drives the same loop over forked
 /// rank processes.)
 #[allow(clippy::too_many_arguments)]
@@ -907,7 +906,11 @@ pub fn smooth_resident_on<const C: usize, D: SmoothDomain<C>>(
     pool: &rayon::ThreadPool,
 ) -> SmoothReport {
     let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
-    drive_resident(dom, cfg, elem_w, interface_classes.len(), &mut transport, coords)
+    let policy = FtPolicy::default();
+    let colors = interface_classes.len();
+    drive_resident_ft(dom, cfg, elem_w, colors, &mut transport, coords, &policy)
+        .unwrap_or_else(|never| match never {})
+        .0
 }
 
 /// [`smooth_resident_on`] with tracing and per-rank profiling enabled:
@@ -930,15 +933,17 @@ pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
     let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
     transport.set_profiling(true);
     let mut recorder = Recorder::new(0);
-    let mut report = drive_resident_with(
+    let (mut report, _) = drive_resident_ft_with(
         dom,
         cfg,
         elem_w,
         interface_classes.len(),
         &mut transport,
         coords,
+        &FtPolicy::default(),
         &mut recorder,
-    );
+    )
+    .unwrap_or_else(|never| match never {});
     let mut breakdown = PhaseBreakdown::default();
     breakdown.apply_span_totals(&recorder.span_totals());
     breakdown.transport = transport.take_profile();

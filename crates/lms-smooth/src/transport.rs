@@ -1,31 +1,27 @@
-//! The transport abstraction of resident smoothing: one generic drive
-//! loop, pluggable data movement.
+//! The transport abstraction of resident smoothing: one drive loop,
+//! pluggable data movement.
 //!
-//! PR 3's resident engine fused its control flow (iterate, fold part
-//! deltas, test convergence) with its data movement (gather blocks, route
-//! halo deltas between color steps, scatter owned coordinates back). This
-//! module splits them: [`drive_resident`] owns the control flow and the
-//! quality statistic, and everything that moves bytes sits behind
-//! [`ResidentTransport`] — five operations that are exactly the message
-//! kinds of the `lms_part::wire` protocol (gather / interior / color-step
-//! / finish / scatter).
+//! The resident engine's control flow (iterate, fold part deltas, test
+//! convergence, checkpoint, recover) is [`drive_resident_ft`], and
+//! everything that moves bytes sits behind [`FtResidentTransport`] —
+//! five operations that are exactly the message kinds of the
+//! `lms_part::wire` protocol (gather / interior / color-step / finish /
+//! scatter), plus checkpoint and recover.
 //!
-//! Three transport families exist:
+//! Two transports implement it:
 //!
-//! * [`InProcessTransport`] (here) — the shared-address-space engine the
-//!   PR 1–4 property suites pin: every part is a [`ResidentRank`] in one
-//!   process, phases run on the persistent worker pool, and "routing" is
-//!   a pull over the senders' outboxes. Bit-identical to the PR-3 driver
-//!   by construction.
-//! * `lms_dist::ProcessTransport` — every rank is a forked OS process
-//!   holding its block; the same operations become wire frames over Unix
-//!   pipes, with the coordinator forwarding the coalesced per-pair delta
-//!   batches between ranks.
-//! * `lms_dist::SocketTransport` (PR 8) — the same frames over stream
-//!   *sockets* (Unix-domain or TCP): ranks dial the coordinator under a
-//!   supervised retry/backoff policy and may live outside the
-//!   coordinator's process tree entirely (`lms-tool dist-worker`), which
-//!   is the single-host stand-in for a true multi-node deployment.
+//! * [`InProcessTransport`] (here) — the shared-address-space engine:
+//!   every part is a [`ResidentRank`] in one process, phases run on the
+//!   persistent worker pool, and "routing" is a pull over the senders'
+//!   outboxes. It cannot fail, so its error type is
+//!   [`Infallible`](std::convert::Infallible).
+//! * `lms_dist::ProcessTransport` — every rank is an OS process holding
+//!   its block; the same operations become wire frames over pipes or
+//!   stream sockets (Unix-domain or TCP), with the coordinator
+//!   forwarding the coalesced per-pair delta batches between ranks.
+//!   Socket ranks may live outside the coordinator's process tree
+//!   entirely (`lms-tool dist-worker`), the single-host stand-in for a
+//!   true multi-node deployment.
 //!
 //! Both transports route moved deltas **coalesced per (source part →
 //! destination part) pair** along the [`lms_part::MessagePlan`] — one
@@ -52,193 +48,6 @@ use lms_part::wire::halo_frame_wire_len;
 use lms_part::{ExchangeSchedule, MessagePlan};
 use lms_trace::{NullTrace, TraceSink, TransportProfile};
 use rayon::prelude::*;
-
-/// The data-movement backend of a resident smoothing run. Operations are
-/// invoked by [`drive_resident`] in a fixed order: one [`gather`], then
-/// per iteration one [`interior_phase`], `num_colors` [`color_step`]s and
-/// one [`finish_iteration`], then one [`scatter`].
-///
-/// Contract for bit-identity across transports (property-tested by the
-/// `lms-dist` cross-transport oracle): every operation must act exactly
-/// like the corresponding [`ResidentRank`] calls on every part, deltas
-/// must be delivered batched per (source, destination) pair in ascending
-/// source-part order, and [`finish_iteration`] must report the per-part
-/// stat deltas in part order.
-///
-/// [`gather`]: Self::gather
-/// [`interior_phase`]: Self::interior_phase
-/// [`color_step`]: Self::color_step
-/// [`finish_iteration`]: Self::finish_iteration
-/// [`scatter`]: Self::scatter
-pub trait ResidentTransport<P: DomainPoint> {
-    /// The one full gather: load every rank's owned+halo coordinates and
-    /// local element scores from the global arrays.
-    fn gather(&mut self, coords: &[P], scores: &[(f64, bool)]);
-
-    /// Sweep every rank's part-interior vertices (nothing to exchange:
-    /// interior vertices are in no other part's halo).
-    fn interior_phase(&mut self);
-
-    /// One interface color step on every rank: deliver the previous
-    /// round's halo deltas, sweep color `color`, publish this round's
-    /// moved deltas. Adds the round's message/entry/byte traffic to
-    /// `volume`.
-    fn color_step(&mut self, color: usize, volume: &mut ExchangeVolume);
-
-    /// Iteration end: deliver the last round's deltas, run the plain
-    /// re-score where needed, and push every rank's `Σ w_t·Δq_t` stat
-    /// delta into `deltas` **in part order**. A transport that overlaps
-    /// color steps may still be draining the last round's halo traffic
-    /// here — `volume` lets it charge that traffic in the phase where it
-    /// actually lands, so totals agree across transports at every
-    /// iteration boundary.
-    fn finish_iteration(&mut self, deltas: &mut Vec<f64>, volume: &mut ExchangeVolume);
-
-    /// The one full scatter: write every rank's owned coordinates back
-    /// into the global array (parts own disjoint vertex sets).
-    fn scatter(&mut self, coords: &mut [P]);
-}
-
-/// The generic resident drive loop over any [`ResidentTransport`]: one
-/// full gather, per iteration an interior phase plus one color step per
-/// interface color with halo-delta exchange in between, the part-ordered
-/// Neumaier fold of the quality statistic, one full scatter. The
-/// transport moves the bytes; this function owns iteration control,
-/// convergence and the [`ExchangeVolume`] phase counters — which is why
-/// `full_gathers == 1 && full_scatters == 1` holds for every backend.
-pub fn drive_resident<const C: usize, D: SmoothDomain<C>, T: ResidentTransport<D::Point>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    elem_w: &[f64],
-    num_colors: usize,
-    transport: &mut T,
-    coords: &mut [D::Point],
-) -> SmoothReport {
-    drive_resident_with(dom, cfg, elem_w, num_colors, transport, coords, &mut NullTrace)
-}
-
-/// [`drive_resident`] with an explicit [`TraceSink`]. The sink is a
-/// compile-time switch: with [`NullTrace`] every `if S::ENABLED` guard
-/// is dead code and the monomorphisation is exactly the untraced driver
-/// (zero clock reads — guarded by a `lms_trace::clock_reads` test).
-/// Spans emitted: `gather`, then per iteration `interior`, one
-/// `color_step` per color (args: iteration, color) and `finish`, then
-/// `scatter`. Tracing is observation-only: the traced run's coords and
-/// report are bit-identical to the untraced run's.
-pub fn drive_resident_with<
-    const C: usize,
-    D: SmoothDomain<C>,
-    T: ResidentTransport<D::Point>,
-    S: TraceSink,
->(
-    dom: &D,
-    cfg: &DomainConfig,
-    elem_w: &[f64],
-    num_colors: usize,
-    transport: &mut T,
-    coords: &mut [D::Point],
-    sink: &mut S,
-) -> SmoothReport {
-    assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
-    assert_eq!(
-        cfg.update,
-        UpdateScheme::GaussSeidel,
-        "resident smoothing is an in-place (Gauss-Seidel) schedule"
-    );
-
-    // initial scoring pass + quality: the same values a fresh quality
-    // cache would hold, folded in the same order — so the running sum
-    // starts bit-equal to the other engines'; the canonical initial
-    // quality is reduced from the same table (one scoring sweep, not two)
-    let init_scores = initial_scores(dom, cfg, coords);
-    let mut qsum = Neumaier::default();
-    for (t, &(q, _)) in init_scores.iter().enumerate() {
-        qsum.add(q * elem_w[t]);
-    }
-    let initial_quality = domain_quality_scored(dom, &init_scores);
-    let mut report = SmoothReport::starting(initial_quality);
-    let mut volume = ExchangeVolume::default();
-    let mut quality = initial_quality;
-
-    if cfg.max_iters == 0 {
-        report.exchange = Some(volume);
-        return report;
-    }
-
-    // the one full gather: blocks become resident now
-    if S::ENABLED {
-        sink.begin("gather", 0, 0);
-    }
-    transport.gather(coords, &init_scores);
-    if S::ENABLED {
-        sink.end("gather");
-    }
-    volume.full_gathers += 1;
-
-    let mut deltas: Vec<f64> = Vec::new();
-    for iter in 1..=cfg.max_iters {
-        if S::ENABLED {
-            sink.begin("interior", iter as u32, 0);
-        }
-        transport.interior_phase();
-        if S::ENABLED {
-            sink.end("interior");
-        }
-        for c in 0..num_colors {
-            volume.exchange_rounds += 1;
-            if S::ENABLED {
-                sink.begin("color_step", iter as u32, c as u32);
-            }
-            transport.color_step(c, &mut volume);
-            if S::ENABLED {
-                sink.end("color_step");
-            }
-        }
-        deltas.clear();
-        if S::ENABLED {
-            sink.begin("finish", iter as u32, 0);
-        }
-        transport.finish_iteration(&mut deltas, &mut volume);
-        if S::ENABLED {
-            sink.end("finish");
-        }
-
-        // fold part deltas in part order: deterministic for any thread
-        // count (and any transport), same skip-zero rule as the cache's
-        // set_star
-        for &d in &deltas {
-            if d != 0.0 {
-                qsum.add(d);
-            }
-        }
-        let new_quality = qsum.value() / dom.num_vertices() as f64;
-        let improvement = new_quality - quality;
-        report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-        quality = new_quality;
-        if improvement < cfg.tol {
-            report.converged = true;
-            break;
-        }
-    }
-
-    // the one full scatter
-    if S::ENABLED {
-        sink.begin("scatter", 0, 0);
-    }
-    transport.scatter(coords);
-    if S::ENABLED {
-        sink.end("scatter");
-    }
-    volume.full_scatters += 1;
-
-    let exact = domain_quality(dom, coords);
-    if let Some(last) = report.iterations.last_mut() {
-        last.quality = exact;
-    }
-    report.final_quality = exact;
-    report.exchange = Some(volume);
-    report
-}
 
 /// Recovery policy of [`drive_resident_ft`]: how often the transport is
 /// asked to checkpoint and how many recoveries a run may consume before
@@ -271,23 +80,37 @@ pub struct FtStats {
     pub checkpoints: usize,
 }
 
-/// A fallible, recoverable [`ResidentTransport`]: the same five data
+/// The data-movement backend of a resident smoothing run: five data
 /// movements, each allowed to fail with a typed error, plus the two
 /// resilience operations [`drive_resident_ft`] needs — checkpoint and
-/// recover.
+/// recover. Operations are invoked in a fixed order: one
+/// [`try_gather`](Self::try_gather), then per iteration one
+/// [`try_interior_phase`](Self::try_interior_phase), `num_colors`
+/// [`try_color_step`](Self::try_color_step)s and one
+/// [`try_finish_iteration`](Self::try_finish_iteration), with a
+/// [`take_checkpoint`](Self::take_checkpoint) at the boundaries the
+/// policy selects, then one [`try_scatter`](Self::try_scatter).
 ///
-/// Contract, on top of the [`ResidentTransport`] bit-identity contract:
+/// Contract for bit-identity across transports (property-tested by the
+/// `lms-dist` cross-transport oracle): every operation must act exactly
+/// like the corresponding [`ResidentRank`] calls on every part, deltas
+/// must be delivered batched per (source, destination) pair as if in
+/// ascending source-part order, and `try_finish_iteration` must report
+/// the per-part stat deltas in part order. For recovery:
 ///
-/// * after a successful [`try_gather`](Self::try_gather) the transport
-///   holds a checkpoint equivalent to the gathered state (so a failure
-///   in iteration 1 is recoverable without a separate checkpoint call);
-/// * [`take_checkpoint`](Self::take_checkpoint) is called only at
-///   iteration boundaries and must be atomic — on failure the previous
-///   checkpoint stays valid;
+/// * after a successful `try_gather` the transport holds a checkpoint
+///   equivalent to the gathered state (so a failure in iteration 1 is
+///   recoverable without a separate checkpoint call);
+/// * `take_checkpoint` is called only at iteration boundaries and
+///   commits one boundary late: an `Ok` return means this boundary's
+///   round was *issued* and the **previous** boundary's round committed,
+///   so a failure leaves the last committed checkpoint valid. The driver
+///   mirrors this with a one-slot pending snapshot queue, keeping its
+///   fold snapshot paired with whatever the transport would reload;
 /// * after a successful [`recover`](Self::recover) every rank holds
-///   exactly the state of the last checkpoint, bit for bit, and the
-///   transport is ready to re-run the iteration sequence from that
-///   boundary; recovery traffic must not be charged to any
+///   exactly the state of the last committed checkpoint, bit for bit,
+///   and the transport is ready to re-run the iteration sequence from
+///   that boundary; recovery traffic must not be charged to any
 ///   [`ExchangeVolume`] (recovered runs report byte counts identical to
 ///   failure-free runs).
 pub trait FtResidentTransport<P: DomainPoint> {
@@ -295,59 +118,61 @@ pub trait FtResidentTransport<P: DomainPoint> {
     /// corrupt frame, …).
     type Error: std::fmt::Debug + std::fmt::Display;
 
-    /// Fallible [`ResidentTransport::gather`]; primes the checkpoint.
+    /// The one full gather: load every rank's owned+halo coordinates and
+    /// local element scores from the global arrays; primes the
+    /// checkpoint.
     fn try_gather(&mut self, coords: &[P], scores: &[(f64, bool)]) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::interior_phase`].
+    /// Sweep every rank's part-interior vertices (nothing to exchange:
+    /// interior vertices are in no other part's halo).
     fn try_interior_phase(&mut self) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::color_step`].
+    /// One interface color step on every rank: deliver the previous
+    /// round's halo deltas, sweep color `color`, publish this round's
+    /// moved deltas. Adds the round's message/entry/byte traffic to
+    /// `volume`.
     fn try_color_step(
         &mut self,
         color: usize,
         volume: &mut ExchangeVolume,
     ) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::finish_iteration`].
+    /// Iteration end: deliver the last round's deltas, run the plain
+    /// re-score where needed, and push every rank's `Σ w_t·Δq_t` stat
+    /// delta into `deltas` **in part order**. A transport that overlaps
+    /// color steps may still be draining the last round's halo traffic
+    /// here — `volume` lets it charge that traffic in the phase where it
+    /// actually lands, so totals agree across transports at every
+    /// iteration boundary.
     fn try_finish_iteration(
         &mut self,
         deltas: &mut Vec<f64>,
         volume: &mut ExchangeVolume,
     ) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::scatter`].
+    /// The one full scatter: write every rank's owned coordinates back
+    /// into the global array (parts own disjoint vertex sets).
     fn try_scatter(&mut self, coords: &mut [P]) -> Result<(), Self::Error>;
 
-    /// Atomically capture every rank's iteration-boundary state as the
-    /// new recovery checkpoint.
+    /// Issue this iteration boundary's checkpoint and commit the
+    /// previous one (see the trait docs).
     fn take_checkpoint(&mut self) -> Result<(), Self::Error>;
 
-    /// Whether [`take_checkpoint`](Self::take_checkpoint) defers its
-    /// collection: an `Ok` return then means this boundary's round was
-    /// *issued* and the **previous** boundary's round committed, so the
-    /// recovery state the transport holds is one checkpoint behind the
-    /// call just made. The driver mirrors the discipline with a
-    /// one-slot pending snapshot queue, keeping its fold snapshot
-    /// paired with whatever the transport would actually reload. A
-    /// deferring transport trades up to one extra checkpoint interval
-    /// of replay after a failure for hiding the collection wait behind
-    /// the next iteration's compute.
-    fn deferred_checkpoints(&self) -> bool {
-        false
-    }
-
-    /// Put every rank back into the last checkpoint's state after
-    /// `failure` — reap/replace dead ranks, resynchronise survivors,
-    /// reload state. May itself fail (e.g. another rank died during
-    /// recovery); the driver retries against its recovery budget.
+    /// Put every rank back into the last committed checkpoint's state
+    /// after `failure` — reap/replace dead ranks, resynchronise
+    /// survivors, reload state. May itself fail (e.g. another rank died
+    /// during recovery); the driver retries against its recovery budget.
     fn recover(&mut self, failure: &Self::Error) -> Result<(), Self::Error>;
 }
 
-/// The fault-tolerant twin of [`drive_resident`]: identical control flow
-/// and arithmetic on the failure-free path (same transport-operation
-/// sequence, same part-ordered Neumaier fold, same convergence rule — a
-/// failure-free run returns a bit-identical [`SmoothReport`]), plus
-/// checkpoint/replay recovery around it.
+/// The resident drive loop over any [`FtResidentTransport`]: one full
+/// gather, per iteration an interior phase plus one color step per
+/// interface color with halo-delta exchange in between, the part-ordered
+/// Neumaier fold of the quality statistic, one full scatter — plus
+/// checkpoint/replay recovery around it. The transport moves the bytes;
+/// this function owns iteration control, convergence and the
+/// [`ExchangeVolume`] phase counters, which is why `full_gathers == 1 &&
+/// full_scatters == 1` holds for every backend.
 ///
 /// At every checkpoint boundary the driver snapshots its own fold state
 /// (running quality sum, iteration list, exchange counters) next to the
@@ -355,7 +180,9 @@ pub trait FtResidentTransport<P: DomainPoint> {
 /// [`FtResidentTransport::recover`], rolls its fold state back to the
 /// snapshot, and replays the lost iterations. Replayed work is
 /// deterministic from the checkpoint state, so a recovered run's final
-/// coords and report are bit-identical to a failure-free run's.
+/// coords and report are bit-identical to a failure-free run's. The
+/// failure-free path is arithmetic-free beyond the fold: over the
+/// infallible in-process transport this is the whole resident engine.
 pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransport<D::Point>>(
     dom: &D,
     cfg: &DomainConfig,
@@ -368,12 +195,18 @@ pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransp
     drive_resident_ft_with(dom, cfg, elem_w, num_colors, transport, coords, policy, &mut NullTrace)
 }
 
-/// [`drive_resident_ft`] with an explicit [`TraceSink`] (see
-/// [`drive_resident_with`] for the compile-time-switch contract). On top
-/// of the failure-free span taxonomy this driver emits `checkpoint` and
-/// `recover` spans. Spans stay balanced through failures: every fallible
-/// operation's span is closed *after* capturing its `Result` and before
-/// acting on it, so a kill/recovery cycle never leaves a dangling begin.
+/// [`drive_resident_ft`] with an explicit [`TraceSink`]. The sink is a
+/// compile-time switch: with [`NullTrace`] every `if S::ENABLED` guard
+/// is dead code and the monomorphisation is exactly the untraced driver
+/// (zero clock reads — guarded by a `lms_trace::clock_reads` test).
+/// Spans emitted: `gather`, then per iteration `interior`, one
+/// `color_step` per color (args: iteration, color) and `finish`, the
+/// `checkpoint` and `recover` spans, then `scatter`. Tracing is
+/// observation-only: the traced run's coords and report are
+/// bit-identical to the untraced run's. Spans stay balanced through
+/// failures: every fallible operation's span is closed *after*
+/// capturing its `Result` and before acting on it, so a kill/recovery
+/// cycle never leaves a dangling begin.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_resident_ft_with<
     const C: usize,
@@ -469,11 +302,10 @@ pub fn drive_resident_ft_with<
     }
     let mut snap =
         Snap { qsum, quality, iters_kept: 0, volume, next_iter: 1, converged: false, done: false };
-    // A deferring transport (see `deferred_checkpoints`) commits each
-    // checkpoint round one boundary late: its `Ok` promotes the
-    // *previous* boundary's snapshot into `snap` and parks this
-    // boundary's in the one-slot queue. For an immediate transport the
-    // queue is never used and `snap` advances directly.
+    // A transport commits each checkpoint round one boundary late (see
+    // `FtResidentTransport`): its `Ok` promotes the *previous*
+    // boundary's snapshot into `snap` and parks this boundary's in the
+    // one-slot queue.
     let mut pending_snap: Option<Snap> = None;
 
     fn attempt_iteration<P: DomainPoint, T: FtResidentTransport<P>, S: TraceSink>(
@@ -524,11 +356,9 @@ pub fn drive_resident_ft_with<
     loop {
         if done {
             // the one full scatter; on failure, recover and fall into
-            // the rewind below — with a deferring transport the
-            // restored checkpoint may predate the `done` boundary, so
-            // the lost iterations replay before the scatter is retried
-            // (for an immediate transport the snapshot IS the `done`
-            // boundary and the rewind is a no-op retry)
+            // the rewind below — the restored checkpoint may predate the
+            // `done` boundary, so the lost iterations replay before the
+            // scatter is retried
             if S::ENABLED {
                 sink.begin("scatter", 0, 0);
             }
@@ -587,13 +417,8 @@ pub fn drive_resident_ft_with<
                                     converged,
                                     done,
                                 };
-                                if transport.deferred_checkpoints() {
-                                    if let Some(committed) = pending_snap.take() {
-                                        snap = committed;
-                                    }
-                                    pending_snap = Some(new_snap);
-                                } else {
-                                    snap = new_snap;
+                                if let Some(committed) = pending_snap.replace(new_snap) {
+                                    snap = committed;
                                 }
                                 continue;
                             }
@@ -694,24 +519,42 @@ impl<'a, const C: usize, D: SmoothDomain<C>> InProcessTransport<'a, C, D> {
     }
 }
 
-impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
+/// The in-process transport cannot fail: ranks share the coordinator's
+/// address space, so there is no process to die, no pipe to stall and no
+/// wire to corrupt. Checkpointing is a no-op (state is never lost) and
+/// `recover` is statically unreachable, which is what makes this
+/// transport the graceful-degradation fallback when rank processes
+/// cannot be spawned at all.
+impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
     for InProcessTransport<'_, C, D>
 {
-    fn gather(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) {
+    type Error = std::convert::Infallible;
+
+    fn try_gather(
+        &mut self,
+        coords: &[D::Point],
+        scores: &[(f64, bool)],
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         self.pool.install(|| {
             ranks.par_iter_mut().for_each(|rank| rank.load_global(coords, scores));
         });
+        Ok(())
     }
 
-    fn interior_phase(&mut self) {
+    fn try_interior_phase(&mut self) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         self.pool.install(|| {
             ranks.par_iter_mut().for_each(|rank| rank.sweep_interior());
         });
+        Ok(())
     }
 
-    fn color_step(&mut self, color: usize, volume: &mut ExchangeVolume) {
+    fn try_color_step(
+        &mut self,
+        color: usize,
+        volume: &mut ExchangeVolume,
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         let published: &[Vec<PairBatch<D::Point>>] = &self.prev_out;
         // pull, apply, sweep and publish fully in parallel: the routing
@@ -738,11 +581,16 @@ impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
             }
             rank.swap_outbox(&mut self.prev_out[p]);
         }
+        Ok(())
     }
 
     // the in-process transport charges every round's traffic at publish
-    // time inside `color_step`, so nothing is left to charge here
-    fn finish_iteration(&mut self, deltas: &mut Vec<f64>, _volume: &mut ExchangeVolume) {
+    // time inside `try_color_step`, so nothing is left to charge here
+    fn try_finish_iteration(
+        &mut self,
+        deltas: &mut Vec<f64>,
+        _volume: &mut ExchangeVolume,
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         let published: &[Vec<PairBatch<D::Point>>] = &self.prev_out;
         self.pool.install(|| {
@@ -759,59 +607,24 @@ impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
                 batch.clear();
             }
         }
-    }
-
-    fn scatter(&mut self, coords: &mut [D::Point]) {
-        self.scatter_impl(coords);
-    }
-}
-
-/// The in-process transport cannot fail: ranks share the coordinator's
-/// address space, so there is no process to die, no pipe to stall and no
-/// wire to corrupt. Checkpointing is a no-op (state is never lost) and
-/// `recover` is statically unreachable — [`drive_resident_ft`] over this
-/// transport compiles down to exactly [`drive_resident`]'s behaviour,
-/// which is what makes it the graceful-degradation fallback when rank
-/// processes cannot be spawned at all.
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
-    for InProcessTransport<'_, C, D>
-{
-    type Error = std::convert::Infallible;
-
-    fn try_gather(
-        &mut self,
-        coords: &[D::Point],
-        scores: &[(f64, bool)],
-    ) -> Result<(), Self::Error> {
-        self.gather(coords, scores);
-        Ok(())
-    }
-
-    fn try_interior_phase(&mut self) -> Result<(), Self::Error> {
-        self.interior_phase();
-        Ok(())
-    }
-
-    fn try_color_step(
-        &mut self,
-        color: usize,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), Self::Error> {
-        self.color_step(color, volume);
-        Ok(())
-    }
-
-    fn try_finish_iteration(
-        &mut self,
-        deltas: &mut Vec<f64>,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), Self::Error> {
-        self.finish_iteration(deltas, volume);
         Ok(())
     }
 
     fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), Self::Error> {
-        self.scatter_impl(coords);
+        let scatter = ScatterPtr(coords.as_mut_ptr());
+        let scatter = &scatter;
+        let ranks: &[ResidentRank<'_, C, D>] = &self.ranks;
+        let blocks = self.blocks;
+        self.pool.install(|| {
+            (0..ranks.len()).into_par_iter().for_each(|i| {
+                for (j, &v) in blocks[i].owned().iter().enumerate() {
+                    // SAFETY: `v` is owned by part `i` alone; parts
+                    // partition the vertex set, so no two workers
+                    // write the same slot.
+                    unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
+                }
+            });
+        });
         Ok(())
     }
 
@@ -853,22 +666,5 @@ impl<const C: usize, D: SmoothDomain<C>> InProcessTransport<'_, C, D> {
             }
         }
         profile
-    }
-
-    fn scatter_impl(&mut self, coords: &mut [D::Point]) {
-        let scatter = ScatterPtr(coords.as_mut_ptr());
-        let scatter = &scatter;
-        let ranks: &[ResidentRank<'_, C, D>] = &self.ranks;
-        let blocks = self.blocks;
-        self.pool.install(|| {
-            (0..ranks.len()).into_par_iter().for_each(|i| {
-                for (j, &v) in blocks[i].owned().iter().enumerate() {
-                    // SAFETY: `v` is owned by part `i` alone; parts
-                    // partition the vertex set, so no two workers
-                    // write the same slot.
-                    unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
-                }
-            });
-        });
     }
 }
