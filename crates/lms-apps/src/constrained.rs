@@ -204,6 +204,7 @@ pub fn constrained_smooth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{smooth, Backend};
     use lms_mesh::generators;
 
     fn corners_of(mesh: &TriMesh) -> Vec<u32> {
@@ -277,7 +278,7 @@ mod tests {
         let params = SmoothParams::paper().with_max_iters(60);
 
         let mut interior_only = base.clone();
-        let plain = params.smooth(&mut interior_only);
+        let plain = smooth(&mut interior_only, params.clone(), Backend::Serial);
 
         let mut constrained = base.clone();
         let cons = constrained_smooth(&mut constrained, &params, &ConstrainedOptions::default());
@@ -322,7 +323,7 @@ mod tests {
         let mut a = generators::perturbed_grid(10, 10, 0.3, 2);
         let mut b = a.clone();
         let params = SmoothParams::paper().with_max_iters(20);
-        let ra = params.smooth(&mut a);
+        let ra = smooth(&mut a, params.clone(), Backend::Serial);
         let rb = constrained_smooth(&mut b, &params, &ConstrainedOptions { corner_angle: -1.0 });
         assert!((ra.final_quality - rb.final_quality).abs() < 1e-12);
         assert_eq!(a.coords(), b.coords());

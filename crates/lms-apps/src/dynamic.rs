@@ -169,6 +169,7 @@ pub fn smooth_with_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{smooth, Backend};
     use lms_mesh::generators;
 
     fn mesh() -> TriMesh {
@@ -195,7 +196,7 @@ mod tests {
         let r = smooth_with_strategy(&mut a, &params(), OrderingKind::Rdr, ReorderStrategy::Never);
         assert_eq!(r.reorders, 0);
         let mut b = base.clone();
-        let plain = params().smooth(&mut b);
+        let plain = smooth(&mut b, params(), Backend::Serial);
         assert_eq!(a.coords(), b.coords());
         assert_eq!(r.sweeps, plain.num_iterations());
     }

@@ -193,6 +193,7 @@ pub fn worst_vertex_quality(mesh: &TriMesh, metric: QualityMetric) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{smooth, Backend};
     use crate::untangle::count_inverted;
     use lms_mesh::generators;
     use lms_smooth::SmoothParams;
@@ -222,7 +223,7 @@ mod tests {
         let metric = QualityMetric::EdgeLengthRatio;
 
         let mut lap = base.clone();
-        SmoothParams::paper().with_max_iters(30).smooth(&mut lap);
+        smooth(&mut lap, SmoothParams::paper().with_max_iters(30), Backend::Serial);
 
         let mut opt = base.clone();
         opt_smooth(&mut opt, &OptSmoothOptions::default());

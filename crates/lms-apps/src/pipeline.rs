@@ -7,6 +7,7 @@
 //! untangle if needed, swap to fix connectivity, and smooth. The pipeline
 //! makes that sequence a value.
 
+use crate::backend::{smooth, Backend};
 use crate::constrained::{constrained_smooth, ConstrainedOptions};
 use crate::optsmooth::{opt_smooth, OptSmoothOptions};
 use crate::swap::{swap_until_stable, SwapOptions};
@@ -14,8 +15,7 @@ use crate::untangle::{untangle, UntangleOptions};
 use lms_mesh::quality::{mesh_quality, QualityMetric};
 use lms_mesh::{Adjacency, TriMesh};
 use lms_order::{compute_ordering, OrderingKind};
-use lms_part::PartitionMethod;
-use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::SmoothParams;
 
 /// One step of an improvement pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,30 +25,8 @@ pub enum Stage {
     Reorder(OrderingKind),
     /// Remove inverted elements.
     Untangle(UntangleOptions),
-    /// Laplacian smoothing (interior vertices) on the serial
-    /// incremental-quality hot path.
-    Smooth(SmoothParams),
-    /// Laplacian smoothing on a deterministic parallel engine with the
-    /// given thread count (bitwise-identical results for any thread
-    /// count): colored Gauss–Seidel for in-place params, static-chunk
-    /// parallel Jacobi when `params.update` is
-    /// [`lms_smooth::UpdateScheme::Jacobi`].
-    ParallelSmooth(SmoothParams, usize),
-    /// Laplacian smoothing on the resident halo-exchange engine
-    /// ([`lms_smooth::ResidentEngine`]): blocks stay resident for the
-    /// whole stage, interface vertices are smoothed inside their owning
-    /// part with halo deltas exchanged between color steps, one disjoint
-    /// scatter at the end. Gauss–Seidel parameters only.
-    ResidentSmooth(SmoothParams, PartitionSpec),
-    /// Laplacian smoothing on the multi-process distributed resident
-    /// engine ([`lms_dist::DistResidentEngine`]): one forked rank
-    /// process per part, halo deltas as wire frames over the substrate
-    /// named by `spec.transport` (pipes, Unix or TCP stream sockets).
-    /// `spec.threads` is ignored — parallelism is one OS process per
-    /// part. Gauss–Seidel parameters only; bit-identical to
-    /// [`Stage::ResidentSmooth`] over the same decomposition on every
-    /// substrate.
-    DistributedSmooth(SmoothParams, PartitionSpec),
+    /// Laplacian smoothing (interior vertices) on a [`Backend`].
+    Smooth(SmoothParams, Backend),
     /// Constrained smoothing (boundary slides along the boundary).
     ConstrainedSmooth(SmoothParams, ConstrainedOptions),
     /// Edge swapping.
@@ -63,40 +41,10 @@ impl Stage {
         match self {
             Stage::Reorder(_) => "reorder",
             Stage::Untangle(_) => "untangle",
-            Stage::Smooth(_) => "smooth",
-            Stage::ParallelSmooth(..) => "parsmooth",
-            Stage::ResidentSmooth(..) => "ressmooth",
-            Stage::DistributedSmooth(..) => "distsmooth",
+            Stage::Smooth(..) => "smooth",
             Stage::ConstrainedSmooth(..) => "constrained",
             Stage::Swap(_) => "swap",
             Stage::OptSmooth(_) => "optsmooth",
-        }
-    }
-}
-
-/// Configuration of a domain-decomposed smoothing stage
-/// ([`Stage::ResidentSmooth`], [`Stage::DistributedSmooth`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionSpec {
-    /// Number of parts to decompose into.
-    pub parts: usize,
-    /// Geometric partitioner.
-    pub method: PartitionMethod,
-    /// Worker threads (the result is identical for any count).
-    pub threads: usize,
-    /// Rank substrate for [`Stage::DistributedSmooth`]: pipes, Unix or
-    /// TCP sockets. Ignored by the in-process stages. The smoothed coords
-    /// are identical on every substrate.
-    pub transport: lms_dist::TransportMode,
-}
-
-impl Default for PartitionSpec {
-    fn default() -> Self {
-        PartitionSpec {
-            parts: 4,
-            method: PartitionMethod::Rcb,
-            threads: 2,
-            transport: lms_dist::TransportMode::Pipes,
         }
     }
 }
@@ -155,43 +103,14 @@ impl Pipeline {
     }
 
     /// The standard improvement recipe: reorder (once, up front — §5.4),
-    /// untangle, Delaunay-swap, then smart Laplacian smoothing.
-    pub fn standard(ordering: OrderingKind) -> Self {
+    /// untangle, Delaunay-swap, then smart Laplacian smoothing on
+    /// `backend`.
+    pub fn standard(ordering: OrderingKind, backend: Backend) -> Self {
         Pipeline::new()
             .then(Stage::Reorder(ordering))
             .then(Stage::Untangle(UntangleOptions::default()))
             .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::Smooth(SmoothParams::paper().with_smart(true)))
-    }
-
-    /// [`standard`](Self::standard) with the smoothing stage on the
-    /// colored deterministic parallel Gauss–Seidel engine.
-    pub fn standard_parallel(ordering: OrderingKind, threads: usize) -> Self {
-        Pipeline::new()
-            .then(Stage::Reorder(ordering))
-            .then(Stage::Untangle(UntangleOptions::default()))
-            .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::ParallelSmooth(SmoothParams::paper().with_smart(true), threads))
-    }
-
-    /// [`standard`](Self::standard) with the smoothing stage on the
-    /// resident halo-exchange engine.
-    pub fn standard_resident(ordering: OrderingKind, spec: PartitionSpec) -> Self {
-        Pipeline::new()
-            .then(Stage::Reorder(ordering))
-            .then(Stage::Untangle(UntangleOptions::default()))
-            .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::ResidentSmooth(SmoothParams::paper().with_smart(true), spec))
-    }
-
-    /// [`standard`](Self::standard) with the smoothing stage on the
-    /// multi-process distributed resident engine.
-    pub fn standard_distributed(ordering: OrderingKind, spec: PartitionSpec) -> Self {
-        Pipeline::new()
-            .then(Stage::Reorder(ordering))
-            .then(Stage::Untangle(UntangleOptions::default()))
-            .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::DistributedSmooth(SmoothParams::paper().with_smart(true), spec))
+            .then(Stage::Smooth(SmoothParams::paper().with_smart(true), backend))
     }
 
     /// Run the pipeline on `mesh` in place.
@@ -211,34 +130,8 @@ impl Pipeline {
                     0
                 }
                 Stage::Untangle(opts) => untangle(mesh, None, *opts).moves,
-                Stage::Smooth(params) => params.smooth(mesh).num_iterations(),
-                Stage::ParallelSmooth(params, threads) => {
-                    let engine = SmoothEngine::new(mesh, params.clone());
-                    let report = match params.update {
-                        lms_smooth::UpdateScheme::GaussSeidel => {
-                            engine.smooth_parallel_colored(mesh, *threads)
-                        }
-                        lms_smooth::UpdateScheme::Jacobi => engine.smooth_parallel(mesh, *threads),
-                    };
-                    report.num_iterations()
-                }
-                Stage::ResidentSmooth(params, spec) => {
-                    let engine =
-                        ResidentEngine::by_method(mesh, params.clone(), spec.parts, spec.method);
-                    engine.smooth(mesh, spec.threads).num_iterations()
-                }
-                Stage::DistributedSmooth(params, spec) => {
-                    let engine = lms_dist::DistResidentEngine::by_method(
-                        mesh,
-                        params.clone(),
-                        spec.parts,
-                        spec.method,
-                    );
-                    let opts = lms_dist::FtOptions {
-                        mode: spec.transport,
-                        ..lms_dist::FtOptions::default()
-                    };
-                    engine.smooth_with(mesh, &opts).num_iterations()
+                Stage::Smooth(params, backend) => {
+                    smooth(mesh, params.clone(), *backend).num_iterations()
                 }
                 Stage::ConstrainedSmooth(params, opts) => {
                     constrained_smooth(mesh, params, opts).num_iterations()
@@ -278,7 +171,7 @@ mod tests {
         tangle_vertices(&mut m, 30);
         assert!(count_inverted(&m) > 0);
 
-        let report = Pipeline::standard(OrderingKind::Rdr).run(&mut m);
+        let report = Pipeline::standard(OrderingKind::Rdr, Backend::Serial).run(&mut m);
         assert_eq!(count_inverted(&m), 0);
         assert!(report.final_quality > report.initial_quality);
         assert_eq!(report.stages.len(), 4);
@@ -289,7 +182,7 @@ mod tests {
     #[test]
     fn stage_bookkeeping_chains_quality_values() {
         let mut m = generators::perturbed_grid(12, 12, 0.3, 4);
-        let report = Pipeline::standard(OrderingKind::Bfs).run(&mut m);
+        let report = Pipeline::standard(OrderingKind::Bfs, Backend::Serial).run(&mut m);
         assert_eq!(report.stages[0].quality_before, report.initial_quality);
         for w in report.stages.windows(2) {
             assert_eq!(w[0].quality_after, w[1].quality_before);
@@ -316,106 +209,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_smooth_stage_matches_standard_quality() {
-        let base = {
-            let mut m = generators::perturbed_grid(16, 16, 0.35, 3);
-            m.orient_ccw();
-            m
-        };
-        let mut serial = base.clone();
-        let rs = Pipeline::standard(OrderingKind::Rdr).run(&mut serial);
-        let mut par = base.clone();
-        let rp = Pipeline::standard_parallel(OrderingKind::Rdr, 3).run(&mut par);
-        assert_eq!(rp.stages.last().unwrap().stage, "parsmooth");
-        assert!(rp.final_quality > rp.initial_quality);
-        // different Gauss-Seidel visit orders, same fixed point family
-        assert!((rs.final_quality - rp.final_quality).abs() < 0.02);
-        // and the parallel stage itself is thread-count invariant
-        let mut par8 = base.clone();
-        let rp8 = Pipeline::standard_parallel(OrderingKind::Rdr, 8).run(&mut par8);
-        assert_eq!(par.coords(), par8.coords());
-        assert_eq!(rp, rp8);
-    }
-
-    #[test]
-    fn resident_smooth_stage_matches_standard_quality() {
-        let base = {
-            let mut m = generators::perturbed_grid(16, 16, 0.35, 7);
-            m.orient_ccw();
-            m
-        };
-        let mut serial = base.clone();
-        let rs = Pipeline::standard(OrderingKind::Rdr).run(&mut serial);
-        let spec = PartitionSpec {
-            parts: 4,
-            method: lms_part::PartitionMethod::Rcb,
-            threads: 2,
-            ..PartitionSpec::default()
-        };
-        let mut res = base.clone();
-        let rr = Pipeline::standard_resident(OrderingKind::Rdr, spec).run(&mut res);
-        assert_eq!(rr.stages.last().unwrap().stage, "ressmooth");
-        assert!(rr.final_quality > rr.initial_quality);
-        // same fixed-point family as the serial Gauss-Seidel pipeline
-        assert!((rs.final_quality - rr.final_quality).abs() < 0.02);
-        // and thread-count invariant
-        let mut res8 = base.clone();
-        let rr8 =
-            Pipeline::standard_resident(OrderingKind::Rdr, PartitionSpec { threads: 8, ..spec })
-                .run(&mut res8);
-        assert_eq!(res.coords(), res8.coords());
-        assert_eq!(rr, rr8);
-    }
-
-    #[test]
-    fn distributed_smooth_stage_matches_resident_bitwise() {
-        let base = {
-            let mut m = generators::perturbed_grid(14, 14, 0.35, 9);
-            m.orient_ccw();
-            m
-        };
-        let spec = PartitionSpec {
-            parts: 3,
-            method: lms_part::PartitionMethod::Rcb,
-            threads: 2,
-            ..PartitionSpec::default()
-        };
-        let mut dist = base.clone();
-        let rd = Pipeline::standard_distributed(OrderingKind::Rdr, spec).run(&mut dist);
-        assert_eq!(rd.stages.last().unwrap().stage, "distsmooth");
-        assert!(rd.final_quality > rd.initial_quality);
-        // the distributed stage is the resident stage over a process
-        // transport — same decomposition, bit-identical coordinates
-        let mut res = base.clone();
-        let rr = Pipeline::standard_resident(OrderingKind::Rdr, spec).run(&mut res);
-        assert_eq!(dist.coords(), res.coords());
-        assert_eq!(rd.final_quality, rr.final_quality);
-        // and substrate-invariant: the same stage over stream sockets
-        // lands on the same bits as over pipes
-        for transport in [lms_dist::TransportMode::UnixSocket, lms_dist::TransportMode::TcpLoopback]
-        {
-            let mut sock = base.clone();
-            let rs = Pipeline::standard_distributed(
-                OrderingKind::Rdr,
-                PartitionSpec { transport, ..spec },
-            )
-            .run(&mut sock);
-            assert_eq!(dist.coords(), sock.coords(), "substrate {transport:?} diverged");
-            assert_eq!(rd.final_quality, rs.final_quality);
-        }
-    }
-
-    #[test]
     fn parallel_smooth_stage_accepts_jacobi_params() {
         use lms_smooth::UpdateScheme;
         let mut m = generators::perturbed_grid(10, 10, 0.3, 5);
         let report = Pipeline::new()
-            .then(Stage::ParallelSmooth(
+            .then(Stage::Smooth(
                 SmoothParams::paper().with_update(UpdateScheme::Jacobi).with_max_iters(5),
-                3,
+                Backend::Parallel { threads: 3 },
             ))
             .run(&mut m);
-        assert_eq!(report.stages[0].stage, "parsmooth");
+        assert_eq!(report.stages[0].stage, "smooth");
         assert!(report.final_quality > report.initial_quality);
     }
 
@@ -426,7 +229,7 @@ mod tests {
             .then(Stage::Reorder(OrderingKind::Rdr))
             .then(Stage::Untangle(UntangleOptions::default()))
             .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::Smooth(SmoothParams::paper().with_max_iters(10)))
+            .then(Stage::Smooth(SmoothParams::paper().with_max_iters(10), Backend::Serial))
             .then(Stage::ConstrainedSmooth(
                 SmoothParams::paper().with_max_iters(10),
                 ConstrainedOptions::default(),

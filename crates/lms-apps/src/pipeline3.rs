@@ -1,22 +1,16 @@
-//! Tetrahedral improvement pipelines — the 3D face of [`crate::pipeline`],
-//! riding the dimension-generic smoothing domain.
+//! Tetrahedral improvement pipelines — the 3D face of [`crate::pipeline`].
 //!
 //! The 2D [`Pipeline`](crate::pipeline::Pipeline) composes reordering and
 //! smoothing stages over a `TriMesh`; this module is its `TetMesh` twin.
-//! The decomposed engines are one generic code path for both dimensions,
-//! so the 3D pipeline offers the full engine menu: serial, colored/Jacobi
-//! parallel, resident halo-exchange ([`Stage3::ResidentSmooth3`]) and
-//! multi-process ([`Stage3::DistributedSmooth3`]) smoothing — all
-//! deterministic for any thread count, the decomposed ones configured
-//! through the same [`PartitionSpec`](crate::pipeline::PartitionSpec) as
-//! the 2D stages.
+//! Smoothing goes through the same [`smooth`] entry, so every
+//! [`Backend`] — serial, parallel, resident and multi-process — runs 3D
+//! stages too, deterministic for any thread count.
 
-use crate::pipeline::{PartitionSpec, PipelineReport, StageOutcome};
+use crate::backend::{smooth, Backend};
+use crate::pipeline::{PipelineReport, StageOutcome};
 use lms_mesh3d::order::{apply_permutation3, compute_ordering3, OrderingKind3};
 use lms_mesh3d::quality::{mesh_quality, TetQualityMetric};
-use lms_mesh3d::{
-    Adjacency3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh, UpdateScheme3,
-};
+use lms_mesh3d::{Adjacency3, SmoothParams3, TetMesh};
 
 /// One step of a tetrahedral improvement pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,26 +18,8 @@ pub enum Stage3 {
     /// Renumber the mesh with the given 3D ordering (changes layout and
     /// visit order of every following stage).
     Reorder3(OrderingKind3),
-    /// Laplacian smoothing (interior vertices) on the serial engine.
-    Smooth3(SmoothParams3),
-    /// Deterministic parallel smoothing with the given thread count:
-    /// colored Gauss–Seidel for in-place params, static-chunk parallel
-    /// Jacobi when `params.update` is [`UpdateScheme3::Jacobi`].
-    ParallelSmooth3(SmoothParams3, usize),
-    /// Laplacian smoothing on the resident halo-exchange engine
-    /// ([`ResidentEngine3`]): blocks stay resident for the whole stage,
-    /// moved halo deltas exchanged between color steps, one disjoint
-    /// scatter at the end. Gauss–Seidel parameters only.
-    ResidentSmooth3(SmoothParams3, PartitionSpec),
-    /// Laplacian smoothing on the multi-process distributed resident
-    /// engine ([`lms_dist::DistResidentEngine3`]): one forked rank
-    /// process per part, halo deltas as wire frames over the substrate
-    /// named by `spec.transport` (pipes, Unix or TCP stream sockets).
-    /// `spec.threads` is ignored — parallelism is one OS process per
-    /// part. Gauss–Seidel parameters only; bit-identical to
-    /// [`Stage3::ResidentSmooth3`] over the same decomposition on every
-    /// substrate.
-    DistributedSmooth3(SmoothParams3, PartitionSpec),
+    /// Laplacian smoothing (interior vertices) on a [`Backend`].
+    Smooth3(SmoothParams3, Backend),
 }
 
 impl Stage3 {
@@ -51,10 +27,7 @@ impl Stage3 {
     pub fn name(&self) -> &'static str {
         match self {
             Stage3::Reorder3(_) => "reorder3",
-            Stage3::Smooth3(_) => "smooth3",
-            Stage3::ParallelSmooth3(..) => "parsmooth3",
-            Stage3::ResidentSmooth3(..) => "ressmooth3",
-            Stage3::DistributedSmooth3(..) => "distsmooth3",
+            Stage3::Smooth3(..) => "smooth3",
         }
     }
 }
@@ -81,28 +54,12 @@ impl Pipeline3 {
     }
 
     /// The standard 3D recipe: reorder once up front (§5.4's
-    /// pay-once argument carries to 3D), then smart smoothing on the
-    /// serial engine.
-    pub fn standard3(ordering: OrderingKind3) -> Self {
+    /// pay-once argument carries to 3D), then smart smoothing on
+    /// `backend`.
+    pub fn standard3(ordering: OrderingKind3, backend: Backend) -> Self {
         Pipeline3::new()
             .then(Stage3::Reorder3(ordering))
-            .then(Stage3::Smooth3(SmoothParams3::paper().with_smart(true)))
-    }
-
-    /// [`standard3`](Self::standard3) with the smoothing stage on the
-    /// resident halo-exchange engine.
-    pub fn standard_resident3(ordering: OrderingKind3, spec: PartitionSpec) -> Self {
-        Pipeline3::new()
-            .then(Stage3::Reorder3(ordering))
-            .then(Stage3::ResidentSmooth3(SmoothParams3::paper().with_smart(true), spec))
-    }
-
-    /// [`standard3`](Self::standard3) with the smoothing stage on the
-    /// multi-process distributed resident engine.
-    pub fn standard_distributed3(ordering: OrderingKind3, spec: PartitionSpec) -> Self {
-        Pipeline3::new()
-            .then(Stage3::Reorder3(ordering))
-            .then(Stage3::DistributedSmooth3(SmoothParams3::paper().with_smart(true), spec))
+            .then(Stage3::Smooth3(SmoothParams3::paper().with_smart(true), backend))
     }
 
     /// Run the pipeline on `mesh` in place.
@@ -121,34 +78,8 @@ impl Pipeline3 {
                     *mesh = apply_permutation3(&perm, mesh);
                     0
                 }
-                Stage3::Smooth3(params) => params.smooth(mesh).num_iterations(),
-                Stage3::ParallelSmooth3(params, threads) => {
-                    let engine = SmoothEngine3::new(mesh, params.clone());
-                    let report = match params.update {
-                        UpdateScheme3::GaussSeidel => {
-                            engine.smooth_parallel_colored(mesh, *threads)
-                        }
-                        UpdateScheme3::Jacobi => engine.smooth_parallel(mesh, *threads),
-                    };
-                    report.num_iterations()
-                }
-                Stage3::ResidentSmooth3(params, spec) => {
-                    let engine =
-                        ResidentEngine3::by_method(mesh, params.clone(), spec.parts, spec.method);
-                    engine.smooth(mesh, spec.threads).num_iterations()
-                }
-                Stage3::DistributedSmooth3(params, spec) => {
-                    let engine = lms_dist::DistResidentEngine3::by_method(
-                        mesh,
-                        params.clone(),
-                        spec.parts,
-                        spec.method,
-                    );
-                    let opts = lms_dist::FtOptions {
-                        mode: spec.transport,
-                        ..lms_dist::FtOptions::default()
-                    };
-                    engine.smooth_with(mesh, &opts).num_iterations()
+                Stage3::Smooth3(params, backend) => {
+                    smooth(mesh, params.clone(), *backend).num_iterations()
                 }
             };
             let after = q(mesh);
@@ -174,73 +105,32 @@ impl Default for Pipeline3 {
 mod tests {
     use super::*;
     use lms_mesh3d::generators::perturbed_tet_grid;
+    use lms_part::PartitionMethod;
 
     #[test]
-    fn standard_resident3_improves_quality() {
+    fn standard3_on_a_resident_backend_improves_quality() {
         let mut m = perturbed_tet_grid(8, 8, 8, 0.4, 3);
-        let spec = PartitionSpec {
-            parts: 4,
-            method: lms_part::PartitionMethod::Rcb,
-            threads: 2,
-            ..PartitionSpec::default()
-        };
-        let report = Pipeline3::standard_resident3(OrderingKind3::Rdr, spec).run(&mut m);
+        let backend = Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads: 2 };
+        let report = Pipeline3::standard3(OrderingKind3::Rdr, backend).run(&mut m);
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.stages[0].stage, "reorder3");
-        assert_eq!(report.stages[1].stage, "ressmooth3");
+        assert_eq!(report.stages[1].stage, "smooth3");
         assert!(report.final_quality > report.initial_quality);
-    }
-
-    #[test]
-    fn resident3_stage_is_thread_count_invariant() {
-        let base = perturbed_tet_grid(7, 7, 6, 0.35, 5);
-        let spec = PartitionSpec {
-            parts: 4,
-            method: lms_part::PartitionMethod::Rcb,
-            threads: 2,
-            ..PartitionSpec::default()
-        };
-        let mut res = base.clone();
-        let rr = Pipeline3::standard_resident3(OrderingKind3::Hilbert, spec).run(&mut res);
-        let mut res8 = base.clone();
-        let rr8 = Pipeline3::standard_resident3(
-            OrderingKind3::Hilbert,
-            PartitionSpec { threads: 8, ..spec },
-        )
-        .run(&mut res8);
-        assert_eq!(res.coords(), res8.coords());
-        assert_eq!(rr, rr8);
-    }
-
-    #[test]
-    fn distributed3_stage_matches_resident3_bitwise() {
-        let base = perturbed_tet_grid(6, 6, 6, 0.35, 8);
-        let spec = PartitionSpec {
-            parts: 3,
-            method: lms_part::PartitionMethod::Rcb,
-            threads: 2,
-            ..PartitionSpec::default()
-        };
-        let mut dist = base.clone();
-        let rd = Pipeline3::standard_distributed3(OrderingKind3::Rdr, spec).run(&mut dist);
-        assert_eq!(rd.stages.last().unwrap().stage, "distsmooth3");
-        assert!(rd.final_quality > rd.initial_quality);
-        let mut res = base.clone();
-        let rr = Pipeline3::standard_resident3(OrderingKind3::Rdr, spec).run(&mut res);
-        assert_eq!(dist.coords(), res.coords());
-        assert_eq!(rd.final_quality, rr.final_quality);
     }
 
     #[test]
     fn stage_bookkeeping_chains_quality_values() {
         let mut m = perturbed_tet_grid(6, 6, 6, 0.3, 4);
-        let spec = PartitionSpec::default();
+        let resident = Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads: 2 };
         let report = Pipeline3::new()
             .then(Stage3::Reorder3(OrderingKind3::Bfs))
-            .then(Stage3::ParallelSmooth3(SmoothParams3::paper().with_max_iters(5), 2))
-            .then(Stage3::ResidentSmooth3(
+            .then(Stage3::Smooth3(
+                SmoothParams3::paper().with_max_iters(5),
+                Backend::Parallel { threads: 2 },
+            ))
+            .then(Stage3::Smooth3(
                 SmoothParams3::paper().with_smart(true).with_max_iters(5),
-                spec,
+                resident,
             ))
             .run(&mut m);
         assert_eq!(report.stages[0].quality_before, report.initial_quality);

@@ -2,6 +2,7 @@
 //! iteration policy, update scheme, and the quality metric RDR ranks by.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lms_apps::{smooth, Backend};
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::suite;
 use lms_order::rdr::{rdr_ordering_opts, RdrOptions};
@@ -16,7 +17,7 @@ fn iteration_policy(c: &mut Criterion) {
     {
         let params = SmoothParams::paper().with_policy(policy).with_max_iters(6);
         group.bench_with_input(BenchmarkId::new("policy", name), &base, |b, m| {
-            b.iter(|| params.smooth(&mut m.clone()))
+            b.iter(|| smooth(&mut m.clone(), params.clone(), Backend::Serial))
         });
     }
     group.finish();
@@ -31,7 +32,7 @@ fn update_scheme(c: &mut Criterion) {
     {
         let params = SmoothParams::paper().with_update(update).with_max_iters(6);
         group.bench_with_input(BenchmarkId::new("update", name), &base, |b, m| {
-            b.iter(|| params.smooth(&mut m.clone()))
+            b.iter(|| smooth(&mut m.clone(), params.clone(), Backend::Serial))
         });
     }
     group.finish();
@@ -43,7 +44,7 @@ fn rdr_variants(c: &mut Criterion) {
     group.sample_size(10);
     for (name, opts) in [
         ("paper", RdrOptions::default()),
-        ("minangle_metric", RdrOptions { metric: QualityMetric::MinAngle, ..Default::default() }),
+        ("minangle_metric", RdrOptions { metric: QualityMetric::MinAngle }),
     ] {
         group.bench_with_input(BenchmarkId::new("rdr", name), &base, |b, m| {
             b.iter(|| rdr_ordering_opts(m, &opts))

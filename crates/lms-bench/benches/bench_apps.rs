@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lms_apps::{
-    opt_smooth, swap_until_stable, tangle_vertices, untangle, OptSmoothOptions, SwapOptions,
-    UntangleOptions,
+    opt_smooth, smooth, swap_until_stable, tangle_vertices, untangle, Backend, OptSmoothOptions,
+    SwapOptions, UntangleOptions,
 };
 use lms_mesh::suite;
 use lms_mesh::TriMesh;
@@ -65,7 +65,7 @@ fn weighted_laplacian(c: &mut Criterion) {
     for weighting in [Weighting::Uniform, Weighting::InverseEdgeLength, Weighting::EdgeLength] {
         let params = SmoothParams::paper().with_weighting(weighting).with_max_iters(6);
         group.bench_with_input(BenchmarkId::new("weighting", weighting.name()), &m, |b, m| {
-            b.iter(|| params.smooth(&mut m.clone()))
+            b.iter(|| smooth(&mut m.clone(), params.clone(), Backend::Serial))
         });
     }
     group.finish();

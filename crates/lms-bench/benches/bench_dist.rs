@@ -39,7 +39,7 @@ fn bench_dist(c: &mut Criterion) {
     // correctness gate before timing: the process backend must reproduce
     // the in-process resident engine bit for bit
     let mut a = mesh.clone();
-    let dist_report = dist.smooth(&mut a);
+    let dist_report = dist.smooth_with(&mut a, &FtOptions::default());
     let mut b = mesh.clone();
     let local_report = resident.smooth(&mut b, 2);
     assert_eq!(a.coords(), b.coords(), "distributed run diverged from in-process resident");
@@ -79,7 +79,7 @@ fn bench_dist(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("dist_8ranks", side), &mesh, |bch, m| {
         bch.iter(|| {
             let mut work = m.clone();
-            dist.smooth(&mut work)
+            dist.smooth_with(&mut work, &FtOptions::default())
         })
     });
     // same run with the checkpoint cadence dialed down to the mandatory

@@ -3,6 +3,7 @@
 //! construction cost, and the 3D reordering cost against one ORI sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lms_apps::{smooth, Backend};
 use lms_mesh3d::generators::{generate3, SUITE3};
 use lms_mesh3d::order::{apply_permutation3, compute_ordering3, OrderingKind3};
 use lms_mesh3d::SmoothParams3;
@@ -27,7 +28,7 @@ fn smoothing_by_ordering_3d(c: &mut Criterion) {
         let mesh = apply_permutation3(&perm, &base);
         let params = SmoothParams3::paper().with_max_iters(8);
         group.bench_with_input(BenchmarkId::new("ordering", kind.name()), &mesh, |b, m| {
-            b.iter(|| params.smooth(&mut m.clone()))
+            b.iter(|| smooth(&mut m.clone(), params.clone(), Backend::Serial))
         });
     }
     group.finish();
@@ -44,7 +45,7 @@ fn reorder_cost_3d(c: &mut Criterion) {
     }
     let one_iter = SmoothParams3::paper().with_max_iters(1);
     group.bench_with_input(BenchmarkId::new("ordering", "one_ori_sweep"), &base, |b, m| {
-        b.iter(|| one_iter.smooth(&mut m.clone()))
+        b.iter(|| smooth(&mut m.clone(), one_iter.clone(), Backend::Serial))
     });
     group.finish();
 }

@@ -2,6 +2,7 @@
 //! against the cost of one ORI smoothing sweep (the paper's yardstick).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lms_apps::{smooth, Backend};
 use lms_mesh::suite;
 use lms_order::{compute_ordering, OrderingKind};
 use lms_smooth::SmoothParams;
@@ -29,7 +30,7 @@ fn reorder_cost(c: &mut Criterion) {
     // the yardstick: one ORI smoothing sweep
     let one_iter = SmoothParams::paper().with_max_iters(1);
     group.bench_with_input(BenchmarkId::new("ordering", "one_ori_sweep"), &base, |b, m| {
-        b.iter(|| one_iter.smooth(&mut m.clone()))
+        b.iter(|| smooth(&mut m.clone(), one_iter.clone(), Backend::Serial))
     });
     group.finish();
 }

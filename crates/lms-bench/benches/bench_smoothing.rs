@@ -5,6 +5,7 @@
 //! scale; 1.0 is the paper's size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lms_apps::{smooth, Backend};
 use lms_bench::common::ordered_mesh;
 use lms_mesh::suite;
 use lms_order::OrderingKind;
@@ -26,7 +27,7 @@ fn smoothing_by_ordering(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(spec.name, kind.name()), &m, |b, mesh| {
                 b.iter(|| {
                     let mut work = mesh.clone();
-                    params.smooth(&mut work)
+                    smooth(&mut work, params.clone(), Backend::Serial)
                 })
             });
         }

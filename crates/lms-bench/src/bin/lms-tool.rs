@@ -40,7 +40,7 @@
 //! orderings (3D): ori random bfs bfsrev dfs rcm hilbert morton rdr
 //! ```
 
-use lms_apps::{tangle_vertices, Pipeline};
+use lms_apps::{tangle_vertices, Backend, Pipeline};
 use lms_mesh::quality::{mesh_quality, vertex_qualities, QualityMetric};
 use lms_mesh::{generators, io, suite, Adjacency, Boundary, TriMesh};
 use lms_mesh3d::generators as gen3;
@@ -251,7 +251,7 @@ fn cmd_improve(o: &Opts) -> Result<String, String> {
         let displaced = tangle_vertices(&mut mesh, stride);
         eprintln!("tangled {displaced} vertices (--tangle {stride})");
     }
-    let report = Pipeline::standard(o.ordering).run(&mut mesh);
+    let report = Pipeline::standard(o.ordering, Backend::Serial).run(&mut mesh);
     save(&mesh, out)?;
     let mut msg = String::new();
     for s in &report.stages {

@@ -44,7 +44,7 @@ pub fn dist(cfg: &ExpConfig) -> String {
         // in-process engine bit for bit — coordinates and report
         let (dist_mesh, report) = {
             let mut m = named.mesh.clone();
-            let r = dist_engine.smooth(&mut m);
+            let r = dist_engine.smooth_with(&mut m, &FtOptions::default());
             (m, r)
         };
         {
@@ -56,7 +56,8 @@ pub fn dist(cfg: &ExpConfig) -> String {
         let plan = MessagePlan::build(resident.exchange_schedule());
         let (_, t1) = time_it(|| resident.smooth(&mut named.mesh.clone(), 1));
         let (_, t2) = time_it(|| resident.smooth(&mut named.mesh.clone(), 2));
-        let (_, td) = time_it(|| dist_engine.smooth(&mut named.mesh.clone()));
+        let (_, td) =
+            time_it(|| dist_engine.smooth_with(&mut named.mesh.clone(), &FtOptions::default()));
         let rounds = volume.exchange_rounds.max(1);
         table.row(vec![
             named.spec.name.to_string(),

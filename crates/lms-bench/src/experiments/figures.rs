@@ -2,6 +2,7 @@
 
 use crate::common::{first_sweep_trace, full_trace, ordered_mesh, time_it, ExpConfig};
 use crate::table::{f, Table};
+use lms_apps::{smooth, Backend};
 use lms_cache::{binned_means, ReuseDistanceAnalyzer, ReuseStats};
 use lms_mesh::suite;
 use lms_order::OrderingKind;
@@ -44,8 +45,13 @@ pub fn fig1(cfg: &ExpConfig) -> String {
         hierarchy.run_trace(&trace);
         let l1 = hierarchy.stats_of("L1").expect("L1 exists");
 
-        let (report, wall) =
-            time_it(|| SmoothParams::paper().with_max_iters(cfg.max_iters).smooth(&mut m.clone()));
+        let (report, wall) = time_it(|| {
+            smooth(
+                &mut m.clone(),
+                SmoothParams::paper().with_max_iters(cfg.max_iters),
+                Backend::Serial,
+            )
+        });
 
         table.row(vec![
             kind.name().to_string(),

@@ -4,6 +4,7 @@
 
 use crate::common::{first_sweep_trace, full_trace, ordered_mesh, time_it, ExpConfig};
 use crate::table::{f, pct, Table};
+use lms_apps::{smooth, Backend};
 use lms_cache::reuse::ReuseStats;
 use lms_cache::sampled::sampled_distances;
 use lms_cache::tlb::{Tlb, TlbConfig};
@@ -194,7 +195,7 @@ pub fn parrdr(cfg: &ExpConfig) -> String {
             let span = layout_stats_permuted(&named.mesh, &adj, &perm).mean_span;
             let m = perm.apply_to_mesh(&named.mesh);
             let params = SmoothParams::paper().with_max_iters(cfg.max_iters.min(8));
-            let (_, t_smooth) = time_it(|| params.smooth(&mut m.clone()));
+            let (_, t_smooth) = time_it(|| smooth(&mut m.clone(), params, Backend::Serial));
             let t_ms = t.as_secs_f64() * 1e3;
             if chunks == 1 {
                 base_ms = t_ms;

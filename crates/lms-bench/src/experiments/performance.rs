@@ -3,6 +3,7 @@
 
 use crate::common::{first_sweep_trace, ordered_mesh, time_it, ExpConfig};
 use crate::table::{f, pct, Table};
+use lms_apps::{smooth, Backend};
 use lms_cache::{CostModel, ReuseDistanceAnalyzer, StackDistanceModel};
 use lms_order::{rdr_ordering, OrderingKind};
 use lms_smooth::{SmoothEngine, SmoothParams};
@@ -22,7 +23,7 @@ pub fn fig8(cfg: &ExpConfig) -> String {
         for kind in OrderingKind::PAPER_TRIO {
             let m = ordered_mesh(&named.mesh, kind);
             let params = SmoothParams::paper().with_max_iters(cfg.max_iters);
-            let (_, wall) = time_it(|| params.smooth(&mut m.clone()));
+            let (_, wall) = time_it(|| smooth(&mut m.clone(), params, Backend::Serial));
             times.push(wall.as_secs_f64() * 1e3);
         }
         let (ori, bfs, rdr) = (times[0], times[1], times[2]);
@@ -145,9 +146,10 @@ pub fn cost(cfg: &ExpConfig) -> String {
     for named in cfg.meshes() {
         let (perm, reorder_t) = time_it(|| rdr_ordering(&named.mesh));
         let one_iter = SmoothParams::paper().with_max_iters(1);
-        let (_, t_ori) = time_it(|| one_iter.smooth(&mut named.mesh.clone()));
+        let (_, t_ori) =
+            time_it(|| smooth(&mut named.mesh.clone(), one_iter.clone(), Backend::Serial));
         let rdr_mesh = perm.apply_to_mesh(&named.mesh);
-        let (_, t_rdr) = time_it(|| one_iter.smooth(&mut rdr_mesh.clone()));
+        let (_, t_rdr) = time_it(|| smooth(&mut rdr_mesh.clone(), one_iter, Backend::Serial));
         let reorder_ms = reorder_t.as_secs_f64() * 1e3;
         let ori_ms = t_ori.as_secs_f64() * 1e3;
         let rdr_ms = t_rdr.as_secs_f64() * 1e3;

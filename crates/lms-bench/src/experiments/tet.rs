@@ -9,6 +9,7 @@
 
 use crate::common::{scaled_westmere, time_it, ExpConfig};
 use crate::table::{f, k, Table};
+use lms_apps::{smooth, Backend};
 use lms_cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms_mesh3d::generators::{generate3, SUITE3};
 use lms_mesh3d::order::{apply_permutation3, compute_ordering3, sweep_trace3, OrderingKind3};
@@ -53,7 +54,7 @@ pub fn tet(cfg: &ExpConfig) -> String {
             let stats = h.level_stats();
 
             let params = SmoothParams3::paper().with_max_iters(cfg.max_iters.min(20));
-            let (_, wall) = time_it(|| params.smooth(&mut m.clone()));
+            let (_, wall) = time_it(|| smooth(&mut m.clone(), params, Backend::Serial));
             times.push(wall.as_secs_f64() * 1e3);
 
             table.row(vec![
@@ -96,7 +97,7 @@ pub fn tet_quality(cfg: &ExpConfig) -> String {
         let params = SmoothParams3::paper()
             .with_update(lms_mesh3d::UpdateScheme3::Jacobi)
             .with_max_iters(cfg.max_iters.min(40));
-        let report = params.smooth(&mut m.clone());
+        let report = smooth(&mut m.clone(), params, Backend::Serial);
         table.row(vec![
             kind.name().to_string(),
             f(report.initial_quality, 4),

@@ -8,10 +8,9 @@
 //! [`DistResidentEngineOn`] wraps a [`ResidentEngineOn`] and reuses its
 //! blocks, schedule, color classes and stat weights verbatim — so the
 //! only difference between `engine.inner().smooth(mesh, t)` and
-//! `engine.smooth(mesh)` is the transport. That is exactly what the
-//! cross-transport oracle (`tests/oracle.rs`) pins: bit-identical
-//! coordinates *and* bit-identical reports, exchange accounting
-//! included.
+//! `engine.smooth_with(mesh, &options)` is the transport. That is exactly
+//! what the cross-transport oracle (`tests/oracle.rs`) pins: bit-identical
+//! coordinates *and* bit-identical reports, exchange accounting included.
 //!
 //! Runs are **fault tolerant**: [`smooth_ft`] drives the process
 //! transport through `lms_smooth::drive_resident_ft`, so a rank that
@@ -19,15 +18,15 @@
 //! detected, respawned from the last iteration-boundary checkpoint, and
 //! the lost work replayed — with a final state bit-identical to a
 //! failure-free run (`tests/chaos.rs` pins this). When rank processes
-//! cannot be forked at all, [`smooth`] degrades gracefully to the
+//! cannot be forked at all, [`smooth_with`] degrades gracefully to the
 //! in-process resident engine, which computes the same answer.
 //!
-//! Rank processes are spawned per run and reaped before [`smooth`]
+//! Rank processes are spawned per run and reaped before [`smooth_with`]
 //! returns (`full_gathers == 1 && full_scatters == 1` still holds: the
 //! block is gathered once, resident in its rank for the whole run, and
 //! scattered once).
 //!
-//! [`smooth`]: DistResidentEngineOn::smooth
+//! [`smooth_with`]: DistResidentEngineOn::smooth_with
 //! [`smooth_ft`]: DistResidentEngineOn::smooth_ft
 
 use crate::error::DistError;
@@ -183,9 +182,8 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
     /// [`smooth_ft`](Self::smooth_ft) with an explicit driver-side
     /// [`TraceSink`], additionally returning the coordinator's
     /// [`TransportProfile`] (all-zero unless `options.profile` is set).
-    /// The building block of [`smooth_profiled`](Self::smooth_profiled);
-    /// exposed so callers can plug custom sinks.
-    pub fn smooth_ft_with<S: TraceSink>(
+    /// The building block of [`smooth_profiled`](Self::smooth_profiled).
+    fn smooth_ft_with<S: TraceSink>(
         &self,
         mesh: &mut M,
         options: &FtOptions,
@@ -265,18 +263,12 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
         Ok((report, stats, recorder))
     }
 
-    /// Distributed resident Gauss–Seidel smoothing with the default
-    /// fault-tolerance options. When rank processes cannot be spawned at
-    /// all (fork/pipe refused), degrades gracefully to the in-process
-    /// resident engine — same answer, shared address space. Any other
-    /// failure (recovery budget exhausted, abnormal teardown) panics with
-    /// the typed diagnosis.
-    pub fn smooth(&self, mesh: &mut M) -> SmoothReport {
-        self.smooth_with(mesh, &FtOptions::default())
-    }
-
-    /// [`smooth`](Self::smooth) with explicit options (used by the chaos
-    /// suite to script faults through the degradation path).
+    /// Distributed resident Gauss–Seidel smoothing under `options`. When
+    /// no rank group can be established (fork/pipe refused, or no worker
+    /// dials back), degrades gracefully to the in-process resident engine
+    /// — same answer, shared address space. Any other failure (recovery
+    /// budget exhausted, abnormal teardown) panics with the typed
+    /// diagnosis.
     pub fn smooth_with(&self, mesh: &mut M, options: &FtOptions) -> SmoothReport {
         match self.smooth_ft(mesh, options) {
             Ok((report, _)) => report,

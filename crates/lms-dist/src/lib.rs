@@ -46,7 +46,7 @@
 //! let mut mesh = lms_mesh::generators::perturbed_grid(16, 16, 0.35, 1);
 //! let params = SmoothParams::paper().with_max_iters(4);
 //! let engine = lms_dist::DistResidentEngine::by_method(&mesh, params, 2, PartitionMethod::Rcb);
-//! let report = engine.smooth(&mut mesh);
+//! let report = engine.smooth_with(&mut mesh, &lms_dist::FtOptions::default());
 //! assert!(report.final_quality > report.initial_quality);
 //! let volume = report.exchange.unwrap();
 //! assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
@@ -88,6 +88,7 @@ pub(crate) mod codec {
 
 #[cfg(test)]
 mod tests {
+    use crate::FtOptions;
     use lms_part::PartitionMethod;
     use lms_smooth::SmoothParams;
 
@@ -100,7 +101,7 @@ mod tests {
         let engine = super::DistResidentEngine::by_method(&mesh, params, 2, PartitionMethod::Rcb);
         assert_eq!(engine.num_ranks(), 2);
         let mut dist = mesh.clone();
-        let dist_report = engine.smooth(&mut dist);
+        let dist_report = engine.smooth_with(&mut dist, &FtOptions::default());
         let mut local = mesh.clone();
         let local_report = engine.inner().smooth(&mut local, 2);
         assert_eq!(dist.coords(), local.coords());

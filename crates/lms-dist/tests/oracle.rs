@@ -21,7 +21,7 @@ fn dist_matches_in_process_2d_across_parts_and_modes() {
             assert_eq!(engine.num_ranks(), parts);
 
             let mut dist = mesh.clone();
-            let dist_report = engine.smooth(&mut dist);
+            let dist_report = engine.smooth_with(&mut dist, &FtOptions::default());
             for threads in [1usize, 2, 4] {
                 let mut local = mesh.clone();
                 let local_report = engine.inner().smooth(&mut local, threads);
@@ -51,7 +51,7 @@ fn dist_matches_serial_part_major_gauss_seidel_2d() {
     let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
     let engine = DistResidentEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Hilbert);
     let mut dist = mesh.clone();
-    engine.smooth(&mut dist);
+    engine.smooth_with(&mut dist, &FtOptions::default());
     let serial =
         SmoothEngine::new(&mesh, params).with_visit_order(engine.inner().part_major_visit_order());
     let mut reference = mesh.clone();
@@ -69,7 +69,7 @@ fn dist_matches_in_process_3d_across_parts_and_modes() {
             assert_eq!(engine.num_ranks(), parts);
 
             let mut dist = mesh.clone();
-            let dist_report = engine.smooth(&mut dist);
+            let dist_report = engine.smooth_with(&mut dist, &FtOptions::default());
             let mut local = mesh.clone();
             let local_report = engine.inner().smooth(&mut local, 2);
             assert_eq!(
@@ -92,7 +92,7 @@ fn dist_matches_serial_part_major_gauss_seidel_3d() {
     let params = SmoothParams3::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
     let engine = DistResidentEngine3::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb);
     let mut dist = mesh.clone();
-    engine.smooth(&mut dist);
+    engine.smooth_with(&mut dist, &FtOptions::default());
     let mut reference = mesh.clone();
     SmoothEngine3::new(&mesh, params)
         .with_visit_order(engine.inner().part_major_visit_order())
@@ -106,7 +106,7 @@ fn single_rank_run_works_and_exchanges_nothing() {
     let params = SmoothParams::paper().with_max_iters(3);
     let engine = DistResidentEngine::by_method(&mesh, params, 1, PartitionMethod::Morton);
     let mut work = mesh.clone();
-    let report = engine.smooth(&mut work);
+    let report = engine.smooth_with(&mut work, &FtOptions::default());
     assert!(report.final_quality > report.initial_quality);
     let volume = report.exchange.unwrap();
     assert_eq!(volume.halo_entries_sent, 0);
@@ -125,7 +125,7 @@ fn engines_sharing_a_decomposition_agree_with_existing_engine_zoo() {
     let serial = SmoothEngine::new(&mesh, params)
         .with_visit_order(dist_engine.inner().part_major_visit_order());
     let mut a = mesh.clone();
-    dist_engine.smooth(&mut a);
+    dist_engine.smooth_with(&mut a, &FtOptions::default());
     let mut b = mesh.clone();
     serial.smooth(&mut b);
     assert_eq!(a.coords(), b.coords());

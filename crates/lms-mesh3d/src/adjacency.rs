@@ -1,6 +1,6 @@
 //! CSR adjacency for tetrahedral meshes.
 //!
-//! Mirrors [`lms_mesh::Adjacency`]: vertex→vertex neighbour lists (sorted,
+//! Mirrors `lms_mesh::Adjacency`: vertex→vertex neighbour lists (sorted,
 //! deduplicated) drive the smoothing sweep and the orderings; vertex→tet
 //! incidence drives quality evaluation. Implements [`lms_order::Graph`]
 //! so every graph-generic ordering core (BFS, DFS, RCM, RDR, …) runs on

@@ -24,12 +24,12 @@
 //! * [`sfc`] — 3D Hilbert and Morton space-filling-curve orderings.
 //!
 //! ```
-//! use lms_mesh3d::{generators, order, Adjacency3, SmoothParams3};
+//! use lms_mesh3d::{generators, order, SmoothEngine3, SmoothParams3};
 //!
 //! let mut mesh = generators::perturbed_tet_grid(8, 8, 8, 0.35, 42);
 //! let perm = order::compute_ordering3(&mesh, order::OrderingKind3::Rdr);
 //! let mut reordered = order::apply_permutation3(&perm, &mesh);
-//! let report = SmoothParams3::paper().smooth(&mut reordered);
+//! let report = SmoothEngine3::new(&reordered, SmoothParams3::paper()).smooth(&mut reordered);
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
 

@@ -48,7 +48,7 @@ impl std::error::Error for Mesh3Error {}
 
 /// An indexed tetrahedral mesh.
 ///
-/// The 3D analogue of [`lms_mesh::TriMesh`]: vertices in a flat coordinate
+/// The 3D analogue of `lms_mesh::TriMesh`: vertices in a flat coordinate
 /// array (the array the paper's reorderings permute), connectivity as
 /// vertex-index quadruples. Positive orientation means positive
 /// [`signed_volume`] of `(v0, v1, v2, v3)`.

@@ -293,15 +293,16 @@ mod tests {
         let adj = Adjacency3::build(&m);
         let boundary = Boundary3::detect(&m);
         let q = vertex_qualities(&m, &adj, TetQualityMetric::EdgeLengthRatio);
-        let opts = RdrOptions { quality_bins: None, ..Default::default() };
+        let opts = RdrOptions::default();
         let p = rdr_ordering3_with(&adj, &boundary, &q, &opts);
         let first = p.new_to_old()[0];
         assert!(boundary.is_interior(first));
+        // the smallest (quality bin, index) key among interior vertices
         let worst = (0..m.num_vertices() as u32)
             .filter(|&v| boundary.is_interior(v))
-            .min_by(|&a, &b| q[a as usize].partial_cmp(&q[b as usize]).unwrap())
+            .min_by_key(|&v| opts.key(v, &q))
             .unwrap();
-        assert_eq!(q[first as usize], q[worst as usize]);
+        assert_eq!(first, worst);
     }
 
     #[test]

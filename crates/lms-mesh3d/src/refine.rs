@@ -1,7 +1,7 @@
 //! Uniform midpoint refinement of tetrahedra: split every tet into eight
 //! at its edge midpoints (1→8 "red" refinement).
 //!
-//! The 3D twin of `lms-mesh`'s [`refine_midpoint`]: each refinement level
+//! The 3D twin of `lms_mesh::refine::refine_midpoint`: each refinement level
 //! multiplies the tet count by 8 with identical geometry, giving the 3D
 //! experiments a mesh-size axis. The four corner children are similar to
 //! the parent; the central octahedron is split into four tets along one of
@@ -11,8 +11,6 @@
 //! Vertex numbering: original vertices keep their ids, followed by one
 //! midpoint per original edge in sorted-edge order — the refined ORI
 //! numbering inherits the coarse mesh's locality structure.
-//!
-//! [`refine_midpoint`]: lms_mesh::refine::refine_midpoint
 
 use crate::geometry::Point3;
 use crate::mesh::TetMesh;

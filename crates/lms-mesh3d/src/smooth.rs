@@ -23,7 +23,6 @@ use crate::mesh::TetMesh;
 use crate::quality::TetQualityMetric;
 use lms_part::{Partition, PartitionMethod};
 use lms_smooth::domain::DomainConfig;
-use lms_smooth::stats::SmoothReport;
 use lms_smooth::{SmoothEngineOn, SmoothMesh, Weighting};
 
 /// Update scheme for the 3D sweep — the 2D engine's, under its 3D name.
@@ -97,11 +96,6 @@ impl SmoothParams3 {
     pub fn with_scalar_scoring(mut self, scalar_scoring: bool) -> Self {
         self.scalar_scoring = scalar_scoring;
         self
-    }
-
-    /// Build a [`SmoothEngine3`] for `mesh` and run it.
-    pub fn smooth(&self, mesh: &mut TetMesh) -> SmoothReport {
-        SmoothEngine3::new(mesh, self.clone()).smooth(mesh)
     }
 }
 
@@ -211,7 +205,7 @@ mod tests {
     #[test]
     fn smoothing_improves_quality() {
         let mut m = perturbed_tet_grid(8, 8, 8, 0.4, 1);
-        let report = SmoothParams3::paper().smooth(&mut m);
+        let report = SmoothEngine3::new(&m, SmoothParams3::paper()).smooth(&mut m);
         assert!(
             report.final_quality > report.initial_quality + 0.01,
             "{} -> {}",
@@ -297,7 +291,9 @@ mod tests {
             let mut m = perturbed_tet_grid(6, 6, 6, 0.42, seed);
             m.orient_positive();
             assert!(m.is_positively_oriented());
-            let report = SmoothParams3::paper().with_smart(true).with_max_iters(15).smooth(&mut m);
+            let report =
+                SmoothEngine3::new(&m, SmoothParams3::paper().with_smart(true).with_max_iters(15))
+                    .smooth(&mut m);
             for w in report.iterations.windows(2) {
                 assert!(w[1].quality >= w[0].quality - 1e-12, "seed {seed} regressed");
             }

@@ -5,7 +5,7 @@ use lms_mesh3d::order::{
     apply_permutation3, compute_ordering3, mean_neighbor_span3, OrderingKind3,
 };
 use lms_mesh3d::quality::{mesh_quality, vertex_qualities, TetQualityMetric};
-use lms_mesh3d::{Adjacency3, Boundary3, SmoothParams3, TetMesh, UpdateScheme3};
+use lms_mesh3d::{Adjacency3, Boundary3, SmoothEngine3, SmoothParams3, TetMesh, UpdateScheme3};
 use lms_smooth::checks;
 use proptest::prelude::*;
 
@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn smoothing_never_moves_boundary_and_never_decreases_quality_much(m in small_mesh()) {
         let mut sm = m.clone();
-        let report = SmoothParams3::paper().with_max_iters(20).smooth(&mut sm);
+        let report = SmoothEngine3::new(&sm, SmoothParams3::paper().with_max_iters(20)).smooth(&mut sm);
         let b = Boundary3::detect(&m);
         for &v in &b.boundary_vertices() {
             prop_assert_eq!(sm.coords()[v as usize], m.coords()[v as usize]);

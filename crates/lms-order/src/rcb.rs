@@ -14,7 +14,7 @@
 //!
 //! The recursion passes each subset's **exact** bounding box down instead
 //! of re-scanning all ids at every level: along the split axis the child
-//! extents fall out of the split itself (see [`median_split`]), so only
+//! extents fall out of the split itself (see `median_split`), so only
 //! the off-axis extents and the left half's split-axis maximum need a
 //! fold — one fused pass per split instead of a fresh full-box scan per
 //! child, with a bit-identical resulting permutation.

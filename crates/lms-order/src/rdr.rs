@@ -29,43 +29,32 @@ pub struct RdrOptions {
     /// Quality metric used to rank vertices (the paper uses
     /// edge-length ratio).
     pub metric: QualityMetric,
-    /// Number of quality bins used for the worst-first comparisons
-    /// (`None` = exact float order).
-    ///
-    /// With exact float qualities on a mesh whose quality varies at the
-    /// edge scale (every jittered mesh), the "worst unprocessed neighbour"
-    /// choice is noise-driven: a chain behaves like a random self-avoiding
-    /// walk and traps within tens of steps. Binning (ties then break by
-    /// vertex index) keeps the worst-quality-first semantics at bin
-    /// granularity and lets a generator's coherent numbering steer the
-    /// chains instead. Trapped chains no longer fragment the layout either
-    /// way — the next chain starts on the frontier of what is laid out
-    /// ([`crate::graph::rdr_ordering_on`]), not at a far-away seed — so on
-    /// an input without locality the choice moves the mean neighbour span
-    /// by about ±10 % (768² shuffled grid: 8 200–9 400 across `None` and
-    /// 1–64 bins).
-    pub quality_bins: Option<u32>,
 }
 
 impl Default for RdrOptions {
     fn default() -> Self {
-        RdrOptions { metric: QualityMetric::EdgeLengthRatio, quality_bins: Some(4) }
+        RdrOptions { metric: QualityMetric::EdgeLengthRatio }
     }
 }
 
+/// Number of equal-width quality bins over `[0, 1]` the worst-first
+/// comparisons rank by.
+///
+/// With exact float qualities on a mesh whose quality varies at the edge
+/// scale (every jittered mesh), the "worst unprocessed neighbour" choice
+/// is noise-driven: a chain behaves like a random self-avoiding walk and
+/// traps within tens of steps. Binning (ties then break by vertex index)
+/// keeps the worst-quality-first semantics at bin granularity and lets a
+/// generator's coherent numbering steer the chains instead.
+const QUALITY_BINS: f64 = 4.0;
+
 impl RdrOptions {
-    /// The sort key of vertex `v`: binned (or exact) quality, ties broken
-    /// by vertex index.
+    /// The sort key of vertex `v`: its quality bin, ties broken by vertex
+    /// index.
     #[inline]
     pub fn key(&self, v: u32, quality: &[f64]) -> (u64, u32) {
         let q = quality[v as usize];
-        let qk = match self.quality_bins {
-            Some(bins) => (q.clamp(0.0, 1.0) * bins as f64).floor() as u64,
-            // exact: total-order the float via its bit pattern (qualities
-            // are non-negative, so bit order = numeric order)
-            None => q.max(0.0).to_bits(),
-        };
-        (qk, v)
+        ((q.clamp(0.0, 1.0) * QUALITY_BINS).floor() as u64, v)
     }
 
     /// Sort vertex ids in place by [`RdrOptions::key`] — the worst-first
@@ -144,26 +133,6 @@ mod tests {
         }
     }
 
-    /// Exact-sort options (no quality binning), for tests pinning the
-    /// literal pseudocode behaviour.
-    fn exact_opts() -> RdrOptions {
-        RdrOptions { quality_bins: None, ..Default::default() }
-    }
-
-    #[test]
-    fn first_vertex_is_the_worst_interior_one() {
-        let m = generators::perturbed_grid(12, 12, 0.4, 5);
-        let (adj, boundary, q) = full_setup(&m);
-        let p = rdr_ordering_with(&adj, &boundary, &q, &exact_opts());
-        let first = p.new_to_old()[0];
-        assert!(boundary.is_interior(first));
-        let worst = (0..m.num_vertices() as u32)
-            .filter(|&v| boundary.is_interior(v))
-            .min_by(|&a, &b| q[a as usize].partial_cmp(&q[b as usize]).unwrap())
-            .unwrap();
-        assert_eq!(q[first as usize], q[worst as usize]);
-    }
-
     #[test]
     fn binned_first_vertex_is_in_the_worst_occupied_bin() {
         let m = generators::perturbed_grid(12, 12, 0.4, 5);
@@ -171,8 +140,8 @@ mod tests {
         let opts = RdrOptions::default();
         let p = rdr_ordering_with(&adj, &boundary, &q, &opts);
         let first = p.new_to_old()[0];
-        let bins = opts.quality_bins.unwrap() as f64;
-        let bin = |v: u32| (q[v as usize].clamp(0.0, 1.0) * bins).floor() as u64;
+        assert!(boundary.is_interior(first));
+        let bin = |v: u32| (q[v as usize].clamp(0.0, 1.0) * QUALITY_BINS).floor() as u64;
         let worst_bin = (0..m.num_vertices() as u32)
             .filter(|&v| boundary.is_interior(v))
             .map(bin)
@@ -185,7 +154,7 @@ mod tests {
     fn neighbours_of_first_vertex_come_right_after_it() {
         let m = generators::perturbed_grid(10, 10, 0.35, 8);
         let (adj, boundary, q) = full_setup(&m);
-        let opts = exact_opts();
+        let opts = RdrOptions::default();
         let p = rdr_ordering_with(&adj, &boundary, &q, &opts);
         let order = p.new_to_old();
         let first = order[0];
@@ -208,7 +177,7 @@ mod tests {
         for metric in
             [QualityMetric::EdgeLengthRatio, QualityMetric::MinAngle, QualityMetric::RadiusRatio]
         {
-            let opts = RdrOptions { metric, ..Default::default() };
+            let opts = RdrOptions { metric };
             let p = rdr_ordering_opts(&m, &opts);
             assert_eq!(p.len(), 13);
         }
@@ -229,33 +198,5 @@ mod tests {
         .unwrap();
         let p = rdr_ordering(&m);
         assert!(p.is_identity());
-    }
-
-    #[test]
-    fn rdr_improves_quality_locality_over_random() {
-        // Consecutive RDR positions should hold vertices of similar quality
-        // near the start (ascending-quality chains); at minimum, the first
-        // decile must have below-average quality.
-        // The literal pseudocode (exact quality order) walks worst-first,
-        // so the head decile sits below the global mean. Averaged over
-        // several meshes so one marginal draw cannot flip the comparison.
-        // (The binned default trades this property for spatial coherence —
-        // see `RdrOptions::quality_bins` — so it is not asserted there.)
-        let mut head_sum = 0.0;
-        let mut global_sum = 0.0;
-        for seed in [7, 19, 42, 77] {
-            let m = generators::perturbed_grid(20, 20, 0.4, seed);
-            let (adj, boundary, q) = full_setup(&m);
-            let p = rdr_ordering_with(&adj, &boundary, &q, &exact_opts());
-            let order = p.new_to_old();
-            let n = order.len();
-            head_sum +=
-                order[..n / 10].iter().map(|&v| q[v as usize]).sum::<f64>() / (n / 10) as f64;
-            global_sum += q.iter().sum::<f64>() / n as f64;
-        }
-        assert!(
-            head_sum < global_sum,
-            "mean head quality {head_sum} should be below mean global quality {global_sum}"
-        );
     }
 }

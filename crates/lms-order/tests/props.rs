@@ -70,10 +70,6 @@ fn detached(g: &impl Graph, p: &Permutation) -> usize {
         .count()
 }
 
-fn rdr_options(binned: bool) -> RdrOptions {
-    RdrOptions { quality_bins: binned.then_some(4), ..Default::default() }
-}
-
 fn is_bijection(p: &Permutation, n: usize) -> bool {
     if p.len() != n {
         return false;
@@ -112,14 +108,13 @@ proptest! {
         interior_bits in any::<u64>(),
         all_boundary in any::<bool>(),
         quality in proptest::collection::vec(0.0f64..1.0, 40..41),
-        binned in any::<bool>(),
         chunks in 1usize..6,
     ) {
         let (offsets, neighbors) = csr_from_pairs(n, &pairs);
         let g = CsrGraph::new(&offsets, &neighbors);
         let interior: Vec<bool> =
             (0..n).map(|v| !all_boundary && interior_bits >> v & 1 == 1).collect();
-        let options = rdr_options(binned);
+        let options = RdrOptions::default();
         let serial = rdr_ordering_on(&g, &interior, &quality[..n], &options);
         prop_assert!(is_bijection(&serial, n));
         // the first chain still starts at the worst interior vertex
@@ -147,11 +142,10 @@ proptest! {
         n in 1usize..40,
         pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..90),
         quality in proptest::collection::vec(0.0f64..1.0, 40..41),
-        binned in any::<bool>(),
     ) {
         let (offsets, neighbors) = csr_from_pairs(n, &pairs);
         let g = CsrGraph::new(&offsets, &neighbors);
-        let p = rdr_ordering_on(&g, &vec![true; n], &quality[..n], &rdr_options(binned));
+        let p = rdr_ordering_on(&g, &vec![true; n], &quality[..n], &RdrOptions::default());
         prop_assert_eq!(detached(&g, &p), components(&g));
     }
 

@@ -28,14 +28,14 @@
 //! The sweep is *exactly* serial Gauss–Seidel under the class-major visit
 //! order ([`SmoothEngineOn::colored_visit_order`]) — property-tested
 //! bit-for-bit in `tests/colored.rs` — and converges to the same fixed
-//! point as any other Gauss–Seidel order. [`smooth_colored_on`] is the one
-//! body, and [`SmoothEngineOn::smooth_parallel_colored`] runs it in every
+//! point as any other Gauss–Seidel order.
+//! [`SmoothEngineOn::smooth_parallel_colored`] is the one body, in every
 //! dimension (a tet's four corners are mutually adjacent, so the class
 //! argument holds verbatim in 3D).
 
 use crate::config::UpdateScheme;
 use crate::dcache::DomainQualityCache;
-use crate::domain::{DomainConfig, SmoothDomain};
+use crate::domain::SmoothDomain;
 #[cfg(doc)]
 use crate::engine::SmoothEngine;
 use crate::engine::{SmoothEngineOn, SmoothMesh};
@@ -161,66 +161,6 @@ fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
     }
 }
 
-/// The generic colored-Gauss–Seidel driver: in-place smoothing of
-/// `coords` one color class at a time, race-free and
-/// bitwise-deterministic for any thread count. `classes` must be the
-/// movable (interior) vertices grouped by color, ascending within each
-/// class; the caller provides the pool (engines cache one per instance).
-pub fn smooth_colored_on<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    classes: &[Vec<u32>],
-    coords: &mut [D::Point],
-    pool: &rayon::ThreadPool,
-) -> SmoothReport {
-    assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
-    assert_eq!(
-        cfg.update,
-        UpdateScheme::GaussSeidel,
-        "colored smoothing is an in-place (Gauss-Seidel) schedule; \
-         use smooth_parallel for deterministic Jacobi"
-    );
-    let mut cache = DomainQualityCache::build(dom, coords);
-    let initial_quality = cache.quality_exact(dom);
-    let mut report = SmoothReport::starting(initial_quality);
-    let mut quality = initial_quality;
-    let mut moved: Vec<u32> = Vec::new();
-
-    for iter in 1..=cfg.max_iters {
-        moved.clear();
-        for class in classes {
-            if class.is_empty() {
-                continue;
-            }
-            if cfg.smart {
-                colored_class_smart_on(dom, cfg.weighting, class, coords, &mut cache, pool);
-            } else {
-                colored_class_plain_on(dom, cfg.weighting, class, coords, &mut moved, pool);
-            }
-        }
-        if !moved.is_empty() {
-            cache.apply_moves(dom, &moved, coords);
-        }
-
-        let new_quality = cache.quality_running();
-        let improvement = new_quality - quality;
-        report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-        quality = new_quality;
-        if improvement < cfg.tol {
-            report.converged = true;
-            break;
-        }
-    }
-
-    let exact =
-        if report.iterations.is_empty() { initial_quality } else { cache.quality_exact(dom) };
-    if let Some(last) = report.iterations.last_mut() {
-        last.quality = exact;
-    }
-    report.final_quality = exact;
-    report
-}
-
 impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// Greedy coloring of the engine's vertex–vertex adjacency, with each
     /// color class restricted to interior vertices (ascending within a
@@ -247,19 +187,65 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
         self.interior_color_classes().iter().flatten().copied().collect()
     }
 
-    /// In-place Gauss–Seidel smoothing, parallelised by color class
-    /// ([`smooth_colored_on`]): race-free, bitwise-deterministic for any
-    /// `num_threads`, and with true in-place convergence behaviour
-    /// (unlike the Jacobi engine). Honours the engine's `smart` flag
-    /// through the same incremental quality-cache protocol as the serial
-    /// hot path; the `Jacobi` update scheme is rejected (use
-    /// [`smooth_parallel`](Self::smooth_parallel), which is already
-    /// deterministic).
+    /// In-place Gauss–Seidel smoothing, parallelised by color class:
+    /// race-free, bitwise-deterministic for any `num_threads`, and with
+    /// true in-place convergence behaviour (unlike the Jacobi engine).
+    /// Honours the engine's `smart` flag through the same incremental
+    /// quality-cache protocol as the serial hot path; the `Jacobi` update
+    /// scheme is rejected (use [`smooth_parallel`](Self::smooth_parallel),
+    /// which is already deterministic).
     pub fn smooth_parallel_colored(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         // one persistent pool per engine: the spawn cost of the shim's
         // parked workers is paid on the first run at this thread count
         let pool = self.pool.get(num_threads);
         let classes = self.interior_color_classes();
-        smooth_colored_on(&self.domain(), &self.domain_config(), classes, mesh.coords_mut(), &pool)
+        let (dom, cfg) = (self.domain(), self.domain_config());
+        let coords = mesh.coords_mut();
+        assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
+        assert_eq!(
+            cfg.update,
+            UpdateScheme::GaussSeidel,
+            "colored smoothing is an in-place (Gauss-Seidel) schedule; \
+             use smooth_parallel for deterministic Jacobi"
+        );
+        let mut cache = DomainQualityCache::build(&dom, coords);
+        let initial_quality = cache.quality_exact(&dom);
+        let mut report = SmoothReport::starting(initial_quality);
+        let mut quality = initial_quality;
+        let mut moved: Vec<u32> = Vec::new();
+
+        for iter in 1..=cfg.max_iters {
+            moved.clear();
+            for class in classes {
+                if class.is_empty() {
+                    continue;
+                }
+                if cfg.smart {
+                    colored_class_smart_on(&dom, cfg.weighting, class, coords, &mut cache, &pool);
+                } else {
+                    colored_class_plain_on(&dom, cfg.weighting, class, coords, &mut moved, &pool);
+                }
+            }
+            if !moved.is_empty() {
+                cache.apply_moves(&dom, &moved, coords);
+            }
+
+            let new_quality = cache.quality_running();
+            let improvement = new_quality - quality;
+            report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
+            quality = new_quality;
+            if improvement < cfg.tol {
+                report.converged = true;
+                break;
+            }
+        }
+
+        let exact =
+            if report.iterations.is_empty() { initial_quality } else { cache.quality_exact(&dom) };
+        if let Some(last) = report.iterations.last_mut() {
+            last.quality = exact;
+        }
+        report.final_quality = exact;
+        report
     }
 }

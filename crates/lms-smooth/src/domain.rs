@@ -748,7 +748,7 @@ fn star_valid_with<const C: usize, D: SmoothDomain<C>>(
 /// `sink`; with `trace_elements` it then also reports its incident
 /// elements as ids `num_vertices + t` (the quality update of Algorithm 1,
 /// line 13).
-pub fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
+pub(crate) fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     dom: &D,
     cfg: &DomainConfig,
     visit: &[u32],

@@ -5,7 +5,7 @@
 //! element connectivity, sweep visit order — and runs every serial path
 //! over its [`SmoothDomain`] view: [`smooth`](SmoothEngineOn::smooth) on
 //! the incremental [`SerialKernel`], the full-recompute and traced runs on
-//! the reference sweep [`smooth_reference_on`]. A dimension enters only
+//! the reference sweep `smooth_reference_on`. A dimension enters only
 //! through [`SmoothMesh`]: `TriMesh` implements it here (`C = 3`,
 //! [`SmoothEngine`]), `lms_mesh3d::TetMesh` in its own crate (`C = 4`,
 //! `lms_mesh3d::SmoothEngine3`). The parallel runs on the same struct live
@@ -311,7 +311,7 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
         kernel.run(mesh.coords_mut())
     }
 
-    /// The reference path ([`smooth_reference_on`]): recomputes the full
+    /// The reference path (`smooth_reference_on`): recomputes the full
     /// mesh quality from scratch every iteration and re-evaluates both
     /// sides of every smart-commit test. Kept as the oracle for property
     /// tests and as the baseline the `bench_smooth_hot` bench measures the
@@ -356,14 +356,6 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     }
 }
 
-/// Convenience: smooth with default construction in one call.
-impl SmoothParams {
-    /// Build a [`SmoothEngine`] for `mesh` and run it.
-    pub fn smooth(&self, mesh: &mut TriMesh) -> SmoothReport {
-        SmoothEngine::new(mesh, self.clone()).smooth(mesh)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +367,7 @@ mod tests {
     #[test]
     fn smoothing_improves_quality() {
         let mut m = generators::perturbed_grid(20, 20, 0.4, 1);
-        let report = SmoothParams::paper().smooth(&mut m);
+        let report = SmoothEngine::new(&m, SmoothParams::paper()).smooth(&mut m);
         assert!(report.final_quality > report.initial_quality + 0.01);
         assert!(report.converged, "small mesh should converge well before 200 sweeps");
     }
@@ -397,7 +389,7 @@ mod tests {
         }
         let tris = (0..6).map(|k| [0u32, 1 + k as u32, 1 + ((k + 1) % 6) as u32]).collect();
         let mut m = TriMesh::new(coords, tris).unwrap();
-        SmoothParams::paper().with_max_iters(1).smooth(&mut m);
+        SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(1)).smooth(&mut m);
         let c = m.coords()[0];
         assert!(c.norm() < 1e-12, "centre at {c:?}, expected origin");
     }
@@ -408,7 +400,7 @@ mod tests {
         // is why "smart" variants exist); on a jittered convex grid the
         // inverted fraction must nevertheless be negligible.
         let mut m = generators::perturbed_grid(25, 25, 0.38, 9);
-        SmoothParams::paper().smooth(&mut m);
+        SmoothEngine::new(&m, SmoothParams::paper()).smooth(&mut m);
         let inverted = (0..m.num_triangles())
             .filter(|&t| {
                 let [a, b, c] = m.tri_coords(t);
@@ -427,8 +419,9 @@ mod tests {
         let m0 = generators::perturbed_grid(16, 16, 0.35, 4);
         let mut gs = m0.clone();
         let mut jc = m0.clone();
-        let rg = SmoothParams::paper().smooth(&mut gs);
-        let rj = SmoothParams::paper().with_update(UpdateScheme::Jacobi).smooth(&mut jc);
+        let rg = SmoothEngine::new(&gs, SmoothParams::paper()).smooth(&mut gs);
+        let rj = SmoothEngine::new(&jc, SmoothParams::paper().with_update(UpdateScheme::Jacobi))
+            .smooth(&mut jc);
         assert!((rg.final_quality - rj.final_quality).abs() < 0.02);
     }
 
@@ -483,7 +476,7 @@ mod tests {
         for seed in [1u64, 9, 23, 41] {
             let mut m = generators::perturbed_grid(12, 12, 0.42, seed);
             let params = SmoothParams::paper().with_smart(true).with_max_iters(15);
-            let report = params.smooth(&mut m);
+            let report = SmoothEngine::new(&m, params).smooth(&mut m);
             for w in report.iterations.windows(2) {
                 assert!(
                     w[1].quality >= w[0].quality - 1e-12,
@@ -508,7 +501,7 @@ mod tests {
             .with_smart(true)
             .with_update(UpdateScheme::Jacobi)
             .with_max_iters(10);
-        let report = params.smooth(&mut m);
+        let report = SmoothEngine::new(&m, params).smooth(&mut m);
         for w in report.iterations.windows(2) {
             assert!(w[1].quality >= w[0].quality - 1e-12);
         }
@@ -521,8 +514,9 @@ mod tests {
         // coordinates themselves can differ: one rejected in-place move
         // shifts every downstream Gauss–Seidel update.)
         let base = generators::perturbed_grid(12, 12, 0.3, 3);
-        let rp = SmoothParams::paper().smooth(&mut base.clone());
-        let rs = SmoothParams::paper().with_smart(true).smooth(&mut base.clone());
+        let rp = SmoothEngine::new(&base, SmoothParams::paper()).smooth(&mut base.clone());
+        let rs = SmoothEngine::new(&base, SmoothParams::paper().with_smart(true))
+            .smooth(&mut base.clone());
         assert!((rp.final_quality - rs.final_quality).abs() < 0.02);
         assert!(rs.total_improvement() > 0.0);
     }
@@ -532,8 +526,11 @@ mod tests {
         use crate::config::Weighting;
         for weighting in [Weighting::InverseEdgeLength, Weighting::EdgeLength] {
             let mut m = generators::perturbed_grid(16, 16, 0.35, 4);
-            let report =
-                SmoothParams::paper().with_weighting(weighting).with_max_iters(100).smooth(&mut m);
+            let report = SmoothEngine::new(
+                &m,
+                SmoothParams::paper().with_weighting(weighting).with_max_iters(100),
+            )
+            .smooth(&mut m);
             assert!(
                 report.final_quality > report.initial_quality + 0.01,
                 "{}: {} -> {}",
@@ -550,8 +547,9 @@ mod tests {
         let base = generators::perturbed_grid(12, 12, 0.3, 9);
         let mut a = base.clone();
         let mut b = base.clone();
-        let ra = SmoothParams::paper().smooth(&mut a);
-        let rb = SmoothParams::paper().with_weighting(Weighting::Uniform).smooth(&mut b);
+        let ra = SmoothEngine::new(&a, SmoothParams::paper()).smooth(&mut a);
+        let rb = SmoothEngine::new(&b, SmoothParams::paper().with_weighting(Weighting::Uniform))
+            .smooth(&mut b);
         assert_eq!(a.coords(), b.coords());
         assert_eq!(ra.num_iterations(), rb.num_iterations());
     }
@@ -562,7 +560,8 @@ mod tests {
         let base = generators::perturbed_grid(12, 12, 0.35, 6);
         let run = |w: Weighting| {
             let mut m = base.clone();
-            SmoothParams::paper().with_weighting(w).with_max_iters(5).smooth(&mut m);
+            SmoothEngine::new(&m, SmoothParams::paper().with_weighting(w).with_max_iters(5))
+                .smooth(&mut m);
             m
         };
         let uni = run(Weighting::Uniform);
@@ -596,7 +595,8 @@ mod tests {
             let mut m = generators::perturbed_grid(40, 40, 0.42, seed);
             m.orient_ccw();
             assert_eq!(count_inverted(&m), 0);
-            SmoothParams::paper().with_smart(true).with_max_iters(40).smooth(&mut m);
+            SmoothEngine::new(&m, SmoothParams::paper().with_smart(true).with_max_iters(40))
+                .smooth(&mut m);
             assert_eq!(count_inverted(&m), 0, "seed {seed}: smart smoothing inverted");
         }
     }

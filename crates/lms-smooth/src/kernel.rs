@@ -1,7 +1,7 @@
 //! The incremental-quality sweep kernel — the serial hot path, generic
 //! over the smoothing domain.
 //!
-//! The reference sweep ([`crate::smooth_reference_on`], behind
+//! The reference sweep (behind
 //! [`SmoothEngineOn::smooth_full_recompute`]) spends most of its time on
 //! *bookkeeping* rather than smoothing:
 //!

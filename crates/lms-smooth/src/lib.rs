@@ -36,9 +36,9 @@
 //! `ResidentEngine3` are aliases of the *same* two structs.
 //!
 //! ```
-//! use lms_smooth::SmoothParams;
+//! use lms_smooth::{SmoothEngine, SmoothParams};
 //! let mut mesh = lms_mesh::generators::perturbed_grid(20, 20, 0.35, 1);
-//! let report = SmoothParams::paper().smooth(&mut mesh);
+//! let report = SmoothEngine::new(&mesh, SmoothParams::paper()).smooth(&mut mesh);
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
 
@@ -64,8 +64,8 @@ pub mod transport;
 pub use config::{IterationPolicy, SmoothParams, UpdateScheme, Weighting};
 pub use dcache::DomainQualityCache;
 pub use domain::{
-    domain_quality, domain_quality_scored, smooth_reference_on, weighted_candidate_on,
-    DomainConfig, DomainPoint, SmoothDomain, TriDomain,
+    domain_quality, domain_quality_scored, weighted_candidate_on, DomainConfig, DomainPoint,
+    SmoothDomain, TriDomain,
 };
 pub use engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 pub use greedy::greedy_visit_order;

@@ -85,11 +85,21 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// Jacobi (double-buffered) updates. Results are bit-identical for any
     /// `num_threads`. Workers come from the engine-cached persistent pool
     /// (spawned once per engine lifetime).
+    ///
+    /// # Panics
+    /// When the params ask for smart commits: this sweep has no quality
+    /// guard, so smart Jacobi runs on the serial engine
+    /// ([`smooth`](Self::smooth)).
     pub fn smooth_parallel(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         let dom = self.domain();
         let cfg = self.domain_config();
         let n = dom.num_vertices();
         assert_eq!(mesh.coords().len(), n, "engine was built for a different mesh");
+        assert!(
+            !cfg.smart,
+            "parallel Jacobi has no smart-commit guard; \
+             run smart Jacobi on the serial engine (Backend::Serial)"
+        );
         let pool = self.pool.get(num_threads);
 
         let initial_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
@@ -224,6 +234,14 @@ mod tests {
             engine.smooth_parallel(&mut m.clone(), 3);
             engine.smooth_parallel_colored(&mut m.clone(), 3);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "Backend::Serial")]
+    fn parallel_jacobi_rejects_smart_params() {
+        let m0 = generators::perturbed_grid(8, 8, 0.3, 1);
+        let params = SmoothParams::paper().with_update(UpdateScheme::Jacobi).with_smart(true);
+        SmoothEngine::new(&m0, params).smooth_parallel(&mut m0.clone(), 2);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! `Σ w_t·Δq_t` stat accumulation — is [`ResidentRank`], and the data
 //! movement between ranks is a [`crate::transport::FtResidentTransport`]
 //! driven by the one [`crate::transport::drive_resident_ft`] loop.
-//! [`smooth_resident_on`] (and therefore [`ResidentEngineOn`] in both
-//! dimensions) runs the [`InProcessTransport`]; the
+//! [`ResidentEngineOn::smooth`] (in both dimensions) runs the
+//! [`InProcessTransport`]; the
 //! `lms-dist` crate runs the identical ranks as forked worker processes
 //! over Unix pipes, exchanging the same batches as
 //! [`lms_part::wire`] frames — property-tested bit-identical, coordinates
@@ -823,8 +823,8 @@ impl Neumaier {
 /// Build every part's resident topology for a domain + decomposition +
 /// interface color classes. Also returns the constant global element
 /// weights `w_t` (the same table the per-block stat weights are sliced
-/// from), which [`smooth_resident_on`] folds the initial running sum
-/// with — computed here once instead of once per run.
+/// from), which [`ResidentEngineOn::smooth`] folds the initial running
+/// sum with — computed here once instead of once per run.
 ///
 /// Cost `O(C·T + Σ block size)`, no sort: one pass over the elements in
 /// index order deals each to the part of every mesh-interior corner, so
@@ -884,71 +884,6 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
         })
         .collect();
     (blocks, elem_w)
-}
-
-/// Resident smoothing on the in-process transport: one full gather, local
-/// sweeps with coalesced halo-delta exchange between interface color
-/// steps, one parallel disjoint scatter. Race-free,
-/// bitwise-deterministic for any thread count, and exactly serial
-/// Gauss–Seidel under [`resident_part_major_order`]. (This is
-/// [`crate::transport::drive_resident_ft`] over an
-/// [`InProcessTransport`]; `lms-dist` drives the same loop over forked
-/// rank processes.)
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_resident_on<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    blocks: &[ResidentBlock<C>],
-    elem_w: &[f64],
-    interface_classes: &[Vec<u32>],
-    schedule: &ExchangeSchedule,
-    coords: &mut [D::Point],
-    pool: &rayon::ThreadPool,
-) -> SmoothReport {
-    let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
-    let policy = FtPolicy::default();
-    let colors = interface_classes.len();
-    drive_resident_ft(dom, cfg, elem_w, colors, &mut transport, coords, &policy)
-        .unwrap_or_else(|never| match never {})
-        .0
-}
-
-/// [`smooth_resident_on`] with tracing and per-rank profiling enabled:
-/// the driver records its phase spans into a [`Recorder`] (tid 0) and
-/// the ranks clock their sweeps, and the report comes back with
-/// `phase_breakdown` populated. Everything else — coordinates and every
-/// other report field — is bit-identical to the unprofiled run
-/// (property-tested in `lms-dist/tests/traced.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    blocks: &[ResidentBlock<C>],
-    elem_w: &[f64],
-    interface_classes: &[Vec<u32>],
-    schedule: &ExchangeSchedule,
-    coords: &mut [D::Point],
-    pool: &rayon::ThreadPool,
-) -> (SmoothReport, Recorder) {
-    let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
-    transport.set_profiling(true);
-    let mut recorder = Recorder::new(0);
-    let (mut report, _) = drive_resident_ft_with(
-        dom,
-        cfg,
-        elem_w,
-        interface_classes.len(),
-        &mut transport,
-        coords,
-        &FtPolicy::default(),
-        &mut recorder,
-    )
-    .unwrap_or_else(|never| match never {});
-    let mut breakdown = PhaseBreakdown::default();
-    breakdown.apply_span_totals(&recorder.span_totals());
-    breakdown.transport = transport.take_profile();
-    report.phase_breakdown = Some(breakdown);
-    (report, recorder)
 }
 
 impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
@@ -1050,40 +985,64 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
     /// parallel disjoint scatter. Race-free, bitwise-deterministic for any
     /// `num_threads`, and exactly serial Gauss–Seidel under
     /// [`part_major_visit_order`](Self::part_major_visit_order); the
-    /// report carries the [`crate::ExchangeVolume`] counters.
+    /// report carries the [`crate::ExchangeVolume`] counters. (This is
+    /// [`drive_resident_ft`] over an [`InProcessTransport`]; `lms-dist`
+    /// drives the same loop over forked rank processes.)
     pub fn smooth(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         assert!(num_threads >= 1, "need at least one thread");
         let pool = self.engine.pool.get(num_threads);
-        smooth_resident_on(
-            &self.engine.domain(),
-            &self.engine.domain_config(),
-            &self.blocks,
+        let (dom, cfg) = (self.engine.domain(), self.engine.domain_config());
+        let mut transport =
+            InProcessTransport::new(&dom, &cfg, &self.blocks, &self.schedule, &pool);
+        let colors = self.interface_classes.len();
+        let coords = self.checked_coords(mesh);
+        drive_resident_ft(
+            &dom,
+            &cfg,
             &self.elem_w,
-            &self.interface_classes,
-            &self.schedule,
-            self.checked_coords(mesh),
-            &pool,
+            colors,
+            &mut transport,
+            coords,
+            &FtPolicy::default(),
         )
+        .unwrap_or_else(|never| match never {})
+        .0
     }
 
-    /// [`smooth`](Self::smooth) with tracing + profiling: the report
-    /// comes back with `phase_breakdown` populated (per-phase driver
-    /// nanos, per-part sweep nanos + moved counts) and the raw span
-    /// [`Recorder`] is returned for chrome-trace export. Coordinates and
-    /// every other report field are bit-identical to an unprofiled run.
+    /// [`smooth`](Self::smooth) with tracing + profiling: the driver
+    /// records its phase spans into a [`Recorder`] (tid 0), the ranks
+    /// clock their sweeps, and the report comes back with
+    /// `phase_breakdown` populated (per-phase driver nanos, per-part sweep
+    /// nanos + moved counts); the raw span [`Recorder`] is returned for
+    /// chrome-trace export. Coordinates and every other report field are
+    /// bit-identical to an unprofiled run (property-tested in
+    /// `lms-dist/tests/traced.rs`).
     pub fn smooth_profiled(&self, mesh: &mut M, num_threads: usize) -> (SmoothReport, Recorder) {
         assert!(num_threads >= 1, "need at least one thread");
         let pool = self.engine.pool.get(num_threads);
-        smooth_resident_profiled_on(
-            &self.engine.domain(),
-            &self.engine.domain_config(),
-            &self.blocks,
+        let (dom, cfg) = (self.engine.domain(), self.engine.domain_config());
+        let mut transport =
+            InProcessTransport::new(&dom, &cfg, &self.blocks, &self.schedule, &pool);
+        transport.set_profiling(true);
+        let mut recorder = Recorder::new(0);
+        let colors = self.interface_classes.len();
+        let coords = self.checked_coords(mesh);
+        let (mut report, _) = drive_resident_ft_with(
+            &dom,
+            &cfg,
             &self.elem_w,
-            &self.interface_classes,
-            &self.schedule,
-            self.checked_coords(mesh),
-            &pool,
+            colors,
+            &mut transport,
+            coords,
+            &FtPolicy::default(),
+            &mut recorder,
         )
+        .unwrap_or_else(|never| match never {});
+        let mut breakdown = PhaseBreakdown::default();
+        breakdown.apply_span_totals(&recorder.span_totals());
+        breakdown.transport = transport.take_profile();
+        report.phase_breakdown = Some(breakdown);
+        (report, recorder)
     }
 
     /// `mesh`'s coordinate array, after checking it has the vertex count

@@ -28,7 +28,7 @@
 //!
 //! The module also hosts the scratch-reallocation counter backing the
 //! sweep allocation audit: reusable hot-loop buffers route growth through
-//! [`resize_tracked`], and tests pin that steady-state sweeps perform
+//! `resize_tracked`, and tests pin that steady-state sweeps perform
 //! zero reallocations.
 
 use crate::domain::{DomainPoint, SmoothDomain};

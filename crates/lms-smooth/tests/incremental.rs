@@ -6,7 +6,9 @@ use lms_mesh::geometry::signed_area;
 use lms_mesh::quality::mesh_quality;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
 use lms_smooth::checks;
-use lms_smooth::{DomainQualityCache, SmoothDomain, SmoothParams, TriDomain, UpdateScheme};
+use lms_smooth::{
+    DomainQualityCache, SmoothDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
+};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
@@ -119,7 +121,7 @@ proptest! {
         prop_assume!(mesh.is_ccw());
         let params = SmoothParams::paper().with_smart(true).with_max_iters(12);
         let mut m = mesh;
-        let report = params.smooth(&mut m);
+        let report = SmoothEngine::new(&m, params).smooth(&mut m);
         for w in report.iterations.windows(2) {
             prop_assert!(
                 w[1].quality >= w[0].quality - 1e-12,

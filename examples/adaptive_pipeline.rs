@@ -7,6 +7,7 @@
 //! cargo run --release --example adaptive_pipeline [n_points] [out_prefix]
 //! ```
 
+use lms::apps::{smooth, Backend};
 use lms::mesh::{generators, io, Adjacency};
 use lms::order::rdr_ordering;
 use lms::smooth::{SmoothEngine, SmoothParams};
@@ -28,7 +29,7 @@ fn main() {
     let probe = SmoothParams::paper().with_max_iters(3);
     let expected_iters = {
         let mut probe_mesh = mesh.clone();
-        let r = probe.smooth(&mut probe_mesh);
+        let r = smooth(&mut probe_mesh, probe, Backend::Serial);
         if r.converged {
             r.num_iterations()
         } else {

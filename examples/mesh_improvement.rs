@@ -35,7 +35,7 @@ fn main() {
     //    smart smooth), then an optimization-smoothing pass to lift the
     //    worst remaining vertices and a final swap to restore Delaunayhood
     //    for the positions the smoothers settled on.
-    let pipeline = Pipeline::standard(OrderingKind::Rdr)
+    let pipeline = Pipeline::standard(OrderingKind::Rdr, Backend::Serial)
         .then(Stage::OptSmooth(OptSmoothOptions::default()))
         .then(Stage::Swap(SwapOptions::default()));
     let report = pipeline.run(&mut mesh);
@@ -74,7 +74,7 @@ fn main() {
         let mut tangled = generators::perturbed_grid(80, 80, 0.4, 7);
         tangled.orient_ccw();
         tangle_vertices(&mut tangled, 35);
-        let pipeline = Pipeline::standard(kind);
+        let pipeline = Pipeline::standard(kind, Backend::Serial);
         let t0 = std::time::Instant::now();
         let r = pipeline.run(&mut tangled);
         println!(

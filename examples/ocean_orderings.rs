@@ -7,6 +7,7 @@
 //! ```
 //! `scale` defaults to 0.02 (≈8k vertices); 1.0 reproduces paper size.
 
+use lms::apps::{smooth, Backend};
 use lms::cache::{binned_means, NodeLayout, ReuseDistanceAnalyzer, ReuseStats};
 use lms::mesh::suite;
 use lms::order::{compute_ordering, OrderingKind};
@@ -48,7 +49,7 @@ fn main() {
 
         // Wall-clock smoothing time.
         let start = Instant::now();
-        let report = SmoothParams::paper().smooth(&mut mesh.clone());
+        let report = smooth(&mut mesh.clone(), SmoothParams::paper(), Backend::Serial);
         let wall = start.elapsed();
 
         println!(

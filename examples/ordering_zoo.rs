@@ -52,7 +52,7 @@ fn main() {
         // wall time of a real (non-traced) smoothing run
         let mut work = mesh.clone();
         let t0 = std::time::Instant::now();
-        let report = SmoothParams::paper().with_max_iters(50).smooth(&mut work);
+        let report = smooth(&mut work, SmoothParams::paper().with_max_iters(50), Backend::Serial);
         let wall = t0.elapsed().as_secs_f64() * 1e3;
 
         println!(

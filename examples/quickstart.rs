@@ -37,7 +37,7 @@ fn main() {
     // 3. Laplacian smoothing with the paper's parameters (edge-length-ratio
     //    quality, 5e-6 convergence tolerance).
     let mut work = mesh.clone();
-    let report = SmoothParams::paper().smooth(&mut work);
+    let report = smooth(&mut work, SmoothParams::paper(), Backend::Serial);
     println!(
         "smoothing: quality {:.4} -> {:.4} in {} iterations (converged: {})",
         report.initial_quality,

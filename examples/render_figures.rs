@@ -39,7 +39,7 @@ fn main() {
 fn fig3(out: &Path) {
     let before = lms::mesh::generators::perturbed_grid(40, 40, 0.42, 7);
     let mut after = before.clone();
-    SmoothParams::paper().smooth(&mut after);
+    smooth(&mut after, SmoothParams::paper(), Backend::Serial);
     let style = MeshStyle::default();
     render_mesh(&before, &style).write_to(&out.join("fig3_before.svg")).unwrap();
     render_mesh(&after, &style).write_to(&out.join("fig3_after.svg")).unwrap();

@@ -9,6 +9,7 @@
 //! cargo run --release --example tet_smoothing
 //! ```
 
+use lms::apps::{smooth, Backend};
 use lms::cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms::mesh3d::generators::{block_scramble, perturbed_tet_grid};
 use lms::mesh3d::order::{
@@ -54,7 +55,7 @@ fn main() {
 
         // 4. Smooth to convergence (Equation (1) is dimension-agnostic).
         let mut work = mesh.clone();
-        let report = SmoothParams3::paper().smooth(&mut work);
+        let report = smooth(&mut work, SmoothParams3::paper(), Backend::Serial);
 
         println!(
             "{:<8} {:>12.1} {:>12.1} {:>10.4} {:>8}",
@@ -71,7 +72,7 @@ fn main() {
 
     // 5. Render the smoothed surface (quality-coloured) as an SVG.
     let mut smoothed = base.clone();
-    lms::mesh3d::SmoothParams3::paper().smooth(&mut smoothed);
+    smooth(&mut smoothed, SmoothParams3::paper(), Backend::Serial);
     let svg = lms::viz::render_tet_surface(&smoothed, &lms::viz::Mesh3Style::default());
     let path = std::path::Path::new("results/figures/tet_surface.svg");
     match svg.write_to(path) {

@@ -25,9 +25,11 @@
 //!   preset), the stack-distance miss model, the Eq. (2) cycle-cost model,
 //!   Belady's offline-optimal replacement, a next-line prefetcher and
 //!   FIFO/random replacement-policy variants.
-//! * [`apps`] — mesh-improvement applications beyond smoothing (the §6
-//!   future-work conjecture): untangling, constrained smoothing, edge
-//!   swapping, optimization-based smoothing, and composable pipelines.
+//! * [`apps`] — the one smoothing entry, `apps::smooth(mesh, params,
+//!   backend)`, which runs any engine above on either mesh type, and
+//!   mesh-improvement applications beyond smoothing (the §6 future-work
+//!   conjecture): untangling, constrained smoothing, edge swapping,
+//!   optimization-based smoothing, and composable pipelines.
 //! * [`dist`] — the distributed-memory backend: MPI-style rank processes
 //!   (forked workers over Unix pipes) running the resident halo-exchange
 //!   protocol through `part`'s versioned wire format — bit-identical to
@@ -50,7 +52,7 @@
 //! // renumbers the vertices and moves the triangles into the order a sweep
 //! // over the new numbering first touches them
 //! let mesh = perm.apply_to_mesh(&mesh);
-//! let report = SmoothParams::paper().smooth(&mut mesh.clone());
+//! let report = smooth(&mut mesh.clone(), SmoothParams::paper(), Backend::Serial);
 //! assert!(report.final_quality >= report.initial_quality);
 //! ```
 
@@ -66,7 +68,7 @@ pub use lms_viz as viz;
 
 /// Commonly used items, re-exported for `use lms::prelude::*`.
 pub mod prelude {
-    pub use lms_apps::{Pipeline, Pipeline3, Stage, Stage3};
+    pub use lms_apps::{smooth, Backend, Pipeline, Pipeline3, Stage, Stage3};
     pub use lms_cache::{
         hierarchy::CacheHierarchy, model::StackDistanceModel, reuse::ReuseDistanceAnalyzer,
     };

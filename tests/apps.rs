@@ -23,7 +23,7 @@ fn repair_workflow_succeeds_under_every_ordering() {
         m.orient_ccw();
         tangle_vertices(&mut m, 30);
         assert!(count_inverted(&m) > 0);
-        let report = Pipeline::standard(kind).run(&mut m);
+        let report = Pipeline::standard(kind, Backend::Serial).run(&mut m);
         assert_eq!(count_inverted(&m), 0, "{}: untangle failed", kind.name());
         assert!(
             report.final_quality > report.initial_quality,
@@ -63,7 +63,7 @@ fn quality_swap_composes_with_smoothing() {
     };
 
     let mut smooth_only = base.clone();
-    let r_smooth = params.smooth(&mut smooth_only);
+    let r_smooth = smooth(&mut smooth_only, params.clone(), Backend::Serial);
 
     let mut both = base.clone();
     let floor_before = min_tri(&both);
@@ -73,7 +73,7 @@ fn quality_swap_composes_with_smoothing() {
         None,
     );
     assert!(min_tri(&both) >= floor_before - 1e-12, "quality swap lowered the floor");
-    let r_both = params.smooth(&mut both);
+    let r_both = smooth(&mut both, params, Backend::Serial);
 
     assert!(
         r_both.final_quality > 0.9 * r_smooth.final_quality,
@@ -177,7 +177,7 @@ fn topology_invariants_survive_the_pipeline() {
     tangle_vertices(&mut m, 25);
     let v_before = m.num_vertices() as i64;
     let f_before = m.num_triangles() as i64;
-    Pipeline::standard(OrderingKind::Rdr).run(&mut m);
+    Pipeline::standard(OrderingKind::Rdr, Backend::Serial).run(&mut m);
     let topo = EdgeTopology::build(&m).expect("pipeline output must stay manifold");
     assert_eq!(m.num_vertices() as i64, v_before);
     assert_eq!(m.num_triangles() as i64, f_before);
@@ -197,8 +197,11 @@ fn weighted_smoothing_composes_with_rdr() {
         let mut m = perm.apply_to_mesh(&base);
         let adj = Adjacency::build(&m);
         let q0 = mesh_quality(&m, &adj, QualityMetric::EdgeLengthRatio);
-        let report =
-            SmoothParams::paper().with_weighting(weighting).with_max_iters(60).smooth(&mut m);
+        let report = smooth(
+            &mut m,
+            SmoothParams::paper().with_weighting(weighting).with_max_iters(60),
+            Backend::Serial,
+        );
         assert!((report.initial_quality - q0).abs() < 1e-12);
         assert!(report.final_quality > q0, "{}", weighting.name());
     }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests for the tetrahedral (§6) extension:
 //! lms-mesh3d driving lms-order's generic cores and lms-cache's analysis.
 
+use lms::apps::{smooth, Backend};
 use lms::cache::hierarchy::CacheHierarchy;
 use lms::cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms::cache::NodeLayout;
@@ -22,7 +23,7 @@ fn full_3d_pipeline_reorder_smooth_analyze() {
 
     // smooth to convergence
     let mut work = mesh.clone();
-    let report = SmoothParams3::paper().smooth(&mut work);
+    let report = smooth(&mut work, SmoothParams3::paper(), Backend::Serial);
     assert!(report.converged);
     assert!(report.final_quality > report.initial_quality);
 
@@ -71,7 +72,7 @@ fn jacobi_smoothing_is_ordering_invariant_in_3d() {
         .map(|kind| {
             let perm = compute_ordering3(&base, kind);
             let mut m = apply_permutation3(&perm, &base);
-            params.clone().smooth(&mut m)
+            smooth(&mut m, params.clone(), Backend::Serial)
         })
         .collect();
     for r in &reports[1..] {

@@ -193,7 +193,7 @@ fn section54_reordering_cost_is_a_few_sweeps() {
 
     let one = SmoothParams::paper().with_max_iters(1);
     let t1 = std::time::Instant::now();
-    one.smooth(&mut base.clone());
+    smooth(&mut base.clone(), one, Backend::Serial);
     let sweep = t1.elapsed();
 
     // The paper reports ≈1 sweep; allow generous slack for tiny meshes
@@ -227,7 +227,7 @@ fn iteration_counts_are_ordering_insensitive() {
     let mut iters = Vec::new();
     for kind in OrderingKind::PAPER_TRIO {
         let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
-        let report = SmoothParams::paper().smooth(&mut mesh.clone());
+        let report = smooth(&mut mesh.clone(), SmoothParams::paper(), Backend::Serial);
         assert!(report.converged);
         iters.push(report.num_iterations() as i64);
     }

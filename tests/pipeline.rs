@@ -25,7 +25,7 @@ fn full_pipeline_on_suite_mesh() {
 
     // smooth
     let mut work = mesh.clone();
-    let report = SmoothParams::paper().smooth(&mut work);
+    let report = smooth(&mut work, SmoothParams::paper(), Backend::Serial);
     assert!(report.final_quality > q1, "smoothing must improve quality");
     assert!(report.converged);
 
@@ -71,7 +71,7 @@ fn all_orderings_compose_with_smoothing() {
     for kind in kinds {
         let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
         let mut work = mesh.clone();
-        let report = SmoothParams::paper().smooth(&mut work);
+        let report = smooth(&mut work, SmoothParams::paper(), Backend::Serial);
         assert!(
             report.total_improvement() > 0.0,
             "{}: smoothing must improve quality",
@@ -94,7 +94,7 @@ fn delaunay_pipeline_smooths_cleanly() {
     let perm = compute_ordering(&mesh, OrderingKind::Rdr);
     let mut work = perm.apply_to_mesh(&mesh);
     let before = work.clone();
-    let report = SmoothParams::paper().smooth(&mut work);
+    let report = smooth(&mut work, SmoothParams::paper(), Backend::Serial);
     assert!(report.final_quality >= report.initial_quality);
     // boundary stays pinned through the whole pipeline
     let b2 = Boundary::detect(&before);
@@ -147,7 +147,7 @@ fn quality_metrics_agree_on_ranking_after_smoothing() {
         [QualityMetric::EdgeLengthRatio, QualityMetric::MinAngle, QualityMetric::RadiusRatio]
     {
         let mut work = base.clone();
-        let report = SmoothParams::paper().with_metric(metric).smooth(&mut work);
+        let report = smooth(&mut work, SmoothParams::paper().with_metric(metric), Backend::Serial);
         assert!(
             report.final_quality > report.initial_quality,
             "{metric:?} must register improvement"

@@ -86,7 +86,7 @@ proptest! {
         let boundary = Boundary::detect(&mesh);
         let params = SmoothParams::paper().with_max_iters(20);
         let mut work = mesh.clone();
-        let report = params.smooth(&mut work);
+        let report = smooth(&mut work, params.clone(), Backend::Serial);
         let adj = Adjacency::build(&work);
         let recomputed = mesh_quality(&work, &adj, QualityMetric::EdgeLengthRatio);
         prop_assert!((report.final_quality - recomputed).abs() < 1e-12);
