@@ -1,0 +1,197 @@
+//! Where the bytes go: the `heap_bytes()` ledger of one benchmark
+//! workload's long-lived structures, at the harness's canonical size
+//! (768² triangles or 48³ tets, seed 42), beside the peak resident set of
+//! this process after the steps the harness's first rep takes.
+//!
+//! ```text
+//! cargo run --release -p lms-bench --example byte_ledger -- <workload>
+//! ```
+//!
+//! `<workload>` is `tri2d-rdr-serial`, `tri2d-rdr-resident`,
+//! `tri2d-ori-dist` or `tet3d-ori-resident`; run one per process, so the
+//! peak is that workload's. The rows are the structures live at the
+//! workload's peak; what the ledger does not reach (the resident ranks'
+//! run-time buffers, the allocator, the binary) is the gap to `VmHWM`.
+//! For the distributed workload the forked ranks' peak is printed too:
+//! a rank starts with every page the coordinator had resident at the fork.
+
+use lms_dist::{DistResidentEngine, FtOptions};
+use lms_mesh::generators::perturbed_grid;
+use lms_mesh::{Adjacency, Point2, TriMesh};
+use lms_mesh3d::generators::perturbed_tet_grid;
+use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
+use lms_order::{compute_ordering_with, random_ordering, OrderingKind};
+use lms_part::PartitionMethod;
+use lms_smooth::{DomainQualityCache, ResidentEngine, SmoothEngine, SmoothParams};
+use std::mem::size_of;
+
+const SEED: u64 = 42;
+const JITTER: f64 = 0.35;
+const PARTS: usize = 4;
+
+/// The harness's smart Gauss–Seidel, `sweeps` fixed sweeps.
+fn params(sweeps: usize) -> SmoothParams {
+    SmoothParams::paper().with_smart(true).with_tol(-1.0).with_max_iters(sweeps)
+}
+
+fn shuffled_input() -> TriMesh {
+    let mesh = perturbed_grid(768, 768, JITTER, SEED);
+    random_ordering(mesh.num_vertices(), SEED + 1).apply_to_mesh(&mesh)
+}
+
+fn rdr_reorder(input: &TriMesh) -> TriMesh {
+    let adj = Adjacency::build(input);
+    compute_ordering_with(input, &adj, OrderingKind::Rdr).apply_to_mesh(input)
+}
+
+/// A `/proc/self/status` field, in bytes.
+fn status_bytes(field: &str) -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find(|l| l.starts_with(field))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|kb| kb.parse::<usize>().ok())
+        .unwrap_or(0);
+    kb * 1024
+}
+
+/// `struct rusage` of Linux on 64-bit targets: two `timeval`s, then
+/// fourteen `long`s of which `ru_maxrss` is the first.
+#[repr(C)]
+struct Rusage {
+    ru_utime: [i64; 2],
+    ru_stime: [i64; 2],
+    ru_maxrss: i64,
+    rest: [i64; 13],
+}
+
+extern "C" {
+    fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+}
+
+/// Largest resident set among the reaped children, in bytes.
+fn children_peak_bytes() -> usize {
+    const RUSAGE_CHILDREN: i32 = -1;
+    let mut usage = Rusage { ru_utime: [0; 2], ru_stime: [0; 2], ru_maxrss: 0, rest: [0; 13] };
+    // SAFETY: `usage` is a live, writable `struct rusage` of the layout the
+    // Linux 64-bit ABI defines; getrusage writes only inside it and keeps
+    // no pointer past the call.
+    let rc = unsafe { getrusage(RUSAGE_CHILDREN, &mut usage) };
+    if rc == 0 {
+        usage.ru_maxrss.max(0) as usize * 1024
+    } else {
+        0
+    }
+}
+
+fn mib(bytes: usize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
+fn print_ledger(workload: &str, rows: &[(&str, usize)]) {
+    println!("{workload}: heap_bytes() ledger at the peak");
+    for (name, bytes) in rows {
+        println!("  {name:<58} {:>8.1} MiB", mib(*bytes));
+    }
+    let sum: usize = rows.iter().map(|r| r.1).sum();
+    let hwm = status_bytes("VmHWM:");
+    println!("  {:<58} {:>8.1} MiB", "sum", mib(sum));
+    println!("  {:<58} {:>8.1} MiB", "VmHWM of this process", mib(hwm));
+    println!(
+        "  {:<58} {:>8.1} MiB",
+        "not in the ledger (VmHWM - sum)",
+        mib(hwm.saturating_sub(sum))
+    );
+}
+
+fn rdr_serial() {
+    let input = shuffled_input();
+    let mut mesh = rdr_reorder(&input);
+    let engine = SmoothEngine::new(&mesh, params(10));
+    // the cache the kernel builds, measured here and dropped before the run
+    let cache = DomainQualityCache::build(&engine.domain(), mesh.coords()).heap_bytes();
+    let soa = mesh.num_vertices() * size_of::<Point2>();
+    engine.smooth(&mut mesh);
+    print_ledger(
+        "tri2d-rdr-serial",
+        &[
+            ("input mesh (shuffled)", input.heap_bytes()),
+            ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
+            ("SmoothEngine (adjacency, boundary, visit order)", engine.heap_bytes()),
+            ("DomainQualityCache (quality, weight, orientation bit)", cache),
+            ("SoA coordinate mirror of the smart sweep", soa),
+        ],
+    );
+}
+
+fn rdr_resident() {
+    let input = shuffled_input();
+    let mut mesh = rdr_reorder(&input);
+    let adj = Adjacency::build(&mesh);
+    let partition = lms_part::partition_mesh(&mesh, &adj, PARTS, PartitionMethod::Rcb);
+    drop(adj);
+    let engine = ResidentEngine::new(&mesh, params(10), partition);
+    engine.smooth(&mut mesh, 1);
+    print_ledger(
+        "tri2d-rdr-resident",
+        &[
+            ("input mesh (shuffled)", input.heap_bytes()),
+            ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
+            ("ResidentEngine (serial engine, partition, blocks, w_t)", engine.heap_bytes()),
+        ],
+    );
+}
+
+fn ori_dist() {
+    let input = perturbed_grid(768, 768, JITTER, SEED);
+    let mut mesh = input.clone();
+    let engine = DistResidentEngine::by_method(&mesh, params(10), PARTS, PartitionMethod::Rcb);
+    let at_fork = status_bytes("VmRSS:");
+    let result = engine.smooth_ft(&mut mesh, &FtOptions::default());
+    assert!(result.is_ok(), "distributed run failed: {:?}", result.err());
+    print_ledger(
+        "tri2d-ori-dist (coordinator)",
+        &[
+            ("input mesh", input.heap_bytes()),
+            ("working copy (its coordinates; the table is shared)", size_of_val(mesh.coords())),
+            ("ResidentEngine inside DistResidentEngine", engine.inner().heap_bytes()),
+        ],
+    );
+    let children = children_peak_bytes();
+    println!("  {:<58} {:>8.1} MiB", "coordinator VmRSS at the fork", mib(at_fork));
+    println!("  {:<58} {:>8.1} MiB", "largest forked rank's ru_maxrss", mib(children));
+}
+
+fn tet_resident() {
+    let input: TetMesh = perturbed_tet_grid(48, 48, 48, JITTER, SEED);
+    let mut mesh = input.clone();
+    let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0).with_max_iters(5);
+    let engine = ResidentEngine3::by_method(&mesh, params, PARTS, PartitionMethod::Rcb);
+    engine.smooth(&mut mesh, 1);
+    print_ledger(
+        "tet3d-ori-resident",
+        &[
+            ("input mesh", input.heap_bytes()),
+            ("working copy (its coordinates; the table is shared)", size_of_val(mesh.coords())),
+            ("ResidentEngine3 (serial engine, partition, blocks, w_t)", engine.heap_bytes()),
+        ],
+    );
+}
+
+fn main() {
+    let workload = std::env::args().nth(1).unwrap_or_default();
+    match workload.as_str() {
+        "tri2d-rdr-serial" => rdr_serial(),
+        "tri2d-rdr-resident" => rdr_resident(),
+        "tri2d-ori-dist" => ori_dist(),
+        "tet3d-ori-resident" => tet_resident(),
+        _ => {
+            eprintln!(
+                "usage: byte_ledger <tri2d-rdr-serial | tri2d-rdr-resident | tri2d-ori-dist | \
+                 tet3d-ori-resident>"
+            );
+            std::process::exit(2);
+        }
+    }
+}

@@ -151,6 +151,16 @@ impl Adjacency {
         self.vv_offsets.len() - 1
     }
 
+    /// Bytes the adjacency owns on the heap: both CSR tables and the
+    /// boundary flags.
+    pub fn heap_bytes(&self) -> usize {
+        crate::vec_bytes(&self.vv_offsets)
+            + crate::vec_bytes(&self.vv_neighbors)
+            + crate::vec_bytes(&self.vt_offsets)
+            + crate::vec_bytes(&self.vt_triangles)
+            + crate::vec_bytes(&self.on_boundary)
+    }
+
     /// Sorted neighbour vertices of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {

@@ -129,6 +129,11 @@ impl Boundary {
         (0..self.is_boundary.len() as u32).filter(|&v| self.is_interior(v)).collect()
     }
 
+    /// Bytes the flags own on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        crate::vec_bytes(&self.is_boundary)
+    }
+
     /// Indices of all boundary vertices, ascending.
     pub fn boundary_vertices(&self) -> Vec<u32> {
         (0..self.is_boundary.len() as u32).filter(|&v| self.is_boundary(v)).collect()

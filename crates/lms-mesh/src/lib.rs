@@ -36,5 +36,5 @@ pub mod suite;
 pub use adjacency::Adjacency;
 pub use boundary::Boundary;
 pub use geometry::Point2;
-pub use mesh::{figure5_mesh, MeshError, TriMesh};
+pub use mesh::{figure5_mesh, vec_bytes, MeshError, TriMesh};
 pub use refine::{refine_levels, refine_midpoint};

@@ -2,6 +2,7 @@
 
 use crate::geometry::{bounding_box, orient2d, Point2};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when constructing or validating a [`TriMesh`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,10 +43,15 @@ impl std::error::Error for MeshError {}
 /// the paper's reorderings permute: iterating vertices in storage order while
 /// gathering neighbour coordinates is the memory-access pattern whose
 /// locality RDR optimises.
+///
+/// The triangle table sits behind one shared pointer: clones of the mesh
+/// and every smoothing engine built from it read the same allocation, and
+/// the one in-place mutator ([`orient_ccw`](Self::orient_ccw)) copies it
+/// first when it is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriMesh {
     coords: Vec<Point2>,
-    triangles: Vec<[u32; 3]>,
+    triangles: Arc<Vec<[u32; 3]>>,
 }
 
 impl TriMesh {
@@ -65,7 +71,7 @@ impl TriMesh {
                 return Err(MeshError::DegenerateTriangle { triangle: t });
             }
         }
-        Ok(TriMesh { coords, triangles })
+        Ok(TriMesh { coords, triangles: Arc::new(triangles) })
     }
 
     /// Build a mesh without validation.
@@ -74,7 +80,7 @@ impl TriMesh {
     /// triangle repeats a vertex; all other methods rely on it.
     pub fn new_unchecked(coords: Vec<Point2>, triangles: Vec<[u32; 3]>) -> Self {
         debug_assert!(TriMesh::new(coords.clone(), triangles.clone()).is_ok());
-        TriMesh { coords, triangles }
+        TriMesh { coords, triangles: Arc::new(triangles) }
     }
 
     /// Number of vertices.
@@ -107,6 +113,20 @@ impl TriMesh {
         &self.triangles
     }
 
+    /// The shared triangle table itself: holding the pointer keeps the one
+    /// allocation alive instead of copying it.
+    #[inline]
+    pub fn shared_triangles(&self) -> &Arc<Vec<[u32; 3]>> {
+        &self.triangles
+    }
+
+    /// Bytes this mesh owns on the heap: the coordinate array and the
+    /// triangle table (counted here even when a clone or an engine shares
+    /// it, so a ledger counts it once, by its mesh).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.coords) + vec_bytes(&self.triangles)
+    }
+
     /// Coordinates of triangle `t`'s three corners.
     #[inline]
     pub fn tri_coords(&self, t: usize) -> [Point2; 3] {
@@ -118,7 +138,7 @@ impl TriMesh {
     /// `lo < hi`, sorted lexicographically.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut edges = Vec::with_capacity(self.triangles.len() * 3);
-        for tri in &self.triangles {
+        for tri in self.triangles.iter() {
             for k in 0..3 {
                 let a = tri[k];
                 let b = tri[(k + 1) % 3];
@@ -137,12 +157,14 @@ impl TriMesh {
 
     /// Re-orient every triangle counter-clockwise in place.
     ///
-    /// Exactly degenerate (zero-area) triangles are left untouched.
+    /// Exactly degenerate (zero-area) triangles are left untouched. A
+    /// triangle table shared with a clone or an engine is copied at the
+    /// first flip, so they keep the old orientation.
     pub fn orient_ccw(&mut self) {
         for t in 0..self.triangles.len() {
             let [a, b, c] = self.tri_coords(t);
             if orient2d(a, b, c) < 0.0 {
-                self.triangles[t].swap(1, 2);
+                Arc::make_mut(&mut self.triangles)[t].swap(1, 2);
             }
         }
     }
@@ -171,9 +193,17 @@ impl TriMesh {
     }
 
     /// Consume the mesh, returning its raw parts `(coords, triangles)`.
+    /// The triangle table is copied only when a clone or an engine still
+    /// shares it.
     pub fn into_parts(self) -> (Vec<Point2>, Vec<[u32; 3]>) {
-        (self.coords, self.triangles)
+        (self.coords, Arc::unwrap_or_clone(self.triangles))
     }
+}
+
+/// Heap bytes a vector holds (its capacity, not its length): the unit of
+/// every `heap_bytes` ledger in the workspace.
+pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// Build the small 13-vertex mesh of the paper's Figure 5, used by tests,

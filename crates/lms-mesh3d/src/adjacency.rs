@@ -7,7 +7,7 @@
 //! tetrahedral meshes unchanged.
 
 use crate::mesh::TetMesh;
-use lms_smooth::{vertex_rows, VertexRows};
+use lms_smooth::{vec_bytes, vertex_rows, VertexRows};
 
 /// CSR vertex→vertex and vertex→tetrahedron adjacency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +36,14 @@ impl Adjacency3 {
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.vv_offsets.len() - 1
+    }
+
+    /// Bytes the adjacency owns on the heap: both CSR tables.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.vv_offsets)
+            + vec_bytes(&self.vv_neighbors)
+            + vec_bytes(&self.vt_offsets)
+            + vec_bytes(&self.vt_tets)
     }
 
     /// Sorted neighbour vertices of `v`.

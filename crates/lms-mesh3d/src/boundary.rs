@@ -6,6 +6,7 @@
 //! only.
 
 use crate::mesh::TetMesh;
+use lms_smooth::vec_bytes;
 
 /// Boundary classification of a tetrahedral mesh's vertices.
 ///
@@ -103,6 +104,11 @@ impl Boundary3 {
     /// Interior vertices in index order.
     pub fn interior_vertices(&self) -> Vec<u32> {
         (0..self.is_boundary.len() as u32).filter(|&v| self.is_interior(v)).collect()
+    }
+
+    /// Bytes the flags own on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.is_boundary)
     }
 
     /// Boundary vertices in index order.

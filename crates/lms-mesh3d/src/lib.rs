@@ -33,6 +33,8 @@
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod adjacency;
 pub mod boundary;
 pub mod domain;

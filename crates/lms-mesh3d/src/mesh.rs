@@ -1,7 +1,9 @@
 //! The tetrahedral-mesh container.
 
 use crate::geometry::{bounding_box, signed_volume, Point3};
+use lms_smooth::vec_bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when constructing or validating a [`TetMesh`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,10 +54,16 @@ impl std::error::Error for Mesh3Error {}
 /// array (the array the paper's reorderings permute), connectivity as
 /// vertex-index quadruples. Positive orientation means positive
 /// [`signed_volume`] of `(v0, v1, v2, v3)`.
+///
+/// The tetrahedron table sits behind one shared pointer: clones of the
+/// mesh and every smoothing engine built from it read the same allocation,
+/// and the one in-place mutator
+/// ([`orient_positive`](Self::orient_positive)) copies it first when it is
+/// shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TetMesh {
     coords: Vec<Point3>,
-    tets: Vec<[u32; 4]>,
+    tets: Arc<Vec<[u32; 4]>>,
 }
 
 impl TetMesh {
@@ -79,7 +87,7 @@ impl TetMesh {
                 }
             }
         }
-        Ok(TetMesh { coords, tets })
+        Ok(TetMesh { coords, tets: Arc::new(tets) })
     }
 
     /// Build a mesh without validation.
@@ -88,7 +96,7 @@ impl TetMesh {
     /// tetrahedron repeats a vertex; all other methods rely on it.
     pub fn new_unchecked(coords: Vec<Point3>, tets: Vec<[u32; 4]>) -> Self {
         debug_assert!(TetMesh::new(coords.clone(), tets.clone()).is_ok());
-        TetMesh { coords, tets }
+        TetMesh { coords, tets: Arc::new(tets) }
     }
 
     /// Number of vertices.
@@ -121,6 +129,20 @@ impl TetMesh {
         &self.tets
     }
 
+    /// The shared tetrahedron table itself: holding the pointer keeps the
+    /// one allocation alive instead of copying it.
+    #[inline]
+    pub fn shared_tets(&self) -> &Arc<Vec<[u32; 4]>> {
+        &self.tets
+    }
+
+    /// Bytes this mesh owns on the heap: the coordinate array and the
+    /// tetrahedron table (counted here even when a clone or an engine
+    /// shares it, so a ledger counts it once, by its mesh).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.coords) + vec_bytes(&self.tets)
+    }
+
     /// Coordinates of tetrahedron `t`'s four corners.
     #[inline]
     pub fn tet_coords(&self, t: usize) -> [Point3; 4] {
@@ -137,7 +159,7 @@ impl TetMesh {
     /// `lo < hi`, sorted lexicographically.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut edges = Vec::with_capacity(self.tets.len() * 6);
-        for tet in &self.tets {
+        for tet in self.tets.iter() {
             for i in 0..4 {
                 for j in i + 1..4 {
                     let (a, b) = (tet[i], tet[j]);
@@ -164,12 +186,14 @@ impl TetMesh {
 
     /// Re-orient every tetrahedron to positive signed volume in place.
     ///
-    /// Exactly degenerate (zero-volume) tets are left untouched.
+    /// Exactly degenerate (zero-volume) tets are left untouched. A
+    /// tetrahedron table shared with a clone or an engine is copied at the
+    /// first flip, so they keep the old orientation.
     pub fn orient_positive(&mut self) {
         for t in 0..self.tets.len() {
             let [a, b, c, d] = self.tet_coords(t);
             if signed_volume(a, b, c, d) < 0.0 {
-                self.tets[t].swap(2, 3);
+                Arc::make_mut(&mut self.tets)[t].swap(2, 3);
             }
         }
     }
@@ -198,8 +222,10 @@ impl TetMesh {
     }
 
     /// Consume the mesh, returning its raw parts `(coords, tets)`.
+    /// The tetrahedron table is copied only when a clone or an engine still
+    /// shares it.
     pub fn into_parts(self) -> (Vec<Point3>, Vec<[u32; 4]>) {
-        (self.coords, self.tets)
+        (self.coords, Arc::unwrap_or_clone(self.tets))
     }
 }
 

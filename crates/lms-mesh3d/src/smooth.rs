@@ -24,6 +24,7 @@ use crate::quality::TetQualityMetric;
 use lms_part::{Partition, PartitionMethod};
 use lms_smooth::domain::DomainConfig;
 use lms_smooth::{SmoothEngineOn, SmoothMesh, Weighting};
+use std::sync::Arc;
 
 /// Update scheme for the 3D sweep — the 2D engine's, under its 3D name.
 pub use lms_smooth::UpdateScheme as UpdateScheme3;
@@ -118,8 +119,8 @@ impl SmoothMesh<4> for TetMesh {
         Boundary3::detect(self)
     }
 
-    fn elements(&self) -> &[[u32; 4]] {
-        self.tets()
+    fn shared_elements(&self) -> &Arc<Vec<[u32; 4]>> {
+        self.shared_tets()
     }
 
     fn coords(&self) -> &[Point3] {
@@ -132,6 +133,10 @@ impl SmoothMesh<4> for TetMesh {
 
     fn partition(&self, adj: &Adjacency3, num_parts: usize, method: PartitionMethod) -> Partition {
         partition_tet_mesh(self, adj, num_parts, method)
+    }
+
+    fn topology_heap_bytes(adj: &Adjacency3, boundary: &Boundary3) -> usize {
+        adj.heap_bytes() + boundary.heap_bytes()
     }
 
     fn domain<'a>(
@@ -299,6 +304,13 @@ mod tests {
             }
             assert!(m.is_positively_oriented(), "seed {seed}: smart smoothing inverted a tet");
         }
+    }
+
+    #[test]
+    fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_tet() {
+        let m = perturbed_tet_grid(6, 6, 6, 0.3, 4);
+        let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0).with_max_iters(3);
+        checks::smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element(&m, params);
     }
 
     #[test]

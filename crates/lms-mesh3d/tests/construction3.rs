@@ -11,7 +11,10 @@
 //!   degenerate and arbitrary decompositions;
 //! * vertices in no tetrahedron are pinned: they stay out of every sweep
 //!   list and a run leaves them, and everything else, as it would without
-//!   them.
+//!   them;
+//! * the mesh, its clones and every engine built from it share one
+//!   tetrahedron table, and `orient_positive` on a clone copies the
+//!   clone's.
 
 use lms_mesh3d::generators::{perturbed_tet_grid, tet_grid};
 use lms_mesh3d::{
@@ -50,6 +53,26 @@ fn with_adjacency_rejects_an_adjacency_of_another_size() {
         &tet_grid(3, 3, 3),
         small,
         params(),
+    );
+}
+
+#[test]
+fn engines_share_the_mesh_tet_table() {
+    let mesh = perturbed_tet_grid(5, 4, 4, 0.3, 4);
+    checks::engines_share_the_mesh_element_table(&mesh, params());
+}
+
+#[test]
+fn orient_positive_on_a_clone_leaves_the_original_untouched() {
+    let (coords, mut tets) = perturbed_tet_grid(4, 4, 4, 0.3, 5).into_parts();
+    for tet in tets.iter_mut().step_by(3) {
+        tet.swap(2, 3);
+    }
+    let mesh = TetMesh::new(coords, tets).unwrap();
+    checks::orienting_a_clone_leaves_the_original_untouched(
+        &mesh,
+        params(),
+        TetMesh::orient_positive,
     );
 }
 

@@ -163,24 +163,26 @@ impl Permutation {
     ///
     /// A stable counting sort, O(elements + vertices): elements that tie
     /// keep their input order, so a list already in first-touch order is a
-    /// fixed point of the identity permutation.
+    /// fixed point of the identity permutation. Each element is renumbered
+    /// twice — once for its key, once as it is written straight into its
+    /// slot — so the output is the only element-sized buffer.
     pub fn renumber_elements<const K: usize>(&self, elements: &[[u32; K]]) -> Vec<[u32; K]> {
         let old_to_new = self.old_to_new();
-        let renumbered: Vec<[u32; K]> =
-            elements.iter().map(|e| e.map(|v| old_to_new[v as usize])).collect();
+        let renumber = |e: &[u32; K]| e.map(|v| old_to_new[v as usize]);
         let first_touch = |e: &[u32; K]| e.iter().copied().min().unwrap_or(0) as usize;
         // cursor[v] = where the next element first touched by v goes
         let mut cursor = vec![0u32; self.len() + 1];
-        for e in &renumbered {
-            cursor[first_touch(e) + 1] += 1;
+        for e in elements {
+            cursor[first_touch(&renumber(e)) + 1] += 1;
         }
         for v in 0..self.len() {
             cursor[v + 1] += cursor[v];
         }
-        let mut out = vec![[0u32; K]; renumbered.len()];
-        for e in &renumbered {
-            let c = &mut cursor[first_touch(e)];
-            out[*c as usize] = *e;
+        let mut out = vec![[0u32; K]; elements.len()];
+        for e in elements {
+            let e = renumber(e);
+            let c = &mut cursor[first_touch(&e)];
+            out[*c as usize] = e;
             *c += 1;
         }
         out
@@ -191,6 +193,66 @@ impl Permutation {
 mod tests {
     use super::*;
     use lms_mesh::figure5_mesh;
+    use proptest::prelude::*;
+
+    /// The two-buffer body `renumber_elements` had before it wrote each
+    /// element straight into its slot: renumber everything, then
+    /// counting-sort the renumbered copy into a second buffer.
+    fn renumber_elements_two_pass<const K: usize>(
+        p: &Permutation,
+        elements: &[[u32; K]],
+    ) -> Vec<[u32; K]> {
+        let old_to_new = p.old_to_new();
+        let renumbered: Vec<[u32; K]> =
+            elements.iter().map(|e| e.map(|v| old_to_new[v as usize])).collect();
+        let first_touch = |e: &[u32; K]| e.iter().copied().min().unwrap_or(0) as usize;
+        let mut cursor = vec![0u32; p.len() + 1];
+        for e in &renumbered {
+            cursor[first_touch(e) + 1] += 1;
+        }
+        for v in 0..p.len() {
+            cursor[v + 1] += cursor[v];
+        }
+        let mut out = vec![[0u32; K]; renumbered.len()];
+        for e in &renumbered {
+            let c = &mut cursor[first_touch(e)];
+            out[*c as usize] = *e;
+            *c += 1;
+        }
+        out
+    }
+
+    /// A permutation of `0..keys.len()`: the indices sorted by `keys`.
+    fn permutation_from_keys(keys: &[u64]) -> Permutation {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        Permutation::from_new_to_old(order).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Element soups (repeated, overlapping and corner-sharing
+        /// elements, unreferenced vertices) under random permutations: the
+        /// one-buffer body equals the two-pass oracle for triangles and tets.
+        #[test]
+        fn one_buffer_renumbering_equals_the_two_pass_oracle(
+            keys in proptest::collection::vec(any::<u64>(), 1..40),
+            picks in proptest::collection::vec(
+                (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+                0..120,
+            ),
+        ) {
+            let p = permutation_from_keys(&keys);
+            let n = p.len();
+            let tris: Vec<[u32; 3]> =
+                picks.iter().map(|&(a, b, c, _)| [a, b, c].map(|v| (v % n) as u32)).collect();
+            let tets: Vec<[u32; 4]> =
+                picks.iter().map(|&(a, b, c, d)| [a, b, c, d].map(|v| (v % n) as u32)).collect();
+            prop_assert_eq!(p.renumber_elements(&tris), renumber_elements_two_pass(&p, &tris));
+            prop_assert_eq!(p.renumber_elements(&tets), renumber_elements_two_pass(&p, &tets));
+        }
+    }
 
     #[test]
     fn identity_is_identity() {

@@ -24,6 +24,7 @@
 //! `owned+halo` coordinate buffer.
 
 use crate::partition::Partition;
+use lms_mesh::vec_bytes;
 
 /// Per-part-pair halo-exchange schedule built from a [`Partition`]'s ghost
 /// maps. See the module docs for the contract.
@@ -117,6 +118,14 @@ impl ExchangeSchedule {
     #[inline]
     pub fn num_entries(&self) -> usize {
         self.total_entries
+    }
+
+    /// Bytes the schedule owns on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.offsets)
+            + vec_bytes(&self.targets)
+            + self.offsets.iter().map(vec_bytes).sum::<usize>()
+            + self.targets.iter().map(vec_bytes).sum::<usize>()
     }
 }
 

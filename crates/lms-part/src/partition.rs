@@ -24,6 +24,7 @@
 //! serves the 2D [`lms_mesh::Adjacency`] and the tetrahedral adjacency of
 //! `lms-mesh3d` unchanged.
 
+use lms_mesh::vec_bytes;
 use lms_order::Graph;
 
 /// A k-way vertex partition with interface/halo structures. Build with
@@ -157,6 +158,26 @@ impl Partition {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.part_of.is_empty()
+    }
+
+    /// Bytes the partition owns on the heap: the assignment, the interface
+    /// flags and the four per-part CSR lists.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.part_of)
+            + vec_bytes(&self.is_interface)
+            + [
+                &self.part_offsets,
+                &self.part_vertices,
+                &self.interior_offsets,
+                &self.interior_vertices,
+                &self.interface_offsets,
+                &self.interface_vertices,
+                &self.halo_offsets,
+                &self.halo_vertices,
+            ]
+            .into_iter()
+            .map(vec_bytes)
+            .sum::<usize>()
     }
 
     /// Owning part of vertex `v`.

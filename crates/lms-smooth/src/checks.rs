@@ -5,8 +5,10 @@
 //! on a violation; the `#[test]` functions that call them stay beside the
 //! code they test.
 
+use crate::config::UpdateScheme;
 use crate::domain::SmoothDomain;
 use crate::engine::{SmoothEngineOn, SmoothMesh};
+use crate::kernel::SerialKernel;
 use crate::resident::ResidentEngineOn;
 use crate::soa::SoaLike;
 use crate::trace::{CountSink, VecSink};
@@ -277,6 +279,71 @@ pub fn by_method_equals_new_over_the_same_partition<const C: usize, M: SmoothMes
         assert_eq!(by_method.interface_classes(), new.interface_classes());
         assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
     }
+}
+
+/// The mesh, a clone of it, a serial engine, a clone of that engine and a
+/// resident engine built from the mesh all read one element table:
+/// nothing along the way copies it.
+pub fn engines_share_the_mesh_element_table<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let table = mesh.elements().as_ptr();
+    assert_eq!(mesh.clone().elements().as_ptr(), table, "a mesh clone copied the table");
+    let serial = SmoothEngineOn::<C, M>::new(mesh, params.clone());
+    assert_eq!(serial.domain().elements().as_ptr(), table, "the serial engine copied the table");
+    let cloned = serial.clone();
+    assert_eq!(cloned.domain().elements().as_ptr(), table, "an engine clone copied the table");
+    let resident = ResidentEngineOn::<C, M>::by_method(mesh, params, 3, PartitionMethod::Rcb);
+    let inner = resident.engine().domain().elements().as_ptr();
+    assert_eq!(inner, table, "the resident engine copied the table");
+}
+
+/// `orient` (the mesh type's in-place orientation fix) applied to a clone
+/// copies the clone's table at the first flip: the original mesh and an
+/// engine built from it keep their table, bit for bit and at the same
+/// address. `mesh` must hold an element `orient` flips.
+pub fn orienting_a_clone_leaves_the_original_untouched<const C: usize, M: SmoothMesh<C> + Clone>(
+    mesh: &M,
+    params: M::Params,
+    orient: impl FnOnce(&mut M),
+) {
+    let before = mesh.elements().to_vec();
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let mut clone = mesh.clone();
+    orient(&mut clone);
+    assert_ne!(clone.elements(), &before[..], "`orient` flipped nothing");
+    assert_ne!(clone.elements().as_ptr(), mesh.elements().as_ptr(), "the clone wrote in place");
+    assert_eq!(mesh.elements(), &before[..], "the original's table changed");
+    assert_eq!(engine.domain().elements().as_ptr(), mesh.elements().as_ptr());
+}
+
+/// The quality cache a smart Gauss–Seidel run of `mesh` ends with holds
+/// one quality and one weight (8 B each) and one orientation bit per
+/// element, and nothing else: the sweep never queues an element, so the
+/// dirty-set stamps are never allocated.
+pub fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element<
+    const C: usize,
+    M: SmoothMesh<C> + Clone,
+>(
+    mesh: &M,
+    params: M::Params,
+) {
+    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let cfg = engine.domain_config();
+    assert!(cfg.smart && cfg.update == UpdateScheme::GaussSeidel && !cfg.scalar_scoring);
+    let dom = engine.domain();
+    let kernel = SerialKernel {
+        dom: &dom,
+        cfg,
+        visit: engine.visit_order(),
+        star: None,
+        scalar_scoring: false,
+    };
+    let (report, cache) = kernel.run_keeping_cache(mesh.clone().coords_mut());
+    assert!(report.num_iterations() > 0);
+    let t = dom.num_elements();
+    assert_eq!(cache.heap_bytes(), 8 * t + 8 * t + 8 * t.div_ceil(64));
 }
 
 /// Handed the adjacency of a cut-down mesh over the same vertices, every

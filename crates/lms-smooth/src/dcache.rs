@@ -14,14 +14,16 @@
 //!              = (1/V) · Σ_t q_t · w_t      with w_t = Σ_{v ∈ t} 1/deg_t(v)
 //! ```
 //!
-//! [`DomainQualityCache`] stores each element's current quality twice —
-//! the raw value `q` (what the global statistic sums) and the
-//! orientation-guarded value `g` (`0` when the element is inverted; what
-//! the smart-smoothing commit test averages) — plus the constant weights
-//! `w_t` and the running weighted sum with Neumaier compensation. Every
-//! supported metric scores a positively oriented element strictly
-//! positive, so `g` is zero **iff** the element is degenerate or inverted
-//! and orientation needs no separate storage.
+//! [`DomainQualityCache`] stores each element's current quality `q` once
+//! (what the global statistic sums) beside one orientation bit, plus the
+//! constant weights `w_t` and the running weighted sum with Neumaier
+//! compensation. The orientation-guarded value the smart-smoothing commit
+//! test averages — `q` when the element is positively oriented, `0`
+//! otherwise — is a select on that bit
+//! ([`guarded_quality`](DomainQualityCache::guarded_quality)), not a
+//! second stored copy. Every supported metric scores a positively
+//! oriented element strictly positive, so the guarded value is zero
+//! **iff** the element is degenerate or inverted.
 //!
 //! Engines update it three ways:
 //!
@@ -49,6 +51,7 @@
 
 use crate::domain::SmoothDomain;
 use crate::soa::score_elements_batched;
+use lms_mesh::vec_bytes;
 
 /// Cached per-element qualities with an incrementally-maintained global
 /// quality, generic over the smoothing domain. Scoring runs through the
@@ -58,19 +61,30 @@ use crate::soa::score_elements_batched;
 pub struct DomainQualityCache {
     /// Current quality of each element.
     elem_q: Vec<f64>,
-    /// Orientation-guarded quality: `elem_q[t]` when positively oriented,
-    /// `0.0` otherwise.
-    elem_g: Vec<f64>,
+    /// Orientation of each element as its last scoring reported it, one
+    /// bit per element (bit `t % 64` of word `t / 64`).
+    elem_pos: Vec<u64>,
     /// Constant weight `w_t` of each element in the global quality.
     elem_w: Vec<f64>,
     num_vertices: usize,
     /// Neumaier-compensated running `Σ_t elem_q[t] · elem_w[t]`.
     sum: f64,
     comp: f64,
-    /// Epoch-stamped dirty set (no clearing between flushes).
+    /// Epoch-stamped dirty set (no clearing between flushes). The stamps
+    /// are allocated by the first [`mark_dirty`](Self::mark_dirty), so a
+    /// run that never queues an element (smart Gauss–Seidel) never holds
+    /// them.
     dirty_stamp: Vec<u32>,
     dirty: Vec<u32>,
     epoch: u32,
+}
+
+/// The constant weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the quality
+/// functional, from one inverse degree per vertex.
+pub(crate) fn element_weights<const C: usize, D: SmoothDomain<C>>(dom: &D) -> Vec<f64> {
+    let inv_deg: Vec<f64> =
+        (0..dom.num_vertices() as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect();
+    dom.elements().iter().map(|e| e.iter().map(|&v| inv_deg[v as usize]).sum()).collect()
 }
 
 impl DomainQualityCache {
@@ -80,20 +94,15 @@ impl DomainQualityCache {
         let n = dom.num_vertices();
         assert_eq!(n, coords.len(), "coordinate array does not match the domain");
 
-        let mut elem_w = Vec::with_capacity(nt);
-        for e in dom.elements() {
-            let w: f64 = e.iter().map(|&v| 1.0 / dom.elements_of(v).len() as f64).sum();
-            elem_w.push(w);
-        }
-
+        let elem_w = element_weights(dom);
         let mut cache = DomainQualityCache {
             elem_q: vec![0.0; nt],
-            elem_g: vec![0.0; nt],
+            elem_pos: vec![0; nt.div_ceil(64)],
             elem_w,
             num_vertices: n,
             sum: 0.0,
             comp: 0.0,
-            dirty_stamp: vec![0; nt],
+            dirty_stamp: Vec::new(),
             dirty: Vec::new(),
             epoch: 1,
         };
@@ -113,6 +122,20 @@ impl DomainQualityCache {
         self.sum = t;
     }
 
+    /// Store element `i`'s fresh score.
+    #[inline]
+    fn store(&mut self, i: usize, q: f64, pos: bool) {
+        self.elem_q[i] = q;
+        let word = &mut self.elem_pos[i / 64];
+        *word = (*word & !(1 << (i % 64))) | (u64::from(pos) << (i % 64));
+    }
+
+    /// The orientation bit of element `t`.
+    #[inline]
+    fn pos_bit(&self, t: u32) -> bool {
+        (self.elem_pos[t as usize / 64] >> (t % 64)) & 1 == 1
+    }
+
     /// Number of cached elements.
     #[inline]
     pub fn num_elements(&self) -> usize {
@@ -125,18 +148,35 @@ impl DomainQualityCache {
         self.elem_q[t as usize]
     }
 
-    /// Whether element `t` is currently positively oriented (via the
-    /// guarded-value invariant: positive orientation ⇒ positive quality).
+    /// Whether element `t` is currently positively oriented with a
+    /// positive quality (the metric invariant makes the second part
+    /// redundant for every finite score).
     #[inline]
     pub fn elem_is_positive(&self, t: u32) -> bool {
-        self.elem_g[t as usize] > 0.0
+        self.pos_bit(t) && self.elem_q[t as usize] > 0.0
     }
 
-    /// Orientation-guarded quality of element `t`: 0 when inverted — the
-    /// value the smart-smoothing guard averages over a vertex star.
+    /// Orientation-guarded quality of element `t`: its quality when
+    /// positively oriented, 0 otherwise — the value the smart-smoothing
+    /// guard averages over a vertex star.
     #[inline]
     pub fn guarded_quality(&self, t: u32) -> f64 {
-        self.elem_g[t as usize]
+        if self.pos_bit(t) {
+            self.elem_q[t as usize]
+        } else {
+            0.0
+        }
+    }
+
+    /// Bytes the cache owns on the heap: one quality and one weight per
+    /// element, one orientation bit per element, and the dirty set once
+    /// something was queued.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.elem_q)
+            + vec_bytes(&self.elem_pos)
+            + vec_bytes(&self.elem_w)
+            + vec_bytes(&self.dirty_stamp)
+            + vec_bytes(&self.dirty)
     }
 
     /// Batch update for one vertex star: `scores[k]` is the fresh
@@ -155,8 +195,7 @@ impl DomainQualityCache {
             let i = t as usize;
             let w = self.elem_w[i];
             delta += q * w - self.elem_q[i] * w;
-            self.elem_q[i] = q;
-            self.elem_g[i] = if pos { q } else { 0.0 };
+            self.store(i, q, pos);
         }
         if delta != 0.0 {
             self.add(delta);
@@ -179,8 +218,7 @@ impl DomainQualityCache {
         self.comp = 0.0;
         let mut i = 0;
         score_elements_batched(dom, coords, dom.elements().iter().copied(), |(q, pos)| {
-            self.elem_q[i] = q;
-            self.elem_g[i] = if pos { q } else { 0.0 };
+            self.store(i, q, pos);
             self.add(q * self.elem_w[i]);
             i += 1;
         });
@@ -210,6 +248,9 @@ impl DomainQualityCache {
     /// Queue element `t` for the next flush (deduplicated; O(1)).
     #[inline]
     pub fn mark_dirty(&mut self, t: u32) {
+        if self.dirty_stamp.is_empty() {
+            self.dirty_stamp = vec![0; self.elem_q.len()];
+        }
         if self.dirty_stamp[t as usize] != self.epoch {
             self.dirty_stamp[t as usize] = self.epoch;
             self.dirty.push(t);
@@ -247,8 +288,7 @@ impl DomainQualityCache {
             if delta != 0.0 {
                 self.add(delta);
             }
-            self.elem_q[i] = q;
-            self.elem_g[i] = if pos { q } else { 0.0 };
+            self.store(i, q, pos);
         });
         dirty.clear();
         self.dirty = dirty;
@@ -299,7 +339,7 @@ mod tests {
     use super::*;
     use crate::domain::TriDomain;
     use lms_mesh::quality::{mesh_quality, QualityMetric};
-    use lms_mesh::{generators, Adjacency, Boundary, Point2};
+    use lms_mesh::{generators, Adjacency, Boundary, Point2, TriMesh};
 
     /// Build a cache, move the first `take` interior vertices, fold the
     /// moves in with `apply_moves`: the exact quality must equal a
@@ -332,5 +372,134 @@ mod tests {
     #[test]
     fn sparse_moves_rescore_incident_elements() {
         moves_match_scratch(25);
+    }
+
+    /// The layout the cache had before the orientation bit: the quality,
+    /// the orientation-guarded quality and the weight each stored as one
+    /// `f64` per element, the weight summed from per-corner divisions.
+    struct ThreeArrays {
+        q: Vec<f64>,
+        g: Vec<f64>,
+        w: Vec<f64>,
+    }
+
+    impl ThreeArrays {
+        fn new<D: SmoothDomain<3>>(dom: &D) -> Self {
+            let nt = dom.num_elements();
+            let w = dom
+                .elements()
+                .iter()
+                .map(|e| e.iter().map(|&v| 1.0 / dom.elements_of(v).len() as f64).sum())
+                .collect();
+            ThreeArrays { q: vec![0.0; nt], g: vec![0.0; nt], w }
+        }
+
+        fn store(&mut self, i: usize, (q, pos): (f64, bool)) {
+            self.q[i] = q;
+            self.g[i] = if pos { q } else { 0.0 };
+        }
+
+        /// Every accessor agrees with the cache bit for bit, NaN payloads
+        /// included.
+        fn assert_same(&self, cache: &DomainQualityCache) {
+            for t in 0..self.q.len() {
+                let (i, u) = (t, t as u32);
+                assert_eq!(cache.elem_quality(u).to_bits(), self.q[i].to_bits(), "q of {t}");
+                assert_eq!(cache.guarded_quality(u).to_bits(), self.g[i].to_bits(), "g of {t}");
+                assert_eq!(cache.elem_is_positive(u), self.g[i] > 0.0, "orientation of {t}");
+                assert_eq!(cache.elem_w[i].to_bits(), self.w[i].to_bits(), "w of {t}");
+            }
+        }
+    }
+
+    /// The SoA kernels' special-value corpus as a triangle soup: every pair of NaN,
+    /// ±inf, ±0, subnormals, `±1e200` and plain numbers is a vertex;
+    /// triangles are random triples, the same triples reversed (inverted)
+    /// and triples from one row of the pair grid (degenerate when finite).
+    /// Built from there, re-scored in full and fed stars of special scores
+    /// with chosen NaN payloads, the cache reads back exactly what the
+    /// three-array layout held.
+    #[test]
+    fn accessors_equal_the_three_array_layout_on_special_values() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            1e200,
+            -1e200,
+            1e-200,
+            1.0,
+            -2.5,
+            0.3,
+        ];
+        let k = specials.len();
+        let coords: Vec<Point2> =
+            (0..k * k).map(|i| Point2::new(specials[i / k], specials[i % k])).collect();
+        let mut rng = proptest::test_runner::TestRng::for_test("dcache_special_values");
+        let mut tris: Vec<[u32; 3]> = Vec::new();
+        while tris.len() < 3000 {
+            let [a, b, c] = std::array::from_fn(|_| rng.index(k * k) as u32);
+            let row = rng.index(k) * k;
+            let [d, e, f] = std::array::from_fn(|j| (row + (rng.index(k) + j) % k) as u32);
+            for tri in [[a, b, c], [a, c, b], [d, e, f]] {
+                if tri[0] != tri[1] && tri[1] != tri[2] && tri[0] != tri[2] {
+                    tris.push(tri);
+                }
+            }
+        }
+        let m = TriMesh::new(coords, tris).unwrap();
+        let adj = Adjacency::build(&m);
+        let b = Boundary::from_adjacency(&adj);
+        let dom = TriDomain::new(&adj, &b, m.triangles(), QualityMetric::EdgeLengthRatio);
+
+        let mut scored = Vec::new();
+        score_elements_batched(&dom, m.coords(), m.triangles().iter().copied(), |s| scored.push(s));
+        let mut oracle = ThreeArrays::new(&dom);
+        for (i, &s) in scored.iter().enumerate() {
+            oracle.store(i, s);
+        }
+        let mut cache = DomainQualityCache::build(&dom, m.coords());
+        oracle.assert_same(&cache);
+        // the corpus reaches every case the bit has to get right
+        assert!(scored.iter().any(|&(q, pos)| pos && q.is_nan()), "no positive NaN score");
+        assert!(scored.iter().any(|&(q, pos)| !pos && q.is_nan()), "no inverted NaN score");
+        assert!(scored.iter().any(|&(q, pos)| pos && q > 0.0), "no valid element");
+        assert!(scored.iter().any(|&(q, pos)| !pos && q > 0.0), "no inverted element");
+        assert!(scored.iter().any(|&(q, _)| q == 0.0), "no zero-quality element");
+
+        cache.rescore_all(&dom, m.coords());
+        oracle.assert_same(&cache);
+
+        let scores = [
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff0_0000_0000_0002),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -1.0,
+            0.75,
+        ];
+        for _ in 0..2000 {
+            let len = 1 + rng.index(8);
+            let ts: Vec<u32> = (0..len).map(|_| rng.index(scored.len()) as u32).collect();
+            let star: Vec<(f64, bool)> = (0..len)
+                .map(|_| {
+                    let q = scores[rng.index(scores.len())];
+                    // `set_star` asserts the metric invariant in debug builds
+                    (q, q > 0.0 && rng.index(2) == 0)
+                })
+                .collect();
+            cache.set_star(&ts, &star);
+            for (&e, &s) in ts.iter().zip(&star) {
+                oracle.store(e as usize, s);
+            }
+        }
+        oracle.assert_same(&cache);
     }
 }

@@ -23,7 +23,7 @@ use crate::stats::SmoothReport;
 use crate::trace::{AccessSink, NullSink};
 use lms_mesh::geometry::Point2;
 use lms_mesh::quality::vertex_qualities;
-use lms_mesh::{Adjacency, Boundary, TriMesh};
+use lms_mesh::{vec_bytes, Adjacency, Boundary, TriMesh};
 use lms_order::Graph;
 use lms_part::{Partition, PartitionMethod};
 use std::sync::{Arc, OnceLock};
@@ -54,8 +54,14 @@ pub trait SmoothMesh<const C: usize>: Sized {
     /// Classify the boundary, given the adjacency built for this mesh.
     fn boundary(&self, adj: &Self::Adjacency) -> Self::Boundary;
 
+    /// Element→vertex incidence, behind the mesh's shared pointer: an
+    /// engine keeps a clone of the pointer, never a copy of the table.
+    fn shared_elements(&self) -> &Arc<Vec<[u32; C]>>;
+
     /// Element→vertex incidence.
-    fn elements(&self) -> &[[u32; C]];
+    fn elements(&self) -> &[[u32; C]] {
+        self.shared_elements()
+    }
 
     /// The coordinate array.
     fn coords(&self) -> &[Self::Point];
@@ -70,6 +76,10 @@ pub trait SmoothMesh<const C: usize>: Sized {
         num_parts: usize,
         method: PartitionMethod,
     ) -> Partition;
+
+    /// Heap bytes of an adjacency and a boundary classification built for
+    /// this mesh type.
+    fn topology_heap_bytes(adj: &Self::Adjacency, boundary: &Self::Boundary) -> usize;
 
     /// Bundle precomputed topology into the domain view.
     fn domain<'a>(
@@ -106,8 +116,8 @@ impl SmoothMesh<3> for TriMesh {
         Boundary::from_adjacency(adj)
     }
 
-    fn elements(&self) -> &[[u32; 3]] {
-        self.triangles()
+    fn shared_elements(&self) -> &Arc<Vec<[u32; 3]>> {
+        self.shared_triangles()
     }
 
     fn coords(&self) -> &[Point2] {
@@ -120,6 +130,10 @@ impl SmoothMesh<3> for TriMesh {
 
     fn partition(&self, adj: &Adjacency, num_parts: usize, method: PartitionMethod) -> Partition {
         lms_part::partition_mesh(self, adj, num_parts, method)
+    }
+
+    fn topology_heap_bytes(adj: &Adjacency, boundary: &Boundary) -> usize {
+        adj.heap_bytes() + boundary.heap_bytes()
     }
 
     fn domain<'a>(
@@ -153,7 +167,9 @@ impl SmoothMesh<3> for TriMesh {
 /// sweep visit order; every run can then smooth the mesh (or any mesh with
 /// identical connectivity — e.g. a re-smoothing after further
 /// perturbation) without re-deriving topology. The element connectivity
-/// is held behind an [`Arc`]: cloning the engine shares one allocation.
+/// is the mesh's own table, shared through its [`Arc`], not copied: the
+/// mesh, its clones, the engine and the engine's clones read one
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct SmoothEngineOn<const C: usize, M: SmoothMesh<C>> {
     pub(crate) params: M::Params,
@@ -161,7 +177,9 @@ pub struct SmoothEngineOn<const C: usize, M: SmoothMesh<C>> {
     pub(crate) boundary: M::Boundary,
     /// Interior vertices in sweep order.
     pub(crate) visit: Vec<u32>,
-    pub(crate) elements: Arc<[[u32; C]]>,
+    /// The mesh's element table, shared with it (see
+    /// [`SmoothMesh::shared_elements`]).
+    pub(crate) elements: Arc<Vec<[u32; C]>>,
     /// Star layout (see [`build_star_layout_on`]): lets the scalar-scoring
     /// smart sweeps score a candidate star from a gathered ring buffer.
     /// Built only for `smart && scalar_scoring`, and `None` when a vertex
@@ -200,7 +218,9 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
             mesh.coords().len()
         );
         let boundary = mesh.boundary(&adj);
-        let visit = mesh.visit_order(&adj, &boundary, &params);
+        let mut visit = mesh.visit_order(&adj, &boundary, &params);
+        // the order lives as long as the engine: drop any growth slack
+        visit.shrink_to_fit();
         // only the smart scalar-scoring sweeps read the star layout; skip
         // the O(C·T) binary-search construction for every other engine
         let cfg = M::domain_config(&params);
@@ -215,7 +235,7 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
             adj,
             boundary,
             visit,
-            elements: mesh.elements().into(),
+            elements: Arc::clone(mesh.shared_elements()),
             star,
             colored_classes: OnceLock::new(),
             pool: PoolCache::new(),
@@ -286,6 +306,21 @@ impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
     /// The sweep visit order (interior vertices).
     pub fn visit_order(&self) -> &[u32] {
         &self.visit
+    }
+
+    /// Bytes the engine owns on the heap: adjacency, boundary flags, visit
+    /// order, star layout and (once computed) the color classes. The
+    /// element table is not among them: it is the mesh's, shared rather
+    /// than copied, and a ledger counts it once, with the mesh.
+    pub fn heap_bytes(&self) -> usize {
+        let classes = self
+            .colored_classes
+            .get()
+            .map_or(0, |classes| vec_bytes(classes) + classes.iter().map(vec_bytes).sum::<usize>());
+        M::topology_heap_bytes(&self.adj, &self.boundary)
+            + vec_bytes(&self.visit)
+            + self.star.as_deref().map_or(0, std::mem::size_of_val)
+            + classes
     }
 
     /// Smooth `mesh` in place until convergence or `max_iters`.
@@ -644,6 +679,24 @@ mod tests {
             engine.clone().with_visit_order(short);
         }));
         assert!(result.is_err());
+    }
+
+    /// The serial ledger of a 96² run: the mesh, the engine (which holds
+    /// no copy of the triangle table) and the cache the run ends with.
+    #[test]
+    fn serial_ledger_of_a_96_grid_is_the_closed_form_count() {
+        let m = generators::perturbed_grid(96, 96, 0.35, 42);
+        let params = SmoothParams::paper().with_smart(true).with_tol(-1.0).with_max_iters(3);
+        let engine = SmoothEngine::new(&m, params.clone());
+        let (n, t) = (m.num_vertices(), m.num_triangles());
+        assert_eq!(m.heap_bytes(), 16 * n + 12 * t);
+        // adjacency: two CSR offset arrays, the neighbour and incidence
+        // rows, the boundary flags; then the boundary's own flags and the
+        // interior visit order
+        let edges = engine.adjacency().num_directed_edges();
+        let topology = 2 * 4 * (n + 1) + 4 * edges + 4 * 3 * t + n;
+        assert_eq!(engine.heap_bytes(), topology + n + 4 * engine.visit_order().len());
+        checks::smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element(&m, params);
     }
 
     #[test]

@@ -286,6 +286,15 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
     /// Run the incremental-quality sweeps on `coords` until convergence
     /// or the sweep cap.
     pub fn run(&self, coords: &mut [D::Point]) -> SmoothReport {
+        self.run_keeping_cache(coords).0
+    }
+
+    /// [`run`](Self::run), handing back the quality cache the run ended
+    /// with (its ledger is what the tests read).
+    pub(crate) fn run_keeping_cache(
+        &self,
+        coords: &mut [D::Point],
+    ) -> (SmoothReport, DomainQualityCache) {
         assert_eq!(coords.len(), self.dom.num_vertices(), "engine was built for a different mesh");
         let cfg = &self.cfg;
         let mut cache = DomainQualityCache::build(self.dom, coords);
@@ -355,7 +364,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             last.quality = exact;
         }
         report.final_quality = exact;
-        report
+        (report, cache)
     }
 
     /// Plain in-place sweep: every candidate commits; movers are recorded

@@ -42,6 +42,8 @@
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 #[doc(hidden)]
 pub mod checks;
 pub mod colored;
@@ -83,3 +85,6 @@ pub use transport::{
 /// re-exported for `lms-mesh3d`: it depends on this crate, not on
 /// `lms-mesh`, and builds its `Adjacency3` with the same code at `K = 4`.
 pub use lms_mesh::adjacency::{vertex_rows, VertexRows};
+/// The byte count of every `heap_bytes` ledger, re-exported for
+/// `lms-mesh3d` for the same reason.
+pub use lms_mesh::vec_bytes;

@@ -62,12 +62,14 @@
 //! `lms_mesh3d::ResidentEngine3` the tetrahedral one.
 
 use crate::config::{UpdateScheme, Weighting};
+use crate::dcache::element_weights;
 use crate::domain::{score_star_per_id, DomainConfig, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for_soa;
 use crate::soa::{resize_tracked, SoaLike, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
+use lms_mesh::vec_bytes;
 use lms_part::{ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
 
@@ -178,6 +180,33 @@ impl<const C: usize> ResidentBlock<C> {
     /// gather map.
     pub fn elem_globals(&self) -> &[u32] {
         &self.elem_globals
+    }
+
+    /// Bytes the block owns on the heap.
+    fn heap_bytes(&self) -> usize {
+        [
+            &self.owned,
+            &self.halo,
+            &self.int_locals,
+            &self.int_nbr_offsets,
+            &self.int_nbrs,
+            &self.int_vt_offsets,
+            &self.int_vt,
+            &self.ifc_color_offsets,
+            &self.ifc_locals,
+            &self.ifc_nbr_offsets,
+            &self.ifc_nbrs,
+            &self.ifc_vt_offsets,
+            &self.ifc_vt,
+            &self.elem_globals,
+            &self.halo_vt_offsets,
+            &self.halo_vt,
+        ]
+        .into_iter()
+        .map(vec_bytes)
+        .sum::<usize>()
+            + vec_bytes(&self.elem_corners)
+            + vec_bytes(&self.elem_weight)
     }
 }
 
@@ -836,11 +865,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
 ) -> (Vec<ResidentBlock<C>>, Vec<f64>) {
     let n = dom.num_vertices();
     let elements = dom.elements();
-    // constant global element weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the
-    // quality functional
-    let inv_deg: Vec<f64> = (0..n as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect();
-    let elem_w: Vec<f64> =
-        elements.iter().map(|e| e.iter().map(|&v| inv_deg[v as usize]).sum()).collect();
+    let elem_w = element_weights(dom);
 
     // One pass over the elements in index order finds each one's stat
     // owner — the part owning its smallest mesh-interior (movable) corner;
@@ -970,6 +995,21 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
     /// functional.
     pub fn elem_weights(&self) -> &[f64] {
         &self.elem_w
+    }
+
+    /// Bytes the engine owns on the heap: its serial engine's ledger
+    /// (which leaves the shared element table to the mesh), the partition,
+    /// the exchange schedule, the interface classes, every block and the
+    /// element weights.
+    pub fn heap_bytes(&self) -> usize {
+        self.engine.heap_bytes()
+            + self.partition.heap_bytes()
+            + self.schedule.heap_bytes()
+            + vec_bytes(&self.interface_classes)
+            + self.interface_classes.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.blocks)
+            + self.blocks.iter().map(ResidentBlock::heap_bytes).sum::<usize>()
+            + vec_bytes(&self.elem_w)
     }
 
     /// The serial visit order this engine's sweep is exactly equal to:

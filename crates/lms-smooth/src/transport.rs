@@ -480,8 +480,13 @@ fn initial_scores<const C: usize, D: SmoothDomain<C>>(
 /// parts own disjoint global vertex sets (a partition invariant,
 /// property-tested in `lms-part`), so no slot is written by two parts.
 struct ScatterPtr<P>(*mut P);
-unsafe impl<P> Sync for ScatterPtr<P> {}
-unsafe impl<P> Send for ScatterPtr<P> {}
+// SAFETY: the one field is a pointer into a `&mut [P]` the scatter borrows
+// for as long as the workers run; workers only write `P` values (`P: Send`)
+// into disjoint slots through it and never read or share a slot, so sharing
+// the pointer itself between threads races on nothing.
+unsafe impl<P: Send> Sync for ScatterPtr<P> {}
+// SAFETY: as for `Sync`: moving the pointer to a worker moves no `P`.
+unsafe impl<P: Send> Send for ScatterPtr<P> {}
 
 /// The shared-address-space transport: every part is a [`ResidentRank`]
 /// in this process, phases run on the persistent worker pool, and delta
@@ -620,7 +625,10 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
                 for (j, &v) in blocks[i].owned().iter().enumerate() {
                     // SAFETY: `v` is owned by part `i` alone; parts
                     // partition the vertex set, so no two workers
-                    // write the same slot.
+                    // write the same slot. `v` is in bounds:
+                    // `drive_resident_ft_with` checked `coords.len()`
+                    // against the domain, whose vertices the partition
+                    // covers.
                     unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
                 }
             });

@@ -8,7 +8,9 @@
 //! * every resident block's element list — dealt out in one pass over the
 //!   elements, never sorted — equals the `collect → sort → dedup` it
 //!   replaced and is strictly ascending, on decompositions with more parts
-//!   than vertices, empty parts, an all-boundary part and a single part.
+//!   than vertices, empty parts, an all-boundary part and a single part;
+//! * the mesh, its clones and every engine built from it share one
+//!   triangle table, and `orient_ccw` on a clone copies the clone's.
 
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_smooth::{checks, SmoothParams};
@@ -41,6 +43,22 @@ fn with_adjacency_rejects_an_adjacency_of_another_size() {
     let mesh = generators::perturbed_grid(6, 6, 0.2, 1);
     let small = Adjacency::build(&generators::perturbed_grid(5, 5, 0.2, 1));
     checks::with_adjacency_rejects_an_adjacency_of_another_size(&mesh, small, params());
+}
+
+#[test]
+fn engines_share_the_mesh_triangle_table() {
+    let mesh = generators::perturbed_grid(9, 7, 0.3, 4);
+    checks::engines_share_the_mesh_element_table(&mesh, params());
+}
+
+#[test]
+fn orient_ccw_on_a_clone_leaves_the_original_untouched() {
+    let (coords, mut triangles) = generators::perturbed_grid(8, 8, 0.3, 5).into_parts();
+    for tri in triangles.iter_mut().step_by(3) {
+        tri.swap(1, 2);
+    }
+    let mesh = TriMesh::new(coords, triangles).unwrap();
+    checks::orienting_a_clone_leaves_the_original_untouched(&mesh, params(), TriMesh::orient_ccw);
 }
 
 #[test]
