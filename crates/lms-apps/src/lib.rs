@@ -38,6 +38,8 @@
 //! assert!(report.final_quality >= report.initial_quality);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod constrained;
 pub mod dynamic;

@@ -36,6 +36,8 @@
 //! assert!(cache.stats_of("L1").unwrap().hits > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod address;
 pub mod cache;
 pub mod fenwick;

@@ -23,6 +23,8 @@
 //! assert!(boundary.num_interior() == 14 * 14);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adjacency;
 pub mod boundary;
 pub mod generators;

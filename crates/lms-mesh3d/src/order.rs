@@ -336,4 +336,19 @@ mod tests {
         assert!(rdr < ori, "rdr {rdr} must beat ori {ori}");
         assert!(rdr < rnd / 4.0, "rdr {rdr} must crush random {rnd}");
     }
+
+    /// The 3D RDR order pinned by hash (FNV-1a, 64-bit, over the
+    /// little-endian bytes of the new-to-old ids).
+    #[test]
+    fn tet_grid_rdr_order_is_pinned() {
+        let p = rdr_ordering3(&perturbed_tet_grid(12, 12, 12, 0.35, 1));
+        let hash = p
+            .new_to_old()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, 0xf4dc_5af2_7fc1_48d1);
+    }
 }

@@ -10,11 +10,18 @@
 //!
 //! The concrete `*_ordering` functions in [`crate::traversals`] and
 //! [`crate::rdr`] are thin wrappers over the `*_ordering_on` cores here.
+//!
+//! The RDR walk is built for inputs whose numbering has no locality (the
+//! paper's pipeline starts from one), where every step reads some random
+//! vertex: all it reads per vertex is one state byte (quality bin and
+//! three flags), the seed list is a cursor over those bytes rather than a
+//! heap, and each appended vertex's adjacency row is read ahead of the
+//! step that makes it the head. The output is the plain walk's, vertex
+//! for vertex; a property test holds it to that reference.
 
 use crate::permutation::Permutation;
-use crate::rdr::RdrOptions;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::rdr::{quality_bin, RdrOptions};
+use std::collections::VecDeque;
 
 /// An undirected graph with contiguous `u32` vertex ids and sorted,
 /// deduplicated CSR neighbour slices.
@@ -233,57 +240,71 @@ pub fn rcm_ordering_on<G: Graph>(graph: &G) -> Permutation {
 /// forward, O(n) in total), and the global list is consulted only when that
 /// frontier is empty: for the first chain, which still starts at the worst
 /// vertex, and once per region the frontier cannot reach.
+///
+/// Every worst-first comparison ranks by [`RdrOptions::key`], which needs
+/// nothing of the options: their metric has already gone into `quality`.
 pub fn rdr_ordering_on<G: Graph>(
     graph: &G,
     interior: &[bool],
     quality: &[f64],
-    options: &RdrOptions,
+    _options: &RdrOptions,
 ) -> Permutation {
     let n = graph.num_vertices();
     assert_eq!(quality.len(), n, "need one quality value per vertex");
     assert_eq!(interior.len(), n, "need one interior flag per vertex");
-    Permutation::from_new_to_old_unchecked(rdr_walk_in_range(
-        graph, interior, quality, options, 0, n as u32,
-    ))
+    Permutation::from_new_to_old_unchecked(rdr_walk_in_range(graph, interior, quality, 0, n as u32))
 }
+
+/// The walk's per-vertex state byte (see [`rdr_walk_in_range`]): the
+/// quality bin in bits 0–2, then three flags.
+const BIN: u8 = 0b111;
+const INTERIOR: u8 = 1 << 3;
+const PROCESSED: u8 = 1 << 4;
+const SORTED: u8 = 1 << 5;
 
 /// The walk of [`rdr_ordering_on`] restricted to the index range `lo..hi`:
 /// follows only edges with both endpoints in the range and orders every
 /// range vertex exactly once (Theorem 1, range-relative). The serial
 /// ordering is the whole range; [`crate::par_rdr`] runs one walk per chunk.
+///
+/// Everything the walk reads per vertex lives in one byte per range
+/// vertex: the quality bin (bits 0–2) and the `interior`, `processed` and
+/// `sorted` flags. On a numbering with no locality each step reads a
+/// random vertex's state, and at 768² the bytes (0.6 MB) fit a 2 MiB L2;
+/// the `f64` qualities alone would take 4.7 MB. Ranking a worklist is a
+/// plain sort of `(bin << 32) | v` keys read from those bytes — the order
+/// of [`RdrOptions::key`].
 pub(crate) fn rdr_walk_in_range<G: Graph>(
     graph: &G,
     interior: &[bool],
     quality: &[f64],
-    options: &RdrOptions,
     lo: u32,
     hi: u32,
 ) -> Vec<u32> {
     let len = (hi - lo) as usize;
-    let in_range = |v: u32| (lo..hi).contains(&v);
-    let rel = |v: u32| (v - lo) as usize;
-    let mut vnew: Vec<u32> = Vec::with_capacity(len);
-    // range-relative flags
-    let mut processed = vec![false; len];
-    let mut sorted = vec![false; len];
-
-    // Interior vertices by increasing quality (line 6), as a min-heap:
-    // the walk asks for the next worst one only when the frontier is empty,
-    // so heapifying (O(n)) replaces sorting them all.
-    let mut seeds: BinaryHeap<Reverse<(u64, u32)>> = (lo..hi)
-        .filter(|&v| interior[v as usize])
-        .map(|v| Reverse(options.key(v, quality)))
+    // Range-relative index; one past the range or below it (wrapping) is
+    // `>= len`, so `state.get(rel(w))` doubles as the range test.
+    let rel = |v: u32| v.wrapping_sub(lo) as usize;
+    let mut state: Vec<u8> = (lo as usize..hi as usize)
+        .map(|v| quality_bin(quality[v]) | if interior[v] { INTERIOR } else { 0 })
         .collect();
+    let mut vnew: Vec<u32> = Vec::with_capacity(len);
+
     // Interior vertices not yet processed; each is processed exactly once.
-    let mut unprocessed_interior = seeds.len();
+    let mut unprocessed_interior = state.iter().filter(|&&s| s & INTERIOR != 0).count();
     // Every interior vertex of `vnew[..frontier]` is processed.
     let mut frontier = 0usize;
-    // Reused scratch buffer for the neighbour worklist `l`.
-    let mut l: Vec<u32> = Vec::new();
+    // Seed cursor over interior vertices by increasing (bin, index) — line
+    // 6's sorted list, never materialised. The processed set only grows,
+    // so the smallest unprocessed key never decreases and the cursor only
+    // moves forward: at most one pass over the range per bin.
+    let (mut seed_bin, mut seed_at) = (0u8, 0usize);
+    // Reused scratch buffer for the neighbour worklist `l`, as sort keys.
+    let mut l: Vec<u64> = Vec::new();
 
     while unprocessed_interior > 0 {
         while frontier < vnew.len()
-            && (processed[rel(vnew[frontier])] || !interior[vnew[frontier] as usize])
+            && state[rel(vnew[frontier])] & (INTERIOR | PROCESSED) != INTERIOR
         {
             frontier += 1;
         }
@@ -291,45 +312,61 @@ pub(crate) fn rdr_walk_in_range<G: Graph>(
             Some(&i) => i,
             // An ordered interior vertex still unprocessed would be on the
             // frontier, so the worst unprocessed seed is unordered too.
-            None => loop {
-                let Reverse((_, i)) = seeds.pop().expect("an unprocessed interior vertex remains");
-                if !processed[rel(i)] {
-                    debug_assert!(!sorted[rel(i)]);
-                    vnew.push(i);
-                    sorted[rel(i)] = true;
-                    break i;
+            None => {
+                loop {
+                    if seed_at == len {
+                        seed_bin += 1;
+                        seed_at = 0;
+                    }
+                    let s = state[seed_at];
+                    if s & (INTERIOR | PROCESSED) == INTERIOR && s & BIN == seed_bin {
+                        break;
+                    }
+                    seed_at += 1;
                 }
-            },
+                debug_assert!(state[seed_at] & SORTED == 0);
+                state[seed_at] |= SORTED;
+                let i = lo + seed_at as u32;
+                vnew.push(i);
+                i
+            }
         };
         loop {
-            processed[rel(head)] = true;
-            unprocessed_interior -= usize::from(interior[head as usize]);
+            let s = &mut state[rel(head)];
+            *s |= PROCESSED;
+            unprocessed_interior -= usize::from(*s & INTERIOR != 0);
             // l ← unprocessed neighbours of the head by increasing quality
             l.clear();
-            l.extend(
-                graph
-                    .neighbors(head)
-                    .iter()
-                    .copied()
-                    .filter(|&w| in_range(w) && !processed[rel(w)]),
-            );
+            for &w in graph.neighbors(head) {
+                if let Some(&s) = state.get(rel(w)) {
+                    if s & PROCESSED == 0 {
+                        l.push(u64::from(s & BIN) << 32 | u64::from(w));
+                    }
+                }
+            }
             if l.is_empty() {
                 break;
             }
-            options.sort_by_quality(&mut l, quality);
-            for &j in &l {
-                if !sorted[rel(j)] {
+            l.sort_unstable();
+            for &key in &l {
+                let j = key as u32;
+                let s = &mut state[rel(j)];
+                if *s & SORTED == 0 {
+                    *s |= SORTED;
                     vnew.push(j);
-                    sorted[rel(j)] = true;
+                    // Read j's row ahead: j is a head soon. The row
+                    // lookup's bounds checks load its offsets now, so
+                    // they are in cache when the walk gets there.
+                    let _ = graph.neighbors(j);
                 }
             }
-            head = l[0];
+            head = l[0] as u32;
         }
     }
 
     // Vertices never reached (boundary patches with no interior
     // neighbour): append in index order.
-    vnew.extend((lo..hi).filter(|&v| !sorted[rel(v)]));
+    vnew.extend((lo..hi).filter(|&v| state[rel(v)] & SORTED == 0));
     vnew
 }
 

@@ -24,6 +24,8 @@
 //! All orderings are returned as a [`Permutation`] (new-to-old map) that can
 //! be applied to meshes or per-vertex value arrays.
 
+#![forbid(unsafe_code)]
+
 pub mod coloring;
 pub mod graph;
 pub mod hilbert;

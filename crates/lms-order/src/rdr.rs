@@ -17,6 +17,12 @@
 //! (every vertex ordered exactly once) is enforced by construction and
 //! checked by property tests.
 //!
+//! Vertices are ranked by quality *bin* ([`RdrOptions::key`]), and the bin
+//! is small enough that the walk packs it with its three per-vertex flags
+//! into one byte: line 6's global sort becomes a cursor that makes at most
+//! one pass over those bytes per bin, and each neighbour worklist is a
+//! sort of plain integer keys.
+//!
 //! [`Theorem 1`]: https://arxiv.org/abs/1606.00803
 
 use crate::permutation::Permutation;
@@ -48,13 +54,26 @@ impl Default for RdrOptions {
 /// generator's coherent numbering steer the chains instead.
 const QUALITY_BINS: f64 = 4.0;
 
+// The RDR walk keeps a bin, `0..=QUALITY_BINS`, in 3 bits of a byte.
+const _: () = assert!(QUALITY_BINS < 8.0);
+
+/// The quality bin of `q`, `0..=4`: `floor(4 · clamp(q, 0, 1))`, so 1.0
+/// and above land in bin 4. NaN, negative values and −0 land in bin 0.
+///
+/// The one place the bin is computed: [`RdrOptions::key`] and the walk's
+/// per-vertex state byte both read it from here, so they cannot drift.
+#[inline]
+pub(crate) fn quality_bin(q: f64) -> u8 {
+    // `as` saturates and maps NaN to 0
+    (q.clamp(0.0, 1.0) * QUALITY_BINS).floor() as u8
+}
+
 impl RdrOptions {
     /// The sort key of vertex `v`: its quality bin, ties broken by vertex
     /// index.
     #[inline]
     pub fn key(&self, v: u32, quality: &[f64]) -> (u64, u32) {
-        let q = quality[v as usize];
-        ((q.clamp(0.0, 1.0) * QUALITY_BINS).floor() as u64, v)
+        (u64::from(quality_bin(quality[v as usize])), v)
     }
 
     /// Sort vertex ids in place by [`RdrOptions::key`] — the worst-first
@@ -141,13 +160,35 @@ mod tests {
         let p = rdr_ordering_with(&adj, &boundary, &q, &opts);
         let first = p.new_to_old()[0];
         assert!(boundary.is_interior(first));
-        let bin = |v: u32| (q[v as usize].clamp(0.0, 1.0) * QUALITY_BINS).floor() as u64;
+        let bin = |v: u32| quality_bin(q[v as usize]);
         let worst_bin = (0..m.num_vertices() as u32)
             .filter(|&v| boundary.is_interior(v))
             .map(bin)
             .min()
             .unwrap();
         assert_eq!(bin(first), worst_bin);
+    }
+
+    #[test]
+    fn quality_bins_cover_the_edges() {
+        let cases = [
+            (f64::NAN, 0),
+            (f64::NEG_INFINITY, 0),
+            (-0.5, 0),
+            (-0.0, 0),
+            (0.0, 0),
+            (0.249, 0),
+            (0.25, 1),
+            (0.5, 2),
+            (0.75, 3),
+            (0.999, 3),
+            (1.0, 4),
+            (7.0, 4),
+            (f64::INFINITY, 4),
+        ];
+        for (q, bin) in cases {
+            assert_eq!(quality_bin(q), bin, "q = {q}");
+        }
     }
 
     #[test]
@@ -198,5 +239,22 @@ mod tests {
         .unwrap();
         let p = rdr_ordering(&m);
         assert!(p.is_identity());
+    }
+
+    /// FNV-1a (64-bit) over the little-endian bytes of `ids`.
+    fn fnv1a(ids: &[u32]) -> u64 {
+        ids.iter().flat_map(|v| v.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The RDR order of a shuffled grid, pinned by hash: a change to the
+    /// walk that moves a single vertex fails here, without the harness.
+    #[test]
+    fn shuffled_grid_order_is_pinned() {
+        let m = generators::perturbed_grid(128, 128, 0.35, 1);
+        let shuffled = crate::random_ordering(m.num_vertices(), 1).apply_to_mesh(&m);
+        let p = rdr_ordering(&shuffled);
+        assert_eq!(fnv1a(p.new_to_old()), 0x2c63_7d4a_1d87_8429);
     }
 }

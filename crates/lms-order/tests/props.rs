@@ -1,15 +1,18 @@
 //! Property-based tests for the ordering library: every ordering is a
 //! bijection on arbitrary meshes (Theorem 1 of the paper for RDR), the
-//! permutation algebra obeys its laws, and the locality metrics rank the
-//! graph orderings above random.
+//! RDR walk equals a plain reference walk, the permutation algebra obeys
+//! its laws, and the locality metrics rank the graph orderings above
+//! random.
 
 use lms_mesh::{generators, Adjacency, TriMesh};
 use lms_order::graph::rdr_ordering_on;
 use lms_order::{
-    compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on, random_ordering, CsrGraph,
-    Graph, OrderingKind, ParRdrOptions, Permutation, RdrOptions,
+    compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on, random_ordering,
+    ChunkConcat, CsrGraph, Graph, OrderingKind, ParRdrOptions, Permutation, RdrOptions,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 fn arb_grid() -> impl Strategy<Value = TriMesh> {
     (3usize..16, 3usize..16, 0.0f64..0.45, 0u64..500)
@@ -37,6 +40,136 @@ fn csr_from_pairs(n: usize, pairs: &[(usize, usize)]) -> (Vec<u32>, Vec<u32>) {
         offsets.push(neighbors.len() as u32);
     }
     (offsets, neighbors)
+}
+
+/// Vertex count and index pairs for [`csr_from_pairs`], in two shapes:
+/// sparse (up to 40 vertices, degree ≲ 4, usually disconnected) and
+/// tet-like (16–64 vertices, rows of ~14 neighbours within a band of
+/// nearby indices — the shape of a tetrahedral mesh's vertex graph, which
+/// `rdr_ordering3` walks).
+fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    prop_oneof![
+        (1usize..40, proptest::collection::vec((0usize..64, 0usize..64), 0..90)),
+        (16usize..64, proptest::collection::vec((0usize..64, 1usize..16), 250..450)).prop_map(
+            |(n, links)| (n, links.into_iter().map(|(a, d)| (a % n, (a % n + d) % n)).collect())
+        ),
+    ]
+}
+
+/// Qualities on every quality-bin edge (0, 0.25, 0.5, 0.75, 1), below 0,
+/// above 1, ±∞, NaN and −0, as well as uniform draws in and around
+/// `[0, 1]`.
+fn arb_quality() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 11] =
+        [0.0, 0.25, 0.5, 0.75, 1.0, -0.0, -0.25, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    prop_oneof![0.0f64..1.0, -0.5f64..1.5, (0usize..EDGES.len()).prop_map(|k| EDGES[k])]
+}
+
+/// One interior flag per bit: arbitrary, all boundary, or all interior.
+fn arb_interior_bits() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), Just(0u64), Just(u64::MAX)]
+}
+
+/// The straightforward form of Algorithm 2's walk over the index range
+/// `lo..hi`, the reference `lms-order`'s walk must equal: a heap of every
+/// interior seed, `processed` and `sorted` flag arrays, and each worklist
+/// ranked by [`RdrOptions::sort_by_quality`] straight from `quality`.
+fn reference_walk(
+    graph: &impl Graph,
+    interior: &[bool],
+    quality: &[f64],
+    lo: u32,
+    hi: u32,
+) -> Vec<u32> {
+    let options = RdrOptions::default();
+    let len = (hi - lo) as usize;
+    let in_range = |v: u32| (lo..hi).contains(&v);
+    let rel = |v: u32| (v - lo) as usize;
+    let mut vnew: Vec<u32> = Vec::with_capacity(len);
+    let mut processed = vec![false; len];
+    let mut sorted = vec![false; len];
+    // Interior vertices by increasing quality (line 6), as a min-heap.
+    let mut seeds: BinaryHeap<Reverse<(u64, u32)>> = (lo..hi)
+        .filter(|&v| interior[v as usize])
+        .map(|v| Reverse(options.key(v, quality)))
+        .collect();
+    let mut unprocessed_interior = seeds.len();
+    // Every interior vertex of `vnew[..frontier]` is processed.
+    let mut frontier = 0usize;
+    let mut l: Vec<u32> = Vec::new();
+
+    while unprocessed_interior > 0 {
+        while frontier < vnew.len()
+            && (processed[rel(vnew[frontier])] || !interior[vnew[frontier] as usize])
+        {
+            frontier += 1;
+        }
+        let mut head = match vnew.get(frontier) {
+            Some(&i) => i,
+            None => loop {
+                let Reverse((_, i)) = seeds.pop().expect("an unprocessed interior vertex remains");
+                if !processed[rel(i)] {
+                    vnew.push(i);
+                    sorted[rel(i)] = true;
+                    break i;
+                }
+            },
+        };
+        loop {
+            processed[rel(head)] = true;
+            unprocessed_interior -= usize::from(interior[head as usize]);
+            l.clear();
+            l.extend(
+                graph
+                    .neighbors(head)
+                    .iter()
+                    .copied()
+                    .filter(|&w| in_range(w) && !processed[rel(w)]),
+            );
+            if l.is_empty() {
+                break;
+            }
+            options.sort_by_quality(&mut l, quality);
+            for &j in &l {
+                if !sorted[rel(j)] {
+                    vnew.push(j);
+                    sorted[rel(j)] = true;
+                }
+            }
+            head = l[0];
+        }
+    }
+    vnew.extend((lo..hi).filter(|&v| !sorted[rel(v)]));
+    vnew
+}
+
+/// [`reference_walk`] per chunk of `par_rdr_ordering_on`'s index
+/// decomposition, concatenated under `concat`.
+fn reference_chunked(
+    graph: &impl Graph,
+    interior: &[bool],
+    quality: &[f64],
+    concat: ChunkConcat,
+    chunks: usize,
+) -> Vec<u32> {
+    let n = graph.num_vertices();
+    let chunk = n.div_ceil(chunks).max(1);
+    let mut parts: Vec<Vec<u32>> = (0..chunks)
+        .map(|c| ((c * chunk).min(n) as u32, ((c + 1) * chunk).min(n) as u32))
+        .filter(|&(lo, hi)| lo < hi)
+        .map(|(lo, hi)| reference_walk(graph, interior, quality, lo, hi))
+        .collect();
+    if concat == ChunkConcat::WorstQualityFirst {
+        let worst =
+            |p: &Vec<u32>| p.iter().map(|&v| quality[v as usize]).fold(f64::INFINITY, f64::min);
+        parts.sort_by(|a, b| {
+            worst(a)
+                .partial_cmp(&worst(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.first().cmp(&b.first()))
+        });
+    }
+    parts.concat()
 }
 
 fn components(g: &impl Graph) -> usize {
@@ -103,11 +236,10 @@ proptest! {
     /// interior set — all-boundary (nothing seeds a chain) included.
     #[test]
     fn rdr_orders_every_vertex_exactly_once_on_arbitrary_graphs(
-        n in 1usize..40,
-        pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..90),
+        (n, pairs) in arb_graph(),
         interior_bits in any::<u64>(),
         all_boundary in any::<bool>(),
-        quality in proptest::collection::vec(0.0f64..1.0, 40..41),
+        quality in proptest::collection::vec(arb_quality(), 64..65),
         chunks in 1usize..6,
     ) {
         let (offsets, neighbors) = csr_from_pairs(n, &pairs);
@@ -139,9 +271,8 @@ proptest! {
     /// this at nearly every trapped chain.)
     #[test]
     fn rdr_layout_grows_from_its_own_frontier(
-        n in 1usize..40,
-        pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..90),
-        quality in proptest::collection::vec(0.0f64..1.0, 40..41),
+        (n, pairs) in arb_graph(),
+        quality in proptest::collection::vec(arb_quality(), 64..65),
     ) {
         let (offsets, neighbors) = csr_from_pairs(n, &pairs);
         let g = CsrGraph::new(&offsets, &neighbors);
@@ -261,5 +392,37 @@ proptest! {
                 kind.name()
             );
         }
+    }
+}
+
+proptest! {
+    // Default config, so `PROPTEST_CASES` sets the depth (CI runs 4096).
+
+    /// The RDR walk is the reference walk, vertex for vertex: serial RDR
+    /// and the chunked construction (1–6 chunks, either concatenation) on
+    /// arbitrary sparse and tet-like graphs, with qualities on the bin
+    /// edges and outside `[0, 1]`.
+    #[test]
+    fn rdr_walk_equals_the_reference_walk(
+        (n, pairs) in arb_graph(),
+        interior_bits in arb_interior_bits(),
+        quality in proptest::collection::vec(arb_quality(), 64..65),
+        chunks in 1usize..=6,
+        worst_first in any::<bool>(),
+    ) {
+        let (offsets, neighbors) = csr_from_pairs(n, &pairs);
+        let g = CsrGraph::new(&offsets, &neighbors);
+        let interior: Vec<bool> = (0..n).map(|v| interior_bits >> v & 1 == 1).collect();
+        let quality = &quality[..n];
+        let serial = rdr_ordering_on(&g, &interior, quality, &RdrOptions::default());
+        prop_assert_eq!(serial.new_to_old(), &reference_walk(&g, &interior, quality, 0, n as u32)[..]);
+        let concat =
+            if worst_first { ChunkConcat::WorstQualityFirst } else { ChunkConcat::IndexOrder };
+        let par = ParRdrOptions { concat, ..Default::default() };
+        let chunked = par_rdr_ordering_on(&g, &interior, quality, &par, chunks);
+        prop_assert_eq!(
+            chunked.new_to_old(),
+            &reference_chunked(&g, &interior, quality, concat, chunks)[..]
+        );
     }
 }

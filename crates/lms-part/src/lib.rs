@@ -32,6 +32,8 @@
 //! assert!(stats.interior_fraction > 0.5, "parts should be mostly interior");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod exchange;
 pub mod methods;
 pub mod partition;
