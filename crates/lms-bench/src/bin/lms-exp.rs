@@ -19,6 +19,8 @@
 //!   --csv-dir <dir>    also write CSVs into <dir>
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lms_bench::{run, run_all, ExpConfig, ALL};
 use std::process::ExitCode;
 

@@ -40,6 +40,8 @@
 //! orderings (3D): ori random bfs bfsrev dfs rcm hilbert morton rdr
 //! ```
 
+#![forbid(unsafe_code)]
+
 use lms_apps::{tangle_vertices, Backend, Pipeline};
 use lms_mesh::quality::{mesh_quality, vertex_qualities, QualityMetric};
 use lms_mesh::{generators, io, suite, Adjacency, Boundary, TriMesh};

@@ -13,6 +13,8 @@
 //! lms-exp table2 --mesh ocean --csv-dir results/
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod experiments;
 pub mod table;

@@ -9,7 +9,9 @@
 //!
 //! The tables themselves come from [`vertex_rows`], which is generic in
 //! the corner count: `lms-mesh3d`'s `Adjacency3` is the same code at
-//! `K = 4`.
+//! `K = 4`. It costs `O(K²·T + Σ short-row sorts + Σ long-row lengths)`:
+//! a counting sort into raw rows, then a sort of each short row (a
+//! triangle mesh's) and a stamp pass over each long one (a tet mesh's).
 
 use crate::mesh::TriMesh;
 
@@ -27,15 +29,24 @@ pub struct VertexRows {
     pub vv_neighbors: Vec<u32>,
 }
 
+/// Raw rows longer than this are deduplicated by stamp instead of by sort.
+/// Every triangle row of the benchmark meshes fits (the largest holds 16
+/// entries); every interior tet row (72 entries) does not.
+const SHORT_ROW: usize = 16;
+
 /// Build the vertex→element and vertex→vertex CSR tables of `elements`
 /// over `num_vertices` vertices.
 ///
-/// Cost `O(K²·T + Σ row·log row)` with no global sort: a counting sort
-/// puts every element under each of its corners, the other `K − 1` corners
-/// land in that corner's raw row in the same pass (the row of `v` starts at
-/// `(K − 1)·ve_offsets[v]`, so one cursor array serves both tables), and
-/// each short row — ~12 raw entries for a triangle mesh, ~72 for a tet
-/// mesh — is then sorted and compacted in place.
+/// Cost `O(K²·T + Σ short-row sorts + Σ long-row lengths)` with no global
+/// sort: a counting sort puts every element under each of its corners, the
+/// other `K − 1` corners land in that corner's raw row in the same pass
+/// (the row of `v` starts at `(K − 1)·ve_offsets[v]`, so one cursor array
+/// serves both tables), and each row is then deduplicated and compacted in
+/// place. A row of at most 16 raw entries (~12 for a triangle mesh) is
+/// sorted and its runs counted. A longer one (~72 for a tet mesh, ~14
+/// distinct) keeps the first sighting of each neighbour and counts the
+/// rest in an `n`-entry stamp table, allocated at the first long row; only
+/// the distinct neighbours are then sorted.
 ///
 /// `on_run(v, len)` is called once per distinct neighbour `w` of `v` with
 /// the number of elements listing both, i.e. the number of elements on
@@ -79,23 +90,48 @@ pub fn vertex_rows<const K: usize>(
         }
     }
 
-    // per-row sort + dedup, compacting in place (the write cursor never
-    // overtakes the read cursor)
+    // per-row dedup, compacting in place (the write cursor never overtakes
+    // the read cursor); `stamp[w] = [v + 1, run]` once `w` is seen in the
+    // long row of `v`
     let mut vv_offsets = vec![0u32; n + 1];
+    let mut stamp: Vec<[u32; 2]> = Vec::new();
     let mut write = 0usize;
     for v in 0..n {
         let (lo, hi) = (others * ve_offsets[v] as usize, others * ve_offsets[v + 1] as usize);
-        raw[lo..hi].sort_unstable();
-        let mut read = lo;
-        while read < hi {
-            let w = raw[read];
-            let start = read;
-            while read < hi && raw[read] == w {
-                read += 1;
+        if hi - lo <= SHORT_ROW {
+            raw[lo..hi].sort_unstable();
+            let mut read = lo;
+            while read < hi {
+                let w = raw[read];
+                let start = read;
+                while read < hi && raw[read] == w {
+                    read += 1;
+                }
+                on_run(v, read - start);
+                raw[write] = w;
+                write += 1;
             }
-            on_run(v, read - start);
-            raw[write] = w;
-            write += 1;
+        } else {
+            if stamp.is_empty() {
+                stamp = vec![[0; 2]; n];
+            }
+            let mark = u32::try_from(v + 1).expect("vertex id u32::MAX has no stamp");
+            let start = write;
+            for read in lo..hi {
+                let w = raw[read];
+                let seen = &mut stamp[w as usize];
+                if seen[0] == mark {
+                    seen[1] += 1;
+                } else {
+                    *seen = [mark, 1];
+                    raw[write] = w;
+                    write += 1;
+                }
+            }
+            raw[start..write].sort_unstable();
+            for &w in &raw[start..write] {
+                on_run(v, stamp[w as usize][1] as usize);
+            }
         }
         vv_offsets[v + 1] = write as u32;
     }
@@ -295,7 +331,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        // the default config (256 cases), so `PROPTEST_CASES` can deepen it
 
         #[test]
         fn soup_rows_match_the_global_sort(
@@ -304,6 +340,19 @@ mod tests {
         ) {
             let m = tri_soup(n, &picks);
             assert_rows_match_oracle(n, m.triangles());
+        }
+
+        #[test]
+        fn tet_soup_rows_match_the_global_sort(
+            n in 1usize..24,
+            picks in proptest::collection::vec(
+                (0usize..64, 0usize..64, 0usize..64, 0usize..64), 0..60),
+        ) {
+            // corners may repeat, tets may be listed twice and some vertices
+            // are in no tet: rows land on both sides of `SHORT_ROW`
+            let tets: Vec<[u32; 4]> =
+                picks.iter().map(|&(a, b, c, d)| [a, b, c, d].map(|i| (i % n) as u32)).collect();
+            assert_rows_match_oracle(n, &tets);
         }
 
         #[test]
@@ -322,6 +371,37 @@ mod tests {
         // the same element three times over, and a corner listed twice
         assert_rows_match_oracle(4, &[[0u32, 1, 2], [2, 1, 0], [0, 1, 2]]);
         assert_rows_match_oracle(3, &[[0u32, 0, 1]]);
+        // one tet six times over (18 raw entries per row); corners listed
+        // two and three times (vertex 0's row: 24 entries, itself among
+        // them) beside a stray vertex
+        assert_rows_match_oracle(6, &[[0u32, 1, 2, 3]; 6]);
+        assert_rows_match_oracle(6, &[[0u32, 0, 1, 2], [2, 1, 0, 0], [0, 4, 1, 1], [0, 0, 0, 4]]);
+    }
+
+    /// `k` triangles around vertex 0, closed into a wheel or left open.
+    fn fan(k: usize, closed: bool) -> TriMesh {
+        let rim = if closed { k } else { k + 1 };
+        let mut coords = vec![Point2::ZERO];
+        for i in 0..rim {
+            let th = 2.0 * std::f64::consts::PI * i as f64 / (k + 1) as f64;
+            coords.push(Point2::new(th.cos(), th.sin()));
+        }
+        let tris = (0..k).map(|i| [0, 1 + i as u32, 1 + ((i + 1) % rim) as u32]).collect();
+        TriMesh::new(coords, tris).unwrap()
+    }
+
+    #[test]
+    fn fans_across_the_short_row_limit_match_the_global_sort() {
+        // the hub's raw row holds 2k entries: 14..=40, so both sides of 16
+        for k in 7..=20 {
+            for closed in [false, true] {
+                let m = fan(k, closed);
+                assert_rows_match_oracle(m.num_vertices(), m.triangles());
+                let boundary = crate::Boundary::from_adjacency(&Adjacency::build(&m));
+                assert_eq!(boundary, crate::Boundary::detect(&m), "k = {k}, closed = {closed}");
+                assert_eq!(boundary.is_boundary(0), !closed);
+            }
+        }
     }
 
     fn square() -> TriMesh {

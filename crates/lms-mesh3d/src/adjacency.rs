@@ -23,9 +23,10 @@ impl Adjacency3 {
     /// corners ([`vertex_rows`] at `K = 4`).
     ///
     /// Neighbour lists are sorted ascending and deduplicated; tet lists are
-    /// sorted ascending. Cost `O(K²·T + Σ row·log row)`: a counting sort
-    /// into per-vertex rows of ~72 raw entries, each sorted and compacted
-    /// on its own — no global sort over the 12·T directed pairs.
+    /// sorted ascending. Cost `O(K²·T + Σ row length)`: a counting sort
+    /// into per-vertex rows of ~72 raw entries, each deduplicated by stamp
+    /// and only its ~14 distinct neighbours sorted — no global sort over
+    /// the 12·T directed pairs.
     pub fn build(mesh: &TetMesh) -> Self {
         let VertexRows { ve_offsets, ve_elements, vv_offsets, vv_neighbors } =
             vertex_rows(mesh.num_vertices(), mesh.tets(), |_, _| {});
@@ -205,6 +206,29 @@ mod tests {
         ] {
             assert_eq!(Adjacency3::build(&m), build_by_global_sort(&m));
         }
+    }
+
+    /// FNV-1a (64-bit) over the little-endian bytes of the four CSR arrays.
+    fn fnv1a(adj: &Adjacency3) -> u64 {
+        [&adj.vv_offsets, &adj.vv_neighbors, &adj.vt_offsets, &adj.vt_tets]
+            .into_iter()
+            .flatten()
+            .flat_map(|v| v.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The tables of a 12³ grid, in generator order and shuffled, pinned by
+    /// hash: a row builder that moves a single entry fails here, without
+    /// the harness.
+    #[test]
+    fn grid_tables_are_pinned() {
+        let m = perturbed_tet_grid(12, 12, 12, 0.35, 1);
+        let shuffled =
+            crate::apply_permutation3(&lms_order::random_ordering(m.num_vertices(), 2), &m);
+        assert_eq!(fnv1a(&Adjacency3::build(&m)), 0x643a_99ed_6784_fe65);
+        assert_eq!(fnv1a(&Adjacency3::build(&shuffled)), 0x2d62_d2ed_4f61_b86d);
     }
 
     fn double_tet() -> TetMesh {

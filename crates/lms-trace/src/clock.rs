@@ -38,6 +38,10 @@ static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
 pub fn now_ns() -> u64 {
     CLOCK_READS.fetch_add(1, Ordering::Relaxed);
     let mut ts = ffi::Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable `Timespec` laid out as the C
+    // `struct timespec` (two 64-bit fields, `#[repr(C)]`), and
+    // `clock_gettime` writes only through that pointer; the clock id is a
+    // constant the kernel always accepts.
     let rc = unsafe { ffi::clock_gettime(ffi::CLOCK_MONOTONIC, &mut ts) };
     debug_assert_eq!(rc, 0, "clock_gettime(CLOCK_MONOTONIC) failed");
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64

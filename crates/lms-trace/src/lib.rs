@@ -21,6 +21,8 @@
 //! drivers' traced monomorphisations differ from the untraced ones only
 //! by clock reads around existing calls.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod chrome;
 mod clock;
 mod profile;

@@ -23,6 +23,8 @@
 //! assert!(svg.render().contains("<polygon"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod mesh;
 pub mod mesh3d;
 pub mod partition;
