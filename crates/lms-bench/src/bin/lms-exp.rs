@@ -5,9 +5,8 @@
 //!
 //! experiments: every table and figure of the paper (table1, fig1–fig13,
 //!              table2, table3, cost, cost-model) plus the extension
-//!              studies (opt, apps, zoo, prefetch, mrc, growth, policy,
-//!              tlb, sampled, writeback, parrdr, iter-reorder, tet,
-//!              tet-quality, tet-scaling, dynamic, real-scaling) and the
+//!              studies (opt, apps, zoo, growth, parrdr, iter-reorder,
+//!              tet, tet-quality, tet-scaling, dynamic, real-scaling) and the
 //!              engine comparisons (engines, hotpath, partition,
 //!              scaling) — run `lms-exp list` for the authoritative list
 //!

@@ -1,6 +1,6 @@
 //! Experiments beyond the paper's tables and figures: the OPT bound behind
 //! the §5.2.3 "quasi-optimal" claim, the §6 conjecture on other mesh
-//! applications, the full ordering zoo, and the prefetcher ablation.
+//! applications, the full ordering zoo, and the mesh-size growth study.
 
 use crate::common::{first_sweep_trace, ms, ordered_mesh, time_it, ExpConfig};
 use crate::table::{f, pct, Table};
@@ -8,7 +8,7 @@ use lms_apps::{
     opt_smooth, swap_until_stable, tangle_vertices, untangle, OptSmoothOptions, SwapOptions,
     UntangleOptions,
 };
-use lms_cache::{element_line_trace, NextLinePrefetcher, OptComparison};
+use lms_cache::{element_line_trace, OptComparison};
 use lms_mesh::Adjacency;
 use lms_order::{compute_ordering_with, layout_stats_permuted, OrderingKind};
 use std::fmt::Write as _;
@@ -157,81 +157,6 @@ pub fn ordering_zoo(cfg: &ExpConfig) -> String {
     out
 }
 
-/// `prefetch`: do the ordering wins survive a next-line hardware
-/// prefetcher? ORI/BFS/RDR × prefetch degree 0/1/4, L1 demand miss rate of
-/// the first iteration.
-pub fn prefetch(cfg: &ExpConfig) -> String {
-    let mut table = Table::new(
-        "Prefetch ablation — L1 demand miss rate, first iteration",
-        &["mesh", "ordering", "degree 0", "degree 1", "degree 4"],
-    );
-    for named in cfg.meshes() {
-        for kind in OrderingKind::PAPER_TRIO {
-            let m = ordered_mesh(&named.mesh, kind);
-            let trace = first_sweep_trace(&m);
-            let mut cells = vec![named.spec.name.to_string(), kind.name().to_string()];
-            for degree in [0usize, 1, 4] {
-                let mut hier = cfg.hierarchy();
-                NextLinePrefetcher { degree }.run_trace(&mut hier, &trace);
-                cells.push(pct(hier.stats_of("L1").expect("L1 exists").miss_rate()));
-            }
-            table.row(cells);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "prefetch_ablation");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\nreading: prefetching shrinks every ordering's miss rate, but the ORI→BFS→RDR\nranking must survive — RDR's near-sequential line stream is in fact the\npattern next-line prefetchers are built for (§4.1's streaming intuition)."
-    );
-    out
-}
-
-/// `mrc`: miss-ratio curves per ordering — the whole cache-size axis from
-/// one pass over the exact reuse distances (Mattson stack analysis).
-///
-/// The capacity where each curve reaches its cold floor tells how much
-/// cache an ordering *needs*; the paper's Table 3 "max elements" analysis
-/// is a two-point sample of exactly this curve.
-pub fn mrc(cfg: &ExpConfig) -> String {
-    use lms_cache::{pow2_capacities, MissRatioCurve, ReuseDistanceAnalyzer};
-    let mut table = Table::new(
-        "Miss-ratio curves — fully-associative LRU, element granular, first iteration",
-        &["mesh", "ordering", "cold floor", "capacity@10%", "capacity@2x cold", "max capacity"],
-    );
-    for named in cfg.meshes() {
-        for kind in OrderingKind::PAPER_TRIO {
-            let m = ordered_mesh(&named.mesh, kind);
-            let trace = first_sweep_trace(&m);
-            let distances = ReuseDistanceAnalyzer::analyze(&trace, m.num_vertices());
-            let curve = MissRatioCurve::from_distances(
-                &distances,
-                &pow2_capacities(m.num_vertices() as u64),
-            );
-            let fmt_cap = |c: Option<u64>| c.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-            table.row(vec![
-                named.spec.name.to_string(),
-                kind.name().to_string(),
-                pct(curve.cold_ratio()),
-                fmt_cap(curve.capacity_for(0.10)),
-                fmt_cap(curve.capacity_for(2.0 * curve.cold_ratio())),
-                fmt_cap(curve.capacity_for(curve.cold_ratio() + 1e-12)),
-            ]);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "mrc");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\nreading: RDR reaches its cold floor at a tiny capacity (its reuse distances\nare single digits, Table 2); ORI needs orders of magnitude more cache for the\nsame miss ratio."
-    );
-    out
-}
-
 /// `growth`: ordering gains vs mesh size — one suite mesh refined 0..N
 /// levels, simulated L2/L3 miss rates for ORI vs RDR at each size.
 pub fn growth(cfg: &ExpConfig) -> String {
@@ -273,43 +198,6 @@ pub fn growth(cfg: &ExpConfig) -> String {
     out
 }
 
-/// `policy`: is the ordering ranking an artefact of the LRU assumption?
-/// ORI/BFS/RDR × {LRU, FIFO, random} replacement at the scaled L2, line
-/// granular, first iteration.
-pub fn policy(cfg: &ExpConfig) -> String {
-    use lms_cache::{PolicyCache, ReplacementPolicy};
-    let l2 = cfg.hierarchy().level_configs()[1];
-    let mut table = Table::new(
-        format!("Replacement-policy ablation — {} miss rate, first iteration", l2.name),
-        &["mesh", "ordering", "lru", "fifo", "random"],
-    );
-    for named in cfg.meshes() {
-        for kind in OrderingKind::PAPER_TRIO {
-            let m = ordered_mesh(&named.mesh, kind);
-            let lines = element_line_trace(&first_sweep_trace(&m), &cfg.layout, l2.line_bytes);
-            let mut cells = vec![named.spec.name.to_string(), kind.name().to_string()];
-            for pol in [
-                ReplacementPolicy::Lru,
-                ReplacementPolicy::Fifo,
-                ReplacementPolicy::Random { seed: 1 },
-            ] {
-                let stats = PolicyCache::new(l2, pol).run_line_trace(&lines);
-                cells.push(pct(stats.miss_rate()));
-            }
-            table.row(cells);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "policy_ablation");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\nreading: the ORI > BFS > RDR ranking must hold under every policy — the\npaper's §3.1 analysis assumes LRU, but its conclusion does not depend on it."
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,25 +232,6 @@ mod tests {
         for kind in OrderingKind::ALL {
             assert!(report.contains(kind.name()), "missing {}", kind.name());
         }
-    }
-
-    #[test]
-    fn prefetch_reports_three_degrees() {
-        let report = prefetch(&tiny_cfg());
-        assert!(report.contains("degree 4"));
-    }
-
-    #[test]
-    fn mrc_reports_cold_floor_per_ordering() {
-        let report = mrc(&tiny_cfg());
-        assert!(report.contains("cold floor"));
-        assert!(report.contains("rdr"));
-    }
-
-    #[test]
-    fn policy_reports_three_policies() {
-        let report = policy(&tiny_cfg());
-        assert!(report.contains("fifo") && report.contains("random"));
     }
 
     #[test]

@@ -1,177 +1,13 @@
-//! Locality-substrate extension experiments: TLB behaviour, sampled
-//! reuse-distance monitoring, write-back traffic, and parallel RDR
-//! construction.
+//! Locality extension experiments: parallel RDR construction and data vs
+//! iteration reordering.
 
-use crate::common::{first_sweep_trace, full_trace, ordered_mesh, time_it, ExpConfig};
+use crate::common::{time_it, ExpConfig};
 use crate::table::{f, pct, Table};
 use lms_apps::{smooth, Backend};
-use lms_cache::reuse::ReuseStats;
-use lms_cache::sampled::sampled_distances;
-use lms_cache::tlb::{Tlb, TlbConfig};
-use lms_cache::traffic::{sweep_rw_trace, WritebackCache};
-use lms_cache::{CacheConfig, ReuseDistanceAnalyzer};
-use lms_order::{layout_stats_permuted, par_rdr_ordering, OrderingKind, ParRdrOptions};
+use lms_cache::ReuseDistanceAnalyzer;
+use lms_order::{layout_stats_permuted, par_rdr_ordering, ParRdrOptions};
 use lms_smooth::SmoothParams;
 use std::fmt::Write as _;
-
-/// `tlb` — data-TLB behaviour of the first smoothing sweep per ordering.
-///
-/// The reorderings shrink the *page* working set as well as the line
-/// working set; the walk rate drops ORI → BFS → RDR just like the cache
-/// miss rates of Figure 9.
-pub fn tlb(cfg: &ExpConfig) -> String {
-    // Scale the TLB reach with the mesh scale (same rule as the cache
-    // hierarchy): at paper scale the real 64/512-entry Westmere DTLB; at
-    // reduced scale the entry counts shrink so the page-working-set-to-TLB
-    // ratio — and therefore the walk-rate *shape* — matches the paper's.
-    let shrink = crate::common::shrink_factor(cfg.scale);
-    let tlb_config = TlbConfig {
-        l1_entries: (64 / shrink).max(4),
-        l2_entries: (512 / shrink).max(8),
-        ..TlbConfig::westmere_ex()
-    };
-    let mut table = Table::new(
-        format!(
-            "TLB — walk rate of one sweep ({}-entry L1 / {}-entry L2 DTLB), scale {}",
-            tlb_config.l1_entries, tlb_config.l2_entries, cfg.scale
-        ),
-        &[
-            "mesh",
-            "ORI walks",
-            "BFS walks",
-            "RDR walks",
-            "ORI walk rate",
-            "RDR walk rate",
-            "RDR cycles saved vs ORI",
-        ],
-    );
-    for named in cfg.meshes() {
-        let mut walks = Vec::new();
-        let mut rates = Vec::new();
-        let mut cycles = Vec::new();
-        for kind in OrderingKind::PAPER_TRIO {
-            let m = ordered_mesh(&named.mesh, kind);
-            let trace = first_sweep_trace(&m);
-            let mut tlb = Tlb::new(tlb_config);
-            let cost = tlb.run_trace(&trace, &cfg.layout);
-            walks.push(tlb.stats().walks);
-            rates.push(tlb.stats().walk_rate());
-            cycles.push(cost);
-        }
-        table.row(vec![
-            named.spec.name.to_string(),
-            walks[0].to_string(),
-            walks[1].to_string(),
-            walks[2].to_string(),
-            pct(rates[0]),
-            pct(rates[2]),
-            format!("{}", cycles[0].saturating_sub(cycles[2])),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "tlb");
-    }
-    let mut out = table.render();
-    out.push_str("\nexpected: walk counts drop ORI -> BFS -> RDR (same mechanism as Figure 9, page granularity).\n");
-    out
-}
-
-/// `sampled` — SHARDS-style sampled reuse-distance monitoring vs the exact
-/// analysis: accuracy and analysis-time trade-off on one full LMS trace.
-pub fn sampled(cfg: &ExpConfig) -> String {
-    let named = &cfg.meshes()[0];
-    let sink = full_trace(&named.mesh, cfg.max_iters.min(4));
-    let n = named.mesh.num_vertices();
-
-    let (exact, t_exact) = time_it(|| ReuseDistanceAnalyzer::analyze(&sink.accesses, n));
-    let exact_mean = ReuseStats::from_distances(&exact).mean;
-
-    let mut table = Table::new(
-        format!(
-            "Sampled reuse distance (SHARDS) — {} ({} accesses), exact mean {:.1}",
-            named.spec.name,
-            sink.accesses.len(),
-            exact_mean
-        ),
-        &["rate", "monitored", "mean estimate", "rel err", "analysis ms", "speedup"],
-    );
-    table.row(vec![
-        "1".into(),
-        pct(1.0),
-        f(exact_mean, 1),
-        pct(0.0),
-        f(t_exact.as_secs_f64() * 1e3, 2),
-        f(1.0, 1),
-    ]);
-    for rate_log2 in [2u32, 4, 6] {
-        let (s, t) = time_it(|| sampled_distances(&sink.accesses, n, rate_log2, 0xACE));
-        let mean = s.stats().mean;
-        let rel = if exact_mean > 0.0 { (mean - exact_mean).abs() / exact_mean } else { 0.0 };
-        table.row(vec![
-            format!("1/{}", 1u64 << rate_log2),
-            pct(s.sample_fraction()),
-            f(mean, 1),
-            pct(rel),
-            f(t.as_secs_f64() * 1e3, 2),
-            f(t_exact.as_secs_f64() / t.as_secs_f64().max(1e-9), 1),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "sampled");
-    }
-    let mut out = table.render();
-    out.push_str("\nSHARDS: hash-sampling elements keeps the estimator unbiased while analysing a fraction of the trace.\n");
-    out
-}
-
-/// `writeback` — write-back traffic of one sweep under an L2-sized
-/// write-back/write-allocate cache: the smoother *writes* every interior
-/// vertex, and a good layout keeps dirty lines resident.
-pub fn writeback(cfg: &ExpConfig) -> String {
-    let mut table = Table::new(
-        format!("Write-back traffic of one sweep (L2-sized write-back cache), scale {}", cfg.scale),
-        &["mesh", "ORI fills", "ORI wbacks", "RDR fills", "RDR wbacks", "traffic cut"],
-    );
-    // reuse the scaled L2 shape from the hierarchy preset
-    let l2 = cfg.hierarchy().level_configs()[1];
-    for named in cfg.meshes() {
-        let mut traffic = Vec::new();
-        let mut fills = Vec::new();
-        let mut wbacks = Vec::new();
-        for kind in [OrderingKind::Original, OrderingKind::Rdr] {
-            let m = ordered_mesh(&named.mesh, kind);
-            let engine = lms_smooth::SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(1));
-            let trace = first_sweep_trace(&m);
-            let heads: Vec<bool> = {
-                let b = engine.boundary();
-                (0..m.num_vertices() as u32).map(|v| b.is_interior(v)).collect()
-            };
-            let rw = sweep_rw_trace(&trace, &heads);
-            let mut cache = WritebackCache::new(CacheConfig { name: "L2wb", ..l2 });
-            cache.run_trace(&rw, &cfg.layout);
-            cache.drain();
-            let s = cache.stats();
-            traffic.push(s.line_traffic());
-            fills.push(s.fills);
-            wbacks.push(s.writebacks + s.drained);
-        }
-        let cut = if traffic[0] > 0 { 1.0 - traffic[1] as f64 / traffic[0] as f64 } else { 0.0 };
-        table.row(vec![
-            named.spec.name.to_string(),
-            fills[0].to_string(),
-            wbacks[0].to_string(),
-            fills[1].to_string(),
-            wbacks[1].to_string(),
-            pct(cut),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "writeback");
-    }
-    let mut out = table.render();
-    out.push_str("\nexpected: RDR cuts both demand fills and dirty write-backs (the cost Figure 9 does not count).\n");
-    out
-}
 
 /// `parrdr` — parallel RDR construction: §5.4 prices the serial reordering
 /// at one ORI sweep; chunked construction divides that cost while giving up
@@ -298,26 +134,6 @@ mod tests {
             max_iters: 3,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn tlb_reports_walks() {
-        let out = tlb(&tiny_cfg());
-        assert!(out.contains("walk rate"));
-        assert!(out.contains("carabiner"));
-    }
-
-    #[test]
-    fn sampled_reports_rates() {
-        let out = sampled(&tiny_cfg());
-        assert!(out.contains("1/16"));
-        assert!(out.contains("rel err"));
-    }
-
-    #[test]
-    fn writeback_reports_traffic_cut() {
-        let out = writeback(&tiny_cfg());
-        assert!(out.contains("traffic cut"));
     }
 
     #[test]

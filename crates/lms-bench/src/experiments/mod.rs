@@ -35,13 +35,7 @@ pub const ALL: &[&str] = &[
     "opt",
     "apps",
     "zoo",
-    "prefetch",
-    "mrc",
     "growth",
-    "policy",
-    "tlb",
-    "sampled",
-    "writeback",
     "parrdr",
     "iter-reorder",
     "tet",
@@ -89,13 +83,7 @@ pub fn run(name: &str, cfg: &ExpConfig) -> Option<String> {
         "opt" => extensions::opt_bound(cfg),
         "apps" => extensions::apps(cfg),
         "zoo" => extensions::ordering_zoo(cfg),
-        "prefetch" => extensions::prefetch(cfg),
-        "mrc" => extensions::mrc(cfg),
         "growth" => extensions::growth(cfg),
-        "policy" => extensions::policy(cfg),
-        "tlb" => locality::tlb(cfg),
-        "sampled" => locality::sampled(cfg),
-        "writeback" => locality::writeback(cfg),
         "parrdr" => locality::parrdr(cfg),
         "iter-reorder" => locality::iter_reorder(cfg),
         "tet" => tet::tet(cfg),
@@ -132,6 +120,6 @@ mod tests {
             assert!(!name.is_empty());
             assert!(seen.insert(name), "duplicate experiment name {name}");
         }
-        assert_eq!(ALL.len(), 41);
+        assert_eq!(ALL.len(), 35);
     }
 }

@@ -106,30 +106,6 @@ impl CacheLevel {
         }
     }
 
-    /// Insert or refresh `line_addr` **without touching the demand
-    /// counters** — the fill path of a hardware prefetcher. The line lands
-    /// in the MRU position; the LRU line is evicted if the set is full.
-    pub fn insert_line(&mut self, line_addr: u64) {
-        let set_idx = (line_addr % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == line_addr) {
-            let tag = set.remove(pos);
-            set.push(tag);
-        } else {
-            if set.len() == self.config.associativity {
-                set.remove(0);
-            }
-            set.push(line_addr);
-        }
-    }
-
-    /// True when `line_addr` is currently resident (no counter or LRU
-    /// side effects).
-    pub fn contains_line(&self, line_addr: u64) -> bool {
-        let set_idx = (line_addr % self.sets.len() as u64) as usize;
-        self.sets[set_idx].contains(&line_addr)
-    }
-
     /// Drop all cached lines, keeping the counters.
     pub fn flush(&mut self) {
         for set in &mut self.sets {

@@ -138,14 +138,6 @@ impl CacheHierarchy {
         self.levels.len()
     }
 
-    /// Install `line` in every level without touching the demand counters
-    /// — a prefetch fill (inclusive hierarchy: all levels receive it).
-    pub fn prefetch_line(&mut self, line: u64) {
-        for level in &mut self.levels {
-            level.insert_line(line);
-        }
-    }
-
     /// Run a whole element-index trace.
     pub fn run_trace(&mut self, trace: &[u32]) {
         for &idx in trace {

@@ -17,12 +17,8 @@
 //!   cycle-cost model, and Table 3's max-elements estimator;
 //! * [`multicore`] — private-L1/L2, shared-per-socket-L3 simulation of the
 //!   4×8-core machine, for the §5.3 scaling study;
-//! * [`sampled`] — SHARDS-style fixed-rate sampled reuse-distance analysis
-//!   (the production-monitoring alternative to the verbose run);
-//! * [`tlb`] — a two-level LRU data-TLB model (layouts shrink the page
-//!   working set too);
-//! * [`traffic`] — write-back/write-allocate traffic accounting for the
-//!   smoother's read-write access stream.
+//! * [`opt`] — Belady's offline-optimal (MIN) miss count beside LRU's,
+//!   the bound behind the §5.2.3 "quasi-optimal" claim.
 //!
 //! ```
 //! use lms_cache::{address::NodeLayout, hierarchy::CacheHierarchy, reuse::ReuseDistanceAnalyzer};
@@ -44,15 +40,9 @@ pub mod fenwick;
 pub mod hierarchy;
 pub mod histogram;
 pub mod model;
-pub mod mrc;
 pub mod multicore;
 pub mod opt;
-pub mod policy;
-pub mod prefetch;
 pub mod reuse;
-pub mod sampled;
-pub mod tlb;
-pub mod traffic;
 
 pub use address::NodeLayout;
 pub use cache::{CacheConfig, CacheLevel, CacheStats};
@@ -60,12 +50,6 @@ pub use fenwick::Fenwick;
 pub use hierarchy::{CacheHierarchy, MemoryConfig};
 pub use histogram::{binned_means, count_above, LogHistogram};
 pub use model::{estimate_max_elements, CostModel, ModelOutcome, StackDistanceModel};
-pub use mrc::{pow2_capacities, MissRatioCurve};
 pub use multicore::{simulate, split_static, Affinity, MachineConfig, MulticoreResult};
 pub use opt::{belady_misses, compulsory_misses, element_line_trace, lru_misses, OptComparison};
-pub use policy::{PolicyCache, ReplacementPolicy};
-pub use prefetch::{NextLinePrefetcher, PrefetchStats};
 pub use reuse::{quantile, ReuseDistanceAnalyzer, ReuseStats, COLD};
-pub use sampled::{is_sampled, sampled_distances, SampledReuse};
-pub use tlb::{Tlb, TlbConfig, TlbStats};
-pub use traffic::{sweep_rw_trace, RwAccess, TrafficStats, WritebackCache};

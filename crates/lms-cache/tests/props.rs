@@ -1,9 +1,9 @@
 //! Property-based tests for the memory-behaviour substrate.
 
 use lms_cache::{
-    binned_means, count_above, estimate_max_elements, quantile, sampled_distances, CacheConfig,
-    CacheHierarchy, CacheLevel, Fenwick, LogHistogram, MemoryConfig, NodeLayout,
-    ReuseDistanceAnalyzer, StackDistanceModel, Tlb, TlbConfig, WritebackCache, COLD,
+    binned_means, count_above, estimate_max_elements, quantile, CacheConfig, CacheHierarchy,
+    CacheLevel, Fenwick, LogHistogram, MemoryConfig, NodeLayout, ReuseDistanceAnalyzer,
+    StackDistanceModel, COLD,
 };
 use proptest::prelude::*;
 
@@ -142,95 +142,5 @@ proptest! {
         prop_assert_eq!(s.accesses as usize, trace.len());
         let distinct: std::collections::HashSet<u32> = trace.iter().copied().collect();
         prop_assert!(s.misses as usize >= distinct.len().min(trace.len()) / lines.max(1));
-    }
-
-    /// SHARDS at rate 1 (every element sampled) reproduces the exact
-    /// analysis verbatim for any trace.
-    #[test]
-    fn shards_rate_one_is_exact(trace in arb_trace()) {
-        let exact = ReuseDistanceAnalyzer::analyze(&trace, 32);
-        let s = sampled_distances(&trace, 32, 0, 7);
-        prop_assert_eq!(s.distances, exact);
-        prop_assert_eq!(s.sampled_accesses, trace.len());
-    }
-
-    /// The SHARDS subtrace is exactly the accesses whose element hashes
-    /// into the sample, regardless of trace content.
-    #[test]
-    fn shards_monitors_the_hash_sample(trace in arb_trace(), rate_log2 in 0u32..5) {
-        let s = sampled_distances(&trace, 32, rate_log2, 11);
-        let expect = trace
-            .iter()
-            .filter(|&&e| lms_cache::is_sampled(e, rate_log2, 11))
-            .count();
-        prop_assert_eq!(s.sampled_accesses, expect);
-        prop_assert_eq!(s.distances.len(), expect);
-    }
-
-    /// TLB accounting: hits at both levels plus walks cover every access,
-    /// and a repeat of the same address is always an L1 hit.
-    #[test]
-    fn tlb_accounting_is_complete(addrs in proptest::collection::vec(0u64..4096, 1..200)) {
-        let mut tlb = Tlb::new(TlbConfig {
-            page_bytes: 64,
-            l1_entries: 4,
-            l2_entries: 8,
-            l2_latency: 5,
-            walk_latency: 50,
-        });
-        for &a in &addrs {
-            tlb.access(a);
-            // immediate re-translation of the same page: L1 hit, zero cost
-            prop_assert_eq!(tlb.access(a), 0);
-        }
-        let s = tlb.stats();
-        prop_assert_eq!(s.l1_hits + s.l2_hits + s.walks, s.accesses);
-        prop_assert_eq!(s.accesses as usize, addrs.len() * 2);
-    }
-
-    /// Write-back cache conservation: hits + fills = accesses, and every
-    /// write-back or drained line corresponds to a distinct dirty fill.
-    #[test]
-    fn writeback_conservation(
-        ops in proptest::collection::vec((0u64..64, proptest::bool::ANY), 1..300),
-    ) {
-        let mut c = WritebackCache::new(CacheConfig {
-            name: "T",
-            size_bytes: 64 * 8,
-            line_bytes: 64,
-            associativity: 8,
-            latency_cycles: 1,
-        });
-        let mut writes = 0u64;
-        for &(line, w) in &ops {
-            c.access_line(line, w);
-            writes += w as u64;
-        }
-        c.drain();
-        let s = c.stats();
-        prop_assert_eq!(s.hits + s.fills, s.accesses);
-        prop_assert!(s.writebacks + s.drained <= s.fills.min(writes + 1));
-        // a second drain must be a no-op
-        let before = s;
-        c.drain();
-        prop_assert_eq!(c.stats(), before);
-    }
-
-    /// With no writes at all, no write-back traffic can ever appear.
-    #[test]
-    fn read_only_traces_never_write_back(trace in arb_trace()) {
-        let mut c = WritebackCache::new(CacheConfig {
-            name: "T",
-            size_bytes: 64 * 4,
-            line_bytes: 64,
-            associativity: 4,
-            latency_cycles: 1,
-        });
-        for &e in &trace {
-            c.access_line(e as u64, false);
-        }
-        c.drain();
-        prop_assert_eq!(c.stats().writebacks, 0);
-        prop_assert_eq!(c.stats().drained, 0);
     }
 }

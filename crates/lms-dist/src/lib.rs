@@ -52,6 +52,8 @@
 //! assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod engines;
 pub mod error;
 pub mod fault;

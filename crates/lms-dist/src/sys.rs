@@ -73,6 +73,8 @@ impl Fd {
 
 impl Drop for Fd {
     fn drop(&mut self) {
+        // SAFETY: `close(2)` takes a plain integer; `self` owns the
+        // descriptor, and drop runs once, so nothing else closes it.
         unsafe { ffi::close(self.0) };
     }
 }
@@ -86,6 +88,8 @@ impl Read for Fd {
     /// fragmented frames).
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
+            // SAFETY: `buf` is a live, writable slice, and `read(2)`
+            // writes at most `buf.len()` bytes into it.
             let n = unsafe { ffi::read(self.0, buf.as_mut_ptr().cast(), buf.len()) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -110,6 +114,8 @@ impl Write for Fd {
     /// short-write-safe on sockets.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         loop {
+            // SAFETY: `buf` is a live slice, and `write(2)` reads at most
+            // `buf.len()` bytes from it.
             let n = unsafe { ffi::write(self.0, buf.as_ptr().cast(), buf.len()) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -133,6 +139,7 @@ impl Write for Fd {
 /// A unidirectional pipe: `(read end, write end)`.
 pub fn pipe() -> io::Result<(Fd, Fd)> {
     let mut fds = [0i32; 2];
+    // SAFETY: `fds` is a writable array of the two `int`s `pipe(2)` fills.
     if unsafe { ffi::pipe(fds.as_mut_ptr()) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -143,6 +150,8 @@ pub fn pipe() -> io::Result<(Fd, Fd)> {
 /// copies of descriptors still *owned* (as [`Fd`] values) by the parent's
 /// address-space image.
 pub fn close_raw(fd: i32) {
+    // SAFETY: `close(2)` takes a plain integer and touches no memory of
+    // this process; a stale or unknown `fd` only makes it fail.
     unsafe { ffi::close(fd) };
 }
 
@@ -165,6 +174,7 @@ pub unsafe fn fork() -> io::Result<i32> {
 pub fn wait_pid(pid: i32) -> io::Result<i32> {
     let mut status = 0i32;
     loop {
+        // SAFETY: `status` is a live, writable `int` for `waitpid(2)`.
         let r = unsafe { ffi::waitpid(pid, &mut status, 0) };
         if r == pid {
             return Ok(status);
@@ -183,6 +193,7 @@ pub fn wait_pid(pid: i32) -> io::Result<i32> {
 pub fn try_wait_pid(pid: i32) -> io::Result<Option<i32>> {
     let mut status = 0i32;
     loop {
+        // SAFETY: `status` is a live, writable `int` for `waitpid(2)`.
         let r = unsafe { ffi::waitpid(pid, &mut status, WNOHANG) };
         if r == pid {
             return Ok(Some(status));
@@ -200,6 +211,8 @@ pub fn try_wait_pid(pid: i32) -> io::Result<Option<i32>> {
 /// `SIGKILL` a process — the coordinator's way of putting a stalled or
 /// half-dead rank into a definite fail-stop state before respawning it.
 pub fn kill_pid(pid: i32) -> io::Result<()> {
+    // SAFETY: `kill(2)` takes two integers and touches no memory of this
+    // process.
     if unsafe { ffi::kill(pid, SIGKILL) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -213,6 +226,8 @@ pub fn kill_pid(pid: i32) -> io::Result<()> {
 pub fn wait_readable(fd: i32, timeout_ms: i32) -> io::Result<bool> {
     let mut pfd = ffi::PollFd { fd, events: POLLIN, revents: 0 };
     loop {
+        // SAFETY: `pfd` is one live, writable `struct pollfd`, and
+        // `nfds` is 1.
         let r = unsafe { ffi::poll(&mut pfd, 1, timeout_ms) };
         if r > 0 {
             return Ok(true);
@@ -233,6 +248,8 @@ pub fn wait_readable(fd: i32, timeout_ms: i32) -> io::Result<bool> {
 pub fn wait_writable(fd: i32, timeout_ms: i32) -> io::Result<bool> {
     let mut pfd = ffi::PollFd { fd, events: POLLOUT, revents: 0 };
     loop {
+        // SAFETY: `pfd` is one live, writable `struct pollfd`, and
+        // `nfds` is 1.
         let r = unsafe { ffi::poll(&mut pfd, 1, timeout_ms) };
         if r > 0 {
             return Ok(true);
@@ -263,6 +280,8 @@ pub fn poll_readables(fds: &[i32], timeout_ms: i32, ready: &mut Vec<bool>) -> io
     let mut pfds: Vec<ffi::PollFd> =
         fds.iter().map(|&fd| ffi::PollFd { fd, events: POLLIN, revents: 0 }).collect();
     loop {
+        // SAFETY: `pfds` is a live, writable array of `pfds.len()`
+        // `struct pollfd`s, the count `poll(2)` is given.
         let r = unsafe { ffi::poll(pfds.as_mut_ptr(), pfds.len() as u64, timeout_ms) };
         if r >= 0 {
             let mut n = 0;
@@ -306,6 +325,8 @@ pub fn poll_duplex(
         .chain(writes.iter().map(|&fd| ffi::PollFd { fd, events: POLLOUT, revents: 0 }))
         .collect();
     loop {
+        // SAFETY: `pfds` is a live, writable array of `pfds.len()`
+        // `struct pollfd`s, the count `poll(2)` is given.
         let r = unsafe { ffi::poll(pfds.as_mut_ptr(), pfds.len() as u64, timeout_ms) };
         if r >= 0 {
             let mut n = 0;
@@ -336,6 +357,8 @@ pub fn poll_duplex(
 /// `None` arm to ever fire — on a blocking fd this is just `read(2)`.
 pub fn read_ready(fd: i32, buf: &mut [u8]) -> io::Result<Option<usize>> {
     loop {
+        // SAFETY: `buf` is a live, writable slice, and `read(2)` writes
+        // at most `buf.len()` bytes into it.
         let n = unsafe { ffi::read(fd, buf.as_mut_ptr().cast(), buf.len()) };
         if n >= 0 {
             return Ok(Some(n as usize));
@@ -354,6 +377,8 @@ pub fn read_ready(fd: i32, buf: &mut [u8]) -> io::Result<Option<usize>> {
 /// next poll round), otherwise the bytes accepted. `EINTR` retries.
 pub fn write_ready(fd: i32, buf: &[u8]) -> io::Result<usize> {
     loop {
+        // SAFETY: `buf` is a live slice, and `write(2)` reads at most
+        // `buf.len()` bytes from it.
         let n = unsafe { ffi::write(fd, buf.as_ptr().cast(), buf.len()) };
         if n >= 0 {
             return Ok(n as usize);
@@ -372,11 +397,15 @@ pub fn write_ready(fd: i32, buf: &[u8]) -> io::Result<usize> {
 /// `accept` must not wedge the coordinator), and the stream retry loops
 /// in [`Fd`] make accepted descriptors safe either way.
 pub fn set_nonblocking(fd: i32, on: bool) -> io::Result<()> {
+    // SAFETY: `F_GETFL` takes an integer argument and touches no memory
+    // of this process.
     let flags = unsafe { ffi::fcntl(fd, F_GETFL, 0) };
     if flags < 0 {
         return Err(io::Error::last_os_error());
     }
     let flags = if on { flags | O_NONBLOCK } else { flags & !O_NONBLOCK };
+    // SAFETY: `F_SETFL` takes an integer argument and touches no memory
+    // of this process.
     if unsafe { ffi::fcntl(fd, F_SETFL, flags) } < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -386,6 +415,7 @@ pub fn set_nonblocking(fd: i32, on: bool) -> io::Result<()> {
 /// The calling process id (names Unix socket paths uniquely per
 /// coordinator).
 pub fn getpid() -> i32 {
+    // SAFETY: `getpid(2)` takes no arguments and cannot fail.
     unsafe { ffi::getpid() }
 }
 
@@ -537,6 +567,8 @@ impl Read for TimeoutReader {
 /// handlers, no flushing of inherited parent state. The only way a rank
 /// worker leaves.
 pub fn exit_now(code: i32) -> ! {
+    // SAFETY: `_exit(2)` takes an integer and never returns, so no Rust
+    // state is observed after it.
     unsafe { ffi::_exit(code) }
 }
 
@@ -556,6 +588,8 @@ mod tests {
     #[test]
     fn fork_wait_roundtrip() {
         let (mut r, mut w) = pipe().unwrap();
+        // SAFETY: the child only writes one byte to its pipe end and
+        // leaves via `exit_now`; it takes no lock of the parent image.
         let pid = unsafe { fork() }.unwrap();
         if pid == 0 {
             // child: prove we run post-fork code, then leave without
@@ -729,6 +763,8 @@ mod tests {
 
     #[test]
     fn kill_and_try_wait_reap_a_looping_child() {
+        // SAFETY: the child only sleeps in a loop until the parent kills
+        // it; it takes no lock of the parent image.
         let pid = unsafe { fork() }.unwrap();
         if pid == 0 {
             loop {

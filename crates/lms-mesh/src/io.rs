@@ -56,19 +56,15 @@ pub fn read_node(mut r: impl Read) -> Result<Vec<Point2>, MeshError> {
         return Err(parse_err(format!("expected 2D .node file, got dim {dim}")));
     }
     let mut coords = Vec::with_capacity(n);
-    let mut base_one = true;
     for (k, line) in lines.enumerate() {
         if k >= n {
             break;
         }
         let mut f = line.split_whitespace();
-        let idx: i64 = f
+        let _idx: i64 = f
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| parse_err(format!("bad vertex line {k}")))?;
-        if k == 0 {
-            base_one = idx != 0;
-        }
         let x: f64 = f
             .next()
             .and_then(|s| s.parse().ok())
@@ -79,7 +75,6 @@ pub fn read_node(mut r: impl Read) -> Result<Vec<Point2>, MeshError> {
             .ok_or_else(|| parse_err(format!("bad y on vertex line {k}")))?;
         coords.push(Point2::new(x, y));
     }
-    let _ = base_one;
     if coords.len() != n {
         return Err(parse_err(format!("expected {n} vertices, found {}", coords.len())));
     }
@@ -88,7 +83,8 @@ pub fn read_node(mut r: impl Read) -> Result<Vec<Point2>, MeshError> {
 
 /// Parse a Triangle `.ele` file into triangle index triples.
 ///
-/// Detects 0- vs 1-based numbering from the first element line.
+/// Numbering is 0-based when any vertex id in the file is 0 and 1-based
+/// otherwise. An id that does not fit a `u32` is a parse error.
 pub fn read_ele(mut r: impl Read) -> Result<Vec<[u32; 3]>, MeshError> {
     let mut text = String::new();
     r.read_to_string(&mut text).map_err(io_err)?;
@@ -108,7 +104,7 @@ pub fn read_ele(mut r: impl Read) -> Result<Vec<[u32; 3]>, MeshError> {
         }
         let mut f = line.split_whitespace();
         let _idx = f.next().ok_or_else(|| parse_err(format!("bad element line {k}")))?;
-        let mut tri = [0u64; 3];
+        let mut tri = [0u32; 3];
         for slot in &mut tri {
             *slot = f
                 .next()
@@ -121,10 +117,10 @@ pub fn read_ele(mut r: impl Read) -> Result<Vec<[u32; 3]>, MeshError> {
         return Err(parse_err(format!("expected {n} elements, found {}", raw.len())));
     }
     let base = if raw.iter().any(|t| t.contains(&0)) { 0 } else { 1 };
-    Ok(raw
-        .into_iter()
-        .map(|t| [(t[0] - base) as u32, (t[1] - base) as u32, (t[2] - base) as u32])
-        .collect())
+    let idx = |v: u32| {
+        v.checked_sub(base).ok_or_else(|| parse_err(format!("vertex id {v} below base {base}")))
+    };
+    raw.into_iter().map(|t| Ok([idx(t[0])?, idx(t[1])?, idx(t[2])?])).collect()
 }
 
 /// Write `mesh` to `<prefix>.node` and `<prefix>.ele`.
@@ -265,6 +261,7 @@ mod tests {
         assert!(read_node("".as_bytes()).is_err());
         assert!(read_node("2 3 0 0\n".as_bytes()).is_err()); // 3D
         assert!(read_ele("1 4 0\n1 1 2 3 4\n".as_bytes()).is_err()); // quads
+        assert!(read_ele("1 3\n1 4294967297 2 3\n".as_bytes()).is_err()); // id past u32
         assert!(read_off("NOFF\n0 0 0\n".as_bytes()).is_err());
         assert!(read_off("OFF\n1 1 0\n0 0 0\n4 0 0 0 0\n".as_bytes()).is_err());
     }

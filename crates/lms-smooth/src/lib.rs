@@ -56,7 +56,6 @@ pub mod kernel;
 pub mod parallel;
 pub mod partitioned;
 mod pool;
-pub mod rebalance;
 pub mod resident;
 pub mod soa;
 pub mod stats;
@@ -71,7 +70,6 @@ pub use domain::{
 };
 pub use engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 pub use greedy::greedy_visit_order;
-pub use rebalance::{sweep_spread, AutoRebalanceEngine, RebalancePolicy};
 pub use resident::{PairBatch, ResidentEngine, ResidentEngineOn, ResidentRank};
 pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, SoaScores, LANES};
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};

@@ -12,7 +12,7 @@
 //! cargo run --release --example render_figures
 //! ```
 
-use lms::cache::{binned_means, multicore, pow2_capacities, MissRatioCurve, ReuseDistanceAnalyzer};
+use lms::cache::{binned_means, multicore, ReuseDistanceAnalyzer};
 use lms::mesh::suite;
 use lms::prelude::*;
 use lms::viz::{render_gallery, render_mesh, BarChart, Chart, MeshStyle, Series};
@@ -31,7 +31,6 @@ fn main() {
     fig6(out, &cfg);
     fig9(out, &cfg);
     fig12(out, &cfg);
-    mrc_figure(out, &cfg);
     println!("figures written to {}", out.display());
 }
 
@@ -133,30 +132,6 @@ fn fig9(out: &Path, cfg: &ExpConfig) {
             .unwrap();
     }
     println!("fig9: miss-rate bars (3 levels × 9 meshes × 3 orderings)");
-}
-
-/// Extension: miss-ratio curves per ordering (carabiner) — the cache-size
-/// axis of the paper's Table 2/3 analysis in one picture.
-fn mrc_figure(out: &Path, cfg: &ExpConfig) {
-    let spec = suite::find_spec("carabiner").unwrap();
-    let base = suite::generate(spec, cfg.scale);
-    let caps = pow2_capacities(base.num_vertices() as u64);
-    let mut chart = Chart::new("Miss-ratio curves, first iteration (carabiner)")
-        .labels("cache capacity (elements, log)", "miss ratio")
-        .with_markers();
-    chart.x_scale = lms::viz::Scale::Log10;
-    for kind in [OrderingKind::Original, OrderingKind::Bfs, OrderingKind::Rdr] {
-        let m = ordered_mesh(&base, kind);
-        let trace = first_sweep_trace(&m);
-        let d = ReuseDistanceAnalyzer::analyze(&trace, m.num_vertices());
-        let curve = MissRatioCurve::from_distances(&d, &caps);
-        chart = chart.series(Series::new(
-            kind.name(),
-            curve.points().into_iter().map(|(c, r)| (c.max(1) as f64, r)),
-        ));
-    }
-    chart.render(680.0, 360.0).write_to(&out.join("mrc_curves.svg")).unwrap();
-    println!("mrc: miss-ratio curves (3 orderings)");
 }
 
 /// Figure 12: mean simulated speedup vs cores, per ordering.

@@ -23,8 +23,8 @@
 //! * [`cache`] — the memory-behaviour substrate: exact reuse-distance
 //!   analysis, an inclusive multi-level LRU cache simulator (Westmere-EX
 //!   preset), the stack-distance miss model, the Eq. (2) cycle-cost model,
-//!   Belady's offline-optimal replacement, a next-line prefetcher and
-//!   FIFO/random replacement-policy variants.
+//!   the multicore simulation of the scaling figures and Belady's
+//!   offline-optimal replacement.
 //! * [`apps`] — the one smoothing entry, `apps::smooth(mesh, params,
 //!   backend)`, which runs any engine above on either mesh type, and
 //!   mesh-improvement applications beyond smoothing (the §6 future-work

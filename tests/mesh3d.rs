@@ -92,18 +92,3 @@ fn parallel_3d_smoothing_matches_serial() {
     SmoothEngine3::new(&base, params).smooth_parallel(&mut par, 4);
     assert_eq!(serial.coords(), par.coords());
 }
-
-#[test]
-fn sampled_analysis_tracks_exact_on_3d_traces() {
-    use lms::cache::sampled::sampled_distances;
-    let base = scrambled_box(10, 11);
-    let adj = Adjacency3::build(&base);
-    let b = Boundary3::detect(&base);
-    let trace = sweep_trace3(&adj, &b);
-    let exact =
-        ReuseStats::from_distances(&ReuseDistanceAnalyzer::analyze(&trace, base.num_vertices()))
-            .mean;
-    let est = sampled_distances(&trace, base.num_vertices(), 3, 0xBEEF).stats().mean;
-    let rel = (est - exact).abs() / exact.max(1.0);
-    assert!(rel < 0.25, "sampled mean {est} vs exact {exact} (rel {rel})");
-}
