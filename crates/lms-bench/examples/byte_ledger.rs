@@ -17,13 +17,12 @@
 
 use lms_dist::{DistResidentEngine, FtOptions};
 use lms_mesh::generators::perturbed_grid;
-use lms_mesh::{Adjacency, Point2, TriMesh};
+use lms_mesh::{Adjacency, TriMesh};
 use lms_mesh3d::generators::perturbed_tet_grid;
 use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
 use lms_order::{compute_ordering_with, random_ordering, OrderingKind};
 use lms_part::PartitionMethod;
 use lms_smooth::{DomainQualityCache, ResidentEngine, SmoothEngine, SmoothParams};
-use std::mem::size_of;
 
 const SEED: u64 = 42;
 const JITTER: f64 = 0.35;
@@ -111,7 +110,6 @@ fn rdr_serial() {
     let engine = SmoothEngine::new(&mesh, params(10));
     // the cache the kernel builds, measured here and dropped before the run
     let cache = DomainQualityCache::build(&engine.domain(), mesh.coords()).heap_bytes();
-    let soa = mesh.num_vertices() * size_of::<Point2>();
     engine.smooth(&mut mesh);
     print_ledger(
         "tri2d-rdr-serial",
@@ -119,8 +117,7 @@ fn rdr_serial() {
             ("input mesh (shuffled)", input.heap_bytes()),
             ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
             ("SmoothEngine (adjacency, boundary, visit order)", engine.heap_bytes()),
-            ("DomainQualityCache (quality, weight, orientation bit)", cache),
-            ("SoA coordinate mirror of the smart sweep", soa),
+            ("DomainQualityCache (quality, orientation bit, 1/deg)", cache),
         ],
     );
 }
@@ -138,7 +135,7 @@ fn rdr_resident() {
         &[
             ("input mesh (shuffled)", input.heap_bytes()),
             ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
-            ("ResidentEngine (serial engine, partition, blocks, w_t)", engine.heap_bytes()),
+            ("ResidentEngine (serial engine, partition, blocks, 1/deg)", engine.heap_bytes()),
         ],
     );
 }
@@ -174,7 +171,7 @@ fn tet_resident() {
         &[
             ("input mesh", input.heap_bytes()),
             ("working copy (its coordinates; the table is shared)", size_of_val(mesh.coords())),
-            ("ResidentEngine3 (serial engine, partition, blocks, w_t)", engine.heap_bytes()),
+            ("ResidentEngine3 (serial engine, partition, blocks, 1/deg)", engine.heap_bytes()),
         ],
     );
 }

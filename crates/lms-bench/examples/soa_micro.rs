@@ -1,12 +1,11 @@
 //! Bulk scoring microbench: every element of a 512x512 perturbed grid
 //! scored through one lane-batched `score_star` call vs one per-element
-//! `score_soa` call, interleaved min-of-50 on identical SoA inputs.
+//! `score` call, interleaved min-of-50 on the mesh's own point slice.
 //! A standalone binary for quick hand runs while tuning the kernel.
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary};
 use lms_smooth::domain::{SmoothDomain, TriDomain};
-use lms_smooth::{SoaCoords, SoaLike};
 use std::time::Instant;
 
 fn main() {
@@ -14,8 +13,7 @@ fn main() {
     let adj = Adjacency::build(&m);
     let boundary = Boundary::detect(&m);
     let dom = TriDomain::new(&adj, &boundary, m.triangles(), QualityMetric::EdgeLengthRatio);
-    let mut soa = SoaCoords::<2>::with_len(m.num_vertices());
-    soa.gather_from(m.coords());
+    let coords = m.coords();
     let rows = dom.elements();
     let ids: Vec<u32> = (0..rows.len() as u32).collect();
     let mut out = vec![(0.0, false); rows.len()];
@@ -25,12 +23,12 @@ fn main() {
     let mut best_s = u128::MAX;
     for _ in 0..reps {
         let t = Instant::now();
-        dom.score_star(&soa, rows, &ids, &mut out);
+        dom.score_star(coords, rows, &ids, &mut out);
         best_b = best_b.min(t.elapsed().as_nanos());
         std::hint::black_box(&out);
         let t = Instant::now();
         for (slot, &row) in out.iter_mut().zip(rows) {
-            *slot = dom.score_soa(&soa, row);
+            *slot = dom.score(coords, row);
         }
         best_s = best_s.min(t.elapsed().as_nanos());
         std::hint::black_box(&out);
@@ -38,7 +36,7 @@ fn main() {
     let n = rows.len() as f64;
     println!("elements: {}", rows.len());
     println!(
-        "batched: {:.2} ns/elem   scalar(score_soa): {:.2} ns/elem   speedup {:.3}",
+        "batched: {:.2} ns/elem   scalar(score): {:.2} ns/elem   speedup {:.3}",
         best_b as f64 / n,
         best_s as f64 / n,
         best_s as f64 / best_b as f64

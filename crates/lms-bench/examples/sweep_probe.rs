@@ -1,5 +1,6 @@
 //! Ad-hoc probe: where does a resident smart sweep spend its time?
-//! Prints totals (sweep ns, moved, scored elements) for the batched and
+//! Prints totals (sweep ns, interface commits `ifc_moved` — part-interior
+//! commits are not counted — and scored elements) for the batched and
 //! scalar-scoring resident engines, plus an interleaved serial-engine
 //! A/B, so the scoring fraction of the sweep and the lane-batching win
 //! can be estimated on the current host.
@@ -42,7 +43,7 @@ fn main() {
         let moved: u64 = bd.transport.rank_phases.iter().map(|r| r.moved).sum();
         let scored = bd.transport.scored_elements;
         println!(
-            "{name}: sweep {:>9} ns  moved {:>6}  scored {:>7}  iters {}  ns/scored {:.1}",
+            "{name}: sweep {:>9} ns  ifc_moved {:>6}  scored {:>7}  iters {}  ns/scored {:.1}",
             best,
             moved,
             scored,

@@ -507,7 +507,8 @@ fn cmd_bench_smoke(o: &Opts) -> Result<String, String> {
     let floor = baseline / 1.25;
     let verdict = format!(
         "bench-smoke: {side}x{side} grid, {sweeps} sweeps, {}-way rcb, 1 thread\n\
-         ns/moved-vertex — batched {batched_per:.0}, scalar {scalar_per:.0}\n\
+         ns/moved-vertex (interface commits only) — batched {batched_per:.0}, \
+         scalar {scalar_per:.0}\n\
          batched speedup vs scalar (max of min-ratio and pair-median): {speedup:.3} \
          (baseline {baseline:.3}, floor {floor:.3})",
         o.parts

@@ -217,7 +217,7 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
         let result = drive_resident_ft_with(
             dom,
             cfg,
-            self.inner.elem_weights(),
+            self.inner.inv_degrees(),
             self.inner.interface_classes().len(),
             &mut transport,
             coords,

@@ -171,15 +171,12 @@ where
     // by every ScatterDelta reply. Kept as flat bits so the diff is the
     // same bitwise comparison the cross-transport oracle demands.
     let mut ckpt_base: Vec<f64> = Vec::new();
-    let mut owned: Vec<D::Point> = Vec::new();
     let outcome = loop {
         match Frame::read_from(&mut rd)? {
             Frame::Gather { coords, scores } => {
                 let points = flat_to_points::<D::Point>(&coords);
                 rank.load_block(&points, &scores);
-                owned.clear();
-                rank.owned_coords_into(&mut owned);
-                ckpt_base = points_to_flat(&owned);
+                ckpt_base = points_to_flat(rank.owned_coords());
             }
             Frame::Interior => {
                 iter += 1;
@@ -229,20 +226,16 @@ where
                 wr.flush()?;
             }
             Frame::ScatterRequest => {
-                owned.clear();
-                rank.owned_coords_into(&mut owned);
-                wr.put(&Frame::Scatter { coords: points_to_flat(&owned) })?;
+                wr.put(&Frame::Scatter { coords: points_to_flat(rank.owned_coords()) })?;
                 wr.flush()?;
             }
             Frame::ScatterDeltaRequest => {
-                owned.clear();
-                rank.owned_coords_into(&mut owned);
-                let flat = points_to_flat(&owned);
+                let flat = points_to_flat(rank.owned_coords());
                 let dim = <D::Point as DomainPoint>::DIM;
                 assert_eq!(flat.len(), ckpt_base.len(), "sparse scatter before any gather");
                 let mut slots: Vec<u32> = Vec::new();
                 let mut coords: Vec<f64> = Vec::new();
-                for s in 0..owned.len() {
+                for s in 0..flat.len() / dim {
                     let cur = &flat[s * dim..(s + 1) * dim];
                     let base = &mut ckpt_base[s * dim..(s + 1) * dim];
                     if cur.iter().zip(base.iter()).any(|(a, b)| a.to_bits() != b.to_bits()) {

@@ -26,7 +26,7 @@ use lms_order::{rcb_parts_nd, rcb_parts_weighted_nd};
 use lms_part::{sfc_chunk_assignment, Partition, PartitionMethod};
 use lms_smooth::domain::{score_star_per_id, DomainPoint, SmoothDomain};
 use lms_smooth::for_lane_blocks;
-use lms_smooth::soa::{sqrt_div_lanes, SoaCoords, LANES};
+use lms_smooth::soa::{sqrt_div_lanes, LANES};
 
 impl DomainPoint for Point3 {
     const ZERO: Self = Point3::ZERO;
@@ -42,15 +42,6 @@ impl DomainPoint for Point3 {
     #[inline]
     fn from_components(comps: &[f64]) -> Self {
         Point3::new(comps[0], comps[1], comps[2])
-    }
-
-    #[inline]
-    fn component(self, d: usize) -> f64 {
-        match d {
-            0 => self.x,
-            1 => self.y,
-            _ => self.z,
-        }
     }
 
     #[inline]
@@ -99,7 +90,6 @@ impl<'a> TetDomain<'a> {
 
 impl SmoothDomain<4> for TetDomain<'_> {
     type Point = Point3;
-    type Soa = SoaCoords<3>;
 
     #[inline]
     fn num_vertices(&self) -> usize {
@@ -142,7 +132,7 @@ impl SmoothDomain<4> for TetDomain<'_> {
     #[inline]
     fn score_star(
         &self,
-        coords: &SoaCoords<3>,
+        coords: &[Point3],
         corners: &[[u32; 4]],
         ids: &[u32],
         out: &mut [(f64, bool)],
@@ -159,17 +149,14 @@ impl SmoothDomain<4> for TetDomain<'_> {
 /// columns `[ax, ay, az, bx, …, dz]` (the indexed loads, kept apart from
 /// the arithmetic as in the 2D kernel).
 #[inline(always)]
-fn tet_columns(
-    [xs, ys, zs]: [&[f64]; 3],
-    corners: &[[u32; 4]],
-    block: &[u32; LANES],
-) -> [[f64; LANES]; 12] {
+fn tet_columns(pts: &[Point3], corners: &[[u32; 4]], block: &[u32; LANES]) -> [[f64; LANES]; 12] {
     let mut cols = [[0.0f64; LANES]; 12];
     for l in 0..LANES {
         for (k, &i) in corners[block[l] as usize].iter().enumerate() {
-            cols[3 * k][l] = xs[i as usize];
-            cols[3 * k + 1][l] = ys[i as usize];
-            cols[3 * k + 2][l] = zs[i as usize];
+            let p = pts[i as usize];
+            cols[3 * k][l] = p.x;
+            cols[3 * k + 1][l] = p.y;
+            cols[3 * k + 2][l] = p.z;
         }
     }
     cols
@@ -185,18 +172,17 @@ fn tet_columns(
 /// select — plus the `signed_volume > 0` orientation test, so results are
 /// bit-identical to the per-element path by construction.
 #[inline]
-fn tet_elr_star(coords: &SoaCoords<3>, corners: &[[u32; 4]], ids: &[u32], out: &mut [(f64, bool)]) {
-    let axes = [coords.axis(0), coords.axis(1), coords.axis(2)];
+fn tet_elr_star(pts: &[Point3], corners: &[[u32; 4]], ids: &[u32], out: &mut [(f64, bool)]) {
     // one cached feature test and one `#[target_feature]` call per id
     // list, never one per block (see `tri_elr_star`)
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: AVX support verified above (cached runtime check) — the
         // function's only requirement.
-        unsafe { tet_elr_star_avx(axes, corners, ids, out) };
+        unsafe { tet_elr_star_avx(pts, corners, ids, out) };
         return;
     }
-    tet_elr_star_portable(axes, corners, ids, out);
+    tet_elr_star_portable(pts, corners, ids, out);
 }
 
 /// The portable lanes of [`tet_elr_star`]: per lane the library's own
@@ -206,13 +192,13 @@ fn tet_elr_star(coords: &SoaCoords<3>, corners: &[[u32; 4]], ids: &[u32], out: &
 /// (never-negative) argument is.
 #[inline]
 fn tet_elr_star_portable(
-    axes: [&[f64]; 3],
+    pts: &[Point3],
     corners: &[[u32; 4]],
     ids: &[u32],
     out: &mut [(f64, bool)],
 ) {
     for_lane_blocks!((ids, out) => |block, slots| {
-        let cols = tet_columns(axes, corners, block);
+        let cols = tet_columns(pts, corners, block);
         let mut min_sq = [0.0f64; LANES];
         let mut max_sq = [0.0f64; LANES];
         let mut vol = [0.0f64; LANES];
@@ -260,7 +246,7 @@ fn tet_elr_star_portable(
 #[target_feature(enable = "avx")]
 #[inline]
 unsafe fn tet_elr_star_avx(
-    axes: [&[f64]; 3],
+    pts: &[Point3],
     corners: &[[u32; 4]],
     ids: &[u32],
     out: &mut [(f64, bool)],
@@ -292,7 +278,7 @@ unsafe fn tet_elr_star_avx(
     let sign = _mm256_set1_pd(-0.0);
     let six = _mm256_set1_pd(6.0);
     for_lane_blocks!((ids, out) => |block, slots| {
-        let cols = tet_columns(axes, corners, block);
+        let cols = tet_columns(pts, corners, block);
         let mut corner = [[zero; 3]; 4];
         for (k, p) in corner.iter_mut().enumerate() {
             for (axis, lanes) in p.iter_mut().enumerate() {
@@ -415,12 +401,11 @@ mod tests {
     }
 
     /// Scalar oracle vs portable lanes vs (where the host has it) the AVX
-    /// body, each called directly on `corners` over `axes`; two NaN
+    /// body, each called directly on `corners` over `pts`; two NaN
     /// qualities count as equal (NaN payload choice is the compiler's).
-    fn kernels_agree(axes: [&[f64]; 3], corners: &[[u32; 4]]) -> Vec<(f64, bool)> {
+    fn kernels_agree(pts: &[Point3], corners: &[[u32; 4]]) -> Vec<(f64, bool)> {
         let ids: Vec<u32> = (0..corners.len() as u32).collect();
-        let at =
-            |i: u32| Point3::new(axes[0][i as usize], axes[1][i as usize], axes[2][i as usize]);
+        let at = |i: u32| pts[i as usize];
         let scalar: Vec<(f64, bool)> = corners
             .iter()
             .map(|row| {
@@ -436,13 +421,13 @@ mod tests {
             }
         };
         let mut out = vec![(f64::NAN, false); ids.len()];
-        tet_elr_star_portable(axes, corners, &ids, &mut out);
+        tet_elr_star_portable(pts, corners, &ids, &mut out);
         same("portable", &out);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx") {
             out.fill((f64::NAN, false));
             // SAFETY: AVX support verified on the line above.
-            unsafe { tet_elr_star_avx(axes, corners, &ids, &mut out) };
+            unsafe { tet_elr_star_avx(pts, corners, &ids, &mut out) };
             same("avx", &out);
         }
         scalar
@@ -466,13 +451,11 @@ mod tests {
             -2.5,
         ];
         let n = specials.len();
-        let mut axes = [Vec::new(), Vec::new(), Vec::new()];
+        let mut pts = Vec::new();
         for &x in &specials {
             for &y in &specials {
                 for &z in &specials {
-                    axes[0].push(x);
-                    axes[1].push(y);
-                    axes[2].push(z);
+                    pts.push(Point3::new(x, y, z));
                 }
             }
         }
@@ -483,7 +466,7 @@ mod tests {
             corners.extend([[a, b, c, d], [a, c, b, d], [a, a, c, d], [a, b, b, b], [a, a, a, a]]);
         }
         corners.pop(); // not a whole number of blocks
-        kernels_agree([&axes[0], &axes[1], &axes[2]], &corners);
+        kernels_agree(&pts, &corners);
     }
 
     /// `signed_volume`'s `/ 6.0` rounds a positive triple product of up to
@@ -492,12 +475,15 @@ mod tests {
     #[test]
     fn tiny_triple_products_round_like_signed_volume() {
         // a = 0, b = e_x, c = e_y, d = ±from_bits(k)·e_z: triple product ±from_bits(k)
-        let xs = [0.0, 1.0, 0.0, 0.0];
-        let ys = [0.0, 0.0, 1.0, 0.0];
         for k in 1..=8u64 {
             for sign in [1.0, -1.0] {
-                let zs = [0.0, 0.0, 0.0, sign * f64::from_bits(k)];
-                let scored = kernels_agree([&xs, &ys, &zs], &[[0, 1, 2, 3]]);
+                let pts = [
+                    Point3::ZERO,
+                    Point3::new(1.0, 0.0, 0.0),
+                    Point3::new(0.0, 1.0, 0.0),
+                    Point3::new(0.0, 0.0, sign * f64::from_bits(k)),
+                ];
+                let scored = kernels_agree(&pts, &[[0, 1, 2, 3]]);
                 assert_eq!(scored[0].1, sign > 0.0 && k > 3, "k = {k}, sign {sign}");
             }
         }

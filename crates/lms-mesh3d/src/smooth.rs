@@ -44,7 +44,7 @@ pub struct SmoothParams3 {
     /// Smart commit: reject moves that lower the local mean quality or
     /// invert a currently valid vertex star.
     pub smart: bool,
-    /// Force the pre-SoA per-element scalar scoring path (bench/oracle
+    /// Force the per-element scalar scoring path (bench/oracle
     /// baseline; bit-identical to the default lane-batched scoring).
     pub scalar_scoring: bool,
 }

@@ -1,9 +1,10 @@
-//! 3D half of the SoA bit-identity gate: `score_star` on `TetDomain`
-//! equals the per-element scalar `score_soa` per id, bit for bit, for
-//! every `TetQualityMetric` and every block-tail length, and full 3D runs
-//! with the default lane-batched kernel match the forced pre-SoA scalar
-//! path (`SmoothParams3::with_scalar_scoring(true)`) exactly — coordinates
-//! and reports — across threads and part counts, also on a mesh with
+//! 3D half of the lane-batched bit-identity gate: `score_star` on
+//! `TetDomain` equals the per-element scalar `score` per id, bit for bit,
+//! for every `TetQualityMetric` and every block-tail length, and full 3D
+//! runs with the default lane-batched kernel match the forced
+//! per-element scalar path (`SmoothParams3::with_scalar_scoring(true)`)
+//! exactly — coordinates and reports — across threads and part counts,
+//! also on a mesh with
 //! stars above the serial kernel's stack scratch that are not a whole
 //! number of lane blocks.
 
@@ -73,6 +74,23 @@ fn ragged_stars_batched_equals_scalar_on_every_engine3() {
             checks::serial_batched_equals_scalar(&mesh, p, s);
         }
         checks::resident_batched_equals_scalar(&mesh, params, scalar, 3, 2);
+    }
+}
+
+/// Every tet weight formed from the per-vertex inverse degrees equals the
+/// per-element table the weights were once stored as, bit for bit, on a
+/// Kuhn grid and on [`ragged_mesh`]'s split cells — meshes whose tets
+/// hold corner sums that change bits when reordered, so a reordered sum
+/// fails here.
+#[test]
+fn formed_weights_equal_the_element_weight_oracle3() {
+    let grid = lms_mesh3d::generators::perturbed_tet_grid(5, 4, 6, 0.25, 3);
+    for mesh in [grid, ragged_mesh(2), ragged_mesh(11)] {
+        let adj = Adjacency3::build(&mesh);
+        let boundary = Boundary3::detect(&mesh);
+        let dom = TetDomain::new(&adj, &boundary, mesh.tets(), TetQualityMetric::EdgeLengthRatio);
+        let order_sensitive = checks::formed_weights_equal_the_oracle(&dom);
+        assert!(order_sensitive > 0, "no tet whose corner sum depends on the order");
     }
 }
 

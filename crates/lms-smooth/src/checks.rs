@@ -6,11 +6,11 @@
 //! code they test.
 
 use crate::config::UpdateScheme;
+use crate::dcache::{element_weight, inverse_degrees};
 use crate::domain::SmoothDomain;
 use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::SerialKernel;
 use crate::resident::ResidentEngineOn;
-use crate::soa::SoaLike;
 use crate::trace::{CountSink, VecSink};
 use lms_order::Graph;
 use lms_part::{Partition, PartitionMethod};
@@ -275,7 +275,7 @@ pub fn by_method_equals_new_over_the_same_partition<const C: usize, M: SmoothMes
         assert_eq!(by_method.partition(), &partition, "{}", method.name());
         assert_eq!(by_method.engine().adjacency(), &adj, "{}", method.name());
         assert_eq!(by_method.blocks(), new.blocks(), "{}", method.name());
-        assert_eq!(by_method.elem_weights(), new.elem_weights());
+        assert_eq!(by_method.inv_degrees(), new.inv_degrees());
         assert_eq!(by_method.interface_classes(), new.interface_classes());
         assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
     }
@@ -319,9 +319,9 @@ pub fn orienting_a_clone_leaves_the_original_untouched<const C: usize, M: Smooth
 }
 
 /// The quality cache a smart Gauss–Seidel run of `mesh` ends with holds
-/// one quality and one weight (8 B each) and one orientation bit per
-/// element, and nothing else: the sweep never queues an element, so the
-/// dirty-set stamps are never allocated.
+/// one quality (8 B) and one orientation bit per element and one inverse
+/// degree (8 B) per vertex, and nothing else: the sweep never queues an
+/// element, so the dirty-set stamps are never allocated.
 pub fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element<
     const C: usize,
     M: SmoothMesh<C> + Clone,
@@ -342,8 +342,40 @@ pub fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element<
     };
     let (report, cache) = kernel.run_keeping_cache(mesh.clone().coords_mut());
     assert!(report.num_iterations() > 0);
-    let t = dom.num_elements();
-    assert_eq!(cache.heap_bytes(), 8 * t + 8 * t + 8 * t.div_ceil(64));
+    assert!(!cache.has_dirty());
+    let (t, n) = (dom.num_elements(), dom.num_vertices());
+    assert_eq!(cache.heap_bytes(), 8 * t + 8 * t.div_ceil(64) + 8 * n);
+}
+
+/// The per-element weight table `w_t = Σ_{v ∈ t} 1/deg_t(v)` as it was
+/// once stored: summed per element from a per-vertex inverse-degree
+/// table, corners in order — the oracle every formed weight is pinned to.
+pub fn element_weights<const C: usize, D: SmoothDomain<C>>(dom: &D) -> Vec<f64> {
+    let inv_deg: Vec<f64> =
+        (0..dom.num_vertices() as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect();
+    dom.elements().iter().map(|e| e.iter().map(|&v| inv_deg[v as usize]).sum()).collect()
+}
+
+/// Every element weight formed from the per-vertex inverse degrees (what
+/// the quality cache, the resident blocks and the resident drive loop
+/// use) equals the [`element_weights`] oracle bit for bit. Returns how
+/// many elements have a corner sum whose bits change when the corners
+/// are rotated — the cases in which a reordered sum would fail this
+/// check, which a caller's corpus must contain.
+pub fn formed_weights_equal_the_oracle<const C: usize, D: SmoothDomain<C>>(dom: &D) -> usize {
+    let oracle = element_weights(dom);
+    let inv_deg = inverse_degrees(dom);
+    let mut order_sensitive = 0;
+    for (t, corners) in dom.elements().iter().enumerate() {
+        let w = element_weight(&inv_deg, corners);
+        assert_eq!(w.to_bits(), oracle[t].to_bits(), "weight of element {t}");
+        let order_matters = (1..C).any(|r| {
+            let rotated: f64 = (0..C).map(|k| inv_deg[corners[(k + r) % C] as usize]).sum();
+            rotated.to_bits() != w.to_bits()
+        });
+        order_sensitive += usize::from(order_matters);
+    }
+    order_sensitive
 }
 
 /// Handed the adjacency of a cut-down mesh over the same vertices, every
@@ -453,9 +485,8 @@ pub fn resident_blocks_on_degenerate_decompositions<const C: usize, M: SmoothMes
     resident_blocks_deal_sorted_element_lists(mesh, params, split, 3);
 }
 
-/// `score_star` == one `score_soa` per id — and the point-slice `score`
-/// agrees with both — bit for bit, for `dom` (scoring under `metric`) on
-/// `coords`. The id lists have lengths 0..=9, 24 and 25 (every fill of
+/// `score_star` == one `score` per id, bit for bit, for `dom` (scoring
+/// under `metric`) on the point slice `coords`. The id lists have lengths 0..=9, 24 and 25 (every fill of
 /// the last lane block, stars up to the tet grid's 24 and one past it),
 /// each ascending up to the last row, descending from it, and cycling
 /// over three ids, plus the whole table in order. The corner table handed
@@ -466,8 +497,6 @@ pub fn score_star_equals_per_id<const C: usize, D: SmoothDomain<C>>(
     coords: &[D::Point],
     metric: impl std::fmt::Debug,
 ) {
-    let mut soa = D::Soa::with_len(coords.len());
-    soa.gather_from(coords);
     let corners = &dom.elements()[..dom.num_elements() - 3];
     let n = corners.len() as u32;
     let mut lists: Vec<Vec<u32>> = vec![(0..n).collect()];
@@ -478,13 +507,11 @@ pub fn score_star_equals_per_id<const C: usize, D: SmoothDomain<C>>(
     }
     for ids in lists {
         let mut out = vec![(f64::NAN, false); ids.len()];
-        dom.score_star(&soa, corners, &ids, &mut out);
+        dom.score_star(coords, corners, &ids, &mut out);
         for (i, &t) in ids.iter().enumerate() {
-            let (q, pos) = dom.score_soa(&soa, corners[t as usize]);
+            let (q, pos) = dom.score(coords, corners[t as usize]);
             assert_eq!(q.to_bits(), out[i].0.to_bits(), "{metric:?}, ids {ids:?}, slot {i}");
             assert_eq!(pos, out[i].1, "{metric:?}, ids {ids:?}, slot {i}");
-            let (qp, pp) = dom.score(coords, corners[t as usize]);
-            assert_eq!((q.to_bits(), pos), (qp.to_bits(), pp));
         }
     }
 }

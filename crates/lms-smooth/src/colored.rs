@@ -157,7 +157,7 @@ fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
         let ts = dom.elements_of(v);
         scores.clear();
         scores.extend(ts.iter().map(|&t| dom.score(coords, dom.elements()[t as usize])));
-        cache.set_star(ts, &scores);
+        cache.set_star(dom, ts, &scores);
     }
 }
 

@@ -83,10 +83,10 @@ pub struct SmoothParams {
     pub smart: bool,
     /// Neighbour weighting of the position update (paper: uniform).
     pub weighting: Weighting,
-    /// Force the pre-SoA per-element scalar scoring path in every engine.
+    /// Force the per-element scalar scoring path in every engine.
     /// Bit-identical to the default lane-batched scoring — the toggle
-    /// exists purely as the before/after baseline of the SoA benches and
-    /// the equivalence property suites.
+    /// exists purely as the before/after baseline of the batched-kernel
+    /// benches and the equivalence property suites.
     pub scalar_scoring: bool,
 }
 

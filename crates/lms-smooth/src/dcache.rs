@@ -15,11 +15,14 @@
 //! ```
 //!
 //! [`DomainQualityCache`] stores each element's current quality `q` once
-//! (what the global statistic sums) beside one orientation bit, plus the
-//! constant weights `w_t` and the running weighted sum with Neumaier
-//! compensation. The orientation-guarded value the smart-smoothing commit
-//! test averages — `q` when the element is positively oriented, `0`
-//! otherwise — is a select on that bit
+//! (what the global statistic sums) beside one orientation bit, one
+//! inverse star size `1/deg_t(v)` per vertex, and the running weighted
+//! sum with Neumaier compensation. The constant weight `w_t` is not
+//! stored: every use forms it from the inverse degrees of the element's
+//! corners, summed in corner order (`element_weight`), so it has the
+//! same bits wherever it is formed. The orientation-guarded value the
+//! smart-smoothing commit test averages — `q` when the element is
+//! positively oriented, `0` otherwise — is a select on that bit
 //! ([`guarded_quality`](DomainQualityCache::guarded_quality)), not a
 //! second stored copy. Every supported metric scores a positively
 //! oriented element strictly positive, so the guarded value is zero
@@ -64,10 +67,10 @@ pub struct DomainQualityCache {
     /// Orientation of each element as its last scoring reported it, one
     /// bit per element (bit `t % 64` of word `t / 64`).
     elem_pos: Vec<u64>,
-    /// Constant weight `w_t` of each element in the global quality.
-    elem_w: Vec<f64>,
-    num_vertices: usize,
-    /// Neumaier-compensated running `Σ_t elem_q[t] · elem_w[t]`.
+    /// Inverse star size `1/deg_t(v)` of each vertex — what every weight
+    /// `w_t` is formed from (`element_weight`).
+    inv_deg: Vec<f64>,
+    /// Neumaier-compensated running `Σ_t elem_q[t] · w_t`.
     sum: f64,
     comp: f64,
     /// Epoch-stamped dirty set (no clearing between flushes). The stamps
@@ -79,27 +82,31 @@ pub struct DomainQualityCache {
     epoch: u32,
 }
 
-/// The constant weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the quality
-/// functional, from one inverse degree per vertex.
-pub(crate) fn element_weights<const C: usize, D: SmoothDomain<C>>(dom: &D) -> Vec<f64> {
-    let inv_deg: Vec<f64> =
-        (0..dom.num_vertices() as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect();
-    dom.elements().iter().map(|e| e.iter().map(|&v| inv_deg[v as usize]).sum()).collect()
+/// One inverse star size `1/deg_t(v)` per vertex — the table every
+/// element weight is formed from.
+pub(crate) fn inverse_degrees<const C: usize, D: SmoothDomain<C>>(dom: &D) -> Vec<f64> {
+    (0..dom.num_vertices() as u32).map(|v| 1.0 / dom.elements_of(v).len() as f64).collect()
+}
+
+/// The constant weight `w_t = Σ_{v ∈ t} 1/deg_t(v)` of element `corners`
+/// in the quality functional, summed in corner order — the one
+/// expression every weight is formed with, so a weight has the same bits
+/// wherever it is formed.
+#[inline]
+pub(crate) fn element_weight<const C: usize>(inv_deg: &[f64], corners: &[u32; C]) -> f64 {
+    corners.iter().map(|&v| inv_deg[v as usize]).sum()
 }
 
 impl DomainQualityCache {
     /// Build the cache for a domain (scores every element once).
     pub fn build<const C: usize, D: SmoothDomain<C>>(dom: &D, coords: &[D::Point]) -> Self {
         let nt = dom.num_elements();
-        let n = dom.num_vertices();
-        assert_eq!(n, coords.len(), "coordinate array does not match the domain");
+        assert_eq!(dom.num_vertices(), coords.len(), "coordinate array does not match the domain");
 
-        let elem_w = element_weights(dom);
         let mut cache = DomainQualityCache {
             elem_q: vec![0.0; nt],
             elem_pos: vec![0; nt.div_ceil(64)],
-            elem_w,
-            num_vertices: n,
+            inv_deg: inverse_degrees(dom),
             sum: 0.0,
             comp: 0.0,
             dirty_stamp: Vec::new(),
@@ -168,24 +175,30 @@ impl DomainQualityCache {
         }
     }
 
-    /// Bytes the cache owns on the heap: one quality and one weight per
-    /// element, one orientation bit per element, and the dirty set once
-    /// something was queued.
+    /// Bytes the cache owns on the heap: one quality and one orientation
+    /// bit per element, one inverse degree per vertex, and the dirty set
+    /// once something was queued.
     pub fn heap_bytes(&self) -> usize {
         vec_bytes(&self.elem_q)
             + vec_bytes(&self.elem_pos)
-            + vec_bytes(&self.elem_w)
+            + vec_bytes(&self.inv_deg)
             + vec_bytes(&self.dirty_stamp)
             + vec_bytes(&self.dirty)
     }
 
     /// Batch update for one vertex star: `scores[k]` is the fresh
-    /// `(quality, positively_oriented)` of element `ts[k]`. Deltas are
-    /// accumulated plainly and folded into the running sum with a single
-    /// compensated add.
+    /// `(quality, positively_oriented)` of element `ts[k]` of `dom`.
+    /// Deltas are accumulated plainly and folded into the running sum
+    /// with a single compensated add.
     #[inline]
-    pub fn set_star(&mut self, ts: &[u32], scores: &[(f64, bool)]) {
+    pub fn set_star<const C: usize, D: SmoothDomain<C>>(
+        &mut self,
+        dom: &D,
+        ts: &[u32],
+        scores: &[(f64, bool)],
+    ) {
         debug_assert_eq!(ts.len(), scores.len());
+        let elems = dom.elements();
         let mut delta = 0.0;
         for (&t, &(q, pos)) in ts.iter().zip(scores) {
             debug_assert!(
@@ -193,7 +206,7 @@ impl DomainQualityCache {
                 "metric invariant violated: positive orientation with zero quality"
             );
             let i = t as usize;
-            let w = self.elem_w[i];
+            let w = element_weight(&self.inv_deg, &elems[i]);
             delta += q * w - self.elem_q[i] * w;
             self.store(i, q, pos);
         }
@@ -204,7 +217,7 @@ impl DomainQualityCache {
 
     /// Re-score **every** element and rebuild the running sum from
     /// scratch (same accumulation order as [`build`](Self::build)).
-    /// Scoring runs through the lane-batched SoA kernel
+    /// Scoring runs through the lane-batched kernel
     /// ([`score_elements_batched`]); the fold over the results keeps the
     /// sequential element order, so the rebuilt sum is bit-identical to
     /// the scalar loop it replaces.
@@ -216,10 +229,11 @@ impl DomainQualityCache {
         assert_eq!(dom.num_elements(), self.elem_q.len(), "element count changed");
         self.sum = 0.0;
         self.comp = 0.0;
+        let elems = dom.elements();
         let mut i = 0;
-        score_elements_batched(dom, coords, dom.elements().iter().copied(), |(q, pos)| {
+        score_elements_batched(dom, coords, 0..elems.len() as u32, |(q, pos)| {
             self.store(i, q, pos);
-            self.add(q * self.elem_w[i]);
+            self.add(q * element_weight(&self.inv_deg, &elems[i]));
             i += 1;
         });
     }
@@ -233,7 +247,7 @@ impl DomainQualityCache {
         moved: &[u32],
         coords: &[D::Point],
     ) {
-        if moved.len() * 4 >= self.num_vertices {
+        if moved.len() * 4 >= self.inv_deg.len() {
             self.rescore_all(dom, coords);
             return;
         }
@@ -264,7 +278,7 @@ impl DomainQualityCache {
     }
 
     /// Re-score every queued element once, in ascending element order
-    /// (through the lane-batched SoA kernel; the delta fold keeps the
+    /// (through the lane-batched kernel; the delta fold keeps the
     /// ascending order, so the running sum stays bit-identical to the
     /// scalar flush), folding the deltas into the running sum.
     pub fn flush_dirty<const C: usize, D: SmoothDomain<C>>(
@@ -274,16 +288,16 @@ impl DomainQualityCache {
     ) {
         self.dirty.sort_unstable();
         let mut dirty = std::mem::take(&mut self.dirty);
-        let elems = dirty.iter().map(|&t| dom.elements()[t as usize]);
+        let elems = dom.elements();
         let mut k = 0;
-        score_elements_batched(dom, coords, elems, |(q, pos)| {
+        score_elements_batched(dom, coords, dirty.iter().copied(), |(q, pos)| {
             debug_assert!(
                 q > 0.0 || !pos,
                 "metric invariant violated: positive orientation with zero quality"
             );
             let i = dirty[k] as usize;
             k += 1;
-            let w = self.elem_w[i];
+            let w = element_weight(&self.inv_deg, &elems[i]);
             let delta = q * w - self.elem_q[i] * w;
             if delta != 0.0 {
                 self.add(delta);
@@ -305,10 +319,10 @@ impl DomainQualityCache {
     /// tests, not for reported results.
     #[inline]
     pub fn quality_running(&self) -> f64 {
-        if self.num_vertices == 0 {
+        if self.inv_deg.is_empty() {
             return 0.0;
         }
-        (self.sum + self.comp) / self.num_vertices as f64
+        (self.sum + self.comp) / self.inv_deg.len() as f64
     }
 
     /// Global quality re-reduced from the cached per-element values in the
@@ -317,7 +331,7 @@ impl DomainQualityCache {
     /// cache is coherent with no pending dirty elements).
     pub fn quality_exact<const C: usize, D: SmoothDomain<C>>(&self, dom: &D) -> f64 {
         debug_assert!(!self.has_dirty(), "flush_dirty before reading exact quality");
-        let n = self.num_vertices;
+        let n = self.inv_deg.len();
         if n == 0 {
             return 0.0;
         }
@@ -400,22 +414,25 @@ mod tests {
         }
 
         /// Every accessor agrees with the cache bit for bit, NaN payloads
-        /// included.
-        fn assert_same(&self, cache: &DomainQualityCache) {
+        /// included, and so does the weight the cache forms for each of
+        /// `elems`.
+        fn assert_same(&self, cache: &DomainQualityCache, elems: &[[u32; 3]]) {
             for t in 0..self.q.len() {
                 let (i, u) = (t, t as u32);
                 assert_eq!(cache.elem_quality(u).to_bits(), self.q[i].to_bits(), "q of {t}");
                 assert_eq!(cache.guarded_quality(u).to_bits(), self.g[i].to_bits(), "g of {t}");
                 assert_eq!(cache.elem_is_positive(u), self.g[i] > 0.0, "orientation of {t}");
-                assert_eq!(cache.elem_w[i].to_bits(), self.w[i].to_bits(), "w of {t}");
+                let w = element_weight(&cache.inv_deg, &elems[i]);
+                assert_eq!(w.to_bits(), self.w[i].to_bits(), "w of {t}");
             }
         }
     }
 
-    /// The SoA kernels' special-value corpus as a triangle soup: every pair of NaN,
-    /// ±inf, ±0, subnormals, `±1e200` and plain numbers is a vertex;
-    /// triangles are random triples, the same triples reversed (inverted)
-    /// and triples from one row of the pair grid (degenerate when finite).
+    /// The lane kernels' special-value corpus as a triangle soup: every
+    /// pair of NaN, ±inf, ±0, subnormals, `±1e200` and plain numbers is a
+    /// vertex; triangles are random triples, the same triples reversed
+    /// (inverted) and triples from one row of the pair grid (degenerate
+    /// when finite).
     /// Built from there, re-scored in full and fed stars of special scores
     /// with chosen NaN payloads, the cache reads back exactly what the
     /// three-array layout held.
@@ -457,13 +474,13 @@ mod tests {
         let dom = TriDomain::new(&adj, &b, m.triangles(), QualityMetric::EdgeLengthRatio);
 
         let mut scored = Vec::new();
-        score_elements_batched(&dom, m.coords(), m.triangles().iter().copied(), |s| scored.push(s));
+        score_elements_batched(&dom, m.coords(), 0..m.num_triangles() as u32, |s| scored.push(s));
         let mut oracle = ThreeArrays::new(&dom);
         for (i, &s) in scored.iter().enumerate() {
             oracle.store(i, s);
         }
         let mut cache = DomainQualityCache::build(&dom, m.coords());
-        oracle.assert_same(&cache);
+        oracle.assert_same(&cache, m.triangles());
         // the corpus reaches every case the bit has to get right
         assert!(scored.iter().any(|&(q, pos)| pos && q.is_nan()), "no positive NaN score");
         assert!(scored.iter().any(|&(q, pos)| !pos && q.is_nan()), "no inverted NaN score");
@@ -472,7 +489,7 @@ mod tests {
         assert!(scored.iter().any(|&(q, _)| q == 0.0), "no zero-quality element");
 
         cache.rescore_all(&dom, m.coords());
-        oracle.assert_same(&cache);
+        oracle.assert_same(&cache, m.triangles());
 
         let scores = [
             f64::from_bits(0x7ff8_dead_beef_0001),
@@ -495,11 +512,11 @@ mod tests {
                     (q, q > 0.0 && rng.index(2) == 0)
                 })
                 .collect();
-            cache.set_star(&ts, &star);
+            cache.set_star(&dom, &ts, &star);
             for (&e, &s) in ts.iter().zip(&star) {
                 oracle.store(e as usize, s);
             }
         }
-        oracle.assert_same(&cache);
+        oracle.assert_same(&cache, m.triangles());
     }
 }

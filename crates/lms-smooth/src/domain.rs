@@ -29,7 +29,7 @@
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
 use crate::for_lane_blocks;
-use crate::soa::{score_elements_batched, SoaCoords, SoaLike, LANES};
+use crate::soa::{score_elements_batched, LANES};
 use crate::stats::{IterationStats, SmoothReport};
 use crate::trace::AccessSink;
 use lms_mesh::geometry::signed_area;
@@ -58,10 +58,6 @@ pub trait DomainPoint: Copy + Clone + Send + Sync + PartialEq + std::fmt::Debug 
     /// patterns pushed, so transported coordinates stay bit-identical.
     fn from_components(comps: &[f64]) -> Self;
 
-    /// Component `d` (`0 ≤ d <` [`Self::DIM`]) — the per-axis read the
-    /// SoA gather/scatter paths are built on, exact bit copy.
-    fn component(self, d: usize) -> f64;
-
     /// Componentwise sum.
     fn padd(self, other: Self) -> Self;
 
@@ -88,14 +84,6 @@ impl DomainPoint for Point2 {
     #[inline]
     fn from_components(comps: &[f64]) -> Self {
         Point2::new(comps[0], comps[1])
-    }
-
-    #[inline]
-    fn component(self, d: usize) -> f64 {
-        match d {
-            0 => self.x,
-            _ => self.y,
-        }
     }
 
     #[inline]
@@ -137,11 +125,6 @@ impl<const D: usize> DomainPoint for [f64; D] {
     }
 
     #[inline]
-    fn component(self, d: usize) -> f64 {
-        self[d]
-    }
-
-    #[inline]
     fn padd(self, other: Self) -> Self {
         std::array::from_fn(|i| self[i] + other[i])
     }
@@ -179,12 +162,6 @@ impl<const D: usize> DomainPoint for [f64; D] {
 pub trait SmoothDomain<const C: usize>: Sync {
     /// Coordinate type of the domain.
     type Point: DomainPoint;
-
-    /// Structure-of-arrays coordinate store of the domain (a
-    /// [`SoaCoords`] of the right dimension) — what the resident sweep
-    /// scratch holds internally, and what
-    /// [`score_star`](Self::score_star) consumes.
-    type Soa: SoaLike<Self::Point>;
 
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
@@ -234,18 +211,8 @@ pub trait SmoothDomain<const C: usize>: Sync {
         self.score_points(corners.map(|c| if c == v { pos_v } else { coords[c as usize] }))
     }
 
-    /// [`score`](Self::score) against a structure-of-arrays store —
-    /// per-element scalar form, bit-identical to the point-slice path.
-    #[inline]
-    fn score_soa(&self, coords: &Self::Soa, corners: [u32; C]) -> (f64, bool) {
-        // `from_fn` is `#[inline]`, `corners.map(..)` is not: left out of
-        // line it returns the points through memory in halves the caller
-        // reloads whole, and the stalls double the cost of this path
-        self.score_points(std::array::from_fn(|k| coords.get(corners[k] as usize)))
-    }
-
     /// Batched element scoring by id: score element `corners[ids[i]]`
-    /// (corner slot ids into `coords`) into `out[i]` — a vertex star, a
+    /// (corner ids into the point slice `coords`) into `out[i]` — a vertex star, a
     /// dirty queue, any id list, in list order; ids may repeat.
     /// Implementations process fixed-width [`LANES`]-wide blocks where
     /// every lane runs the **identical** scalar operation sequence on its
@@ -255,7 +222,7 @@ pub trait SmoothDomain<const C: usize>: Sync {
     /// is written before the call returns.
     fn score_star(
         &self,
-        coords: &Self::Soa,
+        coords: &[Self::Point],
         corners: &[[u32; C]],
         ids: &[u32],
         out: &mut [(f64, bool)],
@@ -264,21 +231,21 @@ pub trait SmoothDomain<const C: usize>: Sync {
     }
 }
 
-/// [`SmoothDomain::score_star`] as one [`SmoothDomain::score_soa`] per id
+/// [`SmoothDomain::score_star`] as one [`SmoothDomain::score`] per id
 /// — the trait default, the ablation metrics' path, and what the engines
 /// run under [`DomainConfig::scalar_scoring`] as the oracle of the
 /// lane-batched kernels.
 #[inline]
 pub fn score_star_per_id<const C: usize, D: SmoothDomain<C> + ?Sized>(
     dom: &D,
-    coords: &D::Soa,
+    coords: &[D::Point],
     corners: &[[u32; C]],
     ids: &[u32],
     out: &mut [(f64, bool)],
 ) {
     debug_assert_eq!(ids.len(), out.len());
     for (slot, &t) in out.iter_mut().zip(ids) {
-        *slot = dom.score_soa(coords, corners[t as usize]);
+        *slot = dom.score(coords, corners[t as usize]);
     }
 }
 
@@ -306,7 +273,6 @@ impl<'a> TriDomain<'a> {
 
 impl SmoothDomain<3> for TriDomain<'_> {
     type Point = Point2;
-    type Soa = SoaCoords<2>;
 
     #[inline]
     fn num_vertices(&self) -> usize {
@@ -346,7 +312,7 @@ impl SmoothDomain<3> for TriDomain<'_> {
     #[inline]
     fn score_star(
         &self,
-        coords: &SoaCoords<2>,
+        coords: &[Point2],
         corners: &[[u32; 3]],
         ids: &[u32],
         out: &mut [(f64, bool)],
@@ -365,21 +331,14 @@ impl SmoothDomain<3> for TriDomain<'_> {
 /// from the arithmetic, which then runs on fixed-size columns with no
 /// loads, no branches and no cross-lane flow.
 #[inline(always)]
-fn tri_columns(
-    xs: &[f64],
-    ys: &[f64],
-    corners: &[[u32; 3]],
-    block: &[u32; LANES],
-) -> [[f64; LANES]; 6] {
+fn tri_columns(pts: &[Point2], corners: &[[u32; 3]], block: &[u32; LANES]) -> [[f64; LANES]; 6] {
     let mut cols = [[0.0f64; LANES]; 6];
     for l in 0..LANES {
-        let [ia, ib, ic] = corners[block[l] as usize];
-        cols[0][l] = xs[ia as usize];
-        cols[1][l] = ys[ia as usize];
-        cols[2][l] = xs[ib as usize];
-        cols[3][l] = ys[ib as usize];
-        cols[4][l] = xs[ic as usize];
-        cols[5][l] = ys[ic as usize];
+        for (k, &i) in corners[block[l] as usize].iter().enumerate() {
+            let p = pts[i as usize];
+            cols[2 * k][l] = p.x;
+            cols[2 * k + 1][l] = p.y;
+        }
     }
     cols
 }
@@ -399,9 +358,7 @@ fn tri_columns(
 /// exactly like their scalar forms, so results are bit-identical to the
 /// per-element path by construction.
 #[inline]
-fn tri_elr_star(coords: &SoaCoords<2>, corners: &[[u32; 3]], ids: &[u32], out: &mut [(f64, bool)]) {
-    let xs = coords.axis(0);
-    let ys = coords.axis(1);
+fn tri_elr_star(pts: &[Point2], corners: &[[u32; 3]], ids: &[u32], out: &mut [(f64, bool)]) {
     // One runtime-cached feature test per *call*, and one
     // `#[target_feature]` call covering the whole id list: dispatching per
     // 4-lane block instead costs a call + `vzeroupper` + AVX↔SSE
@@ -410,10 +367,10 @@ fn tri_elr_star(coords: &SoaCoords<2>, corners: &[[u32; 3]], ids: &[u32], out: &
     if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: AVX support verified above (cached runtime check) — the
         // function's only requirement.
-        unsafe { tri_elr_star_avx(xs, ys, corners, ids, out) };
+        unsafe { tri_elr_star_avx(pts, corners, ids, out) };
         return;
     }
-    tri_elr_star_portable(xs, ys, corners, ids, out);
+    tri_elr_star_portable(pts, corners, ids, out);
 }
 
 /// The portable lanes of [`tri_elr_star`]: pure element-wise math over
@@ -423,14 +380,13 @@ fn tri_elr_star(coords: &SoaCoords<2>, corners: &[[u32; 3]], ids: &[u32], out: &
 /// the explicit-SIMD [`crate::soa::sqrt_div_lanes`].
 #[inline]
 fn tri_elr_star_portable(
-    xs: &[f64],
-    ys: &[f64],
+    pts: &[Point2],
     corners: &[[u32; 3]],
     ids: &[u32],
     out: &mut [(f64, bool)],
 ) {
     for_lane_blocks!((ids, out) => |block, slots| {
-        let [ax, ay, bx, by, cx, cy] = tri_columns(xs, ys, corners, block);
+        let [ax, ay, bx, by, cx, cy] = tri_columns(pts, corners, block);
         let mut min_sq = [0.0f64; LANES];
         let mut max_sq = [0.0f64; LANES];
         let mut area2 = [0.0f64; LANES];
@@ -481,8 +437,7 @@ fn tri_elr_star_portable(
 #[target_feature(enable = "avx")]
 #[inline]
 unsafe fn tri_elr_star_avx(
-    xs: &[f64],
-    ys: &[f64],
+    pts: &[Point2],
     corners: &[[u32; 3]],
     ids: &[u32],
     out: &mut [(f64, bool)],
@@ -504,7 +459,7 @@ unsafe fn tri_elr_star_avx(
     let zero = _mm256_setzero_pd();
     let half = _mm256_set1_pd(0.5);
     for_lane_blocks!((ids, out) => |block, slots| {
-        let cols = tri_columns(xs, ys, corners, block);
+        let cols = tri_columns(pts, corners, block);
         let ax = _mm256_loadu_pd(cols[0].as_ptr());
         let ay = _mm256_loadu_pd(cols[1].as_ptr());
         let bx = _mm256_loadu_pd(cols[2].as_ptr());
@@ -555,7 +510,7 @@ pub struct DomainConfig {
     pub smart: bool,
     /// Neighbour weighting of the Laplacian update.
     pub weighting: Weighting,
-    /// Force the pre-SoA per-element scalar scoring path (bench/oracle
+    /// Force the per-element scalar scoring path (bench/oracle
     /// baseline; bit-identical to the default lane-batched scoring).
     pub scalar_scoring: bool,
 }
@@ -646,7 +601,7 @@ fn reduce_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, q_of: impl Fn(usi
 /// pre-refactor engines called.
 pub fn domain_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, coords: &[D::Point]) -> f64 {
     let mut elem_q = Vec::with_capacity(dom.num_elements());
-    score_elements_batched(dom, coords, dom.elements().iter().copied(), |(q, _)| elem_q.push(q));
+    score_elements_batched(dom, coords, 0..dom.num_elements() as u32, |(q, _)| elem_q.push(q));
     reduce_quality(dom, |t| elem_q[t])
 }
 
@@ -972,11 +927,10 @@ mod tests {
             0.3,
         ];
         let n = specials.len();
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let mut pts = Vec::new();
         for &x in &specials {
             for &y in &specials {
-                xs.push(x);
-                ys.push(y);
+                pts.push(Point2::new(x, y));
             }
         }
         let mut rng = proptest::test_runner::TestRng::for_test("tri_elr_special_values");
@@ -988,7 +942,7 @@ mod tests {
         // a list that is not a whole number of blocks, ending on the last row
         let ids: Vec<u32> = (1..corners.len() as u32).collect();
 
-        let at = |i: u32| Point2::new(xs[i as usize], ys[i as usize]);
+        let at = |i: u32| pts[i as usize];
         let scalar: Vec<(f64, bool)> = ids
             .iter()
             .map(|&t| {
@@ -1007,13 +961,13 @@ mod tests {
             }
         };
         let mut out = vec![(f64::NAN, false); ids.len()];
-        tri_elr_star_portable(&xs, &ys, &corners, &ids, &mut out);
+        tri_elr_star_portable(&pts, &corners, &ids, &mut out);
         same("portable", &out);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx") {
             out.fill((f64::NAN, false));
             // SAFETY: AVX support verified on the line above.
-            unsafe { tri_elr_star_avx(&xs, &ys, &corners, &ids, &mut out) };
+            unsafe { tri_elr_star_avx(&pts, &corners, &ids, &mut out) };
             same("avx", &out);
         }
     }

@@ -17,11 +17,16 @@
 //!
 //! * the **"before"** star quality is a cache lookup (the incident
 //!   elements' current qualities are already known);
-//! * the **candidate** star is scored once, from a ring buffer gathered
-//!   through the CSR neighbour slice into (usually) stack scratch and
-//!   addressed through the precomputed star layout (no closure dispatch,
-//!   no re-scattered coordinate loads), and the scores are *reused* to
-//!   update the cache at commit time;
+//! * the **candidate** star is scored once and the scores are *reused* to
+//!   update the cache at commit time. The default path stages the
+//!   candidate in the point slice the sweep works on — the mesh's own
+//!   coordinates for Gauss–Seidel, the sweep's `prev` copy for Jacobi;
+//!   there is no second coordinate layout — scores the whole star in
+//!   place through one lane-batched [`SmoothDomain::score_star`] call on
+//!   the element ids, and puts the old position back on reject. The
+//!   `scalar_scoring` baseline gathers a ring buffer through the CSR
+//!   neighbour slice into (usually) stack scratch instead and scores one
+//!   element at a time through the precomputed star layout;
 //! * per-iteration statistics read the cache's compensated running sum —
 //!   O(1) — with elements touched by unevaluated moves (plain sweeps,
 //!   Jacobi) re-scored exactly once per sweep via the dirty set;
@@ -47,7 +52,7 @@
 use crate::config::{UpdateScheme, Weighting};
 use crate::dcache::DomainQualityCache;
 use crate::domain::{weighted_candidate_on, DomainConfig, DomainPoint, SmoothDomain, SELF_CORNER};
-use crate::soa::{resize_tracked, SoaLike};
+use crate::soa::resize_tracked;
 use crate::stats::{IterationStats, SmoothReport};
 
 /// Scratch for one vertex's candidate evaluation, aligned with the
@@ -63,10 +68,6 @@ const STACK_STAR: usize = 16;
 /// **zero** allocations — pinned by the scratch audits
 /// (`tests/scratch_audit.rs` here, `tests/scratch_audit3.rs` in
 /// `lms-mesh3d`) via [`crate::soa::scratch_grow_count`].
-///
-/// The batched path additionally carries the run-wide SoA mirror of the
-/// coordinates (see [`SerialKernel::run`]), gathered once per run before
-/// the first sweep.
 struct SmartScratch<const C: usize, D: SmoothDomain<C>> {
     ring_stack: [D::Point; STACK_STAR],
     ring_spill: Vec<D::Point>,
@@ -75,10 +76,6 @@ struct SmartScratch<const C: usize, D: SmoothDomain<C>> {
     /// star): grow-only, never refilled — the scoring pass writes each
     /// slot before the fold reads it.
     score_spill: Vec<ElemScore>,
-    /// Full-mesh SoA mirror of the working coordinates (batched path
-    /// only): kept bit-in-sync with the AoS store across commits, the
-    /// scoring and candidate gathers read it in plane-major order.
-    soa: D::Soa,
 }
 
 impl<const C: usize, D: SmoothDomain<C>> SmartScratch<C, D> {
@@ -88,7 +85,6 @@ impl<const C: usize, D: SmoothDomain<C>> SmartScratch<C, D> {
             ring_spill: Vec::new(),
             score_stack: [(0.0, false); STACK_STAR],
             score_spill: Vec::new(),
-            soa: D::Soa::with_len(0),
         }
     }
 }
@@ -238,29 +234,6 @@ pub(crate) fn candidate_for<P: DomainPoint>(
     }
 }
 
-/// [`candidate_for`] reading a structure-of-arrays store instead of a
-/// point slice — identical accumulation order and expressions (the SoA
-/// `get` is an exact per-component bit copy), so candidates stay
-/// bit-equal to the point-slice path on the same coordinates.
-#[inline]
-pub(crate) fn candidate_for_soa<P: DomainPoint, S: SoaLike<P>>(
-    weighting: Weighting,
-    pv: P,
-    ns: &[u32],
-    coords: &S,
-) -> Option<P> {
-    match weighting {
-        Weighting::Uniform => {
-            let mut sum = P::ZERO;
-            for &w in ns {
-                sum = sum.padd(coords.get(w as usize));
-            }
-            (!ns.is_empty()).then(|| sum.pdiv(ns.len() as f64))
-        }
-        _ => weighted_candidate_on(weighting, pv, ns.iter().map(|&w| coords.get(w as usize))),
-    }
-}
-
 /// The serial incremental sweeps bound to one domain view: the generic
 /// body behind [`crate::SmoothEngineOn::smooth`]. Construction is free —
 /// all state is borrowed.
@@ -274,8 +247,8 @@ pub struct SerialKernel<'a, const C: usize, D: SmoothDomain<C>> {
     /// Optional precomputed star layout (see [`crate::domain`]) — read by
     /// the scalar-scoring sweeps only.
     pub star: Option<&'a [[u8; C]]>,
-    /// Force the pre-SoA per-element scalar scoring path. The default
-    /// (`false`) routes smart star evaluation through the lane-batched
+    /// Force the per-element scalar scoring path. The default (`false`)
+    /// routes smart star evaluation through the lane-batched
     /// [`SmoothDomain::score_star`]; both paths are bit-identical, so
     /// this toggle exists purely as the before/after baseline of the
     /// `kernel_soa` benches and the property suites.
@@ -305,14 +278,6 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         let mut scratch = SmartScratch::new();
         let mut moved: Vec<u32> = Vec::new();
 
-        // Batched smart scoring works the way the resident engine does: a
-        // full SoA mirror of the coordinates, stars scored in place
-        // through the mesh's own corner table.
-        let batched = cfg.smart && !self.scalar_scoring;
-        if batched {
-            <D::Soa as SoaLike<D::Point>>::gather_from(&mut scratch.soa, coords);
-        }
-
         for iter in 1..=cfg.max_iters {
             moved.clear();
             match (cfg.update, cfg.smart) {
@@ -328,15 +293,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 (UpdateScheme::Jacobi, true) => {
                     prev.clear();
                     prev.extend_from_slice(coords);
-                    self.sweep_jacobi_smart(&prev, coords, &cache, &mut moved, &mut scratch);
-                    // the SoA mirror tracked `prev` through the sweep
-                    // (double-buffered reads); fold the committed moves in
-                    // so it mirrors the new coordinates again
-                    if batched {
-                        for &v in &moved {
-                            scratch.soa.set(v as usize, coords[v as usize]);
-                        }
-                    }
+                    self.sweep_jacobi_smart(&mut prev, coords, &cache, &mut moved, &mut scratch);
                 }
             }
             if !moved.is_empty() {
@@ -398,7 +355,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         // one AVX-enabled copy of the sweep body so the lane-batched
         // scoring chain inlines with no per-vertex call / `vzeroupper`
         // cost; the scalar-scoring baseline keeps the plain copy — it
-        // stands in for the pre-SoA kernel in before/after benches.
+        // stands in for the per-element kernel in before/after benches.
         #[cfg(target_arch = "x86_64")]
         if !self.scalar_scoring && std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: AVX support verified above (cached runtime check).
@@ -419,14 +376,13 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         self.sweep_gs_smart_body(coords, cache, scratch);
     }
 
-    /// The batched loop: candidate gathered from the SoA mirror, the
-    /// candidate *staged* into the mirror (slot `v`), the whole star
-    /// scored through one [`SmoothDomain::score_star`] on the element
-    /// ids the fold walks anyway, and the stage committed or reverted
-    /// with the decision. Every corner read carries the exact source
-    /// bits and the fold keeps the per-element order, so the outcome is
-    /// bit-identical to the scalar loop — property-tested in
-    /// `tests/soa.rs`.
+    /// The batched loop: the candidate *staged* into `coords` itself
+    /// (slot `v`), the whole star scored in place through one
+    /// [`SmoothDomain::score_star`] on the element ids the fold walks
+    /// anyway, and `pv` put back if the guard rejects. Every corner read
+    /// carries the exact source bits and the fold keeps the per-element
+    /// order, so the outcome is bit-identical to the scalar loop —
+    /// property-tested in `tests/soa.rs`.
     #[inline(always)]
     fn sweep_gs_smart_batched(
         &self,
@@ -435,7 +391,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
         scratch: &mut SmartScratch<C, D>,
     ) {
         let weighting = self.cfg.weighting;
-        let SmartScratch { score_stack, score_spill, soa, .. } = scratch;
+        let SmartScratch { score_stack, score_spill, .. } = scratch;
         let elems = self.dom.elements();
         for &v in self.visit {
             let ns = self.dom.neighbors(v);
@@ -443,22 +399,21 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 continue;
             }
             let pv = coords[v as usize];
-            let Some(candidate) = candidate_for_soa(weighting, pv, ns, soa) else {
+            let Some(candidate) = candidate_for(weighting, pv, ns, coords) else {
                 continue;
             };
 
+            // staged; a star-less vertex keeps it (both local qualities
+            // are 0 and the validity rule is vacuous — the reference path
+            // commits)
+            coords[v as usize] = candidate;
             let ts = self.dom.elements_of(v);
             if ts.is_empty() {
-                // star-less vertex: both local qualities are 0 and the
-                // validity rule is vacuous — the reference path commits
-                coords[v as usize] = candidate;
-                soa.set(v as usize, candidate);
                 continue;
             }
 
             let out = star_slots(score_stack, score_spill, ts.len());
-            soa.set(v as usize, candidate);
-            self.dom.score_star(soa, elems, ts, out);
+            self.dom.score_star(coords, elems, ts, out);
             let StarEval { after_sum, before_sum, after_all_pos } =
                 fold_star_scores(cache, ts, out);
 
@@ -467,10 +422,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             let commit =
                 quality_ok && (after_all_pos || ts.iter().any(|&t| !cache.elem_is_positive(t)));
             if commit {
-                coords[v as usize] = candidate;
-                cache.set_star(ts, out);
+                cache.set_star(self.dom, ts, out);
             } else {
-                soa.set(v as usize, pv);
+                coords[v as usize] = pv;
             }
         }
     }
@@ -568,7 +522,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 quality_ok && (after_all_pos || ts.iter().any(|&t| !cache.elem_is_positive(t)));
             if commit {
                 coords[v as usize] = candidate;
-                cache.set_star(ts, out);
+                cache.set_star(self.dom, ts, out);
             }
         }
     }
@@ -596,7 +550,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
     /// sweep's values — exactly the reference path's semantics.
     fn sweep_jacobi_smart(
         &self,
-        prev: &[D::Point],
+        prev: &mut [D::Point],
         next: &mut [D::Point],
         cache: &DomainQualityCache,
         moved: &mut Vec<u32>,
@@ -616,7 +570,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
     #[target_feature(enable = "avx")]
     unsafe fn sweep_jacobi_smart_avx(
         &self,
-        prev: &[D::Point],
+        prev: &mut [D::Point],
         next: &mut [D::Point],
         cache: &DomainQualityCache,
         moved: &mut Vec<u32>,
@@ -627,21 +581,20 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
 
     /// The batched double-buffered loop: like
     /// [`sweep_gs_smart_batched`](Self::sweep_gs_smart_batched), except
-    /// the SoA mirror tracks `prev` — the candidate stage is *always*
+    /// the candidate is staged in the sweep's `prev` copy and *always*
     /// reverted after scoring (later vertices must read the previous
-    /// sweep's positions) and commits land in `next` only; the caller
-    /// folds the moves into the mirror after the sweep.
+    /// sweep's positions); commits land in `next` only.
     #[inline(always)]
     fn sweep_jacobi_smart_batched(
         &self,
-        prev: &[D::Point],
+        prev: &mut [D::Point],
         next: &mut [D::Point],
         cache: &DomainQualityCache,
         moved: &mut Vec<u32>,
         scratch: &mut SmartScratch<C, D>,
     ) {
         let weighting = self.cfg.weighting;
-        let SmartScratch { score_stack, score_spill, soa, .. } = scratch;
+        let SmartScratch { score_stack, score_spill, .. } = scratch;
         let elems = self.dom.elements();
         for &v in self.visit {
             let ns = self.dom.neighbors(v);
@@ -649,17 +602,13 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
                 continue;
             }
             let pv = prev[v as usize];
-            let Some(candidate) = candidate_for_soa(weighting, pv, ns, soa) else {
+            let Some(candidate) = candidate_for(weighting, pv, ns, prev) else {
                 continue;
             };
 
             let ts = self.dom.elements_of(v);
             if ts.is_empty() {
                 next[v as usize] = candidate;
-                // no elements to rescore — `apply_moves` is a no-op for a
-                // star-less vertex — but the post-sweep mirror sync needs
-                // to see the move
-                moved.push(v);
                 continue;
             }
 
@@ -667,9 +616,9 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             // corners this sweep — the post-sweep update re-scores), so
             // the scratch output is discarded after the commit test
             let out = star_slots(score_stack, score_spill, ts.len());
-            soa.set(v as usize, candidate);
-            self.dom.score_star(soa, elems, ts, out);
-            soa.set(v as usize, pv);
+            prev[v as usize] = candidate;
+            self.dom.score_star(prev, elems, ts, out);
+            prev[v as usize] = pv;
             let StarEval { after_sum, before_sum, after_all_pos } =
                 fold_star_scores(cache, ts, out);
 
@@ -687,7 +636,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
     #[inline(always)]
     fn sweep_jacobi_smart_body(
         &self,
-        prev: &[D::Point],
+        prev: &mut [D::Point],
         next: &mut [D::Point],
         cache: &DomainQualityCache,
         moved: &mut Vec<u32>,
@@ -697,6 +646,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
             self.sweep_jacobi_smart_batched(prev, next, cache, moved, scratch);
             return;
         }
+        let prev: &[D::Point] = prev;
         let weighting = self.cfg.weighting;
         let star = self.star;
         let SmartScratch { ring_stack, ring_spill, score_stack, score_spill, .. } = scratch;

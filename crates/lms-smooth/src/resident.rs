@@ -6,7 +6,10 @@
 //! exists — exactly what a distributed-memory implementation needs:
 //!
 //! * each part gathers its owned + halo coordinates and its local element
-//!   scores **once** (the single full gather);
+//!   scores **once** (the single full gather) — the coordinates into a
+//!   part-local point array, the only coordinate store its sweeps read:
+//!   a smart sweep stages each candidate there, scores the star in place
+//!   and puts the old position back on reject;
 //! * part interiors (vertices whose whole 1-ring the part owns) sweep
 //!   serially ascending inside the part, fully parallel across parts;
 //! * interface vertices are smoothed **inside their owning part**, in
@@ -45,11 +48,15 @@
 //! [`crate::dcache::DomainQualityCache`]), each changed element is
 //! *stat-owned* by exactly one part (the part owning its smallest movable
 //! corner), and every part accumulates `w_t·Δq_t` over its own commits and
-//! halo re-scores. Part deltas fold into a Neumaier-compensated running
-//! sum in part order, so reports are bitwise-deterministic for any thread
-//! count; it tracks the exact quality to a few ulps, so disable the
-//! tolerance (`tol < 0`) when exact sweep-count parity with another
-//! engine matters.
+//! halo re-scores. The engine keeps one inverse star size per vertex, not
+//! one weight per element: a block's stat weights and the drive loop's
+//! initial running sum form each `w_t` from its corners' inverse degrees
+//! in corner order, the expression the quality cache uses, so every
+//! weight has the same bits wherever it is formed. Part deltas fold into
+//! a Neumaier-compensated running sum in part order, so reports are
+//! bitwise-deterministic for any thread count; it tracks the exact
+//! quality to a few ulps, so disable the tolerance (`tol < 0`) when exact
+//! sweep-count parity with another engine matters.
 //!
 //! Determinism and equivalence (property-tested in `tests/resident.rs`):
 //! coordinates are **bitwise-deterministic for any thread count** and
@@ -62,11 +69,11 @@
 //! `lms_mesh3d::ResidentEngine3` the tetrahedral one.
 
 use crate::config::{UpdateScheme, Weighting};
-use crate::dcache::element_weights;
-use crate::domain::{score_star_per_id, DomainConfig, SmoothDomain};
+use crate::dcache::{element_weight, inverse_degrees};
+use crate::domain::{score_star_per_id, DomainConfig, DomainPoint, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
-use crate::kernel::candidate_for_soa;
-use crate::soa::{resize_tracked, SoaLike, SoaScores};
+use crate::kernel::candidate_for;
+use crate::soa::{resize_tracked, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::vec_bytes;
@@ -89,9 +96,10 @@ pub struct ResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
     /// empty classes dropped.
     interface_classes: Vec<Vec<u32>>,
     blocks: Vec<ResidentBlock<C>>,
-    /// Constant global element weights `w_t` of the quality functional —
-    /// computed once at construction, shared with every run's statistic.
-    elem_w: Vec<f64>,
+    /// Inverse star size `1/deg_t(v)` per vertex — what every run forms
+    /// the global element weights `w_t` of its initial running sum from;
+    /// computed once at construction.
+    inv_deg: Vec<f64>,
 }
 
 /// Resident halo-exchange smoothing of triangle meshes.
@@ -265,12 +273,11 @@ pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
     /// Dense destination-part → outbox-batch index map (`u32::MAX` for
     /// non-neighbours), built from the [`MessagePlan`].
     batch_of: Vec<u32>,
-    /// Local coordinates: owned then halo, in the per-axis SoA layout the
-    /// lane-batched scoring kernels stream. Points cross this boundary
-    /// only through [`SoaLike::get`]/[`SoaLike::set`] (exact bit copies).
-    coords: D::Soa,
+    /// Local coordinates: owned then halo — the point slice the sweeps
+    /// stage candidates in and the lane-batched kernels gather from.
+    coords: Vec<D::Point>,
     /// Local `(quality, positively_oriented)` per local element, split
-    /// into SoA columns.
+    /// into a quality column and an orientation column.
     scores: SoaScores,
     /// This iteration's `Σ w_t·Δq_t` over stat-owned elements.
     delta: f64,
@@ -300,7 +307,8 @@ pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
     /// `route_ns`. Strictly observation-only — the sweep arithmetic is
     /// untouched either way, so coordinates stay bit-identical.
     timing: bool,
-    /// Accumulated phase timings + moved-vertex count while `timing`.
+    /// Accumulated phase timings + interface-commit count while `timing`
+    /// (what [`route_moved`](Self::route_moved) publishes).
     phases: RankPhaseNanos,
     /// Per-source-part routing (pull + stash) nanos while `timing`,
     /// lazily sized to the published part count.
@@ -341,7 +349,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             block,
             schedule,
             batch_of,
-            coords: D::Soa::with_len(block.owned.len() + block.halo.len()),
+            coords: vec![D::Point::ZERO; block.owned.len() + block.halo.len()],
             scores: SoaScores::with_len(block.elem_globals.len()),
             delta: 0.0,
             round_moved: Vec::new(),
@@ -387,8 +395,10 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     /// coordinates and every local element's initial score.
     pub fn load_global(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) {
         self.reset_transient();
-        for (i, &v) in self.block.owned.iter().chain(&self.block.halo).enumerate() {
-            self.coords.set(i, coords[v as usize]);
+        for (slot, &v) in
+            self.coords.iter_mut().zip(self.block.owned.iter().chain(&self.block.halo))
+        {
+            *slot = coords[v as usize];
         }
         for (i, &t) in self.block.elem_globals.iter().enumerate() {
             self.scores.set(i, scores[t as usize]);
@@ -407,7 +417,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         assert_eq!(coords.len(), self.coords.len(), "gather payload has wrong coordinate count");
         assert_eq!(scores.len(), self.scores.len(), "gather payload has wrong score count");
         self.reset_transient();
-        self.coords.gather_from(coords);
+        self.coords.copy_from_slice(coords);
         self.scores.gather_from(scores);
     }
 
@@ -502,7 +512,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         }
         for idx in 0..self.inbox.len() {
             let (dst, pos) = self.inbox[idx];
-            self.coords.set(dst as usize, pos);
+            self.coords[dst as usize] = pos;
             let h = (dst - self.block.num_owned) as usize;
             let row = &self.block.halo_vt[self.block.halo_vt_offsets[h] as usize
                 ..self.block.halo_vt_offsets[h + 1] as usize];
@@ -527,8 +537,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     /// Score the local elements `ids` on the current coordinates into
     /// `star[..ids.len()]` (grown on first need, never refilled): the
     /// lane-batched [`SmoothDomain::score_star`] reading the block's own
-    /// corner table through the ids, or one `score_soa` per id under the
-    /// scalar baseline. Counts the elements scored.
+    /// corner table through the ids, or one [`SmoothDomain::score`] per id
+    /// under the scalar baseline. Counts the elements scored.
     #[inline(always)]
     fn score_ids(&mut self, ids: &[u32]) {
         let k = ids.len();
@@ -577,7 +587,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             for &(q, dst) in self.schedule.outgoing(self.part, lv) {
                 let batch = &mut self.outbox[self.batch_of[q as usize] as usize];
                 batch.slots.push(dst);
-                batch.coords.push(self.coords.get(lv as usize));
+                batch.coords.push(self.coords[lv as usize]);
             }
         }
         if self.timing {
@@ -652,23 +662,11 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         std::mem::take(&mut self.scored)
     }
 
-    /// One owned vertex's current coordinate (slot `j < num_owned`) —
-    /// the per-vertex scatter read (the SoA store has no point slice to
-    /// borrow).
+    /// The owned vertices' current coordinates, in block-local order —
+    /// the scatter payload at the transport boundary.
     #[inline]
-    pub fn owned_coord(&self, j: usize) -> D::Point {
-        debug_assert!(j < self.block.num_owned as usize);
-        self.coords.get(j)
-    }
-
-    /// Copy the owned coordinates into `out` — the bulk scatter payload
-    /// at the transport boundary.
-    pub fn owned_coords_into(&self, out: &mut Vec<D::Point>) {
-        out.clear();
-        out.reserve(self.block.num_owned as usize);
-        for j in 0..self.block.num_owned as usize {
-            out.push(self.coords.get(j));
-        }
+    pub fn owned_coords(&self) -> &[D::Point] {
+        &self.coords[..self.block.num_owned as usize]
     }
 
     /// One smart local span sweep — arithmetic identical, expression by
@@ -677,7 +675,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     /// fold `w_t·Δq` into the part's stat delta as they land.
     ///
     /// The candidate star is scored **in place**: the candidate is staged
-    /// into the SoA store, the incident elements run through the
+    /// into the local point slice, the incident elements run through the
     /// lane-batched [`SmoothDomain::score_star`] — their corner rows read
     /// where they live, through the ids of the vertex's incidence row —
     /// and the old position is restored if the guard rejects. Every
@@ -699,7 +697,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         // copies — VEX encoding changes no IEEE semantics, and LLVM does
         // not reassociate float math without fast-math flags, so the two
         // versions are bit-identical. The scalar-scoring baseline stays
-        // on the plain copy on purpose: it stands in for the pre-SoA
+        // on the plain copy on purpose: it stands in for the per-element
         // kernel in before/after benches, so it keeps the compilation
         // environment that kernel had.
         #[cfg(target_arch = "x86_64")]
@@ -738,21 +736,21 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             if ns.is_empty() {
                 continue;
             }
-            let pv: D::Point = self.coords.get(lv as usize);
-            let Some(candidate) = candidate_for_soa(weighting, pv, ns, &self.coords) else {
+            let pv = self.coords[lv as usize];
+            let Some(candidate) = candidate_for(weighting, pv, ns, &self.coords) else {
                 continue;
             };
+            // stage the candidate; rolled back below if the guard rejects
+            // (a star-less vertex keeps it)
+            self.coords[lv as usize] = candidate;
             let ts = &vt[vt_offsets[si] as usize..vt_offsets[si + 1] as usize];
             if ts.is_empty() {
-                self.coords.set(lv as usize, candidate);
                 if record_moved {
                     self.round_moved.push(lv);
                 }
                 continue;
             }
 
-            // stage the candidate; rolled back below if the guard rejects
-            self.coords.set(lv as usize, candidate);
             self.score_ids(ts);
 
             let mut after_sum = 0.0;
@@ -781,7 +779,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
                     self.round_moved.push(lv);
                 }
             } else {
-                self.coords.set(lv as usize, pv);
+                self.coords[lv as usize] = pv;
             }
         }
     }
@@ -804,11 +802,11 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
             if ns.is_empty() {
                 continue;
             }
-            let pv: D::Point = self.coords.get(lv as usize);
-            let Some(candidate) = candidate_for_soa(weighting, pv, ns, &self.coords) else {
+            let pv = self.coords[lv as usize];
+            let Some(candidate) = candidate_for(weighting, pv, ns, &self.coords) else {
                 continue;
             };
-            self.coords.set(lv as usize, candidate);
+            self.coords[lv as usize] = candidate;
             for &lt in &vt[vt_offsets[si] as usize..vt_offsets[si + 1] as usize] {
                 if !self.dirty_mark[lt as usize] {
                     self.dirty_mark[lt as usize] = true;
@@ -850,10 +848,11 @@ impl Neumaier {
 }
 
 /// Build every part's resident topology for a domain + decomposition +
-/// interface color classes. Also returns the constant global element
-/// weights `w_t` (the same table the per-block stat weights are sliced
-/// from), which [`ResidentEngineOn::smooth`] folds the initial running
-/// sum with — computed here once instead of once per run.
+/// interface color classes. Also returns the inverse star size
+/// `1/deg_t(v)` of every vertex (the table the per-block stat weights
+/// are formed from), which [`ResidentEngineOn::smooth`] forms the
+/// initial running sum's element weights from — computed here once
+/// instead of once per run.
 ///
 /// Cost `O(C·T + Σ block size)`, no sort: one pass over the elements in
 /// index order deals each to the part of every mesh-interior corner, so
@@ -865,7 +864,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
 ) -> (Vec<ResidentBlock<C>>, Vec<f64>) {
     let n = dom.num_vertices();
     let elements = dom.elements();
-    let elem_w = element_weights(dom);
+    let inv_deg = inverse_degrees(dom);
 
     // One pass over the elements in index order finds each one's stat
     // owner — the part owning its smallest mesh-interior (movable) corner;
@@ -899,7 +898,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
                 dom,
                 partition,
                 interface_classes,
-                &elem_w,
+                &inv_deg,
                 &stat_owner,
                 p,
                 elem_globals,
@@ -908,7 +907,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
             )
         })
         .collect();
-    (blocks, elem_w)
+    (blocks, inv_deg)
 }
 
 impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
@@ -947,9 +946,9 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
         );
         let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let schedule = ExchangeSchedule::build(&partition);
-        let (blocks, elem_w) =
+        let (blocks, inv_deg) =
             build_resident_blocks(&engine.domain(), &partition, &interface_classes);
-        ResidentEngineOn { engine, partition, schedule, interface_classes, blocks, elem_w }
+        ResidentEngineOn { engine, partition, schedule, interface_classes, blocks, inv_deg }
     }
 
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
@@ -991,16 +990,17 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
         &self.blocks
     }
 
-    /// The constant global element weights `w_t` of the quality
-    /// functional.
-    pub fn elem_weights(&self) -> &[f64] {
-        &self.elem_w
+    /// The inverse star size `1/deg_t(v)` of every vertex — what the
+    /// drive loop forms the element weights `w_t` of the quality
+    /// functional from.
+    pub fn inv_degrees(&self) -> &[f64] {
+        &self.inv_deg
     }
 
     /// Bytes the engine owns on the heap: its serial engine's ledger
     /// (which leaves the shared element table to the mesh), the partition,
     /// the exchange schedule, the interface classes, every block and the
-    /// element weights.
+    /// inverse degrees.
     pub fn heap_bytes(&self) -> usize {
         self.engine.heap_bytes()
             + self.partition.heap_bytes()
@@ -1009,7 +1009,7 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
             + self.interface_classes.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.blocks)
             + self.blocks.iter().map(ResidentBlock::heap_bytes).sum::<usize>()
-            + vec_bytes(&self.elem_w)
+            + vec_bytes(&self.inv_deg)
     }
 
     /// The serial visit order this engine's sweep is exactly equal to:
@@ -1039,7 +1039,7 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
         drive_resident_ft(
             &dom,
             &cfg,
-            &self.elem_w,
+            &self.inv_deg,
             colors,
             &mut transport,
             coords,
@@ -1070,7 +1070,7 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
         let (mut report, _) = drive_resident_ft_with(
             &dom,
             &cfg,
-            &self.elem_w,
+            &self.inv_deg,
             colors,
             &mut transport,
             coords,
@@ -1135,7 +1135,7 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     partition: &Partition,
     interface_classes: &[Vec<u32>],
-    elem_w: &[f64],
+    inv_deg: &[f64],
     stat_owner: &[u32],
     p: u32,
     elem_globals: Vec<u32>,
@@ -1192,7 +1192,13 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
         .collect();
     let elem_weight: Vec<f64> = elem_globals
         .iter()
-        .map(|&t| if stat_owner[t as usize] == p { elem_w[t as usize] } else { 0.0 })
+        .map(|&t| {
+            if stat_owner[t as usize] == p {
+                element_weight(inv_deg, &elements[t as usize])
+            } else {
+                0.0
+            }
+        })
         .collect();
 
     // CSR rows for both sweep lists, in the global ascending neighbour /

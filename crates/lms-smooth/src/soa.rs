@@ -1,37 +1,35 @@
-//! Structure-of-arrays coordinate and score storage for the sweep hot
-//! path.
+//! Lane-batched scoring support and the sweep scratch audit.
 //!
 //! Every engine from [`crate::kernel::SerialKernel`] to the distributed
-//! rank workers ultimately spends its time in the same loop: gather a
-//! vertex ring, score the incident elements, decide a commit. The
-//! array-of-points layout those loops historically ran on interleaves
-//! x/y(/z) in memory, so the quality metrics — pure per-axis arithmetic —
-//! never see the contiguous per-axis streams an auto-vectorizer wants.
-//! [`SoaCoords`] is the per-axis layout; [`SmoothDomain::score_star`]
-//! consumes it in fixed-width [`LANES`]-wide blocks where **every lane
-//! executes the identical scalar operation sequence** on its own element.
-//! Lanewise IEEE arithmetic has no cross-lane interaction, so the batched
-//! results are bit-identical to the scalar path by construction — the
-//! PR 1–8 bit-identity suites stay the gate, unmodified.
+//! rank workers spends its time in the same loop: gather a vertex ring,
+//! score the incident elements, decide a commit. The scoring half runs
+//! through [`SmoothDomain::score_star`], which reads each element's
+//! corners straight from the point slice (`&[D::Point]`, the only
+//! coordinate store of every sweep) through the element's id and scores
+//! fixed-width [`LANES`]-wide blocks in which **every lane executes the
+//! identical scalar operation sequence** on its own element. Lanewise
+//! IEEE arithmetic has no cross-lane interaction, so the batched results
+//! are bit-identical to the per-element scalar path by construction.
 //!
-//! Elements are named by **id**: a sweep hands `score_star` the corner
-//! table it already owns plus the incident-element slice it walks for the
-//! commit fold, and the kernel reads each corner row where it lives,
-//! through the id. A list that ends on a short block has its last id
-//! repeated and only the real slots kept ([`crate::for_lane_blocks!`]),
-//! so the last elements of a star take the same packed path as the rest.
+//! This module holds what the kernels share:
 //!
-//! Conversion to and from point slices happens only at transport
-//! boundaries ([`SoaLike::gather_from`] / [`SoaLike::scatter_to`]): wire
-//! frames, `load_global`, and the final scatter keep their existing
-//! point-slice shapes, so `lms-dist` and the wire format are untouched.
-//!
-//! The module also hosts the scratch-reallocation counter backing the
-//! sweep allocation audit: reusable hot-loop buffers route growth through
-//! `resize_tracked`, and tests pin that steady-state sweeps perform
-//! zero reallocations.
+//! * [`for_lane_blocks!`](crate::for_lane_blocks) — the block loop over
+//!   an id list; a list that ends on a short block has its last id
+//!   repeated and only the real slots kept, so the last elements of a
+//!   star take the same packed path as the rest;
+//! * [`sqrt_div_lanes`] — the packed square-root/divide phase of the
+//!   edge-length-ratio metric;
+//! * [`score_elements_batched`] — whole-table or id-list scoring in
+//!   fixed chunks, behind the quality-cache build and re-scores, the
+//!   resident initial scoring pass and [`crate::domain::domain_quality`];
+//! * [`SoaScores`] — the resident ranks' element scores as a quality
+//!   column beside an orientation column;
+//! * the scratch-reallocation counter behind the sweep allocation audit:
+//!   reusable hot-loop buffers route growth through `resize_tracked`,
+//!   and tests pin that steady-state sweeps perform zero reallocations
+//!   ([`scratch_grow_count`]).
 
-use crate::domain::{DomainPoint, SmoothDomain};
+use crate::domain::SmoothDomain;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed lane width of the batched scoring kernels: 4 × f64 (one AVX2
@@ -77,9 +75,6 @@ macro_rules! for_lane_blocks {
     }};
 }
 
-/// Upper bound on coordinate dimension for stack staging buffers.
-const MAX_DIM: usize = 8;
-
 /// Process-global count of hot-loop scratch reallocations (see
 /// [`scratch_grow_count`]).
 static SCRATCH_GROWS: AtomicU64 = AtomicU64::new(0);
@@ -108,170 +103,6 @@ pub(crate) fn resize_tracked<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
         note_scratch_grow();
     }
     v.resize(len, T::default());
-}
-
-/// Per-axis (structure-of-arrays) coordinate storage: `D` parallel
-/// `Vec<f64>` columns, slot-addressed exactly like the point vectors it
-/// replaces inside `ResidentRank`.
-///
-/// Gather/scatter against `&[P]` preserve bit patterns verbatim (they
-/// move `f64` components, never reinterpret them), so NaN payloads and
-/// `-0.0` survive a round trip — pinned by the `soa` test suite.
-#[derive(Debug, Clone)]
-pub struct SoaCoords<const D: usize> {
-    len: usize,
-    axes: [Vec<f64>; D],
-}
-
-impl<const D: usize> SoaCoords<D> {
-    /// An empty store.
-    pub fn new() -> Self {
-        SoaCoords { len: 0, axes: std::array::from_fn(|_| Vec::new()) }
-    }
-
-    /// A zero-filled store of `n` slots.
-    pub fn with_len(n: usize) -> Self {
-        let mut s = Self::new();
-        s.resize(n);
-        s
-    }
-
-    /// Number of slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no slots are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resize to `n` slots (new slots zero-filled). Growth past capacity
-    /// is counted in the scratch audit.
-    pub fn resize(&mut self, n: usize) {
-        for ax in &mut self.axes {
-            if n > ax.capacity() {
-                note_scratch_grow();
-            }
-            ax.resize(n, 0.0);
-        }
-        self.len = n;
-    }
-
-    /// The contiguous component column of axis `d` — what the lane
-    /// kernels stream.
-    #[inline]
-    pub fn axis(&self, d: usize) -> &[f64] {
-        &self.axes[d]
-    }
-
-    /// Mutable component column of axis `d`.
-    #[inline]
-    pub fn axis_mut(&mut self, d: usize) -> &mut [f64] {
-        &mut self.axes[d]
-    }
-
-    /// Read slot `i` as a typed point (exact bit copy per component).
-    #[inline]
-    pub fn get<P: DomainPoint>(&self, i: usize) -> P {
-        debug_assert_eq!(P::DIM, D);
-        let mut comps = [0.0f64; MAX_DIM];
-        for (slot, axis) in comps.iter_mut().zip(&self.axes) {
-            *slot = axis[i];
-        }
-        P::from_components(&comps[..D])
-    }
-
-    /// Write slot `i` from a typed point (exact bit copy per component).
-    #[inline]
-    pub fn set<P: DomainPoint>(&mut self, i: usize, p: P) {
-        debug_assert_eq!(P::DIM, D);
-        for d in 0..D {
-            self.axes[d][i] = p.component(d);
-        }
-    }
-}
-
-impl<const D: usize> Default for SoaCoords<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The capability the generic engines need from a coordinate store: a
-/// slot-addressed SoA convertible to/from point slices at the transport
-/// boundary. [`SmoothDomain::Soa`] names the concrete store per domain
-/// (a [`SoaCoords`] of the right dimension), keeping the engine bodies
-/// free of const-generic dimension plumbing on stable Rust.
-pub trait SoaLike<P: DomainPoint>: Clone + std::fmt::Debug + Send + Sync + 'static {
-    /// A zero-filled store of `n` slots.
-    fn with_len(n: usize) -> Self;
-
-    /// Number of slots.
-    fn len(&self) -> usize;
-
-    /// True when no slots are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resize to `n` slots (audited growth).
-    fn resize(&mut self, n: usize);
-
-    /// Read slot `i` as a typed point.
-    fn get(&self, i: usize) -> P;
-
-    /// Write slot `i` from a typed point.
-    fn set(&mut self, i: usize, p: P);
-
-    /// Replace the whole store with the components of `pts`
-    /// (bit-preserving; resizes to `pts.len()`).
-    fn gather_from(&mut self, pts: &[P]);
-
-    /// Write the first `out.len()` slots back as points (bit-preserving).
-    fn scatter_to(&self, out: &mut [P]);
-}
-
-impl<P: DomainPoint, const D: usize> SoaLike<P> for SoaCoords<D> {
-    fn with_len(n: usize) -> Self {
-        debug_assert_eq!(P::DIM, D);
-        SoaCoords::with_len(n)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn resize(&mut self, n: usize) {
-        SoaCoords::resize(self, n);
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> P {
-        SoaCoords::get(self, i)
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, p: P) {
-        SoaCoords::set(self, i, p);
-    }
-
-    fn gather_from(&mut self, pts: &[P]) {
-        SoaCoords::resize(self, pts.len());
-        for (i, &p) in pts.iter().enumerate() {
-            SoaCoords::set(self, i, p);
-        }
-    }
-
-    fn scatter_to(&self, out: &mut [P]) {
-        debug_assert!(out.len() <= self.len);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = SoaCoords::get(self, i);
-        }
-    }
 }
 
 /// Structure-of-arrays element scores: the `(quality, positively
@@ -416,41 +247,33 @@ unsafe fn sqrt_div_lanes_sse2(num: &[f64; LANES], den: &[f64; LANES], out: &mut 
     }
 }
 
-/// Score `elems` (corner ids into the point slice `coords`) through the
-/// batched SoA kernel: gather each fixed-size chunk's corner coordinates
-/// into a reusable SoA scratch, run [`SmoothDomain::score_star`] over the
-/// chunk, and hand the `(quality, oriented)` pairs to `sink` in iteration
-/// order. Bit-identical to the per-element scalar loop it replaces (same
-/// per-element arithmetic, same order) — this is the batched form behind
-/// the quality-cache build/rescore, the resident initial scoring pass and
-/// [`crate::domain::domain_quality`].
+/// Score the elements `ids` names (ids into the domain's element
+/// table) on the point slice `coords`, handing the `(quality, oriented)`
+/// pairs to `sink` in iteration order. The ids are taken in fixed-size
+/// chunks, each scored in place through one [`SmoothDomain::score_star`]
+/// call on the domain's own corner table, so the per-element arithmetic
+/// and the order are those of the scalar loop — bit-identical results.
 pub fn score_elements_batched<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     coords: &[D::Point],
-    elems: impl IntoIterator<Item = [u32; C]>,
+    ids: impl IntoIterator<Item = u32>,
     mut sink: impl FnMut((f64, bool)),
 ) {
     const CHUNK: usize = 256;
-    // chunk element `i` keeps its corners in scratch slots `i*C..(i+1)*C`,
-    // so the corner table and the id list are the same for every chunk
-    let mut scratch = D::Soa::with_len(CHUNK * C);
-    let rows: [[u32; C]; CHUNK] =
-        std::array::from_fn(|i| std::array::from_fn(|k| (i * C + k) as u32));
-    let ids: [u32; CHUNK] = std::array::from_fn(|i| i as u32);
+    let elems = dom.elements();
+    let mut chunk = [0u32; CHUNK];
     let mut scored = [(0.0f64, false); CHUNK];
-    let mut elems = elems.into_iter();
+    let mut ids = ids.into_iter();
     loop {
         let mut n = 0;
-        for e in elems.by_ref().take(CHUNK) {
-            for (k, &c) in e.iter().enumerate() {
-                scratch.set(n * C + k, coords[c as usize]);
-            }
+        for (slot, t) in chunk.iter_mut().zip(ids.by_ref()) {
+            *slot = t;
             n += 1;
         }
         if n == 0 {
             break;
         }
-        dom.score_star(&scratch, &rows, &ids[..n], &mut scored[..n]);
+        dom.score_star(coords, elems, &chunk[..n], &mut scored[..n]);
         scored[..n].iter().copied().for_each(&mut sink);
     }
 }

@@ -92,8 +92,9 @@ impl SmoothReport {
         self.final_quality - self.initial_quality
     }
 
-    /// Moved interface vertices per second of accumulated rank sweep
-    /// time, from the profiled phase breakdown. `None` on unprofiled
+    /// Interface-vertex commits per second of accumulated rank sweep
+    /// time, from the profiled phase breakdown (part-interior commits are
+    /// not counted). `None` on unprofiled
     /// runs or when no sweep time was accumulated. The counters are
     /// observational — throughput never affects coordinates.
     pub fn moved_vertices_per_sec(&self) -> Option<f64> {

@@ -39,6 +39,7 @@
 //! swaps — PR 3 routed every entry serially between steps.
 
 use crate::config::UpdateScheme;
+use crate::dcache::element_weight;
 use crate::domain::{
     domain_quality, domain_quality_scored, DomainConfig, DomainPoint, SmoothDomain,
 };
@@ -183,16 +184,20 @@ pub trait FtResidentTransport<P: DomainPoint> {
 /// coords and report are bit-identical to a failure-free run's. The
 /// failure-free path is arithmetic-free beyond the fold: over the
 /// infallible in-process transport this is the whole resident engine.
+///
+/// `inv_deg` is the inverse star size `1/deg_t(v)` of every vertex
+/// ([`crate::ResidentEngineOn::inv_degrees`]); the initial running sum
+/// forms each element's weight from it.
 pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransport<D::Point>>(
     dom: &D,
     cfg: &DomainConfig,
-    elem_w: &[f64],
+    inv_deg: &[f64],
     num_colors: usize,
     transport: &mut T,
     coords: &mut [D::Point],
     policy: &FtPolicy,
 ) -> Result<(SmoothReport, FtStats), T::Error> {
-    drive_resident_ft_with(dom, cfg, elem_w, num_colors, transport, coords, policy, &mut NullTrace)
+    drive_resident_ft_with(dom, cfg, inv_deg, num_colors, transport, coords, policy, &mut NullTrace)
 }
 
 /// [`drive_resident_ft`] with an explicit [`TraceSink`]. The sink is a
@@ -216,7 +221,7 @@ pub fn drive_resident_ft_with<
 >(
     dom: &D,
     cfg: &DomainConfig,
-    elem_w: &[f64],
+    inv_deg: &[f64],
     num_colors: usize,
     transport: &mut T,
     coords: &mut [D::Point],
@@ -232,8 +237,8 @@ pub fn drive_resident_ft_with<
 
     let init_scores = initial_scores(dom, cfg, coords);
     let mut qsum = Neumaier::default();
-    for (t, &(q, _)) in init_scores.iter().enumerate() {
-        qsum.add(q * elem_w[t]);
+    for (&(q, _), corners) in init_scores.iter().zip(dom.elements()) {
+        qsum.add(q * element_weight(inv_deg, corners));
     }
     let initial_quality = domain_quality_scored(dom, &init_scores);
     let mut report = SmoothReport::starting(initial_quality);
@@ -457,7 +462,7 @@ pub fn drive_resident_ft_with<
 }
 
 /// The drivers' initial full scoring pass: every element scored on the
-/// global coordinates, in element order. Runs the lane-batched SoA
+/// global coordinates, in element order. Runs the lane-batched
 /// kernel unless the scalar baseline is forced — both produce identical
 /// bits per element, so either way the table matches a fresh quality
 /// cache exactly.
@@ -470,8 +475,8 @@ fn initial_scores<const C: usize, D: SmoothDomain<C>>(
         dom.elements().iter().map(|&e| dom.score(coords, e)).collect()
     } else {
         let mut out = Vec::with_capacity(dom.num_elements());
-        let elems = dom.elements().iter().copied();
-        crate::soa::score_elements_batched(dom, coords, elems, |s| out.push(s));
+        let ids = 0..dom.num_elements() as u32;
+        crate::soa::score_elements_batched(dom, coords, ids, |s| out.push(s));
         out
     }
 }
@@ -622,14 +627,14 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
         let blocks = self.blocks;
         self.pool.install(|| {
             (0..ranks.len()).into_par_iter().for_each(|i| {
-                for (j, &v) in blocks[i].owned().iter().enumerate() {
+                for (&v, &p) in blocks[i].owned().iter().zip(ranks[i].owned_coords()) {
                     // SAFETY: `v` is owned by part `i` alone; parts
                     // partition the vertex set, so no two workers
                     // write the same slot. `v` is in bounds:
                     // `drive_resident_ft_with` checked `coords.len()`
                     // against the domain, whose vertices the partition
                     // covers.
-                    unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
+                    unsafe { *scatter.0.add(v as usize) = p };
                 }
             });
         });

@@ -29,7 +29,7 @@ fn run_both(checkpoint_every: usize, max_iters: usize) {
     let (ft_report, stats) = drive_resident_ft(
         &dom,
         &cfg,
-        engine.elem_weights(),
+        engine.inv_degrees(),
         engine.interface_classes().len(),
         &mut transport,
         ft_mesh.coords_mut(),

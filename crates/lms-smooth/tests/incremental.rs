@@ -17,6 +17,26 @@ fn arb_mesh() -> impl Strategy<Value = TriMesh> {
     })
 }
 
+/// A perturbed grid with the triangles `splits` names (modulo the count)
+/// split at their centroids: interior stars of 4..=8 from the randomised
+/// diagonals, 3 at every new vertex, more where one star takes several
+/// splits.
+fn arb_split_mesh() -> impl Strategy<Value = TriMesh> {
+    (arb_mesh(), proptest::collection::vec(any::<usize>(), 1..6)).prop_map(|(mesh, splits)| {
+        let (mut coords, mut tris) = mesh.into_parts();
+        for t in splits {
+            let t = t % tris.len();
+            let [a, b, c] = tris[t];
+            let p = coords.len() as u32;
+            let [pa, pb, pc] = [a, b, c].map(|v| coords[v as usize]);
+            coords.push((pa + pb + pc) / 3.0);
+            tris[t] = [a, b, p];
+            tris.extend([[b, c, p], [c, a, p]]);
+        }
+        TriMesh::new(coords, tris).expect("a centroid split keeps the mesh valid")
+    })
+}
+
 fn arb_params() -> impl Strategy<Value = SmoothParams> {
     (any::<bool>(), any::<bool>(), any::<bool>(), 1usize..8).prop_map(
         |(smart, jacobi, scalar_scoring, iters)| {
@@ -38,6 +58,20 @@ fn arb_params() -> impl Strategy<Value = SmoothParams> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every element weight formed from the per-vertex inverse degrees
+    /// equals the per-element table the weights were once stored as, bit
+    /// for bit — on meshes whose triangles hold corner sums that change
+    /// bits when reordered, so a reordered sum fails here.
+    #[test]
+    fn formed_weights_equal_the_element_weight_oracle(mesh in arb_split_mesh()) {
+        let adj = Adjacency::build(&mesh);
+        let boundary = Boundary::from_adjacency(&adj);
+        let metric = lms_mesh::quality::QualityMetric::EdgeLengthRatio;
+        let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), metric);
+        let order_sensitive = checks::formed_weights_equal_the_oracle(&dom);
+        prop_assert!(order_sensitive > 0, "no triangle whose corner sum depends on the order");
+    }
 
     /// The incremental path produces bit-identical coordinates to the
     /// full-recompute reference for every update scheme × smart flag ×
@@ -78,7 +112,7 @@ proptest! {
             if immediate {
                 let scores: Vec<(f64, bool)> =
                     star.iter().map(|&t| dom.score(mesh.coords(), triangles[t as usize])).collect();
-                cache.set_star(star, &scores);
+                cache.set_star(&dom, star, &scores);
             } else {
                 for &t in star {
                     cache.mark_dirty(t);

@@ -1,15 +1,13 @@
-//! The SoA/lane-batched scoring acceptance suite — the bit-identity gate
-//! of the structure-of-arrays refactor:
+//! The lane-batched scoring acceptance suite — the bit-identity gate of
+//! the batched kernels, which gather corners from the point slice:
 //!
-//! * `SoaCoords` gather/scatter round-trips preserve every `f64` bit
-//!   pattern, NaN payloads and `-0.0` included;
-//! * `score_star` equals the per-element `score_soa` per id, bit for bit,
+//! * `score_star` equals the per-element `score` per id, bit for bit,
 //!   for every 2D `QualityMetric` over id lists of every block-tail length
 //!   — repeated, descending, ending on the last row of the corner table
 //!   (each lane runs the identical scalar IEEE op sequence, so this is
 //!   equality of `to_bits`, not approximate);
 //! * full resident runs with the default lane-batched kernel are
-//!   bit-identical — coordinates AND reports — to the forced pre-SoA
+//!   bit-identical — coordinates AND reports — to the forced per-element
 //!   scalar path (`with_scalar_scoring(true)`) across threads {1, 2, 4}
 //!   × parts {2, 4, 8} × smart/plain, and so are serial engine runs —
 //!   also on a mesh whose stars have 1, 2, 3, 5 and 7
@@ -19,46 +17,11 @@ use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_smooth::domain::{DomainConfig, TriDomain};
 use lms_smooth::kernel::SerialKernel;
-use lms_smooth::{checks, SmoothParams, SoaCoords, SoaLike, UpdateScheme};
+use lms_smooth::{checks, SmoothParams, UpdateScheme};
 use proptest::prelude::*;
 
 const METRICS: [QualityMetric; 3] =
     [QualityMetric::EdgeLengthRatio, QualityMetric::MinAngle, QualityMetric::RadiusRatio];
-
-#[test]
-fn soa_roundtrip_preserves_every_bit_pattern() {
-    // exotic f64s: NaN with payload, -0.0, infinities, subnormals
-    let specials = [
-        f64::from_bits(0x7ff8_0000_dead_beef), // NaN, payload bits set
-        f64::from_bits(0xfff0_0000_0000_0001), // signalling-ish negative NaN
-        -0.0,
-        0.0,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        f64::MIN_POSITIVE / 2.0, // subnormal
-        1.5e308,
-        -2.2250738585072014e-308,
-    ];
-    let points: Vec<lms_mesh::Point2> = specials
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| lms_mesh::Point2 { x, y: specials[(i + 3) % specials.len()] })
-        .collect();
-    let mut soa = SoaCoords::<2>::with_len(points.len());
-    soa.gather_from(&points);
-    let mut back = vec![lms_mesh::Point2 { x: 7.0, y: 7.0 }; points.len()];
-    soa.scatter_to(&mut back);
-    for (a, b) in points.iter().zip(&back) {
-        assert_eq!(a.x.to_bits(), b.x.to_bits());
-        assert_eq!(a.y.to_bits(), b.y.to_bits());
-    }
-    // per-slot get/set preserves bits too
-    for (i, p) in points.iter().enumerate() {
-        let q: lms_mesh::Point2 = soa.get(i);
-        assert_eq!(p.x.to_bits(), q.x.to_bits());
-        assert_eq!(p.y.to_bits(), q.y.to_bits());
-    }
-}
 
 #[test]
 fn score_star_matches_scalar_per_id_for_every_metric() {

@@ -4,7 +4,9 @@
 //! Three layers, composed bottom-up:
 //!
 //! - [`RankPhaseNanos`] — one rank's accumulated sweep time split by
-//!   phase, plus its moved-vertex count. Workers in `lms-dist` ship
+//!   phase, plus its count of interface-span commits (the moves it
+//!   routed to neighbouring parts; interior commits are not counted).
+//!   Workers in `lms-dist` ship
 //!   *deltas* of this in the `Report` wire frame (v3 additive fields);
 //!   deltas make the accounting recovery-safe, since a respawned rank
 //!   simply restarts its accumulator at zero.
@@ -16,7 +18,7 @@
 //!   transport profile; this is what `SmoothReport::phase_breakdown`
 //!   carries and what the bench exporters serialise.
 
-/// One rank's accumulated sweep timings and moved-vertex count.
+/// One rank's accumulated sweep timings and interface-commit count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankPhaseNanos {
     /// Time in the interior sweep (`sweep_interior`).
@@ -25,7 +27,10 @@ pub struct RankPhaseNanos {
     pub color_ns: u64,
     /// Time finalising iterations (`finalize_iteration`).
     pub finish_ns: u64,
-    /// Owned interface vertices whose moves were routed to neighbours.
+    /// Commits of owned interface vertices — the moves the rank routed
+    /// to neighbouring parts. Part-interior commits are not counted, so
+    /// this is a small fraction of all commits; the wire frame carries
+    /// it unchanged.
     pub moved: u64,
 }
 
@@ -141,7 +146,7 @@ impl PhaseBreakdown {
 
     /// A compact fixed-width summary table: one row per driver phase
     /// with its share of the driver total, then the transport plumbing
-    /// costs, then per-part sweep times with moved-vertex counts.
+    /// costs, then per-part sweep times with interface-commit counts.
     pub fn summary_table(&self) -> String {
         let total = self.driver_total_ns().max(1);
         let mut out = String::new();
@@ -181,10 +186,10 @@ impl PhaseBreakdown {
             ));
         }
         if !t.rank_phases.is_empty() {
-            out.push_str("part  sweep_ms  interior_ms  color_ms  finish_ms     moved\n");
+            out.push_str("part  sweep_ms  interior_ms  color_ms  finish_ms  ifc_moved\n");
             for (p, r) in t.rank_phases.iter().enumerate() {
                 out.push_str(&format!(
-                    "{p:>4} {:>9.3} {:>12.3} {:>9.3} {:>10.3} {:>9}\n",
+                    "{p:>4} {:>9.3} {:>12.3} {:>9.3} {:>10.3} {:>10}\n",
                     r.sweep_ns() as f64 / 1e6,
                     r.interior_ns as f64 / 1e6,
                     r.color_ns as f64 / 1e6,
