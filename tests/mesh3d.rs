@@ -92,3 +92,21 @@ fn parallel_3d_smoothing_matches_serial() {
     SmoothEngine3::new(&base, params).smooth_parallel(&mut par, 4);
     assert_eq!(serial.coords(), par.coords());
 }
+
+/// The analysed sweep trace is the serial engine's own access stream: one
+/// traced Gauss–Seidel sweep records each interior vertex in storage
+/// order, then its neighbours — for every ordering of the mesh.
+#[test]
+fn sweep_trace_is_the_engine_stream() {
+    use lms::mesh3d::SmoothEngine3;
+    use lms::smooth::trace::VecSink;
+    let base = scrambled_box(7, 4);
+    for kind in OrderingKind3::PAPER_TRIO {
+        let mesh = apply_permutation3(&compute_ordering3(&base, kind), &base);
+        let engine = SmoothEngine3::new(&mesh, SmoothParams3::paper().with_max_iters(1));
+        let mut sink = VecSink::new();
+        engine.smooth_traced(&mut mesh.clone(), &mut sink);
+        let trace = sweep_trace3(&Adjacency3::build(&mesh), &Boundary3::detect(&mesh));
+        assert_eq!(sink.accesses, trace, "{}", kind.name());
+    }
+}
