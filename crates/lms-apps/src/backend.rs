@@ -73,7 +73,7 @@ pub enum Backend {
 /// [`Backend::Dist`] (both are in-place schedules), for smart Jacobi
 /// params on [`Backend::Parallel`] (only [`Backend::Serial`] runs smart
 /// Jacobi), or when a distributed run fails beyond recovery.
-pub fn smooth<const C: usize, M: SmoothMesh<C>>(
+pub fn smooth<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &mut M,
     params: M::Params,
     backend: Backend,
@@ -113,7 +113,7 @@ mod tests {
     /// share: the colored and resident rows are thread-count invariant,
     /// and `Dist` over pipes and every substrate in `sockets` lands on the
     /// resident row.
-    fn backend_table<const C: usize, M: SmoothMesh<C> + Clone>(
+    fn backend_table<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
         mesh: &M,
         gs: M::Params,
         jacobi: M::Params,
@@ -124,8 +124,8 @@ mod tests {
             let report = call(&mut m, params.clone());
             (m.coords().to_vec(), report)
         };
-        let engine = |m: &M, p| SmoothEngineOn::<C, M>::new(m, p);
-        let resident = |m: &M, p| ResidentEngineOn::<C, M>::by_method(m, p, PARTS, RCB);
+        let engine = |m: &M, p| SmoothEngineOn::<C, D, M>::new(m, p);
+        let resident = |m: &M, p| ResidentEngineOn::<C, D, M>::by_method(m, p, PARTS, RCB);
         let rows = [
             (Backend::Serial, &gs, run(&gs, &|m, p| engine(m, p).smooth(m))),
             (

@@ -8,16 +8,16 @@
 
 use crate::backend::{smooth, Backend};
 use crate::pipeline::{PipelineReport, StageOutcome};
-use lms_mesh3d::order::{apply_permutation3, compute_ordering3, OrderingKind3};
 use lms_mesh3d::quality::{mesh_quality, TetQualityMetric};
 use lms_mesh3d::{Adjacency3, SmoothParams3, TetMesh};
+use lms_order::{compute_ordering, OrderingKind};
 
 /// One step of a tetrahedral improvement pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stage3 {
-    /// Renumber the mesh with the given 3D ordering (changes layout and
+    /// Renumber the mesh with the given ordering (changes layout and
     /// visit order of every following stage).
-    Reorder3(OrderingKind3),
+    Reorder3(OrderingKind),
     /// Laplacian smoothing (interior vertices) on a [`Backend`].
     Smooth3(SmoothParams3, Backend),
 }
@@ -56,7 +56,7 @@ impl Pipeline3 {
     /// The standard 3D recipe: reorder once up front (§5.4's
     /// pay-once argument carries to 3D), then smart smoothing on
     /// `backend`.
-    pub fn standard3(ordering: OrderingKind3, backend: Backend) -> Self {
+    pub fn standard3(ordering: OrderingKind, backend: Backend) -> Self {
         Pipeline3::new()
             .then(Stage3::Reorder3(ordering))
             .then(Stage3::Smooth3(SmoothParams3::paper().with_smart(true), backend))
@@ -74,8 +74,7 @@ impl Pipeline3 {
         for stage in &self.stages {
             let work = match stage {
                 Stage3::Reorder3(kind) => {
-                    let perm = compute_ordering3(mesh, *kind);
-                    *mesh = apply_permutation3(&perm, mesh);
+                    *mesh = compute_ordering(mesh, *kind).apply_to_mesh(mesh);
                     0
                 }
                 Stage3::Smooth3(params, backend) => {
@@ -111,7 +110,7 @@ mod tests {
     fn standard3_on_a_resident_backend_improves_quality() {
         let mut m = perturbed_tet_grid(8, 8, 8, 0.4, 3);
         let backend = Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads: 2 };
-        let report = Pipeline3::standard3(OrderingKind3::Rdr, backend).run(&mut m);
+        let report = Pipeline3::standard3(OrderingKind::Rdr, backend).run(&mut m);
         assert_eq!(report.stages.len(), 2);
         assert_eq!(report.stages[0].stage, "reorder3");
         assert_eq!(report.stages[1].stage, "smooth3");
@@ -123,7 +122,7 @@ mod tests {
         let mut m = perturbed_tet_grid(6, 6, 6, 0.3, 4);
         let resident = Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads: 2 };
         let report = Pipeline3::new()
-            .then(Stage3::Reorder3(OrderingKind3::Bfs))
+            .then(Stage3::Reorder3(OrderingKind::Bfs))
             .then(Stage3::Smooth3(
                 SmoothParams3::paper().with_max_iters(5),
                 Backend::Parallel { threads: 2 },

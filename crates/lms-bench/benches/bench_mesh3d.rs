@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lms_apps::{smooth, Backend};
 use lms_mesh3d::generators::{generate3, SUITE3};
-use lms_mesh3d::order::{apply_permutation3, compute_ordering3, OrderingKind3};
 use lms_mesh3d::SmoothParams3;
-use lms_order::{par_rdr_ordering, ParRdrOptions};
+use lms_order::{compute_ordering, par_rdr_ordering, OrderingKind, ParRdrOptions};
 
 fn bench_scale() -> f64 {
     // 3D base meshes are laptop-sized at scale 1.0 (the 2D default of 0.02
@@ -23,9 +22,8 @@ fn smoothing_by_ordering_3d(c: &mut Criterion) {
     let base = generate3(&SUITE3[0], bench_scale());
     let mut group = c.benchmark_group("tet_smoothing");
     group.sample_size(10);
-    for kind in OrderingKind3::PAPER_TRIO {
-        let perm = compute_ordering3(&base, kind);
-        let mesh = apply_permutation3(&perm, &base);
+    for kind in OrderingKind::PAPER_TRIO {
+        let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
         let params = SmoothParams3::paper().with_max_iters(8);
         group.bench_with_input(BenchmarkId::new("ordering", kind.name()), &mesh, |b, m| {
             b.iter(|| smooth(&mut m.clone(), params.clone(), Backend::Serial))
@@ -38,9 +36,9 @@ fn reorder_cost_3d(c: &mut Criterion) {
     let base = generate3(&SUITE3[0], bench_scale());
     let mut group = c.benchmark_group("tet_reorder_cost");
     group.sample_size(10);
-    for kind in [OrderingKind3::Rdr, OrderingKind3::Bfs, OrderingKind3::Rcm] {
+    for kind in [OrderingKind::Rdr, OrderingKind::Bfs, OrderingKind::Rcm] {
         group.bench_with_input(BenchmarkId::new("ordering", kind.name()), &base, |b, m| {
-            b.iter(|| compute_ordering3(m, kind))
+            b.iter(|| compute_ordering(m, kind))
         });
     }
     let one_iter = SmoothParams3::paper().with_max_iters(1);

@@ -35,9 +35,8 @@
 //!
 //! mesh files: a `prefix` reads/writes Triangle `<prefix>.node` +
 //! `<prefix>.ele`; a path ending in `.off` reads/writes OFF.
-//! orderings (2D): ori random bfs bfsrev dfs rcm sloan hilbert morton rcb
-//! spectral qsort degsort rdr
-//! orderings (3D): ori random bfs bfsrev dfs rcm hilbert morton rdr
+//! orderings (2D and 3D): ori random bfs bfsrev dfs rcm sloan hilbert
+//! morton rcb spectral qsort degsort rdr
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,11 +45,8 @@ use lms_apps::{tangle_vertices, Backend, Pipeline};
 use lms_mesh::quality::{mesh_quality, vertex_qualities, QualityMetric};
 use lms_mesh::{generators, io, suite, Adjacency, Boundary, TriMesh};
 use lms_mesh3d::generators as gen3;
-use lms_mesh3d::order::{
-    apply_permutation3, compute_ordering3, mean_neighbor_span3, OrderingKind3,
-};
 use lms_mesh3d::{io as io3, Adjacency3, Boundary3, TetMesh, TetQualityMetric};
-use lms_order::{compute_ordering, layout_stats, OrderingKind};
+use lms_order::{compute_ordering, layout_stats, OrderMesh, OrderingKind};
 use lms_viz::{render_mesh, render_tet_surface, Mesh3Style, MeshStyle};
 use std::path::Path;
 use std::process::ExitCode;
@@ -63,7 +59,6 @@ struct Opts {
     jitter: f64,
     seed: u64,
     ordering: OrderingKind,
-    ordering3: OrderingKind3,
     nz: usize,
     tangle: Option<usize>,
     out: Option<String>,
@@ -85,7 +80,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         jitter: 0.35,
         seed: 1,
         ordering: OrderingKind::Rdr,
-        ordering3: OrderingKind3::Rdr,
         nz: 12,
         tangle: None,
         out: None,
@@ -120,9 +114,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                 let name = val("--ordering")?;
                 o.ordering = OrderingKind::parse(name)
                     .ok_or_else(|| format!("unknown ordering {name:?}"))?;
-                if let Some(k3) = OrderingKind3::parse(name) {
-                    o.ordering3 = k3;
-                }
             }
             "--out" => o.out = Some(val("--out")?.clone()),
             "--connect" => o.connect = Some(val("--connect")?.clone()),
@@ -227,21 +218,24 @@ fn cmd_info(o: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
+/// `mesh` renumbered by `--ordering`, with a report of the mean
+/// neighbour span before and after — `order` and `order3` alike.
+fn reorder<const D: usize, M: OrderMesh<D>>(mesh: &M, o: &Opts) -> (M, String) {
+    let span = |m: &M| layout_stats(m, &m.build_adjacency()).mean_span;
+    let reordered = compute_ordering(mesh, o.ordering).apply_to_mesh(mesh);
+    let (before, after) = (span(mesh), span(&reordered));
+    (
+        reordered,
+        format!("applied {}: mean neighbour span {before:.1} -> {after:.1}", o.ordering.name()),
+    )
+}
+
 fn cmd_order(o: &Opts) -> Result<String, String> {
     let path = o.positional.first().ok_or("order needs a mesh path")?;
     let out = o.out.as_deref().ok_or("order needs --out")?;
-    let mesh = load(path)?;
-    let adj = Adjacency::build(&mesh);
-    let before = layout_stats(&mesh, &adj).mean_span;
-    let perm = compute_ordering(&mesh, o.ordering);
-    let mesh = perm.apply_to_mesh(&mesh);
-    let adj = Adjacency::build(&mesh);
-    let after = layout_stats(&mesh, &adj).mean_span;
+    let (mesh, report) = reorder(&load(path)?, o);
     save(&mesh, out)?;
-    Ok(format!(
-        "applied {}: mean neighbour span {before:.1} -> {after:.1}; wrote {out}",
-        o.ordering.name()
-    ))
+    Ok(format!("{report}; wrote {out}"))
 }
 
 fn cmd_improve(o: &Opts) -> Result<String, String> {
@@ -331,23 +325,19 @@ fn cmd_info3(o: &Opts) -> Result<String, String> {
         adj.max_degree()
     ));
     out.push_str(&format!("quality:     mean {:.4} ({})\n", q, metric.name()));
-    out.push_str(&format!("layout:      mean neighbour span {:.1}\n", mean_neighbor_span3(&adj)));
+    out.push_str(&format!(
+        "layout:      mean neighbour span {:.1}\n",
+        layout_stats(&mesh, &adj).mean_span
+    ));
     Ok(out)
 }
 
 fn cmd_order3(o: &Opts) -> Result<String, String> {
     let path = o.positional.first().ok_or("order3 needs a mesh prefix")?;
     let out = o.out.as_deref().ok_or("order3 needs --out")?;
-    let mesh = load3(path)?;
-    let before = mean_neighbor_span3(&Adjacency3::build(&mesh));
-    let perm = compute_ordering3(&mesh, o.ordering3);
-    let mesh = apply_permutation3(&perm, &mesh);
-    let after = mean_neighbor_span3(&Adjacency3::build(&mesh));
+    let (mesh, report) = reorder(&load3(path)?, o);
     io3::save_tetgen(&mesh, out).map_err(|e| format!("{out}: {e}"))?;
-    Ok(format!(
-        "applied {}: mean neighbour span {before:.1} -> {after:.1}; wrote {out}",
-        o.ordering3.name()
-    ))
+    Ok(format!("{report}; wrote {out}"))
 }
 
 fn cmd_render3(o: &Opts) -> Result<String, String> {
@@ -613,9 +603,9 @@ mod tests {
     fn parse_accepts_3d_flags() {
         let o = parse(&args(&["cube", "--nz", "7", "--ordering", "rdr", "--out", "y"])).unwrap();
         assert_eq!(o.nz, 7);
-        assert_eq!(o.ordering3, OrderingKind3::Rdr);
-        // a 3D-only name leaves the 2D ordering untouched but is accepted
-        assert!(parse(&args(&["cube", "--ordering", "bfs"])).is_ok());
+        assert_eq!(o.ordering, OrderingKind::Rdr);
+        // one ordering option serves both dimensions
+        assert!(parse(&args(&["cube", "--ordering", "sloan"])).is_ok());
     }
 
     #[test]
@@ -632,7 +622,6 @@ mod tests {
             jitter: 0.3,
             seed: 1,
             ordering: OrderingKind::Rdr,
-            ordering3: OrderingKind3::Rdr,
             tangle: None,
             out: Some(out.to_string_lossy().into_owned()),
             ..parse(&[]).unwrap()

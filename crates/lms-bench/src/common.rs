@@ -4,8 +4,11 @@
 use lms_cache::NodeLayout;
 use lms_mesh::suite::{self, NamedMesh};
 use lms_mesh::TriMesh;
+use lms_mesh3d::SmoothParams3;
 use lms_order::{compute_ordering, OrderingKind};
-use lms_smooth::{trace::chunked_sweep_traces, SmoothEngine, SmoothParams, VecSink};
+use lms_smooth::{
+    trace::chunked_sweep_traces, SmoothEngine, SmoothEngineOn, SmoothMesh, SmoothParams, VecSink,
+};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -146,10 +149,34 @@ pub fn ordered_mesh(mesh: &TriMesh, kind: OrderingKind) -> TriMesh {
     compute_ordering(mesh, kind).apply_to_mesh(mesh)
 }
 
+/// The paper's smoothing parameters capped at one sweep, per dimension:
+/// what [`first_sweep_trace`] runs.
+pub trait OneSweep {
+    /// `paper()` with `max_iters = 1`.
+    fn one_sweep() -> Self;
+}
+
+impl OneSweep for SmoothParams {
+    fn one_sweep() -> Self {
+        SmoothParams::paper().with_max_iters(1)
+    }
+}
+
+impl OneSweep for SmoothParams3 {
+    fn one_sweep() -> Self {
+        SmoothParams3::paper().with_max_iters(1)
+    }
+}
+
 /// Access trace of the *first* smoothing sweep of `mesh`, vertex records
-/// only (paper Table 2 / Figure 1 analyse the node-array accesses).
-pub fn first_sweep_trace(mesh: &TriMesh) -> Vec<u32> {
-    let engine = SmoothEngine::new(mesh, SmoothParams::paper().with_max_iters(1));
+/// only (paper Table 2 / Figure 1 analyse the node-array accesses), in
+/// either dimension: the serial engine's own traced stream, each interior
+/// vertex in storage order, then its neighbours.
+pub fn first_sweep_trace<const C: usize, const D: usize, M>(mesh: &M) -> Vec<u32>
+where
+    M: SmoothMesh<C, D, Params: OneSweep> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, M::Params::one_sweep());
     let mut sink = VecSink::new();
     engine.smooth_traced(&mut mesh.clone(), &mut sink);
     sink.accesses

@@ -7,13 +7,13 @@
 //! wall-clock smoothing time — the 3D twins of Table 2, Figure 9 and
 //! Figure 8.
 
-use crate::common::{scaled_westmere, time_it, ExpConfig};
+use crate::common::{first_sweep_trace, scaled_westmere, time_it, ExpConfig};
 use crate::table::{f, k, Table};
 use lms_apps::{smooth, Backend};
 use lms_cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms_mesh3d::generators::{generate3, SUITE3};
-use lms_mesh3d::order::{apply_permutation3, compute_ordering3, sweep_trace3, OrderingKind3};
-use lms_mesh3d::{Adjacency3, Boundary3, SmoothParams3};
+use lms_mesh3d::SmoothParams3;
+use lms_order::{compute_ordering, OrderingKind};
 use std::fmt::Write as _;
 
 /// The 3D suite scale corresponding to an [`ExpConfig::scale`]: the base
@@ -39,13 +39,10 @@ pub fn tet(cfg: &ExpConfig) -> String {
             &["ordering", "mean RD", "L1 misses", "L2 misses", "L3 misses", "smooth ms"],
         );
         let mut times = Vec::new();
-        for kind in OrderingKind3::PAPER_TRIO {
-            let perm = compute_ordering3(&base, kind);
-            let m = apply_permutation3(&perm, &base);
-            let adj = Adjacency3::build(&m);
-            let boundary = Boundary3::detect(&m);
+        for kind in OrderingKind::PAPER_TRIO {
+            let m = compute_ordering(&base, kind).apply_to_mesh(&base);
 
-            let trace = sweep_trace3(&adj, &boundary);
+            let trace = first_sweep_trace(&m);
             let distances = ReuseDistanceAnalyzer::analyze(&trace, m.num_vertices());
             let mean_rd = ReuseStats::from_distances(&distances).mean;
 
@@ -90,9 +87,8 @@ pub fn tet_quality(cfg: &ExpConfig) -> String {
         format!("3D ordering-invariance — {} (Jacobi sweeps)", spec.name),
         &["ordering", "initial q", "final q", "iterations", "converged"],
     );
-    for kind in OrderingKind3::PAPER_TRIO {
-        let perm = compute_ordering3(&base, kind);
-        let m = apply_permutation3(&perm, &base);
+    for kind in OrderingKind::PAPER_TRIO {
+        let m = compute_ordering(&base, kind).apply_to_mesh(&base);
         // Jacobi: bit-identical results under any vertex numbering
         let params = SmoothParams3::paper()
             .with_update(lms_mesh3d::UpdateScheme3::Jacobi)
@@ -139,15 +135,12 @@ pub fn tet_scaling(cfg: &ExpConfig) -> String {
         &["cores", "ORI", "BFS", "RDR"],
     );
     // serial ORI baseline
-    let trace_of = |kind: OrderingKind3| {
-        let perm = compute_ordering3(&base, kind);
-        let m = apply_permutation3(&perm, &base);
-        let adj = Adjacency3::build(&m);
-        let b = Boundary3::detect(&m);
-        sweep_trace3(&adj, &b)
+    let trace_of = |kind| {
+        let m = compute_ordering(&base, kind).apply_to_mesh(&base);
+        first_sweep_trace(&m)
     };
-    let traces: Vec<(OrderingKind3, Vec<u32>)> =
-        OrderingKind3::PAPER_TRIO.iter().map(|&k| (k, trace_of(k))).collect();
+    let traces: Vec<(OrderingKind, Vec<u32>)> =
+        OrderingKind::PAPER_TRIO.iter().map(|&k| (k, trace_of(k))).collect();
     let baseline =
         lms_cache::simulate(&machine, &split_static(&traces[0].1, 1)).wall_cycles() as f64;
 

@@ -123,17 +123,17 @@ fn spawn_transport<'a, const C: usize, D: SmoothDomain<C>>(
 /// failures. One wire serialisation covers every dimension: only the
 /// handshake's coordinate dimension differs.
 #[derive(Debug, Clone)]
-pub struct DistResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
-    inner: ResidentEngineOn<C, M>,
+pub struct DistResidentEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
+    inner: ResidentEngineOn<C, D, M>,
 }
 
 /// Multi-process resident smoothing of triangle meshes.
-pub type DistResidentEngine = DistResidentEngineOn<3, lms_mesh::TriMesh>;
+pub type DistResidentEngine = DistResidentEngineOn<3, 2, lms_mesh::TriMesh>;
 
 /// Multi-process resident smoothing of tetrahedral meshes.
-pub type DistResidentEngine3 = DistResidentEngineOn<4, lms_mesh3d::TetMesh>;
+pub type DistResidentEngine3 = DistResidentEngineOn<4, 3, lms_mesh3d::TetMesh>;
 
-impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
+impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C, D, M> {
     /// Build the engine for `mesh` under `params` and an existing
     /// decomposition (Gauss–Seidel parameters only).
     pub fn new(mesh: &M, params: M::Params, partition: Partition) -> Self {
@@ -153,7 +153,7 @@ impl<const C: usize, M: SmoothMesh<C>> DistResidentEngineOn<C, M> {
 
     /// The wrapped in-process engine (shared blocks, schedule, classes) —
     /// the bit-identity oracle to compare runs against.
-    pub fn inner(&self) -> &ResidentEngineOn<C, M> {
+    pub fn inner(&self) -> &ResidentEngineOn<C, D, M> {
         &self.inner
     }
 

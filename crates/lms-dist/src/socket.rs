@@ -317,8 +317,8 @@ impl Drop for Listener {
 /// engine from the shared problem parameters (same mesh generation, same
 /// partition method ⇒ same blocks), MPI input-deck style, so nothing but
 /// run state ever crosses the wire.
-pub fn serve_standalone<const C: usize, M: SmoothMesh<C>>(
-    engine: &ResidentEngineOn<C, M>,
+pub fn serve_standalone<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    engine: &ResidentEngineOn<C, D, M>,
     rank: u32,
     spec: &SocketSpec,
     supervisor: &Supervisor,

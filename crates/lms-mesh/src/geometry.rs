@@ -86,6 +86,15 @@ impl Point2 {
     }
 }
 
+/// The components as an array, the form `lms-order`'s coordinate
+/// orderings and partitioners read points in.
+impl From<Point2> for [f64; 2] {
+    #[inline]
+    fn from(p: Point2) -> Self {
+        [p.x, p.y]
+    }
+}
+
 impl Add for Point2 {
     type Output = Point2;
     #[inline]

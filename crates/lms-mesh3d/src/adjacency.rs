@@ -225,8 +225,7 @@ mod tests {
     #[test]
     fn grid_tables_are_pinned() {
         let m = perturbed_tet_grid(12, 12, 12, 0.35, 1);
-        let shuffled =
-            crate::apply_permutation3(&lms_order::random_ordering(m.num_vertices(), 2), &m);
+        let shuffled = lms_order::random_ordering(m.num_vertices(), 2).apply_to_mesh(&m);
         assert_eq!(fnv1a(&Adjacency3::build(&m)), 0x643a_99ed_6784_fe65);
         assert_eq!(fnv1a(&Adjacency3::build(&shuffled)), 0x2d62_d2ed_4f61_b86d);
     }

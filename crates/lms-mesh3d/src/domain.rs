@@ -1,6 +1,5 @@
 //! The tetrahedral [`SmoothDomain`] implementation — what plugs `TetMesh`
-//! into `lms-smooth`'s dimension-generic engine stack — plus the 3D
-//! geometric partitioners feeding [`lms_part::Partition`].
+//! into `lms-smooth`'s dimension-generic engine stack.
 //!
 //! [`TetDomain`] is the 3D twin of `lms_smooth::TriDomain`: a borrowed
 //! (adjacency, boundary, connectivity, metric) bundle. With it, the
@@ -11,19 +10,14 @@
 //! no element; part interiors have fully-owned 1-rings) carry over
 //! verbatim because a tet's four corners are mutually adjacent.
 //!
-//! Partitioning reuses `lms_order::rcb_parts_nd` on 3-component
-//! coordinates and this crate's 3D Hilbert/Morton curves through
-//! `lms_part::sfc_chunk_assignment`, so [`partition_tet_mesh`] accepts
-//! the same [`PartitionMethod`] menu as the 2D decompositions.
+//! Partitioning is not here: `lms_part::partition_mesh` runs on `TetMesh`
+//! through its `lms_order::OrderMesh` impl (`crate::order`), with the same
+//! `PartitionMethod` menu as the 2D decompositions.
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
 use crate::geometry::{edge_lengths_sq, signed_volume, Point3};
-use crate::mesh::TetMesh;
 use crate::quality::{min_max_sq6, TetQualityMetric};
-use crate::sfc::{hilbert3_ordering, morton3_ordering};
-use lms_order::{rcb_parts_nd, rcb_parts_weighted_nd};
-use lms_part::{sfc_chunk_assignment, Partition, PartitionMethod};
 use lms_smooth::domain::{score_star_per_id, DomainPoint, SmoothDomain};
 use lms_smooth::for_lane_blocks;
 use lms_smooth::soa::{sqrt_div_lanes, LANES};
@@ -322,72 +316,14 @@ unsafe fn tet_elr_star_avx(
     });
 }
 
-/// Per-vertex volume weights: each vertex receives one quarter of the
-/// absolute volume of every incident tetrahedron (the barycentric lumping
-/// of the mesh volume) — the 3D twin of `lms_part::vertex_area_weights`,
-/// and the input of [`PartitionMethod::RcbWeighted`] under
-/// [`partition_tet_mesh`].
-pub fn vertex_volume_weights(mesh: &TetMesh, adj: &Adjacency3) -> Vec<f64> {
-    let tet_vol: Vec<f64> = (0..mesh.num_tets())
-        .map(|t| {
-            let [a, b, c, d] = mesh.tet_coords(t);
-            signed_volume(a, b, c, d).abs() / 4.0
-        })
-        .collect();
-    (0..mesh.num_vertices() as u32)
-        .map(|v| adj.tets_of(v).iter().map(|&t| tet_vol[t as usize]).sum())
-        .collect()
-}
-
-/// Compute the per-vertex part assignment of `method` for a 3D point set:
-/// k-way RCB on the 3-component coordinates, or balanced chunking of the
-/// 3D Hilbert/Morton curve orders.
-pub fn partition_coords3(coords: &[Point3], num_parts: usize, method: PartitionMethod) -> Vec<u32> {
-    assert!(num_parts >= 1, "need at least one part");
-    if coords.is_empty() {
-        return Vec::new();
-    }
-    match method {
-        PartitionMethod::Rcb => {
-            let nd: Vec<[f64; 3]> = coords.iter().map(|p| [p.x, p.y, p.z]).collect();
-            rcb_parts_nd(&nd, num_parts)
-        }
-        // no mesh in sight: uniform weights, i.e. exactly Rcb
-        PartitionMethod::RcbWeighted => {
-            let nd: Vec<[f64; 3]> = coords.iter().map(|p| [p.x, p.y, p.z]).collect();
-            rcb_parts_nd(&nd, num_parts)
-        }
-        PartitionMethod::Hilbert => sfc_chunk_assignment(&hilbert3_ordering(coords), num_parts),
-        PartitionMethod::Morton => sfc_chunk_assignment(&morton3_ordering(coords), num_parts),
-    }
-}
-
-/// Partition a tetrahedral mesh into `num_parts` parts with `method`,
-/// building the full interface/halo decomposition over the 3D adjacency
-/// — the tetrahedral twin of `lms_part::partition_mesh`, landing in the
-/// same dimension-generic [`Partition`] (and hence the same
-/// `ExchangeSchedule`).
-pub fn partition_tet_mesh(
-    mesh: &TetMesh,
-    adj: &Adjacency3,
-    num_parts: usize,
-    method: PartitionMethod,
-) -> Partition {
-    let assignment = if method == PartitionMethod::RcbWeighted {
-        let weights = vertex_volume_weights(mesh, adj);
-        let nd: Vec<[f64; 3]> = mesh.coords().iter().map(|p| [p.x, p.y, p.z]).collect();
-        rcb_parts_weighted_nd(&nd, &weights, num_parts)
-    } else {
-        partition_coords3(mesh.coords(), num_parts, method)
-    };
-    Partition::from_assignment(adj, assignment, num_parts as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::perturbed_tet_grid;
+    use crate::partition_tet_mesh;
     use crate::quality::mesh_quality;
+    use lms_order::rcb_parts;
+    use lms_part::{partition_coords, PartitionMethod};
 
     #[test]
     fn tet_domain_quality_matches_mesh_quality_bitwise() {
@@ -516,7 +452,7 @@ mod tests {
         let coords: Vec<Point3> = (0..128)
             .map(|i| Point3::new(i as f64, (i % 3) as f64 * 0.05, (i % 5) as f64 * 0.04))
             .collect();
-        let part = partition_coords3(&coords, 4, PartitionMethod::Rcb);
+        let part = rcb_parts(&coords, 4);
         let mut labelled: Vec<(f64, u32)> =
             coords.iter().zip(&part).map(|(p, &q)| (p.x, q)).collect();
         labelled.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
@@ -527,12 +463,12 @@ mod tests {
 
     #[test]
     fn weighted_rcb3_equals_rcb3_on_uniform_grids() {
-        // zero jitter → all tets congruent → (nearly) uniform weights; we
-        // assert only the API path: uniform point API degenerates to Rcb
+        // the coordinates-only API has no volumes to weight by: there
+        // RcbWeighted degenerates to Rcb
         let m = perturbed_tet_grid(6, 6, 6, 0.25, 4);
         assert_eq!(
-            partition_coords3(m.coords(), 6, PartitionMethod::RcbWeighted),
-            partition_coords3(m.coords(), 6, PartitionMethod::Rcb),
+            partition_coords(&m, 6, PartitionMethod::RcbWeighted),
+            partition_coords(&m, 6, PartitionMethod::Rcb),
         );
     }
 }

@@ -82,6 +82,15 @@ impl Point3 {
     }
 }
 
+/// The components as an array, the form `lms-order`'s coordinate
+/// orderings and partitioners read points in.
+impl From<Point3> for [f64; 3] {
+    #[inline]
+    fn from(p: Point3) -> Self {
+        [p.x, p.y, p.z]
+    }
+}
+
 impl Add for Point3 {
     type Output = Point3;
     #[inline]

@@ -7,8 +7,8 @@
 //!
 //! * [`Point3`] and tetrahedron [`geometry`] predicates;
 //! * the [`TetMesh`] container, its CSR [`Adjacency3`] (which implements
-//!   [`lms_order::Graph`], so every graph-generic ordering runs on it), and
-//!   [`Boundary3`] face-based boundary detection;
+//!   [`lms_order::Graph`]), and [`Boundary3`] face-based boundary
+//!   detection;
 //! * [`quality`] — edge-length ratio (the paper's metric in 3D), radius
 //!   ratio and mean ratio;
 //! * [`generators`] — Kuhn-subdivision box grids, graded jitter, and the
@@ -20,15 +20,19 @@
 //!   the same [`lms_smooth::trace::AccessSink`] protocol, and the
 //!   deterministic parallel variants are the 2D engine's code;
 //!   [`ResidentEngine3`] is the resident engine over the same impl;
-//! * [`order`] — ORI/RANDOM/BFS/DFS/RCM/RDR on tetrahedral meshes;
-//! * [`sfc`] — 3D Hilbert and Morton space-filling-curve orderings.
+//! * the [`lms_order::OrderMesh`] impl of [`TetMesh`], with the 3D
+//!   Hilbert and Morton keys of [`sfc`]: every ordering of `lms-order`
+//!   (`lms_order::compute_ordering`, `Permutation::apply_to_mesh`) and
+//!   every partitioner of `lms-part` (`lms_part::partition_mesh`, here
+//!   also under the name [`partition_tet_mesh`]) runs its one generic
+//!   body on tetrahedral meshes — there is no 3D front end.
 //!
 //! ```
-//! use lms_mesh3d::{generators, order, SmoothEngine3, SmoothParams3};
+//! use lms_mesh3d::{generators, SmoothEngine3, SmoothParams3};
+//! use lms_order::{compute_ordering, OrderingKind};
 //!
-//! let mut mesh = generators::perturbed_tet_grid(8, 8, 8, 0.35, 42);
-//! let perm = order::compute_ordering3(&mesh, order::OrderingKind3::Rdr);
-//! let mut reordered = order::apply_permutation3(&perm, &mesh);
+//! let mesh = generators::perturbed_tet_grid(8, 8, 8, 0.35, 42);
+//! let mut reordered = compute_ordering(&mesh, OrderingKind::Rdr).apply_to_mesh(&mesh);
 //! let report = SmoothEngine3::new(&reordered, SmoothParams3::paper()).smooth(&mut reordered);
 //! assert!(report.final_quality > report.initial_quality);
 //! ```
@@ -42,7 +46,7 @@ pub mod generators;
 pub mod geometry;
 pub mod io;
 pub mod mesh;
-pub mod order;
+mod order;
 pub mod part3;
 pub mod quality;
 pub mod refine;
@@ -51,12 +55,13 @@ pub mod smooth;
 
 pub use adjacency::Adjacency3;
 pub use boundary::Boundary3;
-pub use domain::{partition_coords3, partition_tet_mesh, vertex_volume_weights, TetDomain};
+pub use domain::TetDomain;
 pub use geometry::Point3;
+/// `lms_part::partition_mesh` under its tetrahedral name: one body
+/// partitions both dimensions.
+pub use lms_part::partition_mesh as partition_tet_mesh;
 pub use mesh::{corner_tet, Mesh3Error, TetMesh};
-pub use order::{apply_permutation3, compute_ordering3, rdr_ordering3, OrderingKind3};
 pub use part3::ResidentEngine3;
 pub use quality::TetQualityMetric;
 pub use refine::{refine_levels3, refine_midpoint3};
-pub use sfc::{hilbert3_ordering, morton3_ordering};
 pub use smooth::{SmoothEngine3, SmoothParams3, UpdateScheme3};

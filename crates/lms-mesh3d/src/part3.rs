@@ -4,10 +4,10 @@
 //! Nothing here sweeps, and nothing here wraps: [`ResidentEngine3`] *is*
 //! [`lms_smooth::ResidentEngineOn`] over [`TetMesh`], whose
 //! [`lms_smooth::SmoothMesh`] impl supplies the
-//! [`TetDomain`](crate::domain::TetDomain) view and the
-//! [`partition_tet_mesh`](crate::domain::partition_tet_mesh)
-//! decomposition. The resident protocol — one full gather, moved-only
-//! halo-delta routing per interface color step along the
+//! [`TetDomain`](crate::domain::TetDomain) view, while the decomposition
+//! comes from the one generic [`lms_part::partition_mesh`]. The resident
+//! protocol — one full gather, moved-only halo-delta routing per
+//! interface color step along the
 //! [`lms_part::ExchangeSchedule`], one parallel disjoint scatter,
 //! [`lms_smooth::ExchangeVolume`] accounting — and its
 //! determinism/serial-equivalence guarantees are the 2D engine's, body
@@ -20,7 +20,7 @@ use crate::mesh::TetMesh;
 /// stay resident for the whole run, only moved halo deltas travel between
 /// interface color steps, one disjoint scatter at the end
 /// (`full_gathers == 1 && full_scatters == 1`).
-pub type ResidentEngine3 = lms_smooth::ResidentEngineOn<4, TetMesh>;
+pub type ResidentEngine3 = lms_smooth::ResidentEngineOn<4, 3, TetMesh>;
 
 #[cfg(test)]
 mod tests {

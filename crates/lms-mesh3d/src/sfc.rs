@@ -1,15 +1,15 @@
-//! 3D space-filling-curve orderings (Hilbert and Morton).
+//! The 3D space-filling curves: the cell keys behind `OrderingKind::Hilbert`
+//! and `OrderingKind::Morton` on tetrahedral meshes.
 //!
-//! The 3D counterparts of `lms-order`'s geometric baselines (Sastry et
-//! al. \[14\]): vertices sorted by the index of their quantised coordinates
-//! along a 3D Hilbert curve (Skilling's transpose algorithm) or the 3D
-//! Morton (Z-order) curve (bit interleaving).
-
-use crate::geometry::{bounding_box, Point3};
-use lms_order::Permutation;
+//! The 3D counterparts of `lms-order`'s 2D keys (Sastry et al. \[14\]): the
+//! index of a cell along a 3D Hilbert curve (Skilling's transpose
+//! algorithm) or the 3D Morton (Z-order) curve (bit interleaving).
+//! `lms_order::sfc_ordering` quantises and sorts in both dimensions;
+//! [`TetMesh`](crate::TetMesh) names these keys through its
+//! `lms_order::OrderMesh` impl.
 
 /// Bits per axis for quantisation (2^20 cells per axis; 60-bit keys).
-const ORDER: u32 = 20;
+pub(crate) const ORDER: u32 = 20;
 
 /// 3D Morton code of grid cell `(x, y, z)` (each `< 2^ORDER`): bits
 /// interleaved `z y x` from most significant down.
@@ -81,44 +81,19 @@ fn axes_to_transpose(x: &mut [u32; 3], bits: u32) {
     }
 }
 
-/// Quantise `coords` onto the `2^ORDER` grid and sort by `key`.
-fn sfc_ordering(coords: &[Point3], key: impl Fn(u32, u32, u32) -> u64) -> Permutation {
-    let n = coords.len();
-    if n == 0 {
-        return Permutation::identity(0);
-    }
-    let (lo, hi) = bounding_box(coords);
-    let w = |a: f64, b: f64| (b - a).max(f64::MIN_POSITIVE);
-    let (wx, wy, wz) = (w(lo.x, hi.x), w(lo.y, hi.y), w(lo.z, hi.z));
-    let cells = ((1u64 << ORDER) - 1) as f64;
-    let mut keyed: Vec<(u64, u32)> = coords
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let qx = (((p.x - lo.x) / wx) * cells) as u32;
-            let qy = (((p.y - lo.y) / wy) * cells) as u32;
-            let qz = (((p.z - lo.z) / wz) * cells) as u32;
-            (key(qx, qy, qz), i as u32)
-        })
-        .collect();
-    keyed.sort_unstable();
-    Permutation::from_new_to_old_unchecked(keyed.into_iter().map(|(_, i)| i).collect())
-}
-
-/// 3D Hilbert-curve ordering of `coords`.
-pub fn hilbert3_ordering(coords: &[Point3]) -> Permutation {
-    sfc_ordering(coords, hilbert3_key)
-}
-
-/// 3D Morton (Z-order) ordering of `coords`.
-pub fn morton3_ordering(coords: &[Point3]) -> Permutation {
-    sfc_ordering(coords, morton3_key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::perturbed_tet_grid;
+    use crate::geometry::Point3;
+    use crate::{Adjacency3, TetMesh};
+    use lms_order::{compute_ordering, layout_stats, sfc_ordering, OrderingKind, Permutation};
+
+    /// Mean neighbour gap of `m` renumbered by `p`.
+    fn span(m: &TetMesh, p: &Permutation) -> f64 {
+        let rm = p.apply_to_mesh(m);
+        layout_stats(&rm, &Adjacency3::build(&rm)).mean_gap
+    }
 
     #[test]
     fn morton_key_interleaves() {
@@ -172,7 +147,10 @@ mod tests {
     #[test]
     fn orderings_are_bijections() {
         let m = perturbed_tet_grid(6, 6, 6, 0.3, 2);
-        for p in [hilbert3_ordering(m.coords()), morton3_ordering(m.coords())] {
+        for p in [
+            compute_ordering(&m, OrderingKind::Hilbert),
+            compute_ordering(&m, OrderingKind::Morton),
+        ] {
             assert_eq!(p.len(), m.num_vertices());
             let mut ids = p.new_to_old().to_vec();
             ids.sort_unstable();
@@ -182,14 +160,11 @@ mod tests {
 
     #[test]
     fn sfc_beats_random_locality_in_3d() {
-        use crate::order::{apply_permutation3, mean_neighbor_span3};
-        use crate::Adjacency3;
         let m = crate::generators::block_scramble(perturbed_tet_grid(8, 8, 8, 0.3, 5), 64, 5);
-        let span =
-            |p: &Permutation| mean_neighbor_span3(&Adjacency3::build(&apply_permutation3(p, &m)));
-        let rnd = span(&lms_order::random_ordering(m.num_vertices(), 1));
-        let hil = span(&hilbert3_ordering(m.coords()));
-        let mor = span(&morton3_ordering(m.coords()));
+        let span = |kind| span(&m, &compute_ordering(&m, kind));
+        let rnd = span(OrderingKind::Random { seed: 1 });
+        let hil = span(OrderingKind::Hilbert);
+        let mor = span(OrderingKind::Morton);
         assert!(hil < rnd / 3.0, "hilbert {hil} vs random {rnd}");
         assert!(mor < rnd / 3.0, "morton {mor} vs random {rnd}");
     }
@@ -198,19 +173,18 @@ mod tests {
     fn hilbert_no_worse_than_morton_on_grids() {
         // Hilbert has no long jumps; on structured grids its neighbour span
         // is at most ~Morton's (allow a small tolerance for quantisation).
-        use crate::order::{apply_permutation3, mean_neighbor_span3};
-        use crate::Adjacency3;
         let m = crate::generators::tet_grid(10, 10, 10);
-        let span =
-            |p: &Permutation| mean_neighbor_span3(&Adjacency3::build(&apply_permutation3(p, &m)));
-        let hil = span(&hilbert3_ordering(m.coords()));
-        let mor = span(&morton3_ordering(m.coords()));
+        let hil = span(&m, &compute_ordering(&m, OrderingKind::Hilbert));
+        let mor = span(&m, &compute_ordering(&m, OrderingKind::Morton));
         assert!(hil <= mor * 1.25, "hilbert {hil} much worse than morton {mor}");
     }
 
     #[test]
     fn degenerate_inputs() {
-        assert!(hilbert3_ordering(&[]).is_empty());
-        assert_eq!(morton3_ordering(&[Point3::ZERO; 5]).len(), 5);
+        assert!(sfc_ordering(&[] as &[Point3], ORDER, |[x, y, z]| hilbert3_key(x, y, z)).is_empty());
+        assert_eq!(
+            sfc_ordering(&[Point3::ZERO; 5], ORDER, |[x, y, z]| morton3_key(x, y, z)).len(),
+            5
+        );
     }
 }

@@ -9,19 +9,19 @@
 //! sweep, the static-chunk Jacobi and colored Gauss–Seidel parallel runs,
 //! all from the same generic bodies as the 2D engine. What this file adds
 //! is what differs in 3D: the parameter set and the [`SmoothMesh`] impl
-//! that plugs `TetMesh` in ([`Adjacency3`], [`Boundary3::detect`],
-//! [`TetDomain`], [`partition_tet_mesh`], storage-order visits).
+//! that plugs `TetMesh` in ([`Boundary3::detect`], [`TetDomain`],
+//! storage-order visits; the adjacency and coordinates come from its
+//! `lms_order::OrderMesh` impl).
 //!
 //! Resident (halo-exchange) smoothing over a tet-mesh decomposition is
 //! [`crate::part3::ResidentEngine3`], the same struct's resident twin.
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
-use crate::domain::{partition_tet_mesh, TetDomain};
+use crate::domain::TetDomain;
 use crate::geometry::Point3;
 use crate::mesh::TetMesh;
 use crate::quality::TetQualityMetric;
-use lms_part::{Partition, PartitionMethod};
 use lms_smooth::domain::DomainConfig;
 use lms_smooth::{SmoothEngineOn, SmoothMesh, Weighting};
 use std::sync::Arc;
@@ -101,18 +101,12 @@ impl SmoothParams3 {
 }
 
 /// Serial smoothing of tetrahedral meshes.
-pub type SmoothEngine3 = SmoothEngineOn<4, TetMesh>;
+pub type SmoothEngine3 = SmoothEngineOn<4, 3, TetMesh>;
 
-impl SmoothMesh<4> for TetMesh {
-    type Point = Point3;
-    type Adjacency = Adjacency3;
+impl SmoothMesh<4, 3> for TetMesh {
     type Boundary = Boundary3;
     type Params = SmoothParams3;
     type Domain<'a> = TetDomain<'a>;
-
-    fn build_adjacency(&self) -> Adjacency3 {
-        Adjacency3::build(self)
-    }
 
     /// Face based, so the adjacency cannot supply it.
     fn boundary(&self, _adj: &Adjacency3) -> Boundary3 {
@@ -123,16 +117,8 @@ impl SmoothMesh<4> for TetMesh {
         self.shared_tets()
     }
 
-    fn coords(&self) -> &[Point3] {
-        TetMesh::coords(self)
-    }
-
     fn coords_mut(&mut self) -> &mut [Point3] {
         TetMesh::coords_mut(self)
-    }
-
-    fn partition(&self, adj: &Adjacency3, num_parts: usize, method: PartitionMethod) -> Partition {
-        partition_tet_mesh(self, adj, num_parts, method)
     }
 
     fn topology_heap_bytes(adj: &Adjacency3, boundary: &Boundary3) -> usize {

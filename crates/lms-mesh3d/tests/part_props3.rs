@@ -1,154 +1,23 @@
-//! Property tests for tetrahedral partition invariants — the 3D mirror of
-//! `lms-part/tests/props.rs`, across every method and arbitrary perturbed
-//! tet grids:
-//!
-//! * parts are disjoint and cover the vertex set, sizes within one
-//!   (count-balanced methods; the volume-weighted splitter balances
-//!   weight);
-//! * interior + interface = owned, and the interface flag is exactly
-//!   "has a cross-part neighbour";
-//! * halos are exactly the out-of-part 1-ring closure of the interfaces;
-//! * the halo-exchange schedule delivers to every halo slot exactly once
-//!   — it covers exactly the 1-ring-of-interface closure, unchanged by
-//!   the jump from triangles to tetrahedra (the schedule is built from
-//!   the adjacency-generic `Partition` alone).
+//! Volume balance of the measure-weighted RCB splitter on tetrahedral
+//! meshes. The partition invariants themselves (cover, balance, halos,
+//! interface flags, exchange schedule) are property-tested once for both
+//! dimensions in `lms-part/tests/props.rs`.
 
-use lms_mesh3d::{partition_tet_mesh, Adjacency3, TetMesh};
-use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
-use proptest::prelude::*;
-
-fn arb_mesh() -> impl Strategy<Value = TetMesh> {
-    (3usize..8, 3usize..8, 3usize..8, 0u64..1000, 0..40u32).prop_map(|(nx, ny, nz, seed, jit)| {
-        lms_mesh3d::generators::perturbed_tet_grid(nx, ny, nz, jit as f64 / 100.0, seed)
-    })
-}
-
-fn build(mesh: &TetMesh, k: usize, method_ix: usize) -> (Adjacency3, Partition) {
-    let adj = Adjacency3::build(mesh);
-    let p = partition_tet_mesh(mesh, &adj, k, PartitionMethod::ALL[method_ix]);
-    (adj, p)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parts_disjoint_cover_and_balanced(
-        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
-    ) {
-        let (_, p) = build(&mesh, k, method_ix);
-        let mut seen = vec![false; mesh.num_vertices()];
-        let mut sizes = Vec::new();
-        for q in 0..p.num_parts() {
-            sizes.push(p.part(q).len());
-            for &v in p.part(q) {
-                prop_assert!(!seen[v as usize], "vertex {} owned twice", v);
-                seen[v as usize] = true;
-                prop_assert_eq!(p.part_of(v), q);
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s), "some vertex unowned");
-        // the weighted splitter balances volume shares, not counts — its
-        // balance property is covered by the volume-balance test below
-        if PartitionMethod::ALL[method_ix] != PartitionMethod::RcbWeighted {
-            let (lo, hi) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-            prop_assert!(hi - lo <= 1, "unbalanced: {:?}", sizes);
-        }
-    }
-
-    /// The exchange schedule covers exactly the halo — every halo slot of
-    /// every part receives exactly one delivery, every delivery resolves
-    /// to the right ghost-map local, and only interface vertices send.
-    #[test]
-    fn exchange_schedule_covers_exactly_the_halo(
-        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
-    ) {
-        let (_, p) = build(&mesh, k, method_ix);
-        let s = ExchangeSchedule::build(&p);
-        prop_assert_eq!(s.num_entries(), p.total_halo());
-        let mut deliveries: Vec<Vec<u32>> = (0..p.num_parts())
-            .map(|q| vec![0u32; p.part(q).len() + p.halo(q).len()])
-            .collect();
-        for src in 0..p.num_parts() {
-            for (i, &v) in p.part(src).iter().enumerate() {
-                let out = s.outgoing(src, i as u32);
-                if !out.is_empty() {
-                    prop_assert!(p.is_interface(v), "non-interface {} sends", v);
-                }
-                for &(q, dst) in out {
-                    prop_assert_eq!(p.local_of(q, v), Some(dst as usize));
-                    deliveries[q as usize][dst as usize] += 1;
-                }
-            }
-        }
-        for q in 0..p.num_parts() {
-            let owned = p.part(q).len();
-            for (slot, &count) in deliveries[q as usize].iter().enumerate() {
-                prop_assert_eq!(
-                    count,
-                    u32::from(slot >= owned),
-                    "part {} slot {}", q, slot
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn halo_is_one_ring_closure_of_interface(
-        mesh in arb_mesh(), k in 2usize..9, method_ix in 0usize..4,
-    ) {
-        let (adj, p) = build(&mesh, k, method_ix);
-        for q in 0..p.num_parts() {
-            // 1-ring of the interface, outside the part
-            let mut expect: Vec<u32> = p
-                .interface(q)
-                .iter()
-                .flat_map(|&v| adj.neighbors(v).iter().copied())
-                .filter(|&u| p.part_of(u) != q)
-                .collect();
-            expect.sort_unstable();
-            expect.dedup();
-            prop_assert_eq!(p.halo(q), &expect[..], "part {}", q);
-        }
-    }
-
-    #[test]
-    fn interface_flag_matches_topology(
-        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
-    ) {
-        let (adj, p) = build(&mesh, k, method_ix);
-        for v in 0..mesh.num_vertices() as u32 {
-            let crosses = adj.neighbors(v).iter().any(|&w| p.part_of(w) != p.part_of(v));
-            prop_assert_eq!(p.is_interface(v), crosses);
-        }
-    }
-
-    #[test]
-    fn interior_plus_interface_is_owned(
-        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
-    ) {
-        let (_, p) = build(&mesh, k, method_ix);
-        for q in 0..p.num_parts() {
-            let mut merged: Vec<u32> = p.interior(q).to_vec();
-            merged.extend_from_slice(p.interface(q));
-            merged.sort_unstable();
-            prop_assert_eq!(&merged[..], p.part(q), "part {}", q);
-        }
-    }
-}
+use lms_mesh3d::{partition_tet_mesh, Adjacency3, Point3, TetMesh};
+use lms_order::OrderMesh;
+use lms_part::{Partition, PartitionMethod};
 
 /// The volume-weighted splitter must beat count-balanced RCB on per-part
 /// volume balance for a graded mesh (z-coordinates pushed through z³).
 #[test]
 fn weighted_rcb3_balances_volume_on_graded_meshes() {
-    use lms_mesh3d::{vertex_volume_weights, Point3};
     let m = lms_mesh3d::generators::perturbed_tet_grid(10, 10, 10, 0.0, 0);
     let (coords, tets) = m.into_parts();
     let graded: Vec<Point3> =
         coords.into_iter().map(|p| Point3::new(p.x, p.y, p.z * p.z * p.z)).collect();
     let m = TetMesh::new(graded, tets).unwrap();
     let adj = Adjacency3::build(&m);
-    let weights = vertex_volume_weights(&m, &adj);
+    let weights = m.measure_weights(&adj);
     let total: f64 = weights.iter().sum();
     let k = 4usize;
     let max_share = |part: &Partition| -> f64 {

@@ -1,11 +1,9 @@
 //! Property-based invariants for the tetrahedral substrate.
 
 use lms_mesh3d::generators::{block_scramble, perturbed_tet_grid, tet_grid};
-use lms_mesh3d::order::{
-    apply_permutation3, compute_ordering3, mean_neighbor_span3, OrderingKind3,
-};
 use lms_mesh3d::quality::{mesh_quality, vertex_qualities, TetQualityMetric};
 use lms_mesh3d::{Adjacency3, Boundary3, SmoothEngine3, SmoothParams3, TetMesh, UpdateScheme3};
+use lms_order::{compute_ordering, layout_stats, OrderingKind};
 use lms_smooth::checks;
 use proptest::prelude::*;
 
@@ -41,8 +39,8 @@ proptest! {
 
     #[test]
     fn all_orderings_are_bijections(m in small_mesh()) {
-        for kind in OrderingKind3::ALL {
-            let p = compute_ordering3(&m, kind);
+        for kind in OrderingKind::ALL {
+            let p = compute_ordering(&m, kind);
             let mut ids = p.new_to_old().to_vec();
             ids.sort_unstable();
             prop_assert!(ids.iter().enumerate().all(|(i, &v)| i as u32 == v),
@@ -52,8 +50,7 @@ proptest! {
 
     #[test]
     fn reordering_preserves_volume_edges_boundary(m in small_mesh()) {
-        let p = compute_ordering3(&m, OrderingKind3::Rdr);
-        let rm = apply_permutation3(&p, &m);
+        let rm = compute_ordering(&m, OrderingKind::Rdr).apply_to_mesh(&m);
         prop_assert!((rm.total_volume() - m.total_volume()).abs() < 1e-9);
         prop_assert_eq!(rm.edges().len(), m.edges().len());
         let b = Boundary3::detect(&m);
@@ -117,11 +114,12 @@ proptest! {
         (nx, seed) in (4usize..=7, 0u64..500)
     ) {
         let m = block_scramble(perturbed_tet_grid(nx, nx, nx, 0.35, seed), 32, seed);
-        let span = |mesh: &TetMesh| mean_neighbor_span3(&Adjacency3::build(mesh));
-        let rdr_perm = compute_ordering3(&m, OrderingKind3::Rdr);
-        let rdr = span(&apply_permutation3(&rdr_perm, &m));
-        let rnd_perm = compute_ordering3(&m, OrderingKind3::Random { seed });
-        let rnd = span(&apply_permutation3(&rnd_perm, &m));
+        let span = |kind| {
+            let rm = compute_ordering(&m, kind).apply_to_mesh(&m);
+            layout_stats(&rm, &Adjacency3::build(&rm)).mean_gap
+        };
+        let rdr = span(OrderingKind::Rdr);
+        let rnd = span(OrderingKind::Random { seed });
         // the walk must land far from the random regime on every input
         prop_assert!(rdr < rnd * 0.75, "rdr span {rdr} too close to random {rnd}");
     }

@@ -37,7 +37,7 @@ proptest! {
         k_ix in 0usize..3, method_ix in 0usize..4,
     ) {
         let params = SmoothParams3::paper().with_smart(smart).with_max_iters(iters);
-        checks::resident_is_deterministic_across_threads::<4, TetMesh>(
+        checks::resident_is_deterministic_across_threads::<4, 3, TetMesh>(
             &mesh, params, PARTS[k_ix], PartitionMethod::ALL[method_ix],
         );
     }

@@ -8,8 +8,10 @@
 //! reuse-distance-aware algorithm to outperform extensions of Laplacian mesh
 //! smoothing as well").
 //!
-//! The concrete `*_ordering` functions in [`crate::traversals`] and
-//! [`crate::rdr`] are thin wrappers over the `*_ordering_on` cores here.
+//! The `*_ordering_on` cores here are the only traversal and RDR bodies:
+//! [`crate::compute_ordering_with`] runs them on any `OrderMesh`'s
+//! adjacency, and [`crate::rdr::rdr_ordering_opts`] on a triangle mesh
+//! ranked by another quality metric.
 //!
 //! The RDR walk is built for inputs whose numbering has no locality (the
 //! paper's pipeline starts from one), where every step reads some random
@@ -20,7 +22,7 @@
 //! for vertex; a property test holds it to that reference.
 
 use crate::permutation::Permutation;
-use crate::rdr::{quality_bin, RdrOptions};
+use crate::rdr::quality_bin;
 use std::collections::VecDeque;
 
 /// An undirected graph with contiguous `u32` vertex ids and sorted,
@@ -241,14 +243,10 @@ pub fn rcm_ordering_on<G: Graph>(graph: &G) -> Permutation {
 /// frontier is empty: for the first chain, which still starts at the worst
 /// vertex, and once per region the frontier cannot reach.
 ///
-/// Every worst-first comparison ranks by [`RdrOptions::key`], which needs
-/// nothing of the options: their metric has already gone into `quality`.
-pub fn rdr_ordering_on<G: Graph>(
-    graph: &G,
-    interior: &[bool],
-    quality: &[f64],
-    _options: &RdrOptions,
-) -> Permutation {
+/// Every worst-first comparison ranks by
+/// [`RdrOptions::key`](crate::rdr::RdrOptions::key): quality bin, then
+/// vertex index.
+pub fn rdr_ordering_on<G: Graph>(graph: &G, interior: &[bool], quality: &[f64]) -> Permutation {
     let n = graph.num_vertices();
     assert_eq!(quality.len(), n, "need one quality value per vertex");
     assert_eq!(interior.len(), n, "need one interior flag per vertex");
@@ -273,7 +271,7 @@ const SORTED: u8 = 1 << 5;
 /// random vertex's state, and at 768² the bytes (0.6 MB) fit a 2 MiB L2;
 /// the `f64` qualities alone would take 4.7 MB. Ranking a worklist is a
 /// plain sort of `(bin << 32) | v` keys read from those bytes — the order
-/// of [`RdrOptions::key`].
+/// of [`RdrOptions::key`](crate::rdr::RdrOptions::key).
 pub(crate) fn rdr_walk_in_range<G: Graph>(
     graph: &G,
     interior: &[bool],
@@ -426,19 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_cores_match_adjacency_wrappers() {
-        let m = figure5_mesh();
-        let adj = Adjacency::build(&m);
-        assert_eq!(bfs_ordering_on(&adj, 0), crate::traversals::bfs_ordering(&adj, 0));
-        assert_eq!(dfs_ordering_on(&adj, 0), crate::traversals::dfs_ordering(&adj, 0));
-        assert_eq!(rcm_ordering_on(&adj), crate::traversals::rcm_ordering(&adj));
-        assert_eq!(
-            bfs_reversed_ordering_on(&adj, 0),
-            crate::traversals::bfs_reversed_ordering(&adj, 0)
-        );
-    }
-
-    #[test]
     fn rdr_core_on_csr_view_matches_mesh_rdr() {
         let m = figure5_mesh();
         let adj = Adjacency::build(&m);
@@ -450,10 +435,8 @@ mod tests {
         );
         let interior: Vec<bool> =
             (0..m.num_vertices() as u32).map(|v| boundary.is_interior(v)).collect();
-        let opts = RdrOptions::default();
-        let generic = rdr_ordering_on(&adj, &interior, &quality, &opts);
-        let concrete = crate::rdr::rdr_ordering_with(&adj, &boundary, &quality, &opts);
-        assert_eq!(generic, concrete);
+        let generic = rdr_ordering_on(&adj, &interior, &quality);
+        assert_eq!(generic, crate::rdr::rdr_ordering(&m));
     }
 
     #[test]
@@ -462,7 +445,7 @@ mod tests {
         let g = CsrGraph::new(&offsets, &neighbors);
         let interior = vec![false; 5];
         let quality = vec![0.5; 5];
-        let p = rdr_ordering_on(&g, &interior, &quality, &RdrOptions::default());
+        let p = rdr_ordering_on(&g, &interior, &quality);
         assert!(p.is_identity());
     }
 
@@ -474,6 +457,6 @@ mod tests {
         assert!(bfs_ordering_on(&g, 0).is_empty());
         assert!(dfs_ordering_on(&g, 0).is_empty());
         assert!(rcm_ordering_on(&g).is_empty());
-        assert!(rdr_ordering_on(&g, &[], &[], &RdrOptions::default()).is_empty());
+        assert!(rdr_ordering_on(&g, &[], &[]).is_empty());
     }
 }

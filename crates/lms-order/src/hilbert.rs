@@ -1,16 +1,10 @@
-//! Hilbert space-filling-curve ordering.
-//!
-//! Sastry, Kultursay, Shontz & Kandemir \[14\] showed space-filling-curve
-//! vertex reordering improves cache utilisation for mesh warping; it is the
-//! natural *geometric* (rather than graph- or quality-based) baseline for
-//! RDR. Vertices are sorted by the Hilbert index of their quantised
-//! coordinates.
+//! The 2D Hilbert curve: the cell index behind `OrderingKind::Hilbert` on
+//! triangle meshes ([`crate::sfc`] quantises and sorts).
 
-use crate::permutation::Permutation;
-use lms_mesh::{geometry::bounding_box, Point2};
-
-/// Order of the Hilbert curve used for quantisation (2^16 × 2^16 cells).
-const ORDER: u32 = 16;
+/// Bits per axis of the 2D curve grids (2^16 × 2^16 cells), Hilbert's and
+/// [`crate::morton`]'s alike, so the two curves are compared on the exact
+/// same quantisation.
+pub(crate) const ORDER: u32 = 16;
 
 /// Map grid cell `(x, y)` (each `< 2^ORDER`) to its distance along the
 /// Hilbert curve. Classic bit-twiddling transform (Wikipedia `xy2d`).
@@ -36,37 +30,16 @@ pub fn hilbert_d(mut x: u32, mut y: u32) -> u64 {
     d
 }
 
-/// Hilbert-curve ordering of `coords`.
-///
-/// Coordinates are normalised to the bounding box and quantised onto a
-/// `2^16`-cell grid; ties (same cell) break by original index, keeping the
-/// sort stable and deterministic.
-pub fn hilbert_ordering(coords: &[Point2]) -> Permutation {
-    let n = coords.len();
-    if n == 0 {
-        return Permutation::identity(0);
-    }
-    let (lo, hi) = bounding_box(coords);
-    let wx = (hi.x - lo.x).max(f64::MIN_POSITIVE);
-    let wy = (hi.y - lo.y).max(f64::MIN_POSITIVE);
-    let cells = ((1u64 << ORDER) - 1) as f64;
-    let mut keyed: Vec<(u64, u32)> = coords
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let qx = (((p.x - lo.x) / wx) * cells) as u32;
-            let qy = (((p.y - lo.y) / wy) * cells) as u32;
-            (hilbert_d(qx, qy), i as u32)
-        })
-        .collect();
-    keyed.sort_unstable();
-    Permutation::from_new_to_old_unchecked(keyed.into_iter().map(|(_, i)| i).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::generators;
+    use crate::permutation::Permutation;
+    use crate::sfc::sfc_ordering;
+    use lms_mesh::{generators, Point2};
+
+    fn hilbert_ordering(coords: &[Point2]) -> Permutation {
+        sfc_ordering(coords, ORDER, |[x, y]| hilbert_d(x, y))
+    }
 
     #[test]
     fn hilbert_d_on_2x2_quadrants() {

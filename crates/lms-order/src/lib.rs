@@ -2,39 +2,47 @@
 //!
 //! The paper's contribution ([`rdr::rdr_ordering`], Algorithm 2) together
 //! with every baseline it is evaluated against, plus the related-work and
-//! ablation orderings DESIGN.md §5 calls out:
+//! ablation orderings DESIGN.md §5 calls out. Every kind runs on any
+//! [`OrderMesh`] — `TriMesh` (2D, implemented here) and
+//! `lms_mesh3d::TetMesh` (3D) — through one entry, [`compute_ordering`]
+//! (or [`compute_ordering_with`] given an adjacency):
 //!
-//! | kind | module | role in the paper |
+//! | kind | core | role in the paper |
 //! |---|---|---|
 //! | `Original` | — | the mesh generator's numbering (ORI) |
-//! | `Random` | [`traversals::random_ordering`] | worst case, Figure 1a |
-//! | `Bfs` | [`traversals::bfs_ordering`] | Strout & Hovland \[18\], the baseline RDR beats |
-//! | `BfsReversed` | [`traversals::bfs_reversed_ordering`] | Munson & Hovland \[19\], FeasNewt |
-//! | `Dfs` | [`traversals::dfs_ordering`] | Figure 4a trace comparison |
-//! | `Rcm` | [`traversals::rcm_ordering`] | classic bandwidth reduction (related work) |
+//! | `Random` | [`random_ordering`] | worst case, Figure 1a |
+//! | `Bfs` | [`graph::bfs_ordering_on`] | Strout & Hovland \[18\], the baseline RDR beats |
+//! | `BfsReversed` | [`graph::bfs_reversed_ordering_on`] | Munson & Hovland \[19\], FeasNewt |
+//! | `Dfs` | [`graph::dfs_ordering_on`] | Figure 4a trace comparison |
+//! | `Rcm` | [`graph::rcm_ordering_on`] | classic bandwidth reduction (related work) |
 //! | `Sloan` | [`sloan::sloan_ordering`] | profile reduction, strong graph baseline |
-//! | `Hilbert` | [`hilbert::hilbert_ordering`] | space-filling curve, Sastry et al. \[14\] |
-//! | `Morton` | [`morton::morton_ordering`] | Z-order curve, cheap SFC ablation partner |
+//! | `Hilbert` | [`sfc::sfc_ordering`] + [`OrderMesh::hilbert_key`] | space-filling curve, Sastry et al. \[14\] |
+//! | `Morton` | [`sfc::sfc_ordering`] + [`OrderMesh::morton_key`] | Z-order curve, cheap SFC ablation partner |
 //! | `Rcb` | [`rcb::rcb_ordering`] | recursive coordinate bisection, cache-oblivious geometric baseline |
 //! | `Spectral` | [`spectral::spectral_ordering`] | Fiedler-vector ordering, connectivity-only geometric sweep |
-//! | `QualitySort` | [`sorts::quality_sort_ordering`] | RDR minus the chaining (ablation) |
+//! | `QualitySort` | [`sorts::quality_sort_from_values`] | RDR minus the chaining (ablation) |
 //! | `DegreeSort` | [`sorts::degree_sort_ordering`] | scalar sort with a quality-free key |
-//! | `Rdr` | [`rdr::rdr_ordering`] | **the contribution** |
+//! | `Rdr` | [`graph::rdr_ordering_on`] | **the contribution** |
 //!
-//! All orderings are returned as a [`Permutation`] (new-to-old map) that can
-//! be applied to meshes or per-vertex value arrays.
+//! The graph cores walk [`OrderMesh::Adjacency`] (any [`Graph`]); the
+//! geometric ones read [`OrderMesh::coords`] as `D`-component points;
+//! `Rdr` and `QualitySort` rank by [`OrderMesh::edge_ratio_qualities`].
+//! All orderings are returned as a [`Permutation`] (new-to-old map) that
+//! [`Permutation::apply_to_mesh`] applies to a mesh of either dimension.
 
 #![forbid(unsafe_code)]
 
 pub mod coloring;
 pub mod graph;
 pub mod hilbert;
+pub mod mesh;
 pub mod metrics;
 pub mod morton;
 pub mod par_rdr;
 pub mod permutation;
 pub mod rcb;
 pub mod rdr;
+pub mod sfc;
 pub mod sloan;
 pub mod sorts;
 pub mod spectral;
@@ -42,25 +50,19 @@ pub mod traversals;
 
 pub use coloring::{greedy_coloring, greedy_coloring_on, Coloring};
 pub use graph::{CsrGraph, Graph};
-pub use hilbert::hilbert_ordering;
+pub use mesh::OrderMesh;
 pub use metrics::{layout_stats, layout_stats_permuted, LayoutStats};
-pub use morton::morton_ordering;
 pub use par_rdr::{par_rdr_ordering, par_rdr_ordering_on, ChunkConcat, ParRdrOptions};
 pub use permutation::{Permutation, PermutationError};
-pub use rcb::{rcb_ordering, rcb_parts, rcb_parts_nd, rcb_parts_weighted, rcb_parts_weighted_nd};
-pub use rdr::{
-    rdr_ordering, rdr_ordering_opts, rdr_ordering_with, rdr_ordering_with_adjacency, RdrOptions,
-};
+pub use rcb::{rcb_ordering, rcb_parts, rcb_parts_weighted};
+pub use rdr::{rdr_ordering, rdr_ordering_opts, RdrOptions};
+pub use sfc::sfc_ordering;
 pub use sloan::sloan_ordering;
-pub use sorts::{degree_sort_ordering, quality_sort_from_values, quality_sort_ordering};
+pub use sorts::{degree_sort_ordering, quality_sort_from_values};
 pub use spectral::{fiedler_vector, spectral_ordering, spectral_ordering_opts, SpectralOptions};
-pub use traversals::{
-    bfs_ordering, bfs_reversed_ordering, cuthill_mckee_ordering, dfs_ordering, random_ordering,
-    rcm_ordering,
-};
+pub use traversals::random_ordering;
 
-use lms_mesh::quality::QualityMetric;
-use lms_mesh::{Adjacency, TriMesh};
+use graph::{bfs_ordering_on, bfs_reversed_ordering_on, dfs_ordering_on, rcm_ordering_on};
 
 /// The orderings evaluated in the paper (plus the related-work and ablation
 /// baselines), as a closed enum for experiment drivers and CLIs.
@@ -163,58 +165,57 @@ impl OrderingKind {
     ];
 }
 
-/// Compute the permutation of `kind` for `mesh`.
+/// Compute the permutation of `kind` for `mesh`, in either dimension.
 ///
-/// A fresh [`Adjacency`] is built when the ordering needs one; callers with
-/// an adjacency at hand can use [`compute_ordering_with`].
-pub fn compute_ordering(mesh: &TriMesh, kind: OrderingKind) -> Permutation {
+/// The geometric kinds read the coordinates alone; the others build the
+/// adjacency and go through [`compute_ordering_with`].
+pub fn compute_ordering<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    kind: OrderingKind,
+) -> Permutation {
     match kind {
         OrderingKind::Original => Permutation::identity(mesh.num_vertices()),
         OrderingKind::Random { seed } => random_ordering(mesh.num_vertices(), seed),
-        OrderingKind::Hilbert => hilbert_ordering(mesh.coords()),
-        OrderingKind::Morton => morton_ordering(mesh.coords()),
+        OrderingKind::Hilbert => sfc_ordering(mesh.coords(), M::SFC_ORDER, M::hilbert_key),
+        OrderingKind::Morton => sfc_ordering(mesh.coords(), M::SFC_ORDER, M::morton_key),
         OrderingKind::Rcb => rcb_ordering(mesh.coords()),
-        OrderingKind::Rdr => rdr_ordering(mesh),
-        OrderingKind::Bfs
-        | OrderingKind::BfsReversed
-        | OrderingKind::Dfs
-        | OrderingKind::Rcm
-        | OrderingKind::Sloan
-        | OrderingKind::Spectral
-        | OrderingKind::QualitySort
-        | OrderingKind::DegreeSort => {
-            let adj = Adjacency::build(mesh);
-            compute_ordering_with(mesh, &adj, kind)
-        }
+        _ => compute_ordering_with(mesh, &mesh.build_adjacency(), kind),
     }
 }
 
-/// [`compute_ordering`] reusing a prebuilt adjacency.
-pub fn compute_ordering_with(mesh: &TriMesh, adj: &Adjacency, kind: OrderingKind) -> Permutation {
+/// [`compute_ordering`] walking a prebuilt adjacency: the graph kinds and
+/// RDR read nothing topological from `mesh` beyond `adj`'s boundary.
+pub fn compute_ordering_with<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    adj: &M::Adjacency,
+    kind: OrderingKind,
+) -> Permutation {
     match kind {
-        OrderingKind::Original => Permutation::identity(mesh.num_vertices()),
-        OrderingKind::Random { seed } => random_ordering(mesh.num_vertices(), seed),
-        OrderingKind::Bfs => bfs_ordering(adj, 0),
-        OrderingKind::BfsReversed => bfs_reversed_ordering(adj, 0),
-        OrderingKind::Dfs => dfs_ordering(adj, 0),
-        OrderingKind::Rcm => rcm_ordering(adj),
+        OrderingKind::Bfs => bfs_ordering_on(adj, 0),
+        OrderingKind::BfsReversed => bfs_reversed_ordering_on(adj, 0),
+        OrderingKind::Dfs => dfs_ordering_on(adj, 0),
+        OrderingKind::Rcm => rcm_ordering_on(adj),
         OrderingKind::Sloan => sloan_ordering(adj),
         OrderingKind::Spectral => spectral_ordering(adj),
-        OrderingKind::Hilbert => hilbert_ordering(mesh.coords()),
-        OrderingKind::Morton => morton_ordering(mesh.coords()),
-        OrderingKind::Rcb => rcb_ordering(mesh.coords()),
-        OrderingKind::QualitySort => {
-            quality_sort_ordering(mesh, adj, QualityMetric::EdgeLengthRatio)
-        }
+        OrderingKind::QualitySort => quality_sort_from_values(&mesh.edge_ratio_qualities(adj)),
         OrderingKind::DegreeSort => degree_sort_ordering(adj),
-        OrderingKind::Rdr => rdr_ordering_with_adjacency(mesh, adj, &RdrOptions::default()),
+        OrderingKind::Rdr => {
+            let interior = mesh.interior_flags(adj);
+            let quality = mesh.edge_ratio_qualities(adj);
+            graph::rdr_ordering_on(adj, &interior, &quality)
+        }
+        OrderingKind::Original
+        | OrderingKind::Random { .. }
+        | OrderingKind::Hilbert
+        | OrderingKind::Morton
+        | OrderingKind::Rcb => compute_ordering(mesh, kind),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::generators;
+    use lms_mesh::{generators, Adjacency, TriMesh};
 
     #[test]
     fn all_kinds_produce_valid_permutations() {

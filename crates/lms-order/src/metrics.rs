@@ -1,9 +1,11 @@
 //! Layout-locality metrics for comparing orderings *before* running the
 //! smoother: edge bandwidth, mean neighbour gap, and the access-span of a
-//! hypothetical sweep (the quantity Figure 5 of the paper minimises).
+//! hypothetical sweep (the quantity Figure 5 of the paper minimises) — for
+//! any [`OrderMesh`].
 
+use crate::graph::Graph;
+use crate::mesh::OrderMesh;
 use crate::permutation::Permutation;
-use lms_mesh::{Adjacency, TriMesh};
 
 /// Summary statistics of a vertex layout.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,37 +20,44 @@ pub struct LayoutStats {
 }
 
 /// Compute layout statistics for `mesh` as currently numbered.
-pub fn layout_stats(mesh: &TriMesh, adj: &Adjacency) -> LayoutStats {
+pub fn layout_stats<const D: usize, M: OrderMesh<D>>(mesh: &M, adj: &M::Adjacency) -> LayoutStats {
     layout_stats_permuted(mesh, adj, &Permutation::identity(mesh.num_vertices()))
 }
 
 /// Compute layout statistics as if `perm` had been applied to the mesh
 /// (without materialising the reordered mesh).
-pub fn layout_stats_permuted(mesh: &TriMesh, adj: &Adjacency, perm: &Permutation) -> LayoutStats {
-    assert_eq!(perm.len(), mesh.num_vertices());
+///
+/// The edge statistics run over the adjacency's directed pairs, each edge
+/// once per direction: the gaps are integers, so their sum is exact and the
+/// mean equals the mean over undirected edges bit for bit.
+pub fn layout_stats_permuted<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    adj: &M::Adjacency,
+    perm: &Permutation,
+) -> LayoutStats {
+    let n = mesh.num_vertices();
+    assert_eq!(perm.len(), n);
     let pos = perm.old_to_new();
-    let edges = mesh.edges();
 
     let mut bandwidth = 0usize;
     let mut gap_sum = 0f64;
-    for &(a, b) in &edges {
-        let gap = (pos[a as usize] as i64 - pos[b as usize] as i64).unsigned_abs() as usize;
-        bandwidth = bandwidth.max(gap);
-        gap_sum += gap as f64;
-    }
-    let mean_gap = if edges.is_empty() { 0.0 } else { gap_sum / edges.len() as f64 };
-
-    let n = mesh.num_vertices();
+    let mut pairs = 0usize;
     let mut span_sum = 0f64;
     for v in 0..n as u32 {
-        let mut lo = pos[v as usize];
-        let mut hi = pos[v as usize];
+        let pv = pos[v as usize];
+        let (mut lo, mut hi) = (pv, pv);
         for &w in adj.neighbors(v) {
-            lo = lo.min(pos[w as usize]);
-            hi = hi.max(pos[w as usize]);
+            let pw = pos[w as usize];
+            let gap = pv.abs_diff(pw) as usize;
+            bandwidth = bandwidth.max(gap);
+            gap_sum += gap as f64;
+            pairs += 1;
+            lo = lo.min(pw);
+            hi = hi.max(pw);
         }
         span_sum += (hi - lo) as f64;
     }
+    let mean_gap = if pairs == 0 { 0.0 } else { gap_sum / pairs as f64 };
     let mean_span = if n == 0 { 0.0 } else { span_sum / n as f64 };
 
     LayoutStats { bandwidth, mean_gap, mean_span }

@@ -1,4 +1,6 @@
-//! Morton (Z-order) space-filling-curve ordering.
+//! The 2D Morton (Z-order) curve: the cell index behind
+//! `OrderingKind::Morton` on triangle meshes ([`crate::sfc`] quantises and
+//! sorts).
 //!
 //! The second space-filling curve of the reproduction, next to
 //! [`crate::hilbert`]. Sastry et al. \[14\] evaluate SFC reorderings for mesh
@@ -9,13 +11,7 @@
 //! two separates "any geometric clustering helps" from "the curve's
 //! continuity matters".
 
-use crate::permutation::Permutation;
-use lms_mesh::{geometry::bounding_box, Point2};
-
-/// Order of the Morton curve used for quantisation (2^16 × 2^16 cells) —
-/// matches [`crate::hilbert`]'s grid so the two curves are compared on the
-/// exact same quantisation.
-const ORDER: u32 = 16;
+use crate::hilbert::ORDER;
 
 /// Interleave the low 16 bits of `v` with zeros ("Part1By1" in the
 /// bit-twiddling literature): `abcd` → `0a0b0c0d`.
@@ -37,37 +33,16 @@ pub fn morton_d(x: u32, y: u32) -> u64 {
     part1by1(x) | (part1by1(y) << 1)
 }
 
-/// Morton-curve ordering of `coords`.
-///
-/// Coordinates are normalised to the bounding box and quantised onto a
-/// `2^16`-cell grid; ties (same cell) break by original index, keeping the
-/// sort stable and deterministic.
-pub fn morton_ordering(coords: &[Point2]) -> Permutation {
-    let n = coords.len();
-    if n == 0 {
-        return Permutation::identity(0);
-    }
-    let (lo, hi) = bounding_box(coords);
-    let wx = (hi.x - lo.x).max(f64::MIN_POSITIVE);
-    let wy = (hi.y - lo.y).max(f64::MIN_POSITIVE);
-    let cells = ((1u64 << ORDER) - 1) as f64;
-    let mut keyed: Vec<(u64, u32)> = coords
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let qx = (((p.x - lo.x) / wx) * cells) as u32;
-            let qy = (((p.y - lo.y) / wy) * cells) as u32;
-            (morton_d(qx, qy), i as u32)
-        })
-        .collect();
-    keyed.sort_unstable();
-    Permutation::from_new_to_old_unchecked(keyed.into_iter().map(|(_, i)| i).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::generators;
+    use crate::permutation::Permutation;
+    use crate::sfc::sfc_ordering;
+    use lms_mesh::{generators, Point2};
+
+    fn morton_ordering(coords: &[Point2]) -> Permutation {
+        sfc_ordering(coords, ORDER, |[x, y]| morton_d(x, y))
+    }
 
     #[test]
     fn morton_code_interleaves_bits() {

@@ -7,19 +7,19 @@
 //! serial engine's smart sweeps (≈ 0.093 s each); it cost about four
 //! (0.33–0.38 s) while the walk read its state from an `f64` quality and
 //! three flag arrays. Parallelising the *construction* moves the
-//! break-even point further down: this module partitions the vertex index space into contiguous
-//! chunks (the same static decomposition the paper's parallel smoother
-//! uses), runs the Algorithm-2 walk of [`crate::graph`] inside each chunk
-//! with rayon, and concatenates the per-chunk orders.
+//! break-even point further down: this module partitions the vertex index
+//! space into contiguous chunks (the same static decomposition the paper's
+//! parallel smoother uses), runs the Algorithm-2 walk of [`crate::graph`]
+//! inside each chunk with rayon, and concatenates the per-chunk orders.
 //!
 //! The result is deterministic for every chunk count (the decomposition is
 //! by index, not by thread) and degrades locality only at the chunk seams.
-//! The serial [`rdr_ordering_with`] is the same walk over the whole index
-//! range, so `chunks = 1` reproduces it exactly.
-//!
-//! [`rdr_ordering_with`]: crate::rdr::rdr_ordering_with
+//! The serial [`rdr_ordering_on`](crate::graph::rdr_ordering_on) is the
+//! same walk over the whole index range, so `chunks = 1` reproduces it
+//! exactly.
 
 use crate::graph::{rdr_walk_in_range, Graph};
+use crate::mesh::OrderMesh;
 use crate::permutation::Permutation;
 use crate::rdr::RdrOptions;
 use rayon::prelude::*;
@@ -102,11 +102,8 @@ pub fn par_rdr_ordering(
     chunks: usize,
 ) -> Permutation {
     let adj = lms_mesh::Adjacency::build(mesh);
-    let boundary = lms_mesh::Boundary::from_adjacency(&adj);
     let quality = lms_mesh::quality::vertex_qualities(mesh, &adj, options.rdr.metric);
-    let interior: Vec<bool> =
-        (0..mesh.num_vertices() as u32).map(|v| boundary.is_interior(v)).collect();
-    par_rdr_ordering_on(&adj, &interior, &quality, options, chunks)
+    par_rdr_ordering_on(&adj, &mesh.interior_flags(&adj), &quality, options, chunks)
 }
 
 #[cfg(test)]

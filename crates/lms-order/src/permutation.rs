@@ -5,7 +5,7 @@
 //! was at position `old` originally (this is exactly Algorithm 2's
 //! `Vnew[next_num] ← V[i]`).
 
-use lms_mesh::TriMesh;
+use crate::mesh::OrderMesh;
 use std::fmt;
 
 /// Errors raised when constructing a [`Permutation`].
@@ -140,20 +140,21 @@ impl Permutation {
         Ok(self.new_to_old.iter().map(|&old| values[old as usize]).collect())
     }
 
-    /// Renumber a mesh: permutes the coordinate array, rewrites every
-    /// triangle's indices and moves the triangles into first-touch order
-    /// (see [`Permutation::renumber_elements`]). Geometry and connectivity
-    /// are unchanged — only the storage order of vertices *and* elements
-    /// moves, so everything the sweep indexes by element (incidence lists,
-    /// quality caches, star layouts) follows the new vertex order too.
-    pub fn apply_to_mesh(&self, mesh: &TriMesh) -> TriMesh {
+    /// Renumber a mesh of either dimension: permutes the coordinate
+    /// array, rewrites every element's indices and moves the elements into
+    /// first-touch order (see [`Permutation::renumber_elements`]). Geometry
+    /// and connectivity are unchanged — only the storage order of vertices
+    /// *and* elements moves, so everything the sweep indexes by element
+    /// (incidence lists, quality caches, star layouts) follows the new
+    /// vertex order too.
+    pub fn apply_to_mesh<const D: usize, M: OrderMesh<D>>(&self, mesh: &M) -> M {
         assert_eq!(
             self.len(),
             mesh.num_vertices(),
             "permutation length must match mesh vertex count"
         );
         let coords = self.new_to_old.iter().map(|&old| mesh.coords()[old as usize]).collect();
-        TriMesh::new_unchecked(coords, self.renumber_elements(mesh.triangles()))
+        mesh.renumbered(coords, self)
     }
 
     /// Rewrite the vertex ids of `K`-corner elements (triangles, tets) and
@@ -192,7 +193,7 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::figure5_mesh;
+    use lms_mesh::{figure5_mesh, TriMesh};
     use proptest::prelude::*;
 
     /// The two-buffer body `renumber_elements` had before it wrote each

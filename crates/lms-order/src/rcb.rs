@@ -1,4 +1,5 @@
-//! Recursive coordinate bisection (RCB): ordering and k-way partitioning.
+//! Recursive coordinate bisection (RCB): ordering and k-way partitioning,
+//! one body for every dimension.
 //!
 //! The cache-oblivious divide-and-conquer layout: split the vertex set at
 //! the median of its longest bounding-box axis, lay out each half
@@ -10,65 +11,61 @@
 //! Included as a strong geometric baseline next to Hilbert/Morton
 //! (Sastry et al. \[14\]) in the ordering zoo. The same median-split
 //! primitive also drives [`rcb_parts`], the balanced k-way geometric
-//! partitioner behind `lms-part`'s domain decomposition.
+//! partitioner behind `lms-part`'s domain decompositions, in 2D and 3D.
 //!
-//! The recursion passes each subset's **exact** bounding box down instead
-//! of re-scanning all ids at every level: along the split axis the child
-//! extents fall out of the split itself (see `median_split`), so only
-//! the off-axis extents and the left half's split-axis maximum need a
-//! fold — one fused pass per split instead of a fresh full-box scan per
-//! child, with a bit-identical resulting permutation.
+//! Points are read as `D`-component arrays (anything `Into<[f64; D]>`, so
+//! `Point2`, `Point3` and plain arrays alike). The longest axis is the
+//! first one of maximal extent, which at `D = 2` is the `extent.x >=
+//! extent.y` rule. The recursion passes each subset's **exact** bounding
+//! box down instead of re-scanning all ids at every level: along the split
+//! axis the child extents fall out of the split itself (see
+//! `median_split_nd`), so only the off-axis extents and the left half's
+//! split-axis maximum need a fold — one fused pass per split instead of a
+//! fresh full-box scan per child, with a bit-identical resulting
+//! permutation.
 
 use crate::permutation::Permutation;
-use lms_mesh::Point2;
 
 /// Minimum leaf size: subsets at or below this stay in index order.
 const LEAF: usize = 8;
 
-/// Recursive-coordinate-bisection ordering of a 2D point set.
-pub fn rcb_ordering(coords: &[Point2]) -> Permutation {
+/// The points as `D`-component arrays, the form the recursion indexes.
+fn arrays<const D: usize, P: Copy + Into<[f64; D]>>(coords: &[P]) -> Vec<[f64; D]> {
+    coords.iter().map(|&p| p.into()).collect()
+}
+
+/// Recursive-coordinate-bisection ordering of a point set.
+pub fn rcb_ordering<const D: usize, P: Copy + Into<[f64; D]>>(coords: &[P]) -> Permutation {
+    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
     if ids.len() > LEAF {
-        let (lo, hi) = subset_bbox(&ids, coords);
-        bisect(&mut ids, coords, lo, hi);
+        let (lo, hi) = subset_bbox_nd(&ids, &coords);
+        bisect_nd(&mut ids, &coords, lo, hi);
     }
     // subsets at or below LEAF keep ascending index order; `ids` starts
     // sorted, so nothing to do on that path
     Permutation::from_new_to_old_unchecked(ids)
 }
 
-/// Balanced k-way RCB partition of a 2D point set: recursively
-/// median-split along the longest bounding-box axis, sending `⌊k/2⌋/k` of
-/// the points (and parts) to the left subtree. Returns the owning part of
-/// every point. Part sizes differ by at most one, every part is a
-/// geometrically compact blob, and the assignment is deterministic (ties
-/// broken by id, exactly like [`rcb_ordering`]).
-///
-/// Thin 2D wrapper over the dimension-generic [`rcb_parts_nd`] — the
-/// split-axis rule (`extent.x >= extent.y` picks x) is exactly the ND
-/// "first longest axis wins" rule at `D = 2`, so the assignment is
-/// unchanged by the generalisation.
-pub fn rcb_parts(coords: &[Point2], num_parts: usize) -> Vec<u32> {
-    let nd: Vec<[f64; 2]> = coords.iter().map(|p| [p.x, p.y]).collect();
-    rcb_parts_nd(&nd, num_parts)
-}
-
-/// Balanced k-way RCB partition of a `D`-dimensional point set (the
-/// const-generic core behind [`rcb_parts`], and the 3D partitioner of
-/// `lms-mesh3d`'s tetrahedral decompositions): recursively median-split
-/// along the longest bounding-box axis (the first such axis on ties),
-/// sending `⌊k/2⌋/k` of the points (and parts) to the left subtree.
-/// Part sizes differ by at most one and the assignment is deterministic
-/// (ties broken by id).
-pub fn rcb_parts_nd<const D: usize>(coords: &[[f64; D]], num_parts: usize) -> Vec<u32> {
+/// Balanced k-way RCB partition of a point set: recursively median-split
+/// along the longest bounding-box axis, sending `⌊k/2⌋/k` of the points
+/// (and parts) to the left subtree. Returns the owning part of every
+/// point. Part sizes differ by at most one, every part is a geometrically
+/// compact blob, and the assignment is deterministic (ties broken by id,
+/// exactly like [`rcb_ordering`]).
+pub fn rcb_parts<const D: usize, P: Copy + Into<[f64; D]>>(
+    coords: &[P],
+    num_parts: usize,
+) -> Vec<u32> {
     assert!(num_parts >= 1, "need at least one part");
     let mut part = vec![0u32; coords.len()];
     if coords.is_empty() || num_parts == 1 {
         return part;
     }
+    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
-    let (lo, hi) = subset_bbox_nd(&ids, coords);
-    kway_nd(&mut ids, coords, lo, hi, 0, num_parts as u32, &mut part);
+    let (lo, hi) = subset_bbox_nd(&ids, &coords);
+    kway_nd(&mut ids, &coords, lo, hi, 0, num_parts as u32, &mut part);
     part
 }
 
@@ -76,24 +73,16 @@ pub fn rcb_parts_nd<const D: usize>(coords: &[[f64; D]], num_parts: usize) -> Ve
 /// split places the cut at the **weighted median** along the longest axis —
 /// the left subtree receives the prefix of the `(key, id)`-sorted subset
 /// whose cumulative weight stays within `⌊k/2⌋/k` of the subset's total
-/// weight. With non-uniform weights (e.g. per-vertex area shares of a
-/// graded mesh) this balances *weight* per part where the unweighted
+/// weight. With non-uniform weights (e.g. per-vertex area or volume shares
+/// of a graded mesh) this balances *weight* per part where the unweighted
 /// splitter balances *counts*.
 ///
 /// With uniform weights the cut index reduces exactly to the unweighted
 /// `len·⌊k/2⌋/k` (integer cumulative sums compared against an exactly-
 /// representable target), so the assignment equals [`rcb_parts`] — the
 /// oracle property the tests pin.
-pub fn rcb_parts_weighted(coords: &[Point2], weights: &[f64], num_parts: usize) -> Vec<u32> {
-    let nd: Vec<[f64; 2]> = coords.iter().map(|p| [p.x, p.y]).collect();
-    rcb_parts_weighted_nd(&nd, weights, num_parts)
-}
-
-/// Balanced k-way weighted RCB over `D`-dimensional coordinates — the
-/// const-generic core behind [`rcb_parts_weighted`], with the same
-/// weighted-median cut rule per split.
-pub fn rcb_parts_weighted_nd<const D: usize>(
-    coords: &[[f64; D]],
+pub fn rcb_parts_weighted<const D: usize, P: Copy + Into<[f64; D]>>(
+    coords: &[P],
     weights: &[f64],
     num_parts: usize,
 ) -> Vec<u32> {
@@ -107,14 +96,14 @@ pub fn rcb_parts_weighted_nd<const D: usize>(
     if coords.is_empty() || num_parts == 1 {
         return part;
     }
+    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
-    kway_weighted_nd(&mut ids, coords, weights, 0, num_parts as u32, &mut part);
+    kway_weighted_nd(&mut ids, &coords, weights, 0, num_parts as u32, &mut part);
     part
 }
 
-/// Exact bounding box of an ND subset — computed once at each k-way
-/// recursion root; children derive theirs from [`median_split_nd`]'s
-/// bookkeeping, mirroring the 2D extents-down recursion.
+/// Exact bounding box of a subset — computed once at each recursion root;
+/// children derive theirs from [`median_split_nd`]'s bookkeeping.
 fn subset_bbox_nd<const D: usize>(ids: &[u32], coords: &[[f64; D]]) -> ([f64; D], [f64; D]) {
     let mut lo = coords[ids[0] as usize];
     let mut hi = lo;
@@ -128,8 +117,7 @@ fn subset_bbox_nd<const D: usize>(ids: &[u32], coords: &[[f64; D]]) -> ([f64; D]
     (lo, hi)
 }
 
-/// Longest axis of an exact bounding box (first axis wins ties — at
-/// `D = 2` exactly the old `(hi.x - lo.x) >= (hi.y - lo.y)` rule).
+/// Longest axis of an exact bounding box (first axis wins ties).
 fn longest_axis<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> usize {
     let mut axis = 0;
     for d in 1..D {
@@ -140,11 +128,11 @@ fn longest_axis<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> usize {
     axis
 }
 
-/// [`median_split`]'s ND form: split `ids` at position `mid` along the
-/// longest axis of its (exact) bounding box `(lo, hi)`, ties broken by
-/// id, and return the **exact** bounding boxes of the two halves via one
-/// fused pass — the split-axis extremes carry over from the parent and
-/// the pivot, so no fresh full-box scan per child is needed.
+/// Split `ids` at position `mid` along the longest axis of its (exact)
+/// bounding box `(lo, hi)`, median style with ties broken by id, and
+/// return the **exact** bounding boxes of the two halves via one fused
+/// pass — the split-axis extremes carry over from the parent and the
+/// pivot, so no fresh full-box scan per child is needed.
 #[allow(clippy::type_complexity)]
 fn median_split_nd<const D: usize>(
     ids: &mut [u32],
@@ -187,6 +175,21 @@ fn median_split_nd<const D: usize>(
     rlo[axis] = key(ids[mid]);
     rhi[axis] = hi[axis];
     ((llo, lhi), (rlo, rhi))
+}
+
+/// The ordering recursion: halve at the median, lay out each half
+/// contiguously, sort leaves of at most [`LEAF`] ids.
+fn bisect_nd<const D: usize>(ids: &mut [u32], coords: &[[f64; D]], lo: [f64; D], hi: [f64; D]) {
+    let mid = ids.len() / 2;
+    let (lbox, rbox) = median_split_nd(ids, coords, lo, hi, mid);
+    let (left, right) = ids.split_at_mut(mid);
+    for (half, (hlo, hhi)) in [(left, lbox), (right, rbox)] {
+        if half.len() <= LEAF {
+            half.sort_unstable(); // deterministic leaf layout
+        } else {
+            bisect_nd(half, coords, hlo, hhi);
+        }
+    }
 }
 
 fn kway_nd<const D: usize>(
@@ -269,102 +272,12 @@ fn kway_weighted_nd<const D: usize>(
     kway_weighted_nd(right, coords, weights, base + kl, k - kl, part);
 }
 
-/// Exact bounding box of a subset — the recursion root's only full scan
-/// (children derive theirs from [`median_split`]'s bookkeeping).
-fn subset_bbox(ids: &[u32], coords: &[Point2]) -> (Point2, Point2) {
-    let (mut lo, mut hi) = (coords[ids[0] as usize], coords[ids[0] as usize]);
-    for &v in ids.iter() {
-        lo = lo.min(coords[v as usize]);
-        hi = hi.max(coords[v as usize]);
-    }
-    (lo, hi)
-}
-
-/// Split `ids` at position `mid` along the longest axis of its (exact)
-/// bounding box `(lo, hi)`, median style with ties broken by id, and
-/// return the **exact** bounding boxes of the two halves.
-///
-/// The child boxes need no fresh full scan: under the `(key, id)` order
-/// the subset's key-minimal element lands in the left half and the
-/// key-maximal in the right (so the parent's split-axis extremes carry
-/// over), and the median element — first of the right half — realises the
-/// right half's split-axis minimum. Only the left half's split-axis
-/// maximum and both halves' off-axis extents remain, gathered in one
-/// fused pass.
-fn median_split(
-    ids: &mut [u32],
-    coords: &[Point2],
-    lo: Point2,
-    hi: Point2,
-    mid: usize,
-) -> ((Point2, Point2), (Point2, Point2)) {
-    debug_assert!(mid >= 1 && mid < ids.len());
-    let split_x = (hi.x - lo.x) >= (hi.y - lo.y);
-    let key = |v: u32| {
-        let p = coords[v as usize];
-        if split_x {
-            p.x
-        } else {
-            p.y
-        }
-    };
-    ids.select_nth_unstable_by(mid, |&a, &b| {
-        key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-
-    let off = |v: u32| {
-        let p = coords[v as usize];
-        if split_x {
-            p.y
-        } else {
-            p.x
-        }
-    };
-    let pivot = key(ids[mid]);
-    let mut lk_max = key(ids[0]);
-    let (mut lo_min, mut lo_max) = (off(ids[0]), off(ids[0]));
-    for &v in &ids[1..mid] {
-        lk_max = lk_max.max(key(v));
-        let o = off(v);
-        lo_min = lo_min.min(o);
-        lo_max = lo_max.max(o);
-    }
-    let (mut ro_min, mut ro_max) = (off(ids[mid]), off(ids[mid]));
-    for &v in &ids[mid + 1..] {
-        let o = off(v);
-        ro_min = ro_min.min(o);
-        ro_max = ro_max.max(o);
-    }
-    let (lk_min, rk_max) = if split_x { (lo.x, hi.x) } else { (lo.y, hi.y) };
-    let boxed = |k0: f64, k1: f64, o0: f64, o1: f64| {
-        if split_x {
-            (Point2::new(k0, o0), Point2::new(k1, o1))
-        } else {
-            (Point2::new(o0, k0), Point2::new(o1, k1))
-        }
-    };
-    (boxed(lk_min, lk_max, lo_min, lo_max), boxed(pivot, rk_max, ro_min, ro_max))
-}
-
-fn bisect(ids: &mut [u32], coords: &[Point2], lo: Point2, hi: Point2) {
-    let mid = ids.len() / 2;
-    let (lbox, rbox) = median_split(ids, coords, lo, hi, mid);
-    let (left, right) = ids.split_at_mut(mid);
-    for (half, (hlo, hhi)) in [(left, lbox), (right, rbox)] {
-        if half.len() <= LEAF {
-            half.sort_unstable(); // deterministic leaf layout
-        } else {
-            bisect(half, coords, hlo, hhi);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::layout_stats_permuted;
     use crate::traversals::random_ordering;
-    use lms_mesh::{generators, Adjacency};
+    use lms_mesh::{generators, Adjacency, Point2};
 
     /// The pre-optimisation reference: recompute the subset bounding box
     /// from scratch at every recursion level. Kept as the oracle for the
@@ -462,7 +375,7 @@ mod tests {
 
     #[test]
     fn small_and_empty_inputs() {
-        assert!(rcb_ordering(&[]).is_empty());
+        assert!(rcb_ordering::<2, Point2>(&[]).is_empty());
         let few = vec![Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)];
         assert_eq!(rcb_ordering(&few).new_to_old(), &[0, 1]);
     }
@@ -512,7 +425,7 @@ mod tests {
 
     #[test]
     fn parts_degenerate_inputs() {
-        assert!(rcb_parts(&[], 4).is_empty());
+        assert!(rcb_parts::<2, Point2>(&[], 4).is_empty());
         // more parts than points: every point still gets a valid part id
         let few = vec![Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)];
         let part = rcb_parts(&few, 8);
@@ -556,7 +469,7 @@ mod tests {
         // and degenerate inputs behave like the unweighted splitter
         let few = vec![Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)];
         assert_eq!(rcb_parts_weighted(&few, &[1.0, 1.0], 8), rcb_parts(&few, 8));
-        assert!(rcb_parts_weighted(&[], &[], 4).is_empty());
+        assert!(rcb_parts_weighted::<2, Point2>(&[], &[], 4).is_empty());
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //!
 //! [`Theorem 1`]: https://arxiv.org/abs/1606.00803
 
+use crate::graph::rdr_ordering_on;
 use crate::permutation::Permutation;
+use crate::{compute_ordering, OrderMesh, OrderingKind};
 use lms_mesh::quality::{vertex_qualities, QualityMetric};
-use lms_mesh::{Adjacency, Boundary, TriMesh};
+use lms_mesh::{Adjacency, TriMesh};
 
 /// Options for the RDR ordering.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,52 +86,27 @@ impl RdrOptions {
     }
 }
 
-/// Algorithm 2 with precomputed inputs.
-///
-/// `quality[v]` is the per-vertex quality; `boundary` marks the pinned
-/// vertices (the outer loop only seeds from interior vertices, exactly as
-/// in the pseudocode; boundary vertices are ordered when they appear as
-/// neighbours, and any never-reached vertex is appended at the end in index
-/// order so the result is always a complete permutation).
-pub fn rdr_ordering_with(
-    adj: &Adjacency,
-    boundary: &Boundary,
-    quality: &[f64],
-    options: &RdrOptions,
-) -> Permutation {
-    let n = adj.num_vertices();
-    let interior: Vec<bool> = (0..n as u32).map(|v| boundary.is_interior(v)).collect();
-    crate::graph::rdr_ordering_on(adj, &interior, quality, options)
-}
-
-/// Algorithm 2 on `mesh` given its adjacency: boundary flags and
-/// qualities (under `options.metric`) are read off `adj`, nothing
-/// topological is rebuilt.
-pub fn rdr_ordering_with_adjacency(
-    mesh: &TriMesh,
-    adj: &Adjacency,
-    options: &RdrOptions,
-) -> Permutation {
-    let boundary = Boundary::from_adjacency(adj);
-    let quality = vertex_qualities(mesh, adj, options.metric);
-    rdr_ordering_with(adj, &boundary, &quality, options)
-}
-
-/// Algorithm 2 end to end: builds the adjacency, then
-/// [`rdr_ordering_with_adjacency`].
+/// Algorithm 2 on a triangle mesh, ranking vertices by `options.metric`:
+/// builds the adjacency, reads the interior flags off it and runs the walk
+/// ([`rdr_ordering_on`]). Boundary vertices are ordered when they appear
+/// as neighbours, and any never-reached vertex is appended at the end in
+/// index order, so the result is always a complete permutation.
 pub fn rdr_ordering_opts(mesh: &TriMesh, options: &RdrOptions) -> Permutation {
-    rdr_ordering_with_adjacency(mesh, &Adjacency::build(mesh), options)
+    let adj = Adjacency::build(mesh);
+    let quality = vertex_qualities(mesh, &adj, options.metric);
+    rdr_ordering_on(&adj, &mesh.interior_flags(&adj), &quality)
 }
 
-/// Paper-default RDR ordering of `mesh`.
-pub fn rdr_ordering(mesh: &TriMesh) -> Permutation {
-    rdr_ordering_opts(mesh, &RdrOptions::default())
+/// Paper-default RDR ordering (edge-length-ratio qualities) of a mesh of
+/// either dimension: [`compute_ordering`] with [`OrderingKind::Rdr`].
+pub fn rdr_ordering<const D: usize, M: OrderMesh<D>>(mesh: &M) -> Permutation {
+    compute_ordering(mesh, OrderingKind::Rdr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::{figure5_mesh, generators};
+    use lms_mesh::{figure5_mesh, generators, Boundary};
 
     fn full_setup(mesh: &TriMesh) -> (Adjacency, Boundary, Vec<f64>) {
         let adj = Adjacency::build(mesh);
@@ -156,8 +133,7 @@ mod tests {
     fn binned_first_vertex_is_in_the_worst_occupied_bin() {
         let m = generators::perturbed_grid(12, 12, 0.4, 5);
         let (adj, boundary, q) = full_setup(&m);
-        let opts = RdrOptions::default();
-        let p = rdr_ordering_with(&adj, &boundary, &q, &opts);
+        let p = rdr_ordering_on(&adj, &m.interior_flags(&adj), &q);
         let first = p.new_to_old()[0];
         assert!(boundary.is_interior(first));
         let bin = |v: u32| quality_bin(q[v as usize]);
@@ -194,9 +170,9 @@ mod tests {
     #[test]
     fn neighbours_of_first_vertex_come_right_after_it() {
         let m = generators::perturbed_grid(10, 10, 0.35, 8);
-        let (adj, boundary, q) = full_setup(&m);
+        let (adj, _, q) = full_setup(&m);
         let opts = RdrOptions::default();
-        let p = rdr_ordering_with(&adj, &boundary, &q, &opts);
+        let p = rdr_ordering_on(&adj, &m.interior_flags(&adj), &q);
         let order = p.new_to_old();
         let first = order[0];
         let deg = adj.degree(first);

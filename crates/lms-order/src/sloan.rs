@@ -17,8 +17,8 @@
 //! pseudo-peripheral pair finder. Disconnected meshes are handled
 //! per component.
 
+use crate::graph::Graph;
 use crate::permutation::Permutation;
-use lms_mesh::Adjacency;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -41,7 +41,7 @@ enum Status {
 
 /// BFS distances from `root` restricted to `root`'s component
 /// (`u32::MAX` marks unreachable vertices).
-fn bfs_distances(adj: &Adjacency, root: u32) -> Vec<u32> {
+fn bfs_distances<G: Graph>(adj: &G, root: u32) -> Vec<u32> {
     let mut dist = vec![u32::MAX; adj.num_vertices()];
     let mut queue = VecDeque::new();
     dist[root as usize] = 0;
@@ -61,7 +61,7 @@ fn bfs_distances(adj: &Adjacency, root: u32) -> Vec<u32> {
 /// Find a pseudo-peripheral pair `(start, end)` of the component containing
 /// `root`: repeatedly BFS, jump to a minimum-degree vertex of the deepest
 /// level, and stop when the eccentricity no longer grows.
-fn pseudo_peripheral_pair(adj: &Adjacency, root: u32) -> (u32, u32) {
+fn pseudo_peripheral_pair<G: Graph>(adj: &G, root: u32) -> (u32, u32) {
     let mut start = root;
     let mut dist = bfs_distances(adj, start);
     let mut ecc = dist.iter().filter(|&&d| d != u32::MAX).max().copied().unwrap_or(0);
@@ -86,8 +86,8 @@ fn pseudo_peripheral_pair(adj: &Adjacency, root: u32) -> (u32, u32) {
 
 /// Number one connected component starting at `start`, guided by distances
 /// to `end`. Appends into `order`, flips `status` to `Postactive`.
-fn sloan_component(
-    adj: &Adjacency,
+fn sloan_component<G: Graph>(
+    adj: &G,
     start: u32,
     end: u32,
     order: &mut Vec<u32>,
@@ -154,7 +154,7 @@ fn sloan_component(
 /// Every connected component is numbered from a pseudo-peripheral start
 /// vertex toward its antipodal end vertex; isolated vertices come out in
 /// index order. The result is always a complete permutation.
-pub fn sloan_ordering(adj: &Adjacency) -> Permutation {
+pub fn sloan_ordering<G: Graph>(adj: &G) -> Permutation {
     let n = adj.num_vertices();
     let mut order = Vec::with_capacity(n);
     let mut status = vec![Status::Inactive; n];
@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::metrics::layout_stats_permuted;
     use crate::traversals::random_ordering;
-    use lms_mesh::{figure5_mesh, generators, Point2, TriMesh};
+    use lms_mesh::{figure5_mesh, generators, Adjacency, Point2, TriMesh};
 
     fn profile(m: &TriMesh, p: &Permutation) -> u64 {
         // matrix profile = sum over rows of (row index − smallest connected

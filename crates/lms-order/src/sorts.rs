@@ -5,7 +5,7 @@
 //! initial quality, and (ii) walk the mesh graph so a vertex's neighbours
 //! land next to it in storage. These baselines keep only ingredient (i):
 //!
-//! * [`quality_sort_ordering`] sorts all vertices globally by increasing
+//! * [`quality_sort_from_values`] sorts all vertices globally by increasing
 //!   initial quality — the §4.2 conjecture taken literally, with no
 //!   neighbour chaining. If RDR's win came purely from matching the greedy
 //!   sweep's *temporal* order, this ordering would match it; in fact it
@@ -17,24 +17,15 @@
 //!
 //! Both are deterministic (ties break by vertex index).
 
+use crate::graph::Graph;
 use crate::permutation::Permutation;
-use lms_mesh::quality::{vertex_qualities, QualityMetric};
-use lms_mesh::{Adjacency, TriMesh};
 
-/// Sort every vertex by increasing initial quality (ties by index).
+/// Sort every vertex by increasing initial quality `quality[v]` (ties by
+/// index).
 ///
 /// This is the "global quality sort" that seeds RDR's outer loop, used
-/// *alone* as a full ordering.
-pub fn quality_sort_ordering(
-    mesh: &TriMesh,
-    adj: &Adjacency,
-    metric: QualityMetric,
-) -> Permutation {
-    let quality = vertex_qualities(mesh, adj, metric);
-    quality_sort_from_values(&quality)
-}
-
-/// [`quality_sort_ordering`] from precomputed per-vertex values.
+/// *alone* as a full ordering (`OrderingKind::QualitySort` ranks by the
+/// edge-length-ratio qualities).
 pub fn quality_sort_from_values(quality: &[f64]) -> Permutation {
     let mut order: Vec<u32> = (0..quality.len() as u32).collect();
     // qualities are finite and non-negative, so the IEEE bit pattern is
@@ -44,7 +35,7 @@ pub fn quality_sort_from_values(quality: &[f64]) -> Permutation {
 }
 
 /// Sort every vertex by increasing degree (ties by index).
-pub fn degree_sort_ordering(adj: &Adjacency) -> Permutation {
+pub fn degree_sort_ordering<G: Graph>(adj: &G) -> Permutation {
     let mut order: Vec<u32> = (0..adj.num_vertices() as u32).collect();
     order.sort_unstable_by_key(|&v| (adj.degree(v), v));
     Permutation::from_new_to_old_unchecked(order)
@@ -53,14 +44,16 @@ pub fn degree_sort_ordering(adj: &Adjacency) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::generators;
+    use crate::{compute_ordering, OrderingKind};
+    use lms_mesh::quality::{vertex_qualities, QualityMetric};
+    use lms_mesh::{generators, Adjacency};
 
     #[test]
     fn quality_sort_is_monotone_in_quality() {
         let m = generators::perturbed_grid(14, 14, 0.35, 8);
         let adj = Adjacency::build(&m);
         let q = vertex_qualities(&m, &adj, QualityMetric::EdgeLengthRatio);
-        let p = quality_sort_ordering(&m, &adj, QualityMetric::EdgeLengthRatio);
+        let p = compute_ordering(&m, OrderingKind::QualitySort);
         let ordered: Vec<f64> = p.new_to_old().iter().map(|&v| q[v as usize]).collect();
         assert!(ordered.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(p.len(), m.num_vertices());
@@ -96,11 +89,7 @@ mod tests {
         let m = generators::perturbed_grid(24, 24, 0.35, 6);
         let adj = Adjacency::build(&m);
         let id = layout_stats_permuted(&m, &adj, &Permutation::identity(m.num_vertices()));
-        let qs = layout_stats_permuted(
-            &m,
-            &adj,
-            &quality_sort_ordering(&m, &adj, QualityMetric::EdgeLengthRatio),
-        );
+        let qs = layout_stats_permuted(&m, &adj, &compute_ordering(&m, OrderingKind::QualitySort));
         assert!(
             qs.mean_span > 2.0 * id.mean_span,
             "quality sort should scatter: {} vs {}",

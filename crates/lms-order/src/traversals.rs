@@ -1,50 +1,17 @@
-//! Graph-traversal orderings: BFS (Strout & Hovland), DFS, (reverse)
-//! Cuthill–McKee, and the RANDOM baseline.
+//! The RANDOM baseline, and the tests of the graph traversals on mesh
+//! adjacencies.
 //!
-//! All traversals cover every connected component (restarting from the
-//! lowest-numbered unvisited vertex), so they always produce a full
-//! permutation. The cores are graph-generic (see [`crate::graph`]); these
-//! wrappers fix the graph type to the triangle-mesh [`Adjacency`].
+//! The traversal orderings themselves — BFS (Strout & Hovland), reversed
+//! BFS (Munson & Hovland), DFS and (reverse) Cuthill–McKee — are the
+//! graph-generic cores of [`crate::graph`], run on any
+//! [`Graph`](crate::Graph): every one covers every connected component
+//! (restarting from the lowest-numbered unvisited vertex), so it always
+//! produces a full permutation.
 
-use crate::graph;
 use crate::permutation::Permutation;
-use lms_mesh::Adjacency;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Breadth-first-search ordering from `seed` — the reordering of
-/// Strout & Hovland \[18\] that the paper uses as its strongest baseline.
-pub fn bfs_ordering(adj: &Adjacency, seed: u32) -> Permutation {
-    graph::bfs_ordering_on(adj, seed)
-}
-
-/// Depth-first-search ordering from `seed` (pre-order, iterative).
-///
-/// Neighbours are pushed in reverse index order so the traversal expands
-/// the lowest-numbered neighbour first, matching the textbook recursion.
-pub fn dfs_ordering(adj: &Adjacency, seed: u32) -> Permutation {
-    graph::dfs_ordering_on(adj, seed)
-}
-
-/// Cuthill–McKee ordering: BFS from a minimum-degree vertex with each
-/// frontier sorted by ascending degree.
-pub fn cuthill_mckee_ordering(adj: &Adjacency) -> Permutation {
-    graph::cuthill_mckee_ordering_on(adj)
-}
-
-/// Reverse Cuthill–McKee: [`cuthill_mckee_ordering`] with the visit order
-/// reversed — the classic bandwidth-reducing ordering.
-pub fn rcm_ordering(adj: &Adjacency) -> Permutation {
-    graph::rcm_ordering_on(adj)
-}
-
-/// Reversed breadth-first search: BFS from `seed` with the visit order
-/// reversed — the ordering Munson & Hovland \[19\] found best for the
-/// FeasNewt mesh-optimisation benchmark (paper §2).
-pub fn bfs_reversed_ordering(adj: &Adjacency, seed: u32) -> Permutation {
-    graph::bfs_reversed_ordering_on(adj, seed)
-}
 
 /// Uniform random ordering (Fisher–Yates), deterministic in `seed`.
 /// The paper's worst-case baseline (Figure 1a).
@@ -57,6 +24,10 @@ pub fn random_ordering(n: usize, seed: u64) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{
+        bfs_ordering_on, bfs_reversed_ordering_on, cuthill_mckee_ordering_on, dfs_ordering_on,
+        rcm_ordering_on,
+    };
     use lms_mesh::{figure5_mesh, generators, Adjacency, TriMesh};
 
     fn fig5_adj() -> (TriMesh, Adjacency) {
@@ -68,7 +39,7 @@ mod tests {
     #[test]
     fn bfs_starts_at_seed_and_expands_by_levels() {
         let (_, adj) = fig5_adj();
-        let p = bfs_ordering(&adj, 0);
+        let p = bfs_ordering_on(&adj, 0);
         let order = p.new_to_old();
         assert_eq!(order[0], 0);
         // All of vertex 0's neighbours appear before any distance-2 vertex.
@@ -82,7 +53,7 @@ mod tests {
     fn bfs_is_a_permutation_on_every_seed() {
         let (m, adj) = fig5_adj();
         for seed in 0..m.num_vertices() as u32 {
-            let p = bfs_ordering(&adj, seed);
+            let p = bfs_ordering_on(&adj, seed);
             assert_eq!(p.len(), m.num_vertices());
             assert_eq!(p.new_to_old()[0], seed);
         }
@@ -91,7 +62,7 @@ mod tests {
     #[test]
     fn dfs_goes_deep_first() {
         let (_, adj) = fig5_adj();
-        let p = dfs_ordering(&adj, 0);
+        let p = dfs_ordering_on(&adj, 0);
         let order = p.new_to_old();
         assert_eq!(order[0], 0);
         // second visited vertex is 0's lowest neighbour
@@ -102,8 +73,8 @@ mod tests {
     #[test]
     fn bfs_reversed_is_reversed_bfs() {
         let (_, adj) = fig5_adj();
-        let fwd = bfs_ordering(&adj, 0);
-        let rev = bfs_reversed_ordering(&adj, 0);
+        let fwd = bfs_ordering_on(&adj, 0);
+        let rev = bfs_reversed_ordering_on(&adj, 0);
         let mut expect = fwd.new_to_old().to_vec();
         expect.reverse();
         assert_eq!(rev.new_to_old(), &expect[..]);
@@ -114,8 +85,8 @@ mod tests {
     #[test]
     fn rcm_reverses_cuthill_mckee() {
         let (_, adj) = fig5_adj();
-        let cm = cuthill_mckee_ordering(&adj);
-        let rcm = rcm_ordering(&adj);
+        let cm = cuthill_mckee_ordering_on(&adj);
+        let rcm = rcm_ordering_on(&adj);
         let mut reversed = cm.new_to_old().to_vec();
         reversed.reverse();
         assert_eq!(rcm.new_to_old(), &reversed[..]);
@@ -135,7 +106,7 @@ mod tests {
         };
         let id = Permutation::identity(m.num_vertices());
         let rnd = random_ordering(m.num_vertices(), 1);
-        let rcm = rcm_ordering(&adj);
+        let rcm = rcm_ordering_on(&adj);
         assert!(bw(&rcm) <= bw(&id) * 2, "RCM should not blow up grid bandwidth");
         assert!(bw(&rcm) < bw(&rnd), "RCM must beat random bandwidth");
     }
@@ -156,7 +127,7 @@ mod tests {
         let coords = (0..6).map(|i| lms_mesh::Point2::new(i as f64, (i % 2) as f64)).collect();
         let m = TriMesh::new(coords, vec![[0, 1, 2], [3, 4, 5]]).unwrap();
         let adj = Adjacency::build(&m);
-        for p in [bfs_ordering(&adj, 0), dfs_ordering(&adj, 0), rcm_ordering(&adj)] {
+        for p in [bfs_ordering_on(&adj, 0), dfs_ordering_on(&adj, 0), rcm_ordering_on(&adj)] {
             assert_eq!(p.len(), 6);
             let mut sorted = p.new_to_old().to_vec();
             sorted.sort_unstable();
@@ -168,9 +139,9 @@ mod tests {
     fn empty_graph_yields_empty_permutations() {
         let m = TriMesh::new(Vec::new(), Vec::new()).unwrap();
         let adj = Adjacency::build(&m);
-        assert!(bfs_ordering(&adj, 0).is_empty());
-        assert!(dfs_ordering(&adj, 0).is_empty());
-        assert!(rcm_ordering(&adj).is_empty());
+        assert!(bfs_ordering_on(&adj, 0).is_empty());
+        assert!(dfs_ordering_on(&adj, 0).is_empty());
+        assert!(rcm_ordering_on(&adj).is_empty());
         assert!(random_ordering(0, 0).is_empty());
     }
 }

@@ -2,13 +2,17 @@
 //! bijection on arbitrary meshes (Theorem 1 of the paper for RDR), the
 //! RDR walk equals a plain reference walk, the permutation algebra obeys
 //! its laws, and the locality metrics rank the graph orderings above
-//! random.
+//! random. The kind-by-kind checks run on triangle and tetrahedral meshes
+//! alike.
 
 use lms_mesh::{generators, Adjacency, TriMesh};
+use lms_mesh3d::generators::{block_scramble, perturbed_tet_grid};
+use lms_mesh3d::TetMesh;
 use lms_order::graph::rdr_ordering_on;
 use lms_order::{
-    compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on, random_ordering,
-    ChunkConcat, CsrGraph, Graph, OrderingKind, ParRdrOptions, Permutation, RdrOptions,
+    compute_ordering, compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on,
+    random_ordering, ChunkConcat, CsrGraph, Graph, OrderMesh, OrderingKind, ParRdrOptions,
+    Permutation, RdrOptions,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -17,6 +21,34 @@ use std::collections::BinaryHeap;
 fn arb_grid() -> impl Strategy<Value = TriMesh> {
     (3usize..16, 3usize..16, 0.0f64..0.45, 0u64..500)
         .prop_map(|(nx, ny, jitter, seed)| generators::perturbed_grid(nx, ny, jitter, seed))
+}
+
+/// A jittered tet grid (2–5 cells per axis) under a block-scrambled
+/// numbering.
+fn arb_tet() -> impl Strategy<Value = TetMesh> {
+    (2usize..6, 2usize..6, 2usize..6, 0.0f64..0.4, 0u64..500).prop_map(|(nx, ny, nz, j, seed)| {
+        block_scramble(perturbed_tet_grid(nx, ny, nz, j, seed), 16, seed)
+    })
+}
+
+/// Every kind orders every vertex exactly once.
+fn every_kind_is_a_bijection<const D: usize, M: OrderMesh<D>>(mesh: &M) {
+    let adj = mesh.build_adjacency();
+    for kind in OrderingKind::ALL {
+        let p = compute_ordering_with(mesh, &adj, kind);
+        prop_assert!(is_bijection(&p, mesh.num_vertices()), "{}", kind.name());
+    }
+}
+
+/// Every kind gives the same permutation twice, whether it builds its
+/// own adjacency or walks a handed one.
+fn every_kind_is_deterministic<const D: usize, M: OrderMesh<D>>(mesh: &M) {
+    let adj = mesh.build_adjacency();
+    for kind in OrderingKind::ALL {
+        let handed = compute_ordering_with(mesh, &adj, kind);
+        prop_assert_eq!(&compute_ordering(mesh, kind), &handed, "{}", kind.name());
+        prop_assert_eq!(compute_ordering_with(mesh, &adj, kind), handed, "{}", kind.name());
+    }
 }
 
 /// A symmetric CSR graph on `n` vertices from arbitrary index pairs (self
@@ -46,7 +78,7 @@ fn csr_from_pairs(n: usize, pairs: &[(usize, usize)]) -> (Vec<u32>, Vec<u32>) {
 /// sparse (up to 40 vertices, degree ≲ 4, usually disconnected) and
 /// tet-like (16–64 vertices, rows of ~14 neighbours within a band of
 /// nearby indices — the shape of a tetrahedral mesh's vertex graph, which
-/// `rdr_ordering3` walks).
+/// RDR walks on a `TetMesh`).
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     prop_oneof![
         (1usize..40, proptest::collection::vec((0usize..64, 0usize..64), 0..90)),
@@ -221,14 +253,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Theorem 1, generalised to the whole zoo: every ordering orders
-    /// every vertex exactly once on arbitrary meshes.
+    /// every vertex exactly once on arbitrary meshes of either dimension.
     #[test]
-    fn every_ordering_is_a_bijection(m in arb_grid()) {
-        let adj = Adjacency::build(&m);
-        for kind in OrderingKind::ALL {
-            let p = compute_ordering_with(&m, &adj, kind);
-            prop_assert!(is_bijection(&p, m.num_vertices()), "{}", kind.name());
-        }
+    fn every_ordering_is_a_bijection(tri in arb_grid(), tet in arb_tet()) {
+        every_kind_is_a_bijection(&tri);
+        every_kind_is_a_bijection(&tet);
     }
 
     /// Theorem 1 through the frontier reseeding, on graphs no generator
@@ -247,7 +276,7 @@ proptest! {
         let interior: Vec<bool> =
             (0..n).map(|v| !all_boundary && interior_bits >> v & 1 == 1).collect();
         let options = RdrOptions::default();
-        let serial = rdr_ordering_on(&g, &interior, &quality[..n], &options);
+        let serial = rdr_ordering_on(&g, &interior, &quality[..n]);
         prop_assert!(is_bijection(&serial, n));
         // the first chain still starts at the worst interior vertex
         if let Some(worst) =
@@ -276,7 +305,7 @@ proptest! {
     ) {
         let (offsets, neighbors) = csr_from_pairs(n, &pairs);
         let g = CsrGraph::new(&offsets, &neighbors);
-        let p = rdr_ordering_on(&g, &vec![true; n], &quality[..n], &RdrOptions::default());
+        let p = rdr_ordering_on(&g, &vec![true; n], &quality[..n]);
         prop_assert_eq!(detached(&g, &p), components(&g));
     }
 
@@ -292,7 +321,7 @@ proptest! {
             &adj,
             lms_mesh::quality::QualityMetric::EdgeLengthRatio,
         );
-        let p = rdr_ordering_on(&adj, &vec![true; n], &quality, &RdrOptions::default());
+        let p = rdr_ordering_on(&adj, &vec![true; n], &quality);
         prop_assert!(is_bijection(&p, n));
         prop_assert_eq!(detached(&adj, &p), 1);
     }
@@ -380,18 +409,12 @@ proptest! {
         }
     }
 
-    /// Orderings are deterministic: two computations agree.
+    /// Orderings are deterministic: two computations agree, with and
+    /// without a handed adjacency, in either dimension.
     #[test]
-    fn orderings_are_deterministic(m in arb_grid()) {
-        let adj = Adjacency::build(&m);
-        for kind in OrderingKind::ALL {
-            prop_assert_eq!(
-                compute_ordering_with(&m, &adj, kind),
-                compute_ordering_with(&m, &adj, kind),
-                "{}",
-                kind.name()
-            );
-        }
+    fn orderings_are_deterministic(tri in arb_grid(), tet in arb_tet()) {
+        every_kind_is_deterministic(&tri);
+        every_kind_is_deterministic(&tet);
     }
 }
 
@@ -414,7 +437,7 @@ proptest! {
         let g = CsrGraph::new(&offsets, &neighbors);
         let interior: Vec<bool> = (0..n).map(|v| interior_bits >> v & 1 == 1).collect();
         let quality = &quality[..n];
-        let serial = rdr_ordering_on(&g, &interior, quality, &RdrOptions::default());
+        let serial = rdr_ordering_on(&g, &interior, quality);
         prop_assert_eq!(serial.new_to_old(), &reference_walk(&g, &interior, quality, 0, n as u32)[..]);
         let concat =
             if worst_first { ChunkConcat::WorstQualityFirst } else { ChunkConcat::IndexOrder };

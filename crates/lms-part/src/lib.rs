@@ -14,7 +14,8 @@
 //!   ([`Partition::local_of`]), and the edge cut.
 //! * [`PartitionMethod`] — the partitioners: balanced k-way recursive
 //!   coordinate bisection ([`lms_order::rcb_parts`]) and SFC chunking
-//!   over the Hilbert / Morton orders.
+//!   over the Hilbert / Morton orders, run by [`partition_mesh`] on any
+//!   [`lms_order::OrderMesh`] — triangle and tetrahedral meshes alike.
 //! * [`PartitionStats`] — decomposition-quality metrics: edge cut, halo
 //!   ratio, part-size imbalance, interior/interface split.
 //! * [`ExchangeSchedule`] / [`MessagePlan`] / [`wire`] — the halo-exchange
@@ -43,7 +44,7 @@ pub mod wire;
 pub use exchange::{ExchangeSchedule, MessagePlan};
 pub use methods::{
     measured_vertex_weights, partition_coords, partition_mesh, repartition_measured,
-    sfc_chunk_assignment, vertex_area_weights, PartitionMethod,
+    PartitionMethod,
 };
 pub use partition::Partition;
 pub use stats::PartitionStats;

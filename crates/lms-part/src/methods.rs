@@ -1,15 +1,17 @@
 //! The partitioners: geometric k-way RCB and space-filling-curve
-//! chunking over the Hilbert / Morton orders.
+//! chunking over the Hilbert / Morton orders, written once for any
+//! [`OrderMesh`] — triangle and tetrahedral meshes alike.
 //!
 //! Both families are **deterministic** and produce balanced parts (sizes
 //! within one of each other): RCB splits recursively at coordinate
 //! medians, SFC chunking walks the curve order and cuts it into `k`
 //! equal-length runs — the 1D analogue of the curve's locality argument,
-//! so each run is a compact 2D blob too.
+//! so each run is a compact blob too.
 
 use crate::partition::Partition;
-use lms_mesh::{Adjacency, Point2, TriMesh};
-use lms_order::{hilbert_ordering, morton_ordering, rcb_parts, rcb_parts_weighted, Permutation};
+use lms_order::{
+    compute_ordering, rcb_parts, rcb_parts_weighted, OrderMesh, OrderingKind, Permutation,
+};
 
 /// The geometric partitioners `lms-part` implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,12 +19,13 @@ pub enum PartitionMethod {
     /// Balanced k-way recursive coordinate bisection
     /// ([`lms_order::rcb_parts`]).
     Rcb,
-    /// Area-weighted k-way RCB ([`lms_order::rcb_parts_weighted`]): splits
-    /// at the **weighted median** with each vertex weighted by its share
-    /// of the incident triangle area ([`vertex_area_weights`]), so k-way
-    /// balance holds under non-uniform vertex densities. Through the
-    /// point-set API ([`partition_coords`]) the weights are uniform and
-    /// the method degenerates to [`Rcb`](Self::Rcb) exactly.
+    /// Measure-weighted k-way RCB ([`lms_order::rcb_parts_weighted`]):
+    /// splits at the **weighted median** with each vertex weighted by its
+    /// share of the incident element area or volume
+    /// ([`OrderMesh::measure_weights`]), so k-way balance holds under
+    /// non-uniform vertex densities. Through the coordinates-only
+    /// [`partition_coords`] the weights are uniform and the method
+    /// degenerates to [`Rcb`](Self::Rcb) exactly.
     RcbWeighted,
     /// Equal-size chunks of the Hilbert-curve order.
     Hilbert,
@@ -61,22 +64,6 @@ impl PartitionMethod {
     ];
 }
 
-/// Per-vertex area weights: each vertex receives one third of the absolute
-/// area of every incident triangle (the barycentric lumping of the mesh
-/// area). The input of [`PartitionMethod::RcbWeighted`] under
-/// [`partition_mesh`]; vertices with no incident triangle weigh zero.
-pub fn vertex_area_weights(mesh: &TriMesh, adj: &Adjacency) -> Vec<f64> {
-    let tri_area: Vec<f64> = (0..mesh.num_triangles())
-        .map(|t| {
-            let [a, b, c] = mesh.tri_coords(t);
-            lms_mesh::geometry::signed_area(a, b, c).abs() / 3.0
-        })
-        .collect();
-    (0..mesh.num_vertices() as u32)
-        .map(|v| adj.triangles_of(v).iter().map(|&t| tri_area[t as usize]).sum())
-        .collect()
-}
-
 /// Per-vertex *measured-cost* weights from a profiled warm-up run: every
 /// vertex inherits its part's measured sweep time divided by the part's
 /// vertex count — the empirical nanoseconds-per-vertex of the region it
@@ -109,9 +96,9 @@ pub fn measured_vertex_weights(
 /// ([`measured_vertex_weights`]); it is deterministic given the same
 /// timings and independent of the old partition's shape beyond the
 /// per-part cost attribution.
-pub fn repartition_measured(
-    mesh: &TriMesh,
-    adj: &Adjacency,
+pub fn repartition_measured<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    adj: &M::Adjacency,
     partition: &Partition,
     per_part_sweep_ns: &[u64],
 ) -> Partition {
@@ -123,11 +110,7 @@ pub fn repartition_measured(
 
 /// Chunk an ordering into `k` balanced contiguous runs: the vertex at
 /// curve position `pos` goes to part `pos·k / n` (sizes within one).
-///
-/// Public because the chunking is dimension-agnostic: any locality-
-/// preserving permutation works — the 2D Hilbert/Morton orderings here,
-/// or `lms-mesh3d`'s 3D curves for tetrahedral decompositions.
-pub fn sfc_chunk_assignment(perm: &Permutation, k: usize) -> Vec<u32> {
+fn sfc_chunk_assignment(perm: &Permutation, k: usize) -> Vec<u32> {
     let n = perm.len();
     let mut part = vec![0u32; n];
     for (pos, &old) in perm.new_to_old().iter().enumerate() {
@@ -136,37 +119,42 @@ pub fn sfc_chunk_assignment(perm: &Permutation, k: usize) -> Vec<u32> {
     part
 }
 
-/// Compute the per-vertex part assignment of `method` for a point set.
-pub fn partition_coords(coords: &[Point2], num_parts: usize, method: PartitionMethod) -> Vec<u32> {
+/// The per-vertex part assignment of `method` from `mesh`'s coordinates
+/// alone, in either dimension: k-way RCB, or balanced chunks of the
+/// Hilbert / Morton ordering.
+pub fn partition_coords<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    num_parts: usize,
+    method: PartitionMethod,
+) -> Vec<u32> {
     assert!(num_parts >= 1, "need at least one part");
-    if coords.is_empty() {
+    if mesh.num_vertices() == 0 {
         return Vec::new();
     }
+    let chunks = |kind| sfc_chunk_assignment(&compute_ordering(mesh, kind), num_parts);
     match method {
-        PartitionMethod::Rcb => rcb_parts(coords, num_parts),
-        // no mesh in sight: uniform weights, i.e. exactly Rcb
-        PartitionMethod::RcbWeighted => rcb_parts(coords, num_parts),
-        PartitionMethod::Hilbert => sfc_chunk_assignment(&hilbert_ordering(coords), num_parts),
-        PartitionMethod::Morton => sfc_chunk_assignment(&morton_ordering(coords), num_parts),
+        // no weights asked for: uniform, i.e. exactly Rcb
+        PartitionMethod::Rcb | PartitionMethod::RcbWeighted => rcb_parts(mesh.coords(), num_parts),
+        PartitionMethod::Hilbert => chunks(OrderingKind::Hilbert),
+        PartitionMethod::Morton => chunks(OrderingKind::Morton),
     }
 }
 
 /// Partition `mesh` into `num_parts` parts with `method`, building the
-/// full interface/halo decomposition over `adj`.
-/// [`PartitionMethod::RcbWeighted`] splits at area-weighted medians here
-/// (it has a mesh to take areas from); every other method matches
-/// [`partition_coords`] on the mesh's coordinates.
-pub fn partition_mesh(
-    mesh: &TriMesh,
-    adj: &Adjacency,
+/// full interface/halo decomposition over `adj` — one body for triangle
+/// and tetrahedral meshes. [`PartitionMethod::RcbWeighted`] splits at
+/// measure-weighted medians here (it has elements to take areas or
+/// volumes from); every other method matches [`partition_coords`].
+pub fn partition_mesh<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    adj: &M::Adjacency,
     num_parts: usize,
     method: PartitionMethod,
 ) -> Partition {
     let assignment = if method == PartitionMethod::RcbWeighted {
-        let weights = vertex_area_weights(mesh, adj);
-        rcb_parts_weighted(mesh.coords(), &weights, num_parts)
+        rcb_parts_weighted(mesh.coords(), &mesh.measure_weights(adj), num_parts)
     } else {
-        partition_coords(mesh.coords(), num_parts, method)
+        partition_coords(mesh, num_parts, method)
     };
     Partition::from_assignment(adj, assignment, num_parts as u32)
 }
@@ -174,15 +162,15 @@ pub fn partition_mesh(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lms_mesh::generators;
+    use lms_mesh::{generators, Adjacency, Point2, TriMesh};
 
     #[test]
     fn all_methods_are_balanced_and_deterministic() {
         let m = generators::perturbed_grid(18, 15, 0.35, 4);
         for method in PartitionMethod::ALL {
             for k in [1usize, 2, 5, 8] {
-                let a = partition_coords(m.coords(), k, method);
-                let b = partition_coords(m.coords(), k, method);
+                let a = partition_coords(&m, k, method);
+                let b = partition_coords(&m, k, method);
                 assert_eq!(a, b, "{} k={k} not deterministic", method.name());
                 let mut sizes = vec![0usize; k];
                 for &p in &a {
@@ -205,8 +193,8 @@ mod tests {
     #[test]
     fn sfc_parts_are_contiguous_on_the_curve() {
         let m = generators::perturbed_grid(16, 16, 0.3, 2);
-        let perm = hilbert_ordering(m.coords());
-        let part = partition_coords(m.coords(), 4, PartitionMethod::Hilbert);
+        let perm = compute_ordering(&m, OrderingKind::Hilbert);
+        let part = partition_coords(&m, 4, PartitionMethod::Hilbert);
         // walking the curve, the part id never decreases
         let walked: Vec<u32> = perm.new_to_old().iter().map(|&v| part[v as usize]).collect();
         assert!(walked.windows(2).all(|w| w[0] <= w[1]));
@@ -227,7 +215,7 @@ mod tests {
     fn weighted_rcb_balances_area_on_graded_meshes() {
         let m = graded_mesh();
         let adj = Adjacency::build(&m);
-        let weights = vertex_area_weights(&m, &adj);
+        let weights = m.measure_weights(&adj);
         let total: f64 = weights.iter().sum();
         let k = 4usize;
         let area_of = |part: &Partition| -> f64 {
@@ -252,8 +240,8 @@ mod tests {
         // exactly Rcb there (uniform-weight oracle)
         let m = generators::perturbed_grid(18, 15, 0.35, 4);
         assert_eq!(
-            partition_coords(m.coords(), 6, PartitionMethod::RcbWeighted),
-            partition_coords(m.coords(), 6, PartitionMethod::Rcb),
+            partition_coords(&m, 6, PartitionMethod::RcbWeighted),
+            partition_coords(&m, 6, PartitionMethod::Rcb),
         );
     }
 

@@ -13,14 +13,14 @@ use crate::kernel::SerialKernel;
 use crate::resident::ResidentEngineOn;
 use crate::trace::{CountSink, VecSink};
 use lms_order::Graph;
-use lms_part::{Partition, PartitionMethod};
+use lms_part::{partition_mesh, Partition, PartitionMethod};
 
 /// Smoothing never moves a vertex on the boundary.
-pub fn boundary_vertices_never_move<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn boundary_vertices_never_move<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
     mesh: &M,
     params: M::Params,
 ) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut m = mesh.clone();
     engine.smooth(&mut m);
     assert_boundary_pinned(&engine.domain(), mesh, &m);
@@ -28,7 +28,7 @@ pub fn boundary_vertices_never_move<const C: usize, M: SmoothMesh<C> + Clone>(
 
 /// Every vertex `dom` does not move has the same coordinates in `before`
 /// and `after`.
-fn assert_boundary_pinned<const C: usize, M: SmoothMesh<C>>(
+fn assert_boundary_pinned<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     dom: &impl SmoothDomain<C>,
     before: &M,
     after: &M,
@@ -41,11 +41,11 @@ fn assert_boundary_pinned<const C: usize, M: SmoothMesh<C>>(
 
 /// A traced run reports every visited vertex once plus its degree per
 /// sweep, and one iteration end per sweep.
-pub fn trace_counts_match_topology<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn trace_counts_match_topology<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
     mesh: &M,
     params: M::Params,
 ) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let engine = SmoothEngineOn::new(mesh, params);
     let dom = engine.domain();
     let expected_per_iter: u64 =
         engine.visit_order().iter().map(|&v| 1 + dom.neighbors(v).len() as u64).sum();
@@ -57,11 +57,13 @@ pub fn trace_counts_match_topology<const C: usize, M: SmoothMesh<C> + Clone>(
 
 /// The first traced event is the first visited vertex, and the next
 /// `deg(v)` events are exactly its neighbours.
-pub fn trace_structure_vertex_then_neighbours<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn trace_structure_vertex_then_neighbours<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut sink = VecSink::new();
     engine.smooth_traced(&mut mesh.clone(), &mut sink);
     let v0 = engine.visit_order()[0];
@@ -75,23 +77,25 @@ pub fn trace_structure_vertex_then_neighbours<const C: usize, M: SmoothMesh<C> +
 /// Under a tolerance that no improvement can fall below (`params.tol <
 /// 0`), a run takes exactly `max_iters` sweeps and reports no
 /// convergence.
-pub fn zero_tolerance_runs_to_max_iters<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn zero_tolerance_runs_to_max_iters<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let report = engine.smooth(&mut mesh.clone());
     assert_eq!(report.num_iterations(), engine.domain_config().max_iters);
     assert!(!report.converged);
 }
 
 /// An engine refuses to smooth a mesh with a different vertex count.
-pub fn engine_rejects_mismatched_mesh<const C: usize, M: SmoothMesh<C>>(
+pub fn engine_rejects_mismatched_mesh<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &M,
     mut other: M,
     params: M::Params,
 ) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let engine = SmoothEngineOn::new(mesh, params);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engine.smooth(&mut other);
     }));
@@ -101,14 +105,16 @@ pub fn engine_rejects_mismatched_mesh<const C: usize, M: SmoothMesh<C>>(
 /// Jacobi is schedule-independent: the static-chunk parallel run (4
 /// threads) lands on the serial run's coordinates bit for bit, in as
 /// many sweeps, at the same final quality.
-pub fn parallel_jacobi_matches_serial_jacobi_exactly<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn parallel_jacobi_matches_serial_jacobi_exactly<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let mut serial = mesh.clone();
-    let sr = SmoothEngineOn::<C, M>::new(mesh, params.clone()).smooth(&mut serial);
+    let sr = SmoothEngineOn::new(mesh, params.clone()).smooth(&mut serial);
     let mut par = mesh.clone();
-    let pr = SmoothEngineOn::<C, M>::new(mesh, params).smooth_parallel(&mut par, 4);
+    let pr = SmoothEngineOn::new(mesh, params).smooth_parallel(&mut par, 4);
     assert_eq!(serial.coords(), par.coords(), "Jacobi must be schedule-independent");
     assert_eq!(sr.num_iterations(), pr.num_iterations());
     assert!((sr.final_quality - pr.final_quality).abs() < 1e-12);
@@ -116,14 +122,16 @@ pub fn parallel_jacobi_matches_serial_jacobi_exactly<const C: usize, M: SmoothMe
 
 /// The static-chunk parallel run gives the same coordinates on 1 and 3
 /// threads.
-pub fn parallel_is_deterministic_across_thread_counts<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn parallel_is_deterministic_across_thread_counts<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let mut a = mesh.clone();
     let mut b = mesh.clone();
-    SmoothEngineOn::<C, M>::new(mesh, params.clone()).smooth_parallel(&mut a, 1);
-    SmoothEngineOn::<C, M>::new(mesh, params).smooth_parallel(&mut b, 3);
+    SmoothEngineOn::new(mesh, params.clone()).smooth_parallel(&mut a, 1);
+    SmoothEngineOn::new(mesh, params).smooth_parallel(&mut b, 3);
     assert_eq!(a.coords(), b.coords());
 }
 
@@ -149,12 +157,14 @@ pub fn spawns_threads_once(run: impl Fn()) {
 /// bit-equal to `fresh_quality` — the dimension's from-scratch
 /// `mesh_quality` — on the output. Pin the sweep count (`tol < 0`): the
 /// kernel's convergence test reads a compensated running sum.
-pub fn incremental_matches_full_recompute<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn incremental_matches_full_recompute<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     fresh_quality: impl Fn(&M) -> f64,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut fast = mesh.clone();
     let fast_report = engine.smooth(&mut fast);
     let mut reference = mesh.clone();
@@ -171,13 +181,15 @@ pub fn incremental_matches_full_recompute<const C: usize, M: SmoothMesh<C> + Clo
 /// The resident engine gathers once, scatters once, and produces the
 /// same coordinates and the same report (exchange accounting included)
 /// at 1, 2 and 4 threads.
-pub fn resident_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_is_deterministic_across_threads<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
     method: PartitionMethod,
-) {
-    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, method);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, method);
     let mut one = mesh.clone();
     let r1 = engine.smooth(&mut one, 1);
     let volume = r1.exchange.expect("resident runs report exchange accounting");
@@ -192,11 +204,13 @@ pub fn resident_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C>
 
 /// The colored engine gives the same coordinates and the same report on
 /// 1, 2 and 8 threads.
-pub fn colored_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn colored_is_deterministic_across_threads<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut one = mesh.clone();
     let r1 = engine.smooth_parallel_colored(&mut one, 1);
     for threads in [2usize, 8] {
@@ -209,11 +223,13 @@ pub fn colored_is_deterministic_across_threads<const C: usize, M: SmoothMesh<C> 
 
 /// The colored parallel sweep is *exactly* serial Gauss–Seidel under the
 /// class-major visit order — coordinates match bit for bit.
-pub fn colored_equals_serial_class_major_order<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn colored_equals_serial_class_major_order<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut colored = mesh.clone();
     engine.smooth_parallel_colored(&mut colored, 4);
     let serial = engine.clone().with_visit_order(engine.colored_visit_order());
@@ -225,14 +241,14 @@ pub fn colored_equals_serial_class_major_order<const C: usize, M: SmoothMesh<C> 
 /// Lane-batched scoring (`params`) and the forced scalar path (`scalar`,
 /// the same parameters otherwise) give the same coordinates and reports
 /// on the serial engine.
-pub fn serial_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn serial_batched_equals_scalar<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
     mesh: &M,
     params: M::Params,
     scalar: M::Params,
 ) {
     let run = |p: M::Params| {
         let mut m = mesh.clone();
-        let report = SmoothEngineOn::<C, M>::new(mesh, p).smooth(&mut m);
+        let report = SmoothEngineOn::new(mesh, p).smooth(&mut m);
         (m.coords().to_vec(), report)
     };
     assert_eq!(run(params), run(scalar));
@@ -240,15 +256,17 @@ pub fn serial_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
 
 /// [`serial_batched_equals_scalar`] on the resident engine over
 /// `num_parts` RCB parts at `threads` threads.
-pub fn resident_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_batched_equals_scalar<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     scalar: M::Params,
     num_parts: usize,
     threads: usize,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let run = |p: M::Params| {
-        let engine = ResidentEngineOn::<C, M>::by_method(mesh, p, num_parts, PartitionMethod::Rcb);
+        let engine = ResidentEngineOn::by_method(mesh, p, num_parts, PartitionMethod::Rcb);
         let mut m = mesh.clone();
         let report = engine.smooth(&mut m, threads);
         (m.coords().to_vec(), report)
@@ -259,19 +277,19 @@ pub fn resident_batched_equals_scalar<const C: usize, M: SmoothMesh<C> + Clone>(
 /// `by_method` (which builds one adjacency and hands it down) yields the
 /// engine `new` yields over the same decomposition, structure for
 /// structure, for every partition method.
-pub fn by_method_equals_new_over_the_same_partition<const C: usize, M: SmoothMesh<C>>(
+pub fn by_method_equals_new_over_the_same_partition<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
 ) where
+    M: SmoothMesh<C, D>,
     M::Adjacency: PartialEq,
 {
     let adj = mesh.build_adjacency();
     for method in PartitionMethod::ALL {
-        let partition = mesh.partition(&adj, num_parts, method);
-        let by_method =
-            ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), num_parts, method);
-        let new = ResidentEngineOn::<C, M>::new(mesh, params.clone(), partition.clone());
+        let partition = partition_mesh(mesh, &adj, num_parts, method);
+        let by_method = ResidentEngineOn::by_method(mesh, params.clone(), num_parts, method);
+        let new = ResidentEngineOn::new(mesh, params.clone(), partition.clone());
         assert_eq!(by_method.partition(), &partition, "{}", method.name());
         assert_eq!(by_method.engine().adjacency(), &adj, "{}", method.name());
         assert_eq!(by_method.blocks(), new.blocks(), "{}", method.name());
@@ -284,17 +302,19 @@ pub fn by_method_equals_new_over_the_same_partition<const C: usize, M: SmoothMes
 /// The mesh, a clone of it, a serial engine, a clone of that engine and a
 /// resident engine built from the mesh all read one element table:
 /// nothing along the way copies it.
-pub fn engines_share_the_mesh_element_table<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn engines_share_the_mesh_element_table<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let table = mesh.elements().as_ptr();
     assert_eq!(mesh.clone().elements().as_ptr(), table, "a mesh clone copied the table");
-    let serial = SmoothEngineOn::<C, M>::new(mesh, params.clone());
+    let serial = SmoothEngineOn::new(mesh, params.clone());
     assert_eq!(serial.domain().elements().as_ptr(), table, "the serial engine copied the table");
     let cloned = serial.clone();
     assert_eq!(cloned.domain().elements().as_ptr(), table, "an engine clone copied the table");
-    let resident = ResidentEngineOn::<C, M>::by_method(mesh, params, 3, PartitionMethod::Rcb);
+    let resident = ResidentEngineOn::by_method(mesh, params, 3, PartitionMethod::Rcb);
     let inner = resident.engine().domain().elements().as_ptr();
     assert_eq!(inner, table, "the resident engine copied the table");
 }
@@ -303,13 +323,15 @@ pub fn engines_share_the_mesh_element_table<const C: usize, M: SmoothMesh<C> + C
 /// copies the clone's table at the first flip: the original mesh and an
 /// engine built from it keep their table, bit for bit and at the same
 /// address. `mesh` must hold an element `orient` flips.
-pub fn orienting_a_clone_leaves_the_original_untouched<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn orienting_a_clone_leaves_the_original_untouched<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     orient: impl FnOnce(&mut M),
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let before = mesh.elements().to_vec();
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+    let engine = SmoothEngineOn::new(mesh, params);
     let mut clone = mesh.clone();
     orient(&mut clone);
     assert_ne!(clone.elements(), &before[..], "`orient` flipped nothing");
@@ -324,12 +346,15 @@ pub fn orienting_a_clone_leaves_the_original_untouched<const C: usize, M: Smooth
 /// element, so the dirty-set stamps are never allocated.
 pub fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element<
     const C: usize,
-    M: SmoothMesh<C> + Clone,
+    const D: usize,
+    M,
 >(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = SmoothEngineOn::<C, M>::new(mesh, params);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = SmoothEngineOn::new(mesh, params);
     let cfg = engine.domain_config();
     assert!(cfg.smart && cfg.update == UpdateScheme::GaussSeidel && !cfg.scalar_scoring);
     let dom = engine.domain();
@@ -381,44 +406,44 @@ pub fn formed_weights_equal_the_oracle<const C: usize, D: SmoothDomain<C>>(dom: 
 /// Handed the adjacency of a cut-down mesh over the same vertices, every
 /// engine holds that adjacency — and the boundary derived from it — not
 /// the mesh's.
-pub fn with_adjacency_uses_the_adjacency_it_is_handed<const C: usize, M: SmoothMesh<C>>(
+pub fn with_adjacency_uses_the_adjacency_it_is_handed<const C: usize, const D: usize, M>(
     mesh: &M,
     handed: M::Adjacency,
     params: M::Params,
 ) where
+    M: SmoothMesh<C, D>,
     M::Adjacency: PartialEq,
     M::Boundary: PartialEq,
 {
     assert_ne!(handed, mesh.build_adjacency(), "the handed adjacency must differ");
-    let serial = SmoothEngineOn::<C, M>::with_adjacency(mesh, handed.clone(), params.clone());
+    let serial = SmoothEngineOn::with_adjacency(mesh, handed.clone(), params.clone());
     assert_eq!(serial.adjacency(), &handed);
     assert_eq!(serial.boundary(), &mesh.boundary(&handed));
-    let partition = mesh.partition(&handed, 3, PartitionMethod::Rcb);
-    let resident =
-        ResidentEngineOn::<C, M>::with_adjacency(mesh, handed.clone(), params, partition);
+    let partition = partition_mesh(mesh, &handed, 3, PartitionMethod::Rcb);
+    let resident = ResidentEngineOn::with_adjacency(mesh, handed.clone(), params, partition);
     assert_eq!(resident.engine().adjacency(), &handed);
 }
 
 /// Both engines reject an adjacency built for another vertex count, and
 /// say so by name.
-pub fn with_adjacency_rejects_an_adjacency_of_another_size<const C: usize, M: SmoothMesh<C>>(
+pub fn with_adjacency_rejects_an_adjacency_of_another_size<const C: usize, const D: usize, M>(
     mesh: &M,
     small: M::Adjacency,
     params: M::Params,
-) {
+) where
+    M: SmoothMesh<C, D>,
+{
     let expected = format!(
         "adjacency was built for {} vertices, the mesh has {}",
         small.num_vertices(),
         mesh.coords().len()
     );
-    let partition = mesh.partition(&mesh.build_adjacency(), 2, PartitionMethod::Rcb);
+    let partition = partition_mesh(mesh, &mesh.build_adjacency(), 2, PartitionMethod::Rcb);
     let builds: [Box<dyn Fn()>; 2] = [
-        Box::new(|| {
-            drop(SmoothEngineOn::<C, M>::with_adjacency(mesh, small.clone(), params.clone()))
-        }),
+        Box::new(|| drop(SmoothEngineOn::with_adjacency(mesh, small.clone(), params.clone()))),
         Box::new(|| {
             let (adj, partition) = (small.clone(), partition.clone());
-            drop(ResidentEngineOn::<C, M>::with_adjacency(mesh, adj, params.clone(), partition))
+            drop(ResidentEngineOn::with_adjacency(mesh, adj, params.clone(), partition))
         }),
     ];
     for build in builds {
@@ -433,15 +458,17 @@ pub fn with_adjacency_rejects_an_adjacency_of_another_size<const C: usize, M: Sm
 /// equals the `collect → sort → dedup` of its sweep vertices' stars and
 /// is strictly ascending, and the engine still is serial part-major
 /// Gauss–Seidel.
-pub fn resident_blocks_deal_sorted_element_lists<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_blocks_deal_sorted_element_lists<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     assignment: Vec<u32>,
     num_parts: u32,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let adj = mesh.build_adjacency();
     let partition = Partition::from_assignment(&adj, assignment, num_parts);
-    let engine = ResidentEngineOn::<C, M>::with_adjacency(mesh, adj, params.clone(), partition);
+    let engine = ResidentEngineOn::with_adjacency(mesh, adj, params.clone(), partition);
     assert_eq!(engine.blocks().len(), num_parts as usize);
     let dom = engine.engine().domain();
     for (p, block) in engine.blocks().iter().enumerate() {
@@ -460,7 +487,7 @@ pub fn resident_blocks_deal_sorted_element_lists<const C: usize, M: SmoothMesh<C
     let mut resident = mesh.clone();
     engine.smooth(&mut resident, 2);
     let mut serial = mesh.clone();
-    SmoothEngineOn::<C, M>::new(mesh, params)
+    SmoothEngineOn::new(mesh, params)
         .with_visit_order(engine.part_major_visit_order())
         .smooth(&mut serial);
     assert_eq!(resident.coords(), serial.coords());
@@ -470,13 +497,15 @@ pub fn resident_blocks_deal_sorted_element_lists<const C: usize, M: SmoothMesh<C
 /// decompositions: one part; more parts than vertices (a part per vertex
 /// and three empty ones); the boundary in part 0, part 1 empty, the
 /// interior in part 2.
-pub fn resident_blocks_on_degenerate_decompositions<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_blocks_on_degenerate_decompositions<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
     let n = mesh.coords().len() as u32;
     let split = {
-        let engine = SmoothEngineOn::<C, M>::new(mesh, params.clone());
+        let engine = SmoothEngineOn::new(mesh, params.clone());
         let dom = engine.domain();
         (0..n).map(|v| if dom.is_interior(v) { 2 } else { 0 }).collect()
     };
@@ -520,18 +549,20 @@ pub fn score_star_equals_per_id<const C: usize, D: SmoothDomain<C>>(
 /// Gauss–Seidel under the part-major visit order — coordinates match bit
 /// for bit. Pin the sweep count (`tol < 0`): the two engines fold their
 /// running quality sums in different orders.
-pub fn resident_equals_serial_part_major_order<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_equals_serial_part_major_order<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
     method: PartitionMethod,
     threads: usize,
-) {
-    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), num_parts, method);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = ResidentEngineOn::by_method(mesh, params.clone(), num_parts, method);
     let mut par = mesh.clone();
     engine.smooth(&mut par, threads);
     let serial =
-        SmoothEngineOn::<C, M>::new(mesh, params).with_visit_order(engine.part_major_visit_order());
+        SmoothEngineOn::new(mesh, params).with_visit_order(engine.part_major_visit_order());
     let mut ser = mesh.clone();
     serial.smooth(&mut ser);
     assert_eq!(par.coords(), ser.coords());
@@ -540,12 +571,12 @@ pub fn resident_equals_serial_part_major_order<const C: usize, M: SmoothMesh<C> 
 /// The residency invariant over `num_parts` RCB parts: one full gather,
 /// one full scatter, one exchange round per color step per sweep, and
 /// per-round traffic within the static schedule.
-pub fn residency_invariant_holds<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn residency_invariant_holds<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
 ) {
-    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
     let report = engine.smooth(&mut mesh.clone(), 2);
     let volume = report.exchange.expect("resident runs report exchange accounting");
     assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
@@ -562,12 +593,14 @@ pub fn residency_invariant_holds<const C: usize, M: SmoothMesh<C> + Clone>(
 
 /// A resident run over `num_parts` RCB parts improves quality and leaves
 /// the boundary where it was.
-pub fn resident_improves_quality_and_pins_boundary<const C: usize, M: SmoothMesh<C> + Clone>(
+pub fn resident_improves_quality_and_pins_boundary<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
-) {
-    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
     let mut m = mesh.clone();
     let report = engine.smooth(&mut m, 2);
     assert!(report.final_quality > report.initial_quality + 0.01);
@@ -577,19 +610,18 @@ pub fn resident_improves_quality_and_pins_boundary<const C: usize, M: SmoothMesh
 /// One part has no interface: the resident run equals serial
 /// storage-order Gauss–Seidel, gathers and scatters once and exchanges
 /// nothing.
-pub fn resident_single_part_equals_serial_storage_order<
-    const C: usize,
-    M: SmoothMesh<C> + Clone,
->(
+pub fn resident_single_part_equals_serial_storage_order<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
-) {
-    let engine = ResidentEngineOn::<C, M>::by_method(mesh, params.clone(), 1, PartitionMethod::Rcb);
+) where
+    M: SmoothMesh<C, D> + Clone,
+{
+    let engine = ResidentEngineOn::by_method(mesh, params.clone(), 1, PartitionMethod::Rcb);
     assert!(engine.interface_classes().is_empty());
     let mut a = mesh.clone();
     let report = engine.smooth(&mut a, 3);
     let mut b = mesh.clone();
-    SmoothEngineOn::<C, M>::new(mesh, params).smooth(&mut b);
+    SmoothEngineOn::new(mesh, params).smooth(&mut b);
     assert_eq!(a.coords(), b.coords());
     let volume = report.exchange.unwrap();
     assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
@@ -599,24 +631,25 @@ pub fn resident_single_part_equals_serial_storage_order<
 }
 
 /// The resident engine refuses Jacobi parameters.
-pub fn resident_rejects_jacobi_params<const C: usize, M: SmoothMesh<C>>(
+pub fn resident_rejects_jacobi_params<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &M,
     jacobi: M::Params,
 ) {
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ResidentEngineOn::<C, M>::by_method(mesh, jacobi, 2, PartitionMethod::Rcb)
+        ResidentEngineOn::by_method(mesh, jacobi, 2, PartitionMethod::Rcb)
     }));
     assert!(r.is_err());
 }
 
 /// The part-major visit order lists every interior vertex exactly once.
-pub fn part_major_order_covers_interior_once<const C: usize, M: SmoothMesh<C>>(
+pub fn part_major_order_covers_interior_once<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
-) {
-    let engine =
-        ResidentEngineOn::<C, M>::by_method(mesh, params, num_parts, PartitionMethod::Hilbert);
+) where
+    M: SmoothMesh<C, D>,
+{
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Hilbert);
     let dom = engine.engine().domain();
     let order = engine.part_major_visit_order();
     let num_interior = (0..dom.num_vertices() as u32).filter(|&v| dom.is_interior(v)).count();

@@ -161,7 +161,7 @@ fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
     }
 }
 
-impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
+impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M> {
     /// Greedy coloring of the engine's vertex–vertex adjacency, with each
     /// color class restricted to interior vertices (ascending within a
     /// class) — the schedule [`smooth_parallel_colored`] sweeps. Computed

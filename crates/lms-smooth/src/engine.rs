@@ -21,24 +21,24 @@ use crate::kernel::SerialKernel;
 use crate::pool::PoolCache;
 use crate::stats::SmoothReport;
 use crate::trace::{AccessSink, NullSink};
-use lms_mesh::geometry::Point2;
 use lms_mesh::quality::vertex_qualities;
-use lms_mesh::{vec_bytes, Adjacency, Boundary, TriMesh};
-use lms_order::Graph;
-use lms_part::{Partition, PartitionMethod};
+use lms_mesh::{vec_bytes, Adjacency, Boundary, Point2, TriMesh};
+use lms_order::{Graph, OrderMesh};
 use std::sync::{Arc, OnceLock};
 
 /// One mesh dimension, as every engine of this crate sees it: the mesh
 /// type implements it, and only what truly differs between dimensions
-/// lives here — the point, adjacency, boundary and parameter types, how
-/// the topology and the partition are built, the [`SmoothDomain`] view,
-/// and the initial visit order. `C` is the element corner count.
-pub trait SmoothMesh<const C: usize>: Sized {
-    /// Coordinate type of the mesh.
-    type Point: DomainPoint;
-    /// The CSR vertex adjacency (also the graph the color classes come
-    /// from).
-    type Adjacency: Graph + Clone + std::fmt::Debug;
+/// lives here — the boundary and parameter types, how the boundary is
+/// classified, the [`SmoothDomain`] view, and the initial visit order.
+/// `C` is the element corner count, `D` the space dimension.
+///
+/// The point and adjacency types, the coordinates and the adjacency build
+/// come from the supertrait [`OrderMesh`], the seam `lms-order` and
+/// `lms-part` read a mesh through; so an engine decomposes its mesh with
+/// `lms_part::partition_mesh` directly.
+pub trait SmoothMesh<const C: usize, const D: usize>:
+    OrderMesh<D, Point: DomainPoint, Adjacency: Clone + std::fmt::Debug>
+{
     /// The boundary (fixed-vertex) classification.
     type Boundary: Clone + std::fmt::Debug;
     /// The smoothing parameter set of this dimension.
@@ -47,9 +47,6 @@ pub trait SmoothMesh<const C: usize>: Sized {
     type Domain<'a>: SmoothDomain<C, Point = Self::Point>
     where
         Self: 'a;
-
-    /// Build the vertex adjacency.
-    fn build_adjacency(&self) -> Self::Adjacency;
 
     /// Classify the boundary, given the adjacency built for this mesh.
     fn boundary(&self, adj: &Self::Adjacency) -> Self::Boundary;
@@ -63,19 +60,8 @@ pub trait SmoothMesh<const C: usize>: Sized {
         self.shared_elements()
     }
 
-    /// The coordinate array.
-    fn coords(&self) -> &[Self::Point];
-
     /// The coordinate array, mutably.
     fn coords_mut(&mut self) -> &mut [Self::Point];
-
-    /// Decompose the mesh into `num_parts` parts with `method`.
-    fn partition(
-        &self,
-        adj: &Self::Adjacency,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Partition;
 
     /// Heap bytes of an adjacency and a boundary classification built for
     /// this mesh type.
@@ -101,16 +87,10 @@ pub trait SmoothMesh<const C: usize>: Sized {
     ) -> Vec<u32>;
 }
 
-impl SmoothMesh<3> for TriMesh {
-    type Point = Point2;
-    type Adjacency = Adjacency;
+impl SmoothMesh<3, 2> for TriMesh {
     type Boundary = Boundary;
     type Params = SmoothParams;
     type Domain<'a> = TriDomain<'a>;
-
-    fn build_adjacency(&self) -> Adjacency {
-        Adjacency::build(self)
-    }
 
     fn boundary(&self, adj: &Adjacency) -> Boundary {
         Boundary::from_adjacency(adj)
@@ -120,16 +100,8 @@ impl SmoothMesh<3> for TriMesh {
         self.shared_triangles()
     }
 
-    fn coords(&self) -> &[Point2] {
-        TriMesh::coords(self)
-    }
-
     fn coords_mut(&mut self) -> &mut [Point2] {
         TriMesh::coords_mut(self)
-    }
-
-    fn partition(&self, adj: &Adjacency, num_parts: usize, method: PartitionMethod) -> Partition {
-        lms_part::partition_mesh(self, adj, num_parts, method)
     }
 
     fn topology_heap_bytes(adj: &Adjacency, boundary: &Boundary) -> usize {
@@ -171,7 +143,7 @@ impl SmoothMesh<3> for TriMesh {
 /// mesh, its clones, the engine and the engine's clones read one
 /// allocation.
 #[derive(Debug, Clone)]
-pub struct SmoothEngineOn<const C: usize, M: SmoothMesh<C>> {
+pub struct SmoothEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
     pub(crate) params: M::Params,
     pub(crate) adj: M::Adjacency,
     pub(crate) boundary: M::Boundary,
@@ -194,9 +166,9 @@ pub struct SmoothEngineOn<const C: usize, M: SmoothMesh<C>> {
 }
 
 /// Serial smoothing of triangle meshes.
-pub type SmoothEngine = SmoothEngineOn<3, TriMesh>;
+pub type SmoothEngine = SmoothEngineOn<3, 2, TriMesh>;
 
-impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
+impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M> {
     /// Build an engine for `mesh` under `params`: builds the adjacency and
     /// hands it to [`with_adjacency`](Self::with_adjacency).
     pub fn new(mesh: &M, params: M::Params) -> Self {

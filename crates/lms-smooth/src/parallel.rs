@@ -80,7 +80,7 @@ impl AtomicPoint {
     }
 }
 
-impl<const C: usize, M: SmoothMesh<C>> SmoothEngineOn<C, M> {
+impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M> {
     /// Deterministic parallel smoothing: static contiguous vertex chunks,
     /// Jacobi (double-buffered) updates. Results are bit-identical for any
     /// `num_threads`. Workers come from the engine-cached persistent pool

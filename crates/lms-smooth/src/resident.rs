@@ -87,8 +87,8 @@ use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
 /// for the protocol; use the [`ResidentEngine`] /
 /// `lms_mesh3d::ResidentEngine3` aliases.
 #[derive(Debug, Clone)]
-pub struct ResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
-    engine: SmoothEngineOn<C, M>,
+pub struct ResidentEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
+    engine: SmoothEngineOn<C, D, M>,
     partition: Partition,
     schedule: ExchangeSchedule,
     /// Interface vertices (mesh-interior) grouped by global color class —
@@ -103,7 +103,7 @@ pub struct ResidentEngineOn<const C: usize, M: SmoothMesh<C>> {
 }
 
 /// Resident halo-exchange smoothing of triangle meshes.
-pub type ResidentEngine = ResidentEngineOn<3, lms_mesh::TriMesh>;
+pub type ResidentEngine = ResidentEngineOn<3, 2, lms_mesh::TriMesh>;
 
 /// Restrict interior color classes to partition-interface vertices
 /// (ascending within a class preserved, empty classes dropped) — the
@@ -910,7 +910,7 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     (blocks, inv_deg)
 }
 
-impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
+impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D, M> {
     /// Build a resident engine for `mesh` under `params` and an
     /// existing decomposition (Gauss–Seidel parameters only): builds the
     /// adjacency and hands it to [`with_adjacency`](Self::with_adjacency).
@@ -960,12 +960,12 @@ impl<const C: usize, M: SmoothMesh<C>> ResidentEngineOn<C, M> {
         method: PartitionMethod,
     ) -> Self {
         let adj = mesh.build_adjacency();
-        let partition = mesh.partition(&adj, num_parts, method);
+        let partition = lms_part::partition_mesh(mesh, &adj, num_parts, method);
         Self::with_adjacency(mesh, adj, params, partition)
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &SmoothEngineOn<C, M> {
+    pub fn engine(&self) -> &SmoothEngineOn<C, D, M> {
         &self.engine
     }
 

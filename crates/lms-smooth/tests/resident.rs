@@ -34,7 +34,7 @@ proptest! {
         k in 2usize..9, method_ix in 0usize..4,
     ) {
         let params = SmoothParams::paper().with_smart(smart).with_max_iters(iters);
-        checks::resident_is_deterministic_across_threads::<3, TriMesh>(
+        checks::resident_is_deterministic_across_threads::<3, 2, TriMesh>(
             &mesh, params, k, PartitionMethod::ALL[method_ix],
         );
     }

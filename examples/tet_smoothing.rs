@@ -12,10 +12,9 @@
 use lms::apps::{smooth, Backend};
 use lms::cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms::mesh3d::generators::{block_scramble, perturbed_tet_grid};
-use lms::mesh3d::order::{
-    apply_permutation3, compute_ordering3, mean_neighbor_span3, sweep_trace3, OrderingKind3,
-};
-use lms::mesh3d::{Adjacency3, Boundary3, SmoothParams3};
+use lms::mesh3d::{Adjacency3, SmoothParams3};
+use lms::order::{compute_ordering, layout_stats, OrderingKind};
+use lms_bench::common::first_sweep_trace;
 
 fn main() {
     // 1. A 20×20×20 jittered Kuhn-subdivision box (≈9.3k vertices, 48k
@@ -36,20 +35,17 @@ fn main() {
     );
 
     for kind in [
-        OrderingKind3::Original,
-        OrderingKind3::Random { seed: 7 },
-        OrderingKind3::Bfs,
-        OrderingKind3::Rdr,
+        OrderingKind::Original,
+        OrderingKind::Random { seed: 7 },
+        OrderingKind::Bfs,
+        OrderingKind::Rdr,
     ] {
         // 2. Renumber and measure the layout.
-        let perm = compute_ordering3(&base, kind);
-        let mesh = apply_permutation3(&perm, &base);
-        let adj = Adjacency3::build(&mesh);
-        let boundary = Boundary3::detect(&mesh);
-        let span = mean_neighbor_span3(&adj);
+        let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
+        let span = layout_stats(&mesh, &Adjacency3::build(&mesh)).mean_gap;
 
         // 3. Reuse distance of one smoothing sweep — the §3.1 mechanism.
-        let trace = sweep_trace3(&adj, &boundary);
+        let trace = first_sweep_trace(&mesh);
         let distances = ReuseDistanceAnalyzer::analyze(&trace, mesh.num_vertices());
         let mean_rd = ReuseStats::from_distances(&distances).mean;
 

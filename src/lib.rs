@@ -73,7 +73,7 @@ pub mod prelude {
         hierarchy::CacheHierarchy, model::StackDistanceModel, reuse::ReuseDistanceAnalyzer,
     };
     pub use lms_mesh::{quality::QualityMetric, Point2, TriMesh};
-    pub use lms_mesh3d::{OrderingKind3, ResidentEngine3, SmoothParams3, TetMesh};
+    pub use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
     pub use lms_order::{OrderingKind, Permutation};
     pub use lms_part::{ExchangeSchedule, Partition, PartitionMethod, PartitionStats};
     pub use lms_smooth::{

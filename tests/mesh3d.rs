@@ -6,8 +6,9 @@ use lms::cache::hierarchy::CacheHierarchy;
 use lms::cache::reuse::{ReuseDistanceAnalyzer, ReuseStats};
 use lms::cache::NodeLayout;
 use lms::mesh3d::generators::{block_scramble, generate3, perturbed_tet_grid, SUITE3};
-use lms::mesh3d::order::{apply_permutation3, compute_ordering3, sweep_trace3, OrderingKind3};
 use lms::mesh3d::{Adjacency3, Boundary3, SmoothParams3, UpdateScheme3};
+use lms::order::{compute_ordering, OrderingKind};
+use lms_bench::common::first_sweep_trace;
 
 fn scrambled_box(n: usize, seed: u64) -> lms::mesh3d::TetMesh {
     block_scramble(perturbed_tet_grid(n, n, n, 0.35, seed), 128, seed)
@@ -18,8 +19,7 @@ fn full_3d_pipeline_reorder_smooth_analyze() {
     let base = scrambled_box(10, 3);
 
     // reorder with RDR via the graph-generic Algorithm 2
-    let perm = compute_ordering3(&base, OrderingKind3::Rdr);
-    let mesh = apply_permutation3(&perm, &base);
+    let mesh = compute_ordering(&base, OrderingKind::Rdr).apply_to_mesh(&base);
 
     // smooth to convergence
     let mut work = mesh.clone();
@@ -28,9 +28,7 @@ fn full_3d_pipeline_reorder_smooth_analyze() {
     assert!(report.final_quality > report.initial_quality);
 
     // feed the sweep trace through the full cache hierarchy
-    let adj = Adjacency3::build(&mesh);
-    let boundary = Boundary3::detect(&mesh);
-    let trace = sweep_trace3(&adj, &boundary);
+    let trace = first_sweep_trace(&mesh);
     let mut h = CacheHierarchy::westmere_ex(NodeLayout::paper_66());
     h.run_trace(&trace);
     let stats = h.level_stats();
@@ -44,17 +42,13 @@ fn paper_ranking_holds_on_the_3d_suite() {
     for spec in &SUITE3 {
         let base = generate3(spec, 0.3);
         let mean_rd = |kind| {
-            let perm = compute_ordering3(&base, kind);
-            let m = apply_permutation3(&perm, &base);
-            let adj = Adjacency3::build(&m);
-            let b = Boundary3::detect(&m);
-            let trace = sweep_trace3(&adj, &b);
-            let d = ReuseDistanceAnalyzer::analyze(&trace, m.num_vertices());
+            let m = compute_ordering(&base, kind).apply_to_mesh(&base);
+            let d = ReuseDistanceAnalyzer::analyze(&first_sweep_trace(&m), m.num_vertices());
             ReuseStats::from_distances(&d).mean
         };
-        let ori = mean_rd(OrderingKind3::Original);
-        let rnd = mean_rd(OrderingKind3::Random { seed: 5 });
-        let rdr = mean_rd(OrderingKind3::Rdr);
+        let ori = mean_rd(OrderingKind::Original);
+        let rnd = mean_rd(OrderingKind::Random { seed: 5 });
+        let rdr = mean_rd(OrderingKind::Rdr);
         assert!(rnd > 2.0 * ori, "{}: random {rnd} vs ori {ori}", spec.name);
         assert!(rdr < ori, "{}: rdr {rdr} vs ori {ori}", spec.name);
     }
@@ -67,11 +61,10 @@ fn jacobi_smoothing_is_ordering_invariant_in_3d() {
     // under any renumbering.
     let base = scrambled_box(8, 9);
     let params = SmoothParams3::paper().with_update(UpdateScheme3::Jacobi).with_max_iters(30);
-    let reports: Vec<_> = [OrderingKind3::Original, OrderingKind3::Bfs, OrderingKind3::Rdr]
+    let reports: Vec<_> = [OrderingKind::Original, OrderingKind::Bfs, OrderingKind::Rdr]
         .into_iter()
         .map(|kind| {
-            let perm = compute_ordering3(&base, kind);
-            let mut m = apply_permutation3(&perm, &base);
+            let mut m = compute_ordering(&base, kind).apply_to_mesh(&base);
             smooth(&mut m, params.clone(), Backend::Serial)
         })
         .collect();
@@ -98,15 +91,16 @@ fn parallel_3d_smoothing_matches_serial() {
 /// order, then its neighbours — for every ordering of the mesh.
 #[test]
 fn sweep_trace_is_the_engine_stream() {
-    use lms::mesh3d::SmoothEngine3;
-    use lms::smooth::trace::VecSink;
     let base = scrambled_box(7, 4);
-    for kind in OrderingKind3::PAPER_TRIO {
-        let mesh = apply_permutation3(&compute_ordering3(&base, kind), &base);
-        let engine = SmoothEngine3::new(&mesh, SmoothParams3::paper().with_max_iters(1));
-        let mut sink = VecSink::new();
-        engine.smooth_traced(&mut mesh.clone(), &mut sink);
-        let trace = sweep_trace3(&Adjacency3::build(&mesh), &Boundary3::detect(&mesh));
-        assert_eq!(sink.accesses, trace, "{}", kind.name());
+    for kind in OrderingKind::PAPER_TRIO {
+        let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
+        let adj = Adjacency3::build(&mesh);
+        let boundary = Boundary3::detect(&mesh);
+        let mut reference = Vec::new();
+        for v in boundary.interior_vertices() {
+            reference.push(v);
+            reference.extend_from_slice(adj.neighbors(v));
+        }
+        assert_eq!(first_sweep_trace(&mesh), reference, "{}", kind.name());
     }
 }

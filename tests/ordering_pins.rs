@@ -10,9 +10,9 @@
 use lms::mesh::generators::perturbed_grid;
 use lms::mesh::{Adjacency, TriMesh};
 use lms::mesh3d::generators::{block_scramble, perturbed_tet_grid};
-use lms::mesh3d::order::{compute_ordering3 as order3, OrderingKind3 as Kind3};
 use lms::mesh3d::{partition_tet_mesh, Adjacency3, TetMesh};
 use lms::order::{compute_ordering, random_ordering, OrderingKind};
+use lms::order::{compute_ordering as order3, OrderingKind as Kind3};
 use lms::part::{partition_mesh, Partition, PartitionMethod};
 
 /// FNV-1a (64-bit) over the little-endian bytes of `ids`.
