@@ -9,10 +9,6 @@
 //! copied code, and the bit-identity arguments (same-class vertices share
 //! no element; part interiors have fully-owned 1-rings) carry over
 //! verbatim because a tet's four corners are mutually adjacent.
-//!
-//! Partitioning is not here: `lms_part::partition_mesh` runs on `TetMesh`
-//! through its `lms_order::OrderMesh` impl (`crate::order`), with the same
-//! `PartitionMethod` menu as the 2D decompositions.
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;

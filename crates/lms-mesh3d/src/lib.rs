@@ -25,7 +25,7 @@
 //!   (`lms_order::compute_ordering`, `Permutation::apply_to_mesh`) and
 //!   every partitioner of `lms-part` (`lms_part::partition_mesh`, here
 //!   also under the name [`partition_tet_mesh`]) runs its one generic
-//!   body on tetrahedral meshes — there is no 3D front end.
+//!   body on tetrahedral meshes.
 //!
 //! ```
 //! use lms_mesh3d::{generators, SmoothEngine3, SmoothParams3};

@@ -184,7 +184,9 @@ pub fn compute_ordering<const D: usize, M: OrderMesh<D>>(
 }
 
 /// [`compute_ordering`] walking a prebuilt adjacency: the graph kinds and
-/// RDR read nothing topological from `mesh` beyond `adj`'s boundary.
+/// RDR traverse `adj` and build none of their own. RDR's interior flags
+/// come from [`OrderMesh::interior_flags`]: `adj`'s boundary flags on
+/// triangles, the face-based boundary on tetrahedra.
 pub fn compute_ordering_with<const D: usize, M: OrderMesh<D>>(
     mesh: &M,
     adj: &M::Adjacency,

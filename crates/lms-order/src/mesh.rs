@@ -80,8 +80,6 @@ impl OrderMesh<2> for TriMesh {
         Adjacency::build(self)
     }
 
-    /// Read off the adjacency's boundary flags (`Boundary::from_adjacency`'s
-    /// source).
     fn interior_flags(&self, adj: &Adjacency) -> Vec<bool> {
         adj.boundary_flags().iter().map(|&b| !b).collect()
     }

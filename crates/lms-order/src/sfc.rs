@@ -1,4 +1,5 @@
-//! Space-filling-curve orderings, one driver for every dimension.
+//! Space-filling-curve orderings: one quantise-and-sort body for every
+//! dimension.
 //!
 //! Sastry, Kultursay, Shontz & Kandemir \[14\] showed space-filling-curve
 //! vertex reordering improves cache utilisation for mesh warping; it is the

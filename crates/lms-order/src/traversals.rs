@@ -24,10 +24,7 @@ pub fn random_ordering(n: usize, seed: u64) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{
-        bfs_ordering_on, bfs_reversed_ordering_on, cuthill_mckee_ordering_on, dfs_ordering_on,
-        rcm_ordering_on,
-    };
+    use crate::graph::*;
     use lms_mesh::{figure5_mesh, generators, Adjacency, TriMesh};
 
     fn fig5_adj() -> (TriMesh, Adjacency) {
