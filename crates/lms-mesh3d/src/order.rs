@@ -89,6 +89,53 @@ mod tests {
     }
 
     #[test]
+    fn all_kinds_produce_valid_permutations() {
+        let m = test_mesh();
+        for kind in OrderingKind::ALL {
+            let mut ids = compute_ordering(&m, kind).new_to_old().to_vec();
+            ids.sort_unstable();
+            assert!(
+                ids.into_iter().eq(0..m.num_vertices() as u32),
+                "{} not bijective",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn with_and_without_adjacency_agree() {
+        let m = test_mesh();
+        let adj = Adjacency3::build(&m);
+        for kind in OrderingKind::ALL {
+            let with = lms_order::compute_ordering_with(&m, &adj, kind);
+            assert_eq!(compute_ordering(&m, kind), with, "{}", kind.name());
+        }
+    }
+
+    /// Every name and alias the tetrahedral front end accepted before it
+    /// shared `OrderingKind` still parses to the same ordering.
+    #[test]
+    fn parse_roundtrips_names() {
+        use OrderingKind::*;
+        for (names, kind) in [
+            (&["ori", "original"][..], Original),
+            (&["random", "rand"], Random { seed: 0 }),
+            (&["bfs"], Bfs),
+            (&["bfsrev", "rbfs"], BfsReversed),
+            (&["dfs"], Dfs),
+            (&["rcm"], Rcm),
+            (&["hilbert", "sfc"], Hilbert),
+            (&["morton", "zorder"], Morton),
+            (&["rdr"], Rdr),
+        ] {
+            for name in names {
+                assert_eq!(OrderingKind::parse(name), Some(kind), "{name}");
+            }
+        }
+        assert_eq!(OrderingKind::parse("nope"), None);
+    }
+
+    #[test]
     fn apply_permutation_preserves_geometry() {
         let m = test_mesh();
         let rm = compute_ordering(&m, OrderingKind::Rdr).apply_to_mesh(&m);

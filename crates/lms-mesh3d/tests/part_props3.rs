@@ -1,11 +1,55 @@
-//! Volume balance of the measure-weighted RCB splitter on tetrahedral
-//! meshes. The partition invariants themselves (cover, balance, halos,
-//! interface flags, exchange schedule) are property-tested once for both
-//! dimensions in `lms-part/tests/props.rs`.
+//! Partition invariants on tetrahedral meshes, across every method and
+//! arbitrary perturbed tet grids, plus the volume balance of the
+//! measure-weighted RCB splitter. The checks are the dimension-generic
+//! bodies `lms-part/tests/props.rs` runs on both dimensions.
+
+// only the checks this suite runs are used here
+#[allow(dead_code)]
+#[path = "../../lms-part/tests/partition_checks/mod.rs"]
+mod partition_checks;
 
 use lms_mesh3d::{partition_tet_mesh, Adjacency3, Point3, TetMesh};
 use lms_order::OrderMesh;
 use lms_part::{Partition, PartitionMethod};
+use partition_checks::*;
+use proptest::prelude::*;
+
+fn arb_mesh() -> impl Strategy<Value = TetMesh> {
+    (3usize..8, 3usize..8, 3usize..8, 0u64..1000, 0..40u32).prop_map(|(nx, ny, nz, seed, jit)| {
+        lms_mesh3d::generators::perturbed_tet_grid(nx, ny, nz, jit as f64 / 100.0, seed)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parts_disjoint_cover_and_balanced(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
+        cover_and_balance(&mesh, k, method_ix);
+    }
+
+    #[test]
+    fn exchange_schedule_covers_exactly_the_halo(
+        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
+    ) {
+        schedule_covers_halo(&mesh, k, method_ix);
+    }
+
+    #[test]
+    fn halo_is_one_ring_closure_of_interface(mesh in arb_mesh(), k in 2usize..9, method_ix in 0usize..4) {
+        halo_closure(&mesh, k, method_ix);
+    }
+
+    #[test]
+    fn interface_flag_matches_topology(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
+        interface_flags(&mesh, k, method_ix);
+    }
+
+    #[test]
+    fn interior_plus_interface_is_owned(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
+        interior_plus_interface(&mesh, k, method_ix);
+    }
+}
 
 /// The volume-weighted splitter must beat count-balanced RCB on per-part
 /// volume balance for a graded mesh (z-coordinates pushed through z³).
