@@ -318,7 +318,7 @@ mod tests {
     use crate::generators::perturbed_tet_grid;
     use crate::partition_tet_mesh;
     use crate::quality::mesh_quality;
-    use lms_order::rcb_parts;
+    use lms_order::{rcb_parts, rcb_parts_weighted};
     use lms_part::{partition_coords, PartitionMethod};
 
     #[test]
@@ -459,12 +459,12 @@ mod tests {
 
     #[test]
     fn weighted_rcb3_equals_rcb3_on_uniform_grids() {
-        // the coordinates-only API has no volumes to weight by: there
-        // RcbWeighted degenerates to Rcb
+        // the coordinates-only API has no volumes to weight by: its
+        // RcbWeighted is the weighted splitter under uniform weights,
+        // which is Rcb
         let m = perturbed_tet_grid(6, 6, 6, 0.25, 4);
-        assert_eq!(
-            partition_coords(&m, 6, PartitionMethod::RcbWeighted),
-            partition_coords(&m, 6, PartitionMethod::Rcb),
-        );
+        let uniform = rcb_parts_weighted(m.coords(), &vec![1.0; m.num_vertices()], 6);
+        assert_eq!(partition_coords(&m, 6, PartitionMethod::RcbWeighted), uniform);
+        assert_eq!(partition_coords(&m, 6, PartitionMethod::Rcb), uniform);
     }
 }

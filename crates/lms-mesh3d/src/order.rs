@@ -73,8 +73,9 @@ mod tests {
     use crate::smooth::{SmoothEngine3, SmoothParams3};
     use lms_order::graph::rdr_ordering_on;
     use lms_order::rdr::RdrOptions;
-    use lms_order::{compute_ordering, layout_stats, OrderingKind};
+    use lms_order::{compute_ordering, compute_ordering_with, layout_stats, OrderingKind};
     use lms_smooth::trace::VecSink;
+    use proptest::prelude::*;
 
     fn test_mesh() -> TetMesh {
         block_scramble(perturbed_tet_grid(8, 8, 8, 0.35, 3), 64, 3)
@@ -88,27 +89,40 @@ mod tests {
         sink.accesses
     }
 
-    #[test]
-    fn all_kinds_produce_valid_permutations() {
-        let m = test_mesh();
-        for kind in OrderingKind::ALL {
-            let mut ids = compute_ordering(&m, kind).new_to_old().to_vec();
-            ids.sort_unstable();
-            assert!(
-                ids.into_iter().eq(0..m.num_vertices() as u32),
-                "{} not bijective",
-                kind.name()
-            );
-        }
+    /// A jittered tet grid (2–5 cells per axis) under a block-scrambled
+    /// numbering.
+    fn arb_tet() -> impl Strategy<Value = TetMesh> {
+        (2usize..6, 2usize..6, 2usize..6, 0.0f64..0.4, 0u64..500).prop_map(
+            |(nx, ny, nz, j, seed)| {
+                block_scramble(perturbed_tet_grid(nx, ny, nz, j, seed), 16, seed)
+            },
+        )
     }
 
-    #[test]
-    fn with_and_without_adjacency_agree() {
-        let m = test_mesh();
-        let adj = Adjacency3::build(&m);
-        for kind in OrderingKind::ALL {
-            let with = lms_order::compute_ordering_with(&m, &adj, kind);
-            assert_eq!(compute_ordering(&m, kind), with, "{}", kind.name());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every kind orders every vertex exactly once.
+        #[test]
+        fn all_kinds_produce_valid_permutations(m in arb_tet()) {
+            let adj = Adjacency3::build(&m);
+            for kind in OrderingKind::ALL {
+                let mut ids = compute_ordering_with(&m, &adj, kind).new_to_old().to_vec();
+                ids.sort_unstable();
+                prop_assert!(ids.into_iter().eq(0..m.num_vertices() as u32), "{}", kind.name());
+            }
+        }
+
+        /// Every kind gives the same permutation twice, whether it builds
+        /// its own adjacency or walks a handed one.
+        #[test]
+        fn with_and_without_adjacency_agree(m in arb_tet()) {
+            let adj = Adjacency3::build(&m);
+            for kind in OrderingKind::ALL {
+                let handed = compute_ordering_with(&m, &adj, kind);
+                prop_assert_eq!(&compute_ordering(&m, kind), &handed, "{}", kind.name());
+                prop_assert_eq!(compute_ordering_with(&m, &adj, kind), handed, "{}", kind.name());
+            }
         }
     }
 

@@ -13,34 +13,29 @@
 //! primitive also drives [`rcb_parts`], the balanced k-way geometric
 //! partitioner behind `lms-part`'s domain decompositions, in 2D and 3D.
 //!
-//! Points are read as `D`-component arrays (anything `Into<[f64; D]>`, so
-//! `Point2`, `Point3` and plain arrays alike). The longest axis is the
+//! Points are read in place as `D`-component arrays (anything
+//! `Into<[f64; D]>`, so `Point2`, `Point3` and plain arrays alike; no
+//! copy of the point set is made). The longest axis is the
 //! first one of maximal extent, which at `D = 2` is the `extent.x >=
-//! extent.y` rule. The recursion passes each subset's **exact** bounding
-//! box down instead of re-scanning all ids at every level: along the split
-//! axis the child extents fall out of the split itself (see
-//! `median_split_nd`), so only the off-axis extents and the left half's
-//! split-axis maximum need a fold — one fused pass per split instead of a
-//! fresh full-box scan per child, with a bit-identical resulting
-//! permutation.
+//! extent.y` rule. Each split folds the bounding box of the subset it
+//! splits, so leaves and single-part subtrees are never scanned.
 
 use crate::permutation::Permutation;
 
 /// Minimum leaf size: subsets at or below this stay in index order.
 const LEAF: usize = 8;
 
-/// The points as `D`-component arrays, the form the recursion indexes.
-fn arrays<const D: usize, P: Copy + Into<[f64; D]>>(coords: &[P]) -> Vec<[f64; D]> {
-    coords.iter().map(|&p| p.into()).collect()
+/// Point `v` as a `D`-component array, read in place.
+#[inline]
+fn at<const D: usize, P: Copy + Into<[f64; D]>>(coords: &[P], v: u32) -> [f64; D] {
+    coords[v as usize].into()
 }
 
 /// Recursive-coordinate-bisection ordering of a point set.
 pub fn rcb_ordering<const D: usize, P: Copy + Into<[f64; D]>>(coords: &[P]) -> Permutation {
-    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
     if ids.len() > LEAF {
-        let (lo, hi) = subset_bbox_nd(&ids, &coords);
-        bisect_nd(&mut ids, &coords, lo, hi);
+        bisect_nd(&mut ids, coords);
     }
     // subsets at or below LEAF keep ascending index order; `ids` starts
     // sorted, so nothing to do on that path
@@ -62,10 +57,8 @@ pub fn rcb_parts<const D: usize, P: Copy + Into<[f64; D]>>(
     if coords.is_empty() || num_parts == 1 {
         return part;
     }
-    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
-    let (lo, hi) = subset_bbox_nd(&ids, &coords);
-    kway_nd(&mut ids, &coords, lo, hi, 0, num_parts as u32, &mut part);
+    kway_nd(&mut ids, coords, 0, num_parts as u32, &mut part);
     part
 }
 
@@ -96,29 +89,22 @@ pub fn rcb_parts_weighted<const D: usize, P: Copy + Into<[f64; D]>>(
     if coords.is_empty() || num_parts == 1 {
         return part;
     }
-    let coords = arrays(coords);
     let mut ids: Vec<u32> = (0..coords.len() as u32).collect();
-    kway_weighted_nd(&mut ids, &coords, weights, 0, num_parts as u32, &mut part);
+    kway_weighted_nd(&mut ids, coords, weights, 0, num_parts as u32, &mut part);
     part
 }
 
-/// Exact bounding box of a subset — computed once at each recursion root;
-/// children derive theirs from [`median_split_nd`]'s bookkeeping.
-fn subset_bbox_nd<const D: usize>(ids: &[u32], coords: &[[f64; D]]) -> ([f64; D], [f64; D]) {
-    let mut lo = coords[ids[0] as usize];
+/// Longest axis of `ids`' exact bounding box (first axis wins ties).
+fn longest_axis<const D: usize, P: Copy + Into<[f64; D]>>(ids: &[u32], coords: &[P]) -> usize {
+    let mut lo = at(coords, ids[0]);
     let mut hi = lo;
-    for &v in ids.iter() {
-        let p = coords[v as usize];
+    for &v in &ids[1..] {
+        let p = at(coords, v);
         for d in 0..D {
             lo[d] = lo[d].min(p[d]);
             hi[d] = hi[d].max(p[d]);
         }
     }
-    (lo, hi)
-}
-
-/// Longest axis of an exact bounding box (first axis wins ties).
-fn longest_axis<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> usize {
     let mut axis = 0;
     for d in 1..D {
         if hi[d] - lo[d] > hi[axis] - lo[axis] {
@@ -128,75 +114,37 @@ fn longest_axis<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> usize {
     axis
 }
 
-/// Split `ids` at position `mid` along the longest axis of its (exact)
-/// bounding box `(lo, hi)`, median style with ties broken by id, and
-/// return the **exact** bounding boxes of the two halves via one fused
-/// pass — the split-axis extremes carry over from the parent and the
-/// pivot, so no fresh full-box scan per child is needed.
-#[allow(clippy::type_complexity)]
-fn median_split_nd<const D: usize>(
-    ids: &mut [u32],
-    coords: &[[f64; D]],
-    lo: [f64; D],
-    hi: [f64; D],
-    mid: usize,
-) -> (([f64; D], [f64; D]), ([f64; D], [f64; D])) {
-    debug_assert!(mid >= 1 && mid < ids.len());
-    let axis = longest_axis(&lo, &hi);
-    let key = |v: u32| coords[v as usize][axis];
-    ids.select_nth_unstable_by(mid, |&a, &b| {
-        key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-
-    // Split-axis extents carry over exactly: the subset's key-minimal
-    // element lands in the left half (left min = parent min) and the
-    // key-maximal in the right (right max = parent max); the pivot —
-    // first of the right half under the (key, id) order — realises the
-    // right half's split-axis minimum. Only the left half's split-axis
-    // maximum and both halves' off-axis extents need a fold.
-    let off_fold = |half: &[u32]| {
-        let mut hlo = coords[half[0] as usize];
-        let mut hhi = hlo;
-        for &v in &half[1..] {
-            let p = coords[v as usize];
-            for d in 0..D {
-                if d != axis {
-                    hlo[d] = hlo[d].min(p[d]);
-                    hhi[d] = hhi[d].max(p[d]);
-                }
-            }
-        }
-        (hlo, hhi)
-    };
-    let (mut llo, mut lhi) = off_fold(&ids[..mid]);
-    llo[axis] = lo[axis];
-    lhi[axis] = ids[..mid].iter().map(|&v| key(v)).fold(f64::MIN, f64::max);
-    let (mut rlo, mut rhi) = off_fold(&ids[mid..]);
-    rlo[axis] = key(ids[mid]);
-    rhi[axis] = hi[axis];
-    ((llo, lhi), (rlo, rhi))
+/// Order two ids by their coordinate along `axis`, ties broken by id.
+fn by_key<const D: usize, P: Copy + Into<[f64; D]>>(
+    coords: &[P],
+    axis: usize,
+) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
+    move |&a, &b| {
+        at(coords, a)[axis]
+            .partial_cmp(&at(coords, b)[axis])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    }
 }
 
-/// The ordering recursion: halve at the median, lay out each half
-/// contiguously, sort leaves of at most [`LEAF`] ids.
-fn bisect_nd<const D: usize>(ids: &mut [u32], coords: &[[f64; D]], lo: [f64; D], hi: [f64; D]) {
+/// The ordering recursion: halve at the median of the longest axis, lay
+/// out each half contiguously, sort leaves of at most [`LEAF`] ids.
+fn bisect_nd<const D: usize, P: Copy + Into<[f64; D]>>(ids: &mut [u32], coords: &[P]) {
     let mid = ids.len() / 2;
-    let (lbox, rbox) = median_split_nd(ids, coords, lo, hi, mid);
+    ids.select_nth_unstable_by(mid, by_key(coords, longest_axis(ids, coords)));
     let (left, right) = ids.split_at_mut(mid);
-    for (half, (hlo, hhi)) in [(left, lbox), (right, rbox)] {
+    for half in [left, right] {
         if half.len() <= LEAF {
             half.sort_unstable(); // deterministic leaf layout
         } else {
-            bisect_nd(half, coords, hlo, hhi);
+            bisect_nd(half, coords);
         }
     }
 }
 
-fn kway_nd<const D: usize>(
+fn kway_nd<const D: usize, P: Copy + Into<[f64; D]>>(
     ids: &mut [u32],
-    coords: &[[f64; D]],
-    lo: [f64; D],
-    hi: [f64; D],
+    coords: &[P],
     base: u32,
     k: u32,
     part: &mut [u32],
@@ -212,18 +160,18 @@ fn kway_nd<const D: usize>(
     if mid == 0 {
         // fewer points than parts on this side: everything goes to the
         // right subtree, the left part ids stay empty
-        kway_nd(ids, coords, lo, hi, base + kl, k - kl, part);
+        kway_nd(ids, coords, base + kl, k - kl, part);
         return;
     }
-    let (lbox, rbox) = median_split_nd(ids, coords, lo, hi, mid);
+    ids.select_nth_unstable_by(mid, by_key(coords, longest_axis(ids, coords)));
     let (left, right) = ids.split_at_mut(mid);
-    kway_nd(left, coords, lbox.0, lbox.1, base, kl, part);
-    kway_nd(right, coords, rbox.0, rbox.1, base + kl, k - kl, part);
+    kway_nd(left, coords, base, kl, part);
+    kway_nd(right, coords, base + kl, k - kl, part);
 }
 
-fn kway_weighted_nd<const D: usize>(
+fn kway_weighted_nd<const D: usize, P: Copy + Into<[f64; D]>>(
     ids: &mut [u32],
-    coords: &[[f64; D]],
+    coords: &[P],
     weights: &[f64],
     base: u32,
     k: u32,
@@ -236,16 +184,11 @@ fn kway_weighted_nd<const D: usize>(
         return;
     }
     let kl = k / 2;
-    let (lo, hi) = subset_bbox_nd(ids, coords);
-    let axis = longest_axis(&lo, &hi);
-    let key = |v: u32| coords[v as usize][axis];
     // full (key, id) sort instead of select_nth: the weighted-median cut
     // index is only known after a prefix scan of the sorted weights. The
     // left/right *sets* under this comparator match the unweighted
     // splitter's whenever the cut indices agree.
-    ids.sort_unstable_by(|&a, &b| {
-        key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
+    ids.sort_unstable_by(by_key(coords, longest_axis(ids, coords)));
     let total: f64 = ids.iter().map(|&v| weights[v as usize]).sum();
     let target = total * kl as f64 / k as f64;
     let mut acc = 0.0;
@@ -279,9 +222,9 @@ mod tests {
     use crate::traversals::random_ordering;
     use lms_mesh::{generators, Adjacency, Point2};
 
-    /// The pre-optimisation reference: recompute the subset bounding box
-    /// from scratch at every recursion level. Kept as the oracle for the
-    /// bit-identity test of the extent-passing recursion.
+    /// A plain 2D reference on `Point2`: its own bounding-box scan at
+    /// every level and the `extent.x >= extent.y` split rule. The oracle
+    /// that the dimension-generic recursion orders 2D points bit-identically.
     fn reference_rcb(coords: &[Point2]) -> Permutation {
         fn bisect_ref(ids: &mut [u32], coords: &[Point2]) {
             if ids.len() <= LEAF {

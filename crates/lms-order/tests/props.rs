@@ -2,17 +2,15 @@
 //! bijection on arbitrary meshes (Theorem 1 of the paper for RDR), the
 //! RDR walk equals a plain reference walk, the permutation algebra obeys
 //! its laws, and the locality metrics rank the graph orderings above
-//! random. The kind-by-kind checks run on triangle and tetrahedral meshes
-//! alike.
+//! random. The kind-by-kind checks run on triangle meshes here and on
+//! tetrahedral meshes in `lms-mesh3d`'s `order` tests.
 
 use lms_mesh::{generators, Adjacency, TriMesh};
-use lms_mesh3d::generators::{block_scramble, perturbed_tet_grid};
-use lms_mesh3d::TetMesh;
 use lms_order::graph::rdr_ordering_on;
 use lms_order::{
     compute_ordering, compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on,
-    random_ordering, ChunkConcat, CsrGraph, Graph, OrderMesh, OrderingKind, ParRdrOptions,
-    Permutation, RdrOptions,
+    random_ordering, ChunkConcat, CsrGraph, Graph, OrderingKind, ParRdrOptions, Permutation,
+    RdrOptions,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -21,34 +19,6 @@ use std::collections::BinaryHeap;
 fn arb_grid() -> impl Strategy<Value = TriMesh> {
     (3usize..16, 3usize..16, 0.0f64..0.45, 0u64..500)
         .prop_map(|(nx, ny, jitter, seed)| generators::perturbed_grid(nx, ny, jitter, seed))
-}
-
-/// A jittered tet grid (2–5 cells per axis) under a block-scrambled
-/// numbering.
-fn arb_tet() -> impl Strategy<Value = TetMesh> {
-    (2usize..6, 2usize..6, 2usize..6, 0.0f64..0.4, 0u64..500).prop_map(|(nx, ny, nz, j, seed)| {
-        block_scramble(perturbed_tet_grid(nx, ny, nz, j, seed), 16, seed)
-    })
-}
-
-/// Every kind orders every vertex exactly once.
-fn every_kind_is_a_bijection<const D: usize, M: OrderMesh<D>>(mesh: &M) {
-    let adj = mesh.build_adjacency();
-    for kind in OrderingKind::ALL {
-        let p = compute_ordering_with(mesh, &adj, kind);
-        prop_assert!(is_bijection(&p, mesh.num_vertices()), "{}", kind.name());
-    }
-}
-
-/// Every kind gives the same permutation twice, whether it builds its
-/// own adjacency or walks a handed one.
-fn every_kind_is_deterministic<const D: usize, M: OrderMesh<D>>(mesh: &M) {
-    let adj = mesh.build_adjacency();
-    for kind in OrderingKind::ALL {
-        let handed = compute_ordering_with(mesh, &adj, kind);
-        prop_assert_eq!(&compute_ordering(mesh, kind), &handed, "{}", kind.name());
-        prop_assert_eq!(compute_ordering_with(mesh, &adj, kind), handed, "{}", kind.name());
-    }
 }
 
 /// A symmetric CSR graph on `n` vertices from arbitrary index pairs (self
@@ -253,11 +223,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Theorem 1, generalised to the whole zoo: every ordering orders
-    /// every vertex exactly once on arbitrary meshes of either dimension.
+    /// every vertex exactly once on arbitrary meshes.
     #[test]
-    fn every_ordering_is_a_bijection(tri in arb_grid(), tet in arb_tet()) {
-        every_kind_is_a_bijection(&tri);
-        every_kind_is_a_bijection(&tet);
+    fn every_ordering_is_a_bijection(m in arb_grid()) {
+        let adj = Adjacency::build(&m);
+        for kind in OrderingKind::ALL {
+            let p = compute_ordering_with(&m, &adj, kind);
+            prop_assert!(is_bijection(&p, m.num_vertices()), "{}", kind.name());
+        }
     }
 
     /// Theorem 1 through the frontier reseeding, on graphs no generator
@@ -410,11 +383,15 @@ proptest! {
     }
 
     /// Orderings are deterministic: two computations agree, with and
-    /// without a handed adjacency, in either dimension.
+    /// without a handed adjacency.
     #[test]
-    fn orderings_are_deterministic(tri in arb_grid(), tet in arb_tet()) {
-        every_kind_is_deterministic(&tri);
-        every_kind_is_deterministic(&tet);
+    fn orderings_are_deterministic(m in arb_grid()) {
+        let adj = Adjacency::build(&m);
+        for kind in OrderingKind::ALL {
+            let handed = compute_ordering_with(&m, &adj, kind);
+            prop_assert_eq!(&compute_ordering(&m, kind), &handed, "{}", kind.name());
+            prop_assert_eq!(compute_ordering_with(&m, &adj, kind), handed, "{}", kind.name());
+        }
     }
 }
 

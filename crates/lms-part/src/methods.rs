@@ -236,13 +236,12 @@ mod tests {
 
     #[test]
     fn weighted_rcb_equals_rcb_through_the_point_api() {
-        // partition_coords has no areas to weight by: RcbWeighted must be
-        // exactly Rcb there (uniform-weight oracle)
+        // partition_coords has no areas to weight by: its RcbWeighted is
+        // the weighted splitter under uniform weights, which is Rcb
         let m = generators::perturbed_grid(18, 15, 0.35, 4);
-        assert_eq!(
-            partition_coords(&m, 6, PartitionMethod::RcbWeighted),
-            partition_coords(&m, 6, PartitionMethod::Rcb),
-        );
+        let uniform = rcb_parts_weighted(m.coords(), &vec![1.0; m.num_vertices()], 6);
+        assert_eq!(partition_coords(&m, 6, PartitionMethod::RcbWeighted), uniform);
+        assert_eq!(partition_coords(&m, 6, PartitionMethod::Rcb), uniform);
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! Partition invariants on tetrahedral meshes, across every method and
-//! arbitrary perturbed tet grids, plus the volume balance of the
-//! measure-weighted RCB splitter. The checks are the dimension-generic
-//! bodies `lms-part/tests/props.rs` runs on both dimensions.
+//! arbitrary perturbed tet grids — the checks `props.rs` runs on triangle
+//! meshes — plus the volume balance of the measure-weighted RCB splitter.
 
-// only the checks this suite runs are used here
-#[allow(dead_code)]
-#[path = "../../lms-part/tests/partition_checks/mod.rs"]
 mod partition_checks;
 
-use lms_mesh3d::{partition_tet_mesh, Adjacency3, Point3, TetMesh};
+use lms_mesh3d::{Adjacency3, Point3, TetMesh};
 use lms_order::OrderMesh;
-use lms_part::{Partition, PartitionMethod};
+use lms_part::{partition_mesh, Partition, PartitionMethod};
 use partition_checks::*;
 use proptest::prelude::*;
 
@@ -20,36 +16,7 @@ fn arb_mesh() -> impl Strategy<Value = TetMesh> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parts_disjoint_cover_and_balanced(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
-        cover_and_balance(&mesh, k, method_ix);
-    }
-
-    #[test]
-    fn exchange_schedule_covers_exactly_the_halo(
-        mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4,
-    ) {
-        schedule_covers_halo(&mesh, k, method_ix);
-    }
-
-    #[test]
-    fn halo_is_one_ring_closure_of_interface(mesh in arb_mesh(), k in 2usize..9, method_ix in 0usize..4) {
-        halo_closure(&mesh, k, method_ix);
-    }
-
-    #[test]
-    fn interface_flag_matches_topology(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
-        interface_flags(&mesh, k, method_ix);
-    }
-
-    #[test]
-    fn interior_plus_interface_is_owned(mesh in arb_mesh(), k in 1usize..9, method_ix in 0usize..4) {
-        interior_plus_interface(&mesh, k, method_ix);
-    }
-}
+partition_properties!(arb_mesh(), 24);
 
 /// The volume-weighted splitter must beat count-balanced RCB on per-part
 /// volume balance for a graded mesh (z-coordinates pushed through z³).
@@ -71,8 +38,8 @@ fn weighted_rcb3_balances_volume_on_graded_meshes() {
         }
         per.iter().copied().fold(0.0, f64::max)
     };
-    let weighted = partition_tet_mesh(&m, &adj, k, PartitionMethod::RcbWeighted);
-    let unweighted = partition_tet_mesh(&m, &adj, k, PartitionMethod::Rcb);
+    let weighted = partition_mesh(&m, &adj, k, PartitionMethod::RcbWeighted);
+    let unweighted = partition_mesh(&m, &adj, k, PartitionMethod::Rcb);
     let mean = total / k as f64;
     let wi = max_share(&weighted) / mean;
     let ui = max_share(&unweighted) / mean;

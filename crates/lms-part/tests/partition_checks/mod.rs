@@ -1,8 +1,9 @@
-//! The partition properties, each written once over `OrderMesh` and
-//! shared by `lms-part/tests/props.rs` (triangle and tetrahedral
-//! strategies) and `lms-mesh3d/tests/part_props3.rs` (tetrahedral
-//! strategy). Each check partitions `mesh` with `PartitionMethod::ALL
-//! [method_ix]` into `k` parts and panics on the first violation.
+//! The partition properties, each written once over `OrderMesh`, and
+//! [`partition_properties!`], which runs all of them on one mesh
+//! strategy: `props.rs` on triangle meshes, `part_props3.rs` on
+//! tetrahedral meshes. Each check partitions `mesh` with
+//! `PartitionMethod::ALL[method_ix]` into `k` parts and fails on the first
+//! violation.
 
 use lms_order::{Graph, OrderMesh};
 use lms_part::{partition_mesh, ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
@@ -90,7 +91,6 @@ pub fn interface_flags<const D: usize, M: OrderMesh<D>>(mesh: &M, k: usize, meth
         let crosses = adj.neighbors(v).iter().any(|&w| p.part_of(w) != p.part_of(v));
         prop_assert_eq!(p.is_interface(v), crosses);
     }
-    interior_plus_interface(mesh, k, method_ix);
 }
 
 /// Interior + interface = owned, part by part.
@@ -121,12 +121,16 @@ pub fn ghost_map<const D: usize, M: OrderMesh<D>>(mesh: &M, k: usize, method_ix:
     }
 }
 
-pub fn edge_cut<const D: usize, M: OrderMesh<D>>(mesh: &M, k: usize, method_ix: usize) {
-    let (adj, p) = build(mesh, k, method_ix);
-    let direct = (0..mesh.num_vertices() as u32)
-        .flat_map(|v| adj.neighbors(v).iter().map(move |&w| (v, w)))
-        .filter(|&(v, w)| v < w && p.part_of(v) != p.part_of(w))
-        .count();
+/// The edge cut equals a recount over `edges`, the mesh's element-derived
+/// edge list — independent of the adjacency the partition was built on.
+pub fn edge_cut<const D: usize, M: OrderMesh<D>>(
+    mesh: &M,
+    edges: &[(u32, u32)],
+    k: usize,
+    method_ix: usize,
+) {
+    let (_, p) = build(mesh, k, method_ix);
+    let direct = edges.iter().filter(|&&(a, b)| p.part_of(a) != p.part_of(b)).count();
     prop_assert_eq!(p.edge_cut(), direct);
 }
 
@@ -158,3 +162,70 @@ pub fn message_plan<const D: usize, M: OrderMesh<D>>(mesh: &M, k: usize, method_
     }
     prop_assert_eq!(total, s.num_entries());
 }
+
+/// One property test per check, each drawing its meshes from `$strategy`
+/// (`$cases` cases); the edge-cut recount reads `mesh.edges()`.
+macro_rules! partition_properties {
+    ($strategy:expr, $cases:expr) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases($cases))]
+
+            #[test]
+            fn parts_disjoint_cover_and_balanced(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                cover_and_balance(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn exchange_schedule_covers_exactly_the_halo(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                schedule_covers_halo(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn halo_is_one_ring_closure_of_interface(
+                mesh in $strategy, k in 2usize..9, method_ix in 0usize..4,
+            ) {
+                halo_closure(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn interface_flag_matches_topology(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                interface_flags(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn interior_plus_interface_is_owned(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                interior_plus_interface(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn ghost_map_is_owned_then_halo(
+                mesh in $strategy, k in 2usize..7, method_ix in 0usize..4,
+            ) {
+                ghost_map(&mesh, k, method_ix);
+            }
+
+            #[test]
+            fn edge_cut_matches_direct_count(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                edge_cut(&mesh, &mesh.edges(), k, method_ix);
+            }
+
+            #[test]
+            fn message_plan_regroups_the_schedule(
+                mesh in $strategy, k in 1usize..9, method_ix in 0usize..4,
+            ) {
+                message_plan(&mesh, k, method_ix);
+            }
+        }
+    };
+}
+pub(crate) use partition_properties;

@@ -1,63 +1,34 @@
-//! Property tests for partition invariants, across every method and
-//! arbitrary perturbed grids, each written once over `OrderMesh` and run
-//! on triangle and tetrahedral meshes alike:
+//! Property tests for partition invariants on triangle meshes, across
+//! every method and arbitrary perturbed grids (`part_props3.rs` runs the
+//! same checks on tetrahedral meshes):
 //!
 //! * parts are disjoint and cover the vertex set, sizes within one
-//!   (count-balanced methods; the measure-weighted splitter balances
-//!   weight);
+//!   (count-balanced methods; the area-weighted splitter balances weight);
 //! * interior + interface = owned, and the interface flag is exactly
 //!   "has a cross-part neighbour";
 //! * halos are exactly the out-of-part 1-ring closure of the interfaces;
 //! * the ghost-vertex map is a bijection onto owned-then-halo locals;
+//! * the edge cut matches a recount over the element-derived edge list;
 //! * the halo-exchange schedule delivers to every halo slot exactly once
 //!   — it covers exactly the 1-ring-of-interface closure — and the
 //!   message plan regroups it per part pair.
+//!
+//! Then the wire format: frames roundtrip arbitrary bit patterns and are
+//! rejected, never misread, when truncated, fragmented or corrupted.
 
 mod partition_checks;
 
 use lms_mesh::TriMesh;
-use lms_mesh3d::TetMesh;
 use partition_checks::*;
 use proptest::prelude::*;
 
-fn arb_tri() -> impl Strategy<Value = TriMesh> {
+fn arb_mesh() -> impl Strategy<Value = TriMesh> {
     (4usize..16, 4usize..16, 0u64..1000, 0..40u32).prop_map(|(nx, ny, seed, jit)| {
         lms_mesh::generators::perturbed_grid(nx, ny, jit as f64 / 100.0, seed)
     })
 }
 
-fn arb_tet() -> impl Strategy<Value = TetMesh> {
-    (3usize..8, 3usize..8, 3usize..8, 0u64..1000, 0..40u32).prop_map(|(nx, ny, nz, seed, jit)| {
-        lms_mesh3d::generators::perturbed_tet_grid(nx, ny, nz, jit as f64 / 100.0, seed)
-    })
-}
-
-/// One property test per check: each case draws a triangle and a
-/// tetrahedral mesh and runs the check on both.
-macro_rules! on_both_dimensions {
-    ($($name:ident: $check:ident, k in $k:expr;)*) => {
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            $(
-                #[test]
-                fn $name(tri in arb_tri(), tet in arb_tet(), k in $k, method_ix in 0usize..4) {
-                    $check(&tri, k, method_ix);
-                    $check(&tet, k, method_ix);
-                }
-            )*
-        }
-    };
-}
-
-on_both_dimensions! {
-    parts_disjoint_cover_and_balanced: cover_and_balance, k in 1usize..9;
-    exchange_schedule_covers_exactly_the_halo: schedule_covers_halo, k in 1usize..9;
-    halo_is_one_ring_closure_of_interface: halo_closure, k in 2usize..9;
-    interface_flag_matches_topology: interface_flags, k in 1usize..9;
-    ghost_map_is_owned_then_halo: ghost_map, k in 2usize..7;
-    edge_cut_matches_direct_count: edge_cut, k in 1usize..9;
-    message_plan_regroups_the_schedule: message_plan, k in 1usize..9;
-}
+partition_properties!(arb_mesh(), 48);
 
 /// Random `f64` bit patterns — NaNs (quiet and signalling patterns),
 /// ±0, infinities, subnormals all included by construction.

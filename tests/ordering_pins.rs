@@ -12,7 +12,6 @@ use lms::mesh::{Adjacency, TriMesh};
 use lms::mesh3d::generators::{block_scramble, perturbed_tet_grid};
 use lms::mesh3d::{partition_tet_mesh, Adjacency3, TetMesh};
 use lms::order::{compute_ordering, random_ordering, OrderingKind};
-use lms::order::{compute_ordering as order3, OrderingKind as Kind3};
 use lms::part::{partition_mesh, Partition, PartitionMethod};
 
 /// FNV-1a (64-bit) over the little-endian bytes of `ids`.
@@ -92,7 +91,9 @@ fn every_3d_ordering_is_pinned() {
         ("morton", 0x3864_9d53_3807_4577),
         ("rdr", 0xb983_7439_4dae_b54b),
     ];
-    assert_pinned(&pins, |name| fnv1a(order3(&m, Kind3::parse(name).unwrap()).new_to_old()));
+    assert_pinned(&pins, |name| {
+        fnv1a(compute_ordering(&m, OrderingKind::parse(name).unwrap()).new_to_old())
+    });
 }
 
 /// Every method at k ∈ {2, 4, 7}, triangles then tetrahedra.
