@@ -9,20 +9,25 @@
 //!
 //! `<workload>` is `tri2d-rdr-serial`, `tri2d-rdr-resident`,
 //! `tri2d-ori-dist` or `tet3d-ori-resident`; run one per process, so the
-//! peak is that workload's. The rows are the structures live at the
-//! workload's peak; what the ledger does not reach (the resident ranks'
+//! peak is that workload's. The rows are the long-lived structures; a
+//! resident engine's ledger is split into its blocks, its partition +
+//! exchange schedule + interface classes, and its inverse degrees. What
+//! the ledger does not reach (construction transients such as the serial
+//! engine a resident engine builds its blocks with, the resident ranks'
 //! run-time buffers, the allocator, the binary) is the gap to `VmHWM`.
 //! For the distributed workload the forked ranks' peak is printed too:
 //! a rank starts with every page the coordinator had resident at the fork.
 
 use lms_dist::{DistResidentEngine, FtOptions};
 use lms_mesh::generators::perturbed_grid;
-use lms_mesh::{Adjacency, TriMesh};
+use lms_mesh::{vec_bytes, Adjacency, TriMesh};
 use lms_mesh3d::generators::perturbed_tet_grid;
 use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
 use lms_order::{compute_ordering_with, random_ordering, OrderingKind};
 use lms_part::PartitionMethod;
-use lms_smooth::{DomainQualityCache, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{
+    DomainQualityCache, ResidentEngine, ResidentEngineOn, SmoothEngine, SmoothMesh, SmoothParams,
+};
 
 const SEED: u64 = 42;
 const JITTER: f64 = 0.35;
@@ -88,7 +93,29 @@ fn mib(bytes: usize) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-fn print_ledger(workload: &str, rows: &[(&str, usize)]) {
+/// A resident engine's `heap_bytes()` as three rows — blocks; partition,
+/// schedule and interface classes; inverse degrees — which sum to it.
+fn resident_rows<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    name: &str,
+    engine: &ResidentEngineOn<C, D, M>,
+) -> Vec<(String, usize)> {
+    let blocks = size_of_val(engine.blocks())
+        + engine.blocks().iter().map(|b| b.heap_bytes()).sum::<usize>();
+    let classes = engine.interface_classes();
+    let plan = engine.partition().heap_bytes()
+        + engine.exchange_schedule().heap_bytes()
+        + size_of_val(classes)
+        + classes.iter().map(vec_bytes).sum::<usize>();
+    let inv_deg = size_of_val(engine.inv_degrees());
+    assert_eq!(blocks + plan + inv_deg, engine.heap_bytes(), "the rows must cover the ledger");
+    vec![
+        (format!("{name}: blocks"), blocks),
+        (format!("{name}: partition + schedule + classes"), plan),
+        (format!("{name}: 1/deg per vertex"), inv_deg),
+    ]
+}
+
+fn print_ledger(workload: &str, rows: &[(String, usize)]) {
     println!("{workload}: heap_bytes() ledger at the peak");
     for (name, bytes) in rows {
         println!("  {name:<58} {:>8.1} MiB", mib(*bytes));
@@ -114,10 +141,10 @@ fn rdr_serial() {
     print_ledger(
         "tri2d-rdr-serial",
         &[
-            ("input mesh (shuffled)", input.heap_bytes()),
-            ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
-            ("SmoothEngine (adjacency, boundary, visit order)", engine.heap_bytes()),
-            ("DomainQualityCache (quality, orientation bit, 1/deg)", cache),
+            ("input mesh (shuffled)".into(), input.heap_bytes()),
+            ("reordered mesh (coordinates + the one triangle table)".into(), mesh.heap_bytes()),
+            ("SmoothEngine (adjacency, boundary, visit order)".into(), engine.heap_bytes()),
+            ("DomainQualityCache (quality, orientation bit, 1/deg)".into(), cache),
         ],
     );
 }
@@ -130,14 +157,12 @@ fn rdr_resident() {
     drop(adj);
     let engine = ResidentEngine::new(&mesh, params(10), partition);
     engine.smooth(&mut mesh, 1);
-    print_ledger(
-        "tri2d-rdr-resident",
-        &[
-            ("input mesh (shuffled)", input.heap_bytes()),
-            ("reordered mesh (coordinates + the one triangle table)", mesh.heap_bytes()),
-            ("ResidentEngine (serial engine, partition, blocks, 1/deg)", engine.heap_bytes()),
-        ],
-    );
+    let mut rows = vec![
+        ("input mesh (shuffled)".into(), input.heap_bytes()),
+        ("reordered mesh (coordinates + the one triangle table)".into(), mesh.heap_bytes()),
+    ];
+    rows.extend(resident_rows("ResidentEngine", &engine));
+    print_ledger("tri2d-rdr-resident", &rows);
 }
 
 fn ori_dist() {
@@ -147,14 +172,12 @@ fn ori_dist() {
     let at_fork = status_bytes("VmRSS:");
     let result = engine.smooth_ft(&mut mesh, &FtOptions::default());
     assert!(result.is_ok(), "distributed run failed: {:?}", result.err());
-    print_ledger(
-        "tri2d-ori-dist (coordinator)",
-        &[
-            ("input mesh", input.heap_bytes()),
-            ("working copy (its coordinates; the table is shared)", size_of_val(mesh.coords())),
-            ("ResidentEngine inside DistResidentEngine", engine.inner().heap_bytes()),
-        ],
-    );
+    let mut rows = vec![
+        ("input mesh".into(), input.heap_bytes()),
+        ("working copy (its coordinates; the table is shared)".into(), size_of_val(mesh.coords())),
+    ];
+    rows.extend(resident_rows("DistResidentEngine's ResidentEngine", engine.inner()));
+    print_ledger("tri2d-ori-dist (coordinator)", &rows);
     let children = children_peak_bytes();
     println!("  {:<58} {:>8.1} MiB", "coordinator VmRSS at the fork", mib(at_fork));
     println!("  {:<58} {:>8.1} MiB", "largest forked rank's ru_maxrss", mib(children));
@@ -166,14 +189,12 @@ fn tet_resident() {
     let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0).with_max_iters(5);
     let engine = ResidentEngine3::by_method(&mesh, params, PARTS, PartitionMethod::Rcb);
     engine.smooth(&mut mesh, 1);
-    print_ledger(
-        "tet3d-ori-resident",
-        &[
-            ("input mesh", input.heap_bytes()),
-            ("working copy (its coordinates; the table is shared)", size_of_val(mesh.coords())),
-            ("ResidentEngine3 (serial engine, partition, blocks, 1/deg)", engine.heap_bytes()),
-        ],
-    );
+    let mut rows = vec![
+        ("input mesh".into(), input.heap_bytes()),
+        ("working copy (its coordinates; the table is shared)".into(), size_of_val(mesh.coords())),
+    ];
+    rows.extend(resident_rows("ResidentEngine3", &engine));
+    print_ledger("tet3d-ori-resident", &rows);
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary};
-use lms_smooth::domain::{SmoothDomain, TriDomain};
+use lms_smooth::domain::{ScoringDomain, TriDomain};
 use std::time::Instant;
 
 fn main() {

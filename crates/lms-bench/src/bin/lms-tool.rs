@@ -416,7 +416,7 @@ fn read_baseline_speedup(path: &str) -> Result<f64, String> {
     rest[..end].trim().parse().map_err(|e| format!("{path}: bad {key} value: {e}"))
 }
 
-/// CI bench-regression smoke: the SoA lane-batched sweep kernel vs the
+/// CI bench-regression smoke: the lane-batched sweep kernel vs the
 /// forced scalar path on one decomposition. The scalar run doubles as a
 /// host-speed normalizer — the *ratio* is compared against the baseline,
 /// so slow CI runners don't trip the gate; only a genuine regression of

@@ -34,7 +34,7 @@ use crate::fault::FaultPlan;
 use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::transport::ProcessTransport;
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
-use lms_smooth::domain::{DomainConfig, SmoothDomain};
+use lms_smooth::domain::{DomainConfig, ScoringDomain};
 use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
 use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SmoothMesh, SmoothReport};
@@ -94,7 +94,7 @@ impl Default for FtOptions {
 }
 
 /// Fork the rank group over `options.mode`'s substrate.
-fn spawn_transport<'a, const C: usize, D: SmoothDomain<C>>(
+fn spawn_transport<'a, const C: usize, D: ScoringDomain<C>>(
     dom: &'a D,
     cfg: &DomainConfig,
     blocks: &'a [ResidentBlock<C>],
@@ -190,8 +190,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         sink: &mut S,
     ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
         let coords = self.inner.checked_coords(mesh);
-        let dom = self.inner.engine().domain();
-        let cfg = self.inner.engine().domain_config();
+        let (dom, cfg) = (self.inner.scoring(), self.inner.domain_config());
         let transport = spawn_transport(
             &dom,
             &cfg,
@@ -207,9 +206,9 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
     /// external-worker runs.
     fn drive<'t, 'e, S: TraceSink>(
         &'e self,
-        dom: &'t M::Domain<'e>,
+        dom: &'t M::Scoring<'e>,
         cfg: &DomainConfig,
-        mut transport: ProcessTransport<'t, C, M::Domain<'e>>,
+        mut transport: ProcessTransport<'t, C, M::Scoring<'e>>,
         coords: &mut [M::Point],
         options: &FtOptions,
         sink: &mut S,
@@ -297,8 +296,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats), DistError> {
         let coords = self.inner.checked_coords(mesh);
-        let dom = self.inner.engine().domain();
-        let cfg = self.inner.engine().domain_config();
+        let (dom, cfg) = (self.inner.scoring(), self.inner.domain_config());
         let transport = ProcessTransport::listen(
             listener,
             &dom,

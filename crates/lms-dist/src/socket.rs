@@ -333,8 +333,7 @@ pub fn serve_standalone<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
         profile: false,
     }
     .write_to(&mut output)?;
-    let dom = engine.engine().domain();
-    let cfg = engine.engine().domain_config();
+    let (dom, cfg) = (engine.scoring(), engine.domain_config());
     let schedule = engine.exchange_schedule();
     let plan = MessagePlan::build(schedule);
     let block = &engine.blocks()[rank as usize];

@@ -8,7 +8,7 @@
 //! or TCP socket the workers dial back on, and
 //! [`ProcessTransport::listen`] serves external standalone workers.
 //! Each forked child inherits the engine's immutable topology — its
-//! [`ResidentBlock`], the [`ExchangeSchedule`] and the domain view —
+//! [`ResidentBlock`], the [`ExchangeSchedule`] and the scoring view —
 //! copy-on-write at fork time, builds its [`ResidentRank`] and serves
 //! frames; only *run state* ever crosses the wire: one gather of block
 //! coordinates, per-color-step coalesced halo-delta batches,
@@ -89,8 +89,9 @@ use crate::sys::{self, Fd, TimeoutReader, WaitStatus};
 use crate::worker;
 use lms_part::wire::{halo_frame_wire_len, Frame, Reassembly, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
-use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
+use lms_smooth::domain::{DomainConfig, DomainPoint, ScoringDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
+use lms_smooth::score_elements_batched;
 use lms_smooth::{ExchangeVolume, FtResidentTransport};
 use lms_trace::{now_ns, RankPhaseNanos, TransportProfile};
 use std::io::{self, BufWriter, Write};
@@ -289,7 +290,7 @@ struct RankChannel {
 /// delta forwarding, timeout-bounded waits and checkpoint/respawn
 /// recovery. See the module docs for the routing and recovery
 /// arguments.
-pub struct ProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
+pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
     dom: &'a D,
     cfg: DomainConfig,
     blocks: &'a [ResidentBlock<C>],
@@ -341,7 +342,7 @@ pub struct ProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     ckpt_fresh: bool,
 }
 
-impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
+impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     /// Fork one rank worker per part and complete the wire handshake.
     ///
     /// The domain, config, blocks and schedule are captured by the
@@ -883,10 +884,11 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         }
     }
 
-    /// Send the per-block slices of a global `(coords, scores)` state to
-    /// every rank — the gather and the recovery reload are the same wire
-    /// traffic.
-    fn load_ranks(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) -> Result<(), DistError> {
+    /// Send every rank the block slice of the global coordinate state
+    /// `coords`, with its local element scores formed from them block by
+    /// block (no global score table) — the gather and the recovery reload
+    /// are the same wire traffic.
+    fn load_ranks(&mut self, coords: &[D::Point]) -> Result<(), DistError> {
         for p in 0..self.ranks.len() {
             let block = &self.blocks[p];
             let mut flat =
@@ -894,8 +896,9 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
             for &v in block.owned().iter().chain(block.halo()) {
                 coords[v as usize].push_components(&mut flat);
             }
-            let block_scores: Vec<(f64, bool)> =
-                block.elem_globals().iter().map(|&t| scores[t as usize]).collect();
+            let ids = block.elem_globals();
+            let mut block_scores = Vec::with_capacity(ids.len());
+            score_elements_batched(self.dom, coords, ids.iter().copied(), |s| block_scores.push(s));
             self.send(p, &Frame::Gather { coords: flat, scores: block_scores })?;
             self.flush(p)?;
             self.mark(p, "gather");
@@ -1401,15 +1404,13 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
         self.ranks[p].reaped = true;
     }
 
-    /// Reload every rank from the checkpoint: scores are recomputed from
-    /// the snapshot coordinates (bit-identical to what the ranks held at
-    /// the boundary — see the module docs), then shipped as fresh
-    /// `Gather` frames.
+    /// Reload every rank from the checkpoint: each block's scores are
+    /// recomputed from the snapshot coordinates (bit-identical to what
+    /// the ranks held at the boundary — see the module docs), then
+    /// shipped as fresh `Gather` frames.
     fn reload_all(&mut self) -> Result<(), DistError> {
-        let scores: Vec<(f64, bool)> =
-            self.dom.elements().iter().map(|&e| self.dom.score(&self.ckpt, e)).collect();
         let coords = std::mem::take(&mut self.ckpt);
-        let result = self.load_ranks(&coords, &scores);
+        let result = self.load_ranks(&coords);
         self.ckpt = coords;
         result
     }
@@ -1478,24 +1479,24 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     }
 }
 
-impl<const C: usize, D: SmoothDomain<C>> Drop for ProcessTransport<'_, C, D> {
+impl<const C: usize, D: ScoringDomain<C>> Drop for ProcessTransport<'_, C, D> {
     fn drop(&mut self) {
         let _ = self.shutdown();
     }
 }
 
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
+impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
     for ProcessTransport<'_, C, D>
 {
     type Error = DistError;
 
-    fn try_gather(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) -> Result<(), DistError> {
+    fn try_gather(&mut self, coords: &[D::Point]) -> Result<(), DistError> {
         // prime the checkpoint before any wire traffic, so a failure in
         // iteration 1 (or in this very gather) recovers to the initial
         // state
         self.ckpt = coords.to_vec();
         self.ckpt_fresh = true;
-        self.load_ranks(coords, scores)
+        self.load_ranks(coords)
     }
 
     fn try_interior_phase(&mut self) -> Result<(), DistError> {

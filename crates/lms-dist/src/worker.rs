@@ -23,7 +23,7 @@
 use crate::codec::{flat_to_points, points_to_flat};
 use crate::fault::{FaultPoint, WorkerFaults};
 use lms_part::wire::{Frame, WireError, WIRE_VERSION};
-use lms_smooth::domain::{DomainPoint, SmoothDomain};
+use lms_smooth::domain::{DomainPoint, ScoringDomain};
 use lms_smooth::resident::ResidentRank;
 use std::io::{Read, Write};
 
@@ -53,7 +53,7 @@ pub(crate) fn run_worker<const C: usize, D, R, W>(
     faults: WorkerFaults,
 ) -> !
 where
-    D: SmoothDomain<C>,
+    D: ScoringDomain<C>,
     R: Read,
     W: Write,
 {
@@ -144,7 +144,7 @@ pub(crate) fn serve<const C: usize, D, R, W>(
     faults: &WorkerFaults,
 ) -> Result<ServeOutcome, WireError>
 where
-    D: SmoothDomain<C>,
+    D: ScoringDomain<C>,
     R: Read,
     W: Write,
 {

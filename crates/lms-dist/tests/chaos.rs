@@ -17,7 +17,6 @@ use lms_dist::{
 use lms_mesh::TriMesh;
 use lms_mesh3d::SmoothParams3;
 use lms_part::PartitionMethod;
-use lms_smooth::domain::{DomainConfig, SmoothDomain};
 use lms_smooth::{FtPolicy, FtResidentTransport, SmoothParams, SmoothReport};
 
 fn mesh_2d() -> TriMesh {
@@ -598,10 +597,8 @@ fn shutdown_surfaces_abnormal_rank_death() {
     let mesh = mesh_2d();
     let engine = DistResidentEngine::by_method(&mesh, params_2d(2), 3, PartitionMethod::Rcb);
     let inner = engine.inner();
-    let dom = inner.engine().domain();
-    let cfg = DomainConfig::from(inner.engine().params());
+    let (dom, cfg) = (inner.scoring(), inner.domain_config());
     let coords = mesh.coords();
-    let scores: Vec<(f64, bool)> = dom.elements().iter().map(|&e| dom.score(coords, e)).collect();
     let mut transport = ProcessTransport::spawn(
         &dom,
         &cfg,
@@ -612,7 +609,7 @@ fn shutdown_surfaces_abnormal_rank_death() {
         false,
     )
     .expect("spawn");
-    transport.try_gather(coords, &scores).expect("gather");
+    transport.try_gather(coords).expect("gather");
     // rank 1 dies on receipt of this frame; the coordinator doesn't look
     // at the streams again before tearing down
     transport.try_interior_phase().expect("interior broadcast");

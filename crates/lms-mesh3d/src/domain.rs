@@ -2,7 +2,9 @@
 //! into `lms-smooth`'s dimension-generic engine stack.
 //!
 //! [`TetDomain`] is the 3D twin of `lms_smooth::TriDomain`: a borrowed
-//! (adjacency, boundary, connectivity, metric) bundle. With it, the
+//! (adjacency, boundary) bundle around the topology-free [`TetScoring`]
+//! view (vertex count, connectivity, metric), the twin of
+//! `lms_smooth::TriScoring` that resident runs score through. With it, the
 //! serial incremental kernel, the colored parallel engine, and the
 //! resident halo-exchange engine all run on tetrahedral
 //! meshes from the **same generic sweep bodies** as the 2D engines — no
@@ -14,7 +16,7 @@ use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
 use crate::geometry::{edge_lengths_sq, signed_volume, Point3};
 use crate::quality::{min_max_sq6, TetQualityMetric};
-use lms_smooth::domain::{score_star_per_id, DomainPoint, SmoothDomain};
+use lms_smooth::domain::{score_star_per_id, DomainPoint, ScoringDomain, SmoothDomain};
 use lms_smooth::for_lane_blocks;
 use lms_smooth::soa::{sqrt_div_lanes, LANES};
 
@@ -55,60 +57,34 @@ impl DomainPoint for Point3 {
     }
 }
 
-/// The tetrahedral domain view: borrowed adjacency + boundary +
-/// connectivity + metric. [`crate::SmoothEngine3`] (and the resident
-/// engine built around it) builds one per call.
+/// The tetrahedral topology-free scoring view: vertex count + borrowed
+/// connectivity + metric — what a resident run scores through once the
+/// global adjacency and boundary are gone.
 #[derive(Debug, Clone, Copy)]
-pub struct TetDomain<'a> {
-    adj: &'a Adjacency3,
-    boundary: &'a Boundary3,
+pub struct TetScoring<'a> {
+    num_vertices: usize,
     tets: &'a [[u32; 4]],
     metric: TetQualityMetric,
 }
 
-impl<'a> TetDomain<'a> {
-    /// Bundle a tet mesh's precomputed topology into a domain view.
-    pub fn new(
-        adj: &'a Adjacency3,
-        boundary: &'a Boundary3,
-        tets: &'a [[u32; 4]],
-        metric: TetQualityMetric,
-    ) -> Self {
-        TetDomain { adj, boundary, tets, metric }
+impl<'a> TetScoring<'a> {
+    /// Bundle a tet mesh's vertex count, connectivity and metric.
+    pub fn new(num_vertices: usize, tets: &'a [[u32; 4]], metric: TetQualityMetric) -> Self {
+        TetScoring { num_vertices, tets, metric }
     }
 }
 
-impl SmoothDomain<4> for TetDomain<'_> {
+impl ScoringDomain<4> for TetScoring<'_> {
     type Point = Point3;
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.adj.num_vertices()
+        self.num_vertices
     }
 
     #[inline]
     fn elements(&self) -> &[[u32; 4]] {
         self.tets
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> &[u32] {
-        self.adj.neighbors(v)
-    }
-
-    #[inline]
-    fn elements_of(&self, v: u32) -> &[u32] {
-        self.adj.tets_of(v)
-    }
-
-    #[inline]
-    fn elements_offset(&self, v: u32) -> usize {
-        self.adj.tets_offset(v)
-    }
-
-    #[inline]
-    fn is_interior(&self, v: u32) -> bool {
-        self.boundary.is_interior(v)
     }
 
     #[inline]
@@ -132,6 +108,80 @@ impl SmoothDomain<4> for TetDomain<'_> {
             // the ablation metrics stay on the per-element scalar sequence
             _ => score_star_per_id(self, coords, corners, ids, out),
         }
+    }
+}
+
+/// The tetrahedral domain view: borrowed adjacency + boundary around the
+/// [`TetScoring`] view. [`crate::SmoothEngine3`] (and the resident
+/// engine's construction) builds one per call.
+#[derive(Debug, Clone, Copy)]
+pub struct TetDomain<'a> {
+    adj: &'a Adjacency3,
+    boundary: &'a Boundary3,
+    scoring: TetScoring<'a>,
+}
+
+impl<'a> TetDomain<'a> {
+    /// Bundle a tet mesh's precomputed topology into a domain view.
+    pub fn new(
+        adj: &'a Adjacency3,
+        boundary: &'a Boundary3,
+        tets: &'a [[u32; 4]],
+        metric: TetQualityMetric,
+    ) -> Self {
+        TetDomain { adj, boundary, scoring: TetScoring::new(adj.num_vertices(), tets, metric) }
+    }
+}
+
+impl ScoringDomain<4> for TetDomain<'_> {
+    type Point = Point3;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.scoring.num_vertices()
+    }
+
+    #[inline]
+    fn elements(&self) -> &[[u32; 4]] {
+        self.scoring.elements()
+    }
+
+    #[inline]
+    fn score_points(&self, p: [Point3; 4]) -> (f64, bool) {
+        self.scoring.score_points(p)
+    }
+
+    #[inline]
+    fn score_star(
+        &self,
+        coords: &[Point3],
+        corners: &[[u32; 4]],
+        ids: &[u32],
+        out: &mut [(f64, bool)],
+    ) {
+        self.scoring.score_star(coords, corners, ids, out);
+    }
+}
+
+impl SmoothDomain<4> for TetDomain<'_> {
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.adj.neighbors(v)
+    }
+
+    #[inline]
+    fn elements_of(&self, v: u32) -> &[u32] {
+        self.adj.tets_of(v)
+    }
+
+    #[inline]
+    fn elements_offset(&self, v: u32) -> usize {
+        self.adj.tets_offset(v)
+    }
+
+    #[inline]
+    fn is_interior(&self, v: u32) -> bool {
+        self.boundary.is_interior(v)
     }
 }
 

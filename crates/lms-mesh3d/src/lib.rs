@@ -55,7 +55,7 @@ pub mod smooth;
 
 pub use adjacency::Adjacency3;
 pub use boundary::Boundary3;
-pub use domain::TetDomain;
+pub use domain::{TetDomain, TetScoring};
 pub use geometry::Point3;
 /// `lms_part::partition_mesh` under its tetrahedral name: one body
 /// partitions both dimensions.

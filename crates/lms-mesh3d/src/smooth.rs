@@ -9,7 +9,8 @@
 //! sweep, the static-chunk Jacobi and colored Gauss–Seidel parallel runs,
 //! all from the same generic bodies as the 2D engine. What this file adds
 //! is what differs in 3D: the parameter set and the [`SmoothMesh`] impl
-//! that plugs `TetMesh` in ([`Boundary3::detect`], [`TetDomain`],
+//! that plugs `TetMesh` in ([`Boundary3::detect`], [`TetDomain`] and its
+//! topology-free half [`TetScoring`],
 //! storage-order visits; the adjacency and coordinates come from its
 //! `lms_order::OrderMesh` impl).
 //!
@@ -18,7 +19,7 @@
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
-use crate::domain::TetDomain;
+use crate::domain::{TetDomain, TetScoring};
 use crate::geometry::Point3;
 use crate::mesh::TetMesh;
 use crate::quality::TetQualityMetric;
@@ -107,6 +108,7 @@ impl SmoothMesh<4, 3> for TetMesh {
     type Boundary = Boundary3;
     type Params = SmoothParams3;
     type Domain<'a> = TetDomain<'a>;
+    type Scoring<'a> = TetScoring<'a>;
 
     /// Face based, so the adjacency cannot supply it.
     fn boundary(&self, _adj: &Adjacency3) -> Boundary3 {
@@ -132,6 +134,14 @@ impl SmoothMesh<4, 3> for TetMesh {
         params: &SmoothParams3,
     ) -> TetDomain<'a> {
         TetDomain::new(adj, boundary, elements, params.metric)
+    }
+
+    fn scoring<'a>(
+        num_vertices: usize,
+        elements: &'a [[u32; 4]],
+        params: &SmoothParams3,
+    ) -> TetScoring<'a> {
+        TetScoring::new(num_vertices, elements, params.metric)
     }
 
     /// 3D smoothing is always uniform-weighted — Equation (1).

@@ -12,6 +12,9 @@
 //! * vertices in no tetrahedron are pinned: they stay out of every sweep
 //!   list and a run leaves them, and everything else, as it would without
 //!   them;
+//! * every resident block vector is allocated at its final length, and
+//!   the resident ledger is its partition, schedule, classes, blocks and
+//!   inverse degrees — no topology;
 //! * the mesh, its clones and every engine built from it share one
 //!   tetrahedron table, and `orient_positive` on a clone copies the
 //!   clone's.
@@ -35,8 +38,9 @@ fn by_method_equals_new_over_the_same_partition() {
 }
 
 /// Given the adjacency of `cut` (the same vertices, the last tets missing)
-/// together with the full mesh, every engine holds `cut`'s adjacency, not
-/// the mesh's.
+/// together with the full mesh, every engine builds on `cut`'s adjacency,
+/// not the mesh's: the serial engine holds it, the resident engine holds
+/// the blocks a serial engine over it builds.
 #[test]
 fn with_adjacency_uses_the_adjacency_it_is_handed() {
     let mesh = perturbed_tet_grid(5, 4, 6, 0.3, 3);
@@ -44,6 +48,18 @@ fn with_adjacency_uses_the_adjacency_it_is_handed() {
     tets.truncate(tets.len() - 20);
     let handed = Adjacency3::build(&TetMesh::new(coords, tets).unwrap());
     checks::with_adjacency_uses_the_adjacency_it_is_handed(&mesh, handed, params());
+}
+
+#[test]
+fn resident_blocks_are_exact_size() {
+    let mesh = perturbed_tet_grid(6, 5, 5, 0.3, 6);
+    checks::resident_blocks_are_exact_size(&mesh, params(), 4);
+}
+
+#[test]
+fn resident_ledger_is_its_parts() {
+    let mesh = perturbed_tet_grid(6, 5, 5, 0.3, 6);
+    checks::resident_ledger_is_its_parts(&mesh, params(), 4);
 }
 
 #[test]

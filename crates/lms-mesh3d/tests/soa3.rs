@@ -94,6 +94,20 @@ fn formed_weights_equal_the_element_weight_oracle3() {
     }
 }
 
+/// The element-order scatter of `domain_quality` equals the CSR
+/// reduction it replaced, bit for bit, on a Kuhn grid and on
+/// [`ragged_mesh`]'s split cells.
+#[test]
+fn scatter_quality_equals_the_csr_oracle3() {
+    let grid = lms_mesh3d::generators::perturbed_tet_grid(5, 4, 6, 0.3, 8);
+    for mesh in [grid, ragged_mesh(2), ragged_mesh(11)] {
+        let adj = Adjacency3::build(&mesh);
+        let boundary = Boundary3::detect(&mesh);
+        let dom = TetDomain::new(&adj, &boundary, mesh.tets(), TetQualityMetric::EdgeLengthRatio);
+        checks::domain_quality_equals_the_csr_oracle(&dom, mesh.coords());
+    }
+}
+
 fn arb_mesh() -> impl Strategy<Value = TetMesh> {
     (4usize..7, 4usize..7, 4usize..7, 0u64..1000).prop_map(|(nx, ny, nz, seed)| {
         lms_mesh3d::generators::perturbed_tet_grid(nx, ny, nz, 0.3, seed)

@@ -7,13 +7,15 @@
 
 use crate::config::UpdateScheme;
 use crate::dcache::{element_weight, inverse_degrees};
-use crate::domain::SmoothDomain;
+use crate::domain::{domain_quality, ScoringDomain, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::SerialKernel;
-use crate::resident::ResidentEngineOn;
+use crate::resident::{build_resident_blocks, interface_classes, ResidentEngineOn};
 use crate::trace::{CountSink, VecSink};
+use lms_mesh::adjacency::{vertex_rows, VertexRows};
+use lms_mesh::vec_bytes;
 use lms_order::Graph;
-use lms_part::{partition_mesh, Partition, PartitionMethod};
+use lms_part::{partition_mesh, ExchangeSchedule, Partition, PartitionMethod};
 
 /// Smoothing never moves a vertex on the boundary.
 pub fn boundary_vertices_never_move<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
@@ -274,16 +276,31 @@ pub fn resident_batched_equals_scalar<const C: usize, const D: usize, M>(
     assert_eq!(run(params), run(scalar));
 }
 
+/// The blocks, inverse degrees and interface classes a resident engine
+/// over `partition` must hold when built around `adj`: those of a serial
+/// engine over `adj`, run through the public block builder.
+fn expected_resident_parts<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    mesh: &M,
+    adj: M::Adjacency,
+    params: M::Params,
+    partition: &Partition,
+) -> (Vec<crate::resident::ResidentBlock<C>>, Vec<f64>, Vec<Vec<u32>>) {
+    let serial = SmoothEngineOn::with_adjacency(mesh, adj, params);
+    let classes = interface_classes(serial.interior_color_classes(), partition);
+    let (blocks, inv_deg) = build_resident_blocks(&serial.domain(), partition, &classes);
+    (blocks, inv_deg, classes)
+}
+
 /// `by_method` (which builds one adjacency and hands it down) yields the
 /// engine `new` yields over the same decomposition, structure for
-/// structure, for every partition method.
+/// structure, for every partition method — and both hold the blocks a
+/// serial engine over that adjacency builds.
 pub fn by_method_equals_new_over_the_same_partition<const C: usize, const D: usize, M>(
     mesh: &M,
     params: M::Params,
     num_parts: usize,
 ) where
     M: SmoothMesh<C, D>,
-    M::Adjacency: PartialEq,
 {
     let adj = mesh.build_adjacency();
     for method in PartitionMethod::ALL {
@@ -291,9 +308,13 @@ pub fn by_method_equals_new_over_the_same_partition<const C: usize, const D: usi
         let by_method = ResidentEngineOn::by_method(mesh, params.clone(), num_parts, method);
         let new = ResidentEngineOn::new(mesh, params.clone(), partition.clone());
         assert_eq!(by_method.partition(), &partition, "{}", method.name());
-        assert_eq!(by_method.engine().adjacency(), &adj, "{}", method.name());
+        let (blocks, inv_deg, classes) =
+            expected_resident_parts(mesh, adj.clone(), params.clone(), &partition);
+        assert_eq!(by_method.blocks(), &blocks[..], "{}", method.name());
         assert_eq!(by_method.blocks(), new.blocks(), "{}", method.name());
+        assert_eq!(by_method.inv_degrees(), &inv_deg[..]);
         assert_eq!(by_method.inv_degrees(), new.inv_degrees());
+        assert_eq!(by_method.interface_classes(), &classes[..]);
         assert_eq!(by_method.interface_classes(), new.interface_classes());
         assert_eq!(by_method.part_major_visit_order(), new.part_major_visit_order());
     }
@@ -315,8 +336,8 @@ pub fn engines_share_the_mesh_element_table<const C: usize, const D: usize, M>(
     let cloned = serial.clone();
     assert_eq!(cloned.domain().elements().as_ptr(), table, "an engine clone copied the table");
     let resident = ResidentEngineOn::by_method(mesh, params, 3, PartitionMethod::Rcb);
-    let inner = resident.engine().domain().elements().as_ptr();
-    assert_eq!(inner, table, "the resident engine copied the table");
+    let scoring = resident.scoring().elements().as_ptr();
+    assert_eq!(scoring, table, "the resident engine copied the table");
 }
 
 /// `orient` (the mesh type's in-place orientation fix) applied to a clone
@@ -404,8 +425,9 @@ pub fn formed_weights_equal_the_oracle<const C: usize, D: SmoothDomain<C>>(dom: 
 }
 
 /// Handed the adjacency of a cut-down mesh over the same vertices, every
-/// engine holds that adjacency — and the boundary derived from it — not
-/// the mesh's.
+/// engine builds on that adjacency — and the boundary derived from it —
+/// not the mesh's: the serial engine holds it, and the resident engine
+/// holds the blocks a serial engine over it builds.
 pub fn with_adjacency_uses_the_adjacency_it_is_handed<const C: usize, const D: usize, M>(
     mesh: &M,
     handed: M::Adjacency,
@@ -420,8 +442,13 @@ pub fn with_adjacency_uses_the_adjacency_it_is_handed<const C: usize, const D: u
     assert_eq!(serial.adjacency(), &handed);
     assert_eq!(serial.boundary(), &mesh.boundary(&handed));
     let partition = partition_mesh(mesh, &handed, 3, PartitionMethod::Rcb);
-    let resident = ResidentEngineOn::with_adjacency(mesh, handed.clone(), params, partition);
-    assert_eq!(resident.engine().adjacency(), &handed);
+    let resident =
+        ResidentEngineOn::with_adjacency(mesh, handed.clone(), params.clone(), partition.clone());
+    let (blocks, inv_deg, classes) =
+        expected_resident_parts(mesh, handed, params.clone(), &partition);
+    assert_eq!(resident.blocks(), &blocks[..]);
+    assert_eq!(resident.inv_degrees(), &inv_deg[..]);
+    assert_eq!(resident.interface_classes(), &classes[..]);
 }
 
 /// Both engines reject an adjacency built for another vertex count, and
@@ -468,9 +495,10 @@ pub fn resident_blocks_deal_sorted_element_lists<const C: usize, const D: usize,
 {
     let adj = mesh.build_adjacency();
     let partition = Partition::from_assignment(&adj, assignment, num_parts);
+    let serial = SmoothEngineOn::with_adjacency(mesh, adj.clone(), params.clone());
     let engine = ResidentEngineOn::with_adjacency(mesh, adj, params.clone(), partition);
     assert_eq!(engine.blocks().len(), num_parts as usize);
-    let dom = engine.engine().domain();
+    let dom = serial.domain();
     for (p, block) in engine.blocks().iter().enumerate() {
         let interface = engine.interface_classes().iter().flatten().copied();
         let mut sorted: Vec<u32> = block
@@ -580,7 +608,7 @@ pub fn residency_invariant_holds<const C: usize, const D: usize, M: SmoothMesh<C
     let report = engine.smooth(&mut mesh.clone(), 2);
     let volume = report.exchange.expect("resident runs report exchange accounting");
     assert_eq!((volume.full_gathers, volume.full_scatters), (1, 1));
-    let sweeps = engine.engine().domain_config().max_iters;
+    let sweeps = engine.domain_config().max_iters;
     assert_eq!(volume.exchange_rounds, sweeps * engine.interface_classes().len());
     let entries = engine.exchange_schedule().num_entries();
     assert!(
@@ -600,11 +628,11 @@ pub fn resident_improves_quality_and_pins_boundary<const C: usize, const D: usiz
 ) where
     M: SmoothMesh<C, D> + Clone,
 {
-    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    let engine = ResidentEngineOn::by_method(mesh, params.clone(), num_parts, PartitionMethod::Rcb);
     let mut m = mesh.clone();
     let report = engine.smooth(&mut m, 2);
     assert!(report.final_quality > report.initial_quality + 0.01);
-    assert_boundary_pinned(&engine.engine().domain(), mesh, &m);
+    assert_boundary_pinned(&SmoothEngineOn::new(mesh, params).domain(), mesh, &m);
 }
 
 /// One part has no interface: the resident run equals serial
@@ -649,8 +677,10 @@ pub fn part_major_order_covers_interior_once<const C: usize, const D: usize, M>(
 ) where
     M: SmoothMesh<C, D>,
 {
-    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Hilbert);
-    let dom = engine.engine().domain();
+    let engine =
+        ResidentEngineOn::by_method(mesh, params.clone(), num_parts, PartitionMethod::Hilbert);
+    let serial = SmoothEngineOn::new(mesh, params);
+    let dom = serial.domain();
     let order = engine.part_major_visit_order();
     let num_interior = (0..dom.num_vertices() as u32).filter(|&v| dom.is_interior(v)).count();
     assert_eq!(order.len(), num_interior);
@@ -659,5 +689,138 @@ pub fn part_major_order_covers_interior_once<const C: usize, const D: usize, M>(
         assert!(dom.is_interior(v));
         assert!(!seen[v as usize], "vertex {v} visited twice");
         seen[v as usize] = true;
+    }
+}
+
+/// Every vector of every resident block over `num_parts` RCB parts holds
+/// exactly its length: the block build reserves each one from counts
+/// taken before the fill, so no block carries growth slack through a run.
+pub fn resident_blocks_are_exact_size<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) {
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    for (p, block) in engine.blocks().iter().enumerate() {
+        for (field, len, capacity) in block.vec_shapes() {
+            assert_eq!(capacity, len, "part {p}: `{field}` has {len} entries in {capacity} slots");
+        }
+    }
+}
+
+/// A resident engine's heap ledger is its parts and nothing else: the
+/// partition, the exchange schedule, the interface classes, the blocks
+/// and one inverse degree per vertex — no adjacency, boundary, visit
+/// order or color-class term, and no element table.
+pub fn resident_ledger_is_its_parts<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) {
+    let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
+    let partition = engine.partition();
+    let schedule = ExchangeSchedule::build(partition);
+    assert_eq!(engine.exchange_schedule(), &schedule);
+    let classes = engine.interface_classes();
+    let class_bytes = std::mem::size_of_val(classes) + classes.iter().map(vec_bytes).sum::<usize>();
+    let blocks = engine.blocks();
+    let block_bytes = std::mem::size_of_val(blocks)
+        + blocks.iter().map(crate::resident::ResidentBlock::heap_bytes).sum::<usize>();
+    let inv_deg_bytes = 8 * mesh.coords().len();
+    assert_eq!(engine.inv_degrees().len(), mesh.coords().len());
+    assert_eq!(
+        engine.heap_bytes(),
+        partition.heap_bytes() + schedule.heap_bytes() + class_bytes + block_bytes + inv_deg_bytes
+    );
+}
+
+/// The CSR quality reduction the quality read-outs once ran: per vertex,
+/// the incident element qualities summed along its `elements_of` row,
+/// over the row length (0 for an empty row), summed in vertex order, over
+/// the vertex count — from one score table. The oracle
+/// [`crate::domain_quality`]'s element-order scatter is pinned to.
+pub fn domain_quality_csr<const C: usize, D: SmoothDomain<C>>(dom: &D, coords: &[D::Point]) -> f64 {
+    let elem_q: Vec<f64> = dom.elements().iter().map(|&e| dom.score(coords, e).0).collect();
+    let n = dom.num_vertices();
+    if n == 0 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for v in 0..n as u32 {
+        let ts = dom.elements_of(v);
+        total += if ts.is_empty() {
+            0.0
+        } else {
+            ts.iter().map(|&t| elem_q[t as usize]).sum::<f64>() / ts.len() as f64
+        };
+    }
+    total / n as f64
+}
+
+/// [`crate::domain_quality`] equals the [`domain_quality_csr`] oracle bit
+/// for bit on `dom` at `coords` — except that two NaN results count as
+/// equal, since which operand's payload a NaN sum carries is the
+/// compiler's choice (it may commute an addition).
+pub fn domain_quality_equals_the_csr_oracle<const C: usize, D: SmoothDomain<C>>(
+    dom: &D,
+    coords: &[D::Point],
+) {
+    let scatter = domain_quality(dom, coords);
+    let csr = domain_quality_csr(dom, coords);
+    let same = scatter.to_bits() == csr.to_bits() || (scatter.is_nan() && csr.is_nan());
+    assert!(same, "scatter {scatter:?} vs CSR {csr:?}");
+}
+
+/// A test domain over an explicit element list (any corners: repeats,
+/// vertices in no element) with [`vertex_rows`] tables. Points are
+/// `[f64; 1]`, and an element scores the value of its first corner, so
+/// any score — `-0.0` and NaN included — is one coordinate away. Every
+/// vertex is interior.
+pub struct ValueDomain<const C: usize> {
+    elements: Vec<[u32; C]>,
+    rows: VertexRows,
+}
+
+impl<const C: usize> ValueDomain<C> {
+    /// The domain of `elements` over `num_vertices` vertices.
+    pub fn new(num_vertices: usize, elements: Vec<[u32; C]>) -> Self {
+        let rows = vertex_rows(num_vertices, &elements, |_, _| {});
+        ValueDomain { elements, rows }
+    }
+}
+
+impl<const C: usize> ScoringDomain<C> for ValueDomain<C> {
+    type Point = [f64; 1];
+
+    fn num_vertices(&self) -> usize {
+        self.rows.ve_offsets.len() - 1
+    }
+
+    fn elements(&self) -> &[[u32; C]] {
+        &self.elements
+    }
+
+    fn score_points(&self, pts: [[f64; 1]; C]) -> (f64, bool) {
+        (pts[0][0], true)
+    }
+}
+
+impl<const C: usize> SmoothDomain<C> for ValueDomain<C> {
+    fn neighbors(&self, v: u32) -> &[u32] {
+        let o = &self.rows.vv_offsets;
+        &self.rows.vv_neighbors[o[v as usize] as usize..o[v as usize + 1] as usize]
+    }
+
+    fn elements_of(&self, v: u32) -> &[u32] {
+        let o = &self.rows.ve_offsets;
+        &self.rows.ve_elements[o[v as usize] as usize..o[v as usize + 1] as usize]
+    }
+
+    fn elements_offset(&self, v: u32) -> usize {
+        self.rows.ve_offsets[v as usize] as usize
+    }
+
+    fn is_interior(&self, _v: u32) -> bool {
+        true
     }
 }

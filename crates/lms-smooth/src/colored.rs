@@ -35,7 +35,7 @@
 
 use crate::config::UpdateScheme;
 use crate::dcache::DomainQualityCache;
-use crate::domain::SmoothDomain;
+use crate::domain::{ScoringDomain, SmoothDomain};
 #[cfg(doc)]
 use crate::engine::SmoothEngine;
 use crate::engine::{SmoothEngineOn, SmoothMesh};

@@ -58,7 +58,7 @@ use lms_mesh::vec_bytes;
 
 /// Cached per-element qualities with an incrementally-maintained global
 /// quality, generic over the smoothing domain. Scoring runs through the
-/// domain ([`SmoothDomain::score`]); the cache itself stores only `f64`
+/// domain ([`ScoringDomain::score`](crate::domain::ScoringDomain::score)); the cache itself stores only `f64`
 /// state and is dimension-blind.
 #[derive(Debug, Clone)]
 pub struct DomainQualityCache {

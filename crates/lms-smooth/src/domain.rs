@@ -1,29 +1,37 @@
 //! The dimension-generic smoothing domain — one engine stack for
 //! triangle and tetrahedral meshes.
 //!
-//! Every smoothing engine in this crate needs exactly five things from a
-//! mesh: coordinates it can average ([`DomainPoint`]), element→vertex
-//! incidence, per-element quality scoring (the incremental
-//! [`crate::dcache::DomainQualityCache`] protocol), a boundary/fixed
-//! mask, and CSR adjacency access. [`SmoothDomain`] abstracts those five
-//! behind one trait, const-generic in the element corner count `C`
-//! (3 for triangles, 4 for tetrahedra), so the serial incremental kernel
-//! ([`crate::kernel`]), the colored parallel engine ([`crate::colored`])
-//! and the resident halo-exchange engine ([`crate::resident`]) each have
-//! **one** generic sweep body instead of a per-dimension copy.
+//! What the engines read from a mesh comes in two traits, const-generic
+//! in the element corner count `C` (3 for triangles, 4 for tetrahedra):
+//!
+//! * [`ScoringDomain`] — coordinates it can average ([`DomainPoint`]),
+//!   the vertex count, element→vertex incidence and per-element quality
+//!   scoring (the incremental [`crate::dcache::DomainQualityCache`]
+//!   protocol and the lane-batched `score_star`). This is all a resident
+//!   run reads once its blocks are built: the drive loop, both
+//!   transports, the rank workers and the quality read-out
+//!   [`domain_quality`] take only this bound.
+//! * [`SmoothDomain`] — the scoring half plus the global topology: CSR
+//!   adjacency and the boundary/fixed mask, which the serial incremental
+//!   kernel ([`crate::kernel`]), the colored parallel engine
+//!   ([`crate::colored`]) and the resident block build
+//!   ([`crate::resident`]) read. Each engine has **one** generic sweep
+//!   body instead of a per-dimension copy.
 //!
 //! The canonical coordinate type of the layer is the const-generic array
 //! `[f64; D]` (a blanket [`DomainPoint`] impl covers every `D`);
 //! [`lms_mesh::Point2`] implements the same trait by delegating to its
 //! operators, so the generic arithmetic is expression-for-expression the
 //! arithmetic the pre-refactor 2D engines ran — coordinates stay
-//! **bit-identical**, which the unmodified PR-1..3 property suites pin.
-//! `lms-mesh3d` implements the trait for `Point3`/`TetMesh`, which is how
+//! **bit-identical**, which the property suites pin.
+//! `lms-mesh3d` implements the traits for `Point3`/`TetMesh`, which is how
 //! the resident engine (and its `ExchangeSchedule` counters) lands in 3D
 //! without a second copy of any sweep.
 //!
-//! Concretely, a domain view is a borrowed bundle of (adjacency,
-//! boundary, element connectivity, quality metric): [`TriDomain`] here,
+//! Concretely, each dimension has two borrowed views: a topology-free
+//! scoring view of (vertex count, element connectivity, quality metric) —
+//! [`TriScoring`] here, `TetScoring` in `lms-mesh3d` — and a full domain
+//! view that wraps it with (adjacency, boundary) — [`TriDomain`] here,
 //! `TetDomain` in `lms-mesh3d`. Views are cheap to construct per call and
 //! `Sync`, so the parallel engines share them across workers.
 
@@ -150,16 +158,17 @@ impl<const D: usize> DomainPoint for [f64; D] {
     }
 }
 
-/// A smoothing domain: coordinates, element→vertex incidence, CSR
-/// adjacency, the boundary (fixed-vertex) mask, and per-element quality
-/// scoring — everything the generic engines consume. `C` is the corner
-/// count of one element (3 = triangle, 4 = tetrahedron).
+/// The scoring half of a smoothing domain: coordinates, element→vertex
+/// incidence and per-element quality scoring — everything a run needs
+/// once its sweeps read part-local blocks instead of the global topology
+/// (the resident drive loop, the transports, the quality read-outs). `C`
+/// is the corner count of one element (3 = triangle, 4 = tetrahedron).
 ///
 /// The scoring contract: `score_points` returns `(quality, positively
 /// oriented)` for one element's corner coordinates, with quality exactly
 /// the value the domain's canonical `mesh_quality` sums — the incremental
 /// cache and the exact reductions are built on it.
-pub trait SmoothDomain<const C: usize>: Sync {
+pub trait ScoringDomain<const C: usize>: Sync {
     /// Coordinate type of the domain.
     type Point: DomainPoint;
 
@@ -168,18 +177,6 @@ pub trait SmoothDomain<const C: usize>: Sync {
 
     /// Element→vertex incidence: corner ids of every element.
     fn elements(&self) -> &[[u32; C]];
-
-    /// Sorted neighbour vertices of `v` (CSR row).
-    fn neighbors(&self, v: u32) -> &[u32];
-
-    /// Sorted incident elements of `v` (CSR row).
-    fn elements_of(&self, v: u32) -> &[u32];
-
-    /// Flat offset of `v`'s incident-element row (star-layout indexing).
-    fn elements_offset(&self, v: u32) -> usize;
-
-    /// True when `v` may move (not on the fixed boundary).
-    fn is_interior(&self, v: u32) -> bool;
 
     /// Score one element from its corner coordinates:
     /// `(quality, positively_oriented)`.
@@ -231,12 +228,29 @@ pub trait SmoothDomain<const C: usize>: Sync {
     }
 }
 
-/// [`SmoothDomain::score_star`] as one [`SmoothDomain::score`] per id
+/// A smoothing domain: the [`ScoringDomain`] plus the global topology the
+/// serial and colored sweeps and the resident block build read — CSR
+/// adjacency and the boundary (fixed-vertex) mask.
+pub trait SmoothDomain<const C: usize>: ScoringDomain<C> {
+    /// Sorted neighbour vertices of `v` (CSR row).
+    fn neighbors(&self, v: u32) -> &[u32];
+
+    /// Sorted incident elements of `v` (CSR row).
+    fn elements_of(&self, v: u32) -> &[u32];
+
+    /// Flat offset of `v`'s incident-element row (star-layout indexing).
+    fn elements_offset(&self, v: u32) -> usize;
+
+    /// True when `v` may move (not on the fixed boundary).
+    fn is_interior(&self, v: u32) -> bool;
+}
+
+/// [`ScoringDomain::score_star`] as one [`ScoringDomain::score`] per id
 /// — the trait default, the ablation metrics' path, and what the engines
 /// run under [`DomainConfig::scalar_scoring`] as the oracle of the
 /// lane-batched kernels.
 #[inline]
-pub fn score_star_per_id<const C: usize, D: SmoothDomain<C> + ?Sized>(
+pub fn score_star_per_id<const C: usize, D: ScoringDomain<C> + ?Sized>(
     dom: &D,
     coords: &[D::Point],
     corners: &[[u32; C]],
@@ -249,59 +263,34 @@ pub fn score_star_per_id<const C: usize, D: SmoothDomain<C> + ?Sized>(
     }
 }
 
-/// The 2D triangle-mesh domain view: borrowed adjacency + boundary +
-/// connectivity + metric. [`crate::SmoothEngine`] builds one per call.
+/// The 2D topology-free scoring view: vertex count + borrowed
+/// connectivity + metric — what a resident run scores through once the
+/// global adjacency and boundary are gone.
 #[derive(Debug, Clone, Copy)]
-pub struct TriDomain<'a> {
-    adj: &'a Adjacency,
-    boundary: &'a Boundary,
+pub struct TriScoring<'a> {
+    num_vertices: usize,
     triangles: &'a [[u32; 3]],
     metric: QualityMetric,
 }
 
-impl<'a> TriDomain<'a> {
-    /// Bundle a triangle mesh's precomputed topology into a domain view.
-    pub fn new(
-        adj: &'a Adjacency,
-        boundary: &'a Boundary,
-        triangles: &'a [[u32; 3]],
-        metric: QualityMetric,
-    ) -> Self {
-        TriDomain { adj, boundary, triangles, metric }
+impl<'a> TriScoring<'a> {
+    /// Bundle a triangle mesh's vertex count, connectivity and metric.
+    pub fn new(num_vertices: usize, triangles: &'a [[u32; 3]], metric: QualityMetric) -> Self {
+        TriScoring { num_vertices, triangles, metric }
     }
 }
 
-impl SmoothDomain<3> for TriDomain<'_> {
+impl ScoringDomain<3> for TriScoring<'_> {
     type Point = Point2;
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.adj.num_vertices()
+        self.num_vertices
     }
 
     #[inline]
     fn elements(&self) -> &[[u32; 3]] {
         self.triangles
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> &[u32] {
-        self.adj.neighbors(v)
-    }
-
-    #[inline]
-    fn elements_of(&self, v: u32) -> &[u32] {
-        self.adj.triangles_of(v)
-    }
-
-    #[inline]
-    fn elements_offset(&self, v: u32) -> usize {
-        self.adj.triangles_offset(v)
-    }
-
-    #[inline]
-    fn is_interior(&self, v: u32) -> bool {
-        self.boundary.is_interior(v)
     }
 
     #[inline]
@@ -322,6 +311,79 @@ impl SmoothDomain<3> for TriDomain<'_> {
             // the ablation metrics stay on the per-element scalar sequence
             _ => score_star_per_id(self, coords, corners, ids, out),
         }
+    }
+}
+
+/// The 2D triangle-mesh domain view: borrowed adjacency + boundary around
+/// the [`TriScoring`] view. [`crate::SmoothEngine`] builds one per call.
+#[derive(Debug, Clone, Copy)]
+pub struct TriDomain<'a> {
+    adj: &'a Adjacency,
+    boundary: &'a Boundary,
+    scoring: TriScoring<'a>,
+}
+
+impl<'a> TriDomain<'a> {
+    /// Bundle a triangle mesh's precomputed topology into a domain view.
+    pub fn new(
+        adj: &'a Adjacency,
+        boundary: &'a Boundary,
+        triangles: &'a [[u32; 3]],
+        metric: QualityMetric,
+    ) -> Self {
+        TriDomain { adj, boundary, scoring: TriScoring::new(adj.num_vertices(), triangles, metric) }
+    }
+}
+
+impl ScoringDomain<3> for TriDomain<'_> {
+    type Point = Point2;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.scoring.num_vertices()
+    }
+
+    #[inline]
+    fn elements(&self) -> &[[u32; 3]] {
+        self.scoring.elements()
+    }
+
+    #[inline]
+    fn score_points(&self, p: [Point2; 3]) -> (f64, bool) {
+        self.scoring.score_points(p)
+    }
+
+    #[inline]
+    fn score_star(
+        &self,
+        coords: &[Point2],
+        corners: &[[u32; 3]],
+        ids: &[u32],
+        out: &mut [(f64, bool)],
+    ) {
+        self.scoring.score_star(coords, corners, ids, out);
+    }
+}
+
+impl SmoothDomain<3> for TriDomain<'_> {
+    #[inline]
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.adj.neighbors(v)
+    }
+
+    #[inline]
+    fn elements_of(&self, v: u32) -> &[u32] {
+        self.adj.triangles_of(v)
+    }
+
+    #[inline]
+    fn elements_offset(&self, v: u32) -> usize {
+        self.adj.triangles_offset(v)
+    }
+
+    #[inline]
+    fn is_interior(&self, v: u32) -> bool {
+        self.boundary.is_interior(v)
     }
 }
 
@@ -574,46 +636,71 @@ pub fn weighted_candidate_on<P: DomainPoint>(
     }
 }
 
-/// The canonical reduction shared by every quality read-out: per-vertex
+/// The canonical global quality as an element-order scatter: fed every
+/// element's quality in ascending element order, it yields the per-vertex
 /// mean of incident element qualities, then the mean over all vertices —
-/// exactly the reduction (and reduction *order*) of
-/// `lms_mesh::quality::mesh_quality` and its 3D twin.
-fn reduce_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, q_of: impl Fn(usize) -> f64) -> f64 {
-    let n = dom.num_vertices();
-    if n == 0 {
-        return 0.0;
+/// the value (and the operation sequence) of the CSR reduction
+/// `lms_mesh::quality::mesh_quality` and its 3D twin run, with no
+/// per-element table and no vertex→element rows.
+///
+/// Each vertex's accumulator receives `q_t` for its incident elements in
+/// ascending `t`, once per corner slot the vertex fills (a repeated corner
+/// counts twice), exactly as `lms_mesh::adjacency::vertex_rows` lists
+/// them; it starts from the value `Iterator::sum::<f64>` starts from, so
+/// every per-vertex sum has the bits of the row sum. Dividing by the
+/// incidence count and summing in vertex order then replays the CSR
+/// reduction bit for bit (pinned against it by `checks`).
+pub(crate) struct QualityScatter {
+    sum: Vec<f64>,
+    count: Vec<u32>,
+}
+
+impl QualityScatter {
+    /// Empty accumulators for `num_vertices` vertices.
+    pub(crate) fn new(num_vertices: usize) -> Self {
+        let seed = std::iter::empty::<f64>().sum::<f64>();
+        QualityScatter { sum: vec![seed; num_vertices], count: vec![0; num_vertices] }
     }
-    let mut total = 0.0;
-    for v in 0..n as u32 {
-        let ts = dom.elements_of(v);
-        total += if ts.is_empty() {
-            0.0
-        } else {
-            ts.iter().map(|&t| q_of(t as usize)).sum::<f64>() / ts.len() as f64
-        };
+
+    /// Scatter the quality `q` of the next element (`corners`).
+    #[inline]
+    pub(crate) fn add<const C: usize>(&mut self, corners: &[u32; C], q: f64) {
+        for &c in corners {
+            self.sum[c as usize] += q;
+            self.count[c as usize] += 1;
+        }
     }
-    total / n as f64
+
+    /// The global quality: per-vertex means (0 for a vertex in no
+    /// element), summed in vertex order, over the vertex count.
+    pub(crate) fn quality(&self) -> f64 {
+        let n = self.sum.len();
+        if n == 0 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for (&sum, &count) in self.sum.iter().zip(&self.count) {
+            total += if count == 0 { 0.0 } else { sum / count as f64 };
+        }
+        total / n as f64
+    }
 }
 
 /// The canonical global quality of a domain, scored from scratch on
-/// `coords` (through [`score_elements_batched`], element order kept) —
-/// bit-identical to the concrete `mesh_quality` recomputes the
-/// pre-refactor engines called.
-pub fn domain_quality<const C: usize, D: SmoothDomain<C>>(dom: &D, coords: &[D::Point]) -> f64 {
-    let mut elem_q = Vec::with_capacity(dom.num_elements());
-    score_elements_batched(dom, coords, 0..dom.num_elements() as u32, |(q, _)| elem_q.push(q));
-    reduce_quality(dom, |t| elem_q[t])
-}
-
-/// [`domain_quality`] from an already-scored element table (e.g. the
-/// resident engine's initial scoring pass) — same canonical reduction, no
-/// second scoring sweep.
-pub fn domain_quality_scored<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    scores: &[(f64, bool)],
-) -> f64 {
-    debug_assert_eq!(scores.len(), dom.num_elements());
-    reduce_quality(dom, |t| scores[t].0)
+/// `coords` (through [`score_elements_batched`], element order kept) and
+/// reduced by an element-order scatter into per-vertex sums — no
+/// per-element table, no vertex→element rows, and bit-identical to the
+/// concrete `mesh_quality` CSR reductions (the scatter adds each vertex's
+/// incident qualities in its row order, from the row sum's seed).
+pub fn domain_quality<const C: usize, D: ScoringDomain<C>>(dom: &D, coords: &[D::Point]) -> f64 {
+    let elements = dom.elements();
+    let mut scatter = QualityScatter::new(dom.num_vertices());
+    let mut t = 0;
+    score_elements_batched(dom, coords, 0..elements.len() as u32, |(q, _)| {
+        scatter.add(&elements[t], q);
+        t += 1;
+    });
+    scatter.quality()
 }
 
 /// Sentinel star-layout code marking "the vertex being smoothed itself".
@@ -841,6 +928,7 @@ fn reference_sweep_jacobi<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checks;
     use lms_mesh::generators;
 
     #[test]
@@ -875,6 +963,61 @@ mod tests {
                 lms_mesh::quality::mesh_quality(&m, &adj, QualityMetric::EdgeLengthRatio);
             assert_eq!(generic.to_bits(), concrete.to_bits(), "seed {seed}");
         }
+    }
+
+    /// The element-order scatter of [`domain_quality`] against the CSR
+    /// reduction it replaced, bit for bit, on perturbed grids.
+    #[test]
+    fn scatter_quality_equals_the_csr_oracle_on_grids() {
+        for (nx, ny, seed) in [(13, 11, 1u64), (20, 7, 5), (9, 16, 11), (31, 29, 23)] {
+            let m = generators::perturbed_grid(nx, ny, 0.4, seed);
+            let adj = Adjacency::build(&m);
+            let boundary = Boundary::detect(&m);
+            for metric in [QualityMetric::EdgeLengthRatio, QualityMetric::MinAngle] {
+                let dom = TriDomain::new(&adj, &boundary, m.triangles(), metric);
+                checks::domain_quality_equals_the_csr_oracle(&dom, m.coords());
+            }
+        }
+    }
+
+    /// A vertex in no element (an empty row: it adds 0 to the total) and
+    /// elements that repeat a corner (the corner's row lists the element
+    /// once per slot, so the scatter adds its quality once per slot).
+    #[test]
+    fn scatter_quality_equals_the_csr_oracle_on_an_isolated_vertex_and_repeated_corners() {
+        let elements = vec![[0, 1, 2], [0, 0, 1], [2, 3, 4], [1, 3, 4], [4, 4, 4], [3, 1, 3]];
+        let dom = checks::ValueDomain::new(6, elements);
+        assert!(dom.elements_of(5).is_empty());
+        assert_eq!(dom.elements_of(4), [2, 3, 4, 4, 4]);
+        let coords = [[0.3], [1.7], [-2.5], [0.125], [9.0], [4.0]];
+        checks::domain_quality_equals_the_csr_oracle(&dom, &coords);
+    }
+
+    /// Scores drawn from a special-value corpus (`±0.0`, NaN, `±inf`,
+    /// subnormals, huge and plain values) over random elements with
+    /// repeated corners and isolated vertices. The corpus without NaN is
+    /// compared bit for bit; with NaN the results must both be NaN.
+    #[test]
+    fn scatter_quality_equals_the_csr_oracle_on_special_scores() {
+        let signed_zeros = [-0.0, 0.0, -0.0, 1e-310, 0.75, -3.5, 0.1];
+        let specials = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -1e308, 0.3];
+        let mut rng = proptest::test_runner::TestRng::for_test("scatter_special_scores");
+        for corpus in [&signed_zeros[..], &specials[..]] {
+            for round in 0..40 {
+                let n = 3 + rng.index(30);
+                let elements: Vec<[u32; 3]> = (0..1 + rng.index(3 * n))
+                    .map(|_| std::array::from_fn(|_| rng.index(n - 1) as u32))
+                    .collect();
+                let coords: Vec<[f64; 1]> =
+                    (0..n).map(|_| [corpus[rng.index(corpus.len())]]).collect();
+                let dom = checks::ValueDomain::new(n, elements);
+                assert!(dom.elements_of(n as u32 - 1).is_empty(), "round {round}");
+                checks::domain_quality_equals_the_csr_oracle(&dom, &coords);
+            }
+        }
+        // every score `-0.0`: each row sums to the seed's sign
+        let dom = checks::ValueDomain::new(4, vec![[0, 1, 2], [1, 2, 2]]);
+        checks::domain_quality_equals_the_csr_oracle(&dom, &[[-0.0]; 4]);
     }
 
     /// `score` / `score_with` are exactly the metric plus the orientation

@@ -14,7 +14,8 @@
 
 use crate::config::{IterationPolicy, SmoothParams};
 use crate::domain::{
-    build_star_layout_on, smooth_reference_on, DomainConfig, DomainPoint, SmoothDomain, TriDomain,
+    build_star_layout_on, smooth_reference_on, DomainConfig, DomainPoint, ScoringDomain,
+    SmoothDomain, TriDomain, TriScoring,
 };
 use crate::greedy::greedy_visit_order;
 use crate::kernel::SerialKernel;
@@ -29,7 +30,8 @@ use std::sync::{Arc, OnceLock};
 /// One mesh dimension, as every engine of this crate sees it: the mesh
 /// type implements it, and only what truly differs between dimensions
 /// lives here — the boundary and parameter types, how the boundary is
-/// classified, the [`SmoothDomain`] view, and the initial visit order.
+/// classified, the [`SmoothDomain`] view and its topology-free
+/// [`ScoringDomain`] half, and the initial visit order.
 /// `C` is the element corner count, `D` the space dimension.
 ///
 /// The point and adjacency types, the coordinates and the adjacency build
@@ -45,6 +47,11 @@ pub trait SmoothMesh<const C: usize, const D: usize>:
     type Params: Clone + std::fmt::Debug;
     /// The borrowed [`SmoothDomain`] view the generic sweeps run against.
     type Domain<'a>: SmoothDomain<C, Point = Self::Point>
+    where
+        Self: 'a;
+    /// The borrowed topology-free [`ScoringDomain`] view (vertex count,
+    /// connectivity, metric) a resident run scores through.
+    type Scoring<'a>: ScoringDomain<C, Point = Self::Point>
     where
         Self: 'a;
 
@@ -75,6 +82,13 @@ pub trait SmoothMesh<const C: usize, const D: usize>:
         params: &Self::Params,
     ) -> Self::Domain<'a>;
 
+    /// Bundle a vertex count and connectivity into the scoring view.
+    fn scoring<'a>(
+        num_vertices: usize,
+        elements: &'a [[u32; C]],
+        params: &Self::Params,
+    ) -> Self::Scoring<'a>;
+
     /// The dimension-free slice of `params`.
     fn domain_config(params: &Self::Params) -> DomainConfig;
 
@@ -91,6 +105,7 @@ impl SmoothMesh<3, 2> for TriMesh {
     type Boundary = Boundary;
     type Params = SmoothParams;
     type Domain<'a> = TriDomain<'a>;
+    type Scoring<'a> = TriScoring<'a>;
 
     fn boundary(&self, adj: &Adjacency) -> Boundary {
         Boundary::from_adjacency(adj)
@@ -115,6 +130,14 @@ impl SmoothMesh<3, 2> for TriMesh {
         params: &SmoothParams,
     ) -> TriDomain<'a> {
         TriDomain::new(adj, boundary, elements, params.metric)
+    }
+
+    fn scoring<'a>(
+        num_vertices: usize,
+        elements: &'a [[u32; 3]],
+        params: &SmoothParams,
+    ) -> TriScoring<'a> {
+        TriScoring::new(num_vertices, elements, params.metric)
     }
 
     fn domain_config(params: &SmoothParams) -> DomainConfig {

@@ -22,7 +22,7 @@
 //!   candidate in the point slice the sweep works on — the mesh's own
 //!   coordinates for Gauss–Seidel, the sweep's `prev` copy for Jacobi;
 //!   there is no second coordinate layout — scores the whole star in
-//!   place through one lane-batched [`SmoothDomain::score_star`] call on
+//!   place through one lane-batched [`ScoringDomain::score_star`](crate::domain::ScoringDomain::score_star) call on
 //!   the element ids, and puts the old position back on reject. The
 //!   `scalar_scoring` baseline gathers a ring buffer through the CSR
 //!   neighbour slice into (usually) stack scratch instead and scores one
@@ -249,7 +249,7 @@ pub struct SerialKernel<'a, const C: usize, D: SmoothDomain<C>> {
     pub star: Option<&'a [[u8; C]]>,
     /// Force the per-element scalar scoring path. The default (`false`)
     /// routes smart star evaluation through the lane-batched
-    /// [`SmoothDomain::score_star`]; both paths are bit-identical, so
+    /// [`ScoringDomain::score_star`](crate::domain::ScoringDomain::score_star); both paths are bit-identical, so
     /// this toggle exists purely as the before/after baseline of the
     /// `kernel_soa` benches and the property suites.
     pub scalar_scoring: bool,
@@ -378,7 +378,7 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
 
     /// The batched loop: the candidate *staged* into `coords` itself
     /// (slot `v`), the whole star scored in place through one
-    /// [`SmoothDomain::score_star`] on the element ids the fold walks
+    /// [`ScoringDomain::score_star`](crate::domain::ScoringDomain::score_star) on the element ids the fold walks
     /// anyway, and `pv` put back if the guard rejects. Every corner read
     /// carries the exact source bits and the fold keeps the per-element
     /// order, so the outcome is bit-identical to the scalar loop —

@@ -65,8 +65,8 @@ pub mod transport;
 pub use config::{IterationPolicy, SmoothParams, UpdateScheme, Weighting};
 pub use dcache::DomainQualityCache;
 pub use domain::{
-    domain_quality, domain_quality_scored, weighted_candidate_on, DomainConfig, DomainPoint,
-    SmoothDomain, TriDomain,
+    domain_quality, weighted_candidate_on, DomainConfig, DomainPoint, ScoringDomain, SmoothDomain,
+    TriDomain, TriScoring,
 };
 pub use engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 pub use greedy::greedy_visit_order;

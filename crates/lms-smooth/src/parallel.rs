@@ -16,7 +16,7 @@
 //!   loop. Still data-race-free in the Rust memory model, merely
 //!   non-deterministic in its floating-point outcome.
 
-use crate::domain::{weighted_candidate_on, SmoothDomain};
+use crate::domain::{weighted_candidate_on, ScoringDomain, SmoothDomain};
 use crate::engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for;
 use crate::stats::{IterationStats, SmoothReport};

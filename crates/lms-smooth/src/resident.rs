@@ -5,9 +5,10 @@
 //! **resident for the whole run**, so no per-sweep full-mesh traffic
 //! exists — exactly what a distributed-memory implementation needs:
 //!
-//! * each part gathers its owned + halo coordinates and its local element
-//!   scores **once** (the single full gather) — the coordinates into a
-//!   part-local point array, the only coordinate store its sweeps read:
+//! * each part gathers its owned + halo coordinates **once** (the single
+//!   full gather) and scores its local elements on them — the
+//!   coordinates into a part-local point array, the only coordinate store
+//!   its sweeps read:
 //!   a smart sweep stages each candidate there, scores the star in place
 //!   and puts the old position back on reject;
 //! * part interiors (vertices whose whole 1-ring the part owns) sweep
@@ -64,31 +65,46 @@
 //! order ([`ResidentEngineOn::part_major_visit_order`]).
 //!
 //! The engine is written once, generic over the mesh dimension
-//! ([`SmoothMesh`]) and built around that dimension's serial
-//! [`SmoothEngineOn`]: [`ResidentEngine`] is the triangle-mesh alias,
-//! `lms_mesh3d::ResidentEngine3` the tetrahedral one.
+//! ([`SmoothMesh`]): [`ResidentEngine`] is the triangle-mesh alias,
+//! `lms_mesh3d::ResidentEngine3` the tetrahedral one. Construction runs
+//! that dimension's serial [`SmoothEngineOn`] over the handed adjacency
+//! to colour the interface and build the blocks, then drops it: a built
+//! engine keeps only what its runs read — the blocks, the partition, the
+//! exchange schedule, the interface classes, the inverse degrees, the
+//! mesh's shared element table and the parameters. Runs score through
+//! the topology-free [`SmoothMesh::Scoring`] view; no global adjacency,
+//! boundary or visit order outlives setup, and no run holds a table with
+//! one entry per element (each rank scores its own block at the gather,
+//! and the drive loop streams the global quality through a per-vertex
+//! scatter).
 
 use crate::config::{UpdateScheme, Weighting};
 use crate::dcache::{element_weight, inverse_degrees};
-use crate::domain::{score_star_per_id, DomainConfig, DomainPoint, SmoothDomain};
+use crate::domain::{score_star_per_id, DomainConfig, DomainPoint, ScoringDomain, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for;
-use crate::soa::{resize_tracked, SoaScores};
+use crate::pool::PoolCache;
+use crate::soa::{resize_tracked, score_corners_batched, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::vec_bytes;
 use lms_part::{ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
+use std::sync::Arc;
 
 /// Domain-decomposed Gauss–Seidel smoothing over blocks that stay
 /// resident for the whole run, with halo-delta exchange between interface
 /// color steps — one body for every mesh dimension, generic over the mesh
-/// type `M` whose serial engine hosts the topology. See the module docs
-/// for the protocol; use the [`ResidentEngine`] /
-/// `lms_mesh3d::ResidentEngine3` aliases.
+/// type `M`. See the module docs for the protocol; use the
+/// [`ResidentEngine`] / `lms_mesh3d::ResidentEngine3` aliases.
 #[derive(Debug, Clone)]
 pub struct ResidentEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
-    engine: SmoothEngineOn<C, D, M>,
+    params: M::Params,
+    /// The mesh's element table, shared with it (see
+    /// [`SmoothMesh::shared_elements`]) — what the runs' global scoring
+    /// passes read.
+    elements: Arc<Vec<[u32; C]>>,
+    /// The decomposition; its length is the engine's vertex count.
     partition: Partition,
     schedule: ExchangeSchedule,
     /// Interface vertices (mesh-interior) grouped by global color class —
@@ -100,6 +116,8 @@ pub struct ResidentEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>>
     /// the global element weights `w_t` of its initial running sum from;
     /// computed once at construction.
     inv_deg: Vec<f64>,
+    /// Cached persistent worker pool (spawned once per engine lifetime).
+    pool: PoolCache,
 }
 
 /// Resident halo-exchange smoothing of triangle meshes.
@@ -191,30 +209,42 @@ impl<const C: usize> ResidentBlock<C> {
     }
 
     /// Bytes the block owns on the heap.
-    fn heap_bytes(&self) -> usize {
-        [
-            &self.owned,
-            &self.halo,
-            &self.int_locals,
-            &self.int_nbr_offsets,
-            &self.int_nbrs,
-            &self.int_vt_offsets,
-            &self.int_vt,
-            &self.ifc_color_offsets,
-            &self.ifc_locals,
-            &self.ifc_nbr_offsets,
-            &self.ifc_nbrs,
-            &self.ifc_vt_offsets,
-            &self.ifc_vt,
-            &self.elem_globals,
-            &self.halo_vt_offsets,
-            &self.halo_vt,
-        ]
-        .into_iter()
-        .map(vec_bytes)
-        .sum::<usize>()
+    pub fn heap_bytes(&self) -> usize {
+        self.u32_vecs().into_iter().map(|(_, v)| vec_bytes(v)).sum::<usize>()
             + vec_bytes(&self.elem_corners)
             + vec_bytes(&self.elem_weight)
+    }
+
+    /// Every `u32` vector of the block, by field name.
+    fn u32_vecs(&self) -> [(&'static str, &Vec<u32>); 16] {
+        [
+            ("owned", &self.owned),
+            ("halo", &self.halo),
+            ("int_locals", &self.int_locals),
+            ("int_nbr_offsets", &self.int_nbr_offsets),
+            ("int_nbrs", &self.int_nbrs),
+            ("int_vt_offsets", &self.int_vt_offsets),
+            ("int_vt", &self.int_vt),
+            ("ifc_color_offsets", &self.ifc_color_offsets),
+            ("ifc_locals", &self.ifc_locals),
+            ("ifc_nbr_offsets", &self.ifc_nbr_offsets),
+            ("ifc_nbrs", &self.ifc_nbrs),
+            ("ifc_vt_offsets", &self.ifc_vt_offsets),
+            ("ifc_vt", &self.ifc_vt),
+            ("elem_globals", &self.elem_globals),
+            ("halo_vt_offsets", &self.halo_vt_offsets),
+            ("halo_vt", &self.halo_vt),
+        ]
+    }
+
+    /// `(field, len, capacity)` of every vector of the block — what the
+    /// exact-size property reads.
+    pub(crate) fn vec_shapes(&self) -> Vec<(&'static str, usize, usize)> {
+        let mut shapes: Vec<_> =
+            self.u32_vecs().into_iter().map(|(name, v)| (name, v.len(), v.capacity())).collect();
+        shapes.push(("elem_corners", self.elem_corners.len(), self.elem_corners.capacity()));
+        shapes.push(("elem_weight", self.elem_weight.len(), self.elem_weight.capacity()));
+        shapes
     }
 }
 
@@ -263,7 +293,7 @@ impl<P> PairBatch<P> {
 /// The sweep arithmetic is identical, expression by expression, to the
 /// serial hot path ([`crate::kernel`]), so commit decisions (hence
 /// coordinates) stay bit-identical.
-pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
+pub struct ResidentRank<'a, const C: usize, D: ScoringDomain<C>> {
     dom: &'a D,
     smart: bool,
     weighting: Weighting,
@@ -315,7 +345,7 @@ pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
     route_ns: Vec<u64>,
 }
 
-impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
+impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
     /// Build the rank for `part` over its resident block, exchange
     /// schedule and message plan.
     pub fn new(
@@ -391,17 +421,36 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
         std::mem::take(&mut self.route_ns)
     }
 
-    /// The one full gather from the global arrays: all owned + halo
-    /// coordinates and every local element's initial score.
-    pub fn load_global(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) {
+    /// The one full gather from the global coordinate array: all owned +
+    /// halo coordinates, then every local element scored on them — the
+    /// same corner points as on the global array, so the same bits as a
+    /// global scoring pass, with no global score table.
+    pub fn load_global(&mut self, coords: &[D::Point]) {
         self.reset_transient();
         for (slot, &v) in
             self.coords.iter_mut().zip(self.block.owned.iter().chain(&self.block.halo))
         {
             *slot = coords[v as usize];
         }
-        for (i, &t) in self.block.elem_globals.iter().enumerate() {
-            self.scores.set(i, scores[t as usize]);
+        self.score_all_elements();
+    }
+
+    /// Score every local element on the current coordinates into the
+    /// score columns, in ascending local order (lane-batched unless the
+    /// scalar baseline is forced — identical bits either way). Not
+    /// counted as sweep scoring.
+    fn score_all_elements(&mut self) {
+        let (scores, corners) = (&mut self.scores, &self.block.elem_corners);
+        if self.scalar_scoring {
+            for (i, &e) in corners.iter().enumerate() {
+                scores.set(i, self.dom.score(&self.coords, e));
+            }
+        } else {
+            let mut i = 0;
+            score_corners_batched(self.dom, &self.coords, corners, 0..corners.len() as u32, |s| {
+                scores.set(i, s);
+                i += 1;
+            });
         }
     }
 
@@ -536,8 +585,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
 
     /// Score the local elements `ids` on the current coordinates into
     /// `star[..ids.len()]` (grown on first need, never refilled): the
-    /// lane-batched [`SmoothDomain::score_star`] reading the block's own
-    /// corner table through the ids, or one [`SmoothDomain::score`] per id
+    /// lane-batched [`ScoringDomain::score_star`] reading the block's own
+    /// corner table through the ids, or one [`ScoringDomain::score`] per id
     /// under the scalar baseline. Counts the elements scored.
     #[inline(always)]
     fn score_ids(&mut self, ids: &[u32]) {
@@ -558,7 +607,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     /// weighted quality deltas into the stat accumulator in queue order
     /// and clearing the dirty marks — the shared tail of the smart
     /// post-delivery re-score and the plain end-of-iteration re-score.
-    /// Scoring goes through the lane-batched [`SmoothDomain::score_star`]
+    /// Scoring goes through the lane-batched [`ScoringDomain::score_star`]
     /// unless the scalar baseline is forced; both paths are bit-identical
     /// per element and the delta fold order is unchanged.
     fn rescore_elements(&mut self, queue: &[u32]) {
@@ -676,7 +725,7 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
     ///
     /// The candidate star is scored **in place**: the candidate is staged
     /// into the local point slice, the incident elements run through the
-    /// lane-batched [`SmoothDomain::score_star`] — their corner rows read
+    /// lane-batched [`ScoringDomain::score_star`] — their corner rows read
     /// where they live, through the ids of the vertex's incidence row —
     /// and the old position is restored if the guard rejects. Every
     /// element sees exactly the values the old substituting `score_with`
@@ -856,7 +905,9 @@ impl Neumaier {
 ///
 /// Cost `O(C·T + Σ block size)`, no sort: one pass over the elements in
 /// index order deals each to the part of every mesh-interior corner, so
-/// every block's element list is ascending by construction.
+/// every block's element list is ascending by construction. Every block
+/// vector is allocated at its final length (counts are taken before the
+/// fill), so a block holds no growth slack for the whole run.
 pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     partition: &Partition,
@@ -868,25 +919,40 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
 
     // One pass over the elements in index order finds each one's stat
     // owner — the part owning its smallest mesh-interior (movable) corner;
-    // unchangeable elements have none — and deals it to the local element
-    // set of every part that sweeps one of its corners. A block sweeps
-    // exactly its owned mesh-interior vertices, and an element's pushes are
-    // consecutive, so comparing with a list's last entry is all the
-    // deduplication there is.
+    // unchangeable elements have none — and counts the local element set
+    // of every part that sweeps one of its corners; a second pass deals
+    // the elements into lists reserved at those counts. A block sweeps
+    // exactly its owned mesh-interior vertices, and an element's visits
+    // to a part are consecutive, so comparing with the part's last
+    // element is all the deduplication there is.
+    let num_parts = partition.num_parts() as usize;
     let mut stat_owner = Vec::with_capacity(elements.len());
-    let mut part_elems: Vec<Vec<u32>> = vec![Vec::new(); partition.num_parts() as usize];
+    let mut counts = vec![0usize; num_parts];
+    let mut last = vec![u32::MAX; num_parts];
     for (t, element) in elements.iter().enumerate() {
         let mut smallest = None;
         for &c in element {
             if dom.is_interior(c) {
                 smallest = Some(smallest.map_or(c, |s: u32| s.min(c)));
+                let p = partition.part_of(c) as usize;
+                if last[p] != t as u32 {
+                    last[p] = t as u32;
+                    counts[p] += 1;
+                }
+            }
+        }
+        stat_owner.push(smallest.map_or(u32::MAX, |v| partition.part_of(v)));
+    }
+    let mut part_elems: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (t, element) in elements.iter().enumerate() {
+        for &c in element {
+            if dom.is_interior(c) {
                 let list = &mut part_elems[partition.part_of(c) as usize];
                 if list.last() != Some(&(t as u32)) {
                     list.push(t as u32);
                 }
             }
         }
-        stat_owner.push(smallest.map_or(u32::MAX, |v| partition.part_of(v)));
     }
 
     let mut g2l = vec![u32::MAX; n];
@@ -921,7 +987,10 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
     /// Build a resident engine around an adjacency the caller
     /// already holds (typically the one the partition was computed from)
     /// — *the* constructor; [`by_method`](Self::by_method) and
-    /// [`new`](Self::new) both end here.
+    /// [`new`](Self::new) both end here. A serial engine over `adj`
+    /// supplies the boundary and the color classes the interface classes
+    /// and the blocks are built from; it is dropped, adjacency included,
+    /// before this returns.
     ///
     /// # Panics
     /// When `adj` or `partition` was built for a different number of
@@ -944,11 +1013,24 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
+        let mut interface_classes = interface_classes(engine.interior_color_classes(), &partition);
+        interface_classes.shrink_to_fit();
         let schedule = ExchangeSchedule::build(&partition);
         let (blocks, inv_deg) =
             build_resident_blocks(&engine.domain(), &partition, &interface_classes);
-        ResidentEngineOn { engine, partition, schedule, interface_classes, blocks, inv_deg }
+        // the topology (adjacency, boundary, visit order, color classes)
+        // dies with the serial engine here: no run reads it
+        let SmoothEngineOn { params, elements, .. } = engine;
+        ResidentEngineOn {
+            params,
+            elements,
+            partition,
+            schedule,
+            interface_classes,
+            blocks,
+            inv_deg,
+            pool: PoolCache::new(),
+        }
     }
 
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
@@ -964,9 +1046,20 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
         Self::with_adjacency(mesh, adj, params, partition)
     }
 
-    /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &SmoothEngineOn<C, D, M> {
-        &self.engine
+    /// The engine's parameters.
+    pub fn params(&self) -> &M::Params {
+        &self.params
+    }
+
+    /// The dimension-free slice of the engine's parameters.
+    pub fn domain_config(&self) -> DomainConfig {
+        M::domain_config(&self.params)
+    }
+
+    /// The topology-free scoring view (vertex count, the mesh's shared
+    /// element table, metric) the runs score through.
+    pub fn scoring(&self) -> M::Scoring<'_> {
+        M::scoring(self.partition.len(), &self.elements, &self.params)
     }
 
     /// The decomposition the engine runs on.
@@ -997,13 +1090,12 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
         &self.inv_deg
     }
 
-    /// Bytes the engine owns on the heap: its serial engine's ledger
-    /// (which leaves the shared element table to the mesh), the partition,
-    /// the exchange schedule, the interface classes, every block and the
-    /// inverse degrees.
+    /// Bytes the engine owns on the heap: the partition, the exchange
+    /// schedule, the interface classes, every block and the inverse
+    /// degrees. The element table is the mesh's, shared rather than
+    /// copied, and a ledger counts it once, with the mesh.
     pub fn heap_bytes(&self) -> usize {
-        self.engine.heap_bytes()
-            + self.partition.heap_bytes()
+        self.partition.heap_bytes()
             + self.schedule.heap_bytes()
             + vec_bytes(&self.interface_classes)
             + self.interface_classes.iter().map(vec_bytes).sum::<usize>()
@@ -1030,8 +1122,8 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
     /// drives the same loop over forked rank processes.)
     pub fn smooth(&self, mesh: &mut M, num_threads: usize) -> SmoothReport {
         assert!(num_threads >= 1, "need at least one thread");
-        let pool = self.engine.pool.get(num_threads);
-        let (dom, cfg) = (self.engine.domain(), self.engine.domain_config());
+        let pool = self.pool.get(num_threads);
+        let (dom, cfg) = (self.scoring(), self.domain_config());
         let mut transport =
             InProcessTransport::new(&dom, &cfg, &self.blocks, &self.schedule, &pool);
         let colors = self.interface_classes.len();
@@ -1059,8 +1151,8 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
     /// `lms-dist/tests/traced.rs`).
     pub fn smooth_profiled(&self, mesh: &mut M, num_threads: usize) -> (SmoothReport, Recorder) {
         assert!(num_threads >= 1, "need at least one thread");
-        let pool = self.engine.pool.get(num_threads);
-        let (dom, cfg) = (self.engine.domain(), self.engine.domain_config());
+        let pool = self.pool.get(num_threads);
+        let (dom, cfg) = (self.scoring(), self.domain_config());
         let mut transport =
             InProcessTransport::new(&dom, &cfg, &self.blocks, &self.schedule, &pool);
         transport.set_profiling(true);
@@ -1154,18 +1246,22 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     }
 
     // sweep lists: interiors ascending, interfaces color-major
-    let mut int_locals = Vec::new();
-    let mut int_globals = Vec::new();
+    let sweeps_interior = |v: u32| !partition.is_interface(v) && dom.is_interior(v);
+    let num_int = owned.iter().filter(|&&v| sweeps_interior(v)).count();
+    let mut int_locals = Vec::with_capacity(num_int);
+    let mut int_globals = Vec::with_capacity(num_int);
     for (i, &v) in owned.iter().enumerate() {
-        if !partition.is_interface(v) && dom.is_interior(v) {
+        if sweeps_interior(v) {
             int_locals.push(i as u32);
             int_globals.push(v);
         }
     }
     let mut ifc_color_offsets = Vec::with_capacity(interface_classes.len() + 1);
     ifc_color_offsets.push(0u32);
-    let mut ifc_locals = Vec::new();
-    let mut ifc_globals = Vec::new();
+    let num_ifc =
+        interface_classes.iter().flatten().filter(|&&v| partition.part_of(v) == p).count();
+    let mut ifc_locals = Vec::with_capacity(num_ifc);
+    let mut ifc_globals = Vec::with_capacity(num_ifc);
     for class in interface_classes {
         for &v in class {
             if partition.part_of(v) == p {
@@ -1206,10 +1302,10 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     let build_csr = |globals: &[u32]| {
         let mut nbr_offsets = Vec::with_capacity(globals.len() + 1);
         nbr_offsets.push(0u32);
-        let mut nbrs = Vec::new();
+        let mut nbrs = Vec::with_capacity(globals.iter().map(|&v| dom.neighbors(v).len()).sum());
         let mut vt_offsets = Vec::with_capacity(globals.len() + 1);
         vt_offsets.push(0u32);
-        let mut vt = Vec::new();
+        let mut vt = Vec::with_capacity(globals.iter().map(|&v| dom.elements_of(v).len()).sum());
         for &v in globals {
             nbrs.extend(dom.neighbors(v).iter().map(|&w| g2l[w as usize]));
             nbr_offsets.push(nbrs.len() as u32);

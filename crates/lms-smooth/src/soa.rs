@@ -3,7 +3,7 @@
 //! Every engine from [`crate::kernel::SerialKernel`] to the distributed
 //! rank workers spends its time in the same loop: gather a vertex ring,
 //! score the incident elements, decide a commit. The scoring half runs
-//! through [`SmoothDomain::score_star`], which reads each element's
+//! through [`ScoringDomain::score_star`], which reads each element's
 //! corners straight from the point slice (`&[D::Point]`, the only
 //! coordinate store of every sweep) through the element's id and scores
 //! fixed-width [`LANES`]-wide blocks in which **every lane executes the
@@ -29,7 +29,7 @@
 //!   and tests pin that steady-state sweeps perform zero reallocations
 //!   ([`scratch_grow_count`]).
 
-use crate::domain::SmoothDomain;
+use crate::domain::ScoringDomain;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed lane width of the batched scoring kernels: 4 × f64 (one AVX2
@@ -249,18 +249,31 @@ unsafe fn sqrt_div_lanes_sse2(num: &[f64; LANES], den: &[f64; LANES], out: &mut 
 
 /// Score the elements `ids` names (ids into the domain's element
 /// table) on the point slice `coords`, handing the `(quality, oriented)`
-/// pairs to `sink` in iteration order. The ids are taken in fixed-size
-/// chunks, each scored in place through one [`SmoothDomain::score_star`]
-/// call on the domain's own corner table, so the per-element arithmetic
-/// and the order are those of the scalar loop — bit-identical results.
-pub fn score_elements_batched<const C: usize, D: SmoothDomain<C>>(
+/// pairs to `sink` in iteration order — [`score_corners_batched`] on the
+/// domain's own corner table.
+pub fn score_elements_batched<const C: usize, D: ScoringDomain<C>>(
     dom: &D,
     coords: &[D::Point],
+    ids: impl IntoIterator<Item = u32>,
+    sink: impl FnMut((f64, bool)),
+) {
+    score_corners_batched(dom, coords, dom.elements(), ids, sink);
+}
+
+/// Score the rows of `elems` that `ids` names (a domain's own table, or
+/// a resident block's part-local one) on the point slice `coords`,
+/// handing the `(quality, oriented)` pairs to `sink` in iteration order.
+/// The ids are taken in fixed-size chunks, each scored in place through
+/// one [`ScoringDomain::score_star`] call, so the per-element arithmetic
+/// and the order are those of the scalar loop — bit-identical results.
+pub fn score_corners_batched<const C: usize, D: ScoringDomain<C>>(
+    dom: &D,
+    coords: &[D::Point],
+    elems: &[[u32; C]],
     ids: impl IntoIterator<Item = u32>,
     mut sink: impl FnMut((f64, bool)),
 ) {
     const CHUNK: usize = 256;
-    let elems = dom.elements();
     let mut chunk = [0u32; CHUNK];
     let mut scored = [(0.0f64, false); CHUNK];
     let mut ids = ids.into_iter();

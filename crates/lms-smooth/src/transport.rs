@@ -40,9 +40,7 @@
 
 use crate::config::UpdateScheme;
 use crate::dcache::element_weight;
-use crate::domain::{
-    domain_quality, domain_quality_scored, DomainConfig, DomainPoint, SmoothDomain,
-};
+use crate::domain::{domain_quality, DomainConfig, DomainPoint, QualityScatter, ScoringDomain};
 use crate::resident::{Neumaier, PairBatch, ResidentBlock, ResidentRank};
 use crate::stats::{ExchangeVolume, IterationStats, SmoothReport};
 use lms_part::wire::halo_frame_wire_len;
@@ -119,10 +117,11 @@ pub trait FtResidentTransport<P: DomainPoint> {
     /// corrupt frame, …).
     type Error: std::fmt::Debug + std::fmt::Display;
 
-    /// The one full gather: load every rank's owned+halo coordinates and
-    /// local element scores from the global arrays; primes the
-    /// checkpoint.
-    fn try_gather(&mut self, coords: &[P], scores: &[(f64, bool)]) -> Result<(), Self::Error>;
+    /// The one full gather: load every rank's owned+halo coordinates from
+    /// the global array and have every rank's local element scores formed
+    /// from them (bit-identical to a global scoring pass: the same corner
+    /// points); primes the checkpoint.
+    fn try_gather(&mut self, coords: &[P]) -> Result<(), Self::Error>;
 
     /// Sweep every rank's part-interior vertices (nothing to exchange:
     /// interior vertices are in no other part's halo).
@@ -187,8 +186,12 @@ pub trait FtResidentTransport<P: DomainPoint> {
 ///
 /// `inv_deg` is the inverse star size `1/deg_t(v)` of every vertex
 /// ([`crate::ResidentEngineOn::inv_degrees`]); the initial running sum
-/// forms each element's weight from it.
-pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransport<D::Point>>(
+/// forms each element's weight from it. The domain only has to score:
+/// the loop reads no adjacency, and it holds no table with one entry per
+/// element — the initial pass streams every element's score into the
+/// running sum and a per-vertex quality scatter, and the final exact
+/// quality is [`domain_quality`].
+pub fn drive_resident_ft<const C: usize, D: ScoringDomain<C>, T: FtResidentTransport<D::Point>>(
     dom: &D,
     cfg: &DomainConfig,
     inv_deg: &[f64],
@@ -215,7 +218,7 @@ pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransp
 #[allow(clippy::too_many_arguments)]
 pub fn drive_resident_ft_with<
     const C: usize,
-    D: SmoothDomain<C>,
+    D: ScoringDomain<C>,
     T: FtResidentTransport<D::Point>,
     S: TraceSink,
 >(
@@ -235,12 +238,7 @@ pub fn drive_resident_ft_with<
         "resident smoothing is an in-place (Gauss-Seidel) schedule"
     );
 
-    let init_scores = initial_scores(dom, cfg, coords);
-    let mut qsum = Neumaier::default();
-    for (&(q, _), corners) in init_scores.iter().zip(dom.elements()) {
-        qsum.add(q * element_weight(inv_deg, corners));
-    }
-    let initial_quality = domain_quality_scored(dom, &init_scores);
+    let (mut qsum, initial_quality) = initial_pass(dom, cfg, inv_deg, coords);
     let mut report = SmoothReport::starting(initial_quality);
     let mut volume = ExchangeVolume::default();
     let mut quality = initial_quality;
@@ -285,7 +283,7 @@ pub fn drive_resident_ft_with<
     if S::ENABLED {
         sink.begin("gather", 0, 0);
     }
-    let gathered = transport.try_gather(coords, &init_scores);
+    let gathered = transport.try_gather(coords);
     if S::ENABLED {
         sink.end("gather");
     }
@@ -461,24 +459,35 @@ pub fn drive_resident_ft_with<
     Ok((report, stats))
 }
 
-/// The drivers' initial full scoring pass: every element scored on the
-/// global coordinates, in element order. Runs the lane-batched
-/// kernel unless the scalar baseline is forced — both produce identical
-/// bits per element, so either way the table matches a fresh quality
-/// cache exactly.
-fn initial_scores<const C: usize, D: SmoothDomain<C>>(
+/// The drive loop's initial full scoring pass, streamed: every element
+/// scored on the global coordinates in element order, each score folded
+/// into the Neumaier running sum as `q · w_t` (the fold a fresh quality
+/// cache makes) and scattered into the exact initial quality. Returns
+/// `(running sum, initial quality)`. Runs the lane-batched kernel unless
+/// the scalar baseline is forced — both produce identical bits per
+/// element.
+fn initial_pass<const C: usize, D: ScoringDomain<C>>(
     dom: &D,
     cfg: &DomainConfig,
+    inv_deg: &[f64],
     coords: &[D::Point],
-) -> Vec<(f64, bool)> {
+) -> (Neumaier, f64) {
+    let elements = dom.elements();
+    let mut qsum = Neumaier::default();
+    let mut scatter = QualityScatter::new(dom.num_vertices());
+    let mut t = 0;
+    let mut fold = |(q, _): (f64, bool)| {
+        let corners = &elements[t];
+        qsum.add(q * element_weight(inv_deg, corners));
+        scatter.add(corners, q);
+        t += 1;
+    };
     if cfg.scalar_scoring {
-        dom.elements().iter().map(|&e| dom.score(coords, e)).collect()
+        elements.iter().for_each(|&e| fold(dom.score(coords, e)));
     } else {
-        let mut out = Vec::with_capacity(dom.num_elements());
-        let ids = 0..dom.num_elements() as u32;
-        crate::soa::score_elements_batched(dom, coords, ids, |s| out.push(s));
-        out
+        crate::soa::score_elements_batched(dom, coords, 0..elements.len() as u32, fold);
     }
+    (qsum, scatter.quality())
 }
 
 /// Raw coordinate base pointer for the final disjoint scatter. Soundness:
@@ -498,7 +507,7 @@ unsafe impl<P: Send> Send for ScatterPtr<P> {}
 /// routing is a receiver-side pull over double-buffered sender outboxes
 /// (see the module docs). This is the PR-3 resident engine's behaviour,
 /// bit for bit — the unmodified PR 1–4 property suites pin it.
-pub struct InProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
+pub struct InProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
     ranks: Vec<ResidentRank<'a, C, D>>,
     /// The published buffer set: `prev_out[p]` holds part `p`'s outbox
     /// of the *previous* exchange round (the one receivers pull), while
@@ -508,7 +517,7 @@ pub struct InProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     pool: &'a rayon::ThreadPool,
 }
 
-impl<'a, const C: usize, D: SmoothDomain<C>> InProcessTransport<'a, C, D> {
+impl<'a, const C: usize, D: ScoringDomain<C>> InProcessTransport<'a, C, D> {
     /// Build the transport: one rank per part plus the double-buffered
     /// outboxes shaped by the schedule's [`MessagePlan`].
     pub fn new(
@@ -535,19 +544,15 @@ impl<'a, const C: usize, D: SmoothDomain<C>> InProcessTransport<'a, C, D> {
 /// `recover` is statically unreachable, which is what makes this
 /// transport the graceful-degradation fallback when rank processes
 /// cannot be spawned at all.
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
+impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
     for InProcessTransport<'_, C, D>
 {
     type Error = std::convert::Infallible;
 
-    fn try_gather(
-        &mut self,
-        coords: &[D::Point],
-        scores: &[(f64, bool)],
-    ) -> Result<(), Self::Error> {
+    fn try_gather(&mut self, coords: &[D::Point]) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         self.pool.install(|| {
-            ranks.par_iter_mut().for_each(|rank| rank.load_global(coords, scores));
+            ranks.par_iter_mut().for_each(|rank| rank.load_global(coords));
         });
         Ok(())
     }
@@ -650,7 +655,7 @@ impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
     }
 }
 
-impl<const C: usize, D: SmoothDomain<C>> InProcessTransport<'_, C, D> {
+impl<const C: usize, D: ScoringDomain<C>> InProcessTransport<'_, C, D> {
     /// Switch per-rank phase self-timing on or off (off by default).
     /// Observation-only: timing changes no sweep arithmetic, no exchange
     /// contents and no fold order, so a profiled run's coordinates and

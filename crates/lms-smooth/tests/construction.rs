@@ -9,6 +9,9 @@
 //!   elements, never sorted — equals the `collect → sort → dedup` it
 //!   replaced and is strictly ascending, on decompositions with more parts
 //!   than vertices, empty parts, an all-boundary part and a single part;
+//! * every resident block vector is allocated at its final length, and
+//!   the resident ledger is its partition, schedule, classes, blocks and
+//!   inverse degrees — no topology;
 //! * the mesh, its clones and every engine built from it share one
 //!   triangle table, and `orient_ccw` on a clone copies the clone's.
 
@@ -27,8 +30,9 @@ fn by_method_equals_new_over_the_same_partition() {
 }
 
 /// Given the adjacency of `cut` (the same vertices, the last triangles
-/// missing) together with the full mesh, every engine holds `cut`'s
-/// topology, not the mesh's.
+/// missing) together with the full mesh, every engine builds on `cut`'s
+/// topology, not the mesh's: the serial engine holds it, the resident
+/// engine holds the blocks a serial engine over it builds.
 #[test]
 fn with_adjacency_uses_the_adjacency_it_is_handed() {
     let mesh = generators::perturbed_grid(10, 14, 0.3, 3);
@@ -36,6 +40,18 @@ fn with_adjacency_uses_the_adjacency_it_is_handed() {
     triangles.truncate(triangles.len() - 20);
     let handed = Adjacency::build(&TriMesh::new(coords, triangles).unwrap());
     checks::with_adjacency_uses_the_adjacency_it_is_handed(&mesh, handed, params());
+}
+
+#[test]
+fn resident_blocks_are_exact_size() {
+    let mesh = generators::perturbed_grid(17, 13, 0.3, 6);
+    checks::resident_blocks_are_exact_size(&mesh, params(), 4);
+}
+
+#[test]
+fn resident_ledger_is_its_parts() {
+    let mesh = generators::perturbed_grid(17, 13, 0.3, 6);
+    checks::resident_ledger_is_its_parts(&mesh, params(), 4);
 }
 
 #[test]

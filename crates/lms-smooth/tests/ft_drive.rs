@@ -8,15 +8,13 @@
 //! a sound degradation target when rank processes cannot be spawned.
 
 use lms_part::PartitionMethod;
-use lms_smooth::domain::DomainConfig;
 use lms_smooth::{drive_resident_ft, FtPolicy, InProcessTransport, ResidentEngine, SmoothParams};
 
 fn run_both(checkpoint_every: usize, max_iters: usize) {
     let mesh = lms_mesh::generators::perturbed_grid(16, 14, 0.35, 7);
     let params = SmoothParams::paper().with_smart(true).with_max_iters(max_iters).with_tol(-1.0);
     let engine = ResidentEngine::by_method(&mesh, params, 4, PartitionMethod::Rcb);
-    let dom = engine.engine().domain();
-    let cfg = DomainConfig::from(engine.engine().params());
+    let (dom, cfg) = (engine.scoring(), engine.domain_config());
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
 
     let mut plain_mesh = mesh.clone();

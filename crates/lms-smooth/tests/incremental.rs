@@ -7,7 +7,7 @@ use lms_mesh::quality::mesh_quality;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
 use lms_smooth::checks;
 use lms_smooth::{
-    DomainQualityCache, SmoothDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
+    DomainQualityCache, ScoringDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
 };
 use proptest::prelude::*;
 
