@@ -36,9 +36,8 @@ fn bench_smooth_hot(c: &mut Criterion) {
     engine.smooth_full_recompute(&mut b);
     assert_eq!(a.coords(), b.coords(), "incremental path diverged from reference");
 
-    // SoA gate: the lane-batched scoring path (the default since the SoA
-    // refactor — "incremental" above measures it) must agree bitwise with
-    // the forced pre-SoA scalar path too
+    // the lane-batched scoring path (the default — "incremental" above
+    // measures it) must agree bitwise with per-element scoring too
     let scalar_engine = SmoothEngine::new(&mesh, params.clone().with_scalar_scoring(true));
     let mut s = mesh.clone();
     scalar_engine.smooth(&mut s);

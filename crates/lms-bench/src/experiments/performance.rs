@@ -295,15 +295,16 @@ pub fn hotpath(cfg: &ExpConfig) -> String {
     table.render()
 }
 
-/// `hotpath_soa`: the lane-batched SoA scoring kernel against the pre-SoA
-/// per-element scalar path on the serial smart engine. Both paths run the
-/// identical scalar IEEE operation sequence per element (the batch just
-/// pins four elements per lane-chunk), so the coordinates must agree bit
-/// for bit — the speedup is pure layout + auto-vectorization.
+/// `hotpath_soa`: the serial smart engine with lane-batched star scoring
+/// against the same sweep step scoring one element at a time
+/// (`scalar_scoring`, on the sweep copy compiled without AVX). Both run
+/// the identical scalar IEEE operation sequence per element (the batch
+/// just pins four elements per lane block), so the coordinates must agree
+/// bit for bit — the speedup is the packed lanes and the AVX copy.
 pub fn hotpath_soa(cfg: &ExpConfig) -> String {
     let meshes = cfg.meshes();
     let mut table = Table::new(
-        "SoA lane-batched scoring vs scalar path (smart Gauss-Seidel, serial)",
+        "Lane-batched vs per-element star scoring (smart Gauss-Seidel, serial)",
         &["mesh", "vertices", "batched (ms)", "scalar (ms)", "speedup", "bit-identical"],
     );
     for named in meshes.iter().take(4) {
@@ -337,7 +338,7 @@ pub fn hotpath_soa(cfg: &ExpConfig) -> String {
 }
 
 /// `kernel_soa`: the resident sweep kernel under profiling — lane-batched
-/// vs scalar scoring on the same 4-way decomposition, with the per-part
+/// vs per-element star scoring on the same 4-way decomposition, with the per-part
 /// sweep nanoseconds from `PhaseBreakdown` as the evidence and the
 /// ns-per-moved-vertex / scored-elements-per-second throughput counters
 /// every future perf PR can compare against.
@@ -347,7 +348,9 @@ pub fn kernel_soa(cfg: &ExpConfig) -> String {
     const PARTS: usize = 4;
     let meshes = cfg.meshes();
     let mut table = Table::new(
-        format!("Resident sweep kernel: SoA batched vs scalar scoring ({PARTS}-way rcb, profiled)"),
+        format!(
+            "Resident sweep kernel: lane-batched vs per-element scoring ({PARTS}-way rcb, profiled)"
+        ),
         &[
             "mesh",
             "batched sweep (ms)",

@@ -227,16 +227,6 @@ impl Adjacency {
         &self.on_boundary
     }
 
-    /// Start position of `v`'s incident-triangle slice within the flat
-    /// vertex→triangle CSR array — lets callers maintain side tables
-    /// aligned with the concatenation of all [`triangles_of`] slices.
-    ///
-    /// [`triangles_of`]: Self::triangles_of
-    #[inline]
-    pub fn triangles_offset(&self, v: u32) -> usize {
-        self.vt_offsets[v as usize] as usize
-    }
-
     /// Total number of stored directed neighbour entries (2 × #edges).
     #[inline]
     pub fn num_directed_edges(&self) -> usize {

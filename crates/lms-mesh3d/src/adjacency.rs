@@ -63,14 +63,6 @@ impl Adjacency3 {
         &self.vt_tets[lo..hi]
     }
 
-    /// Flat offset of `v`'s incident-tet row in the CSR storage — lets
-    /// star-layout consumers (the generic smoothing domain) address the
-    /// per-incidence data contiguously.
-    #[inline]
-    pub fn tets_offset(&self, v: u32) -> usize {
-        self.vt_offsets[v as usize] as usize
-    }
-
     /// Degree (number of neighbour vertices) of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {

@@ -175,11 +175,6 @@ impl SmoothDomain<4> for TetDomain<'_> {
     }
 
     #[inline]
-    fn elements_offset(&self, v: u32) -> usize {
-        self.adj.tets_offset(v)
-    }
-
-    #[inline]
     fn is_interior(&self, v: u32) -> bool {
         self.boundary.is_interior(v)
     }

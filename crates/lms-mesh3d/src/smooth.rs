@@ -45,8 +45,9 @@ pub struct SmoothParams3 {
     /// Smart commit: reject moves that lower the local mean quality or
     /// invert a currently valid vertex star.
     pub smart: bool,
-    /// Force the per-element scalar scoring path (bench/oracle
-    /// baseline; bit-identical to the default lane-batched scoring).
+    /// Score every candidate star one element at a time, on the sweep
+    /// copy compiled without AVX, instead of through the lane-batched
+    /// kernel (bench/oracle baseline; bit-identical to the default).
     pub scalar_scoring: bool,
 }
 

@@ -145,7 +145,7 @@ impl Permutation {
     /// first-touch order (see [`Permutation::renumber_elements`]). Geometry
     /// and connectivity are unchanged — only the storage order of vertices
     /// *and* elements moves, so everything the sweep indexes by element
-    /// (incidence lists, quality caches, star layouts) follows the new
+    /// (incidence lists, quality caches, block score tables) follows the new
     /// vertex order too.
     pub fn apply_to_mesh<const D: usize, M: OrderMesh<D>>(&self, mesh: &M) -> M {
         assert_eq!(

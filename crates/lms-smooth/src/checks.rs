@@ -379,13 +379,7 @@ pub fn smart_gauss_seidel_cache_is_one_value_and_one_bit_per_element<
     let cfg = engine.domain_config();
     assert!(cfg.smart && cfg.update == UpdateScheme::GaussSeidel && !cfg.scalar_scoring);
     let dom = engine.domain();
-    let kernel = SerialKernel {
-        dom: &dom,
-        cfg,
-        visit: engine.visit_order(),
-        star: None,
-        scalar_scoring: false,
-    };
+    let kernel = SerialKernel { dom: &dom, cfg, visit: engine.visit_order() };
     let (report, cache) = kernel.run_keeping_cache(mesh.clone().coords_mut());
     assert!(report.num_iterations() > 0);
     assert!(!cache.has_dirty());
@@ -814,10 +808,6 @@ impl<const C: usize> SmoothDomain<C> for ValueDomain<C> {
     fn elements_of(&self, v: u32) -> &[u32] {
         let o = &self.rows.ve_offsets;
         &self.rows.ve_elements[o[v as usize] as usize..o[v as usize + 1] as usize]
-    }
-
-    fn elements_offset(&self, v: u32) -> usize {
-        self.rows.ve_offsets[v as usize] as usize
     }
 
     fn is_interior(&self, _v: u32) -> bool {

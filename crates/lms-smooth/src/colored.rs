@@ -39,7 +39,7 @@ use crate::domain::{ScoringDomain, SmoothDomain};
 #[cfg(doc)]
 use crate::engine::SmoothEngine;
 use crate::engine::{SmoothEngineOn, SmoothMesh};
-use crate::kernel::candidate_for;
+use crate::kernel::{candidate_for, star_accepts};
 use crate::stats::{IterationStats, SmoothReport};
 use lms_order::coloring::greedy_coloring_on;
 use rayon::prelude::*;
@@ -112,34 +112,16 @@ fn colored_class_smart_on<const C: usize, D: SmoothDomain<C>>(
             class
                 .par_iter()
                 .map(|&v| {
-                    let ns = dom.neighbors(v);
-                    if ns.is_empty() {
-                        return None;
-                    }
                     let pv = shared[v as usize];
-                    let candidate = candidate_for(weighting, pv, ns, shared)?;
+                    let candidate = candidate_for(weighting, pv, dom.neighbors(v), shared)?;
+                    // the candidate cannot be staged in shared coordinates,
+                    // so each element is scored with it substituted
                     let ts = dom.elements_of(v);
-                    if ts.is_empty() {
-                        return Some(ClassMove { v, candidate });
-                    }
-                    let mut after_sum = 0.0;
-                    let mut after_all_pos = true;
-                    let mut before_sum = 0.0;
-                    for &t in ts {
-                        before_sum += cache_ref.guarded_quality(t);
-                        let (q, pos) =
-                            dom.score_with(shared, dom.elements()[t as usize], v, candidate);
-                        if pos {
-                            after_sum += q;
-                        } else {
-                            after_all_pos = false;
-                        }
-                    }
-                    let len = ts.len() as f64;
-                    let quality_ok = after_sum >= before_sum || after_sum / len >= before_sum / len;
-                    let commit = quality_ok
-                        && (after_all_pos || ts.iter().any(|&t| !cache_ref.elem_is_positive(t)));
-                    commit.then_some(ClassMove { v, candidate })
+                    let after = ts
+                        .iter()
+                        .map(|&t| dom.score_with(shared, dom.elements()[t as usize], v, candidate));
+                    star_accepts(ts, after, |t| cache_ref.guard_view(t))
+                        .then_some(ClassMove { v, candidate })
                 })
                 .collect()
         })

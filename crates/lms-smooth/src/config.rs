@@ -83,8 +83,9 @@ pub struct SmoothParams {
     pub smart: bool,
     /// Neighbour weighting of the position update (paper: uniform).
     pub weighting: Weighting,
-    /// Force the per-element scalar scoring path in every engine.
-    /// Bit-identical to the default lane-batched scoring — the toggle
+    /// Score every candidate star one element at a time, in every engine,
+    /// on the sweep copy compiled without AVX, instead of through the
+    /// lane-batched kernel. Bit-identical to the default — the toggle
     /// exists purely as the before/after baseline of the batched-kernel
     /// benches and the equivalence property suites.
     pub scalar_scoring: bool,

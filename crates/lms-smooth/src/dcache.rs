@@ -71,8 +71,7 @@ pub struct DomainQualityCache {
     /// `w_t` is formed from (`element_weight`).
     inv_deg: Vec<f64>,
     /// Neumaier-compensated running `Σ_t elem_q[t] · w_t`.
-    sum: f64,
-    comp: f64,
+    sum: Neumaier,
     /// Epoch-stamped dirty set (no clearing between flushes). The stamps
     /// are allocated by the first [`mark_dirty`](Self::mark_dirty), so a
     /// run that never queues an element (smart Gauss–Seidel) never holds
@@ -80,6 +79,33 @@ pub struct DomainQualityCache {
     dirty_stamp: Vec<u32>,
     dirty: Vec<u32>,
     epoch: u32,
+}
+
+/// Neumaier-compensated accumulator: the quality cache's running sum and
+/// the resident drive loop's, so the drive loop's initial fold is bit-equal
+/// to a freshly built cache's.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Neumaier {
+    sum: f64,
+    comp: f64,
+}
+
+impl Neumaier {
+    #[inline]
+    pub(crate) fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        if self.sum.abs() >= x.abs() {
+            self.comp += (self.sum - t) + x;
+        } else {
+            self.comp += (x - t) + self.sum;
+        }
+        self.sum = t;
+    }
+
+    #[inline]
+    pub(crate) fn value(&self) -> f64 {
+        self.sum + self.comp
+    }
 }
 
 /// One inverse star size `1/deg_t(v)` per vertex — the table every
@@ -107,26 +133,13 @@ impl DomainQualityCache {
             elem_q: vec![0.0; nt],
             elem_pos: vec![0; nt.div_ceil(64)],
             inv_deg: inverse_degrees(dom),
-            sum: 0.0,
-            comp: 0.0,
+            sum: Neumaier::default(),
             dirty_stamp: Vec::new(),
             dirty: Vec::new(),
             epoch: 1,
         };
         cache.rescore_all(dom, coords);
         cache
-    }
-
-    /// Neumaier-compensated accumulate.
-    #[inline]
-    fn add(&mut self, x: f64) {
-        let t = self.sum + x;
-        if self.sum.abs() >= x.abs() {
-            self.comp += (self.sum - t) + x;
-        } else {
-            self.comp += (x - t) + self.sum;
-        }
-        self.sum = t;
     }
 
     /// Store element `i`'s fresh score.
@@ -175,6 +188,14 @@ impl DomainQualityCache {
         }
     }
 
+    /// Element `t` as the smart guard reads it:
+    /// ([`guarded_quality`](Self::guarded_quality),
+    /// [`elem_is_positive`](Self::elem_is_positive)).
+    #[inline]
+    pub(crate) fn guard_view(&self, t: u32) -> (f64, bool) {
+        (self.guarded_quality(t), self.elem_is_positive(t))
+    }
+
     /// Bytes the cache owns on the heap: one quality and one orientation
     /// bit per element, one inverse degree per vertex, and the dirty set
     /// once something was queued.
@@ -211,7 +232,7 @@ impl DomainQualityCache {
             self.store(i, q, pos);
         }
         if delta != 0.0 {
-            self.add(delta);
+            self.sum.add(delta);
         }
     }
 
@@ -227,13 +248,12 @@ impl DomainQualityCache {
         coords: &[D::Point],
     ) {
         assert_eq!(dom.num_elements(), self.elem_q.len(), "element count changed");
-        self.sum = 0.0;
-        self.comp = 0.0;
+        self.sum = Neumaier::default();
         let elems = dom.elements();
         let mut i = 0;
         score_elements_batched(dom, coords, 0..elems.len() as u32, |(q, pos)| {
             self.store(i, q, pos);
-            self.add(q * element_weight(&self.inv_deg, &elems[i]));
+            self.sum.add(q * element_weight(&self.inv_deg, &elems[i]));
             i += 1;
         });
     }
@@ -300,7 +320,7 @@ impl DomainQualityCache {
             let w = element_weight(&self.inv_deg, &elems[i]);
             let delta = q * w - self.elem_q[i] * w;
             if delta != 0.0 {
-                self.add(delta);
+                self.sum.add(delta);
             }
             self.store(i, q, pos);
         });
@@ -322,7 +342,7 @@ impl DomainQualityCache {
         if self.inv_deg.is_empty() {
             return 0.0;
         }
-        (self.sum + self.comp) / self.inv_deg.len() as f64
+        self.sum.value() / self.inv_deg.len() as f64
     }
 
     /// Global quality re-reduced from the cached per-element values in the

@@ -238,17 +238,14 @@ pub trait SmoothDomain<const C: usize>: ScoringDomain<C> {
     /// Sorted incident elements of `v` (CSR row).
     fn elements_of(&self, v: u32) -> &[u32];
 
-    /// Flat offset of `v`'s incident-element row (star-layout indexing).
-    fn elements_offset(&self, v: u32) -> usize;
-
     /// True when `v` may move (not on the fixed boundary).
     fn is_interior(&self, v: u32) -> bool;
 }
 
 /// [`ScoringDomain::score_star`] as one [`ScoringDomain::score`] per id
-/// — the trait default, the ablation metrics' path, and what the engines
-/// run under [`DomainConfig::scalar_scoring`] as the oracle of the
-/// lane-batched kernels.
+/// — the trait default, the ablation metrics' path, and what every sweep
+/// scores through under [`DomainConfig::scalar_scoring`], the oracle of
+/// the lane-batched kernels.
 #[inline]
 pub fn score_star_per_id<const C: usize, D: ScoringDomain<C> + ?Sized>(
     dom: &D,
@@ -374,11 +371,6 @@ impl SmoothDomain<3> for TriDomain<'_> {
     #[inline]
     fn elements_of(&self, v: u32) -> &[u32] {
         self.adj.triangles_of(v)
-    }
-
-    #[inline]
-    fn elements_offset(&self, v: u32) -> usize {
-        self.adj.triangles_offset(v)
     }
 
     #[inline]
@@ -572,8 +564,11 @@ pub struct DomainConfig {
     pub smart: bool,
     /// Neighbour weighting of the Laplacian update.
     pub weighting: Weighting,
-    /// Force the per-element scalar scoring path (bench/oracle
-    /// baseline; bit-identical to the default lane-batched scoring).
+    /// Score every star one element at a time ([`score_star_per_id`]),
+    /// on the sweep copy compiled without AVX, instead of through the
+    /// lane-batched [`ScoringDomain::score_star`]: the before/after
+    /// baseline of the benches and the oracle of the property suites.
+    /// Bit-identical to the default either way.
     pub scalar_scoring: bool,
 }
 
@@ -701,44 +696,6 @@ pub fn domain_quality<const C: usize, D: ScoringDomain<C>>(dom: &D, coords: &[D:
         t += 1;
     });
     scatter.quality()
-}
-
-/// Sentinel star-layout code marking "the vertex being smoothed itself".
-pub(crate) const SELF_CORNER: u8 = u8::MAX;
-
-/// Build the star corner layout of a domain: for every vertex→element
-/// incidence (flat CSR order, base [`SmoothDomain::elements_offset`]),
-/// each stored corner encoded as its position in `neighbors(v)` — or
-/// [`SELF_CORNER`] for `v` itself. `None` if any degree ≥ 255 or a corner
-/// is missing from the vertex's neighbour list (non-manifold edge cases):
-/// the smart sweeps then fall back to direct indexing.
-pub(crate) fn build_star_layout_on<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-) -> Option<Vec<[u8; C]>> {
-    let n = dom.num_vertices() as u32;
-    let total: usize = (0..n).map(|v| dom.elements_of(v).len()).sum();
-    let mut layout = Vec::with_capacity(total);
-    for v in 0..n {
-        let ns = dom.neighbors(v);
-        if ns.len() >= SELF_CORNER as usize {
-            return None;
-        }
-        for &t in dom.elements_of(v) {
-            let mut enc = [0u8; C];
-            for (k, &u) in dom.elements()[t as usize].iter().enumerate() {
-                enc[k] = if u == v {
-                    SELF_CORNER
-                } else {
-                    match ns.binary_search(&u) {
-                        Ok(pos) => pos as u8,
-                        Err(_) => return None,
-                    }
-                };
-            }
-            layout.push(enc);
-        }
-    }
-    Some(layout)
 }
 
 /// Mean guarded quality of `v`'s element star with `v` at `pos_v`

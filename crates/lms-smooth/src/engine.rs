@@ -14,8 +14,8 @@
 
 use crate::config::{IterationPolicy, SmoothParams};
 use crate::domain::{
-    build_star_layout_on, smooth_reference_on, DomainConfig, DomainPoint, ScoringDomain,
-    SmoothDomain, TriDomain, TriScoring,
+    smooth_reference_on, DomainConfig, DomainPoint, ScoringDomain, SmoothDomain, TriDomain,
+    TriScoring,
 };
 use crate::greedy::greedy_visit_order;
 use crate::kernel::SerialKernel;
@@ -175,11 +175,6 @@ pub struct SmoothEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
     /// The mesh's element table, shared with it (see
     /// [`SmoothMesh::shared_elements`]).
     pub(crate) elements: Arc<Vec<[u32; C]>>,
-    /// Star layout (see [`build_star_layout_on`]): lets the scalar-scoring
-    /// smart sweeps score a candidate star from a gathered ring buffer.
-    /// Built only for `smart && scalar_scoring`, and `None` when a vertex
-    /// degree exceeds `u8` encoding (the sweeps then index directly).
-    pub(crate) star: Option<Arc<[[u8; C]]>>,
     /// Lazily-computed interior color classes for the colored parallel
     /// engine (topology-only, so one computation serves every run).
     pub(crate) colored_classes: OnceLock<Vec<Vec<u32>>>,
@@ -216,22 +211,12 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
         let mut visit = mesh.visit_order(&adj, &boundary, &params);
         // the order lives as long as the engine: drop any growth slack
         visit.shrink_to_fit();
-        // only the smart scalar-scoring sweeps read the star layout; skip
-        // the O(C·T) binary-search construction for every other engine
-        let cfg = M::domain_config(&params);
-        let star = if cfg.smart && cfg.scalar_scoring {
-            let dom = M::domain(&adj, &boundary, mesh.elements(), &params);
-            build_star_layout_on(&dom).map(Into::into)
-        } else {
-            None
-        };
         SmoothEngineOn {
             params,
             adj,
             boundary,
             visit,
             elements: Arc::clone(mesh.shared_elements()),
-            star,
             colored_classes: OnceLock::new(),
             pool: PoolCache::new(),
         }
@@ -304,7 +289,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
     }
 
     /// Bytes the engine owns on the heap: adjacency, boundary flags, visit
-    /// order, star layout and (once computed) the color classes. The
+    /// order and (once computed) the color classes. The
     /// element table is not among them: it is the mesh's, shared rather
     /// than copied, and a ledger counts it once, with the mesh.
     pub fn heap_bytes(&self) -> usize {
@@ -312,10 +297,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
             .colored_classes
             .get()
             .map_or(0, |classes| vec_bytes(classes) + classes.iter().map(vec_bytes).sum::<usize>());
-        M::topology_heap_bytes(&self.adj, &self.boundary)
-            + vec_bytes(&self.visit)
-            + self.star.as_deref().map_or(0, std::mem::size_of_val)
-            + classes
+        M::topology_heap_bytes(&self.adj, &self.boundary) + vec_bytes(&self.visit) + classes
     }
 
     /// Smooth `mesh` in place until convergence or `max_iters`.
@@ -330,14 +312,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
     /// caveat around the convergence tolerance).
     pub fn smooth(&self, mesh: &mut M) -> SmoothReport {
         let dom = self.domain();
-        let cfg = self.domain_config();
-        let kernel = SerialKernel {
-            dom: &dom,
-            cfg,
-            visit: &self.visit,
-            star: self.star.as_deref(),
-            scalar_scoring: cfg.scalar_scoring,
-        };
+        let kernel = SerialKernel { dom: &dom, cfg: self.domain_config(), visit: &self.visit };
         kernel.run(mesh.coords_mut())
     }
 

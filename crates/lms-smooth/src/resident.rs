@@ -78,13 +78,13 @@
 //! and the drive loop streams the global quality through a per-vertex
 //! scatter).
 
-use crate::config::{UpdateScheme, Weighting};
+use crate::config::UpdateScheme;
 use crate::dcache::{element_weight, inverse_degrees};
-use crate::domain::{score_star_per_id, DomainConfig, DomainPoint, ScoringDomain, SmoothDomain};
+use crate::domain::{DomainConfig, DomainPoint, ScoringDomain, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
-use crate::kernel::candidate_for;
+use crate::kernel::{score_ids_into, sweep, StarLedger};
 use crate::pool::PoolCache;
-use crate::soa::{resize_tracked, score_corners_batched, SoaScores};
+use crate::soa::{score_corners_batched, SoaScores};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::vec_bytes;
@@ -290,13 +290,11 @@ impl<P> PairBatch<P> {
 /// [`crate::transport::InProcessTransport`] holds all ranks in one
 /// process, `lms-dist` runs one `ResidentRank` per forked worker process.
 ///
-/// The sweep arithmetic is identical, expression by expression, to the
-/// serial hot path ([`crate::kernel`]), so commit decisions (hence
-/// coordinates) stay bit-identical.
+/// The sweeps run the serial hot path's one step ([`crate::kernel`]), so
+/// commit decisions (hence coordinates) stay bit-identical.
 pub struct ResidentRank<'a, const C: usize, D: ScoringDomain<C>> {
     dom: &'a D,
-    smart: bool,
-    weighting: Weighting,
+    cfg: DomainConfig,
     part: u32,
     block: &'a ResidentBlock<C>,
     schedule: &'a ExchangeSchedule,
@@ -319,9 +317,6 @@ pub struct ResidentRank<'a, const C: usize, D: ScoringDomain<C>> {
     dirty_mark: Vec<bool>,
     /// Candidate-star / re-score output scratch, reused across vertices.
     star: Vec<(f64, bool)>,
-    /// Bench/oracle baseline: force per-element scalar scoring
-    /// ([`DomainConfig::scalar_scoring`]); bit-identical either way.
-    scalar_scoring: bool,
     /// Elements scored by this rank's sweeps and re-scores (throughput
     /// counter; drained by [`take_scored`](Self::take_scored)).
     scored: u64,
@@ -373,8 +368,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
             .collect();
         ResidentRank {
             dom,
-            smart: cfg.smart,
-            weighting: cfg.weighting,
+            cfg: *cfg,
             part,
             block,
             schedule,
@@ -386,7 +380,6 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
             iter_dirty: Vec::new(),
             dirty_mark: vec![false; block.elem_globals.len()],
             star: Vec::new(),
-            scalar_scoring: cfg.scalar_scoring,
             scored: 0,
             inbox: Vec::new(),
             apply_dirty: Vec::new(),
@@ -441,7 +434,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
     /// counted as sweep scoring.
     fn score_all_elements(&mut self) {
         let (scores, corners) = (&mut self.scores, &self.block.elem_corners);
-        if self.scalar_scoring {
+        if self.cfg.scalar_scoring {
             for (i, &e) in corners.iter().enumerate() {
                 scores.set(i, self.dom.score(&self.coords, e));
             }
@@ -492,12 +485,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
     /// an interior vertex is in no other part's halo).
     pub fn sweep_interior(&mut self) {
         let t0 = if self.timing { now_ns() } else { 0 };
-        let range = 0..self.block.int_locals.len();
-        if self.smart {
-            self.sweep_range_smart(SweepSpan::Interior, range, false);
-        } else {
-            self.sweep_range_plain(SweepSpan::Interior, range, false);
-        }
+        self.sweep_span(SweepSpan::Interior, 0..self.block.int_locals.len(), false);
         if self.timing {
             self.phases.interior_ns += now_ns() - t0;
         }
@@ -509,11 +497,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         let t0 = if self.timing { now_ns() } else { 0 };
         let range =
             self.block.ifc_color_offsets[c] as usize..self.block.ifc_color_offsets[c + 1] as usize;
-        if self.smart {
-            self.sweep_range_smart(SweepSpan::Interface, range, true);
-        } else {
-            self.sweep_range_plain(SweepSpan::Interface, range, true);
-        }
+        self.sweep_span(SweepSpan::Interface, range, true);
         if self.timing {
             self.phases.color_ns += now_ns() - t0;
         }
@@ -565,7 +549,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
             let h = (dst - self.block.num_owned) as usize;
             let row = &self.block.halo_vt[self.block.halo_vt_offsets[h] as usize
                 ..self.block.halo_vt_offsets[h + 1] as usize];
-            let queue = if self.smart { &mut self.apply_dirty } else { &mut self.iter_dirty };
+            let queue = if self.cfg.smart { &mut self.apply_dirty } else { &mut self.iter_dirty };
             for &lt in row {
                 if !self.dirty_mark[lt as usize] {
                     self.dirty_mark[lt as usize] = true;
@@ -574,7 +558,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
             }
         }
         self.inbox.clear();
-        if self.smart {
+        if self.cfg.smart {
             let mut queue = std::mem::take(&mut self.apply_dirty);
             queue.sort_unstable();
             self.rescore_elements(&queue);
@@ -583,40 +567,19 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         }
     }
 
-    /// Score the local elements `ids` on the current coordinates into
-    /// `star[..ids.len()]` (grown on first need, never refilled): the
-    /// lane-batched [`ScoringDomain::score_star`] reading the block's own
-    /// corner table through the ids, or one [`ScoringDomain::score`] per id
-    /// under the scalar baseline. Counts the elements scored.
-    #[inline(always)]
-    fn score_ids(&mut self, ids: &[u32]) {
-        let k = ids.len();
-        if self.star.len() < k {
-            resize_tracked(&mut self.star, k);
-        }
-        let (corners, out) = (&self.block.elem_corners, &mut self.star[..k]);
-        if self.scalar_scoring {
-            score_star_per_id(self.dom, &self.coords, corners, ids, out);
-        } else {
-            self.dom.score_star(&self.coords, corners, ids, out);
-        }
-        self.scored += k as u64;
-    }
-
     /// Re-score the local elements in `queue` (ascending), folding the
     /// weighted quality deltas into the stat accumulator in queue order
     /// and clearing the dirty marks — the shared tail of the smart
     /// post-delivery re-score and the plain end-of-iteration re-score.
-    /// Scoring goes through the lane-batched [`ScoringDomain::score_star`]
-    /// unless the scalar baseline is forced; both paths are bit-identical
-    /// per element and the delta fold order is unchanged.
     fn rescore_elements(&mut self, queue: &[u32]) {
         if queue.is_empty() {
             return;
         }
-        let block = self.block;
-        self.score_ids(queue);
-        for (&lt, &(q, pos)) in queue.iter().zip(&self.star) {
+        let (block, scalar) = (self.block, self.cfg.scalar_scoring);
+        let (pts, corners) = (&self.coords, &block.elem_corners);
+        let fresh = score_ids_into(self.dom, pts, corners, queue, scalar, &mut self.star);
+        self.scored += queue.len() as u64;
+        for (&lt, &(q, pos)) in queue.iter().zip(fresh) {
             let i = lt as usize;
             self.delta += block.elem_weight[i] * (q - self.scores.q(i));
             self.scores.set(i, (q, pos));
@@ -690,7 +653,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
 
     fn finalize_iteration_inner(&mut self) {
         self.apply_pending();
-        if self.smart {
+        if self.cfg.smart {
             return;
         }
         let mut queue = std::mem::take(&mut self.iter_dirty);
@@ -718,181 +681,83 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         &self.coords[..self.block.num_owned as usize]
     }
 
-    /// One smart local span sweep — arithmetic identical, expression by
-    /// expression, to the serial hot path ([`crate::kernel`]), so commit
-    /// decisions (hence coordinates) stay bit-identical. Score updates
-    /// fold `w_t·Δq` into the part's stat delta as they land.
-    ///
-    /// The candidate star is scored **in place**: the candidate is staged
-    /// into the local point slice, the incident elements run through the
-    /// lane-batched [`ScoringDomain::score_star`] — their corner rows read
-    /// where they live, through the ids of the vertex's incidence row —
-    /// and the old position is restored if the guard rejects. Every
-    /// element sees exactly the values the old substituting `score_with`
-    /// fed it, so the guard sums — hence commits — are bit-identical.
-    fn sweep_range_smart(
-        &mut self,
-        span: SweepSpan,
-        range: std::ops::Range<usize>,
-        record_moved: bool,
-    ) {
-        // Function multiversioning: compile the whole sweep body a second
-        // time with AVX enabled and dispatch once per span sweep. Inside
-        // the AVX copy the per-vertex `score_star` → `tri_elr_star_avx`
-        // chain is free to inline (a `#[target_feature]` function can
-        // inline into a caller that already has the feature) and the code
-        // around it is VEX-encoded too, so the hot loop pays no SSE↔AVX
-        // transition per vertex. The body is `#[inline(always)]` and identical in both
-        // copies — VEX encoding changes no IEEE semantics, and LLVM does
-        // not reassociate float math without fast-math flags, so the two
-        // versions are bit-identical. The scalar-scoring baseline stays
-        // on the plain copy on purpose: it stands in for the per-element
-        // kernel in before/after benches, so it keeps the compilation
-        // environment that kernel had.
-        #[cfg(target_arch = "x86_64")]
-        if !self.scalar_scoring && std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support verified above (cached runtime check).
-            unsafe { self.sweep_range_smart_avx(span, range, record_moved) };
-            return;
-        }
-        self.sweep_range_smart_body(span, range, record_moved);
+    /// Sweep the entries `range` of one span through the shared step
+    /// ([`crate::kernel::sweep`]) on the local point slice, recording the
+    /// moved vertices when `record_moved`.
+    fn sweep_span(&mut self, span: SweepSpan, range: std::ops::Range<usize>, record_moved: bool) {
+        let block = self.block;
+        let mut ledger = RankLedger {
+            rows: span.arrays(block),
+            elem_weight: &block.elem_weight,
+            scores: &mut self.scores,
+            delta: &mut self.delta,
+            dirty_mark: &mut self.dirty_mark,
+            iter_dirty: &mut self.iter_dirty,
+            round_moved: record_moved.then_some(&mut self.round_moved),
+        };
+        let (corners, pts) = (&block.elem_corners, &mut self.coords[..]);
+        let scored = sweep(self.dom, corners, &self.cfg, range, pts, &mut ledger, &mut self.star);
+        self.scored += scored;
     }
+}
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn sweep_range_smart_avx(
-        &mut self,
-        span: SweepSpan,
-        range: std::ops::Range<usize>,
-        record_moved: bool,
-    ) {
-        self.sweep_range_smart_body(span, range, record_moved);
+/// A rank's ledger for one span sweep: rows from the block's CSR,
+/// "before" from the block scores. A smart commit folds `w_t·Δq` into the
+/// part's stat delta and stores the star's scores; a plain move queues
+/// the star for the iteration-end re-score. Interface spans record every
+/// move for the round's exchange.
+struct RankLedger<'r, 's> {
+    rows: SpanRows<'r>,
+    elem_weight: &'r [f64],
+    scores: &'s mut SoaScores,
+    delta: &'s mut f64,
+    dirty_mark: &'s mut [bool],
+    iter_dirty: &'s mut Vec<u32>,
+    round_moved: Option<&'s mut Vec<u32>>,
+}
+
+impl<'r, P> StarLedger<'r, P> for RankLedger<'r, '_> {
+    const IN_PLACE: bool = true;
+
+    #[inline(always)]
+    fn row(&self, si: usize) -> (u32, &'r [u32], &'r [u32]) {
+        let (locals, nbr_offsets, nbrs, vt_offsets, vt) = self.rows;
+        (
+            locals[si],
+            &nbrs[nbr_offsets[si] as usize..nbr_offsets[si + 1] as usize],
+            &vt[vt_offsets[si] as usize..vt_offsets[si + 1] as usize],
+        )
     }
 
     #[inline(always)]
-    fn sweep_range_smart_body(
-        &mut self,
-        span: SweepSpan,
-        range: std::ops::Range<usize>,
-        record_moved: bool,
-    ) {
-        let block = self.block;
-        let (locals, nbr_offsets, nbrs, vt_offsets, vt) = span.arrays(block);
-        let weighting = self.weighting;
-        for si in range {
-            let lv = locals[si];
-            let ns = &nbrs[nbr_offsets[si] as usize..nbr_offsets[si + 1] as usize];
-            if ns.is_empty() {
-                continue;
-            }
-            let pv = self.coords[lv as usize];
-            let Some(candidate) = candidate_for(weighting, pv, ns, &self.coords) else {
-                continue;
-            };
-            // stage the candidate; rolled back below if the guard rejects
-            // (a star-less vertex keeps it)
-            self.coords[lv as usize] = candidate;
-            let ts = &vt[vt_offsets[si] as usize..vt_offsets[si + 1] as usize];
-            if ts.is_empty() {
-                if record_moved {
-                    self.round_moved.push(lv);
-                }
-                continue;
-            }
+    fn before(&self, lt: u32) -> (f64, bool) {
+        let (q, pos) = self.scores.get(lt as usize);
+        (if pos { q } else { 0.0 }, pos)
+    }
 
-            self.score_ids(ts);
-
-            let mut after_sum = 0.0;
-            let mut before_sum = 0.0;
-            let mut all_pos = true;
-            for (&lt, &(q, pos)) in ts.iter().zip(&self.star) {
-                let (q0, pos0) = self.scores.get(lt as usize);
-                before_sum += if pos0 { q0 } else { 0.0 };
-                if pos {
-                    after_sum += q;
-                } else {
-                    all_pos = false;
-                }
-            }
-            let len = ts.len() as f64;
-            let quality_ok = after_sum >= before_sum || after_sum / len >= before_sum / len;
-            let commit =
-                quality_ok && (all_pos || ts.iter().any(|&lt| !self.scores.pos(lt as usize)));
-            if commit {
-                for (&lt, &(q_new, pos_new)) in ts.iter().zip(&self.star) {
-                    let i = lt as usize;
-                    self.delta += block.elem_weight[i] * (q_new - self.scores.q(i));
-                    self.scores.set(i, (q_new, pos_new));
-                }
-                if record_moved {
-                    self.round_moved.push(lv);
-                }
-            } else {
-                self.coords[lv as usize] = pv;
-            }
+    #[inline(always)]
+    fn commit(&mut self, lv: u32, _candidate: P, ts: &[u32], scores: &[(f64, bool)]) {
+        for (&lt, &(q_new, pos_new)) in ts.iter().zip(scores) {
+            let i = lt as usize;
+            *self.delta += self.elem_weight[i] * (q_new - self.scores.q(i));
+            self.scores.set(i, (q_new, pos_new));
+        }
+        if let Some(moved) = &mut self.round_moved {
+            moved.push(lv);
         }
     }
 
-    /// One plain local span sweep: every candidate commits; touched
-    /// elements are queued for the end-of-iteration re-score (plain
-    /// sweeps never evaluate scores inline).
-    fn sweep_range_plain(
-        &mut self,
-        span: SweepSpan,
-        range: std::ops::Range<usize>,
-        record_moved: bool,
-    ) {
-        let block = self.block;
-        let (locals, nbr_offsets, nbrs, vt_offsets, vt) = span.arrays(block);
-        let weighting = self.weighting;
-        for si in range {
-            let lv = locals[si];
-            let ns = &nbrs[nbr_offsets[si] as usize..nbr_offsets[si + 1] as usize];
-            if ns.is_empty() {
-                continue;
-            }
-            let pv = self.coords[lv as usize];
-            let Some(candidate) = candidate_for(weighting, pv, ns, &self.coords) else {
-                continue;
-            };
-            self.coords[lv as usize] = candidate;
-            for &lt in &vt[vt_offsets[si] as usize..vt_offsets[si + 1] as usize] {
-                if !self.dirty_mark[lt as usize] {
-                    self.dirty_mark[lt as usize] = true;
-                    self.iter_dirty.push(lt);
-                }
-            }
-            if record_moved {
-                self.round_moved.push(lv);
+    #[inline(always)]
+    fn moved(&mut self, lv: u32, _candidate: P, ts: &[u32]) {
+        for &lt in ts {
+            if !self.dirty_mark[lt as usize] {
+                self.dirty_mark[lt as usize] = true;
+                self.iter_dirty.push(lt);
             }
         }
-    }
-}
-
-/// Neumaier-compensated accumulator mirroring the quality cache's running
-/// sum (same per-add expressions, so the initial fold is bit-equal to a
-/// freshly built cache's).
-#[derive(Default, Clone, Copy)]
-pub(crate) struct Neumaier {
-    sum: f64,
-    comp: f64,
-}
-
-impl Neumaier {
-    #[inline]
-    pub(crate) fn add(&mut self, x: f64) {
-        let t = self.sum + x;
-        if self.sum.abs() >= x.abs() {
-            self.comp += (self.sum - t) + x;
-        } else {
-            self.comp += (x - t) + self.sum;
+        if let Some(moved) = &mut self.round_moved {
+            moved.push(lv);
         }
-        self.sum = t;
-    }
-
-    #[inline]
-    pub(crate) fn value(&self) -> f64 {
-        self.sum + self.comp
     }
 }
 
@@ -1193,12 +1058,12 @@ enum SweepSpan {
     Interface,
 }
 
+/// One span's sweep list and CSR rows: locals, neighbour offsets and
+/// ids, incident-element offsets and ids.
+type SpanRows<'r> = (&'r [u32], &'r [u32], &'r [u32], &'r [u32], &'r [u32]);
+
 impl SweepSpan {
-    #[allow(clippy::type_complexity)]
-    fn arrays<const C: usize>(
-        self,
-        block: &ResidentBlock<C>,
-    ) -> (&[u32], &[u32], &[u32], &[u32], &[u32]) {
+    fn arrays<const C: usize>(self, block: &ResidentBlock<C>) -> SpanRows<'_> {
         match self {
             SweepSpan::Interior => (
                 &block.int_locals,

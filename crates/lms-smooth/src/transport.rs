@@ -39,9 +39,9 @@
 //! swaps — PR 3 routed every entry serially between steps.
 
 use crate::config::UpdateScheme;
-use crate::dcache::element_weight;
+use crate::dcache::{element_weight, Neumaier};
 use crate::domain::{domain_quality, DomainConfig, DomainPoint, QualityScatter, ScoringDomain};
-use crate::resident::{Neumaier, PairBatch, ResidentBlock, ResidentRank};
+use crate::resident::{PairBatch, ResidentBlock, ResidentRank};
 use crate::stats::{ExchangeVolume, IterationStats, SmoothReport};
 use lms_part::wire::halo_frame_wire_len;
 use lms_part::{ExchangeSchedule, MessagePlan};

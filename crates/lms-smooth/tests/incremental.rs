@@ -2,6 +2,8 @@
 //! equivalence with the full-recompute reference engine, and
 //! `DomainQualityCache` coherence across randomized vertex moves.
 
+mod common;
+
 use lms_mesh::geometry::signed_area;
 use lms_mesh::quality::mesh_quality;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
@@ -39,21 +41,42 @@ fn arb_split_mesh() -> impl Strategy<Value = TriMesh> {
 
 fn arb_params() -> impl Strategy<Value = SmoothParams> {
     (any::<bool>(), any::<bool>(), any::<bool>(), 1usize..8).prop_map(
-        |(smart, jacobi, scalar_scoring, iters)| {
-            let update = if jacobi { UpdateScheme::Jacobi } else { UpdateScheme::GaussSeidel };
-            // tol disabled: the incremental path's convergence test reads the
-            // compensated running sum, which can in principle differ from the
-            // reference's exact per-iteration quality by ulps right at the
-            // tolerance boundary and stop one sweep apart. With a fixed sweep
-            // count the two paths must agree bit for bit.
-            SmoothParams::paper()
-                .with_smart(smart)
-                .with_update(update)
-                .with_scalar_scoring(scalar_scoring)
-                .with_max_iters(iters)
-                .with_tol(-1.0)
-        },
+        |(smart, jacobi, scalar_scoring, iters)| params(smart, jacobi, scalar_scoring, iters),
     )
+}
+
+fn params(smart: bool, jacobi: bool, scalar_scoring: bool, iters: usize) -> SmoothParams {
+    let update = if jacobi { UpdateScheme::Jacobi } else { UpdateScheme::GaussSeidel };
+    // tol disabled: the incremental path's convergence test reads the
+    // compensated running sum, which can in principle differ from the
+    // reference's exact per-iteration quality by ulps right at the
+    // tolerance boundary and stop one sweep apart. With a fixed sweep
+    // count the two paths must agree bit for bit.
+    SmoothParams::paper()
+        .with_smart(smart)
+        .with_update(update)
+        .with_scalar_scoring(scalar_scoring)
+        .with_max_iters(iters)
+        .with_tol(-1.0)
+}
+
+/// `incremental_matches_full_recompute` on the hub mesh (stars of
+/// 17..=254 and of more than 255 triangles), for every update scheme ×
+/// smart flag × scoring path.
+#[test]
+fn incremental_matches_full_recompute_on_hub_vertices() {
+    let mesh = common::hub_mesh();
+    for smart in [false, true] {
+        for jacobi in [false, true] {
+            for scalar_scoring in [false, true] {
+                let params = params(smart, jacobi, scalar_scoring, 4);
+                let metric = params.metric;
+                checks::incremental_matches_full_recompute(&mesh, params, |m: &TriMesh| {
+                    mesh_quality(m, &Adjacency::build(m), metric)
+                });
+            }
+        }
+    }
 }
 
 proptest! {

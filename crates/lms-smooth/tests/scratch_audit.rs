@@ -10,7 +10,7 @@
 //! file to this single test function.
 
 use lms_part::PartitionMethod;
-use lms_smooth::{scratch_grow_count, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{scratch_grow_count, ResidentEngine, SmoothEngine, SmoothParams, UpdateScheme};
 
 fn growth_of(run: impl FnOnce()) -> u64 {
     let before = scratch_grow_count();
@@ -23,45 +23,36 @@ fn steady_state_sweeps_do_not_reallocate() {
     let mesh = lms_mesh::generators::perturbed_grid(40, 40, 0.35, 42);
     let base = SmoothParams::paper().with_smart(true).with_tol(-1.0);
 
-    // serial engine: growth of a 12-sweep run == growth of a 3-sweep run
-    let short = growth_of(|| {
-        SmoothEngine::new(&mesh, base.clone().with_max_iters(3)).smooth(&mut mesh.clone());
-    });
-    let long = growth_of(|| {
-        SmoothEngine::new(&mesh, base.clone().with_max_iters(12)).smooth(&mut mesh.clone());
-    });
-    assert_eq!(
-        short, long,
-        "serial kernel scratch grew with sweep count: {short} grows in 3 sweeps \
-         vs {long} in 12 — steady-state sweeps must not reallocate"
-    );
-
-    // resident engine (the partitioned sweep scratch): same invariant,
-    // smart and plain
-    for smart in [true, false] {
-        let params = base.clone().with_smart(smart);
-        let short = growth_of(|| {
-            let e = ResidentEngine::by_method(
-                &mesh,
-                params.clone().with_max_iters(3),
-                4,
-                PartitionMethod::Rcb,
-            );
-            e.smooth(&mut mesh.clone(), 2);
-        });
-        let long = growth_of(|| {
-            let e = ResidentEngine::by_method(
-                &mesh,
-                params.clone().with_max_iters(12),
-                4,
-                PartitionMethod::Rcb,
-            );
-            e.smooth(&mut mesh.clone(), 2);
-        });
+    // growth of a 12-sweep run == growth of a 3-sweep run, for every smart
+    // instantiation of the sweep step (serial Gauss–Seidel and Jacobi, the
+    // resident ranks; batched and scalar scoring) and the plain resident
+    // sweep
+    let jacobi = base.clone().with_update(UpdateScheme::Jacobi);
+    let scalar = base.clone().with_scalar_scoring(true);
+    let plain = base.clone().with_smart(false);
+    let run = |resident: bool, params: &SmoothParams, iters: usize| {
+        let params = params.clone().with_max_iters(iters);
+        if resident {
+            ResidentEngine::by_method(&mesh, params, 4, PartitionMethod::Rcb)
+                .smooth(&mut mesh.clone(), 2);
+        } else {
+            SmoothEngine::new(&mesh, params).smooth(&mut mesh.clone());
+        }
+    };
+    for (label, resident, params) in [
+        ("serial smart", false, &base),
+        ("serial smart Jacobi", false, &jacobi),
+        ("serial scalar scoring", false, &scalar),
+        ("resident smart", true, &base),
+        ("resident scalar scoring", true, &scalar),
+        ("resident plain", true, &plain),
+    ] {
+        let short = growth_of(|| run(resident, params, 3));
+        let long = growth_of(|| run(resident, params, 12));
         assert_eq!(
             short, long,
-            "resident sweep scratch grew with sweep count (smart={smart}): \
-             {short} grows in 3 sweeps vs {long} in 12"
+            "{label}: sweep scratch grew with sweep count: {short} grows in 3 sweeps \
+             vs {long} in 12 — steady-state sweeps must not reallocate"
         );
     }
 

@@ -11,7 +11,10 @@
 //!   scalar path (`with_scalar_scoring(true)`) across threads {1, 2, 4}
 //!   × parts {2, 4, 8} × smart/plain, and so are serial engine runs —
 //!   also on a mesh whose stars have 1, 2, 3, 5 and 7
-//!   triangles, so every short last block is swept.
+//!   triangles, so every short last block is swept, and on one with
+//!   stars of 17..=254 and of more than 255 triangles.
+
+mod common;
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
@@ -54,10 +57,11 @@ fn ragged_mesh(seed: u64) -> TriMesh {
 }
 
 /// Default scoring == `scalar_scoring` on every engine — coordinates and
-/// reports — over stars of 1, 2, 3, 5 and 7 triangles (among others):
-/// serial Gauss–Seidel and Jacobi, partitioned and resident sweep the
-/// interior stars (3..=8); the serial kernel run over *all* vertices adds
-/// the hull's 1 and 2.
+/// reports. The ragged meshes hold stars of 1, 2, 3, 5 and 7 triangles
+/// (among others): serial Gauss–Seidel and Jacobi, partitioned and
+/// resident sweep the interior stars (3..=8); the serial kernel run over
+/// *all* vertices adds the hull's 1 and 2. The hub mesh adds stars of
+/// 17..=254 and of more than 255 triangles.
 #[test]
 fn ragged_stars_batched_equals_scalar_on_every_engine() {
     for seed in [1u64, 6] {
@@ -72,35 +76,37 @@ fn ragged_stars_batched_equals_scalar_on_every_engine() {
         for k in [1, 2] {
             assert!(all.iter().any(|&v| star(v) == k), "no {k}-star");
         }
-        for update in [UpdateScheme::GaussSeidel, UpdateScheme::Jacobi] {
-            let params = SmoothParams::paper()
-                .with_smart(true)
-                .with_update(update)
-                .with_max_iters(4)
-                .with_tol(-1.0);
-            let scalar = params.clone().with_scalar_scoring(true);
-            checks::serial_batched_equals_scalar(&mesh, params.clone(), scalar);
-
-            let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
-            let run = |scalar_scoring: bool| {
-                let mut coords = mesh.coords().to_vec();
-                let kernel = SerialKernel {
-                    dom: &dom,
-                    cfg: DomainConfig::from(&params),
-                    visit: &all,
-                    star: None,
-                    scalar_scoring,
-                };
-                let report = kernel.run(&mut coords);
-                (coords, report)
-            };
-            assert_eq!(run(false), run(true), "all-vertex kernel {update:?}, seed {seed}");
-        }
-
-        let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
-        let scalar = params.clone().with_scalar_scoring(true);
-        checks::resident_batched_equals_scalar(&mesh, params, scalar, 3, 2);
+        batched_equals_scalar_on_every_engine(&mesh, &format!("seed {seed}"));
     }
+    batched_equals_scalar_on_every_engine(&common::hub_mesh(), "hub mesh");
+}
+
+fn batched_equals_scalar_on_every_engine(mesh: &TriMesh, label: &str) {
+    let adj = Adjacency::build(mesh);
+    let boundary = Boundary::detect(mesh);
+    let all: Vec<u32> = (0..mesh.num_vertices() as u32).collect();
+    for update in [UpdateScheme::GaussSeidel, UpdateScheme::Jacobi] {
+        let params = SmoothParams::paper()
+            .with_smart(true)
+            .with_update(update)
+            .with_max_iters(4)
+            .with_tol(-1.0);
+        let scalar = params.clone().with_scalar_scoring(true);
+        checks::serial_batched_equals_scalar(mesh, params.clone(), scalar.clone());
+
+        let dom = TriDomain::new(&adj, &boundary, mesh.triangles(), params.metric);
+        let run = |p: &SmoothParams| {
+            let mut coords = mesh.coords().to_vec();
+            let kernel = SerialKernel { dom: &dom, cfg: DomainConfig::from(p), visit: &all };
+            let report = kernel.run(&mut coords);
+            (coords, report)
+        };
+        assert_eq!(run(&params), run(&scalar), "all-vertex kernel {update:?}, {label}");
+    }
+
+    let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
+    let scalar = params.clone().with_scalar_scoring(true);
+    checks::resident_batched_equals_scalar(mesh, params, scalar, 3, 2);
 }
 
 proptest! {
