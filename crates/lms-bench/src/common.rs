@@ -6,9 +6,7 @@ use lms_mesh::suite::{self, NamedMesh};
 use lms_mesh::TriMesh;
 use lms_mesh3d::SmoothParams3;
 use lms_order::{compute_ordering, OrderingKind};
-use lms_smooth::{
-    trace::chunked_sweep_traces, SmoothEngine, SmoothEngineOn, SmoothMesh, SmoothParams, VecSink,
-};
+use lms_smooth::{SmoothEngine, SmoothEngineOn, SmoothMesh, SmoothParams, VecSink};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -76,21 +74,17 @@ impl ExpConfig {
         }
     }
 
-    /// Layout for a full-application trace of `mesh`: vertex records plus
-    /// the triangle-connectivity region (12-byte records at ids
+    /// [`ExpConfig::hierarchy`] with the triangle region of `mesh`: the
+    /// layout of a full-application trace, vertex records plus the
+    /// triangle-connectivity region (12-byte records at ids
     /// `num_vertices + t`).
-    pub fn layout_with_triangles(&self, mesh: &TriMesh) -> NodeLayout {
-        self.layout.with_aux(mesh.num_vertices() as u32, 12)
-    }
-
-    /// [`ExpConfig::hierarchy`] with the triangle region of `mesh`.
     pub fn hierarchy_for(&self, mesh: &TriMesh) -> lms_cache::CacheHierarchy {
-        scaled_westmere(self.scale, self.layout_with_triangles(mesh))
+        scaled_westmere(self.scale, self.layout.with_aux(mesh.num_vertices() as u32, 12))
     }
 
     /// [`ExpConfig::machine`] with the triangle region of `mesh`.
     pub fn machine_for(&self, mesh: &TriMesh) -> lms_cache::MachineConfig {
-        let layout = self.layout_with_triangles(mesh);
+        let layout = self.layout.with_aux(mesh.num_vertices() as u32, 12);
         let shrink = shrink_factor(self.scale);
         if shrink <= 1 {
             lms_cache::MachineConfig::westmere_ex(layout)
@@ -203,14 +197,8 @@ pub fn full_trace_with_quality(mesh: &TriMesh, max_iters: usize) -> VecSink {
 }
 
 /// One-sweep access traces for `p` static chunks of `mesh` (the parallel
-/// schedule's per-thread traces), vertex records only.
-pub fn parallel_sweep_traces(mesh: &TriMesh, p: usize) -> Vec<Vec<u32>> {
-    let engine = SmoothEngine::new(mesh, SmoothParams::paper());
-    chunked_sweep_traces(engine.adjacency(), engine.boundary(), p)
-}
-
-/// [`parallel_sweep_traces`] including quality-update triangle accesses —
-/// the full-application stream for the multicore simulation.
+/// schedule's per-thread traces), including quality-update triangle
+/// accesses — the full-application stream for the multicore simulation.
 pub fn parallel_sweep_traces_full(mesh: &TriMesh, p: usize) -> Vec<Vec<u32>> {
     let engine = SmoothEngine::new(mesh, SmoothParams::paper());
     lms_smooth::trace::chunked_sweep_traces_opts(engine.adjacency(), engine.boundary(), p, true)
@@ -231,6 +219,7 @@ pub fn ms(d: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lms_smooth::trace::chunked_sweep_traces;
 
     fn cfg() -> ExpConfig {
         ExpConfig { scale: 0.003, mesh: Some("carabiner".into()), ..Default::default() }
@@ -271,7 +260,8 @@ mod tests {
     fn parallel_traces_cover_serial_trace() {
         let meshes = cfg().meshes();
         let serial = first_sweep_trace(&meshes[0].mesh);
-        let chunks = parallel_sweep_traces(&meshes[0].mesh, 4);
+        let engine = SmoothEngine::new(&meshes[0].mesh, SmoothParams::paper());
+        let chunks = chunked_sweep_traces(engine.adjacency(), engine.boundary(), 4);
         assert_eq!(chunks.concat(), serial);
     }
 

@@ -1,7 +1,6 @@
 //! Experiment runners — one per table/figure of the paper (see the
 //! per-experiment index in DESIGN.md §4).
 
-pub mod dist;
 pub mod extensions;
 pub mod figures;
 pub mod locality;
@@ -41,15 +40,8 @@ pub const ALL: &[&str] = &[
     "tet",
     "tet-quality",
     "tet-scaling",
-    "scaling3d",
-    "engines",
-    "hotpath",
-    "hotpath_soa",
-    "kernel_soa",
     "partition",
     "rebalance",
-    "scaling",
-    "dist",
 ];
 
 /// Run one experiment by name; `None` for an unknown name.
@@ -72,14 +64,8 @@ pub fn run(name: &str, cfg: &ExpConfig) -> Option<String> {
         "cost-model" => performance::cost_model(cfg),
         "dynamic" => performance::dynamic_vs_static(cfg),
         "real-scaling" => scaling::real_scaling(cfg),
-        "engines" => scaling::engines(cfg),
-        "hotpath" => performance::hotpath(cfg),
-        "hotpath_soa" => performance::hotpath_soa(cfg),
-        "kernel_soa" => performance::kernel_soa(cfg),
         "partition" => partition::partition(cfg),
         "rebalance" => partition::rebalance(cfg),
-        "scaling" => scaling::thread_scaling(cfg),
-        "dist" => dist::dist(cfg),
         "opt" => extensions::opt_bound(cfg),
         "apps" => extensions::apps(cfg),
         "zoo" => extensions::ordering_zoo(cfg),
@@ -89,7 +75,6 @@ pub fn run(name: &str, cfg: &ExpConfig) -> Option<String> {
         "tet" => tet::tet(cfg),
         "tet-quality" => tet::tet_quality(cfg),
         "tet-scaling" => tet::tet_scaling(cfg),
-        "scaling3d" => tet::scaling3d(cfg),
         _ => return None,
     })
 }
@@ -120,6 +105,6 @@ mod tests {
             assert!(!name.is_empty());
             assert!(seen.insert(name), "duplicate experiment name {name}");
         }
-        assert_eq!(ALL.len(), 35);
+        assert_eq!(ALL.len(), 28);
     }
 }

@@ -6,7 +6,7 @@ use crate::table::{f, pct, Table};
 use lms_apps::{smooth, Backend};
 use lms_cache::{CostModel, ReuseDistanceAnalyzer, StackDistanceModel};
 use lms_order::{rdr_ordering, OrderingKind};
-use lms_smooth::{SmoothEngine, SmoothParams};
+use lms_smooth::SmoothParams;
 use std::fmt::Write as _;
 
 /// Figure 8: serial execution time of the full smoothing run per mesh and
@@ -263,159 +263,6 @@ pub fn cost_model(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Serial hot-path audit: smart (quality-guarded) smoothing on the
-/// incremental-quality kernel vs the full-recompute reference, with a
-/// bitwise equality check on the output coordinates.
-pub fn hotpath(cfg: &ExpConfig) -> String {
-    let meshes = cfg.meshes();
-    let mut table = Table::new(
-        "Incremental-quality hot path vs full recompute (smart Gauss-Seidel)",
-        &["mesh", "vertices", "incremental (ms)", "full (ms)", "speedup", "bit-identical"],
-    );
-    for named in meshes.iter().take(4) {
-        let m = &named.mesh;
-        let params = SmoothParams::paper().with_smart(true).with_max_iters(cfg.max_iters);
-        let engine = SmoothEngine::new(m, params);
-        let mut fast = m.clone();
-        let (_, ti) = time_it(|| engine.smooth(&mut fast));
-        let mut slow = m.clone();
-        let (_, tf) = time_it(|| engine.smooth_full_recompute(&mut slow));
-        table.row(vec![
-            named.spec.name.to_string(),
-            m.num_vertices().to_string(),
-            f(ti.as_secs_f64() * 1e3, 1),
-            f(tf.as_secs_f64() * 1e3, 1),
-            f(tf.as_secs_f64() / ti.as_secs_f64(), 2),
-            (fast.coords() == slow.coords()).to_string(),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "hotpath");
-    }
-    table.render()
-}
-
-/// `hotpath_soa`: the serial smart engine with lane-batched star scoring
-/// against the same sweep step scoring one element at a time
-/// (`scalar_scoring`, on the sweep copy compiled without AVX). Both run
-/// the identical scalar IEEE operation sequence per element (the batch
-/// just pins four elements per lane block), so the coordinates must agree
-/// bit for bit — the speedup is the packed lanes and the AVX copy.
-pub fn hotpath_soa(cfg: &ExpConfig) -> String {
-    let meshes = cfg.meshes();
-    let mut table = Table::new(
-        "Lane-batched vs per-element star scoring (smart Gauss-Seidel, serial)",
-        &["mesh", "vertices", "batched (ms)", "scalar (ms)", "speedup", "bit-identical"],
-    );
-    for named in meshes.iter().take(4) {
-        let m = &named.mesh;
-        let params =
-            SmoothParams::paper().with_smart(true).with_max_iters(cfg.max_iters).with_tol(-1.0);
-        let batched_engine = SmoothEngine::new(m, params.clone());
-        let scalar_engine = SmoothEngine::new(m, params.with_scalar_scoring(true));
-        let mut fast = m.clone();
-        let (_, tb) = time_it(|| batched_engine.smooth(&mut fast));
-        let mut slow = m.clone();
-        let (_, ts) = time_it(|| scalar_engine.smooth(&mut slow));
-        table.row(vec![
-            named.spec.name.to_string(),
-            m.num_vertices().to_string(),
-            f(tb.as_secs_f64() * 1e3, 1),
-            f(ts.as_secs_f64() * 1e3, 1),
-            f(ts.as_secs_f64() / tb.as_secs_f64(), 2),
-            (fast.coords() == slow.coords()).to_string(),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "hotpath_soa");
-    }
-    let mut out = table.render();
-    out.push_str(
-        "\nevery lane of the batched kernel runs the identical scalar IEEE op sequence on its\n\
-         own element, so coordinates are bit-identical by construction.\n",
-    );
-    out
-}
-
-/// `kernel_soa`: the resident sweep kernel under profiling — lane-batched
-/// vs per-element star scoring on the same 4-way decomposition, with the per-part
-/// sweep nanoseconds from `PhaseBreakdown` as the evidence and the
-/// ns-per-moved-vertex / scored-elements-per-second throughput counters
-/// every future perf PR can compare against.
-pub fn kernel_soa(cfg: &ExpConfig) -> String {
-    use lms_part::PartitionMethod;
-    use lms_smooth::ResidentEngine;
-    const PARTS: usize = 4;
-    let meshes = cfg.meshes();
-    let mut table = Table::new(
-        format!(
-            "Resident sweep kernel: lane-batched vs per-element scoring ({PARTS}-way rcb, profiled)"
-        ),
-        &[
-            "mesh",
-            "batched sweep (ms)",
-            "scalar sweep (ms)",
-            "speedup",
-            "ns/moved-vertex",
-            "bit-identical",
-        ],
-    );
-    let mut throughput_line = String::new();
-    for named in meshes.iter().take(3) {
-        let params =
-            SmoothParams::paper().with_smart(true).with_max_iters(cfg.max_iters).with_tol(-1.0);
-        let batched =
-            ResidentEngine::by_method(&named.mesh, params.clone(), PARTS, PartitionMethod::Rcb);
-        let scalar = ResidentEngine::by_method(
-            &named.mesh,
-            params.with_scalar_scoring(true),
-            PARTS,
-            PartitionMethod::Rcb,
-        );
-        let mut a = named.mesh.clone();
-        let (ra, _) = batched.smooth_profiled(&mut a, 1);
-        let mut b = named.mesh.clone();
-        let (rb, _) = scalar.smooth_profiled(&mut b, 1);
-        let sweep_ns = |r: &lms_smooth::SmoothReport| -> u64 {
-            r.phase_breakdown
-                .as_ref()
-                .map(|p| p.per_part_sweep_ns().iter().sum())
-                .unwrap_or(0)
-                .max(1)
-        };
-        let (na, nb) = (sweep_ns(&ra), sweep_ns(&rb));
-        let moved: u64 = ra
-            .phase_breakdown
-            .as_ref()
-            .map(|p| p.transport.rank_phases.iter().map(|r| r.moved).sum())
-            .unwrap_or(0);
-        table.row(vec![
-            named.spec.name.to_string(),
-            f(na as f64 / 1e6, 2),
-            f(nb as f64 / 1e6, 2),
-            f(nb as f64 / na as f64, 2),
-            f(na as f64 / moved.max(1) as f64, 0),
-            (a.coords() == b.coords() && ra.final_quality == rb.final_quality).to_string(),
-        ]);
-        if throughput_line.is_empty() {
-            let mvs = ra.moved_vertices_per_sec().unwrap_or(f64::NAN);
-            let eps = ra.scored_elements_per_sec().unwrap_or(f64::NAN);
-            throughput_line = format!(
-                "{}: {:.2}k moved vertices/s, {:.2}M scored elements/s (batched kernel)",
-                named.spec.name,
-                mvs / 1e3,
-                eps / 1e6
-            );
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "kernel_soa");
-    }
-    let mut out = table.render();
-    let _ = writeln!(out, "\nthroughput — {throughput_line}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,22 +302,5 @@ mod tests {
         let out = cost_model(&tiny_cfg());
         assert!(out.contains("extra cycles"));
         assert!(out.contains("rdr"));
-    }
-
-    #[test]
-    fn hotpath_soa_is_bit_identical() {
-        let out = hotpath_soa(&tiny_cfg());
-        assert!(out.contains("batched (ms)"));
-        assert!(out.contains("true"), "SoA path must be bit-identical:\n{out}");
-        assert!(!out.contains("false"), "SoA path must be bit-identical:\n{out}");
-    }
-
-    #[test]
-    fn kernel_soa_reports_throughput() {
-        let out = kernel_soa(&tiny_cfg());
-        assert!(out.contains("ns/moved-vertex"));
-        assert!(out.contains("scored elements/s"));
-        assert!(out.contains("true"), "batched resident run must be bit-identical:\n{out}");
-        assert!(!out.contains("false"), "batched resident run must be bit-identical:\n{out}");
     }
 }

@@ -6,8 +6,7 @@ use crate::common::{ordered_mesh, time_it, ExpConfig};
 use crate::table::{f, pct, Table};
 use lms_cache::{multicore, MulticoreResult};
 use lms_order::OrderingKind;
-use lms_part::PartitionMethod;
-use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{SmoothEngine, SmoothParams};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -199,134 +198,6 @@ pub fn real_scaling(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Parallel-engine shoot-out on this host: deterministic Jacobi, chaotic
-/// (racy) Gauss–Seidel, and colored deterministic Gauss–Seidel, per
-/// thread count — plus a determinism audit of the colored engine.
-pub fn engines(cfg: &ExpConfig) -> String {
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let meshes = cfg.meshes();
-    let mut table = Table::new(
-        format!("Parallel engines on this host ({host_cores} cores), RDR ordering"),
-        &["mesh", "threads", "jacobi (ms)", "chaotic (ms)", "colored (ms)", "colored q"],
-    );
-    let mut deterministic = true;
-    for named in meshes.iter().take(3) {
-        let m = ordered_mesh(&named.mesh, OrderingKind::Rdr);
-        let engine = SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(cfg.max_iters));
-        let mut reference: Option<Vec<lms_mesh::Point2>> = None;
-        for &p in cfg.threads.iter().filter(|&&p| p <= host_cores.max(2)) {
-            let mut jacobi = m.clone();
-            let (_, tj) = time_it(|| engine.smooth_parallel(&mut jacobi, p));
-            let mut chaotic = m.clone();
-            let (_, tc) = time_it(|| engine.smooth_parallel_chaotic(&mut chaotic, p));
-            let mut colored = m.clone();
-            let (rg, tg) = time_it(|| engine.smooth_parallel_colored(&mut colored, p));
-            match &reference {
-                None => reference = Some(colored.coords().to_vec()),
-                Some(r) => deterministic &= r.as_slice() == colored.coords(),
-            }
-            table.row(vec![
-                named.spec.name.to_string(),
-                p.to_string(),
-                f(tj.as_secs_f64() * 1e3, 1),
-                f(tc.as_secs_f64() * 1e3, 1),
-                f(tg.as_secs_f64() * 1e3, 1),
-                f(rg.final_quality, 4),
-            ]);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "parallel_engines");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "
-colored engine bitwise-deterministic across thread counts: {}",
-        if deterministic { "yes" } else { "NO (bug!)" }
-    );
-    out
-}
-
-/// The `scaling` experiment: wall-clock thread scaling of the two
-/// deterministic Gauss–Seidel engines — colored and resident
-/// halo-exchange — on the smart workload, with a bit-identity gate
-/// between the resident engine and serial Gauss–Seidel under the
-/// part-major order. The text/CSV companion of `bench_scaling.rs`.
-pub fn thread_scaling(cfg: &ExpConfig) -> String {
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let meshes = cfg.meshes();
-    let params =
-        SmoothParams::paper().with_smart(true).with_max_iters(cfg.max_iters.min(10)).with_tol(-1.0);
-    let mut table = Table::new(
-        format!("Engine thread scaling on this host ({host_cores} cores), smart GS, 8-way rcb"),
-        &["mesh", "threads", "colored (ms)", "resident (ms)", "res speedup vs 1t"],
-    );
-    let mut gate_ok = true;
-    for named in meshes.iter().take(2) {
-        let colored = SmoothEngine::new(&named.mesh, params.clone());
-        let resident =
-            ResidentEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
-        // correctness gate: resident == serial part-major GS, bit for bit
-        {
-            let mut a = named.mesh.clone();
-            resident.smooth(&mut a, 2);
-            let serial = SmoothEngine::new(&named.mesh, params.clone())
-                .with_visit_order(resident.part_major_visit_order());
-            let mut b = named.mesh.clone();
-            serial.smooth(&mut b);
-            gate_ok &= a.coords() == b.coords();
-        }
-        let mut res_1t = f64::NAN;
-        for &threads in cfg.threads.iter().filter(|&&t| t <= 8) {
-            let (_, tc) =
-                time_it(|| colored.smooth_parallel_colored(&mut named.mesh.clone(), threads));
-            let (_, tr) = time_it(|| resident.smooth(&mut named.mesh.clone(), threads));
-            let tr_ms = tr.as_secs_f64() * 1e3;
-            if threads == 1 {
-                res_1t = tr_ms;
-            }
-            // the self-speedup needs a measured 1-thread baseline: with a
-            // thread list that omits 1 (or lists it late) print a dash
-            // instead of NaN/garbage
-            let speedup = if res_1t.is_finite() { f(res_1t / tr_ms, 2) } else { "-".to_string() };
-            table.row(vec![
-                named.spec.name.to_string(),
-                threads.to_string(),
-                f(tc.as_secs_f64() * 1e3, 1),
-                f(tr_ms, 1),
-                speedup,
-            ]);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "thread_scaling");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\nresident == serial part-major Gauss-Seidel bitwise: {}\n\
-         (speedups above the host core count ({host_cores}) cannot exceed 1)",
-        if gate_ok { "yes" } else { "NO (bug!)" }
-    );
-    // one-line comparable throughput counters from a profiled resident
-    // run: sweep nanos come from PhaseBreakdown, scored elements from
-    // the SoA kernel's rank-local counter
-    if let Some(named) = meshes.first() {
-        let resident =
-            ResidentEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
-        let (report, _) = resident.smooth_profiled(&mut named.mesh.clone(), 1);
-        let _ = writeln!(
-            out,
-            "throughput ({}, 1 thread) — {:.2}k moved vertices/s, {:.2}M scored elements/s",
-            named.spec.name,
-            report.moved_vertices_per_sec().unwrap_or(f64::NAN) / 1e3,
-            report.scored_elements_per_sec().unwrap_or(f64::NAN) / 1e6,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,21 +238,5 @@ mod tests {
     fn real_scaling_runs_on_host() {
         let out = real_scaling(&tiny_cfg());
         assert!(out.contains("Real rayon scaling"));
-    }
-
-    #[test]
-    fn engines_reports_deterministic_colored() {
-        let out = engines(&tiny_cfg());
-        assert!(out.contains("colored (ms)"));
-        assert!(out.contains("deterministic across thread counts: yes"));
-    }
-
-    #[test]
-    fn thread_scaling_gates_resident_on_serial_equality() {
-        let out = thread_scaling(&tiny_cfg());
-        assert!(out.contains("resident (ms)"));
-        assert!(out.contains("bitwise: yes"), "serial-equivalence gate must hold:\n{out}");
-        assert!(out.contains("moved vertices/s"), "throughput line missing:\n{out}");
-        assert!(out.contains("scored elements/s"), "throughput line missing:\n{out}");
     }
 }

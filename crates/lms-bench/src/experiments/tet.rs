@@ -165,74 +165,6 @@ pub fn tet_scaling(cfg: &ExpConfig) -> String {
     out
 }
 
-/// `scaling3d` — wall-clock thread scaling of the 3D engines over a tet
-/// grid: serial reference vs colored deterministic Gauss–Seidel vs the
-/// resident halo-exchange engine (all one generic code path with the 2D
-/// engines). Gated
-/// on the bit-identity of the resident sweep with serial part-major 3D
-/// Gauss–Seidel before any timing, exactly like the 2D `scaling`
-/// experiment.
-pub fn scaling3d(cfg: &ExpConfig) -> String {
-    use lms_mesh3d::{ResidentEngine3, SmoothEngine3};
-    use lms_part::PartitionMethod;
-
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let spec = &SUITE3[0];
-    let base = generate3(spec, scale3(cfg));
-    let params =
-        SmoothParams3::paper().with_smart(true).with_max_iters(cfg.max_iters.min(8)).with_tol(-1.0);
-    let parts = 8usize;
-
-    let serial = SmoothEngine3::new(&base, params.clone());
-    let colored = SmoothEngine3::new(&base, params.clone());
-    let resident = ResidentEngine3::by_method(&base, params.clone(), parts, PartitionMethod::Rcb);
-
-    // correctness gate: resident == serial part-major 3D GS, bit for bit
-    let gate_ok = {
-        let mut a = base.clone();
-        let report = resident.smooth(&mut a, 2);
-        let oracle = SmoothEngine3::new(&base, params.clone())
-            .with_visit_order(resident.part_major_visit_order());
-        let mut b = base.clone();
-        oracle.smooth(&mut b);
-        let volume = report.exchange.expect("resident runs report exchange accounting");
-        a.coords() == b.coords() && volume.full_gathers == 1 && volume.full_scatters == 1
-    };
-
-    let mut table = Table::new(
-        format!(
-            "3D engine thread scaling — {} ({} vertices, {} tets), smart GS, {parts}-way rcb, \
-             host has {host_cores} cores",
-            spec.name,
-            base.num_vertices(),
-            base.num_tets()
-        ),
-        &["threads", "serial (ms)", "colored (ms)", "resident (ms)"],
-    );
-    let (_, ts) = time_it(|| serial.smooth(&mut base.clone()));
-    for &threads in cfg.threads.iter().filter(|&&t| t <= 8) {
-        let (_, tc) = time_it(|| colored.smooth_parallel_colored(&mut base.clone(), threads));
-        let (_, tr) = time_it(|| resident.smooth(&mut base.clone(), threads));
-        table.row(vec![
-            threads.to_string(),
-            f(ts.as_secs_f64() * 1e3, 1),
-            f(tc.as_secs_f64() * 1e3, 1),
-            f(tr.as_secs_f64() * 1e3, 1),
-        ]);
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = table.write_csv(dir, "scaling3d");
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\nresident == serial part-major 3D GS (bitwise, one gather / one scatter): {}",
-        if gate_ok { "PASS" } else { "FAIL" }
-    );
-    assert!(gate_ok, "3D resident engine diverged from serial part-major Gauss-Seidel");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,14 +188,6 @@ mod tests {
         let out = tet_scaling(&cfg);
         assert!(out.contains("cores"));
         assert!(out.contains("RDR"));
-    }
-
-    #[test]
-    fn scaling3d_gates_resident_on_serial_equality() {
-        let cfg = ExpConfig { threads: vec![1, 2], ..tiny_cfg() };
-        let out = scaling3d(&cfg);
-        assert!(out.contains("resident"));
-        assert!(out.contains("PASS"), "{out}");
     }
 
     #[test]

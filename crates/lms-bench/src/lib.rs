@@ -1,9 +1,9 @@
 //! # lms-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§5) from
-//! the `lms-mesh` / `lms-order` / `lms-smooth` / `lms-cache` stack. See
-//! DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-//! results.
+//! Regenerates every table and figure of the paper's evaluation (§5), and
+//! the extension studies around them, from the `lms-mesh` / `lms-order` /
+//! `lms-smooth` / `lms-cache` stack. Paper artefacts live here; the cost
+//! of the engines themselves is measured by the `benchmark/` harness.
 //!
 //! The `lms-exp` binary is the entry point:
 //!

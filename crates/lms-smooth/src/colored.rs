@@ -2,11 +2,11 @@
 //! the smoothing domain.
 //!
 //! The paper's OpenMP loop runs in-place sweeps with a static schedule and
-//! simply races on neighbour reads ([`SmoothEngine::smooth_parallel_chaotic`]
-//! reproduces that); the deterministic alternative it compares against is
-//! double-buffered Jacobi ([`SmoothEngineOn::smooth_parallel`]), which
-//! gives up the Gauss–Seidel convergence rate. This module provides the classic
-//! third option: **graph-colored Gauss–Seidel**.
+//! simply races on neighbour reads, so its floating-point outcome depends
+//! on the thread interleaving; the deterministic alternative it compares
+//! against is double-buffered Jacobi ([`SmoothEngineOn::smooth_parallel`]),
+//! which gives up the Gauss–Seidel convergence rate. This module provides
+//! the classic third option: **graph-colored Gauss–Seidel**.
 //!
 //! The vertex–vertex graph is greedily colored
 //! ([`lms_order::coloring::greedy_coloring_on`]); a sweep processes one
@@ -36,8 +36,6 @@
 use crate::config::UpdateScheme;
 use crate::dcache::DomainQualityCache;
 use crate::domain::{ScoringDomain, SmoothDomain};
-#[cfg(doc)]
-use crate::engine::SmoothEngine;
 use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::{candidate_for, star_accepts};
 use crate::stats::{IterationStats, SmoothReport};

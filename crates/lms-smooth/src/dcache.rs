@@ -24,9 +24,13 @@
 //! smart-smoothing commit test averages — `q` when the element is
 //! positively oriented, `0` otherwise — is a select on that bit
 //! ([`guarded_quality`](DomainQualityCache::guarded_quality)), not a
-//! second stored copy. Every supported metric scores a positively
-//! oriented element strictly positive, so the guarded value is zero
-//! **iff** the element is degenerate or inverted.
+//! second stored copy. The smart guard reads validity from the
+//! orientation bit alone, as the reference path and the resident ranks
+//! do: a positively oriented sliver can score exactly 0 when its short
+//! edge underflows, so "guarded value is zero" does not mean "invalid".
+//! What the code relies on is weaker: no supported metric scores a
+//! positively oriented element below 0, so an inverted element's
+//! guarded 0 never outscores a valid one.
 //!
 //! Engines update it three ways:
 //!
@@ -169,8 +173,9 @@ impl DomainQualityCache {
     }
 
     /// Whether element `t` is currently positively oriented with a
-    /// positive quality (the metric invariant makes the second part
-    /// redundant for every finite score).
+    /// positive quality. Stricter than the smart guard's validity test,
+    /// which reads the orientation alone (`guard_view`): an underflowed
+    /// sliver is oriented but scores 0.
     #[inline]
     pub fn elem_is_positive(&self, t: u32) -> bool {
         self.pos_bit(t) && self.elem_q[t as usize] > 0.0
@@ -189,11 +194,13 @@ impl DomainQualityCache {
     }
 
     /// Element `t` as the smart guard reads it:
-    /// ([`guarded_quality`](Self::guarded_quality),
-    /// [`elem_is_positive`](Self::elem_is_positive)).
+    /// ([`guarded_quality`](Self::guarded_quality), its orientation bit).
+    /// Validity is the orientation alone, the same test as the reference
+    /// path's and a resident rank's, so an underflowed sliver (positive
+    /// orientation, quality 0) counts as valid in every engine.
     #[inline]
     pub(crate) fn guard_view(&self, t: u32) -> (f64, bool) {
-        (self.guarded_quality(t), self.elem_is_positive(t))
+        (self.guarded_quality(t), self.pos_bit(t))
     }
 
     /// Bytes the cache owns on the heap: one quality and one orientation
@@ -223,8 +230,8 @@ impl DomainQualityCache {
         let mut delta = 0.0;
         for (&t, &(q, pos)) in ts.iter().zip(scores) {
             debug_assert!(
-                q > 0.0 || !pos,
-                "metric invariant violated: positive orientation with zero quality"
+                !(pos && q < 0.0),
+                "metric invariant violated: positive orientation with negative quality"
             );
             let i = t as usize;
             let w = element_weight(&self.inv_deg, &elems[i]);
@@ -312,8 +319,8 @@ impl DomainQualityCache {
         let mut k = 0;
         score_elements_batched(dom, coords, dirty.iter().copied(), |(q, pos)| {
             debug_assert!(
-                q > 0.0 || !pos,
-                "metric invariant violated: positive orientation with zero quality"
+                !(pos && q < 0.0),
+                "metric invariant violated: positive orientation with negative quality"
             );
             let i = dirty[k] as usize;
             k += 1;
@@ -528,8 +535,9 @@ mod tests {
             let star: Vec<(f64, bool)> = (0..len)
                 .map(|_| {
                     let q = scores[rng.index(scores.len())];
-                    // `set_star` asserts the metric invariant in debug builds
-                    (q, q > 0.0 && rng.index(2) == 0)
+                    // `set_star` asserts in debug builds that no oriented
+                    // element scores below 0; 0 and NaN may be oriented
+                    (q, (q >= 0.0 || q.is_nan()) && rng.index(2) == 0)
                 })
                 .collect();
             cache.set_star(&dom, &ts, &star);

@@ -318,9 +318,9 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
 
     /// The reference path (`smooth_reference_on`): recomputes the full
     /// mesh quality from scratch every iteration and re-evaluates both
-    /// sides of every smart-commit test. Kept as the oracle for property
-    /// tests and as the baseline the `bench_smooth_hot` bench measures the
-    /// incremental path against.
+    /// sides of every smart-commit test. Kept as the oracle the property
+    /// tests and the benchmark harness's self-check hold the incremental
+    /// path to.
     pub fn smooth_full_recompute(&self, mesh: &mut M) -> SmoothReport {
         self.smooth_reference(mesh, &mut NullSink, false)
     }

@@ -61,7 +61,7 @@ use crate::domain::{
     score_star_per_id, weighted_candidate_on, DomainConfig, DomainPoint, ScoringDomain,
     SmoothDomain,
 };
-use crate::soa::resize_tracked;
+use crate::soa::{resize_tracked, score_corners_batched};
 use crate::stats::{IterationStats, SmoothReport};
 use std::ops::Range;
 
@@ -173,6 +173,25 @@ pub(crate) fn score_ids_into<'s, const C: usize, D: ScoringDomain<C>>(
         dom.score_star(pts, corners, ids, out);
     }
     out
+}
+
+/// [`score_ids_into`]'s choice over every row of `corners`, handing the
+/// `(quality, oriented)` pairs to `sink` in row order: the lane-batched
+/// [`score_corners_batched`], or one [`ScoringDomain::score`] per row
+/// when `scalar`; the bits are the same either way. The initial pass of
+/// a resident run and of each of its ranks.
+pub(crate) fn score_all_rows<const C: usize, D: ScoringDomain<C>>(
+    dom: &D,
+    pts: &[D::Point],
+    corners: &[[u32; C]],
+    scalar: bool,
+    mut sink: impl FnMut((f64, bool)),
+) {
+    if scalar {
+        corners.iter().for_each(|&e| sink(dom.score(pts, e)));
+    } else {
+        score_corners_batched(dom, pts, corners, 0..corners.len() as u32, sink);
+    }
 }
 
 /// One sweep over the entries `range` of `ledger`, on the point slice

@@ -21,10 +21,7 @@
 //!   stays resident for the whole run, part interiors sweep fully in
 //!   parallel, interface vertices step through the global color classes
 //!   with moved-only halo deltas in between; bitwise-deterministic and
-//!   exactly serial Gauss–Seidel under the part-major visit order;
-//! * [`SmoothEngine::smooth_parallel_chaotic`] (triangles only) —
-//!   in-place relaxed-atomic Gauss–Seidel, the closest analogue of the
-//!   paper's OpenMP loop.
+//!   exactly serial Gauss–Seidel under the part-major visit order.
 //!
 //! A dimension is one [`SmoothMesh`] impl: the mesh type supplies its
 //! point, adjacency, boundary and parameter types and a

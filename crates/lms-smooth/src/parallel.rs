@@ -1,29 +1,20 @@
-//! Parallel smoothing engines (the paper's 32-core OpenMP loop, in rayon).
+//! Parallel Jacobi smoothing (the paper's 32-core OpenMP loop, in rayon).
 //!
 //! The paper pins one thread per core with a *static* schedule "evenly
-//! dividing the vertices" (§5.1). Two faithful variants are provided:
-//!
-//! * [`SmoothEngineOn::smooth_parallel`] — double-buffered **Jacobi**
-//!   sweeps, in every dimension: each thread owns a contiguous chunk of
-//!   the vertex array, reads the previous sweep's positions, writes its
-//!   own chunk. Fully deterministic and race-free; identical results for
-//!   any thread count.
-//! * [`SmoothEngine::smooth_parallel_chaotic`] — in-place **chaotic
-//!   Gauss–Seidel** on triangle meshes: positions live in atomics
-//!   ([`AtomicU64`] bit-cast `f64`s, `Relaxed` ordering) and threads
-//!   update their chunks in place while racing reads observe a mix of old
-//!   and new neighbour positions — the semantics of the paper's OpenMP
-//!   loop. Still data-race-free in the Rust memory model, merely
-//!   non-deterministic in its floating-point outcome.
+//! dividing the vertices" (§5.1).
+//! [`SmoothEngineOn::smooth_parallel`] runs that schedule as
+//! double-buffered **Jacobi** sweeps, in every dimension: each thread
+//! owns a contiguous chunk of the vertex array, reads the previous
+//! sweep's positions, writes its own chunk. Fully deterministic and
+//! race-free; identical results for any thread count. The in-place
+//! deterministic alternative is colored Gauss–Seidel
+//! ([`SmoothEngineOn::smooth_parallel_colored`]).
 
-use crate::domain::{weighted_candidate_on, ScoringDomain, SmoothDomain};
-use crate::engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
+use crate::domain::{ScoringDomain, SmoothDomain};
+use crate::engine::{SmoothEngineOn, SmoothMesh};
 use crate::kernel::candidate_for;
 use crate::stats::{IterationStats, SmoothReport};
-use lms_mesh::geometry::Point2;
-use lms_mesh::TriMesh;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global domain quality computed with rayon: element qualities in
 /// parallel, then the per-vertex means summed in fixed groups (bitwise
@@ -52,32 +43,6 @@ fn parallel_domain_quality<const C: usize, D: SmoothDomain<C>>(
         })
         .sum();
     sum / n as f64
-}
-
-/// An atomically updatable position (x and y as `f64` bit patterns).
-struct AtomicPoint {
-    x: AtomicU64,
-    y: AtomicU64,
-}
-
-impl AtomicPoint {
-    fn new(p: Point2) -> Self {
-        AtomicPoint { x: AtomicU64::new(p.x.to_bits()), y: AtomicU64::new(p.y.to_bits()) }
-    }
-
-    #[inline]
-    fn load(&self) -> Point2 {
-        Point2::new(
-            f64::from_bits(self.x.load(Ordering::Relaxed)),
-            f64::from_bits(self.y.load(Ordering::Relaxed)),
-        )
-    }
-
-    #[inline]
-    fn store(&self, p: Point2) {
-        self.x.store(p.x.to_bits(), Ordering::Relaxed);
-        self.y.store(p.y.to_bits(), Ordering::Relaxed);
-    }
 }
 
 impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M> {
@@ -146,68 +111,12 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
     }
 }
 
-impl SmoothEngine {
-    /// Chaotic (asynchronous) Gauss–Seidel parallel smoothing — the closest
-    /// analogue of the paper's in-place OpenMP loop. Positions are stored in
-    /// relaxed atomics; each thread updates its static chunk in place while
-    /// neighbour reads may observe either old or new positions.
-    ///
-    /// Non-deterministic across runs/thread counts in the last bits, but
-    /// race-free and convergent in practice (asynchronous relaxation).
-    pub fn smooth_parallel_chaotic(&self, mesh: &mut TriMesh, num_threads: usize) -> SmoothReport {
-        let dom = self.domain();
-        let params = self.params();
-        let n = mesh.num_vertices();
-        assert_eq!(n, dom.num_vertices(), "engine was built for a different mesh");
-        let pool = self.pool.get(num_threads);
-
-        let initial_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
-        let mut report = SmoothReport::starting(initial_quality);
-        let mut quality = initial_quality;
-
-        let atoms: Vec<AtomicPoint> = mesh.coords().iter().map(|&p| AtomicPoint::new(p)).collect();
-        let chunk = n.div_ceil(num_threads).max(1);
-
-        for iter in 1..=params.max_iters {
-            pool.install(|| {
-                atoms.par_chunks(chunk).enumerate().for_each(|(ci, my)| {
-                    let base = ci * chunk;
-                    for (off, slot) in my.iter().enumerate() {
-                        let v = (base + off) as u32;
-                        if !dom.is_interior(v) {
-                            continue;
-                        }
-                        let pv = slot.load();
-                        let gathered = dom.neighbors(v).iter().map(|&w| atoms[w as usize].load());
-                        if let Some(c) = weighted_candidate_on(params.weighting, pv, gathered) {
-                            slot.store(c);
-                        }
-                    }
-                });
-            });
-
-            for (slot, atom) in mesh.coords_mut().iter_mut().zip(&atoms) {
-                *slot = atom.load();
-            }
-            let new_quality = pool.install(|| parallel_domain_quality(&dom, mesh.coords()));
-            let improvement = new_quality - quality;
-            report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-            quality = new_quality;
-            if improvement < params.tol {
-                report.converged = true;
-                break;
-            }
-        }
-        report.final_quality = quality;
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checks;
     use crate::config::{SmoothParams, UpdateScheme};
+    use crate::engine::SmoothEngine;
     use lms_mesh::generators;
 
     #[test]
@@ -242,18 +151,6 @@ mod tests {
         let m0 = generators::perturbed_grid(8, 8, 0.3, 1);
         let params = SmoothParams::paper().with_update(UpdateScheme::Jacobi).with_smart(true);
         SmoothEngine::new(&m0, params).smooth_parallel(&mut m0.clone(), 2);
-    }
-
-    #[test]
-    fn chaotic_improves_quality_and_pins_boundary() {
-        let m0 = generators::perturbed_grid(16, 16, 0.35, 5);
-        let mut m = m0.clone();
-        let engine = SmoothEngine::new(&m0, SmoothParams::paper());
-        let report = engine.smooth_parallel_chaotic(&mut m, 3);
-        assert!(report.total_improvement() > 0.0);
-        for v in engine.boundary().boundary_vertices() {
-            assert_eq!(m.coords()[v as usize], m0.coords()[v as usize]);
-        }
     }
 
     #[test]

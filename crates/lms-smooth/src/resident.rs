@@ -82,9 +82,9 @@ use crate::config::UpdateScheme;
 use crate::dcache::{element_weight, inverse_degrees};
 use crate::domain::{DomainConfig, DomainPoint, ScoringDomain, SmoothDomain};
 use crate::engine::{SmoothEngineOn, SmoothMesh};
-use crate::kernel::{score_ids_into, sweep, StarLedger};
+use crate::kernel::{score_all_rows, score_ids_into, sweep, StarLedger};
 use crate::pool::PoolCache;
-use crate::soa::{score_corners_batched, SoaScores};
+use crate::soa::SoaScores;
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::vec_bytes;
@@ -429,22 +429,15 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
     }
 
     /// Score every local element on the current coordinates into the
-    /// score columns, in ascending local order (lane-batched unless the
-    /// scalar baseline is forced — identical bits either way). Not
+    /// score columns, in ascending local order ([`score_all_rows`]). Not
     /// counted as sweep scoring.
     fn score_all_elements(&mut self) {
         let (scores, corners) = (&mut self.scores, &self.block.elem_corners);
-        if self.cfg.scalar_scoring {
-            for (i, &e) in corners.iter().enumerate() {
-                scores.set(i, self.dom.score(&self.coords, e));
-            }
-        } else {
-            let mut i = 0;
-            score_corners_batched(self.dom, &self.coords, corners, 0..corners.len() as u32, |s| {
-                scores.set(i, s);
-                i += 1;
-            });
-        }
+        let mut i = 0;
+        score_all_rows(self.dom, &self.coords, corners, self.cfg.scalar_scoring, |s| {
+            scores.set(i, s);
+            i += 1;
+        });
     }
 
     /// The one full gather from an already-sliced block payload (a wire

@@ -41,6 +41,7 @@
 use crate::config::UpdateScheme;
 use crate::dcache::{element_weight, Neumaier};
 use crate::domain::{domain_quality, DomainConfig, DomainPoint, QualityScatter, ScoringDomain};
+use crate::kernel::score_all_rows;
 use crate::resident::{PairBatch, ResidentBlock, ResidentRank};
 use crate::stats::{ExchangeVolume, IterationStats, SmoothReport};
 use lms_part::wire::halo_frame_wire_len;
@@ -463,9 +464,8 @@ pub fn drive_resident_ft_with<
 /// scored on the global coordinates in element order, each score folded
 /// into the Neumaier running sum as `q · w_t` (the fold a fresh quality
 /// cache makes) and scattered into the exact initial quality. Returns
-/// `(running sum, initial quality)`. Runs the lane-batched kernel unless
-/// the scalar baseline is forced — both produce identical bits per
-/// element.
+/// `(running sum, initial quality)`. Scores through [`score_all_rows`],
+/// which picks the scoring path; both give identical bits per element.
 fn initial_pass<const C: usize, D: ScoringDomain<C>>(
     dom: &D,
     cfg: &DomainConfig,
@@ -476,17 +476,12 @@ fn initial_pass<const C: usize, D: ScoringDomain<C>>(
     let mut qsum = Neumaier::default();
     let mut scatter = QualityScatter::new(dom.num_vertices());
     let mut t = 0;
-    let mut fold = |(q, _): (f64, bool)| {
+    score_all_rows(dom, coords, elements, cfg.scalar_scoring, |(q, _)| {
         let corners = &elements[t];
         qsum.add(q * element_weight(inv_deg, corners));
         scatter.add(corners, q);
         t += 1;
-    };
-    if cfg.scalar_scoring {
-        elements.iter().for_each(|&e| fold(dom.score(coords, e)));
-    } else {
-        crate::soa::score_elements_batched(dom, coords, 0..elements.len() as u32, fold);
-    }
+    });
     (qsum, scatter.quality())
 }
 

@@ -4,7 +4,7 @@
 
 mod common;
 
-use lms_mesh::geometry::signed_area;
+use lms_mesh::geometry::{signed_area, Point2};
 use lms_mesh::quality::mesh_quality;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
 use lms_smooth::checks;
@@ -60,20 +60,49 @@ fn params(smart: bool, jacobi: bool, scalar_scoring: bool, iters: usize) -> Smoo
         .with_tol(-1.0)
 }
 
+/// A wheel of seven triangles around the interior vertex (−0.3, 0) whose
+/// ring holds (1, 0) and (1, 1e-200): the sliver between them is
+/// positively oriented (area ≈ 6.5e-201) but scores quality 0, because
+/// its squared short edge underflows. The ring's mean lies above the
+/// x-axis, so the first smart candidate flattens the sliver: the guard
+/// must reject it, as the reference path does, which it only does when it
+/// reads the quality-0 sliver as valid.
+fn underflow_wheel() -> TriMesh {
+    let coords = [
+        (-0.3, 0.0),
+        (1.0, 0.0),
+        (1.0, 1e-200),
+        (0.5, 1.0),
+        (-0.5, 1.0),
+        (-1.0, 0.0),
+        (-0.5, -0.8),
+        (0.5, -0.8),
+    ]
+    .map(|(x, y)| Point2::new(x, y));
+    let tris = (1..8u32).map(|r| [0, r, r % 7 + 1]).collect();
+    let mesh = TriMesh::new(coords.to_vec(), tris).expect("the wheel is a valid mesh");
+    let metric = lms_mesh::quality::QualityMetric::EdgeLengthRatio;
+    let [c, a, b] = [coords[0], coords[1], coords[2]];
+    assert!(signed_area(c, a, b) > 0.0 && metric.triangle_quality(c, a, b) == 0.0);
+    mesh
+}
+
 /// `incremental_matches_full_recompute` on the hub mesh (stars of
-/// 17..=254 and of more than 255 triangles), for every update scheme ×
-/// smart flag × scoring path.
+/// 17..=254 and of more than 255 triangles) and on the underflow wheel
+/// (an oriented element of quality 0), for every update scheme × smart
+/// flag × scoring path.
 #[test]
 fn incremental_matches_full_recompute_on_hub_vertices() {
-    let mesh = common::hub_mesh();
-    for smart in [false, true] {
-        for jacobi in [false, true] {
-            for scalar_scoring in [false, true] {
-                let params = params(smart, jacobi, scalar_scoring, 4);
-                let metric = params.metric;
-                checks::incremental_matches_full_recompute(&mesh, params, |m: &TriMesh| {
-                    mesh_quality(m, &Adjacency::build(m), metric)
-                });
+    for mesh in [common::hub_mesh(), underflow_wheel()] {
+        for smart in [false, true] {
+            for jacobi in [false, true] {
+                for scalar_scoring in [false, true] {
+                    let params = params(smart, jacobi, scalar_scoring, 4);
+                    let metric = params.metric;
+                    checks::incremental_matches_full_recompute(&mesh, params, |m: &TriMesh| {
+                        mesh_quality(m, &Adjacency::build(m), metric)
+                    });
+                }
             }
         }
     }
