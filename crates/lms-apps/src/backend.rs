@@ -9,38 +9,34 @@
 //!
 //! ```
 //! use lms_apps::{smooth, Backend};
+//! use lms_part::PartitionMethod;
 //! use lms_smooth::SmoothParams;
 //!
 //! let mesh = lms_mesh::generators::perturbed_grid(16, 16, 0.35, 1);
 //! let params = SmoothParams::paper().with_max_iters(5);
 //! let mut serial = mesh.clone();
 //! smooth(&mut serial, params.clone(), Backend::Serial);
-//! // the colored parallel engine is deterministic for any thread count
+//! // the resident engine is deterministic for any thread count
+//! let resident = |threads| Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads };
 //! let (mut one, mut three) = (mesh.clone(), mesh);
-//! let r1 = smooth(&mut one, params.clone(), Backend::Parallel { threads: 1 });
-//! let r3 = smooth(&mut three, params, Backend::Parallel { threads: 3 });
+//! let r1 = smooth(&mut one, params.clone(), resident(1));
+//! let r3 = smooth(&mut three, params, resident(3));
 //! assert_eq!((one.coords(), r1), (three.coords(), r3));
 //! ```
 
 use lms_dist::{DistResidentEngineOn, FtOptions, TransportMode};
 use lms_part::PartitionMethod;
-use lms_smooth::{ResidentEngineOn, SmoothEngineOn, SmoothMesh, SmoothReport, UpdateScheme};
+use lms_smooth::{ResidentEngineOn, SmoothEngineOn, SmoothMesh, SmoothReport};
 
-/// Where a smoothing run executes. Every backend runs Algorithm 1 in
-/// place; the decomposed ones are bit-identical to serial Gauss–Seidel in
-/// their part-major visit order, and every one is deterministic for any
-/// thread count.
+/// Where a smoothing run executes. [`Backend::Serial`] runs Algorithm 1
+/// under either update scheme; the decomposed backends run it in place,
+/// bit-identical to serial Gauss–Seidel in their part-major visit order
+/// and deterministic for any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The serial engine on the incremental-quality kernel.
+    /// The serial engine on the incremental-quality kernel: Gauss–Seidel
+    /// or Jacobi, as `params` ask.
     Serial,
-    /// The shared-memory engines on `threads` pool workers: colored
-    /// Gauss–Seidel for in-place params, static-chunk Jacobi when
-    /// `params.update` is [`UpdateScheme::Jacobi`].
-    Parallel {
-        /// Worker threads.
-        threads: usize,
-    },
     /// The resident halo-exchange engine: `parts` blocks from `method`,
     /// swept by `threads` pool workers.
     Resident {
@@ -70,9 +66,8 @@ pub enum Backend {
 ///
 /// # Panics
 /// When `params` ask for Jacobi updates on [`Backend::Resident`] or
-/// [`Backend::Dist`] (both are in-place schedules), for smart Jacobi
-/// params on [`Backend::Parallel`] (only [`Backend::Serial`] runs smart
-/// Jacobi), or when a distributed run fails beyond recovery.
+/// [`Backend::Dist`] (both are in-place schedules; Jacobi runs on
+/// [`Backend::Serial`]), or when a distributed run fails beyond recovery.
 pub fn smooth<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &mut M,
     params: M::Params,
@@ -80,13 +75,6 @@ pub fn smooth<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
 ) -> SmoothReport {
     match backend {
         Backend::Serial => SmoothEngineOn::new(mesh, params).smooth(mesh),
-        Backend::Parallel { threads } => {
-            let engine = SmoothEngineOn::new(mesh, params);
-            match engine.domain_config().update {
-                UpdateScheme::GaussSeidel => engine.smooth_parallel_colored(mesh, threads),
-                UpdateScheme::Jacobi => engine.smooth_parallel(mesh, threads),
-            }
-        }
         Backend::Resident { parts, method, threads } => {
             ResidentEngineOn::by_method(mesh, params, parts, method).smooth(mesh, threads)
         }
@@ -103,16 +91,16 @@ mod tests {
     use lms_mesh::generators::perturbed_grid;
     use lms_mesh3d::generators::perturbed_tet_grid;
     use lms_mesh3d::SmoothParams3;
-    use lms_smooth::SmoothParams;
+    use lms_smooth::{SmoothParams, UpdateScheme};
 
     const PARTS: usize = 3;
     const RCB: PartitionMethod = PartitionMethod::Rcb;
 
     /// Every backend through [`smooth`] against the engine call it stands
     /// for, bit for bit — coordinates and report. Then what the rows
-    /// share: the colored and resident rows are thread-count invariant,
-    /// and `Dist` over pipes and every substrate in `sockets` lands on the
-    /// resident row.
+    /// share: the resident rows are thread-count invariant, and `Dist`
+    /// over pipes and every substrate in `sockets` lands on the resident
+    /// row.
     fn backend_table<const C: usize, const D: usize, M: SmoothMesh<C, D> + Clone>(
         mesh: &M,
         gs: M::Params,
@@ -128,21 +116,7 @@ mod tests {
         let resident = |m: &M, p| ResidentEngineOn::<C, D, M>::by_method(m, p, PARTS, RCB);
         let rows = [
             (Backend::Serial, &gs, run(&gs, &|m, p| engine(m, p).smooth(m))),
-            (
-                Backend::Parallel { threads: 1 },
-                &gs,
-                run(&gs, &|m, p| engine(m, p).smooth_parallel_colored(m, 1)),
-            ),
-            (
-                Backend::Parallel { threads: 3 },
-                &gs,
-                run(&gs, &|m, p| engine(m, p).smooth_parallel_colored(m, 3)),
-            ),
-            (
-                Backend::Parallel { threads: 3 },
-                &jacobi,
-                run(&jacobi, &|m, p| engine(m, p).smooth_parallel(m, 3)),
-            ),
+            (Backend::Serial, &jacobi, run(&jacobi, &|m, p| engine(m, p).smooth(m))),
             (
                 Backend::Resident { parts: PARTS, method: RCB, threads: 1 },
                 &gs,
@@ -157,11 +131,10 @@ mod tests {
         for (backend, params, direct) in &rows {
             assert_eq!(run(params, &|m, p| smooth(m, p, *backend)), *direct, "{backend:?}");
         }
-        assert_eq!(rows[1].2, rows[2].2, "colored: 1 vs 3 threads");
-        assert_eq!(rows[4].2, rows[5].2, "resident: 1 vs 2 threads");
+        assert_eq!(rows[2].2, rows[3].2, "resident: 1 vs 2 threads");
         for &substrate in [TransportMode::Pipes].iter().chain(sockets) {
             let dist = Backend::Dist { parts: PARTS, method: RCB, substrate };
-            assert_eq!(run(&gs, &|m, p| smooth(m, p, dist)), rows[4].2, "{dist:?}");
+            assert_eq!(run(&gs, &|m, p| smooth(m, p, dist)), rows[2].2, "{dist:?}");
         }
     }
 

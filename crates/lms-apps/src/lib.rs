@@ -17,8 +17,8 @@
 //! * [`optsmooth`] — optimization-based max-min quality smoothing
 //!   (FeasNewt/Mesquite-style, Munson & Hovland \[19\]);
 //! * [`backend`] — the one smoothing entry, [`smooth`]`(mesh, params,
-//!   backend)`, over every [`Backend`] (serial, parallel, resident,
-//!   multi-process) in both dimensions;
+//!   backend)`, over every [`Backend`] (serial, resident, multi-process)
+//!   in both dimensions;
 //! * [`pipeline`] — composable improvement pipelines with per-stage
 //!   quality bookkeeping;
 //! * [`pipeline3`] — the tetrahedral pipeline twin;

@@ -209,20 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_smooth_stage_accepts_jacobi_params() {
-        use lms_smooth::UpdateScheme;
-        let mut m = generators::perturbed_grid(10, 10, 0.3, 5);
-        let report = Pipeline::new()
-            .then(Stage::Smooth(
-                SmoothParams::paper().with_update(UpdateScheme::Jacobi).with_max_iters(5),
-                Backend::Parallel { threads: 3 },
-            ))
-            .run(&mut m);
-        assert_eq!(report.stages[0].stage, "smooth");
-        assert!(report.final_quality > report.initial_quality);
-    }
-
-    #[test]
     fn full_stage_zoo_executes() {
         let mut m = generators::perturbed_grid(12, 12, 0.35, 8);
         let report = Pipeline::new()

@@ -3,8 +3,8 @@
 //! The 2D [`Pipeline`](crate::pipeline::Pipeline) composes reordering and
 //! smoothing stages over a `TriMesh`; this module is its `TetMesh` twin.
 //! Smoothing goes through the same [`smooth`] entry, so every
-//! [`Backend`] — serial, parallel, resident and multi-process — runs 3D
-//! stages too, deterministic for any thread count.
+//! [`Backend`] — serial, resident and multi-process — runs 3D stages too,
+//! deterministic for any thread count.
 
 use crate::backend::{smooth, Backend};
 use crate::pipeline::{PipelineReport, StageOutcome};
@@ -123,10 +123,7 @@ mod tests {
         let resident = Backend::Resident { parts: 4, method: PartitionMethod::Rcb, threads: 2 };
         let report = Pipeline3::new()
             .then(Stage3::Reorder3(OrderingKind::Bfs))
-            .then(Stage3::Smooth3(
-                SmoothParams3::paper().with_max_iters(5),
-                Backend::Parallel { threads: 2 },
-            ))
+            .then(Stage3::Smooth3(SmoothParams3::paper().with_max_iters(5), Backend::Serial))
             .then(Stage3::Smooth3(
                 SmoothParams3::paper().with_smart(true).with_max_iters(5),
                 resident,

@@ -6,10 +6,10 @@
 //! experiments: every table and figure of the paper (table1, fig1–fig13,
 //!              table2, table3, cost, cost-model) plus the extension
 //!              studies (opt, apps, zoo, growth, parrdr, iter-reorder,
-//!              tet, tet-quality, tet-scaling, dynamic, real-scaling,
-//!              partition, rebalance) — run `lms-exp list` for the
-//!              authoritative list. Engine cost is measured by the
-//!              `benchmark/` harness, not here.
+//!              tet, tet-quality, tet-scaling, dynamic, partition,
+//!              rebalance) — run `lms-exp list` for the authoritative
+//!              list. Engine cost is measured by the `benchmark/`
+//!              harness, not here.
 //!
 //! options:
 //!   --scale <f64>      suite scale, 1.0 = paper size      [default 0.02]

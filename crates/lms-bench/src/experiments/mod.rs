@@ -1,5 +1,5 @@
-//! Experiment runners — one per table/figure of the paper (see the
-//! per-experiment index in DESIGN.md §4).
+//! Experiment runners — one per table/figure of the paper, plus the
+//! extension studies; [`ALL`] lists them by name.
 
 pub mod extensions;
 pub mod figures;
@@ -30,7 +30,6 @@ pub const ALL: &[&str] = &[
     "cost",
     "cost-model",
     "dynamic",
-    "real-scaling",
     "opt",
     "apps",
     "zoo",
@@ -63,7 +62,6 @@ pub fn run(name: &str, cfg: &ExpConfig) -> Option<String> {
         "cost" => performance::cost(cfg),
         "cost-model" => performance::cost_model(cfg),
         "dynamic" => performance::dynamic_vs_static(cfg),
-        "real-scaling" => scaling::real_scaling(cfg),
         "partition" => partition::partition(cfg),
         "rebalance" => partition::rebalance(cfg),
         "opt" => extensions::opt_bound(cfg),
@@ -105,6 +103,6 @@ mod tests {
             assert!(!name.is_empty());
             assert!(seen.insert(name), "duplicate experiment name {name}");
         }
-        assert_eq!(ALL.len(), 28);
+        assert_eq!(ALL.len(), 27);
     }
 }

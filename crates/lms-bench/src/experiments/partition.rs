@@ -1,17 +1,16 @@
 //! Partition experiment: decomposition quality across methods and part
-//! counts, and the resident engine's wall clock against the colored
-//! parallel engine.
+//! counts, and the measured repartition (`rebalance`) that feeds the
+//! resident engine's per-part sweep times back into the split.
 
-use crate::common::{time_it, ExpConfig};
+use crate::common::ExpConfig;
 use crate::table::{f, pct, Table};
 use lms_mesh::{Adjacency, Point2, TriMesh};
 use lms_part::{partition_mesh, repartition_measured, PartitionMethod};
-use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothParams};
 use std::fmt::Write as _;
 
 /// Decomposition quality (edge cut, interface/halo, balance) for every
-/// method at several part counts, plus engine timings: resident vs
-/// colored Gauss–Seidel at the config's small thread counts.
+/// method at several part counts.
 pub fn partition(cfg: &ExpConfig) -> String {
     let mut out = String::new();
 
@@ -63,49 +62,6 @@ pub fn partition(cfg: &ExpConfig) -> String {
         out.push_str(&ktable.render());
     }
 
-    // --- engine wall clock: resident vs colored -------------------------
-    let mut etable = Table::new(
-        "Resident vs colored deterministic Gauss-Seidel (smart, 10 sweeps)".to_string(),
-        &["mesh", "threads", "colored (ms)", "resident (ms)", "speedup", "serial-equal"],
-    );
-    let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
-    for named in cfg.meshes().iter().take(2) {
-        let colored_engine = SmoothEngine::new(&named.mesh, params.clone());
-        let resident =
-            ResidentEngine::by_method(&named.mesh, params.clone(), 8, PartitionMethod::Rcb);
-        // correctness gate: resident == serial under the part-major order
-        let mut a = named.mesh.clone();
-        resident.smooth(&mut a, 2);
-        let serial = SmoothEngine::new(&named.mesh, params.clone())
-            .with_visit_order(resident.part_major_visit_order());
-        let mut b = named.mesh.clone();
-        serial.smooth(&mut b);
-        let equal = a.coords() == b.coords();
-        for &threads in cfg.threads.iter().filter(|&&t| t <= 4) {
-            let (_, tc) = time_it(|| {
-                colored_engine.smooth_parallel_colored(&mut named.mesh.clone(), threads)
-            });
-            let (_, tp) = time_it(|| resident.smooth(&mut named.mesh.clone(), threads));
-            etable.row(vec![
-                named.spec.name.to_string(),
-                threads.to_string(),
-                f(tc.as_secs_f64() * 1e3, 1),
-                f(tp.as_secs_f64() * 1e3, 1),
-                f(tc.as_secs_f64() / tp.as_secs_f64(), 2),
-                equal.to_string(),
-            ]);
-        }
-    }
-    if let Some(dir) = &cfg.csv_dir {
-        let _ = etable.write_csv(dir, "partition_engines");
-    }
-    out.push('\n');
-    out.push_str(&etable.render());
-    let _ = writeln!(
-        out,
-        "\nspeedup = colored / resident wall clock; both engines are \
-         bitwise-deterministic for any thread count."
-    );
     out
 }
 
@@ -218,14 +174,11 @@ mod tests {
             scale: 0.002,
             mesh: Some("carabiner".into()),
             max_iters: 4,
-            threads: vec![1, 2],
             ..Default::default()
         };
         let out = partition(&cfg);
         assert!(out.contains("Partition quality"));
         assert!(out.contains("rcb") && out.contains("hilbert") && out.contains("morton"));
         assert!(out.contains("Cut / interface growth"));
-        assert!(out.contains("Resident vs colored"));
-        assert!(out.contains("true"), "serial-equivalence gate must hold");
     }
 }

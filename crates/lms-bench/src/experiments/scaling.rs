@@ -1,14 +1,12 @@
 //! Figures 10–13: multicore scaling, via the socket-aware cache simulator
-//! (substitution #3 of DESIGN.md) plus real rayon wall-clock runs for the
-//! thread counts this host actually has.
+//! run on the real sweep traces of each ordering. Engine wall clock is
+//! timed by the `benchmark/` harness, not here.
 
-use crate::common::{ordered_mesh, time_it, ExpConfig};
+use crate::common::{ordered_mesh, ExpConfig};
 use crate::table::{f, pct, Table};
 use lms_cache::{multicore, MulticoreResult};
 use lms_order::OrderingKind;
-use lms_smooth::{SmoothEngine, SmoothParams};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Simulated wall cycles for (mesh, ordering, p). One sweep's traces are
 /// enough: every sweep has the same access pattern, so ratios are exact.
@@ -164,40 +162,6 @@ pub fn fig13(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Real rayon wall-clock scaling on this host (complements the simulation;
-/// thread counts beyond the host's cores are skipped).
-pub fn real_scaling(cfg: &ExpConfig) -> String {
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let meshes = cfg.meshes();
-    let mut table = Table::new(
-        format!("Real rayon scaling on this host ({host_cores} cores)"),
-        &["mesh", "threads", "ORI (ms)", "RDR (ms)", "gain"],
-    );
-    for named in meshes.iter().take(3) {
-        for &p in cfg.threads.iter().filter(|&&p| p <= host_cores) {
-            let mut row = vec![named.spec.name.to_string(), p.to_string()];
-            let mut times = Vec::new();
-            for kind in [OrderingKind::Original, OrderingKind::Rdr] {
-                let m = ordered_mesh(&named.mesh, kind);
-                let engine =
-                    SmoothEngine::new(&m, SmoothParams::paper().with_max_iters(cfg.max_iters));
-                let (_, wall) = time_it(|| engine.smooth_parallel(&mut m.clone(), p));
-                times.push(wall.as_secs_f64() * 1e3);
-            }
-            row.push(f(times[0], 1));
-            row.push(f(times[1], 1));
-            row.push(pct((times[0] - times[1]) / times[0]));
-            table.row(row);
-        }
-    }
-    let mut out = table.render();
-    let _ = writeln!(
-        out,
-        "\n(simulated 1–32-core results are in fig10–fig13; this host exposes {host_cores} hardware threads)"
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,11 +196,5 @@ mod tests {
         let out13 = fig13(&cfg);
         assert!(out12.contains("cores"));
         assert!(out13.contains("vs ORI"));
-    }
-
-    #[test]
-    fn real_scaling_runs_on_host() {
-        let out = real_scaling(&tiny_cfg());
-        assert!(out.contains("Real rayon scaling"));
     }
 }

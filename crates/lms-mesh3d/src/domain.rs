@@ -5,12 +5,12 @@
 //! (adjacency, boundary) bundle around the topology-free [`TetScoring`]
 //! view (vertex count, connectivity, metric), the twin of
 //! `lms_smooth::TriScoring` that resident runs score through. With it, the
-//! serial incremental kernel, the colored parallel engine, and the
-//! resident halo-exchange engine all run on tetrahedral
-//! meshes from the **same generic sweep bodies** as the 2D engines — no
-//! copied code, and the bit-identity arguments (same-class vertices share
-//! no element; part interiors have fully-owned 1-rings) carry over
-//! verbatim because a tet's four corners are mutually adjacent.
+//! serial incremental kernel and the resident halo-exchange engine both
+//! run on tetrahedral meshes from the **same generic sweep bodies** as
+//! the 2D engines — no copied code, and the bit-identity arguments
+//! (same-class interface vertices share no element; part interiors have
+//! fully-owned 1-rings) carry over verbatim because a tet's four corners
+//! are mutually adjacent.
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;

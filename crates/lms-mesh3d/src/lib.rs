@@ -16,10 +16,10 @@
 //! * [`SmoothEngine3`] — Algorithm 1 in 3D: `lms-smooth`'s one serial
 //!   engine over [`TetMesh`] (this crate's [`lms_smooth::SmoothMesh`]
 //!   impl), so Gauss–Seidel/Jacobi sweeps on the incremental kernel, the
-//!   5e-6 convergence criterion, smart commits, access tracing through
-//!   the same [`lms_smooth::trace::AccessSink`] protocol, and the
-//!   deterministic parallel variants are the 2D engine's code;
-//!   [`ResidentEngine3`] is the resident engine over the same impl;
+//!   5e-6 convergence criterion, smart commits and access tracing through
+//!   the same [`lms_smooth::trace::AccessSink`] protocol are the 2D
+//!   engine's code; [`ResidentEngine3`], the resident engine over the
+//!   same impl, is the parallel one;
 //! * the [`lms_order::OrderMesh`] impl of [`TetMesh`], with the 3D
 //!   Hilbert and Morton keys of [`sfc`]: every ordering of `lms-order`
 //!   (`lms_order::compute_ordering`, `Permutation::apply_to_mesh`) and

@@ -9,7 +9,9 @@
 //! color class at a time with the class's vertices updated in parallel —
 //! within a class there are no neighbour pairs, so in-place semantics are
 //! race-free *and* independent of the execution order, making the sweep
-//! bitwise-deterministic for any thread count.
+//! bitwise-deterministic for any thread count. `lms-smooth`'s resident
+//! engine steps its part-interface vertices through these classes, with
+//! one halo exchange between classes.
 //!
 //! The greedy first-fit coloring here is deterministic (vertices in index
 //! order, smallest available color) and uses at most `max_degree + 1`
@@ -17,7 +19,6 @@
 //! parallelism per class.
 
 use crate::graph::Graph;
-use crate::permutation::Permutation;
 
 /// A proper vertex coloring with its color classes materialised as CSR
 /// slices (class vertices in ascending vertex order).
@@ -78,14 +79,6 @@ impl Coloring {
         (0..graph.num_vertices() as u32).all(|v| {
             graph.neighbors(v).iter().all(|&w| self.color[v as usize] != self.color[w as usize])
         })
-    }
-
-    /// The permutation that sorts vertices by `(color, vertex id)` — a
-    /// layout where each class is contiguous, for locality studies of the
-    /// colored sweep.
-    pub fn class_major_ordering(&self) -> Permutation {
-        Permutation::from_new_to_old(self.class_vertices.clone())
-            .expect("class lists partition the vertex set")
     }
 }
 
@@ -199,15 +192,6 @@ mod tests {
         let coloring = greedy_coloring(&adj);
         assert_eq!(coloring.num_colors(), 3);
         assert!(coloring.is_proper(&adj));
-    }
-
-    #[test]
-    fn class_major_ordering_is_a_bijection() {
-        let (_, coloring) = color_grid(9, 14, 5);
-        let p = coloring.class_major_ordering();
-        let mut ids = p.new_to_old().to_vec();
-        ids.sort_unstable();
-        assert!(ids.iter().enumerate().all(|(i, &v)| v as usize == i));
     }
 
     #[test]

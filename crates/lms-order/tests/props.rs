@@ -2,10 +2,11 @@
 //! bijection on arbitrary meshes (Theorem 1 of the paper for RDR), the
 //! RDR walk equals a plain reference walk, the permutation algebra obeys
 //! its laws, and the locality metrics rank the graph orderings above
-//! random. The kind-by-kind checks run on triangle meshes here and on
+//! random, and greedy colorings are proper. The kind-by-kind checks run on triangle meshes here and on
 //! tetrahedral meshes in `lms-mesh3d`'s `order` tests.
 
 use lms_mesh::{generators, Adjacency, TriMesh};
+use lms_order::coloring::greedy_coloring;
 use lms_order::graph::rdr_ordering_on;
 use lms_order::{
     compute_ordering, compute_ordering_with, layout_stats_permuted, par_rdr_ordering_on,
@@ -222,6 +223,16 @@ fn is_bijection(p: &Permutation, n: usize) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Greedy colorings of arbitrary perturbed grids are proper and use
+    /// at most max_degree + 1 colors.
+    #[test]
+    fn colorings_are_proper(mesh in arb_grid()) {
+        let adj = Adjacency::build(&mesh);
+        let coloring = greedy_coloring(&adj);
+        prop_assert!(coloring.is_proper(&adj));
+        prop_assert!(coloring.num_colors() as usize <= adj.max_degree() + 1);
+    }
+
     /// Theorem 1, generalised to the whole zoo: every ordering orders
     /// every vertex exactly once on arbitrary meshes.
     #[test]
@@ -423,6 +434,24 @@ proptest! {
         prop_assert_eq!(
             chunked.new_to_old(),
             &reference_chunked(&g, &interior, quality, concat, chunks)[..]
+        );
+    }
+}
+
+/// Colorings on the nine-mesh evaluation suite (scaled down) are proper.
+#[test]
+fn colorings_proper_on_generator_suite() {
+    for spec in lms_mesh::suite::SUITE.iter() {
+        let mesh = lms_mesh::suite::generate(spec, 0.01);
+        let adj = Adjacency::build(&mesh);
+        let coloring = greedy_coloring(&adj);
+        assert!(coloring.is_proper(&adj), "{}: improper coloring", spec.name);
+        assert!(
+            coloring.num_colors() as usize <= adj.max_degree() + 1,
+            "{}: {} colors for max degree {}",
+            spec.name,
+            coloring.num_colors(),
+            adj.max_degree()
         );
     }
 }

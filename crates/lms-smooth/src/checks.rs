@@ -104,39 +104,6 @@ pub fn engine_rejects_mismatched_mesh<const C: usize, const D: usize, M: SmoothM
     assert!(result.is_err());
 }
 
-/// Jacobi is schedule-independent: the static-chunk parallel run (4
-/// threads) lands on the serial run's coordinates bit for bit, in as
-/// many sweeps, at the same final quality.
-pub fn parallel_jacobi_matches_serial_jacobi_exactly<const C: usize, const D: usize, M>(
-    mesh: &M,
-    params: M::Params,
-) where
-    M: SmoothMesh<C, D> + Clone,
-{
-    let mut serial = mesh.clone();
-    let sr = SmoothEngineOn::new(mesh, params.clone()).smooth(&mut serial);
-    let mut par = mesh.clone();
-    let pr = SmoothEngineOn::new(mesh, params).smooth_parallel(&mut par, 4);
-    assert_eq!(serial.coords(), par.coords(), "Jacobi must be schedule-independent");
-    assert_eq!(sr.num_iterations(), pr.num_iterations());
-    assert!((sr.final_quality - pr.final_quality).abs() < 1e-12);
-}
-
-/// The static-chunk parallel run gives the same coordinates on 1 and 3
-/// threads.
-pub fn parallel_is_deterministic_across_thread_counts<const C: usize, const D: usize, M>(
-    mesh: &M,
-    params: M::Params,
-) where
-    M: SmoothMesh<C, D> + Clone,
-{
-    let mut a = mesh.clone();
-    let mut b = mesh.clone();
-    SmoothEngineOn::new(mesh, params.clone()).smooth_parallel(&mut a, 1);
-    SmoothEngineOn::new(mesh, params).smooth_parallel(&mut b, 3);
-    assert_eq!(a.coords(), b.coords());
-}
-
 /// Thread-pool reuse: after a first call of `run` (the engine's one-time
 /// pool spawn), repeat calls spawn no further OS threads from the calling
 /// thread.
@@ -204,40 +171,33 @@ pub fn resident_is_deterministic_across_threads<const C: usize, const D: usize, 
     }
 }
 
-/// The colored engine gives the same coordinates and the same report on
-/// 1, 2 and 8 threads.
-pub fn colored_is_deterministic_across_threads<const C: usize, const D: usize, M>(
+/// The interior color classes partition the interior vertices: each
+/// interior vertex sits in exactly one class, no boundary vertex in any,
+/// each class is ascending, and no two vertices of one class are
+/// adjacent.
+pub fn interior_color_classes_are_proper<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &M,
     params: M::Params,
-) where
-    M: SmoothMesh<C, D> + Clone,
-{
+) {
     let engine = SmoothEngineOn::new(mesh, params);
-    let mut one = mesh.clone();
-    let r1 = engine.smooth_parallel_colored(&mut one, 1);
-    for threads in [2usize, 8] {
-        let mut multi = mesh.clone();
-        let rt = engine.smooth_parallel_colored(&mut multi, threads);
-        assert_eq!(one.coords(), multi.coords(), "threads={threads}");
-        assert_eq!(r1, rt, "threads={threads}");
+    let dom = engine.domain();
+    let mut class_of = vec![None; dom.num_vertices()];
+    for (c, class) in engine.interior_color_classes().iter().enumerate() {
+        assert!(class.windows(2).all(|w| w[0] < w[1]), "class {c} not strictly ascending");
+        for &v in class {
+            assert!(dom.is_interior(v), "class {c} holds non-interior vertex {v}");
+            assert_eq!(class_of[v as usize].replace(c), None, "vertex {v} in two classes");
+        }
     }
-}
-
-/// The colored parallel sweep is *exactly* serial Gauss–Seidel under the
-/// class-major visit order — coordinates match bit for bit.
-pub fn colored_equals_serial_class_major_order<const C: usize, const D: usize, M>(
-    mesh: &M,
-    params: M::Params,
-) where
-    M: SmoothMesh<C, D> + Clone,
-{
-    let engine = SmoothEngineOn::new(mesh, params);
-    let mut colored = mesh.clone();
-    engine.smooth_parallel_colored(&mut colored, 4);
-    let serial = engine.clone().with_visit_order(engine.colored_visit_order());
-    let mut ser = mesh.clone();
-    serial.smooth(&mut ser);
-    assert_eq!(colored.coords(), ser.coords());
+    for v in 0..dom.num_vertices() as u32 {
+        let Some(c) = class_of[v as usize] else {
+            assert!(!dom.is_interior(v), "interior vertex {v} in no class");
+            continue;
+        };
+        for &w in dom.neighbors(v) {
+            assert_ne!(class_of[w as usize], Some(c), "neighbours {v} and {w} share class {c}");
+        }
+    }
 }
 
 /// Lane-batched scoring (`params`) and the forced scalar path (`scalar`,

@@ -154,12 +154,6 @@ impl DomainQualityCache {
         *word = (*word & !(1 << (i % 64))) | (u64::from(pos) << (i % 64));
     }
 
-    /// The orientation bit of element `t`.
-    #[inline]
-    fn pos_bit(&self, t: u32) -> bool {
-        (self.elem_pos[t as usize / 64] >> (t % 64)) & 1 == 1
-    }
-
     /// Number of cached elements.
     #[inline]
     pub fn num_elements(&self) -> usize {
@@ -172,13 +166,12 @@ impl DomainQualityCache {
         self.elem_q[t as usize]
     }
 
-    /// Whether element `t` is currently positively oriented with a
-    /// positive quality. Stricter than the smart guard's validity test,
-    /// which reads the orientation alone (`guard_view`): an underflowed
-    /// sliver is oriented but scores 0.
+    /// Whether element `t` is currently positively oriented: its stored
+    /// orientation bit, the smart guard's validity test. An underflowed
+    /// sliver is oriented and scores 0, and counts as positive here.
     #[inline]
     pub fn elem_is_positive(&self, t: u32) -> bool {
-        self.pos_bit(t) && self.elem_q[t as usize] > 0.0
+        (self.elem_pos[t as usize / 64] >> (t % 64)) & 1 == 1
     }
 
     /// Orientation-guarded quality of element `t`: its quality when
@@ -186,7 +179,7 @@ impl DomainQualityCache {
     /// guard averages over a vertex star.
     #[inline]
     pub fn guarded_quality(&self, t: u32) -> f64 {
-        if self.pos_bit(t) {
+        if self.elem_is_positive(t) {
             self.elem_q[t as usize]
         } else {
             0.0
@@ -200,7 +193,7 @@ impl DomainQualityCache {
     /// orientation, quality 0) counts as valid in every engine.
     #[inline]
     pub(crate) fn guard_view(&self, t: u32) -> (f64, bool) {
-        (self.guarded_quality(t), self.pos_bit(t))
+        (self.guarded_quality(t), self.elem_is_positive(t))
     }
 
     /// Bytes the cache owns on the heap: one quality and one orientation
@@ -417,11 +410,13 @@ mod tests {
 
     /// The layout the cache had before the orientation bit: the quality,
     /// the orientation-guarded quality and the weight each stored as one
-    /// `f64` per element, the weight summed from per-corner divisions.
+    /// `f64` per element, the weight summed from per-corner divisions —
+    /// plus the orientation each element was fed, one `bool` apiece.
     struct ThreeArrays {
         q: Vec<f64>,
         g: Vec<f64>,
         w: Vec<f64>,
+        pos: Vec<bool>,
     }
 
     impl ThreeArrays {
@@ -432,12 +427,13 @@ mod tests {
                 .iter()
                 .map(|e| e.iter().map(|&v| 1.0 / dom.elements_of(v).len() as f64).sum())
                 .collect();
-            ThreeArrays { q: vec![0.0; nt], g: vec![0.0; nt], w }
+            ThreeArrays { q: vec![0.0; nt], g: vec![0.0; nt], w, pos: vec![false; nt] }
         }
 
         fn store(&mut self, i: usize, (q, pos): (f64, bool)) {
             self.q[i] = q;
             self.g[i] = if pos { q } else { 0.0 };
+            self.pos[i] = pos;
         }
 
         /// Every accessor agrees with the cache bit for bit, NaN payloads
@@ -448,7 +444,7 @@ mod tests {
                 let (i, u) = (t, t as u32);
                 assert_eq!(cache.elem_quality(u).to_bits(), self.q[i].to_bits(), "q of {t}");
                 assert_eq!(cache.guarded_quality(u).to_bits(), self.g[i].to_bits(), "g of {t}");
-                assert_eq!(cache.elem_is_positive(u), self.g[i] > 0.0, "orientation of {t}");
+                assert_eq!(cache.elem_is_positive(u), self.pos[i], "orientation of {t}");
                 let w = element_weight(&cache.inv_deg, &elems[i]);
                 assert_eq!(w.to_bits(), self.w[i].to_bits(), "w of {t}");
             }

@@ -13,8 +13,7 @@
 //!   [`domain_quality`] take only this bound.
 //! * [`SmoothDomain`] — the scoring half plus the global topology: CSR
 //!   adjacency and the boundary/fixed mask, which the serial incremental
-//!   kernel ([`crate::kernel`]), the colored parallel engine
-//!   ([`crate::colored`]) and the resident block build
+//!   kernel ([`crate::kernel`]) and the resident block build
 //!   ([`crate::resident`]) read. Each engine has **one** generic sweep
 //!   body instead of a per-dimension copy.
 //!
@@ -33,7 +32,7 @@
 //! [`TriScoring`] here, `TetScoring` in `lms-mesh3d` — and a full domain
 //! view that wraps it with (adjacency, boundary) — [`TriDomain`] here,
 //! `TetDomain` in `lms-mesh3d`. Views are cheap to construct per call and
-//! `Sync`, so the parallel engines share them across workers.
+//! `Sync`, so a parallel run shares them across workers.
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
 use crate::for_lane_blocks;
@@ -229,7 +228,7 @@ pub trait ScoringDomain<const C: usize>: Sync {
 }
 
 /// A smoothing domain: the [`ScoringDomain`] plus the global topology the
-/// serial and colored sweeps and the resident block build read — CSR
+/// serial sweeps and the resident block build read — CSR
 /// adjacency and the boundary (fixed-vertex) mask.
 pub trait SmoothDomain<const C: usize>: ScoringDomain<C> {
     /// Sorted neighbour vertices of `v` (CSR row).

@@ -8,9 +8,10 @@
 //! the reference sweep `smooth_reference_on`. A dimension enters only
 //! through [`SmoothMesh`]: `TriMesh` implements it here (`C = 3`,
 //! [`SmoothEngine`]), `lms_mesh3d::TetMesh` in its own crate (`C = 4`,
-//! `lms_mesh3d::SmoothEngine3`). The parallel runs on the same struct live
-//! in [`crate::parallel`] and [`crate::colored`], the decomposed engines
-//! built on top of it in [`crate::resident`].
+//! `lms_mesh3d::SmoothEngine3`). The decomposed engines built on top of it
+//! live in [`crate::resident`]; the greedy color classes they step their
+//! interface vertices through come from
+//! [`interior_color_classes`](SmoothEngineOn::interior_color_classes).
 
 use crate::config::{IterationPolicy, SmoothParams};
 use crate::domain::{
@@ -19,11 +20,11 @@ use crate::domain::{
 };
 use crate::greedy::greedy_visit_order;
 use crate::kernel::SerialKernel;
-use crate::pool::PoolCache;
 use crate::stats::SmoothReport;
 use crate::trace::{AccessSink, NullSink};
 use lms_mesh::quality::vertex_qualities;
 use lms_mesh::{vec_bytes, Adjacency, Boundary, Point2, TriMesh};
+use lms_order::coloring::greedy_coloring_on;
 use lms_order::{Graph, OrderMesh};
 use std::sync::{Arc, OnceLock};
 
@@ -175,12 +176,9 @@ pub struct SmoothEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
     /// The mesh's element table, shared with it (see
     /// [`SmoothMesh::shared_elements`]).
     pub(crate) elements: Arc<Vec<[u32; C]>>,
-    /// Lazily-computed interior color classes for the colored parallel
-    /// engine (topology-only, so one computation serves every run).
-    pub(crate) colored_classes: OnceLock<Vec<Vec<u32>>>,
-    /// Cached persistent worker pool: the parallel engines spawn OS
-    /// threads once per engine lifetime, not once per `smooth()` call.
-    pub(crate) pool: PoolCache,
+    /// Lazily-computed interior color classes (topology-only, so one
+    /// computation serves every caller).
+    pub(crate) color_classes: OnceLock<Vec<Vec<u32>>>,
 }
 
 /// Serial smoothing of triangle meshes.
@@ -217,15 +215,13 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
             boundary,
             visit,
             elements: Arc::clone(mesh.shared_elements()),
-            colored_classes: OnceLock::new(),
-            pool: PoolCache::new(),
+            color_classes: OnceLock::new(),
         }
     }
 
     /// The engine's [`SmoothDomain`] view: the borrowed (adjacency,
     /// boundary, connectivity, metric) bundle every generic sweep in
-    /// [`crate::kernel`] / [`crate::colored`] / [`crate::resident`] runs
-    /// against.
+    /// [`crate::kernel`] / [`crate::resident`] runs against.
     pub fn domain(&self) -> M::Domain<'_> {
         M::domain(&self.adj, &self.boundary, &self.elements, &self.params)
     }
@@ -237,7 +233,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
 
     /// Replace the sweep visit order — the *iteration reordering* of
     /// Strout & Hovland \[18\], decoupled from the data layout, and the
-    /// serial-equivalence oracle of the colored and resident engines.
+    /// serial-equivalence oracle of the resident engines.
     ///
     /// Renumbering a mesh (the paper's approach) changes layout and
     /// iteration together, because the sweep walks the vertex array in
@@ -288,13 +284,28 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
         &self.visit
     }
 
+    /// Greedy coloring of the engine's vertex–vertex adjacency, with each
+    /// color class restricted to interior vertices (ascending within a
+    /// class) — the schedule a resident engine steps its interface
+    /// vertices through. Computed once per engine (topology-only) and
+    /// cached.
+    pub fn interior_color_classes(&self) -> &[Vec<u32>] {
+        self.color_classes.get_or_init(|| {
+            let dom = self.domain();
+            greedy_coloring_on(&self.adj)
+                .classes()
+                .map(|class| class.iter().copied().filter(|&v| dom.is_interior(v)).collect())
+                .collect()
+        })
+    }
+
     /// Bytes the engine owns on the heap: adjacency, boundary flags, visit
     /// order and (once computed) the color classes. The
     /// element table is not among them: it is the mesh's, shared rather
     /// than copied, and a ledger counts it once, with the mesh.
     pub fn heap_bytes(&self) -> usize {
         let classes = self
-            .colored_classes
+            .color_classes
             .get()
             .map_or(0, |classes| vec_bytes(classes) + classes.iter().map(vec_bytes).sum::<usize>());
         M::topology_heap_bytes(&self.adj, &self.boundary) + vec_bytes(&self.visit) + classes
@@ -381,6 +392,12 @@ mod tests {
     fn boundary_vertices_never_move() {
         let m = generators::perturbed_grid(14, 14, 0.35, 2);
         checks::boundary_vertices_never_move(&m, SmoothParams::paper());
+    }
+
+    #[test]
+    fn interior_color_classes_are_proper() {
+        let m = generators::perturbed_grid(17, 13, 0.35, 6);
+        checks::interior_color_classes_are_proper(&m, SmoothParams::paper());
     }
 
     #[test]

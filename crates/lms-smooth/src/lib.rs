@@ -10,18 +10,16 @@
 //! * [`SmoothEngineOn::smooth_traced`] — the reference sweep while
 //!   streaming every vertex-record access to an [`AccessSink`], feeding
 //!   the reuse-distance and cache analyses of `lms-cache`;
-//! * [`SmoothEngineOn::smooth_parallel`] — rayon static-chunk Jacobi,
-//!   deterministic for any thread count;
-//! * [`SmoothEngineOn::smooth_parallel_colored`] — graph-colored in-place
-//!   Gauss–Seidel: race-free **and** bitwise-deterministic for any thread
-//!   count, driven by the same incremental quality cache as the serial
-//!   hot path;
 //! * [`ResidentEngineOn::smooth`] — domain-decomposed in-place
 //!   Gauss–Seidel over an `lms-part` decomposition: every part's block
 //!   stays resident for the whole run, part interiors sweep fully in
 //!   parallel, interface vertices step through the global color classes
 //!   with moved-only halo deltas in between; bitwise-deterministic and
-//!   exactly serial Gauss–Seidel under the part-major visit order.
+//!   exactly serial Gauss–Seidel under the part-major visit order
+//!   (`lms-dist` drives the same loop over forked rank processes).
+//!
+//! Jacobi runs on the serial engine only; every parallel run is in-place
+//! Gauss–Seidel on the resident engine.
 //!
 //! A dimension is one [`SmoothMesh`] impl: the mesh type supplies its
 //! point, adjacency, boundary and parameter types and a
@@ -43,14 +41,12 @@
 
 #[doc(hidden)]
 pub mod checks;
-pub mod colored;
 pub mod config;
 pub mod dcache;
 pub mod domain;
 pub mod engine;
 pub mod greedy;
 pub mod kernel;
-pub mod parallel;
 pub mod partitioned;
 mod pool;
 pub mod resident;

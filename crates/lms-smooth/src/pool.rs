@@ -1,10 +1,9 @@
 //! Per-engine thread-pool reuse.
 //!
 //! The rayon shim's [`rayon::ThreadPool`] now keeps persistent parked
-//! workers — construction is the only moment OS threads are spawned. The
-//! parallel engines used to rebuild a pool inside every `smooth()` call,
-//! which under the persistent-worker model would still pay
-//! `num_threads − 1` spawns *per run*. [`PoolCache`] moves that cost to
+//! workers — construction is the only moment OS threads are spawned. An
+//! engine that built its pool inside every `smooth()` call would still
+//! pay `num_threads − 1` spawns *per run*. [`PoolCache`] moves that cost to
 //! once per engine lifetime: the first run at a given thread count builds
 //! the pool, every later run at the same count reuses the parked workers
 //! (regression-tested against [`rayon::spawned_thread_count`]).

@@ -869,7 +869,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
             engine.domain_config().update,
             UpdateScheme::GaussSeidel,
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
-             use smooth_parallel for deterministic Jacobi"
+             run Jacobi on the serial engine (Backend::Serial)"
         );
         let mut interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         interface_classes.shrink_to_fit();

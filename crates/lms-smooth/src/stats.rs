@@ -91,30 +91,6 @@ impl SmoothReport {
     pub fn total_improvement(&self) -> f64 {
         self.final_quality - self.initial_quality
     }
-
-    /// Interface-vertex commits per second of accumulated rank sweep
-    /// time, from the profiled phase breakdown (part-interior commits are
-    /// not counted). `None` on unprofiled
-    /// runs or when no sweep time was accumulated. The counters are
-    /// observational — throughput never affects coordinates.
-    pub fn moved_vertices_per_sec(&self) -> Option<f64> {
-        let b = self.phase_breakdown.as_ref()?;
-        let ns: u64 = b.transport.rank_phases.iter().map(|r| r.sweep_ns()).sum();
-        let moved: u64 = b.transport.rank_phases.iter().map(|r| r.moved).sum();
-        (ns > 0).then(|| moved as f64 * 1e9 / ns as f64)
-    }
-
-    /// Elements scored per second of accumulated rank sweep time — the
-    /// raw-speed figure of the lane-batched scoring kernel. `None` on
-    /// unprofiled runs, when no sweep time was accumulated, or when the
-    /// transport could not observe the scored-elements counter (remote
-    /// ranks do not ship it over the wire).
-    pub fn scored_elements_per_sec(&self) -> Option<f64> {
-        let b = self.phase_breakdown.as_ref()?;
-        let ns: u64 = b.transport.rank_phases.iter().map(|r| r.sweep_ns()).sum();
-        (ns > 0 && b.transport.scored_elements > 0)
-            .then(|| b.transport.scored_elements as f64 * 1e9 / ns as f64)
-    }
 }
 
 #[cfg(test)]
@@ -137,20 +113,23 @@ mod tests {
 
     #[test]
     fn throughput_counters_from_breakdown() {
+        // the counters a throughput figure divides: per-part sweep time
+        // (interior + color + finish) and the moved and scored counts
         let mut r = SmoothReport::starting(0.5);
-        assert_eq!(r.moved_vertices_per_sec(), None);
-        assert_eq!(r.scored_elements_per_sec(), None);
+        assert!(r.phase_breakdown.is_none());
         let mut b = PhaseBreakdown::default();
         b.transport.rank_phases = vec![lms_trace::RankPhaseNanos {
             interior_ns: 500_000_000,
-            color_ns: 500_000_000,
-            finish_ns: 0,
+            color_ns: 400_000_000,
+            finish_ns: 100_000_000,
             moved: 2_000,
         }];
         b.transport.scored_elements = 4_000;
         r.phase_breakdown = Some(b);
-        assert_eq!(r.moved_vertices_per_sec(), Some(2_000.0));
-        assert_eq!(r.scored_elements_per_sec(), Some(4_000.0));
+        let b = r.phase_breakdown.as_ref().unwrap();
+        assert_eq!(b.per_part_sweep_ns(), vec![1_000_000_000]);
+        assert_eq!(b.transport.rank_phases[0].moved, 2_000);
+        assert_eq!(b.transport.scored_elements, 4_000);
     }
 
     #[test]

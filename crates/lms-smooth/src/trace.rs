@@ -87,11 +87,10 @@ impl AccessSink for CountSink {
 }
 
 /// One sweep's access trace per static chunk: the vertex index space
-/// `0..n` is split into `num_chunks` contiguous ranges (exactly like
-/// [`SmoothEngine::smooth_parallel`](crate::SmoothEngine::smooth_parallel)'s
-/// schedule and the paper's OpenMP static schedule), and each chunk's trace
-/// lists the accesses its thread performs: the interior vertex, then its
-/// neighbours.
+/// `0..n` is split into `num_chunks` contiguous ranges (the paper's §5.1
+/// OpenMP static schedule, "evenly dividing the vertices" over the
+/// threads), and each chunk's trace lists the accesses its thread
+/// performs: the interior vertex, then its neighbours.
 pub fn chunked_sweep_traces(
     adj: &lms_mesh::Adjacency,
     boundary: &lms_mesh::Boundary,

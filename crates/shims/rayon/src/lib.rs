@@ -1,19 +1,16 @@
 //! Offline shim for the `rayon` crate.
 //!
 //! Provides the adapter surface this workspace uses — `par_iter`,
-//! `par_iter_mut`, `into_par_iter` on ranges, `par_chunks`/`par_chunks_mut`,
-//! `map`, `enumerate`, `for_each`, `collect`, `sum`, plus
-//! [`ThreadPoolBuilder`] / [`ThreadPool::install`].
+//! `par_iter_mut`, `into_par_iter` on ranges, `map`, `enumerate`,
+//! `for_each`, `collect`, plus [`ThreadPoolBuilder`] /
+//! [`ThreadPool::install`].
 //!
-//! Two properties the workspace's determinism tests rely on:
+//! One property the workspace's determinism tests rely on:
 //!
 //! * **Order-preserving collect**: `map(..).collect()` returns results in
-//!   input order, whatever the worker interleaving.
-//! * **Thread-count-independent reduction**: work is split into a fixed
-//!   group grid (independent of the worker count) and partial results are
-//!   combined in group order, so `sum()` is bitwise identical for any
-//!   `num_threads` — strictly stronger than upstream rayon's guarantee, and
-//!   what makes the parallel engines reproducible.
+//!   input order, whatever the worker interleaving. Work is split into a
+//!   fixed group grid that depends on the item count only, never on the
+//!   worker count.
 //!
 //! And one performance property the phase-heavy engines rely on:
 //!
@@ -21,8 +18,8 @@
 //!   construction and parks them between jobs. Every par-adapter call made
 //!   inside [`ThreadPool::install`] dispatches to those parked workers
 //!   through a condvar'd job slot instead of spawning a fresh
-//!   `std::thread::scope` — a colored sweep with `1 + num_colors` parallel
-//!   phases per iteration pays `num_threads − 1` thread spawns per pool
+//!   `std::thread::scope` — a resident sweep with several parallel phases
+//!   per color step pays `num_threads − 1` thread spawns per pool
 //!   *lifetime*, not per phase. [`spawned_thread_count`] exposes the
 //!   per-caller spawn counter the regression tests pin this with. Adapter
 //!   calls made outside any `install` fall back to scoped one-shot workers
@@ -329,8 +326,7 @@ fn current_pool() -> Option<Arc<PoolShared>> {
 }
 
 /// Fixed group grid: split `len` items into at most 64 contiguous groups.
-/// The grid depends only on `len`, never on the worker count — the key to
-/// thread-count-independent reductions.
+/// The grid depends only on `len`, never on the worker count.
 fn group_bounds(len: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
@@ -423,16 +419,6 @@ impl<T: Send, F: Fn(usize) -> T + Sync> ParIndexed<F> {
         let parts: Vec<Vec<T>> = run_groups(self.len, &|_, lo, hi| (lo..hi).map(get).collect());
         parts.into_iter().flatten().collect()
     }
-
-    /// Group-ordered sum — bitwise identical for any worker count.
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<T> + std::iter::Sum<S> + Send,
-    {
-        let get = &self.get;
-        let parts: Vec<S> = run_groups(self.len, &|_, lo, hi| (lo..hi).map(get).sum::<S>());
-        parts.into_iter().sum()
-    }
 }
 
 /// `into_par_iter()` for ranges.
@@ -461,7 +447,7 @@ impl_range_par_iter!(u32, u64, usize);
 // Slice adapters
 // ---------------------------------------------------------------------------
 
-/// `par_iter()` / `par_chunks()` on shared slices.
+/// `par_iter()` on shared slices.
 pub trait ParallelSlice<T: Sync> {
     fn as_par_slice(&self) -> &[T];
 
@@ -471,11 +457,6 @@ pub trait ParallelSlice<T: Sync> {
     {
         let s = self.as_par_slice();
         ParIndexed { len: s.len(), get: move |i| &s[i] }
-    }
-
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunks { slice: self.as_par_slice(), chunk_size }
     }
 }
 
@@ -491,20 +472,13 @@ impl<T: Sync> ParallelSlice<T> for Vec<T> {
     }
 }
 
-/// `par_iter_mut()` / `par_chunks_mut()` on mutable slices.
+/// `par_iter_mut()` on mutable slices.
 pub trait ParallelSliceMut<T: Send> {
     fn as_par_slice_mut(&mut self) -> &mut [T];
 
-    /// Indexed mutable parallel iteration — the idiomatic replacement for
-    /// the `par_chunks_mut(1)` anti-pattern (per-item chunk bookkeeping
-    /// for what is really a disjoint indexed loop).
+    /// Indexed mutable parallel iteration over disjoint items.
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
         ParIterMut { slice: self.as_par_slice_mut() }
-    }
-
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunksMut { slice: self.as_par_slice_mut(), chunk_size }
     }
 }
 
@@ -553,82 +527,6 @@ impl<'a, T: Send> ParIterMutEnum<'a, T> {
     }
 }
 
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    pub fn enumerate(self) -> ParChunksEnum<'a, T> {
-        ParChunksEnum { slice: self.slice, chunk_size: self.chunk_size }
-    }
-
-    pub fn for_each(self, f: impl Fn(&'a [T]) + Sync) {
-        self.enumerate().for_each(move |(_, c)| f(c));
-    }
-}
-
-pub struct ParChunksEnum<'a, T> {
-    slice: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> ParChunksEnum<'a, T> {
-    pub fn for_each(self, f: impl Fn((usize, &'a [T])) + Sync) {
-        let chunks: Vec<&[T]> = self.slice.chunks(self.chunk_size).collect();
-        let chunks = &chunks;
-        run_groups(chunks.len(), &|_, lo, hi| {
-            for (ci, chunk) in chunks.iter().enumerate().take(hi).skip(lo) {
-                f((ci, chunk));
-            }
-        });
-    }
-}
-
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    pub fn enumerate(self) -> ParChunksMutEnum<'a, T> {
-        ParChunksMutEnum { slice: self.slice, chunk_size: self.chunk_size }
-    }
-
-    pub fn for_each(self, f: impl Fn(&'a mut [T]) + Sync) {
-        self.enumerate().for_each(move |(_, c)| f(c));
-    }
-}
-
-pub struct ParChunksMutEnum<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParChunksMutEnum<'a, T> {
-    pub fn for_each(self, f: impl Fn((usize, &'a mut [T])) + Sync) {
-        let len = self.slice.len();
-        if len == 0 {
-            return;
-        }
-        let chunk = self.chunk_size;
-        let n_chunks = len.div_ceil(chunk);
-        let base = SyncPtr(self.slice.as_mut_ptr());
-        let base = &base;
-        run_groups(n_chunks, &|_, lo, hi| {
-            for ci in lo..hi {
-                let start = ci * chunk;
-                let end = (start + chunk).min(len);
-                // SAFETY: chunk index ranges are disjoint across groups and
-                // chunks themselves never overlap, so each element is
-                // reachable from exactly one worker.
-                let s = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-                f((ci, s));
-            }
-        });
-    }
-}
-
 /// The rayon prelude: the traits the adapters hang off.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
@@ -643,34 +541,6 @@ mod tests {
     fn range_map_collect_preserves_order() {
         let v: Vec<u64> = (0u64..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v, (0..1000).map(|i| i * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn sum_is_thread_count_independent() {
-        let items: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
-        let sum_with = |threads| {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| (0..items.len()).into_par_iter().map(|i| items[i] * 1.5).sum::<f64>())
-        };
-        let s1 = sum_with(1);
-        let s2 = sum_with(2);
-        let s8 = sum_with(8);
-        assert_eq!(s1.to_bits(), s2.to_bits());
-        assert_eq!(s1.to_bits(), s8.to_bits());
-    }
-
-    #[test]
-    fn par_chunks_mut_writes_every_chunk() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let mut data = vec![0usize; 103];
-        pool.install(|| {
-            data.par_chunks_mut(10).enumerate().for_each(|(ci, chunk)| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    *slot = ci * 10 + off;
-                }
-            });
-        });
-        assert_eq!(data, (0..103).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -704,18 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_shared_enumerates_all() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let data: Vec<u32> = (0..55).collect();
-        let seen = AtomicUsize::new(0);
-        data.par_chunks(7).enumerate().for_each(|(ci, chunk)| {
-            assert_eq!(chunk[0] as usize, ci * 7);
-            seen.fetch_add(chunk.len(), Ordering::Relaxed);
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 55);
-    }
-
-    #[test]
     fn pool_spawns_threads_once_per_lifetime() {
         let before = spawned_thread_count();
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
@@ -723,9 +581,9 @@ mod tests {
         assert_eq!(after_build - before, 3, "a 4-thread pool spawns exactly 3 workers");
         // dozens of installs and parallel phases: not one more OS thread
         for round in 0..25 {
-            let sum: u64 =
-                pool.install(|| (0u64..500).into_par_iter().map(|i| i + round).sum::<u64>());
-            assert_eq!(sum, (0u64..500).map(|i| i + round).sum::<u64>());
+            let shifted: Vec<u64> =
+                pool.install(|| (0u64..500).into_par_iter().map(|i| i + round).collect());
+            assert_eq!(shifted, (0u64..500).map(|i| i + round).collect::<Vec<u64>>());
             let mut data = vec![0u8; 64];
             pool.install(|| {
                 data.par_iter_mut().enumerate().for_each(|(i, s)| *s = i as u8);
@@ -773,8 +631,8 @@ mod tests {
         // the guard must have popped the stale pool and restored the
         // thread count, so adapters keep working outside any install
         assert_eq!(current_num_threads(), default_threads());
-        let sum: u64 = (0u64..100).into_par_iter().map(|i| i).sum();
-        assert_eq!(sum, 4950);
+        let v: Vec<u64> = (0u64..100).into_par_iter().map(|i| i).collect();
+        assert_eq!(v, (0u64..100).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! An end-to-end "downstream user" pipeline: triangulate a point cloud with
 //! the built-in Bowyer–Watson generator, decide from the §5.4 cost model
-//! whether reordering pays off, smooth in parallel, and export the result
-//! as Triangle `.node`/`.ele` files.
+//! whether reordering pays off, smooth in parallel on the resident
+//! engine, and export the result as Triangle `.node`/`.ele` files.
 //!
 //! ```text
 //! cargo run --release --example adaptive_pipeline [n_points] [out_prefix]
@@ -10,7 +10,8 @@
 use lms::apps::{smooth, Backend};
 use lms::mesh::{generators, io, Adjacency};
 use lms::order::rdr_ordering;
-use lms::smooth::{SmoothEngine, SmoothParams};
+use lms::part::PartitionMethod;
+use lms::smooth::SmoothParams;
 use std::time::Instant;
 
 fn main() {
@@ -52,12 +53,13 @@ fn main() {
         mesh
     };
 
-    // 3. Parallel smoothing on every core this host has.
+    // 3. Parallel in-place smoothing on every core this host has: one RCB
+    //    part per thread, each part's block resident for the whole run.
     let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    let engine = SmoothEngine::new(&mesh, SmoothParams::paper());
+    let backend = Backend::Resident { parts: threads, method: PartitionMethod::Rcb, threads };
     let mut smoothed = mesh.clone();
     let start = Instant::now();
-    let report = engine.smooth_parallel(&mut smoothed, threads);
+    let report = smooth(&mut smoothed, SmoothParams::paper(), backend);
     println!(
         "smoothed on {threads} threads in {} ms: quality {:.4} -> {:.4} ({} iters)",
         start.elapsed().as_millis(),

@@ -1,5 +1,6 @@
-//! The §5.3 scaling study: real rayon runs on this host's cores plus the
-//! socket-aware cache simulation up to 32 cores.
+//! The §5.3 scaling study: the socket-aware cache simulation of the
+//! paper's static schedule on 1 to 32 cores, fed with each ordering's real
+//! sweep traces. Engine wall clock is timed by the `benchmark/` harness.
 //!
 //! ```text
 //! cargo run --release --example parallel_scaling [scale]
@@ -9,27 +10,11 @@ use lms::cache::{multicore, Affinity, MachineConfig, NodeLayout};
 use lms::mesh::suite;
 use lms::order::{compute_ordering, OrderingKind};
 use lms::smooth::{trace::chunked_sweep_traces, SmoothEngine, SmoothParams};
-use std::time::Instant;
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.02);
     let base = suite::generate(suite::find_spec("carabiner").unwrap(), scale);
     println!("carabiner @ scale {scale}: {} vertices\n", base.num_vertices());
-
-    // --- Real rayon runs (bounded by this host) ---------------------------
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("real rayon (Jacobi, deterministic), host has {host} threads:");
-    for kind in [OrderingKind::Original, OrderingKind::Rdr] {
-        let mesh = compute_ordering(&base, kind).apply_to_mesh(&base);
-        let engine = SmoothEngine::new(&mesh, SmoothParams::paper().with_max_iters(8));
-        print!("  {:<4}", kind.name());
-        for p in [1usize, 2, 4, 8].into_iter().filter(|&p| p <= host.max(1)) {
-            let start = Instant::now();
-            engine.smooth_parallel(&mut mesh.clone(), p);
-            print!("  p={p}: {:>7.1} ms", start.elapsed().as_secs_f64() * 1e3);
-        }
-        println!();
-    }
 
     // --- Simulated 1–32 cores (the paper's machine) -----------------------
     let shrink = if scale >= 1.0 { 1 } else { (1.0 / scale).round() as usize };
@@ -38,7 +23,7 @@ fn main() {
     } else {
         MachineConfig::westmere_scaled(NodeLayout::paper_66(), shrink)
     };
-    println!("\nsimulated Westmere-EX (4 sockets x 8 cores, compact affinity):");
+    println!("simulated Westmere-EX (4 sockets x 8 cores, compact affinity):");
     println!("{:>6} {:>10} {:>10} {:>10}", "cores", "ORI", "BFS", "RDR");
 
     let mut base_cycles = 0u64;

@@ -2,7 +2,7 @@
 //! perturbed grid with each geometric method, report the decomposition
 //! metrics, render the partition overlay, and run the resident engine
 //! against serial Gauss–Seidel (bit-identical under the part-major
-//! order) and the colored parallel engine (wall clock).
+//! order).
 //!
 //! ```text
 //! cargo run --release --example partitioned_smoothing [side] [parts]
@@ -13,7 +13,6 @@
 use lms::part::{partition_mesh, PartitionMethod};
 use lms::smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use lms::viz::partition::{render_partition, PartitionStyle};
-use std::time::Instant;
 
 fn main() {
     let side: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(96);
@@ -55,12 +54,9 @@ fn main() {
     let engine = ResidentEngine::by_method(&mesh, params.clone(), parts, PartitionMethod::Rcb);
 
     let mut par = mesh.clone();
-    let start = Instant::now();
     let report = engine.smooth(&mut par, 2);
-    let t_part = start.elapsed();
 
-    let serial =
-        SmoothEngine::new(&mesh, params.clone()).with_visit_order(engine.part_major_visit_order());
+    let serial = SmoothEngine::new(&mesh, params).with_visit_order(engine.part_major_visit_order());
     let mut ser = mesh.clone();
     serial.smooth(&mut ser);
     println!(
@@ -73,17 +69,5 @@ fn main() {
     println!(
         "bit-identical to serial Gauss-Seidel under the part-major order: {}",
         par.coords() == ser.coords()
-    );
-
-    // --- wall clock vs the colored engine ---------------------------------
-    let colored_engine = SmoothEngine::new(&mesh, params);
-    let start = Instant::now();
-    colored_engine.smooth_parallel_colored(&mut mesh.clone(), 2);
-    let t_col = start.elapsed();
-    println!(
-        "wall clock (2 threads): resident {:.1} ms vs colored {:.1} ms ({:.2}x)",
-        t_part.as_secs_f64() * 1e3,
-        t_col.as_secs_f64() * 1e3,
-        t_col.as_secs_f64() / t_part.as_secs_f64()
     );
 }

@@ -2,9 +2,9 @@
 //! perturbed tet grid with each geometric method, report per-part stats,
 //! run the resident engine (one gather, moved-only halo deltas per color
 //! step, one scatter) and verify it bit-identical against serial
-//! part-major 3D Gauss–Seidel — then compare wall clock with the colored
-//! engine. Everything here runs the same dimension-generic `lms-smooth`
-//! sweep bodies as the 2D `partitioned_smoothing` example.
+//! part-major 3D Gauss–Seidel. Everything here runs the same
+//! dimension-generic `lms-smooth` sweep bodies as the 2D
+//! `partitioned_smoothing` example.
 //!
 //! ```text
 //! cargo run --release --example partitioned_smoothing3d [side] [parts]
@@ -12,7 +12,6 @@
 
 use lms::mesh3d::{partition_tet_mesh, Adjacency3, ResidentEngine3, SmoothEngine3, SmoothParams3};
 use lms::part::PartitionMethod;
-use std::time::Instant;
 
 fn main() {
     let side: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20);
@@ -67,12 +66,10 @@ fn main() {
     );
 
     let mut res = mesh.clone();
-    let start = Instant::now();
     let report = engine.smooth(&mut res, 2);
-    let t_res = start.elapsed();
 
     let oracle =
-        SmoothEngine3::new(&mesh, params.clone()).with_visit_order(engine.part_major_visit_order());
+        SmoothEngine3::new(&mesh, params).with_visit_order(engine.part_major_visit_order());
     let mut ser = mesh.clone();
     oracle.smooth(&mut ser);
 
@@ -90,17 +87,5 @@ fn main() {
     println!(
         "exchange volume: {} full gather(s), {} full scatter(s), {} rounds, {} halo deliveries",
         volume.full_gathers, volume.full_scatters, volume.exchange_rounds, volume.halo_entries_sent
-    );
-
-    // --- wall clock vs the colored engine ---------------------------------
-    let colored = SmoothEngine3::new(&mesh, params);
-    let start = Instant::now();
-    colored.smooth_parallel_colored(&mut mesh.clone(), 2);
-    let t_col = start.elapsed();
-    println!(
-        "\nwall clock (2 threads, {} sweeps): resident {:.1} ms, colored {:.1} ms",
-        report.num_iterations(),
-        t_res.as_secs_f64() * 1e3,
-        t_col.as_secs_f64() * 1e3
     );
 }

@@ -16,10 +16,8 @@
 //!   decomposition-quality metrics.
 //! * [`smooth`] — the Laplacian Mesh Smoothing engines (serial Gauss–Seidel
 //!   on the incremental-quality hot path, Jacobi, greedy quality-driven,
-//!   the rayon-parallel static-chunk engine, colored deterministic
-//!   parallel Gauss–Seidel, and the domain-decomposed resident
-//!   halo-exchange [`smooth::ResidentEngine`]), with optional
-//!   memory-access tracing.
+//!   and the parallel, domain-decomposed resident halo-exchange
+//!   [`smooth::ResidentEngine`]), with optional memory-access tracing.
 //! * [`cache`] — the memory-behaviour substrate: exact reuse-distance
 //!   analysis, an inclusive multi-level LRU cache simulator (Westmere-EX
 //!   preset), the stack-distance miss model, the Eq. (2) cycle-cost model,

@@ -76,13 +76,17 @@ fn jacobi_smoothing_is_ordering_invariant_in_3d() {
 
 #[test]
 fn parallel_3d_smoothing_matches_serial() {
-    use lms::mesh3d::SmoothEngine3;
+    use lms::mesh3d::{ResidentEngine3, SmoothEngine3};
+    use lms::part::PartitionMethod;
     let base = scrambled_box(8, 4);
-    let params = SmoothParams3::paper().with_update(UpdateScheme3::Jacobi).with_max_iters(6);
-    let mut serial = base.clone();
-    SmoothEngine3::new(&base, params.clone()).smooth(&mut serial);
+    let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0).with_max_iters(4);
+    let (parts, method) = (4, PartitionMethod::Rcb);
     let mut par = base.clone();
-    SmoothEngine3::new(&base, params).smooth_parallel(&mut par, 4);
+    smooth(&mut par, params.clone(), Backend::Resident { parts, method, threads: 3 });
+    let part_major =
+        ResidentEngine3::by_method(&base, params.clone(), parts, method).part_major_visit_order();
+    let mut serial = base.clone();
+    SmoothEngine3::new(&base, params).with_visit_order(part_major).smooth(&mut serial);
     assert_eq!(serial.coords(), par.coords());
 }
 

@@ -107,14 +107,15 @@ fn delaunay_pipeline_smooths_cleanly() {
 fn parallel_and_serial_agree_through_the_full_stack() {
     let base = suite::generate(suite::find_spec("valve").unwrap(), 0.003);
     let mesh = compute_ordering(&base, OrderingKind::Rdr).apply_to_mesh(&base);
-    let params =
-        SmoothParams::paper().with_update(lms::smooth::UpdateScheme::Jacobi).with_max_iters(5);
-    let engine = SmoothEngine::new(&mesh, params.clone());
+    let params = SmoothParams::paper().with_smart(true).with_tol(-1.0).with_max_iters(5);
+    let (parts, method) = (4, PartitionMethod::Rcb);
 
-    let mut serial = mesh.clone();
-    let sr = engine.smooth(&mut serial);
     let mut parallel = mesh.clone();
-    let pr = engine.smooth_parallel(&mut parallel, 3);
+    let pr = smooth(&mut parallel, params.clone(), Backend::Resident { parts, method, threads: 3 });
+    let part_major =
+        ResidentEngine::by_method(&mesh, params.clone(), parts, method).part_major_visit_order();
+    let mut serial = mesh.clone();
+    let sr = SmoothEngine::new(&mesh, params).with_visit_order(part_major).smooth(&mut serial);
 
     assert_eq!(serial.coords(), parallel.coords());
     assert_eq!(sr.num_iterations(), pr.num_iterations());

@@ -147,21 +147,6 @@ proptest! {
         }
     }
 
-    /// Jacobi smoothing is schedule-independent: any thread count yields
-    /// bit-identical coordinates.
-    #[test]
-    fn jacobi_parallel_determinism(mesh in arb_mesh(), threads in 1usize..5) {
-        let params = SmoothParams::paper()
-            .with_update(lms::smooth::UpdateScheme::Jacobi)
-            .with_max_iters(3);
-        let engine = SmoothEngine::new(&mesh, params);
-        let mut a = mesh.clone();
-        engine.smooth_parallel(&mut a, 1);
-        let mut b = mesh.clone();
-        engine.smooth_parallel(&mut b, threads);
-        prop_assert_eq!(a.coords(), b.coords());
-    }
-
     /// Quality metrics stay within [0, 1] on arbitrary (even degenerate)
     /// triangles.
     #[test]
