@@ -12,11 +12,15 @@
 //! peak is that workload's. The rows are the long-lived structures; a
 //! resident engine's ledger is split into its blocks, its partition +
 //! exchange schedule + interface classes, and its inverse degrees. What
-//! the ledger does not reach (construction transients such as the serial
-//! engine a resident engine builds its blocks with, the resident ranks'
-//! run-time buffers, the allocator, the binary) is the gap to `VmHWM`.
-//! For the distributed workload the forked ranks' peak is printed too:
-//! a rank starts with every page the coordinator had resident at the fork.
+//! the ledger does not reach (construction transients such as the
+//! adjacency a resident engine builds its blocks from, the resident
+//! ranks' run-time buffers, the allocator, the binary) is the gap to
+//! `VmHWM`. A counting global allocator measures the live heap at the
+//! engine construction's peak and at the whole process's peak, printed
+//! beside `VmHWM`: when the construction's peak is the process's, setup,
+//! not the sweep, sets the resident set. For the distributed workload the
+//! forked ranks' peak is printed too: a rank starts with every page the
+//! coordinator had resident at the fork.
 
 use lms_dist::{DistResidentEngine, FtOptions};
 use lms_mesh::generators::perturbed_grid;
@@ -28,6 +32,26 @@ use lms_part::PartitionMethod;
 use lms_smooth::{
     DomainQualityCache, ResidentEngine, ResidentEngineOn, SmoothEngine, SmoothMesh, SmoothParams,
 };
+use lms_trace::CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Live heap bytes at the engine construction's peak, and at this
+/// process's peak before the construction.
+struct Peaks {
+    construction: usize,
+    earlier: usize,
+}
+
+/// Build the workload's engine, returning it and the live-heap peaks
+/// around the build.
+fn construct<T>(build: impl FnOnce() -> T) -> (T, Peaks) {
+    let earlier = ALLOC.peak();
+    ALLOC.reset_peak();
+    let engine = build();
+    (engine, Peaks { construction: ALLOC.peak(), earlier })
+}
 
 const SEED: u64 = 42;
 const JITTER: f64 = 0.35;
@@ -115,7 +139,7 @@ fn resident_rows<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     ]
 }
 
-fn print_ledger(workload: &str, rows: &[(String, usize)]) {
+fn print_ledger(workload: &str, rows: &[(String, usize)], peaks: Peaks) {
     println!("{workload}: heap_bytes() ledger at the peak");
     for (name, bytes) in rows {
         println!("  {name:<58} {:>8.1} MiB", mib(*bytes));
@@ -123,6 +147,13 @@ fn print_ledger(workload: &str, rows: &[(String, usize)]) {
     let sum: usize = rows.iter().map(|r| r.1).sum();
     let hwm = status_bytes("VmHWM:");
     println!("  {:<58} {:>8.1} MiB", "sum", mib(sum));
+    let process_peak = peaks.earlier.max(ALLOC.peak());
+    println!(
+        "  {:<58} {:>8.1} MiB",
+        "live heap at the construction's peak",
+        mib(peaks.construction)
+    );
+    println!("  {:<58} {:>8.1} MiB", "live heap at this process's peak", mib(process_peak));
     println!("  {:<58} {:>8.1} MiB", "VmHWM of this process", mib(hwm));
     println!(
         "  {:<58} {:>8.1} MiB",
@@ -134,7 +165,7 @@ fn print_ledger(workload: &str, rows: &[(String, usize)]) {
 fn rdr_serial() {
     let input = shuffled_input();
     let mut mesh = rdr_reorder(&input);
-    let engine = SmoothEngine::new(&mesh, params(10));
+    let (engine, peaks) = construct(|| SmoothEngine::new(&mesh, params(10)));
     // the cache the kernel builds, measured here and dropped before the run
     let cache = DomainQualityCache::build(&engine.domain(), mesh.coords()).heap_bytes();
     engine.smooth(&mut mesh);
@@ -146,6 +177,7 @@ fn rdr_serial() {
             ("SmoothEngine (adjacency, boundary, visit order)".into(), engine.heap_bytes()),
             ("DomainQualityCache (quality, orientation bit, 1/deg)".into(), cache),
         ],
+        peaks,
     );
 }
 
@@ -155,20 +187,21 @@ fn rdr_resident() {
     let adj = Adjacency::build(&mesh);
     let partition = lms_part::partition_mesh(&mesh, &adj, PARTS, PartitionMethod::Rcb);
     drop(adj);
-    let engine = ResidentEngine::new(&mesh, params(10), partition);
+    let (engine, peaks) = construct(|| ResidentEngine::new(&mesh, params(10), partition));
     engine.smooth(&mut mesh, 1);
     let mut rows = vec![
         ("input mesh (shuffled)".into(), input.heap_bytes()),
         ("reordered mesh (coordinates + the one triangle table)".into(), mesh.heap_bytes()),
     ];
     rows.extend(resident_rows("ResidentEngine", &engine));
-    print_ledger("tri2d-rdr-resident", &rows);
+    print_ledger("tri2d-rdr-resident", &rows, peaks);
 }
 
 fn ori_dist() {
     let input = perturbed_grid(768, 768, JITTER, SEED);
     let mut mesh = input.clone();
-    let engine = DistResidentEngine::by_method(&mesh, params(10), PARTS, PartitionMethod::Rcb);
+    let (engine, peaks) =
+        construct(|| DistResidentEngine::by_method(&mesh, params(10), PARTS, PartitionMethod::Rcb));
     let at_fork = status_bytes("VmRSS:");
     let result = engine.smooth_ft(&mut mesh, &FtOptions::default());
     assert!(result.is_ok(), "distributed run failed: {:?}", result.err());
@@ -177,7 +210,7 @@ fn ori_dist() {
         ("working copy (its coordinates; the table is shared)".into(), size_of_val(mesh.coords())),
     ];
     rows.extend(resident_rows("DistResidentEngine's ResidentEngine", engine.inner()));
-    print_ledger("tri2d-ori-dist (coordinator)", &rows);
+    print_ledger("tri2d-ori-dist (coordinator)", &rows, peaks);
     let children = children_peak_bytes();
     println!("  {:<58} {:>8.1} MiB", "coordinator VmRSS at the fork", mib(at_fork));
     println!("  {:<58} {:>8.1} MiB", "largest forked rank's ru_maxrss", mib(children));
@@ -187,14 +220,15 @@ fn tet_resident() {
     let input: TetMesh = perturbed_tet_grid(48, 48, 48, JITTER, SEED);
     let mut mesh = input.clone();
     let params = SmoothParams3::paper().with_smart(true).with_tol(-1.0).with_max_iters(5);
-    let engine = ResidentEngine3::by_method(&mesh, params, PARTS, PartitionMethod::Rcb);
+    let (engine, peaks) =
+        construct(|| ResidentEngine3::by_method(&mesh, params, PARTS, PartitionMethod::Rcb));
     engine.smooth(&mut mesh, 1);
     let mut rows = vec![
         ("input mesh".into(), input.heap_bytes()),
         ("working copy (its coordinates; the table is shared)".into(), size_of_val(mesh.coords())),
     ];
     rows.extend(resident_rows("ResidentEngine3", &engine));
-    print_ledger("tet3d-ori-resident", &rows);
+    print_ledger("tet3d-ori-resident", &rows, peaks);
 }
 
 fn main() {

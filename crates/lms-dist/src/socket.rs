@@ -258,8 +258,7 @@ impl Listener {
         &self.target
     }
 
-    /// The raw listening descriptor (a forked worker sheds its inherited
-    /// copy).
+    /// The raw listening descriptor (what the accept loop polls).
     pub(crate) fn raw_fd(&self) -> i32 {
         match &self.kind {
             ListenerKind::Tcp(l) => l.as_raw_fd(),

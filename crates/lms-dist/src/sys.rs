@@ -3,8 +3,9 @@
 //! pipes or sockets), and detect failed ranks (`poll(2)` read timeouts,
 //! `kill(2)`, non-blocking `waitpid`), declared directly against the C
 //! library `std` already links (the build container has no crates
-//! registry, so the `libc` crate is out of reach; these eleven symbols
-//! are stable POSIX).
+//! registry, so the `libc` crate is out of reach; these symbols are
+//! stable POSIX, plus Linux's `close_range(2)`, which glibc wraps since
+//! 2.34).
 //!
 //! Everything here is Linux-safe under a multithreaded parent: glibc
 //! registers `pthread_atfork` handlers that make `malloc` usable in the
@@ -39,6 +40,7 @@ mod ffi {
         pub fn _exit(code: i32) -> !;
         pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         pub fn getpid() -> i32;
+        pub fn close_range(first: u32, last: u32, flags: i32) -> i32;
     }
 }
 
@@ -146,13 +148,37 @@ pub fn pipe() -> io::Result<(Fd, Fd)> {
     Ok((Fd(fds[0]), Fd(fds[1])))
 }
 
-/// Close a raw descriptor number directly — for a forked child shedding
-/// copies of descriptors still *owned* (as [`Fd`] values) by the parent's
-/// address-space image.
-pub fn close_raw(fd: i32) {
-    // SAFETY: `close(2)` takes a plain integer and touches no memory of
-    // this process; a stale or unknown `fd` only makes it fail.
-    unsafe { ffi::close(fd) };
+/// Close every descriptor from 3 up except those in `keep` — what a
+/// forked rank runs first, so that it holds no descriptor of the image
+/// it was forked from but its own. Not the coordinator's channels to
+/// other ranks, and not a pipe another engine or thread of the parent
+/// opened: a rank holding that pipe's write end would delay its EOF for
+/// as long as the rank lives (ranks never `exec`, so `O_CLOEXEC` does not
+/// help). One `close_range(2)` per gap around the kept descriptors
+/// (Linux 5.9 and later); sorts `keep` in place and allocates nothing.
+pub fn close_all_but(keep: &mut [i32]) -> io::Result<()> {
+    keep.sort_unstable();
+    let mut first = 3u32;
+    let close = |first: u32, last: u32| {
+        // SAFETY: `close_range(2)` takes plain integers and touches no
+        // memory of this process; it closes descriptors, nothing else.
+        if unsafe { ffi::close_range(first, last, 0) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    };
+    for &fd in keep.iter() {
+        // stdio, negative slots and repeats are already past
+        let Ok(fd) = u32::try_from(fd) else { continue };
+        if fd < first {
+            continue;
+        }
+        if fd > first {
+            close(first, fd - 1)?;
+        }
+        first = fd + 1;
+    }
+    close(first, u32::MAX)
 }
 
 /// `fork(2)`: `Ok(0)` in the child, `Ok(pid)` in the parent.
@@ -492,8 +518,7 @@ impl TimeoutReader {
         TimeoutReader { fd, timeout_ms, waited_ns: 0, hidden_waited_ns: 0 }
     }
 
-    /// The raw descriptor number (for a forked child shedding inherited
-    /// copies via [`close_raw`]).
+    /// The raw descriptor number.
     pub fn raw(&self) -> i32 {
         self.fd.raw()
     }
@@ -583,6 +608,39 @@ mod tests {
         let mut buf = [0u8; 3];
         r.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"lms");
+    }
+
+    #[test]
+    fn close_all_but_keeps_stdio_and_the_kept_descriptors() {
+        let (mut r, mut w) = pipe().unwrap();
+        let (kept_r, mut kept_w) = pipe().unwrap();
+        let (_other_r, mut other_w) = pipe().unwrap();
+        // SAFETY: the child writes to its own pipe ends and leaves via
+        // `exit_now`; it takes no lock of the parent image.
+        let pid = unsafe { fork() }.unwrap();
+        if pid == 0 {
+            let mut keep = [kept_w.raw(), w.raw(), -1, w.raw()];
+            let code = match close_all_but(&mut keep) {
+                // the kept ends still write; another pipe's end is gone
+                Ok(()) => {
+                    let wrote = w.write_all(b"w").is_ok() && kept_w.write_all(b"k").is_ok();
+                    let gone = other_w.write(b"x").is_err();
+                    i32::from(!(wrote && gone))
+                }
+                Err(_) => 2,
+            };
+            exit_now(code);
+        }
+        drop((w, kept_w, other_w));
+        let status = WaitStatus(wait_pid(pid).unwrap());
+        assert!(status.clean(), "child: {status}");
+        let mut buf = Vec::new();
+        r.read_to_end(&mut buf).unwrap();
+        assert_eq!(buf, b"w");
+        let mut kept_r = kept_r;
+        buf.clear();
+        kept_r.read_to_end(&mut buf).unwrap();
+        assert_eq!(buf, b"k");
     }
 
     #[test]

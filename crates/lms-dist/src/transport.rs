@@ -9,9 +9,10 @@
 //! [`ProcessTransport::listen`] serves external standalone workers.
 //! Each forked child inherits the engine's immutable topology — its
 //! [`ResidentBlock`], the [`ExchangeSchedule`] and the scoring view —
-//! copy-on-write at fork time, builds its [`ResidentRank`] and serves
-//! frames; only *run state* ever crosses the wire: one gather of block
-//! coordinates, per-color-step coalesced halo-delta batches,
+//! copy-on-write at fork time, closes every descriptor it inherited but
+//! its own channel ([`sys::close_all_but`]), builds its [`ResidentRank`]
+//! and serves frames; only *run state* ever crosses the wire: one gather
+//! of block coordinates, per-color-step coalesced halo-delta batches,
 //! per-iteration stat reports and sparse checkpoint replies.
 //!
 //! # The coordinator loop
@@ -263,9 +264,8 @@ struct RankChannel {
     /// The read end; owns the descriptor and keeps the per-rank
     /// poll-wait totals the stall diagnosis reports.
     from_rank: TimeoutReader,
-    /// Raw descriptor numbers of the two parent-side stream ends, so a
-    /// child forked *later* (a recovery respawn) can shed its inherited
-    /// copies of them.
+    /// Raw descriptor numbers of the two parent-side stream ends (what
+    /// the multiplexer polls).
     to_fd: i32,
     from_fd: i32,
     pending: Pending,
@@ -521,15 +521,12 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         // single-threaded worker loop, leaving only via `_exit`.
         let pid = unsafe { sys::fork() }.map_err(DistError::Spawn)?;
         if pid == 0 {
-            // shed every coordinator-side descriptor inherited from the
-            // parent image: the live channels' ends plus the parent ends
-            // of this rank's own fresh pipes
-            for channel in &self.ranks {
-                sys::close_raw(channel.to_fd);
-                sys::close_raw(channel.from_fd);
+            // shed every descriptor inherited from the parent image but
+            // the child ends of this rank's own fresh pipes
+            if let Err(e) = sys::close_all_but(&mut [child_in.raw(), child_out.raw()]) {
+                eprintln!("lms-dist rank worker: cannot close inherited descriptors: {e}");
+                sys::exit_now(102);
             }
-            sys::close_raw(to_rank.raw());
-            sys::close_raw(from_rank.raw());
             let rank = ResidentRank::new(
                 self.dom,
                 &self.cfg,
@@ -559,28 +556,22 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         p: u32,
         worker_faults: WorkerFaults,
     ) -> Result<RankChannel, DistError> {
-        let (target, policy, listener_fd, parked_fds) = match &self.link {
-            Link::Socket { listener, supervisor, parked, .. } => (
-                listener.target().clone(),
-                supervisor.retry_policy(p),
-                listener.raw_fd(),
-                parked.iter().flat_map(|(_, (r, w))| [r.raw(), w.raw()]).collect::<Vec<i32>>(),
-            ),
+        let (target, policy) = match &self.link {
+            Link::Socket { listener, supervisor, .. } => {
+                (listener.target().clone(), supervisor.retry_policy(p))
+            }
             Link::Pipes => unreachable!("socket spawn on a pipe link"),
         };
         // SAFETY: as in `spawn_rank_pipes` — single-threaded child,
         // leaves only via `_exit`.
         let pid = unsafe { sys::fork() }.map_err(DistError::Spawn)?;
         if pid == 0 {
-            // shed every coordinator-side descriptor: live channel
-            // streams, the listener, and any parked connections
-            for channel in &self.ranks {
-                sys::close_raw(channel.to_fd);
-                sys::close_raw(channel.from_fd);
-            }
-            sys::close_raw(listener_fd);
-            for fd in parked_fds {
-                sys::close_raw(fd);
+            // shed every descriptor inherited from the parent image (the
+            // live channel streams, the listener, parked connections, any
+            // other engine's pipes) before dialling a fresh stream
+            if let Err(e) = sys::close_all_but(&mut []) {
+                eprintln!("lms-dist rank worker: cannot close inherited descriptors: {e}");
+                sys::exit_now(102);
             }
             if worker_faults.refuse_connect {
                 // the refused-connect regime: leave before ever dialling,
@@ -1732,6 +1723,27 @@ mod tests {
     use super::*;
     use lms_part::PartitionMethod;
     use lms_smooth::{ResidentEngine, SmoothParams};
+
+    /// A rank holds no descriptor of the image it was forked from but its
+    /// own channel: a pipe opened before the spawn reads EOF as soon as
+    /// the parent drops its write end, while the ranks live on.
+    #[test]
+    fn ranks_do_not_hold_a_pipe_opened_before_their_spawn() {
+        let mesh = lms_mesh::generators::perturbed_grid(8, 8, 0.35, 5);
+        let engine =
+            ResidentEngine::by_method(&mesh, SmoothParams::paper(), 2, PartitionMethod::Rcb);
+        let (dom, cfg) = (engine.scoring(), engine.domain_config());
+        let (r, w) = sys::pipe().unwrap();
+        let (blocks, schedule) = (engine.blocks(), engine.exchange_schedule());
+        let transport =
+            ProcessTransport::spawn(&dom, &cfg, blocks, schedule, 5_000, FaultPlan::none(), false)
+                .expect("spawn");
+        drop(w);
+        let mut reader = TimeoutReader::new(r, 2_000);
+        let read = io::Read::read(&mut reader, &mut [0u8; 1]).map_err(|e| e.kind());
+        assert_eq!(read, Ok(0), "a rank holds the write end");
+        assert_eq!(transport.num_ranks(), 2);
+    }
 
     #[test]
     fn malformed_halo_batches_are_rejected_and_well_formed_ones_pass() {

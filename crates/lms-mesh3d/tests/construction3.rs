@@ -15,6 +15,9 @@
 //! * every resident block vector is allocated at its final length, and
 //!   the resident ledger is its partition, schedule, classes, blocks and
 //!   inverse degrees — no topology;
+//! * every stat weight a block forms equals the per-element weight table
+//!   it replaced, bit for bit, and every changeable tet has exactly one
+//!   stat owner;
 //! * the mesh, its clones and every engine built from it share one
 //!   tetrahedron table, and `orient_positive` on a clone copies the
 //!   clone's.
@@ -60,6 +63,12 @@ fn resident_blocks_are_exact_size() {
 fn resident_ledger_is_its_parts() {
     let mesh = perturbed_tet_grid(6, 5, 5, 0.3, 6);
     checks::resident_ledger_is_its_parts(&mesh, params(), 4);
+}
+
+#[test]
+fn stat_weights_equal_the_table_oracle() {
+    let mesh = perturbed_tet_grid(6, 5, 5, 0.3, 6);
+    checks::stat_weights_equal_the_table_oracle(&mesh, params(), 4);
 }
 
 #[test]

@@ -378,6 +378,47 @@ pub fn formed_weights_equal_the_oracle<const C: usize, D: SmoothDomain<C>>(dom: 
     order_sensitive
 }
 
+/// Every stat weight a resident block forms equals the rule of the
+/// per-element weight table the blocks once stored, bit for bit: for
+/// local element `i` of part `p` over global element `t`, the
+/// [`element_weights`] oracle's `w_t` when `p` owns `t`'s smallest
+/// movable corner, `0.0` otherwise — over `num_parts` parts of every
+/// partition method. And every element with a movable corner is
+/// stat-owned by exactly one part, every other element by none.
+pub fn stat_weights_equal_the_table_oracle<const C: usize, const D: usize, M>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+) where
+    M: SmoothMesh<C, D>,
+{
+    let serial = SmoothEngineOn::new(mesh, params.clone());
+    let dom = serial.domain();
+    let table = element_weights(&dom);
+    for method in PartitionMethod::ALL {
+        let name = method.name();
+        let engine = ResidentEngineOn::by_method(mesh, params.clone(), num_parts, method);
+        let partition = engine.partition();
+        let mut owners = vec![0u32; table.len()];
+        for (p, block) in engine.blocks().iter().enumerate() {
+            for (i, &t) in block.elem_globals().iter().enumerate() {
+                let corners = &dom.elements()[t as usize];
+                let smallest = corners.iter().copied().filter(|&c| dom.is_interior(c)).min();
+                let owned = smallest.map(|v| partition.part_of(v)) == Some(p as u32);
+                let expected = if owned { table[t as usize] } else { 0.0 };
+                let formed = block.stat_weights().get(i);
+                assert_eq!(formed.to_bits(), expected.to_bits(), "{name}: part {p}, element {t}");
+                owners[t as usize] += u32::from(block.stat_weights().owns(i));
+            }
+        }
+        for (t, corners) in dom.elements().iter().enumerate() {
+            let movable = corners.iter().any(|&c| dom.is_interior(c));
+            let count = owners[t];
+            assert_eq!(count, u32::from(movable), "{name}: element {t} has {count} owners");
+        }
+    }
+}
+
 /// Handed the adjacency of a cut-down mesh over the same vertices, every
 /// engine builds on that adjacency — and the boundary derived from it —
 /// not the mesh's: the serial engine holds it, and the resident engine
@@ -649,6 +690,10 @@ pub fn part_major_order_covers_interior_once<const C: usize, const D: usize, M>(
 /// Every vector of every resident block over `num_parts` RCB parts holds
 /// exactly its length: the block build reserves each one from counts
 /// taken before the fill, so no block carries growth slack through a run.
+/// The per-element and per-local-vertex vectors have their closed-form
+/// lengths: one corner row per local element, one stat-ownership bit per
+/// local element packed 64 to a word, one inverse degree per owned or
+/// halo vertex.
 pub fn resident_blocks_are_exact_size<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &M,
     params: M::Params,
@@ -656,16 +701,49 @@ pub fn resident_blocks_are_exact_size<const C: usize, const D: usize, M: SmoothM
 ) {
     let engine = ResidentEngineOn::by_method(mesh, params, num_parts, PartitionMethod::Rcb);
     for (p, block) in engine.blocks().iter().enumerate() {
-        for (field, len, capacity) in block.vec_shapes() {
+        let shapes = block.vec_shapes();
+        for &(field, len, capacity) in &shapes {
             assert_eq!(capacity, len, "part {p}: `{field}` has {len} entries in {capacity} slots");
         }
+        let len_of = |name: &str| shapes.iter().find(|s| s.0 == name).expect("a block field").1;
+        let elems = block.elem_globals().len();
+        assert_eq!(len_of("elem_corners"), elems, "part {p}");
+        assert_eq!(len_of("stat_owned"), elems.div_ceil(64), "part {p}");
+        assert_eq!(len_of("inv_deg"), block.owned().len() + block.halo().len(), "part {p}");
     }
+}
+
+/// Building a resident engine never holds the adjacency it is handed and
+/// the finished engine at once. Measured with `alloc`, which must be the
+/// binary's global allocator: the most bytes the build holds at once
+/// over what was live before it (the mesh, the adjacency, the partition)
+/// stays below what the finished engine adds to the partition — which it
+/// would reach, and pass, if the adjacency lived on while the last of the
+/// blocks were allocated. Returns `(peak over before, engine bytes)`.
+pub fn construction_never_holds_the_adjacency_and_the_engine<const C: usize, const D: usize, M>(
+    mesh: &M,
+    params: M::Params,
+    num_parts: usize,
+    alloc: &lms_trace::CountingAlloc,
+) -> (usize, usize)
+where
+    M: SmoothMesh<C, D>,
+{
+    let adj = mesh.build_adjacency();
+    let partition = partition_mesh(mesh, &adj, num_parts, PartitionMethod::Rcb);
+    let (engine, peak) =
+        alloc.peak_over(|| ResidentEngineOn::with_adjacency(mesh, adj, params, partition));
+    let added = engine.heap_bytes() - engine.partition().heap_bytes();
+    assert!(peak < added, "the build peaked {peak} B over its inputs; the engine adds {added} B");
+    (peak, added)
 }
 
 /// A resident engine's heap ledger is its parts and nothing else: the
 /// partition, the exchange schedule, the interface classes, the blocks
 /// and one inverse degree per vertex — no adjacency, boundary, visit
-/// order or color-class term, and no element table.
+/// order or color-class term, and no element table. A block's bytes are
+/// its `u32` rows, its corner table, its stat-ownership words and its
+/// local inverse degrees — no per-element weight table.
 pub fn resident_ledger_is_its_parts<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     mesh: &M,
     params: M::Params,
@@ -678,6 +756,20 @@ pub fn resident_ledger_is_its_parts<const C: usize, const D: usize, M: SmoothMes
     let classes = engine.interface_classes();
     let class_bytes = std::mem::size_of_val(classes) + classes.iter().map(vec_bytes).sum::<usize>();
     let blocks = engine.blocks();
+    for (p, block) in blocks.iter().enumerate() {
+        // u32 rows, C-corner rows, 64-bit ownership words, f64 inverse
+        // degrees: nothing else
+        let bytes: usize = block
+            .vec_shapes()
+            .into_iter()
+            .map(|(field, len, _)| match field {
+                "elem_corners" => 4 * C * len,
+                "stat_owned" | "inv_deg" => 8 * len,
+                _ => 4 * len,
+            })
+            .sum();
+        assert_eq!(block.heap_bytes(), bytes, "part {p}");
+    }
     let block_bytes = std::mem::size_of_val(blocks)
         + blocks.iter().map(crate::resident::ResidentBlock::heap_bytes).sum::<usize>();
     let inv_deg_bytes = 8 * mesh.coords().len();

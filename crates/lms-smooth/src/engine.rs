@@ -10,8 +10,8 @@
 //! [`SmoothEngine`]), `lms_mesh3d::TetMesh` in its own crate (`C = 4`,
 //! `lms_mesh3d::SmoothEngine3`). The decomposed engines built on top of it
 //! live in [`crate::resident`]; the greedy color classes they step their
-//! interface vertices through come from
-//! [`interior_color_classes`](SmoothEngineOn::interior_color_classes).
+//! interface vertices through come from [`interior_color_classes`], which
+//! needs only an adjacency and a domain view, not an engine.
 
 use crate::config::{IterationPolicy, SmoothParams};
 use crate::domain::{
@@ -157,6 +157,36 @@ impl SmoothMesh<3, 2> for TriMesh {
     }
 }
 
+/// Panic unless `adj` was built for `mesh`'s vertex count — the check
+/// every engine constructor that is handed an adjacency runs first.
+pub(crate) fn assert_adjacency_fits<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    mesh: &M,
+    adj: &M::Adjacency,
+) {
+    assert_eq!(
+        adj.num_vertices(),
+        mesh.coords().len(),
+        "adjacency was built for {} vertices, the mesh has {}",
+        adj.num_vertices(),
+        mesh.coords().len()
+    );
+}
+
+/// Greedy coloring of the vertex–vertex adjacency `adj`, with each color
+/// class restricted to the interior vertices of `dom` (ascending within
+/// a class) — the schedule a resident engine steps its interface
+/// vertices through. [`SmoothEngineOn::interior_color_classes`] caches
+/// it; a resident engine computes it once at construction.
+pub fn interior_color_classes<const C: usize, D: SmoothDomain<C>>(
+    adj: &impl Graph,
+    dom: &D,
+) -> Vec<Vec<u32>> {
+    greedy_coloring_on(adj)
+        .classes()
+        .map(|class| class.iter().copied().filter(|&v| dom.is_interior(v)).collect())
+        .collect()
+}
+
 /// A smoothing engine bound to one mesh topology, for any [`SmoothMesh`].
 ///
 /// Construction precomputes the adjacency, the boundary flags and the
@@ -198,13 +228,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
     /// # Panics
     /// When `adj` was built for a different number of vertices.
     pub fn with_adjacency(mesh: &M, adj: M::Adjacency, params: M::Params) -> Self {
-        assert_eq!(
-            adj.num_vertices(),
-            mesh.coords().len(),
-            "adjacency was built for {} vertices, the mesh has {}",
-            adj.num_vertices(),
-            mesh.coords().len()
-        );
+        assert_adjacency_fits(mesh, &adj);
         let boundary = mesh.boundary(&adj);
         let mut visit = mesh.visit_order(&adj, &boundary, &params);
         // the order lives as long as the engine: drop any growth slack
@@ -284,19 +308,10 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> SmoothEngineOn<C, D, M
         &self.visit
     }
 
-    /// Greedy coloring of the engine's vertex–vertex adjacency, with each
-    /// color class restricted to interior vertices (ascending within a
-    /// class) — the schedule a resident engine steps its interface
-    /// vertices through. Computed once per engine (topology-only) and
-    /// cached.
+    /// The free [`interior_color_classes`] over the engine's adjacency and
+    /// domain. Computed once per engine (topology-only) and cached.
     pub fn interior_color_classes(&self) -> &[Vec<u32>] {
-        self.color_classes.get_or_init(|| {
-            let dom = self.domain();
-            greedy_coloring_on(&self.adj)
-                .classes()
-                .map(|class| class.iter().copied().filter(|&v| dom.is_interior(v)).collect())
-                .collect()
-        })
+        self.color_classes.get_or_init(|| interior_color_classes(&self.adj, &self.domain()))
     }
 
     /// Bytes the engine owns on the heap: adjacency, boundary flags, visit

@@ -50,10 +50,12 @@
 //! *stat-owned* by exactly one part (the part owning its smallest movable
 //! corner), and every part accumulates `w_t·Δq_t` over its own commits and
 //! halo re-scores. The engine keeps one inverse star size per vertex, not
-//! one weight per element: a block's stat weights and the drive loop's
-//! initial running sum form each `w_t` from its corners' inverse degrees
-//! in corner order, the expression the quality cache uses, so every
-//! weight has the same bits wherever it is formed. Part deltas fold into
+//! one weight per element, and a block keeps one stat-ownership bit per
+//! local element and one inverse star size per local vertex: a rank's
+//! stat weights and the drive loop's initial running sum form each `w_t`
+//! from its corners' inverse degrees in corner order, the expression the
+//! quality cache uses, so every weight has the same bits wherever it is
+//! formed. Part deltas fold into
 //! a Neumaier-compensated running sum in part order, so reports are
 //! bitwise-deterministic for any thread count; it tracks the exact
 //! quality to a few ulps, so disable the tolerance (`tol < 0`) when exact
@@ -66,22 +68,29 @@
 //!
 //! The engine is written once, generic over the mesh dimension
 //! ([`SmoothMesh`]): [`ResidentEngine`] is the triangle-mesh alias,
-//! `lms_mesh3d::ResidentEngine3` the tetrahedral one. Construction runs
-//! that dimension's serial [`SmoothEngineOn`] over the handed adjacency
-//! to colour the interface and build the blocks, then drops it: a built
-//! engine keeps only what its runs read — the blocks, the partition, the
-//! exchange schedule, the interface classes, the inverse degrees, the
-//! mesh's shared element table and the parameters. Runs score through
-//! the topology-free [`SmoothMesh::Scoring`] view; no global adjacency,
-//! boundary or visit order outlives setup, and no run holds a table with
-//! one entry per element (each rank scores its own block at the gather,
-//! and the drive loop streams the global quality through a per-vertex
-//! scatter).
+//! `lms_mesh3d::ResidentEngine3` the tetrahedral one. Construction builds
+//! no serial engine and no visit order: it classifies the boundary of
+//! the handed adjacency, colours the interface
+//! ([`crate::engine::interior_color_classes`]) and builds the blocks in
+//! two stages around the adjacency's lifetime. The first stage reads the
+//! topology — it deals the elements to the parts and copies each block's
+//! sweep lists and CSR rows; then the adjacency and the boundary are
+//! dropped, and the second stage fills each block's corner table, stat
+//! ownership, inverse degrees and halo incidence from the element table
+//! alone. So the adjacency and the finished blocks are never live
+//! together, and a built engine keeps only what its runs read — the
+//! blocks, the partition, the exchange schedule, the interface classes,
+//! the inverse degrees, the mesh's shared element table and the
+//! parameters. Runs score through the topology-free
+//! [`SmoothMesh::Scoring`] view; no global adjacency, boundary or visit
+//! order outlives setup, and no run holds a table with one entry per
+//! element (each rank scores its own block at the gather, and the drive
+//! loop streams the global quality through a per-vertex scatter).
 
 use crate::config::UpdateScheme;
 use crate::dcache::{element_weight, inverse_degrees};
 use crate::domain::{DomainConfig, DomainPoint, ScoringDomain, SmoothDomain};
-use crate::engine::{SmoothEngineOn, SmoothMesh};
+use crate::engine::{assert_adjacency_fits, interior_color_classes, SmoothMesh};
 use crate::kernel::{score_all_rows, score_ids_into, sweep, StarLedger};
 use crate::pool::PoolCache;
 use crate::soa::SoaScores;
@@ -168,11 +177,13 @@ pub struct ResidentBlock<const C: usize> {
     /// Global ids ascending; corners as local ids.
     elem_globals: Vec<u32>,
     elem_corners: Vec<[u32; C]>,
-    /// Per local element: the global weight `w_t` when this part
-    /// stat-owns the element (it owns the smallest movable corner),
-    /// `0.0` otherwise — multiplying score deltas by this folds each
-    /// element's quality change into exactly one part's accumulator.
-    elem_weight: Vec<f64>,
+    /// One bit per local element, 64 to a word: set when this part
+    /// stat-owns the element (it owns the element's smallest movable
+    /// corner); see [`StatWeights::get`].
+    stat_owned: Vec<u64>,
+    /// Inverse star size `1/deg_t(v)` per local vertex, owned then halo —
+    /// what the stat weights are formed from.
+    inv_deg: Vec<f64>,
     /// Per halo local (index − `num_owned`): incident local elements —
     /// what a delivered halo coordinate forces us to re-score.
     halo_vt_offsets: Vec<u32>,
@@ -208,11 +219,17 @@ impl<const C: usize> ResidentBlock<C> {
         &self.elem_globals
     }
 
+    /// What the block's stat weights are formed from.
+    pub(crate) fn stat_weights(&self) -> StatWeights<'_, C> {
+        StatWeights { owned: &self.stat_owned, inv_deg: &self.inv_deg, corners: &self.elem_corners }
+    }
+
     /// Bytes the block owns on the heap.
     pub fn heap_bytes(&self) -> usize {
         self.u32_vecs().into_iter().map(|(_, v)| vec_bytes(v)).sum::<usize>()
             + vec_bytes(&self.elem_corners)
-            + vec_bytes(&self.elem_weight)
+            + vec_bytes(&self.stat_owned)
+            + vec_bytes(&self.inv_deg)
     }
 
     /// Every `u32` vector of the block, by field name.
@@ -243,8 +260,42 @@ impl<const C: usize> ResidentBlock<C> {
         let mut shapes: Vec<_> =
             self.u32_vecs().into_iter().map(|(name, v)| (name, v.len(), v.capacity())).collect();
         shapes.push(("elem_corners", self.elem_corners.len(), self.elem_corners.capacity()));
-        shapes.push(("elem_weight", self.elem_weight.len(), self.elem_weight.capacity()));
+        shapes.push(("stat_owned", self.stat_owned.len(), self.stat_owned.capacity()));
+        shapes.push(("inv_deg", self.inv_deg.len(), self.inv_deg.capacity()));
         shapes
+    }
+}
+
+/// A block's stat-ownership bits, local inverse degrees and corner
+/// table, borrowed as slices so that a sweep's ledger holds them itself:
+/// a ledger that reached them through the block re-read the vectors'
+/// headers at every commit, and its resident sweeps ran ~30 % slower.
+#[derive(Clone, Copy)]
+pub(crate) struct StatWeights<'b, const C: usize> {
+    owned: &'b [u64],
+    inv_deg: &'b [f64],
+    corners: &'b [[u32; C]],
+}
+
+impl<const C: usize> StatWeights<'_, C> {
+    /// Whether the part stat-owns local element `i`.
+    #[inline(always)]
+    pub(crate) fn owns(&self, i: usize) -> bool {
+        self.owned[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// The stat weight of local element `i`: its weight `w_t`, formed from
+    /// the block's inverse degrees in corner order, when the part
+    /// stat-owns it, `0.0` otherwise — multiplying score deltas by this
+    /// folds each element's quality change into exactly one part's
+    /// accumulator.
+    #[inline(always)]
+    pub(crate) fn get(&self, i: usize) -> f64 {
+        if self.owns(i) {
+            element_weight(self.inv_deg, &self.corners[i])
+        } else {
+            0.0
+        }
     }
 }
 
@@ -572,9 +623,10 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         let (pts, corners) = (&self.coords, &block.elem_corners);
         let fresh = score_ids_into(self.dom, pts, corners, queue, scalar, &mut self.star);
         self.scored += queue.len() as u64;
+        let weights = block.stat_weights();
         for (&lt, &(q, pos)) in queue.iter().zip(fresh) {
             let i = lt as usize;
-            self.delta += block.elem_weight[i] * (q - self.scores.q(i));
+            self.delta += weights.get(i) * (q - self.scores.q(i));
             self.scores.set(i, (q, pos));
             self.dirty_mark[i] = false;
         }
@@ -681,7 +733,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         let block = self.block;
         let mut ledger = RankLedger {
             rows: span.arrays(block),
-            elem_weight: &block.elem_weight,
+            weights: block.stat_weights(),
             scores: &mut self.scores,
             delta: &mut self.delta,
             dirty_mark: &mut self.dirty_mark,
@@ -699,9 +751,9 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
 /// part's stat delta and stores the star's scores; a plain move queues
 /// the star for the iteration-end re-score. Interface spans record every
 /// move for the round's exchange.
-struct RankLedger<'r, 's> {
+struct RankLedger<'r, 's, const C: usize> {
     rows: SpanRows<'r>,
-    elem_weight: &'r [f64],
+    weights: StatWeights<'r, C>,
     scores: &'s mut SoaScores,
     delta: &'s mut f64,
     dirty_mark: &'s mut [bool],
@@ -709,7 +761,7 @@ struct RankLedger<'r, 's> {
     round_moved: Option<&'s mut Vec<u32>>,
 }
 
-impl<'r, P> StarLedger<'r, P> for RankLedger<'r, '_> {
+impl<'r, P, const C: usize> StarLedger<'r, P> for RankLedger<'r, '_, C> {
     const IN_PLACE: bool = true;
 
     #[inline(always)]
@@ -732,7 +784,7 @@ impl<'r, P> StarLedger<'r, P> for RankLedger<'r, '_> {
     fn commit(&mut self, lv: u32, _candidate: P, ts: &[u32], scores: &[(f64, bool)]) {
         for (&lt, &(q_new, pos_new)) in ts.iter().zip(scores) {
             let i = lt as usize;
-            *self.delta += self.elem_weight[i] * (q_new - self.scores.q(i));
+            *self.delta += self.weights.get(i) * (q_new - self.scores.q(i));
             self.scores.set(i, (q_new, pos_new));
         }
         if let Some(moved) = &mut self.round_moved {
@@ -756,10 +808,14 @@ impl<'r, P> StarLedger<'r, P> for RankLedger<'r, '_> {
 
 /// Build every part's resident topology for a domain + decomposition +
 /// interface color classes. Also returns the inverse star size
-/// `1/deg_t(v)` of every vertex (the table the per-block stat weights
-/// are formed from), which [`ResidentEngineOn::smooth`] forms the
-/// initial running sum's element weights from — computed here once
+/// `1/deg_t(v)` of every vertex, which [`ResidentEngineOn::smooth`] forms
+/// the initial running sum's element weights from — computed here once
 /// instead of once per run.
+///
+/// The same two stages as [`ResidentEngineOn::with_adjacency`]: the
+/// first reads `dom`'s topology, the second only its element table (the
+/// engine drops its adjacency between them; here `dom` simply outlives
+/// both).
 ///
 /// Cost `O(C·T + Σ block size)`, no sort: one pass over the elements in
 /// index order deals each to the part of every mesh-interior corner, so
@@ -771,18 +827,43 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     partition: &Partition,
     interface_classes: &[Vec<u32>],
 ) -> (Vec<ResidentBlock<C>>, Vec<f64>) {
+    deal_blocks(dom, partition, interface_classes).finish(dom.elements())
+}
+
+/// What the first stage of the block build leaves for the second: every
+/// block with its sweep lists, CSR rows and element list filled and its
+/// element-table fields (corners, stat ownership, inverse degrees, halo
+/// incidence) still empty, plus each element's stat owner and every
+/// vertex's inverse degree. It borrows nothing, so the topology the first
+/// stage read can be dropped before the second runs.
+struct DealtBlocks<const C: usize> {
+    blocks: Vec<ResidentBlock<C>>,
+    /// Per element: the part owning its smallest mesh-interior (movable)
+    /// corner, `u32::MAX` for an element with none.
+    stat_owner: Vec<u32>,
+    inv_deg: Vec<f64>,
+}
+
+/// Stage 1, while the topology is live: find every element's stat
+/// owner, deal the elements to the parts and copy each block's sweep
+/// lists and CSR rows.
+fn deal_blocks<const C: usize, D: SmoothDomain<C>>(
+    dom: &D,
+    partition: &Partition,
+    interface_classes: &[Vec<u32>],
+) -> DealtBlocks<C> {
     let n = dom.num_vertices();
     let elements = dom.elements();
     let inv_deg = inverse_degrees(dom);
 
     // One pass over the elements in index order finds each one's stat
-    // owner — the part owning its smallest mesh-interior (movable) corner;
-    // unchangeable elements have none — and counts the local element set
-    // of every part that sweeps one of its corners; a second pass deals
-    // the elements into lists reserved at those counts. A block sweeps
-    // exactly its owned mesh-interior vertices, and an element's visits
-    // to a part are consecutive, so comparing with the part's last
-    // element is all the deduplication there is.
+    // owner — the part owning its smallest mesh-interior (movable)
+    // corner; unchangeable elements have none — and counts the local
+    // element set of every part that sweeps one of its corners; a
+    // second pass deals the elements into lists reserved at those
+    // counts. A block sweeps exactly its owned mesh-interior vertices,
+    // and an element's visits to a part are consecutive, so comparing
+    // with the part's last element is all the deduplication there is.
     let num_parts = partition.num_parts() as usize;
     let mut stat_owner = Vec::with_capacity(elements.len());
     let mut counts = vec![0usize; num_parts];
@@ -818,20 +899,25 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
     let blocks = (0..partition.num_parts())
         .zip(part_elems)
         .map(|(p, elem_globals)| {
-            build_resident_block(
-                dom,
-                partition,
-                interface_classes,
-                &inv_deg,
-                &stat_owner,
-                p,
-                elem_globals,
-                &mut g2l,
-                &mut elem_l,
-            )
+            deal_block(dom, partition, interface_classes, p, elem_globals, &mut g2l, &mut elem_l)
         })
         .collect();
-    (blocks, inv_deg)
+    DealtBlocks { blocks, stat_owner, inv_deg }
+}
+
+impl<const C: usize> DealtBlocks<C> {
+    /// Stage 2, from the element table alone: fill every block's corner
+    /// table, stat-ownership bits, local inverse degrees and halo
+    /// incidence. Returns the finished blocks and the per-vertex inverse
+    /// degrees.
+    fn finish(self, elements: &[[u32; C]]) -> (Vec<ResidentBlock<C>>, Vec<f64>) {
+        let DealtBlocks { mut blocks, stat_owner, inv_deg } = self;
+        let mut g2l = vec![u32::MAX; inv_deg.len()];
+        for (p, block) in blocks.iter_mut().enumerate() {
+            finish_block(block, p as u32, elements, &stat_owner, &inv_deg, &mut g2l);
+        }
+        (blocks, inv_deg)
+    }
 }
 
 impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D, M> {
@@ -845,10 +931,10 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
     /// Build a resident engine around an adjacency the caller
     /// already holds (typically the one the partition was computed from)
     /// — *the* constructor; [`by_method`](Self::by_method) and
-    /// [`new`](Self::new) both end here. A serial engine over `adj`
-    /// supplies the boundary and the color classes the interface classes
-    /// and the blocks are built from; it is dropped, adjacency included,
-    /// before this returns.
+    /// [`new`](Self::new) both end here. The boundary of `adj`, its
+    /// interior color classes and the topology half of the blocks come
+    /// from `adj`; it is dropped, boundary included, before the blocks'
+    /// element tables are built, so the two are never live together.
     ///
     /// # Panics
     /// When `adj` or `partition` was built for a different number of
@@ -859,26 +945,32 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> ResidentEngineOn<C, D,
         params: M::Params,
         partition: Partition,
     ) -> Self {
-        let engine = SmoothEngineOn::with_adjacency(mesh, adj, params);
+        assert_adjacency_fits(mesh, &adj);
         assert_eq!(
             partition.len(),
-            engine.domain().num_vertices(),
+            mesh.coords().len(),
             "partition was built for a different mesh"
         );
         assert_eq!(
-            engine.domain_config().update,
+            M::domain_config(&params).update,
             UpdateScheme::GaussSeidel,
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
              run Jacobi on the serial engine (Backend::Serial)"
         );
-        let mut interface_classes = interface_classes(engine.interior_color_classes(), &partition);
-        interface_classes.shrink_to_fit();
+        let elements = Arc::clone(mesh.shared_elements());
+        let boundary = mesh.boundary(&adj);
+        let (interface_classes, dealt) = {
+            let dom = M::domain(&adj, &boundary, &elements, &params);
+            let mut classes = interface_classes(&interior_color_classes(&adj, &dom), &partition);
+            classes.shrink_to_fit();
+            let dealt = deal_blocks(&dom, &partition, &classes);
+            (classes, dealt)
+        };
+        // no run reads the topology: it goes before the second stage
+        // allocates the blocks' element tables
+        drop((adj, boundary));
         let schedule = ExchangeSchedule::build(&partition);
-        let (blocks, inv_deg) =
-            build_resident_blocks(&engine.domain(), &partition, &interface_classes);
-        // the topology (adjacency, boundary, visit order, color classes)
-        // dies with the serial engine here: no run reads it
-        let SmoothEngineOn { params, elements, .. } = engine;
+        let (blocks, inv_deg) = dealt.finish(&elements);
         ResidentEngineOn {
             params,
             elements,
@@ -1076,23 +1168,22 @@ impl SweepSpan {
     }
 }
 
-/// Build one part's resident topology around its local element set
+/// Stage 1 of one part's resident topology around its local element set
 /// `elem_globals` (every element incident to one of the part's sweep
-/// vertices, ascending). `g2l` and `elem_l` are `u32::MAX`-filled scratch
-/// maps of global→local ids, restored before returning.
-#[allow(clippy::too_many_arguments)]
-fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
+/// vertices, ascending): the sweep lists and their CSR rows, in the
+/// global ascending neighbour / incident-element order the serial engine
+/// uses. The element-table fields stay empty for [`finish_block`]. `g2l`
+/// and `elem_l` are `u32::MAX`-filled scratch maps of global→local ids,
+/// restored before returning.
+fn deal_block<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
     partition: &Partition,
     interface_classes: &[Vec<u32>],
-    inv_deg: &[f64],
-    stat_owner: &[u32],
     p: u32,
     elem_globals: Vec<u32>,
     g2l: &mut [u32],
     elem_l: &mut [u32],
 ) -> ResidentBlock<C> {
-    let elements = dom.elements();
     let owned: Vec<u32> = partition.part(p).to_vec();
     let halo: Vec<u32> = partition.halo(p).to_vec();
     let num_owned = owned.len() as u32;
@@ -1130,33 +1221,9 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
         ifc_color_offsets.push(ifc_locals.len() as u32);
     }
 
-    // all corners of a local element land in owned ∪ halo (a corner is
-    // adjacent to the owned star centre)
     for (i, &t) in elem_globals.iter().enumerate() {
         elem_l[t as usize] = i as u32;
     }
-    let elem_corners: Vec<[u32; C]> = elem_globals
-        .iter()
-        .map(|&t| {
-            elements[t as usize].map(|c| {
-                debug_assert_ne!(g2l[c as usize], u32::MAX, "sweep-star corner outside the block");
-                g2l[c as usize]
-            })
-        })
-        .collect();
-    let elem_weight: Vec<f64> = elem_globals
-        .iter()
-        .map(|&t| {
-            if stat_owner[t as usize] == p {
-                element_weight(inv_deg, &elements[t as usize])
-            } else {
-                0.0
-            }
-        })
-        .collect();
-
-    // CSR rows for both sweep lists, in the global ascending neighbour /
-    // incident-element order the serial engine uses
     let build_csr = |globals: &[u32]| {
         let mut nbr_offsets = Vec::with_capacity(globals.len() + 1);
         nbr_offsets.push(0u32);
@@ -1174,33 +1241,6 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
     };
     let (int_nbr_offsets, int_nbrs, int_vt_offsets, int_vt) = build_csr(&int_globals);
     let (ifc_nbr_offsets, ifc_nbrs, ifc_vt_offsets, ifc_vt) = build_csr(&ifc_globals);
-
-    // halo incidence: which local elements a delivered halo coordinate
-    // forces us to re-score
-    let mut halo_counts = vec![0u32; halo.len()];
-    for corners in &elem_corners {
-        for &c in corners {
-            if c >= num_owned {
-                halo_counts[(c - num_owned) as usize] += 1;
-            }
-        }
-    }
-    let mut halo_vt_offsets = Vec::with_capacity(halo.len() + 1);
-    halo_vt_offsets.push(0u32);
-    for &count in &halo_counts {
-        halo_vt_offsets.push(halo_vt_offsets.last().unwrap() + count);
-    }
-    let mut cursor: Vec<u32> = halo_vt_offsets[..halo.len()].to_vec();
-    let mut halo_vt = vec![0u32; *halo_vt_offsets.last().unwrap() as usize];
-    for (lt, corners) in elem_corners.iter().enumerate() {
-        for &c in corners {
-            if c >= num_owned {
-                let h = (c - num_owned) as usize;
-                halo_vt[cursor[h] as usize] = lt as u32;
-                cursor[h] += 1;
-            }
-        }
-    }
 
     for &t in &elem_globals {
         elem_l[t as usize] = u32::MAX;
@@ -1224,10 +1264,81 @@ fn build_resident_block<const C: usize, D: SmoothDomain<C>>(
         ifc_vt_offsets,
         ifc_vt,
         elem_globals,
-        elem_corners,
-        elem_weight,
-        halo_vt_offsets,
-        halo_vt,
+        elem_corners: Vec::new(),
+        stat_owned: Vec::new(),
+        inv_deg: Vec::new(),
+        halo_vt_offsets: Vec::new(),
+        halo_vt: Vec::new(),
+    }
+}
+
+/// Stage 2 of part `p`'s resident topology, from the element table, the
+/// per-element stat owners and the per-vertex inverse degrees alone: the
+/// local corner table, the stat-ownership bits, the local inverse degrees
+/// and the halo incidence. `g2l` is a `u32::MAX`-filled scratch map of
+/// global→local vertex ids, restored before returning.
+fn finish_block<const C: usize>(
+    block: &mut ResidentBlock<C>,
+    p: u32,
+    elements: &[[u32; C]],
+    stat_owner: &[u32],
+    inv_deg: &[f64],
+    g2l: &mut [u32],
+) {
+    let (num_owned, num_halo) = (block.num_owned, block.halo.len());
+    for (i, &v) in block.owned.iter().chain(&block.halo).enumerate() {
+        g2l[v as usize] = i as u32;
+    }
+    // all corners of a local element land in owned ∪ halo (a corner is
+    // adjacent to the owned star centre)
+    block.elem_corners = block
+        .elem_globals
+        .iter()
+        .map(|&t| {
+            elements[t as usize].map(|c| {
+                debug_assert_ne!(g2l[c as usize], u32::MAX, "sweep-star corner outside the block");
+                g2l[c as usize]
+            })
+        })
+        .collect();
+    let mut stat_owned = vec![0u64; block.elem_globals.len().div_ceil(64)];
+    for (i, &t) in block.elem_globals.iter().enumerate() {
+        if stat_owner[t as usize] == p {
+            stat_owned[i / 64] |= 1 << (i % 64);
+        }
+    }
+    block.stat_owned = stat_owned;
+    block.inv_deg = block.owned.iter().chain(&block.halo).map(|&v| inv_deg[v as usize]).collect();
+
+    // halo incidence: which local elements a delivered halo coordinate
+    // forces us to re-score
+    let mut halo_vt_offsets = vec![0u32; num_halo + 1];
+    for corners in &block.elem_corners {
+        for &c in corners {
+            if c >= num_owned {
+                halo_vt_offsets[(c - num_owned) as usize + 1] += 1;
+            }
+        }
+    }
+    for h in 0..num_halo {
+        halo_vt_offsets[h + 1] += halo_vt_offsets[h];
+    }
+    let mut cursor: Vec<u32> = halo_vt_offsets[..num_halo].to_vec();
+    let mut halo_vt = vec![0u32; halo_vt_offsets[num_halo] as usize];
+    for (lt, corners) in block.elem_corners.iter().enumerate() {
+        for &c in corners {
+            if c >= num_owned {
+                let h = (c - num_owned) as usize;
+                halo_vt[cursor[h] as usize] = lt as u32;
+                cursor[h] += 1;
+            }
+        }
+    }
+    block.halo_vt_offsets = halo_vt_offsets;
+    block.halo_vt = halo_vt;
+
+    for &v in block.owned.iter().chain(&block.halo) {
+        g2l[v as usize] = u32::MAX;
     }
 }
 

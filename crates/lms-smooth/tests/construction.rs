@@ -12,8 +12,13 @@
 //! * every resident block vector is allocated at its final length, and
 //!   the resident ledger is its partition, schedule, classes, blocks and
 //!   inverse degrees — no topology;
+//! * every stat weight a block forms from its ownership bit and its local
+//!   inverse degrees equals the per-element weight table it replaced, bit
+//!   for bit, and every changeable triangle has exactly one stat owner;
 //! * the mesh, its clones and every engine built from it share one
 //!   triangle table, and `orient_ccw` on a clone copies the clone's.
+
+mod common;
 
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_smooth::{checks, SmoothParams};
@@ -52,6 +57,15 @@ fn resident_blocks_are_exact_size() {
 fn resident_ledger_is_its_parts() {
     let mesh = generators::perturbed_grid(17, 13, 0.3, 6);
     checks::resident_ledger_is_its_parts(&mesh, params(), 4);
+}
+
+/// On a jittered grid and on the hub mesh, whose two fanned-out stars
+/// give corner sums of very different inverse degrees.
+#[test]
+fn stat_weights_equal_the_table_oracle() {
+    let grid = generators::perturbed_grid(17, 13, 0.3, 6);
+    checks::stat_weights_equal_the_table_oracle(&grid, params(), 4);
+    checks::stat_weights_equal_the_table_oracle(&common::hub_mesh(), params(), 3);
 }
 
 #[test]

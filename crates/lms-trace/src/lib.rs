@@ -15,6 +15,8 @@
 //! - [`chrome_trace_json`] / [`validate_chrome_trace`] — Chrome
 //!   `about://tracing` / Perfetto export and the well-formedness +
 //!   balanced-B/E validator CI gates on.
+//! - [`CountingAlloc`] — a counting global allocator: live heap bytes
+//!   and their high-water mark, for pinning a construction's peak.
 //!
 //! Everything here is **observation-only** by construction: nothing in
 //! this crate touches coordinates, scores or exchange contents, and the
@@ -23,11 +25,13 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+mod alloc;
 mod chrome;
 mod clock;
 mod profile;
 mod span;
 
+pub use alloc::CountingAlloc;
 pub use chrome::{chrome_trace_json, validate_chrome_trace};
 pub use clock::{clock_reads, now_ns};
 pub use profile::{PhaseBreakdown, RankPhaseNanos, TransportProfile};
