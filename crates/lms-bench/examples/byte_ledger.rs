@@ -18,9 +18,11 @@
 //! `VmHWM`. A counting global allocator measures the live heap at the
 //! engine construction's peak and at the whole process's peak, printed
 //! beside `VmHWM`: when the construction's peak is the process's, setup,
-//! not the sweep, sets the resident set. For the distributed workload the
-//! forked ranks' peak is printed too: a rank starts with every page the
-//! coordinator had resident at the fork.
+//! not the sweep, sets the resident set. For the distributed workload two
+//! more lines print the spawner image's resident set — the pages every
+//! rank starts with, forked before construction — and the largest rank's
+//! peak, that image plus the one block the rank was sent and its run
+//! state. Nothing here asserts; the numbers are for reading.
 
 use lms_dist::{DistResidentEngine, FtOptions};
 use lms_mesh::generators::perturbed_grid;
@@ -75,13 +77,13 @@ fn rdr_reorder(input: &TriMesh) -> TriMesh {
 /// A `/proc/self/status` field, in bytes.
 fn status_bytes(field: &str) -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let kb = status
-        .lines()
-        .find(|l| l.starts_with(field))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|kb| kb.parse::<usize>().ok())
-        .unwrap_or(0);
-    kb * 1024
+    field_bytes(&status, field).unwrap_or(0)
+}
+
+/// A `kB` field of a `/proc/<pid>/status` text, in bytes.
+fn field_bytes(status: &str, field: &str) -> Option<usize> {
+    let kb = status.lines().find(|l| l.starts_with(field))?.split_whitespace().nth(1)?;
+    Some(kb.parse::<usize>().ok()? * 1024)
 }
 
 /// `struct rusage` of Linux on 64-bit targets: two `timeval`s, then
@@ -202,7 +204,11 @@ fn ori_dist() {
     let mut mesh = input.clone();
     let (engine, peaks) =
         construct(|| DistResidentEngine::by_method(&mesh, params(10), PARTS, PartitionMethod::Rcb));
-    let at_fork = status_bytes("VmRSS:");
+    let spawner = engine.spawner().expect("the rank spawner forked").pid();
+    let spawner_rss = std::fs::read_to_string(format!("/proc/{spawner}/status"))
+        .ok()
+        .and_then(|text| field_bytes(&text, "VmRSS:"))
+        .unwrap_or(0);
     let result = engine.smooth_ft(&mut mesh, &FtOptions::default());
     assert!(result.is_ok(), "distributed run failed: {:?}", result.err());
     let mut rows = vec![
@@ -211,9 +217,15 @@ fn ori_dist() {
     ];
     rows.extend(resident_rows("DistResidentEngine's ResidentEngine", engine.inner()));
     print_ledger("tri2d-ori-dist (coordinator)", &rows, peaks);
+    // the spawner is reaped with the engine, the ranks with the run
+    drop(engine);
     let children = children_peak_bytes();
-    println!("  {:<58} {:>8.1} MiB", "coordinator VmRSS at the fork", mib(at_fork));
-    println!("  {:<58} {:>8.1} MiB", "largest forked rank's ru_maxrss", mib(children));
+    println!(
+        "  {:<58} {:>8.1} MiB",
+        "spawner VmRSS (the image ranks are forked from)",
+        mib(spawner_rss)
+    );
+    println!("  {:<58} {:>8.1} MiB", "largest child's ru_maxrss (a rank)", mib(children));
 }
 
 fn tet_resident() {

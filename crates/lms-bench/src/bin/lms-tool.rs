@@ -27,11 +27,14 @@
 //!   dist-worker --connect <tcp:host:port|unix:/path> --rank <r>
 //!            [--nx --ny --jitter --seed --parts k --method m --plain
 //!             --iters n --tol f]
-//!            serve one standalone smoothing rank: rebuild the engine
-//!            from the shared workload parameters (MPI input-deck
-//!            style), dial the coordinator with supervised retry/backoff
-//!            and serve wire frames until Shutdown — the multi-node
-//!            deployment shape of `lms-dist`'s socket transport
+//!            serve one standalone smoothing rank: rebuild the mesh and
+//!            parameters from the shared workload flags (MPI input-deck
+//!            style), dial the coordinator with supervised retry/backoff,
+//!            receive this rank's block in a Block frame and serve wire
+//!            frames until Shutdown — the multi-node deployment shape of
+//!            `lms-dist`'s socket transport. --parts only bounds --rank
+//!            and --method is not read: the coordinator's partition
+//!            arrives with the block
 //!
 //! mesh files: a `prefix` reads/writes Triangle `<prefix>.node` +
 //! `<prefix>.ele`; a path ending in `.off` reads/writes OFF.
@@ -47,6 +50,7 @@ use lms_mesh::{generators, io, suite, Adjacency, Boundary, TriMesh};
 use lms_mesh3d::generators as gen3;
 use lms_mesh3d::{io as io3, Adjacency3, Boundary3, TetMesh, TetQualityMetric};
 use lms_order::{compute_ordering, layout_stats, OrderMesh, OrderingKind};
+use lms_smooth::SmoothMesh;
 use lms_viz::{render_mesh, render_tet_surface, Mesh3Style, MeshStyle};
 use std::path::Path;
 use std::process::ExitCode;
@@ -377,11 +381,12 @@ fn cmd_trace_smoke(o: &Opts) -> Result<String, String> {
 }
 
 /// Serve one standalone smoothing rank over a stream socket. The worker
-/// rebuilds the whole engine — mesh, decomposition, blocks, schedule —
-/// from the same generation parameters the coordinator used (MPI
-/// input-deck style), so only run state (coordinates, scores, halo
-/// deltas) ever crosses the wire, and the coordinator's cross-transport
-/// oracle still holds bit for bit.
+/// rebuilds the mesh and parameters the coordinator used (MPI input-deck
+/// style) for its scoring view, and receives its block from the
+/// coordinator in a `Block` frame, so it builds no engine and holds one
+/// block, not all of them; only the block and run state (coordinates,
+/// scores, halo deltas) cross the wire, and the coordinator's
+/// cross-transport oracle still holds bit for bit.
 fn cmd_dist_worker(o: &Opts) -> Result<String, String> {
     let addr =
         o.connect.as_deref().ok_or("dist-worker needs --connect <tcp:host:port|unix:/path>")?;
@@ -395,8 +400,9 @@ fn cmd_dist_worker(o: &Opts) -> Result<String, String> {
         .with_smart(!o.plain)
         .with_max_iters(o.iters)
         .with_tol(o.tol);
-    let engine = lms_smooth::ResidentEngine::by_method(&mesh, params, o.parts, o.method);
-    lms_dist::serve_standalone(&engine, rank, &spec, &lms_dist::Supervisor::default())
+    let dom = <TriMesh as SmoothMesh<3, 2>>::scoring(mesh.num_vertices(), mesh.elements(), &params);
+    let cfg = <TriMesh as SmoothMesh<3, 2>>::domain_config(&params);
+    lms_dist::serve_standalone(&dom, &cfg, rank, &spec, &lms_dist::Supervisor::default())
         .map_err(|e| format!("rank {rank} serving {spec}: {e}"))?;
     Ok(format!("rank {rank}/{} served {spec} to clean shutdown", o.parts))
 }

@@ -12,6 +12,14 @@
 //! what the cross-transport oracle (`tests/oracle.rs`) pins: bit-identical
 //! coordinates *and* bit-identical reports, exchange accounting included.
 //!
+//! The one thing construction adds is the rank [`Spawner`]: the first
+//! thing both constructors do, before the adjacency, the partition or any
+//! block exists, is fork it. Every rank of every run is forked from it,
+//! so a rank starts with the image the process had before construction,
+//! not the coordinator's, and receives its one block over its channel.
+//! Clones of the engine share the spawner; the last one to drop kills
+//! and reaps it.
+//!
 //! Runs are **fault tolerant**: [`smooth_ft`] drives the process
 //! transport through `lms_smooth::drive_resident_ft`, so a rank that
 //! dies, stalls past the read timeout, or corrupts its stream is
@@ -21,7 +29,7 @@
 //! cannot be forked at all, [`smooth_with`] degrades gracefully to the
 //! in-process resident engine, which computes the same answer.
 //!
-//! Rank processes are spawned per run and reaped before [`smooth_with`]
+//! Rank processes are forked per run and reaped before [`smooth_with`]
 //! returns (`full_gathers == 1 && full_scatters == 1` still holds: the
 //! block is gathered once, resident in its rank for the whole run, and
 //! scattered once).
@@ -32,6 +40,7 @@
 use crate::error::DistError;
 use crate::fault::FaultPlan;
 use crate::socket::{Listener, SocketSpec, Supervisor};
+use crate::spawner::Spawner;
 use crate::transport::ProcessTransport;
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
 use lms_smooth::domain::{DomainConfig, ScoringDomain};
@@ -39,6 +48,7 @@ use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
 use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SmoothMesh, SmoothReport};
 use lms_trace::{NullTrace, PhaseBreakdown, Recorder, TraceSink, TransportProfile};
+use std::sync::Arc;
 
 /// Which byte-stream substrate the forked rank workers of a distributed
 /// run talk over. The coordinator above it is the same either way.
@@ -93,10 +103,10 @@ impl Default for FtOptions {
     }
 }
 
-/// Fork the rank group over `options.mode`'s substrate.
+/// Fork the rank group from `spawner` over `options.mode`'s substrate.
 fn spawn_transport<'a, const C: usize, D: ScoringDomain<C>>(
+    spawner: &'a Spawner,
     dom: &'a D,
-    cfg: &DomainConfig,
     blocks: &'a [ResidentBlock<C>],
     schedule: &'a ExchangeSchedule,
     options: &FtOptions,
@@ -105,14 +115,16 @@ fn spawn_transport<'a, const C: usize, D: ScoringDomain<C>>(
         (options.read_timeout_ms, options.faults.clone(), options.profile);
     let spec = match options.mode {
         TransportMode::Pipes => {
-            return ProcessTransport::spawn(dom, cfg, blocks, schedule, timeout, faults, profile)
+            return ProcessTransport::spawn(
+                spawner, dom, blocks, schedule, timeout, faults, profile,
+            )
         }
         TransportMode::UnixSocket => SocketSpec::temp_unix(),
         TransportMode::TcpLoopback => SocketSpec::tcp_loopback(),
     };
     let supervisor = &options.supervisor;
     ProcessTransport::spawn_forked(
-        &spec, dom, cfg, blocks, schedule, timeout, faults, profile, supervisor,
+        &spec, spawner, dom, blocks, schedule, timeout, faults, profile, supervisor,
     )
 }
 
@@ -125,6 +137,9 @@ fn spawn_transport<'a, const C: usize, D: ScoringDomain<C>>(
 #[derive(Debug, Clone)]
 pub struct DistResidentEngineOn<const C: usize, const D: usize, M: SmoothMesh<C, D>> {
     inner: ResidentEngineOn<C, D, M>,
+    /// What every rank is forked from; `None` when it could not be
+    /// forked, and then every run degrades to the in-process engine.
+    spawner: Option<Arc<Spawner>>,
 }
 
 /// Multi-process resident smoothing of triangle meshes.
@@ -135,20 +150,25 @@ pub type DistResidentEngine3 = DistResidentEngineOn<4, 3, lms_mesh3d::TetMesh>;
 
 impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C, D, M> {
     /// Build the engine for `mesh` under `params` and an existing
-    /// decomposition (Gauss–Seidel parameters only).
+    /// decomposition (Gauss–Seidel parameters only). The rank spawner is
+    /// forked first, before anything is built.
     pub fn new(mesh: &M, params: M::Params, partition: Partition) -> Self {
-        DistResidentEngineOn { inner: ResidentEngineOn::new(mesh, params, partition) }
+        let spawner = start_spawner(mesh, &params);
+        DistResidentEngineOn { inner: ResidentEngineOn::new(mesh, params, partition), spawner }
     }
 
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
-    /// build the engine.
+    /// build the engine. The rank spawner is forked first, before the
+    /// adjacency or the partition exists.
     pub fn by_method(
         mesh: &M,
         params: M::Params,
         num_parts: usize,
         method: PartitionMethod,
     ) -> Self {
-        DistResidentEngineOn { inner: ResidentEngineOn::by_method(mesh, params, num_parts, method) }
+        let spawner = start_spawner(mesh, &params);
+        let inner = ResidentEngineOn::by_method(mesh, params, num_parts, method);
+        DistResidentEngineOn { inner, spawner }
     }
 
     /// The wrapped in-process engine (shared blocks, schedule, classes) —
@@ -160,6 +180,12 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
     /// Number of rank processes a run forks (= number of parts).
     pub fn num_ranks(&self) -> usize {
         self.inner.blocks().len()
+    }
+
+    /// The process every rank is forked from, shared by the engine's
+    /// clones; `None` when it could not be forked.
+    pub fn spawner(&self) -> Option<&Spawner> {
+        self.spawner.as_deref()
     }
 
     /// Fault-tolerant distributed run with explicit options: fork one
@@ -191,9 +217,12 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
     ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
         let coords = self.inner.checked_coords(mesh);
         let (dom, cfg) = (self.inner.scoring(), self.inner.domain_config());
+        let spawner = self.spawner().ok_or_else(|| {
+            DistError::Spawn(std::io::Error::other("no rank spawner could be forked"))
+        })?;
         let transport = spawn_transport(
+            spawner,
             &dom,
-            &cfg,
             self.inner.blocks(),
             self.inner.exchange_schedule(),
             options,
@@ -287,8 +316,9 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
     /// by rank — launch them with `lms-tool dist-worker --connect <addr>
     /// --rank <p>` anywhere the address is reachable), then drive the
     /// same fault-tolerant loop as [`smooth_ft`](Self::smooth_ft).
-    /// Workers rebuild the engine from the shared problem parameters, so
-    /// only run state crosses the wire.
+    /// Workers build their scoring view from the shared problem
+    /// parameters and receive their block in the `Block` frame, like a
+    /// forked rank.
     pub fn smooth_ft_external(
         &self,
         mesh: &mut M,
@@ -300,7 +330,6 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         let transport = ProcessTransport::listen(
             listener,
             &dom,
-            &cfg,
             self.inner.blocks(),
             self.inner.exchange_schedule(),
             options.read_timeout_ms,
@@ -311,6 +340,15 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
             self.drive(&dom, &cfg, transport, coords, options, &mut NullTrace)?;
         Ok((report, stats))
     }
+}
+
+/// Fork the rank spawner for `mesh` under `params`; `None` (runs degrade
+/// to the in-process engine) when the host refuses.
+fn start_spawner<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
+    mesh: &M,
+    params: &M::Params,
+) -> Option<Arc<Spawner>> {
+    Spawner::start(mesh, params).map(Arc::new).ok()
 }
 
 /// Materialise the coordinator's accumulated hidden-wait total as one

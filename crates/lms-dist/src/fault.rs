@@ -202,7 +202,7 @@ impl FaultPlan {
 
 /// One worker's slice of a [`FaultPlan`], evaluated inside the forked
 /// rank process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct WorkerFaults {
     kill: Vec<FaultPoint>,
     stall: Vec<(FaultPoint, u64)>,
@@ -238,6 +238,83 @@ impl WorkerFaults {
     /// one is scripted.
     pub(crate) fn corrupt_byte(&self, frame: u64) -> Option<usize> {
         self.corrupt.iter().find(|&&(f, _)| f == frame).map(|&(_, b)| b)
+    }
+
+    /// Append the script to `out` — how it reaches a rank through the
+    /// spawner, which was forked before any run's options existed.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let point = |out: &mut Vec<u8>, p: &FaultPoint| {
+            let (tag, iter, color) = match *p {
+                FaultPoint::Interior { iter } => (0u8, iter, 0),
+                FaultPoint::Color { iter, color } => (1, iter, color),
+                FaultPoint::Finish { iter } => (2, iter, 0),
+            };
+            out.push(tag);
+            out.extend_from_slice(&iter.to_le_bytes());
+            out.extend_from_slice(&color.to_le_bytes());
+        };
+        let len = |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u32).to_le_bytes());
+        len(out, self.kill.len());
+        self.kill.iter().for_each(|p| point(out, p));
+        len(out, self.stall.len());
+        for (p, ms) in &self.stall {
+            point(out, p);
+            out.extend_from_slice(&ms.to_le_bytes());
+        }
+        len(out, self.corrupt.len());
+        for &(frame, byte) in &self.corrupt {
+            out.extend_from_slice(&frame.to_le_bytes());
+            out.extend_from_slice(&(byte as u64).to_le_bytes());
+        }
+        len(out, self.drop_conn.len());
+        self.drop_conn.iter().for_each(|p| point(out, p));
+        out.push(self.short_write as u8);
+        out.extend_from_slice(&self.slow_frame_ms.to_le_bytes());
+        out.push(self.refuse_connect as u8);
+    }
+
+    /// Read back what [`encode`](Self::encode) wrote from the front of
+    /// `bytes`, returning the script and the bytes after it; `None` when
+    /// `bytes` ends early or holds an unknown fault point.
+    pub(crate) fn decode(mut bytes: &[u8]) -> Option<(WorkerFaults, &[u8])> {
+        fn take<'b>(bytes: &mut &'b [u8], n: usize) -> Option<&'b [u8]> {
+            let (head, tail) = bytes.split_at_checked(n)?;
+            *bytes = tail;
+            Some(head)
+        }
+        fn u32_at(bytes: &mut &[u8]) -> Option<u32> {
+            Some(u32::from_le_bytes(take(bytes, 4)?.try_into().ok()?))
+        }
+        fn u64_at(bytes: &mut &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(take(bytes, 8)?.try_into().ok()?))
+        }
+        fn point(bytes: &mut &[u8]) -> Option<FaultPoint> {
+            let tag = take(bytes, 1)?[0];
+            let (iter, color) = (u32_at(bytes)?, u32_at(bytes)?);
+            match tag {
+                0 => Some(FaultPoint::Interior { iter }),
+                1 => Some(FaultPoint::Color { iter, color }),
+                2 => Some(FaultPoint::Finish { iter }),
+                _ => None,
+            }
+        }
+        let mut wf = WorkerFaults::default();
+        for _ in 0..u32_at(&mut bytes)? {
+            wf.kill.push(point(&mut bytes)?);
+        }
+        for _ in 0..u32_at(&mut bytes)? {
+            wf.stall.push((point(&mut bytes)?, u64_at(&mut bytes)?));
+        }
+        for _ in 0..u32_at(&mut bytes)? {
+            wf.corrupt.push((u64_at(&mut bytes)?, u64_at(&mut bytes)? as usize));
+        }
+        for _ in 0..u32_at(&mut bytes)? {
+            wf.drop_conn.push(point(&mut bytes)?);
+        }
+        wf.short_write = take(&mut bytes, 1)?[0] != 0;
+        wf.slow_frame_ms = u64_at(&mut bytes)?;
+        wf.refuse_connect = take(&mut bytes, 1)?[0] != 0;
+        Some((wf, bytes))
     }
 }
 
@@ -289,6 +366,28 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         assert!(!FaultPlan::no_spawn().is_empty());
         assert!(!FaultPlan::refuse(1).is_empty());
+    }
+
+    #[test]
+    fn worker_scripts_survive_their_encoding() {
+        let plan = FaultPlan::kill_at(1, FaultPoint::Interior { iter: 2 })
+            .with(1, WorkerFault::StallBefore { point: FaultPoint::Finish { iter: 3 }, ms: 40 })
+            .with(1, WorkerFault::CorruptOutFrame { frame: 5, byte: 9 })
+            .with(1, WorkerFault::DropConnBefore { point: FaultPoint::Color { iter: 1, color: 7 } })
+            .with(1, WorkerFault::ShortWrite)
+            .with(1, WorkerFault::SlowPeer { per_frame_ms: 3 });
+        let plan = FaultPlan { refuse_connect: vec![1], ..plan };
+        for wf in [plan.worker_faults(1), plan.worker_faults(0)] {
+            let mut bytes = Vec::new();
+            wf.encode(&mut bytes);
+            bytes.extend_from_slice(b"tail");
+            let (back, rest) = WorkerFaults::decode(&bytes).expect("decodes");
+            assert_eq!((back, rest), (wf, &b"tail"[..]));
+            // every strict prefix is refused, never a panic
+            for cut in 0..bytes.len() - 4 {
+                assert!(WorkerFaults::decode(&bytes[..cut]).is_none(), "cut {cut}");
+            }
+        }
     }
 
     #[test]

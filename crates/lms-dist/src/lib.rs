@@ -22,6 +22,16 @@
 //!   [`DistResidentEngine3`] aliases of the one [`DistResidentEngineOn`]
 //!   body reuse the in-process engine's construction wholesale.
 //!
+//! A rank really holds one block. Each engine forks a lean **spawner**
+//! process at the top of its constructor, before the adjacency, the
+//! partition or any block exists ([`Spawner`]); every rank is forked from
+//! it — as the coordinator's own child, so reaping and accounting see it —
+//! and starts from that pre-construction image, not the coordinator's.
+//! It then gets its [`lms_smooth::resident::ResidentBlock`] and its row of
+//! the exchange schedule in a checksummed `Block` frame (wire v5), which
+//! it decodes with validation. Forked ranks, recovery replacements and
+//! external [`serve_standalone`] workers all get their block that one way.
+//!
 //! Because both transports run the same ranks, route the same coalesced
 //! per-pair batches in the same order and charge the same wire-length
 //! accounting, a multi-process run is **bit-identical** to the
@@ -58,6 +68,7 @@ pub mod engines;
 pub mod error;
 pub mod fault;
 pub mod socket;
+pub mod spawner;
 pub mod sys;
 pub mod transport;
 pub(crate) mod worker;
@@ -68,6 +79,7 @@ pub use engines::{
 pub use error::DistError;
 pub use fault::{FaultPlan, FaultPoint, WorkerFault, INJECTED_KILL_EXIT, REFUSED_CONNECT_EXIT};
 pub use socket::{serve_standalone, Listener, SocketSpec, Supervisor};
+pub use spawner::Spawner;
 pub use transport::ProcessTransport;
 
 pub(crate) mod codec {

@@ -20,12 +20,13 @@
 //!   identifying `Hello` carrying its rank id, so accept order never
 //!   matters: the coordinator parks out-of-order connections and binds
 //!   each stream to its rank.
-//! * **Standalone workers** — [`serve_standalone`] serves one rank of a
-//!   resident engine the worker rebuilt deterministically
-//!   from the shared problem parameters (MPI input-deck style: every
-//!   process derives the same partition from the same mesh), connect,
-//!   and serve — the `lms-tool dist-worker` entry point, so ranks can
-//!   live on other hosts.
+//! * **Standalone workers** — [`serve_standalone`] serves one rank from
+//!   the scoring view the worker built from the shared problem
+//!   parameters (MPI input-deck style: the same mesh generation gives the
+//!   same vertex count and element table): it connects, receives its
+//!   block in the coordinator's `Block` frame like a forked rank, and
+//!   serves — the `lms-tool dist-worker` entry point, so ranks can live
+//!   on other hosts.
 //!
 //! Streams are converted to [`crate::sys::Fd`] descriptors once
 //! established, so the entire coordinator stack (frame reassembly,
@@ -39,10 +40,7 @@
 
 use crate::sys::{self, Fd};
 use lms_part::wire::{Frame, WireError, WIRE_VERSION};
-use lms_part::MessagePlan;
-use lms_smooth::domain::DomainPoint;
-use lms_smooth::resident::ResidentRank;
-use lms_smooth::{ResidentEngineOn, SmoothMesh};
+use lms_smooth::domain::{DomainConfig, DomainPoint, ScoringDomain};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -310,14 +308,15 @@ impl Drop for Listener {
     }
 }
 
-/// Connect to a coordinator at `spec` and serve rank `rank` of `engine`
-/// until it sends `Shutdown`. The rank state is built from the same
-/// topology the coordinator holds — a standalone worker constructs the
-/// engine from the shared problem parameters (same mesh generation, same
-/// partition method ⇒ same blocks), MPI input-deck style, so nothing but
-/// run state ever crosses the wire.
-pub fn serve_standalone<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
-    engine: &ResidentEngineOn<C, D, M>,
+/// Connect to a coordinator at `spec` and serve rank `rank` until it
+/// sends `Shutdown`. `dom` and `cfg` are the scoring view and domain
+/// configuration of the coordinator's mesh and parameters, which a
+/// standalone worker rebuilds from the shared problem parameters (MPI
+/// input-deck style); the rank's block arrives over the connection, in
+/// the `Block` frame every rank gets, so the worker builds no engine.
+pub fn serve_standalone<const C: usize, D: ScoringDomain<C>>(
+    dom: &D,
+    cfg: &DomainConfig,
     rank: u32,
     spec: &SocketSpec,
     supervisor: &Supervisor,
@@ -325,19 +324,9 @@ pub fn serve_standalone<const C: usize, const D: usize, M: SmoothMesh<C, D>>(
     let (input, mut output) = connect_with_retry(spec, &supervisor.retry_policy(rank))?;
     // identifying Hello first: binds this stream to its rank id on the
     // coordinator side, whatever order the workers dialled in
-    Frame::Hello {
-        version: WIRE_VERSION,
-        dim: <M::Point as DomainPoint>::DIM as u8,
-        rank,
-        profile: false,
-    }
-    .write_to(&mut output)?;
-    let (dom, cfg) = (engine.scoring(), engine.domain_config());
-    let schedule = engine.exchange_schedule();
-    let plan = MessagePlan::build(schedule);
-    let block = &engine.blocks()[rank as usize];
-    let mut resident = ResidentRank::new(&dom, &cfg, rank, block, schedule, &plan);
-    match crate::worker::serve(&mut resident, input, output, &Default::default()) {
+    Frame::Hello { version: WIRE_VERSION, dim: D::Point::DIM as u8, rank, profile: false }
+        .write_to(&mut output)?;
+    match crate::worker::serve(dom, cfg, rank, input, output, &Default::default()) {
         Ok(_) => Ok(()),
         Err(WireError::Io(e)) => Err(e),
         Err(e) => Err(io::Error::other(e.to_string())),

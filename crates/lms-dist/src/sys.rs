@@ -1,18 +1,26 @@
 //! Minimal POSIX process/pipe/stream layer — just enough libc surface to
-//! fork rank worker processes, stream wire frames between them (over
-//! pipes or sockets), and detect failed ranks (`poll(2)` read timeouts,
+//! fork the rank spawner and its rank worker processes, hand descriptors
+//! between processes (`SCM_RIGHTS`), stream wire frames (over pipes or
+//! sockets), and detect failed ranks (`poll(2)` read timeouts,
 //! `kill(2)`, non-blocking `waitpid`), declared directly against the C
 //! library `std` already links (the build container has no crates
 //! registry, so the `libc` crate is out of reach; these symbols are
 //! stable POSIX, plus Linux's `close_range(2)`, which glibc wraps since
-//! 2.34).
+//! 2.34, and the raw `clone(2)` system call).
 //!
-//! Everything here is Linux-safe under a multithreaded parent: glibc
-//! registers `pthread_atfork` handlers that make `malloc` usable in the
-//! child, the child only ever runs the single-threaded rank worker loop
-//! (no locks shared with parent threads are touched), and it leaves via
+//! Two kinds of child are made here, and each leaves only via
 //! [`exit_now`] (`_exit(2)`), never by unwinding into the parent's
-//! runtime.
+//! runtime:
+//!
+//! * the **spawner**, by [`fork`] from a possibly multithreaded
+//!   coordinator. glibc's `fork` runs the `pthread_atfork` handlers that
+//!   make `malloc` usable in the child, and the spawner is
+//!   single-threaded from then on: it only reads requests on its control
+//!   socket and forks ranks.
+//! * **ranks**, by [`clone_parent`] from the single-threaded spawner. A
+//!   raw `clone` skips glibc's fork handlers, which is sound only because
+//!   no other thread exists in the spawner to hold a lock the rank would
+//!   inherit taken.
 
 use std::io::{self, Read, Write};
 
@@ -27,8 +35,32 @@ mod ffi {
         pub revents: i16,
     }
 
+    /// `struct iovec` from `readv(2)`.
+    #[repr(C)]
+    pub struct IoVec {
+        pub base: *mut c_void,
+        pub len: usize,
+    }
+
+    /// `struct msghdr` from `sendmsg(2)` on 64-bit Linux (the padding
+    /// after `namelen` and after `flags` comes from `#[repr(C)]`).
+    #[repr(C)]
+    pub struct MsgHdr {
+        pub name: *mut c_void,
+        pub namelen: u32,
+        pub iov: *mut IoVec,
+        pub iovlen: usize,
+        pub control: *mut c_void,
+        pub controllen: usize,
+        pub flags: i32,
+    }
+
     extern "C" {
         pub fn fork() -> i32;
+        pub fn syscall(number: i64, ...) -> i64;
+        pub fn socketpair(domain: i32, kind: i32, protocol: i32, fds: *mut i32) -> i32;
+        pub fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
+        pub fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
         pub fn pipe(fds: *mut i32) -> i32;
         pub fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
@@ -41,9 +73,25 @@ mod ffi {
         pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         pub fn getpid() -> i32;
         pub fn close_range(first: u32, last: u32, flags: i32) -> i32;
+        pub fn malloc_trim(pad: usize) -> i32;
     }
 }
 
+const AF_UNIX: i32 = 1;
+const SOCK_SEQPACKET: i32 = 5;
+const SOL_SOCKET: i32 = 1;
+const SCM_RIGHTS: i32 = 1;
+const MSG_CTRUNC: i32 = 0x8;
+const MSG_TRUNC: i32 = 0x20;
+const MSG_NOSIGNAL: i32 = 0x4000;
+const CLONE_PARENT: i64 = 0x8000;
+const SIGCHLD: i64 = 17;
+#[cfg(target_arch = "x86_64")]
+const SYS_CLONE: Option<i64> = Some(56);
+#[cfg(target_arch = "aarch64")]
+const SYS_CLONE: Option<i64> = Some(220);
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+const SYS_CLONE: Option<i64> = None;
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 const WNOHANG: i32 = 1;
@@ -64,10 +112,8 @@ impl Fd {
         self.0
     }
 
-    /// Adopt a raw descriptor (the caller transfers ownership — used by
-    /// a forked child re-owning its pipe ends, whose original [`Fd`]
-    /// values in the inherited image are never dropped because the child
-    /// leaves via [`exit_now`]).
+    /// Adopt a raw descriptor (the caller transfers ownership — used for
+    /// the streams taken over from `std`'s socket types).
     pub fn from_raw(fd: i32) -> Self {
         Fd(fd)
     }
@@ -193,6 +239,171 @@ pub unsafe fn fork() -> io::Result<i32> {
     } else {
         Ok(pid)
     }
+}
+
+/// `clone(CLONE_PARENT | SIGCHLD)` as a raw system call: like
+/// [`fork`], `Ok(0)` in the child and `Ok(pid)` in the caller, but the
+/// child's parent is the **caller's parent**, which therefore reaps it,
+/// receives its `SIGCHLD` and counts it in `RUSAGE_CHILDREN`. Not
+/// `clone3`: container seccomp profiles commonly answer that with
+/// `ENOSYS`. Fails with `ENOSYS` on an architecture this layer has no
+/// system call number for.
+///
+/// # Safety
+/// As [`fork`], and stricter: the raw call runs none of glibc's fork
+/// handlers, so the caller must be single-threaded (no other thread can
+/// hold a lock the child inherits) and the child must leave via
+/// [`exit_now`].
+pub unsafe fn clone_parent() -> io::Result<i32> {
+    let Some(number) = SYS_CLONE else {
+        return Err(io::Error::from_raw_os_error(38)); // ENOSYS
+    };
+    // every argument after the flags is zero (no new stack, no tid or
+    // tls pointers), which makes the x86-64 and aarch64 argument orders
+    // agree; with no new stack the child returns on a copy of this one
+    let pid = ffi::syscall(number, CLONE_PARENT | SIGCHLD, 0i64, 0i64, 0i64, 0i64);
+    if pid < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(pid as i32)
+    }
+}
+
+/// A connected pair of Unix-domain `SOCK_SEQPACKET` sockets: reliable,
+/// ordered, and each [`send_with_fds`] arrives as one message.
+pub fn seqpacket_pair() -> io::Result<(Fd, Fd)> {
+    let mut fds = [0i32; 2];
+    // SAFETY: `fds` is a writable array of the two `int`s
+    // `socketpair(2)` fills.
+    if unsafe { ffi::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds.as_mut_ptr()) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok((Fd(fds[0]), Fd(fds[1])))
+}
+
+/// Most descriptors one message carries.
+pub const MAX_PASSED_FDS: usize = 4;
+
+/// Room for one `SCM_RIGHTS` header and [`MAX_PASSED_FDS`] descriptors
+/// (`CMSG_SPACE(4 · 4)` = 16 + 16), aligned for the `size_t` header.
+type CmsgBuf = [u64; 4];
+
+/// Send one message on a seqpacket socket, with `fds` attached as
+/// `SCM_RIGHTS` ancillary data (the receiver gets its own duplicates;
+/// the sender's stay open). `MSG_NOSIGNAL`: a closed peer is `EPIPE`,
+/// not a signal.
+pub fn send_with_fds(sock: &Fd, bytes: &[u8], fds: &[i32]) -> io::Result<()> {
+    assert!(fds.len() <= MAX_PASSED_FDS, "too many descriptors for one message");
+    let mut control: CmsgBuf = [0; 4];
+    let mut iov = ffi::IoVec { base: bytes.as_ptr() as *mut _, len: bytes.len() };
+    let controllen = if fds.is_empty() { 0 } else { 16 + 4 * fds.len() };
+    if !fds.is_empty() {
+        // struct cmsghdr { size_t len; int level; int type; } + the fds
+        control[0] = controllen as u64;
+        control[1] = (SOL_SOCKET as u32 as u64) | ((SCM_RIGHTS as u32 as u64) << 32);
+        for (i, &fd) in fds.iter().enumerate() {
+            let word = &mut control[2 + i / 2];
+            *word |= (fd as u32 as u64) << (32 * (i % 2));
+        }
+    }
+    let msg = ffi::MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: &mut iov,
+        iovlen: 1,
+        control: if fds.is_empty() { std::ptr::null_mut() } else { control.as_mut_ptr().cast() },
+        controllen,
+        flags: 0,
+    };
+    loop {
+        // SAFETY: `msg` points at one live iovec over `bytes` (which
+        // `sendmsg(2)` only reads) and, when descriptors are attached, at
+        // `controllen` initialised bytes of `control`; all of it outlives
+        // the call.
+        let n = unsafe { ffi::sendmsg(sock.0, &msg, MSG_NOSIGNAL) };
+        if n >= 0 {
+            return if n as usize == bytes.len() {
+                Ok(())
+            } else {
+                Err(io::Error::other("short seqpacket send"))
+            };
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Receive one message from a seqpacket socket into `buf`, adopting any
+/// `SCM_RIGHTS` descriptors it carries. `Ok(None)` at end of stream (the
+/// peer closed); a message longer than `buf` or carrying more than
+/// [`MAX_PASSED_FDS`] descriptors is an error (its descriptors are
+/// closed, not leaked).
+pub fn recv_with_fds(sock: &Fd, buf: &mut [u8]) -> io::Result<Option<(usize, Vec<Fd>)>> {
+    let mut control: CmsgBuf = [0; 4];
+    let mut iov = ffi::IoVec { base: buf.as_mut_ptr().cast(), len: buf.len() };
+    let mut msg = ffi::MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: &mut iov,
+        iovlen: 1,
+        control: control.as_mut_ptr().cast(),
+        controllen: std::mem::size_of::<CmsgBuf>(),
+        flags: 0,
+    };
+    let n = loop {
+        // SAFETY: `msg` points at one live iovec over `buf` and at the
+        // `controllen` writable bytes of `control`; `recvmsg(2)` writes
+        // only inside them and into `msg` itself.
+        let n = unsafe { ffi::recvmsg(sock.0, &mut msg, 0) };
+        if n >= 0 {
+            break n as usize;
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    };
+    let mut fds = Vec::new();
+    if msg.controllen >= 16 {
+        let len = control[0] as usize;
+        let (level, kind) = (control[1] as u32 as i32, (control[1] >> 32) as u32 as i32);
+        if level == SOL_SOCKET && kind == SCM_RIGHTS && (16..=32).contains(&len) {
+            for i in 0..(len - 16) / 4 {
+                fds.push(Fd((control[2 + i / 2] >> (32 * (i % 2))) as u32 as i32));
+            }
+        }
+    }
+    if msg.flags & (MSG_CTRUNC | MSG_TRUNC) != 0 {
+        return Err(io::Error::other("seqpacket message or its descriptors truncated"));
+    }
+    if n == 0 && fds.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some((n, fds)))
+}
+
+/// Hand every wholly free page of the C heap back to the kernel
+/// (glibc's `malloc_trim(0)`). In a freshly forked child this unshares
+/// those pages: the child stops holding the parent's freed memory, so the
+/// parent's next writes there take no copy-on-write copy, and the child's
+/// resident set — and every process forked from it — shrinks to the
+/// memory still in use.
+pub fn release_free_heap() {
+    // SAFETY: `malloc_trim(3)` takes an integer and only walks the
+    // allocator's own free lists; callers are single-threaded, so no
+    // other thread is inside the allocator meanwhile.
+    unsafe { ffi::malloc_trim(0) };
+}
+
+/// Whether a process `pid` exists (`kill(pid, 0)`; `ESRCH` means none —
+/// a reaped child is gone, a zombie still exists).
+pub fn pid_exists(pid: i32) -> bool {
+    // SAFETY: `kill(2)` with signal 0 sends nothing; it takes two
+    // integers and touches no memory of this process.
+    let alive = unsafe { ffi::kill(pid, 0) } == 0;
+    alive || io::Error::last_os_error().raw_os_error() != Some(3)
 }
 
 /// Block until `pid` exits; returns the raw wait status (0 on a clean

@@ -3,17 +3,21 @@
 //! `lms_part::wire` frame protocol — with failure detection and
 //! checkpoint/restart recovery built in.
 //!
-//! [`ProcessTransport::spawn`] forks one process per part over pipes,
-//! [`ProcessTransport::spawn_forked`] does the same over a Unix-domain
-//! or TCP socket the workers dial back on, and
-//! [`ProcessTransport::listen`] serves external standalone workers.
-//! Each forked child inherits the engine's immutable topology — its
-//! [`ResidentBlock`], the [`ExchangeSchedule`] and the scoring view —
-//! copy-on-write at fork time, closes every descriptor it inherited but
-//! its own channel ([`sys::close_all_but`]), builds its [`ResidentRank`]
-//! and serves frames; only *run state* ever crosses the wire: one gather
-//! of block coordinates, per-color-step coalesced halo-delta batches,
-//! per-iteration stat reports and sparse checkpoint replies.
+//! [`ProcessTransport::spawn`] has the engine's [`Spawner`] fork one
+//! process per part over pipes, [`ProcessTransport::spawn_forked`] does
+//! the same over a Unix-domain or TCP socket the workers dial back on,
+//! and [`ProcessTransport::listen`] serves external standalone workers.
+//! A forked rank starts from the spawner's image — forked before the
+//! engine built anything, it holds the parameters and the mesh's element
+//! table, from which the rank builds its scoring view — and closes every
+//! descriptor but its own channel ([`sys::close_all_but`]). Every rank,
+//! forked or external, then gets the same two frames first: the `Hello`
+//! handshake and a `Block` frame holding its [`ResidentBlock`] and its
+//! row of the [`ExchangeSchedule`], which it decodes with validation
+//! before building its `ResidentRank`. After that only *run state*
+//! crosses the wire: one gather of block coordinates, per-color-step
+//! coalesced halo-delta batches, per-iteration stat reports and sparse
+//! checkpoint replies.
 //!
 //! # The coordinator loop
 //!
@@ -64,9 +68,10 @@
 //!   hang on a dead or wedged rank.
 //! * **Checkpoint** — at iteration boundaries the coordinator asks every
 //!   rank for the owned coordinates that changed since its last reply (a
-//!   sparse `ScatterDeltaRequest` round). The replies are folded into a
-//!   global snapshot as they arrive inside the next iteration's drains,
-//!   and the round commits at the following boundary. That snapshot is
+//!   sparse `ScatterDeltaRequest` round). The replies — the moved set —
+//!   are kept as they arrive inside the next iteration's drains, and the
+//!   round commits at the following boundary by writing them into the
+//!   one dense global snapshot in place. That snapshot is
 //!   a *complete* rank state: at a boundary a rank is exactly its
 //!   coordinates plus element scores, and the scores are
 //!   bit-reproducible as `dom.score` of those coordinates (the invariant
@@ -86,12 +91,12 @@
 use crate::error::DistError;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::socket::{Listener, SocketSpec, Supervisor};
+use crate::spawner::{Launch, Spawner};
 use crate::sys::{self, Fd, TimeoutReader, WaitStatus};
-use crate::worker;
 use lms_part::wire::{halo_frame_wire_len, Frame, Reassembly, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
-use lms_smooth::domain::{DomainConfig, DomainPoint, ScoringDomain};
-use lms_smooth::resident::{ResidentBlock, ResidentRank};
+use lms_smooth::domain::{DomainPoint, ScoringDomain};
+use lms_smooth::resident::ResidentBlock;
 use lms_smooth::score_elements_batched;
 use lms_smooth::{ExchangeVolume, FtResidentTransport};
 use lms_trace::{now_ns, RankPhaseNanos, TransportProfile};
@@ -128,17 +133,20 @@ enum Pending {
     Report,
 }
 
-/// An outstanding deferred checkpoint round: the
-/// boundary state being assembled from sparse `ScatterDelta` replies
-/// that arrive interleaved with the next iteration's frames. The
-/// assembled `scratch` is **not** the live checkpoint until a commit
-/// point (the next `take_checkpoint` or the final scatter) swaps it in
-/// — an `Ok` return is the commit, so the transport's recovery state
-/// and the driver's fold snapshot always advance together.
-struct CkptPending<P> {
-    /// The previous committed checkpoint plus every stashed reply so
-    /// far; complete when `missing == 0`.
-    scratch: Vec<P>,
+/// One rank's sparse checkpoint reply: the rank, its owned-local slots
+/// whose coordinates changed, and those coordinates (flat).
+type CkptReply = (usize, Vec<u32>, Vec<f64>);
+
+/// An outstanding deferred checkpoint round: the sparse `ScatterDelta`
+/// replies that arrive interleaved with the next iteration's frames,
+/// kept as they came. They are **not** in the live checkpoint until a
+/// commit point (the next `take_checkpoint` or the final scatter) writes
+/// them into it — an `Ok` return is the commit, so the transport's
+/// recovery state and the driver's fold snapshot always advance
+/// together.
+struct CkptPending {
+    /// Every reply stashed so far; complete when `missing == 0`.
+    replies: Vec<CkptReply>,
     /// Ranks whose reply has not arrived yet (indexed by rank).
     awaiting: Vec<bool>,
     /// Count of `true` entries in `awaiting`.
@@ -149,9 +157,9 @@ struct CkptPending<P> {
 }
 
 /// A finished deferred checkpoint round, ready for the caller to
-/// commit: the assembled boundary coordinates plus the `swept` flag
-/// (see [`CkptPending`]); `None` when no round was outstanding.
-type FinishedCkpt<P> = Option<(Vec<P>, bool)>;
+/// commit: its replies plus the `swept` flag (see [`CkptPending`]);
+/// `None` when no round was outstanding.
+type FinishedCkpt = Option<(Vec<CkptReply>, bool)>;
 
 /// Control frames whose protocol effect is deferred until their bytes
 /// fully leave an [`OutQueue`]: a `ColorStep` makes the rank owe a
@@ -291,19 +299,21 @@ struct RankChannel {
 /// recovery. See the module docs for the routing and recovery
 /// arguments.
 pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
+    /// What forks the ranks; `None` for external standalone workers.
+    spawner: Option<&'a Spawner>,
     dom: &'a D,
-    cfg: DomainConfig,
     blocks: &'a [ResidentBlock<C>],
     schedule: &'a ExchangeSchedule,
     plan: MessagePlan,
     link: Link,
     ranks: Vec<RankChannel>,
     /// The recovery checkpoint: the full global coordinate array as of
-    /// the last *committed* iteration boundary (primed by `try_gather`).
+    /// the last *committed* iteration boundary (primed by `try_gather`) —
+    /// the coordinator's one dense copy of the run state.
     ckpt: Vec<D::Point>,
     /// The deferred sparse checkpoint round still collecting, if any
     /// (see [`CkptPending`]).
-    ckpt_pending: Option<CkptPending<D::Point>>,
+    ckpt_pending: Option<CkptPending>,
     faults: FaultPlan,
     read_timeout_ms: i32,
     shut_down: bool,
@@ -343,20 +353,24 @@ pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
 }
 
 impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
-    /// Fork one rank worker per part and complete the wire handshake.
+    /// Have `spawner` fork one rank worker per part, then send each its
+    /// `Hello` and `Block` frames.
     ///
-    /// The domain, config, blocks and schedule are captured by the
-    /// children as copy-on-write images (and kept by the coordinator for
-    /// recovery respawns). `read_timeout_ms` bounds every coordinator
-    /// read (negative disables the bound); `faults` is the
-    /// test-injection script (use [`FaultPlan::none`] for production).
-    /// On failure every already-forked child is killed and reaped before
-    /// the error returns. `profile` turns on phase timing on both sides
-    /// of the wire (rank sweeps and coordinator routing) — observation
-    /// only, the computed coordinates are bit-identical either way.
+    /// `spawner` must have been started for the mesh `dom` scores (the
+    /// ranks build their scoring view from its copy of the parameters and
+    /// element table). The blocks and schedule are what the ranks are
+    /// sent, and are kept for recovery respawns. `read_timeout_ms` bounds
+    /// every coordinator read (negative disables the bound); `faults` is
+    /// the test-injection script (use [`FaultPlan::none`] for
+    /// production). On failure every already-forked child is killed and
+    /// reaped before the error returns. `profile` turns on phase timing
+    /// on both sides of the wire (rank sweeps and coordinator routing) —
+    /// observation only, the computed coordinates are bit-identical
+    /// either way.
+    #[allow(clippy::too_many_arguments)]
     pub fn spawn(
+        spawner: &'a Spawner,
         dom: &'a D,
-        cfg: &DomainConfig,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -364,7 +378,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         profile: bool,
     ) -> Result<Self, DistError> {
         let link = Link::Pipes;
-        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
+        let spawner = Some(spawner);
+        Self::spawn_linked(spawner, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// [`spawn`](Self::spawn) over a socket: bind `spec`, fork one
@@ -374,8 +389,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_forked(
         spec: &SocketSpec,
+        spawner: &'a Spawner,
         dom: &'a D,
-        cfg: &DomainConfig,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -390,7 +405,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             external: false,
             parked: Vec::new(),
         };
-        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
+        let spawner = Some(spawner);
+        Self::spawn_linked(spawner, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// Serve a rank group of **external** standalone workers: accept one
@@ -402,7 +418,6 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     pub fn listen(
         listener: Listener,
         dom: &'a D,
-        cfg: &DomainConfig,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -416,7 +431,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             parked: Vec::new(),
         };
         let faults = FaultPlan::none();
-        Self::spawn_linked(dom, cfg, blocks, schedule, read_timeout_ms, faults, profile, link)
+        Self::spawn_linked(None, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// The constructor behind [`spawn`](Self::spawn),
@@ -424,8 +439,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     /// establish every rank's channel over `link`.
     #[allow(clippy::too_many_arguments)]
     fn spawn_linked(
+        spawner: Option<&'a Spawner>,
         dom: &'a D,
-        cfg: &DomainConfig,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -436,12 +451,17 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         if faults.fail_spawn {
             return Err(DistError::Spawn(io::Error::other("injected spawn failure")));
         }
+        if spawner.is_some_and(|s| !s.serves(D::Point::DIM, C)) {
+            return Err(DistError::Spawn(io::Error::other(
+                "spawner forks ranks of another mesh type",
+            )));
+        }
         let k = blocks.len();
         let plan = MessagePlan::build(schedule);
         let ov = Overlap::new(&plan, k);
         let mut transport = ProcessTransport {
+            spawner,
             dom,
-            cfg: *cfg,
             blocks,
             schedule,
             plan,
@@ -463,25 +483,36 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             ov,
             ckpt_fresh: false,
         };
+        let mut established = Ok(());
         for p in 0..k {
             match transport.spawn_rank(p as u32, true) {
                 Ok(channel) => transport.ranks.push(channel),
                 Err(e) => {
-                    // reap the siblings forked so far before the error
-                    // reaches the caller
-                    for channel in &transport.ranks {
-                        if let Some(pid) = channel.pid {
-                            let _ = sys::kill_pid(pid);
-                        }
-                    }
-                    let pids: Vec<i32> = transport.ranks.iter().filter_map(|c| c.pid).collect();
-                    transport.ranks.clear();
-                    for pid in pids {
-                        let _ = sys::wait_pid(pid);
-                    }
-                    transport.shut_down = true;
-                    return Err(e);
+                    established = Err(e);
+                    break;
                 }
+            }
+        }
+        // every rank is up before any block is sent, so all of them decode
+        // while the others are still being sent theirs
+        let all: Vec<usize> = (0..transport.ranks.len()).collect();
+        match established.and_then(|()| transport.send_blocks(&all)) {
+            Ok(()) => {}
+            Err(e) => {
+                // reap the siblings forked so far before the error
+                // reaches the caller
+                for channel in &transport.ranks {
+                    if let Some(pid) = channel.pid {
+                        let _ = sys::kill_pid(pid);
+                    }
+                }
+                let pids: Vec<i32> = transport.ranks.iter().filter_map(|c| c.pid).collect();
+                transport.ranks.clear();
+                for pid in pids {
+                    let _ = sys::wait_pid(pid);
+                }
+                transport.shut_down = true;
+                return Err(e);
             }
         }
         Ok(transport)
@@ -508,7 +539,13 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         }
     }
 
-    /// Fork and handshake one rank worker over a fresh pipe pair.
+    /// The spawner behind a forked link.
+    fn spawner(&self) -> &'a Spawner {
+        self.spawner.expect("a forked rank group has a spawner")
+    }
+
+    /// Have the spawner fork rank `p` over a fresh pipe pair, then
+    /// handshake it.
     fn spawn_rank_pipes(
         &mut self,
         p: u32,
@@ -516,41 +553,18 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     ) -> Result<RankChannel, DistError> {
         let (child_in, to_rank) = sys::pipe().map_err(DistError::Spawn)?;
         let (from_rank, child_out) = sys::pipe().map_err(DistError::Spawn)?;
-        // SAFETY: the child touches no parent lock or thread — it builds
-        // its rank from the inherited image and enters the
-        // single-threaded worker loop, leaving only via `_exit`.
-        let pid = unsafe { sys::fork() }.map_err(DistError::Spawn)?;
-        if pid == 0 {
-            // shed every descriptor inherited from the parent image but
-            // the child ends of this rank's own fresh pipes
-            if let Err(e) = sys::close_all_but(&mut [child_in.raw(), child_out.raw()]) {
-                eprintln!("lms-dist rank worker: cannot close inherited descriptors: {e}");
-                sys::exit_now(102);
-            }
-            let rank = ResidentRank::new(
-                self.dom,
-                &self.cfg,
-                p,
-                &self.blocks[p as usize],
-                self.schedule,
-                &self.plan,
-            );
-            // never returns; the child's copies of the parent's `Fd`
-            // values are reclaimed by the kernel at `_exit`
-            worker::run_worker(
-                rank,
-                Fd::from_raw(child_in.raw()),
-                Fd::from_raw(child_out.raw()),
-                worker_faults,
-            );
-        }
+        let how = Launch::Pipes { input: &child_in, output: &child_out };
+        let pid = self.spawner().launch(p, how, &worker_faults).map_err(DistError::Spawn)?;
+        // the rank holds its own ends now; ours would keep its streams
+        // from reaching EOF when it dies
         drop(child_in);
         drop(child_out);
         self.finish_channel(Some(pid), from_rank, to_rank, p)
     }
 
-    /// Fork one rank worker that dials the listener back (supervised
-    /// retry/backoff), then accept and bind its stream by rank id.
+    /// Have the spawner fork rank `p` to dial the listener back
+    /// (supervised retry/backoff), then accept and bind its stream by
+    /// rank id.
     fn spawn_rank_socket(
         &mut self,
         p: u32,
@@ -562,50 +576,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             }
             Link::Pipes => unreachable!("socket spawn on a pipe link"),
         };
-        // SAFETY: as in `spawn_rank_pipes` — single-threaded child,
-        // leaves only via `_exit`.
-        let pid = unsafe { sys::fork() }.map_err(DistError::Spawn)?;
-        if pid == 0 {
-            // shed every descriptor inherited from the parent image (the
-            // live channel streams, the listener, parked connections, any
-            // other engine's pipes) before dialling a fresh stream
-            if let Err(e) = sys::close_all_but(&mut []) {
-                eprintln!("lms-dist rank worker: cannot close inherited descriptors: {e}");
-                sys::exit_now(102);
-            }
-            if worker_faults.refuse_connect {
-                // the refused-connect regime: leave before ever dialling,
-                // so the coordinator's accept times out into ConnRefused
-                sys::exit_now(crate::fault::REFUSED_CONNECT_EXIT);
-            }
-            let (input, mut output) = match crate::socket::connect_with_retry(&target, &policy) {
-                Ok(fds) => fds,
-                Err(e) => {
-                    eprintln!("lms-dist rank worker: cannot dial coordinator at {target}: {e}");
-                    sys::exit_now(102);
-                }
-            };
-            // identifying Hello: binds this stream to rank `p` whatever
-            // order the concurrently-forked workers get accepted in
-            let hello = Frame::Hello {
-                version: WIRE_VERSION,
-                dim: <D::Point as DomainPoint>::DIM as u8,
-                rank: p,
-                profile: false,
-            };
-            if hello.write_to(&mut output).is_err() {
-                sys::exit_now(102);
-            }
-            let rank = ResidentRank::new(
-                self.dom,
-                &self.cfg,
-                p,
-                &self.blocks[p as usize],
-                self.schedule,
-                &self.plan,
-            );
-            worker::run_worker(rank, input, output, worker_faults);
-        }
+        let how = Launch::Dial { target: &target, policy };
+        let pid = self.spawner().launch(p, how, &worker_faults).map_err(DistError::Spawn)?;
         match self.accept_rank(p) {
             Ok((from_rank, to_rank)) => self.finish_channel(Some(pid), from_rank, to_rank, p),
             Err(e) => {
@@ -674,8 +646,9 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     }
 
     /// Wrap an established stream pair into a [`RankChannel`] and send
-    /// the coordinator's handshake `Hello` — the tail shared by all
-    /// three link flavours.
+    /// the coordinator's handshake `Hello` — the tail shared by all three
+    /// link flavours. The rank's `Block` frame follows from
+    /// [`send_blocks`](Self::send_blocks).
     fn finish_channel(
         &mut self,
         pid: Option<i32>,
@@ -712,6 +685,36 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             reaped: false,
             last_phase: ("spawn", 0),
         })
+    }
+
+    /// Send each rank in `which` its `Block` frame — its resident block and
+    /// its row of the exchange schedule, encoded straight from the
+    /// coordinator's own — each from its own scoped thread: a rank decodes
+    /// as fast as it is sent, so one rank at a time would leave the
+    /// others idle, while concurrent sends let every rank decode at once.
+    fn send_blocks(&mut self, which: &[usize]) -> Result<(), DistError> {
+        let (blocks, schedule) = (self.blocks, self.schedule);
+        let send = |p: usize, channel: &mut RankChannel| {
+            blocks[p].write_frame(&mut channel.to_rank, p as u32, schedule)?;
+            channel.to_rank.flush()
+        };
+        let mut chosen: Vec<(usize, &mut RankChannel)> =
+            self.ranks.iter_mut().enumerate().filter(|(p, _)| which.contains(p)).collect();
+        let sent: Vec<io::Result<()>> = match chosen.as_mut_slice() {
+            [(p, channel)] => vec![send(*p, channel)],
+            _ => std::thread::scope(|scope| {
+                // a writer the host refuses to start fails the spawn like
+                // a refused fork, and the run degrades
+                let writers: Vec<io::Result<_>> = chosen
+                    .into_iter()
+                    .map(|(p, channel)| {
+                        std::thread::Builder::new().spawn_scoped(scope, move || send(p, channel))
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w?.join().expect("block writer panicked")).collect()
+            }),
+        };
+        sent.into_iter().collect::<io::Result<()>>().map_err(DistError::Spawn)
     }
 
     /// Bounded reap of rank `p` after its stream reported EOF/EPIPE: a
@@ -1313,10 +1316,10 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         self.ckpt_pending.as_ref().is_some_and(|pc| pc.awaiting[p])
     }
 
-    /// Fold one `ScatterDelta` reply into the outstanding deferred
+    /// Keep one `ScatterDelta` reply for the outstanding deferred
     /// checkpoint round. Rank owned sets are disjoint and each rank
     /// answers once per round, so arrival order is invisible in the
-    /// assembled state.
+    /// committed state.
     fn ov_stash_ckpt_delta(
         &mut self,
         p: usize,
@@ -1331,11 +1334,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             let f = Frame::ScatterDelta { slots, coords };
             return Err(self.protocol_error(p, &f));
         }
-        let points = crate::codec::flat_to_points::<D::Point>(&coords);
         let pc = self.ckpt_pending.as_mut().expect("awaiting implies a pending round");
-        for (&s, &point) in slots.iter().zip(&points) {
-            pc.scratch[owned[s as usize] as usize] = point;
-        }
+        pc.replies.push((p, slots, coords));
         pc.awaiting[p] = false;
         pc.missing -= 1;
         self.mark(p, "checkpoint");
@@ -1347,11 +1347,11 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     /// FIFO order puts each reply *before* the following iteration's
     /// frames, so by the next boundary the replies were normally
     /// consumed inside the iteration's drains and this returns without
-    /// polling. Returns the assembled boundary state plus whether a
-    /// sweep ran since the round was requested; the **caller** commits
-    /// it into `ckpt` — at an `Ok`-return point only, keeping the
-    /// committed checkpoint paired with the driver's fold snapshot.
-    fn ov_complete_ckpt(&mut self) -> Result<FinishedCkpt<D::Point>, DistError> {
+    /// polling. Returns the round's replies plus whether a sweep ran
+    /// since the round was requested; the **caller** commits them into
+    /// `ckpt` — at an `Ok`-return point only, keeping the committed
+    /// checkpoint paired with the driver's fold snapshot.
+    fn ov_complete_ckpt(&mut self) -> Result<FinishedCkpt, DistError> {
         if self.ckpt_pending.is_none() {
             return Ok(None);
         }
@@ -1367,16 +1367,28 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             }
         }
         let pc = self.ckpt_pending.take().expect("checked above");
-        Ok(Some((pc.scratch, pc.swept)))
+        Ok(Some((pc.replies, pc.swept)))
+    }
+
+    /// Commit a finished round: write its replies into the checkpoint in
+    /// place (each reply holds only what moved since the rank's previous
+    /// one, which the checkpoint already holds), fresh when no sweep ran
+    /// since the round was requested.
+    fn apply_ckpt(&mut self, (replies, swept): (Vec<CkptReply>, bool)) {
+        for (p, slots, coords) in replies {
+            let owned = self.blocks[p].owned();
+            for (&s, point) in slots.iter().zip(coords.chunks_exact(D::Point::DIM)) {
+                self.ckpt[owned[s as usize] as usize] = D::Point::from_components(point);
+            }
+        }
+        self.ckpt_fresh = !swept;
     }
 
     /// Finish the outstanding checkpoint round, if any, and commit it as
-    /// the recovery checkpoint — fresh when no sweep ran since it was
-    /// requested.
+    /// the recovery checkpoint.
     fn commit_ckpt(&mut self) -> Result<(), DistError> {
-        if let Some((scratch, swept)) = self.ov_complete_ckpt()? {
-            self.ckpt = scratch;
-            self.ckpt_fresh = !swept;
+        if let Some(finished) = self.ov_complete_ckpt()? {
+            self.apply_ckpt(finished);
         }
         Ok(())
     }
@@ -1585,13 +1597,10 @@ impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
     /// extra checkpoint interval — buys hiding the collection wait.
     fn take_checkpoint(&mut self) -> Result<(), DistError> {
         let ready = self.ov_complete_ckpt()?;
-        let base = match &ready {
-            Some((scratch, _)) => scratch.clone(),
-            None => self.ckpt.clone(),
-        };
         let k = self.ranks.len();
+        let replies = Vec::with_capacity(k);
         self.ckpt_pending =
-            Some(CkptPending { scratch: base, awaiting: vec![false; k], missing: 0, swept: false });
+            Some(CkptPending { replies, awaiting: vec![false; k], missing: 0, swept: false });
         for p in 0..k {
             self.send(p, &Frame::ScatterDeltaRequest)?;
             self.flush(p)?;
@@ -1602,9 +1611,8 @@ impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
             pc.awaiting[p] = true;
             pc.missing += 1;
         }
-        if let Some((scratch, swept)) = ready {
-            self.ckpt = scratch;
-            self.ckpt_fresh = !swept;
+        if let Some(finished) = ready {
+            self.apply_ckpt(finished);
         }
         Ok(())
     }
@@ -1671,6 +1679,8 @@ impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
             self.ranks[p as usize] = replacement;
             self.ov.reasm[p as usize].clear();
         }
+        let respawned: Vec<usize> = failed.iter().map(|&p| p as usize).collect();
+        self.send_blocks(&respawned)?;
         // drop every in-flight artefact of the abandoned iteration: the
         // driver replays from the checkpoint through a fresh interior
         // phase, which restarts the round bookkeeping
@@ -1724,24 +1734,33 @@ mod tests {
     use lms_part::PartitionMethod;
     use lms_smooth::{ResidentEngine, SmoothParams};
 
-    /// A rank holds no descriptor of the image it was forked from but its
-    /// own channel: a pipe opened before the spawn reads EOF as soon as
-    /// the parent drops its write end, while the ranks live on.
+    /// Neither the spawner nor a rank holds a descriptor of the image it
+    /// was forked from but its own channel: a pipe opened before the
+    /// spawner was forked reads EOF as soon as the parent drops its write
+    /// end, while the spawner and the ranks live on.
     #[test]
     fn ranks_do_not_hold_a_pipe_opened_before_their_spawn() {
         let mesh = lms_mesh::generators::perturbed_grid(8, 8, 0.35, 5);
+        let (r, w) = sys::pipe().unwrap();
+        let spawner = Spawner::start(&mesh, &SmoothParams::paper()).expect("spawner");
         let engine =
             ResidentEngine::by_method(&mesh, SmoothParams::paper(), 2, PartitionMethod::Rcb);
-        let (dom, cfg) = (engine.scoring(), engine.domain_config());
-        let (r, w) = sys::pipe().unwrap();
+        let dom = engine.scoring();
         let (blocks, schedule) = (engine.blocks(), engine.exchange_schedule());
-        let transport =
-            ProcessTransport::spawn(&dom, &cfg, blocks, schedule, 5_000, FaultPlan::none(), false)
-                .expect("spawn");
+        let transport = ProcessTransport::spawn(
+            &spawner,
+            &dom,
+            blocks,
+            schedule,
+            5_000,
+            FaultPlan::none(),
+            false,
+        )
+        .expect("spawn");
         drop(w);
         let mut reader = TimeoutReader::new(r, 2_000);
         let read = io::Read::read(&mut reader, &mut [0u8; 1]).map_err(|e| e.kind());
-        assert_eq!(read, Ok(0), "a rank holds the write end");
+        assert_eq!(read, Ok(0), "the spawner or a rank holds the write end");
         assert_eq!(transport.num_ranks(), 2);
     }
 

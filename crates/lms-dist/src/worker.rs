@@ -1,10 +1,13 @@
 //! The rank worker: the frame-driven loop a rank process runs for its
 //! whole life.
 //!
-//! A worker owns exactly one [`ResidentRank`] — its part's resident block
-//! state, inherited copy-on-write from the coordinator image at fork
-//! time, or rebuilt deterministically from the shared problem parameters
-//! when running standalone over a socket. It serves the coordinator's
+//! A worker owns exactly one [`ResidentRank`] over its part's resident
+//! block. Every worker gets that block the same way, whether the
+//! spawner forked it or it runs standalone over a socket: the
+//! coordinator's `Hello` is followed by a `Block` frame, which the
+//! worker decodes with validation ([`ResidentBlock::from_frame`]) into
+//! the block and its row of the exchange schedule. All the worker brings
+//! itself is the topology-free scoring view. It serves the coordinator's
 //! frames in stream order: the FIFO byte stream (pipe or socket) is the
 //! synchronisation, so a `ColorStep` can never overtake the previous
 //! round's forwarded `HaloDelta` frames. Every frame handler is one
@@ -23,8 +26,9 @@
 use crate::codec::{flat_to_points, points_to_flat};
 use crate::fault::{FaultPoint, WorkerFaults};
 use lms_part::wire::{Frame, WireError, WIRE_VERSION};
-use lms_smooth::domain::{DomainPoint, ScoringDomain};
-use lms_smooth::resident::ResidentRank;
+use lms_part::MessagePlan;
+use lms_smooth::domain::{DomainConfig, DomainPoint, ScoringDomain};
+use lms_smooth::resident::{ResidentBlock, ResidentRank};
 use std::io::{Read, Write};
 
 /// How a serve loop ended short of a stream error.
@@ -40,14 +44,17 @@ pub(crate) enum ServeOutcome {
     DropConn,
 }
 
-/// Serve the coordinator until `Shutdown` (or a dead stream), then leave
-/// the process via `_exit` — never by returning into the forked parent
-/// image. Exit codes: 0 clean shutdown, 101 panic, 102 stream error,
+/// Serve the coordinator as rank `part` until `Shutdown` (or a dead
+/// stream), then leave the process via `_exit` — never by returning into
+/// the forked parent image. Exit codes: 0 clean shutdown, 101 panic,
+/// 102 stream error (a block frame that fails validation included),
 /// [`crate::fault::INJECTED_KILL_EXIT`] injected kill. A scripted
 /// connection drop closes the streams and idles the process instead of
 /// exiting — the coordinator's recovery kills it.
 pub(crate) fn run_worker<const C: usize, D, R, W>(
-    mut rank: ResidentRank<'_, C, D>,
+    dom: &D,
+    cfg: &DomainConfig,
+    part: u32,
     input: R,
     output: W,
     faults: WorkerFaults,
@@ -58,7 +65,7 @@ where
     W: Write,
 {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve(&mut rank, input, output, &faults)
+        serve(dom, cfg, part, input, output, &faults)
     }));
     match outcome {
         Ok(Ok(ServeOutcome::Shutdown)) => crate::sys::exit_now(0),
@@ -137,8 +144,12 @@ impl<W: Write> FrameWriter<'_, W> {
     }
 }
 
+/// Serve rank `part` over `input`/`output`: the coordinator's `Hello`,
+/// then its `Block` frame, then the frame loop.
 pub(crate) fn serve<const C: usize, D, R, W>(
-    rank: &mut ResidentRank<'_, C, D>,
+    dom: &D,
+    cfg: &DomainConfig,
+    part: u32,
     input: R,
     output: W,
     faults: &WorkerFaults,
@@ -151,17 +162,26 @@ where
     let mut rd = std::io::BufReader::new(input);
     let mut wr = FrameWriter { inner: std::io::BufWriter::new(output), faults, sent: 0 };
 
-    match Frame::read_from(&mut rd)? {
+    let profile = match Frame::read_from(&mut rd)? {
         Frame::Hello { version, dim, rank: id, profile } => {
             assert_eq!(version, WIRE_VERSION, "wire version mismatch");
             assert_eq!(dim as usize, <D::Point as DomainPoint>::DIM, "dimension mismatch");
-            assert_eq!(id, rank.part(), "rank id mismatch");
-            // profiled runs time every sweep phase rank-side and ship the
-            // totals back as deltas in each Report frame
-            rank.set_timing(profile);
+            assert_eq!(id, part, "rank id mismatch");
+            profile
         }
         f => panic!("expected Hello handshake, got {f:?}"),
-    }
+    };
+    // the frame's payload is freed as soon as it is decoded; the decoded
+    // sections become the block's vectors
+    let frame = Frame::read_from(&mut rd)?;
+    let (block, schedule) =
+        ResidentBlock::<C>::from_frame(frame, part, dom.num_vertices(), dom.num_elements())?;
+    let plan = MessagePlan::build(&schedule);
+    let mut rank = ResidentRank::new(dom, cfg, part, &block, &schedule, &plan);
+    // profiled runs time every sweep phase rank-side and ship the totals
+    // back as deltas in each Report frame
+    rank.set_timing(profile);
+    let rank = &mut rank;
 
     // worker-local iteration counter: the number of Interior frames
     // served so far — the `iter` coordinate of fault points

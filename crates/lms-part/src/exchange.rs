@@ -24,6 +24,7 @@
 //! `owned+halo` coordinate buffer.
 
 use crate::partition::Partition;
+use crate::wire::WireError;
 use lms_mesh::vec_bytes;
 
 /// Per-part-pair halo-exchange schedule built from a [`Partition`]'s ghost
@@ -92,6 +93,49 @@ impl ExchangeSchedule {
     #[inline]
     pub fn num_parts(&self) -> usize {
         self.offsets.len()
+    }
+
+    /// Part `p`'s row: CSR offsets over its owned locals and the
+    /// `(destination part, destination local index)` entries they index —
+    /// all of the schedule a rank reads.
+    pub fn row(&self, p: u32) -> (&[u32], &[(u32, u32)]) {
+        (&self.offsets[p as usize], &self.targets[p as usize])
+    }
+
+    /// A schedule of `num_parts` parts holding only part `p`'s row, as
+    /// [`row`](Self::row) exported it; every other part's row is empty.
+    /// What a rank rebuilds from its block frame: [`outgoing`] for `p` and
+    /// [`MessagePlan::build`]'s row for `p` equal the full schedule's.
+    ///
+    /// # Errors
+    /// [`WireError::BadBlock`] when `p` is not a part, the offsets are not
+    /// a CSR over `targets`, or an entry names no part, or `p` itself.
+    ///
+    /// [`outgoing`]: Self::outgoing
+    pub fn from_row(
+        num_parts: usize,
+        p: u32,
+        offsets: Vec<u32>,
+        targets: Vec<(u32, u32)>,
+    ) -> Result<Self, WireError> {
+        if p as usize >= num_parts {
+            return Err(WireError::BadBlock("part id out of range"));
+        }
+        let csr = offsets.first() == Some(&0)
+            && offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.last().map(|&l| l as usize) == Some(targets.len());
+        if !csr {
+            return Err(WireError::BadBlock("schedule offsets are not a CSR over its entries"));
+        }
+        if targets.iter().any(|&(q, _)| q as usize >= num_parts || q == p) {
+            return Err(WireError::BadBlock("schedule entry names no other part"));
+        }
+        let total_entries = targets.len();
+        let mut all_offsets = vec![vec![0u32]; num_parts];
+        let mut all_targets = vec![Vec::new(); num_parts];
+        all_offsets[p as usize] = offsets;
+        all_targets[p as usize] = targets;
+        Ok(ExchangeSchedule { offsets: all_offsets, targets: all_targets, total_entries })
     }
 
     /// Delivery slots of part `p`'s owned local `src_local`:
@@ -270,6 +314,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_row_rebuilds_its_part_of_the_schedule_and_plan() {
+        let (p, s) = setup(5, PartitionMethod::Hilbert);
+        let full = MessagePlan::build(&s);
+        for part in 0..p.num_parts() {
+            let (offsets, targets) = s.row(part);
+            let one = ExchangeSchedule::from_row(5, part, offsets.to_vec(), targets.to_vec())
+                .expect("an exported row is valid");
+            for i in 0..p.part(part).len() as u32 {
+                assert_eq!(one.outgoing(part, i), s.outgoing(part, i));
+            }
+            let plan = MessagePlan::build(&one);
+            assert_eq!(plan.num_parts(), 5);
+            assert_eq!(plan.neighbors(part), full.neighbors(part));
+            assert_eq!(plan.pair_entry_counts(part), full.pair_entry_counts(part));
+        }
+        // malformed rows are typed errors, not panics
+        let (offsets, targets) = s.row(1);
+        let bad = |k: usize, part: u32, o: Vec<u32>, t: Vec<(u32, u32)>| {
+            matches!(ExchangeSchedule::from_row(k, part, o, t), Err(WireError::BadBlock(_)))
+        };
+        assert!(bad(5, 5, offsets.to_vec(), targets.to_vec()));
+        assert!(bad(5, 1, vec![], vec![]));
+        assert!(bad(5, 1, offsets[..offsets.len() - 1].to_vec(), targets.to_vec()));
+        assert!(bad(5, 1, vec![0, 2, 1, 2], vec![(0, 0), (2, 0)]));
+        assert!(bad(5, 1, vec![0, 1], vec![(1, 0)]));
+        assert!(bad(5, 1, vec![0, 1], vec![(5, 0)]));
     }
 
     #[test]

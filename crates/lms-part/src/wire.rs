@@ -7,6 +7,7 @@
 //! | frame | direction | payload |
 //! |---|---|---|
 //! | [`Frame::Hello`] | coordinator → rank | magic, version, coordinate dimension, rank id, profiling flag |
+//! | [`Frame::Block`] | coordinator → rank | the rank's resident block and its row of the exchange schedule, as typed sections |
 //! | [`Frame::Gather`] | coordinator → rank | the rank's owned+halo coordinates and local element scores (the one full gather) |
 //! | [`Frame::Interior`] | coordinator → rank | run the interior sweep phase of the current iteration |
 //! | [`Frame::ColorStep`] | coordinator → rank | apply pending halo deltas, sweep one interface color class, emit moved deltas |
@@ -53,8 +54,9 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"LMSW");
 /// the per-frame CRC32c checksum; version 3 added the profiling flag to
 /// [`Frame::Hello`] and the per-phase timing deltas to [`Frame::Report`];
 /// version 4 added the sparse checkpoint round
-/// ([`Frame::ScatterDeltaRequest`] / [`Frame::ScatterDelta`]).
-pub const WIRE_VERSION: u16 = 4;
+/// ([`Frame::ScatterDeltaRequest`] / [`Frame::ScatterDelta`]); version 5
+/// added [`Frame::Block`], which hands every rank its resident block.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Hard cap on one frame's payload (64 MiB): a corrupted length prefix
 /// must not turn into an unbounded allocation.
@@ -105,24 +107,85 @@ const fn crc32c_tables() -> [[u32; 256]; 8] {
 
 static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
 
-fn crc32c_fold(mut crc: u32, bytes: &[u8]) -> u32 {
+/// One slice-by-8 step: the register after folding in 8 more bytes.
+#[inline(always)]
+fn crc32c_step8(crc: u32, c: &[u8]) -> u32 {
     let t = &CRC32C_TABLES;
+    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][((lo >> 8) & 0xff) as usize]
+        ^ t[5][((lo >> 16) & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][c[4] as usize]
+        ^ t[2][c[5] as usize]
+        ^ t[1][c[6] as usize]
+        ^ t[0][c[7] as usize]
+}
+
+/// Fold `bytes` into the raw register `crc` (no pre- or post-inversion)
+/// eight bytes at a time, then byte by byte.
+fn crc32c_fold_serial(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+        crc = crc32c_step8(crc, c);
     }
     for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
+        crc = (crc >> 8) ^ CRC32C_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
     }
     crc
+}
+
+/// `a · b mod P` in the reflected bit order of the CRC register (bit 31
+/// is `x^0`) — how a register is moved past a run of zero bytes.
+fn crc32c_mulmod(a: u32, mut b: u32) -> u32 {
+    const POLY: u32 = 0x82f6_3b78;
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if a >> bit & 1 != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    product
+}
+
+/// `x^(8·n) mod P`: the factor that moves a register past `n` bytes.
+fn crc32c_shift(n: usize) -> u32 {
+    let (mut power, mut square) = (1u32 << 31, 1u32 << 23); // x^0, x^8
+    let mut n = n;
+    while n > 0 {
+        if n & 1 != 0 {
+            power = crc32c_mulmod(power, square);
+        }
+        square = crc32c_mulmod(square, square);
+        n >>= 1;
+    }
+    power
+}
+
+/// Fold `bytes` into the raw register `crc`. Long inputs run as three
+/// interleaved lanes — three independent dependency chains the core
+/// overlaps — joined by the CRC's linearity: the register after `A‖B`
+/// is the register after `A` moved past `|B|` zero bytes, XOR the
+/// register of `B` alone from zero. The result equals the serial fold.
+fn crc32c_fold(crc: u32, bytes: &[u8]) -> u32 {
+    const LANES_FROM: usize = 3 * 1024;
+    if bytes.len() < LANES_FROM {
+        return crc32c_fold_serial(crc, bytes);
+    }
+    let lane = bytes.len() / 24 * 8;
+    let (a, rest) = bytes.split_at(lane);
+    let (b, rest) = rest.split_at(lane);
+    let (c, tail) = rest.split_at(lane);
+    let (mut ca, mut cb, mut cc) = (crc, 0u32, 0u32);
+    for ((x, y), z) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+        ca = crc32c_step8(ca, x);
+        cb = crc32c_step8(cb, y);
+        cc = crc32c_step8(cc, z);
+    }
+    let shift = crc32c_shift(lane);
+    let joined = crc32c_mulmod(crc32c_mulmod(ca, shift) ^ cb, shift) ^ cc;
+    crc32c_fold_serial(joined, tail)
 }
 
 /// CRC32c (Castagnoli) of `bytes`, with the standard `!0` init and final
@@ -149,6 +212,22 @@ pub enum Frame {
     /// sweep phases (wire v3; profiled ranks fill the timing fields of
     /// every [`Frame::Report`] they send).
     Hello { version: u16, dim: u8, rank: u32, profile: bool },
+    /// One rank's resident block (wire v5), sent once right after the
+    /// [`Frame::Hello`]: the rank id, the part count, the element corner
+    /// count, then typed sections — `u32` index arrays, one `u64` bit set
+    /// and one `f64` array. The frame only carries the sections; what
+    /// each one means, and the checks that make a decoded block safe to
+    /// sweep, belong to the block type that writes and reads them
+    /// (`lms_smooth::resident::ResidentBlock`). A coordinator encodes it
+    /// from borrowed sections with [`write_block_frame`].
+    Block {
+        part: u32,
+        num_parts: u32,
+        corners: u8,
+        sections: Vec<Vec<u32>>,
+        bits: Vec<u64>,
+        values: Vec<f64>,
+    },
     /// The one full gather: the rank's owned+halo coordinates (flat,
     /// `dim` components per point, owned then halo in block-local order)
     /// and its local elements' `(quality, positively_oriented)` scores.
@@ -212,6 +291,11 @@ pub enum WireError {
     /// A [`Frame::Hello`] declared a wire version other than
     /// [`WIRE_VERSION`] (e.g. a checksum-less v1 peer).
     Version { got: u16 },
+    /// A well-framed [`Frame::Block`] whose sections do not describe a
+    /// block a rank can run: a section count or length that disagrees
+    /// with the others, an id out of range, or an unsorted id list. The
+    /// string names the violated check.
+    BadBlock(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -229,6 +313,7 @@ impl std::fmt::Display for WireError {
             WireError::Version { got } => {
                 write!(f, "peer speaks wire version {got}, this build requires {WIRE_VERSION}")
             }
+            WireError::BadBlock(what) => write!(f, "block frame rejected: {what}"),
         }
     }
 }
@@ -254,6 +339,7 @@ const TAG_SCATTER: u8 = 9;
 const TAG_SHUTDOWN: u8 = 10;
 const TAG_SCATTER_DELTA_REQUEST: u8 = 11;
 const TAG_SCATTER_DELTA: u8 = 12;
+const TAG_BLOCK: u8 = 13;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -269,9 +355,144 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
 
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u32(out, vs.len() as u32);
-    for &v in vs {
-        put_f64(out, v);
+    put_words(out, vs, |v| v.to_bits().to_le_bytes());
+}
+
+fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+    put_u32(out, vs.len() as u32);
+    put_words(out, vs, |v| v.to_le_bytes());
+}
+
+/// Append every word of `vs` as its `N` little-endian bytes: one resize,
+/// then fixed-size stores the compiler turns into plain copies.
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, vs: &[T], bytes: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + N * vs.len(), 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(N).zip(vs) {
+        dst.copy_from_slice(&bytes(v));
     }
+}
+
+/// Bytes of encoded payload [`block_chunks`] hands out at a time: small
+/// enough to stay in cache between encoding a chunk and using it.
+const BLOCK_CHUNK: usize = 64 << 10;
+
+/// The borrowed fields of a [`Frame::Block`].
+struct BlockParts<'a> {
+    part: u32,
+    num_parts: u32,
+    corners: u8,
+    sections: &'a [&'a [u32]],
+    bits: &'a [u64],
+    values: &'a [f64],
+}
+
+impl BlockParts<'_> {
+    /// Encoded payload length.
+    fn payload_len(&self) -> usize {
+        let sections: usize = self.sections.iter().map(|s| 4 + 4 * s.len()).sum();
+        1 + 4 + 4 + 1 + 4 + sections + 4 + 8 * self.bits.len() + 4 + 8 * self.values.len()
+    }
+
+    /// Encode the payload front to back, handing it to `emit` in chunks
+    /// of about [`BLOCK_CHUNK`] bytes — the one encoder behind
+    /// [`Frame::encode`] and [`write_block_frame`].
+    fn chunks(&self, mut emit: impl FnMut(&[u8]) -> std::io::Result<()>) -> std::io::Result<()> {
+        let mut buf = Vec::with_capacity(BLOCK_CHUNK + 16);
+        buf.push(TAG_BLOCK);
+        put_u32(&mut buf, self.part);
+        put_u32(&mut buf, self.num_parts);
+        buf.push(self.corners);
+        put_u32(&mut buf, self.sections.len() as u32);
+        let mut flush = |buf: &mut Vec<u8>, force: bool| {
+            if force || buf.len() >= BLOCK_CHUNK {
+                emit(buf)?;
+                buf.clear();
+            }
+            Ok::<(), std::io::Error>(())
+        };
+        for section in self.sections {
+            put_u32(&mut buf, section.len() as u32);
+            for run in section.chunks(BLOCK_CHUNK / 4) {
+                put_words(&mut buf, run, u32::to_le_bytes);
+                flush(&mut buf, false)?;
+            }
+        }
+        put_u32(&mut buf, self.bits.len() as u32);
+        for run in self.bits.chunks(BLOCK_CHUNK / 8) {
+            put_words(&mut buf, run, u64::to_le_bytes);
+            flush(&mut buf, false)?;
+        }
+        put_u32(&mut buf, self.values.len() as u32);
+        for run in self.values.chunks(BLOCK_CHUNK / 8) {
+            put_words(&mut buf, run, |v: f64| v.to_bits().to_le_bytes());
+            flush(&mut buf, false)?;
+        }
+        flush(&mut buf, true)
+    }
+
+    /// The whole payload in one buffer.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.payload_len());
+        self.chunks(|chunk| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        })
+        .expect("Vec<u8> writes are infallible");
+        out
+    }
+}
+
+/// Write a [`Frame::Block`] straight from borrowed sections, byte for
+/// byte what [`Frame::write_to`] writes for the same frame, without
+/// copying the sections into a frame or the payload into one buffer: the
+/// payload is encoded twice in cache-sized chunks, once for its checksum
+/// and once onto `w`.
+pub fn write_block_frame<W: Write>(
+    w: &mut W,
+    part: u32,
+    num_parts: u32,
+    corners: u8,
+    sections: &[&[u32]],
+    bits: &[u64],
+    values: &[f64],
+) -> std::io::Result<()> {
+    let block = BlockParts { part, num_parts, corners, sections, bits, values };
+    let len = block.payload_len();
+    if len > MAX_FRAME_LEN {
+        return Err(oversized(len));
+    }
+    let len = len as u32;
+    let mut crc = crc32c_fold(!0, &len.to_le_bytes());
+    block.chunks(|chunk| {
+        crc = crc32c_fold(crc, chunk);
+        Ok(())
+    })?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&(!crc).to_le_bytes())?;
+    block.chunks(|chunk| w.write_all(chunk))
+}
+
+/// The send-side error for a payload over [`MAX_FRAME_LEN`].
+fn oversized(len: usize) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!(
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte wire limit \
+             (rank block too large for one frame — use more parts)"
+        ),
+    )
+}
+
+/// Frame an encoded payload onto a stream: length prefix, CRC32c, payload.
+fn write_payload<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(oversized(payload.len()));
+    }
+    let len = payload.len() as u32;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&frame_crc(len, payload).to_le_bytes())?;
+    w.write_all(payload)
 }
 
 /// Cursor-style reader over a decoded payload.
@@ -335,6 +556,99 @@ impl<'a> Payload<'a> {
     }
 }
 
+/// A streaming reader over one frame's payload: it hands out fields
+/// through a cache-sized buffer, never past the payload's length, and
+/// folds every byte it reads into the frame checksum. How a
+/// [`Frame::Block`] — megabytes of sections — is decoded without first
+/// buffering its whole payload.
+struct Stream<'r, R: Read> {
+    r: &'r mut R,
+    crc: u32,
+    left: usize,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> Stream<'_, R> {
+    /// The next `n ≤ BLOCK_CHUNK` payload bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+        if n > self.left {
+            return Err(WireError::BadLength);
+        }
+        self.r.read_exact(&mut self.buf[..n])?;
+        self.crc = crc32c_fold(self.crc, &self.buf[..n]);
+        self.left -= n;
+        Ok(&self.buf[..n])
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    /// A length-prefixed array of `N`-byte words, read straight into a
+    /// vector of exactly its length.
+    fn words<T, const N: usize>(&mut self, word: fn([u8; N]) -> T) -> Result<Vec<T>, WireError> {
+        let n = self.u32()? as usize;
+        if n.checked_mul(N).is_none_or(|bytes| bytes > self.left) {
+            return Err(WireError::BadLength);
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let run = (n - out.len()).min(BLOCK_CHUNK / N);
+            let bytes = self.take(run * N)?;
+            out.extend(bytes.chunks_exact(N).map(|c| word(c.try_into().unwrap())));
+        }
+        Ok(out)
+    }
+
+    /// A [`Frame::Block`] payload after its tag, to the payload's end.
+    fn block(&mut self) -> Result<Frame, WireError> {
+        let part = self.u32()?;
+        let num_parts = self.u32()?;
+        let corners = self.u8()?;
+        let n = self.u32()? as usize;
+        // every section costs at least its 4-byte length
+        let mut sections = Vec::with_capacity(n.min(self.left / 4));
+        for _ in 0..n {
+            sections.push(self.words(u32::from_le_bytes)?);
+        }
+        let bits = self.words(u64::from_le_bytes)?;
+        let values = self.words(|b| f64::from_bits(u64::from_le_bytes(b)))?;
+        if self.left != 0 {
+            return Err(WireError::BadLength);
+        }
+        Ok(Frame::Block { part, num_parts, corners, sections, bits, values })
+    }
+
+    /// Read and checksum whatever of the payload is left.
+    fn finish(&mut self) -> Result<u32, WireError> {
+        while self.left > 0 {
+            self.take(self.left.min(BLOCK_CHUNK))?;
+        }
+        Ok(!self.crc)
+    }
+}
+
+/// Decode a [`Frame::Block`] whose length prefix and tag were read:
+/// sections stream into their vectors, and the checksum over prefix and
+/// payload is checked before the frame is returned. A payload that fails
+/// both its checksum and its decoding reports the checksum, as the
+/// buffered path does.
+fn read_block<R: Read>(r: &mut R, len: u32, stamped: u32) -> Result<Frame, WireError> {
+    let crc = crc32c_fold(crc32c_fold(!0, &len.to_le_bytes()), &[TAG_BLOCK]);
+    let (left, buf) = (len as usize - 1, vec![0u8; BLOCK_CHUNK]);
+    let mut stream = Stream { r, crc, left, buf };
+    let decoded = stream.block();
+    let got = stream.finish()?;
+    if got != stamped {
+        return Err(WireError::BadChecksum { expected: stamped, got });
+    }
+    decoded
+}
+
 impl Frame {
     /// Encode the frame's payload (tag + fields, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -347,6 +661,12 @@ impl Frame {
                 out.push(*dim);
                 put_u32(&mut out, *rank);
                 out.push(*profile as u8);
+            }
+            Frame::Block { part, num_parts, corners, sections, bits, values } => {
+                let sections: Vec<&[u32]> = sections.iter().map(Vec::as_slice).collect();
+                let (part, num_parts, corners) = (*part, *num_parts, *corners);
+                return BlockParts { part, num_parts, corners, sections: &sections, bits, values }
+                    .encode();
             }
             Frame::Gather { coords, scores } => {
                 out.push(TAG_GATHER);
@@ -365,10 +685,7 @@ impl Frame {
             Frame::HaloDelta { part, slots, coords } => {
                 out.push(TAG_HALO_DELTA);
                 put_u32(&mut out, *part);
-                put_u32(&mut out, slots.len() as u32);
-                for &s in slots {
-                    put_u32(&mut out, s);
-                }
+                put_u32s(&mut out, slots);
                 put_f64s(&mut out, coords);
             }
             Frame::RoundDone => out.push(TAG_ROUND_DONE),
@@ -389,10 +706,7 @@ impl Frame {
             Frame::ScatterDeltaRequest => out.push(TAG_SCATTER_DELTA_REQUEST),
             Frame::ScatterDelta { slots, coords } => {
                 out.push(TAG_SCATTER_DELTA);
-                put_u32(&mut out, slots.len() as u32);
-                for &s in slots {
-                    put_u32(&mut out, s);
-                }
+                put_u32s(&mut out, slots);
                 put_f64s(&mut out, coords);
             }
             Frame::Shutdown => out.push(TAG_SHUTDOWN),
@@ -424,6 +738,12 @@ impl Frame {
                     _ => return Err(WireError::BadLength),
                 };
                 Frame::Hello { version, dim, rank, profile }
+            }
+            TAG_BLOCK => {
+                let mut rest = &payload[1..];
+                let left = rest.len();
+                let mut stream = Stream { r: &mut rest, crc: 0, left, buf: vec![0; BLOCK_CHUNK] };
+                return stream.block();
             }
             TAG_GATHER => {
                 let coords = p.f64s()?;
@@ -477,26 +797,12 @@ impl Frame {
 
     /// Write the frame to a stream: `u32` LE payload length, `u32` LE
     /// CRC32c (over length prefix + payload), then the payload. Enforces
-    /// [`MAX_FRAME_LEN`] on the send side too, so an oversized
-    /// gather/scatter (≈ 38 bytes per 2D vertex of one rank's block)
-    /// fails with a diagnosable error instead of the receiver rejecting
+    /// [`MAX_FRAME_LEN`] on the send side too, so an oversized block,
+    /// gather or scatter (the gather is ≈ 38 bytes per 2D vertex of one
+    /// rank's block) fails with a diagnosable error instead of the receiver rejecting
     /// it and the sender dying on a broken pipe.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let payload = self.encode();
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte wire limit \
-                     (rank block too large for one gather/scatter frame — use more parts)",
-                    payload.len()
-                ),
-            ));
-        }
-        let len = payload.len() as u32;
-        w.write_all(&len.to_le_bytes())?;
-        w.write_all(&frame_crc(len, &payload).to_le_bytes())?;
-        w.write_all(&payload)
+        write_payload(w, &self.encode())
     }
 
     /// Read one checksummed, length-prefixed frame from a stream. Any
@@ -510,8 +816,20 @@ impl Frame {
         if len as usize > MAX_FRAME_LEN {
             return Err(WireError::TooLarge(len as usize));
         }
+        // a block frame streams into its sections; every other frame is
+        // small and is read whole
+        let mut tag = [0u8; 1];
+        if len > 0 {
+            r.read_exact(&mut tag)?;
+            if tag[0] == TAG_BLOCK {
+                return read_block(r, len, stamped);
+            }
+        }
         let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
+        if len > 0 {
+            payload[0] = tag[0];
+            r.read_exact(&mut payload[1..])?;
+        }
         let got = frame_crc(len, &payload);
         if got != stamped {
             return Err(WireError::BadChecksum { expected: stamped, got });
@@ -535,6 +853,10 @@ pub const fn halo_frame_wire_len(dim: usize, entries: usize) -> usize {
     // prefix + crc + tag + part + slots(len + 4/entry) + coords(len + 8·dim/entry)
     4 + 4 + 1 + 4 + 4 + 4 * entries + 4 + 8 * dim * entries
 }
+
+/// Buffer capacity a drained [`Reassembly`] keeps; beyond it the buffer
+/// is released.
+const REASSEMBLY_KEEP: usize = 1 << 20;
 
 /// Incremental frame reassembly over a non-blocking byte stream.
 ///
@@ -600,6 +922,12 @@ impl Reassembly {
         }
         let frame = Frame::decode(payload)?;
         self.consumed += 8 + len as usize;
+        if self.consumed == self.buf.len() && self.buf.capacity() > REASSEMBLY_KEEP {
+            // a rare large frame (a dense checkpoint reply) must not pin
+            // its size for the rest of the stream's life
+            self.buf = Vec::new();
+            self.consumed = 0;
+        }
         Ok(Some(frame))
     }
 
@@ -649,6 +977,22 @@ mod tests {
             coords: vec![0.5, -1.25, f64::NAN, -0.0, f64::INFINITY],
             scores: vec![(0.75, true), (f64::NAN, false), (-0.0, true)],
         });
+        roundtrip(Frame::Block {
+            part: 2,
+            num_parts: 5,
+            corners: 4,
+            sections: vec![vec![], vec![0, 7, u32::MAX], vec![3]],
+            bits: vec![u64::MAX, 0, 1 << 63],
+            values: vec![0.25, f64::NAN, -0.0, f64::INFINITY],
+        });
+        roundtrip(Frame::Block {
+            part: 0,
+            num_parts: 1,
+            corners: 3,
+            sections: vec![],
+            bits: vec![],
+            values: vec![],
+        });
         roundtrip(Frame::Interior);
         roundtrip(Frame::ColorStep { color: u32::MAX });
         roundtrip(Frame::HaloDelta {
@@ -678,6 +1022,34 @@ mod tests {
             coords: vec![-0.0, f64::NAN, 3.5, f64::MIN_POSITIVE, -1.0, 0.0],
         });
         roundtrip(Frame::Shutdown);
+    }
+
+    #[test]
+    fn wire_version_is_five() {
+        // v5 added the Block frame; a peer of any other version is refused
+        assert_eq!(WIRE_VERSION, 5);
+    }
+
+    #[test]
+    fn block_frames_written_from_borrowed_sections_match_write_to() {
+        let sections = vec![vec![1u32, 2, 3], vec![], vec![u32::MAX; 9]];
+        let (bits, values) = (vec![0x5a5a_u64, 7], vec![1.5, -0.0, f64::MIN_POSITIVE]);
+        let frame = Frame::Block {
+            part: 1,
+            num_parts: 3,
+            corners: 3,
+            sections: sections.clone(),
+            bits: bits.clone(),
+            values: values.clone(),
+        };
+        let mut owned = Vec::new();
+        frame.write_to(&mut owned).unwrap();
+        let borrowed: Vec<&[u32]> = sections.iter().map(Vec::as_slice).collect();
+        let mut direct = Vec::new();
+        write_block_frame(&mut direct, 1, 3, 3, &borrowed, &bits, &values).unwrap();
+        assert_eq!(direct, owned);
+        assert_eq!(direct.len(), frame.wire_len());
+        assert_eq!(Frame::read_from(&mut direct.as_slice()).unwrap().encode(), frame.encode());
     }
 
     #[test]
@@ -724,6 +1096,27 @@ mod tests {
             Frame::Hello { version: WIRE_VERSION, dim: 2, rank: 0, profile: false }.encode();
         payload[1] ^= 0xff;
         assert!(Frame::decode(&payload).is_err());
+    }
+
+    #[test]
+    fn laned_crc_equals_the_serial_fold() {
+        // lengths around the lane threshold and odd tails, every init
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let bytes: Vec<u8> = (0..70_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for len in [0, 1, 7, 3071, 3072, 3073, 3080, 4099, 24 * 1000 + 5, 70_000] {
+            for init in [!0u32, 0, 0x1234_5678] {
+                let slice = &bytes[..len];
+                assert_eq!(crc32c_fold(init, slice), crc32c_fold_serial(init, slice), "len {len}");
+            }
+        }
+        assert_eq!(crc32c_shift(0), 1 << 31, "x^0 is the identity");
     }
 
     #[test]
@@ -828,6 +1221,29 @@ mod tests {
     }
 
     #[test]
+    fn a_drained_reassembly_releases_a_large_frame_buffer() {
+        let big = Frame::ScatterDelta { slots: vec![7; 1 << 17], coords: vec![0.5; 1 << 18] };
+        let small = Frame::RoundDone;
+        let mut stream = Vec::new();
+        big.write_to(&mut stream).unwrap();
+        let mut asm = Reassembly::new();
+        asm.extend(&stream);
+        assert!(asm.buf.capacity() > REASSEMBLY_KEEP);
+        assert_eq!(asm.next_frame().unwrap().unwrap().encode(), big.encode());
+        assert!(asm.is_empty());
+        assert_eq!(asm.buf.capacity(), 0, "the large buffer outlived its frame");
+        // a large frame followed by bytes of the next one keeps them
+        stream.clear();
+        big.write_to(&mut stream).unwrap();
+        small.write_to(&mut stream).unwrap();
+        asm.extend(&stream[..stream.len() - 2]);
+        assert_eq!(asm.next_frame().unwrap().unwrap().encode(), big.encode());
+        asm.extend(&stream[stream.len() - 2..]);
+        assert_eq!(asm.next_frame().unwrap().unwrap().encode(), small.encode());
+        assert!(asm.is_empty());
+    }
+
+    #[test]
     fn reassembly_rejects_corruption_like_read_from() {
         let frame = Frame::HaloDelta { part: 2, slots: vec![1, 4], coords: vec![0.5; 4] };
         let mut stream = Vec::new();
@@ -857,6 +1273,7 @@ mod tests {
             (WireError::TooLarge(MAX_FRAME_LEN + 1), "exceeds"),
             (WireError::BadChecksum { expected: 0xdead_beef, got: 0x0bad_f00d }, "0xdeadbeef"),
             (WireError::Version { got: 1 }, "wire version 1"),
+            (WireError::BadBlock("halo ids unsorted"), "halo ids unsorted"),
         ];
         for (err, needle) in cases {
             let shown = err.to_string();

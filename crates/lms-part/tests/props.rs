@@ -58,8 +58,35 @@ impl std::io::Read for Dribble<'_> {
     }
 }
 
+/// A small wire-v5 block frame over arbitrary sections, bits and values.
+fn block_frame(part: u32, slots: &[u32], bits: &[u64]) -> lms_part::wire::Frame {
+    lms_part::wire::Frame::Block {
+        part,
+        num_parts: part.wrapping_add(1),
+        corners: (part % 5) as u8,
+        sections: vec![slots.to_vec(), Vec::new(), slots.iter().rev().copied().collect()],
+        bits: bits.to_vec(),
+        values: bits.iter().map(|&b| f64::from_bits(b)).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The version this suite's frames are pinned to: v5 added the block
+    /// frame, and a `Hello` of any other version is refused.
+    #[test]
+    fn wire_version_pin(version in any::<u16>()) {
+        use lms_part::wire::{Frame, WireError, WIRE_VERSION};
+        prop_assert_eq!(WIRE_VERSION, 5);
+        let hello = Frame::Hello { version, dim: 2, rank: 0, profile: false };
+        let decoded = Frame::decode(&hello.encode());
+        if version == WIRE_VERSION {
+            prop_assert!(decoded.is_ok());
+        } else {
+            prop_assert!(matches!(decoded, Err(WireError::Version { got }) if got == version));
+        }
+    }
 
     /// Wire-format roundtrip over arbitrary bit patterns: every frame
     /// type carrying `f64` payloads survives encode→decode with the
@@ -96,6 +123,7 @@ proptest! {
                 },
             },
             Frame::Scatter { coords },
+            block_frame(part, &slots, &coord_bits),
             Frame::RoundDone,
             Frame::Shutdown,
         ];
@@ -139,6 +167,7 @@ proptest! {
                 slots: slots.clone(),
                 coords: coords.iter().copied().cycle().take(slots.len() * 2).collect(),
             },
+            block_frame(part, &slots, &coord_bits),
             Frame::RoundDone,
             Frame::Shutdown,
         ];
@@ -168,11 +197,15 @@ proptest! {
         part in any::<u32>(),
     ) {
         use lms_part::wire::Frame;
-        let frame = Frame::HaloDelta {
-            part,
-            slots: (0..coord_bits.len() as u32 / 2).collect(),
-            coords: coord_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-        };
+        let slots: Vec<u32> = (0..coord_bits.len() as u32 / 2).collect();
+        for frame in [
+            Frame::HaloDelta {
+                part,
+                slots: slots.clone(),
+                coords: coord_bits.iter().map(|&b| f64::from_bits(b)).collect(),
+            },
+            block_frame(part, &slots, &coord_bits),
+        ] {
         let mut stream = Vec::new();
         frame.write_to(&mut stream).unwrap();
         // exhaustive over cut points for this payload
@@ -190,6 +223,7 @@ proptest! {
                 "dribbled cut at {} must be rejected",
                 cut
             );
+        }
         }
     }
 
@@ -317,6 +351,7 @@ proptest! {
                 delta: f64::from_bits(coord_bits[0]),
                 phases: lms_trace::RankPhaseNanos::default(),
             },
+            block_frame(part, &slots, &coord_bits),
         ];
         for frame in &frames {
             let mut stream = Vec::new();

@@ -97,6 +97,7 @@ use crate::soa::SoaScores;
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft, drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::vec_bytes;
+use lms_part::wire::{write_block_frame, Frame, WireError};
 use lms_part::{ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
 use std::sync::Arc;
@@ -144,6 +145,11 @@ pub fn interface_classes(classes: &[Vec<u32>], partition: &Partition) -> Vec<Vec
         .filter(|class| !class.is_empty())
         .collect()
 }
+
+/// `u32` sections of a block frame: the block's 16 index arrays in
+/// [`ResidentBlock::u32_vecs`] order, its corner table flattened, then
+/// its part's exchange-schedule row (offsets, flattened entries).
+const BLOCK_SECTIONS: usize = 19;
 
 /// Immutable per-part topology of a resident block, generic in the
 /// element corner count `C`. Local vertex ids follow the
@@ -263,6 +269,142 @@ impl<const C: usize> ResidentBlock<C> {
         shapes.push(("stat_owned", self.stat_owned.len(), self.stat_owned.capacity()));
         shapes.push(("inv_deg", self.inv_deg.len(), self.inv_deg.capacity()));
         shapes
+    }
+
+    /// Write this block, as part `part` of `schedule`'s decomposition, and
+    /// that part's schedule row as one `Frame::Block`: everything a rank
+    /// needs to build its [`ResidentRank`]. Encoded from the block's own
+    /// vectors, so the encoded payload is the only copy made.
+    pub fn write_frame<W: std::io::Write>(
+        &self,
+        w: &mut W,
+        part: u32,
+        schedule: &ExchangeSchedule,
+    ) -> std::io::Result<()> {
+        let (offsets, targets) = schedule.row(part);
+        let targets: Vec<u32> = targets.iter().flat_map(|&(q, slot)| [q, slot]).collect();
+        let mut sections: Vec<&[u32]> = self.u32_vecs().iter().map(|(_, v)| v.as_slice()).collect();
+        sections.extend([self.elem_corners.as_flattened(), offsets, &targets]);
+        let num_parts = schedule.num_parts() as u32;
+        write_block_frame(w, part, num_parts, C as u8, &sections, &self.stat_owned, &self.inv_deg)
+    }
+
+    /// Decode the block and schedule row [`write_frame`](Self::write_frame)
+    /// wrote for part `part`, checking every section against the others
+    /// and against a mesh of `num_vertices` vertices and `num_elements`
+    /// elements, so that the decoded block is one a rank can sweep: it
+    /// equals the block that was written, and the schedule row equals
+    /// that part's row of the written schedule.
+    ///
+    /// # Errors
+    /// [`WireError::BadBlock`] naming the first violated check: a frame
+    /// that is not a block, or is for another part or corner count; a
+    /// section count or length that disagrees with the others; an id out
+    /// of range; an unsorted id list.
+    pub fn from_frame(
+        frame: Frame,
+        part: u32,
+        num_vertices: usize,
+        num_elements: usize,
+    ) -> Result<(Self, ExchangeSchedule), WireError> {
+        let bad = |what| Err(WireError::BadBlock(what));
+        let Frame::Block { part: got, num_parts, corners, sections, bits, values } = frame else {
+            return bad("expected a block frame");
+        };
+        if got != part || part >= num_parts {
+            return bad("block frame is for another part");
+        }
+        if corners as usize != C {
+            return bad("element corner count differs");
+        }
+        let Ok(sections): Result<[Vec<u32>; BLOCK_SECTIONS], _> = sections.try_into() else {
+            return bad("section count differs");
+        };
+        let [owned, halo, int_locals, int_nbr_offsets, int_nbrs, int_vt_offsets, int_vt, ifc_color_offsets, ifc_locals, ifc_nbr_offsets, ifc_nbrs, ifc_vt_offsets, ifc_vt, elem_globals, halo_vt_offsets, halo_vt, corners, send_offsets, send_targets] =
+            sections;
+
+        let ascending_below = |ids: &[u32], bound: usize| {
+            ids.windows(2).all(|w| w[0] < w[1]) && ids.last().is_none_or(|&v| (v as usize) < bound)
+        };
+        if !ascending_below(&owned, num_vertices) || !ascending_below(&halo, num_vertices) {
+            return bad("owned or halo ids unsorted or out of range");
+        }
+        if !ascending_below(&elem_globals, num_elements) {
+            return bad("element ids unsorted or out of range");
+        }
+        let (num_owned, num_local, num_elem) =
+            (owned.len(), owned.len() + halo.len(), elem_globals.len());
+        if u32::try_from(num_local).is_err() {
+            return bad("block too large for u32 local ids");
+        }
+        let below = |ids: &[u32], bound: usize| ids.iter().all(|&i| (i as usize) < bound);
+        let offsets_ok = |offsets: &[u32], rows: usize, len: usize| {
+            offsets.len() == rows + 1
+                && offsets[0] == 0
+                && offsets.windows(2).all(|w| w[0] <= w[1])
+                && offsets[rows] as usize == len
+        };
+        let rows_ok =
+            |locals: &[u32], nbr_offsets: &[u32], nbrs: &[u32], vt_offsets: &[u32], vt: &[u32]| {
+                below(locals, num_owned)
+                    && offsets_ok(nbr_offsets, locals.len(), nbrs.len())
+                    && below(nbrs, num_local)
+                    && offsets_ok(vt_offsets, locals.len(), vt.len())
+                    && below(vt, num_elem)
+            };
+        if !rows_ok(&int_locals, &int_nbr_offsets, &int_nbrs, &int_vt_offsets, &int_vt) {
+            return bad("interior sweep rows out of range");
+        }
+        if ifc_color_offsets.is_empty()
+            || !offsets_ok(&ifc_color_offsets, ifc_color_offsets.len() - 1, ifc_locals.len())
+        {
+            return bad("interface color offsets are not a CSR over the interface list");
+        }
+        if !rows_ok(&ifc_locals, &ifc_nbr_offsets, &ifc_nbrs, &ifc_vt_offsets, &ifc_vt) {
+            return bad("interface sweep rows out of range");
+        }
+        if corners.len() != num_elem * C || !below(&corners, num_local) {
+            return bad("corner table length or ids out of range");
+        }
+        if bits.len() != num_elem.div_ceil(64)
+            || (num_elem % 64 != 0 && bits.last().is_some_and(|&w| w >> (num_elem % 64) != 0))
+        {
+            return bad("stat-ownership bits do not match the element count");
+        }
+        if values.len() != num_local {
+            return bad("inverse degrees do not match the local vertex count");
+        }
+        if !offsets_ok(&halo_vt_offsets, halo.len(), halo_vt.len()) || !below(&halo_vt, num_elem) {
+            return bad("halo incidence rows out of range");
+        }
+        if send_targets.len() % 2 != 0 || send_offsets.len() != num_owned + 1 {
+            return bad("schedule row does not match the owned vertices");
+        }
+        let targets = send_targets.chunks_exact(2).map(|e| (e[0], e[1])).collect();
+        let schedule = ExchangeSchedule::from_row(num_parts as usize, part, send_offsets, targets)?;
+        let block = ResidentBlock {
+            num_owned: num_owned as u32,
+            owned,
+            halo,
+            int_locals,
+            int_nbr_offsets,
+            int_nbrs,
+            int_vt_offsets,
+            int_vt,
+            ifc_color_offsets,
+            ifc_locals,
+            ifc_nbr_offsets,
+            ifc_nbrs,
+            ifc_vt_offsets,
+            ifc_vt,
+            elem_globals,
+            elem_corners: corners.chunks_exact(C).map(|c| c.try_into().expect("C ids")).collect(),
+            stat_owned: bits,
+            inv_deg: values,
+            halo_vt_offsets,
+            halo_vt,
+        };
+        Ok((block, schedule))
     }
 }
 
