@@ -79,6 +79,7 @@ mod ffi {
 
 const AF_UNIX: i32 = 1;
 const SOCK_SEQPACKET: i32 = 5;
+const SOCK_CLOEXEC: i32 = 0o2000000;
 const SOL_SOCKET: i32 = 1;
 const SCM_RIGHTS: i32 = 1;
 const MSG_CTRUNC: i32 = 0x8;
@@ -270,12 +271,15 @@ pub unsafe fn clone_parent() -> io::Result<i32> {
 }
 
 /// A connected pair of Unix-domain `SOCK_SEQPACKET` sockets: reliable,
-/// ordered, and each [`send_with_fds`] arrives as one message.
+/// ordered, and each [`send_with_fds`] arrives as one message. Both ends
+/// are close-on-exec: a program this process `exec`s holds neither, so
+/// the peer still sees end of stream when this process is gone.
 pub fn seqpacket_pair() -> io::Result<(Fd, Fd)> {
     let mut fds = [0i32; 2];
+    let kind = SOCK_SEQPACKET | SOCK_CLOEXEC;
     // SAFETY: `fds` is a writable array of the two `int`s
     // `socketpair(2)` fills.
-    if unsafe { ffi::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds.as_mut_ptr()) } != 0 {
+    if unsafe { ffi::socketpair(AF_UNIX, kind, 0, fds.as_mut_ptr()) } != 0 {
         return Err(io::Error::last_os_error());
     }
     Ok((Fd(fds[0]), Fd(fds[1])))
