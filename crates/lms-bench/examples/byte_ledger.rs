@@ -18,15 +18,18 @@
 //! `VmHWM`. A counting global allocator measures the live heap at the
 //! engine construction's peak and at the whole process's peak, printed
 //! beside `VmHWM`: when the construction's peak is the process's, setup,
-//! not the sweep, sets the resident set. For the distributed workload two
-//! more lines print the spawner image's resident set — the pages every
-//! rank starts with, forked before construction — and the largest rank's
-//! peak, that image plus the one block the rank was sent and its run
-//! state. Nothing here asserts; the numbers are for reading.
+//! not the sweep, sets the resident set. For the distributed workload
+//! more lines take the largest rank's peak apart: the spawner image's
+//! resident set — the pages every rank starts with, forked before
+//! construction — the largest block, that rank's run state (coordinates,
+//! element scores, sparse-checkpoint baseline), the largest child's
+//! `ru_maxrss`, and the residual the three leave of it: what the rank's
+//! transients and its allocator add. Nothing here asserts; the numbers
+//! are for reading.
 
 use lms_dist::{DistResidentEngine, FtOptions};
 use lms_mesh::generators::perturbed_grid;
-use lms_mesh::{vec_bytes, Adjacency, TriMesh};
+use lms_mesh::{vec_bytes, Adjacency, Point2, TriMesh};
 use lms_mesh3d::generators::perturbed_tet_grid;
 use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
 use lms_order::{compute_ordering_with, random_ordering, OrderingKind};
@@ -217,15 +220,31 @@ fn ori_dist() {
     ];
     rows.extend(resident_rows("DistResidentEngine's ResidentEngine", engine.inner()));
     print_ledger("tri2d-ori-dist (coordinator)", &rows, peaks);
+    let block = engine.inner().blocks().iter().max_by_key(|b| b.heap_bytes()).expect("blocks");
+    let block_bytes = block.heap_bytes();
+    // coordinates owned then halo, a quality and an orientation flag per
+    // element, and the owned coordinates again as the sparse baseline
+    let run_state = (block.owned().len() + block.halo().len()) * size_of::<Point2>()
+        + block.elem_globals().len() * (size_of::<f64>() + size_of::<bool>())
+        + block.owned().len() * size_of::<Point2>();
     // the spawner is reaped with the engine, the ranks with the run
     drop(engine);
     let children = children_peak_bytes();
+    let rows = [
+        ("spawner VmRSS (the image ranks are forked from)", spawner_rss),
+        ("largest block's heap_bytes()", block_bytes),
+        ("its rank's run state (coordinates, scores, baseline)", run_state),
+        ("largest child's ru_maxrss (a rank)", children),
+    ];
+    for (name, bytes) in rows {
+        println!("  {name:<58} {:>8.1} MiB", mib(bytes));
+    }
+    let residual = children as f64 - (spawner_rss + block_bytes + run_state) as f64;
     println!(
         "  {:<58} {:>8.1} MiB",
-        "spawner VmRSS (the image ranks are forked from)",
-        mib(spawner_rss)
+        "residual (ru_maxrss - image - block - run state)",
+        residual / (1024.0 * 1024.0)
     );
-    println!("  {:<58} {:>8.1} MiB", "largest child's ru_maxrss (a rank)", mib(children));
 }
 
 fn tet_resident() {

@@ -43,7 +43,7 @@ use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::spawner::Spawner;
 use crate::transport::ProcessTransport;
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
-use lms_smooth::domain::{DomainConfig, ScoringDomain};
+use lms_smooth::domain::{DomainConfig, DomainPoint};
 use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
 use lms_smooth::{FtPolicy, FtStats, ResidentEngineOn, SmoothMesh, SmoothReport};
@@ -104,27 +104,24 @@ impl Default for FtOptions {
 }
 
 /// Fork the rank group from `spawner` over `options.mode`'s substrate.
-fn spawn_transport<'a, const C: usize, D: ScoringDomain<C>>(
+fn spawn_transport<'a, const C: usize, P: DomainPoint>(
     spawner: &'a Spawner,
-    dom: &'a D,
     blocks: &'a [ResidentBlock<C>],
     schedule: &'a ExchangeSchedule,
     options: &FtOptions,
-) -> Result<ProcessTransport<'a, C, D>, DistError> {
+) -> Result<ProcessTransport<'a, C, P>, DistError> {
     let (timeout, faults, profile) =
         (options.read_timeout_ms, options.faults.clone(), options.profile);
     let spec = match options.mode {
         TransportMode::Pipes => {
-            return ProcessTransport::spawn(
-                spawner, dom, blocks, schedule, timeout, faults, profile,
-            )
+            return ProcessTransport::spawn(spawner, blocks, schedule, timeout, faults, profile)
         }
         TransportMode::UnixSocket => SocketSpec::temp_unix(),
         TransportMode::TcpLoopback => SocketSpec::tcp_loopback(),
     };
     let supervisor = &options.supervisor;
     ProcessTransport::spawn_forked(
-        &spec, spawner, dom, blocks, schedule, timeout, faults, profile, supervisor,
+        &spec, spawner, blocks, schedule, timeout, faults, profile, supervisor,
     )
 }
 
@@ -220,13 +217,8 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         let spawner = self.spawner().ok_or_else(|| {
             DistError::Spawn(std::io::Error::other("no rank spawner could be forked"))
         })?;
-        let transport = spawn_transport(
-            spawner,
-            &dom,
-            self.inner.blocks(),
-            self.inner.exchange_schedule(),
-            options,
-        )?;
+        let transport =
+            spawn_transport(spawner, self.inner.blocks(), self.inner.exchange_schedule(), options)?;
         self.drive(&dom, &cfg, transport, coords, options, sink)
     }
 
@@ -237,7 +229,7 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         &'e self,
         dom: &'t M::Scoring<'e>,
         cfg: &DomainConfig,
-        mut transport: ProcessTransport<'t, C, M::Scoring<'e>>,
+        mut transport: ProcessTransport<'t, C, M::Point>,
         coords: &mut [M::Point],
         options: &FtOptions,
         sink: &mut S,
@@ -329,7 +321,6 @@ impl<const C: usize, const D: usize, M: SmoothMesh<C, D>> DistResidentEngineOn<C
         let (dom, cfg) = (self.inner.scoring(), self.inner.domain_config());
         let transport = ProcessTransport::listen(
             listener,
-            &dom,
             self.inner.blocks(),
             self.inner.exchange_schedule(),
             options.read_timeout_ms,

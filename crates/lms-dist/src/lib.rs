@@ -82,24 +82,6 @@ pub use socket::{serve_standalone, Listener, SocketSpec, Supervisor};
 pub use spawner::Spawner;
 pub use transport::ProcessTransport;
 
-pub(crate) mod codec {
-    //! Flat `f64` ↔ point conversions of the wire coordinate payloads.
-    use lms_smooth::domain::DomainPoint;
-
-    pub(crate) fn points_to_flat<P: DomainPoint>(points: &[P]) -> Vec<f64> {
-        let mut flat = Vec::with_capacity(points.len() * P::DIM);
-        for &p in points {
-            p.push_components(&mut flat);
-        }
-        flat
-    }
-
-    pub(crate) fn flat_to_points<P: DomainPoint>(flat: &[f64]) -> Vec<P> {
-        assert_eq!(flat.len() % P::DIM, 0, "flat coordinate payload length");
-        flat.chunks_exact(P::DIM).map(P::from_components).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::FtOptions;

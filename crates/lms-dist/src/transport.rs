@@ -15,9 +15,11 @@
 //! handshake and a `Block` frame holding its [`ResidentBlock`] and its
 //! row of the [`ExchangeSchedule`], which it decodes with validation
 //! before building its `ResidentRank`. After that only *run state*
-//! crosses the wire: one gather of block coordinates, per-color-step
-//! coalesced halo-delta batches, per-iteration stat reports and sparse
-//! checkpoint replies.
+//! crosses the wire: one gather of block coordinates — coordinates only,
+//! sent to every rank at once and streamed from the global array through
+//! the block's ids, the rank scoring its own elements on them — then
+//! per-color-step coalesced halo-delta batches, per-iteration stat
+//! reports and sparse checkpoint replies.
 //!
 //! # The coordinator loop
 //!
@@ -75,29 +77,32 @@
 //!   a *complete* rank state: at a boundary a rank is exactly its
 //!   coordinates plus element scores, and the scores are
 //!   bit-reproducible as `dom.score` of those coordinates (the invariant
-//!   `resident::ResidentRank` maintains), so checkpoints carry no score
-//!   traffic. Checkpoint traffic is deliberately not charged to any
-//!   [`ExchangeVolume`] — recovered and failure-free runs must report
-//!   identical exchange accounting.
+//!   `resident::ResidentRank` maintains), so neither checkpoints nor
+//!   reloads carry a score. Checkpoint traffic is deliberately not
+//!   charged to any [`ExchangeVolume`] — recovered and failure-free runs
+//!   must report identical exchange accounting.
 //! * **Recovery** — [`recover`](FtResidentTransport::recover) puts the
 //!   group back at the last committed checkpoint: kill + reap the failed
 //!   rank, drain every survivor to protocol quiescence (discarding its
 //!   in-flight round), fork a replacement (with a disarmed fault plan),
 //!   and reload **all** ranks from the snapshot with fresh `Gather`
-//!   frames. The driver then replays the lost iterations; replay is
-//!   deterministic from the checkpoint, so recovered runs are
-//!   bit-identical to failure-free ones (pinned by `tests/chaos.rs`).
+//!   frames — coordinates only, sent to every rank at once, each rank
+//!   re-scoring its block from them. The driver then replays the lost
+//!   iterations; replay is deterministic from the checkpoint, so
+//!   recovered runs are bit-identical to failure-free ones (pinned by
+//!   `tests/chaos.rs`).
 
 use crate::error::DistError;
 use crate::fault::{FaultPlan, WorkerFaults};
 use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::spawner::{Launch, Spawner};
 use crate::sys::{self, Fd, TimeoutReader, WaitStatus};
-use lms_part::wire::{halo_frame_wire_len, Frame, Reassembly, WireError, WIRE_VERSION};
+use lms_part::wire::{
+    halo_frame_wire_len, write_streamed, Frame, Reassembly, Streamed, WireError, WIRE_VERSION,
+};
 use lms_part::{ExchangeSchedule, MessagePlan};
-use lms_smooth::domain::{DomainPoint, ScoringDomain};
+use lms_smooth::domain::DomainPoint;
 use lms_smooth::resident::ResidentBlock;
-use lms_smooth::score_elements_batched;
 use lms_smooth::{ExchangeVolume, FtResidentTransport};
 use lms_trace::{now_ns, RankPhaseNanos, TransportProfile};
 use std::io::{self, BufWriter, Write};
@@ -298,10 +303,9 @@ struct RankChannel {
 /// delta forwarding, timeout-bounded waits and checkpoint/respawn
 /// recovery. See the module docs for the routing and recovery
 /// arguments.
-pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
+pub struct ProcessTransport<'a, const C: usize, P: DomainPoint> {
     /// What forks the ranks; `None` for external standalone workers.
     spawner: Option<&'a Spawner>,
-    dom: &'a D,
     blocks: &'a [ResidentBlock<C>],
     schedule: &'a ExchangeSchedule,
     plan: MessagePlan,
@@ -310,7 +314,7 @@ pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
     /// The recovery checkpoint: the full global coordinate array as of
     /// the last *committed* iteration boundary (primed by `try_gather`) —
     /// the coordinator's one dense copy of the run state.
-    ckpt: Vec<D::Point>,
+    ckpt: Vec<P>,
     /// The deferred sparse checkpoint round still collecting, if any
     /// (see [`CkptPending`]).
     ckpt_pending: Option<CkptPending>,
@@ -329,7 +333,8 @@ pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
     /// Coordinator time forwarding halo frames, `[src * parts + dst]`.
     route_pair_ns: Vec<u64>,
     /// Coordinator time serialising frames into rank pipes (includes
-    /// the forwarding charged to `route_pair_ns`).
+    /// the forwarding charged to `route_pair_ns`; a gather, written to
+    /// every rank at once, is charged its wall time).
     encode_ns: u64,
     /// Coordinator time reading + decoding frames, poll-wait excluded.
     decode_ns: u64,
@@ -352,25 +357,24 @@ pub struct ProcessTransport<'a, const C: usize, D: ScoringDomain<C>> {
     ckpt_fresh: bool,
 }
 
-impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
+impl<'a, const C: usize, P: DomainPoint> ProcessTransport<'a, C, P> {
     /// Have `spawner` fork one rank worker per part, then send each its
     /// `Hello` and `Block` frames.
     ///
-    /// `spawner` must have been started for the mesh `dom` scores (the
-    /// ranks build their scoring view from its copy of the parameters and
-    /// element table). The blocks and schedule are what the ranks are
-    /// sent, and are kept for recovery respawns. `read_timeout_ms` bounds
-    /// every coordinator read (negative disables the bound); `faults` is
+    /// `spawner` must have been started for the mesh the blocks were
+    /// built from (the ranks build their scoring view from its copy of
+    /// the parameters and element table, and score their blocks on it).
+    /// The blocks and schedule are what the ranks are sent, and are kept
+    /// for recovery respawns. `read_timeout_ms` bounds every coordinator
+    /// read (negative disables the bound); `faults` is
     /// the test-injection script (use [`FaultPlan::none`] for
     /// production). On failure every already-forked child is killed and
     /// reaped before the error returns. `profile` turns on phase timing
     /// on both sides of the wire (rank sweeps and coordinator routing) —
     /// observation only, the computed coordinates are bit-identical
     /// either way.
-    #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         spawner: &'a Spawner,
-        dom: &'a D,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -379,7 +383,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     ) -> Result<Self, DistError> {
         let link = Link::Pipes;
         let spawner = Some(spawner);
-        Self::spawn_linked(spawner, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
+        Self::spawn_linked(spawner, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// [`spawn`](Self::spawn) over a socket: bind `spec`, fork one
@@ -390,7 +394,6 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     pub fn spawn_forked(
         spec: &SocketSpec,
         spawner: &'a Spawner,
-        dom: &'a D,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -406,7 +409,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             parked: Vec::new(),
         };
         let spawner = Some(spawner);
-        Self::spawn_linked(spawner, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
+        Self::spawn_linked(spawner, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// Serve a rank group of **external** standalone workers: accept one
@@ -414,10 +417,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     /// each worker identifies itself by rank). The caller launches the
     /// workers, e.g. `lms-tool dist-worker --connect <addr> --rank <p>`
     /// per part, on any reachable host.
-    #[allow(clippy::too_many_arguments)]
     pub fn listen(
         listener: Listener,
-        dom: &'a D,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -431,16 +432,14 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             parked: Vec::new(),
         };
         let faults = FaultPlan::none();
-        Self::spawn_linked(None, dom, blocks, schedule, read_timeout_ms, faults, profile, link)
+        Self::spawn_linked(None, blocks, schedule, read_timeout_ms, faults, profile, link)
     }
 
     /// The constructor behind [`spawn`](Self::spawn),
     /// [`spawn_forked`](Self::spawn_forked) and [`listen`](Self::listen):
     /// establish every rank's channel over `link`.
-    #[allow(clippy::too_many_arguments)]
     fn spawn_linked(
         spawner: Option<&'a Spawner>,
-        dom: &'a D,
         blocks: &'a [ResidentBlock<C>],
         schedule: &'a ExchangeSchedule,
         read_timeout_ms: i32,
@@ -451,7 +450,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         if faults.fail_spawn {
             return Err(DistError::Spawn(io::Error::other("injected spawn failure")));
         }
-        if spawner.is_some_and(|s| !s.serves(D::Point::DIM, C)) {
+        if spawner.is_some_and(|s| !s.serves(P::DIM, C)) {
             return Err(DistError::Spawn(io::Error::other(
                 "spawner forks ranks of another mesh type",
             )));
@@ -461,7 +460,6 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         let ov = Overlap::new(&plan, k);
         let mut transport = ProcessTransport {
             spawner,
-            dom,
             blocks,
             schedule,
             plan,
@@ -619,7 +617,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             let mut reader = TimeoutReader::new(rfd, accept_ms.min(i32::MAX as u64) as i32);
             match Frame::read_from(&mut reader) {
                 Ok(Frame::Hello { version, dim, rank: id, .. }) => {
-                    if version != WIRE_VERSION || dim as usize != <D::Point as DomainPoint>::DIM {
+                    if version != WIRE_VERSION || dim as usize != P::DIM {
                         return Err(DistError::Spawn(io::Error::other(format!(
                             "worker handshake mismatch: wire v{version}, dim {dim}"
                         ))));
@@ -659,14 +657,9 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         let to_fd = to_rank.raw();
         let from_fd = from_rank.raw();
         let mut to_rank = BufWriter::new(to_rank);
-        Frame::Hello {
-            version: WIRE_VERSION,
-            dim: <D::Point as DomainPoint>::DIM as u8,
-            rank: p,
-            profile: self.profile,
-        }
-        .write_to(&mut to_rank)
-        .map_err(DistError::Spawn)?;
+        Frame::Hello { version: WIRE_VERSION, dim: P::DIM as u8, rank: p, profile: self.profile }
+            .write_to(&mut to_rank)
+            .map_err(DistError::Spawn)?;
         to_rank.flush().map_err(DistError::Spawn)?;
         // the multiplexer needs both directions non-blocking: reads go
         // through `read_ready` + reassembly, drain-phase writes through
@@ -689,32 +682,49 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
 
     /// Send each rank in `which` its `Block` frame — its resident block and
     /// its row of the exchange schedule, encoded straight from the
-    /// coordinator's own — each from its own scoped thread: a rank decodes
-    /// as fast as it is sent, so one rank at a time would leave the
-    /// others idle, while concurrent sends let every rank decode at once.
+    /// coordinator's own — all at once ([`write_each`](Self::write_each)).
     fn send_blocks(&mut self, which: &[usize]) -> Result<(), DistError> {
         let (blocks, schedule) = (self.blocks, self.schedule);
+        let sent =
+            self.write_each(which, |p, to_rank| blocks[p].write_frame(to_rank, p as u32, schedule));
+        sent.into_iter().try_for_each(|(_, sent)| sent).map_err(DistError::Spawn)
+    }
+
+    /// Write one frame to each rank in `which` with `write`, and flush it,
+    /// each rank from its own scoped thread: a rank decodes as fast as it
+    /// is sent, so one rank at a time would leave the others idle, while
+    /// concurrent writes let every rank decode at once. Returns each
+    /// rank's outcome, in rank order. A writer the host refuses to start
+    /// is that rank's failure.
+    fn write_each(
+        &mut self,
+        which: &[usize],
+        write: impl Fn(usize, &mut BufWriter<Fd>) -> io::Result<()> + Sync,
+    ) -> Vec<(usize, io::Result<()>)> {
         let send = |p: usize, channel: &mut RankChannel| {
-            blocks[p].write_frame(&mut channel.to_rank, p as u32, schedule)?;
+            write(p, &mut channel.to_rank)?;
             channel.to_rank.flush()
         };
         let mut chosen: Vec<(usize, &mut RankChannel)> =
             self.ranks.iter_mut().enumerate().filter(|(p, _)| which.contains(p)).collect();
-        let sent: Vec<io::Result<()>> = match chosen.as_mut_slice() {
-            [(p, channel)] => vec![send(*p, channel)],
+        match chosen.as_mut_slice() {
+            [(p, channel)] => vec![(*p, send(*p, channel))],
             _ => std::thread::scope(|scope| {
-                // a writer the host refuses to start fails the spawn like
-                // a refused fork, and the run degrades
-                let writers: Vec<io::Result<_>> = chosen
+                let writers: Vec<(usize, io::Result<_>)> = chosen
                     .into_iter()
                     .map(|(p, channel)| {
-                        std::thread::Builder::new().spawn_scoped(scope, move || send(p, channel))
+                        let send = &send;
+                        let writer = std::thread::Builder::new()
+                            .spawn_scoped(scope, move || send(p, channel));
+                        (p, writer)
                     })
                     .collect();
-                writers.into_iter().map(|w| w?.join().expect("block writer panicked")).collect()
+                writers
+                    .into_iter()
+                    .map(|(p, w)| (p, w.and_then(|w| w.join().expect("rank writer panicked"))))
+                    .collect()
             }),
-        };
-        sent.into_iter().collect::<io::Result<()>>().map_err(DistError::Spawn)
+        }
     }
 
     /// Bounded reap of rank `p` after its stream reported EOF/EPIPE: a
@@ -873,31 +883,45 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
             poll_wait_ns: std::mem::take(&mut self.poll_wait_ns),
             hidden_wait_ns: std::mem::take(&mut self.hidden_wait_ns),
             // remote ranks do not ship the scored-elements counter over
-            // the wire (RankPhaseNanos is frozen at wire v3)
+            // the wire (the Report frame's RankPhaseNanos is unchanged
+            // since wire v3), and the scoring a rank does when a gather
+            // loads it is not sweep work
             scored_elements: 0,
         }
     }
 
     /// Send every rank the block slice of the global coordinate state
-    /// `coords`, with its local element scores formed from them block by
-    /// block (no global score table) — the gather and the recovery reload
-    /// are the same wire traffic.
-    fn load_ranks(&mut self, coords: &[D::Point]) -> Result<(), DistError> {
-        for p in 0..self.ranks.len() {
-            let block = &self.blocks[p];
-            let mut flat =
-                Vec::with_capacity((block.owned().len() + block.halo().len()) * D::Point::DIM);
-            for &v in block.owned().iter().chain(block.halo()) {
-                coords[v as usize].push_components(&mut flat);
-            }
-            let ids = block.elem_globals();
-            let mut block_scores = Vec::with_capacity(ids.len());
-            score_elements_batched(self.dom, coords, ids.iter().copied(), |s| block_scores.push(s));
-            self.send(p, &Frame::Gather { coords: flat, scores: block_scores })?;
-            self.flush(p)?;
-            self.mark(p, "gather");
+    /// `coords` in a `Gather` frame — coordinates only, each rank scores
+    /// its own elements on them — to all ranks at once, each frame
+    /// streamed from `coords` through its block's owned-then-halo ids. The
+    /// gather and the recovery reload are the same wire traffic.
+    fn load_ranks(&mut self, coords: &[P]) -> Result<(), DistError> {
+        let t0 = if self.profile { now_ns() } else { 0 };
+        let blocks = self.blocks;
+        let all: Vec<usize> = (0..self.ranks.len()).collect();
+        let sent = self.write_each(&all, |p, to_rank| {
+            let (owned, halo) = (blocks[p].owned(), blocks[p].halo());
+            let frame = Streamed::Gather { points: owned.len() + halo.len() };
+            let n = owned.len();
+            write_streamed(to_rank, frame, P::DIM, |run, _, out| {
+                let halo_run = run.start.max(n) - n..run.end.max(n) - n;
+                for &v in owned[run.start.min(n)..run.end.min(n)].iter().chain(&halo[halo_run]) {
+                    coords[v as usize].push_components(out);
+                }
+            })
+        });
+        if self.profile {
+            self.encode_ns += now_ns().saturating_sub(t0);
         }
-        Ok(())
+        let mut failure = None;
+        for (p, sent) in sent {
+            match sent {
+                Ok(()) => self.mark(p, "gather"),
+                Err(e) if failure.is_none() => failure = Some(self.diagnose_write(p, e)),
+                Err(_) => {}
+            }
+        }
+        failure.map_or(Ok(()), Err)
     }
 
     /// Drain rank `p` to protocol quiescence: consume every `RoundDone`
@@ -1111,7 +1135,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     ) -> Result<(), DistError> {
         let k = self.ranks.len();
         let target = self.ov.rounds_issued;
-        let dim = D::Point::DIM;
+        let dim = P::DIM;
         // inbound dependence: how many of q's in-neighbours still owe
         // the drained round
         let mut need: Vec<u32> = (0..k)
@@ -1328,7 +1352,7 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     ) -> Result<(), DistError> {
         let blocks = self.blocks;
         let owned = blocks[p].owned();
-        let shape_ok = coords.len() == slots.len() * D::Point::DIM
+        let shape_ok = coords.len() == slots.len() * P::DIM
             && slots.iter().all(|&s| (s as usize) < owned.len());
         if !shape_ok || !self.ckpt_awaiting(p) {
             let f = Frame::ScatterDelta { slots, coords };
@@ -1377,8 +1401,8 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     fn apply_ckpt(&mut self, (replies, swept): (Vec<CkptReply>, bool)) {
         for (p, slots, coords) in replies {
             let owned = self.blocks[p].owned();
-            for (&s, point) in slots.iter().zip(coords.chunks_exact(D::Point::DIM)) {
-                self.ckpt[owned[s as usize] as usize] = D::Point::from_components(point);
+            for (&s, point) in slots.iter().zip(coords.chunks_exact(P::DIM)) {
+                self.ckpt[owned[s as usize] as usize] = P::from_components(point);
             }
         }
         self.ckpt_fresh = !swept;
@@ -1407,10 +1431,10 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
         self.ranks[p].reaped = true;
     }
 
-    /// Reload every rank from the checkpoint: each block's scores are
-    /// recomputed from the snapshot coordinates (bit-identical to what
-    /// the ranks held at the boundary — see the module docs), then
-    /// shipped as fresh `Gather` frames.
+    /// Reload every rank from the checkpoint in fresh `Gather` frames:
+    /// each rank re-scores its block from the snapshot coordinates,
+    /// bit-identically to what it held at the boundary (see the module
+    /// docs).
     fn reload_all(&mut self) -> Result<(), DistError> {
         let coords = std::mem::take(&mut self.ckpt);
         let result = self.load_ranks(&coords);
@@ -1482,18 +1506,16 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ProcessTransport<'a, C, D> {
     }
 }
 
-impl<const C: usize, D: ScoringDomain<C>> Drop for ProcessTransport<'_, C, D> {
+impl<const C: usize, P: DomainPoint> Drop for ProcessTransport<'_, C, P> {
     fn drop(&mut self) {
         let _ = self.shutdown();
     }
 }
 
-impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
-    for ProcessTransport<'_, C, D>
-{
+impl<const C: usize, P: DomainPoint> FtResidentTransport<P> for ProcessTransport<'_, C, P> {
     type Error = DistError;
 
-    fn try_gather(&mut self, coords: &[D::Point]) -> Result<(), DistError> {
+    fn try_gather(&mut self, coords: &[P]) -> Result<(), DistError> {
         // prime the checkpoint before any wire traffic, so a failure in
         // iteration 1 (or in this very gather) recovers to the initial
         // state
@@ -1563,7 +1585,7 @@ impl<const C: usize, D: ScoringDomain<C>> FtResidentTransport<D::Point>
         Ok(())
     }
 
-    fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), DistError> {
+    fn try_scatter(&mut self, coords: &mut [P]) -> Result<(), DistError> {
         // the round the driver requested at the `done` boundary right
         // before this scatter: no sweep has run since, so the assembled
         // state *is* every rank's live owned state
@@ -1745,11 +1767,9 @@ mod tests {
         let spawner = Spawner::start(&mesh, &SmoothParams::paper()).expect("spawner");
         let engine =
             ResidentEngine::by_method(&mesh, SmoothParams::paper(), 2, PartitionMethod::Rcb);
-        let dom = engine.scoring();
         let (blocks, schedule) = (engine.blocks(), engine.exchange_schedule());
-        let transport = ProcessTransport::spawn(
+        let transport = ProcessTransport::<3, lms_mesh::Point2>::spawn(
             &spawner,
-            &dom,
             blocks,
             schedule,
             5_000,

@@ -7,10 +7,16 @@
 //! coordinator's `Hello` is followed by a `Block` frame, which the
 //! worker decodes with validation ([`ResidentBlock::from_frame`]) into
 //! the block and its row of the exchange schedule. All the worker brings
-//! itself is the topology-free scoring view. It serves the coordinator's
-//! frames in stream order: the FIFO byte stream (pipe or socket) is the
-//! synchronisation, so a `ColorStep` can never overtake the previous
-//! round's forwarded `HaloDelta` frames. Every frame handler is one
+//! itself is the topology-free scoring view, on which it scores its own
+//! elements whenever a `Gather` loads its coordinates: the gather carries
+//! coordinates only, and streams straight into the rank's coordinate
+//! array, as the scatter replies stream straight out of it. A gather or
+//! halo delta that does not fit the block — a gather of the wrong size, a
+//! halo slot outside the halo range — ends the worker with a typed
+//! [`WireError::BadFrame`] before any sweep can trip over it. It serves
+//! the coordinator's frames in stream order: the FIFO byte stream (pipe
+//! or socket) is the synchronisation, so a `ColorStep` can never overtake
+//! the previous round's forwarded `HaloDelta` frames. Every frame handler is one
 //! [`ResidentRank`] call; the sweep arithmetic is therefore the
 //! in-process engine's, expression for expression, which is what makes
 //! the cross-transport oracle hold bit for bit.
@@ -23,9 +29,8 @@
 //! fail-stop deaths, livelocks, silent wire corruption, and the network
 //! partitions only a socket transport can see.
 
-use crate::codec::{flat_to_points, points_to_flat};
 use crate::fault::{FaultPoint, WorkerFaults};
-use lms_part::wire::{Frame, WireError, WIRE_VERSION};
+use lms_part::wire::{write_streamed, Frame, FrameHead, Streamed, WireError, WIRE_VERSION};
 use lms_part::MessagePlan;
 use lms_smooth::domain::{DomainConfig, DomainPoint, ScoringDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
@@ -101,6 +106,15 @@ struct FrameWriter<'f, W: Write> {
 
 impl<W: Write> FrameWriter<'_, W> {
     fn put(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.put_with(|w| frame.write_to(w))
+    }
+
+    /// Send the one frame `write` writes — a [`Frame`], or a frame
+    /// streamed from the rank's own state.
+    fn put_with(
+        &mut self,
+        write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         if self.faults.slow_frame_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(self.faults.slow_frame_ms));
         }
@@ -108,7 +122,7 @@ impl<W: Write> FrameWriter<'_, W> {
         self.sent += 1;
         if let Some(byte) = self.faults.corrupt_byte(idx) {
             let mut bytes = Vec::new();
-            frame.write_to(&mut bytes)?;
+            write(&mut bytes)?;
             // target the checksum+payload region (offset ≥ 4): keeping
             // the length prefix intact keeps the stream re-framable, so
             // the coordinator diagnoses BadChecksum deterministically
@@ -118,10 +132,10 @@ impl<W: Write> FrameWriter<'_, W> {
             self.write_bytes(&bytes)
         } else if self.faults.short_write {
             let mut bytes = Vec::new();
-            frame.write_to(&mut bytes)?;
+            write(&mut bytes)?;
             self.write_bytes(&bytes)
         } else {
-            frame.write_to(&mut self.inner)
+            write(&mut self.inner)
         }
     }
 
@@ -182,6 +196,9 @@ where
     // back as deltas in each Report frame
     rank.set_timing(profile);
     let rank = &mut rank;
+    let dim = <D::Point as DomainPoint>::DIM;
+    let num_owned = block.num_owned();
+    let halo = num_owned as u32..(num_owned + block.halo().len()) as u32;
 
     // worker-local iteration counter: the number of Interior frames
     // served so far — the `iter` coordinate of fault points
@@ -191,13 +208,30 @@ where
     // by every ScatterDelta reply. Kept as flat bits so the diff is the
     // same bitwise comparison the cross-transport oracle demands.
     let mut ckpt_base: Vec<f64> = Vec::new();
+    // reused scratch: one bit per owned slot, set when a sparse reply
+    // ships it; an incoming halo batch's points; one point's components
+    let mut changed: Vec<u64> = vec![0; num_owned.div_ceil(64)];
+    let mut delivered: Vec<D::Point> = Vec::new();
+    let mut comps: Vec<f64> = Vec::with_capacity(dim);
     let outcome = loop {
-        match Frame::read_from(&mut rd)? {
-            Frame::Gather { coords, scores } => {
-                let points = flat_to_points::<D::Point>(&coords);
-                rank.load_block(&points, &scores);
-                ckpt_base = points_to_flat(rank.owned_coords());
-            }
+        let head = FrameHead::read(&mut rd)?;
+        if head.is_gather() {
+            // the coordinates stream into the rank's own array, and the
+            // owned ones into the baseline beside it
+            ckpt_base.clear();
+            ckpt_base.reserve_exact(num_owned * dim);
+            rank.load_with(|pts| {
+                head.read_gather(&mut rd, dim, pts.len(), |run, values| {
+                    let owned = run.start.min(num_owned)..run.end.min(num_owned);
+                    ckpt_base.extend_from_slice(&values[..owned.len() * dim]);
+                    for (p, c) in pts[run].iter_mut().zip(values.chunks_exact(dim)) {
+                        *p = D::Point::from_components(c);
+                    }
+                })
+            })?;
+            continue;
+        }
+        match head.read_rest(&mut rd)? {
             Frame::Interior => {
                 iter += 1;
                 if faults.hit_drop(FaultPoint::Interior { iter }) {
@@ -214,23 +248,32 @@ where
                 rank.apply_pending();
                 rank.sweep_color(color as usize);
                 rank.route_moved();
-                for i in 0..rank.outbox().len() {
-                    let batch = &rank.outbox()[i];
+                for batch in rank.outbox() {
                     if batch.slots.is_empty() {
                         continue;
                     }
-                    wr.put(&Frame::HaloDelta {
-                        part: batch.dst,
-                        slots: batch.slots.clone(),
-                        coords: points_to_flat(&batch.coords),
+                    let frame = Streamed::HaloDelta { part: batch.dst, slots: &batch.slots };
+                    wr.put_with(|w| {
+                        write_streamed(w, frame, dim, |run, _, out| {
+                            batch.coords[run].iter().for_each(|p| p.push_components(out))
+                        })
                     })?;
                 }
                 wr.put(&Frame::RoundDone)?;
                 wr.flush()?;
             }
             Frame::HaloDelta { slots, coords, .. } => {
-                let points = flat_to_points::<D::Point>(&coords);
-                rank.stash_deltas(&slots, &points);
+                // what the coordinator's `halo_batch_ok` checks before it
+                // forwards, checked again where the batch is applied
+                if coords.len() != slots.len() * dim {
+                    return Err(WireError::BadFrame("halo delta is not dim coordinates per slot"));
+                }
+                if !slots.iter().all(|s| halo.contains(s)) {
+                    return Err(WireError::BadFrame("halo delta slot outside the halo range"));
+                }
+                delivered.clear();
+                delivered.extend(coords.chunks_exact(dim).map(D::Point::from_components));
+                rank.stash_deltas(&slots, &delivered);
             }
             Frame::FinishIteration => {
                 if faults.hit_drop(FaultPoint::Finish { iter }) {
@@ -246,25 +289,36 @@ where
                 wr.flush()?;
             }
             Frame::ScatterRequest => {
-                wr.put(&Frame::Scatter { coords: points_to_flat(rank.owned_coords()) })?;
+                let owned = rank.owned_coords();
+                let frame = Streamed::Scatter { points: owned.len() };
+                wr.put_with(|w| {
+                    write_streamed(w, frame, dim, |run, _, out| {
+                        owned[run].iter().for_each(|p| p.push_components(out))
+                    })
+                })?;
                 wr.flush()?;
             }
             Frame::ScatterDeltaRequest => {
-                let flat = points_to_flat(rank.owned_coords());
-                let dim = <D::Point as DomainPoint>::DIM;
-                assert_eq!(flat.len(), ckpt_base.len(), "sparse scatter before any gather");
-                let mut slots: Vec<u32> = Vec::new();
-                let mut coords: Vec<f64> = Vec::new();
-                for s in 0..flat.len() / dim {
-                    let cur = &flat[s * dim..(s + 1) * dim];
-                    let base = &mut ckpt_base[s * dim..(s + 1) * dim];
-                    if cur.iter().zip(base.iter()).any(|(a, b)| a.to_bits() != b.to_bits()) {
-                        slots.push(s as u32);
-                        coords.extend_from_slice(cur);
-                        base.copy_from_slice(cur);
+                if ckpt_base.len() != num_owned * dim {
+                    return Err(WireError::BadFrame("sparse scatter before any gather"));
+                }
+                let owned = rank.owned_coords();
+                changed.fill(0);
+                for (s, (p, base)) in owned.iter().zip(ckpt_base.chunks_exact_mut(dim)).enumerate()
+                {
+                    comps.clear();
+                    p.push_components(&mut comps);
+                    if comps.iter().zip(base.iter()).any(|(a, b)| a.to_bits() != b.to_bits()) {
+                        changed[s / 64] |= 1 << (s % 64);
+                        base.copy_from_slice(&comps);
                     }
                 }
-                wr.put(&Frame::ScatterDelta { slots, coords })?;
+                let frame = Streamed::ScatterDelta { changed: &changed };
+                wr.put_with(|w| {
+                    write_streamed(w, frame, dim, |_, slots, out| {
+                        slots.iter().for_each(|&s| owned[s as usize].push_components(out))
+                    })
+                })?;
                 wr.flush()?;
             }
             Frame::Shutdown => break ServeOutcome::Shutdown,
@@ -273,4 +327,95 @@ where
     };
     // rd/wr drop here, closing both stream ends before the caller parks
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lms_part::PartitionMethod;
+    use lms_smooth::{ResidentEngine, SmoothParams};
+
+    /// Serve rank 1 of a 3-part engine over an in-memory stream: the
+    /// handshake and the block frame, then `frames`. Returns the outcome
+    /// and the frames the rank wrote back.
+    fn serve_frames(frames: &[Frame]) -> (Result<ServeOutcome, WireError>, Vec<Frame>) {
+        let mesh = lms_mesh::generators::perturbed_grid(10, 10, 0.35, 3);
+        let engine =
+            ResidentEngine::by_method(&mesh, SmoothParams::paper(), 3, PartitionMethod::Rcb);
+        let (dom, cfg) = (engine.scoring(), engine.domain_config());
+        let mut input = Vec::new();
+        Frame::Hello { version: WIRE_VERSION, dim: 2, rank: 1, profile: false }
+            .write_to(&mut input)
+            .unwrap();
+        engine.blocks()[1].write_frame(&mut input, 1, engine.exchange_schedule()).unwrap();
+        for frame in frames {
+            frame.write_to(&mut input).unwrap();
+        }
+        let mut output = Vec::new();
+        let outcome = serve(&dom, &cfg, 1, input.as_slice(), &mut output, &Default::default());
+        let mut replies = Vec::new();
+        let mut rest = output.as_slice();
+        while !rest.is_empty() {
+            replies.push(Frame::read_from(&mut rest).expect("the rank writes whole frames"));
+        }
+        (outcome, replies)
+    }
+
+    /// Rank 1's owned and halo counts in [`serve_frames`]' engine.
+    fn counts() -> (usize, usize) {
+        let mesh = lms_mesh::generators::perturbed_grid(10, 10, 0.35, 3);
+        let engine =
+            ResidentEngine::by_method(&mesh, SmoothParams::paper(), 3, PartitionMethod::Rcb);
+        let block = &engine.blocks()[1];
+        (block.owned().len(), block.halo().len())
+    }
+
+    fn gather(points: usize) -> Frame {
+        Frame::Gather { coords: (0..2 * points).map(|i| i as f64 * 0.125).collect() }
+    }
+
+    #[test]
+    fn a_gathered_rank_replies_with_its_owned_coordinates() {
+        let (owned, halo) = counts();
+        let frames = [
+            gather(owned + halo),
+            Frame::ScatterDeltaRequest,
+            Frame::ScatterRequest,
+            Frame::Shutdown,
+        ];
+        let (outcome, replies) = serve_frames(&frames);
+        assert_eq!(outcome.expect("a well-formed stream"), ServeOutcome::Shutdown);
+        let Frame::Gather { coords } = &frames[0] else { unreachable!() };
+        let expect_scatter = Frame::Scatter { coords: coords[..2 * owned].to_vec() };
+        // nothing moved since the gather set the baseline
+        let expect_delta = Frame::ScatterDelta { slots: vec![], coords: vec![] };
+        assert_eq!(replies, [expect_delta, expect_scatter]);
+    }
+
+    #[test]
+    fn frames_that_do_not_fit_the_block_are_typed_errors() {
+        let (owned, halo) = counts();
+        let (lo, hi) = (owned as u32, (owned + halo) as u32);
+        let delta =
+            |slots: Vec<u32>, n: usize| Frame::HaloDelta { part: 0, slots, coords: vec![0.5; n] };
+        let cases = [
+            (vec![gather(owned + halo - 1)], "short gather"),
+            (vec![gather(owned + halo + 1)], "long gather"),
+            (vec![gather(owned + halo), delta(vec![lo - 1], 2)], "owned slot"),
+            (vec![gather(owned + halo), delta(vec![hi], 2)], "slot past the halo"),
+            (vec![gather(owned + halo), delta(vec![lo, hi - 1], 3)], "short coordinates"),
+            (vec![gather(owned + halo), delta(vec![lo], 4)], "long coordinates"),
+            (vec![Frame::ScatterDeltaRequest], "sparse scatter before any gather"),
+        ];
+        for (mut frames, what) in cases {
+            frames.push(Frame::Shutdown);
+            match serve_frames(&frames).0 {
+                Err(WireError::BadFrame(_)) => {}
+                other => panic!("{what}: expected a BadFrame error, got {other:?}"),
+            }
+        }
+        // the well-formed batch the hostile ones are cut from is applied
+        let frames = [gather(owned + halo), delta(vec![lo, hi - 1], 4), Frame::Shutdown];
+        assert_eq!(serve_frames(&frames).0.expect("in range"), ServeOutcome::Shutdown);
+    }
 }

@@ -597,11 +597,9 @@ fn shutdown_surfaces_abnormal_rank_death() {
     let mesh = mesh_2d();
     let engine = DistResidentEngine::by_method(&mesh, params_2d(2), 3, PartitionMethod::Rcb);
     let inner = engine.inner();
-    let dom = inner.scoring();
     let coords = mesh.coords();
     let mut transport = ProcessTransport::spawn(
         engine.spawner().expect("spawner"),
-        &dom,
         inner.blocks(),
         inner.exchange_schedule(),
         5_000,

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`Frame::Hello`] | coordinator → rank | magic, version, coordinate dimension, rank id, profiling flag |
 //! | [`Frame::Block`] | coordinator → rank | the rank's resident block and its row of the exchange schedule, as typed sections |
-//! | [`Frame::Gather`] | coordinator → rank | the rank's owned+halo coordinates and local element scores (the one full gather) |
+//! | [`Frame::Gather`] | coordinator → rank | the rank's owned+halo coordinates (the one full gather; the rank scores its elements itself) |
 //! | [`Frame::Interior`] | coordinator → rank | run the interior sweep phase of the current iteration |
 //! | [`Frame::ColorStep`] | coordinator → rank | apply pending halo deltas, sweep one interface color class, emit moved deltas |
 //! | [`Frame::HaloDelta`] | both | one coalesced (source part → destination part) batch of moved-vertex coordinates |
@@ -41,6 +41,14 @@
 //! point, declared once in the [`Frame::Hello`] handshake); a
 //! [`Frame::HaloDelta`] carries the destination-local slot ids alongside,
 //! so a receiver writes straight into its resident block buffer.
+//!
+//! The frames that carry a block's worth of coordinates — the gather in,
+//! the scatter and sparse-scatter replies out — never need to be held
+//! whole: [`write_streamed`] encodes one from borrowed coordinates in
+//! cache-sized chunks, and [`FrameHead::read_gather`] decodes a gather
+//! chunk by chunk straight into the receiver's own array, each under the
+//! same checksum [`Frame::write_to`] stamps and [`Frame::read_from`]
+//! checks.
 
 use lms_trace::RankPhaseNanos;
 use std::io::{Read, Write};
@@ -55,8 +63,10 @@ pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"LMSW");
 /// [`Frame::Hello`] and the per-phase timing deltas to [`Frame::Report`];
 /// version 4 added the sparse checkpoint round
 /// ([`Frame::ScatterDeltaRequest`] / [`Frame::ScatterDelta`]); version 5
-/// added [`Frame::Block`], which hands every rank its resident block.
-pub const WIRE_VERSION: u16 = 5;
+/// added [`Frame::Block`], which hands every rank its resident block;
+/// version 6 dropped the element scores from [`Frame::Gather`], since
+/// every rank scores its own block.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Hard cap on one frame's payload (64 MiB): a corrupted length prefix
 /// must not turn into an unbounded allocation.
@@ -229,9 +239,10 @@ pub enum Frame {
         values: Vec<f64>,
     },
     /// The one full gather: the rank's owned+halo coordinates (flat,
-    /// `dim` components per point, owned then halo in block-local order)
-    /// and its local elements' `(quality, positively_oriented)` scores.
-    Gather { coords: Vec<f64>, scores: Vec<(f64, bool)> },
+    /// `dim` components per point, owned then halo in block-local order).
+    /// Coordinates only (wire v6): the rank scores its own elements on
+    /// them.
+    Gather { coords: Vec<f64> },
     /// Run the interior sweep phase of the current iteration.
     Interior,
     /// Apply pending halo deltas, then sweep interface color class
@@ -296,6 +307,11 @@ pub enum WireError {
     /// with the others, an id out of range, or an unsorted id list. The
     /// string names the violated check.
     BadBlock(&'static str),
+    /// A well-framed frame the receiving rank cannot apply to its block:
+    /// a [`Frame::Gather`] of other than its owned plus halo count, a
+    /// [`Frame::HaloDelta`] slot outside its halo range or of other than
+    /// `dim` coordinates per slot. The string names the violated check.
+    BadFrame(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -314,6 +330,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "peer speaks wire version {got}, this build requires {WIRE_VERSION}")
             }
             WireError::BadBlock(what) => write!(f, "block frame rejected: {what}"),
+            WireError::BadFrame(what) => write!(f, "frame does not fit the rank's block: {what}"),
         }
     }
 }
@@ -373,9 +390,74 @@ fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, vs: &[T], bytes: impl F
     }
 }
 
-/// Bytes of encoded payload [`block_chunks`] hands out at a time: small
+/// Bytes of encoded payload a chunked encoder hands out at a time: small
 /// enough to stay in cache between encoding a chunk and using it.
 const BLOCK_CHUNK: usize = 64 << 10;
+
+/// A payload encoded front to back into a cache-sized buffer, which is
+/// handed to `emit` each time it holds a chunk's worth.
+struct Chunks<E> {
+    buf: Vec<u8>,
+    emit: E,
+}
+
+impl<E: FnMut(&[u8]) -> std::io::Result<()>> Chunks<E> {
+    /// An encoder for a payload of `len` bytes.
+    fn new(len: usize, emit: E) -> Self {
+        Chunks { buf: Vec::with_capacity(len.min(BLOCK_CHUNK + 16)), emit }
+    }
+
+    /// Hand the buffer on if it holds a chunk's worth, or whatever it
+    /// holds when `last`.
+    fn flush(&mut self, last: bool) -> std::io::Result<()> {
+        if last || self.buf.len() >= BLOCK_CHUNK {
+            (self.emit)(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// A length-prefixed `u32` array, a chunk at a time.
+    fn u32s(&mut self, vs: &[u32]) -> std::io::Result<()> {
+        put_u32(&mut self.buf, vs.len() as u32);
+        for run in vs.chunks(BLOCK_CHUNK / 4) {
+            put_words(&mut self.buf, run, u32::to_le_bytes);
+            self.flush(false)?;
+        }
+        Ok(())
+    }
+}
+
+/// Write a frame whose `len`-byte payload `encode` hands out in chunks,
+/// byte for byte what [`Frame::write_to`] writes for the same payload,
+/// without holding it whole: it is encoded twice, once for the checksum
+/// and once onto `w`. A payload that encodes to other than `len` bytes is
+/// refused before anything is written.
+fn write_chunked<W: Write + ?Sized>(
+    w: &mut W,
+    len: usize,
+    mut encode: impl FnMut(&mut dyn FnMut(&[u8]) -> std::io::Result<()>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    if len > MAX_FRAME_LEN {
+        return Err(oversized(len));
+    }
+    let prefix = (len as u32).to_le_bytes();
+    let (mut crc, mut seen) = (crc32c_fold(!0, &prefix), 0);
+    encode(&mut |chunk| {
+        crc = crc32c_fold(crc, chunk);
+        seen += chunk.len();
+        Ok(())
+    })?;
+    if seen != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame payload encoded to {seen} bytes, not the {len} its fields declare"),
+        ));
+    }
+    w.write_all(&prefix)?;
+    w.write_all(&(!crc).to_le_bytes())?;
+    encode(&mut |chunk| w.write_all(chunk))
+}
 
 /// The borrowed fields of a [`Frame::Block`].
 struct BlockParts<'a> {
@@ -397,38 +479,27 @@ impl BlockParts<'_> {
     /// Encode the payload front to back, handing it to `emit` in chunks
     /// of about [`BLOCK_CHUNK`] bytes — the one encoder behind
     /// [`Frame::encode`] and [`write_block_frame`].
-    fn chunks(&self, mut emit: impl FnMut(&[u8]) -> std::io::Result<()>) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(BLOCK_CHUNK + 16);
-        buf.push(TAG_BLOCK);
-        put_u32(&mut buf, self.part);
-        put_u32(&mut buf, self.num_parts);
-        buf.push(self.corners);
-        put_u32(&mut buf, self.sections.len() as u32);
-        let mut flush = |buf: &mut Vec<u8>, force: bool| {
-            if force || buf.len() >= BLOCK_CHUNK {
-                emit(buf)?;
-                buf.clear();
-            }
-            Ok::<(), std::io::Error>(())
-        };
+    fn chunks(&self, emit: impl FnMut(&[u8]) -> std::io::Result<()>) -> std::io::Result<()> {
+        let mut out = Chunks::new(self.payload_len(), emit);
+        out.buf.push(TAG_BLOCK);
+        put_u32(&mut out.buf, self.part);
+        put_u32(&mut out.buf, self.num_parts);
+        out.buf.push(self.corners);
+        put_u32(&mut out.buf, self.sections.len() as u32);
         for section in self.sections {
-            put_u32(&mut buf, section.len() as u32);
-            for run in section.chunks(BLOCK_CHUNK / 4) {
-                put_words(&mut buf, run, u32::to_le_bytes);
-                flush(&mut buf, false)?;
-            }
+            out.u32s(section)?;
         }
-        put_u32(&mut buf, self.bits.len() as u32);
+        put_u32(&mut out.buf, self.bits.len() as u32);
         for run in self.bits.chunks(BLOCK_CHUNK / 8) {
-            put_words(&mut buf, run, u64::to_le_bytes);
-            flush(&mut buf, false)?;
+            put_words(&mut out.buf, run, u64::to_le_bytes);
+            out.flush(false)?;
         }
-        put_u32(&mut buf, self.values.len() as u32);
+        put_u32(&mut out.buf, self.values.len() as u32);
         for run in self.values.chunks(BLOCK_CHUNK / 8) {
-            put_words(&mut buf, run, |v: f64| v.to_bits().to_le_bytes());
-            flush(&mut buf, false)?;
+            put_words(&mut out.buf, run, |v: f64| v.to_bits().to_le_bytes());
+            out.flush(false)?;
         }
-        flush(&mut buf, true)
+        out.flush(true)
     }
 
     /// The whole payload in one buffer.
@@ -458,19 +529,130 @@ pub fn write_block_frame<W: Write>(
     values: &[f64],
 ) -> std::io::Result<()> {
     let block = BlockParts { part, num_parts, corners, sections, bits, values };
-    let len = block.payload_len();
-    if len > MAX_FRAME_LEN {
-        return Err(oversized(len));
+    write_chunked(w, block.payload_len(), |emit| block.chunks(emit))
+}
+
+/// Which coordinate-carrying frame [`write_streamed`] writes, and its
+/// fields other than the coordinates.
+#[derive(Debug, Clone, Copy)]
+pub enum Streamed<'a> {
+    /// A [`Frame::Gather`] of `points` points.
+    Gather { points: usize },
+    /// A [`Frame::Scatter`] of `points` points.
+    Scatter { points: usize },
+    /// A [`Frame::ScatterDelta`] of the slots set in `changed`, ascending
+    /// (slot `s` is bit `s % 64` of word `s / 64`): one point per slot. A
+    /// bit set costs a rank one bit per owned vertex where a slot list
+    /// would cost four bytes per moved one.
+    ScatterDelta { changed: &'a [u64] },
+    /// A [`Frame::HaloDelta`] for part `part`: one point per slot.
+    HaloDelta { part: u32, slots: &'a [u32] },
+}
+
+/// The positions of the set bits of `words`, ascending: bit `i % 64` of
+/// word `i / 64` is position `i`.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let rest = std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)));
+        rest.take_while(|&rest| rest != 0).map(move |rest| (w * 64) as u32 + rest.trailing_zeros())
+    })
+}
+
+impl Streamed<'_> {
+    /// Points the frame carries.
+    fn points(&self) -> usize {
+        match *self {
+            Streamed::Gather { points } | Streamed::Scatter { points } => points,
+            Streamed::ScatterDelta { changed } => {
+                changed.iter().map(|w| w.count_ones() as usize).sum()
+            }
+            Streamed::HaloDelta { slots, .. } => slots.len(),
+        }
     }
-    let len = len as u32;
-    let mut crc = crc32c_fold(!0, &len.to_le_bytes());
-    block.chunks(|chunk| {
-        crc = crc32c_fold(crc, chunk);
-        Ok(())
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&(!crc).to_le_bytes())?;
-    block.chunks(|chunk| w.write_all(chunk))
+
+    /// Encoded payload length at `dim` components per point.
+    fn payload_len(&self, dim: usize) -> usize {
+        let points = self.points();
+        let head = match self {
+            Streamed::Gather { .. } | Streamed::Scatter { .. } => 0,
+            Streamed::ScatterDelta { .. } => 4 + 4 * points,
+            Streamed::HaloDelta { .. } => 4 + 4 + 4 * points,
+        };
+        1 + head + 4 + 8 * dim * points
+    }
+
+    /// Encode the payload front to back in chunks, the coordinates a run
+    /// of points at a time through `fill`.
+    fn chunks(
+        &self,
+        dim: usize,
+        fill: &mut impl FnMut(std::ops::Range<usize>, &[u32], &mut Vec<f64>),
+        emit: impl FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let points = self.points();
+        let mut out = Chunks::new(self.payload_len(dim), emit);
+        // a bit set's slots are listed once for the slot section and then
+        // again, a run at a time, for `fill`
+        let mut bits = None;
+        match *self {
+            Streamed::Gather { .. } => out.buf.push(TAG_GATHER),
+            Streamed::Scatter { .. } => out.buf.push(TAG_SCATTER),
+            Streamed::ScatterDelta { changed } => {
+                out.buf.push(TAG_SCATTER_DELTA);
+                put_u32(&mut out.buf, points as u32);
+                for slot in set_bits(changed) {
+                    put_u32(&mut out.buf, slot);
+                    out.flush(false)?;
+                }
+                bits = Some(set_bits(changed));
+            }
+            Streamed::HaloDelta { part, slots } => {
+                out.buf.push(TAG_HALO_DELTA);
+                put_u32(&mut out.buf, part);
+                out.u32s(slots)?;
+            }
+        }
+        put_u32(&mut out.buf, (dim * points) as u32);
+        let run = (BLOCK_CHUNK / 8 / dim.max(1)).max(1);
+        let (mut values, mut listed) = (Vec::with_capacity(run.min(points) * dim), Vec::new());
+        for start in (0..points).step_by(run) {
+            let end = (start + run).min(points);
+            let slots: &[u32] = match (*self, bits.as_mut()) {
+                (Streamed::HaloDelta { slots, .. }, _) => &slots[start..end],
+                (_, Some(bits)) => {
+                    listed.clear();
+                    listed.extend(bits.take(end - start));
+                    &listed
+                }
+                _ => &[],
+            };
+            values.clear();
+            fill(start..end, slots, &mut values);
+            put_words(&mut out.buf, &values, |v: f64| v.to_bits().to_le_bytes());
+            out.flush(false)?;
+        }
+        out.flush(true)
+    }
+}
+
+/// Write the coordinate-carrying frame `frame` names, its coordinates at
+/// `dim` components per point coming from `fill`: `fill(range, slots,
+/// out)` appends the components of points `range` to `out`, in order,
+/// where `slots` are those points' slot ids in a frame that carries slots
+/// and empty in one that does not. Byte for byte what
+/// [`Frame::write_to`] writes for the same frame, without holding the
+/// coordinates or the payload whole: the payload is encoded twice in
+/// cache-sized chunks, once for its checksum and once onto `w`, so `fill`
+/// is asked for every run twice and must answer the same. A `fill` that
+/// appends other than `dim` components per point is refused before
+/// anything is written.
+pub fn write_streamed<W: Write + ?Sized>(
+    w: &mut W,
+    frame: Streamed<'_>,
+    dim: usize,
+    mut fill: impl FnMut(std::ops::Range<usize>, &[u32], &mut Vec<f64>),
+) -> std::io::Result<()> {
+    write_chunked(w, frame.payload_len(dim), |emit| frame.chunks(dim, &mut fill, emit))
 }
 
 /// The send-side error for a payload over [`MAX_FRAME_LEN`].
@@ -485,7 +667,7 @@ fn oversized(len: usize) -> std::io::Error {
 }
 
 /// Frame an encoded payload onto a stream: length prefix, CRC32c, payload.
-fn write_payload<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+fn write_payload<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(oversized(payload.len()));
     }
@@ -559,8 +741,8 @@ impl<'a> Payload<'a> {
 /// A streaming reader over one frame's payload: it hands out fields
 /// through a cache-sized buffer, never past the payload's length, and
 /// folds every byte it reads into the frame checksum. How a
-/// [`Frame::Block`] — megabytes of sections — is decoded without first
-/// buffering its whole payload.
+/// [`Frame::Block`] — megabytes of sections — and a [`Frame::Gather`] are
+/// decoded without first buffering their whole payload.
 struct Stream<'r, R: Read> {
     r: &'r mut R,
     crc: u32,
@@ -569,10 +751,13 @@ struct Stream<'r, R: Read> {
 }
 
 impl<R: Read> Stream<'_, R> {
-    /// The next `n ≤ BLOCK_CHUNK` payload bytes.
+    /// The next `n` payload bytes (a field, or at most a chunk's worth).
     fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
         if n > self.left {
             return Err(WireError::BadLength);
+        }
+        if n > self.buf.len() {
+            self.buf.resize(n, 0);
         }
         self.r.read_exact(&mut self.buf[..n])?;
         self.crc = crc32c_fold(self.crc, &self.buf[..n]);
@@ -623,6 +808,38 @@ impl<R: Read> Stream<'_, R> {
         Ok(Frame::Block { part, num_parts, corners, sections, bits, values })
     }
 
+    /// A [`Frame::Gather`] payload after its tag, handed to `sink` a run
+    /// of whole points at a time; it must hold `points` points of `dim`
+    /// components.
+    fn gather(
+        &mut self,
+        dim: usize,
+        points: usize,
+        sink: &mut impl FnMut(std::ops::Range<usize>, &[f64]),
+    ) -> Result<(), WireError> {
+        let n = self.u32()? as usize;
+        if n.checked_mul(8) != Some(self.left) {
+            return Err(WireError::BadLength);
+        }
+        if Some(n) != dim.checked_mul(points) {
+            return Err(WireError::BadFrame("gather size is not the rank's owned plus halo count"));
+        }
+        let run = (BLOCK_CHUNK / 8 / dim.max(1)).max(1);
+        let mut values = Vec::with_capacity(run.min(points) * dim);
+        for start in (0..points).step_by(run) {
+            let end = (start + run).min(points);
+            let bytes = self.take((end - start) * dim * 8)?;
+            values.clear();
+            values.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()))),
+            );
+            sink(start..end, &values);
+        }
+        Ok(())
+    }
+
     /// Read and checksum whatever of the payload is left.
     fn finish(&mut self) -> Result<u32, WireError> {
         while self.left > 0 {
@@ -632,21 +849,117 @@ impl<R: Read> Stream<'_, R> {
     }
 }
 
-/// Decode a [`Frame::Block`] whose length prefix and tag were read:
-/// sections stream into their vectors, and the checksum over prefix and
-/// payload is checked before the frame is returned. A payload that fails
-/// both its checksum and its decoding reports the checksum, as the
-/// buffered path does.
-fn read_block<R: Read>(r: &mut R, len: u32, stamped: u32) -> Result<Frame, WireError> {
-    let crc = crc32c_fold(crc32c_fold(!0, &len.to_le_bytes()), &[TAG_BLOCK]);
-    let (left, buf) = (len as usize - 1, vec![0u8; BLOCK_CHUNK]);
-    let mut stream = Stream { r, crc, left, buf };
-    let decoded = stream.block();
-    let got = stream.finish()?;
-    if got != stamped {
-        return Err(WireError::BadChecksum { expected: stamped, got });
+/// A frame's length prefix, stamped checksum and tag, read ahead of its
+/// fields: what lets a rank stream a [`Frame::Gather`] straight into its
+/// own coordinates ([`read_gather`](Self::read_gather)) and read every
+/// other frame as a [`Frame`] ([`read_rest`](Self::read_rest)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHead {
+    len: u32,
+    stamped: u32,
+    /// `None` for an empty payload, which no frame has.
+    tag: Option<u8>,
+}
+
+impl FrameHead {
+    /// Read the next frame's length prefix, checksum and tag, refusing a
+    /// length over [`MAX_FRAME_LEN`] before anything is allocated.
+    pub fn read<R: Read>(r: &mut R) -> Result<FrameHead, WireError> {
+        let mut header = [0u8; 8];
+        r.read_exact(&mut header)?;
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let stamped = u32::from_le_bytes(header[4..].try_into().unwrap());
+        if len as usize > MAX_FRAME_LEN {
+            return Err(WireError::TooLarge(len as usize));
+        }
+        let mut tag = [0u8; 1];
+        if len > 0 {
+            r.read_exact(&mut tag)?;
+        }
+        Ok(FrameHead { len, stamped, tag: (len > 0).then_some(tag[0]) })
     }
-    decoded
+
+    /// Whether the frame is a [`Frame::Gather`].
+    pub fn is_gather(&self) -> bool {
+        self.tag == Some(TAG_GATHER)
+    }
+
+    /// The frame's payload after its tag, streamed through a cache-sized
+    /// buffer into the checksum that starts with the prefix and tag.
+    fn stream<'r, R: Read>(&self, r: &'r mut R, tag: u8) -> Stream<'r, R> {
+        let crc = crc32c_fold(crc32c_fold(!0, &self.len.to_le_bytes()), &[tag]);
+        let left = self.len as usize - 1;
+        Stream { r, crc, left, buf: vec![0u8; left.min(BLOCK_CHUNK)] }
+    }
+
+    /// Check a streamed payload's checksum, then return what decoding it
+    /// gave. A payload that fails both its checksum and its decoding
+    /// reports the checksum, as a whole-payload read does.
+    fn checked<R: Read, T>(
+        &self,
+        mut stream: Stream<'_, R>,
+        decoded: Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let got = stream.finish()?;
+        if got != self.stamped {
+            return Err(WireError::BadChecksum { expected: self.stamped, got });
+        }
+        decoded
+    }
+
+    /// Read the rest of the frame. A [`Frame::Block`] streams into its
+    /// sections; every other frame is small, or rare, and is read whole.
+    pub fn read_rest<R: Read>(self, r: &mut R) -> Result<Frame, WireError> {
+        if self.tag == Some(TAG_BLOCK) {
+            let mut stream = self.stream(r, TAG_BLOCK);
+            let decoded = stream.block();
+            return self.checked(stream, decoded);
+        }
+        let mut payload = vec![0u8; self.len as usize];
+        if let Some(tag) = self.tag {
+            payload[0] = tag;
+            r.read_exact(&mut payload[1..])?;
+        }
+        let got = frame_crc(self.len, &payload);
+        if got != self.stamped {
+            return Err(WireError::BadChecksum { expected: self.stamped, got });
+        }
+        Frame::decode(&payload)
+    }
+
+    /// Read the rest of a [`Frame::Gather`] of `points` points of `dim`
+    /// components, handing the coordinates to `sink` a cache-sized run of
+    /// whole points at a time — `sink(range, values)` gets the components
+    /// of points `range`, in order — so a rank decodes a gather straight
+    /// into its own coordinate array. Nothing is allocated past a
+    /// cache-sized buffer, whatever the length prefix says.
+    ///
+    /// `sink` sees the coordinates before the checksum over the whole
+    /// frame is checked: on any error the caller must discard what it was
+    /// handed.
+    ///
+    /// # Errors
+    /// [`WireError::BadTag`] if the frame is not a gather,
+    /// [`WireError::BadFrame`] if it holds other than `points` points,
+    /// [`WireError::BadLength`] if its fields disagree with its length,
+    /// [`WireError::BadChecksum`] if it was corrupted, and
+    /// [`WireError::Io`] if the stream ends first.
+    pub fn read_gather<R: Read>(
+        self,
+        r: &mut R,
+        dim: usize,
+        points: usize,
+        mut sink: impl FnMut(std::ops::Range<usize>, &[f64]),
+    ) -> Result<(), WireError> {
+        match self.tag {
+            Some(TAG_GATHER) => {}
+            Some(t) => return Err(WireError::BadTag(t)),
+            None => return Err(WireError::BadLength),
+        }
+        let mut stream = self.stream(r, TAG_GATHER);
+        let decoded = stream.gather(dim, points, &mut sink);
+        self.checked(stream, decoded)
+    }
 }
 
 impl Frame {
@@ -668,14 +981,9 @@ impl Frame {
                 return BlockParts { part, num_parts, corners, sections: &sections, bits, values }
                     .encode();
             }
-            Frame::Gather { coords, scores } => {
+            Frame::Gather { coords } => {
                 out.push(TAG_GATHER);
                 put_f64s(&mut out, coords);
-                put_u32(&mut out, scores.len() as u32);
-                for &(q, pos) in scores {
-                    put_f64(&mut out, q);
-                    out.push(pos as u8);
-                }
             }
             Frame::Interior => out.push(TAG_INTERIOR),
             Frame::ColorStep { color } => {
@@ -745,21 +1053,7 @@ impl Frame {
                 let mut stream = Stream { r: &mut rest, crc: 0, left, buf: vec![0; BLOCK_CHUNK] };
                 return stream.block();
             }
-            TAG_GATHER => {
-                let coords = p.f64s()?;
-                let n = p.u32()? as usize;
-                let mut scores = Vec::with_capacity(n.min(MAX_FRAME_LEN / 9));
-                for _ in 0..n {
-                    let q = p.f64()?;
-                    let pos = match p.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(WireError::BadLength),
-                    };
-                    scores.push((q, pos));
-                }
-                Frame::Gather { coords, scores }
-            }
+            TAG_GATHER => Frame::Gather { coords: p.f64s()? },
             TAG_INTERIOR => Frame::Interior,
             TAG_COLOR_STEP => Frame::ColorStep { color: p.u32()? },
             TAG_HALO_DELTA => {
@@ -798,10 +1092,10 @@ impl Frame {
     /// Write the frame to a stream: `u32` LE payload length, `u32` LE
     /// CRC32c (over length prefix + payload), then the payload. Enforces
     /// [`MAX_FRAME_LEN`] on the send side too, so an oversized block,
-    /// gather or scatter (the gather is ≈ 38 bytes per 2D vertex of one
-    /// rank's block) fails with a diagnosable error instead of the receiver rejecting
-    /// it and the sender dying on a broken pipe.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+    /// gather or scatter (the gather is 16 bytes per 2D vertex of one
+    /// rank's block) fails with a diagnosable error instead of the
+    /// receiver rejecting it and the sender dying on a broken pipe.
+    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         write_payload(w, &self.encode())
     }
 
@@ -809,32 +1103,7 @@ impl Frame {
     /// single-bit change to the bytes on the wire — length prefix
     /// included — yields a [`WireError`] rather than a mis-decoded frame.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-        let mut header = [0u8; 8];
-        r.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let stamped = u32::from_le_bytes(header[4..].try_into().unwrap());
-        if len as usize > MAX_FRAME_LEN {
-            return Err(WireError::TooLarge(len as usize));
-        }
-        // a block frame streams into its sections; every other frame is
-        // small and is read whole
-        let mut tag = [0u8; 1];
-        if len > 0 {
-            r.read_exact(&mut tag)?;
-            if tag[0] == TAG_BLOCK {
-                return read_block(r, len, stamped);
-            }
-        }
-        let mut payload = vec![0u8; len as usize];
-        if len > 0 {
-            payload[0] = tag[0];
-            r.read_exact(&mut payload[1..])?;
-        }
-        let got = frame_crc(len, &payload);
-        if got != stamped {
-            return Err(WireError::BadChecksum { expected: stamped, got });
-        }
-        Frame::decode(&payload)
+        FrameHead::read(r)?.read_rest(r)
     }
 
     /// Total bytes [`write_to`](Self::write_to) puts on the wire for this
@@ -973,10 +1242,8 @@ mod tests {
     fn every_frame_type_roundtrips() {
         roundtrip(Frame::Hello { version: WIRE_VERSION, dim: 3, rank: 7, profile: false });
         roundtrip(Frame::Hello { version: WIRE_VERSION, dim: 2, rank: 0, profile: true });
-        roundtrip(Frame::Gather {
-            coords: vec![0.5, -1.25, f64::NAN, -0.0, f64::INFINITY],
-            scores: vec![(0.75, true), (f64::NAN, false), (-0.0, true)],
-        });
+        roundtrip(Frame::Gather { coords: vec![0.5, -1.25, f64::NAN, -0.0, f64::INFINITY] });
+        roundtrip(Frame::Gather { coords: vec![] });
         roundtrip(Frame::Block {
             part: 2,
             num_parts: 5,
@@ -1025,9 +1292,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_version_is_five() {
-        // v5 added the Block frame; a peer of any other version is refused
-        assert_eq!(WIRE_VERSION, 5);
+    fn wire_version_is_six() {
+        // v6 dropped the scores from the Gather frame; a peer of any other
+        // version is refused
+        assert_eq!(WIRE_VERSION, 6);
     }
 
     #[test]
@@ -1050,6 +1318,160 @@ mod tests {
         assert_eq!(direct, owned);
         assert_eq!(direct.len(), frame.wire_len());
         assert_eq!(Frame::read_from(&mut direct.as_slice()).unwrap().encode(), frame.encode());
+    }
+
+    /// Points of `dim` components with awkward bit patterns, flat.
+    fn odd_coords(points: usize, dim: usize) -> Vec<f64> {
+        let specials = [-0.0, f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001), f64::MIN_POSITIVE];
+        (0..points * dim)
+            .map(|i| if i % 7 == 3 { specials[i % 4] } else { i as f64 * 0.375 - 11.0 })
+            .collect()
+    }
+
+    /// Stream `frame` through [`write_streamed`] from `coords`, flat,
+    /// checking that a frame with slots hands each run its slots.
+    fn streamed(frame: Streamed<'_>, dim: usize, coords: &[f64], slots: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_streamed(&mut out, frame, dim, |run, run_slots, vals| {
+            match frame {
+                Streamed::Gather { .. } | Streamed::Scatter { .. } => assert!(run_slots.is_empty()),
+                _ => assert_eq!(run_slots, &slots[run.clone()]),
+            }
+            vals.extend_from_slice(&coords[run.start * dim..run.end * dim])
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn streamed_coordinate_frames_match_write_to() {
+        // sizes below, at and across the encoder's run of points
+        for (dim, points) in [(2, 0), (2, 1), (3, 5), (2, 4096), (2, 4097), (3, 2731), (3, 9000)] {
+            let coords = odd_coords(points, dim);
+            // a halo batch's slots come in any order; a sparse scatter's
+            // ascend, as a bit set lists them
+            let any: Vec<u32> = (0..points as u32).map(|s| s.wrapping_mul(2_654_435_761)).collect();
+            let ascending: Vec<u32> = (0..points as u32).map(|k| 3 * k + k % 2 + 64).collect();
+            let mut changed = vec![0u64; (3 * points + 130) / 64];
+            for &s in &ascending {
+                changed[s as usize / 64] |= 1 << (s % 64);
+            }
+            let cases = [
+                (Streamed::Gather { points }, Frame::Gather { coords: coords.clone() }, &[][..]),
+                (Streamed::Scatter { points }, Frame::Scatter { coords: coords.clone() }, &[]),
+                (
+                    Streamed::ScatterDelta { changed: &changed },
+                    Frame::ScatterDelta { slots: ascending.clone(), coords: coords.clone() },
+                    &ascending,
+                ),
+                (
+                    Streamed::HaloDelta { part: 9, slots: &any },
+                    Frame::HaloDelta { part: 9, slots: any.clone(), coords: coords.clone() },
+                    &any,
+                ),
+            ];
+            for (kind, frame, slots) in cases {
+                let mut owned = Vec::new();
+                frame.write_to(&mut owned).unwrap();
+                let direct = streamed(kind, dim, &coords, slots);
+                assert!(direct == owned, "{kind:?} at {dim}D x{points}");
+                let back = Frame::read_from(&mut direct.as_slice()).unwrap();
+                assert_eq!(back.encode(), frame.encode(), "{kind:?} at {dim}D x{points}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_write_with_a_short_or_long_fill_writes_nothing() {
+        for extra in [-1isize, 1] {
+            let mut out = Vec::new();
+            let gather = Streamed::Gather { points: 3 };
+            let written = write_streamed(&mut out, gather, 2, |run, _, vals| {
+                let n = (run.len() * 2) as isize + extra;
+                vals.extend(std::iter::repeat_n(0.5, n as usize));
+            });
+            assert!(written.is_err(), "fill off by {extra}");
+            assert!(out.is_empty(), "a refused frame left {} bytes", out.len());
+        }
+    }
+
+    /// Read `stream` as a gather of `points` points of `dim` components
+    /// through [`FrameHead::read_gather`], into a flat array.
+    fn read_gather(stream: &[u8], dim: usize, points: usize) -> Result<Vec<f64>, WireError> {
+        let mut r = stream;
+        let head = FrameHead::read(&mut r)?;
+        let mut got = vec![f64::NAN; dim * points];
+        let mut next = 0;
+        head.read_gather(&mut r, dim, points, |run, vals| {
+            assert_eq!(run.start, next, "runs arrive in order");
+            assert_eq!(vals.len(), run.len() * dim, "runs hold whole points");
+            got[run.start * dim..run.end * dim].copy_from_slice(vals);
+            next = run.end;
+        })?;
+        assert_eq!(next, points, "every point was handed out");
+        assert!(r.is_empty(), "the gather was read to its end");
+        Ok(got)
+    }
+
+    #[test]
+    fn a_streamed_gather_reads_back_bit_for_bit() {
+        for (dim, points) in [(2, 0), (2, 3), (3, 2731), (2, 20_000)] {
+            let coords = odd_coords(points, dim);
+            let mut stream = Vec::new();
+            Frame::Gather { coords: coords.clone() }.write_to(&mut stream).unwrap();
+            let head = FrameHead::read(&mut stream.as_slice()).unwrap();
+            assert!(head.is_gather());
+            let got = read_gather(&stream, dim, points).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&coords), "{dim}D x{points}");
+        }
+    }
+
+    #[test]
+    fn the_streaming_gather_reader_rejects_hostile_frames() {
+        let (dim, points) = (2, 3000);
+        let mut stream = Vec::new();
+        Frame::Gather { coords: odd_coords(points, dim) }.write_to(&mut stream).unwrap();
+        // a gather of another size than the rank expects
+        assert!(matches!(read_gather(&stream, dim, points - 1), Err(WireError::BadFrame(_))));
+        assert!(matches!(read_gather(&stream, 3, points), Err(WireError::BadFrame(_))));
+        // truncation anywhere, the header included
+        for cut in [0, 3, 8, 9, 12, 13, stream.len() / 2, stream.len() - 1] {
+            match read_gather(&stream[..cut], dim, points) {
+                Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        // any single corrupted byte past the length prefix
+        for i in (4..stream.len()).step_by(97).chain([4, 7, 8, 9, 12, stream.len() - 1]) {
+            let mut torn = stream.clone();
+            torn[i] ^= 0x10;
+            match read_gather(&torn, dim, points) {
+                Err(WireError::BadChecksum { expected, got }) => assert_ne!(expected, got),
+                // a corrupted tag is no gather at all
+                Err(WireError::BadTag(_)) if i == 8 => {}
+                other => panic!("byte {i}: {other:?}"),
+            }
+        }
+        // a length prefix over the cap is refused before anything is read
+        // past it; one within the cap but past the stream's end runs dry
+        for len in [MAX_FRAME_LEN as u32 + 1, u32::MAX] {
+            let mut huge = stream.clone();
+            huge[..4].copy_from_slice(&len.to_le_bytes());
+            assert!(matches!(read_gather(&huge, dim, points), Err(WireError::TooLarge(_))));
+        }
+        let mut long = stream.clone();
+        long[..4].copy_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        assert!(matches!(
+            read_gather(&long, dim, points),
+            Err(WireError::BadLength | WireError::Io(_))
+        ));
+        // another frame is no gather
+        let mut other = Vec::new();
+        Frame::ColorStep { color: 1 }.write_to(&mut other).unwrap();
+        let head = FrameHead::read(&mut other.as_slice()).unwrap();
+        assert!(!head.is_gather());
+        assert!(matches!(read_gather(&other, dim, 0), Err(WireError::BadTag(TAG_COLOR_STEP))));
     }
 
     #[test]
@@ -1175,7 +1597,7 @@ mod tests {
     #[test]
     fn reassembly_decodes_any_chunking_identically_to_read_from() {
         let frames = vec![
-            Frame::Gather { coords: vec![0.5, f64::NAN, -0.0], scores: vec![(1.5, true)] },
+            Frame::Gather { coords: vec![0.5, f64::NAN, -0.0, 1.5] },
             Frame::ColorStep { color: 3 },
             Frame::HaloDelta { part: 1, slots: vec![2, 9], coords: vec![0.25; 4] },
             Frame::RoundDone,
@@ -1274,6 +1696,7 @@ mod tests {
             (WireError::BadChecksum { expected: 0xdead_beef, got: 0x0bad_f00d }, "0xdeadbeef"),
             (WireError::Version { got: 1 }, "wire version 1"),
             (WireError::BadBlock("halo ids unsorted"), "halo ids unsorted"),
+            (WireError::BadFrame("halo slot out of range"), "halo slot out of range"),
         ];
         for (err, needle) in cases {
             let shown = err.to_string();

@@ -73,12 +73,13 @@ fn block_frame(part: u32, slots: &[u32], bits: &[u64]) -> lms_part::wire::Frame 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The version this suite's frames are pinned to: v5 added the block
-    /// frame, and a `Hello` of any other version is refused.
+    /// The version this suite's frames are pinned to: v6 dropped the
+    /// scores from the gather frame, and a `Hello` of any other version is
+    /// refused.
     #[test]
     fn wire_version_pin(version in any::<u16>()) {
         use lms_part::wire::{Frame, WireError, WIRE_VERSION};
-        prop_assert_eq!(WIRE_VERSION, 5);
+        prop_assert_eq!(WIRE_VERSION, 6);
         let hello = Frame::Hello { version, dim: 2, rank: 0, profile: false };
         let decoded = Frame::decode(&hello.encode());
         if version == WIRE_VERSION {
@@ -95,7 +96,6 @@ proptest! {
     #[test]
     fn wire_frames_roundtrip_arbitrary_bit_patterns(
         coord_bits in arb_bits(0..40),
-        score_bits in arb_bits(0..20),
         slots in proptest::collection::vec(any::<u32>(), 0..20),
         part in any::<u32>(),
         color in any::<u32>(),
@@ -103,10 +103,8 @@ proptest! {
     ) {
         use lms_part::wire::Frame;
         let coords: Vec<f64> = coord_bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let scores: Vec<(f64, bool)> =
-            score_bits.iter().map(|&b| (f64::from_bits(b), b % 2 == 0)).collect();
         let frames = vec![
-            Frame::Gather { coords: coords.clone(), scores },
+            Frame::Gather { coords: coords.clone() },
             Frame::ColorStep { color },
             Frame::HaloDelta {
                 part,
@@ -157,10 +155,7 @@ proptest! {
         use lms_part::wire::Frame;
         let coords: Vec<f64> = coord_bits.iter().map(|&b| f64::from_bits(b)).collect();
         let frames = vec![
-            Frame::Gather {
-                coords: coords.clone(),
-                scores: coord_bits.iter().map(|&b| (f64::from_bits(b), b % 3 == 0)).collect(),
-            },
+            Frame::Gather { coords: coords.clone() },
             Frame::ColorStep { color },
             Frame::HaloDelta {
                 part,
@@ -337,10 +332,7 @@ proptest! {
                     .take(slots.len() * 2)
                     .collect(),
             },
-            Frame::Gather {
-                coords: coord_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                scores: coord_bits.iter().map(|&b| (f64::from_bits(b), b % 2 == 0)).collect(),
-            },
+            Frame::Gather { coords: coord_bits.iter().map(|&b| f64::from_bits(b)).collect() },
             Frame::Hello {
                 version: lms_part::wire::WIRE_VERSION,
                 dim: 2,

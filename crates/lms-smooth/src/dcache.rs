@@ -239,7 +239,8 @@ impl DomainQualityCache {
     /// Re-score **every** element and rebuild the running sum from
     /// scratch (same accumulation order as [`build`](Self::build)).
     /// Scoring runs through the lane-batched kernel
-    /// ([`score_elements_batched`]); the fold over the results keeps the
+    /// ([`score_corners_batched`](crate::soa::score_corners_batched) on
+    /// the domain's own table); the fold over the results keeps the
     /// sequential element order, so the rebuilt sum is bit-identical to
     /// the scalar loop it replaces.
     pub fn rescore_all<const C: usize, D: SmoothDomain<C>>(

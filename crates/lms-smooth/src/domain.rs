@@ -681,7 +681,9 @@ impl QualityScatter {
 }
 
 /// The canonical global quality of a domain, scored from scratch on
-/// `coords` (through [`score_elements_batched`], element order kept) and
+/// `coords` (through the lane-batched
+/// [`score_corners_batched`](crate::soa::score_corners_batched), element
+/// order kept) and
 /// reduced by an element-order scatter into per-vertex sums — no
 /// per-element table, no vertex→element rows, and bit-identical to the
 /// concrete `mesh_quality` CSR reductions (the scatter adds each vertex's

@@ -64,7 +64,7 @@ pub use domain::{
 pub use engine::{SmoothEngine, SmoothEngineOn, SmoothMesh};
 pub use greedy::greedy_visit_order;
 pub use resident::{PairBatch, ResidentEngine, ResidentEngineOn, ResidentRank};
-pub use soa::{score_elements_batched, scratch_grow_count, SoaScores, LANES};
+pub use soa::{scratch_grow_count, SoaScores, LANES};
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};
 pub use transport::{

@@ -633,20 +633,26 @@ impl<'a, const C: usize, D: ScoringDomain<C>> ResidentRank<'a, C, D> {
         });
     }
 
-    /// The one full gather from an already-sliced block payload (a wire
-    /// [`lms_part::wire::Frame::Gather`]): coordinates owned-then-halo in
-    /// block-local order, scores in local element order.
+    /// The one full gather from a wire payload
+    /// ([`lms_part::wire::Frame::Gather`]): `fill` writes the owned then
+    /// halo coordinates, in block-local order, into the rank's own
+    /// coordinate array, then every local element is scored on them, as
+    /// in [`load_global`](Self::load_global) — no score crosses the wire.
     ///
     /// Loading fully defines the rank's run state: at an iteration
-    /// boundary a rank is exactly `(coords, scores)` plus empty transient
-    /// buffers, so a mid-iteration survivor re-loaded from a recovery
-    /// checkpoint returns bit-identically to that boundary.
-    pub fn load_block(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) {
-        assert_eq!(coords.len(), self.coords.len(), "gather payload has wrong coordinate count");
-        assert_eq!(scores.len(), self.scores.len(), "gather payload has wrong score count");
+    /// boundary a rank is exactly its coordinates plus the scores they
+    /// give, plus empty transient buffers, so a mid-iteration survivor
+    /// re-loaded from a recovery checkpoint returns bit-identically to
+    /// that boundary. If `fill` fails, its error is returned and the rank
+    /// holds no defined state until its next load.
+    pub fn load_with<E>(
+        &mut self,
+        fill: impl FnOnce(&mut [D::Point]) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.reset_transient();
-        self.coords.copy_from_slice(coords);
-        self.scores.gather_from(scores);
+        fill(&mut self.coords)?;
+        self.score_all_elements();
+        Ok(())
     }
 
     /// Drop every in-flight buffer (pending deliveries, dirty queues, the

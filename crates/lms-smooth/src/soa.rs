@@ -19,8 +19,9 @@
 //!   star take the same packed path as the rest;
 //! * [`sqrt_div_lanes`] — the packed square-root/divide phase of the
 //!   edge-length-ratio metric;
-//! * [`score_elements_batched`] — whole-table or id-list scoring in
-//!   fixed chunks, behind the quality-cache build and re-scores, the
+//! * [`score_corners_batched`] and its domain-table form
+//!   `score_elements_batched` — whole-table or id-list scoring in fixed
+//!   chunks, behind the quality-cache build and re-scores, the
 //!   resident initial scoring pass and [`crate::domain::domain_quality`];
 //! * [`SoaScores`] — the resident ranks' element scores as a quality
 //!   column beside an orientation column;
@@ -176,15 +177,6 @@ impl SoaScores {
         self.pos[i] = s.1;
     }
 
-    /// Replace the whole table from a pair slice (transport boundary).
-    pub fn gather_from(&mut self, scores: &[(f64, bool)]) {
-        self.resize(scores.len());
-        for (i, &s) in scores.iter().enumerate() {
-            self.q[i] = s.0;
-            self.pos[i] = s.1;
-        }
-    }
-
     /// The contiguous quality column.
     #[inline]
     pub fn qualities(&self) -> &[f64] {
@@ -251,7 +243,7 @@ unsafe fn sqrt_div_lanes_sse2(num: &[f64; LANES], den: &[f64; LANES], out: &mut 
 /// table) on the point slice `coords`, handing the `(quality, oriented)`
 /// pairs to `sink` in iteration order — [`score_corners_batched`] on the
 /// domain's own corner table.
-pub fn score_elements_batched<const C: usize, D: ScoringDomain<C>>(
+pub(crate) fn score_elements_batched<const C: usize, D: ScoringDomain<C>>(
     dom: &D,
     coords: &[D::Point],
     ids: impl IntoIterator<Item = u32>,
